@@ -155,7 +155,7 @@ func NewHierarchy(m *machine.Machine, nThreads int) (*Hierarchy, error) {
 	h := &Hierarchy{mach: m, perThread: make([][]*Cache, nThreads)}
 	// socketOf[t] under fill-socket-first pinning.
 	socketOf := make([]int, 0, nThreads)
-	for s, cnt := range placement.ThreadsPerSocket {
+	for s, cnt := range placement.ThreadsPerSocket() {
 		for i := 0; i < cnt; i++ {
 			socketOf = append(socketOf, s)
 		}

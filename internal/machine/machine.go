@@ -124,33 +124,39 @@ func (m *Machine) Validate() error {
 	return nil
 }
 
-// Placement describes where the threads of a parallel region run.
+// Placement describes where the threads of a parallel region run under
+// the paper's pinning policy ("fill socket first"): sockets are filled
+// to CoresPerSocket one after the other, so the thread count and the
+// socket shape determine it completely. It is a plain value — Pin sits
+// on the per-evaluation path of the performance model and allocates
+// nothing.
 type Placement struct {
-	// ThreadsPerSocket[s] is the number of threads pinned to socket s.
-	ThreadsPerSocket []int
+	threads        int
+	sockets        int
+	coresPerSocket int
+}
+
+// ThreadsPerSocket returns the number of threads pinned to each socket.
+func (p Placement) ThreadsPerSocket() []int {
+	out := make([]int, p.sockets)
+	remaining := p.threads
+	for s := 0; s < p.sockets && remaining > 0; s++ {
+		out[s] = min(remaining, p.coresPerSocket)
+		remaining -= out[s]
+	}
+	return out
 }
 
 // MaxThreadsOnSocket returns the largest per-socket thread count, which
 // determines worst-case shared-cache pressure and bandwidth contention.
-func (p Placement) MaxThreadsOnSocket() int {
-	m := 0
-	for _, n := range p.ThreadsPerSocket {
-		if n > m {
-			m = n
-		}
-	}
-	return m
-}
+func (p Placement) MaxThreadsOnSocket() int { return min(p.threads, p.coresPerSocket) }
 
 // SocketsUsed returns the number of sockets with at least one thread.
 func (p Placement) SocketsUsed() int {
-	n := 0
-	for _, t := range p.ThreadsPerSocket {
-		if t > 0 {
-			n++
-		}
+	if p.threads == 0 {
+		return 0
 	}
-	return n
+	return (p.threads + p.coresPerSocket - 1) / p.coresPerSocket
 }
 
 // Pin returns the placement of nThreads threads under the paper's
@@ -165,17 +171,7 @@ func (m *Machine) Pin(nThreads int) (Placement, error) {
 		return Placement{}, fmt.Errorf("machine: %d threads exceed %d physical cores on %s",
 			nThreads, m.Cores(), m.Name)
 	}
-	p := Placement{ThreadsPerSocket: make([]int, m.Sockets)}
-	remaining := nThreads
-	for s := 0; s < m.Sockets && remaining > 0; s++ {
-		n := remaining
-		if n > m.CoresPerSocket {
-			n = m.CoresPerSocket
-		}
-		p.ThreadsPerSocket[s] = n
-		remaining -= n
-	}
-	return p, nil
+	return Placement{threads: nThreads, sockets: m.Sockets, coresPerSocket: m.CoresPerSocket}, nil
 }
 
 // SharedCacheShare returns, for the given cache level and a placement,
@@ -195,14 +191,10 @@ func (m *Machine) SharedCacheShare(level CacheLevel, p Placement) int64 {
 		}
 		return level.SizeBytes / int64(n)
 	case Global:
-		total := 0
-		for _, t := range p.ThreadsPerSocket {
-			total += t
-		}
-		if total <= 1 {
+		if p.threads <= 1 {
 			return level.SizeBytes
 		}
-		return level.SizeBytes / int64(total)
+		return level.SizeBytes / int64(p.threads)
 	default:
 		return level.SizeBytes
 	}

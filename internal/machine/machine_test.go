@@ -3,6 +3,8 @@ package machine
 import (
 	"testing"
 	"testing/quick"
+
+	"autotune/internal/israce"
 )
 
 func TestPredefinedMachinesValidate(t *testing.T) {
@@ -54,8 +56,8 @@ func TestPinFillsSocketFirst(t *testing.T) {
 	}
 	want := []int{10, 2, 0, 0}
 	for i, n := range want {
-		if p.ThreadsPerSocket[i] != n {
-			t.Fatalf("placement = %v, want %v", p.ThreadsPerSocket, want)
+		if p.ThreadsPerSocket()[i] != n {
+			t.Fatalf("placement = %v, want %v", p.ThreadsPerSocket(), want)
 		}
 	}
 	if p.SocketsUsed() != 2 {
@@ -177,7 +179,7 @@ func TestPinConservationProperty(t *testing.T) {
 			return false
 		}
 		total := 0
-		for _, c := range p.ThreadsPerSocket {
+		for _, c := range p.ThreadsPerSocket() {
 			if c < 0 || c > m.CoresPerSocket {
 				return false
 			}
@@ -211,3 +213,50 @@ func TestSharedCacheShareMonotoneProperty(t *testing.T) {
 		prev = share
 	}
 }
+
+// The closed-form placement summaries equal what a walk over the
+// per-socket thread counts gives, for every thread count a machine
+// admits (including shapes where the last socket is partly filled).
+func TestPlacementSummariesMatchPerSocketCounts(t *testing.T) {
+	odd := Westmere()
+	odd.Sockets, odd.CoresPerSocket = 3, 7
+	for _, m := range []*Machine{Westmere(), Barcelona(), odd} {
+		for n := 1; n <= m.Cores(); n++ {
+			p, err := m.Pin(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxOn, used, total := 0, 0, 0
+			for _, c := range p.ThreadsPerSocket() {
+				maxOn = max(maxOn, c)
+				if c > 0 {
+					used++
+				}
+				total += c
+			}
+			if p.MaxThreadsOnSocket() != maxOn || p.SocketsUsed() != used || total != n {
+				t.Fatalf("%s n=%d: max %d used %d, per-socket walk gives max %d used %d total %d",
+					m.Name, n, p.MaxThreadsOnSocket(), p.SocketsUsed(), maxOn, used, total)
+			}
+		}
+	}
+	var zero Placement
+	if zero.MaxThreadsOnSocket() != 0 || zero.SocketsUsed() != 0 || len(zero.ThreadsPerSocket()) != 0 {
+		t.Error("zero Placement is not empty")
+	}
+}
+
+func TestPinAllocationBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	m := Westmere()
+	if a := testing.AllocsPerRun(100, func() {
+		p, _ := m.Pin(12)
+		pinSink = p.MaxThreadsOnSocket() + p.SocketsUsed()
+	}); a != 0 {
+		t.Errorf("Pin allocates %v times per call, want 0", a)
+	}
+}
+
+var pinSink int

@@ -1,0 +1,395 @@
+package objective
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"autotune/internal/israce"
+	"autotune/internal/kernels"
+	"autotune/internal/machine"
+	"autotune/internal/skeleton"
+)
+
+// seqBatch returns the single-parameter configurations lo, lo+1, …, hi-1.
+func seqBatch(lo, hi int) []skeleton.Config {
+	batch := make([]skeleton.Config, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		batch = append(batch, skeleton.Config{int64(i)})
+	}
+	return batch
+}
+
+// A cancelled search never starts another evaluation: with the context
+// cancelled from inside the k-th evaluation, exactly k evaluations run
+// and E == k, every time.
+func TestCancelledSearchStartsNoFurtherEvaluation(t *testing.T) {
+	const k = 3
+	for rep := 0; rep < 200; rep++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		c := NewCachingEvaluator([]string{"a"}, 1, func(cfg skeleton.Config) []float64 {
+			if calls.Add(1) == k {
+				cancel()
+			}
+			return []float64{float64(cfg[0])}
+		})
+		c.SetContext(ctx)
+		out := c.Evaluate(seqBatch(0, 10))
+		if calls.Load() != k || c.Evaluations() != k {
+			t.Fatalf("rep %d: %d evaluations ran, E = %d; want %d of each", rep, calls.Load(), c.Evaluations(), k)
+		}
+		answered := 0
+		for _, objs := range out {
+			if objs != nil {
+				answered++
+			}
+		}
+		if answered != k {
+			t.Fatalf("rep %d: %d configurations answered, want %d", rep, answered, k)
+		}
+		// The withdrawn leaders stayed unknown, not cached as failures.
+		c.SetContext(context.Background())
+		c.Evaluate(seqBatch(0, 10))
+		if c.Evaluations() != 10 {
+			t.Fatalf("rep %d: E = %d after the resumed batch, want 10", rep, c.Evaluations())
+		}
+	}
+}
+
+// Two concurrent batches hold the same keys in opposite orders, so
+// whichever classifies second follows the other's leaders, key by key
+// in the opposite direction. Both must return (followers are resolved
+// only after a batch's own leaders are done), every key is evaluated
+// once, and both see the same results.
+func TestOppositeOrderBatchesTerminate(t *testing.T) {
+	for rep := 0; rep < 100; rep++ {
+		var calls atomic.Int64
+		c := NewCachingEvaluator([]string{"a"}, 2, func(cfg skeleton.Config) []float64 {
+			calls.Add(1)
+			runtime.Gosched()
+			return []float64{float64(cfg[0])}
+		})
+		fwd := seqBatch(0, 12)
+		// The first half overlaps in reverse; the second half is each
+		// batch's own, so both batches lead and follow at once.
+		a := append(append([]skeleton.Config{}, fwd[:6]...), seqBatch(100, 106)...)
+		b := seqBatch(200, 206)
+		for i := 5; i >= 0; i-- {
+			b = append(b, fwd[i])
+		}
+		var outA, outB [][]float64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { defer wg.Done(); outA = c.Evaluate(a) }()
+			go func() { defer wg.Done(); outB = c.Evaluate(b) }()
+			wg.Wait()
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("opposite-order batches did not terminate")
+		}
+		if calls.Load() != 18 || c.Evaluations() != 18 {
+			t.Fatalf("rep %d: %d evaluations, E = %d; want 18 distinct keys once each", rep, calls.Load(), c.Evaluations())
+		}
+		for i := 0; i < 6; i++ {
+			if outA[i] == nil || outB[11-i] == nil || outA[i][0] != outB[11-i][0] {
+				t.Fatalf("rep %d: key %d: %v vs %v", rep, i, outA[i], outB[11-i])
+			}
+		}
+	}
+}
+
+// The parallelism bound is global: 4 concurrent batches of 30 over
+// parallelism 3 never have more than 3 evaluations in flight.
+func TestConcurrentBatchesRespectGlobalBound(t *testing.T) {
+	var inflight, peak, calls atomic.Int64
+	c := NewCachingEvaluator([]string{"a"}, 3, func(cfg skeleton.Config) []float64 {
+		calls.Add(1)
+		n := inflight.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		runtime.Gosched()
+		inflight.Add(-1)
+		return []float64{float64(cfg[0])}
+	})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Neighbouring batches share 10 keys.
+			for i, objs := range c.Evaluate(seqBatch(w*20, w*20+30)) {
+				if objs == nil || objs[0] != float64(w*20+i) {
+					t.Errorf("batch %d slot %d = %v", w, i, objs)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if peak.Load() > 3 {
+		t.Fatalf("%d evaluations in flight at once, bound is 3", peak.Load())
+	}
+	if calls.Load() != 90 || c.Evaluations() != 90 {
+		t.Fatalf("%d evaluations, E = %d; want 90 distinct keys once each", calls.Load(), c.Evaluations())
+	}
+}
+
+// Evaluations that block (timed kernels, watchdog-guarded calls) still
+// overlap up to min(parallelism, misses) on a single P: the batch's
+// workers are goroutines, not a loop on the caller.
+func TestBlockingEvaluationsOverlapAtGOMAXPROCS1(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct{ parallelism, misses, want int }{{4, 6, 4}, {4, 2, 2}, {1, 3, 1}} {
+		var arrived atomic.Int64
+		release := make(chan struct{})
+		full := make(chan struct{})
+		c := NewCachingEvaluator([]string{"a"}, tc.parallelism, func(cfg skeleton.Config) []float64 {
+			if arrived.Add(1) == int64(tc.want) {
+				close(full)
+			}
+			<-release
+			return []float64{float64(cfg[0])}
+		})
+		c.Prime(skeleton.Config{1000}, []float64{1}) // a hit takes no worker
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			c.Evaluate(append(seqBatch(0, tc.misses), skeleton.Config{1000}))
+		}()
+		select {
+		case <-full:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("parallelism %d, %d misses: only %d evaluations in flight, want %d",
+				tc.parallelism, tc.misses, arrived.Load(), tc.want)
+		}
+		if got := arrived.Load(); got != int64(tc.want) {
+			t.Fatalf("parallelism %d, %d misses: %d in flight, want %d", tc.parallelism, tc.misses, got, tc.want)
+		}
+		close(release)
+		<-done
+		if c.Evaluations() != tc.misses {
+			t.Fatalf("E = %d, want %d", c.Evaluations(), tc.misses)
+		}
+	}
+}
+
+// Duplicates inside one batch follow the batch's own leader and get its
+// slice, not a copy and not a second evaluation.
+func TestDuplicatesInBatchShareLeaderSlice(t *testing.T) {
+	var calls atomic.Int64
+	c := NewCachingEvaluator([]string{"a", "b"}, 4, countingFn(&calls))
+	out := c.Evaluate([]skeleton.Config{{5}, {6}, {5}, {-1}, {5}, {-1}})
+	if calls.Load() != 3 || c.Evaluations() != 2 {
+		t.Fatalf("%d evaluations, E = %d; want 3 and 2", calls.Load(), c.Evaluations())
+	}
+	if out[0] == nil || &out[0][0] != &out[2][0] || &out[0][0] != &out[4][0] {
+		t.Fatalf("duplicates did not get the leader's slice: %v %v %v", out[0], out[2], out[4])
+	}
+	if out[3] != nil || out[5] != nil {
+		t.Fatalf("duplicate failures = %v, %v; want nil", out[3], out[5])
+	}
+}
+
+// Prime during a running batch: a key the batch holds in flight is
+// refused (and evaluated once, by the batch); any other key is inserted
+// and never evaluated afterwards.
+func TestPrimeDuringBatch(t *testing.T) {
+	var calls atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	c := NewCachingEvaluator([]string{"a"}, 1, func(cfg skeleton.Config) []float64 {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return []float64{float64(cfg[0])}
+	})
+	done := make(chan [][]float64)
+	go func() { done <- c.Evaluate(seqBatch(0, 2)) }()
+	<-entered
+	if c.Prime(skeleton.Config{1}, []float64{-1}) {
+		t.Error("Prime replaced a key the running batch holds in flight")
+	}
+	if !c.Prime(skeleton.Config{2}, []float64{-2}) {
+		t.Error("Prime refused a key nobody holds")
+	}
+	close(release)
+	if out := <-done; out[1] == nil || out[1][0] != 1 {
+		t.Fatalf("in-flight key came back %v, want its evaluated value", out[1])
+	}
+	if out := c.Evaluate(seqBatch(0, 3)); out[2][0] != -2 {
+		t.Fatalf("primed key came back %v, want the primed value", out[2])
+	}
+	if calls.Load() != 2 || c.Evaluations() != 2 {
+		t.Fatalf("%d evaluations, E = %d; want 2 of each", calls.Load(), c.Evaluations())
+	}
+}
+
+// A follower of an aborted leader gets nil and the key stays unknown.
+func TestFollowerOfAbortedLeader(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var abort atomic.Bool
+	abort.Store(true)
+	c := NewCachingEvaluator([]string{"a"}, 2, func(cfg skeleton.Config) []float64 { return []float64{float64(cfg[0])} })
+	c.WrapEvalFunc(func(next CtxEvalFunc) CtxEvalFunc {
+		return func(ctx context.Context, cfg skeleton.Config) ([]float64, error) {
+			if abort.Load() {
+				close(entered)
+				<-release
+				return nil, errors.New("aborted")
+			}
+			return next(ctx, cfg)
+		}
+	})
+	leader, follower := make(chan [][]float64), make(chan [][]float64)
+	go func() { leader <- c.Evaluate(seqBatch(7, 8)) }()
+	<-entered
+	go func() { follower <- c.Evaluate(seqBatch(7, 8)) }()
+	// The follower has registered once the key's rendezvous exists.
+	for registered := false; !registered; runtime.Gosched() {
+		c.mu.Lock()
+		registered = c.inflight["7"].done != nil
+		c.mu.Unlock()
+	}
+	close(release)
+	if out := <-leader; out[0] != nil {
+		t.Fatalf("aborted leader returned %v", out[0])
+	}
+	if out := <-follower; out[0] != nil {
+		t.Fatalf("follower of an aborted leader returned %v", out[0])
+	}
+	if _, ok := c.Lookup(skeleton.Config{7}); ok || c.Evaluations() != 0 {
+		t.Fatal("aborted evaluation was cached or counted")
+	}
+	abort.Store(false)
+	if out := c.EvaluateOne(skeleton.Config{7}); out == nil || c.Evaluations() != 1 {
+		t.Fatalf("re-evaluation after abort = %v, E = %d", out, c.Evaluations())
+	}
+}
+
+// An evaluation that panics into a recovering caller holds neither its
+// semaphore slot nor its in-flight key afterwards: the follower is
+// released with nil and the key can be evaluated again.
+func TestPanickingEvaluationReleasesSlotAndKey(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	c := NewCachingEvaluator([]string{"a"}, 1, func(cfg skeleton.Config) []float64 {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+			panic("evaluation blew up")
+		}
+		return []float64{float64(cfg[0])}
+	})
+	leader, follower := make(chan any), make(chan [][]float64)
+	go func() {
+		defer func() { leader <- recover() }()
+		c.EvaluateOne(skeleton.Config{7})
+	}()
+	<-entered
+	go func() { follower <- c.Evaluate(seqBatch(7, 8)) }()
+	for registered := false; !registered; runtime.Gosched() {
+		c.mu.Lock()
+		registered = c.inflight["7"].done != nil
+		c.mu.Unlock()
+	}
+	close(release)
+	if r := <-leader; r == nil {
+		t.Fatal("the panic did not reach the caller")
+	}
+	if out := <-follower; out[0] != nil {
+		t.Fatalf("follower of a panicked leader returned %v", out[0])
+	}
+	// Parallelism is 1: this returns only if the slot was given back.
+	if out := c.EvaluateOne(skeleton.Config{7}); out == nil || c.Evaluations() != 1 {
+		t.Fatalf("re-evaluation after the panic = %v, E = %d", out, c.Evaluations())
+	}
+}
+
+func benchSim(tb testing.TB) *Sim {
+	tb.Helper()
+	k, err := kernels.ByName("mm")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := NewSim(SimConfig{Machine: machine.Westmere(), Kernel: k, NoiseAmp: 0.01})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// freshBatch returns 30 valid mm configurations no earlier call with a
+// smaller n returned.
+func freshBatch(n int) []skeleton.Config {
+	batch := make([]skeleton.Config, 30)
+	for i := range batch {
+		batch[i] = skeleton.Config{int64(n%500 + 1), int64(n/500 + 1), int64(i + 1), int64(i%40 + 1)}
+	}
+	return batch
+}
+
+func TestSimEvaluateAllocationBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s, n := benchSim(t), 0
+	perBatch := testing.AllocsPerRun(50, func() {
+		s.Evaluate(freshBatch(n))
+		n++
+	})
+	// freshBatch itself allocates 31 times; per configuration the
+	// evaluator may spend its key, its in-flight entry, its objective
+	// vector and amortized map growth.
+	if budget := 5.0*30 + 31 + 30; perBatch > budget {
+		t.Errorf("Sim.Evaluate of 30 fresh configurations allocates %v times, budget %v", perBatch, budget)
+	}
+	if s.Evaluations() != 51*30 {
+		t.Fatalf("E = %d, want %d: the batches were not fresh", s.Evaluations(), 51*30)
+	}
+}
+
+func BenchmarkSimEvaluateBatchCold(b *testing.B) {
+	b.ReportAllocs()
+	var s *Sim
+	for i := 0; i < b.N; i++ {
+		if i%32 == 0 { // a search evaluates about a thousand configurations
+			s = benchSim(b)
+		}
+		s.Evaluate(freshBatch(i % 32))
+	}
+}
+
+func BenchmarkSimEvaluateBatchCached(b *testing.B) {
+	s, batch := benchSim(b), freshBatch(0)
+	s.Evaluate(batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Evaluate(batch)
+	}
+}
+
+// Concurrent callers (islands) over one evaluator, each batch sharing
+// half its keys with the next caller's.
+func BenchmarkCachingEvaluatorConcurrentBatches(b *testing.B) {
+	c := NewCachingEvaluator([]string{"a", "b"}, 8, func(cfg skeleton.Config) []float64 {
+		return []float64{float64(cfg[0]), float64(cfg[0]) * 2}
+	})
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			lo := int(next.Add(1)) * 15
+			c.Evaluate(seqBatch(lo, lo+30))
+		}
+	})
+}

@@ -3,6 +3,7 @@ package objective
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"autotune/internal/skeleton"
 )
@@ -23,26 +24,40 @@ type CtxEvalFunc func(ctx context.Context, cfg skeleton.Config) ([]float64, erro
 
 // CachingEvaluator wraps a per-configuration evaluation function with
 // the framework's shared evaluation infrastructure: a process-wide
-// memoization cache keyed by Config.Key, in-flight deduplication
-// (singleflight — duplicate requests of a configuration whose
-// evaluation is still running wait for the leader instead of
-// re-evaluating), bounded parallel batch evaluation, and the E metric
-// (distinct successful evaluations).
+// memoization cache keyed by Config.Key, in-flight deduplication,
+// bounded parallel batch evaluation, and the E metric (distinct
+// successful evaluations).
+//
+// Evaluate handles a batch as a batch. One pass under one lock sorts
+// its configurations into hits (answered from the cache), leaders (keys
+// nobody is evaluating: this batch registers them in flight and
+// evaluates them) and followers (keys in flight already — in a
+// concurrent batch, or earlier in this one). The leaders are drained by
+// min(parallelism, leaders) workers pulling from a shared index, the
+// calling goroutine being one of them, so a batch of one runs inline
+// and an all-hit batch starts nothing. Followers are resolved only
+// after the batch's own leaders have finished: a batch never waits
+// while holding work somebody else may be waiting for, so two batches
+// following each other's leaders cannot deadlock.
 //
 // One CachingEvaluator can safely serve many concurrent Evaluate
 // callers — e.g. the worker islands of the parallel optimizer — and
 // guarantees each distinct configuration is evaluated exactly once no
-// matter how many islands propose it. The concurrency bound is global
-// across batches, so an inherently serial evaluation function
-// (parallelism 1, like timed kernel execution) stays serialized even
-// under concurrent batches.
+// matter how many islands propose it. Every evaluation takes a slot of
+// one semaphore, so the concurrency bound is global across batches: an
+// inherently serial evaluation function (parallelism 1, like timed
+// kernel execution) stays serialized even under concurrent batches.
+// Failed evaluations (nil objectives) are cached like successes but
+// never counted in E; observers fire exactly once per fresh result,
+// outside the lock.
 //
 // The evaluator is cancellation-aware: SetContext binds a
-// context.Context, and once it is done, pending evaluations are
-// abandoned (cache hits still return). Middleware installed with
-// WrapEvalFunc — e.g. the watchdog/retry guard of internal/resilience
-// — decides per evaluation whether an interruption is a recorded
-// failure (cached, observed) or an abort (left unknown).
+// context.Context, and once it is done no further evaluation starts —
+// workers check it before every evaluation, pending leaders are
+// withdrawn and left unknown, and cache hits still return. Middleware
+// installed with WrapEvalFunc — e.g. the watchdog/retry guard of
+// internal/resilience — decides per evaluation whether an interruption
+// is a recorded failure (cached, observed) or an abort (left unknown).
 type CachingEvaluator struct {
 	names []string
 	sem   chan struct{}
@@ -59,12 +74,20 @@ type CachingEvaluator struct {
 	primeObs  map[int]func(cfg skeleton.Config, objs []float64)
 }
 
-// inflightEval is the rendezvous for duplicate requests of a
-// configuration whose evaluation is still running: followers wait on
-// done instead of evaluating the same key a second time.
+// inflightEval is the rendezvous for a configuration whose evaluation
+// is still running. The first follower creates done (under c.mu), so
+// the usual case — nobody else asks for the key meanwhile — costs no
+// channel; the leader publishes objs and closes done, if there is one,
+// when it finishes.
 type inflightEval struct {
 	done chan struct{}
 	objs []float64
+}
+
+// follower is a batch slot waiting for another leader's result.
+type follower struct {
+	slot int
+	fl   *inflightEval
 }
 
 // NewCachingEvaluator builds a caching evaluator around fn. names are
@@ -275,94 +298,141 @@ func (c *CachingEvaluator) EvaluateOne(cfg skeleton.Config) []float64 {
 	return c.Evaluate([]skeleton.Config{cfg})[0]
 }
 
-// Evaluate implements Evaluator. Configurations are evaluated
-// concurrently up to the parallelism bound and memoized. Duplicate
-// keys — within one batch or across concurrent batches — are
-// deduplicated in flight: one leader evaluates the configuration,
-// followers wait for its result, so each distinct key is evaluated
-// exactly once. When the bound context is done, uncached
+// Evaluate implements Evaluator: cache hits are answered at once, every
+// other distinct key is evaluated exactly once — by this batch (at most
+// parallelism at a time, globally) or by the concurrent batch that got
+// to it first — and memoized. When the bound context is done, uncached
 // configurations come back nil without being evaluated, cached or
 // counted.
 func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
+	out := make([][]float64, len(cfgs))
+	keys := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		keys[i] = cfg.Key()
+	}
+
+	var leaders []int
+	var followers []follower
 	c.mu.Lock()
-	fn := c.fn
-	ctx := c.ctx
-	c.mu.Unlock()
+	fn, ctx := c.fn, c.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([][]float64, len(cfgs))
-	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
-		key := cfg.Key()
-		c.mu.Lock()
+	cancelled := ctx.Err() != nil
+	for i, key := range keys {
 		if cached, ok := c.cache[key]; ok {
 			out[i] = cached
-			c.mu.Unlock()
-			continue
-		}
-		if fl, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			// Follower: wait for the leader's result. Followers hold
-			// no semaphore slot, so they cannot starve the leaders
-			// they are waiting on.
-			wg.Add(1)
-			go func(i int, fl *inflightEval) {
-				defer wg.Done()
-				<-fl.done
-				out[i] = fl.objs
-			}(i, fl)
-			continue
-		}
-		if ctx.Err() != nil {
-			// Cancelled before this configuration became a leader:
-			// abandon it uncached so a resumed search evaluates it.
-			c.mu.Unlock()
-			continue
-		}
-		fl := &inflightEval{done: make(chan struct{})}
-		c.inflight[key] = fl
-		c.mu.Unlock()
-		wg.Add(1)
-		select {
-		case c.sem <- struct{}{}:
-		case <-ctx.Done():
-			// Cancelled while queued for an evaluation slot: withdraw
-			// the in-flight registration and release any followers.
-			c.mu.Lock()
-			delete(c.inflight, key)
-			c.mu.Unlock()
-			close(fl.done)
-			wg.Done()
-			continue
-		}
-		go func(i int, cfg skeleton.Config, key string, fl *inflightEval) {
-			defer wg.Done()
-			defer func() { <-c.sem }()
-			objs, err := fn(ctx, cfg)
-			c.mu.Lock()
-			if err != nil {
-				// Aborted: leave the configuration unknown.
-				delete(c.inflight, key)
-				c.mu.Unlock()
-				close(fl.done)
-				return
+		} else if fl, ok := c.inflight[key]; ok {
+			if fl.done == nil {
+				fl.done = make(chan struct{})
 			}
-			c.cache[key] = objs
-			if objs != nil {
-				c.evals++
-			}
-			observers := c.observerList()
-			delete(c.inflight, key)
-			c.mu.Unlock()
-			for _, observe := range observers {
-				observe(cfg, objs)
-			}
-			fl.objs = objs
-			close(fl.done)
-			out[i] = objs
-		}(i, cfg, key, fl)
+			followers = append(followers, follower{i, fl})
+		} else if !cancelled {
+			// Cancelled batches register nothing: the configuration
+			// stays unknown so a resumed search evaluates it.
+			c.inflight[key] = &inflightEval{}
+			leaders = append(leaders, i)
+		}
 	}
-	wg.Wait()
+	c.mu.Unlock()
+
+	if len(leaders) > 0 {
+		var next atomic.Int64
+		drain := func() {
+			for n := next.Add(1) - 1; n < int64(len(leaders)); n = next.Add(1) - 1 {
+				i := leaders[n]
+				out[i] = c.lead(ctx, fn, cfgs[i], keys[i])
+			}
+		}
+		var wg sync.WaitGroup
+		for w := min(cap(c.sem), len(leaders)); w > 1; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				drain()
+			}()
+		}
+		drain()
+		wg.Wait()
+	}
+
+	// Followers hold no semaphore slot and wait only now, with this
+	// batch's own leaders finished, so they cannot starve or deadlock
+	// the leaders they are waiting on.
+	for _, f := range followers {
+		<-f.fl.done
+		out[f.slot] = f.fl.objs
+	}
 	return out
+}
+
+// lead evaluates one configuration the calling batch registered in
+// c.inflight, publishes the result and releases the key's followers. It
+// returns nil, leaving the configuration unknown, when the context is
+// done before the evaluation starts or the evaluation aborts.
+func (c *CachingEvaluator) lead(ctx context.Context, fn CtxEvalFunc, cfg skeleton.Config, key string) []float64 {
+	// Deferred, so that an evaluation or observer that panics into a
+	// recovering caller leaves the key unknown and its followers released
+	// rather than registered in flight for ever.
+	var done chan struct{}
+	withdrawn := false
+	defer func() {
+		if !withdrawn {
+			c.mu.Lock()
+			done = c.inflight[key].done
+			delete(c.inflight, key)
+			c.mu.Unlock()
+		}
+		if done != nil {
+			close(done)
+		}
+	}()
+
+	objs, err := c.evalInSlot(ctx, fn, cfg)
+
+	c.mu.Lock()
+	fl := c.inflight[key]
+	delete(c.inflight, key)
+	done, withdrawn = fl.done, true
+	var observers []func(skeleton.Config, []float64)
+	if err == nil {
+		c.cache[key] = objs
+		if objs != nil {
+			c.evals++
+		}
+		observers = c.observerList()
+		fl.objs = objs
+	}
+	c.mu.Unlock()
+
+	for _, observe := range observers {
+		observe(cfg, objs)
+	}
+	return objs
+}
+
+// evalInSlot runs fn on cfg while holding one slot of the global
+// semaphore. A non-nil error means the evaluation aborted or never
+// started because ctx is done.
+func (c *CachingEvaluator) evalInSlot(ctx context.Context, fn CtxEvalFunc, cfg skeleton.Config) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	select {
+	case c.sem <- struct{}{}:
+		defer func() { <-c.sem }()
+		// select may take this arm although ctx is done as well:
+		// re-checking is what keeps a cancelled search from starting
+		// another evaluation.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		objs, err := fn(ctx, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return objs, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }

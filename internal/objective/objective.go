@@ -16,7 +16,7 @@ package objective
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"autotune/internal/kernels"
@@ -111,11 +111,10 @@ type Sim struct {
 	cfg   SimConfig
 	model *perfmodel.Model
 
-	mu sync.Mutex
 	// modeled counts raw model evaluations (including failed ones);
 	// it differs from evals exactly when dedup or failure accounting
 	// kicks in, which is what the tests observe.
-	modeled int
+	modeled atomic.Int64
 }
 
 // NewSim builds a simulated evaluator. The configuration layout is
@@ -136,6 +135,10 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	if cfg.Parallelism == 0 {
 		cfg.Parallelism = 8
 	}
+	// Validated here, once, so the per-evaluation model pass need not.
+	if err := cfg.Kernel.Model.Validate(); err != nil {
+		return nil, err
+	}
 	mo := perfmodel.New(cfg.Machine)
 	mo.NoiseAmp = cfg.NoiseAmp
 	names := make([]string, len(cfg.Objectives))
@@ -148,9 +151,7 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 }
 
 func (s *Sim) evaluate(cfg skeleton.Config) []float64 {
-	s.mu.Lock()
-	s.modeled++
-	s.mu.Unlock()
+	s.modeled.Add(1)
 	d := s.cfg.Kernel.TileDims
 	want := d + 1
 	if s.cfg.UnrollDim {
@@ -159,8 +160,6 @@ func (s *Sim) evaluate(cfg skeleton.Config) []float64 {
 	if len(cfg) != want {
 		return nil
 	}
-	tiles := make([]int64, d)
-	copy(tiles, cfg[:d])
 	threads := int(cfg[d])
 	unroll := int64(1)
 	if s.cfg.UnrollDim {
@@ -170,15 +169,19 @@ func (s *Sim) evaluate(cfg skeleton.Config) []float64 {
 	if s.cfg.NoiseAmp == 0 {
 		reps = 1
 	}
-	times := make([]float64, 0, reps)
-	for r := 0; r < reps; r++ {
-		t, err := s.model.TimeUnrolled(s.cfg.Kernel.Model, s.cfg.N, tiles, threads, unroll, r)
-		if err != nil {
-			return nil
-		}
-		times = append(times, t)
+	var scratch [8]float64
+	times := scratch[:]
+	if reps <= len(scratch) {
+		times = times[:reps]
+	} else {
+		times = make([]float64, reps)
 	}
-	med := stats.MustMedian(times)
+	// One model pass for all repetitions; the model reads the tile sizes
+	// straight out of the configuration (kernel models are pure).
+	if err := s.model.Repetitions(s.cfg.Kernel.Model, s.cfg.N, cfg[:d:d], threads, unroll, times); err != nil {
+		return nil
+	}
+	med := stats.MustMedianInPlace(times)
 	objs := make([]float64, len(s.cfg.Objectives))
 	for i, o := range s.cfg.Objectives {
 		switch o {

@@ -98,10 +98,7 @@ func TestSimDuplicatesInOneBatchModeledOnce(t *testing.T) {
 			t.Fatalf("duplicate %d got %v", i, objs)
 		}
 	}
-	s.mu.Lock()
-	modeled := s.modeled
-	s.mu.Unlock()
-	if modeled != 1 {
+	if modeled := s.modeled.Load(); modeled != 1 {
 		t.Fatalf("modeled %d times, want 1", modeled)
 	}
 	if s.Evaluations() != 1 {

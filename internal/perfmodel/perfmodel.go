@@ -34,8 +34,8 @@ package perfmodel
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
+	"strconv"
 
 	"autotune/internal/machine"
 )
@@ -151,15 +151,47 @@ func (mo *Model) Time(k *KernelModel, n int64, tiles []int64, threads int, rep i
 // costs instruction-cache and register pressure at larger factors,
 // giving an interior optimum that depends on the innermost trip count.
 func (mo *Model) TimeUnrolled(k *KernelModel, n int64, tiles []int64, threads int, unroll int64, rep int) (float64, error) {
-	if unroll < 1 {
-		return 0, fmt.Errorf("perfmodel: unroll factor %d out of range", unroll)
-	}
-	return mo.time(k, n, tiles, threads, unroll, rep)
-}
-
-func (mo *Model) time(k *KernelModel, n int64, tiles []int64, threads int, unroll int64, rep int) (float64, error) {
 	if err := k.Validate(); err != nil {
 		return 0, err
+	}
+	total, err := mo.noiseless(k, n, tiles, threads, unroll)
+	if err != nil {
+		return 0, err
+	}
+	if mo.NoiseAmp > 0 {
+		total *= 1 + mo.NoiseAmp*noiseKey(k.Name, mo.Machine.Name, n, tiles, threads, int(unroll)).at(rep)
+	}
+	return total, nil
+}
+
+// Repetitions fills times[r] with the prediction for repetition r — what
+// len(times) TimeUnrolled calls with rep = 0, 1, … return, bit for bit —
+// in one pass over the model: the repetitions differ only in the noise
+// factor applied to the deterministic total, and the noise hashes only
+// in their last field. k must have passed Validate; callers on a hot
+// path validate once up front.
+func (mo *Model) Repetitions(k *KernelModel, n int64, tiles []int64, threads int, unroll int64, times []float64) error {
+	total, err := mo.noiseless(k, n, tiles, threads, unroll)
+	if err != nil {
+		return err
+	}
+	for rep := range times {
+		times[rep] = total
+	}
+	if mo.NoiseAmp > 0 {
+		key := noiseKey(k.Name, mo.Machine.Name, n, tiles, threads, int(unroll))
+		for rep := range times {
+			times[rep] *= 1 + mo.NoiseAmp*key.at(rep)
+		}
+	}
+	return nil
+}
+
+// noiseless is the deterministic part of the model: everything but the
+// per-repetition noise factor. k has passed Validate.
+func (mo *Model) noiseless(k *KernelModel, n int64, tiles []int64, threads int, unroll int64) (float64, error) {
+	if unroll < 1 {
+		return 0, fmt.Errorf("perfmodel: unroll factor %d out of range", unroll)
 	}
 	if len(tiles) != k.TileDims {
 		return 0, fmt.Errorf("perfmodel: kernel %s wants %d tile sizes, got %d", k.Name, k.TileDims, len(tiles))
@@ -256,12 +288,7 @@ func (mo *Model) time(k *KernelModel, n int64, tiles []int64, threads int, unrol
 
 	// Fork/join overhead grows with the number of threads involved.
 	tOverhead := m.ParallelOverheadUS * 1e-6 * float64(threads)
-	total := tBusy + tOverhead
-
-	if mo.NoiseAmp > 0 {
-		total *= 1 + mo.NoiseAmp*noise(k.Name, m.Name, n, tiles, threads, int(unroll), rep)
-	}
-	return total, nil
+	return tBusy + tOverhead, nil
 }
 
 // memBandwidthPerThread returns the DRAM bandwidth available to one
@@ -290,13 +317,57 @@ func (mo *Model) memBandwidthPerThread(p machine.Placement) float64 {
 	return share
 }
 
-// noise returns a deterministic pseudo-random value in [-1, 1] keyed on
-// the full configuration identity and repetition index.
-func noise(kernel, mach string, n int64, tiles []int64, threads, unroll, rep int) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%v|%d|%d|%d", kernel, mach, n, tiles, threads, unroll, rep)
-	v := h.Sum64()
-	return float64(v%2000001)/1000000 - 1
+// noiseKey starts the hash behind a repetition's measurement noise: a
+// deterministic pseudo-random value in [-1, 1] keyed on the full
+// configuration identity and the repetition index, the FNV-1a-64 hash
+// of the bytes fmt renders for "%s|%s|%d|%v|%d|%d|%d" (tiles as
+// "[t1 t2 …]"), folded piece by piece so nothing is formatted into a
+// buffer or allocated. noiseKey hashes everything up to and including
+// the '|' before the repetition index — the part all repetitions of one
+// configuration share — and at finishes it. The byte stream is pinned
+// against the fmt + hash/fnv reference in noise_test.go; every
+// fixed-seed front depends on it.
+func noiseKey(kernel, mach string, n int64, tiles []int64, threads, unroll int) fnv1a {
+	h := fnv1a(fnvOffset64).str(kernel).byte('|').str(mach).byte('|').int(n).byte('|').byte('[')
+	for i, t := range tiles {
+		if i > 0 {
+			h = h.byte(' ')
+		}
+		h = h.int(t)
+	}
+	return h.byte(']').byte('|').int(int64(threads)).byte('|').int(int64(unroll)).byte('|')
+}
+
+// at finishes a noiseKey hash with the repetition index and maps it to
+// [-1, 1].
+func (h fnv1a) at(rep int) float64 {
+	return float64(uint64(h.int(int64(rep)))%2000001)/1000000 - 1
+}
+
+// fnv1a is a running FNV-1a-64 hash (hash/fnv's New64a, inlined).
+type fnv1a uint64
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func (h fnv1a) byte(b byte) fnv1a { return (h ^ fnv1a(b)) * fnvPrime64 }
+
+func (h fnv1a) str(s string) fnv1a {
+	for i := 0; i < len(s); i++ {
+		h = h.byte(s[i])
+	}
+	return h
+}
+
+// int folds the decimal rendering of v (what %d prints).
+func (h fnv1a) int(v int64) fnv1a {
+	var buf [20]byte // len("-9223372036854775808")
+	for _, b := range strconv.AppendInt(buf[:0], v, 10) {
+		h = h.byte(b)
+	}
+	return h
 }
 
 // Speedup returns t_seq / t_par for convenience.

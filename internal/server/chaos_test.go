@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -340,7 +341,7 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 
 	dir := t.TempDir()
 	inj := chaos.NewInjector(nil)
-	var once, parkedOnce sync.Once
+	var once sync.Once
 	gateHit := make(chan struct{})
 	release := make(chan struct{})
 	blockerParked := make(chan struct{})
@@ -348,8 +349,13 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 	// The hook discriminates by job ID: until the real job's ID is
 	// known every eval blocks, which parks the blocker job on the single
 	// worker; the real job gates at n >= 20 like the drain test. The
-	// parked signal guarantees the blocker is quiescent — no database
-	// write of its can race the armed fault and eat it.
+	// blocker's first batch is its whole population, evaluated by one
+	// worker per configuration, and each journals its result to the
+	// database before it reaches the hook. The parked signal therefore
+	// waits for all of them: only then is the blocker quiescent — no
+	// database write of its can race the armed fault and eat it.
+	const blockerPop = 8
+	var blockerEvals atomic.Int64
 	var mu sync.Mutex
 	realID := ""
 	isReal := func(id string) bool { mu.Lock(); defer mu.Unlock(); return id == realID }
@@ -361,7 +367,9 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 		RecoverInterval: -1, // no prober: degradation must persist through the drain
 		EvalHook: func(id string, n int) {
 			if !isReal(id) {
-				parkedOnce.Do(func() { close(blockerParked) })
+				if blockerEvals.Add(1) == blockerPop {
+					close(blockerParked)
+				}
 				<-blockerRelease
 				return
 			}
@@ -380,7 +388,7 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 	// When the blocker releases, the real job starts against a
 	// read-only database and must route its checkpoint to the spill
 	// path from the first write.
-	if _, err := o.Submit(&JobRequest{Kernel: "mm", Seed: 7, PopSize: 8, MaxIterations: 1}, "alice"); err != nil {
+	if _, err := o.Submit(&JobRequest{Kernel: "mm", Seed: 7, PopSize: blockerPop, MaxIterations: 1}, "alice"); err != nil {
 		t.Fatal(err)
 	}
 	st, err = o.Submit(req, "alice")
@@ -393,7 +401,7 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 	select {
 	case <-blockerParked:
 	case <-time.After(60 * time.Second):
-		t.Fatal("blocker job never started evaluating")
+		t.Fatalf("blocker job parked %d of its first %d evaluations", blockerEvals.Load(), blockerPop)
 	}
 	degradeDB(t, o, inj)
 	close(blockerRelease)

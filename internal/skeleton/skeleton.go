@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
+	"strconv"
 
 	"autotune/internal/ir"
 	"autotune/internal/transform"
@@ -119,13 +119,20 @@ type Config []int64
 // Clone copies the configuration.
 func (c Config) Clone() Config { return append(Config(nil), c...) }
 
-// Key returns a map-key string identity for caching.
+// Key returns a map-key string identity for caching: the decimal values
+// joined by commas. The string is persisted — in tunedb store keys and
+// checkpoint fingerprints — so its bytes are pinned against the
+// fmt.Sprint + strings.Join reference in key_test.go.
 func (c Config) Key() string {
-	parts := make([]string, len(c))
+	var buf [64]byte // four-parameter configurations render well within it
+	b := buf[:0]
 	for i, v := range c {
-		parts[i] = fmt.Sprint(v)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, v, 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // Equal reports element-wise equality.

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -30,13 +31,23 @@ func Median(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2], nil
+	return MustMedianInPlace(append([]float64(nil), xs...)), nil
+}
+
+// MustMedianInPlace is MustMedian for a scratch slice the caller no
+// longer needs in order: it sorts xs itself rather than a copy, so it
+// allocates nothing (the per-evaluation median of the simulated
+// evaluator). It panics on an empty slice.
+func MustMedianInPlace(xs []float64) float64 {
+	if len(xs) == 0 {
+		panic(ErrEmpty)
 	}
-	return (c[n/2-1] + c[n/2]) / 2, nil
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // MustMedian is Median for callers that have already checked len>0.

@@ -51,6 +51,21 @@ func TestMustMedianPanics(t *testing.T) {
 	MustMedian(nil)
 }
 
+func TestMustMedianInPlace(t *testing.T) {
+	if m := MustMedianInPlace([]float64{4, 1, 3, 2}); m != 2.5 {
+		t.Fatalf("median = %v, want 2.5", m)
+	}
+	if m := MustMedianInPlace([]float64{3, 1, 2}); m != 2 {
+		t.Fatalf("median = %v, want 2", m)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on empty input")
+		}
+	}()
+	MustMedianInPlace(nil)
+}
+
 func TestMean(t *testing.T) {
 	m, err := Mean([]float64{1, 2, 3, 4})
 	if err != nil {
