@@ -14,6 +14,7 @@ package ir
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -137,7 +138,12 @@ func (a *Affine) normalize() {
 func (a Affine) Copy() Affine { return a.clone() }
 
 func (a Affine) clone() Affine {
-	out := Affine{Const: a.Const, Coeffs: map[string]int64{}}
+	if len(a.Coeffs) == 0 {
+		// A constant needs no map: every reader treats a nil Coeffs as
+		// empty, and every writer (Add, Scale) builds its own.
+		return Affine{Const: a.Const}
+	}
+	out := Affine{Const: a.Const, Coeffs: make(map[string]int64, len(a.Coeffs))}
 	for v, c := range a.Coeffs {
 		out.Coeffs[v] = c
 	}
@@ -146,23 +152,73 @@ func (a Affine) clone() Affine {
 
 // String renders the expression in source-like form, e.g. "2*i + j + 3".
 func (a Affine) String() string {
-	var parts []string
-	for _, v := range a.Vars() {
-		c := a.Coeffs[v]
-		switch c {
-		case 1:
-			parts = append(parts, v)
-		case -1:
-			parts = append(parts, "-"+v)
-		default:
-			parts = append(parts, fmt.Sprintf("%d*%s", c, v))
+	var b strings.Builder
+	a.writeTo(&b)
+	return b.String()
+}
+
+// writeTo renders the expression into b: the terms in iterator-name
+// order, then the constant when it is non-zero or stands alone, joined
+// by " + " — or " - " in front of a term that starts with a minus sign.
+func (a Affine) writeTo(b *strings.Builder) {
+	// Iterator names with non-zero coefficients, sorted: Vars, without
+	// its allocation for the handful of iterators an expression has.
+	var buf [4]string
+	vars := buf[:0]
+	if len(a.Coeffs) > 0 { // starting a map iteration costs more than a constant's whole rendering
+		for v, c := range a.Coeffs {
+			if c == 0 {
+				continue
+			}
+			vars = append(vars, v)
+			for i := len(vars) - 1; i > 0 && vars[i] < vars[i-1]; i-- {
+				vars[i], vars[i-1] = vars[i-1], vars[i]
+			}
 		}
 	}
-	if a.Const != 0 || len(parts) == 0 {
-		parts = append(parts, fmt.Sprintf("%d", a.Const))
+	var num [20]byte
+	terms := 0
+	// term writes one part of the sum; minus and body together are the
+	// part's text.
+	term := func(minus bool, digits []byte, name string) {
+		switch {
+		case terms == 0 && minus:
+			b.WriteByte('-')
+		case terms > 0 && minus:
+			b.WriteString(" - ")
+		case terms > 0:
+			b.WriteString(" + ")
+		}
+		b.Write(digits)
+		b.WriteString(name)
+		terms++
 	}
-	s := strings.Join(parts, " + ")
-	return strings.ReplaceAll(s, "+ -", "- ")
+	for _, v := range vars {
+		switch c := a.Coeffs[v]; c {
+		case 1:
+			term(false, nil, v)
+		case -1:
+			term(true, nil, v)
+		default:
+			digits := append(strconv.AppendInt(num[:0], c, 10), '*')
+			if c < 0 {
+				digits = digits[1:]
+			}
+			term(c < 0, digits, v)
+		}
+	}
+	if a.Const != 0 || terms == 0 {
+		digits := strconv.AppendInt(num[:0], a.Const, 10)
+		if a.Const < 0 {
+			digits = digits[1:]
+		}
+		term(a.Const < 0, digits, "")
+	}
+}
+
+func writeInt(b *strings.Builder, v int64) {
+	var num [20]byte
+	b.Write(strconv.AppendInt(num[:0], v, 10))
 }
 
 // Array declares an array with an element size and per-dimension
@@ -191,11 +247,26 @@ type Access struct {
 // String renders the access.
 func (ac Access) String() string {
 	var b strings.Builder
+	ac.writeTo(&b)
+	return b.String()
+}
+
+func (ac Access) writeTo(b *strings.Builder) {
 	b.WriteString(ac.Array)
 	for _, ix := range ac.Indices {
-		fmt.Fprintf(&b, "[%s]", ix.String())
+		b.WriteByte('[')
+		ix.writeTo(b)
+		b.WriteByte(']')
 	}
-	return b.String()
+}
+
+func writeAccesses(b *strings.Builder, acs []Access) {
+	for i, ac := range acs {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		ac.writeTo(b)
+	}
 }
 
 // Clone deep-copies the access.
@@ -247,11 +318,17 @@ func (*Stmt) isNode() {}
 // CloneNode deep-copies the statement.
 func (s *Stmt) CloneNode() Node {
 	c := &Stmt{Label: s.Label, Flops: s.Flops}
-	for _, w := range s.Writes {
-		c.Writes = append(c.Writes, w.Clone())
+	if len(s.Writes) > 0 {
+		c.Writes = make([]Access, len(s.Writes))
+		for i, w := range s.Writes {
+			c.Writes[i] = w.Clone()
+		}
 	}
-	for _, r := range s.Reads {
-		c.Reads = append(c.Reads, r.Clone())
+	if len(s.Reads) > 0 {
+		c.Reads = make([]Access, len(s.Reads))
+		for i, r := range s.Reads {
+			c.Reads[i] = r.Clone()
+		}
 	}
 	return c
 }
@@ -317,11 +394,17 @@ func (*Loop) isNode() {}
 func (l *Loop) CloneNode() Node {
 	c := &Loop{Var: l.Var, Lo: l.Lo.clone(), Hi: l.Hi.clone(), Step: l.Step,
 		Parallel: l.Parallel, Collapse: l.Collapse, UnrollPragma: l.UnrollPragma}
-	for _, cap := range l.Caps {
-		c.Caps = append(c.Caps, cap.clone())
+	if len(l.Caps) > 0 {
+		c.Caps = make([]Affine, len(l.Caps))
+		for i, cap := range l.Caps {
+			c.Caps[i] = cap.clone()
+		}
 	}
-	for _, n := range l.Body {
-		c.Body = append(c.Body, n.CloneNode())
+	if len(l.Body) > 0 {
+		c.Body = make([]Node, len(l.Body))
+		for i, n := range l.Body {
+			c.Body[i] = n.CloneNode()
+		}
 	}
 	return c
 }
@@ -358,13 +441,18 @@ type Program struct {
 // Clone deep-copies the program.
 func (p *Program) Clone() *Program {
 	c := &Program{Name: p.Name}
-	for _, a := range p.Arrays {
-		aa := a
-		aa.Dims = append([]int64(nil), a.Dims...)
-		c.Arrays = append(c.Arrays, aa)
+	if len(p.Arrays) > 0 {
+		c.Arrays = make([]Array, len(p.Arrays))
+		for i, a := range p.Arrays {
+			a.Dims = append([]int64(nil), a.Dims...)
+			c.Arrays[i] = a
+		}
 	}
-	for _, n := range p.Root {
-		c.Root = append(c.Root, n.CloneNode())
+	if len(p.Root) > 0 {
+		c.Root = make([]Node, len(p.Root))
+		for i, n := range p.Root {
+			c.Root[i] = n.CloneNode()
+		}
 	}
 	return c
 }
@@ -522,14 +610,22 @@ func Loops(ns []Node) []*Loop {
 }
 
 // String renders the program as pseudo-C for debugging and for the
-// multi-versioning backend's human-readable code listing.
+// multi-versioning backend's human-readable code listing. The whole
+// listing is written through one builder, without fmt: a tuned unit
+// prints one program per Pareto point.
 func (p *Program) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "// program %s\n", p.Name)
+	b.Grow(1 << 10) // a tiled three-deep nest prints ~0.7 KiB; skip the doublings up to it
+	b.WriteString("// program ")
+	b.WriteString(p.Name)
+	b.WriteByte('\n')
 	for _, a := range p.Arrays {
-		fmt.Fprintf(&b, "double %s", a.Name)
+		b.WriteString("double ")
+		b.WriteString(a.Name)
 		for _, d := range a.Dims {
-			fmt.Fprintf(&b, "[%d]", d)
+			b.WriteByte('[')
+			writeInt(&b, d)
+			b.WriteByte(']')
 		}
 		b.WriteString(";\n")
 	}
@@ -538,45 +634,70 @@ func (p *Program) String() string {
 }
 
 func printNodes(b *strings.Builder, ns []Node, depth int) {
-	ind := strings.Repeat("  ", depth)
+	indent := func() {
+		for i := 0; i < depth; i++ {
+			b.WriteString("  ")
+		}
+	}
 	for _, n := range ns {
 		switch x := n.(type) {
 		case *Loop:
-			par := ""
-			if x.Parallel {
-				par = "#pragma omp parallel for"
-				if x.Collapse > 1 {
-					par += fmt.Sprintf(" collapse(%d)", x.Collapse)
-				}
-				par += "\n" + ind
-			}
-			step := ""
-			if x.Step != 1 {
-				step = fmt.Sprintf(" += %d", x.Step)
-			} else {
-				step = "++"
-			}
 			if x.UnrollPragma > 1 {
-				fmt.Fprintf(b, "%s#pragma unroll(%d)\n", ind, x.UnrollPragma)
+				indent()
+				b.WriteString("#pragma unroll(")
+				writeInt(b, x.UnrollPragma)
+				b.WriteString(")\n")
 			}
-			hi := x.Hi.String()
+			indent()
+			if x.Parallel {
+				b.WriteString("#pragma omp parallel for")
+				if x.Collapse > 1 {
+					b.WriteString(" collapse(")
+					writeInt(b, int64(x.Collapse))
+					b.WriteByte(')')
+				}
+				b.WriteByte('\n')
+				indent()
+			}
+			b.WriteString("for (")
+			b.WriteString(x.Var)
+			b.WriteString(" = ")
+			x.Lo.writeTo(b)
+			b.WriteString("; ")
+			b.WriteString(x.Var)
+			b.WriteString(" < ")
+			// min(min(Hi, cap0), cap1)...
+			for range x.Caps {
+				b.WriteString("min(")
+			}
+			x.Hi.writeTo(b)
 			for _, c := range x.Caps {
-				hi = fmt.Sprintf("min(%s, %s)", hi, c.String())
+				b.WriteString(", ")
+				c.writeTo(b)
+				b.WriteByte(')')
 			}
-			fmt.Fprintf(b, "%s%sfor (%s = %s; %s < %s; %s%s) {\n",
-				ind, par, x.Var, x.Lo.String(), x.Var, hi, x.Var, step)
+			b.WriteString("; ")
+			b.WriteString(x.Var)
+			if x.Step != 1 {
+				b.WriteString(" += ")
+				writeInt(b, x.Step)
+			} else {
+				b.WriteString("++")
+			}
+			b.WriteString(") {\n")
 			printNodes(b, x.Body, depth+1)
-			fmt.Fprintf(b, "%s}\n", ind)
+			indent()
+			b.WriteString("}\n")
 		case *Stmt:
-			var lhs, rhs []string
-			for _, w := range x.Writes {
-				lhs = append(lhs, w.String())
-			}
-			for _, r := range x.Reads {
-				rhs = append(rhs, r.String())
-			}
-			fmt.Fprintf(b, "%s%s = f(%s); // %s, %d flops\n",
-				ind, strings.Join(lhs, ", "), strings.Join(rhs, ", "), x.Label, x.Flops)
+			indent()
+			writeAccesses(b, x.Writes)
+			b.WriteString(" = f(")
+			writeAccesses(b, x.Reads)
+			b.WriteString("); // ")
+			b.WriteString(x.Label)
+			b.WriteString(", ")
+			writeInt(b, x.Flops)
+			b.WriteString(" flops\n")
 		}
 	}
 }

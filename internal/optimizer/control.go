@@ -350,27 +350,22 @@ func (r *controlledRun) loop(islands []islandEvolver, maxGens int, iopt IslandOp
 	// Barrier 0: the initial populations (and any warm-start priming)
 	// are in; train the surrogate before the first generation screens.
 	r.sync()
+	active := make([]islandEvolver, 0, len(islands))
+	step := func(i int) { active[i].step() }
 	for gens < maxGens {
 		if ctx.Err() != nil {
 			return gens, true, nil
 		}
-		stepped := false
-		var wg sync.WaitGroup
+		active = active[:0]
 		for _, isl := range islands {
-			if isl.done() {
-				continue
+			if !isl.done() {
+				active = append(active, isl)
 			}
-			stepped = true
-			wg.Add(1)
-			go func(e islandEvolver) {
-				defer wg.Done()
-				e.step()
-			}(isl)
 		}
-		if !stepped {
+		if len(active) == 0 {
 			break
 		}
-		wg.Wait()
+		spawn(len(active), step)
 		gens++
 		r.sync()
 		if len(islands) > 1 && gens%iopt.MigrationInterval == 0 {

@@ -119,7 +119,7 @@ func (g *gridWalker) step() {
 
 func (g *gridWalker) done() bool { return g.next >= len(g.cfgs) }
 
-func (g *gridWalker) population() []individual { return nil }
+func (g *gridWalker) elites(int) []individual { return nil }
 
 func (g *gridWalker) inject([]individual) {}
 

@@ -95,8 +95,9 @@ type islandEvolver interface {
 	step()
 	// done reports whether the island's stagnation rule has fired.
 	done() bool
-	// population exposes the current individuals for elite selection.
-	population() []individual
+	// elites returns clones of the island's k best successfully
+	// evaluated members (fewer when it has fewer), best first.
+	elites(k int) []individual
 	// inject replaces the island's worst members with migrants.
 	inject(migrants []individual)
 	// points returns the island's archived front.
@@ -127,8 +128,14 @@ func NSGA2Islands(space skeleton.Space, eval objective.Evaluator, opt NSGA2Optio
 	return NSGA2IslandsControlled(space, eval, opt, iopt, Control{})
 }
 
-// spawn runs fn(0..n-1) concurrently and waits for all.
+// spawn runs fn(0..n-1) concurrently and waits for all. A single call
+// runs on the caller's goroutine: a serial search pays for no goroutine
+// (and no fresh stack to grow) per generation.
 func spawn(n int, fn func(i int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -149,7 +156,7 @@ func migrateRing(islands []islandEvolver, migrants int) {
 	w := len(islands)
 	elites := make([][]individual, w)
 	for i, isl := range islands {
-		elites[i] = selectElites(isl.population(), migrants)
+		elites[i] = isl.elites(migrants)
 	}
 	for i, isl := range islands {
 		donor := elites[(i-1+w)%w]
@@ -159,40 +166,15 @@ func migrateRing(islands []islandEvolver, migrants int) {
 	}
 }
 
-// orderBestToWorst returns population indices ordered by
-// non-domination rank (ascending), crowding distance within the rank
-// (descending), and original index as the deterministic tie-break.
-func orderBestToWorst(pop []individual) []int {
-	ranks := nonDominatedSort(pop)
-	out := make([]int, 0, len(pop))
-	for _, rank := range ranks {
-		dist := crowdingDistance(pop, rank)
-		order := make([]int, len(rank))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			da, db := dist[order[a]], dist[order[b]]
-			if da != db {
-				return da > db
-			}
-			return rank[order[a]] < rank[order[b]]
-		})
-		for _, oi := range order {
-			out = append(out, rank[oi])
-		}
-	}
-	return out
-}
-
 // selectElites clones the k best individuals of a population that have
-// successful evaluations.
-func selectElites(pop []individual, k int) []individual {
+// successful evaluations. The clones share nothing with pop or the
+// arena: they outlive the generation inside another island.
+func (a *arena) selectElites(pop []individual, k int) []individual {
 	if k > len(pop) {
 		k = len(pop)
 	}
 	out := make([]individual, 0, k)
-	for _, idx := range orderBestToWorst(pop) {
+	for _, idx := range a.orderBestToWorst(pop) {
 		if len(out) == k {
 			break
 		}
@@ -209,8 +191,13 @@ func selectElites(pop []individual, k int) []individual {
 }
 
 // replaceWorst overwrites the worst members of pop with the migrants,
-// never displacing more than half the population.
-func replaceWorst(pop []individual, migrants []individual) {
+// never displacing more than half the population (but always at least
+// one member of a non-empty one). An empty population — an island
+// restored from a snapshot that had none — takes no migrants.
+func (a *arena) replaceWorst(pop []individual, migrants []individual) {
+	if len(pop) == 0 {
+		return
+	}
 	limit := len(pop) / 2
 	if limit < 1 {
 		limit = 1
@@ -218,7 +205,7 @@ func replaceWorst(pop []individual, migrants []individual) {
 	if len(migrants) > limit {
 		migrants = migrants[:limit]
 	}
-	ord := orderBestToWorst(pop)
+	ord := a.orderBestToWorst(pop)
 	for j, mig := range migrants {
 		pop[ord[len(ord)-1-j]] = mig
 	}

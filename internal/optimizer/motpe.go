@@ -34,6 +34,12 @@ type motpeIsland struct {
 	obs      []individual // every observation, in evaluation order
 	archive  *pareto.Archive
 	stagnant int
+
+	// Per-step working memory, reused across steps.
+	arena     arena
+	ok        []individual // the successful observations
+	good, bad parzen
+	draw      skeleton.Config // one l(x) draw before clipping
 }
 
 // newMOTPEIsland seeds and evaluates the initial observations. opt
@@ -92,14 +98,16 @@ func (m *motpeIsland) done() bool { return m.stagnant >= m.opt.Stagnation }
 
 // splitObservations partitions the successful observations into the
 // good set (best quartile, at least 2) and the bad set, using the same
-// rank/crowding order the migration machinery uses.
+// rank/crowding order the migration machinery uses. The results alias
+// the island's working memory until the next call.
 func (m *motpeIsland) splitObservations() (good, bad []skeleton.Config) {
-	var ok []individual
+	ok := m.ok[:0]
 	for _, o := range m.obs {
 		if o.objs != nil {
 			ok = append(ok, o)
 		}
 	}
+	m.ok = ok
 	if len(ok) < 4 {
 		return nil, nil
 	}
@@ -107,43 +115,55 @@ func (m *motpeIsland) splitObservations() (good, bad []skeleton.Config) {
 	if nGood < 2 {
 		nGood = 2
 	}
-	for i, idx := range orderBestToWorst(ok) {
+	good, bad = m.good.centers[:0], m.bad.centers[:0]
+	for i, idx := range m.arena.orderBestToWorst(ok) {
 		if i < nGood {
 			good = append(good, ok[idx].cfg)
 		} else {
 			bad = append(bad, ok[idx].cfg)
 		}
 	}
+	m.good.centers, m.bad.centers = good, bad
 	return good, bad
 }
 
-// bandwidths returns the per-dimension Parzen kernel width for a set
-// of centers: a fraction of the parameter span that narrows as the set
-// grows, never below one integer step.
-func (m *motpeIsland) bandwidths(n int) []float64 {
-	bw := make([]float64, m.space.Dim())
-	shrink := 2 * math.Cbrt(float64(n))
-	for d, p := range m.space.Params {
-		w := float64(p.Max-p.Min) / shrink
+// parzen is a Parzen window: per-dimension gaussian kernels centered on
+// a set of configurations.
+type parzen struct {
+	centers []skeleton.Config
+	bw      []float64 // kernel width per dimension
+	logBw   []float64 // math.Log(bw[d]), taken once per fit, not once per kernel term
+	logs    []float64 // per-center log-likelihoods of the last logDensity call
+}
+
+// fit sets the per-dimension kernel width for the current centers: a
+// fraction of the parameter span that narrows as the set grows, never
+// below one integer step.
+func (p *parzen) fit(space skeleton.Space) {
+	p.bw = sized(p.bw, space.Dim())
+	p.logBw = sized(p.logBw, space.Dim())
+	shrink := 2 * math.Cbrt(float64(len(p.centers)))
+	for d, prm := range space.Params {
+		w := float64(prm.Max-prm.Min) / shrink
 		if w < 1 {
 			w = 1
 		}
-		bw[d] = w
+		p.bw[d] = w
+		p.logBw[d] = math.Log(w)
 	}
-	return bw
 }
 
-// logParzen evaluates the log-density of cfg under a Parzen mixture of
-// per-dimension gaussian kernels centered on the given configurations,
-// via log-sum-exp for numerical stability.
-func logParzen(cfg skeleton.Config, centers []skeleton.Config, bw []float64) float64 {
+// logDensity evaluates the log-density of cfg under the mixture, via
+// log-sum-exp for numerical stability.
+func (p *parzen) logDensity(cfg skeleton.Config) float64 {
 	best := math.Inf(-1)
-	logs := make([]float64, len(centers))
-	for i, c := range centers {
+	p.logs = sized(p.logs, len(p.centers))
+	logs := p.logs
+	for i, c := range p.centers {
 		ll := 0.0
 		for d := range cfg {
-			z := (float64(cfg[d]) - float64(c[d])) / bw[d]
-			ll += -0.5*z*z - math.Log(bw[d])
+			z := (float64(cfg[d]) - float64(c[d])) / p.bw[d]
+			ll += -0.5*z*z - p.logBw[d]
 		}
 		logs[i] = ll
 		if ll > best {
@@ -157,7 +177,7 @@ func logParzen(cfg skeleton.Config, centers []skeleton.Config, bw []float64) flo
 	for _, ll := range logs {
 		sum += math.Exp(ll - best)
 	}
-	return best + math.Log(sum/float64(len(centers)))
+	return best + math.Log(sum/float64(len(p.centers)))
 }
 
 // step proposes and evaluates PopSize candidates: each candidate is
@@ -172,19 +192,19 @@ func (m *motpeIsland) step() {
 			cands[i] = m.space.Random(m.rng.Rand)
 		}
 	} else {
-		bwGood := m.bandwidths(len(good))
-		bwBad := m.bandwidths(len(bad))
+		m.good.fit(m.space)
+		m.bad.fit(m.space)
 		for i := range cands {
 			var pick skeleton.Config
 			bestScore := math.Inf(-1)
 			for k := 0; k < motpeCandidates; k++ {
 				center := good[m.rng.Intn(len(good))]
-				draw := make(skeleton.Config, len(center))
-				for d := range draw {
-					draw[d] = center[d] + int64(math.Round(m.rng.NormFloat64()*bwGood[d]))
+				m.draw = sized(m.draw, len(center))
+				for d := range m.draw {
+					m.draw[d] = center[d] + int64(math.Round(m.rng.NormFloat64()*m.good.bw[d]))
 				}
-				draw = m.space.Clip(draw)
-				score := logParzen(draw, good, bwGood) - logParzen(draw, bad, bwBad)
+				draw := m.space.Clip(m.draw) // a fresh configuration: the pick escapes
+				score := m.good.logDensity(draw) - m.bad.logDensity(draw)
 				if score > bestScore {
 					bestScore = score
 					pick = draw
@@ -209,8 +229,8 @@ func (m *motpeIsland) step() {
 	}
 }
 
-// population exposes the observations for elite selection.
-func (m *motpeIsland) population() []individual { return m.obs }
+// elites clones the k best observations for migration.
+func (m *motpeIsland) elites(k int) []individual { return m.arena.selectElites(m.obs, k) }
 
 // inject records migrants as observations, steering the good set.
 func (m *motpeIsland) inject(migrants []individual) {

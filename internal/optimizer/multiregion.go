@@ -68,6 +68,7 @@ func MultiRSGDE3(spaces []skeleton.Space, eval JointEvaluator, opt Options) (*Mu
 	archives := make([]*pareto.Archive, nR)
 	stagnant := make([]int, nR)
 	boxes := make([]skeleton.Box, nR)
+	arenas := make([]arena, nR)
 
 	// Initial joint batch.
 	init := make([][]skeleton.Config, nR)
@@ -119,7 +120,7 @@ func MultiRSGDE3(spaces []skeleton.Space, eval JointEvaluator, opt Options) (*Mu
 				continue
 			}
 			if !opt.DisableRoughSet {
-				nonDom, dom := splitPop(pops[r])
+				nonDom, dom := arenas[r].splitPop(pops[r])
 				if len(nonDom) >= 3 && stagnant[r] == 0 {
 					boxes[r] = roughset.Reduce(spaces[r], nonDom, dom)
 				} else {
@@ -128,7 +129,7 @@ func MultiRSGDE3(spaces []skeleton.Space, eval JointEvaluator, opt Options) (*Mu
 			}
 			trials[r] = make([]skeleton.Config, len(pops[r]))
 			for i := range pops[r] {
-				trials[r][i] = mutate(pops[r][i].cfg, pops[r], i, boxes[r], opt, rng)
+				trials[r][i] = arenas[r].mutate(pops[r][i].cfg, pops[r], i, boxes[r], opt, rng)
 			}
 		}
 		trialObjs := eval.EvaluateJoint(trials)
@@ -145,7 +146,7 @@ func MultiRSGDE3(spaces []skeleton.Space, eval JointEvaluator, opt Options) (*Mu
 					improved = true
 				}
 			}
-			pops[r] = gde3Select(pops[r], trials[r], trialObjs[r], opt.PopSize)
+			pops[r] = arenas[r].gde3Select(pops[r], trials[r], trialObjs[r], opt.PopSize)
 			if improved {
 				stagnant[r] = 0
 			} else {

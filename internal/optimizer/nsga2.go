@@ -71,6 +71,7 @@ type nsga2Island struct {
 	pop      []individual
 	archive  *pareto.Archive
 	stagnant int
+	arena    arena
 }
 
 // newNSGA2Island seeds and evaluates the initial population. opt must
@@ -105,17 +106,14 @@ func (n *nsga2Island) step() {
 	pop := n.pop
 	rng := n.rng
 	opt := n.opt
-	ranks := nonDominatedSort(pop)
-	rankOf := make([]int, len(pop))
-	for r, members := range ranks {
-		for _, i := range members {
-			rankOf[i] = r
-		}
-	}
+	ar := &n.arena
+	ranks := ar.nonDominatedSort(pop)
+	rankOf := ar.rankOf
 	// Crowding per rank for tournament tie-breaking.
-	crowd := make([]float64, len(pop))
+	ar.crowd = sized(ar.crowd, len(pop))
+	crowd := ar.crowd
 	for _, members := range ranks {
-		d := crowdingDistance(pop, members)
+		d := ar.crowdingDistance(pop, members)
 		for k, i := range members {
 			crowd[i] = d[k]
 		}
@@ -155,7 +153,7 @@ func (n *nsga2Island) step() {
 	}
 	childObjs := n.eval.Evaluate(children)
 	improved := false
-	combined := append([]individual{}, pop...)
+	combined := append(ar.cand[:0], pop...)
 	for i := range children {
 		combined = append(combined, individual{cfg: children[i], objs: childObjs[i]})
 		if childObjs[i] != nil &&
@@ -163,7 +161,9 @@ func (n *nsga2Island) step() {
 			improved = true
 		}
 	}
-	n.pop = truncate(combined, opt.PopSize)
+	ar.cand = combined
+	n.pop = ar.truncate(combined, opt.PopSize, ar.spare)
+	ar.spare = pop[:0]
 	if improved {
 		n.stagnant = 0
 	} else {
@@ -171,11 +171,11 @@ func (n *nsga2Island) step() {
 	}
 }
 
-// population exposes the current individuals for migration.
-func (n *nsga2Island) population() []individual { return n.pop }
+// elites clones the island's k best members for migration.
+func (n *nsga2Island) elites(k int) []individual { return n.arena.selectElites(n.pop, k) }
 
 // inject replaces the island's worst members with the given migrants.
-func (n *nsga2Island) inject(migrants []individual) { replaceWorst(n.pop, migrants) }
+func (n *nsga2Island) inject(migrants []individual) { n.arena.replaceWorst(n.pop, migrants) }
 
 // points returns the island's archived front.
 func (n *nsga2Island) points() []pareto.Point { return n.archive.Points() }

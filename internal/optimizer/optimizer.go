@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"autotune/internal/objective"
 	"autotune/internal/pareto"
@@ -117,8 +117,10 @@ type gdeIsland struct {
 	rng      *stats.CountedRand
 	pop      []individual
 	archive  *pareto.Archive
+	full     skeleton.Box // the whole space; never written through
 	box      skeleton.Box
 	stagnant int
+	arena    arena
 }
 
 // newGDEIsland seeds and evaluates the initial population. opt must
@@ -130,8 +132,9 @@ func newGDEIsland(space skeleton.Space, eval objective.Evaluator, opt Options, s
 		opt:     opt,
 		rng:     stats.NewCountedRand(seed),
 		archive: pareto.NewArchive(),
-		box:     space.FullBox(),
+		full:    space.FullBox(),
 	}
+	g.box = g.full
 	g.pop = make([]individual, opt.PopSize)
 	cfgs := seededPopulation(space, opt.InitialPopulation, opt.PopSize, g.rng.Rand)
 	objs := eval.Evaluate(cfgs)
@@ -155,9 +158,10 @@ func restoreGDEIsland(space skeleton.Space, eval objective.Evaluator, opt Option
 		opt:      opt,
 		rng:      stats.NewCountedRand(seed),
 		archive:  restoreArchive(st.Archive),
-		box:      space.FullBox(),
+		full:     space.FullBox(),
 		stagnant: st.Stagnant,
 	}
+	g.box = g.full
 	g.rng.Skip(st.Draws)
 	g.pop = make([]individual, len(st.Pop))
 	for i, m := range st.Pop {
@@ -197,17 +201,19 @@ func (g *gdeIsland) step() {
 	// prematurely narrowed region — the "gradual steering" the
 	// paper describes.
 	if !g.opt.DisableRoughSet {
-		nonDom, dom := splitPop(g.pop)
+		nonDom, dom := g.arena.splitPop(g.pop)
 		if len(nonDom) >= 3 && g.stagnant == 0 {
 			g.box = roughset.Reduce(g.space, nonDom, dom)
 		} else {
-			g.box = g.space.FullBox()
+			g.box = g.full
 		}
 	}
-	// Generate one trial per population member (Algorithm 1).
+	// Generate one trial per population member (Algorithm 1). The
+	// trials go to the evaluator, which may keep what it is handed, so
+	// they are fresh memory, never the arena's.
 	trials := make([]skeleton.Config, len(g.pop))
 	for i := range g.pop {
-		trials[i] = mutate(g.pop[i].cfg, g.pop, i, g.box, g.opt, g.rng)
+		trials[i] = g.arena.mutate(g.pop[i].cfg, g.pop, i, g.box, g.opt, g.rng)
 	}
 	trialObjs := g.eval.Evaluate(trials)
 	improved := false
@@ -219,7 +225,7 @@ func (g *gdeIsland) step() {
 			improved = true
 		}
 	}
-	g.pop = gde3Select(g.pop, trials, trialObjs, g.opt.PopSize)
+	g.pop = g.arena.gde3Select(g.pop, trials, trialObjs, g.opt.PopSize)
 	if improved {
 		g.stagnant = 0
 	} else {
@@ -227,11 +233,11 @@ func (g *gdeIsland) step() {
 	}
 }
 
-// population exposes the current individuals for migration.
-func (g *gdeIsland) population() []individual { return g.pop }
+// elites clones the island's k best members for migration.
+func (g *gdeIsland) elites(k int) []individual { return g.arena.selectElites(g.pop, k) }
 
 // inject replaces the island's worst members with the given migrants.
-func (g *gdeIsland) inject(migrants []individual) { replaceWorst(g.pop, migrants) }
+func (g *gdeIsland) inject(migrants []individual) { g.arena.replaceWorst(g.pop, migrants) }
 
 // points returns the island's archived front.
 func (g *gdeIsland) points() []pareto.Point { return g.archive.Points() }
@@ -259,11 +265,14 @@ func GDE3(space skeleton.Space, eval objective.Evaluator, opt Options) (*Result,
 // b, c, d; per component, with probability CR (or forcedly at one
 // random index) take b + F*(c-d), otherwise keep a's value; then map
 // the real vector to the closest configuration within the current box.
-func mutate(a skeleton.Config, pop []individual, self int, box skeleton.Box, opt Options, rng randInterface) skeleton.Config {
-	idx := pickDistinct(rng, len(pop), self, 3)
+// The returned configuration is the call's only allocation.
+func (ar *arena) mutate(a skeleton.Config, pop []individual, self int, box skeleton.Box, opt Options, rng randInterface) skeleton.Config {
+	var idx [3]int
+	pickDistinct(rng, len(pop), self, idx[:])
 	b, c, d := pop[idx[0]].cfg, pop[idx[1]].cfg, pop[idx[2]].cfg
 	dim := len(a)
-	r := make([]float64, dim)
+	ar.real = sized(ar.real, dim)
+	r := ar.real
 	forced := rng.Intn(dim)
 	for i := 0; i < dim; i++ {
 		if rng.Float64() < opt.CR || i == forced {
@@ -282,41 +291,46 @@ type randInterface interface {
 	Intn(n int) int
 }
 
-// pickDistinct draws k distinct indices from [0,n) avoiding self.
-// Algorithm 1 requires b, c, d to differ from a, so self is excluded
-// whenever another member exists (n > 1); only a population of one has
-// no choice but to return self.
-func pickDistinct(rng randInterface, n, self, k int) []int {
-	out := make([]int, 0, k)
-	if n <= k {
+// pickDistinct fills out with distinct indices drawn from [0,n),
+// avoiding self. Algorithm 1 requires b, c, d to differ from a, so self
+// is excluded whenever another member exists (n > 1); only a
+// population of one has no choice but to return self. A draw is
+// rejected by scanning the few picks made so far, and every draw —
+// kept or rejected — is one rng.Intn(n), so the generator's position
+// after the call depends on the values drawn alone.
+func pickDistinct(rng randInterface, n, self int, out []int) {
+	if n <= len(out) {
 		// Tiny populations: allow repeats rather than spinning, but
 		// still never hand back self.
-		for len(out) < k {
+		for i := 0; i < len(out); {
 			x := rng.Intn(n)
 			if x == self && n > 1 {
 				continue
 			}
-			out = append(out, x)
+			out[i] = x
+			i++
 		}
-		return out
+		return
 	}
-	used := map[int]bool{self: true}
-	for len(out) < k {
+	for i := 0; i < len(out); {
 		x := rng.Intn(n)
-		if !used[x] {
-			used[x] = true
-			out = append(out, x)
+		if x == self || slices.Contains(out[:i], x) {
+			continue
 		}
+		out[i] = x
+		i++
 	}
-	return out
 }
 
 // gde3Select applies the GDE3 replacement rule: a trial dominating its
 // parent replaces it; a dominated trial is discarded; mutually
 // non-dominated pairs keep both, and the grown population is truncated
-// back to popSize by non-dominated sorting with crowding distance.
-func gde3Select(pop []individual, trials []skeleton.Config, trialObjs [][]float64, popSize int) []individual {
-	next := make([]individual, 0, 2*len(pop))
+// back to popSize by non-dominated sorting with crowding distance. The
+// next population is written into the arena's spare buffer and pop's
+// storage becomes the spare: a caller must replace pop by the result
+// and hold no other reference to either.
+func (a *arena) gde3Select(pop []individual, trials []skeleton.Config, trialObjs [][]float64, popSize int) []individual {
+	next := a.cand[:0]
 	for i := range pop {
 		parent := pop[i]
 		trial := individual{cfg: trials[i], objs: trialObjs[i]}
@@ -333,127 +347,15 @@ func gde3Select(pop []individual, trials []skeleton.Config, trialObjs [][]float6
 			next = append(next, parent, trial)
 		}
 	}
+	a.cand = next
+	var out []individual
 	if len(next) <= popSize {
-		return next
+		out = append(a.spare[:0], next...)
+	} else {
+		out = a.truncate(next, popSize, a.spare)
 	}
-	return truncate(next, popSize)
-}
-
-// truncate keeps popSize individuals preferring lower non-domination
-// rank and, within the splitting rank, higher crowding distance.
-func truncate(pop []individual, popSize int) []individual {
-	ranks := nonDominatedSort(pop)
-	out := make([]individual, 0, popSize)
-	for _, rank := range ranks {
-		if len(out)+len(rank) <= popSize {
-			for _, i := range rank {
-				out = append(out, pop[i])
-			}
-			continue
-		}
-		remaining := popSize - len(out)
-		if remaining <= 0 {
-			break
-		}
-		dist := crowdingDistance(pop, rank)
-		order := make([]int, len(rank))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return dist[order[a]] > dist[order[b]] })
-		for _, oi := range order[:remaining] {
-			out = append(out, pop[rank[oi]])
-		}
-		break
-	}
+	a.spare = pop[:0]
 	return out
-}
-
-// nonDominatedSort partitions population indices into fronts: rank 0 is
-// non-dominated, rank 1 is non-dominated once rank 0 is removed, etc.
-// Failed individuals (nil objectives) form the final rank.
-func nonDominatedSort(pop []individual) [][]int {
-	var failed []int
-	alive := make([]int, 0, len(pop))
-	for i := range pop {
-		if pop[i].objs == nil {
-			failed = append(failed, i)
-		} else {
-			alive = append(alive, i)
-		}
-	}
-	var ranks [][]int
-	remaining := alive
-	for len(remaining) > 0 {
-		var front, rest []int
-		for _, i := range remaining {
-			dominated := false
-			for _, j := range remaining {
-				if i != j && pareto.Dominates(pop[j].objs, pop[i].objs) {
-					dominated = true
-					break
-				}
-			}
-			if dominated {
-				rest = append(rest, i)
-			} else {
-				front = append(front, i)
-			}
-		}
-		if len(front) == 0 {
-			// All mutually "dominated" cannot happen with a strict
-			// dominance relation, but guard against infinite loops.
-			front = remaining
-			rest = nil
-		}
-		ranks = append(ranks, front)
-		remaining = rest
-	}
-	if len(failed) > 0 {
-		ranks = append(ranks, failed)
-	}
-	return ranks
-}
-
-// crowdingDistance computes the NSGA-II crowding distance for the
-// population members indexed by front.
-func crowdingDistance(pop []individual, front []int) []float64 {
-	n := len(front)
-	dist := make([]float64, n)
-	if n == 0 {
-		return dist
-	}
-	m := len(pop[front[0]].objs)
-	order := make([]int, n)
-	for obj := 0; obj < m; obj++ {
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			return pop[front[order[a]]].objs[obj] < pop[front[order[b]]].objs[obj]
-		})
-		lo := pop[front[order[0]]].objs[obj]
-		hi := pop[front[order[n-1]]].objs[obj]
-		dist[order[0]] = math.Inf(1)
-		dist[order[n-1]] = math.Inf(1)
-		if hi == lo {
-			continue
-		}
-		for k := 1; k < n-1; k++ {
-			dist[order[k]] += (pop[front[order[k+1]]].objs[obj] - pop[front[order[k-1]]].objs[obj]) / (hi - lo)
-		}
-	}
-	return dist
-}
-
-func splitPop(pop []individual) (nonDom, dom []skeleton.Config) {
-	cfgs := make([]skeleton.Config, len(pop))
-	objs := make([][]float64, len(pop))
-	for i := range pop {
-		cfgs[i] = pop[i].cfg
-		objs[i] = pop[i].objs
-	}
-	return roughset.Split(cfgs, objs, pareto.Dominates)
 }
 
 // Random implements the paper's random-search baseline: draw `budget`

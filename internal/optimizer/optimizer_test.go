@@ -294,7 +294,8 @@ func TestNonDominatedSortRanks(t *testing.T) {
 		{objs: nil},
 		{objs: []float64{3, 3}},
 	}
-	ranks := nonDominatedSort(pop)
+	var a arena
+	ranks := a.nonDominatedSort(pop)
 	if len(ranks) != 4 {
 		t.Fatalf("ranks = %v", ranks)
 	}
@@ -318,7 +319,8 @@ func TestCrowdingDistanceExtremesInfinite(t *testing.T) {
 		{objs: []float64{1, 2}},
 		{objs: []float64{4, 0}},
 	}
-	d := crowdingDistance(pop, []int{0, 1, 2})
+	var a arena
+	d := a.crowdingDistance(pop, []int{0, 1, 2})
 	if !math.IsInf(d[0], 1) || !math.IsInf(d[2], 1) {
 		t.Fatalf("extremes not infinite: %v", d)
 	}
@@ -334,7 +336,8 @@ func TestTruncateKeepsBestRank(t *testing.T) {
 		{cfg: skeleton.Config{2}, objs: []float64{0, 3}},
 		{cfg: skeleton.Config{3}, objs: []float64{3, 0}},
 	}
-	out := truncate(pop, 2)
+	var a arena
+	out := a.truncate(pop, 2, nil)
 	if len(out) != 2 {
 		t.Fatalf("len = %d", len(out))
 	}
@@ -347,10 +350,8 @@ func TestTruncateKeepsBestRank(t *testing.T) {
 
 func TestPickDistinct(t *testing.T) {
 	rng := fixedRand{vals: []int{1, 1, 2, 3, 0}}
-	idx := pickDistinct(&rng, 5, 0, 3)
-	if len(idx) != 3 {
-		t.Fatalf("picked %v", idx)
-	}
+	idx := make([]int, 3)
+	pickDistinct(&rng, 5, 0, idx)
 	seen := map[int]bool{0: true}
 	for _, i := range idx {
 		if seen[i] {
@@ -361,10 +362,8 @@ func TestPickDistinct(t *testing.T) {
 	// Tiny population: repeats allowed, but self (index 0) is still
 	// excluded as long as another member exists.
 	rng2 := fixedRand{vals: []int{0, 1, 0, 1, 0, 1}}
-	got := pickDistinct(&rng2, 2, 0, 3)
-	if len(got) != 3 {
-		t.Fatalf("tiny population picks = %v", got)
-	}
+	got := make([]int, 3)
+	pickDistinct(&rng2, 2, 0, got)
 	for _, i := range got {
 		if i == 0 {
 			t.Fatalf("self picked in tiny population: %v", got)
@@ -372,7 +371,8 @@ func TestPickDistinct(t *testing.T) {
 	}
 	// A population of one has no choice but self.
 	rng3 := fixedRand{vals: []int{0}}
-	if got := pickDistinct(&rng3, 1, 0, 3); len(got) != 3 {
+	got = []int{-1, -1, -1}
+	if pickDistinct(&rng3, 1, 0, got); got[0] != 0 || got[1] != 0 || got[2] != 0 {
 		t.Fatalf("singleton population picks = %v", got)
 	}
 }
@@ -399,7 +399,8 @@ func TestMutateStaysInBox(t *testing.T) {
 	}
 	box := skeleton.Box{Lo: []int64{0, 1}, Hi: []int64{1000, 10}}
 	rng := fixedRand{vals: []int{1, 2, 3, 0, 1}}
-	r := mutate(pop[0].cfg, pop, 0, box, Options{CR: 0.5, F: 0.5}.withDefaults(), &rng)
+	var a arena
+	r := a.mutate(pop[0].cfg, pop, 0, box, Options{CR: 0.5, F: 0.5}.withDefaults(), &rng)
 	if !box.Contains(r) {
 		t.Fatalf("mutant %v escaped box", r)
 	}

@@ -71,7 +71,8 @@ func SingleObjectiveDE(space skeleton.Space, eval objective.Evaluator, weights [
 	for iters = 0; iters < opt.MaxIterations && stagnant < opt.Stagnation; iters++ {
 		trials := make([]skeleton.Config, len(pop))
 		for i := range pop {
-			idx := pickDistinct(rng, len(pop), i, 3)
+			var idx [3]int
+			pickDistinct(rng, len(pop), i, idx[:])
 			b, c, d := pop[idx[0]].cfg, pop[idx[1]].cfg, pop[idx[2]].cfg
 			dim := len(pop[i].cfg)
 			r := make([]float64, dim)

@@ -229,7 +229,7 @@ func (r *randomWalker) step() {
 
 func (r *randomWalker) done() bool { return r.next >= len(r.cfgs) }
 
-func (r *randomWalker) population() []individual { return nil }
+func (r *randomWalker) elites(int) []individual { return nil }
 
 func (r *randomWalker) inject([]individual) {}
 

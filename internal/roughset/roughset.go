@@ -30,13 +30,11 @@ import (
 //
 // The returned box always contains every non-dominated configuration.
 func Reduce(space skeleton.Space, nonDom, dom []skeleton.Config) skeleton.Box {
-	full := space.FullBox()
+	box := space.FullBox()
 	if len(nonDom) == 0 || len(dom) == 0 {
-		return full
+		return box
 	}
-	d := space.Dim()
-	box := skeleton.Box{Lo: make([]int64, d), Hi: make([]int64, d)}
-	for dim := 0; dim < d; dim++ {
+	for dim := range box.Lo {
 		// Extent of the non-dominated set in this dimension.
 		ndLo, ndHi := nonDom[0][dim], nonDom[0][dim]
 		for _, c := range nonDom[1:] {
@@ -47,8 +45,9 @@ func Reduce(space skeleton.Space, nonDom, dom []skeleton.Config) skeleton.Box {
 				ndHi = c[dim]
 			}
 		}
-		// Nearest dominated walls outside that extent.
-		lo, hi := full.Lo[dim], full.Hi[dim]
+		// Nearest dominated walls outside that extent, starting from
+		// the full-space bounds the box still holds.
+		lo, hi := box.Lo[dim], box.Hi[dim]
 		for _, c := range dom {
 			if v := c[dim]; v <= ndLo && v > lo {
 				lo = v

@@ -5,7 +5,9 @@
 // loop.
 //
 // Transformations operate on MiniIR (internal/ir) and return new
-// programs, leaving their input untouched. Legality is *not* re-checked
+// programs, leaving their input untouched: every exported
+// transformation clones its input and rewrites the clone, and Sequence
+// clones once for a whole list of steps. Legality is *not* re-checked
 // here — the analyzer (internal/analyzer) combines the polyhedral
 // legality tests with these mechanical rewrites; transform only
 // validates structural applicability (nest depth, rectangularity where
@@ -30,20 +32,27 @@ import (
 // iteration count are legal (single tile). The original program is not
 // modified.
 func Tile(p *ir.Program, tiles []int64) (*ir.Program, error) {
-	out := p.Clone()
+	return TileStep(tiles)(p.Clone())
+}
+
+// The unexported rewrites below transform the program they are given.
+// Each validates everything before it writes anything, so a rewrite
+// that fails has not touched its program.
+
+func tile(out *ir.Program, tiles []int64) error {
 	if len(out.Root) == 0 {
-		return nil, fmt.Errorf("transform: empty program")
+		return fmt.Errorf("transform: empty program")
 	}
 	loops, _ := ir.PerfectNest(out.Root[0])
 	if len(tiles) == 0 {
-		return out, nil
+		return nil
 	}
 	if len(tiles) > len(loops) {
-		return nil, fmt.Errorf("transform: %d tile sizes for a %d-deep nest", len(tiles), len(loops))
+		return fmt.Errorf("transform: %d tile sizes for a %d-deep nest", len(tiles), len(loops))
 	}
 	for _, t := range tiles {
 		if t < 0 {
-			return nil, fmt.Errorf("transform: negative tile size %d", t)
+			return fmt.Errorf("transform: negative tile size %d", t)
 		}
 	}
 	band := loops[:len(tiles)]
@@ -60,7 +69,7 @@ func Tile(p *ir.Program, tiles []int64) (*ir.Program, error) {
 			continue
 		}
 		if l.Step != 1 {
-			return nil, fmt.Errorf("transform: cannot tile loop %s with step %d", l.Var, l.Step)
+			return fmt.Errorf("transform: cannot tile loop %s with step %d", l.Var, l.Step)
 		}
 		tv := l.Var + "_t"
 		caps := make([]ir.Affine, len(l.Caps))
@@ -97,7 +106,7 @@ func Tile(p *ir.Program, tiles []int64) (*ir.Program, error) {
 	}
 	chain[len(chain)-1].Body = innerBody
 	out.Root[0] = chain[0]
-	return out, nil
+	return nil
 }
 
 // Interchange permutes the loops of the outermost perfect nest
@@ -105,19 +114,22 @@ func Tile(p *ir.Program, tiles []int64) (*ir.Program, error) {
 // position i. perm must be a permutation of 0..depth-1 covering a
 // prefix of the nest.
 func Interchange(p *ir.Program, perm []int) (*ir.Program, error) {
-	out := p.Clone()
+	return InterchangeStep(perm)(p.Clone())
+}
+
+func interchange(out *ir.Program, perm []int) error {
 	if len(out.Root) == 0 {
-		return nil, fmt.Errorf("transform: empty program")
+		return fmt.Errorf("transform: empty program")
 	}
 	loops, _ := ir.PerfectNest(out.Root[0])
 	n := len(perm)
 	if n > len(loops) {
-		return nil, fmt.Errorf("transform: permutation of length %d exceeds nest depth %d", n, len(loops))
+		return fmt.Errorf("transform: permutation of length %d exceeds nest depth %d", n, len(loops))
 	}
 	seen := make([]bool, n)
 	for _, x := range perm {
 		if x < 0 || x >= n || seen[x] {
-			return nil, fmt.Errorf("transform: invalid permutation %v", perm)
+			return fmt.Errorf("transform: invalid permutation %v", perm)
 		}
 		seen[x] = true
 	}
@@ -132,7 +144,7 @@ func Interchange(p *ir.Program, perm []int) (*ir.Program, error) {
 			for _, v := range b.Vars() {
 				for other := 0; other < n; other++ {
 					if loops[other].Var == v && pos[other] > pos[orig] {
-						return nil, fmt.Errorf("transform: interchange would move loop %s inside its bound dependency %s",
+						return fmt.Errorf("transform: interchange would move loop %s inside its bound dependency %s",
 							loops[orig].Var, v)
 					}
 				}
@@ -149,7 +161,7 @@ func Interchange(p *ir.Program, perm []int) (*ir.Program, error) {
 	}
 	reordered[n-1].Body = innerBody
 	out.Root[0] = reordered[0]
-	return out, nil
+	return nil
 }
 
 // Parallelize marks the outermost loop of the program as parallel,
@@ -158,25 +170,28 @@ func Interchange(p *ir.Program, perm []int) (*ir.Program, error) {
 // loop). The collapsed loops must be rectangular: bounds of an inner
 // collapsed loop must not depend on outer collapsed iterators.
 func Parallelize(p *ir.Program, collapse int) (*ir.Program, error) {
+	return ParallelizeStep(collapse)(p.Clone())
+}
+
+func parallelize(out *ir.Program, collapse int) error {
 	if collapse < 1 {
-		return nil, fmt.Errorf("transform: collapse must be >= 1, got %d", collapse)
+		return fmt.Errorf("transform: collapse must be >= 1, got %d", collapse)
 	}
-	out := p.Clone()
 	if len(out.Root) == 0 {
-		return nil, fmt.Errorf("transform: empty program")
+		return fmt.Errorf("transform: empty program")
 	}
 	loops, _ := ir.PerfectNest(out.Root[0])
 	if len(loops) == 0 {
-		return nil, fmt.Errorf("transform: no loop to parallelize")
+		return fmt.Errorf("transform: no loop to parallelize")
 	}
 	if collapse > len(loops) {
-		return nil, fmt.Errorf("transform: collapse %d exceeds nest depth %d", collapse, len(loops))
+		return fmt.Errorf("transform: collapse %d exceeds nest depth %d", collapse, len(loops))
 	}
 	for i := 1; i < collapse; i++ {
 		for _, b := range append([]ir.Affine{loops[i].Lo, loops[i].Hi}, loops[i].Caps...) {
 			for j := 0; j < i; j++ {
 				if b.Coeff(loops[j].Var) != 0 {
-					return nil, fmt.Errorf("transform: collapsed loop %s has non-rectangular bound on %s",
+					return fmt.Errorf("transform: collapsed loop %s has non-rectangular bound on %s",
 						loops[i].Var, loops[j].Var)
 				}
 			}
@@ -184,7 +199,7 @@ func Parallelize(p *ir.Program, collapse int) (*ir.Program, error) {
 	}
 	loops[0].Parallel = true
 	loops[0].Collapse = collapse
-	return out, nil
+	return nil
 }
 
 // Unroll unrolls the innermost loop of the outermost perfect nest by
@@ -192,33 +207,36 @@ func Parallelize(p *ir.Program, collapse int) (*ir.Program, error) {
 // iterator values. The loop must have step 1 and a constant trip count
 // divisible by the factor (the analyzer only proposes such factors).
 func Unroll(p *ir.Program, factor int64) (*ir.Program, error) {
+	return UnrollStep(factor)(p.Clone())
+}
+
+func unroll(out *ir.Program, factor int64) error {
 	if factor < 1 {
-		return nil, fmt.Errorf("transform: unroll factor must be >= 1, got %d", factor)
+		return fmt.Errorf("transform: unroll factor must be >= 1, got %d", factor)
 	}
-	out := p.Clone()
 	if factor == 1 {
-		return out, nil
+		return nil
 	}
 	if len(out.Root) == 0 {
-		return nil, fmt.Errorf("transform: empty program")
+		return fmt.Errorf("transform: empty program")
 	}
 	loops, stmts := ir.PerfectNest(out.Root[0])
 	if len(loops) == 0 {
-		return nil, fmt.Errorf("transform: no loop to unroll")
+		return fmt.Errorf("transform: no loop to unroll")
 	}
 	l := loops[len(loops)-1]
 	if l.Step != 1 {
-		return nil, fmt.Errorf("transform: cannot unroll loop %s with step %d", l.Var, l.Step)
+		return fmt.Errorf("transform: cannot unroll loop %s with step %d", l.Var, l.Step)
 	}
 	if !l.Lo.IsConst() || !l.Hi.IsConst() || len(l.Caps) > 0 {
-		return nil, fmt.Errorf("transform: unroll requires constant rectangular bounds on %s", l.Var)
+		return fmt.Errorf("transform: unroll requires constant rectangular bounds on %s", l.Var)
 	}
 	trip := l.Hi.Const - l.Lo.Const
 	if trip%factor != 0 {
-		return nil, fmt.Errorf("transform: trip count %d not divisible by unroll factor %d", trip, factor)
+		return fmt.Errorf("transform: trip count %d not divisible by unroll factor %d", trip, factor)
 	}
 	if len(stmts) == 0 {
-		return nil, fmt.Errorf("transform: loop %s has no statements to unroll", l.Var)
+		return fmt.Errorf("transform: loop %s has no statements to unroll", l.Var)
 	}
 	var newBody []ir.Node
 	for u := int64(0); u < factor; u++ {
@@ -233,7 +251,7 @@ func Unroll(p *ir.Program, factor int64) (*ir.Program, error) {
 	}
 	l.Body = newBody
 	l.Step = factor
-	return out, nil
+	return nil
 }
 
 // AnnotateUnroll marks the innermost loop of the outermost perfect
@@ -241,16 +259,19 @@ func Unroll(p *ir.Program, factor int64) (*ir.Program, error) {
 // legal for any bounds (the backend compiler handles remainders);
 // factor 1 clears the annotation.
 func AnnotateUnroll(p *ir.Program, factor int64) (*ir.Program, error) {
+	return AnnotateUnrollStep(factor)(p.Clone())
+}
+
+func annotateUnroll(out *ir.Program, factor int64) error {
 	if factor < 1 {
-		return nil, fmt.Errorf("transform: unroll pragma factor must be >= 1, got %d", factor)
+		return fmt.Errorf("transform: unroll pragma factor must be >= 1, got %d", factor)
 	}
-	out := p.Clone()
 	if len(out.Root) == 0 {
-		return nil, fmt.Errorf("transform: empty program")
+		return fmt.Errorf("transform: empty program")
 	}
 	loops, _ := ir.PerfectNest(out.Root[0])
 	if len(loops) == 0 {
-		return nil, fmt.Errorf("transform: no loop to annotate")
+		return fmt.Errorf("transform: no loop to annotate")
 	}
 	inner := loops[len(loops)-1]
 	if factor == 1 {
@@ -258,42 +279,59 @@ func AnnotateUnroll(p *ir.Program, factor int64) (*ir.Program, error) {
 	} else {
 		inner.UnrollPragma = factor
 	}
-	return out, nil
+	return nil
 }
 
-// AnnotateUnrollStep returns a Step applying AnnotateUnroll.
-func AnnotateUnrollStep(factor int64) Step {
-	return func(p *ir.Program) (*ir.Program, error) { return AnnotateUnroll(p, factor) }
-}
-
-// Sequence applies a list of transformation steps in order. Each step
-// is a function from program to program; Sequence stops at the first
-// error.
+// Step is one transformation in a Sequence. A Step may rewrite the
+// program it is handed in place and return that same program, or build
+// and return a new one; either way a Step that returns an error has not
+// changed its argument. Steps are applied through Sequence, which hands
+// them a clone it owns — calling a Step directly on a program that must
+// survive is a bug.
 type Step func(*ir.Program) (*ir.Program, error)
+
+// inPlace wraps an in-place rewrite as a Step.
+func inPlace(rewrite func(*ir.Program) error) Step {
+	return func(p *ir.Program) (*ir.Program, error) {
+		if err := rewrite(p); err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+}
 
 // TileStep returns a Step applying Tile with the given sizes.
 func TileStep(tiles []int64) Step {
-	return func(p *ir.Program) (*ir.Program, error) { return Tile(p, tiles) }
+	return inPlace(func(p *ir.Program) error { return tile(p, tiles) })
 }
 
 // InterchangeStep returns a Step applying Interchange.
 func InterchangeStep(perm []int) Step {
-	return func(p *ir.Program) (*ir.Program, error) { return Interchange(p, perm) }
+	return inPlace(func(p *ir.Program) error { return interchange(p, perm) })
 }
 
 // ParallelizeStep returns a Step applying Parallelize.
 func ParallelizeStep(collapse int) Step {
-	return func(p *ir.Program) (*ir.Program, error) { return Parallelize(p, collapse) }
+	return inPlace(func(p *ir.Program) error { return parallelize(p, collapse) })
 }
 
 // UnrollStep returns a Step applying Unroll.
 func UnrollStep(factor int64) Step {
-	return func(p *ir.Program) (*ir.Program, error) { return Unroll(p, factor) }
+	return inPlace(func(p *ir.Program) error { return unroll(p, factor) })
 }
 
-// Sequence applies steps left to right.
+// AnnotateUnrollStep returns a Step applying AnnotateUnroll.
+func AnnotateUnrollStep(factor int64) Step {
+	return inPlace(func(p *ir.Program) error { return annotateUnroll(p, factor) })
+}
+
+// Sequence applies steps left to right to one clone of p and returns
+// it: the steps built by this package rewrite that clone in place, so a
+// sequence copies the program once, not once per step. p itself is
+// never modified, and an error — Sequence stops at the first — returns
+// no program at all, so a half-transformed one is never visible.
 func Sequence(p *ir.Program, steps ...Step) (*ir.Program, error) {
-	cur := p
+	cur := p.Clone()
 	for i, s := range steps {
 		next, err := s(cur)
 		if err != nil {

@@ -335,3 +335,98 @@ func TestTileParallelizeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSequenceOwnsItsClone: Sequence transforms one private copy. The
+// caller's program is never written — not when every step succeeds, not
+// when a later step fails after earlier ones rewrote the copy, not when
+// there is no step at all — and a failing sequence returns no program.
+func TestSequenceOwnsItsClone(t *testing.T) {
+	p := mmProgram(16)
+	before := p.String()
+	steps := []Step{
+		TileStep([]int64{4, 4, 4}),
+		InterchangeStep([]int{1, 0}),
+		ParallelizeStep(2),
+		AnnotateUnrollStep(4),
+	}
+	out, err := Sequence(p, steps...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.String() != before {
+		t.Fatal("a successful sequence modified its input")
+	}
+	// The steps rewrote one clone: the result equals the chain of
+	// clone-per-call transformations.
+	want, err := Tile(p, []int64{4, 4, 4})
+	if err == nil {
+		want, err = Interchange(want, []int{1, 0})
+	}
+	if err == nil {
+		want, err = Parallelize(want, 2)
+	}
+	if err == nil {
+		want, err = AnnotateUnroll(want, 4)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want.String() {
+		t.Fatalf("sequence result:\n%s\nclone-per-step result:\n%s", out, want)
+	}
+
+	failing := append(append([]Step{}, steps...), UnrollStep(3)) // the point loop's bounds are not constant
+	if out, err := Sequence(p, failing...); err == nil || out != nil || !strings.Contains(err.Error(), "step 4") {
+		t.Fatalf("failing sequence returned (%v, %v)", out, err)
+	}
+	if p.String() != before {
+		t.Fatal("a failing sequence modified its input")
+	}
+
+	same, err := Sequence(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same.Root[0].(*ir.Loop).Parallel = true
+	same.Arrays[0].Dims[0] = 1
+	if p.String() != before {
+		t.Fatal("an empty sequence handed back its input instead of a copy")
+	}
+}
+
+// TestFailingRewriteLeavesProgramUntouched: a Step may rewrite its
+// argument in place, but only after every check has passed — a step that
+// returns an error has changed nothing.
+func TestFailingRewriteLeavesProgramUntouched(t *testing.T) {
+	triangular := mmProgram(8)
+	jl := triangular.Root[0].(*ir.Loop).Body[0].(*ir.Loop)
+	jl.Hi = ir.Var("i").AddConst(1) // j < i+1: neither interchangeable nor collapsible
+	stepped := mmProgram(8)
+	stepped.Root[0].(*ir.Loop).Body[0].(*ir.Loop).Step = 2 // untileable second level
+	cases := []struct {
+		name string
+		p    *ir.Program
+		step Step
+	}{
+		{"tile: negative size after a valid one", mmProgram(8), TileStep([]int64{4, -1})},
+		{"tile: too deep", mmProgram(8), TileStep([]int64{2, 2, 2, 2})},
+		{"tile: stepped loop after a tileable one", stepped, TileStep([]int64{2, 2})},
+		{"interchange: bad permutation", mmProgram(8), InterchangeStep([]int{0, 0})},
+		{"interchange: bound dependency", triangular, InterchangeStep([]int{1, 0})},
+		{"parallelize: collapse too deep", mmProgram(8), ParallelizeStep(4)},
+		{"parallelize: non-rectangular collapse", triangular, ParallelizeStep(2)},
+		{"unroll: trip count not divisible", mmProgram(8), UnrollStep(3)},
+		{"annotate: bad factor", mmProgram(8), AnnotateUnrollStep(0)},
+		{"empty program", &ir.Program{Name: "empty"}, TileStep([]int64{2})},
+	}
+	for _, c := range cases {
+		before := c.p.String()
+		out, err := c.step(c.p)
+		if err == nil || out != nil {
+			t.Errorf("%s: step returned (%v, %v), want an error", c.name, out, err)
+		}
+		if c.p.String() != before {
+			t.Errorf("%s: the failing step modified its program:\n%s\nwas\n%s", c.name, c.p, before)
+		}
+	}
+}
