@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -11,6 +12,18 @@ import (
 	"autotune/internal/skeleton"
 )
 
+// Checkpointable reports whether method keeps the per-generation state
+// a checkpoint journal records and a resume rebuilds: it names a
+// registered strategy that has a Restore. The one-shot baselines
+// (random, grid) register none, and the driver-level modes
+// (brute-force, race) are not strategies. This is the one place that
+// decides it — buildControl's refusal, the list in its error and the
+// tuning service's journaling all ask here.
+func Checkpointable(method Method) bool {
+	s, err := optimizer.StrategyByName(string(method))
+	return err == nil && s.Restore != nil
+}
+
 // buildControl assembles the optimizer run control from the tuning
 // options: the bounding context, the watchdog/retry guard on the
 // shared evaluation cache, and the checkpoint journal (fresh for
@@ -19,17 +32,21 @@ import (
 func buildControl(opt Options, eval objective.Evaluator) (optimizer.Control, func(), error) {
 	ctrl := optimizer.Control{Ctx: opt.Context}
 	cleanup := func() {}
-	method := opt.Method
-	if method == "" {
-		method = MethodRSGDE3
-	}
-	if (opt.CheckpointPath != "" || opt.ResumeFrom != "") &&
-		(method == MethodRandom || method == MethodBruteForce) {
-		return ctrl, cleanup, fmt.Errorf("driver: method %q keeps no generation state; checkpoint/resume needs one of: %s", method,
-			strings.Join(MethodsExcluding(MethodRandom, MethodGrid, MethodBruteForce, MethodRace), ", "))
-	}
-	if (opt.CheckpointPath != "" || opt.ResumeFrom != "") && method == MethodRace {
-		return ctrl, cleanup, fmt.Errorf("driver: a race keeps heterogeneous per-strategy state and cannot checkpoint or resume; checkpoint a single-strategy method instead")
+	if method := effectiveMethod(opt); (opt.CheckpointPath != "" || opt.ResumeFrom != "") && !Checkpointable(method) {
+		switch {
+		case method == MethodRace:
+			return ctrl, cleanup, fmt.Errorf("driver: a race keeps heterogeneous per-strategy state and cannot checkpoint or resume; checkpoint a single-strategy method instead")
+		case !slices.Contains(ValidMethods(), string(method)):
+			return ctrl, cleanup, unknownMethod(method)
+		default:
+			var can []string
+			for _, n := range ValidMethods() {
+				if Checkpointable(Method(n)) {
+					can = append(can, n)
+				}
+			}
+			return ctrl, cleanup, fmt.Errorf("driver: method %q keeps no generation state; checkpoint/resume needs one of: %s", method, strings.Join(can, ", "))
+		}
 	}
 	if opt.EvalTimeout > 0 || opt.Retries > 0 {
 		if sc, ok := eval.(objective.SharedCacher); ok {

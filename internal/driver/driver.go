@@ -484,8 +484,12 @@ func runSearch(space skeleton.Space, eval objective.Evaluator, opt Options, ctrl
 		}
 		return optimizer.BruteForceControlled(space, eval, grid, ctrl)
 	default:
-		return nil, fmt.Errorf("driver: unknown method %q (valid: %s)", method, strings.Join(ValidMethods(), ", "))
+		return nil, unknownMethod(method)
 	}
+}
+
+func unknownMethod(method Method) error {
+	return fmt.Errorf("driver: unknown method %q (valid: %s)", method, strings.Join(ValidMethods(), ", "))
 }
 
 // attachDB wires the persistent tuning database into one search. When

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	"autotune/internal/export"
 	"autotune/internal/irparse"
+	"autotune/internal/optimizer"
 	"autotune/internal/resilience"
 	"autotune/internal/tunedb"
 )
@@ -159,14 +161,35 @@ func TestTuneProgramResilienceOptions(t *testing.T) {
 }
 
 // TestCheckpointOptionValidation: checkpointing is generation-granular,
-// so the generationless baselines refuse it, and resume demands an
-// existing journal.
+// so exactly the methods without a registered Restore refuse it — up
+// front, before a journal file exists — and resume demands an existing
+// journal.
 func TestCheckpointOptionValidation(t *testing.T) {
+	for _, name := range ValidMethods() {
+		strat, err := optimizer.StrategyByName(name)
+		resumable := err == nil && strat.Restore != nil
+		opt := fastOpts()
+		opt.Method = Method(name)
+		opt.CheckpointPath = filepath.Join(t.TempDir(), "x.ckpt")
+		_, err = TuneKernel("mm", opt)
+		if refused := err != nil; refused == resumable {
+			t.Errorf("%s: checkpoint refused = %v, strategy has Restore = %v (err: %v)", name, refused, resumable, err)
+		}
+		if _, statErr := os.Stat(opt.CheckpointPath); (statErr == nil) != resumable {
+			t.Errorf("%s: journal file exists = %v, want %v", name, statErr == nil, resumable)
+		}
+		if !resumable {
+			opt.CheckpointPath, opt.ResumeFrom = "", opt.CheckpointPath
+			if _, err := TuneKernel("mm", opt); err == nil || strings.Contains(err.Error(), "resilience:") {
+				t.Errorf("%s: resume not refused by the driver: %v", name, err)
+			}
+		}
+	}
 	opt := fastOpts()
-	opt.Method = MethodRandom
+	opt.Method = "alien"
 	opt.CheckpointPath = filepath.Join(t.TempDir(), "x.ckpt")
-	if _, err := TuneKernel("mm", opt); err == nil {
-		t.Fatal("random search accepted a checkpoint path")
+	if _, err := TuneKernel("mm", opt); err == nil || !strings.Contains(err.Error(), "unknown method") {
+		t.Errorf("unknown method with a checkpoint path: %v", err)
 	}
 	opt = fastOpts()
 	opt.ResumeFrom = filepath.Join(t.TempDir(), "missing.ckpt")

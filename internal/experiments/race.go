@@ -42,7 +42,7 @@ var raceStrategies = []string{"gde3", "motpe", "nsga2", "random", "rs-gde3"}
 // RaceComparison runs every registered strategy alone on a fresh
 // evaluator, then races them all against the largest single-strategy
 // budget, and scores every front against pooled ideal/nadir bounds —
-// the experiment behind `cmd/repro -exp race` and BENCH_pr6.json.
+// the experiment behind `cmd/repro -exp race`.
 func RaceComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*RaceComparisonResult, error) {
 	// The race needs a budget at which the single strategies are past
 	// their steep early gains — racing five contenders at a starvation

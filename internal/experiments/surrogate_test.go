@@ -64,38 +64,3 @@ func TestSurrogateComparison(t *testing.T) {
 		}
 	}
 }
-
-func TestBenchReportSurrogateRows(t *testing.T) {
-	res := &SurrogateResult{
-		Kernel:  "mm",
-		Machine: "Westmere",
-		Runs: []SurrogateRun{
-			{Label: "baseline cold", Evaluations: 400, FrontSize: 10, HV: 0.9, EvalsToTarget: 400},
-			{Label: "surrogate cold", Surrogate: true, Evaluations: 404, FrontSize: 11, HV: 0.91, EvalsToTarget: 100},
-			{Label: "baseline warm", Warm: true, Evaluations: 410, FrontSize: 9, HV: 0.92, EvalsToTarget: 380},
-			{Label: "surrogate warm", Surrogate: true, Warm: true, Evaluations: 412, FrontSize: 12, HV: 0.93, EvalsToTarget: 95},
-		},
-		SpeedupCold: 4.0,
-		SpeedupWarm: 4.2,
-	}
-	r := NewBenchReport("surrogate", "Westmere", "quick")
-	r.AddSurrogateRuns("mm", "Westmere", res)
-	if len(r.Runs) != 4 {
-		t.Fatalf("rows = %d", len(r.Runs))
-	}
-	for i, row := range r.Runs {
-		if row.Kernel != "mm" || row.Machine != "Westmere" {
-			t.Fatalf("row %d mislabelled: %+v", i, row)
-		}
-		if row.EvalsToTarget != res.Runs[i].EvalsToTarget {
-			t.Fatalf("row %d EvalsToTarget = %d, want %d", i, row.EvalsToTarget, res.Runs[i].EvalsToTarget)
-		}
-	}
-	if r.Runs[0].EvalSpeedup != 0 || r.Runs[2].EvalSpeedup != 0 {
-		t.Fatalf("baseline rows carry a speedup: %+v", r.Runs)
-	}
-	if r.Runs[1].EvalSpeedup != 4.0 || r.Runs[3].EvalSpeedup != 4.2 {
-		t.Fatalf("surrogate rows speedups = %v/%v, want 4.0/4.2",
-			r.Runs[1].EvalSpeedup, r.Runs[3].EvalSpeedup)
-	}
-}

@@ -54,53 +54,3 @@ func TestWarmStartComparison(t *testing.T) {
 		}
 	}
 }
-
-func TestBenchReportWarmStartRows(t *testing.T) {
-	k, _ := kernels.ByName("mm")
-	res := &WarmStartResult{
-		Kernel:  k,
-		Machine: machine.Westmere(),
-		Variant: machine.Barcelona(),
-		Runs: []WarmStartRun{
-			{Label: "cold", Machine: "Westmere", Evaluations: 200, FrontSize: 10, HV: 0.9},
-			{Label: "warm rerun", Machine: "Westmere", WarmStart: true, Evaluations: 50, FrontSize: 12, HV: 0.95},
-		},
-	}
-	r := NewBenchReport("warm", "Westmere", "quick")
-	r.AddWarmStartRuns("mm", res)
-	if len(r.Runs) != 2 {
-		t.Fatalf("rows = %d", len(r.Runs))
-	}
-	if r.Runs[0].EvalReductionPct != 0 {
-		t.Fatalf("cold row carries a reduction: %v", r.Runs[0])
-	}
-	if got := r.Runs[1].EvalReductionPct; got != 75 {
-		t.Fatalf("warm reduction = %v%%, want 75%%", got)
-	}
-	if r.GoMaxProcs <= 0 {
-		t.Fatal("GOMAXPROCS not captured")
-	}
-}
-
-func TestSplitListAndModeByName(t *testing.T) {
-	cases := map[string][]string{
-		"mm,jacobi-2d": {"mm", "jacobi-2d"},
-		"mm":           {"mm"},
-		"":             nil,
-		",mm,,lu,":     {"mm", "lu"},
-	}
-	for in, want := range cases {
-		got := SplitList(in)
-		if len(got) != len(want) {
-			t.Fatalf("SplitList(%q) = %v, want %v", in, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("SplitList(%q) = %v, want %v", in, got, want)
-			}
-		}
-	}
-	if ModeByName("quick") != Quick || ModeByName("full") != Full || ModeByName("") != Full {
-		t.Fatal("ModeByName mapping wrong")
-	}
-}

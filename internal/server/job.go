@@ -218,11 +218,7 @@ func (r *JobRequest) methodName() string {
 // generation state the checkpoint journal needs. Non-checkpointable
 // jobs restart from scratch after a drain instead of resuming.
 func (r *JobRequest) checkpointable() bool {
-	switch driver.Method(r.methodName()) {
-	case driver.MethodRandom, driver.MethodGrid, driver.MethodBruteForce, driver.MethodRace:
-		return false
-	}
-	return true
+	return driver.Checkpointable(driver.Method(r.methodName()))
 }
 
 // driverOptions builds the problem-defining subset of driver.Options —

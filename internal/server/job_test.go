@@ -3,6 +3,8 @@ package server
 import (
 	"strings"
 	"testing"
+
+	"autotune/internal/driver"
 )
 
 func TestDecodeJobRequestValid(t *testing.T) {
@@ -97,13 +99,19 @@ func TestDedupKeySeparatesSearches(t *testing.T) {
 }
 
 func TestCheckpointable(t *testing.T) {
-	for method, want := range map[string]bool{
+	want := map[string]bool{
 		"": true, "rs-gde3": true, "gde3": true, "nsga2": true, "motpe": true,
 		"random": false, "grid": false, "brute-force": false, "race": false,
-	} {
+	}
+	for method, want := range want {
 		r := JobRequest{Kernel: "mm", Method: method}
 		if got := r.checkpointable(); got != want {
 			t.Errorf("checkpointable(%q) = %v, want %v", method, got, want)
+		}
+	}
+	for _, method := range driver.ValidMethods() {
+		if _, ok := want[method]; !ok {
+			t.Errorf("method %q is accepted by the driver but not classified here", method)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package v1 is the frozen first-generation tunedb engine: one
 // append-only JSONL journal replayed into memory at open. It exists
-// for two jobs — writing authentic v1 databases in migration tests,
-// and serving as the baseline in cmd/benchpr9's old-vs-new comparison.
+// for one job — writing and reading authentic v1 databases in the
+// migration tests, as the reference the migration is compared against.
 // The live engine (internal/tunedb on internal/store) migrates these
 // databases on open; nothing else should write this format.
 package v1
