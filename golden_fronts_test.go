@@ -21,54 +21,136 @@ const (
 )
 
 // goldenFront pins one fixed-seed search: the SHA-256 of its
-// export.FrontJSON bytes and its evaluation count E.
+// export.FrontJSON bytes, its evaluation count E and its iteration
+// count.
 type goldenFront struct {
-	SHA256 string `json:"sha256"`
-	E      int    `json:"e"`
+	SHA256     string `json:"sha256"`
+	E          int    `json:"e"`
+	Iterations int    `json:"iterations"`
 }
 
-// goldenVariants are the search shapes the golden file covers; each
-// runs on the paper's 5 kernels × 2 machines × seeds {1,2} with the 1%
-// simulator noise cmd/autotune and the benchmark use.
-var goldenVariants = []struct {
+// goldenVariant is one search shape of the golden file. Every cell runs
+// with the 1% simulator noise cmd/autotune and the benchmark use.
+type goldenVariant struct {
 	name string
-	opts []Option
+	opts func(kernel string, seed int64) []Option
+	// all runs the paper's 5 kernels × 2 machines × seeds {1,2}; the
+	// narrow variants run mm and jacobi-2d on the same machines and
+	// seeds.
+	all bool
+	// warm runs the search twice over one WithDB+WithWarmStart database
+	// and pins the second run: what each method takes from the stored
+	// evaluations and the stored front.
+	warm bool
+}
+
+func fixedOpts(opts ...Option) func(string, int64) []Option {
+	return func(string, int64) []Option { return opts }
+}
+
+// bruteForceGrid selects brute force over an explicit grid: one point
+// count per dimension of the kernel's space (tiles..., threads).
+func bruteForceGrid(kernel string) []Option {
+	grid := map[string][]int{"mm": {4, 4, 4, 8}, "jacobi-2d": {6, 6, 8}}
+	return []Option{WithMethod(BruteForce), WithGridPoints(grid[kernel])}
+}
+
+// goldenMethods selects every driver method.
+var goldenMethods = []struct {
+	name string
+	opts func(kernel string) []Option
 }{
-	{"rs-gde3", nil},
-	{"gde3", []Option{WithMethod(GDE3)}},
-	{"nsga2", []Option{WithMethod(NSGA2)}},
-	{"random", []Option{WithMethod(RandomSearch)}},
-	{"grid", []Option{WithMethod(GridSearch)}},
-	{"race", []Option{WithRace(RaceOptions{})}},
-	{"rs-gde3+surrogate", []Option{WithSurrogate(0)}},
-	{"rs-gde3+islands(4,5)", []Option{WithIslands(4, 5)}},
-	{"rs-gde3+energy", []Option{WithEnergyObjective()}},
-	{"motpe", []Option{WithMethod(MOTPE)}},
+	{"rs-gde3", func(string) []Option { return nil }},
+	{"gde3", func(string) []Option { return []Option{WithMethod(GDE3)} }},
+	{"nsga2", func(string) []Option { return []Option{WithMethod(NSGA2)} }},
+	{"motpe", func(string) []Option { return []Option{WithMethod(MOTPE)} }},
+	{"random", func(string) []Option { return []Option{WithMethod(RandomSearch)} }},
+	{"grid", func(string) []Option { return []Option{WithMethod(GridSearch)} }},
+	{"race", func(string) []Option { return []Option{WithRace(RaceOptions{})} }},
+	{"brute-force", bruteForceGrid},
+}
+
+// goldenVariants are the search shapes the golden file covers: the ten
+// default-option shapes on every kernel, then — on mm and jacobi-2d —
+// the island model of the other two evolutionary methods, and every
+// method under non-default optimizer options and a random budget (which
+// pins the fields each method reads) and warm-started from a database
+// its own first run filled.
+func goldenVariants() []goldenVariant {
+	vs := []goldenVariant{
+		{name: "rs-gde3", opts: fixedOpts(), all: true},
+		{name: "gde3", opts: fixedOpts(WithMethod(GDE3)), all: true},
+		{name: "nsga2", opts: fixedOpts(WithMethod(NSGA2)), all: true},
+		{name: "random", opts: fixedOpts(WithMethod(RandomSearch)), all: true},
+		{name: "grid", opts: fixedOpts(WithMethod(GridSearch)), all: true},
+		{name: "race", opts: fixedOpts(WithRace(RaceOptions{})), all: true},
+		{name: "rs-gde3+surrogate", opts: fixedOpts(WithSurrogate(0)), all: true},
+		{name: "rs-gde3+islands(4,5)", opts: fixedOpts(WithIslands(4, 5)), all: true},
+		{name: "rs-gde3+energy", opts: fixedOpts(WithEnergyObjective()), all: true},
+		{name: "motpe", opts: fixedOpts(WithMethod(MOTPE)), all: true},
+		{name: "gde3+islands(4,5)", opts: fixedOpts(WithMethod(GDE3), WithIslands(4, 5))},
+		{name: "nsga2+islands(4,5)", opts: fixedOpts(WithMethod(NSGA2), WithIslands(4, 5))},
+		{name: "brute-force+gridpoints", opts: func(k string, _ int64) []Option { return bruteForceGrid(k) }},
+	}
+	for _, m := range goldenMethods {
+		vs = append(vs,
+			goldenVariant{name: m.name + "+tuned", opts: func(k string, seed int64) []Option {
+				return append(m.opts(k), WithRandomBudget(200), WithOptimizerOptions(OptimizerOptions{
+					PopSize: 12, CR: 0.7, F: 0.4, Stagnation: 2, MaxIterations: 15, Seed: seed}))
+			}},
+			goldenVariant{name: m.name + "+warm", opts: func(k string, _ int64) []Option { return m.opts(k) }, warm: true})
+	}
+	return vs
+}
+
+// goldenCell runs one golden cell on the current code.
+func goldenCell(t *testing.T, id, kernel string, opts []Option, warm bool) goldenFront {
+	t.Helper()
+	if warm {
+		db, err := OpenDB(t.TempDir())
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		defer db.Close()
+		opts = append(opts, WithDB(db), WithWarmStart())
+		if _, err := Tune(kernel, opts...); err != nil {
+			t.Fatalf("%s (cold run): %v", id, err)
+		}
+	}
+	res, err := Tune(kernel, opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	var buf bytes.Buffer
+	if err := export.FrontJSON(&buf, res.Front, res.Unit.ObjectiveNames); err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return goldenFront{SHA256: fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), E: res.Evaluations, Iterations: res.Iterations}
 }
 
 // computeGoldenFronts runs every golden cell on the current code.
 func computeGoldenFronts(t *testing.T) map[string]goldenFront {
 	t.Helper()
 	out := map[string]goldenFront{}
-	for _, v := range goldenVariants {
-		for _, k := range []string{"mm", "dsyrk", "jacobi-2d", "3d-stencil", "n-body"} {
+	for _, v := range goldenVariants() {
+		kernels := []string{"mm", "jacobi-2d"}
+		if v.all {
+			kernels = []string{"mm", "dsyrk", "jacobi-2d", "3d-stencil", "n-body"}
+		}
+		for _, k := range kernels {
 			for _, m := range []string{"Westmere", "Barcelona"} {
 				for seed := int64(1); seed <= 2; seed++ {
 					id := fmt.Sprintf("%s/%s/%s/seed%d", v.name, k, m, seed)
-					opts := append([]Option{WithMachine(m), WithSeed(seed), WithNoise(0.01)}, v.opts...)
-					res, err := Tune(k, opts...)
-					if err != nil {
-						t.Fatalf("%s: %v", id, err)
-					}
-					var buf bytes.Buffer
-					if err := export.FrontJSON(&buf, res.Front, res.Unit.ObjectiveNames); err != nil {
-						t.Fatalf("%s: %v", id, err)
-					}
-					out[id] = goldenFront{SHA256: fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), E: res.Evaluations}
+					opts := append([]Option{WithMachine(m), WithSeed(seed), WithNoise(0.01)}, v.opts(k, seed)...)
+					out[id] = goldenCell(t, id, k, opts, v.warm)
 				}
 			}
 		}
 	}
+	// The driver's default brute-force grid (12 points per tile
+	// dimension, every thread count), once.
+	id := "brute-force+default-grid/jacobi-2d/Westmere/seed1"
+	out[id] = goldenCell(t, id, "jacobi-2d", []Option{WithMachine("Westmere"), WithSeed(1), WithNoise(0.01), WithMethod(BruteForce)}, false)
 	return out
 }
 

@@ -1,0 +1,176 @@
+package optimizer_test
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"sync/atomic"
+	"testing"
+
+	"autotune/internal/objective"
+	"autotune/internal/optimizer"
+	"autotune/internal/skeleton"
+)
+
+var updateGolden = flag.Bool("update", false, "regenerate testdata/golden_shapes.json from the current code")
+
+const goldenShapesPath = "testdata/golden_shapes.json"
+
+// goldenShape pins one search of the package-level golden file: the
+// SHA-256 of the front (frontFingerprint: configurations and objective
+// vectors in result order), E, the iteration count, the Partial flag
+// and how many points AllPoints holds.
+type goldenShape struct {
+	Front      string `json:"front"`
+	Points     int    `json:"points"`
+	E          int    `json:"e"`
+	Iterations int    `json:"iterations"`
+	Partial    bool   `json:"partial"`
+	AllPoints  int    `json:"all_points"`
+}
+
+// cancellingEval is a serial evaluator over deterministicFn that
+// cancels the returned context inside its k-th evaluation, so a search
+// is interrupted at a fixed depth whatever the scheduling.
+func cancellingEval(k int32) (*objective.CachingEvaluator, context.Context) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var n atomic.Int32
+	eval := objective.NewCachingEvaluator([]string{"f1", "f2"}, 1, func(cfg skeleton.Config) []float64 {
+		if n.Add(1) == k {
+			cancel()
+		}
+		return deterministicFn(cfg)
+	})
+	return eval, ctx
+}
+
+// goldenShapeRuns are the argument shapes the driver never produces —
+// the root golden file cannot see them — through the package's entry
+// points: the three island layouts a caller can ask for (serial, one
+// island, defaulted islands), explicit migrant counts and NSGA-II
+// rates, the one-shot baselines' zero iteration count, and a search, a
+// walk and a sweep each cancelled at a fixed evaluation.
+func goldenShapeRuns() map[string]func() (*optimizer.Result, error) {
+	space := islandSpace()
+	opt := optimizer.Options{PopSize: 12, MaxIterations: 10, Seed: 3}
+	nopt := optimizer.NSGA2Options{PopSize: 12, CrossoverRate: 0.9, MutationRate: 0.25, MaxGenerations: 10, Seed: 3}
+	grid, err := optimizer.RegularGrid(space, []int{6, 6, 4})
+	if err != nil {
+		panic(err)
+	}
+	return map[string]func() (*optimizer.Result, error){
+		"rs-gde3/serial": func() (*optimizer.Result, error) {
+			return optimizer.RSGDE3(space, newDetEval(), opt)
+		},
+		"rs-gde3/one-island": func() (*optimizer.Result, error) {
+			return optimizer.RSGDE3IslandsControlled(space, newDetEval(), opt, optimizer.IslandOptions{Islands: 1}, optimizer.Control{})
+		},
+		"rs-gde3/default-islands": func() (*optimizer.Result, error) {
+			return optimizer.RSGDE3IslandsControlled(space, newDetEval(), opt, optimizer.IslandOptions{}, optimizer.Control{})
+		},
+		"gde3/islands-explicit-migrants": func() (*optimizer.Result, error) {
+			return optimizer.GDE3Islands(space, newDetEval(), opt, optimizer.IslandOptions{Islands: 2, MigrationInterval: 3, Migrants: 1})
+		},
+		"nsga2/explicit-rates": func() (*optimizer.Result, error) {
+			return optimizer.NSGA2Controlled(space, newDetEval(), nopt, optimizer.Control{})
+		},
+		"nsga2/islands-explicit-rates": func() (*optimizer.Result, error) {
+			return optimizer.NSGA2Islands(space, newDetEval(), nopt, optimizer.IslandOptions{Islands: 2})
+		},
+		"motpe": func() (*optimizer.Result, error) {
+			return optimizer.MOTPE(space, newDetEval(), opt)
+		},
+		"random": func() (*optimizer.Result, error) {
+			return optimizer.Random(space, newDetEval(), 200, 5)
+		},
+		"grid": func() (*optimizer.Result, error) {
+			return optimizer.GridSearchControlled(space, newDetEval(), 200, optimizer.Control{})
+		},
+		"brute-force": func() (*optimizer.Result, error) {
+			return optimizer.BruteForce(space, newDetEval(), grid)
+		},
+		"race": func() (*optimizer.Result, error) {
+			rr, err := optimizer.Race(space, newDetEval(), optimizer.StrategyConfig{Options: opt, RandomBudget: 100},
+				optimizer.RaceOptions{Interval: 2, Budget: 300})
+			if err != nil {
+				return nil, err
+			}
+			return rr.Result, nil
+		},
+		"rs-gde3/cancelled-at-40": func() (*optimizer.Result, error) {
+			eval, ctx := cancellingEval(40)
+			return optimizer.RSGDE3Controlled(space, eval, opt, optimizer.Control{Ctx: ctx})
+		},
+		"random/cancelled-at-100": func() (*optimizer.Result, error) {
+			eval, ctx := cancellingEval(100)
+			return optimizer.RandomControlled(space, eval, 200, 5, optimizer.Control{Ctx: ctx})
+		},
+		"brute-force/cancelled-at-100": func() (*optimizer.Result, error) {
+			eval, ctx := cancellingEval(100)
+			return optimizer.BruteForceControlled(space, eval, grid, optimizer.Control{Ctx: ctx})
+		},
+	}
+}
+
+// TestGoldenShapes holds the searches of goldenShapeRuns byte-identical
+// to testdata/golden_shapes.json, generated on the commit before the
+// entry points were folded into Run (go test -run GoldenShapes -update
+// regenerates it, only for a change meant to move fronts).
+func TestGoldenShapes(t *testing.T) {
+	got := map[string]goldenShape{}
+	for id, run := range goldenShapeRuns() {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		got[id] = goldenShape{
+			Front:      fmt.Sprintf("%x", sha256.Sum256([]byte(frontFingerprint(res.Front)))),
+			Points:     len(res.Front),
+			E:          res.Evaluations,
+			Iterations: res.Iterations,
+			Partial:    res.Partial,
+			AllPoints:  len(res.AllPoints),
+		}
+	}
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenShapesPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goldenShapesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]goldenShape
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d golden shapes computed, %d in %s", len(got), len(want), goldenShapesPath)
+	}
+	for id, g := range got {
+		if w, ok := want[id]; !ok {
+			t.Errorf("%s: not in %s", id, goldenShapesPath)
+		} else if g != w {
+			t.Errorf("%s: got %+v, golden %+v", id, g, w)
+		}
+	}
+	// The shapes Spec must keep apart: one island is the serial search's
+	// points in the merged, canonically sorted order, not its bytes, and
+	// a zero IslandOptions is four islands.
+	serial, one, four := got["rs-gde3/serial"], got["rs-gde3/one-island"], got["rs-gde3/default-islands"]
+	if one.Points != serial.Points || one.E != serial.E || one.Front == serial.Front {
+		t.Errorf("one island %+v is not the serial search %+v in another order", one, serial)
+	}
+	if four.E <= serial.E {
+		t.Errorf("defaulted islands E = %d, not above the serial %d", four.E, serial.E)
+	}
+}
