@@ -231,7 +231,18 @@ type TuneResult struct {
 	Partial bool
 
 	output *driver.Output // retained for code emission
-	n      int64
+}
+
+// newTuneResult reports one driver output.
+func newTuneResult(out *driver.Output) *TuneResult {
+	return &TuneResult{
+		Unit:        out.Unit,
+		Front:       out.Result.Front,
+		Evaluations: out.Result.Evaluations,
+		Iterations:  out.Result.Iterations,
+		Partial:     out.Result.Partial,
+		output:      out,
+	}
 }
 
 // EmitC renders the tuned region as a complete multi-versioned
@@ -243,7 +254,7 @@ func (r *TuneResult) EmitC(funcName string) (string, error) {
 	if r.output == nil {
 		return "", fmt.Errorf("autotune: result carries no region information")
 	}
-	prog := r.output.Region.Outline(r.output.Kernel.IR(r.n))
+	prog := r.output.Region.Outline(r.output.Kernel.IR(r.output.N))
 	programs := make([]*ir.Program, 0, len(r.Unit.Versions))
 	for _, v := range r.Unit.Versions {
 		tp, _, err := r.output.Region.Skeleton.Apply(prog, v.Meta.Config)
@@ -261,6 +272,21 @@ type tuneConfig struct {
 
 // Option customizes Tune.
 type Option func(*tuneConfig) error
+
+// driverOptions applies the options over the defaults (Westmere,
+// RS-GDE3).
+func driverOptions(options []Option) (driver.Options, error) {
+	c := tuneConfig{}
+	for _, o := range options {
+		if err := o(&c); err != nil {
+			return driver.Options{}, err
+		}
+	}
+	if c.opts.Machine == nil {
+		c.opts.Machine = machine.Westmere()
+	}
+	return c.opts, nil
+}
 
 // WithMachine selects a predefined target machine by name.
 func WithMachine(name string) Option {
@@ -567,35 +593,15 @@ func WithGridPoints(points []int) Option {
 // multi-version) for one built-in kernel. The default machine is
 // Westmere and the default method RS-GDE3.
 func Tune(kernel string, options ...Option) (*TuneResult, error) {
-	c := tuneConfig{}
-	for _, o := range options {
-		if err := o(&c); err != nil {
-			return nil, err
-		}
-	}
-	if c.opts.Machine == nil {
-		c.opts.Machine = machine.Westmere()
-	}
-	out, err := driver.TuneKernel(kernel, c.opts)
+	opts, err := driverOptions(options)
 	if err != nil {
 		return nil, err
 	}
-	n := c.opts.N
-	if n == 0 {
-		n = out.Kernel.DefaultN
-		if c.opts.Measured {
-			n = out.Kernel.BenchN
-		}
+	out, err := driver.TuneKernel(kernel, opts)
+	if err != nil {
+		return nil, err
 	}
-	return &TuneResult{
-		Unit:        out.Unit,
-		Front:       out.Result.Front,
-		Evaluations: out.Result.Evaluations,
-		Iterations:  out.Result.Iterations,
-		Partial:     out.Result.Partial,
-		output:      out,
-		n:           n,
-	}, nil
+	return newTuneResult(out), nil
 }
 
 // TuneSource parses a program in the MiniIR text format (see
@@ -614,32 +620,19 @@ func Tune(kernel string, options ...Option) (*TuneResult, error) {
 //	  C[i][j] = f(C[i][j], A[i][k], B[k][j]) flops 2
 //	}}}
 func TuneSource(src string, options ...Option) (*TuneResult, error) {
-	c := tuneConfig{}
-	for _, o := range options {
-		if err := o(&c); err != nil {
-			return nil, err
-		}
-	}
-	if c.opts.Machine == nil {
-		c.opts.Machine = machine.Westmere()
+	opts, err := driverOptions(options)
+	if err != nil {
+		return nil, err
 	}
 	prog, err := irparse.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	out, err := driver.TuneProgram(prog, c.opts)
+	out, err := driver.TuneProgram(prog, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &TuneResult{
-		Unit:        out.Unit,
-		Front:       out.Result.Front,
-		Evaluations: out.Result.Evaluations,
-		Iterations:  out.Result.Iterations,
-		Partial:     out.Result.Partial,
-		output:      out,
-		n:           1,
-	}, nil
+	return newTuneResult(out), nil
 }
 
 // TuneAll tunes several regions (one per named kernel) simultaneously:
@@ -649,33 +642,17 @@ func TuneSource(src string, options ...Option) (*TuneResult, error) {
 // supported. The returned slice holds one TuneResult per kernel; all
 // share the same Evaluations count (the joint execution total).
 func TuneAll(kernelNames []string, options ...Option) ([]*TuneResult, error) {
-	c := tuneConfig{}
-	for _, o := range options {
-		if err := o(&c); err != nil {
-			return nil, err
-		}
-	}
-	if c.opts.Machine == nil {
-		c.opts.Machine = machine.Westmere()
-	}
-	multi, err := driver.TuneKernels(kernelNames, c.opts)
+	opts, err := driverOptions(options)
 	if err != nil {
 		return nil, err
 	}
-	var out []*TuneResult
-	for _, o := range multi.Outputs {
-		n := c.opts.N
-		if n == 0 {
-			n = o.Kernel.DefaultN
-		}
-		out = append(out, &TuneResult{
-			Unit:        o.Unit,
-			Front:       o.Result.Front,
-			Evaluations: multi.Executions,
-			Iterations:  multi.Iterations,
-			output:      o,
-			n:           n,
-		})
+	multi, err := driver.TuneKernels(kernelNames, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*TuneResult, len(multi.Outputs))
+	for i, o := range multi.Outputs {
+		out[i] = newTuneResult(o)
 	}
 	return out, nil
 }
@@ -684,7 +661,7 @@ func TuneAll(kernelNames []string, options ...Option) ([]*TuneResult, error) {
 // integer parameter space and any evaluator. This is the extension
 // point for tuning problems beyond the built-in kernels.
 func Optimize(space Space, eval Evaluator, opt OptimizerOptions) (*OptimizerResult, error) {
-	return optimizer.RSGDE3(space, eval, opt)
+	return optimize(space, eval, opt, nil, optimizer.Control{})
 }
 
 // OptimizeIslands runs RS-GDE3 as parallel islands over a custom
@@ -693,19 +670,29 @@ func Optimize(space Space, eval Evaluator, opt OptimizerOptions) (*OptimizerResu
 // migration ring, and merge into a single Pareto front. Deterministic
 // for a fixed (seed, islands, migration interval).
 func OptimizeIslands(space Space, eval Evaluator, opt OptimizerOptions, iopt IslandOptions) (*OptimizerResult, error) {
-	return optimizer.RSGDE3Islands(space, eval, opt, iopt)
+	return optimize(space, eval, opt, &iopt, optimizer.Control{})
 }
 
 // OptimizeWithContext is Optimize bounded by ctx: cancellation stops
 // the search at the next generation boundary and returns the
 // best-so-far front with OptimizerResult.Partial set.
 func OptimizeWithContext(ctx context.Context, space Space, eval Evaluator, opt OptimizerOptions) (*OptimizerResult, error) {
-	return optimizer.RSGDE3Controlled(space, eval, opt, optimizer.Control{Ctx: ctx})
+	return optimize(space, eval, opt, nil, optimizer.Control{Ctx: ctx})
 }
 
 // OptimizeIslandsWithContext is OptimizeIslands bounded by ctx.
 func OptimizeIslandsWithContext(ctx context.Context, space Space, eval Evaluator, opt OptimizerOptions, iopt IslandOptions) (*OptimizerResult, error) {
-	return optimizer.RSGDE3IslandsControlled(space, eval, opt, iopt, optimizer.Control{Ctx: ctx})
+	return optimize(space, eval, opt, &iopt, optimizer.Control{Ctx: ctx})
+}
+
+// optimize is the four Optimize entry points: RS-GDE3 through the one
+// search engine, serial or (iopt non-nil) as islands.
+func optimize(space Space, eval Evaluator, opt OptimizerOptions, iopt *IslandOptions, ctrl optimizer.Control) (*OptimizerResult, error) {
+	return optimizer.Run(space, eval, optimizer.Spec{
+		Strategy: string(RSGDE3),
+		Config:   optimizer.StrategyConfig{Options: opt},
+		Islands:  iopt,
+	}, ctrl)
 }
 
 // NewRuntime builds a runtime dispatcher for a unit whose versions

@@ -27,6 +27,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -35,6 +36,7 @@ import (
 	"syscall"
 
 	"autotune"
+	"autotune/internal/driver"
 	"autotune/internal/export"
 	"autotune/internal/machine"
 )
@@ -72,7 +74,24 @@ func main() {
 	frontJSON := flag.String("front-json", "", "write the Pareto front as byte-stable JSON to this file (diffable against the tuning service's /front)")
 	flag.Parse()
 
-	if err := validateChoices(*method, splitStrategies(*raceStrategies)); err != nil {
+	racing := autotune.Method(*method) == autotune.MethodRace || *raceInterval > 0 || *raceBudget > 0 || *raceStrategies != ""
+	choices := driver.Options{
+		Method:         driver.Method(*method),
+		Race:           driver.RaceOptions{Strategies: splitStrategies(*raceStrategies)},
+		Islands:        *islands,
+		Surrogate:      *surrogate,
+		ScreenTopK:     *screenTopK,
+		CheckpointPath: *checkpoint,
+		ResumeFrom:     *resume,
+	}
+	err := validateChoices(choices)
+	if err == nil && racing {
+		// Any race flag selects the race (WithRace below); the method
+		// named beside it must still be a known one.
+		choices.Method = driver.MethodRace
+		err = validateChoices(choices)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "autotune:", err)
 		os.Exit(2)
 	}
@@ -104,7 +123,7 @@ func main() {
 		autotune.WithNoise(0.01),
 		autotune.WithContext(ctx),
 	}
-	if autotune.Method(*method) == autotune.MethodRace || *raceInterval > 0 || *raceBudget > 0 || *raceStrategies != "" {
+	if racing {
 		opts = append(opts, autotune.WithRace(autotune.RaceOptions{
 			Strategies: splitStrategies(*raceStrategies),
 			Interval:   *raceInterval,
@@ -175,7 +194,6 @@ func main() {
 	}
 
 	var res *autotune.TuneResult
-	var err error
 	target := *kernel
 	if *programFile != "" {
 		src, rerr := os.ReadFile(*programFile)
@@ -329,28 +347,13 @@ func splitStrategies(s string) []string {
 	return names
 }
 
-// validateChoices rejects unknown -method and -race-strategies values
-// upfront, listing the valid names instead of failing deep inside the
-// search with a bare "unknown strategy" error.
-func validateChoices(method string, raceStrategies []string) error {
-	knownMethod := false
-	for _, m := range autotune.Methods() {
-		if m == method {
-			knownMethod = true
-			break
-		}
-	}
-	if !knownMethod {
-		return fmt.Errorf("unknown method %q (valid: %s)", method, strings.Join(autotune.Methods(), ", "))
-	}
-	valid := map[string]bool{}
-	for _, s := range autotune.Strategies() {
-		valid[s] = true
-	}
-	for _, name := range raceStrategies {
-		if !valid[name] {
-			return fmt.Errorf("unknown race strategy %q (valid: %s)", name, strings.Join(autotune.Strategies(), ", "))
-		}
+// validateChoices rejects, before anything is opened or created, a
+// flag combination the driver would refuse: an unknown -method or
+// -race-strategies name (listing the valid ones), or -islands,
+// -surrogate or -checkpoint/-resume on a method that has none.
+func validateChoices(choices driver.Options) error {
+	if err := driver.CheckOptions(choices, false); err != nil {
+		return errors.New(strings.TrimPrefix(err.Error(), "driver: "))
 	}
 	return nil
 }

@@ -5,21 +5,23 @@ import (
 	"testing"
 
 	"autotune"
+	"autotune/internal/driver"
 )
 
 func TestValidateChoicesAcceptsEveryRegisteredName(t *testing.T) {
 	for _, m := range autotune.Methods() {
-		if err := validateChoices(m, nil); err != nil {
+		if err := validateChoices(driver.Options{Method: driver.Method(m)}); err != nil {
 			t.Fatalf("method %q rejected: %v", m, err)
 		}
 	}
-	if err := validateChoices("race", autotune.Strategies()); err != nil {
+	full := driver.Options{Method: driver.MethodRace, Race: driver.RaceOptions{Strategies: autotune.Strategies()}}
+	if err := validateChoices(full); err != nil {
 		t.Fatalf("full contender set rejected: %v", err)
 	}
 }
 
 func TestValidateChoicesListsValidNames(t *testing.T) {
-	err := validateChoices("alien", nil)
+	err := validateChoices(driver.Options{Method: "alien"})
 	if err == nil {
 		t.Fatal("unknown method accepted")
 	}
@@ -29,7 +31,7 @@ func TestValidateChoicesListsValidNames(t *testing.T) {
 		}
 	}
 
-	err = validateChoices("race", []string{"grid", "alien"})
+	err = validateChoices(driver.Options{Method: driver.MethodRace, Race: driver.RaceOptions{Strategies: []string{"grid", "alien"}}})
 	if err == nil {
 		t.Fatal("unknown race strategy accepted")
 	}
@@ -37,6 +39,32 @@ func TestValidateChoicesListsValidNames(t *testing.T) {
 		if !strings.Contains(err.Error(), s) {
 			t.Fatalf("strategy error %q does not mention %q", err, s)
 		}
+	}
+}
+
+// TestValidateChoicesRefusesWhatTheDriverRefuses: a combination the
+// driver would refuse after the database and the checkpoint file were
+// opened is refused here, before either.
+func TestValidateChoicesRefusesWhatTheDriverRefuses(t *testing.T) {
+	for name, choices := range map[string]driver.Options{
+		"random islands":         {Method: driver.MethodRandom, Islands: 4},
+		"motpe islands":          {Method: driver.MethodMOTPE, Islands: 4},
+		"brute-force surrogate":  {Method: driver.MethodBruteForce, Surrogate: true},
+		"brute-force screen":     {Method: driver.MethodBruteForce, ScreenTopK: 4},
+		"grid checkpoint":        {Method: driver.MethodGrid, CheckpointPath: "x.ckpt"},
+		"race resume":            {Method: driver.MethodRace, ResumeFrom: "x.ckpt"},
+		"race islands":           {Method: driver.MethodRace, Islands: 2},
+		"negative random budget": {RandomBudget: -1},
+	} {
+		if err := validateChoices(choices); err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if strings.HasPrefix(err.Error(), "driver:") {
+			t.Errorf("%s: error keeps the package prefix: %v", name, err)
+		}
+	}
+	ok := driver.Options{Method: driver.MethodNSGA2, Islands: 4, Surrogate: true, CheckpointPath: "x.ckpt"}
+	if err := validateChoices(ok); err != nil {
+		t.Errorf("nsga2 with islands, screen and checkpoint refused: %v", err)
 	}
 }
 

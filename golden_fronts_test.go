@@ -50,7 +50,7 @@ func fixedOpts(opts ...Option) func(string, int64) []Option {
 
 // bruteForceGrid selects brute force over an explicit grid: one point
 // count per dimension of the kernel's space (tiles..., threads).
-func bruteForceGrid(kernel string) []Option {
+func bruteForceGrid(kernel string, _ int64) []Option {
 	grid := map[string][]int{"mm": {4, 4, 4, 8}, "jacobi-2d": {6, 6, 8}}
 	return []Option{WithMethod(BruteForce), WithGridPoints(grid[kernel])}
 }
@@ -58,15 +58,15 @@ func bruteForceGrid(kernel string) []Option {
 // goldenMethods selects every driver method.
 var goldenMethods = []struct {
 	name string
-	opts func(kernel string) []Option
+	opts func(kernel string, seed int64) []Option
 }{
-	{"rs-gde3", func(string) []Option { return nil }},
-	{"gde3", func(string) []Option { return []Option{WithMethod(GDE3)} }},
-	{"nsga2", func(string) []Option { return []Option{WithMethod(NSGA2)} }},
-	{"motpe", func(string) []Option { return []Option{WithMethod(MOTPE)} }},
-	{"random", func(string) []Option { return []Option{WithMethod(RandomSearch)} }},
-	{"grid", func(string) []Option { return []Option{WithMethod(GridSearch)} }},
-	{"race", func(string) []Option { return []Option{WithRace(RaceOptions{})} }},
+	{"rs-gde3", fixedOpts()},
+	{"gde3", fixedOpts(WithMethod(GDE3))},
+	{"nsga2", fixedOpts(WithMethod(NSGA2))},
+	{"motpe", fixedOpts(WithMethod(MOTPE))},
+	{"random", fixedOpts(WithMethod(RandomSearch))},
+	{"grid", fixedOpts(WithMethod(GridSearch))},
+	{"race", fixedOpts(WithRace(RaceOptions{}))},
 	{"brute-force", bruteForceGrid},
 }
 
@@ -90,15 +90,15 @@ func goldenVariants() []goldenVariant {
 		{name: "motpe", opts: fixedOpts(WithMethod(MOTPE)), all: true},
 		{name: "gde3+islands(4,5)", opts: fixedOpts(WithMethod(GDE3), WithIslands(4, 5))},
 		{name: "nsga2+islands(4,5)", opts: fixedOpts(WithMethod(NSGA2), WithIslands(4, 5))},
-		{name: "brute-force+gridpoints", opts: func(k string, _ int64) []Option { return bruteForceGrid(k) }},
+		{name: "brute-force+gridpoints", opts: bruteForceGrid},
 	}
 	for _, m := range goldenMethods {
 		vs = append(vs,
 			goldenVariant{name: m.name + "+tuned", opts: func(k string, seed int64) []Option {
-				return append(m.opts(k), WithRandomBudget(200), WithOptimizerOptions(OptimizerOptions{
-					PopSize: 12, CR: 0.7, F: 0.4, Stagnation: 2, MaxIterations: 15, Seed: seed}))
+				return append([]Option{WithRandomBudget(200), WithOptimizerOptions(OptimizerOptions{
+					PopSize: 12, CR: 0.7, F: 0.4, Stagnation: 2, MaxIterations: 15, Seed: seed})}, m.opts(k, seed)...)
 			}},
-			goldenVariant{name: m.name + "+warm", opts: func(k string, _ int64) []Option { return m.opts(k) }, warm: true})
+			goldenVariant{name: m.name + "+warm", opts: m.opts, warm: true})
 	}
 	return vs
 }

@@ -52,7 +52,7 @@ const (
 // RaceOptions configures MethodRace.
 type RaceOptions struct {
 	// Strategies names the contenders (default: every registered
-	// search strategy — rs-gde3, gde3, nsga2, motpe, random).
+	// search strategy — gde3, grid, motpe, nsga2, random, rs-gde3).
 	Strategies []string
 	// Interval is the number of lockstep generations between scoring
 	// and elimination rounds (default 5).
@@ -165,20 +165,27 @@ type Options struct {
 // Output is the result of tuning one kernel.
 type Output struct {
 	Kernel *kernels.Kernel
+	// N is the problem size the run resolved (Options.N, or the
+	// kernel's default for the evaluator in use; 1 for a parsed
+	// program).
+	N      int64
 	Region analyzer.Region
 	Result *optimizer.Result
 	Unit   *multiversion.Unit
 }
 
-// prepared is the analyzed form of a kernel tuning problem: everything
-// steps (1-2) of the pipeline determine before any search runs. Both
-// the full TuneKernel pipeline and the search-free ProblemKey derive
-// from it.
+// prepared is the analyzed form of a single-region tuning problem:
+// everything steps (1-2) of the pipeline determine before any search
+// runs. The tuning pipeline (tune) and the search-free ProblemKey both
+// derive from it.
 type prepared struct {
 	kernel *kernels.Kernel
 	n      int64
 	prog   *ir.Program
 	region analyzer.Region
+	// salt is what the tuning-database fingerprint hashes beside the
+	// program (kernel name, size, skeleton, evaluator switches).
+	salt []string
 }
 
 // prepareKernel runs pipeline steps (1-2): load the kernel's IR at the
@@ -214,14 +221,21 @@ func prepareKernel(kernelName string, opt Options) (*prepared, error) {
 		if opt.Measured {
 			return nil, fmt.Errorf("driver: the unroll dimension needs the simulated evaluator")
 		}
-		region.Skeleton = skeleton.TiledParallelUnroll(region.Skeleton.Name,
-			region.Band, region.MaxTile, opt.Machine.Cores(), region.Collapsible, 8)
+		region.Skeleton = unrollSkeleton(region, opt.Machine)
 	}
-	return &prepared{kernel: k, n: n, prog: prog, region: region}, nil
+	return &prepared{kernel: k, n: n, prog: prog, region: region,
+		salt: []string{k.Name, fmt.Sprint(n), region.Skeleton.Name, fmt.Sprint(opt.Measured), fmt.Sprint(opt.UnrollDim)}}, nil
+}
+
+// unrollSkeleton is the region's skeleton with the innermost-loop
+// unroll factor (1..8) as one more dimension.
+func unrollSkeleton(region analyzer.Region, m *machine.Machine) *skeleton.Skeleton {
+	return skeleton.TiledParallelUnroll(region.Skeleton.Name,
+		region.Band, region.MaxTile, m.Cores(), region.Collapsible, 8)
 }
 
 // objectiveNames resolves the objective labels the evaluator built for
-// opt will report, without building it: the measured evaluator always
+// opt reports, without building it: the measured evaluator always
 // reports time+resources, the simulated one labels opt.Objectives
 // (default time+resources).
 func objectiveNames(opt Options) []string {
@@ -235,26 +249,30 @@ func objectiveNames(opt Options) []string {
 	return names
 }
 
+// key is the tuning-database key of the problem — (program
+// fingerprint, machine signature, objective set, search-space hash):
+// what ProblemKey reports and what a search with Options.DB journals
+// under.
+func (p *prepared) key(opt Options) tunedb.Key {
+	return tunedb.Key{
+		Fingerprint: tunedb.ProgramFingerprint(p.prog, p.salt...),
+		MachineSig:  machine.SignatureOf(opt.Machine).Key(),
+		Objectives:  tunedb.ObjectiveKey(objectiveNames(opt)),
+		SpaceHash:   tunedb.SpaceHash(p.region.Skeleton.Space),
+	}
+}
+
 // ProblemKey derives the tuning-database key of a kernel tuning
-// problem — (program fingerprint, machine signature, objective set,
-// search-space hash) — without running any search. It is exactly the
-// key TuneKernel journals under when Options.DB is set, so a service
-// front-end can deduplicate identical tuning requests and look up
-// stored fronts before committing worker time.
+// problem without running any search. It is exactly the key TuneKernel
+// journals under when Options.DB is set, so a service front-end can
+// deduplicate identical tuning requests and look up stored fronts
+// before committing worker time.
 func ProblemKey(kernelName string, opt Options) (tunedb.Key, error) {
 	p, err := prepareKernel(kernelName, opt)
 	if err != nil {
 		return tunedb.Key{}, err
 	}
-	fingerprint := tunedb.ProgramFingerprint(p.prog, p.kernel.Name, fmt.Sprint(p.n),
-		p.region.Skeleton.Name, fmt.Sprint(opt.Measured), fmt.Sprint(opt.UnrollDim))
-	sig := machine.SignatureOf(opt.Machine)
-	return tunedb.Key{
-		Fingerprint: fingerprint,
-		MachineSig:  sig.Key(),
-		Objectives:  tunedb.ObjectiveKey(objectiveNames(opt)),
-		SpaceHash:   tunedb.SpaceHash(p.region.Skeleton.Space),
-	}, nil
+	return p.key(opt), nil
 }
 
 // TuneKernel runs the full pipeline for a registered kernel.
@@ -263,13 +281,24 @@ func TuneKernel(kernelName string, opt Options) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	k, n, prog, region := p.kernel, p.n, p.prog, p.region
-	space := region.Skeleton.Space
+	return tune(p, opt)
+}
+
+// tune runs pipeline steps (3-5) on a prepared problem — the one tail
+// TuneKernel and TuneProgram share, and the one place the evaluator
+// chain is assembled: evaluator → surrogate screen → tuning database →
+// run control (guard, progress, checkpoint) → search → front storage →
+// multi-versioning backend.
+func tune(p *prepared, opt Options) (*Output, error) {
+	if err := CheckOptions(opt, false); err != nil {
+		return nil, err
+	}
+	space := p.region.Skeleton.Space
 
 	// (3) Build the evaluator.
 	var eval objective.Evaluator
 	if opt.Measured {
-		m, err := objective.NewMeasured(k, n, opt.MeasuredReps)
+		m, err := objective.NewMeasured(p.kernel, p.n, opt.MeasuredReps)
 		if err != nil {
 			return nil, err
 		}
@@ -277,8 +306,8 @@ func TuneKernel(kernelName string, opt Options) (*Output, error) {
 	} else {
 		s, err := objective.NewSim(objective.SimConfig{
 			Machine:    opt.Machine,
-			Kernel:     k,
-			N:          n,
+			Kernel:     p.kernel,
+			N:          p.n,
 			NoiseAmp:   opt.NoiseAmp,
 			Objectives: opt.Objectives,
 			UnrollDim:  opt.UnrollDim,
@@ -293,16 +322,14 @@ func TuneKernel(kernelName string, opt Options) (*Output, error) {
 	// the warm-start records primed into the cache reach the model
 	// through the prime-observer channel — stored history becomes
 	// instant training data.
-	eval, detach, err := attachSurrogate(opt, prog, space, eval)
+	eval, detach, err := attachSurrogate(opt, p.prog, space, eval)
 	if err != nil {
 		return nil, err
 	}
 	defer detach()
 
 	// (3c) Persistent tuning database: warm-start and journaling.
-	fingerprint := tunedb.ProgramFingerprint(prog, k.Name, fmt.Sprint(n),
-		region.Skeleton.Name, fmt.Sprint(opt.Measured), fmt.Sprint(opt.UnrollDim))
-	finish := attachDB(&opt, fingerprint, space, eval)
+	finish := attachDB(&opt, p, eval)
 
 	// (4) Optimize.
 	ctrl, cleanup, err := buildControl(opt, eval)
@@ -316,21 +343,35 @@ func TuneKernel(kernelName string, opt Options) (*Output, error) {
 	}
 	if len(res.Front) == 0 {
 		if res.Partial {
-			return nil, fmt.Errorf("driver: search for %s was cancelled before any configuration was evaluated", k.Name)
+			return nil, fmt.Errorf("driver: search for %s was cancelled before any configuration was evaluated", p.kernel.Name)
 		}
-		return nil, fmt.Errorf("driver: optimizer returned an empty front for %s", k.Name)
+		return nil, fmt.Errorf("driver: optimizer returned an empty front for %s", p.kernel.Name)
 	}
 	if err := finish(res); err != nil {
 		return nil, err
 	}
 
 	// (5) Multi-versioning backend.
-	unit, err := EmitUnit(k, prog, region, res, eval.ObjectiveNames(), n)
+	return p.output(res, eval.ObjectiveNames())
+}
+
+// output runs the multi-versioning backend on the region's search
+// result and packages both as its Output.
+func (p *prepared) output(res *optimizer.Result, objectiveNames []string) (*Output, error) {
+	unit, err := EmitUnit(p.kernel, p.prog, p.region, res, objectiveNames, p.n)
 	if err != nil {
 		return nil, err
 	}
-	return &Output{Kernel: k, Region: region, Result: res, Unit: unit}, nil
+	return &Output{Kernel: p.kernel, N: p.n, Region: p.region, Result: res, Unit: unit}, nil
 }
+
+// screened reports whether opt asks for the surrogate screen
+// (Surrogate, or a positive ScreenTopK, which implies it).
+func (opt Options) screened() bool { return opt.Surrogate || opt.ScreenTopK > 0 }
+
+// checkpointed reports whether opt asks for a checkpoint journal,
+// fresh or resumed.
+func (opt Options) checkpointed() bool { return opt.CheckpointPath != "" || opt.ResumeFrom != "" }
 
 // effectiveMethod resolves the defaulted search method.
 func effectiveMethod(opt Options) Method {
@@ -340,18 +381,156 @@ func effectiveMethod(opt Options) Method {
 	return opt.Method
 }
 
+// capabilities is what a Method can do beyond a plain search. Every
+// refusal of an option, and the "use one of" list in its text, is
+// computed from these — no method is named in a refusal.
+type capabilities struct {
+	islands    bool // runs as an island model (Options.Islands > 1)
+	screen     bool // searches under the surrogate screen
+	checkpoint bool // keeps the generation state a checkpoint journals
+}
+
+// modes are the driver-level search modes: the Methods that are not
+// registered strategies. Brute force sweeps an explicit grid, which a
+// surrogate screen would silently hollow out; a race keeps
+// heterogeneous per-strategy state no snapshot holds.
+var modes = map[Method]struct {
+	capabilities
+	run func(skeleton.Space, objective.Evaluator, Options, optimizer.Control) (*optimizer.Result, error)
+}{
+	MethodBruteForce: {capabilities{}, runBruteForce},
+	MethodRace:       {capabilities{screen: true}, runRace},
+}
+
+// capabilitiesOf resolves what method can do: a driver-level mode lists
+// it above, a registered strategy declares it (every strategy searches
+// under the screen; a Restore is what checkpoints). ok is false for an
+// unknown method.
+func capabilitiesOf(method Method) (capabilities, bool) {
+	if m, ok := modes[method]; ok {
+		return m.capabilities, true
+	}
+	s, err := optimizer.StrategyByName(string(method))
+	if err != nil {
+		return capabilities{}, false
+	}
+	return capabilities{islands: s.Islands, screen: true, checkpoint: s.Restore != nil}, true
+}
+
+// Checkpointable reports whether method keeps the per-generation state
+// a checkpoint journal records and a resume rebuilds — what the tuning
+// service asks before it journals a job.
+func Checkpointable(method Method) bool {
+	c, _ := capabilitiesOf(method)
+	return c.checkpoint
+}
+
+// ValidMethods lists every Method the driver accepts, sorted — the
+// registered strategies plus the driver-level modes.
+func ValidMethods() []string {
+	names := optimizer.StrategyNames()
+	for m := range modes {
+		names = append(names, string(m))
+	}
+	sort.Strings(names)
+	return names
+}
+
+// methodsThat lists the valid methods with the given capability, for
+// the "use one of" part of a refusal.
+func methodsThat(can func(capabilities) bool) string {
+	var names []string
+	for _, n := range ValidMethods() {
+		if c, _ := capabilitiesOf(Method(n)); can(c) {
+			names = append(names, n)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// CheckOptions reports the first option in opt that its method — or,
+// with joint set, the joint multi-region search of TuneKernels and
+// TuneProgramAll — cannot honour, rather than letting a search drop it
+// silently. It looks at neither the machine nor the program, so a
+// front-end (cmd/autotune, the tuning service) runs it on a request
+// before committing anything; every Tune entry point runs it too.
+func CheckOptions(opt Options, joint bool) error {
+	method := effectiveMethod(opt)
+	can, ok := capabilitiesOf(method)
+	if !ok {
+		return fmt.Errorf("driver: unknown method %q (valid: %s)", method, strings.Join(ValidMethods(), ", "))
+	}
+	if opt.RandomBudget < 0 {
+		return fmt.Errorf("driver: random budget %d < 0", opt.RandomBudget)
+	}
+	if joint {
+		return checkJoint(opt, method)
+	}
+	switch {
+	case opt.Islands > 1 && !can.islands:
+		// Silently falling back to a sequential search would make
+		// `-islands 4 -method random` lie about what ran.
+		return fmt.Errorf("driver: method %q does not support the island model (islands=%d); drop Islands or use one of: %s",
+			method, opt.Islands, methodsThat(func(c capabilities) bool { return c.islands }))
+	case opt.screened() && !can.screen:
+		return fmt.Errorf("driver: method %q sweeps every configuration it is given; the surrogate screen would silently hollow out the sweep — drop Surrogate or use one of: %s",
+			method, methodsThat(func(c capabilities) bool { return c.screen }))
+	case opt.checkpointed() && !can.checkpoint:
+		return fmt.Errorf("driver: method %q keeps no resumable generation state; checkpoint/resume needs one of: %s",
+			method, methodsThat(func(c capabilities) bool { return c.checkpoint }))
+	}
+	if method == MethodRace {
+		for _, name := range opt.Race.Strategies {
+			if _, err := optimizer.StrategyByName(name); err != nil {
+				return fmt.Errorf("driver: unknown race strategy %q (valid: %s)", name, strings.Join(optimizer.StrategyNames(), ", "))
+			}
+		}
+	}
+	return nil
+}
+
+// checkJoint is CheckOptions for the joint search: the lock-step
+// multi-region RS-GDE3 over one coupled simulated evaluator is what
+// runs whatever else is asked, so every option a single-region search
+// would honour and this one drops is refused by name. Knobs of other
+// methods (RandomBudget, GridPoints, Race) are ignored here as they are
+// by every method but their own.
+func checkJoint(opt Options, method Method) error {
+	if method != MethodRSGDE3 && method != MethodGDE3 {
+		return fmt.Errorf("driver: joint tuning runs the lock-step multi-region RS-GDE3 and cannot honour Method %q; use %s or %s", method, MethodRSGDE3, MethodGDE3)
+	}
+	for _, o := range []struct {
+		set  bool
+		name string
+	}{
+		{opt.Measured, "Measured (the joint evaluator is simulated)"},
+		{opt.screened(), "Surrogate (the joint evaluator couples all regions into one execution)"},
+		{opt.Islands > 1, "Islands"},
+		{len(opt.Objectives) > 0, "Objectives"},
+		{opt.UnrollDim, "UnrollDim"},
+		{opt.DB != nil, "DB"},
+		{opt.WarmStart, "WarmStart"},
+		{opt.checkpointed(), "CheckpointPath/ResumeFrom"},
+		{opt.Context != nil, "Context"},
+		{opt.EvalTimeout > 0, "EvalTimeout"},
+		{opt.Retries > 0, "Retries"},
+		{opt.OnProgress != nil, "OnProgress"},
+	} {
+		if o.set {
+			return fmt.Errorf("driver: joint tuning cannot honour %s; drop the option or tune the regions one by one", o.name)
+		}
+	}
+	return nil
+}
+
 // attachSurrogate wraps eval in the surrogate pre-screen when opt asks
-// for one (Options.Surrogate, or a positive ScreenTopK, which implies
-// it). The region's static features enrich the model's basis. The
+// for one. The region's static features enrich the model's basis. The
 // returned cleanup detaches the model's observers from the cache and
 // is non-nil even when no screen was installed.
 func attachSurrogate(opt Options, prog *ir.Program, space skeleton.Space,
 	eval objective.Evaluator) (objective.Evaluator, func(), error) {
-	if !opt.Surrogate && opt.ScreenTopK <= 0 {
+	if !opt.screened() {
 		return eval, func() {}, nil
-	}
-	if method := effectiveMethod(opt); method == MethodBruteForce {
-		return nil, nil, fmt.Errorf("driver: method %q enumerates its whole grid; the surrogate screen would silently hollow out the sweep — drop Surrogate or use one of: %s", method, strings.Join(MethodsExcluding(MethodBruteForce), ", "))
 	}
 	fmap := map[string]float64{}
 	if fs, err := features.Extract(prog); err == nil {
@@ -367,129 +546,65 @@ func attachSurrogate(opt Options, prog *ir.Program, space skeleton.Space,
 	return scr, scr.Close, nil
 }
 
-// ValidMethods lists every Method the driver accepts, sorted — the
-// registered strategies plus the driver-level modes.
-func ValidMethods() []string {
-	names := append(optimizer.StrategyNames(), string(MethodBruteForce), string(MethodRace))
-	sort.Strings(names)
-	return names
-}
-
-// MethodsExcluding returns ValidMethods minus the given methods, still
-// sorted — error messages use it to list exactly the methods a feature
-// supports.
-func MethodsExcluding(exclude ...Method) []string {
-	drop := map[string]bool{}
-	for _, m := range exclude {
-		drop[string(m)] = true
-	}
-	var names []string
-	for _, n := range ValidMethods() {
-		if !drop[n] {
-			names = append(names, n)
-		}
-	}
-	return names
-}
-
+// runSearch builds the Spec opt asks for and runs it. A driver-level
+// mode runs its own function instead. This is the one place a method
+// name becomes a search call, and the one place the options are
+// narrowed to what a method takes: the one-shot baselines, run alone,
+// take the seed and the budget only — neither PopSize (their chunking)
+// nor the warm-start seeds in InitialPopulation, which a race does hand
+// them — and everything else takes Options.Optimizer whole.
 func runSearch(space skeleton.Space, eval objective.Evaluator, opt Options, ctrl optimizer.Control) (*optimizer.Result, error) {
 	method := effectiveMethod(opt)
-	if opt.RandomBudget < 0 {
-		return nil, fmt.Errorf("driver: random budget %d < 0", opt.RandomBudget)
+	if m, ok := modes[method]; ok {
+		return m.run(space, eval, opt, ctrl)
 	}
-	iopt := optimizer.IslandOptions{
-		Islands:           opt.Islands,
-		MigrationInterval: opt.MigrationInterval,
+	strat, err := optimizer.StrategyByName(string(method))
+	if err != nil {
+		return nil, err
 	}
-	parallel := opt.Islands > 1
-	if parallel {
-		switch method {
-		case MethodRandom, MethodGrid, MethodBruteForce, MethodRace, MethodMOTPE:
-			// Silently falling back to a sequential search would make
-			// `-islands 4 -method random` lie about what ran.
-			return nil, fmt.Errorf("driver: method %q does not support the island model (islands=%d); drop Islands or use one of: %s", method, opt.Islands,
-				strings.Join(MethodsExcluding(MethodRandom, MethodGrid, MethodBruteForce, MethodRace, MethodMOTPE), ", "))
-		}
+	spec := optimizer.Spec{
+		Strategy: strat.Name,
+		Config:   optimizer.StrategyConfig{Options: opt.Optimizer, RandomBudget: opt.RandomBudget},
 	}
-	switch method {
-	case MethodRSGDE3:
-		if parallel {
-			return optimizer.RSGDE3IslandsControlled(space, eval, opt.Optimizer, iopt, ctrl)
-		}
-		return optimizer.RSGDE3Controlled(space, eval, opt.Optimizer, ctrl)
-	case MethodGDE3:
-		if parallel {
-			return optimizer.GDE3IslandsControlled(space, eval, opt.Optimizer, iopt, ctrl)
-		}
-		return optimizer.GDE3Controlled(space, eval, opt.Optimizer, ctrl)
-	case MethodNSGA2:
-		nopt := optimizer.NSGA2Options{
-			PopSize:           opt.Optimizer.PopSize,
-			Stagnation:        opt.Optimizer.Stagnation,
-			MaxGenerations:    opt.Optimizer.MaxIterations,
-			Seed:              opt.Optimizer.Seed,
-			InitialPopulation: opt.Optimizer.InitialPopulation,
-		}
-		if parallel {
-			return optimizer.NSGA2IslandsControlled(space, eval, nopt, iopt, ctrl)
-		}
-		return optimizer.NSGA2Controlled(space, eval, nopt, ctrl)
-	case MethodMOTPE:
-		return optimizer.MOTPEControlled(space, eval, opt.Optimizer, ctrl)
-	case MethodRandom:
-		budget := opt.RandomBudget
-		if budget == 0 {
-			budget = 1000
-		}
-		return optimizer.RandomControlled(space, eval, budget, opt.Optimizer.Seed, ctrl)
-	case MethodGrid:
-		budget := opt.RandomBudget
-		if budget == 0 {
-			budget = 1000
-		}
-		return optimizer.GridSearchControlled(space, eval, budget, ctrl)
-	case MethodRace:
-		cfg := optimizer.StrategyConfig{
-			Options:      opt.Optimizer,
-			RandomBudget: opt.RandomBudget,
-		}
-		ropt := optimizer.RaceOptions{
-			Strategies: opt.Race.Strategies,
-			Interval:   opt.Race.Interval,
-			Budget:     opt.Race.Budget,
-		}
-		rr, err := optimizer.RaceControlled(space, eval, cfg, ropt, ctrl)
-		if err != nil {
-			return nil, err
-		}
-		return rr.Result, nil
-	case MethodBruteForce:
-		points := opt.GridPoints
-		if len(points) == 0 {
-			points = make([]int, space.Dim())
-			for i := range points {
-				points[i] = 12
-			}
-			// Sample every thread count on the last dimension, capped.
-			last := space.Params[space.Dim()-1]
-			span := int(last.Max - last.Min + 1)
-			if span > 64 {
-				span = 64
-			}
-			points[space.Dim()-1] = span
-		}
-		grid, err := optimizer.RegularGrid(space, points)
-		if err != nil {
-			return nil, err
-		}
-		return optimizer.BruteForceControlled(space, eval, grid, ctrl)
-	default:
-		return nil, unknownMethod(method)
+	if strat.OneShot {
+		spec.Config.Options = optimizer.Options{Seed: opt.Optimizer.Seed}
 	}
+	if opt.Islands > 1 {
+		spec.Islands = &optimizer.IslandOptions{Islands: opt.Islands, MigrationInterval: opt.MigrationInterval}
+	}
+	return optimizer.Run(space, eval, spec, ctrl)
 }
 
-func unknownMethod(method Method) error {
-	return fmt.Errorf("driver: unknown method %q (valid: %s)", method, strings.Join(ValidMethods(), ", "))
+// runRace is MethodRace: the registered strategies raced over the one
+// shared evaluator.
+func runRace(space skeleton.Space, eval objective.Evaluator, opt Options, ctrl optimizer.Control) (*optimizer.Result, error) {
+	rr, err := optimizer.RaceControlled(space, eval,
+		optimizer.StrategyConfig{Options: opt.Optimizer, RandomBudget: opt.RandomBudget},
+		optimizer.RaceOptions{Strategies: opt.Race.Strategies, Interval: opt.Race.Interval, Budget: opt.Race.Budget}, ctrl)
+	if err != nil {
+		return nil, err
+	}
+	return rr.Result, nil
+}
+
+// runBruteForce is MethodBruteForce: the exhaustive sweep of a regular
+// grid — Options.GridPoints, or 12 points per tile dimension and every
+// thread count (capped at 64).
+func runBruteForce(space skeleton.Space, eval objective.Evaluator, opt Options, ctrl optimizer.Control) (*optimizer.Result, error) {
+	points := opt.GridPoints
+	if len(points) == 0 {
+		points = make([]int, space.Dim())
+		for i := range points {
+			points[i] = 12
+		}
+		last := space.Params[space.Dim()-1]
+		points[space.Dim()-1] = min(int(last.Max-last.Min+1), 64)
+	}
+	grid, err := optimizer.RegularGrid(space, points)
+	if err != nil {
+		return nil, err
+	}
+	return optimizer.BruteForceControlled(space, eval, grid, ctrl)
 }
 
 // attachDB wires the persistent tuning database into one search. When
@@ -499,7 +614,7 @@ func unknownMethod(method Method) error {
 // registers the journaling observer. The returned callback stores the
 // final front and surfaces any journaling error encountered during the
 // search.
-func attachDB(opt *Options, fingerprint string, space skeleton.Space, eval objective.Evaluator) func(*optimizer.Result) error {
+func attachDB(opt *Options, p *prepared, eval objective.Evaluator) func(*optimizer.Result) error {
 	noop := func(*optimizer.Result) error { return nil }
 	if opt.DB == nil {
 		return noop
@@ -510,13 +625,9 @@ func attachDB(opt *Options, fingerprint string, space skeleton.Space, eval objec
 	}
 	ce := sc.SharedCache()
 	db := opt.DB
+	space := p.region.Skeleton.Space
 	sig := machine.SignatureOf(opt.Machine)
-	key := tunedb.Key{
-		Fingerprint: fingerprint,
-		MachineSig:  sig.Key(),
-		Objectives:  tunedb.ObjectiveKey(eval.ObjectiveNames()),
-		SpaceHash:   tunedb.SpaceHash(space),
-	}
+	key := p.key(*opt)
 	if opt.WarmStart {
 		db.WarmCache(key, ce)
 		popSize := opt.Optimizer.PopSize

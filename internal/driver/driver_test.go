@@ -200,26 +200,6 @@ func TestTuneKernelNSGA2Serial(t *testing.T) {
 	}
 }
 
-// TestTuneKernelRejectsIslandOptionsForNonIslandMethods pins the fix
-// for Islands being silently ignored: a method without island support
-// must refuse the option instead of lying about what ran.
-func TestTuneKernelRejectsIslandOptionsForNonIslandMethods(t *testing.T) {
-	for _, method := range []Method{MethodRandom, MethodBruteForce, MethodRace, MethodMOTPE} {
-		opt := fastOpts()
-		opt.Method = method
-		opt.Islands = 4
-		opt.MigrationInterval = 2
-		_, err := TuneKernel("mm", opt)
-		if err == nil {
-			t.Errorf("%s: Islands=4 silently accepted", method)
-			continue
-		}
-		if !strings.Contains(err.Error(), "island") {
-			t.Errorf("%s: error does not mention the island model: %v", method, err)
-		}
-	}
-}
-
 func TestTuneKernelRejectsNegativeRandomBudget(t *testing.T) {
 	cases := []struct {
 		method Method

@@ -3,7 +3,6 @@ package driver
 import (
 	"fmt"
 
-	"autotune/internal/analyzer"
 	"autotune/internal/kernels"
 	"autotune/internal/objective"
 	"autotune/internal/optimizer"
@@ -30,65 +29,52 @@ func TuneKernels(kernelNames []string, opt Options) (*MultiOutput, error) {
 	if len(kernelNames) == 0 {
 		return nil, fmt.Errorf("driver: no kernels")
 	}
-	if opt.Machine == nil {
-		return nil, fmt.Errorf("driver: machine required")
+	ps := make([]*prepared, len(kernelNames))
+	for i, name := range kernelNames {
+		var err error
+		if ps[i], err = prepareKernel(name, opt); err != nil {
+			return nil, err
+		}
 	}
-	if opt.Measured {
-		return nil, fmt.Errorf("driver: joint tuning supports the simulated evaluator only")
-	}
-	if opt.Surrogate || opt.ScreenTopK > 0 {
-		return nil, fmt.Errorf("driver: joint tuning does not support the surrogate screen (the joint evaluator couples all regions into one execution)")
+	return tuneJoint(ps, opt)
+}
+
+// tuneJoint is the tail TuneKernels and TuneProgramAll share: one
+// coupled simulated evaluator over all prepared regions, the lock-step
+// multi-region RS-GDE3 (GDE3 under MethodGDE3), and one emitted unit
+// per region.
+func tuneJoint(ps []*prepared, opt Options) (*MultiOutput, error) {
+	if err := CheckOptions(opt, true); err != nil {
+		return nil, err
 	}
 	var (
-		ks      []*kernels.Kernel
-		regions []analyzer.Region
-		spaces  []skeleton.Space
-		progs   []int64
+		ks     = make([]*kernels.Kernel, len(ps))
+		ns     = make([]int64, len(ps))
+		spaces = make([]skeleton.Space, len(ps))
 	)
-	for _, name := range kernelNames {
-		k, err := kernels.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		n := opt.N
-		if n == 0 {
-			n = k.DefaultN
-		}
-		prog := k.IR(n)
-		rs, err := analyzer.Analyze(prog, analyzer.Options{MaxThreads: opt.Machine.Cores()})
-		if err != nil {
-			return nil, err
-		}
-		ks = append(ks, k)
-		regions = append(regions, rs[0])
-		spaces = append(spaces, rs[0].Skeleton.Space)
-		progs = append(progs, n)
+	for r, p := range ps {
+		ks[r], ns[r], spaces[r] = p.kernel, p.n, p.region.Skeleton.Space
 	}
-
-	eval, err := objective.NewSimJoint(opt.Machine, ks, progs, opt.NoiseAmp)
+	eval, err := objective.NewSimJoint(opt.Machine, ks, ns, opt.NoiseAmp)
 	if err != nil {
 		return nil, err
 	}
-	multi, err := optimizer.MultiRSGDE3(spaces, eval, opt.Optimizer)
+	sopt := opt.Optimizer
+	sopt.DisableRoughSet = sopt.DisableRoughSet || effectiveMethod(opt) == MethodGDE3
+	multi, err := optimizer.MultiRSGDE3(spaces, eval, sopt)
 	if err != nil {
 		return nil, err
 	}
-
 	out := &MultiOutput{Executions: multi.Executions, Iterations: multi.Iterations}
-	for r := range ks {
+	for r, p := range ps {
 		if len(multi.Regions[r].Front) == 0 {
-			return nil, fmt.Errorf("driver: empty front for region %s", ks[r].Name)
+			return nil, fmt.Errorf("driver: empty front for region %s", p.kernel.Name)
 		}
-		unit, err := EmitUnit(ks[r], ks[r].IR(progs[r]), regions[r], multi.Regions[r], eval.ObjectiveNames(), progs[r])
+		o, err := p.output(multi.Regions[r], eval.ObjectiveNames())
 		if err != nil {
 			return nil, err
 		}
-		out.Outputs = append(out.Outputs, &Output{
-			Kernel: ks[r],
-			Region: regions[r],
-			Result: multi.Regions[r],
-			Unit:   unit,
-		})
+		out.Outputs = append(out.Outputs, o)
 	}
 	return out, nil
 }

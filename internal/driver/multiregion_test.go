@@ -1,10 +1,18 @@
 package driver
 
 import (
+	"context"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
+	"autotune/internal/irparse"
 	"autotune/internal/machine"
+	"autotune/internal/objective"
 	"autotune/internal/optimizer"
+	"autotune/internal/tunedb"
 )
 
 func TestTuneKernelsJoint(t *testing.T) {
@@ -72,5 +80,87 @@ func TestTuneKernelsValidation(t *testing.T) {
 	mopt.Measured = true
 	if _, err := TuneKernels([]string{"mm"}, mopt); err == nil {
 		t.Error("measured joint tuning should be rejected")
+	}
+}
+
+// TestJointTuningRefusesWhatItCannotHonour: the joint search used to
+// run the lock-step RS-GDE3 whatever was asked and return the plain
+// run's result. Every option a single-region search honours and the
+// joint one drops is refused by name, through both joint entry points;
+// gde3 — which the lock-step search can run — is honoured.
+func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
+	prog, err := irparse.Parse(twoRegionSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := tunedb.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	base := func() Options {
+		return Options{Machine: machine.Westmere(), Optimizer: optimizer.Options{PopSize: 8, Seed: 1, MaxIterations: 4}}
+	}
+	for name, set := range map[string]func(*Options){
+		"Method":  func(o *Options) { o.Method = MethodNSGA2 },
+		"Islands": func(o *Options) { o.Islands = 4 },
+		"Objectives": func(o *Options) {
+			o.Objectives = []objective.ObjectiveKind{objective.TimeObjective, objective.EnergyObjective}
+		},
+		"UnrollDim":      func(o *Options) { o.UnrollDim = true },
+		"DB":             func(o *Options) { o.DB = db },
+		"WarmStart":      func(o *Options) { o.WarmStart = true },
+		"CheckpointPath": func(o *Options) { o.CheckpointPath = filepath.Join(t.TempDir(), "j.ckpt") },
+		"ResumeFrom":     func(o *Options) { o.ResumeFrom = filepath.Join(t.TempDir(), "j.ckpt") },
+		"Context":        func(o *Options) { o.Context = cancelled },
+		"EvalTimeout":    func(o *Options) { o.EvalTimeout = time.Second },
+		"Retries":        func(o *Options) { o.Retries = 2 },
+		"OnProgress":     func(o *Options) { o.OnProgress = func(int) {} },
+		"Surrogate":      func(o *Options) { o.ScreenTopK = 4 },
+	} {
+		opt := base()
+		set(&opt)
+		_, kerr := TuneKernels([]string{"mm", "jacobi-2d"}, opt)
+		_, perr := TuneProgramAll(prog, opt)
+		for entry, err := range map[string]error{"TuneKernels": kerr, "TuneProgramAll": perr} {
+			if err == nil {
+				t.Errorf("%s accepted and dropped %s", entry, name)
+			} else if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: refusal of %s does not name it: %v", entry, name, err)
+			}
+		}
+		if opt.CheckpointPath != "" {
+			if _, err := os.Stat(opt.CheckpointPath); err == nil {
+				t.Errorf("refused joint run left a checkpoint journal behind")
+			}
+		}
+	}
+	if keys := db.Keys(); len(keys) != 0 {
+		t.Errorf("refused joint runs journaled under %v", keys)
+	}
+
+	// Method-specific knobs every other method ignores too are not part
+	// of this, and gde3 runs as the lock-step search without the
+	// rough-set reduction rather than as RS-GDE3.
+	opt := base()
+	opt.RandomBudget, opt.GridPoints = 50, []int{2, 2, 2}
+	if _, err := TuneKernels([]string{"mm", "jacobi-2d"}, opt); err != nil {
+		t.Fatal(err)
+	}
+	opt.Method = MethodGDE3
+	plain, err := TuneKernels([]string{"mm", "jacobi-2d"}, opt)
+	if err != nil {
+		t.Fatalf("joint gde3: %v", err)
+	}
+	direct := base()
+	direct.Optimizer.DisableRoughSet = true
+	want, err := TuneKernels([]string{"mm", "jacobi-2d"}, direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Executions != want.Executions || len(plain.Outputs[0].Result.Front) != len(want.Outputs[0].Result.Front) {
+		t.Errorf("joint gde3 ran %d executions, the search without rough sets %d", plain.Executions, want.Executions)
 	}
 }

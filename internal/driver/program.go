@@ -7,19 +7,13 @@ import (
 	"autotune/internal/genmodel"
 	"autotune/internal/ir"
 	"autotune/internal/kernels"
-	"autotune/internal/objective"
-	"autotune/internal/optimizer"
-	"autotune/internal/skeleton"
-	"autotune/internal/tunedb"
 )
 
-// TuneProgramAll tunes every region of an arbitrary MiniIR program
-// simultaneously: the analyzer enumerates the tunable nests, genmodel
-// derives a performance model per region, and the lock-step
-// multi-region RS-GDE3 shares each program execution across all
-// regions (paper §III-A). One multi-versioned unit is emitted per
-// region.
-func TuneProgramAll(prog *ir.Program, opt Options) (*MultiOutput, error) {
+// analyzeProgram runs pipeline steps (1-2) for an arbitrary MiniIR
+// program: the analyzer enumerates its tunable regions. Parsed programs
+// have no executable Go implementation, so only the simulated
+// evaluator applies.
+func analyzeProgram(prog *ir.Program, opt Options) ([]analyzer.Region, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("driver: nil program")
 	}
@@ -29,58 +23,47 @@ func TuneProgramAll(prog *ir.Program, opt Options) (*MultiOutput, error) {
 	if opt.Measured {
 		return nil, fmt.Errorf("driver: parsed programs have no measured implementation")
 	}
-	if opt.Surrogate || opt.ScreenTopK > 0 {
-		return nil, fmt.Errorf("driver: joint tuning does not support the surrogate screen (the joint evaluator couples all regions into one execution)")
-	}
-	regions, err := analyzer.Analyze(prog, analyzer.Options{MaxThreads: opt.Machine.Cores()})
+	return analyzer.Analyze(prog, analyzer.Options{MaxThreads: opt.Machine.Cores()})
+}
+
+// prepareRegion derives an analytical performance model from the
+// region's access structure and wraps it in a synthetic kernel, so the
+// standard evaluator and backend apply unchanged.
+func prepareRegion(prog *ir.Program, region analyzer.Region, name string) (*prepared, error) {
+	km, err := genmodel.Derive(prog, region)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		synths []*kernels.Kernel
-		spaces []skeleton.Space
-	)
-	for i := range regions {
-		km, err := genmodel.Derive(prog, regions[i])
-		if err != nil {
+	synth := &kernels.Kernel{
+		Name:     name,
+		DefaultN: 1,
+		BenchN:   1,
+		TileDims: region.Band,
+		Collapse: region.Collapsible,
+		IR:       func(n int64) *ir.Program { return prog.Clone() },
+		Model:    km,
+	}
+	return &prepared{kernel: synth, n: 1, prog: prog, region: region}, nil
+}
+
+// TuneProgramAll tunes every region of an arbitrary MiniIR program
+// simultaneously: the analyzer enumerates the tunable nests, genmodel
+// derives a performance model per region, and the lock-step
+// multi-region RS-GDE3 shares each program execution across all
+// regions (paper §III-A). One multi-versioned unit is emitted per
+// region.
+func TuneProgramAll(prog *ir.Program, opt Options) (*MultiOutput, error) {
+	regions, err := analyzeProgram(prog, opt)
+	if err != nil {
+		return nil, err
+	}
+	ps := make([]*prepared, len(regions))
+	for i, region := range regions {
+		if ps[i], err = prepareRegion(prog, region, region.Skeleton.Name); err != nil {
 			return nil, fmt.Errorf("driver: region %d: %w", i, err)
 		}
-		synths = append(synths, &kernels.Kernel{
-			Name:     regions[i].Skeleton.Name,
-			DefaultN: 1,
-			BenchN:   1,
-			TileDims: regions[i].Band,
-			Collapse: regions[i].Collapsible,
-			IR:       func(n int64) *ir.Program { return prog.Clone() },
-			Model:    km,
-		})
-		spaces = append(spaces, regions[i].Skeleton.Space)
 	}
-	eval, err := objective.NewSimJoint(opt.Machine, synths, make([]int64, len(synths)), opt.NoiseAmp)
-	if err != nil {
-		return nil, err
-	}
-	multi, err := optimizer.MultiRSGDE3(spaces, eval, opt.Optimizer)
-	if err != nil {
-		return nil, err
-	}
-	out := &MultiOutput{Executions: multi.Executions, Iterations: multi.Iterations}
-	for i := range regions {
-		if len(multi.Regions[i].Front) == 0 {
-			return nil, fmt.Errorf("driver: empty front for region %d", i)
-		}
-		unit, err := EmitUnit(synths[i], prog, regions[i], multi.Regions[i], eval.ObjectiveNames(), 1)
-		if err != nil {
-			return nil, err
-		}
-		out.Outputs = append(out.Outputs, &Output{
-			Kernel: synths[i],
-			Region: regions[i],
-			Result: multi.Regions[i],
-			Unit:   unit,
-		})
-	}
-	return out, nil
+	return tuneJoint(ps, opt)
 }
 
 // TuneProgram tunes an arbitrary MiniIR program (e.g. parsed from the
@@ -92,80 +75,17 @@ func TuneProgramAll(prog *ir.Program, opt Options) (*MultiOutput, error) {
 // metadata but no bound entries — attach entries with Unit.Bind when
 // an execution vehicle exists.
 func TuneProgram(prog *ir.Program, opt Options) (*Output, error) {
-	if prog == nil {
-		return nil, fmt.Errorf("driver: nil program")
-	}
-	if opt.Machine == nil {
-		return nil, fmt.Errorf("driver: machine required")
-	}
-	if opt.Measured {
-		return nil, fmt.Errorf("driver: parsed programs have no measured implementation")
-	}
-	regions, err := analyzer.Analyze(prog, analyzer.Options{MaxThreads: opt.Machine.Cores()})
+	regions, err := analyzeProgram(prog, opt)
 	if err != nil {
 		return nil, err
 	}
-	region := regions[0]
-	km, err := genmodel.Derive(prog, region)
+	p, err := prepareRegion(prog, regions[0], prog.Name)
 	if err != nil {
 		return nil, err
 	}
 	if opt.UnrollDim {
-		region.Skeleton = skeleton.TiledParallelUnroll(region.Skeleton.Name,
-			region.Band, region.MaxTile, opt.Machine.Cores(), region.Collapsible, 8)
+		p.region.Skeleton = unrollSkeleton(p.region, opt.Machine)
 	}
-
-	// A synthetic kernel wraps the derived model so the standard
-	// evaluator and backend apply unchanged.
-	synth := &kernels.Kernel{
-		Name:     prog.Name,
-		DefaultN: 1,
-		BenchN:   1,
-		TileDims: region.Band,
-		Collapse: region.Collapsible,
-		IR:       func(n int64) *ir.Program { return prog.Clone() },
-		Model:    km,
-	}
-	eval, err := objective.NewSim(objective.SimConfig{
-		Machine:    opt.Machine,
-		Kernel:     synth,
-		N:          1,
-		NoiseAmp:   opt.NoiseAmp,
-		Objectives: opt.Objectives,
-		UnrollDim:  opt.UnrollDim,
-	})
-	if err != nil {
-		return nil, err
-	}
-	seval, detach, err := attachSurrogate(opt, prog, region.Skeleton.Space, eval)
-	if err != nil {
-		return nil, err
-	}
-	defer detach()
-	fingerprint := tunedb.ProgramFingerprint(prog, "source", region.Skeleton.Name,
-		fmt.Sprint(opt.UnrollDim))
-	finish := attachDB(&opt, fingerprint, region.Skeleton.Space, seval)
-	ctrl, cleanup, err := buildControl(opt, seval)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	res, err := runSearch(region.Skeleton.Space, seval, opt, ctrl)
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Front) == 0 {
-		if res.Partial {
-			return nil, fmt.Errorf("driver: search for %s was cancelled before any configuration was evaluated", prog.Name)
-		}
-		return nil, fmt.Errorf("driver: optimizer returned an empty front for %s", prog.Name)
-	}
-	if err := finish(res); err != nil {
-		return nil, err
-	}
-	unit, err := EmitUnit(synth, prog, region, res, seval.ObjectiveNames(), 1)
-	if err != nil {
-		return nil, err
-	}
-	return &Output{Kernel: synth, Region: region, Result: res, Unit: unit}, nil
+	p.salt = []string{"source", p.region.Skeleton.Name, fmt.Sprint(opt.UnrollDim)}
+	return tune(p, opt)
 }

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -160,43 +161,84 @@ func TestTuneProgramResilienceOptions(t *testing.T) {
 	}
 }
 
-// TestCheckpointOptionValidation: checkpointing is generation-granular,
-// so exactly the methods without a registered Restore refuse it — up
-// front, before a journal file exists — and resume demands an existing
-// journal.
+// TestCheckpointOptionValidation is the refusal matrix: every valid
+// method × {islands, surrogate, checkpoint, resume} through TuneKernel.
+// An option is refused exactly when the method's strategy does not
+// declare the capability (a driver-level mode has what the table below
+// says), the "use one of" list in the refusal is exactly the capable
+// methods, a refusal creates no journal file, and an unknown method is
+// told so before anything else. The expectation comes from the
+// registry, so a strategy added tomorrow is covered without an edit.
 func TestCheckpointOptionValidation(t *testing.T) {
+	type caps struct{ islands, surrogate, checkpoint bool }
+	modeCaps := map[string]caps{"brute-force": {}, "race": {surrogate: true}}
+	capsOf := func(method string) caps {
+		if c, ok := modeCaps[method]; ok {
+			return c
+		}
+		strat, err := optimizer.StrategyByName(method)
+		if err != nil {
+			t.Fatalf("%s is neither a strategy nor a driver mode: %v", method, err)
+		}
+		return caps{islands: strat.Islands, surrogate: true, checkpoint: strat.Restore != nil}
+	}
+	features := []struct {
+		name  string
+		has   func(caps) bool
+		set   func(opt *Options, journal string)
+		names string // what a refusal must say it refuses
+	}{
+		{"islands", func(c caps) bool { return c.islands }, func(o *Options, _ string) { o.Islands, o.MigrationInterval = 3, 2 }, "island model"},
+		{"surrogate", func(c caps) bool { return c.surrogate }, func(o *Options, _ string) { o.Surrogate = true }, "surrogate screen"},
+		{"checkpoint", func(c caps) bool { return c.checkpoint }, func(o *Options, j string) { o.CheckpointPath = j }, "checkpoint/resume"},
+		{"resume", func(c caps) bool { return c.checkpoint }, func(o *Options, j string) { o.ResumeFrom = j }, "checkpoint/resume"},
+	}
 	for _, name := range ValidMethods() {
-		strat, err := optimizer.StrategyByName(name)
-		resumable := err == nil && strat.Restore != nil
-		opt := fastOpts()
-		opt.Method = Method(name)
-		opt.CheckpointPath = filepath.Join(t.TempDir(), "x.ckpt")
-		_, err = TuneKernel("mm", opt)
-		if refused := err != nil; refused == resumable {
-			t.Errorf("%s: checkpoint refused = %v, strategy has Restore = %v (err: %v)", name, refused, resumable, err)
+		if got, want := Checkpointable(Method(name)), capsOf(name).checkpoint; got != want {
+			t.Errorf("Checkpointable(%s) = %v, want %v", name, got, want)
 		}
-		if _, statErr := os.Stat(opt.CheckpointPath); (statErr == nil) != resumable {
-			t.Errorf("%s: journal file exists = %v, want %v", name, statErr == nil, resumable)
+	}
+	for _, f := range features {
+		var capable []string
+		for _, name := range ValidMethods() {
+			if f.has(capsOf(name)) {
+				capable = append(capable, name)
+			}
 		}
-		if !resumable {
-			opt.CheckpointPath, opt.ResumeFrom = "", opt.CheckpointPath
-			if _, err := TuneKernel("mm", opt); err == nil || strings.Contains(err.Error(), "resilience:") {
-				t.Errorf("%s: resume not refused by the driver: %v", name, err)
+		for _, name := range append(ValidMethods(), "alien") {
+			journal := filepath.Join(t.TempDir(), "x.ckpt")
+			opt := fastOpts()
+			opt.Method = Method(name)
+			f.set(&opt, journal)
+			_, err := TuneKernel("mm", opt)
+			if name == "alien" {
+				if err == nil || !strings.Contains(err.Error(), "unknown method") {
+					t.Errorf("%s on an unknown method: %v", f.name, err)
+				}
+				continue
+			}
+			// A refusal lists the methods to use instead; a capable
+			// method resuming from a journal that does not exist fails
+			// too, but in the journal reader.
+			_, list, refused := strings.Cut(fmt.Sprint(err), "one of: ")
+			if want := !f.has(capsOf(name)); refused != want {
+				t.Errorf("%s + %s: refused = %v, want %v (err: %v)", name, f.name, refused, want, err)
+			}
+			if refused && list != strings.Join(capable, ", ") {
+				t.Errorf("%s + %s: refusal lists %q, the capable methods are %q", name, f.name, list, strings.Join(capable, ", "))
+			}
+			if refused && !strings.Contains(err.Error(), f.names) {
+				t.Errorf("%s + %s: refusal does not mention the %s: %v", name, f.name, f.names, err)
+			}
+			if !refused && err != nil && f.name != "resume" {
+				t.Errorf("%s + %s: %v", name, f.name, err)
+			}
+			if _, statErr := os.Stat(journal); (statErr == nil) != (f.name == "checkpoint" && !refused) {
+				t.Errorf("%s + %s: journal file exists = %v", name, f.name, statErr == nil)
 			}
 		}
 	}
 	opt := fastOpts()
-	opt.Method = "alien"
-	opt.CheckpointPath = filepath.Join(t.TempDir(), "x.ckpt")
-	if _, err := TuneKernel("mm", opt); err == nil || !strings.Contains(err.Error(), "unknown method") {
-		t.Errorf("unknown method with a checkpoint path: %v", err)
-	}
-	opt = fastOpts()
-	opt.ResumeFrom = filepath.Join(t.TempDir(), "missing.ckpt")
-	if _, err := TuneKernel("mm", opt); err == nil {
-		t.Fatal("resume from a missing journal succeeded")
-	}
-	opt = fastOpts()
 	opt.CheckpointPath = filepath.Join(t.TempDir(), "a.ckpt")
 	opt.ResumeFrom = opt.CheckpointPath
 	if _, err := TuneKernel("mm", opt); err == nil {

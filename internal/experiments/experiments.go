@@ -76,6 +76,17 @@ func tileGridPoints(k *kernels.Kernel, mode Mode) int {
 	}
 }
 
+// search runs one registered strategy serially, without run control —
+// how every experiment compares strategies through the one engine.
+func search(name string, space skeleton.Space, eval objective.Evaluator, cfg optimizer.StrategyConfig) (*optimizer.Result, error) {
+	return optimizer.Run(space, eval, optimizer.Spec{Strategy: name, Config: cfg}, optimizer.Control{})
+}
+
+// randomSearch is the paper's random baseline at the given budget.
+func randomSearch(space skeleton.Space, eval objective.Evaluator, budget int, seed int64) (*optimizer.Result, error) {
+	return search("random", space, eval, optimizer.StrategyConfig{Options: optimizer.Options{Seed: seed}, RandomBudget: budget})
+}
+
 // tuningSpace builds the search space the optimizers and grids use for
 // a kernel on a machine: tile sizes in [1, N/2], threads in
 // [1, cores] — the paper's §V-B.3 restrictions.

@@ -43,7 +43,7 @@ func Extended(m *machine.Machine, mode Mode, seed int64) (*ExtendedResult, error
 		if err != nil {
 			return nil, err
 		}
-		bf, err := optimizer.BruteForce(space, bfEval, bruteForceGrid(k, m, mode))
+		bf, err := optimizer.BruteForceControlled(space, bfEval, bruteForceGrid(k, m, mode), optimizer.Control{})
 		if err != nil {
 			return nil, err
 		}
@@ -52,7 +52,7 @@ func Extended(m *machine.Machine, mode Mode, seed int64) (*ExtendedResult, error
 		if err != nil {
 			return nil, err
 		}
-		rs, err := optimizer.RSGDE3(space, rsEval, optimizer.Options{Seed: seed})
+		rs, err := search("rs-gde3", space, rsEval, optimizer.StrategyConfig{Options: optimizer.Options{Seed: seed}})
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +61,7 @@ func Extended(m *machine.Machine, mode Mode, seed int64) (*ExtendedResult, error
 		if err != nil {
 			return nil, err
 		}
-		ns, err := optimizer.NSGA2(space, nsEval, optimizer.NSGA2Options{Seed: seed})
+		ns, err := search("nsga2", space, nsEval, optimizer.StrategyConfig{Options: optimizer.Options{Seed: seed}})
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +70,7 @@ func Extended(m *machine.Machine, mode Mode, seed int64) (*ExtendedResult, error
 		if err != nil {
 			return nil, err
 		}
-		rnd, err := optimizer.Random(space, rndEval, rs.Evaluations, seed+100)
+		rnd, err := randomSearch(space, rndEval, rs.Evaluations, seed+100)
 		if err != nil {
 			return nil, err
 		}

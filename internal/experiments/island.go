@@ -98,14 +98,12 @@ func IslandComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Island
 			Stagnation:    spec.gens + 1, // run the full budget
 			Seed:          1,
 		}
-		start := time.Now()
-		var r *optimizer.Result
+		run := optimizer.Spec{Strategy: "rs-gde3", Config: optimizer.StrategyConfig{Options: opt}}
 		if spec.islands > 1 {
-			r, err = optimizer.RSGDE3Islands(space, slow, opt,
-				optimizer.IslandOptions{Islands: spec.islands, MigrationInterval: 2})
-		} else {
-			r, err = optimizer.RSGDE3(space, slow, opt)
+			run.Islands = &optimizer.IslandOptions{Islands: spec.islands, MigrationInterval: 2}
 		}
+		start := time.Now()
+		r, err := optimizer.Run(space, slow, run, optimizer.Control{})
 		if err != nil {
 			return nil, err
 		}

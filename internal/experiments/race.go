@@ -69,28 +69,6 @@ func RaceComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*RaceComp
 		}
 		return objective.NewCachingEvaluator(sim.ObjectiveNames(), pop, sim.EvaluateOne), nil
 	}
-	runSingle := func(name string, eval objective.Evaluator) (*optimizer.Result, error) {
-		switch name {
-		case "rs-gde3":
-			return optimizer.RSGDE3(space, eval, opt)
-		case "gde3":
-			return optimizer.GDE3(space, eval, opt)
-		case "nsga2":
-			return optimizer.NSGA2(space, eval, optimizer.NSGA2Options{
-				PopSize:        pop,
-				MaxGenerations: gens,
-				Stagnation:     gens + 1,
-				Seed:           opt.Seed,
-			})
-		case "motpe":
-			return optimizer.MOTPE(space, eval, opt)
-		case "random":
-			return optimizer.Random(space, eval, randomBudget, opt.Seed)
-		default:
-			return nil, fmt.Errorf("experiments: unknown race contender %q", name)
-		}
-	}
-
 	var fronts [][]pareto.Point
 	var pool [][]float64
 	for _, name := range raceStrategies {
@@ -98,7 +76,7 @@ func RaceComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*RaceComp
 		if err != nil {
 			return nil, err
 		}
-		r, err := runSingle(name, eval)
+		r, err := search(name, space, eval, optimizer.StrategyConfig{Options: opt, RandomBudget: randomBudget})
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +106,7 @@ func RaceComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*RaceComp
 	}
 	ropt := opt
 	ropt.PopSize = rpop
-	rr, err := optimizer.Race(space, eval, optimizer.StrategyConfig{
+	rr, err := optimizer.RaceControlled(space, eval, optimizer.StrategyConfig{
 		Options:      ropt,
 		RandomBudget: randomBudget,
 	}, optimizer.RaceOptions{
@@ -136,7 +114,7 @@ func RaceComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*RaceComp
 		Interval:     3,
 		Budget:       res.Budget,
 		MinSurvivors: 2,
-	})
+	}, optimizer.Control{})
 	if err != nil {
 		return nil, err
 	}

@@ -131,9 +131,9 @@ func SurrogateComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Sur
 			objs: objs,
 		})
 	})
-	pres, err := optimizer.RSGDE3(space, primeEval, optimizer.Options{
+	pres, err := search("rs-gde3", space, primeEval, optimizer.StrategyConfig{Options: optimizer.Options{
 		PopSize: pop, MaxIterations: (gens + 1) / 2, Stagnation: gens + 2, Seed: 7,
-	})
+	}})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: priming run: %w", err)
 	}
@@ -193,10 +193,8 @@ func SurrogateComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Sur
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		col := &curveCollector{budget: budget, cancel: cancel}
-		res, err := optimizer.RSGDE3Controlled(space, e, opt, optimizer.Control{
-			Ctx:          ctx,
-			Checkpointer: col,
-		})
+		res, err := optimizer.Run(space, e, optimizer.Spec{Strategy: "rs-gde3", Config: optimizer.StrategyConfig{Options: opt}},
+			optimizer.Control{Ctx: ctx, Checkpointer: col})
 		return res, col, err
 	}
 

@@ -53,7 +53,7 @@ func Table6Kernel(k *kernels.Kernel, m *machine.Machine, mode Mode, reps int) (*
 		return nil, nil, err
 	}
 	grid := bruteForceGrid(k, m, mode)
-	bf, err := optimizer.BruteForce(space, bfEval, grid)
+	bf, err := optimizer.BruteForceControlled(space, bfEval, grid, optimizer.Control{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -69,7 +69,7 @@ func Table6Kernel(k *kernels.Kernel, m *machine.Machine, mode Mode, reps int) (*
 		if err != nil {
 			return nil, nil, err
 		}
-		rs, err := optimizer.RSGDE3(space, rsEval, optimizer.Options{Seed: int64(rep + 1)})
+		rs, err := search("rs-gde3", space, rsEval, optimizer.StrategyConfig{Options: optimizer.Options{Seed: int64(rep + 1)}})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -80,7 +80,7 @@ func Table6Kernel(k *kernels.Kernel, m *machine.Machine, mode Mode, reps int) (*
 		if err != nil {
 			return nil, nil, err
 		}
-		rnd, err := optimizer.Random(space, rndEval, rs.Evaluations, int64(100+rep))
+		rnd, err := randomSearch(space, rndEval, rs.Evaluations, int64(100+rep))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -2,9 +2,9 @@
 // cancellation and deadlines, generation-granular checkpointing, and
 // exact resume.
 //
-// The controlled entry points (RSGDE3Controlled, NSGA2Controlled and
-// their island variants) accept a Control carrying a context.Context, a
-// Checkpointer and an optional resume Snapshot. Cancellation is
+// Run, RaceControlled and BruteForceControlled accept a Control
+// carrying a context.Context, a Checkpointer and an optional resume
+// Snapshot. Cancellation is
 // graceful: the search stops at the next evaluation or generation
 // boundary and returns the best-so-far valid Pareto front with
 // Result.Partial set — never an error with nothing. A Snapshot captures
@@ -379,152 +379,4 @@ func (r *controlledRun) loop(islands []islandEvolver, maxGens int, iopt IslandOp
 		}
 	}
 	return gens, false, nil
-}
-
-// RSGDE3Controlled is RSGDE3 with cancellation, checkpointing and
-// resume (see Control). Cancellation returns the best-so-far front
-// with Result.Partial set rather than an error.
-func RSGDE3Controlled(space skeleton.Space, eval objective.Evaluator, opt Options, ctrl Control) (*Result, error) {
-	return runStrategy(methodName(opt), space, eval, StrategyConfig{Options: opt}, IslandOptions{}, false, ctrl)
-}
-
-// methodName labels the GDE3 family for snapshots.
-func methodName(opt Options) string {
-	if opt.DisableRoughSet {
-		return "gde3"
-	}
-	return "rs-gde3"
-}
-
-// GDE3Controlled is GDE3 with run control.
-func GDE3Controlled(space skeleton.Space, eval objective.Evaluator, opt Options, ctrl Control) (*Result, error) {
-	return runStrategy("gde3", space, eval, StrategyConfig{Options: opt}, IslandOptions{}, false, ctrl)
-}
-
-// NSGA2Controlled is NSGA2 with run control.
-func NSGA2Controlled(space skeleton.Space, eval objective.Evaluator, opt NSGA2Options, ctrl Control) (*Result, error) {
-	return runStrategy("nsga2", space, eval, StrategyConfig{NSGA2: opt}, IslandOptions{}, false, ctrl)
-}
-
-// MOTPEControlled is the MOTPE sampler with run control.
-func MOTPEControlled(space skeleton.Space, eval objective.Evaluator, opt Options, ctrl Control) (*Result, error) {
-	return runStrategy("motpe", space, eval, StrategyConfig{Options: opt}, IslandOptions{}, false, ctrl)
-}
-
-// MOTPE runs the multi-objective TPE sampler (see motpe.go).
-func MOTPE(space skeleton.Space, eval objective.Evaluator, opt Options) (*Result, error) {
-	return MOTPEControlled(space, eval, opt, Control{})
-}
-
-// RSGDE3IslandsControlled is RSGDE3Islands with run control. On
-// resume, every island is restored from its checkpointed state; the
-// merged front of the finished run is byte-identical to the same-seed
-// uninterrupted run.
-func RSGDE3IslandsControlled(space skeleton.Space, eval objective.Evaluator, opt Options, iopt IslandOptions, ctrl Control) (*Result, error) {
-	return runStrategy(methodName(opt), space, eval, StrategyConfig{Options: opt}, iopt, true, ctrl)
-}
-
-// GDE3IslandsControlled is GDE3Islands with run control.
-func GDE3IslandsControlled(space skeleton.Space, eval objective.Evaluator, opt Options, iopt IslandOptions, ctrl Control) (*Result, error) {
-	return runStrategy("gde3", space, eval, StrategyConfig{Options: opt}, iopt, true, ctrl)
-}
-
-// NSGA2IslandsControlled is NSGA2Islands with run control.
-func NSGA2IslandsControlled(space skeleton.Space, eval objective.Evaluator, opt NSGA2Options, iopt IslandOptions, ctrl Control) (*Result, error) {
-	return runStrategy("nsga2", space, eval, StrategyConfig{NSGA2: opt}, iopt, true, ctrl)
-}
-
-// randomChunk is the evaluation batch size of the one-shot baselines'
-// controlled variants — the granularity at which cancellation is
-// honored.
-const randomChunk = 64
-
-// RandomControlled is Random with cancellation support: the budget is
-// evaluated in chunks and a done context stops the sweep at the next
-// chunk boundary, returning the non-dominated subset of what was
-// evaluated with Result.Partial set. The baselines keep no generation
-// state, so Checkpointer and Resume are not supported (Resume is an
-// error, Checkpointer is ignored).
-func RandomControlled(space skeleton.Space, eval objective.Evaluator, budget int, seed int64, ctrl Control) (*Result, error) {
-	if budget <= 0 {
-		return nil, fmt.Errorf("optimizer: random search needs a positive budget")
-	}
-	cfg := StrategyConfig{Options: Options{Seed: seed}, RandomBudget: budget}
-	res, err := runStrategy("random", space, eval, cfg, IslandOptions{}, false, ctrl)
-	if err != nil {
-		return nil, err
-	}
-	// The one-shot baselines report Iterations as 0 (see Result), even
-	// though the chunked sweep steps through the stepping surface.
-	res.Iterations = 0
-	return res, nil
-}
-
-// GridSearchControlled runs the registered "grid" strategy: a
-// deterministic coarse grid subsample of at most budget
-// configurations, visited in a low-discrepancy strided order and
-// evaluated in cancellable chunks. Like the other one-shot baselines
-// it supports neither Checkpointer nor Resume.
-func GridSearchControlled(space skeleton.Space, eval objective.Evaluator, budget int, ctrl Control) (*Result, error) {
-	if budget <= 0 {
-		return nil, fmt.Errorf("optimizer: grid search needs a positive budget")
-	}
-	cfg := StrategyConfig{RandomBudget: budget}
-	res, err := runStrategy("grid", space, eval, cfg, IslandOptions{}, false, ctrl)
-	if err != nil {
-		return nil, err
-	}
-	res.Iterations = 0
-	return res, nil
-}
-
-// BruteForceControlled is BruteForce with cancellation support at
-// chunk granularity. Like RandomControlled it supports neither
-// Checkpointer nor Resume. AllPoints is only populated for complete
-// sweeps; a partial grid sweep reports the partial front alone.
-func BruteForceControlled(space skeleton.Space, eval objective.Evaluator, grid Grid, ctrl Control) (*Result, error) {
-	if ctrl.Resume != nil {
-		return nil, fmt.Errorf("optimizer: brute force keeps no generation state; resume needs an evolutionary method")
-	}
-	if err := space.Validate(); err != nil {
-		return nil, err
-	}
-	if len(grid) != space.Dim() {
-		return nil, fmt.Errorf("optimizer: grid dims %d != space dims %d", len(grid), space.Dim())
-	}
-	run := newControlledRun(eval, ctrl, "brute-force", "")
-	defer run.close()
-	cfgs := grid.configs(space)
-	ctx := ctrl.ctx()
-	archive := pareto.NewArchive()
-	var all []pareto.Point
-	partial := false
-	for lo := 0; lo < len(cfgs); lo += randomChunk {
-		if ctx.Err() != nil {
-			partial = true
-			break
-		}
-		hi := lo + randomChunk
-		if hi > len(cfgs) {
-			hi = len(cfgs)
-		}
-		objs := eval.Evaluate(cfgs[lo:hi])
-		for i, o := range objs {
-			if o == nil {
-				continue
-			}
-			p := pareto.Point{Payload: cfgs[lo+i], Objectives: o}
-			all = append(all, p)
-			archive.Add(p)
-		}
-	}
-	res := &Result{
-		Front:       archive.Points(),
-		Evaluations: run.totalE(),
-		Partial:     partial,
-	}
-	if !partial {
-		res.AllPoints = all
-	}
-	return res, nil
 }

@@ -53,34 +53,33 @@ func (m *memCheckpointer) foldedAt(i int) *optimizer.Snapshot {
 // controlledMethod runs one search method under a Control.
 type controlledMethod func(eval objective.Evaluator, seed int64, ctrl optimizer.Control) (*optimizer.Result, error)
 
+// controlledMethods is every registered strategy that can checkpoint
+// (it has a Restore), serial and — where it declares Islands — as three
+// islands.
 func controlledMethods(space skeleton.Space) map[string]controlledMethod {
-	gopt := func(seed int64) optimizer.Options {
-		return optimizer.Options{PopSize: 12, MaxIterations: 8, Seed: seed}
+	methods := map[string]controlledMethod{}
+	add := func(label, name string, iopt *optimizer.IslandOptions) {
+		methods[label] = func(e objective.Evaluator, seed int64, ctrl optimizer.Control) (*optimizer.Result, error) {
+			return optimizer.Run(space, e, spec(name, optimizer.Options{PopSize: 12, MaxIterations: 8, Seed: seed}, iopt), ctrl)
+		}
 	}
-	nopt := func(seed int64) optimizer.NSGA2Options {
-		return optimizer.NSGA2Options{PopSize: 12, MaxGenerations: 8, Seed: seed}
+	for _, name := range optimizer.StrategyNames() {
+		strat, _ := optimizer.StrategyByName(name)
+		if strat.Restore == nil {
+			continue
+		}
+		add(name, name, nil)
+		if strat.Islands {
+			add(name+"-islands", name, &optimizer.IslandOptions{Islands: 3, MigrationInterval: 2})
+		}
 	}
-	iopt := optimizer.IslandOptions{Islands: 3, MigrationInterval: 2}
-	return map[string]controlledMethod{
-		"rs-gde3": func(e objective.Evaluator, seed int64, ctrl optimizer.Control) (*optimizer.Result, error) {
-			return optimizer.RSGDE3Controlled(space, e, gopt(seed), ctrl)
-		},
-		"gde3": func(e objective.Evaluator, seed int64, ctrl optimizer.Control) (*optimizer.Result, error) {
-			return optimizer.GDE3Controlled(space, e, gopt(seed), ctrl)
-		},
-		"nsga2": func(e objective.Evaluator, seed int64, ctrl optimizer.Control) (*optimizer.Result, error) {
-			return optimizer.NSGA2Controlled(space, e, nopt(seed), ctrl)
-		},
-		"rs-gde3-islands": func(e objective.Evaluator, seed int64, ctrl optimizer.Control) (*optimizer.Result, error) {
-			return optimizer.RSGDE3IslandsControlled(space, e, gopt(seed), iopt, ctrl)
-		},
-		"gde3-islands": func(e objective.Evaluator, seed int64, ctrl optimizer.Control) (*optimizer.Result, error) {
-			return optimizer.GDE3IslandsControlled(space, e, gopt(seed), iopt, ctrl)
-		},
-		"nsga2-islands": func(e objective.Evaluator, seed int64, ctrl optimizer.Control) (*optimizer.Result, error) {
-			return optimizer.NSGA2IslandsControlled(space, e, nopt(seed), iopt, ctrl)
-		},
-	}
+	return methods
+}
+
+// spec is the Spec of the named strategy over opt — serial, or the
+// island model when iopt is non-nil.
+func spec(name string, opt optimizer.Options, iopt *optimizer.IslandOptions) optimizer.Spec {
+	return optimizer.Spec{Strategy: name, Config: optimizer.StrategyConfig{Options: opt}, Islands: iopt}
 }
 
 // TestResumeEveryGenerationByteIdentical is the crash-anywhere
@@ -225,8 +224,8 @@ func TestCancelledBeforeStart(t *testing.T) {
 	space := islandSpace()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := optimizer.RSGDE3Controlled(space, newDetEval(),
-		optimizer.Options{PopSize: 8, MaxIterations: 4, Seed: 1}, optimizer.Control{Ctx: ctx})
+	res, err := optimizer.Run(space, newDetEval(),
+		spec("rs-gde3", optimizer.Options{PopSize: 8, MaxIterations: 4, Seed: 1}, nil), optimizer.Control{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,9 +256,9 @@ func TestConcurrentCancelDuringMigration(t *testing.T) {
 			time.Sleep(time.Duration(2+trial) * time.Millisecond)
 			cancel()
 		}()
-		res, err := optimizer.RSGDE3IslandsControlled(space, eval,
-			optimizer.Options{PopSize: 12, MaxIterations: 50, Seed: int64(trial)},
-			optimizer.IslandOptions{Islands: 4, MigrationInterval: 1},
+		res, err := optimizer.Run(space, eval,
+			spec("rs-gde3", optimizer.Options{PopSize: 12, MaxIterations: 50, Seed: int64(trial)},
+				&optimizer.IslandOptions{Islands: 4, MigrationInterval: 1}),
 			optimizer.Control{Ctx: ctx})
 		cancel()
 		if err != nil {
@@ -277,13 +276,13 @@ func TestConcurrentCancelDuringMigration(t *testing.T) {
 func TestResumeFingerprintMismatch(t *testing.T) {
 	space := islandSpace()
 	cp := &memCheckpointer{}
-	if _, err := optimizer.RSGDE3Controlled(space, newDetEval(),
-		optimizer.Options{PopSize: 8, MaxIterations: 4, Seed: 1},
+	if _, err := optimizer.Run(space, newDetEval(),
+		spec("rs-gde3", optimizer.Options{PopSize: 8, MaxIterations: 4, Seed: 1}, nil),
 		optimizer.Control{Checkpointer: cp}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := optimizer.RSGDE3Controlled(space, newDetEval(),
-		optimizer.Options{PopSize: 8, MaxIterations: 4, Seed: 2},
+	_, err := optimizer.Run(space, newDetEval(),
+		spec("rs-gde3", optimizer.Options{PopSize: 8, MaxIterations: 4, Seed: 2}, nil),
 		optimizer.Control{Resume: cp.foldedAt(0)})
 	if err == nil {
 		t.Fatal("mismatched-seed resume was accepted")
@@ -295,9 +294,14 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 func TestBaselinesRejectResume(t *testing.T) {
 	space := islandSpace()
 	snap := &optimizer.Snapshot{}
-	if _, err := optimizer.RandomControlled(space, newDetEval(), 100, 1,
-		optimizer.Control{Resume: snap}); err == nil {
-		t.Fatal("random search accepted a resume snapshot")
+	for _, name := range optimizer.StrategyNames() {
+		if strat, _ := optimizer.StrategyByName(name); strat.Restore != nil {
+			continue
+		}
+		if _, err := optimizer.Run(space, newDetEval(), spec(name, optimizer.Options{Seed: 1}, nil),
+			optimizer.Control{Resume: snap}); err == nil {
+			t.Fatalf("%s accepted a resume snapshot", name)
+		}
 	}
 	grid := optimizer.Grid{{1}, {1}, {1}}
 	if _, err := optimizer.BruteForceControlled(space, newDetEval(), grid,
@@ -319,7 +323,8 @@ func TestRandomControlledCancel(t *testing.T) {
 		}
 	})
 	defer remove()
-	res, err := optimizer.RandomControlled(space, eval, 5000, 1, optimizer.Control{Ctx: ctx})
+	res, err := optimizer.Run(space, eval, optimizer.Spec{Strategy: "random",
+		Config: optimizer.StrategyConfig{Options: optimizer.Options{Seed: 1}, RandomBudget: 5000}}, optimizer.Control{Ctx: ctx})
 	cancel()
 	if err != nil {
 		t.Fatal(err)

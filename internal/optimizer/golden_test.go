@@ -48,53 +48,41 @@ func cancellingEval(k int32) (*objective.CachingEvaluator, context.Context) {
 }
 
 // goldenShapeRuns are the argument shapes the driver never produces —
-// the root golden file cannot see them — through the package's entry
-// points: the three island layouts a caller can ask for (serial, one
-// island, defaulted islands), explicit migrant counts and NSGA-II
-// rates, the one-shot baselines' zero iteration count, and a search, a
-// walk and a sweep each cancelled at a fixed evaluation.
+// the root golden file cannot see them: the three island layouts a Spec
+// can ask for (serial, one island, defaulted islands), explicit migrant
+// counts and NSGA-II rates, the one-shot baselines' zero iteration
+// count, and a search, a walk and a sweep each cancelled at a fixed
+// evaluation.
 func goldenShapeRuns() map[string]func() (*optimizer.Result, error) {
 	space := islandSpace()
 	opt := optimizer.Options{PopSize: 12, MaxIterations: 10, Seed: 3}
-	nopt := optimizer.NSGA2Options{PopSize: 12, CrossoverRate: 0.9, MutationRate: 0.25, MaxGenerations: 10, Seed: 3}
+	rates := optimizer.StrategyConfig{NSGA2: optimizer.NSGA2Options{PopSize: 12, CrossoverRate: 0.9, MutationRate: 0.25, MaxGenerations: 10, Seed: 3}}
+	walk := optimizer.StrategyConfig{Options: optimizer.Options{Seed: 5}, RandomBudget: 200}
 	grid, err := optimizer.RegularGrid(space, []int{6, 6, 4})
 	if err != nil {
 		panic(err)
 	}
+	run := func(s optimizer.Spec) func() (*optimizer.Result, error) {
+		return func() (*optimizer.Result, error) { return optimizer.Run(space, newDetEval(), s, optimizer.Control{}) }
+	}
 	return map[string]func() (*optimizer.Result, error){
-		"rs-gde3/serial": func() (*optimizer.Result, error) {
-			return optimizer.RSGDE3(space, newDetEval(), opt)
-		},
-		"rs-gde3/one-island": func() (*optimizer.Result, error) {
-			return optimizer.RSGDE3IslandsControlled(space, newDetEval(), opt, optimizer.IslandOptions{Islands: 1}, optimizer.Control{})
-		},
-		"rs-gde3/default-islands": func() (*optimizer.Result, error) {
-			return optimizer.RSGDE3IslandsControlled(space, newDetEval(), opt, optimizer.IslandOptions{}, optimizer.Control{})
-		},
-		"gde3/islands-explicit-migrants": func() (*optimizer.Result, error) {
-			return optimizer.GDE3Islands(space, newDetEval(), opt, optimizer.IslandOptions{Islands: 2, MigrationInterval: 3, Migrants: 1})
-		},
-		"nsga2/explicit-rates": func() (*optimizer.Result, error) {
-			return optimizer.NSGA2Controlled(space, newDetEval(), nopt, optimizer.Control{})
-		},
-		"nsga2/islands-explicit-rates": func() (*optimizer.Result, error) {
-			return optimizer.NSGA2Islands(space, newDetEval(), nopt, optimizer.IslandOptions{Islands: 2})
-		},
-		"motpe": func() (*optimizer.Result, error) {
-			return optimizer.MOTPE(space, newDetEval(), opt)
-		},
-		"random": func() (*optimizer.Result, error) {
-			return optimizer.Random(space, newDetEval(), 200, 5)
-		},
-		"grid": func() (*optimizer.Result, error) {
-			return optimizer.GridSearchControlled(space, newDetEval(), 200, optimizer.Control{})
-		},
+		"rs-gde3/serial":          run(spec("rs-gde3", opt, nil)),
+		"rs-gde3/one-island":      run(spec("rs-gde3", opt, &optimizer.IslandOptions{Islands: 1})),
+		"rs-gde3/default-islands": run(spec("rs-gde3", opt, &optimizer.IslandOptions{})),
+		"gde3/islands-explicit-migrants": run(spec("gde3", opt,
+			&optimizer.IslandOptions{Islands: 2, MigrationInterval: 3, Migrants: 1})),
+		"nsga2/explicit-rates": run(optimizer.Spec{Strategy: "nsga2", Config: rates}),
+		"nsga2/islands-explicit-rates": run(optimizer.Spec{Strategy: "nsga2", Config: rates,
+			Islands: &optimizer.IslandOptions{Islands: 2}}),
+		"motpe":  run(spec("motpe", opt, nil)),
+		"random": run(optimizer.Spec{Strategy: "random", Config: walk}),
+		"grid":   run(optimizer.Spec{Strategy: "grid", Config: walk}),
 		"brute-force": func() (*optimizer.Result, error) {
-			return optimizer.BruteForce(space, newDetEval(), grid)
+			return optimizer.BruteForceControlled(space, newDetEval(), grid, optimizer.Control{})
 		},
 		"race": func() (*optimizer.Result, error) {
-			rr, err := optimizer.Race(space, newDetEval(), optimizer.StrategyConfig{Options: opt, RandomBudget: 100},
-				optimizer.RaceOptions{Interval: 2, Budget: 300})
+			rr, err := optimizer.RaceControlled(space, newDetEval(), optimizer.StrategyConfig{Options: opt, RandomBudget: 100},
+				optimizer.RaceOptions{Interval: 2, Budget: 300}, optimizer.Control{})
 			if err != nil {
 				return nil, err
 			}
@@ -102,11 +90,11 @@ func goldenShapeRuns() map[string]func() (*optimizer.Result, error) {
 		},
 		"rs-gde3/cancelled-at-40": func() (*optimizer.Result, error) {
 			eval, ctx := cancellingEval(40)
-			return optimizer.RSGDE3Controlled(space, eval, opt, optimizer.Control{Ctx: ctx})
+			return optimizer.Run(space, eval, spec("rs-gde3", opt, nil), optimizer.Control{Ctx: ctx})
 		},
 		"random/cancelled-at-100": func() (*optimizer.Result, error) {
 			eval, ctx := cancellingEval(100)
-			return optimizer.RandomControlled(space, eval, 200, 5, optimizer.Control{Ctx: ctx})
+			return optimizer.Run(space, eval, optimizer.Spec{Strategy: "random", Config: walk}, optimizer.Control{Ctx: ctx})
 		},
 		"brute-force/cancelled-at-100": func() (*optimizer.Result, error) {
 			eval, ctx := cancellingEval(100)
@@ -116,9 +104,10 @@ func goldenShapeRuns() map[string]func() (*optimizer.Result, error) {
 }
 
 // TestGoldenShapes holds the searches of goldenShapeRuns byte-identical
-// to testdata/golden_shapes.json, generated on the commit before the
-// entry points were folded into Run (go test -run GoldenShapes -update
-// regenerates it, only for a change meant to move fronts).
+// to testdata/golden_shapes.json, generated through the per-strategy
+// entry points on the commit before they were folded into Run
+// (go test ./internal/optimizer -run GoldenShapes -update regenerates
+// it, only for a change meant to move fronts).
 func TestGoldenShapes(t *testing.T) {
 	got := map[string]goldenShape{}
 	for id, run := range goldenShapeRuns() {

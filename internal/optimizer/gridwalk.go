@@ -3,29 +3,8 @@ package optimizer
 import (
 	"math"
 
-	"autotune/internal/objective"
-	"autotune/internal/pareto"
 	"autotune/internal/skeleton"
 )
-
-// gridWalker is the registered "grid" strategy: a deterministic coarse
-// grid-subsampling sweep on the stepping evolver surface, the
-// systematic counterpart of randomWalker. The per-dimension point
-// count is derived from RandomBudget (the shared walker budget knob)
-// so a grid contender races at the same cost as the random one, and
-// the grid is visited in a coprime-strided order rather than
-// lexicographically: after any prefix of the budget the visited points
-// spread across the whole space instead of crawling along the first
-// dimension, which is what makes a truncated sweep a usable racing
-// contender. The walk is fully determined by the space and the budget
-// — the seed is ignored.
-type gridWalker struct {
-	eval    objective.Evaluator
-	cfgs    []skeleton.Config
-	chunk   int
-	next    int
-	archive *pareto.Archive
-}
 
 // gridWalkerPoints derives the per-dimension point count: the largest
 // k with k^dim <= budget, clamped to each dimension's span, never
@@ -85,7 +64,18 @@ func gcd(a, b int) int {
 	return a
 }
 
-func newGridWalker(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, _ int64) islandEvolver {
+// gridWalk is the list the registered "grid" strategy walks: a
+// deterministic coarse grid subsample of at most budget configurations,
+// the systematic counterpart of the random draw. The per-dimension
+// point count is derived from the budget (RandomBudget, the shared
+// walker knob) so a grid contender races at the same cost as the random
+// one, and the grid is visited in a coprime-strided order rather than
+// lexicographically: after any prefix of the budget the visited points
+// spread across the whole space instead of crawling along the first
+// dimension, which is what makes a truncated sweep a usable racing
+// contender. The walk is fully determined by the space and the budget
+// — the seed is ignored.
+func gridWalk(space skeleton.Space, cfg StrategyConfig, _ int64) []skeleton.Config {
 	grid, err := RegularGrid(space, gridWalkerPoints(space, cfg.RandomBudget))
 	if err != nil {
 		// Unreachable for a validated space: point counts are >= 2.
@@ -99,53 +89,5 @@ func newGridWalker(space skeleton.Space, eval objective.Evaluator, cfg StrategyC
 	if len(cfgs) > cfg.RandomBudget {
 		cfgs = cfgs[:cfg.RandomBudget]
 	}
-	return &gridWalker{eval: eval, cfgs: cfgs, chunk: walkerChunk(cfg), archive: pareto.NewArchive()}
-}
-
-func (g *gridWalker) step() {
-	hi := g.next + g.chunk
-	if hi > len(g.cfgs) {
-		hi = len(g.cfgs)
-	}
-	batch := g.cfgs[g.next:hi]
-	g.next = hi
-	objs := g.eval.Evaluate(batch)
-	for i, o := range objs {
-		if o != nil {
-			g.archive.Add(pareto.Point{Payload: batch[i], Objectives: o})
-		}
-	}
-}
-
-func (g *gridWalker) done() bool { return g.next >= len(g.cfgs) }
-
-func (g *gridWalker) elites(int) []individual { return nil }
-
-func (g *gridWalker) inject([]individual) {}
-
-func (g *gridWalker) points() []pareto.Point { return g.archive.Points() }
-
-// snapshot is never called: the grid strategy registers no Restore
-// hook, so checkpointing is disabled for it.
-func (g *gridWalker) snapshot() IslandState { return IslandState{} }
-
-func init() {
-	RegisterStrategy(Strategy{
-		Name: "grid",
-		New:  newGridWalker,
-		Fingerprint: func(space skeleton.Space, cfg StrategyConfig, islands int, iopt IslandOptions) string {
-			return fingerprintOf("grid", spaceKey(space), cfg.RandomBudget, islands)
-		},
-		MaxGenerations: func(cfg StrategyConfig) int {
-			chunk := walkerChunk(cfg)
-			return (cfg.RandomBudget + chunk - 1) / chunk
-		},
-		Normalize: func(space skeleton.Space, cfg StrategyConfig) StrategyConfig {
-			cfg.Options = cfg.Options.withDefaults()
-			if cfg.RandomBudget == 0 {
-				cfg.RandomBudget = 1000
-			}
-			return cfg
-		},
-	})
+	return cfgs
 }

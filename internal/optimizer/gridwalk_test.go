@@ -37,8 +37,7 @@ func TestStridedOrderIsPermutation(t *testing.T) {
 func TestGridWalkerEarlyCoverage(t *testing.T) {
 	cfg := StrategyConfig{Options: Options{PopSize: 8}.withDefaults(), RandomBudget: 256}
 	cfg.Options.PopSize = 8
-	g := newGridWalker(schafferSpace(), newFuncEvaluator(schaffer), cfg, 0).(*gridWalker)
-	prefix := g.cfgs[:16]
+	prefix := gridWalk(schafferSpace(), cfg, 0)[:16]
 	vals := map[int64]bool{}
 	for _, c := range prefix {
 		vals[c[0]] = true
@@ -54,7 +53,7 @@ func TestGridStrategyRunsAndRespectsBudget(t *testing.T) {
 	run := func() *Result {
 		eval := newFuncEvaluator(schaffer)
 		cfg := StrategyConfig{Options: Options{PopSize: 8, Seed: 3}, RandomBudget: 100}
-		res, err := runStrategy("grid", schafferSpace(), eval, cfg, IslandOptions{}, false, Control{})
+		res, err := Run(schafferSpace(), eval, Spec{Strategy: "grid", Config: cfg}, Control{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,12 +101,12 @@ func TestGridRacesDeterministically(t *testing.T) {
 	var want []byte
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		rr, err := Race(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), RaceOptions{
+		rr, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), RaceOptions{
 			Strategies:   []string{"grid", "random", "rs-gde3"},
 			Interval:     2,
 			Budget:       120,
 			MinSurvivors: 1,
-		})
+		}, Control{})
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)

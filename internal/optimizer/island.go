@@ -1,4 +1,4 @@
-// Island-model parallel drivers for the evolutionary optimizers.
+// The island model of the evolutionary optimizers (Spec.Islands).
 //
 // W worker islands evolve independently seeded sub-populations
 // concurrently (island i derives its RNG from seed+i) and exchange
@@ -25,16 +25,16 @@ import (
 	"sort"
 	"sync"
 
-	"autotune/internal/objective"
 	"autotune/internal/pareto"
 	"autotune/internal/skeleton"
 )
 
-// IslandOptions configures the island-model parallel drivers. Zero
-// values select the defaults.
+// IslandOptions configures the island model. Zero values select the
+// defaults.
 type IslandOptions struct {
-	// Islands is the worker-island count W (default 4). 1 degrades to
-	// the serial algorithm.
+	// Islands is the worker-island count W (default 4). One island
+	// finds the serial algorithm's points and returns them merged and
+	// canonically sorted.
 	Islands int
 	// MigrationInterval is the number of generations M between
 	// synchronous elite migrations (default 5).
@@ -105,27 +105,6 @@ type islandEvolver interface {
 	// snapshot serializes the island's complete state for
 	// checkpointing.
 	snapshot() IslandState
-}
-
-// RSGDE3Islands runs W parallel RS-GDE3 islands over a shared
-// evaluator and merges their fronts into one Pareto archive.
-// Result.Iterations reports lockstep generations (each active island
-// stepped once per generation); Result.Evaluations is the global
-// distinct-successful-evaluation count.
-func RSGDE3Islands(space skeleton.Space, eval objective.Evaluator, opt Options, iopt IslandOptions) (*Result, error) {
-	return RSGDE3IslandsControlled(space, eval, opt, iopt, Control{})
-}
-
-// GDE3Islands is RSGDE3Islands with the rough-set reduction disabled.
-func GDE3Islands(space skeleton.Space, eval objective.Evaluator, opt Options, iopt IslandOptions) (*Result, error) {
-	opt.DisableRoughSet = true
-	return RSGDE3Islands(space, eval, opt, iopt)
-}
-
-// NSGA2Islands runs W parallel NSGA-II islands over a shared evaluator
-// and merges their fronts into one Pareto archive.
-func NSGA2Islands(space skeleton.Space, eval objective.Evaluator, opt NSGA2Options, iopt IslandOptions) (*Result, error) {
-	return NSGA2IslandsControlled(space, eval, opt, iopt, Control{})
 }
 
 // spawn runs fn(0..n-1) concurrently and waits for all. A single call
@@ -211,23 +190,20 @@ func (a *arena) replaceWorst(pop []individual, migrants []individual) {
 	}
 }
 
-// mergeIslands folds every island's front into one global Pareto
-// archive (in island order) and sorts the merged front canonically so
-// a fixed (seed, W, M) yields a byte-identical result across runs.
-func mergeIslands(islands []islandEvolver, eval objective.Evaluator, gens int) *Result {
+// mergeFronts folds n fronts into one global Pareto archive (in index
+// order) and sorts the merged front canonically, so a fixed (seed, W,
+// M) — or a fixed set of race contenders — yields a byte-identical
+// result across runs.
+func mergeFronts(n int, front func(i int) []pareto.Point) []pareto.Point {
 	global := pareto.NewArchive()
-	for _, isl := range islands {
-		for _, p := range isl.points() {
+	for i := 0; i < n; i++ {
+		for _, p := range front(i) {
 			global.Add(p)
 		}
 	}
-	front := global.Points()
-	sortFront(front)
-	return &Result{
-		Front:       front,
-		Evaluations: eval.Evaluations(),
-		Iterations:  gens,
-	}
+	merged := global.Points()
+	sortFront(merged)
+	return merged
 }
 
 // sortFront orders points lexicographically by objective vector, with

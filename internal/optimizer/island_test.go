@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -41,6 +42,12 @@ func newDetEval() *objective.CachingEvaluator {
 	return objective.NewCachingEvaluator([]string{"f1", "f2"}, 8, deterministicFn)
 }
 
+// search runs the named strategy without run control — serially, or as
+// the island model when iopt is non-nil.
+func search(name string, space skeleton.Space, eval objective.Evaluator, opt optimizer.Options, iopt *optimizer.IslandOptions) (*optimizer.Result, error) {
+	return optimizer.Run(space, eval, spec(name, opt, iopt), optimizer.Control{})
+}
+
 // frontFingerprint renders a front canonically so two fronts can be
 // compared byte for byte.
 func frontFingerprint(front []pareto.Point) string {
@@ -61,7 +68,7 @@ func TestIslandDeterminism(t *testing.T) {
 	opt := optimizer.Options{PopSize: 16, MaxIterations: 8, Seed: 7}
 	iopt := optimizer.IslandOptions{Islands: 4, MigrationInterval: 2}
 	run := func() string {
-		res, err := optimizer.RSGDE3Islands(space, newDetEval(), opt, iopt)
+		res, err := search("rs-gde3", space, newDetEval(), opt, &iopt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,10 +94,10 @@ func TestIslandDeterminism(t *testing.T) {
 // island driver.
 func TestIslandDeterminismNSGA2(t *testing.T) {
 	space := islandSpace()
-	opt := optimizer.NSGA2Options{PopSize: 16, MaxGenerations: 8, Seed: 11}
+	opt := optimizer.Options{PopSize: 16, MaxIterations: 8, Seed: 11}
 	iopt := optimizer.IslandOptions{Islands: 3, MigrationInterval: 2}
 	run := func() string {
-		res, err := optimizer.NSGA2Islands(space, newDetEval(), opt, iopt)
+		res, err := search("nsga2", space, newDetEval(), opt, &iopt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,12 +117,11 @@ func TestIslandDeterminismNSGA2(t *testing.T) {
 func TestIslandSingleMatchesSerial(t *testing.T) {
 	space := islandSpace()
 	opt := optimizer.Options{PopSize: 16, MaxIterations: 10, Seed: 3}
-	serial, err := optimizer.RSGDE3(space, newDetEval(), opt)
+	serial, err := search("rs-gde3", space, newDetEval(), opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	island, err := optimizer.RSGDE3Islands(space, newDetEval(), opt,
-		optimizer.IslandOptions{Islands: 1})
+	island, err := search("rs-gde3", space, newDetEval(), opt, &optimizer.IslandOptions{Islands: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +162,9 @@ func TestIslandEvaluatorFaults(t *testing.T) {
 		return deterministicFn(cfg)
 	}
 	eval := objective.NewCachingEvaluator([]string{"f1", "f2"}, 8, fn)
-	res, err := optimizer.RSGDE3Islands(islandSpace(), eval, optimizer.Options{
+	res, err := search("rs-gde3", islandSpace(), eval, optimizer.Options{
 		PopSize: 16, MaxIterations: 8, Seed: 9,
-	}, optimizer.IslandOptions{Islands: 4, MigrationInterval: 2})
+	}, &optimizer.IslandOptions{Islands: 4, MigrationInterval: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +211,7 @@ func TestIslandWallClockSpeedup(t *testing.T) {
 	serialOpt := opt
 	serialOpt.MaxIterations = 16
 	start := time.Now()
-	serial, err := optimizer.RSGDE3(space, slowEval(), serialOpt)
+	serial, err := search("rs-gde3", space, slowEval(), serialOpt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +220,8 @@ func TestIslandWallClockSpeedup(t *testing.T) {
 	islandOpt := opt
 	islandOpt.MaxIterations = 16 / w
 	start = time.Now()
-	island, err := optimizer.RSGDE3Islands(space, slowEval(), islandOpt,
-		optimizer.IslandOptions{Islands: w, MigrationInterval: 2})
+	island, err := search("rs-gde3", space, slowEval(), islandOpt,
+		&optimizer.IslandOptions{Islands: w, MigrationInterval: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +245,11 @@ func TestGDE3IslandsDisablesRoughSet(t *testing.T) {
 	space := islandSpace()
 	opt := optimizer.Options{PopSize: 12, MaxIterations: 6, Seed: 5}
 	iopt := optimizer.IslandOptions{Islands: 2, MigrationInterval: 3}
-	a, err := optimizer.GDE3Islands(space, newDetEval(), opt, iopt)
+	a, err := search("gde3", space, newDetEval(), opt, &iopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := optimizer.GDE3Islands(space, newDetEval(), opt, iopt)
+	b, err := search("gde3", space, newDetEval(), opt, &iopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,19 +272,43 @@ func TestIslandOptionsValidation(t *testing.T) {
 		{Islands: 2, Migrants: -1},
 	}
 	for _, iopt := range cases {
-		if _, err := optimizer.RSGDE3Islands(space, newDetEval(), opt, iopt); err == nil {
-			t.Fatalf("RSGDE3Islands accepted invalid options %+v", iopt)
-		}
-		if _, err := optimizer.NSGA2Islands(space, newDetEval(),
-			optimizer.NSGA2Options{PopSize: 8, MaxGenerations: 2}, iopt); err == nil {
-			t.Fatalf("NSGA2Islands accepted invalid options %+v", iopt)
+		for _, name := range []string{"rs-gde3", "nsga2"} {
+			if _, err := search(name, space, newDetEval(), opt, &iopt); err == nil {
+				t.Fatalf("%s accepted invalid island options %+v", name, iopt)
+			}
 		}
 	}
-	bad := skeleton.Space{}
-	if _, err := optimizer.RSGDE3Islands(bad, newDetEval(), opt, optimizer.IslandOptions{}); err == nil {
-		t.Fatal("RSGDE3Islands accepted an empty space")
+	for _, name := range []string{"rs-gde3", "nsga2"} {
+		if _, err := search(name, skeleton.Space{}, newDetEval(), opt, &optimizer.IslandOptions{}); err == nil {
+			t.Fatalf("%s islands accepted an empty space", name)
+		}
 	}
-	if _, err := optimizer.NSGA2Islands(bad, newDetEval(), optimizer.NSGA2Options{}, optimizer.IslandOptions{}); err == nil {
-		t.Fatal("NSGA2Islands accepted an empty space")
+}
+
+// TestRunRefusesIslandsTheStrategyDoesNotDeclare: an island Spec is
+// accepted exactly by the strategies that declare Islands. No island
+// wrapper ever existed for grid, motpe and random, so a Spec must not
+// quietly open that path.
+func TestRunRefusesIslandsTheStrategyDoesNotDeclare(t *testing.T) {
+	opt := optimizer.Options{PopSize: 8, MaxIterations: 2, Seed: 1}
+	var refused []string
+	for _, name := range optimizer.StrategyNames() {
+		strat, err := optimizer.StrategyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = search(name, islandSpace(), newDetEval(), opt, &optimizer.IslandOptions{Islands: 2})
+		if (err == nil) != strat.Islands {
+			t.Errorf("%s: island run error = %v, strategy declares Islands = %v", name, err, strat.Islands)
+		}
+		if err != nil {
+			refused = append(refused, name)
+			if !strings.Contains(err.Error(), "island model") {
+				t.Errorf("%s: refusal does not name the island model: %v", name, err)
+			}
+		}
+	}
+	if want := []string{"grid", "motpe", "random"}; !slices.Equal(refused, want) {
+		t.Errorf("island model refused for %v, want %v", refused, want)
 	}
 }

@@ -14,7 +14,7 @@ func motpeTestOptions() Options {
 
 func TestMOTPEFindsSchafferFront(t *testing.T) {
 	eval := newFuncEvaluator(schaffer)
-	res, err := MOTPE(schafferSpace(), eval, motpeTestOptions())
+	res, err := search("motpe", schafferSpace(), eval, motpeTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func TestMOTPEFindsSchafferFront(t *testing.T) {
 }
 
 func TestMOTPEDeterministic(t *testing.T) {
-	a, err := MOTPE(schafferSpace(), newFuncEvaluator(schaffer), motpeTestOptions())
+	a, err := search("motpe", schafferSpace(), newFuncEvaluator(schaffer), motpeTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MOTPE(schafferSpace(), newFuncEvaluator(schaffer), motpeTestOptions())
+	b, err := search("motpe", schafferSpace(), newFuncEvaluator(schaffer), motpeTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestMOTPEHandlesFailedEvaluations(t *testing.T) {
 		}
 		return schaffer(c)
 	})
-	res, err := MOTPE(schafferSpace(), eval, motpeTestOptions())
+	res, err := search("motpe", schafferSpace(), eval, motpeTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,8 +206,3 @@ func restoreNSGA2Island(space skeleton.Space, eval objective.Evaluator, opt NSGA
 	}
 	return n
 }
-
-// NSGA2 runs the NSGA-II baseline on the given space and evaluator.
-func NSGA2(space skeleton.Space, eval objective.Evaluator, opt NSGA2Options) (*Result, error) {
-	return NSGA2Controlled(space, eval, opt, Control{})
-}

@@ -9,7 +9,7 @@ import (
 
 func TestNSGA2FindsSchafferFront(t *testing.T) {
 	eval := newFuncEvaluator(schaffer)
-	res, err := NSGA2(schafferSpace(), eval, NSGA2Options{Seed: 1})
+	res, err := search("nsga2", schafferSpace(), eval, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,15 +35,15 @@ func TestNSGA2FindsSchafferFront(t *testing.T) {
 }
 
 func TestNSGA2Deterministic(t *testing.T) {
-	a, _ := NSGA2(schafferSpace(), newFuncEvaluator(schaffer), NSGA2Options{Seed: 4})
-	b, _ := NSGA2(schafferSpace(), newFuncEvaluator(schaffer), NSGA2Options{Seed: 4})
+	a, _ := search("nsga2", schafferSpace(), newFuncEvaluator(schaffer), Options{Seed: 4})
+	b, _ := search("nsga2", schafferSpace(), newFuncEvaluator(schaffer), Options{Seed: 4})
 	if len(a.Front) != len(b.Front) || a.Evaluations != b.Evaluations {
 		t.Fatal("same seed differs")
 	}
 }
 
 func TestNSGA2InvalidSpace(t *testing.T) {
-	if _, err := NSGA2(skeleton.Space{}, newFuncEvaluator(schaffer), NSGA2Options{}); err == nil {
+	if _, err := search("nsga2", skeleton.Space{}, newFuncEvaluator(schaffer), Options{}); err == nil {
 		t.Fatal("invalid space accepted")
 	}
 }
@@ -55,7 +55,7 @@ func TestNSGA2HandlesFailures(t *testing.T) {
 		}
 		return schaffer(c)
 	})
-	res, err := NSGA2(schafferSpace(), eval, NSGA2Options{Seed: 2})
+	res, err := search("nsga2", schafferSpace(), eval, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestNSGA2HandlesFailures(t *testing.T) {
 
 func TestNSGA2StagnationStops(t *testing.T) {
 	eval := newFuncEvaluator(func(c skeleton.Config) []float64 { return []float64{1, 1} })
-	res, err := NSGA2(schafferSpace(), eval, NSGA2Options{Seed: 3, Stagnation: 2})
+	res, err := search("nsga2", schafferSpace(), eval, Options{Seed: 3, Stagnation: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestNSGA2VersusRSGDE3(t *testing.T) {
 		return v
 	}
 	for seed := int64(0); seed < 3; seed++ {
-		rs, err := RSGDE3(schafferSpace(), newFuncEvaluator(schaffer), Options{Seed: seed})
+		rs, err := search("rs-gde3", schafferSpace(), newFuncEvaluator(schaffer), Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ns, err := NSGA2(schafferSpace(), newFuncEvaluator(schaffer), NSGA2Options{Seed: seed})
+		ns, err := search("nsga2", schafferSpace(), newFuncEvaluator(schaffer), Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -247,20 +247,6 @@ func (g *gdeIsland) snapshot() IslandState {
 	return snapshotState(g.pop, g.archive, g.stagnant, g.rng.Draws())
 }
 
-// RSGDE3 runs the paper's search: differential evolution over the
-// (gradually reduced) search box, stopping after Options.Stagnation
-// consecutive iterations without archive improvement.
-func RSGDE3(space skeleton.Space, eval objective.Evaluator, opt Options) (*Result, error) {
-	return RSGDE3Controlled(space, eval, opt, Control{})
-}
-
-// GDE3 is RS-GDE3 with the rough-set reduction disabled.
-func GDE3(space skeleton.Space, eval objective.Evaluator, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	opt.DisableRoughSet = true
-	return RSGDE3(space, eval, opt)
-}
-
 // mutate implements Algorithm 1: pick three distinct other members
 // b, c, d; per component, with probability CR (or forcedly at one
 // random index) take b + F*(c-d), otherwise keep a's value; then map
@@ -358,13 +344,6 @@ func (a *arena) gde3Select(pop []individual, trials []skeleton.Config, trialObjs
 	return out
 }
 
-// Random implements the paper's random-search baseline: draw `budget`
-// random configurations, evaluate them all and return the non-dominated
-// subset.
-func Random(space skeleton.Space, eval objective.Evaluator, budget int, seed int64) (*Result, error) {
-	return RandomControlled(space, eval, budget, seed, Control{})
-}
-
 // Grid describes an explicit brute-force sampling grid: one value list
 // per space dimension.
 type Grid [][]int64
@@ -433,11 +412,4 @@ func (g Grid) configs(space skeleton.Space) []skeleton.Config {
 	}
 	rec(0)
 	return cfgs
-}
-
-// BruteForce exhaustively evaluates every configuration of the grid and
-// returns the Pareto front plus all evaluated points (consumed by the
-// Table II / Fig. 8 analyses).
-func BruteForce(space skeleton.Space, eval objective.Evaluator, grid Grid) (*Result, error) {
-	return BruteForceControlled(space, eval, grid, Control{})
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"autotune/internal/objective"
 	"autotune/internal/pareto"
 	"autotune/internal/skeleton"
 )
@@ -54,6 +55,16 @@ func schaffer(c skeleton.Config) []float64 {
 	return []float64{x * x, (x - 2) * (x - 2)}
 }
 
+// search runs the named strategy serially, without run control.
+func search(name string, space skeleton.Space, eval objective.Evaluator, opt Options) (*Result, error) {
+	return Run(space, eval, Spec{Strategy: name, Config: StrategyConfig{Options: opt}}, Control{})
+}
+
+// randomSearch is the paper's random baseline: budget draws from seed.
+func randomSearch(space skeleton.Space, eval objective.Evaluator, budget int, seed int64) (*Result, error) {
+	return Run(space, eval, Spec{Strategy: "random", Config: StrategyConfig{Options: Options{Seed: seed}, RandomBudget: budget}}, Control{})
+}
+
 func schafferSpace() skeleton.Space {
 	return skeleton.Space{Params: []skeleton.Param{
 		{Name: "x", Min: -1000, Max: 1000},
@@ -63,7 +74,7 @@ func schafferSpace() skeleton.Space {
 
 func TestRSGDE3FindsSchafferFront(t *testing.T) {
 	eval := newFuncEvaluator(schaffer)
-	res, err := RSGDE3(schafferSpace(), eval, Options{Seed: 1})
+	res, err := search("rs-gde3", schafferSpace(), eval, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +101,8 @@ func TestRSGDE3FindsSchafferFront(t *testing.T) {
 }
 
 func TestRSGDE3Deterministic(t *testing.T) {
-	a, _ := RSGDE3(schafferSpace(), newFuncEvaluator(schaffer), Options{Seed: 7})
-	b, _ := RSGDE3(schafferSpace(), newFuncEvaluator(schaffer), Options{Seed: 7})
+	a, _ := search("rs-gde3", schafferSpace(), newFuncEvaluator(schaffer), Options{Seed: 7})
+	b, _ := search("rs-gde3", schafferSpace(), newFuncEvaluator(schaffer), Options{Seed: 7})
 	if len(a.Front) != len(b.Front) || a.Evaluations != b.Evaluations {
 		t.Fatalf("same seed differs: %d/%d vs %d/%d",
 			len(a.Front), a.Evaluations, len(b.Front), b.Evaluations)
@@ -102,7 +113,7 @@ func TestRSGDE3StopsOnStagnation(t *testing.T) {
 	// Constant objective: the archive accepts one point and then never
 	// improves; the run must stop after Stagnation iterations.
 	eval := newFuncEvaluator(func(c skeleton.Config) []float64 { return []float64{1, 1} })
-	res, err := RSGDE3(schafferSpace(), eval, Options{Seed: 3, Stagnation: 3})
+	res, err := search("rs-gde3", schafferSpace(), eval, Options{Seed: 3, Stagnation: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +133,7 @@ func TestRSGDE3HandlesFailedEvaluations(t *testing.T) {
 		}
 		return schaffer(c)
 	})
-	res, err := RSGDE3(schafferSpace(), eval, Options{Seed: 5})
+	res, err := search("rs-gde3", schafferSpace(), eval, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +148,7 @@ func TestRSGDE3HandlesFailedEvaluations(t *testing.T) {
 }
 
 func TestGDE3AblationRuns(t *testing.T) {
-	res, err := GDE3(schafferSpace(), newFuncEvaluator(schaffer), Options{Seed: 2})
+	res, err := search("gde3", schafferSpace(), newFuncEvaluator(schaffer), Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +159,7 @@ func TestGDE3AblationRuns(t *testing.T) {
 
 func TestRandomBaseline(t *testing.T) {
 	eval := newFuncEvaluator(schaffer)
-	res, err := Random(schafferSpace(), eval, 200, 4)
+	res, err := randomSearch(schafferSpace(), eval, 200, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +169,8 @@ func TestRandomBaseline(t *testing.T) {
 	if len(res.Front) == 0 {
 		t.Fatal("empty random front")
 	}
-	if _, err := Random(schafferSpace(), eval, 0, 4); err == nil {
-		t.Error("zero budget should fail")
+	if _, err := randomSearch(schafferSpace(), eval, -1, 4); err == nil {
+		t.Error("negative budget should fail")
 	}
 }
 
@@ -197,7 +208,7 @@ func TestBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BruteForce(space, eval, g)
+	res, err := BruteForceControlled(space, eval, g, Control{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +229,7 @@ func TestBruteForce(t *testing.T) {
 
 func TestBruteForceGridMismatch(t *testing.T) {
 	eval := newFuncEvaluator(schaffer)
-	if _, err := BruteForce(schafferSpace(), eval, Grid{{1}}); err == nil {
+	if _, err := BruteForceControlled(schafferSpace(), eval, Grid{{1}}, Control{}); err == nil {
 		t.Error("grid dim mismatch should fail")
 	}
 }
@@ -227,12 +238,12 @@ func TestBruteForceGridMismatch(t *testing.T) {
 // the paper's central Table VI comparison.
 func TestRSGDE3BeatsRandomAtEqualBudget(t *testing.T) {
 	evalA := newFuncEvaluator(schaffer)
-	res, err := RSGDE3(schafferSpace(), evalA, Options{Seed: 11})
+	res, err := search("rs-gde3", schafferSpace(), evalA, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	evalB := newFuncEvaluator(schaffer)
-	rnd, err := Random(schafferSpace(), evalB, res.Evaluations, 11)
+	rnd, err := randomSearch(schafferSpace(), evalB, res.Evaluations, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +269,11 @@ func TestRSGDE3BeatsRandomAtEqualBudget(t *testing.T) {
 func TestRoughSetAblation(t *testing.T) {
 	hvOf := func(disable bool, seed int64) (float64, int) {
 		eval := newFuncEvaluator(schaffer)
-		res, err := RSGDE3(schafferSpace(), eval, Options{Seed: seed, DisableRoughSet: disable})
+		name := "rs-gde3"
+		if disable {
+			name = "gde3"
+		}
+		res, err := search(name, schafferSpace(), eval, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,13 +431,13 @@ func TestResultConfigs(t *testing.T) {
 
 func TestInvalidSpaceRejected(t *testing.T) {
 	bad := skeleton.Space{}
-	if _, err := RSGDE3(bad, newFuncEvaluator(schaffer), Options{}); err == nil {
+	if _, err := search("rs-gde3", bad, newFuncEvaluator(schaffer), Options{}); err == nil {
 		t.Error("RSGDE3 accepted invalid space")
 	}
-	if _, err := Random(bad, newFuncEvaluator(schaffer), 10, 0); err == nil {
+	if _, err := randomSearch(bad, newFuncEvaluator(schaffer), 10, 0); err == nil {
 		t.Error("Random accepted invalid space")
 	}
-	if _, err := BruteForce(bad, newFuncEvaluator(schaffer), Grid{}); err == nil {
+	if _, err := BruteForceControlled(bad, newFuncEvaluator(schaffer), Grid{}, Control{}); err == nil {
 		t.Error("BruteForce accepted invalid space")
 	}
 }

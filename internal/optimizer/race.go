@@ -197,11 +197,6 @@ type contender struct {
 // live reports whether the contender still receives budget.
 func (c *contender) live() bool { return !c.eliminated && !c.isl.done() && c.gens < c.maxGens }
 
-// Race runs the racing meta-optimizer without run control.
-func Race(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, ropt RaceOptions) (*RaceResult, error) {
-	return RaceControlled(space, eval, cfg, ropt, Control{})
-}
-
 // RaceControlled runs registered strategies concurrently over the
 // shared evaluator under the given Control. Cancellation returns the
 // merged best-so-far front with Result.Partial set. The race keeps
@@ -324,21 +319,10 @@ func RaceControlled(space skeleton.Space, eval objective.Evaluator, cfg Strategy
 		}
 	}
 
-	// Merge every contender's archive, in fixed contender order, into
-	// one canonical front.
-	global := pareto.NewArchive()
-	for _, c := range contenders {
-		for _, p := range c.isl.points() {
-			global.Add(p)
-		}
-	}
-	front := global.Points()
-	sortFront(front)
-
 	standings, ref := raceStandings(contenders)
 	return &RaceResult{
 		Result: &Result{
-			Front:       front,
+			Front:       mergeFronts(len(contenders), func(i int) []pareto.Point { return contenders[i].isl.points() }),
 			Evaluations: run.totalE(),
 			Iterations:  gens,
 			Partial:     partial,

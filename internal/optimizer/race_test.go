@@ -34,7 +34,7 @@ func TestRaceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	var want []byte
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		rr, err := Race(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), raceTestOptions())
+		rr, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), raceTestOptions(), Control{})
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +59,7 @@ func TestRaceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 func TestRaceRespectsBudgetExactly(t *testing.T) {
 	ropt := raceTestOptions()
 	ropt.Budget = 60
-	rr, err := Race(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), ropt)
+	rr, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), ropt, Control{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRaceOptionValidation(t *testing.T) {
 		{Strategies: []string{"rs-gde3", "gde3"}, MinSurvivors: -1},
 	}
 	for i, ropt := range cases {
-		if _, err := Race(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), ropt); err == nil {
+		if _, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), ropt, Control{}); err == nil {
 			t.Errorf("case %d: invalid options accepted: %+v", i, ropt)
 		}
 	}
@@ -113,7 +113,7 @@ func TestRaceStandingsAndElimination(t *testing.T) {
 	ropt := raceTestOptions()
 	ropt.Interval = 1
 	ropt.MinSurvivors = 1
-	rr, err := Race(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), ropt)
+	rr, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), ropt, Control{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRaceWarmStartSeedsEveryContender(t *testing.T) {
 	cfg := raceTestConfig()
 	cfg.Options.InitialPopulation = []skeleton.Config{seed}
 	eval := newFuncEvaluator(schaffer)
-	if _, err := Race(schafferSpace(), eval, cfg, raceTestOptions()); err != nil {
+	if _, err := RaceControlled(schafferSpace(), eval, cfg, raceTestOptions(), Control{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := eval.seen[seed.Key()]; !ok {

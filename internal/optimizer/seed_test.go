@@ -46,22 +46,22 @@ func TestInitialPopulationSeeding(t *testing.T) {
 	seed := skeleton.Config{123, 7}
 	runs := map[string]func(e *funcEvaluator) error{
 		"gde3": func(e *funcEvaluator) error {
-			_, err := GDE3(schafferSpace(), e, Options{
+			_, err := search("gde3", schafferSpace(), e, Options{
 				PopSize: 8, Seed: 3, MaxIterations: 2, Stagnation: 1,
 				InitialPopulation: []skeleton.Config{seed},
 			})
 			return err
 		},
 		"rs-gde3": func(e *funcEvaluator) error {
-			_, err := RSGDE3(schafferSpace(), e, Options{
+			_, err := search("rs-gde3", schafferSpace(), e, Options{
 				PopSize: 8, Seed: 3, MaxIterations: 2, Stagnation: 1,
 				InitialPopulation: []skeleton.Config{seed},
 			})
 			return err
 		},
 		"nsga2": func(e *funcEvaluator) error {
-			_, err := NSGA2(schafferSpace(), e, NSGA2Options{
-				PopSize: 8, Seed: 3, MaxGenerations: 2, Stagnation: 1,
+			_, err := search("nsga2", schafferSpace(), e, Options{
+				PopSize: 8, Seed: 3, MaxIterations: 2, Stagnation: 1,
 				InitialPopulation: []skeleton.Config{seed},
 			})
 			return err

@@ -67,7 +67,7 @@ func TestMultiObjectiveCoversWeightSweep(t *testing.T) {
 		soPoints = append(soPoints, res.Front[0].Objectives)
 		soEvals += res.Evaluations
 	}
-	mo, err := RSGDE3(schafferSpace(), newFuncEvaluator(schaffer), Options{Seed: 1})
+	mo, err := search("rs-gde3", schafferSpace(), newFuncEvaluator(schaffer), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 // First-class strategy registry: every search strategy the framework
-// knows is registered by name with a constructor, a resume hook and an
-// options fingerprint. The public optimizer entry points
-// (RSGDE3Controlled, NSGA2Controlled, RandomControlled and the island
-// variants) are thin wrappers over registry lookups, and the racing
-// meta-optimizer (race.go) draws its heterogeneous contenders from the
-// same table — one registration serves both the single-strategy and
-// the portfolio path.
+// knows is registered by name with a constructor, a resume hook, an
+// options fingerprint and what it can do. Run drives any one of them
+// from a Spec, and the racing meta-optimizer (race.go) draws its
+// heterogeneous contenders from the same table — one registration
+// serves both the single-strategy and the portfolio path.
 package optimizer
 
 import (
@@ -16,7 +14,6 @@ import (
 	"autotune/internal/objective"
 	"autotune/internal/pareto"
 	"autotune/internal/skeleton"
-	"autotune/internal/stats"
 )
 
 // StrategyConfig is the strategy-agnostic configuration handed to
@@ -24,7 +21,7 @@ import (
 // (PopSize, Seed, Stagnation, MaxIterations, InitialPopulation) plus
 // the GDE3-family parameters; NSGA2 overrides the NSGA-II-specific
 // rates (zero fields derive from Options); RandomBudget is the total
-// proposal budget of the "random" strategy (default 1000).
+// proposal budget of a walk — "random" and "grid" (default 1000).
 type StrategyConfig struct {
 	Options      Options
 	NSGA2        NSGA2Options
@@ -38,7 +35,8 @@ type StrategyConfig struct {
 // racing meta-optimizer can all drive any of them.
 type Strategy struct {
 	// Name is the registry key and the method label used in snapshots
-	// and results ("rs-gde3", "gde3", "nsga2", "random", "motpe").
+	// and results ("rs-gde3", "gde3", "nsga2", "motpe", "random",
+	// "grid").
 	Name string
 	// New builds one search instance with its own RNG stream derived
 	// from seed. The returned evolver has already evaluated its
@@ -50,8 +48,16 @@ type Strategy struct {
 	// and reject Control.Resume.
 	Restore func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, seed int64, st IslandState) islandEvolver
 	// Fingerprint hashes the search-defining configuration (space,
-	// options, seed, island layout); resume refuses a mismatch.
+	// options, seed, island layout); resume refuses a mismatch. Only a
+	// strategy with a Restore needs one.
 	Fingerprint func(space skeleton.Space, cfg StrategyConfig, islands int, iopt IslandOptions) string
+	// Islands declares that instances exchange elites over the
+	// migration ring, so Run accepts Spec.Islands for the strategy.
+	Islands bool
+	// OneShot marks a baseline that walks a list drawn up front: it has
+	// no iterations to report, so Run reports Result.Iterations as 0
+	// however many chunks the walk stepped through.
+	OneShot bool
 	// MaxGenerations is the generation cap of an instance under cfg
 	// (chunk count for the chunked baselines).
 	MaxGenerations func(cfg StrategyConfig) int
@@ -70,7 +76,7 @@ var (
 // duplicate or an incomplete entry panics: registration happens at
 // package init time and a bad entry is a programming error.
 func RegisterStrategy(s Strategy) {
-	if s.Name == "" || s.New == nil || s.Fingerprint == nil || s.MaxGenerations == nil || s.Normalize == nil {
+	if s.Name == "" || s.New == nil || s.MaxGenerations == nil || s.Normalize == nil || (s.Restore != nil && s.Fingerprint == nil) {
 		panic(fmt.Sprintf("optimizer: incomplete strategy registration %q", s.Name))
 	}
 	registryMu.Lock()
@@ -108,39 +114,63 @@ func strategyNamesLocked() []string {
 	return names
 }
 
-// runStrategy is the shared engine behind the single-strategy entry
-// points: resolve the registry entry, normalize the options, wire the
-// run control, build (or restore) the search islands and drive the
-// controlled generation loop. parallel selects the island-model layout
-// (iopt is then defaulted, validated and clamped against the effective
-// population size, and the merged front is sorted canonically); serial
-// runs keep the single archive's insertion order, exactly as the
-// pre-registry entry points did.
-func runStrategy(name string, space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, iopt IslandOptions, parallel bool, ctrl Control) (*Result, error) {
-	strat, err := StrategyByName(name)
+// Spec says what Run searches with: a registered strategy, its
+// configuration and the island layout.
+type Spec struct {
+	// Strategy names a registered strategy (see StrategyNames).
+	Strategy string
+	// Config is the strategy-agnostic configuration; the strategy's
+	// Normalize fills its defaults.
+	Config StrategyConfig
+	// Islands selects the island model. Nil runs the serial algorithm:
+	// one instance whose archive is returned in insertion order. Non-nil
+	// runs that many islands (zero fields take the IslandOptions
+	// defaults, so an empty value is four islands) and returns their
+	// merged front in canonical order — also for a single island, whose
+	// points are the serial run's in another order.
+	Islands *IslandOptions
+}
+
+// Run is the search engine every strategy plugs into: resolve the
+// registry entry, normalize the options, refuse what the strategy does
+// not declare, wire the run control, build (or restore) the search
+// islands and drive the controlled generation loop. Cancellation
+// returns the best-so-far front with Result.Partial set rather than an
+// error.
+func Run(space skeleton.Space, eval objective.Evaluator, spec Spec, ctrl Control) (*Result, error) {
+	strat, err := StrategyByName(spec.Strategy)
 	if err != nil {
 		return nil, err
 	}
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = strat.Normalize(space, cfg)
-	w := 1
-	if parallel {
-		iopt = iopt.withDefaults(cfg.Options.PopSize)
+	if spec.Config.RandomBudget < 0 {
+		return nil, fmt.Errorf("optimizer: walk budget %d < 0", spec.Config.RandomBudget)
+	}
+	cfg := strat.Normalize(space, spec.Config)
+	w, iopt := 1, IslandOptions{}
+	if spec.Islands != nil {
+		if !strat.Islands {
+			return nil, fmt.Errorf("optimizer: strategy %q does not support the island model", strat.Name)
+		}
+		iopt = spec.Islands.withDefaults(cfg.Options.PopSize)
 		if err := iopt.validate(); err != nil {
 			return nil, err
 		}
 		w = iopt.Islands
 	}
+	fingerprint := ""
 	if strat.Restore == nil {
 		if ctrl.Resume != nil {
 			return nil, fmt.Errorf("optimizer: %s keeps no generation state; resume needs an evolutionary method", strat.Name)
 		}
 		// No resume support means no usable snapshots either.
 		ctrl.Checkpointer = nil
+	} else {
+		fingerprint = strat.Fingerprint(space, cfg, w, iopt)
 	}
-	run := newControlledRun(eval, ctrl, strat.Name, strat.Fingerprint(space, cfg, w, iopt))
+	run := newControlledRun(eval, ctrl, strat.Name, fingerprint)
 	defer run.close()
 	if err := run.checkResume(w); err != nil {
 		return nil, err
@@ -159,85 +189,17 @@ func runStrategy(name string, space skeleton.Space, eval objective.Evaluator, cf
 	if err != nil {
 		return nil, err
 	}
-	var res *Result
-	if parallel {
-		res = mergeIslands(islands, eval, gens)
+	res := &Result{Evaluations: run.totalE(), Iterations: gens, Partial: partial}
+	if spec.Islands != nil {
+		res.Front = mergeFronts(w, func(i int) []pareto.Point { return islands[i].points() })
 	} else {
-		res = &Result{Front: islands[0].points(), Iterations: gens}
+		res.Front = islands[0].points()
 	}
-	res.Evaluations = run.totalE()
-	res.Partial = partial
+	if strat.OneShot {
+		res.Iterations = 0
+	}
 	return res, nil
 }
-
-// randomWalker adapts the random-search baseline to the stepping
-// evolver surface: the budget is pre-drawn up front and evaluated in
-// cancellation-checked chunks per step — PopSize configurations when
-// one is set (so a race generation costs the same across contenders),
-// randomChunk otherwise. Warm-start seeds (capped at half the budget)
-// are proposed first — they are typically primed in the shared cache
-// and therefore free.
-type randomWalker struct {
-	eval    objective.Evaluator
-	cfgs    []skeleton.Config
-	chunk   int
-	next    int
-	archive *pareto.Archive
-}
-
-// walkerChunk is the number of configurations a randomWalker evaluates
-// per step for the given (normalized) configuration.
-func walkerChunk(cfg StrategyConfig) int {
-	if cfg.Options.PopSize > 0 {
-		return cfg.Options.PopSize
-	}
-	return randomChunk
-}
-
-func newRandomWalker(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, seed int64) islandEvolver {
-	budget := cfg.RandomBudget
-	rng := stats.NewRand(seed)
-	cfgs := make([]skeleton.Config, 0, budget)
-	for _, s := range cfg.Options.InitialPopulation {
-		if len(cfgs) >= budget/2 {
-			break
-		}
-		if len(s) == space.Dim() {
-			cfgs = append(cfgs, space.Clip(s))
-		}
-	}
-	for len(cfgs) < budget {
-		cfgs = append(cfgs, space.Random(rng))
-	}
-	return &randomWalker{eval: eval, cfgs: cfgs, chunk: walkerChunk(cfg), archive: pareto.NewArchive()}
-}
-
-func (r *randomWalker) step() {
-	hi := r.next + r.chunk
-	if hi > len(r.cfgs) {
-		hi = len(r.cfgs)
-	}
-	batch := r.cfgs[r.next:hi]
-	r.next = hi
-	objs := r.eval.Evaluate(batch)
-	for i, o := range objs {
-		if o != nil {
-			r.archive.Add(pareto.Point{Payload: batch[i], Objectives: o})
-		}
-	}
-}
-
-func (r *randomWalker) done() bool { return r.next >= len(r.cfgs) }
-
-func (r *randomWalker) elites(int) []individual { return nil }
-
-func (r *randomWalker) inject([]individual) {}
-
-func (r *randomWalker) points() []pareto.Point { return r.archive.Points() }
-
-// snapshot is never called: the random strategy registers no Restore
-// hook, so checkpointing is disabled for it.
-func (r *randomWalker) snapshot() IslandState { return IslandState{} }
 
 // normalizeNSGA2 fills the effective NSGA-II options: explicit NSGA2
 // fields win, zero fields derive from the shared Options counterparts,
@@ -281,10 +243,14 @@ func init() {
 			Fingerprint: func(space skeleton.Space, cfg StrategyConfig, islands int, iopt IslandOptions) string {
 				return gdeFingerprint(space, cfg.Options, islands, iopt)
 			},
+			Islands:        true,
 			MaxGenerations: func(cfg StrategyConfig) int { return cfg.Options.MaxIterations },
 			Normalize: func(space skeleton.Space, cfg StrategyConfig) StrategyConfig {
 				cfg.Options = cfg.Options.withDefaults()
-				cfg.Options.DisableRoughSet = disableRoughSet
+				// Options.DisableRoughSet turns "rs-gde3" into plain GDE3
+				// wherever it is set, as the field says; "gde3" is the
+				// name for it.
+				cfg.Options.DisableRoughSet = cfg.Options.DisableRoughSet || disableRoughSet
 				return cfg
 			},
 		}
@@ -302,26 +268,9 @@ func init() {
 		Fingerprint: func(space skeleton.Space, cfg StrategyConfig, islands int, iopt IslandOptions) string {
 			return nsga2Fingerprint(space, cfg.NSGA2, islands, iopt)
 		},
+		Islands:        true,
 		MaxGenerations: func(cfg StrategyConfig) int { return cfg.NSGA2.MaxGenerations },
 		Normalize:      normalizeNSGA2,
-	})
-	RegisterStrategy(Strategy{
-		Name: "random",
-		New:  newRandomWalker,
-		Fingerprint: func(space skeleton.Space, cfg StrategyConfig, islands int, iopt IslandOptions) string {
-			return fingerprintOf("random", spaceKey(space), cfg.RandomBudget, cfg.Options.Seed, islands)
-		},
-		MaxGenerations: func(cfg StrategyConfig) int {
-			chunk := walkerChunk(cfg)
-			return (cfg.RandomBudget + chunk - 1) / chunk
-		},
-		Normalize: func(space skeleton.Space, cfg StrategyConfig) StrategyConfig {
-			cfg.Options = cfg.Options.withDefaults()
-			if cfg.RandomBudget == 0 {
-				cfg.RandomBudget = 1000
-			}
-			return cfg
-		},
 	})
 	RegisterStrategy(Strategy{
 		Name: "motpe",

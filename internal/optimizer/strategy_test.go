@@ -116,11 +116,9 @@ func TestIslandOptionsClampMigrantsToHalfPopulation(t *testing.T) {
 }
 
 func TestIslandsSurviveMigrantsEqualPopSize(t *testing.T) {
-	res, err := RSGDE3IslandsControlled(
-		schafferSpace(), newFuncEvaluator(schaffer),
-		Options{PopSize: 6, MaxIterations: 4, Stagnation: 5, Seed: 1},
-		IslandOptions{Islands: 2, MigrationInterval: 1, Migrants: 6},
-		Control{})
+	res, err := Run(schafferSpace(), newFuncEvaluator(schaffer), Spec{Strategy: "rs-gde3",
+		Config:  StrategyConfig{Options: Options{PopSize: 6, MaxIterations: 4, Stagnation: 5, Seed: 1}},
+		Islands: &IslandOptions{Islands: 2, MigrationInterval: 1, Migrants: 6}}, Control{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,17 +137,14 @@ func TestRandomWalkerSeedsWarmStartFirst(t *testing.T) {
 		},
 		RandomBudget: 8,
 	}
-	w, ok := newRandomWalker(space, newFuncEvaluator(schaffer), cfg, 1).(*randomWalker)
-	if !ok {
-		t.Fatal("random strategy no longer builds a randomWalker")
+	cfgs := randomWalk(space, cfg, 1)
+	if len(cfgs) != 8 {
+		t.Fatalf("pre-drew %d configurations, want the budget of 8", len(cfgs))
 	}
-	if len(w.cfgs) != 8 {
-		t.Fatalf("pre-drew %d configurations, want the budget of 8", len(w.cfgs))
+	if !reflect.DeepEqual(cfgs[0], skeleton.Config{150, 5}) {
+		t.Fatalf("first proposal %v, want the warm-start seed", cfgs[0])
 	}
-	if !reflect.DeepEqual(w.cfgs[0], skeleton.Config{150, 5}) {
-		t.Fatalf("first proposal %v, want the warm-start seed", w.cfgs[0])
-	}
-	for _, c := range w.cfgs {
+	for _, c := range cfgs {
 		if len(c) != space.Dim() {
 			t.Fatalf("proposal %v has wrong dimension", c)
 		}

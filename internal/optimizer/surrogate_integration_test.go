@@ -32,9 +32,9 @@ func TestSurrogateIslandsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		s, _ := screenedSchaffer(t, surrogate.Options{TopK: 3, MinSamples: 8})
-		res, err := RSGDE3IslandsControlled(schafferSpace(), s,
-			Options{PopSize: 8, MaxIterations: 8, Stagnation: 9, Seed: 1},
-			IslandOptions{Islands: 4, MigrationInterval: 2, Migrants: 2}, Control{})
+		res, err := Run(schafferSpace(), s, Spec{Strategy: "rs-gde3",
+			Config:  StrategyConfig{Options: Options{PopSize: 8, MaxIterations: 8, Stagnation: 9, Seed: 1}},
+			Islands: &IslandOptions{Islands: 4, MigrationInterval: 2, Migrants: 2}}, Control{})
 		s.Close()
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
@@ -64,14 +64,14 @@ func TestSurrogateTopKAtPopulationMatchesBaseline(t *testing.T) {
 	opt := Options{PopSize: 10, MaxIterations: 10, Stagnation: 11, Seed: 2}
 
 	base := objective.NewCachingEvaluator([]string{"f1", "f2"}, 4, schaffer)
-	bres, err := RSGDE3(schafferSpace(), base, opt)
+	bres, err := search("rs-gde3", schafferSpace(), base, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s, _ := screenedSchaffer(t, surrogate.Options{TopK: opt.PopSize, MinSamples: 5})
 	defer s.Close()
-	sres, err := RSGDE3(schafferSpace(), s, opt)
+	sres, err := search("rs-gde3", schafferSpace(), s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +93,14 @@ func TestSurrogateScreeningCutsEvaluations(t *testing.T) {
 	opt := Options{PopSize: 12, MaxIterations: 12, Stagnation: 13, Seed: 3}
 
 	base := objective.NewCachingEvaluator([]string{"f1", "f2"}, 4, schaffer)
-	bres, err := RSGDE3(schafferSpace(), base, opt)
+	bres, err := search("rs-gde3", schafferSpace(), base, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s, _ := screenedSchaffer(t, surrogate.Options{TopK: 3, MinSamples: 12})
 	defer s.Close()
-	sres, err := RSGDE3(schafferSpace(), s, opt)
+	sres, err := search("rs-gde3", schafferSpace(), s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSurrogateRaceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		s, _ := screenedSchaffer(t, surrogate.Options{TopK: 3, MinSamples: 8})
-		rr, err := Race(schafferSpace(), s, raceTestConfig(), raceTestOptions())
+		rr, err := RaceControlled(schafferSpace(), s, raceTestConfig(), raceTestOptions(), Control{})
 		s.Close()
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
@@ -157,7 +157,7 @@ func TestSurrogateEveryStrategyCompletes(t *testing.T) {
 			Options:      Options{PopSize: 8, MaxIterations: 5, Stagnation: 6, Seed: 4},
 			RandomBudget: 80,
 		}
-		res, err := runStrategy(name, schafferSpace(), s, cfg, IslandOptions{}, false, Control{})
+		res, err := Run(schafferSpace(), s, Spec{Strategy: name, Config: cfg}, Control{})
 		s.Close()
 		if err != nil {
 			t.Fatalf("%s under screen: %v", name, err)

@@ -119,7 +119,8 @@ func TestCheckpointCrashSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := optimizer.RSGDE3Controlled(space, newCkptEval(), opt, optimizer.Control{Checkpointer: cp})
+	search := optimizer.Spec{Strategy: "rs-gde3", Config: optimizer.StrategyConfig{Options: opt}}
+	full, err := optimizer.Run(space, newCkptEval(), search, optimizer.Control{Checkpointer: cp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestCheckpointCrashSweep(t *testing.T) {
 			continue
 		}
 		resumedGens[snap.Generation] = true
-		res, err := optimizer.RSGDE3Controlled(space, newCkptEval(), opt,
+		res, err := optimizer.Run(space, newCkptEval(), search,
 			optimizer.Control{Checkpointer: cp2, Resume: snap})
 		cp2.Close()
 		if err != nil {

@@ -160,18 +160,6 @@ func (r *JobRequest) Validate() error {
 			return reqErrf("unknown machine %q (valid: Westmere, Barcelona)", r.Machine)
 		}
 	}
-	if r.Method != "" {
-		known := false
-		for _, m := range autotune.Methods() {
-			if m == r.Method {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return reqErrf("unknown method %q (valid: %s)", r.Method, strings.Join(autotune.Methods(), ", "))
-		}
-	}
 	if r.N < 0 || r.PopSize < 0 || r.MaxIterations < 0 || r.Stagnation < 0 ||
 		r.Islands < 0 || r.Migrate < 0 || r.RandomBudget < 0 || r.ScreenTopK < 0 {
 		return reqErrf("numeric job parameters must be non-negative")
@@ -184,6 +172,18 @@ func (r *JobRequest) Validate() error {
 		if err != nil || d <= 0 {
 			return reqErrf("invalid deadline %q: want a positive Go duration like \"30s\"", r.Deadline)
 		}
+	}
+	// The driver's own check, on the options this request turns into:
+	// an unknown method, or islands or a surrogate screen on a method
+	// that has none, is the client's defect now rather than a failed job
+	// later.
+	if err := driver.CheckOptions(driver.Options{
+		Method:     driver.Method(r.Method),
+		Islands:    r.Islands,
+		Surrogate:  r.Surrogate,
+		ScreenTopK: r.ScreenTopK,
+	}, false); err != nil {
+		return reqErrWrap(err, "%s", strings.TrimPrefix(err.Error(), "driver: "))
 	}
 	return nil
 }

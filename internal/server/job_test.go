@@ -36,6 +36,9 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		"negative deadline":                 `{"kernel":"mm","deadline":"-5s"}`,
 		"trailing garbage":                  `{"kernel":"mm"}{"kernel":"mm"}`,
 		"oversized source":                  `{"source":"` + strings.Repeat("x", MaxSourceBytes+1) + `"}`,
+		"islands on a walk":                 `{"kernel":"mm","method":"grid","islands":2}`,
+		"islands on a race":                 `{"kernel":"mm","method":"race","islands":2}`,
+		"screen on brute force":             `{"kernel":"mm","method":"brute-force","screen_top_k":4}`,
 	}
 	for name, body := range cases {
 		if _, err := DecodeJobRequest(strings.NewReader(body)); err == nil {
@@ -137,6 +140,9 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add(`{"source":"program p\nfor i = 0..4 { }"}`)
 	f.Add(`{"kernel":`)
 	f.Add(`{"kernel":"mm","deadline":"1h","warm_start":false,"force":true}`)
+	f.Add(`{"kernel":"mm","method":"random","islands":4}`)
+	f.Add(`{"kernel":"mm","method":"brute-force","surrogate":true}`)
+	f.Add(`{"kernel":"mm","method":"nsga2","islands":3,"migrate":2,"screen_top_k":5}`)
 	f.Add(`{"unknown":"field"}`)
 	f.Add(`[1,2,3]`)
 	f.Add(`"just a string"`)
@@ -153,6 +159,26 @@ func FuzzJobRequest(f *testing.F) {
 		// must derive without panicking.
 		if _, err := req.DedupKey(); err != nil && !IsRequestError(err) {
 			t.Fatalf("valid request, non-RequestError dedup failure: %v", err)
+		}
+		// And runnable: what the request asks of its method (written out
+		// here as tuneOptions passes it on, with the journal the
+		// orchestrator adds for a checkpointable method) is something
+		// the driver's own check accepts, so no accepted job can end
+		// failed on a refusal.
+		opt := driver.Options{
+			Method:       driver.Method(req.methodName()),
+			RandomBudget: req.RandomBudget,
+			Surrogate:    req.Surrogate || req.ScreenTopK > 0,
+			ScreenTopK:   req.ScreenTopK,
+		}
+		if req.Islands > 1 {
+			opt.Islands, opt.MigrationInterval = req.Islands, req.Migrate
+		}
+		if req.checkpointable() {
+			opt.CheckpointPath = "job.ckpt"
+		}
+		if err := driver.CheckOptions(opt, false); err != nil {
+			t.Fatalf("accepted request %q is refused by the driver: %v", body, err)
 		}
 	})
 }

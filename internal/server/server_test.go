@@ -82,7 +82,7 @@ func TestServerFrontByteIdenticalToLibrary(t *testing.T) {
 }
 
 func TestServerRejectsBadRequests(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
+	_, ts, c := newTestServer(t, Config{})
 	post := func(body string) *http.Response {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -98,6 +98,11 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"unknown kernel", `{"kernel":"nope"}`, http.StatusBadRequest},
 		{"unknown method", `{"kernel":"mm","method":"nope"}`, http.StatusBadRequest},
 		{"oversized body", `{"source":"` + strings.Repeat("x", MaxRequestBytes+1) + `"}`, http.StatusRequestEntityTooLarge},
+		// What the driver would refuse once the job ran is refused at
+		// submit: these three used to get a 202 and end failed.
+		{"islands on random", `{"kernel":"mm","method":"random","islands":4}`, http.StatusBadRequest},
+		{"islands on motpe", `{"kernel":"mm","method":"motpe","islands":4}`, http.StatusBadRequest},
+		{"surrogate on brute-force", `{"kernel":"mm","method":"brute-force","surrogate":true}`, http.StatusBadRequest},
 	} {
 		resp := post(tc.body)
 		if resp.StatusCode != tc.want {
@@ -108,12 +113,17 @@ func TestServerRejectsBadRequests(t *testing.T) {
 			t.Errorf("%s: no structured error payload (%v)", tc.name, err)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/j999999")
+	// A rejected request is not a job: no id, no queue slot, nothing
+	// charged to a tenant.
+	if text, err := c.Metrics(context.Background()); err != nil || !strings.Contains(text, "tuned_jobs_submitted_total 0") {
+		t.Errorf("rejected requests were counted as submissions (%v):\n%s", err, text)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/j000000")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job: HTTP %d, want 404", resp.StatusCode)
+		t.Errorf("first job id after rejected requests: HTTP %d, want 404", resp.StatusCode)
 	}
 	resp.Body.Close()
 }
