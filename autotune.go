@@ -638,9 +638,17 @@ func TuneSource(src string, options ...Option) (*TuneResult, error) {
 // TuneAll tunes several regions (one per named kernel) simultaneously:
 // every program execution measures one candidate configuration of
 // every region, so the execution budget is shared across regions
-// instead of multiplied (paper §III-A). Only simulated evaluation is
-// supported. The returned slice holds one TuneResult per kernel; all
-// share the same Evaluations count (the joint execution total).
+// instead of multiplied (paper §III-A). The returned slice holds one
+// TuneResult per kernel; all share the same Evaluations count (the
+// joint execution total).
+//
+// Each region runs RS-GDE3 (or GDE3) over its own simulated evaluator,
+// in lock-step. The machine, seed, problem size, noise, optimizer
+// options, WithEnergyObjective and WithUnrollDimension are honoured;
+// every other option a Tune would honour — another method, measured
+// execution, the surrogate screen, islands, an InitialPopulation, the
+// database, checkpoints, a context, timeouts, retries, progress — is
+// refused by name rather than dropped.
 func TuneAll(kernelNames []string, options ...Option) ([]*TuneResult, error) {
 	opts, err := driverOptions(options)
 	if err != nil {

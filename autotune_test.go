@@ -55,6 +55,47 @@ func TestTuneOptionErrors(t *testing.T) {
 	}
 }
 
+// TestNegativeOptimizerSizesRefused: a negative PopSize used to die in
+// makeslice, and a negative MaxIterations or Stagnation silently ran
+// zero generations, whatever the method. Every entry point refuses all
+// three by name before any work.
+func TestNegativeOptimizerSizesRefused(t *testing.T) {
+	space := Space{Params: []Param{{Name: "x", Min: 0, Max: 100}, {Name: "y", Min: 0, Max: 100}}}
+	for field, o := range map[string]OptimizerOptions{
+		"PopSize":       {PopSize: -1},
+		"MaxIterations": {MaxIterations: -1},
+		"Stagnation":    {Stagnation: -1},
+	} {
+		entries := map[string]func() error{
+			"TuneAll": func() error {
+				_, err := TuneAll([]string{"mm", "jacobi-2d"}, WithOptimizerOptions(o))
+				return err
+			},
+			"Optimize": func() error {
+				_, err := Optimize(space, &customEval{}, o)
+				return err
+			},
+			"OptimizeIslands": func() error {
+				_, err := OptimizeIslands(space, &customEval{}, o, IslandOptions{Islands: 2})
+				return err
+			},
+		}
+		for _, m := range Methods() {
+			entries["Tune/"+m] = func() error {
+				_, err := Tune("mm", WithMethod(Method(m)), WithOptimizerOptions(o))
+				return err
+			}
+		}
+		for entry, run := range entries {
+			if err := run(); err == nil {
+				t.Errorf("%s accepted %s = -1", entry, field)
+			} else if !strings.Contains(err.Error(), field+" -1") {
+				t.Errorf("%s: refusal of %s = -1 does not name it: %v", entry, field, err)
+			}
+		}
+	}
+}
+
 func TestTuneWithEnergyObjective(t *testing.T) {
 	res, err := Tune("mm",
 		WithMachine("Barcelona"),

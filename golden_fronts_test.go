@@ -13,7 +13,7 @@ import (
 	"autotune/internal/export"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate testdata/golden_fronts.json and testdata/golden_units.json from the current code")
+var updateGolden = flag.Bool("update", false, "regenerate the testdata/golden_*.json files of the selected Golden tests from the current code")
 
 const (
 	goldenFrontsPath = "testdata/golden_fronts.json"
@@ -121,11 +121,17 @@ func goldenCell(t *testing.T, id, kernel string, opts []Option, warm bool) golde
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
+	return goldenFront{SHA256: frontSHA256(t, id, res.Front, res.Unit.ObjectiveNames), E: res.Evaluations, Iterations: res.Iterations}
+}
+
+// frontSHA256 hashes the export.FrontJSON bytes of a front.
+func frontSHA256(t *testing.T, id string, front []Point, objectiveNames []string) string {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := export.FrontJSON(&buf, res.Front, res.Unit.ObjectiveNames); err != nil {
+	if err := export.FrontJSON(&buf, front, objectiveNames); err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	return goldenFront{SHA256: fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), E: res.Evaluations, Iterations: res.Iterations}
+	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
 }
 
 // computeGoldenFronts runs every golden cell on the current code.

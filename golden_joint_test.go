@@ -1,13 +1,11 @@
 package autotune
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"testing"
 
 	"autotune/internal/driver"
-	"autotune/internal/export"
 	"autotune/internal/irparse"
 	"autotune/internal/machine"
 )
@@ -53,16 +51,12 @@ for x = 0..256 {
 
 func pinJointRegion(t *testing.T, id string, unit *Unit, front []Point, executions, iterations int) goldenJointRegion {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := export.FrontJSON(&buf, front, unit.ObjectiveNames); err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
 	enc, err := unit.Encode()
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
 	return goldenJointRegion{
-		FrontSHA256: fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())),
+		FrontSHA256: frontSHA256(t, id, front, unit.ObjectiveNames),
 		UnitSHA256:  fmt.Sprintf("%x", sha256.Sum256(enc)),
 		Executions:  executions,
 		Iterations:  iterations,

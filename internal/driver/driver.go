@@ -296,26 +296,9 @@ func tune(p *prepared, opt Options) (*Output, error) {
 	space := p.region.Skeleton.Space
 
 	// (3) Build the evaluator.
-	var eval objective.Evaluator
-	if opt.Measured {
-		m, err := objective.NewMeasured(p.kernel, p.n, opt.MeasuredReps)
-		if err != nil {
-			return nil, err
-		}
-		eval = m
-	} else {
-		s, err := objective.NewSim(objective.SimConfig{
-			Machine:    opt.Machine,
-			Kernel:     p.kernel,
-			N:          p.n,
-			NoiseAmp:   opt.NoiseAmp,
-			Objectives: opt.Objectives,
-			UnrollDim:  opt.UnrollDim,
-		})
-		if err != nil {
-			return nil, err
-		}
-		eval = s
+	eval, err := p.evaluator(opt)
+	if err != nil {
+		return nil, err
 	}
 
 	// (3b) Surrogate screen. Installed before the database attaches so
@@ -353,6 +336,22 @@ func tune(p *prepared, opt Options) (*Output, error) {
 
 	// (5) Multi-versioning backend.
 	return p.output(res, eval.ObjectiveNames())
+}
+
+// evaluator builds the region's evaluator, pipeline step (3): timed
+// execution of the real kernel, or the analytical model simulating it.
+func (p *prepared) evaluator(opt Options) (objective.Evaluator, error) {
+	if opt.Measured {
+		return objective.NewMeasured(p.kernel, p.n, opt.MeasuredReps)
+	}
+	return objective.NewSim(objective.SimConfig{
+		Machine:    opt.Machine,
+		Kernel:     p.kernel,
+		N:          p.n,
+		NoiseAmp:   opt.NoiseAmp,
+		Objectives: opt.Objectives,
+		UnrollDim:  opt.UnrollDim,
+	})
 }
 
 // output runs the multi-versioning backend on the region's search
@@ -463,6 +462,11 @@ func CheckOptions(opt Options, joint bool) error {
 	if opt.RandomBudget < 0 {
 		return fmt.Errorf("driver: random budget %d < 0", opt.RandomBudget)
 	}
+	// A negative population cannot be sized, and a negative stagnation
+	// window or iteration cap would silently run zero generations.
+	if o := opt.Optimizer; o.PopSize < 0 || o.Stagnation < 0 || o.MaxIterations < 0 {
+		return fmt.Errorf("driver: Optimizer.PopSize %d, Stagnation %d and MaxIterations %d must not be negative", o.PopSize, o.Stagnation, o.MaxIterations)
+	}
 	if joint {
 		return checkJoint(opt, method)
 	}
@@ -489,12 +493,14 @@ func CheckOptions(opt Options, joint bool) error {
 	return nil
 }
 
-// checkJoint is CheckOptions for the joint search: the lock-step
-// multi-region RS-GDE3 over one coupled simulated evaluator is what
-// runs whatever else is asked, so every option a single-region search
-// would honour and this one drops is refused by name. Knobs of other
-// methods (RandomBudget, GridPoints, Race) are ignored here as they are
-// by every method but their own.
+// checkJoint is CheckOptions for the joint search: one lock-step
+// RS-GDE3 per region, each over the evaluator a single-region search of
+// it would build, is what runs whatever else is asked — so the
+// evaluator's options (NoiseAmp, Objectives, UnrollDim) are honoured,
+// and every option a single-region search would honour and this one
+// drops is refused by name. Knobs of other methods (RandomBudget,
+// GridPoints, Race) are ignored here as they are by every method but
+// their own.
 func checkJoint(opt Options, method Method) error {
 	if method != MethodRSGDE3 && method != MethodGDE3 {
 		return fmt.Errorf("driver: joint tuning runs the lock-step multi-region RS-GDE3 and cannot honour Method %q; use %s or %s", method, MethodRSGDE3, MethodGDE3)
@@ -503,11 +509,10 @@ func checkJoint(opt Options, method Method) error {
 		set  bool
 		name string
 	}{
-		{opt.Measured, "Measured (the joint evaluator is simulated)"},
-		{opt.screened(), "Surrogate (the joint evaluator couples all regions into one execution)"},
+		{opt.Measured, "Measured (regions timed one by one share no execution)"},
+		{opt.screened(), "Surrogate (the lock-step search installs no screen)"},
 		{opt.Islands > 1, "Islands"},
-		{len(opt.Objectives) > 0, "Objectives"},
-		{opt.UnrollDim, "UnrollDim"},
+		{len(opt.Optimizer.InitialPopulation) > 0, "Optimizer.InitialPopulation (one seed list cannot address several regions' spaces)"},
 		{opt.DB != nil, "DB"},
 		{opt.WarmStart, "WarmStart"},
 		{opt.checkpointed(), "CheckpointPath/ResumeFrom"},

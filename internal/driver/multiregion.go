@@ -3,7 +3,6 @@ package driver
 import (
 	"fmt"
 
-	"autotune/internal/kernels"
 	"autotune/internal/objective"
 	"autotune/internal/optimizer"
 	"autotune/internal/skeleton"
@@ -24,7 +23,8 @@ type MultiOutput struct {
 // were regions of one program) simultaneously: every program execution
 // measures one candidate configuration of every region, so the total
 // execution count is shared rather than multiplied (paper §III-A).
-// Only the simulated evaluator supports joint execution.
+// CheckOptions with joint set lists what the joint search refuses;
+// Measured is one, since kernels timed one by one share no execution.
 func TuneKernels(kernelNames []string, opt Options) (*MultiOutput, error) {
 	if len(kernelNames) == 0 {
 		return nil, fmt.Errorf("driver: no kernels")
@@ -39,38 +39,35 @@ func TuneKernels(kernelNames []string, opt Options) (*MultiOutput, error) {
 	return tuneJoint(ps, opt)
 }
 
-// tuneJoint is the tail TuneKernels and TuneProgramAll share: one
-// coupled simulated evaluator over all prepared regions, the lock-step
-// multi-region RS-GDE3 (GDE3 under MethodGDE3), and one emitted unit
-// per region.
+// tuneJoint is the tail TuneKernels and TuneProgramAll share: every
+// prepared region gets the evaluator a single-region search of it would
+// get, the lock-step multi-region RS-GDE3 (GDE3 under MethodGDE3) runs
+// over them, and one unit is emitted per region.
 func tuneJoint(ps []*prepared, opt Options) (*MultiOutput, error) {
 	if err := CheckOptions(opt, true); err != nil {
 		return nil, err
 	}
-	var (
-		ks     = make([]*kernels.Kernel, len(ps))
-		ns     = make([]int64, len(ps))
-		spaces = make([]skeleton.Space, len(ps))
-	)
+	spaces := make([]skeleton.Space, len(ps))
+	evals := make([]objective.Evaluator, len(ps))
 	for r, p := range ps {
-		ks[r], ns[r], spaces[r] = p.kernel, p.n, p.region.Skeleton.Space
-	}
-	eval, err := objective.NewSimJoint(opt.Machine, ks, ns, opt.NoiseAmp)
-	if err != nil {
-		return nil, err
+		spaces[r] = p.region.Skeleton.Space
+		var err error
+		if evals[r], err = p.evaluator(opt); err != nil {
+			return nil, err
+		}
 	}
 	sopt := opt.Optimizer
 	sopt.DisableRoughSet = sopt.DisableRoughSet || effectiveMethod(opt) == MethodGDE3
-	multi, err := optimizer.MultiRSGDE3(spaces, eval, sopt)
+	results, err := optimizer.MultiRSGDE3(spaces, evals, sopt)
 	if err != nil {
 		return nil, err
 	}
-	out := &MultiOutput{Executions: multi.Executions, Iterations: multi.Iterations}
+	out := &MultiOutput{Executions: results[0].Evaluations, Iterations: results[0].Iterations}
 	for r, p := range ps {
-		if len(multi.Regions[r].Front) == 0 {
+		if len(results[r].Front) == 0 {
 			return nil, fmt.Errorf("driver: empty front for region %s", p.kernel.Name)
 		}
-		o, err := p.output(multi.Regions[r], eval.ObjectiveNames())
+		o, err := p.output(results[r], evals[r].ObjectiveNames())
 		if err != nil {
 			return nil, err
 		}

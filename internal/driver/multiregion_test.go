@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"autotune/internal/machine"
 	"autotune/internal/objective"
 	"autotune/internal/optimizer"
+	"autotune/internal/skeleton"
 	"autotune/internal/tunedb"
 )
 
@@ -87,7 +89,8 @@ func TestTuneKernelsValidation(t *testing.T) {
 // run the lock-step RS-GDE3 whatever was asked and return the plain
 // run's result. Every option a single-region search honours and the
 // joint one drops is refused by name, through both joint entry points;
-// gde3 — which the lock-step search can run — is honoured.
+// what the per-region evaluators and the lock-step search can do —
+// Objectives, UnrollDim, gde3 — is honoured.
 func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 	prog, err := irparse.Parse(twoRegionSrc)
 	if err != nil {
@@ -106,10 +109,9 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 	for name, set := range map[string]func(*Options){
 		"Method":  func(o *Options) { o.Method = MethodNSGA2 },
 		"Islands": func(o *Options) { o.Islands = 4 },
-		"Objectives": func(o *Options) {
-			o.Objectives = []objective.ObjectiveKind{objective.TimeObjective, objective.EnergyObjective}
+		"InitialPopulation": func(o *Options) {
+			o.Optimizer.InitialPopulation = []skeleton.Config{{64, 64, 64, 8}}
 		},
-		"UnrollDim":      func(o *Options) { o.UnrollDim = true },
 		"DB":             func(o *Options) { o.DB = db },
 		"WarmStart":      func(o *Options) { o.WarmStart = true },
 		"CheckpointPath": func(o *Options) { o.CheckpointPath = filepath.Join(t.TempDir(), "j.ckpt") },
@@ -139,6 +141,46 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 	}
 	if keys := db.Keys(); len(keys) != 0 {
 		t.Errorf("refused joint runs journaled under %v", keys)
+	}
+
+	// Honoured: every region's evaluator is the one a single-region
+	// search of it builds, so the joint search takes its options.
+	honoured := func(opt Options) map[string]*MultiOutput {
+		t.Helper()
+		k, err := TuneKernels([]string{"mm", "jacobi-2d"}, opt)
+		if err != nil {
+			t.Fatalf("TuneKernels: %v", err)
+		}
+		p, err := TuneProgramAll(prog, opt)
+		if err != nil {
+			t.Fatalf("TuneProgramAll: %v", err)
+		}
+		return map[string]*MultiOutput{"TuneKernels": k, "TuneProgramAll": p}
+	}
+	energy := base()
+	energy.Objectives = []objective.ObjectiveKind{objective.TimeObjective, objective.ResourceObjective, objective.EnergyObjective}
+	for entry, multi := range honoured(energy) {
+		for _, out := range multi.Outputs {
+			if names := out.Unit.ObjectiveNames; !reflect.DeepEqual(names, []string{"time", "resources", "energy"}) {
+				t.Errorf("%s %s: objectives %v", entry, out.Unit.Region, names)
+			}
+			for _, p := range out.Result.Front {
+				if len(p.Objectives) != 3 {
+					t.Errorf("%s %s: front point with %d objectives", entry, out.Unit.Region, len(p.Objectives))
+				}
+			}
+		}
+	}
+	unroll := base()
+	unroll.UnrollDim = true
+	for entry, multi := range honoured(unroll) {
+		for _, out := range multi.Outputs {
+			for _, v := range out.Unit.Versions {
+				if v.Meta.Unroll < 1 || v.Meta.Unroll > 8 {
+					t.Errorf("%s %s: version unroll factor %d outside 1..8", entry, out.Unit.Region, v.Meta.Unroll)
+				}
+			}
+		}
 	}
 
 	// Method-specific knobs every other method ignores too are not part

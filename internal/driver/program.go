@@ -28,8 +28,9 @@ func analyzeProgram(prog *ir.Program, opt Options) ([]analyzer.Region, error) {
 
 // prepareRegion derives an analytical performance model from the
 // region's access structure and wraps it in a synthetic kernel, so the
-// standard evaluator and backend apply unchanged.
-func prepareRegion(prog *ir.Program, region analyzer.Region, name string) (*prepared, error) {
+// standard evaluator and backend apply unchanged. Like prepareKernel it
+// extends the skeleton by the optional unroll dimension.
+func prepareRegion(prog *ir.Program, region analyzer.Region, name string, opt Options) (*prepared, error) {
 	km, err := genmodel.Derive(prog, region)
 	if err != nil {
 		return nil, err
@@ -43,7 +44,11 @@ func prepareRegion(prog *ir.Program, region analyzer.Region, name string) (*prep
 		IR:       func(n int64) *ir.Program { return prog.Clone() },
 		Model:    km,
 	}
-	return &prepared{kernel: synth, n: 1, prog: prog, region: region}, nil
+	if opt.UnrollDim {
+		region.Skeleton = unrollSkeleton(region, opt.Machine)
+	}
+	return &prepared{kernel: synth, n: 1, prog: prog, region: region,
+		salt: []string{"source", region.Skeleton.Name, fmt.Sprint(opt.UnrollDim)}}, nil
 }
 
 // TuneProgramAll tunes every region of an arbitrary MiniIR program
@@ -59,7 +64,7 @@ func TuneProgramAll(prog *ir.Program, opt Options) (*MultiOutput, error) {
 	}
 	ps := make([]*prepared, len(regions))
 	for i, region := range regions {
-		if ps[i], err = prepareRegion(prog, region, region.Skeleton.Name); err != nil {
+		if ps[i], err = prepareRegion(prog, region, region.Skeleton.Name, opt); err != nil {
 			return nil, fmt.Errorf("driver: region %d: %w", i, err)
 		}
 	}
@@ -79,13 +84,9 @@ func TuneProgram(prog *ir.Program, opt Options) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := prepareRegion(prog, regions[0], prog.Name)
+	p, err := prepareRegion(prog, regions[0], prog.Name, opt)
 	if err != nil {
 		return nil, err
 	}
-	if opt.UnrollDim {
-		p.region.Skeleton = unrollSkeleton(p.region, opt.Machine)
-	}
-	p.salt = []string{"source", p.region.Skeleton.Name, fmt.Sprint(opt.UnrollDim)}
 	return tune(p, opt)
 }

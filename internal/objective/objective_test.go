@@ -227,3 +227,24 @@ func TestNewMeasuredValidation(t *testing.T) {
 		t.Fatal("nil kernel should fail")
 	}
 }
+
+func TestSimParallelismOption(t *testing.T) {
+	mm, _ := kernels.ByName("mm")
+	s, err := NewSim(SimConfig{Machine: machine.Westmere(), Kernel: mm, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgs []skeleton.Config
+	for i := int64(1); i <= 16; i++ {
+		cfgs = append(cfgs, skeleton.Config{8 * i, 8 * i, 8, 4})
+	}
+	objs := s.Evaluate(cfgs)
+	for i, o := range objs {
+		if o == nil {
+			t.Fatalf("config %d failed", i)
+		}
+	}
+	if s.Evaluations() != 16 {
+		t.Fatalf("evaluations = %d", s.Evaluations())
+	}
+}

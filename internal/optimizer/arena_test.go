@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"autotune/internal/pareto"
+	"autotune/internal/stats"
 )
 
 // TestNothingThatEscapesAliasesTheArena: what leaves a generation —
@@ -18,11 +19,11 @@ func TestNothingThatEscapesAliasesTheArena(t *testing.T) {
 	opt := Options{Seed: 5, Stagnation: 1 << 30}.withDefaults()
 	nopt := NSGA2Options{Seed: 5, Stagnation: 1 << 30}.withDefaults(space.Dim())
 	islands := map[string]islandEvolver{
-		"rs-gde3": newGDEIsland(space, newTableEvaluator(2), opt, opt.Seed),
+		"rs-gde3": newGDEIsland(space, newTableEvaluator(2), opt, stats.NewCountedRand(opt.Seed)),
 		"nsga2":   newNSGA2Island(space, newTableEvaluator(2), nopt, nopt.Seed),
 		"motpe":   newMOTPEIsland(space, newTableEvaluator(2), opt, opt.Seed),
 	}
-	donor := newGDEIsland(space, newTableEvaluator(2), opt, opt.Seed+1)
+	donor := newGDEIsland(space, newTableEvaluator(2), opt, stats.NewCountedRand(opt.Seed+1))
 
 	type held struct {
 		snap   IslandState

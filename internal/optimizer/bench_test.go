@@ -12,6 +12,7 @@ import (
 
 	"autotune/internal/israce"
 	"autotune/internal/skeleton"
+	"autotune/internal/stats"
 )
 
 // tableEvaluator is a stub evaluator: a configuration's objectives are
@@ -133,7 +134,7 @@ func TestMutateAllocationBudget(t *testing.T) {
 func benchGDEIsland(tb testing.TB) *gdeIsland {
 	tb.Helper()
 	opt := Options{Seed: 3, Stagnation: 1 << 30}.withDefaults()
-	g := newGDEIsland(benchSpace(), newTableEvaluator(2), opt, opt.Seed)
+	g := newGDEIsland(benchSpace(), newTableEvaluator(2), opt, stats.NewCountedRand(opt.Seed))
 	for i := 0; i < 5; i++ {
 		g.step()
 	}

@@ -51,6 +51,16 @@ type Options struct {
 	InitialPopulation []skeleton.Config
 }
 
+// validate refuses the negative sizes no default replaces: a negative
+// PopSize cannot size a population, and a negative Stagnation or
+// MaxIterations would end the search before its first generation.
+func (o Options) validate() error {
+	if o.PopSize < 0 || o.Stagnation < 0 || o.MaxIterations < 0 {
+		return fmt.Errorf("optimizer: PopSize %d, Stagnation %d and MaxIterations %d must not be negative", o.PopSize, o.Stagnation, o.MaxIterations)
+	}
+	return nil
+}
+
 func (o Options) withDefaults() Options {
 	if o.PopSize == 0 {
 		o.PopSize = 30
@@ -107,9 +117,10 @@ type individual struct {
 }
 
 // gdeIsland is one self-contained RS-GDE3 search instance: its own
-// population, RNG, archive and rough-set box. The serial RSGDE3 drives
-// a single instance; the island-model driver evolves several
-// concurrently and migrates elites between them.
+// population, archive and rough-set box. The serial search drives a
+// single instance; the island-model driver evolves several concurrently
+// and migrates elites between them; the multi-region search advances
+// one per region in lock-step over one shared generator.
 type gdeIsland struct {
 	space    skeleton.Space
 	eval     objective.Evaluator
@@ -123,14 +134,15 @@ type gdeIsland struct {
 	arena    arena
 }
 
-// newGDEIsland seeds and evaluates the initial population. opt must
-// already carry defaults.
-func newGDEIsland(space skeleton.Space, eval objective.Evaluator, opt Options, seed int64) *gdeIsland {
+// newGDEIsland draws the initial population from rng and evaluates it.
+// A search instance owns its generator; the regions of a multi-region
+// run share one. opt must already carry defaults.
+func newGDEIsland(space skeleton.Space, eval objective.Evaluator, opt Options, rng *stats.CountedRand) *gdeIsland {
 	g := &gdeIsland{
 		space:   space,
 		eval:    eval,
 		opt:     opt,
-		rng:     stats.NewCountedRand(seed),
+		rng:     rng,
 		archive: pareto.NewArchive(),
 		full:    space.FullBox(),
 	}
@@ -189,10 +201,15 @@ func seededPopulation(space skeleton.Space, seeds []skeleton.Config, popSize int
 // done reports whether the stagnation stopping rule has fired.
 func (g *gdeIsland) done() bool { return g.stagnant >= g.opt.Stagnation }
 
-// step runs one RS-GDE3 generation: recompute the rough-set box,
-// generate and evaluate one trial per member (Algorithm 1), update the
-// archive and apply the GDE3 replacement rule.
+// step runs one RS-GDE3 generation.
 func (g *gdeIsland) step() {
+	trials := g.propose()
+	g.absorb(trials, g.eval.Evaluate(trials))
+}
+
+// propose is the first half of a generation: recompute the rough-set
+// box and generate one trial per member (Algorithm 1).
+func (g *gdeIsland) propose() []skeleton.Config {
 	// Rough-set reduction needs a populated non-dominated region to
 	// compute meaningful walls: with very few non-dominated points
 	// the box degenerates and every trial collapses onto a handful
@@ -208,14 +225,19 @@ func (g *gdeIsland) step() {
 			g.box = g.full
 		}
 	}
-	// Generate one trial per population member (Algorithm 1). The
-	// trials go to the evaluator, which may keep what it is handed, so
-	// they are fresh memory, never the arena's.
+	// The trials go to the evaluator, which may keep what it is handed,
+	// so they are fresh memory, never the arena's.
 	trials := make([]skeleton.Config, len(g.pop))
 	for i := range g.pop {
 		trials[i] = g.arena.mutate(g.pop[i].cfg, g.pop, i, g.box, g.opt, g.rng)
 	}
-	trialObjs := g.eval.Evaluate(trials)
+	return trials
+}
+
+// absorb is the second half: update the archive with the evaluated
+// trials, apply the GDE3 replacement rule and advance the stagnation
+// counter. It draws nothing from the generator.
+func (g *gdeIsland) absorb(trials []skeleton.Config, trialObjs [][]float64) {
 	improved := false
 	for i := range trials {
 		if trialObjs[i] == nil {

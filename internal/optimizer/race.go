@@ -211,6 +211,9 @@ func RaceControlled(space skeleton.Space, eval objective.Evaluator, cfg Strategy
 		return nil, fmt.Errorf("optimizer: a race keeps heterogeneous per-strategy state and cannot resume; checkpoint a single strategy instead")
 	}
 	ctrl.Checkpointer = nil
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	ropt = ropt.withDefaults()
 	if err := ropt.validate(); err != nil {
 		return nil, err

@@ -23,6 +23,9 @@ import (
 // RS-GDE3. It returns a Result whose front holds exactly the single
 // best configuration found (payload skeleton.Config).
 func SingleObjectiveDE(space skeleton.Space, eval objective.Evaluator, weights []float64, opt Options) (*Result, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.withDefaults()
 	if err := space.Validate(); err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 	"autotune/internal/objective"
 	"autotune/internal/pareto"
 	"autotune/internal/skeleton"
+	"autotune/internal/stats"
 )
 
 // StrategyConfig is the strategy-agnostic configuration handed to
@@ -26,6 +27,15 @@ type StrategyConfig struct {
 	Options      Options
 	NSGA2        NSGA2Options
 	RandomBudget int
+}
+
+// validate refuses the negative sizes no strategy's Normalize replaces
+// by a default.
+func (c StrategyConfig) validate() error {
+	if c.RandomBudget < 0 {
+		return fmt.Errorf("optimizer: walk budget %d < 0", c.RandomBudget)
+	}
+	return c.Options.validate()
 }
 
 // Strategy is one registered search strategy: a name, a constructor
@@ -145,8 +155,8 @@ func Run(space skeleton.Space, eval objective.Evaluator, spec Spec, ctrl Control
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Config.RandomBudget < 0 {
-		return nil, fmt.Errorf("optimizer: walk budget %d < 0", spec.Config.RandomBudget)
+	if err := spec.Config.validate(); err != nil {
+		return nil, err
 	}
 	cfg := strat.Normalize(space, spec.Config)
 	w, iopt := 1, IslandOptions{}
@@ -235,7 +245,7 @@ func init() {
 		return Strategy{
 			Name: name,
 			New: func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, seed int64) islandEvolver {
-				return newGDEIsland(space, eval, cfg.Options, seed)
+				return newGDEIsland(space, eval, cfg.Options, stats.NewCountedRand(seed))
 			},
 			Restore: func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, seed int64, st IslandState) islandEvolver {
 				return restoreGDEIsland(space, eval, cfg.Options, seed, st)

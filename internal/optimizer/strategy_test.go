@@ -150,3 +150,36 @@ func TestRandomWalkerSeedsWarmStartFirst(t *testing.T) {
 		}
 	}
 }
+
+// A negative PopSize used to die in makeslice (and a negative
+// Stagnation or MaxIterations ran zero generations) in every search
+// that sizes itself from Options; each entry point refuses all three.
+func TestNegativeSizesRefused(t *testing.T) {
+	for field, opt := range map[string]Options{
+		"PopSize":       {PopSize: -1},
+		"Stagnation":    {Stagnation: -1},
+		"MaxIterations": {MaxIterations: -1},
+	} {
+		entries := map[string]func() error{
+			"RaceControlled": func() error {
+				_, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), StrategyConfig{Options: opt}, RaceOptions{}, Control{})
+				return err
+			},
+			"SingleObjectiveDE": func() error {
+				_, err := SingleObjectiveDE(schafferSpace(), newFuncEvaluator(schaffer), []float64{1, 1}, opt)
+				return err
+			},
+		}
+		for _, name := range StrategyNames() {
+			entries["Run/"+name] = func() error {
+				_, err := search(name, schafferSpace(), newFuncEvaluator(schaffer), opt)
+				return err
+			}
+		}
+		for entry, run := range entries {
+			if err := run(); err == nil || !strings.Contains(err.Error(), field+" -1") {
+				t.Errorf("%s with %s = -1: error %v", entry, field, err)
+			}
+		}
+	}
+}

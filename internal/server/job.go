@@ -21,10 +21,12 @@ import (
 	"strings"
 	"time"
 
-	"autotune"
 	"autotune/internal/driver"
+	"autotune/internal/kernels"
 	"autotune/internal/machine"
 	"autotune/internal/objective"
+	"autotune/internal/optimizer"
+	"autotune/internal/skeleton"
 )
 
 // Request size limits. MaxRequestBytes bounds the whole JSON body;
@@ -144,21 +146,13 @@ func (r *JobRequest) Validate() error {
 		return reqErrf("source program is %d bytes; the limit is %d", len(r.Source), MaxSourceBytes)
 	}
 	if r.Kernel != "" {
-		known := false
-		for _, k := range autotune.Kernels() {
-			if k == r.Kernel {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return reqErrf("unknown kernel %q (valid: %s)", r.Kernel, strings.Join(autotune.Kernels(), ", "))
+		if _, err := kernels.ByName(r.Kernel); err != nil {
+			return reqErrf("unknown kernel %q (valid: %s)", r.Kernel, strings.Join(kernels.Names(), ", "))
 		}
 	}
-	if r.Machine != "" {
-		if _, err := machine.ByName(r.Machine); err != nil {
-			return reqErrf("unknown machine %q (valid: Westmere, Barcelona)", r.Machine)
-		}
+	opt, err := r.options()
+	if err != nil {
+		return err
 	}
 	if r.N < 0 || r.PopSize < 0 || r.MaxIterations < 0 || r.Stagnation < 0 ||
 		r.Islands < 0 || r.Migrate < 0 || r.RandomBudget < 0 || r.ScreenTopK < 0 {
@@ -177,12 +171,7 @@ func (r *JobRequest) Validate() error {
 	// an unknown method, or islands or a surrogate screen on a method
 	// that has none, is the client's defect now rather than a failed job
 	// later.
-	if err := driver.CheckOptions(driver.Options{
-		Method:     driver.Method(r.Method),
-		Islands:    r.Islands,
-		Surrogate:  r.Surrogate,
-		ScreenTopK: r.ScreenTopK,
-	}, false); err != nil {
+	if err := driver.CheckOptions(opt, false); err != nil {
 		return reqErrWrap(err, "%s", strings.TrimPrefix(err.Error(), "driver: "))
 	}
 	return nil
@@ -209,7 +198,7 @@ func (r *JobRequest) machineName() string {
 // methodName returns the effective search method.
 func (r *JobRequest) methodName() string {
 	if r.Method == "" {
-		return string(autotune.RSGDE3)
+		return string(driver.MethodRSGDE3)
 	}
 	return r.Method
 }
@@ -221,14 +210,32 @@ func (r *JobRequest) checkpointable() bool {
 	return driver.Checkpointable(driver.Method(r.methodName()))
 }
 
-// driverOptions builds the problem-defining subset of driver.Options —
-// enough for ProblemKey, not for running the search.
-func (r *JobRequest) driverOptions() (driver.Options, error) {
+// options is the one translation of a request into the driver.Options
+// of its search: Validate checks it whole, DedupKey derives the problem
+// key from it, and the orchestrator runs it after adding what it owns
+// (context, progress, database and warm start, checkpoint journal).
+func (r *JobRequest) options() (driver.Options, error) {
 	m, err := machine.ByName(r.machineName())
 	if err != nil {
-		return driver.Options{}, reqErrf("unknown machine %q", r.machineName())
+		return driver.Options{}, reqErrf("unknown machine %q (valid: Westmere, Barcelona)", r.machineName())
 	}
-	opt := driver.Options{Machine: m, N: r.N}
+	opt := driver.Options{
+		Machine: m,
+		N:       r.N,
+		Method:  driver.Method(r.methodName()),
+		Optimizer: optimizer.Options{
+			PopSize:       r.PopSize,
+			MaxIterations: r.MaxIterations,
+			Stagnation:    r.Stagnation,
+			Seed:          r.Seed,
+		},
+		Islands:           r.Islands,
+		MigrationInterval: r.Migrate,
+		RandomBudget:      r.RandomBudget,
+		Surrogate:         r.Surrogate || r.ScreenTopK > 0,
+		ScreenTopK:        r.ScreenTopK,
+		NoiseAmp:          r.Noise,
+	}
 	if r.Energy {
 		opt.Objectives = []objective.ObjectiveKind{
 			objective.TimeObjective, objective.ResourceObjective, objective.EnergyObjective,
@@ -245,7 +252,7 @@ func (r *JobRequest) driverOptions() (driver.Options, error) {
 func (r *JobRequest) DedupKey() (string, error) {
 	var problem string
 	if r.Kernel != "" {
-		opt, err := r.driverOptions()
+		opt, err := r.options()
 		if err != nil {
 			return "", err
 		}
@@ -268,47 +275,6 @@ func (r *JobRequest) DedupKey() (string, error) {
 		r.Islands, r.Migrate, r.RandomBudget, r.Energy, r.Surrogate,
 		r.ScreenTopK, r.Noise, r.WarmStart)
 	return fmt.Sprintf("%s|op%016x", problem, h.Sum64()), nil
-}
-
-// tuneOptions builds the full option list for running this job.
-// Orchestrator-owned options (context, DB, checkpointing, progress)
-// are appended by the caller.
-func (r *JobRequest) tuneOptions() ([]autotune.Option, error) {
-	opts := []autotune.Option{
-		autotune.WithMachine(r.machineName()),
-		autotune.WithMethod(autotune.Method(r.methodName())),
-		autotune.WithSeed(r.Seed),
-	}
-	if r.PopSize > 0 || r.MaxIterations > 0 || r.Stagnation > 0 {
-		opts = append(opts, autotune.WithOptimizerOptions(autotune.OptimizerOptions{
-			PopSize:       r.PopSize,
-			MaxIterations: r.MaxIterations,
-			Stagnation:    r.Stagnation,
-			Seed:          r.Seed,
-		}))
-	}
-	if r.N > 0 {
-		opts = append(opts, autotune.WithProblemSize(r.N))
-	}
-	if r.Islands > 1 {
-		opts = append(opts, autotune.WithIslands(r.Islands, r.Migrate))
-	}
-	if r.RandomBudget > 0 {
-		opts = append(opts, autotune.WithRandomBudget(r.RandomBudget))
-	}
-	if r.Energy {
-		opts = append(opts, autotune.WithEnergyObjective())
-	}
-	if r.Surrogate || r.ScreenTopK > 0 {
-		opts = append(opts, autotune.WithSurrogate(r.ScreenTopK))
-	}
-	if r.Noise > 0 {
-		opts = append(opts, autotune.WithNoise(r.Noise))
-	}
-	if driver.Method(r.methodName()) == driver.MethodRace {
-		opts = append(opts, autotune.WithRace(autotune.RaceOptions{}))
-	}
-	return opts, nil
 }
 
 // JobState is the lifecycle state of one job.
@@ -383,24 +349,24 @@ type Event struct {
 	Evaluations int      `json:"evaluations"`
 }
 
-// resultFromTune extracts the persisted result from a finished library
-// run, preserving the front's order for byte-stable serving.
-func resultFromTune(res *autotune.TuneResult) *JobResult {
-	out := &JobResult{
-		ObjectiveNames: append([]string(nil), res.Unit.ObjectiveNames...),
-		Evaluations:    res.Evaluations,
-		Iterations:     res.Iterations,
-		Versions:       len(res.Unit.Versions),
-		Partial:        res.Partial,
+// resultOf extracts the persisted result from a finished search,
+// preserving the front's order for byte-stable serving.
+func resultOf(out *driver.Output) *JobResult {
+	res := &JobResult{
+		ObjectiveNames: append([]string(nil), out.Unit.ObjectiveNames...),
+		Evaluations:    out.Result.Evaluations,
+		Iterations:     out.Result.Iterations,
+		Versions:       len(out.Unit.Versions),
+		Partial:        out.Result.Partial,
 	}
-	for _, p := range res.Front {
+	for _, p := range out.Result.Front {
 		fp := FrontPoint{Objectives: append([]float64(nil), p.Objectives...)}
-		if cfg, ok := p.Payload.(autotune.Config); ok {
+		if cfg, ok := p.Payload.(skeleton.Config); ok {
 			fp.Config = append([]int64(nil), cfg...)
 		}
-		out.Points = append(out.Points, fp)
+		res.Points = append(res.Points, fp)
 	}
-	return out
+	return res
 }
 
 // validTenant rejects tenant names that could escape quota accounting

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"autotune/internal/driver"
+	"autotune/internal/machine"
+	"autotune/internal/objective"
+	"autotune/internal/optimizer"
 )
 
 func TestDecodeJobRequestValid(t *testing.T) {
@@ -160,19 +164,13 @@ func FuzzJobRequest(f *testing.F) {
 		if _, err := req.DedupKey(); err != nil && !IsRequestError(err) {
 			t.Fatalf("valid request, non-RequestError dedup failure: %v", err)
 		}
-		// And runnable: what the request asks of its method (written out
-		// here as tuneOptions passes it on, with the journal the
-		// orchestrator adds for a checkpointable method) is something
-		// the driver's own check accepts, so no accepted job can end
-		// failed on a refusal.
-		opt := driver.Options{
-			Method:       driver.Method(req.methodName()),
-			RandomBudget: req.RandomBudget,
-			Surrogate:    req.Surrogate || req.ScreenTopK > 0,
-			ScreenTopK:   req.ScreenTopK,
-		}
-		if req.Islands > 1 {
-			opt.Islands, opt.MigrationInterval = req.Islands, req.Migrate
+		// And runnable: the options the request turns into, with the
+		// journal the orchestrator adds for a checkpointable method, are
+		// something the driver's own check accepts, so no accepted job
+		// can end failed on a refusal.
+		opt, err := req.options()
+		if err != nil {
+			t.Fatalf("accepted request %q has no options: %v", body, err)
 		}
 		if req.checkpointable() {
 			opt.CheckpointPath = "job.ckpt"
@@ -183,23 +181,39 @@ func FuzzJobRequest(f *testing.F) {
 	})
 }
 
+// TestTuneOptionsBranches: options() is the one translation of a
+// request, so every field of what it builds is held here, over six
+// requests that between them set every field the search reads.
 func TestTuneOptionsBranches(t *testing.T) {
-	for i, r := range []*JobRequest{
-		{Kernel: "mm"},
-		{Kernel: "mm", PopSize: 8, MaxIterations: 2, Stagnation: 2},
-		{Kernel: "mm", N: 64, Islands: 2, Migrate: 3},
-		{Kernel: "mm", Method: "random", RandomBudget: 50, Noise: 0.01},
-		{Kernel: "mm", Energy: true, Surrogate: true, ScreenTopK: 4},
-		{Kernel: "mm", Method: "race"},
-	} {
-		opts, err := r.tuneOptions()
+	energy := []objective.ObjectiveKind{objective.TimeObjective, objective.ResourceObjective, objective.EnergyObjective}
+	want := []driver.Options{
+		{Method: driver.MethodRSGDE3},
+		{Method: driver.MethodRSGDE3, Optimizer: optimizer.Options{PopSize: 8, MaxIterations: 2, Stagnation: 2}},
+		{Method: driver.MethodRSGDE3, N: 64, Islands: 2, MigrationInterval: 3},
+		{Method: driver.MethodRandom, RandomBudget: 50, NoiseAmp: 0.01},
+		{Method: driver.MethodRSGDE3, Objectives: energy, Surrogate: true, ScreenTopK: 4},
+		{Method: driver.MethodRace},
+	}
+	for i, r := range optionBranchRequests() {
+		r.Seed, r.Machine = int64(10+i), "Barcelona"
+		want[i].Optimizer.Seed, want[i].Machine = r.Seed, machine.Barcelona()
+		got, err := r.options()
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
-		// Machine, method and seed are always present; feature flags
-		// add to them.
-		if len(opts) < 3 {
-			t.Fatalf("request %d: %d options", i, len(opts))
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("request %d:\n got %+v\nwant %+v", i, got, want[i])
 		}
+	}
+	// Defaults and the two spellings of a screened search.
+	got, err := (&JobRequest{Kernel: "mm", ScreenTopK: 3}).options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, driver.Options{Machine: machine.Westmere(), Method: driver.MethodRSGDE3, Surrogate: true, ScreenTopK: 3}) {
+		t.Errorf("screen_top_k alone: %+v", got)
+	}
+	if _, err := (&JobRequest{Kernel: "mm", Machine: "nope"}).options(); !IsRequestError(err) {
+		t.Errorf("unknown machine: %v", err)
 	}
 }

@@ -12,8 +12,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"autotune"
 	"autotune/internal/chaos"
+	"autotune/internal/driver"
+	"autotune/internal/irparse"
 	"autotune/internal/resilience"
 	"autotune/internal/tunedb"
 )
@@ -113,7 +114,7 @@ type job struct {
 // state. All methods are safe for concurrent use.
 type Orchestrator struct {
 	cfg      Config
-	db       *autotune.TuningDB
+	db       *tunedb.DB
 	jobsDir  string
 	ckptDir  string
 	spillDir string
@@ -234,7 +235,7 @@ func (o *Orchestrator) retryAfterSeconds() int {
 }
 
 // DB exposes the shared tuning database (read-mostly: stats, tests).
-func (o *Orchestrator) DB() *autotune.TuningDB { return o.db }
+func (o *Orchestrator) DB() *tunedb.DB { return o.db }
 
 // reload replays the persisted job records: running jobs from a crash
 // become interrupted, and interrupted/queued jobs re-enter the queue
@@ -501,7 +502,7 @@ func (o *Orchestrator) run(j *job) {
 	j.cancel = cancel
 	o.mu.Unlock()
 
-	res, err := o.tune(ctx, j)
+	out, err := o.tune(ctx, j)
 
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -521,8 +522,8 @@ func (o *Orchestrator) run(j *job) {
 	default:
 		j.rec.State = StateDone
 		j.rec.Error = ""
-		j.rec.Result = resultFromTune(res)
-		j.evals.Store(int64(res.Evaluations))
+		j.rec.Result = resultOf(out)
+		j.evals.Store(int64(out.Result.Evaluations))
 		if j.rec.Checkpoint != "" {
 			os.Remove(j.rec.Checkpoint)
 			j.rec.Checkpoint = ""
@@ -536,33 +537,30 @@ func (o *Orchestrator) run(j *job) {
 	o.cond.Broadcast()
 }
 
-// tune assembles the option list and runs the library search.
-func (o *Orchestrator) tune(ctx context.Context, j *job) (*autotune.TuneResult, error) {
+// tune completes the request's options with what the orchestrator owns
+// — the cancellable context, the progress feed, the shared database and
+// its warm start, the checkpoint journal — and runs the search.
+func (o *Orchestrator) tune(ctx context.Context, j *job) (*driver.Output, error) {
 	req := j.rec.Request
-	opts, err := req.tuneOptions()
+	opt, err := req.options()
 	if err != nil {
 		return nil, err
 	}
 	id := j.rec.ID
 	gate := o.cfg.EvalHook
-	opts = append(opts,
-		autotune.WithContext(ctx),
-		autotune.WithProgress(func(n int) {
-			j.evals.Store(int64(n))
-			o.evaluations.Add(1)
-			if gate != nil {
-				gate(id, n)
-			}
-			j.notify(Event{State: StateRunning, Evaluations: n})
-		}),
-		autotune.WithDB(o.db),
-	)
-	warm := !o.cfg.NoWarmStart
-	if req.WarmStart != nil {
-		warm = *req.WarmStart
+	opt.Context = ctx
+	opt.OnProgress = func(n int) {
+		j.evals.Store(int64(n))
+		o.evaluations.Add(1)
+		if gate != nil {
+			gate(id, n)
+		}
+		j.notify(Event{State: StateRunning, Evaluations: n})
 	}
-	if warm {
-		opts = append(opts, autotune.WithWarmStart())
+	opt.DB = o.db
+	opt.WarmStart = !o.cfg.NoWarmStart
+	if req.WarmStart != nil {
+		opt.WarmStart = *req.WarmStart
 	}
 	if req.checkpointable() {
 		ckpt := j.rec.Checkpoint
@@ -582,18 +580,22 @@ func (o *Orchestrator) tune(ctx context.Context, j *job) (*autotune.TuneResult, 
 		// checkpoint cut short before the first generation restarts
 		// the search from scratch (it evaluated nothing resumable).
 		if _, lerr := resilience.LoadCheckpoint(ckpt); lerr == nil {
-			opts = append(opts, autotune.WithResume(ckpt))
+			opt.ResumeFrom = ckpt
 		} else {
-			opts = append(opts, autotune.WithCheckpoint(ckpt))
+			opt.CheckpointPath = ckpt
 		}
 		o.mu.Lock()
 		j.rec.Checkpoint = ckpt
 		o.mu.Unlock()
 	}
 	if req.Kernel != "" {
-		return autotune.Tune(req.Kernel, opts...)
+		return driver.TuneKernel(req.Kernel, opt)
 	}
-	return autotune.TuneSource(req.Source, opts...)
+	prog, err := irparse.Parse(req.Source)
+	if err != nil {
+		return nil, err
+	}
+	return driver.TuneProgram(prog, opt)
 }
 
 // Drain stops the orchestrator gracefully: no new submissions, every

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"autotune"
+	"autotune/internal/driver"
 	"autotune/internal/export"
+	"autotune/internal/machine"
+	"autotune/internal/optimizer"
 )
 
 // newTestServer wires an orchestrator to an ephemeral HTTP server and
@@ -60,19 +62,15 @@ func TestServerFrontByteIdenticalToLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := autotune.Tune("mm",
-		autotune.WithMachine("Westmere"),
-		autotune.WithMethod(autotune.RSGDE3),
-		autotune.WithSeed(5),
-		autotune.WithOptimizerOptions(autotune.OptimizerOptions{
-			PopSize: 8, MaxIterations: 2, Seed: 5,
-		}),
-	)
+	res, err := driver.TuneKernel("mm", driver.Options{
+		Machine:   machine.Westmere(),
+		Optimizer: optimizer.Options{PopSize: 8, MaxIterations: 2, Seed: 5},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var direct bytes.Buffer
-	if err := export.FrontJSON(&direct, res.Front, res.Unit.ObjectiveNames); err != nil {
+	if err := export.FrontJSON(&direct, res.Result.Front, res.Unit.ObjectiveNames); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(served, direct.Bytes()) {
