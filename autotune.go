@@ -554,11 +554,13 @@ func WithSurrogate(topK int) Option {
 	}
 }
 
-// WithProgress registers a live-progress callback: fn fires after
-// every fresh (non-warm-started) evaluation with the cumulative count
-// completed so far. It may be called concurrently from evaluation
-// workers and must not block; the tuning-as-a-service front-end uses
-// it to stream search progress to clients.
+// WithProgress registers a live-progress callback: fn fires once per
+// evaluated batch — a generation, for the evolutionary methods — that
+// produced fresh (non-warm-started) results, with the cumulative count
+// of evaluations completed so far. Concurrent islands call it
+// concurrently, so counts may arrive out of order, and the search
+// waits for it to return; the tuning-as-a-service front-end uses it
+// to stream search progress to clients.
 func WithProgress(fn func(evaluations int)) Option {
 	return func(c *tuneConfig) error {
 		if fn == nil {

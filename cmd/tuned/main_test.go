@@ -128,8 +128,10 @@ func TestServeSIGTERMDrainResume(t *testing.T) {
 	}
 
 	// Interrupted run: stall the search once it is past the first full
-	// generation so the SIGTERM lands mid-search with a complete
-	// checkpoint snapshot on disk.
+	// generation (the hook reaches a count when the batch holding that
+	// evaluation is done, before the generation is checkpointed) so the
+	// SIGTERM lands mid-search with a complete checkpoint snapshot on
+	// disk.
 	state := t.TempDir()
 	var once sync.Once
 	gateHit := make(chan struct{})

@@ -32,14 +32,9 @@ func buildControl(opt Options, eval objective.Evaluator) (optimizer.Control, fun
 		if sc, ok := eval.(objective.SharedCacher); ok {
 			var done atomic.Int64
 			fn := opt.OnProgress
-			sc.SharedCache().AddObserver(func(skeleton.Config, []float64) {
-				fn(int(done.Add(1)))
+			sc.SharedCache().AddObserver(func(cfgs []skeleton.Config, _ [][]float64) {
+				fn(int(done.Add(int64(len(cfgs)))))
 			})
-		}
-	}
-	if opt.onEvaluation != nil {
-		if sc, ok := eval.(objective.SharedCacher); ok {
-			sc.SharedCache().AddObserver(func(skeleton.Config, []float64) { opt.onEvaluation() })
 		}
 	}
 	switch {

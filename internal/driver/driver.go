@@ -150,16 +150,15 @@ type Options struct {
 	// run's front is byte-identical to the same-seed uninterrupted run.
 	// The snapshot must come from an identically configured search.
 	ResumeFrom string
-	// OnProgress, when set, fires after every fresh (non-primed)
-	// evaluation with the cumulative count of evaluations completed so
-	// far in this run — the live-progress feed a long-running service
-	// streams to its clients. It may be called concurrently and must
-	// not block.
+	// OnProgress, when set, fires once per evaluated batch — a
+	// generation, for the evolutionary methods — that produced fresh
+	// (non-primed) results, after the batch has been journaled to DB,
+	// with the cumulative count of evaluations completed so far in
+	// this run: the live-progress feed a long-running service streams
+	// to its clients. Concurrent batches (islands) call it
+	// concurrently, so counts may arrive out of order; the search
+	// waits for it to return.
 	OnProgress func(evaluations int)
-
-	// onEvaluation, when set, fires after every fresh evaluation —
-	// a test seam for provoking cancellation at a known search depth.
-	onEvaluation func()
 }
 
 // Output is the result of tuning one kernel.
@@ -616,9 +615,10 @@ func runBruteForce(space skeleton.Space, eval objective.Evaluator, opt Options, 
 // opt.DB is nil (or the evaluator has no shared cache to hook), it is
 // a no-op. Otherwise it derives the database key, optionally
 // warm-starts the evaluator cache and the initial population, and
-// registers the journaling observer. The returned callback stores the
-// final front and surfaces any journaling error encountered during the
-// search.
+// registers the journaling observer: every evaluated batch — a
+// generation — goes to the database as one record batch. The returned
+// callback stores the final front and surfaces any journaling error
+// encountered during the search.
 func attachDB(opt *Options, p *prepared, eval objective.Evaluator) func(*optimizer.Result) error {
 	noop := func(*optimizer.Result) error { return nil }
 	if opt.DB == nil {
@@ -646,8 +646,8 @@ func attachDB(opt *Options, p *prepared, eval objective.Evaluator) func(*optimiz
 	}
 	var journalMu sync.Mutex
 	var journalErr error
-	ce.SetObserver(func(cfg skeleton.Config, objs []float64) {
-		if err := db.PutEval(key, cfg, objs); err != nil && !tunedb.IsReadOnly(err) {
+	detach := ce.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
+		if err := db.PutEvals(key, cfgs, objs); err != nil && !tunedb.IsReadOnly(err) {
 			// A read-only database (degraded after a disk fault) loses
 			// only persistence, not correctness: the search keeps its
 			// in-memory cache and the server surfaces the degradation
@@ -660,7 +660,7 @@ func attachDB(opt *Options, p *prepared, eval objective.Evaluator) func(*optimiz
 		}
 	})
 	return func(res *optimizer.Result) error {
-		ce.SetObserver(nil)
+		detach()
 		journalMu.Lock()
 		err := journalErr
 		journalMu.Unlock()

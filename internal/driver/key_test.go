@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"autotune/internal/machine"
@@ -84,31 +83,31 @@ func TestProblemKeyDiscriminates(t *testing.T) {
 	}
 }
 
-// TestWithProgressReportsEveryEvaluation: the OnProgress hook sees a
-// contiguous 1..E count matching the result's evaluation total.
+// TestWithProgressReportsEveryEvaluation: the OnProgress hook fires
+// once per evaluated batch — the initial population and each
+// generation, not each evaluation — with a strictly growing cumulative
+// count that ends at the result's evaluation total.
 func TestWithProgressReportsEveryEvaluation(t *testing.T) {
-	var max, calls atomic.Int64
+	var counts []int
 	opt := Options{
-		Machine:   machine.Westmere(),
-		Optimizer: optimizer.Options{PopSize: 8, Seed: 7, MaxIterations: 3},
-		OnProgress: func(done int) {
-			for {
-				old := max.Load()
-				if int64(done) <= old || max.CompareAndSwap(old, int64(done)) {
-					break
-				}
-			}
-			calls.Add(1)
-		},
+		Machine:    machine.Westmere(),
+		Optimizer:  optimizer.Options{PopSize: 8, Seed: 7, MaxIterations: 3},
+		OnProgress: func(done int) { counts = append(counts, done) }, // one island: calls are sequential
 	}
 	out, err := TuneKernel("mm", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int(calls.Load()) != out.Result.Evaluations {
-		t.Fatalf("progress fired %d times for %d evaluations", calls.Load(), out.Result.Evaluations)
+	if len(counts) == 0 || len(counts) > out.Result.Iterations+1 {
+		t.Fatalf("progress fired %d times for %d generations after the initial population: %v",
+			len(counts), out.Result.Iterations, counts)
 	}
-	if int(max.Load()) != out.Result.Evaluations {
-		t.Fatalf("max progress %d != evaluations %d", max.Load(), out.Result.Evaluations)
+	for i := 1; i < len(counts); i++ {
+		if counts[i] <= counts[i-1] {
+			t.Fatalf("progress counts not strictly growing: %v", counts)
+		}
+	}
+	if last := counts[len(counts)-1]; last != out.Result.Evaluations {
+		t.Fatalf("last progress %d != evaluations %d", last, out.Result.Evaluations)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"autotune/internal/export"
@@ -73,12 +72,10 @@ func TestTuneKernelCancelledReturnsPartial(t *testing.T) {
 	// cancellation without changing behaviour.
 	opt.EvalTimeout = 10e9
 
-	// Cancel once the search is demonstrably under way: the observer
-	// fires per fresh evaluation, possibly from concurrent evaluation
-	// goroutines.
-	var count atomic.Int64
-	opt.onEvaluation = func() {
-		if count.Add(1) == 30 {
+	// Cancel once the search is demonstrably under way: the progress
+	// feed fires once per evaluated batch with the cumulative count.
+	opt.OnProgress = func(evaluations int) {
+		if evaluations >= 30 {
 			cancel()
 		}
 	}

@@ -9,7 +9,8 @@ import (
 )
 
 // TestTuneKernelJournalsToDB: a cold run against a database journals
-// every fresh evaluation and the final front under the search's key.
+// every fresh evaluation and the final front under the search's key —
+// a generation per WAL frame, not an evaluation per frame.
 func TestTuneKernelJournalsToDB(t *testing.T) {
 	dir := t.TempDir()
 	db, err := tunedb.Open(dir)
@@ -40,6 +41,24 @@ func TestTuneKernelJournalsToDB(t *testing.T) {
 	}
 	if rec.Evaluations != out.Result.Evaluations {
 		t.Fatalf("stored E = %d, search E = %d", rec.Evaluations, out.Result.Evaluations)
+	}
+	// The write-ahead log, read offline: at most one frame for the
+	// initial population, one per generation and one for the front,
+	// holding every evaluation, the front and the key's registry record.
+	rep, err := tunedb.Fsck(dir)
+	if err != nil || !rep.OK() {
+		t.Fatalf("fsck: %v\n%s", err, rep)
+	}
+	frames, records := 0, 0
+	for _, s := range rep.Shards {
+		frames += s.WALFrames
+		records += s.WALRecords
+	}
+	if frames > out.Result.Iterations+2 {
+		t.Fatalf("%d WAL frames for %d generations: evaluations are not journaled by the batch", frames, out.Result.Iterations)
+	}
+	if want := db.EvalCount(key) + 2; records != want {
+		t.Fatalf("WAL frames hold %d records, want %d", records, want)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

@@ -117,19 +117,22 @@ func SurrogateComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Sur
 	if err != nil {
 		return nil, err
 	}
-	// The observer fires from the evaluator's worker goroutines, so the
-	// capture needs a lock. Capture order is timing-dependent, but
-	// nothing downstream depends on it: cache primes are keyed and the
-	// screen trains primed records in canonical order at barriers.
+	// The observer is handed each evaluated batch by the goroutine that
+	// evaluated it; the lock keeps the capture safe should batches ever
+	// run concurrently. Nothing downstream depends on capture order:
+	// cache primes are keyed and the screen trains primed records in
+	// canonical order at barriers.
 	var primedMu sync.Mutex
 	var primed []primedEval
-	primeEval.SetObserver(func(cfg skeleton.Config, objs []float64) {
+	primeEval.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
 		primedMu.Lock()
 		defer primedMu.Unlock()
-		primed = append(primed, primedEval{
-			cfg:  append(skeleton.Config(nil), cfg...),
-			objs: objs,
-		})
+		for i, cfg := range cfgs {
+			primed = append(primed, primedEval{
+				cfg:  append(skeleton.Config(nil), cfg...),
+				objs: objs[i],
+			})
+		}
 	})
 	pres, err := search("rs-gde3", space, primeEval, optimizer.StrategyConfig{Options: optimizer.Options{
 		PopSize: pop, MaxIterations: (gens + 1) / 2, Stagnation: gens + 2, Seed: 7,

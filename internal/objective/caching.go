@@ -48,8 +48,8 @@ type CtxEvalFunc func(ctx context.Context, cfg skeleton.Config) ([]float64, erro
 // inherently serial evaluation function (parallelism 1, like timed
 // kernel execution) stays serialized even under concurrent batches.
 // Failed evaluations (nil objectives) are cached like successes but
-// never counted in E; observers fire exactly once per fresh result,
-// outside the lock.
+// never counted in E; observers are handed the fresh results of a batch
+// once, when its leaders have finished, outside the lock.
 //
 // The evaluator is cancellation-aware: SetContext binds a
 // context.Context, and once it is done no further evaluation starts —
@@ -69,7 +69,7 @@ type CachingEvaluator struct {
 	inflight  map[string]*inflightEval
 	evals     int
 	nextObs   int
-	observers map[int]func(cfg skeleton.Config, objs []float64)
+	observers map[int]func(cfgs []skeleton.Config, objs [][]float64)
 	nextPrime int
 	primeObs  map[int]func(cfg skeleton.Config, objs []float64)
 }
@@ -103,7 +103,7 @@ func NewCachingEvaluator(names []string, parallelism int, fn EvalFunc) *CachingE
 		sem:       make(chan struct{}, parallelism),
 		cache:     map[string][]float64{},
 		inflight:  map[string]*inflightEval{},
-		observers: map[int]func(skeleton.Config, []float64){},
+		observers: map[int]func([]skeleton.Config, [][]float64){},
 		primeObs:  map[int]func(skeleton.Config, []float64){},
 	}
 }
@@ -162,10 +162,10 @@ func (c *CachingEvaluator) WrapEvalFunc(mw func(CtxEvalFunc) CtxEvalFunc) {
 // Entries already cached or currently in flight are left untouched.
 //
 // Primed results are deliberately NOT reported to the evaluation
-// observers (SetObserver/AddObserver): those fire exactly once per
-// completed fresh evaluation, and a primed entry was produced by an
-// earlier run — re-reporting it would double-journal it in the tuning
-// database and double-charge checkpoint traces. Consumers that want
+// observers (AddObserver): those see every completed fresh evaluation
+// exactly once, and a primed entry was produced by an earlier run —
+// re-reporting it would double-journal it in the tuning database and
+// double-charge checkpoint traces. Consumers that want
 // the warm-start data anyway (the surrogate model trains on every
 // known result) register through AddPrimeObserver, which fires exactly
 // once per *inserted* primed entry. It reports whether the entry was
@@ -243,29 +243,21 @@ func (c *CachingEvaluator) primeObserverList() []func(skeleton.Config, []float64
 	return out
 }
 
-// SetObserver registers fn to be called exactly once per completed
-// fresh evaluation (cache hits, in-flight followers, primed entries
-// and aborted evaluations are not reported; failed evaluations are
-// reported with nil objectives). The tuning database uses this to
-// journal every result as it is produced. fn runs outside the
-// evaluator's lock but must be safe for concurrent calls. SetObserver
-// manages one dedicated slot (nil clears it); additional independent
-// observers register through AddObserver.
-func (c *CachingEvaluator) SetObserver(fn func(cfg skeleton.Config, objs []float64)) {
-	c.mu.Lock()
-	if fn == nil {
-		delete(c.observers, 0)
-	} else {
-		c.observers[0] = fn
-	}
-	c.mu.Unlock()
-}
-
-// AddObserver registers an additional observer with the same contract
-// as SetObserver and returns its removal function. Checkpointing uses
-// this to trace fresh evaluations without displacing the tuning
-// database's journaling observer.
-func (c *CachingEvaluator) AddObserver(fn func(cfg skeleton.Config, objs []float64)) (remove func()) {
+// AddObserver registers fn to receive the fresh results of every
+// Evaluate batch — once per batch, when the batch's leaders have
+// finished, as parallel slices in batch order — and returns its removal
+// function. Every completed fresh evaluation is reported exactly once:
+// cache hits, in-flight followers, primed entries and aborted
+// evaluations are not reported, failed evaluations are reported with
+// nil objectives, and a batch cut short by cancellation reports what it
+// completed. The tuning database journals a generation as one record
+// batch this way, checkpointing traces it and the progress feed counts
+// it. Observers run in registration order, outside the evaluator's
+// lock, and share the slices: fn must be safe for concurrent calls
+// (concurrent batches report concurrently) and must not modify what it
+// is handed. A batch that starts while no observer is registered is not
+// tracked, and so reported to nobody.
+func (c *CachingEvaluator) AddObserver(fn func(cfgs []skeleton.Config, objs [][]float64)) (remove func()) {
 	c.mu.Lock()
 	c.nextObs++
 	id := c.nextObs
@@ -278,19 +270,31 @@ func (c *CachingEvaluator) AddObserver(fn func(cfg skeleton.Config, objs []float
 	}
 }
 
-// observerList snapshots the registered observers in registration
-// order. Callers hold c.mu.
-func (c *CachingEvaluator) observerList() []func(skeleton.Config, []float64) {
-	if len(c.observers) == 0 {
-		return nil
-	}
-	out := make([]func(skeleton.Config, []float64), 0, len(c.observers))
-	for id := 0; id <= c.nextObs; id++ {
-		if fn, ok := c.observers[id]; ok {
-			out = append(out, fn)
+// report hands the observers one batch's fresh results: the slots of
+// the leaders that completed (a withdrawn leader is -1).
+func (c *CachingEvaluator) report(cfgs []skeleton.Config, out [][]float64, leaders []int) {
+	freshCfgs := make([]skeleton.Config, 0, len(leaders))
+	freshObjs := make([][]float64, 0, len(leaders))
+	for _, i := range leaders {
+		if i >= 0 {
+			freshCfgs = append(freshCfgs, cfgs[i])
+			freshObjs = append(freshObjs, out[i])
 		}
 	}
-	return out
+	if len(freshCfgs) == 0 {
+		return
+	}
+	c.mu.Lock()
+	observers := make([]func([]skeleton.Config, [][]float64), 0, len(c.observers))
+	for id := 1; id <= c.nextObs; id++ {
+		if fn, ok := c.observers[id]; ok {
+			observers = append(observers, fn)
+		}
+	}
+	c.mu.Unlock()
+	for _, observe := range observers {
+		observe(freshCfgs, freshObjs)
+	}
 }
 
 // EvaluateOne evaluates a single configuration.
@@ -315,6 +319,7 @@ func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 	var followers []follower
 	c.mu.Lock()
 	fn, ctx := c.fn, c.ctx
+	observed := len(c.observers) > 0
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -341,7 +346,13 @@ func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 		drain := func() {
 			for n := next.Add(1) - 1; n < int64(len(leaders)); n = next.Add(1) - 1 {
 				i := leaders[n]
-				out[i] = c.lead(ctx, fn, cfgs[i], keys[i])
+				objs, ok := c.lead(ctx, fn, cfgs[i], keys[i])
+				out[i] = objs
+				if !ok {
+					// Withdrawn: struck from the list, so what is left
+					// when the workers are done is what completed.
+					leaders[n] = -1
+				}
 			}
 		}
 		var wg sync.WaitGroup
@@ -354,6 +365,9 @@ func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 		}
 		drain()
 		wg.Wait()
+		if observed {
+			c.report(cfgs, out, leaders)
+		}
 	}
 
 	// Followers hold no semaphore slot and wait only now, with this
@@ -367,13 +381,14 @@ func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 }
 
 // lead evaluates one configuration the calling batch registered in
-// c.inflight, publishes the result and releases the key's followers. It
-// returns nil, leaving the configuration unknown, when the context is
+// c.inflight, publishes the result and releases the key's followers. ok
+// reports a completed evaluation — cached, and due to the observers; it
+// is false, with the configuration left unknown, when the context is
 // done before the evaluation starts or the evaluation aborts.
-func (c *CachingEvaluator) lead(ctx context.Context, fn CtxEvalFunc, cfg skeleton.Config, key string) []float64 {
-	// Deferred, so that an evaluation or observer that panics into a
-	// recovering caller leaves the key unknown and its followers released
-	// rather than registered in flight for ever.
+func (c *CachingEvaluator) lead(ctx context.Context, fn CtxEvalFunc, cfg skeleton.Config, key string) (objs []float64, ok bool) {
+	// Deferred, so that an evaluation that panics into a recovering
+	// caller leaves the key unknown and its followers released rather
+	// than registered in flight for ever.
 	var done chan struct{}
 	withdrawn := false
 	defer func() {
@@ -394,21 +409,15 @@ func (c *CachingEvaluator) lead(ctx context.Context, fn CtxEvalFunc, cfg skeleto
 	fl := c.inflight[key]
 	delete(c.inflight, key)
 	done, withdrawn = fl.done, true
-	var observers []func(skeleton.Config, []float64)
 	if err == nil {
 		c.cache[key] = objs
 		if objs != nil {
 			c.evals++
 		}
-		observers = c.observerList()
 		fl.objs = objs
 	}
 	c.mu.Unlock()
-
-	for _, observe := range observers {
-		observe(cfg, objs)
-	}
-	return objs
+	return objs, err == nil
 }
 
 // evalInSlot runs fn on cfg while holding one slot of the global

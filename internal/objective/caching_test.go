@@ -1,6 +1,8 @@
 package objective
 
 import (
+	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -145,29 +147,45 @@ func TestCachingEvaluatorPrime(t *testing.T) {
 	}
 }
 
-// TestCachingEvaluatorObserver: the observer fires exactly once per
-// fresh evaluation — not for cache hits, primed entries, or in-flight
-// followers — and sees failures as nil objectives.
+// TestCachingEvaluatorObserver: the observer is called once per batch
+// with that batch's fresh evaluations in batch order — each exactly
+// once, not for cache hits, primed entries, or in-flight followers —
+// sees failures as nil objectives, and is not called for a batch with
+// nothing fresh.
 func TestCachingEvaluatorObserver(t *testing.T) {
 	var calls atomic.Int64
 	c := NewCachingEvaluator([]string{"a", "b"}, 4, countingFn(&calls))
 	var mu sync.Mutex
 	seen := map[string][]float64{}
-	c.SetObserver(func(cfg skeleton.Config, objs []float64) {
+	var batches [][]string
+	detach := c.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
 		mu.Lock()
 		defer mu.Unlock()
-		if _, dup := seen[cfg.Key()]; dup {
-			t.Errorf("observer fired twice for %v", cfg)
+		if len(cfgs) != len(objs) {
+			t.Errorf("observer handed %d configurations and %d results", len(cfgs), len(objs))
 		}
-		seen[cfg.Key()] = objs
+		var keys []string
+		for i, cfg := range cfgs {
+			if _, dup := seen[cfg.Key()]; dup {
+				t.Errorf("observer saw %v twice", cfg)
+			}
+			seen[cfg.Key()] = objs[i]
+			keys = append(keys, cfg.Key())
+		}
+		batches = append(batches, keys)
 	})
 	c.Prime(skeleton.Config{9}, []float64{1, 2})
 	c.Evaluate([]skeleton.Config{{1}, {1}, {-1}, {9}})
-	c.Evaluate([]skeleton.Config{{1}})
+	c.Evaluate([]skeleton.Config{{1}})           // all hits: no call
+	c.Evaluate([]skeleton.Config{{5}, {1}, {4}}) // second call, batch order
 	mu.Lock()
 	defer mu.Unlock()
-	if len(seen) != 2 {
-		t.Fatalf("observer saw %d keys, want 2: %v", len(seen), seen)
+	want := [][]string{
+		{skeleton.Config{1}.Key(), skeleton.Config{-1}.Key()},
+		{skeleton.Config{5}.Key(), skeleton.Config{4}.Key()},
+	}
+	if !reflect.DeepEqual(batches, want) {
+		t.Fatalf("observer was handed %v, want %v", batches, want)
 	}
 	if objs := seen[skeleton.Config{1}.Key()]; len(objs) != 2 || objs[0] != 1 {
 		t.Fatalf("observed objectives = %v", objs)
@@ -176,10 +194,93 @@ func TestCachingEvaluatorObserver(t *testing.T) {
 		t.Fatalf("failure observation = %v (present %v)", objs, ok)
 	}
 	// Detaching stops notifications.
-	c.SetObserver(nil)
+	detach()
 	c.EvaluateOne(skeleton.Config{2})
-	if len(seen) != 2 {
+	if len(batches) != 2 {
 		t.Fatal("observer fired after detach")
+	}
+}
+
+// TestObserverSeesWhatACancelledBatchCompleted: a batch cut short
+// reports the evaluations that finished before the context fired —
+// once, in batch order — and none of the withdrawn ones.
+func TestObserverSeesWhatACancelledBatchCompleted(t *testing.T) {
+	var calls atomic.Int64
+	c := NewCachingEvaluator([]string{"a", "b"}, 1, countingFn(&calls))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c.SetContext(ctx)
+	c.WrapEvalFunc(func(next CtxEvalFunc) CtxEvalFunc {
+		return func(ctx context.Context, cfg skeleton.Config) ([]float64, error) {
+			objs, err := next(ctx, cfg)
+			if cfg[0] == 3 {
+				cancel()
+			}
+			return objs, err
+		}
+	})
+	var got [][]int64
+	c.AddObserver(func(cfgs []skeleton.Config, _ [][]float64) {
+		var batch []int64
+		for _, cfg := range cfgs {
+			batch = append(batch, cfg[0])
+		}
+		got = append(got, batch)
+	})
+	out := c.Evaluate([]skeleton.Config{{1}, {2}, {3}, {4}, {5}})
+	if out[2] == nil || out[3] != nil || out[4] != nil {
+		t.Fatalf("batch results %v: want three completed, two withdrawn", out)
+	}
+	if want := [][]int64{{1, 2, 3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("observer was handed %v, want %v", got, want)
+	}
+	if c.Evaluations() != 3 {
+		t.Fatalf("E = %d, want 3", c.Evaluations())
+	}
+}
+
+// TestObserverExactlyOnceUnderConcurrentBatches: batches that overlap —
+// each following the other's leaders — report concurrently, and every
+// distinct configuration still reaches the observer exactly once, from
+// the batch that led it. Run under -race.
+func TestObserverExactlyOnceUnderConcurrentBatches(t *testing.T) {
+	var calls atomic.Int64
+	c := NewCachingEvaluator([]string{"a", "b"}, 4, countingFn(&calls))
+	var mu sync.Mutex
+	seen := map[string]int{}
+	c.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
+		mu.Lock()
+		defer mu.Unlock()
+		for i, cfg := range cfgs {
+			seen[cfg.Key()]++
+			if len(objs[i]) != 2 || objs[i][0] != float64(cfg[0]) {
+				t.Errorf("observer handed %v for %v", objs[i], cfg)
+			}
+		}
+	})
+	const batches, size, distinct = 8, 40, 100
+	var wg sync.WaitGroup
+	for b := 0; b < batches; b++ {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			cfgs := make([]skeleton.Config, size)
+			for i := range cfgs {
+				cfgs[i] = skeleton.Config{int64((b*17+i*3)%distinct + 1)}
+			}
+			c.Evaluate(cfgs)
+		}(b)
+	}
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != c.Evaluations() || int(calls.Load()) != len(seen) {
+		t.Fatalf("observer saw %d configurations, E = %d, fn ran %d times", len(seen), c.Evaluations(), calls.Load())
+	}
+	for key, n := range seen {
+		if n != 1 {
+			t.Fatalf("configuration %s was reported %d times", key, n)
+		}
 	}
 }
 
@@ -210,13 +311,15 @@ func TestCachingEvaluatorPrimeObserver(t *testing.T) {
 	var mu sync.Mutex
 	evaluated := map[string][]float64{}
 	primed := map[string][]float64{}
-	c.SetObserver(func(cfg skeleton.Config, objs []float64) {
+	c.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
 		mu.Lock()
 		defer mu.Unlock()
-		if _, dup := evaluated[cfg.Key()]; dup {
-			t.Errorf("evaluation observer fired twice for %v", cfg)
+		for i, cfg := range cfgs {
+			if _, dup := evaluated[cfg.Key()]; dup {
+				t.Errorf("evaluation observer saw %v twice", cfg)
+			}
+			evaluated[cfg.Key()] = objs[i]
 		}
-		evaluated[cfg.Key()] = objs
 	})
 	remove := c.AddPrimeObserver(func(cfg skeleton.Config, objs []float64) {
 		mu.Lock()

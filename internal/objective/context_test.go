@@ -20,7 +20,7 @@ func TestSetContextAbortsUncached(t *testing.T) {
 	}
 
 	var observed atomic.Int64
-	c.SetObserver(func(skeleton.Config, []float64) { observed.Add(1) })
+	c.AddObserver(func(cfgs []skeleton.Config, _ [][]float64) { observed.Add(int64(len(cfgs))) })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c.SetContext(ctx)
@@ -50,14 +50,19 @@ func TestSetContextAbortsUncached(t *testing.T) {
 	}
 }
 
-// TestAddObserverRemove: multiple observers fire per fresh evaluation
-// and a removed observer stops firing without disturbing the rest.
+// TestAddObserverRemove: every observer is handed each batch, in
+// registration order, and a removed observer stops firing without
+// disturbing the rest.
 func TestAddObserverRemove(t *testing.T) {
 	var calls atomic.Int64
 	c := NewCachingEvaluator([]string{"a", "b"}, 1, countingFn(&calls))
 	var first, second atomic.Int64
-	removeFirst := c.AddObserver(func(skeleton.Config, []float64) { first.Add(1) })
-	c.AddObserver(func(skeleton.Config, []float64) { second.Add(1) })
+	removeFirst := c.AddObserver(func([]skeleton.Config, [][]float64) { first.Add(1) })
+	c.AddObserver(func([]skeleton.Config, [][]float64) {
+		if second.Add(1) == 1 && first.Load() != 1 {
+			t.Error("second observer ran before the first")
+		}
+	})
 
 	c.EvaluateOne(skeleton.Config{1})
 	if first.Load() != 1 || second.Load() != 1 {

@@ -200,12 +200,16 @@ type evalTrace struct {
 	pending []EvalState
 }
 
-func (t *evalTrace) record(cfg skeleton.Config, objs []float64) {
+// record is the batch observer: it buffers one evaluated batch's fresh
+// results, in batch order.
+func (t *evalTrace) record(cfgs []skeleton.Config, objs [][]float64) {
 	t.mu.Lock()
-	t.pending = append(t.pending, EvalState{
-		Config: append([]int64(nil), cfg...),
-		Objs:   append([]float64(nil), objs...),
-	})
+	for i, cfg := range cfgs {
+		t.pending = append(t.pending, EvalState{
+			Config: append([]int64(nil), cfg...),
+			Objs:   append([]float64(nil), objs[i]...),
+		})
+	}
 	t.mu.Unlock()
 }
 

@@ -179,6 +179,22 @@ func assertMutuallyNonDominated(t *testing.T, front []pareto.Point) {
 	}
 }
 
+// cancelAfter makes eval call cancel as its n-th evaluation completes —
+// in the middle of whatever batch that evaluation belongs to, which the
+// per-batch observers could not do.
+func cancelAfter(eval *objective.CachingEvaluator, n int32, cancel context.CancelFunc) {
+	var done atomic.Int32
+	eval.WrapEvalFunc(func(next objective.CtxEvalFunc) objective.CtxEvalFunc {
+		return func(ctx context.Context, cfg skeleton.Config) ([]float64, error) {
+			objs, err := next(ctx, cfg)
+			if done.Add(1) == n {
+				cancel()
+			}
+			return objs, err
+		}
+	})
+}
+
 // TestCancelReturnsPartialFront cancels the context after a fixed
 // number of completed evaluations and requires a graceful, valid
 // outcome: no error, Partial set, a mutually non-dominated front, and
@@ -189,14 +205,8 @@ func TestCancelReturnsPartialFront(t *testing.T) {
 		eval := newDetEval()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		var n int32
-		remove := eval.AddObserver(func(skeleton.Config, []float64) {
-			if atomic.AddInt32(&n, 1) == 25 {
-				cancel()
-			}
-		})
+		cancelAfter(eval, 25, cancel)
 		res, err := run(eval, 1, optimizer.Control{Ctx: ctx})
-		remove()
 		if err != nil {
 			t.Fatalf("%s: cancelled run returned error: %v", name, err)
 		}
@@ -316,13 +326,7 @@ func TestRandomControlledCancel(t *testing.T) {
 	space := islandSpace()
 	eval := newDetEval()
 	ctx, cancel := context.WithCancel(context.Background())
-	var n int32
-	remove := eval.AddObserver(func(skeleton.Config, []float64) {
-		if atomic.AddInt32(&n, 1) == 70 {
-			cancel()
-		}
-	})
-	defer remove()
+	cancelAfter(eval, 70, cancel)
 	res, err := optimizer.Run(space, eval, optimizer.Spec{Strategy: "random",
 		Config: optimizer.StrategyConfig{Options: optimizer.Options{Seed: 1}, RandomBudget: 5000}}, optimizer.Control{Ctx: ctx})
 	cancel()

@@ -365,3 +365,35 @@ func TestTrimCheckpoint(t *testing.T) {
 		t.Fatal("resume of an empty journal succeeded")
 	}
 }
+
+// BenchmarkCheckpointSave appends and syncs one generation's snapshot —
+// a 30-member population, its archive and the generation's evaluation
+// trace — per iteration: what a checkpointed search pays per generation.
+func BenchmarkCheckpointSave(b *testing.B) {
+	snap := &optimizer.Snapshot{Method: "rs-gde3", Fingerprint: "00c0ffee00c0ffee", Generation: 12, Evaluations: 390}
+	state := optimizer.IslandState{Stagnant: 1, Draws: 4242}
+	for i := 0; i < 30; i++ {
+		m := optimizer.Member{
+			Config: []int64{int64(8 * (i + 1)), int64(512 - 8*i), 64, int64(1 + i%12)},
+			Objs:   []float64{0.0123456789 * float64(i+1), 0.5 + float64(i)},
+		}
+		state.Pop = append(state.Pop, m)
+		if i%3 == 0 {
+			state.Archive = append(state.Archive, m)
+		}
+		snap.Evals = append(snap.Evals, optimizer.EvalState(m))
+	}
+	snap.States = []optimizer.IslandState{state}
+	cp, err := resilience.CreateCheckpoint(filepath.Join(b.TempDir(), "bench.ckpt"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cp.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cp.Save(snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -347,15 +346,13 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 	blockerParked := make(chan struct{})
 	blockerRelease := make(chan struct{})
 	// The hook discriminates by job ID: until the real job's ID is
-	// known every eval blocks, which parks the blocker job on the single
+	// known every call blocks, which parks the blocker job on the single
 	// worker; the real job gates at n >= 20 like the drain test. The
-	// blocker's first batch is its whole population, evaluated by one
-	// worker per configuration, and each journals its result to the
-	// database before it reaches the hook. The parked signal therefore
-	// waits for all of them: only then is the blocker quiescent — no
-	// database write of its can race the armed fault and eat it.
-	const blockerPop = 8
-	var blockerEvals atomic.Int64
+	// hook fires only once a whole batch has been evaluated and
+	// journaled to the database as one record batch, so the blocker's
+	// first call already finds it quiescent — no database write of its
+	// can race the armed fault and eat it.
+	var blockerOnce sync.Once
 	var mu sync.Mutex
 	realID := ""
 	isReal := func(id string) bool { mu.Lock(); defer mu.Unlock(); return id == realID }
@@ -367,9 +364,7 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 		RecoverInterval: -1, // no prober: degradation must persist through the drain
 		EvalHook: func(id string, n int) {
 			if !isReal(id) {
-				if blockerEvals.Add(1) == blockerPop {
-					close(blockerParked)
-				}
+				blockerOnce.Do(func() { close(blockerParked) })
 				<-blockerRelease
 				return
 			}
@@ -388,7 +383,7 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 	// When the blocker releases, the real job starts against a
 	// read-only database and must route its checkpoint to the spill
 	// path from the first write.
-	if _, err := o.Submit(&JobRequest{Kernel: "mm", Seed: 7, PopSize: blockerPop, MaxIterations: 1}, "alice"); err != nil {
+	if _, err := o.Submit(&JobRequest{Kernel: "mm", Seed: 7, PopSize: 8, MaxIterations: 1}, "alice"); err != nil {
 		t.Fatal(err)
 	}
 	st, err = o.Submit(req, "alice")
@@ -401,7 +396,7 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 	select {
 	case <-blockerParked:
 	case <-time.After(60 * time.Second):
-		t.Fatalf("blocker job parked %d of its first %d evaluations", blockerEvals.Load(), blockerPop)
+		t.Fatal("blocker job never parked")
 	}
 	degradeDB(t, o, inj)
 	close(blockerRelease)

@@ -37,7 +37,9 @@ func TestDrainInterruptsAndResumesByteIdentical(t *testing.T) {
 	// Interrupted run: the eval gate stalls the search once it is past
 	// the first full generation (pop 8: initial population + gen 1 =
 	// 16 evaluations), guaranteeing the checkpoint journal holds a
-	// complete, resumable snapshot.
+	// complete, resumable snapshot. The hook reaches 20 when the second
+	// generation's batch has been evaluated, before that generation is
+	// checkpointed.
 	dir := t.TempDir()
 	var once sync.Once
 	gateHit := make(chan struct{})
@@ -64,9 +66,10 @@ func TestDrainInterruptsAndResumesByteIdentical(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("search never reached the gate")
 	}
-	// Drain while the search is stalled mid-generation. Drain blocks
-	// until workers exit, and the workers are blocked on the gate, so
-	// release the gate once the drain has cancelled the contexts.
+	// Drain while the search is stalled between a generation's
+	// evaluations and its checkpoint. Drain blocks until workers exit,
+	// and the workers are blocked on the gate, so release the gate once
+	// the drain has cancelled the contexts.
 	drained := make(chan struct{})
 	go func() { o.Drain(); close(drained) }()
 	for !o.Draining() {

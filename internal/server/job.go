@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -269,11 +270,18 @@ func (r *JobRequest) DedupKey() (string, error) {
 		h.Write([]byte(r.Source))
 		problem = fmt.Sprintf("src%016x|%s", h.Sum64(), r.machineName())
 	}
+	// An unset warm_start hashes as the "<nil>" it always has, so keys
+	// persisted in job records keep matching; a set one hashes by value,
+	// not — as %v of the pointer did — by address.
+	warm := "<nil>"
+	if r.WarmStart != nil {
+		warm = strconv.FormatBool(*r.WarmStart)
+	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%d|%d|%d|%d|%d|%v|%v|%d|%g|%v",
+	fmt.Fprintf(h, "%s|%d|%d|%d|%d|%d|%d|%d|%v|%v|%d|%g|%s",
 		r.methodName(), r.Seed, r.PopSize, r.MaxIterations, r.Stagnation,
 		r.Islands, r.Migrate, r.RandomBudget, r.Energy, r.Surrogate,
-		r.ScreenTopK, r.Noise, r.WarmStart)
+		r.ScreenTopK, r.Noise, warm)
 	return fmt.Sprintf("%s|op%016x", problem, h.Sum64()), nil
 }
 

@@ -78,7 +78,21 @@ func TestDedupKeySeparatesSearches(t *testing.T) {
 	if again != ref {
 		t.Fatal("tenant changed the dedup key; identical searches from two tenants must share")
 	}
-	warm := false
+	// warm_start is hashed by value: unset, true and false are three
+	// searches, and two requests that both say true are one — each
+	// carries its own pointer, as two decoded bodies do.
+	warm, warmToo, cold := true, true, false
+	first, err := (&JobRequest{Kernel: "mm", Seed: 1, WarmStart: &warm}).DedupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := (&JobRequest{Kernel: "mm", Seed: 1, WarmStart: &warmToo}).DedupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Fatal("two warm_start:true requests got different dedup keys: the pointer was hashed, not the value")
+	}
 	variants := []JobRequest{
 		{Kernel: "mm", Seed: 2},
 		{Kernel: "mm", Seed: 1, Method: "gde3"},
@@ -90,6 +104,7 @@ func TestDedupKeySeparatesSearches(t *testing.T) {
 		{Kernel: "mm", Seed: 1, Machine: "Barcelona"},
 		{Kernel: "2mm", Seed: 1},
 		{Kernel: "mm", Seed: 1, WarmStart: &warm},
+		{Kernel: "mm", Seed: 1, WarmStart: &cold},
 		{Source: "program mm\narray A[4][4] elem 8\nfor i = 0..4 { for j = 0..4 { A[i][j] = f(A[i][j]) flops 1 }}", Seed: 1},
 	}
 	seen := map[string]int{ref: 0}

@@ -54,10 +54,13 @@ type Config struct {
 	// (chaos tests inject faults here); nil means the real OS.
 	DBFS chaos.FS
 
-	// EvalHook, when set, fires synchronously after every fresh
-	// evaluation of every job, before it is counted. The in-process
-	// tests use it to observe or stall a search at a known depth; it
-	// must be safe for concurrent calls.
+	// EvalHook, when set, fires once per fresh evaluation of every job,
+	// with consecutive counts — synchronously, when the batch the
+	// evaluation belongs to has been evaluated and journaled and before
+	// its progress event is posted. The in-process tests use it to
+	// observe or stall a search at a known depth (a stalled hook holds
+	// the search at the end of that batch); it must be safe for
+	// concurrent calls.
 	EvalHook func(jobID string, evaluations int)
 }
 
@@ -549,11 +552,24 @@ func (o *Orchestrator) tune(ctx context.Context, j *job) (*driver.Output, error)
 	id := j.rec.ID
 	gate := o.cfg.EvalHook
 	opt.Context = ctx
+	// One call, and one progress event, per evaluated batch. Concurrent
+	// islands may report their cumulative counts out of order: the job's
+	// count only moves forward, each step of it claimed by one caller.
+	var reported atomic.Int64
 	opt.OnProgress = func(n int) {
+		prev := reported.Load()
+		for int64(n) > prev && !reported.CompareAndSwap(prev, int64(n)) {
+			prev = reported.Load()
+		}
+		if int64(n) <= prev {
+			return
+		}
 		j.evals.Store(int64(n))
-		o.evaluations.Add(1)
+		o.evaluations.Add(int64(n) - prev)
 		if gate != nil {
-			gate(id, n)
+			for k := int(prev) + 1; k <= n; k++ {
+				gate(id, k)
+			}
 		}
 		j.notify(Event{State: StateRunning, Evaluations: n})
 	}

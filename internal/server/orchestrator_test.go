@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -114,6 +116,165 @@ func TestOrchestratorDedup(t *testing.T) {
 	}
 	if m := o.Snapshot(); m.DedupHits != 2 {
 		t.Fatalf("dedup hits %d, want 2", m.DedupHits)
+	}
+}
+
+// TestOrchestratorDedupWithWarmStartSet: two submissions that both set
+// warm_start:true — decoded separately, so each holds its own pointer —
+// are one search and share one job; the opposite setting is another.
+func TestOrchestratorDedupWithWarmStartSet(t *testing.T) {
+	o, err := NewOrchestrator(Config{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Drain()
+	decode := func(body string) *JobRequest {
+		t.Helper()
+		req, err := DecodeJobRequest(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	const body = `{"kernel":"mm","seed":3,"pop_size":8,"max_iterations":2,"warm_start":true}`
+	first, err := o.Submit(decode(body), "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup, err := o.Submit(decode(body), "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dup.Deduped || dup.ID != first.ID {
+		t.Fatalf("second warm_start:true submission did not join %s: %+v", first.ID, dup)
+	}
+	other, err := o.Submit(decode(strings.Replace(body, "true", "false", 1)), "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Deduped || other.ID == first.ID {
+		t.Fatalf("warm_start:false deduped onto the warm_start:true job: %+v", other)
+	}
+	waitTerminal(t, o, first.ID)
+	waitTerminal(t, o, other.ID)
+}
+
+// TestProgressPerBatchEvalHookPerEvaluation: a job posts one progress
+// event per evaluated batch — the initial population and each
+// generation — carrying the cumulative count, while EvalHook still
+// fires once per fresh evaluation with consecutive counts, a batch's
+// worth of them before that batch's event.
+func TestProgressPerBatchEvalHookPerEvaluation(t *testing.T) {
+	var mu sync.Mutex
+	var hooks []int
+	started := make(chan struct{})
+	subscribed := make(chan struct{})
+	o, err := NewOrchestrator(Config{
+		StateDir:    t.TempDir(),
+		NoWarmStart: true,
+		EvalHook: func(id string, n int) {
+			mu.Lock()
+			hooks = append(hooks, n)
+			mu.Unlock()
+			if n == 1 {
+				// The first batch is evaluated, its event not yet posted:
+				// hold the search until the test listens.
+				close(started)
+				<-subscribed
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Drain()
+	st, err := o.Submit(smallJob(11), "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	events, done, cancel, err := o.Subscribe(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	close(subscribed)
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("job never finished")
+	}
+	final, err := o.Status(st.ID)
+	if err != nil || final.State != StateDone {
+		t.Fatalf("job: %+v, %v", final, err)
+	}
+	var progress []int
+	for len(events) > 0 {
+		if ev := <-events; ev.State == StateRunning {
+			progress = append(progress, ev.Evaluations)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, n := range hooks {
+		if n != i+1 {
+			t.Fatalf("EvalHook counts not consecutive from 1: %v", hooks)
+		}
+	}
+	if len(hooks) < final.Result.Evaluations {
+		t.Fatalf("EvalHook fired %d times for %d evaluations", len(hooks), final.Result.Evaluations)
+	}
+	if len(progress) == 0 || len(progress) > final.Result.Iterations+1 {
+		t.Fatalf("%d progress events for %d generations after the initial population: %v",
+			len(progress), final.Result.Iterations, progress)
+	}
+	for i := 1; i < len(progress); i++ {
+		if progress[i] <= progress[i-1] {
+			t.Fatalf("progress counts not growing: %v", progress)
+		}
+	}
+	if last := progress[len(progress)-1]; last != len(hooks) {
+		t.Fatalf("last progress event says %d evaluations, EvalHook counted %d", last, len(hooks))
+	}
+}
+
+// TestEvalHookCountsEachEvaluationOnceUnderIslands: islands report
+// their batches concurrently and their cumulative counts may reach the
+// orchestrator out of order; every count from 1 to the total is still
+// handed to EvalHook exactly once, and the job's counter ends on the
+// total. Run under -race.
+func TestEvalHookCountsEachEvaluationOnceUnderIslands(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[int]int{}
+	o, err := NewOrchestrator(Config{
+		StateDir:    t.TempDir(),
+		NoWarmStart: true,
+		EvalHook: func(id string, n int) {
+			mu.Lock()
+			seen[n]++
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Drain()
+	st, err := o.Submit(&JobRequest{Kernel: "mm", Seed: 5, PopSize: 8, MaxIterations: 4, Islands: 4, Migrate: 2}, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, o, st.ID); final.State != StateDone {
+		t.Fatalf("job: %s (%s)", final.State, final.Error)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for n := 1; n <= len(seen); n++ {
+		if seen[n] != 1 {
+			t.Fatalf("count %d of %d was handed to EvalHook %d times", n, len(seen), seen[n])
+		}
+	}
+	if got := o.Snapshot().Evaluations; got != int64(len(seen)) {
+		t.Fatalf("orchestrator counted %d evaluations, EvalHook %d", got, len(seen))
 	}
 }
 

@@ -167,8 +167,10 @@ func (s *Server) handleFront(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams job progress as server-sent events: one
-// `progress` event per state change or evaluation batch and a final
-// `done` event carrying the terminal status.
+// `progress` event per state change and per evaluated batch — a
+// generation, posted once the batch is journaled, with the cumulative
+// evaluation count — and a final `done` event carrying the terminal
+// status.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	events, done, cancel, err := s.orch.Subscribe(id)

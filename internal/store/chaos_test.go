@@ -27,6 +27,9 @@ func chaosOptions(fs chaos.FS) Options {
 // clean error, a degraded store recovers once the faults clear, and
 // the reopened store holds exactly the successfully acknowledged puts
 // (the fault-free shadow model) — nothing lost, nothing resurrected.
+// Every fifth write is a PutBatch under the same rule applied to the
+// batch as a whole: acknowledged, every record survives; failed, none
+// of them took effect.
 func runChaosSeed(t *testing.T, dir string, seed int64) {
 	t.Helper()
 	inj := chaos.NewInjector(nil, chaos.Schedule(seed, 1+int(seed%4), 80)...)
@@ -49,8 +52,27 @@ func runChaosSeed(t *testing.T, dir string, seed int64) {
 	for i := 0; i < nops; i++ {
 		k := key(i % keys)
 		v := fmt.Sprintf("seed-%d-op-%d", seed, i)
-		if err := st.Put(k, []byte(v)); err == nil {
-			shadow[k] = v
+		batchKeys, batchVals := []string{k}, [][]byte{[]byte(v)}
+		if i%5 == 4 {
+			// A batch lives on one shard: k plus the keys after it, in
+			// cycle order, that hash to k's shard.
+			for j := 1; j < keys && len(batchKeys) < 2+i%3; j++ {
+				if next := key((i + j) % keys); st.shardFor(next) == st.shardFor(k) {
+					batchKeys = append(batchKeys, next)
+					batchVals = append(batchVals, []byte(fmt.Sprintf("%s-rec-%d", v, j)))
+				}
+			}
+		}
+		var err error
+		if len(batchKeys) == 1 {
+			err = st.Put(k, batchVals[0])
+		} else {
+			err = st.PutBatch(batchKeys, batchVals)
+		}
+		if err == nil {
+			for n, bk := range batchKeys {
+				shadow[bk] = string(batchVals[n])
+			}
 		} else if !errors.Is(err, ErrReadOnly) && !strings.Contains(err.Error(), "store:") {
 			t.Fatalf("seed %d: put %d: unclean error %v", seed, i, err)
 		}

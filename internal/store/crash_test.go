@@ -40,9 +40,10 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// TestWALTruncateSweep cuts a shard WAL at every byte offset: each cut
-// must open cleanly, recover exactly the complete frames before the
-// cut, and stay writable afterwards.
+// TestWALTruncateSweep cuts a shard WAL holding single-record (Put) and
+// multi-record (PutBatch) frames at every byte offset: each cut must
+// open cleanly, recover exactly the complete frames before the cut — a
+// batch whole or not at all — and stay writable afterwards.
 func TestWALTruncateSweep(t *testing.T) {
 	opt := small()
 	opt.Shards = 1
@@ -50,12 +51,23 @@ func TestWALTruncateSweep(t *testing.T) {
 
 	refDir := t.TempDir()
 	st := mustOpen(t, refDir, opt)
-	const n = 6
+	// Key indices per frame, in append order.
+	frames := [][]int{{0}, {1, 2, 3}, {4}, {5, 6}, {7, 8, 9, 10}, {11}}
 	var frameLens []int
-	for i := 0; i < n; i++ {
-		k, v := key(i), val(i, 0)
-		frameLens = append(frameLens, 8+4+len(k)+4+len(v))
-		if err := st.Put(k, v); err != nil {
+	for _, frame := range frames {
+		var keys []string
+		var vals [][]byte
+		for _, i := range frame {
+			keys, vals = append(keys, key(i)), append(vals, val(i, 0))
+		}
+		frameLens = append(frameLens, frameSize(keys, vals))
+		var err error
+		if len(frame) == 1 {
+			err = st.Put(keys[0], vals[0])
+		} else {
+			err = st.PutBatch(keys, vals)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,7 +90,7 @@ func TestWALTruncateSweep(t *testing.T) {
 		total += l
 	}
 	if total != len(data) {
-		t.Fatalf("wal is %d bytes, frames sum to %d", len(data), total)
+		t.Fatalf("wal is %d bytes, frames sum to %d: a batch was not one frame", len(data), total)
 	}
 
 	for cut := 0; cut <= len(data); cut++ {
@@ -87,24 +99,25 @@ func TestWALTruncateSweep(t *testing.T) {
 		if err := os.Truncate(filepath.Join(dir, "shard-00", walName), int64(cut)); err != nil {
 			t.Fatal(err)
 		}
-		// Complete frames before the cut survive; the torn one is gone.
-		wantRecovered := 0
-		for sum := 0; wantRecovered < n && sum+frameLens[wantRecovered] <= cut; wantRecovered++ {
-			sum += frameLens[wantRecovered]
+		// Complete frames before the cut survive; the torn one is gone
+		// with every record it held.
+		wantFrames := 0
+		for sum := 0; wantFrames < len(frames) && sum+frameLens[wantFrames] <= cut; wantFrames++ {
+			sum += frameLens[wantFrames]
 		}
 		st2, err := Open(dir, opt)
 		if err != nil {
 			t.Fatalf("cut at byte %d/%d: %v", cut, len(data), err)
 		}
-		for i := 0; i < wantRecovered; i++ {
-			v, ok, err := st2.Get(key(i))
-			if err != nil || !ok || string(v) != string(val(i, 0)) {
-				t.Fatalf("cut at %d: key %d lost (%q %v %v)", cut, i, v, ok, err)
-			}
-		}
-		for i := wantRecovered; i < n; i++ {
-			if _, ok, _ := st2.Get(key(i)); ok {
-				t.Fatalf("cut at %d: torn key %d resurrected", cut, i)
+		for f, frame := range frames {
+			for _, i := range frame {
+				v, ok, err := st2.Get(key(i))
+				if f < wantFrames && (err != nil || !ok || string(v) != string(val(i, 0))) {
+					t.Fatalf("cut at %d: key %d of complete frame %d lost (%q %v %v)", cut, i, f, v, ok, err)
+				}
+				if f >= wantFrames && ok {
+					t.Fatalf("cut at %d: key %d of torn frame %d resurrected", cut, i, f)
+				}
 			}
 		}
 		// The store stays writable and durable after recovery.

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"autotune/internal/chaos"
 )
@@ -39,57 +40,103 @@ const maxFrame = 1 << 28
 // signature of a crash mid-append when found at the tail of a log.
 var errTorn = fmt.Errorf("store: torn frame")
 
-// appendFrame appends one CRC-framed key/value record to buf:
+// frameHeader is the size of a frame's length and CRC prefix.
+const frameHeader = 8
+
+// record is one key/value pair of a frame.
+type record struct {
+	key string
+	val []byte
+}
+
+// appendFrame appends one CRC-framed run of key/value records to buf:
 //
 //	u32 payloadLen | u32 crc32c(payload) | payload
-//	payload = u32 keyLen | key | u32 valLen | value
-func appendFrame(buf []byte, key string, val []byte) []byte {
-	payloadLen := 4 + len(key) + 4 + len(val)
+//	payload = one or more of: u32 keyLen | key | u32 valLen | value
+//
+// A WAL frame holds everything one PutBatch call wrote, so replay sees
+// a batch whole or — torn — not at all; Put writes the one-record
+// frame, and segment files hold no other kind.
+func appendFrame(buf []byte, keys []string, vals [][]byte) []byte {
 	start := len(buf)
-	buf = append(buf, make([]byte, 8+payloadLen)...)
+	buf = slices.Grow(buf, frameSize(keys, vals))
+	buf = append(buf, make([]byte, frameHeader)...)
+	for i, key := range keys {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
+		buf = append(buf, key...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vals[i])))
+		buf = append(buf, vals[i]...)
+	}
 	p := buf[start:]
-	binary.LittleEndian.PutUint32(p[0:], uint32(payloadLen))
-	binary.LittleEndian.PutUint32(p[8:], uint32(len(key)))
-	copy(p[12:], key)
-	binary.LittleEndian.PutUint32(p[12+len(key):], uint32(len(val)))
-	copy(p[16+len(key):], val)
-	binary.LittleEndian.PutUint32(p[4:], crc32.Checksum(p[8:], crcTable))
+	binary.LittleEndian.PutUint32(p[0:], uint32(len(p)-frameHeader))
+	binary.LittleEndian.PutUint32(p[4:], crc32.Checksum(p[frameHeader:], crcTable))
 	return buf
 }
 
-// parseFrame decodes the frame at the start of data, returning the key,
-// value and total frame length. A short, oversized or CRC-mismatched
-// frame returns errTorn.
-func parseFrame(data []byte) (key string, val []byte, frameLen int, err error) {
-	if len(data) < 8 {
-		return "", nil, 0, errTorn
+// frameSize is the encoded length of the frame appendFrame builds.
+func frameSize(keys []string, vals [][]byte) int {
+	n := frameHeader
+	for i, key := range keys {
+		n += 4 + len(key) + 4 + len(vals[i])
 	}
-	payloadLen := int(binary.LittleEndian.Uint32(data))
-	if payloadLen < 8 || payloadLen > maxFrame || len(data) < 8+payloadLen {
-		return "", nil, 0, errTorn
-	}
-	payload := data[8 : 8+payloadLen]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[4:]) {
-		return "", nil, 0, errTorn
-	}
-	klen := int(binary.LittleEndian.Uint32(payload))
-	if klen < 0 || 4+klen+4 > payloadLen {
-		return "", nil, 0, errTorn
-	}
-	vlen := int(binary.LittleEndian.Uint32(payload[4+klen:]))
-	if vlen < 0 || 4+klen+4+vlen != payloadLen {
-		return "", nil, 0, errTorn
-	}
-	key = string(payload[4 : 4+klen])
-	val = append([]byte(nil), payload[8+klen:8+klen+vlen]...)
-	return key, val, 8 + payloadLen, nil
+	return n
 }
 
-// readFrameAt decodes one frame from r at the current position. It
-// returns io.EOF cleanly at end of stream and errTorn on a damaged
-// frame.
+// checkPayload verifies a frame's payload against its header.
+func checkPayload(hdr, payload []byte) bool {
+	return crc32.Checksum(payload, crcTable) == binary.LittleEndian.Uint32(hdr[4:])
+}
+
+// splitRecord cuts the first record off a frame payload; ok is false
+// when the payload is shorter than the lengths it names.
+func splitRecord(p []byte) (key, val, rest []byte, ok bool) {
+	if len(p) < 8 {
+		return nil, nil, nil, false
+	}
+	klen := int(binary.LittleEndian.Uint32(p))
+	if klen < 0 || klen > len(p)-8 {
+		return nil, nil, nil, false
+	}
+	vlen := int(binary.LittleEndian.Uint32(p[4+klen:]))
+	if vlen < 0 || vlen > len(p)-8-klen {
+		return nil, nil, nil, false
+	}
+	return p[4 : 4+klen], p[8+klen : 8+klen+vlen], p[8+klen+vlen:], true
+}
+
+// parseFrame decodes the frame at the start of data, returning copies
+// of its records and the total frame length. A short, oversized or
+// CRC-mismatched frame, or one whose payload does not divide into
+// whole records, returns errTorn: a frame is all of its records or
+// none of them.
+func parseFrame(data []byte) (recs []record, frameLen int, err error) {
+	if len(data) < frameHeader {
+		return nil, 0, errTorn
+	}
+	payloadLen := int(binary.LittleEndian.Uint32(data))
+	if payloadLen < 8 || payloadLen > maxFrame || len(data) < frameHeader+payloadLen {
+		return nil, 0, errTorn
+	}
+	payload := data[frameHeader : frameHeader+payloadLen]
+	if !checkPayload(data, payload) {
+		return nil, 0, errTorn
+	}
+	for len(payload) > 0 {
+		key, val, rest, ok := splitRecord(payload)
+		if !ok {
+			return nil, 0, errTorn
+		}
+		recs = append(recs, record{key: string(key), val: append([]byte(nil), val...)})
+		payload = rest
+	}
+	return recs, frameHeader + payloadLen, nil
+}
+
+// readFrameAt decodes one single-record frame — the only kind a
+// segment holds — from r at the current position. It returns io.EOF
+// cleanly at end of stream and errTorn on a damaged frame.
 func readFrameAt(r io.Reader) (key string, val []byte, frameLen int, err error) {
-	var hdr [8]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return "", nil, 0, io.EOF
@@ -104,18 +151,14 @@ func readFrameAt(r io.Reader) (key string, val []byte, frameLen int, err error) 
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return "", nil, 0, errTorn
 	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:]) {
+	if !checkPayload(hdr[:], payload) {
 		return "", nil, 0, errTorn
 	}
-	klen := int(binary.LittleEndian.Uint32(payload))
-	if klen < 0 || 4+klen+4 > payloadLen {
+	k, v, rest, ok := splitRecord(payload)
+	if !ok || len(rest) != 0 {
 		return "", nil, 0, errTorn
 	}
-	vlen := int(binary.LittleEndian.Uint32(payload[4+klen:]))
-	if vlen < 0 || 4+klen+4+vlen != payloadLen {
-		return "", nil, 0, errTorn
-	}
-	return string(payload[4 : 4+klen]), payload[8+klen : 8+klen+vlen], 8 + payloadLen, nil
+	return string(k), v, frameHeader + payloadLen, nil
 }
 
 // SyncDir flushes directory metadata so a just-renamed file cannot be

@@ -26,9 +26,12 @@ type FsckShard struct {
 	Shard int `json:"shard"`
 	// Segments is the number of segment files verified.
 	Segments int `json:"segments"`
-	// WALFrames is the number of valid WAL frames; WALTornBytes is the
-	// size of a trailing torn frame (0 for a clean WAL).
+	// WALFrames is the number of valid WAL frames and WALRecords the
+	// number of records inside them (a PutBatch frame holds several);
+	// WALTornBytes is the size of a trailing torn frame (0 for a clean
+	// WAL).
 	WALFrames    int   `json:"wal_frames"`
+	WALRecords   int   `json:"wal_records"`
 	WALTornBytes int64 `json:"wal_torn_bytes,omitempty"`
 	// Problems lists corruption findings; empty means the shard is
 	// sound. Warnings lists benign crash leftovers (torn WAL tail,
@@ -71,7 +74,7 @@ func (r FsckReport) String() string {
 		if !s.OK() {
 			verdict = "CORRUPT"
 		}
-		fmt.Fprintf(&b, "shard %02d: %s (%d segments, %d wal frames", s.Shard, verdict, s.Segments, s.WALFrames)
+		fmt.Fprintf(&b, "shard %02d: %s (%d segments, %d wal frames, %d wal records", s.Shard, verdict, s.Segments, s.WALFrames, s.WALRecords)
 		if s.WALTornBytes > 0 {
 			fmt.Fprintf(&b, ", %d torn wal bytes", s.WALTornBytes)
 		}
@@ -144,11 +147,12 @@ func fsckShard(id int, dir string) FsckShard {
 		rest := data
 		valid := int64(0)
 		for len(rest) > 0 {
-			_, _, n, err := parseFrame(rest)
+			recs, n, err := parseFrame(rest)
 			if err != nil {
 				break
 			}
 			out.WALFrames++
+			out.WALRecords += len(recs)
 			valid += int64(n)
 			rest = rest[n:]
 		}

@@ -100,10 +100,13 @@ func TestFsckTornWALTailIsWarningNotCorruption(t *testing.T) {
 	if err := st.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.PutBatch([]string{"a", "b", "c"}, [][]byte{[]byte("1"), []byte("2"), []byte("3")}); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: extra garbage after the valid frame.
+	// Simulate a crash mid-append: extra garbage after the valid frames.
 	// (The store is left open on purpose — fsck is an offline tool and
 	// this store is never used again.)
 	wal := filepath.Join(dir, "shard-00", walName)
@@ -122,8 +125,12 @@ func TestFsckTornWALTailIsWarningNotCorruption(t *testing.T) {
 		t.Fatalf("torn tail reported as corruption:\n%s", rep)
 	}
 	s := rep.Shards[0]
-	if s.WALFrames != 1 || s.WALTornBytes != 6 || len(s.Warnings) == 0 {
+	// Two frames — the Put and the batch — holding four records.
+	if s.WALFrames != 2 || s.WALRecords != 4 || s.WALTornBytes != 6 || len(s.Warnings) == 0 {
 		t.Fatalf("torn tail not surfaced: %+v", s)
+	}
+	if !strings.Contains(rep.String(), "2 wal frames, 4 wal records, 6 torn wal bytes") {
+		t.Fatalf("report misses the WAL counts:\n%s", rep)
 	}
 }
 

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,18 +12,32 @@ import (
 )
 
 // FuzzWALReplay feeds arbitrary bytes through WAL recovery: replay
-// must never panic, must apply only CRC-valid frames, and must leave
-// the file truncated to exactly the bytes it applied, so a second
-// replay reads an identical prefix (recovery is idempotent).
+// must never panic, must apply only CRC-valid frames — each with all
+// of its records or none — and must leave the file truncated to
+// exactly the bytes it applied, so a second replay reads an identical
+// prefix (recovery is idempotent).
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	var valid []byte
-	valid = appendFrame(valid, "key-a", []byte("value-1"))
-	valid = appendFrame(valid, "key-b", []byte("value-2"))
+	valid = appendFrame(valid, []string{"key-a"}, [][]byte{[]byte("value-1")})
+	valid = appendFrame(valid, []string{"key-b"}, [][]byte{[]byte("value-2")})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])                        // torn tail
 	f.Add(append(append([]byte{}, valid...), 0, 1, 2)) // trailing garbage
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})  // oversized length prefix
+	// Batch frames: several records under one header, between and
+	// after single-record frames, cut inside the batch, and a CRC-valid
+	// frame whose last record claims more bytes than the payload holds.
+	batch := appendFrame(nil, []string{"key-c", "key-a", ""}, [][]byte{[]byte("value-3"), nil, []byte("value-4")})
+	mixed := append(append(append([]byte{}, valid...), batch...), valid...)
+	f.Add(batch)
+	f.Add(mixed)
+	f.Add(mixed[:len(valid)+len(batch)-5])
+	f.Add(mixed[:len(valid)+frameHeader+9])
+	short := appendFrame(nil, []string{"key-d", "key-e"}, [][]byte{[]byte("value-5"), []byte("value-6")})
+	binary.LittleEndian.PutUint32(short[len(short)-len("value-6")-4:], 1<<20)
+	binary.LittleEndian.PutUint32(short[4:], crc32.Checksum(short[frameHeader:], crcTable))
+	f.Add(append(append([]byte{}, valid...), short...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, walName)
@@ -42,6 +59,28 @@ func FuzzWALReplay(f *testing.F) {
 		n2, err := replayWAL(chaos.OS{}, path, mem2)
 		if err != nil || n2 != n || len(mem2) != len(mem) {
 			t.Fatalf("replay not idempotent: %d/%d keys, %d/%d bytes, %v", len(mem2), len(mem), n2, n, err)
+		}
+		// The applied prefix re-encodes to itself frame by frame: no
+		// frame was applied in part, none was skipped.
+		var again []byte
+		for rest := data[:n]; len(rest) > 0; {
+			recs, flen, err := parseFrame(rest)
+			if err != nil {
+				t.Fatalf("applied prefix holds a frame replay should have refused: %v", err)
+			}
+			var keys []string
+			var vals [][]byte
+			for _, r := range recs {
+				keys, vals = append(keys, r.key), append(vals, r.val)
+				if _, ok := mem[r.key]; !ok {
+					t.Fatalf("record %q of an applied frame is missing from the memtable", r.key)
+				}
+			}
+			again = appendFrame(again, keys, vals)
+			rest = rest[flen:]
+		}
+		if !bytes.Equal(again, data[:n]) {
+			t.Fatalf("applied prefix does not re-encode to itself")
 		}
 	})
 }

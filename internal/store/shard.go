@@ -143,18 +143,19 @@ func (sh *shard) failedErr() error {
 	return fmt.Errorf("%w (shard %d failed: %v)", ErrReadOnly, sh.id, sh.failErr)
 }
 
-// put appends to the WAL and memtable, flushing when the memtable
-// exceeds the configured size. It reports whether a flush happened so
-// the store can schedule background compaction outside the lock.
+// putBatch appends the records as one frame — one Write — to the WAL
+// and applies them to the memtable, flushing when the memtable exceeds
+// the configured size. It reports whether a flush happened so the
+// store can schedule background compaction outside the lock.
 //
 // Fault handling follows the acknowledgement invariant: a non-nil
-// error means the put did NOT take effect. A WAL append fault (maybe a
-// torn partial frame on disk) fails the shard and returns an error —
-// reopen truncates the torn tail so the key stays absent. A flush
-// fault after a successful append degrades the whole store but returns
-// nil: the put itself is in WAL and memtable, so acknowledging it is
-// honest.
-func (sh *shard) put(key string, val []byte) (flushed bool, err error) {
+// error means NONE of the batch took effect. A WAL append fault (maybe
+// a torn partial frame on disk) fails the shard and returns an error —
+// reopen truncates the torn tail, and a frame is replayed whole or not
+// at all, so every key of the batch stays absent. A flush fault after
+// a successful append degrades the whole store but returns nil: the
+// batch itself is in WAL and memtable, so acknowledging it is honest.
+func (sh *shard) putBatch(keys []string, vals [][]byte) (flushed bool, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed {
@@ -163,23 +164,33 @@ func (sh *shard) put(key string, val []byte) (flushed bool, err error) {
 	if sh.failErr != nil {
 		return false, sh.failedErr()
 	}
-	frame := appendFrame(nil, key, val)
+	frame := appendFrame(nil, keys, vals)
 	if _, err := sh.wal.Write(frame); err != nil {
 		sh.fail(fmt.Errorf("wal append: %w", err))
 		return false, fmt.Errorf("store: wal: %w", err)
 	}
 	sh.walBytes += int64(len(frame))
 	sh.walDirty = true
-	if old, ok := sh.mem[key]; ok {
-		sh.memBytes -= len(key) + len(old) + 16
+	// One copy of the batch's values, shared by its memtable entries.
+	total := 0
+	for _, val := range vals {
+		total += len(val)
 	}
-	sh.mem[key] = append([]byte(nil), val...)
-	sh.memBytes += len(key) + len(val) + 16
+	held := make([]byte, 0, total)
+	for i, key := range keys {
+		if old, ok := sh.mem[key]; ok {
+			sh.memBytes -= len(key) + len(old) + 16
+		}
+		at := len(held)
+		held = append(held, vals[i]...)
+		sh.mem[key] = held[at:len(held):len(held)]
+		sh.memBytes += len(key) + len(vals[i]) + 16
+	}
 	if sh.memBytes >= sh.st.opt.MemtableBytes {
 		if err := sh.flushLocked(); err != nil {
-			// The put succeeded (WAL + memtable); only the background
+			// The batch succeeded (WAL + memtable); only the background
 			// reorganization failed, and flushLocked already recorded
-			// the degradation. Acknowledge the put.
+			// the degradation. Acknowledge the batch.
 			return false, nil
 		}
 		return true, nil

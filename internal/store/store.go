@@ -232,13 +232,40 @@ func (st *Store) takeCompactErr() error {
 // means the write did NOT take effect: the key is not stored and will
 // not reappear on reopen. Writes that fail at the disk degrade the
 // owning shard (WAL faults) or the whole store (flush faults) to
-// read-only; see Health and Recover.
+// read-only; see Health and Recover. Put is PutBatch of one record.
 func (st *Store) Put(key string, value []byte) error {
+	return st.PutBatch([]string{key}, [][]byte{value})
+}
+
+// PutBatch stores values[i] under keys[i] as one unit: one lock, one
+// WAL frame and one write on the shard that owns the keys. Put's
+// contract holds for the batch as a whole — an error means none of it
+// took effect and none of it reappears on reopen, nil means all of it
+// is stored — and a crash before Sync loses the batch whole, never
+// part of it. The keys must share one shard (see Options.ShardBy): a
+// batch across shards could not be made all-or-nothing and is refused
+// before anything is written. A later record supersedes an earlier
+// one under the same key; an empty batch is a no-op.
+func (st *Store) PutBatch(keys []string, values [][]byte) error {
+	if len(keys) != len(values) {
+		return fmt.Errorf("store: batch of %d keys and %d values", len(keys), len(values))
+	}
+	if len(keys) == 0 {
+		return nil
+	}
 	if err := st.writable(); err != nil {
 		return err
 	}
-	sh := st.shardFor(key)
-	flushed, err := sh.put(key, value)
+	sh := st.shardFor(keys[0])
+	for _, key := range keys[1:] {
+		if other := st.shardFor(key); other != sh {
+			return fmt.Errorf("store: batch spans shards %d and %d", sh.id, other.id)
+		}
+	}
+	if n := frameSize(keys, values) - frameHeader; n > maxFrame {
+		return fmt.Errorf("store: batch of %d bytes exceeds the %d-byte frame limit", n, maxFrame)
+	}
+	flushed, err := sh.putBatch(keys, values)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"autotune/internal/chaos"
 )
 
 // small returns options that exercise flushes and compactions with few
@@ -143,6 +145,125 @@ func TestShardingByCustomFunc(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close()
+}
+
+// byPrefixLetter shards "a…" keys to shard 0 and everything else to
+// shard 1, so tests can build batches whose placement they know.
+func byPrefixLetter(k string) uint32 {
+	if k != "" && k[0] == 'a' {
+		return 0
+	}
+	return 1
+}
+
+// TestPutBatch: a batch is one WAL frame and one write on one shard,
+// visible whole (a later record superseding an earlier one under the
+// same key) before and after reopen; a batch that cannot be
+// all-or-nothing — keys on two shards — or is malformed is refused with
+// nothing written, and an empty one is a no-op.
+func TestPutBatch(t *testing.T) {
+	dir := t.TempDir()
+	// The second WAL write fails: the five-record batch below must be
+	// the first on its own, and the Put after it the second.
+	inj := chaos.NewInjector(nil, chaos.Fault{Op: chaos.OpWrite, Path: walName, After: 1})
+	opt := chaosOptions(inj)
+	opt.ShardBy = byPrefixLetter
+	opt.MemtableBytes = 1 << 20 // no flushes: everything stays in the WAL
+	st := mustOpen(t, dir, opt)
+
+	if err := st.PutBatch([]string{"a1", "b1"}, [][]byte{[]byte("x"), []byte("y")}); err == nil {
+		t.Fatal("batch across two shards accepted")
+	}
+	if err := st.PutBatch([]string{"a1", "a2"}, [][]byte{[]byte("x")}); err == nil {
+		t.Fatal("batch of two keys and one value accepted")
+	}
+	if err := st.PutBatch(nil, nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
+	}
+	for _, k := range []string{"a1", "a2", "b1"} {
+		if _, ok, _ := st.Get(k); ok {
+			t.Fatalf("refused batch stored %q", k)
+		}
+	}
+
+	keys := []string{"a1", "a2", "a3", "a1", "a4"}
+	vals := [][]byte{[]byte("old"), []byte("2"), nil, []byte("new"), []byte("4")}
+	if err := st.PutBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, "shard-00", walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wal) != frameSize(keys, vals) {
+		t.Fatalf("wal holds %d bytes, one frame of the batch is %d", len(wal), frameSize(keys, vals))
+	}
+	if err := st.Put("a5", []byte("5")); err == nil {
+		t.Fatal("the batch took more than one WAL write: the armed fault did not reach the next Put")
+	}
+	want := map[string]string{"a1": "new", "a2": "2", "a3": "", "a4": "4"}
+	check := func(st *Store, when string) {
+		t.Helper()
+		for k, v := range want {
+			if got, ok, err := st.Get(k); err != nil || !ok || string(got) != v {
+				t.Fatalf("%s: Get(%s) = %q %v %v, want %q", when, k, got, ok, err, v)
+			}
+		}
+		if _, ok, _ := st.Get("a5"); ok {
+			t.Fatalf("%s: failed put is visible", when)
+		}
+	}
+	check(st, "after the batch")
+	st.Close()
+	st2 := mustOpen(t, dir, Options{ShardBy: byPrefixLetter})
+	defer st2.Close()
+	check(st2, "after reopen")
+}
+
+// TestPutBatchTornAppendLosesTheWholeBatch: a batch whose WAL append
+// tears takes effect nowhere — not in the open store, not after reopen,
+// where the torn frame is dropped with every record it held — while the
+// frame before it survives.
+func TestPutBatchTornAppendLosesTheWholeBatch(t *testing.T) {
+	dir := t.TempDir()
+	// Torn deep enough that the first record of the batch is complete
+	// on disk: replay must still not apply it.
+	inj := chaos.NewInjector(nil, chaos.Fault{Op: chaos.OpWrite, Path: walName, After: 1, TornBytes: 40})
+	opt := chaosOptions(inj)
+	opt.Shards = 1
+	opt.MemtableBytes = 1 << 20
+	st := mustOpen(t, dir, opt)
+	if err := st.Put("kept", []byte("yes")); err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"torn-1", "torn-2", "torn-3"}
+	vals := [][]byte{[]byte("value-1"), []byte("value-2"), []byte("value-3")}
+	if frameHeader+8+len(keys[0])+len(vals[0]) > 40 || frameSize(keys, vals) <= 40 {
+		t.Fatal("the tear must fall after the first record and inside the frame")
+	}
+	if err := st.PutBatch(keys, vals); err == nil {
+		t.Fatal("torn batch acknowledged")
+	}
+	for _, k := range keys {
+		if _, ok, _ := st.Get(k); ok {
+			t.Fatalf("failed batch left %q in the open store", k)
+		}
+	}
+	if !st.Health().ReadOnly {
+		t.Fatal("torn WAL append did not fail the shard")
+	}
+	st.Close()
+
+	st2 := mustOpen(t, dir, Options{Shards: 1})
+	defer st2.Close()
+	if v, ok, _ := st2.Get("kept"); !ok || string(v) != "yes" {
+		t.Fatalf("frame before the torn batch lost: %q %v", v, ok)
+	}
+	for _, k := range keys {
+		if _, ok, _ := st2.Get(k); ok {
+			t.Fatalf("torn batch resurrected %q on reopen", k)
+		}
+	}
 }
 
 // TestConcurrentWritersAcrossShards exercises independent shard locks

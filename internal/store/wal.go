@@ -11,10 +11,12 @@ import (
 const walName = "wal.log"
 
 // replayWAL reads a shard's write-ahead log, applying every complete
-// frame in append order to mem (later frames supersede earlier ones)
-// and truncating a torn tail in place. WAL frames are length-prefixed
-// with no resync marker, so the first damaged frame ends the readable
-// prefix — exactly the crash-mid-append shape.
+// frame in append order to mem (later records supersede earlier ones)
+// and truncating a torn tail in place. A frame is applied with all of
+// its records or not at all, so a batch cut short by a crash never
+// half-reappears. WAL frames are length-prefixed with no resync
+// marker, so the first damaged frame ends the readable prefix —
+// exactly the crash-mid-append shape.
 func replayWAL(fs chaos.FS, path string, mem map[string][]byte) (int64, error) {
 	data, err := fs.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -26,11 +28,13 @@ func replayWAL(fs chaos.FS, path string, mem map[string][]byte) (int64, error) {
 	valid := int64(0)
 	rest := data
 	for len(rest) > 0 {
-		key, val, n, err := parseFrame(rest)
+		recs, n, err := parseFrame(rest)
 		if err != nil {
 			break
 		}
-		mem[key] = val
+		for _, r := range recs {
+			mem[r.key] = r.val
+		}
 		valid += int64(n)
 		rest = rest[n:]
 	}

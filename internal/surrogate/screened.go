@@ -131,7 +131,11 @@ func NewScreened(space skeleton.Space, inner objective.Evaluator, opt Options) (
 		model: NewModel(space, opt.Features, opt.Ridge),
 		known: map[string]bool{},
 	}
-	s.removeObs = s.ce.AddObserver(s.observe)
+	s.removeObs = s.ce.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
+		for i, cfg := range cfgs {
+			s.observe(cfg, objs[i])
+		}
+	})
 	s.removePrime = s.ce.AddPrimeObserver(s.observe)
 	return s, nil
 }

@@ -11,29 +11,52 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 )
 
 // EncodeRecord frames one record for an append-only journal: the
 // payload is JSON-marshalled, CRC-32C-protected and wrapped in the
-// database's versioned envelope. The returned line has no trailing
-// newline; callers append one per record.
+// database's versioned envelope, {"v":…,"t":…,"crc":…,"d":<payload>}.
+// The envelope is written around the marshalled payload in one pass —
+// json.Marshal has already compacted and escaped it, so it goes in
+// verbatim. The returned line has no trailing newline; callers append
+// one per record (the line has room for it).
 func EncodeRecord(t string, rec interface{}) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("tunedb: encoding record: %w", err)
 	}
-	env := envelope{V: schemaVersion, T: t, CRC: crc32.Checksum(payload, crcTable), D: payload}
-	line, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("tunedb: encoding record: %w", err)
+	line := make([]byte, 0, len(payload)+len(t)+48)
+	line = append(line, `{"v":`...)
+	line = strconv.AppendInt(line, schemaVersion, 10)
+	line = append(line, `,"t":`...)
+	if plainJSONString(t) {
+		line = append(append(append(line, '"'), t...), '"')
+	} else {
+		tag, err := json.Marshal(t)
+		if err != nil {
+			return nil, fmt.Errorf("tunedb: encoding record: %w", err)
+		}
+		line = append(line, tag...)
 	}
-	return line, nil
+	line = append(line, `,"crc":`...)
+	line = strconv.AppendUint(line, uint64(crc32.Checksum(payload, crcTable)), 10)
+	line = append(line, `,"d":`...)
+	line = append(line, payload...)
+	return append(line, '}'), nil
 }
 
-// DecodeRecordLine parses and CRC-verifies one journal line (without
-// its newline), returning the record type and payload bytes.
-func DecodeRecordLine(line []byte) (string, json.RawMessage, error) {
-	return decodeRecord(line)
+// plainJSONString reports whether encoding/json writes s between
+// quotes unchanged: printable ASCII without the characters it escapes
+// (quote, backslash and the HTML-sensitive <, > and &).
+func plainJSONString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // ScanJournal replays a journal image record by record, calling fn for

@@ -32,7 +32,7 @@ func TestEncodeDecodeRecordRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := DecodeRecordLine(line)
+	typ, payload, err := decodeRecord(line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestEncodeDecodeRecordRoundtrip(t *testing.T) {
 		t.Fatalf("payload = %s (err %v)", payload, err)
 	}
 	bad := bytes.Replace(line, []byte(`"n":7`), []byte(`"n":9`), 1)
-	if _, _, err := DecodeRecordLine(bad); err == nil {
+	if _, _, err := decodeRecord(bad); err == nil {
 		t.Fatal("CRC mismatch went undetected")
 	}
 }

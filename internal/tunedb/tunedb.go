@@ -25,12 +25,16 @@
 package tunedb
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"autotune/internal/chaos"
 	"autotune/internal/machine"
@@ -101,6 +105,12 @@ type FrontRecord struct {
 type DB struct {
 	dir string
 	st  *store.Store
+
+	// registered holds the canonical strings of the keys whose registry
+	// record this open database has stored or found stored. The record
+	// is never deleted, so a key acknowledged once needs no further
+	// read.
+	registered sync.Map
 }
 
 // storeOptions is the engine configuration every tunedb database uses.
@@ -198,44 +208,143 @@ func (db *DB) Close() error {
 	return nil
 }
 
-// PutEval stores one evaluated configuration under key. Re-storing a
-// configuration already present with the same result is a no-op, so
-// repeated cold runs do not grow the database.
+// PutEval stores one evaluated configuration under key: PutEvals of
+// one record.
 func (db *DB) PutEval(key Key, cfg skeleton.Config, objs []float64) error {
-	ks := key.String()
-	sk := evalStoreKey(ks, cfg.Key())
-	if old, ok, err := db.st.Get(sk); err != nil {
-		return fmt.Errorf("tunedb: %w", err)
-	} else if ok {
-		var v evalValue
-		if json.Unmarshal(old, &v) == nil && equalObjs(v.Objectives, objs) {
-			return nil
-		}
-	}
-	val, err := json.Marshal(evalValue{Config: cfg, Objectives: objs})
-	if err != nil {
-		return fmt.Errorf("tunedb: %w", err)
-	}
-	if err := db.st.Put(sk, val); err != nil {
-		return fmt.Errorf("tunedb: %w", err)
-	}
-	return db.registerKey(key, ks)
+	return db.PutEvals(key, []skeleton.Config{cfg}, [][]float64{objs})
 }
 
-// registerKey makes key discoverable by Keys()/ScanKeys().
-func (db *DB) registerKey(key Key, ks string) error {
-	kk := keyStoreKey(ks)
-	if _, ok, err := db.st.Get(kk); err != nil {
-		return fmt.Errorf("tunedb: %w", err)
-	} else if ok {
+// PutEvals stores a batch of evaluated configurations under key —
+// objs[i] is the result of cfgs[i], nil for a known failure — as one
+// store batch: one WAL frame however many records it holds, so the
+// batch is stored whole or, on error, not at all. Re-storing a
+// configuration already present with the same result is skipped, so
+// repeated cold runs do not grow the database.
+func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, objs [][]float64) error {
+	if len(cfgs) != len(objs) {
+		return fmt.Errorf("tunedb: batch of %d configurations and %d results", len(cfgs), len(objs))
+	}
+	ks := key.String()
+	prefix := evalStoreKey(ks, "")
+	keys := make([]string, 0, len(cfgs)+1)
+	vals := make([][]byte, 0, len(cfgs)+1)
+	// The values are encoded end to end into one buffer (a value of a
+	// four-parameter, two-objective evaluation is some 70 bytes); if it
+	// has to grow, the values cut from it so far keep the old one.
+	buf := make([]byte, 0, 96*len(cfgs))
+	for i, cfg := range cfgs {
+		at := len(buf)
+		var err error
+		if buf, err = appendEvalValue(buf, cfg, objs[i]); err != nil {
+			return err
+		}
+		val := buf[at:len(buf):len(buf)]
+		sk := prefix + cfg.Key()
+		if old, ok, err := db.st.Get(sk); err != nil {
+			return fmt.Errorf("tunedb: %w", err)
+		} else if ok && sameEval(old, val, objs[i]) {
+			buf = buf[:at]
+			continue
+		}
+		keys = append(keys, sk)
+		vals = append(vals, val)
+	}
+	if len(keys) == 0 {
 		return nil
 	}
-	val, err := json.Marshal(key)
-	if err != nil {
+	return db.putRegistered(key, ks, keys, vals)
+}
+
+// sameEval reports whether the stored value old already records the
+// result objs, whose encoding is val. Equal bytes are the usual case;
+// a value that differs in bytes may still hold equal objectives (-0
+// against 0), so it is decoded before it is overwritten.
+func sameEval(old, val []byte, objs []float64) bool {
+	if bytes.Equal(old, val) {
+		return true
+	}
+	var v evalValue
+	return json.Unmarshal(old, &v) == nil && equalObjs(v.Objectives, objs)
+}
+
+// appendEvalValue appends the store value of one evaluation, byte for
+// byte what json.Marshal(evalValue{cfg, objs}) produces, without the
+// reflection walk. NaN and infinities are refused as JSON refuses them.
+func appendEvalValue(b []byte, cfg skeleton.Config, objs []float64) ([]byte, error) {
+	b = append(b, `{"config":`...)
+	if cfg == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, v := range cfg {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, v, 10)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"objectives":`...)
+	if objs == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, f := range objs {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return b, fmt.Errorf("tunedb: unsupported objective value %v", f)
+			}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONFloat(b, f)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSONFloat appends a finite float64 the way encoding/json does:
+// the shortest representation that round-trips, in exponent form
+// outside [1e-6, 1e21) with a one-digit negative exponent unpadded.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 becomes e-9.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// putRegistered stores the records — all under key, whose canonical
+// string is ks — in one store batch, together with the registry record
+// that makes key discoverable by Keys()/ScanKeys() the first time this
+// open database writes under it.
+func (db *DB) putRegistered(key Key, ks string, keys []string, vals [][]byte) error {
+	_, known := db.registered.Load(ks)
+	if !known {
+		kk := keyStoreKey(ks)
+		if _, ok, err := db.st.Get(kk); err != nil {
+			return fmt.Errorf("tunedb: %w", err)
+		} else if !ok {
+			val, err := json.Marshal(key)
+			if err != nil {
+				return fmt.Errorf("tunedb: %w", err)
+			}
+			keys, vals = append(keys, kk), append(vals, val)
+		}
+	}
+	if err := db.st.PutBatch(keys, vals); err != nil {
 		return fmt.Errorf("tunedb: %w", err)
 	}
-	if err := db.st.Put(kk, val); err != nil {
-		return fmt.Errorf("tunedb: %w", err)
+	if !known {
+		db.registered.Store(ks, struct{}{})
 	}
 	return nil
 }
@@ -251,10 +360,7 @@ func (db *DB) PutFront(rec FrontRecord) error {
 	if err != nil {
 		return fmt.Errorf("tunedb: %w", err)
 	}
-	if err := db.st.Put(frontStoreKey(ks), val); err != nil {
-		return fmt.Errorf("tunedb: %w", err)
-	}
-	if err := db.registerKey(rec.Key, ks); err != nil {
+	if err := db.putRegistered(rec.Key, ks, []string{frontStoreKey(ks)}, [][]byte{val}); err != nil {
 		return err
 	}
 	if err := db.st.Sync(); err != nil {
