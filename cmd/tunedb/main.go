@@ -60,8 +60,7 @@ func run(dir, cmd string, args []string, stdout, stderr io.Writer) error {
 
 	switch cmd {
 	case "ls":
-		ls(db, stdout)
-		return nil
+		return ls(db, stdout)
 	case "show":
 		rec, err := resolveFront(db, args, stderr)
 		if err != nil {
@@ -129,21 +128,32 @@ func fsck(dir string, w io.Writer) error {
 	return nil
 }
 
-func ls(db *tunedb.DB, w io.Writer) {
+func ls(db *tunedb.DB, w io.Writer) error {
 	keys := db.Keys()
 	if len(keys) == 0 {
 		fmt.Fprintln(w, "database is empty")
-		return
+		return nil
 	}
+	return printKeys(db, keys, w)
+}
+
+// printKeys prints the table ls and scan share: per key the stored
+// evaluation count and the size of its front.
+func printKeys(db *tunedb.DB, keys []tunedb.Key, w io.Writer) error {
 	fmt.Fprintf(w, "%-20s %-30s %-16s %6s %6s\n", "fingerprint", "machine", "objectives", "evals", "front")
 	for _, k := range keys {
+		evals, err := db.EvalCount(k)
+		if err != nil {
+			return err
+		}
 		frontSize := 0
 		if rec, ok := db.Front(k); ok {
 			frontSize = len(rec.Points)
 		}
 		fmt.Fprintf(w, "%-20s %-30s %-16s %6d %6d\n",
-			k.Fingerprint, trim(k.MachineSig, 30), k.Objectives, db.EvalCount(k), frontSize)
+			k.Fingerprint, trim(k.MachineSig, 30), k.Objectives, evals, frontSize)
 	}
+	return nil
 }
 
 // stats prints the storage engine's physical state: per-shard segment
@@ -188,16 +198,7 @@ func scan(db *tunedb.DB, prefix string, w io.Writer) error {
 		fmt.Fprintf(w, "no keys match %q\n", prefix)
 		return nil
 	}
-	fmt.Fprintf(w, "%-20s %-30s %-16s %6s %6s\n", "fingerprint", "machine", "objectives", "evals", "front")
-	for _, k := range keys {
-		frontSize := 0
-		if rec, ok := db.Front(k); ok {
-			frontSize = len(rec.Points)
-		}
-		fmt.Fprintf(w, "%-20s %-30s %-16s %6d %6d\n",
-			k.Fingerprint, trim(k.MachineSig, 30), k.Objectives, db.EvalCount(k), frontSize)
-	}
-	return nil
+	return printKeys(db, keys, w)
 }
 
 // resolveFront finds the unique stored front whose key matches the

@@ -16,7 +16,7 @@ type Op uint16
 // Operation kinds.
 const (
 	OpOpen Op = 1 << iota
-	OpRead // ReadFile and File.ReadAt
+	OpRead    // ReadFile and File.ReadAt
 	OpWrite
 	OpSync // File.Sync
 	OpRename

@@ -311,7 +311,10 @@ func tune(p *prepared, opt Options) (*Output, error) {
 	defer detach()
 
 	// (3c) Persistent tuning database: warm-start and journaling.
-	finish := attachDB(&opt, p, eval)
+	finish, err := attachDB(&opt, p, eval)
+	if err != nil {
+		return nil, err
+	}
 
 	// (4) Optimize.
 	ctrl, cleanup, err := buildControl(opt, eval)
@@ -618,15 +621,18 @@ func runBruteForce(space skeleton.Space, eval objective.Evaluator, opt Options, 
 // registers the journaling observer: every evaluated batch — a
 // generation — goes to the database as one record batch. The returned
 // callback stores the final front and surfaces any journaling error
-// encountered during the search.
-func attachDB(opt *Options, p *prepared, eval objective.Evaluator) func(*optimizer.Result) error {
+// encountered during the search. A warm start the database cannot read
+// in full is an error, before anything is searched: a search started
+// from part of its history returns a different front than the same
+// request on a healthy disk, and nobody could tell.
+func attachDB(opt *Options, p *prepared, eval objective.Evaluator) (func(*optimizer.Result) error, error) {
 	noop := func(*optimizer.Result) error { return nil }
 	if opt.DB == nil {
-		return noop
+		return noop, nil
 	}
 	sc, ok := eval.(objective.SharedCacher)
 	if !ok {
-		return noop
+		return noop, nil
 	}
 	ce := sc.SharedCache()
 	db := opt.DB
@@ -634,14 +640,19 @@ func attachDB(opt *Options, p *prepared, eval objective.Evaluator) func(*optimiz
 	sig := machine.SignatureOf(opt.Machine)
 	key := p.key(*opt)
 	if opt.WarmStart {
-		db.WarmCache(key, ce)
+		if _, err := db.Warm(key, ce); err != nil {
+			return nil, fmt.Errorf("driver: warm start: %w", err)
+		}
 		popSize := opt.Optimizer.PopSize
 		if popSize == 0 {
 			popSize = 30
 		}
 		// Seed at most half the population so random exploration of
 		// the space keeps its share of the budget.
-		seeds := db.SeedPopulation(key, sig, space, (popSize+1)/2)
+		seeds, err := db.Seeds(key, sig, space, (popSize+1)/2)
+		if err != nil {
+			return nil, fmt.Errorf("driver: warm start: %w", err)
+		}
 		opt.Optimizer.InitialPopulation = append(seeds, opt.Optimizer.InitialPopulation...)
 	}
 	var journalMu sync.Mutex
@@ -691,7 +702,7 @@ func attachDB(opt *Options, p *prepared, eval objective.Evaluator) func(*optimiz
 			return err
 		}
 		return nil
-	}
+	}, nil
 }
 
 // EmitUnit builds the multi-versioned unit for a tuned region: one

@@ -33,7 +33,7 @@ func TestProblemKeyMatchesJournaledKey(t *testing.T) {
 	if _, ok := db.Front(key); !ok {
 		t.Fatalf("no stored front under ProblemKey %s; stored keys: %v", key, db.Keys())
 	}
-	if db.EvalCount(key) == 0 {
+	if evalCount(t, db, key) == 0 {
 		t.Fatalf("no stored evaluations under ProblemKey %s", key)
 	}
 }

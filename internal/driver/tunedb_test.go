@@ -8,6 +8,15 @@ import (
 	"autotune/internal/tunedb"
 )
 
+func evalCount(t *testing.T, db *tunedb.DB, key tunedb.Key) int {
+	t.Helper()
+	n, err := db.EvalCount(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // TestTuneKernelJournalsToDB: a cold run against a database journals
 // every fresh evaluation and the final front under the search's key —
 // a generation per WAL frame, not an evaluation per frame.
@@ -29,7 +38,7 @@ func TestTuneKernelJournalsToDB(t *testing.T) {
 	}
 	key := keys[0]
 	// Every counted evaluation is journaled (failures add more).
-	if n := db.EvalCount(key); n < out.Result.Evaluations {
+	if n := evalCount(t, db, key); n < out.Result.Evaluations {
 		t.Fatalf("journaled %d evals for %d counted", n, out.Result.Evaluations)
 	}
 	rec, ok := db.Front(key)
@@ -57,7 +66,7 @@ func TestTuneKernelJournalsToDB(t *testing.T) {
 	if frames > out.Result.Iterations+2 {
 		t.Fatalf("%d WAL frames for %d generations: evaluations are not journaled by the batch", frames, out.Result.Iterations)
 	}
-	if want := db.EvalCount(key) + 2; records != want {
+	if want := evalCount(t, db, key) + 2; records != want {
 		t.Fatalf("WAL frames hold %d records, want %d", records, want)
 	}
 	if err := db.Close(); err != nil {

@@ -101,7 +101,9 @@ func WarmStartComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*War
 		if i == 0 {
 			keys := db.Keys()
 			if len(keys) == 1 {
-				res.StoredEvals = db.EvalCount(keys[0])
+				if res.StoredEvals, err = db.EvalCount(keys[0]); err != nil {
+					return nil, fmt.Errorf("experiments: %s run: %w", s.label, err)
+				}
 			}
 		}
 		res.Runs = append(res.Runs, WarmStartRun{

@@ -155,11 +155,16 @@ func (c *CachingEvaluator) WrapEvalFunc(mw func(CtxEvalFunc) CtxEvalFunc) {
 	c.mu.Unlock()
 }
 
-// Prime inserts a known result into the memoization cache without
-// counting toward E and without invoking the evaluation function: the
-// warm-start path of the persistent tuning database. A nil objs
-// records a known-failed configuration, so warm searches skip it too.
-// Entries already cached or currently in flight are left untouched.
+// PrimeBatch inserts known results — objs[i] is the result of cfgs[i] —
+// into the memoization cache without counting toward E and without
+// invoking the evaluation function: the warm-start path of the
+// persistent tuning database. A nil objs[i] records a known-failed
+// configuration, so warm searches skip it too. Entries already cached
+// or currently in flight are left untouched, as is the later of two
+// entries of one batch under one key. The batch takes the lock once and
+// the map grows to its final size once; the cache keeps the objective
+// slices it is handed, so the caller must not modify them afterwards.
+// It returns the number of entries inserted.
 //
 // Primed results are deliberately NOT reported to the evaluation
 // observers (AddObserver): those see every completed fresh evaluation
@@ -168,26 +173,56 @@ func (c *CachingEvaluator) WrapEvalFunc(mw func(CtxEvalFunc) CtxEvalFunc) {
 // double-charge checkpoint traces. Consumers that want
 // the warm-start data anyway (the surrogate model trains on every
 // known result) register through AddPrimeObserver, which fires exactly
-// once per *inserted* primed entry. It reports whether the entry was
+// once per *inserted* primed entry, in the order of the batch.
+func (c *CachingEvaluator) PrimeBatch(cfgs []skeleton.Config, objs [][]float64) int {
+	keys := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		keys[i] = cfg.Key()
+	}
+	c.mu.Lock()
+	if len(c.cache) < len(keys) {
+		// Growing entry by entry would rehash what is there at every
+		// doubling on the way; moving it once costs less than that.
+		grown := make(map[string][]float64, len(c.cache)+len(keys))
+		for key, cached := range c.cache {
+			grown[key] = cached
+		}
+		c.cache = grown
+	}
+	observers := c.primeObserverList()
+	var inserted []int
+	primed := 0
+	for i, key := range keys {
+		if _, ok := c.cache[key]; ok {
+			continue
+		}
+		if _, ok := c.inflight[key]; ok {
+			continue
+		}
+		if len(objs[i]) == 0 {
+			// An empty vector is a failure like a nil one.
+			c.cache[key] = nil
+		} else {
+			c.cache[key] = objs[i]
+		}
+		primed++
+		if observers != nil {
+			inserted = append(inserted, i)
+		}
+	}
+	c.mu.Unlock()
+	for _, i := range inserted {
+		for _, observe := range observers {
+			observe(cfgs[i], objs[i])
+		}
+	}
+	return primed
+}
+
+// Prime is PrimeBatch of one result; it reports whether the entry was
 // inserted.
 func (c *CachingEvaluator) Prime(cfg skeleton.Config, objs []float64) bool {
-	key := cfg.Key()
-	c.mu.Lock()
-	if _, ok := c.cache[key]; ok {
-		c.mu.Unlock()
-		return false
-	}
-	if _, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		return false
-	}
-	c.cache[key] = append([]float64(nil), objs...)
-	observers := c.primeObserverList()
-	c.mu.Unlock()
-	for _, observe := range observers {
-		observe(cfg, objs)
-	}
-	return true
+	return c.PrimeBatch([]skeleton.Config{cfg}, [][]float64{objs}) == 1
 }
 
 // Lookup peeks at the memoization cache: it returns the cached
@@ -204,7 +239,7 @@ func (c *CachingEvaluator) Lookup(cfg skeleton.Config) (objs []float64, ok bool)
 }
 
 // AddPrimeObserver registers fn to be called exactly once per primed
-// entry actually inserted by Prime (duplicates of cached or in-flight
+// entry actually inserted by PrimeBatch (duplicates of cached or in-flight
 // keys are not reported; known failures are reported with nil
 // objectives) and returns its removal function. Together with
 // AddObserver this gives a consumer the complete stream of results the

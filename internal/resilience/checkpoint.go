@@ -72,25 +72,11 @@ func ResumeCheckpoint(path string) (*Checkpoint, *optimizer.Snapshot, error) {
 // LoadCheckpoint folds a checkpoint journal read-only and returns the
 // latest complete snapshot with the accumulated evaluation history.
 func LoadCheckpoint(path string) (*optimizer.Snapshot, error) {
-	return loadAt(path, -1)
-}
-
-// LoadCheckpointAt is LoadCheckpoint bounded at generation gen: records
-// beyond gen are ignored, reconstructing the journal's state as of that
-// generation.
-func LoadCheckpointAt(path string, gen int) (*optimizer.Snapshot, error) {
-	if gen < 0 {
-		return nil, fmt.Errorf("resilience: negative generation %d", gen)
-	}
-	return loadAt(path, gen)
-}
-
-func loadAt(path string, maxGen int) (*optimizer.Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("resilience: reading checkpoint: %w", err)
 	}
-	snap, _, err := foldSnapshots(data, maxGen)
+	snap, _, err := foldSnapshots(data, -1)
 	if err != nil {
 		return nil, err
 	}

@@ -91,16 +91,20 @@ func TestCheckpointRoundtrip(t *testing.T) {
 		}
 	}
 
-	// Bounded loads reconstruct earlier states.
-	at, err := resilience.LoadCheckpointAt(path, 1)
+	// A journal trimmed to a generation loads as the state at that
+	// generation.
+	if err := resilience.TrimCheckpoint(path, -1); err == nil {
+		t.Fatal("negative generation accepted")
+	}
+	if err := resilience.TrimCheckpoint(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	at, err := resilience.LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if at.Generation != 1 || len(at.Evals) != 3 {
-		t.Fatalf("LoadCheckpointAt(1) = gen %d with %d traces, want gen 1 with 3", at.Generation, len(at.Evals))
-	}
-	if _, err := resilience.LoadCheckpointAt(path, -1); err == nil {
-		t.Fatal("negative generation accepted")
+		t.Fatalf("trimmed to generation 1, the journal loads as gen %d with %d traces, want gen 1 with 3", at.Generation, len(at.Evals))
 	}
 }
 

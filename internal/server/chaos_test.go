@@ -448,3 +448,55 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 			resumed.Result.Points, want.Result.Points)
 	}
 }
+
+// TestWarmStartReadFaultFailsTheJob: a warm-started job whose database
+// read hits a fault — in the scan that primes the evaluation cache or
+// in the lookup of the front that seeds the population — ends failed
+// with the store's error and no result. It must never end done: from a
+// partly read history the search would serve a different front than the
+// same request on a healthy disk, and nothing would say so. The same
+// request is served again once the fault is gone.
+func TestWarmStartReadFaultFailsTheJob(t *testing.T) {
+	inj := chaos.NewInjector(nil)
+	o, err := NewOrchestrator(Config{StateDir: t.TempDir(), DBFS: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Drain()
+	forced := func() JobStatus {
+		t.Helper()
+		req := smallJob(1)
+		req.Force = true
+		st, err := o.Submit(req, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return waitTerminal(t, o, st.ID)
+	}
+	if cold := forced(); cold.State != StateDone {
+		t.Fatalf("cold job: %s (%s)", cold.State, cold.Error)
+	}
+	// Out of the memtable, which no read fault reaches, into a segment.
+	if err := o.DB().Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range []struct {
+		after int
+		what  string
+	}{{0, "the evaluation scan"}, {1, "the front lookup"}} {
+		inj.Add(chaos.Fault{Op: chaos.OpRead, Path: ".seg", After: tc.after})
+		st := forced()
+		if st.State != StateFailed || !strings.Contains(st.Error, chaos.ErrInjected.Error()) || !strings.Contains(st.Error, "warm start") {
+			t.Fatalf("read fault in %s: job ended %s (%q), want failed with the injected error", tc.what, st.State, st.Error)
+		}
+		if st.Result != nil {
+			t.Fatalf("read fault in %s: the failed job carries a result", tc.what)
+		}
+		if inj.Injected() != i+1 {
+			t.Fatalf("read fault in %s: %d faults have fired, want %d", tc.what, inj.Injected(), i+1)
+		}
+	}
+	if warm := forced(); warm.State != StateDone || warm.Result == nil {
+		t.Fatalf("warm job on a healthy disk: %s (%s)", warm.State, warm.Error)
+	}
+}

@@ -19,7 +19,7 @@ func tierOf(size int64) int {
 	if size < 0 {
 		size = 0
 	}
-	return (bits.Len64(uint64(size)/4096 + 1) + 1) / 2
+	return (bits.Len64(uint64(size)/4096+1) + 1) / 2
 }
 
 // pickRun finds the first contiguous run of >= fanin same-tier

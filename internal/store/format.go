@@ -7,8 +7,9 @@
 // background compaction merges runs of similar-sized segments, dropping
 // superseded versions of a key. Shard assignment is pluggable
 // (tunedb shards by program fingerprint), writers on different shards
-// never contend, and Iter merges every shard back into one range scan
-// in canonical (bytewise) key order.
+// never contend, and Iter merges the shards a prefix can live in — one,
+// when the prefix names its shard — back into one range scan in
+// canonical (bytewise) key order.
 //
 // Crash safety follows the journal playbook of internal/tunedb: WAL
 // appends are CRC-framed so a torn tail is detected and truncated;
@@ -21,6 +22,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -134,24 +136,30 @@ func parseFrame(data []byte) (recs []record, frameLen int, err error) {
 
 // readFrameAt decodes one single-record frame — the only kind a
 // segment holds — from r at the current position. It returns io.EOF
-// cleanly at end of stream and errTorn on a damaged frame.
-func readFrameAt(r io.Reader) (key string, val []byte, frameLen int, err error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
+// cleanly at end of stream, errTorn on a damaged or cut-off frame and
+// the reader's own error when the read itself failed. val lies inside a
+// buffer allocated for this frame alone: the caller owns it.
+func readFrameAt(r *bufio.Reader) (key string, val []byte, frameLen int, err error) {
+	// The header is parsed where the reader holds it; a copy handed to
+	// io.ReadFull would be a heap allocation per frame.
+	hdr, err := r.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) == 0 {
 			return "", nil, 0, io.EOF
 		}
-		return "", nil, 0, errTorn
+		return "", nil, 0, shortRead(err)
 	}
-	payloadLen := int(binary.LittleEndian.Uint32(hdr[:]))
+	payloadLen := int(binary.LittleEndian.Uint32(hdr))
+	sum := binary.LittleEndian.Uint32(hdr[4:])
 	if payloadLen < 8 || payloadLen > maxFrame {
 		return "", nil, 0, errTorn
 	}
+	r.Discard(frameHeader)
 	payload := make([]byte, payloadLen)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return "", nil, 0, errTorn
+		return "", nil, 0, shortRead(err)
 	}
-	if !checkPayload(hdr[:], payload) {
+	if crc32.Checksum(payload, crcTable) != sum {
 		return "", nil, 0, errTorn
 	}
 	k, v, rest, ok := splitRecord(payload)
@@ -159,6 +167,16 @@ func readFrameAt(r io.Reader) (key string, val []byte, frameLen int, err error) 
 		return "", nil, 0, errTorn
 	}
 	return string(k), v, frameHeader + payloadLen, nil
+}
+
+// shortRead names the failure of a read that ended inside a frame: the
+// data running out is a torn frame, anything else is the I/O error it
+// is — an EIO must not read as damage on disk.
+func shortRead(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return errTorn
+	}
+	return fmt.Errorf("read: %w", err)
 }
 
 // SyncDir flushes directory metadata so a just-renamed file cannot be

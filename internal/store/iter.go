@@ -1,15 +1,13 @@
 package store
 
-import (
-	"container/heap"
-	"strings"
-)
+import "strings"
 
 // Iterator streams key/value pairs in canonical (bytewise ascending)
-// key order, merging memtables and segments across every shard with
-// newest-wins resolution for superseded versions of a key. It operates
-// on a snapshot taken at creation: concurrent writes and compactions
-// neither block it nor appear in it. Close must be called when done.
+// key order, merging the memtables and segments of the shards it covers
+// with newest-wins resolution for superseded versions of a key. It
+// operates on a snapshot taken at creation: concurrent writes and
+// compactions neither block it nor appear in it. Close must be called
+// when done.
 type Iterator struct {
 	h       mergeHeap
 	prefix  string
@@ -20,13 +18,14 @@ type Iterator struct {
 	release func()
 }
 
-// stream is one sorted source feeding the merge. Higher priority wins
-// for duplicate keys (memtable over segments, newer segments over
-// older ones).
+// stream is one sorted source feeding the merge.
 type stream interface {
 	next() (key string, val []byte, ok bool, err error)
 }
 
+// heapEntry is the one pending record of a stream. Higher priority wins
+// for duplicate keys (memtable over segments, newer segments over older
+// ones).
 type heapEntry struct {
 	key  string
 	val  []byte
@@ -34,43 +33,58 @@ type heapEntry struct {
 	prio int
 }
 
+// mergeHeap is a binary min-heap of the streams' pending records,
+// ordered by key and, under one key, newest source first. Every entry
+// belongs to a different stream, so no two compare equal and the order
+// records leave the heap in does not depend on how it is laid out. It
+// is typed — container/heap would box every entry through an interface
+// on the way in and on the way out.
 type mergeHeap []heapEntry
 
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(a, b int) bool {
+func (h mergeHeap) less(a, b int) bool {
 	if h[a].key != h[b].key {
 		return h[a].key < h[b].key
 	}
 	return h[a].prio > h[b].prio
 }
-func (h mergeHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(heapEntry)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// down restores the heap order below position i.
+func (h mergeHeap) down(i int) {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && h.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && h.less(r, least) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // newMergedIterator merges sorted streams; streams[i] has priority i
 // (later streams win duplicate keys). release, if non-nil, runs once at
 // Close.
 func newMergedIterator(streams []stream, prefix string, release func()) *Iterator {
-	it := &Iterator{prefix: prefix, release: release}
+	it := &Iterator{prefix: prefix, release: release, h: make(mergeHeap, 0, len(streams))}
 	for i, s := range streams {
-		ps := &prioStream{stream: s, p: i}
-		k, v, ok, err := ps.next()
+		k, v, ok, err := s.next()
 		if err != nil {
 			it.err = err
 			it.done = true
 			return it
 		}
 		if ok {
-			it.h = append(it.h, heapEntry{key: k, val: v, src: ps, prio: i})
+			it.h = append(it.h, heapEntry{key: k, val: v, src: s, prio: i})
 		}
 	}
-	heap.Init(&it.h)
+	for i := len(it.h)/2 - 1; i >= 0; i-- {
+		it.h.down(i)
+	}
 	return it
 }
 
@@ -80,60 +94,51 @@ func (it *Iterator) Next() bool {
 	if it.done || it.err != nil {
 		return false
 	}
-	for {
-		if it.h.Len() == 0 {
-			it.done = true
-			return false
-		}
-		top := heap.Pop(&it.h).(heapEntry)
-		key, val := top.key, top.val
-		if err := it.refill(top.src); err != nil {
-			return false
-		}
-		// Duplicates of this key in lower-priority sources are
-		// superseded: pop and discard them.
-		for it.h.Len() > 0 && it.h[0].key == key {
-			dup := heap.Pop(&it.h).(heapEntry)
-			if err := it.refill(dup.src); err != nil {
-				return false
-			}
-		}
-		if it.prefix != "" && !strings.HasPrefix(key, it.prefix) {
-			// Sources start at the prefix, so the first key beyond it
-			// ends the whole (sorted) range.
-			it.done = true
-			return false
-		}
-		it.key, it.val = key, val
-		return true
+	if len(it.h) == 0 {
+		it.done = true
+		return false
 	}
+	key, val := it.h[0].key, it.h[0].val
+	// The record's duplicates in lower-priority sources are superseded:
+	// they surface right behind it and are discarded.
+	for {
+		if err := it.advanceTop(); err != nil {
+			return false
+		}
+		if len(it.h) == 0 || it.h[0].key != key {
+			break
+		}
+	}
+	if it.prefix != "" && !strings.HasPrefix(key, it.prefix) {
+		// Sources start at the prefix, so the first key beyond it
+		// ends the whole (sorted) range.
+		it.done = true
+		return false
+	}
+	it.key, it.val = key, val
+	return true
 }
 
-func (it *Iterator) refill(s stream) error {
-	k, v, ok, err := s.next()
+// advanceTop replaces the heap's top record with its stream's next one,
+// or drops the stream once it is exhausted.
+func (it *Iterator) advanceTop() error {
+	top := &it.h[0]
+	k, v, ok, err := top.src.next()
 	if err != nil {
 		it.err = err
 		it.done = true
 		return err
 	}
 	if ok {
-		heap.Push(&it.h, heapEntry{key: k, val: v, src: s, prio: it.prio(s)})
+		top.key, top.val = k, v
+	} else {
+		last := len(it.h) - 1
+		it.h[0] = it.h[last]
+		it.h[last] = heapEntry{}
+		it.h = it.h[:last]
 	}
+	it.h.down(0)
 	return nil
-}
-
-// prio recovers a stream's merge priority from its wrapper.
-func (it *Iterator) prio(s stream) int {
-	if ps, ok := s.(*prioStream); ok {
-		return ps.p
-	}
-	return 0
-}
-
-// prioStream tags a stream with its merge priority.
-type prioStream struct {
-	stream
-	p int
 }
 
 // Key returns the current key; valid after Next reports true.

@@ -282,7 +282,9 @@ func (s *segment) get(key string) ([]byte, bool, error) {
 			return nil, false, fmt.Errorf("store: segment %s: %w", filepath.Base(s.path), err)
 		}
 		if k == key {
-			return append([]byte(nil), v...), true, nil
+			// v lies in the payload readFrameAt allocated for this
+			// frame alone: it is the caller's already.
+			return v, true, nil
 		}
 		if k > key {
 			return nil, false, nil
@@ -307,18 +309,35 @@ func (s *segment) seekOffset(key string) (int64, bool) {
 	return s.index[i-1].off, true
 }
 
-// iter streams the segment's records with key >= start in order.
-func (s *segment) iter(start string) *segIter {
-	off := int64(len(segMagic))
-	if len(s.index) > 0 {
-		if i := sort.Search(len(s.index), func(i int) bool { return s.index[i].key > start }); i > 0 {
-			off = s.index[i-1].off
+// readAhead is the most a segment stream reads from its file at once.
+const readAhead = 1 << 16
+
+// iter streams, in order, the segment's records from the first key >=
+// prefix on; it may stop anywhere behind the last key that has the
+// prefix (the whole segment for ""). The sparse index bounds the scan on
+// both sides — at most one index interval of foreign records before the
+// range and one after it — and the read-ahead buffer is no larger than
+// what is left to read, so a scan that wants a few records of a large
+// segment neither clears nor fills 64 KiB for them.
+func (s *segment) iter(prefix string) *segIter {
+	off, end := int64(len(segMagic)), s.dataEnd
+	if i := sort.Search(len(s.index), func(i int) bool { return s.index[i].key > prefix }); i > 0 {
+		off = s.index[i-1].off
+	}
+	if prefix != "" {
+		// The first indexed key behind every key with the prefix: no
+		// record from there on can have it.
+		if i := sort.Search(len(s.index), func(i int) bool {
+			k := s.index[i].key
+			return k > prefix && !strings.HasPrefix(k, prefix)
+		}); i < len(s.index) {
+			end = s.index[i].off
 		}
 	}
 	return &segIter{
 		seg:   s,
-		r:     bufio.NewReaderSize(io.NewSectionReader(s.f, off, s.dataEnd-off), 1<<16),
-		start: start,
+		r:     bufio.NewReaderSize(io.NewSectionReader(s.f, off, end-off), int(min(readAhead, end-off))),
+		start: prefix,
 	}
 }
 
@@ -344,7 +363,9 @@ func (it *segIter) next() (string, []byte, bool, error) {
 			}
 			it.started = true
 		}
-		return k, append([]byte(nil), v...), true, nil
+		// v lies in the payload readFrameAt allocated for this frame
+		// alone, so it can be handed out as it is.
+		return k, v, true, nil
 	}
 }
 

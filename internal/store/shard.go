@@ -366,16 +366,17 @@ func (sh *shard) recoverLocked() error {
 }
 
 // snapshot pins the shard's current state for iteration: a sorted copy
-// of the memtable keys >= start and a referenced view of the segment
-// list. release must be called exactly once when iteration ends.
-func (sh *shard) snapshot(start string) (memKeys []string, memVals [][]byte, segs []*segment) {
+// of the memtable keys that have the prefix and a referenced view of
+// the segment list. release must be called exactly once when iteration
+// ends.
+func (sh *shard) snapshot(prefix string) (memKeys []string, memVals [][]byte, segs []*segment) {
 	sh.mu.Lock() // full lock: reference counts are mutated
 	defer sh.mu.Unlock()
 	if sh.closed {
 		return nil, nil, nil
 	}
 	for k := range sh.mem {
-		if k >= start {
+		if strings.HasPrefix(k, prefix) {
 			memKeys = append(memKeys, k)
 		}
 	}

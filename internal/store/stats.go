@@ -4,14 +4,14 @@ import "sync/atomic"
 
 // ShardStats describes one shard's physical and logical state.
 type ShardStats struct {
-	Shard           int     `json:"shard"`
-	Segments        int     `json:"segments"`
-	SegmentRecords  uint64  `json:"segment_records"`
-	MemtableEntries int     `json:"memtable_entries"`
-	WALBytes        int64   `json:"wal_bytes"`
-	DiskBytes       int64   `json:"disk_bytes"`
-	LiveKeys        uint64  `json:"live_keys"`
-	DeadRecords     uint64  `json:"dead_records"`
+	Shard            int     `json:"shard"`
+	Segments         int     `json:"segments"`
+	SegmentRecords   uint64  `json:"segment_records"`
+	MemtableEntries  int     `json:"memtable_entries"`
+	WALBytes         int64   `json:"wal_bytes"`
+	DiskBytes        int64   `json:"disk_bytes"`
+	LiveKeys         uint64  `json:"live_keys"`
+	DeadRecords      uint64  `json:"dead_records"`
 	BloomFPREstimate float64 `json:"bloom_fpr_estimate"`
 	// Measured bloom effectiveness over this session's point lookups:
 	// Filtered lookups were proven absent without touching the

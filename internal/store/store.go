@@ -27,11 +27,16 @@ type Options struct {
 	// count is fixed at creation and persisted in meta.json; reopening
 	// ignores a different value.
 	Shards int
-	// ShardBy maps a key to a shard-selection hash; the default hashes
-	// the whole key. Callers with structured keys (tunedb) hash only
-	// the program-fingerprint component so one program's records stay
-	// in one shard. The same function must be supplied on every open.
-	ShardBy func(key string) uint32
+	// ShardBy routes keys and key prefixes alike. It maps a string to
+	// the shard-selection hash of its routing component and reports
+	// whether the string already holds that component whole: complete
+	// promises that every string this one is a prefix of hashes the
+	// same, so Iter scans one shard for such a prefix and every shard
+	// otherwise. The default hashes the whole key and is never
+	// complete. Callers with structured keys (tunedb) hash only the
+	// program-fingerprint component, so one program's records stay in
+	// one shard. The same function must be supplied on every open.
+	ShardBy func(s string) (hash uint32, complete bool)
 	// MemtableBytes flushes a shard's memtable to a segment once its
 	// in-memory footprint exceeds this many bytes (default 1 MiB).
 	MemtableBytes int
@@ -63,10 +68,10 @@ func (o Options) withDefaults() Options {
 		o.Shards = 16
 	}
 	if o.ShardBy == nil {
-		o.ShardBy = func(key string) uint32 {
+		o.ShardBy = func(key string) (uint32, bool) {
 			h := fnv.New32a()
 			h.Write([]byte(key))
-			return h.Sum32()
+			return h.Sum32(), false
 		}
 	}
 	if o.MemtableBytes <= 0 {
@@ -176,8 +181,17 @@ func Open(dir string, opt Options) (*Store, error) {
 // Dir returns the store's root directory.
 func (st *Store) Dir() string { return st.dir }
 
+// route applies Options.ShardBy, the one routing function, to a key or
+// a key prefix: the shard its routing component selects, and whether
+// the string holds that component whole.
+func (st *Store) route(s string) (sh *shard, complete bool) {
+	h, complete := st.opt.ShardBy(s)
+	return st.shards[int(h)%len(st.shards)], complete
+}
+
 func (st *Store) shardFor(key string) *shard {
-	return st.shards[int(st.opt.ShardBy(key))%len(st.shards)]
+	sh, _ := st.route(key)
+	return sh
 }
 
 func (st *Store) gate(stage string) {
@@ -295,26 +309,30 @@ func (st *Store) Get(key string) ([]byte, bool, error) {
 }
 
 // Iter returns an iterator over every key with the given prefix (the
-// whole store for ""), in canonical bytewise key order, merged across
-// shards. The iterator sees a point-in-time snapshot.
+// whole store for ""), in canonical bytewise key order. It visits only
+// the shards that can hold such a key — one, when Options.ShardBy
+// reports the prefix complete, every shard otherwise — and within a
+// shard only the memtable entries with the prefix and the stretch of
+// each segment its sparse index cannot rule out. The iterator sees a
+// point-in-time snapshot.
 func (st *Store) Iter(prefix string) *Iterator {
-	var streams []stream
-	type pinned struct {
-		sh   *shard
-		segs []*segment
+	shards := st.shards
+	if sh, complete := st.route(prefix); complete {
+		shards = []*shard{sh}
 	}
-	var pins []pinned
-	for _, sh := range st.shards {
+	var streams []stream
+	pins := make([][]*segment, len(shards))
+	for i, sh := range shards {
 		memKeys, memVals, segs := sh.snapshot(prefix)
-		pins = append(pins, pinned{sh: sh, segs: segs})
+		pins[i] = segs
 		for _, s := range segs {
 			streams = append(streams, s.iter(prefix))
 		}
 		streams = append(streams, &memStream{keys: memKeys, vals: memVals})
 	}
 	release := func() {
-		for _, p := range pins {
-			p.sh.release(p.segs)
+		for i, sh := range shards {
+			sh.release(pins[i])
 		}
 	}
 	return newMergedIterator(streams, prefix, release)

@@ -30,8 +30,8 @@ func mustOpen(t *testing.T, dir string, opt Options) *Store {
 	return st
 }
 
-func key(i int) string          { return fmt.Sprintf("key-%06d", i) }
-func val(i, gen int) []byte     { return []byte(fmt.Sprintf("value-%d-gen-%d", i, gen)) }
+func key(i int) string      { return fmt.Sprintf("key-%06d", i) }
+func val(i, gen int) []byte { return []byte(fmt.Sprintf("value-%d-gen-%d", i, gen)) }
 func putN(t *testing.T, st *Store, n, gen int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -116,11 +116,11 @@ func TestShardingByCustomFunc(t *testing.T) {
 	dir := t.TempDir()
 	opt := small()
 	// Everything with prefix "a" goes to one shard, "b" to another.
-	opt.ShardBy = func(k string) uint32 {
+	opt.ShardBy = func(k string) (uint32, bool) {
 		if k[0] == 'a' {
-			return 0
+			return 0, false
 		}
-		return 1
+		return 1, false
 	}
 	st := mustOpen(t, dir, opt)
 	for i := 0; i < 50; i++ {
@@ -149,11 +149,11 @@ func TestShardingByCustomFunc(t *testing.T) {
 
 // byPrefixLetter shards "a…" keys to shard 0 and everything else to
 // shard 1, so tests can build batches whose placement they know.
-func byPrefixLetter(k string) uint32 {
+func byPrefixLetter(k string) (uint32, bool) {
 	if k != "" && k[0] == 'a' {
-		return 0
+		return 0, false
 	}
-	return 1
+	return 1, false
 }
 
 // TestPutBatch: a batch is one WAL frame and one write on one shard,

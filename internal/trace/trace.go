@@ -6,9 +6,7 @@
 // Parallel loops distribute their (collapsed) iteration space
 // block-wise over the requested number of threads, matching the static
 // scheduling the paper's runtime uses, and produce one sub-trace per
-// thread. Interleave merges per-thread traces in round-robin chunks to
-// approximate concurrent execution when replaying against shared cache
-// levels.
+// thread.
 package trace
 
 import (
@@ -217,37 +215,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// Interleave merges per-thread traces round-robin in chunks of the
-// given size, approximating concurrent execution. Chunk size 0
-// defaults to 1.
-func Interleave(traces [][]uint64, chunk int) []struct {
-	Thread int
-	Addr   uint64
-} {
-	if chunk <= 0 {
-		chunk = 1
-	}
-	pos := make([]int, len(traces))
-	var out []struct {
-		Thread int
-		Addr   uint64
-	}
-	for {
-		progressed := false
-		for t, tr := range traces {
-			for c := 0; c < chunk && pos[t] < len(tr); c++ {
-				out = append(out, struct {
-					Thread int
-					Addr   uint64
-				}{t, tr[pos[t]]})
-				pos[t]++
-				progressed = true
-			}
-		}
-		if !progressed {
-			return out
-		}
-	}
 }

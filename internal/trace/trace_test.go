@@ -200,28 +200,6 @@ func TestGenerateValidatesInput(t *testing.T) {
 	}
 }
 
-func TestInterleaveRoundRobin(t *testing.T) {
-	traces := [][]uint64{{1, 2, 3}, {10, 20}}
-	out := Interleave(traces, 1)
-	want := []struct {
-		Thread int
-		Addr   uint64
-	}{{0, 1}, {1, 10}, {0, 2}, {1, 20}, {0, 3}}
-	if len(out) != len(want) {
-		t.Fatalf("len = %d", len(out))
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	// Chunked interleave covers everything too.
-	out2 := Interleave(traces, 2)
-	if len(out2) != 5 {
-		t.Fatalf("chunked len = %d", len(out2))
-	}
-}
-
 // Tiling improves simulated cache behaviour: the central claim the
 // whole framework relies on, verified end-to-end with the simulator.
 func TestTilingImprovesSimulatedMissRate(t *testing.T) {

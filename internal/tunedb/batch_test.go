@@ -99,7 +99,7 @@ func TestPutEvalsOneFramePerBatch(t *testing.T) {
 	if got, _ := db.GetEval(key, cfgs[0]); !equalObjs(got, []float64{9, 9}) {
 		t.Fatalf("changed result not stored: %v", got)
 	}
-	if n := db.EvalCount(key); n != 62 {
+	if n := evalCount(t, db, key); n != 62 {
 		t.Fatalf("EvalCount = %d, want 62", n)
 	}
 

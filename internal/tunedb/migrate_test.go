@@ -23,6 +23,15 @@ func migKey(i int) tunedb.Key {
 	}
 }
 
+func evalCount(t *testing.T, db *tunedb.DB, key tunedb.Key) int {
+	t.Helper()
+	n, err := db.EvalCount(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func migFront(key tunedb.Key, gen int) tunedb.FrontRecord {
 	return tunedb.FrontRecord{
 		Key:            key,
@@ -118,7 +127,7 @@ func TestMigrationPreservesFrontsByteIdentically(t *testing.T) {
 		if !bytes.Equal(got, wantFronts[k]) {
 			t.Fatalf("front %d differs after migration:\n old %s\n new %s", k, wantFronts[k], got)
 		}
-		if n := db.EvalCount(key); n != evalsPer+1 {
+		if n := evalCount(t, db, key); n != evalsPer+1 {
 			t.Fatalf("EvalCount(%d) = %d, want %d", k, n, evalsPer+1)
 		}
 		// The known failure survived as a failure.
@@ -170,10 +179,10 @@ func TestMigrationIsOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if n := db2.EvalCount(newKey); n != 1 {
+	if n := evalCount(t, db2, newKey); n != 1 {
 		t.Fatalf("post-migration write lost on reopen: %d", n)
 	}
-	if n := db2.EvalCount(migKey(0)); n != 3 {
+	if n := evalCount(t, db2, migKey(0)); n != 3 {
 		t.Fatalf("migrated evals = %d, want 3", n)
 	}
 }
@@ -201,7 +210,7 @@ func TestMigrationTornTailSweep(t *testing.T) {
 		}
 		// The torn record is the second PutFront; the prefix holds all
 		// evals (3 + 1 failure) and the first front generation.
-		if n := db.EvalCount(key); n != 4 {
+		if n := evalCount(t, db, key); n != 4 {
 			t.Fatalf("cut at %d: EvalCount = %d, want 4", cut, n)
 		}
 		rec, ok := db.Front(key)
@@ -219,7 +228,7 @@ func TestMigrationTornTailSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at %d: reopen: %v", cut, err)
 		}
-		if n := again.EvalCount(key); n != 5 {
+		if n := evalCount(t, again, key); n != 5 {
 			t.Fatalf("cut at %d: post-recovery evals = %d, want 5", cut, n)
 		}
 		again.Close()
@@ -311,7 +320,7 @@ func TestMigrationAbandonedBuildDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if n := db.EvalCount(migKey(0)); n != 3 {
+	if n := evalCount(t, db, migKey(0)); n != 3 {
 		t.Fatalf("EvalCount = %d, want 3", n)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {

@@ -1,0 +1,366 @@
+package tunedb
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"strings"
+	"testing"
+
+	"autotune/internal/chaos"
+	"autotune/internal/israce"
+	"autotune/internal/machine"
+	"autotune/internal/objective"
+	"autotune/internal/skeleton"
+)
+
+// referenceDecodeEvalValue is the decoder decodeEvalValue replaced: the
+// reflection walk of encoding/json into the store-resident struct.
+func referenceDecodeEvalValue(data []byte) (skeleton.Config, []float64, error) {
+	var v evalValue
+	if err := json.Unmarshal(data, &v); err != nil {
+		return nil, nil, err
+	}
+	return v.Config, v.Objectives, nil
+}
+
+// sameDecoded compares two decoded values the way a search could tell
+// them apart: nil against empty, every bit of every float (so -0 is not
+// 0).
+func sameDecoded(cfgA skeleton.Config, objsA []float64, cfgB skeleton.Config, objsB []float64) bool {
+	if (cfgA == nil) != (cfgB == nil) || len(cfgA) != len(cfgB) || (objsA == nil) != (objsB == nil) || len(objsA) != len(objsB) {
+		return false
+	}
+	for i := range cfgA {
+		if cfgA[i] != cfgB[i] {
+			return false
+		}
+	}
+	for i := range objsA {
+		if math.Float64bits(objsA[i]) != math.Float64bits(objsB[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzDecodeEvalValueMatchesReference: on arbitrary bytes the hand
+// decoder returns what json.Unmarshal returns and fails when it fails —
+// nil against empty slices, -0, exponent forms, the numbers strconv
+// takes and JSON refuses (leading zeros, "1.", ".5", "+1", hex, Inf),
+// integers that overflow, trailing bytes, whitespace, reordered,
+// repeated and unknown fields. Seeded with what the encoder writes for
+// FuzzEvalValueMatchesReference's corpus, so encode→decode round trips
+// are in it.
+func FuzzDecodeEvalValueMatchesReference(f *testing.F) {
+	for _, s := range []struct {
+		cfg  skeleton.Config
+		objs []float64
+	}{
+		{skeleton.Config{64, 8}, []float64{0.5, 8}},
+		{skeleton.Config{-1, math.MaxInt64}, []float64{math.Copysign(0, -1), 0}},
+		{skeleton.Config{0, math.MinInt64}, []float64{1e-6, 9.999999999999999e-7}},
+		{skeleton.Config{1, 2}, []float64{1e21, 9.999999999999999e20}},
+		{skeleton.Config{1, 2}, []float64{1e-7, -1.5e-9}},
+		{skeleton.Config{1, 2}, []float64{1.7976931348623157e308, 5e-324}},
+		{skeleton.Config{1, 2}, []float64{1e100, -1e-100}},
+		{nil, nil},
+		{skeleton.Config{}, []float64{}},
+		{skeleton.Config{1}, []float64{0.1, 123456789.125, 0.1}},
+		{skeleton.Config{64, 64, 8, 4}, nil},
+	} {
+		val, err := appendEvalValue(nil, s.cfg, s.objs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(val)
+	}
+	for _, s := range []string{
+		``, `{}`, `null`, `[]`, `{"config":[1],"objectives":[2]}x`, `{"config":[1],"objectives":[2]} `,
+		` {"config":[1],"objectives":[2]}`, `{"config": [1],"objectives":[2]}`, `{"config":[1, 2],"objectives":[2]}`,
+		`{"objectives":[2],"config":[1]}`, `{"config":[1],"objectives":[2],"config":[3]}`,
+		`{"config":[1],"objectives":[2],"extra":true}`, `{"Config":[1],"OBJECTIVES":[2]}`,
+		`{"config":[1]}`, `{"config":[1],"objectives":[2]`, `{"config":[1],"objectives":[2]}}`,
+		`{"config":[01],"objectives":[2]}`, `{"config":[1],"objectives":[02]}`, `{"config":[-0],"objectives":[-0]}`,
+		`{"config":[1],"objectives":[1.]}`, `{"config":[1],"objectives":[.5]}`, `{"config":[1],"objectives":[+1]}`,
+		`{"config":[1],"objectives":[1e]}`, `{"config":[1],"objectives":[1e+]}`, `{"config":[1],"objectives":[1E+2,1e-2,1.5E3]}`,
+		`{"config":[1],"objectives":[0x10]}`, `{"config":[1],"objectives":[Inf]}`, `{"config":[1],"objectives":[NaN]}`,
+		`{"config":[1],"objectives":[1_0]}`, `{"config":[1],"objectives":[1e999]}`, `{"config":[1],"objectives":[1e-999]}`,
+		`{"config":[1.0],"objectives":[2]}`, `{"config":[1e2],"objectives":[2]}`, `{"config":[9223372036854775808],"objectives":[2]}`,
+		`{"config":[-9223372036854775809],"objectives":[2]}`, `{"config":[1,],"objectives":[2]}`, `{"config":[,1],"objectives":[2]}`,
+		`{"config":[1,,2],"objectives":[2]}`, `{"config":[1],"objectives":[2,]}`, `{"config":[],"objectives":[]}`,
+		`{"config":null,"objectives":null}`, `{"config":nul,"objectives":null}`, `{"config":[1],"objectives":nullx}`,
+		`{"config":[[1]],"objectives":[2]}`, `{"config":[1],"objectives":[[2]]}`, `{"config":["1"],"objectives":[2]}`,
+		`{"config":[1],"objectives":["2"]}`, `{"config":[1],"objectives":[true]}`, `{"config":[1],"objectives":[null]}`,
+		`{"config":[null],"objectives":[2]}`, `{"config":[-],"objectives":[2]}`, `{"config":[1],"objectives":[-]}`,
+		`{"config":[1],"objectives":[0.1e1]}`, `{"config":[1],"objectives":[00]}`, `{"config":[1],"objectives":[0e0]}`,
+		`{"config":[1]"objectives":[2]}`, "{\"config\":[1],\n\"objectives\":[2]}", `{"config":[1],"objectives":[2` + "\x00" + `]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wantCfg, wantObjs, wantErr := referenceDecodeEvalValue(data)
+		cfg, objs, err := decodeEvalValue(data)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("decodeEvalValue(%q) error = %v, json.Unmarshal error = %v", data, err, wantErr)
+		}
+		if err == nil && !sameDecoded(cfg, objs, wantCfg, wantObjs) {
+			t.Fatalf("decodeEvalValue(%q) = %#v %#v, json.Unmarshal gives %#v %#v", data, cfg, objs, wantCfg, wantObjs)
+		}
+		if cfg, objs, ok := parseEvalValue(data); ok && (wantErr != nil || !sameDecoded(cfg, objs, wantCfg, wantObjs)) {
+			t.Fatalf("the strict decoder takes %q as %#v %#v, json.Unmarshal gives %#v %#v (error %v)", data, cfg, objs, wantCfg, wantObjs, wantErr)
+		}
+	})
+}
+
+// TestDecodeEvalValueTakesWhatTheEncoderWrites: everything
+// appendEvalValue produces goes down the strict path, not the
+// json.Unmarshal one — the fuzzer would not notice a decoder that
+// always fell back.
+func TestDecodeEvalValueTakesWhatTheEncoderWrites(t *testing.T) {
+	for _, objs := range [][]float64{nil, {}, {0.5, 8}, {math.Copysign(0, -1), 1e-7, 1e21, 5e-324, -123456789.125}} {
+		for _, cfg := range []skeleton.Config{nil, {}, {64, 64, 8, 4}, {math.MinInt64, math.MaxInt64, 0, -1}} {
+			val, err := appendEvalValue(nil, cfg, objs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotCfg, gotObjs, ok := parseEvalValue(val)
+			if !ok || !sameDecoded(gotCfg, gotObjs, cfg, objs) {
+				t.Fatalf("parseEvalValue(%s) = %#v %#v %v, encoded from %#v %#v", val, gotCfg, gotObjs, ok, cfg, objs)
+			}
+		}
+	}
+}
+
+// referenceShardHash is the routing function before it learned to
+// report whether its argument holds the fingerprint whole.
+func referenceShardHash(storeKey string) uint32 {
+	rest := storeKey
+	if i := strings.IndexByte(rest, '|'); i >= 0 {
+		rest = rest[i+1:]
+	}
+	if i := strings.IndexByte(rest, '|'); i >= 0 {
+		rest = rest[:i]
+	}
+	h := fnv.New32a()
+	h.Write([]byte(rest))
+	return h.Sum32()
+}
+
+// TestShardHashMatchesReference: every store key is placed where it was
+// placed before — a database written by the parent opens under this
+// routing — and every prefix the function calls complete hashes like
+// the keys it is a prefix of, which is what lets Iter read one shard.
+// The scans the warm start makes are complete; a bare namespace or a
+// fingerprint cut short is not.
+func TestShardHashMatchesReference(t *testing.T) {
+	key := testKey()
+	ks := key.String()
+	for _, sk := range []string{
+		evalStoreKey(ks, "64,64,8"), evalStoreKey(ks, ""), frontStoreKey(ks), keyStoreKey(ks),
+		"", "e", "e|", "|", "||", "e||x", "no-separator", "e|pg01", "e|pg01|", "x|y|z|w",
+	} {
+		for n := 0; n <= len(sk); n++ {
+			prefix := sk[:n]
+			h, complete := shardHash(prefix)
+			if want := referenceShardHash(prefix); h != want {
+				t.Fatalf("shardHash(%q) = %d, was %d", prefix, h, want)
+			}
+			if strings.Count(prefix, "|") >= 2 != complete {
+				t.Fatalf("shardHash(%q) complete = %v", prefix, complete)
+			}
+			if full, _ := shardHash(sk); complete && full != h {
+				t.Fatalf("prefix %q is complete and hashes %d, key %q hashes %d", prefix, h, sk, full)
+			}
+		}
+	}
+	for _, prefix := range []string{nsEval + ks, nsEval + ks + "|", nsFront + key.Fingerprint + "|", nsKey + key.Fingerprint + "|"} {
+		if _, complete := shardHash(prefix); !complete {
+			t.Fatalf("scan prefix %q is not a single-shard scan", prefix)
+		}
+	}
+	for _, prefix := range []string{nsEval, nsKey + key.Fingerprint, nsKey + key.Fingerprint[:4]} {
+		if _, complete := shardHash(prefix); complete {
+			t.Fatalf("scan prefix %q reads one shard but names none", prefix)
+		}
+	}
+}
+
+// warmDB builds the database a served warm job starts from: n stored
+// evaluations of testKey — every tenth a known failure — spread over
+// two flushed segments and the memtable, with seven other programs
+// stored beside it.
+func warmDB(t testing.TB, fsys chaos.FS, n int) *DB {
+	t.Helper()
+	db, err := OpenFS(t.TempDir(), fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	for part := 0; part < 3; part++ {
+		for prog := 0; prog < 8; prog++ {
+			key := testKey()
+			if prog > 0 {
+				key.Fingerprint = fmt.Sprintf("pg%016x", prog)
+			}
+			cfgs := make([]skeleton.Config, n/3)
+			objs := make([][]float64, n/3)
+			for i := range cfgs {
+				cfgs[i] = skeleton.Config{int64(part), int64(i), 64, 8}
+				if i%10 != 9 {
+					objs[i] = []float64{0.0123456789 * float64(i+1), 8 + float64(part)}
+				}
+			}
+			if err := db.PutEvals(key, cfgs, objs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if part < 2 {
+			if err := db.st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
+func newCache() *objective.CachingEvaluator {
+	return objective.NewCachingEvaluator([]string{"time", "resources"}, 1, func(skeleton.Config) []float64 { return nil })
+}
+
+// TestWarmCacheAllocationBudget bounds what warm-starting from a
+// flushed shard allocates: per stored record the frame it is read
+// into, its key, the decoded configuration and objectives, the cache
+// key and the record's share of the cache map and of the batch handed
+// over; per scan a constant. The parent spent some 18 per record —
+// reflection, boxed heap entries, a copy of every value and of every
+// objective vector.
+func TestWarmCacheAllocationBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n = 1500
+	db := warmDB(t, nil, n)
+	key := testKey()
+	perWarm := testing.AllocsPerRun(10, func() {
+		if primed, err := db.Warm(key, newCache()); err != nil || primed != n {
+			t.Fatalf("primed %d of %d: %v", primed, n, err)
+		}
+	})
+	if budget := float64(7*n + 200); perWarm > budget {
+		t.Fatalf("Warm over %d records allocates %.0f times, budget %.0f", n, perWarm, budget)
+	}
+	t.Logf("%.2f allocations per record", perWarm/n)
+}
+
+// TestWarmFailsOnReadFault: a warm start whose scan hits a read fault —
+// in the first block of a segment or deep inside one — reports the
+// store's error and primes nothing, and so does a seed lookup; the
+// error-dropping forms the benchmark still calls read the same faults
+// as an empty database. Once the fault is gone the same calls succeed.
+func TestWarmFailsOnReadFault(t *testing.T) {
+	const n = 1500
+	inj := chaos.NewInjector(nil)
+	db := warmDB(t, inj, n)
+	key := testKey()
+	if err := db.PutFront(testFront(key)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sig := machine.SignatureOf(machine.Westmere())
+	for _, after := range []int{0, 1, 2} {
+		ce := newCache()
+		inj.Add(chaos.Fault{Op: chaos.OpRead, Path: ".seg", After: after})
+		primed, err := db.Warm(key, ce)
+		if !errors.Is(err, chaos.ErrInjected) || primed != 0 {
+			t.Fatalf("fault after %d reads: Warm = %d, %v; want the injected error and nothing primed", after, primed, err)
+		}
+		if _, ok := ce.Lookup(skeleton.Config{0, 0, 64, 8}); ok {
+			t.Fatalf("fault after %d reads: a failed warm start left the cache partly primed", after)
+		}
+		inj.Add(chaos.Fault{Op: chaos.OpRead, Path: ".seg"})
+		if primed := db.WarmCache(key, ce); primed != 0 {
+			t.Fatalf("WarmCache primed %d records from a failed scan", primed)
+		}
+	}
+
+	// The exact front is a point lookup, a transferred one a scan: both
+	// must tell a read fault from an absent front.
+	other := key
+	other.MachineSig = machine.SignatureOf(machine.Barcelona()).Key()
+	for _, k := range []Key{key, other} {
+		inj.Add(chaos.Fault{Op: chaos.OpRead, Path: ".seg"})
+		if seeds, err := db.Seeds(k, sig, testSpace(), 4); !errors.Is(err, chaos.ErrInjected) || seeds != nil {
+			t.Fatalf("Seeds = %v, %v; want the injected error", seeds, err)
+		}
+		inj.Add(chaos.Fault{Op: chaos.OpRead, Path: ".seg"})
+		if _, _, ok := db.NearestFront(k, sig); ok {
+			t.Fatal("NearestFront found a front through a read fault")
+		}
+		inj.Add(chaos.Fault{Op: chaos.OpRead, Path: ".seg"})
+		if seeds := db.SeedPopulation(k, sig, testSpace(), 4); seeds != nil {
+			t.Fatalf("SeedPopulation = %v through a read fault", seeds)
+		}
+	}
+	inj.Add(chaos.Fault{Op: chaos.OpRead, Path: ".seg"})
+	if _, err := db.EvalCount(key); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("EvalCount error = %v, want the injected error", err)
+	}
+
+	inj.Clear()
+	if primed, err := db.Warm(key, newCache()); err != nil || primed != n {
+		t.Fatalf("healthy disk: Warm = %d, %v; want %d", primed, err, n)
+	}
+	if seeds, err := db.Seeds(other, sig, testSpace(), 4); err != nil || len(seeds) != 2 {
+		t.Fatalf("healthy disk: Seeds = %v, %v; want the stored front's two points", seeds, err)
+	}
+}
+
+var (
+	sinkCfg  skeleton.Config
+	sinkObjs []float64
+)
+
+// benchValue is the value of a four-parameter, two-objective
+// evaluation, the size service jobs store.
+var benchValue = []byte(`{"config":[64,128,64,8],"objectives":[0.0123456789,17.25]}`)
+
+func BenchmarkDecodeEvalValue(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if sinkCfg, sinkObjs, err = decodeEvalValue(benchValue); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeEvalValueReference(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if sinkCfg, sinkObjs, err = referenceDecodeEvalValue(benchValue); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWarmCache warm-starts one served job: 3,500 records of one
+// key across two segments and a memtable, 16 shards of which eight
+// programs populate theirs.
+func BenchmarkWarmCache(b *testing.B) {
+	const n = 3498
+	db := warmDB(b, nil, n)
+	key := testKey()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if primed, err := db.Warm(key, newCache()); err != nil || primed != n {
+			b.Fatalf("primed %d of %d: %v", primed, n, err)
+		}
+	}
+}

@@ -116,8 +116,9 @@ type DB struct {
 // storeOptions is the engine configuration every tunedb database uses.
 // Sharding hashes only the program-fingerprint component of a key, so
 // every record of one program — across machines, objective sets and
-// spaces — stays in one shard and a cross-machine range scan stays a
-// single-shard scan.
+// spaces — stays in one shard, and a range scan whose prefix names the
+// program (one key's evaluations, a program's fronts across machines)
+// is a single-shard scan.
 func storeOptions() store.Options {
 	return store.Options{
 		Shards:  16,
@@ -125,19 +126,22 @@ func storeOptions() store.Options {
 	}
 }
 
-// shardHash extracts the program fingerprint from a namespaced store
-// key ("e|<fingerprint>|...") and hashes it.
-func shardHash(storeKey string) uint32 {
+// shardHash routes a namespaced store key ("e|<fingerprint>|..."), or a
+// prefix of one, by its program fingerprint: the text between the first
+// two separators. complete reports that both were found — the
+// fingerprint is all there, and whatever follows cannot change the
+// hash.
+func shardHash(storeKey string) (hash uint32, complete bool) {
 	rest := storeKey
 	if i := strings.IndexByte(rest, '|'); i >= 0 {
 		rest = rest[i+1:]
 	}
 	if i := strings.IndexByte(rest, '|'); i >= 0 {
-		rest = rest[:i]
+		rest, complete = rest[:i], true
 	}
 	h := fnv.New32a()
 	h.Write([]byte(rest))
-	return h.Sum32()
+	return h.Sum32(), complete
 }
 
 func evalStoreKey(ks, cfgKey string) string { return nsEval + ks + "|" + cfgKey }
@@ -263,8 +267,8 @@ func sameEval(old, val []byte, objs []float64) bool {
 	if bytes.Equal(old, val) {
 		return true
 	}
-	var v evalValue
-	return json.Unmarshal(old, &v) == nil && equalObjs(v.Objectives, objs)
+	_, stored, err := decodeEvalValue(old)
+	return err == nil && equalObjs(stored, objs)
 }
 
 // appendEvalValue appends the store value of one evaluation, byte for
@@ -320,6 +324,158 @@ func appendJSONFloat(b []byte, f float64) []byte {
 		}
 	}
 	return b
+}
+
+// decodeEvalValue reads a stored evaluation back: for the bytes
+// appendEvalValue writes (and json.Marshal wrote before it) the strict
+// mirror image of that encoder, for anything else — whitespace,
+// reordered, repeated or unknown fields, whatever a migrated v1 journal
+// held — json.Unmarshal, so that on every input the result and whether
+// there is an error are json.Unmarshal's.
+func decodeEvalValue(data []byte) (skeleton.Config, []float64, error) {
+	if cfg, objs, ok := parseEvalValue(data); ok {
+		return cfg, objs, nil
+	}
+	var v evalValue
+	if err := json.Unmarshal(data, &v); err != nil {
+		return nil, nil, err
+	}
+	return v.Config, v.Objectives, nil
+}
+
+// parseEvalValue accepts exactly
+//
+//	{"config":[ints]|null,"objectives":[JSON numbers]|null}
+//
+// with nothing before, between or after; ok is false for every other
+// input, including one json.Unmarshal would refuse too.
+func parseEvalValue(data []byte) (cfg skeleton.Config, objs []float64, ok bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(`{"config":`))
+	if !ok {
+		return nil, nil, false
+	}
+	body, rest, isNull, ok := cutArray(rest)
+	if !ok {
+		return nil, nil, false
+	}
+	if !isNull {
+		cfg = make(skeleton.Config, 0, bytes.Count(body, []byte{','})+1)
+		for len(body) > 0 {
+			lit, more, integer := cutNumber(body)
+			if !integer {
+				return nil, nil, false
+			}
+			v, err := strconv.ParseInt(string(lit), 10, 64)
+			if err != nil {
+				return nil, nil, false
+			}
+			cfg, body = append(cfg, v), more
+		}
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"objectives":`)); !ok {
+		return nil, nil, false
+	}
+	body, rest, isNull, ok = cutArray(rest)
+	if !ok || string(rest) != "}" {
+		return nil, nil, false
+	}
+	if !isNull {
+		objs = make([]float64, 0, bytes.Count(body, []byte{','})+1)
+		for len(body) > 0 {
+			lit, more, _ := cutNumber(body)
+			if lit == nil {
+				return nil, nil, false
+			}
+			f, err := strconv.ParseFloat(string(lit), 64)
+			if err != nil {
+				return nil, nil, false
+			}
+			objs, body = append(objs, f), more
+		}
+	}
+	return cfg, objs, true
+}
+
+// cutArray cuts a leading null or [...] off b; body is what the
+// brackets hold.
+func cutArray(b []byte) (body, rest []byte, isNull, ok bool) {
+	if rest, ok := bytes.CutPrefix(b, []byte("null")); ok {
+		return nil, rest, true, true
+	}
+	if len(b) == 0 || b[0] != '[' {
+		return nil, nil, false, false
+	}
+	end := bytes.IndexByte(b, ']')
+	if end < 0 {
+		return nil, nil, false, false
+	}
+	return b[1:end], b[end+1:], false, true
+}
+
+// cutNumber cuts the first element off the inside of an array: the JSON
+// number literal body starts with and, when more follows, the comma
+// that has to separate it from a further element. lit is nil when body
+// does not start that way; integer reports a literal with neither
+// fraction nor exponent.
+func cutNumber(body []byte) (lit, more []byte, integer bool) {
+	n, integer := jsonNumberLen(body)
+	if n == 0 {
+		return nil, nil, false
+	}
+	lit, more = body[:n], body[n:]
+	if len(more) > 0 {
+		if more[0] != ',' || len(more) == 1 {
+			return nil, nil, false
+		}
+		more = more[1:]
+	}
+	return lit, more, integer
+}
+
+// jsonNumberLen measures the JSON number literal b starts with — 0 when
+// it starts with none — and reports whether the literal is an integer:
+// no fraction, no exponent. The grammar is JSON's, which is narrower
+// than strconv's: no leading zeros or plus sign, digits on both sides
+// of the point.
+func jsonNumberLen(b []byte) (n int, integer bool) {
+	digits := func(i int) int {
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i
+	}
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(i)
+	default:
+		return 0, false
+	}
+	integer = true
+	if i < len(b) && b[i] == '.' {
+		end := digits(i + 1)
+		if end == i+1 {
+			return 0, false
+		}
+		i, integer = end, false
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		j := i + 1
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		end := digits(j)
+		if end == j {
+			return 0, false
+		}
+		i, integer = end, false
+	}
+	return i, integer
 }
 
 // putRegistered stores the records — all under key, whose canonical
@@ -397,17 +553,24 @@ func equalObjs(a, b []float64) bool {
 }
 
 // Front returns the stored front for an exact key — a sharded,
-// bloom-screened point lookup.
+// bloom-screened point lookup. A lookup that fails reads as no front.
 func (db *DB) Front(key Key) (FrontRecord, bool) {
+	rec, ok, _ := db.front(key)
+	return rec, ok
+}
+
+// front is Front for callers that must tell a failed read from an
+// absent front.
+func (db *DB) front(key Key) (FrontRecord, bool, error) {
 	data, ok, err := db.st.Get(frontStoreKey(key.String()))
-	if err != nil || !ok {
-		return FrontRecord{}, false
+	if err != nil {
+		return FrontRecord{}, false, fmt.Errorf("tunedb: %w", err)
 	}
 	var rec FrontRecord
-	if json.Unmarshal(data, &rec) != nil {
-		return FrontRecord{}, false
+	if !ok || json.Unmarshal(data, &rec) != nil {
+		return FrontRecord{}, false, nil
 	}
-	return rec, true
+	return rec, true, nil
 }
 
 // GetEval point-looks one stored evaluation up. ok distinguishes "not
@@ -417,22 +580,24 @@ func (db *DB) GetEval(key Key, cfg skeleton.Config) (objs []float64, ok bool) {
 	if err != nil || !ok {
 		return nil, false
 	}
-	var v evalValue
-	if json.Unmarshal(data, &v) != nil {
+	if _, objs, err = decodeEvalValue(data); err != nil {
 		return nil, false
 	}
-	return v.Objectives, true
+	return objs, true
 }
 
 // EvalCount returns the number of stored evaluations for a key.
-func (db *DB) EvalCount(key Key) int {
+func (db *DB) EvalCount(key Key) (int, error) {
 	n := 0
 	it := db.st.Iter(nsEval + key.String() + "|")
 	defer it.Close()
 	for it.Next() {
 		n++
 	}
-	return n
+	if err := it.Err(); err != nil {
+		return 0, fmt.Errorf("tunedb: %w", err)
+	}
+	return n, nil
 }
 
 // Keys lists every key with stored data, sorted by canonical string.
@@ -465,21 +630,26 @@ func (db *DB) ScanKeys(prefix string) ([]Key, error) {
 
 // ScanEvals streams every stored evaluation for keys matching the
 // canonical-string prefix, in canonical order, invoking fn with the
-// owning key string and the evaluation. Iteration stops early when fn
-// returns false.
+// owning key string and the evaluation. A prefix that holds the program
+// fingerprint whole — any full key does — is read from the one shard
+// that owns the program. Values are decoded by decodeEvalValue, the
+// counterpart of the encoder PutEvals writes them with; cfg and objs are
+// fn's to keep. Iteration stops early when fn returns false; an error
+// means the scan was cut short by an unreadable or undecodable record,
+// and what fn has seen is a proper part of what is stored.
 func (db *DB) ScanEvals(prefix string, fn func(keyStr string, cfg skeleton.Config, objs []float64) bool) error {
 	it := db.st.Iter(nsEval + prefix)
 	defer it.Close()
 	for it.Next() {
-		var v evalValue
-		if err := json.Unmarshal(it.Value(), &v); err != nil {
+		cfg, objs, err := decodeEvalValue(it.Value())
+		if err != nil {
 			return fmt.Errorf("tunedb: eval entry %q: %w", it.Key(), err)
 		}
 		ks := strings.TrimPrefix(it.Key(), nsEval)
 		if i := strings.LastIndexByte(ks, '|'); i >= 0 {
 			ks = ks[:i]
 		}
-		if !fn(ks, skeleton.Config(v.Config), v.Objectives) {
+		if !fn(ks, cfg, objs) {
 			return nil
 		}
 	}

@@ -42,6 +42,15 @@ func mustOpen(t *testing.T, dir string) *DB {
 	return db
 }
 
+func evalCount(t *testing.T, db *DB, key Key) int {
+	t.Helper()
+	n, err := db.EvalCount(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // totalRecords is the physical record count across memtables and
 // segments — the store-engine analogue of "journal size" for no-growth
 // assertions.
@@ -88,7 +97,7 @@ func TestEvalRoundTrip(t *testing.T) {
 	if err := db.PutEval(key, skeleton.Config{1, 1, 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.EvalCount(key); n != 2 {
+	if n := evalCount(t, db, key); n != 2 {
 		t.Fatalf("EvalCount = %d", n)
 	}
 	if err := db.Close(); err != nil {
@@ -97,7 +106,7 @@ func TestEvalRoundTrip(t *testing.T) {
 
 	db2 := mustOpen(t, dir)
 	defer db2.Close()
-	if n := db2.EvalCount(key); n != 2 {
+	if n := evalCount(t, db2, key); n != 2 {
 		t.Fatalf("EvalCount after reopen = %d", n)
 	}
 	keys := db2.Keys()
@@ -151,7 +160,7 @@ func TestPutEvalDeduplicates(t *testing.T) {
 	if err := db.PutEval(key, cfg, []float64{0.4, 8}); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.EvalCount(key); n != 1 {
+	if n := evalCount(t, db, key); n != 1 {
 		t.Fatalf("EvalCount = %d", n)
 	}
 	if objs, ok := db.GetEval(key, cfg); !ok || objs[0] != 0.4 {
@@ -244,7 +253,7 @@ func TestCompact(t *testing.T) {
 
 	db2 := mustOpen(t, dir)
 	defer db2.Close()
-	if n := db2.EvalCount(key); n != 2 {
+	if n := evalCount(t, db2, key); n != 2 {
 		t.Fatalf("EvalCount after compact+reopen = %d", n)
 	}
 	if rec, ok := db2.Front(key); !ok || len(rec.Points) != 2 {
@@ -285,7 +294,7 @@ func TestMerge(t *testing.T) {
 	if evals != 1 || fronts != 1 {
 		t.Fatalf("merge adopted %d evals, %d fronts", evals, fronts)
 	}
-	if n := dst.EvalCount(otherKey); n != 1 {
+	if n := evalCount(t, dst, otherKey); n != 1 {
 		t.Fatalf("merged eval missing: EvalCount = %d", n)
 	}
 	if _, ok := dst.Front(key); !ok {
@@ -338,7 +347,7 @@ func TestConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 0; w < writers; w++ {
-		if n := db.EvalCount(keys[w]); n != perWriter {
+		if n := evalCount(t, db, keys[w]); n != perWriter {
 			t.Fatalf("EvalCount(writer %d) = %d, want %d", w, n, perWriter)
 		}
 	}
@@ -348,7 +357,7 @@ func TestConcurrentWriters(t *testing.T) {
 	db2 := mustOpen(t, dir)
 	defer db2.Close()
 	for w := 0; w < writers; w++ {
-		if n := db2.EvalCount(keys[w]); n != perWriter {
+		if n := evalCount(t, db2, keys[w]); n != perWriter {
 			t.Fatalf("EvalCount(writer %d) after reopen = %d, want %d", w, n, perWriter)
 		}
 	}

@@ -2,28 +2,52 @@ package tunedb
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 
 	"autotune/internal/machine"
 	"autotune/internal/objective"
 	"autotune/internal/skeleton"
 )
 
-// WarmCache primes the shared evaluation cache with every stored
-// evaluation for the exact key — including known failures — so
-// repeated or overlapping searches re-pay nothing for configurations
-// the database has already seen: the E metric counts only new
-// evaluations. It returns the number of entries primed. Evaluations
-// never warm across machines; objective values measured (or modeled)
-// on one machine are meaningless on another.
-func (db *DB) WarmCache(key Key, ce *objective.CachingEvaluator) int {
-	primed := 0
-	db.ScanEvals(key.String(), func(_ string, cfg skeleton.Config, objs []float64) bool {
-		if ce.Prime(cfg, objs) {
-			primed++
+// Warm primes the shared evaluation cache with every stored evaluation
+// for the exact key — including known failures — so repeated or
+// overlapping searches re-pay nothing for configurations the database
+// has already seen: the E metric counts only new evaluations. The
+// records are read in one single-shard scan and handed to the cache as
+// one batch, in canonical key order, the slices as they were decoded.
+// It returns the number of entries primed. A scan that fails — a read
+// fault, a damaged frame, an undecodable value — primes nothing and
+// returns the error: a search warm-started from part of its history
+// would quietly find a different front than from all of it.
+// Evaluations never warm across machines; objective values measured (or
+// modeled) on one machine are meaningless on another.
+func (db *DB) Warm(key Key, ce *objective.CachingEvaluator) (primed int, err error) {
+	var cfgs []skeleton.Config
+	var objs [][]float64
+	err = db.ScanEvals(key.String(), func(_ string, cfg skeleton.Config, o []float64) bool {
+		if len(cfgs) == cap(cfgs) {
+			// Doubled by hand: append grows a long slice a quarter at a
+			// time, which for a history of thousands of records copies
+			// five times its final size where doubling copies twice.
+			cfgs = slices.Grow(cfgs, max(len(cfgs), 256))
+			objs = slices.Grow(objs, max(len(objs), 256))
 		}
+		cfgs, objs = append(cfgs, cfg), append(objs, o)
 		return true
 	})
+	if err != nil {
+		return 0, err
+	}
+	return ce.PrimeBatch(cfgs, objs), nil
+}
+
+// WarmCache is Warm with the error dropped: a failed scan reads as
+// nothing stored. Only the repository benchmark, which this package may
+// not edit, still calls it; everything else calls Warm.
+func (db *DB) WarmCache(key Key, ce *objective.CachingEvaluator) int {
+	primed, _ := db.Warm(key, ce)
 	return primed
 }
 
@@ -33,10 +57,16 @@ func (db *DB) WarmCache(key Key, ce *objective.CachingEvaluator) int {
 // the cross-machine transfer path. Candidate fronts come from a
 // single-shard range scan: sharding is by program fingerprint, so
 // every machine's front for this program lives in one shard. The
-// returned distance is 0 for an exact match.
+// returned distance is 0 for an exact match. A read that fails counts
+// as no usable front; Seeds is the form that reports it.
 func (db *DB) NearestFront(key Key, sig machine.Signature) (FrontRecord, float64, bool) {
-	if rec, ok := db.Front(key); ok {
-		return rec, 0, true
+	rec, dist, ok, err := db.nearestFront(key, sig)
+	return rec, dist, ok && err == nil
+}
+
+func (db *DB) nearestFront(key Key, sig machine.Signature) (FrontRecord, float64, bool, error) {
+	if rec, ok, err := db.front(key); ok || err != nil {
+		return rec, 0, ok, err
 	}
 	best := FrontRecord{}
 	bestDist := math.Inf(1)
@@ -59,19 +89,25 @@ func (db *DB) NearestFront(key Key, sig machine.Signature) (FrontRecord, float64
 			best, bestDist, found = rec, d, true
 		}
 	}
-	return best, bestDist, found
+	if err := it.Err(); err != nil {
+		// The nearest of the fronts that could be read is not the
+		// nearest front.
+		return FrontRecord{}, 0, false, fmt.Errorf("tunedb: %w", err)
+	}
+	return best, bestDist, found, nil
 }
 
-// SeedPopulation returns up to k stored Pareto-front configurations to
-// inject into an initial search population: the exact key's front when
+// Seeds returns up to k stored Pareto-front configurations to inject
+// into an initial search population: the exact key's front when
 // present, otherwise the nearest-signature transferable front. Every
 // configuration is clamped into the current space; wrong-dimension and
 // duplicate configurations are dropped. A nil result means no usable
-// stored front exists.
-func (db *DB) SeedPopulation(key Key, sig machine.Signature, space skeleton.Space, k int) []skeleton.Config {
-	rec, _, ok := db.NearestFront(key, sig)
-	if !ok || k <= 0 {
-		return nil
+// stored front exists; an error means the database could not be read,
+// which is not the same thing.
+func (db *DB) Seeds(key Key, sig machine.Signature, space skeleton.Space, k int) ([]skeleton.Config, error) {
+	rec, _, ok, err := db.nearestFront(key, sig)
+	if err != nil || !ok || k <= 0 {
+		return nil, err
 	}
 	seen := map[string]bool{}
 	var out []skeleton.Config
@@ -90,5 +126,12 @@ func (db *DB) SeedPopulation(key Key, sig machine.Signature, space skeleton.Spac
 		seen[ck] = true
 		out = append(out, cfg)
 	}
-	return out
+	return out, nil
+}
+
+// SeedPopulation is Seeds with the error dropped, kept — like WarmCache
+// — for the repository benchmark alone.
+func (db *DB) SeedPopulation(key Key, sig machine.Signature, space skeleton.Space, k int) []skeleton.Config {
+	seeds, _ := db.Seeds(key, sig, space, k)
+	return seeds
 }

@@ -41,12 +41,12 @@ func TestWarmCacheSkipsStoredEvaluations(t *testing.T) {
 			calls++
 			return []float64{1, 1}
 		})
-	if primed := db.WarmCache(key, ce); primed != 4 {
-		t.Fatalf("primed %d entries, want 4", primed)
+	if primed, err := db.Warm(key, ce); err != nil || primed != 4 {
+		t.Fatalf("primed %d entries (%v), want 4", primed, err)
 	}
 	// Priming again is a no-op: everything is already cached.
-	if primed := db.WarmCache(key, ce); primed != 0 {
-		t.Fatalf("re-priming inserted %d entries", primed)
+	if primed, err := db.Warm(key, ce); err != nil || primed != 0 {
+		t.Fatalf("re-priming inserted %d entries (%v)", primed, err)
 	}
 
 	out := ce.Evaluate(append(stored, skeleton.Config{1, 1, 1}))
@@ -82,8 +82,8 @@ func TestWarmCacheExactKeyOnly(t *testing.T) {
 	other := key
 	other.MachineSig = machine.SignatureOf(machine.Barcelona()).Key()
 	ce := objective.NewCachingEvaluator(nil, 1, func(skeleton.Config) []float64 { return nil })
-	if primed := db.WarmCache(other, ce); primed != 0 {
-		t.Fatalf("cross-machine WarmCache primed %d entries", primed)
+	if primed, err := db.Warm(other, ce); err != nil || primed != 0 {
+		t.Fatalf("cross-machine Warm primed %d entries (%v)", primed, err)
 	}
 }
 

@@ -47,6 +47,11 @@ func TestServiceEndToEnd(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- server.New(orch).Serve(ctx, l) }()
 	defer func() {
+		// Six submissions at once can leave the client holding a
+		// connection it dialled and never used; the server counts one
+		// that has not sent a request as active for five seconds —
+		// all of its shutdown grace.
+		http.DefaultClient.CloseIdleConnections()
 		cancel()
 		select {
 		case err := <-serveErr:
