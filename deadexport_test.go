@@ -22,33 +22,11 @@ import (
 // TestExportedMeansUsed fails on it, and on an entry here that has
 // gained a caller or lost its declaration.
 var deadExportAllowlist = map[string]string{
-	"internal/chaos.NewInjector": "test support: the store, tunedb and server chaos sweeps build their fault injectors with it",
-	"internal/chaos.OpWriteSide": "test support: the op mask of every write-side fault schedule in those sweeps",
-	"internal/chaos.Schedule":    "test support: the seeded fault schedule those sweeps hand to NewInjector",
-	"internal/israce.Enabled":    "test support: the AllocationBudget tests skip themselves under the race detector",
+	"internal/chaos.NewInjector": "test support: the store, tunedb and server fault tests build their injectors with it; production code only takes a chaos.FS",
+	"internal/chaos.Schedule":    "test support: the seeded write-side fault scripts of the store and server chaos sweeps",
+	"internal/israce.Enabled":    "test support: the AllocationBudget tests skip themselves under the race detector, whose instrumentation allocates",
 
-	// What the gate found when it was written; the following commits
-	// empty this half.
-	"internal/driver.TuneProgramAll":       "no caller but tests, although golden_joint.json pins it",
-	"internal/ir.Loops":                    "no caller but the ir and trace tests",
-	"internal/multiversion.Prune":          "no caller but its own test",
-	"internal/optimizer.SingleObjectiveDE": "no caller but the ablation test",
-	"internal/polyhedral.PermutationLegal": "no caller but its own test",
-	"internal/stats.ArgMin":                "no caller but its own test",
-	"internal/stats.Clamp":                 "no caller but its own test",
-	"internal/stats.ClampInt":              "no caller but its own test",
-	"internal/stats.GeoMean":               "no caller but its own test",
-	"internal/stats.Normalize":             "no caller but its own test",
-	"internal/stats.Percentile":            "no caller but its own test",
-	"internal/stats.RelLoss":               "no caller but its own test",
-	"internal/stats.Stddev":                "no caller but its own test",
-	"internal/transform.AnnotateUnroll":    "no caller but tests, which can call AnnotateUnrollStep",
-	"internal/transform.FissionStep":       "no caller but its own test",
-	"internal/transform.FuseStep":          "no caller but its own test",
-	"internal/transform.Interchange":       "no caller but tests, which can call InterchangeStep",
-	"internal/transform.Parallelize":       "no caller but tests, which can call ParallelizeStep",
-	"internal/transform.Unroll":            "no caller but tests, which can call UnrollStep",
-	"internal/tunedb/v1.Open":              "the frozen v1 engine: no caller but the migration tests",
+	"internal/driver.TuneProgramAll": "no caller but tests, although golden_joint.json pins it",
 }
 
 const modulePath = "autotune"

@@ -233,6 +233,9 @@ func TestOpString(t *testing.T) {
 // operations — a schedule must never fault reads or opens, which would
 // break the sweep's differential read checks.
 func TestScheduleShape(t *testing.T) {
+	// The durability-critical operations: the ones whose failure a store
+	// must survive without losing acknowledged data.
+	const writeSide = OpWrite | OpSync | OpRename | OpTruncate | OpSyncDir
 	a, b := Schedule(7, 50, 40), Schedule(7, 50, 40)
 	for i := range a {
 		if a[i].Op != b[i].Op || a[i].After != b[i].After || a[i].TornBytes != b[i].TornBytes {
@@ -244,7 +247,7 @@ func TestScheduleShape(t *testing.T) {
 	}
 	for seed := int64(0); seed < 20; seed++ {
 		for _, f := range Schedule(seed, 8, 0) { // maxOps clamps to 1
-			if f.Op&OpWriteSide == 0 || f.Op&(OpOpen|OpRead|OpRemove|OpMkdir|OpReadDir) != 0 {
+			if f.Op&writeSide == 0 || f.Op&(OpOpen|OpRead|OpRemove|OpMkdir|OpReadDir) != 0 {
 				t.Fatalf("seed %d scripted a non-write-side fault: %+v", seed, f)
 			}
 			if f.After != 0 {

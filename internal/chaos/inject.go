@@ -28,10 +28,6 @@ const (
 
 	// OpAny matches every operation kind.
 	OpAny Op = 1<<iota - 1
-	// OpWriteSide matches the durability-critical operations: the ones
-	// whose failure a store must survive without losing acknowledged
-	// data.
-	OpWriteSide = OpWrite | OpSync | OpRename | OpTruncate | OpSyncDir
 )
 
 func (o Op) String() string {

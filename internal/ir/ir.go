@@ -585,30 +585,6 @@ func Walk(ns []Node, fn func(Node) bool) {
 	}
 }
 
-// Stmts returns all statements in the subtree, in textual order.
-func Stmts(ns []Node) []*Stmt {
-	var out []*Stmt
-	Walk(ns, func(n Node) bool {
-		if s, ok := n.(*Stmt); ok {
-			out = append(out, s)
-		}
-		return true
-	})
-	return out
-}
-
-// Loops returns all loops in the subtree, outermost first.
-func Loops(ns []Node) []*Loop {
-	var out []*Loop
-	Walk(ns, func(n Node) bool {
-		if l, ok := n.(*Loop); ok {
-			out = append(out, l)
-		}
-		return true
-	})
-	return out
-}
-
 // String renders the program as pseudo-C for debugging and for the
 // multi-versioning backend's human-readable code listing. The whole
 // listing is written through one builder, without fmt: a tuned unit

@@ -87,6 +87,30 @@ func TestArrayBytes(t *testing.T) {
 	}
 }
 
+// allLoops returns all loops in the subtree, outermost first.
+func allLoops(ns []Node) []*Loop {
+	var out []*Loop
+	Walk(ns, func(n Node) bool {
+		if l, ok := n.(*Loop); ok {
+			out = append(out, l)
+		}
+		return true
+	})
+	return out
+}
+
+// allStmts returns all statements in the subtree, in textual order.
+func allStmts(ns []Node) []*Stmt {
+	var out []*Stmt
+	Walk(ns, func(n Node) bool {
+		if s, ok := n.(*Stmt); ok {
+			out = append(out, s)
+		}
+		return true
+	})
+	return out
+}
+
 // mmProgram builds the paper's Fig. 7 IJK matrix-multiply nest.
 func mmProgram(n int64) *Program {
 	stmt := &Stmt{
@@ -126,25 +150,25 @@ func TestValidateRejections(t *testing.T) {
 		mutate func(*Program)
 	}{
 		{"undeclared array", func(p *Program) {
-			s := Stmts(p.Root)[0]
+			s := allStmts(p.Root)[0]
 			s.Reads = append(s.Reads, Access{Array: "Z", Indices: []Affine{Con(0), Con(0)}})
 		}},
 		{"dimension mismatch", func(p *Program) {
-			s := Stmts(p.Root)[0]
+			s := allStmts(p.Root)[0]
 			s.Reads[0].Indices = s.Reads[0].Indices[:1]
 		}},
 		{"unbound iterator in access", func(p *Program) {
-			s := Stmts(p.Root)[0]
+			s := allStmts(p.Root)[0]
 			s.Reads[0] = s.Reads[0].Rename("i", "w")
 		}},
 		{"non-positive step", func(p *Program) {
-			Loops(p.Root)[0].Step = 0
+			allLoops(p.Root)[0].Step = 0
 		}},
 		{"shadowed loop var", func(p *Program) {
-			Loops(p.Root)[2].Var = "i"
+			allLoops(p.Root)[2].Var = "i"
 		}},
 		{"unbound iterator in bound", func(p *Program) {
-			Loops(p.Root)[0].Hi = Var("q")
+			allLoops(p.Root)[0].Hi = Var("q")
 		}},
 		{"duplicate array", func(p *Program) {
 			p.Arrays = append(p.Arrays, Array{Name: "A", ElemBytes: 8, Dims: []int64{1}})
@@ -164,12 +188,12 @@ func TestValidateRejections(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	p := mmProgram(8)
 	c := p.Clone()
-	Loops(c.Root)[0].Hi = Con(99)
-	Stmts(c.Root)[0].Flops = 42
-	if Loops(p.Root)[0].Hi.Const != 8 {
+	allLoops(c.Root)[0].Hi = Con(99)
+	allStmts(c.Root)[0].Flops = 42
+	if allLoops(p.Root)[0].Hi.Const != 8 {
 		t.Fatal("clone shares loop bounds with original")
 	}
-	if Stmts(p.Root)[0].Flops != 2 {
+	if allStmts(p.Root)[0].Flops != 2 {
 		t.Fatal("clone shares statements with original")
 	}
 	c.Arrays[0].Dims[0] = 1
@@ -195,7 +219,7 @@ func TestPerfectNest(t *testing.T) {
 func TestPerfectNestStopsAtImperfection(t *testing.T) {
 	p := mmProgram(8)
 	// Insert a statement next to the k loop, making the j body imperfect.
-	jl := Loops(p.Root)[1]
+	jl := allLoops(p.Root)[1]
 	jl.Body = append(jl.Body, &Stmt{Label: "extra"})
 	loops, _ := PerfectNest(p.Root[0])
 	if len(loops) != 2 {
@@ -237,10 +261,10 @@ func TestWalkPreOrderAndPruning(t *testing.T) {
 
 func TestStmtsAndLoops(t *testing.T) {
 	p := mmProgram(8)
-	if len(Stmts(p.Root)) != 1 {
+	if len(allStmts(p.Root)) != 1 {
 		t.Fatal("Stmts wrong")
 	}
-	ls := Loops(p.Root)
+	ls := allLoops(p.Root)
 	if len(ls) != 3 || ls[0].Var != "i" {
 		t.Fatal("Loops wrong")
 	}
@@ -257,7 +281,7 @@ func TestProgramString(t *testing.T) {
 
 func TestProgramStringParallelAndStep(t *testing.T) {
 	p := mmProgram(4)
-	l := Loops(p.Root)[0]
+	l := allLoops(p.Root)[0]
 	l.Parallel = true
 	l.Step = 2
 	s := p.String()
@@ -267,7 +291,7 @@ func TestProgramStringParallelAndStep(t *testing.T) {
 }
 
 func TestStmtRenameAndSubst(t *testing.T) {
-	s := Stmts(mmProgram(4).Root)[0]
+	s := allStmts(mmProgram(4).Root)[0]
 	s.RenameIter("i", "ii")
 	if s.Writes[0].Indices[0].Coeff("ii") != 1 || s.Writes[0].Indices[0].Coeff("i") != 0 {
 		t.Fatalf("rename failed: %v", s.Writes[0])

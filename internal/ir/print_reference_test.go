@@ -164,22 +164,30 @@ func TestProgramStringMatchesReference(t *testing.T) {
 		})
 	}
 
-	// What no kernel's skeleton emits: interchange, structural
-	// unrolling (substituted iterators, relabelled statements),
-	// non-unit steps and several caps on one loop.
+	// What no kernel's skeleton emits: a structurally unrolled body
+	// (substituted iterators, relabelled statements), non-unit steps
+	// and several caps on one loop.
 	mm, err := kernels.ByName("mm")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p, err := transform.Sequence(mm.IR(16),
 		transform.TileStep([]int64{4, 4}),
-		transform.InterchangeStep([]int{1, 0}),
-		transform.ParallelizeStep(1),
-		transform.UnrollStep(4))
+		transform.ParallelizeStep(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(t, "tile+interchange+parallelize+unroll", p)
+	loops, _ := ir.PerfectNest(p.Root[0])
+	inner := loops[len(loops)-1]
+	stmt := inner.Body[0].(*ir.Stmt)
+	inner.Body, inner.Step = nil, 4
+	for u := int64(0); u < inner.Step; u++ {
+		s := stmt.CloneNode().(*ir.Stmt)
+		s.SubstIter(inner.Var, ir.Var(inner.Var).AddConst(u))
+		s.Label = fmt.Sprintf("%s (unroll %d)", s.Label, u)
+		inner.Body = append(inner.Body, s)
+	}
+	check(t, "tile+parallelize+unrolled by hand", p)
 	p, err = transform.Tile(p, []int64{0, 0, 2})
 	if err != nil {
 		t.Fatal(err)

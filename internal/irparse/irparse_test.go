@@ -61,7 +61,8 @@ for i = 1..31 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := ir.Stmts(p.Root)[0]
+	_, body := ir.PerfectNest(p.Root[0])
+	s := body[0]
 	ix := s.Reads[0].Indices[0] // i-1
 	if ix.Coeff("i") != 1 || ix.Const != -1 {
 		t.Fatalf("A[i-1] parsed as %v", ix)
@@ -89,7 +90,8 @@ for i = 0..16 step 2 {
 	if l.Step != 2 {
 		t.Fatalf("step = %d", l.Step)
 	}
-	s := ir.Stmts(p.Root)[0]
+	_, body := ir.PerfectNest(p.Root[0])
+	s := body[0]
 	if len(s.Writes) != 2 || len(s.Reads) != 0 {
 		t.Fatalf("stmt = %+v", s)
 	}
@@ -168,7 +170,7 @@ func TestParseInlineClosingBrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ir.Stmts(p.Root)) != 1 {
+	if _, body := ir.PerfectNest(p.Root[0]); len(body) != 1 {
 		t.Fatal("inline closing brace mishandled")
 	}
 }

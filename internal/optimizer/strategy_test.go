@@ -165,10 +165,6 @@ func TestNegativeSizesRefused(t *testing.T) {
 				_, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), StrategyConfig{Options: opt}, RaceOptions{}, Control{})
 				return err
 			},
-			"SingleObjectiveDE": func() error {
-				_, err := SingleObjectiveDE(schafferSpace(), newFuncEvaluator(schaffer), []float64{1, 1}, opt)
-				return err
-			},
 		}
 		for _, name := range StrategyNames() {
 			entries["Run/"+name] = func() error {

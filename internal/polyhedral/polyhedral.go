@@ -410,43 +410,6 @@ func MaxTilableBand(deps []Dependence, nestDepth int) int {
 	return k
 }
 
-// PermutationLegal reports whether reordering the nest's loops by perm
-// (the loop at original position perm[i] moves to position i) preserves
-// every dependence: each permuted direction vector must remain
-// lexicographically non-negative, i.e. scanning the new order, the
-// first component that can be non-zero must not be negative. Unknown
-// (*) components are conservative: a vector whose first possibly
-// non-zero permuted component may be negative rejects the permutation.
-func PermutationLegal(deps []Dependence, perm []int) bool {
-	for _, d := range deps {
-		legal := false
-		sawPossiblyNegative := false
-		for _, orig := range perm {
-			if orig >= len(d.Directions) {
-				continue
-			}
-			switch d.Directions[orig] {
-			case DirPos:
-				legal = true
-			case DirZero:
-				continue
-			case DirNonNeg:
-				// {=,<}: may already satisfy positivity; cannot be
-				// negative, so keep scanning — if everything after is
-				// non-negative too, the vector stays legal.
-				continue
-			case DirNeg, DirAny:
-				sawPossiblyNegative = true
-			}
-			break
-		}
-		if !legal && sawPossiblyNegative {
-			return false
-		}
-	}
-	return true
-}
-
 // CollapsibleLoops reports whether the two adjacent loops at positions
 // level and level+1 may be collapsed into a single loop before
 // parallelizing the result. Requirements: the inner loop's bounds must

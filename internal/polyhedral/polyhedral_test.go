@@ -300,43 +300,3 @@ func TestCarriedByOutOfRange(t *testing.T) {
 		t.Error("out-of-range level must not be carried")
 	}
 }
-
-func TestPermutationLegal(t *testing.T) {
-	// Seidel: distances (1,0) and (0,1) — any permutation keeps
-	// lexicographic non-negativity.
-	loops, stmts := seidelNest(32)
-	deps := Analyze(loops, stmts)
-	if !PermutationLegal(deps, []int{0, 1}) || !PermutationLegal(deps, []int{1, 0}) {
-		t.Error("non-negative distance vectors permute freely")
-	}
-	// A skewed dependence (1,-1) forbids interchange: permuted to
-	// (-1,1) it becomes lexicographically negative.
-	stmt := &ir.Stmt{
-		Label:  "skew",
-		Writes: []ir.Access{{Array: "A", Indices: []ir.Affine{ir.Var("i"), ir.Var("j")}}},
-		Reads: []ir.Access{{Array: "A", Indices: []ir.Affine{
-			ir.Var("i").AddConst(-1), ir.Var("j").AddConst(1),
-		}}},
-	}
-	jl := &ir.Loop{Var: "j", Lo: ir.Con(0), Hi: ir.Con(31), Step: 1, Body: []ir.Node{stmt}}
-	il := &ir.Loop{Var: "i", Lo: ir.Con(1), Hi: ir.Con(32), Step: 1, Body: []ir.Node{jl}}
-	skewDeps := Analyze([]*ir.Loop{il, jl}, []*ir.Stmt{stmt})
-	if !PermutationLegal(skewDeps, []int{0, 1}) {
-		t.Error("identity permutation must stay legal")
-	}
-	if PermutationLegal(skewDeps, []int{1, 0}) {
-		t.Error("interchanging a (1,-1) dependence must be illegal")
-	}
-}
-
-func TestPermutationLegalReductionLoop(t *testing.T) {
-	// mm: deps (=,=,<=); moving k outermost keeps vectors
-	// non-negative, so all permutations are legal.
-	loops, stmts := mmNest(32)
-	deps := Analyze(loops, stmts)
-	for _, perm := range [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}, {2, 1, 0}} {
-		if !PermutationLegal(deps, perm) {
-			t.Errorf("mm permutation %v should be legal", perm)
-		}
-	}
-}

@@ -110,8 +110,7 @@ func TestGenerateSequentialCount(t *testing.T) {
 
 func TestGenerateParallelPartition(t *testing.T) {
 	p := vecAdd(16)
-	loops := ir.Loops(p.Root)
-	loops[0].Parallel = true
+	p.Root[0].(*ir.Loop).Parallel = true
 	traces, err := Generate(p, 4, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +129,7 @@ func TestGenerateParallelPartition(t *testing.T) {
 
 func TestGenerateUnevenPartition(t *testing.T) {
 	p := vecAdd(10)
-	ir.Loops(p.Root)[0].Parallel = true
+	p.Root[0].(*ir.Loop).Parallel = true
 	traces, err := Generate(p, 4, 0)
 	if err != nil {
 		t.Fatal(err)

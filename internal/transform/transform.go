@@ -1,13 +1,12 @@
 // Package transform implements the loop transformations the
 // auto-tuner's transformation skeletons are built from: rectangular
 // tiling of a permutable band, loop collapsing before parallelization,
-// loop interchange, unrolling, and parallelization of the outermost
-// loop.
+// parallelization of the outermost loop, and unroll pragmas.
 //
 // Transformations operate on MiniIR (internal/ir) and return new
-// programs, leaving their input untouched: every exported
-// transformation clones its input and rewrites the clone, and Sequence
-// clones once for a whole list of steps. Legality is *not* re-checked
+// programs, leaving their input untouched: Tile clones its input and
+// rewrites the clone, and Sequence clones once for a whole list of
+// steps. Legality is *not* re-checked
 // here — the analyzer (internal/analyzer) combines the polyhedral
 // legality tests with these mechanical rewrites; transform only
 // validates structural applicability (nest depth, rectangularity where
@@ -109,70 +108,6 @@ func tile(out *ir.Program, tiles []int64) error {
 	return nil
 }
 
-// Interchange permutes the loops of the outermost perfect nest
-// according to perm: the loop at original position perm[i] moves to
-// position i. perm must be a permutation of 0..depth-1 covering a
-// prefix of the nest.
-func Interchange(p *ir.Program, perm []int) (*ir.Program, error) {
-	return InterchangeStep(perm)(p.Clone())
-}
-
-func interchange(out *ir.Program, perm []int) error {
-	if len(out.Root) == 0 {
-		return fmt.Errorf("transform: empty program")
-	}
-	loops, _ := ir.PerfectNest(out.Root[0])
-	n := len(perm)
-	if n > len(loops) {
-		return fmt.Errorf("transform: permutation of length %d exceeds nest depth %d", n, len(loops))
-	}
-	seen := make([]bool, n)
-	for _, x := range perm {
-		if x < 0 || x >= n || seen[x] {
-			return fmt.Errorf("transform: invalid permutation %v", perm)
-		}
-		seen[x] = true
-	}
-	// Rectangularity check: after interchange every loop bound must
-	// still refer only to iterators that remain outer.
-	pos := make([]int, n) // pos[orig] = new position
-	for newPos, orig := range perm {
-		pos[orig] = newPos
-	}
-	for orig := 0; orig < n; orig++ {
-		for _, b := range append([]ir.Affine{loops[orig].Lo, loops[orig].Hi}, loops[orig].Caps...) {
-			for _, v := range b.Vars() {
-				for other := 0; other < n; other++ {
-					if loops[other].Var == v && pos[other] > pos[orig] {
-						return fmt.Errorf("transform: interchange would move loop %s inside its bound dependency %s",
-							loops[orig].Var, v)
-					}
-				}
-			}
-		}
-	}
-	innerBody := loops[n-1].Body
-	reordered := make([]*ir.Loop, n)
-	for newPos, orig := range perm {
-		reordered[newPos] = loops[orig]
-	}
-	for i := 0; i < n-1; i++ {
-		reordered[i].Body = []ir.Node{reordered[i+1]}
-	}
-	reordered[n-1].Body = innerBody
-	out.Root[0] = reordered[0]
-	return nil
-}
-
-// Parallelize marks the outermost loop of the program as parallel,
-// collapsing the given number of perfectly nested loops into the
-// parallel distribution (collapse=1 parallelizes just the outermost
-// loop). The collapsed loops must be rectangular: bounds of an inner
-// collapsed loop must not depend on outer collapsed iterators.
-func Parallelize(p *ir.Program, collapse int) (*ir.Program, error) {
-	return ParallelizeStep(collapse)(p.Clone())
-}
-
 func parallelize(out *ir.Program, collapse int) error {
 	if collapse < 1 {
 		return fmt.Errorf("transform: collapse must be >= 1, got %d", collapse)
@@ -200,66 +135,6 @@ func parallelize(out *ir.Program, collapse int) error {
 	loops[0].Parallel = true
 	loops[0].Collapse = collapse
 	return nil
-}
-
-// Unroll unrolls the innermost loop of the outermost perfect nest by
-// the given factor, replicating the loop body with substituted
-// iterator values. The loop must have step 1 and a constant trip count
-// divisible by the factor (the analyzer only proposes such factors).
-func Unroll(p *ir.Program, factor int64) (*ir.Program, error) {
-	return UnrollStep(factor)(p.Clone())
-}
-
-func unroll(out *ir.Program, factor int64) error {
-	if factor < 1 {
-		return fmt.Errorf("transform: unroll factor must be >= 1, got %d", factor)
-	}
-	if factor == 1 {
-		return nil
-	}
-	if len(out.Root) == 0 {
-		return fmt.Errorf("transform: empty program")
-	}
-	loops, stmts := ir.PerfectNest(out.Root[0])
-	if len(loops) == 0 {
-		return fmt.Errorf("transform: no loop to unroll")
-	}
-	l := loops[len(loops)-1]
-	if l.Step != 1 {
-		return fmt.Errorf("transform: cannot unroll loop %s with step %d", l.Var, l.Step)
-	}
-	if !l.Lo.IsConst() || !l.Hi.IsConst() || len(l.Caps) > 0 {
-		return fmt.Errorf("transform: unroll requires constant rectangular bounds on %s", l.Var)
-	}
-	trip := l.Hi.Const - l.Lo.Const
-	if trip%factor != 0 {
-		return fmt.Errorf("transform: trip count %d not divisible by unroll factor %d", trip, factor)
-	}
-	if len(stmts) == 0 {
-		return fmt.Errorf("transform: loop %s has no statements to unroll", l.Var)
-	}
-	var newBody []ir.Node
-	for u := int64(0); u < factor; u++ {
-		for _, n := range l.Body {
-			cp := n.CloneNode()
-			if s, ok := cp.(*ir.Stmt); ok {
-				s.SubstIter(l.Var, ir.Var(l.Var).AddConst(u))
-				s.Label = fmt.Sprintf("%s (unroll %d)", s.Label, u)
-			}
-			newBody = append(newBody, cp)
-		}
-	}
-	l.Body = newBody
-	l.Step = factor
-	return nil
-}
-
-// AnnotateUnroll marks the innermost loop of the outermost perfect
-// nest with an unroll pragma of the given factor. Unlike Unroll it is
-// legal for any bounds (the backend compiler handles remainders);
-// factor 1 clears the annotation.
-func AnnotateUnroll(p *ir.Program, factor int64) (*ir.Program, error) {
-	return AnnotateUnrollStep(factor)(p.Clone())
 }
 
 func annotateUnroll(out *ir.Program, factor int64) error {
@@ -305,22 +180,20 @@ func TileStep(tiles []int64) Step {
 	return inPlace(func(p *ir.Program) error { return tile(p, tiles) })
 }
 
-// InterchangeStep returns a Step applying Interchange.
-func InterchangeStep(perm []int) Step {
-	return inPlace(func(p *ir.Program) error { return interchange(p, perm) })
-}
-
-// ParallelizeStep returns a Step applying Parallelize.
+// ParallelizeStep returns a Step marking the outermost loop of the
+// program as parallel, collapsing the given number of perfectly nested
+// loops into the parallel distribution (collapse=1 parallelizes just
+// the outermost loop). The collapsed loops must be rectangular: bounds
+// of an inner collapsed loop must not depend on outer collapsed
+// iterators.
 func ParallelizeStep(collapse int) Step {
 	return inPlace(func(p *ir.Program) error { return parallelize(p, collapse) })
 }
 
-// UnrollStep returns a Step applying Unroll.
-func UnrollStep(factor int64) Step {
-	return inPlace(func(p *ir.Program) error { return unroll(p, factor) })
-}
-
-// AnnotateUnrollStep returns a Step applying AnnotateUnroll.
+// AnnotateUnrollStep returns a Step marking the innermost loop of the
+// outermost perfect nest with an unroll pragma of the given factor. It
+// is legal for any bounds (the backend compiler handles remainders);
+// factor 1 clears the annotation.
 func AnnotateUnrollStep(factor int64) Step {
 	return inPlace(func(p *ir.Program) error { return annotateUnroll(p, factor) })
 }

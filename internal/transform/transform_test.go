@@ -146,47 +146,8 @@ func TestTileErrors(t *testing.T) {
 	}
 }
 
-func TestInterchange(t *testing.T) {
-	p := mmProgram(8)
-	want := iterationCount(p.Root, map[string]int64{})
-	ikj, err := Interchange(p, []int{0, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loops, _ := ir.PerfectNest(ikj.Root[0])
-	if loops[0].Var != "i" || loops[1].Var != "k" || loops[2].Var != "j" {
-		t.Fatalf("order = %s,%s,%s, want i,k,j", loops[0].Var, loops[1].Var, loops[2].Var)
-	}
-	if got := iterationCount(ikj.Root, map[string]int64{}); got != want {
-		t.Fatalf("iterations = %d, want %d", got, want)
-	}
-	if err := ikj.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInterchangeRejectsTriangularViolation(t *testing.T) {
-	// j's bound depends on i; moving j outside i must fail.
-	stmt := &ir.Stmt{Label: "s", Writes: []ir.Access{{Array: "A", Indices: []ir.Affine{ir.Var("i"), ir.Var("j")}}}}
-	jl := &ir.Loop{Var: "j", Lo: ir.Con(0), Hi: ir.Var("i"), Step: 1, Body: []ir.Node{stmt}}
-	il := &ir.Loop{Var: "i", Lo: ir.Con(0), Hi: ir.Con(8), Step: 1, Body: []ir.Node{jl}}
-	p := &ir.Program{Name: "tri", Arrays: []ir.Array{{Name: "A", ElemBytes: 8, Dims: []int64{8, 8}}}, Root: []ir.Node{il}}
-	if _, err := Interchange(p, []int{1, 0}); err == nil {
-		t.Error("interchange across a triangular bound should fail")
-	}
-}
-
-func TestInterchangeInvalidPerm(t *testing.T) {
-	p := mmProgram(8)
-	for _, perm := range [][]int{{0, 0, 1}, {0, 1, 3}, {-1, 0, 1}, {0, 1, 2, 3}} {
-		if _, err := Interchange(p, perm); err == nil {
-			t.Errorf("perm %v should fail", perm)
-		}
-	}
-}
-
 func TestParallelize(t *testing.T) {
-	p, err := Parallelize(mmProgram(8), 2)
+	p, err := Sequence(mmProgram(8), ParallelizeStep(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +161,13 @@ func TestParallelize(t *testing.T) {
 }
 
 func TestParallelizeErrors(t *testing.T) {
-	if _, err := Parallelize(mmProgram(8), 0); err == nil {
+	if _, err := Sequence(mmProgram(8), ParallelizeStep(0)); err == nil {
 		t.Error("collapse 0 should fail")
 	}
-	if _, err := Parallelize(mmProgram(8), 4); err == nil {
+	if _, err := Sequence(mmProgram(8), ParallelizeStep(4)); err == nil {
 		t.Error("collapse beyond depth should fail")
 	}
-	if _, err := Parallelize(&ir.Program{Name: "e"}, 1); err == nil {
+	if _, err := Sequence(&ir.Program{Name: "e"}, ParallelizeStep(1)); err == nil {
 		t.Error("empty program should fail")
 	}
 	// Non-rectangular collapse.
@@ -214,55 +175,8 @@ func TestParallelizeErrors(t *testing.T) {
 	jl := &ir.Loop{Var: "j", Lo: ir.Con(0), Hi: ir.Var("i"), Step: 1, Body: []ir.Node{stmt}}
 	il := &ir.Loop{Var: "i", Lo: ir.Con(0), Hi: ir.Con(8), Step: 1, Body: []ir.Node{jl}}
 	p := &ir.Program{Name: "tri", Arrays: []ir.Array{{Name: "A", ElemBytes: 8, Dims: []int64{8, 8}}}, Root: []ir.Node{il}}
-	if _, err := Parallelize(p, 2); err == nil {
+	if _, err := Sequence(p, ParallelizeStep(2)); err == nil {
 		t.Error("non-rectangular collapse should fail")
-	}
-}
-
-func TestUnrollPreservesAccessesPerIteration(t *testing.T) {
-	p := mmProgram(8)
-	u, err := Unroll(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	loops, _ := ir.PerfectNest(u.Root[0])
-	inner := loops[len(loops)-1]
-	if inner.Step != 4 {
-		t.Fatalf("unrolled step = %d, want 4", inner.Step)
-	}
-	if len(inner.Body) != 4 {
-		t.Fatalf("unrolled body statements = %d, want 4", len(inner.Body))
-	}
-	// Statement copies access k, k+1, k+2, k+3.
-	for off, n := range inner.Body {
-		s := n.(*ir.Stmt)
-		ix := s.Reads[1].Indices[1] // A[i][k+off]
-		if ix.Coeff("k") != 1 || ix.Const != int64(off) {
-			t.Errorf("unroll copy %d reads A[i][%s]", off, ix.String())
-		}
-	}
-	// Total statement executions unchanged.
-	if got, want := iterationCount(u.Root, map[string]int64{}), int64(8*8*8); got != want {
-		t.Fatalf("iterations = %d, want %d", got, want)
-	}
-}
-
-func TestUnrollErrors(t *testing.T) {
-	if _, err := Unroll(mmProgram(8), 0); err == nil {
-		t.Error("factor 0 should fail")
-	}
-	if _, err := Unroll(mmProgram(8), 3); err == nil {
-		t.Error("non-divisible factor should fail")
-	}
-	if _, err := Unroll(&ir.Program{Name: "e"}, 2); err == nil {
-		t.Error("empty program should fail")
-	}
-	u, err := Unroll(mmProgram(8), 1)
-	if err != nil || len(ir.Stmts(u.Root)) != 1 {
-		t.Error("factor 1 should be identity")
 	}
 }
 
@@ -285,15 +199,6 @@ func TestSequenceComposesAndStopsOnError(t *testing.T) {
 	_, err = Sequence(p, TileStep([]int64{-2}), ParallelizeStep(1))
 	if err == nil || !strings.Contains(err.Error(), "step 0") {
 		t.Fatalf("expected step-0 error, got %v", err)
-	}
-	// Interchange and Unroll steps compose too.
-	out2, err := Sequence(mmProgram(8), InterchangeStep([]int{1, 0, 2}), UnrollStep(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loops2, _ := ir.PerfectNest(out2.Root[0])
-	if loops2[0].Var != "j" {
-		t.Fatalf("interchange step did not apply: %s", loops2[0].Var)
 	}
 }
 
@@ -345,7 +250,6 @@ func TestSequenceOwnsItsClone(t *testing.T) {
 	before := p.String()
 	steps := []Step{
 		TileStep([]int64{4, 4, 4}),
-		InterchangeStep([]int{1, 0}),
 		ParallelizeStep(2),
 		AnnotateUnrollStep(4),
 	}
@@ -357,26 +261,19 @@ func TestSequenceOwnsItsClone(t *testing.T) {
 		t.Fatal("a successful sequence modified its input")
 	}
 	// The steps rewrote one clone: the result equals the chain of
-	// clone-per-call transformations.
-	want, err := Tile(p, []int64{4, 4, 4})
-	if err == nil {
-		want, err = Interchange(want, []int{1, 0})
-	}
-	if err == nil {
-		want, err = Parallelize(want, 2)
-	}
-	if err == nil {
-		want, err = AnnotateUnroll(want, 4)
-	}
-	if err != nil {
-		t.Fatal(err)
+	// clone-per-step transformations.
+	want := p
+	for _, s := range steps {
+		if want, err = s(want.Clone()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if out.String() != want.String() {
 		t.Fatalf("sequence result:\n%s\nclone-per-step result:\n%s", out, want)
 	}
 
-	failing := append(append([]Step{}, steps...), UnrollStep(3)) // the point loop's bounds are not constant
-	if out, err := Sequence(p, failing...); err == nil || out != nil || !strings.Contains(err.Error(), "step 4") {
+	failing := append(append([]Step{}, steps...), ParallelizeStep(7)) // deeper than the tiled nest
+	if out, err := Sequence(p, failing...); err == nil || out != nil || !strings.Contains(err.Error(), "step 3") {
 		t.Fatalf("failing sequence returned (%v, %v)", out, err)
 	}
 	if p.String() != before {
@@ -400,7 +297,7 @@ func TestSequenceOwnsItsClone(t *testing.T) {
 func TestFailingRewriteLeavesProgramUntouched(t *testing.T) {
 	triangular := mmProgram(8)
 	jl := triangular.Root[0].(*ir.Loop).Body[0].(*ir.Loop)
-	jl.Hi = ir.Var("i").AddConst(1) // j < i+1: neither interchangeable nor collapsible
+	jl.Hi = ir.Var("i").AddConst(1) // j < i+1: not collapsible
 	stepped := mmProgram(8)
 	stepped.Root[0].(*ir.Loop).Body[0].(*ir.Loop).Step = 2 // untileable second level
 	cases := []struct {
@@ -411,11 +308,8 @@ func TestFailingRewriteLeavesProgramUntouched(t *testing.T) {
 		{"tile: negative size after a valid one", mmProgram(8), TileStep([]int64{4, -1})},
 		{"tile: too deep", mmProgram(8), TileStep([]int64{2, 2, 2, 2})},
 		{"tile: stepped loop after a tileable one", stepped, TileStep([]int64{2, 2})},
-		{"interchange: bad permutation", mmProgram(8), InterchangeStep([]int{0, 0})},
-		{"interchange: bound dependency", triangular, InterchangeStep([]int{1, 0})},
 		{"parallelize: collapse too deep", mmProgram(8), ParallelizeStep(4)},
 		{"parallelize: non-rectangular collapse", triangular, ParallelizeStep(2)},
-		{"unroll: trip count not divisible", mmProgram(8), UnrollStep(3)},
 		{"annotate: bad factor", mmProgram(8), AnnotateUnrollStep(0)},
 		{"empty program", &ir.Program{Name: "empty"}, TileStep([]int64{2})},
 	}

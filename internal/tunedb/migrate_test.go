@@ -11,7 +11,6 @@ import (
 	"autotune/internal/machine"
 	"autotune/internal/skeleton"
 	"autotune/internal/tunedb"
-	v1 "autotune/internal/tunedb/v1"
 )
 
 func migKey(i int) tunedb.Key {
@@ -50,7 +49,7 @@ func migFront(key tunedb.Key, gen int) tunedb.FrontRecord {
 // evalsPer evaluations each, and a front (superseded once) per key.
 func buildV1(t *testing.T, dir string, nKeys, evalsPer int) {
 	t.Helper()
-	db, err := v1.Open(dir)
+	db, err := openV1(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +99,7 @@ func TestMigrationPreservesFrontsByteIdentically(t *testing.T) {
 	buildV1(t, dir, nKeys, evalsPer)
 
 	// Capture v1-visible state.
-	old, err := v1.Open(dir)
+	old, err := openV1(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
