@@ -660,11 +660,38 @@ func TuneAll(kernelNames []string, options ...Option) ([]*TuneResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newTuneResults(multi), nil
+}
+
+// TuneSourceAll is TuneAll for a program in the MiniIR text format:
+// every tunable region of the parsed program — not only the first, as
+// in TuneSource — is tuned simultaneously, each against a performance
+// model derived from its own access structure, with every program
+// execution shared by all regions (paper §III-A). The returned slice
+// holds one TuneResult per region, in program order; it honours and
+// refuses the options TuneAll does.
+func TuneSourceAll(src string, options ...Option) ([]*TuneResult, error) {
+	opts, err := driverOptions(options)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := irparse.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	multi, err := driver.TuneProgramAll(prog, opts)
+	if err != nil {
+		return nil, err
+	}
+	return newTuneResults(multi), nil
+}
+
+func newTuneResults(multi *driver.MultiOutput) []*TuneResult {
 	out := make([]*TuneResult, len(multi.Outputs))
 	for i, o := range multi.Outputs {
 		out[i] = newTuneResult(o)
 	}
-	return out, nil
+	return out
 }
 
 // Optimize runs RS-GDE3 directly on a custom search problem: any

@@ -71,6 +71,10 @@ func TestNegativeOptimizerSizesRefused(t *testing.T) {
 				_, err := TuneAll([]string{"mm", "jacobi-2d"}, WithOptimizerOptions(o))
 				return err
 			},
+			"TuneSourceAll": func() error {
+				_, err := TuneSourceAll(jointProgramSrc, WithOptimizerOptions(o))
+				return err
+			},
 			"Optimize": func() error {
 				_, err := Optimize(space, &customEval{}, o)
 				return err
@@ -365,8 +369,15 @@ for i = 0..512 {
 	if !strings.Contains(code, "void sweep_v0(") {
 		t.Fatal("EmitC broken for parsed programs")
 	}
-	// Parse errors propagate.
+	// Parse errors propagate, from the joint entry point too, which
+	// refuses by name what TuneAll refuses.
 	if _, err := TuneSource("not a program"); err == nil {
 		t.Fatal("garbage source accepted")
+	}
+	if _, err := TuneSourceAll("not a program"); err == nil {
+		t.Fatal("TuneSourceAll accepted a garbage source")
+	}
+	if _, err := TuneSourceAll(src, WithIslands(2, 0)); err == nil || !strings.Contains(err.Error(), "Islands") {
+		t.Fatalf("TuneSourceAll with islands: %v", err)
 	}
 }

@@ -25,8 +25,6 @@ var deadExportAllowlist = map[string]string{
 	"internal/chaos.NewInjector": "test support: the store, tunedb and server fault tests build their injectors with it; production code only takes a chaos.FS",
 	"internal/chaos.Schedule":    "test support: the seeded write-side fault scripts of the store and server chaos sweeps",
 	"internal/israce.Enabled":    "test support: the AllocationBudget tests skip themselves under the race detector, whose instrumentation allocates",
-
-	"internal/driver.TuneProgramAll": "no caller but tests, although golden_joint.json pins it",
 }
 
 const modulePath = "autotune"

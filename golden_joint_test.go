@@ -4,10 +4,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"testing"
-
-	"autotune/internal/driver"
-	"autotune/internal/irparse"
-	"autotune/internal/machine"
 )
 
 const goldenJointPath = "testdata/golden_joint.json"
@@ -65,15 +61,11 @@ func pinJointRegion(t *testing.T, id string, unit *Unit, front []Point, executio
 
 // computeGoldenJoint runs every joint cell on the current code: 2-, 3-
 // and 5-kernel region sets through TuneAll and the three-region parsed
-// program through driver.TuneProgramAll (the facade has no entry point
-// for it), each on 2 machines × seeds 1–3 × {rs-gde3, gde3} × noise
-// {0, 0.01} × default and small optimizer options.
+// program through TuneSourceAll, each on 2 machines × seeds 1–3 ×
+// {rs-gde3, gde3} × noise {0, 0.01} × default and small optimizer
+// options.
 func computeGoldenJoint(t *testing.T) map[string]goldenJointRegion {
 	t.Helper()
-	prog, err := irparse.Parse(jointProgramSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sets := []struct {
 		name    string
 		kernels []string
@@ -97,29 +89,23 @@ func computeGoldenJoint(t *testing.T) map[string]goldenJointRegion {
 							{"small", OptimizerOptions{PopSize: 12, CR: 0.7, F: 0.4, Stagnation: 2, MaxIterations: 15, Seed: seed}},
 						} {
 							cell := fmt.Sprintf("%s/%s/%s/seed%d/noise%g/%s", set.name, method, m, seed, noise, o.name)
+							opts := []Option{WithMachine(m), WithMethod(method), WithNoise(noise), WithOptimizerOptions(o.opt)}
+							var results []*TuneResult
+							var err error
 							if set.kernels == nil {
-								mach, err := machine.ByName(m)
-								if err != nil {
-									t.Fatal(err)
-								}
-								multi, err := driver.TuneProgramAll(prog, driver.Options{
-									Machine: mach, Method: method, NoiseAmp: noise, Optimizer: o.opt})
-								if err != nil {
-									t.Fatalf("%s: %v", cell, err)
-								}
-								for r, ro := range multi.Outputs {
-									id := fmt.Sprintf("%s/r%d-%s", cell, r, ro.Unit.Region)
-									out[id] = pinJointRegion(t, id, ro.Unit, ro.Result.Front, multi.Executions, multi.Iterations)
-								}
-								continue
+								results, err = TuneSourceAll(jointProgramSrc, opts...)
+							} else {
+								results, err = TuneAll(set.kernels, opts...)
 							}
-							results, err := TuneAll(set.kernels, WithMachine(m), WithMethod(method),
-								WithNoise(noise), WithOptimizerOptions(o.opt))
 							if err != nil {
 								t.Fatalf("%s: %v", cell, err)
 							}
 							for r, res := range results {
-								id := fmt.Sprintf("%s/r%d-%s", cell, r, set.kernels[r])
+								region := res.Unit.Region
+								if set.kernels != nil {
+									region = set.kernels[r]
+								}
+								id := fmt.Sprintf("%s/r%d-%s", cell, r, region)
 								out[id] = pinJointRegion(t, id, res.Unit, res.Front, res.Evaluations, res.Iterations)
 							}
 						}
