@@ -1,22 +1,41 @@
 package driver
 
 import (
+	"fmt"
+	"hash/fnv"
 	"sync/atomic"
 
 	"autotune/internal/objective"
 	"autotune/internal/optimizer"
 	"autotune/internal/resilience"
 	"autotune/internal/skeleton"
+	"autotune/internal/tunedb"
 )
+
+// problemTag is what a checkpoint remembers of the problem it was
+// written for: the tuning-database key — program, size, evaluator
+// switches, machine signature, objectives, space — and what shapes the
+// objective values beside it.
+func problemTag(key tunedb.Key, opt Options) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%g|%d", key, opt.NoiseAmp, opt.MeasuredReps)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
 
 // buildControl assembles the optimizer run control from the tuning
 // options: the bounding context, the watchdog/retry guard on the
 // shared evaluation cache, and the checkpoint journal (fresh for
 // CheckpointPath, folded and reopened for ResumeFrom; CheckOptions has
 // already refused a method that cannot use one). The returned cleanup
-// closes the journal; call it once the search is over.
-func buildControl(opt Options, eval objective.Evaluator) (optimizer.Control, func(), error) {
+// closes the journal; call it once the search is over. A checkpointed
+// run tags its snapshots with the problem (key, the problem's
+// tuning-database key, goes into the tag), so that a journal is never
+// resumed under another.
+func buildControl(opt Options, key tunedb.Key, eval objective.Evaluator) (optimizer.Control, func(), error) {
 	ctrl := optimizer.Control{Ctx: opt.Context}
+	if opt.checkpointed() {
+		ctrl.Problem = problemTag(key, opt)
+	}
 	cleanup := func() {}
 	if opt.EvalTimeout > 0 || opt.Retries > 0 {
 		if sc, ok := eval.(objective.SharedCacher); ok {

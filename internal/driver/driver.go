@@ -310,14 +310,20 @@ func tune(p *prepared, opt Options) (*Output, error) {
 	}
 	defer detach()
 
-	// (3c) Persistent tuning database: warm-start and journaling.
-	finish, err := attachDB(&opt, p, eval)
+	// (3c) Persistent tuning database: warm-start and journaling. The
+	// problem key is derived once, for the database and for the tag a
+	// checkpoint carries; a search that asks for neither derives none.
+	var key tunedb.Key
+	if opt.DB != nil || opt.checkpointed() {
+		key = p.key(opt)
+	}
+	finish, err := attachDB(&opt, p, key, eval)
 	if err != nil {
 		return nil, err
 	}
 
 	// (4) Optimize.
-	ctrl, cleanup, err := buildControl(opt, eval)
+	ctrl, cleanup, err := buildControl(opt, key, eval)
 	if err != nil {
 		return nil, err
 	}
@@ -616,8 +622,8 @@ func runBruteForce(space skeleton.Space, eval objective.Evaluator, opt Options, 
 
 // attachDB wires the persistent tuning database into one search. When
 // opt.DB is nil (or the evaluator has no shared cache to hook), it is
-// a no-op. Otherwise it derives the database key, optionally
-// warm-starts the evaluator cache and the initial population, and
+// a no-op. Otherwise it optionally warm-starts the evaluator cache and
+// the initial population from what the database holds under key, and
 // registers the journaling observer: every evaluated batch — a
 // generation — goes to the database as one record batch. The returned
 // callback stores the final front and surfaces any journaling error
@@ -625,7 +631,7 @@ func runBruteForce(space skeleton.Space, eval objective.Evaluator, opt Options, 
 // in full is an error, before anything is searched: a search started
 // from part of its history returns a different front than the same
 // request on a healthy disk, and nobody could tell.
-func attachDB(opt *Options, p *prepared, eval objective.Evaluator) (func(*optimizer.Result) error, error) {
+func attachDB(opt *Options, p *prepared, key tunedb.Key, eval objective.Evaluator) (func(*optimizer.Result) error, error) {
 	noop := func(*optimizer.Result) error { return nil }
 	if opt.DB == nil {
 		return noop, nil
@@ -638,7 +644,6 @@ func attachDB(opt *Options, p *prepared, eval objective.Evaluator) (func(*optimi
 	db := opt.DB
 	space := p.region.Skeleton.Space
 	sig := machine.SignatureOf(opt.Machine)
-	key := p.key(*opt)
 	if opt.WarmStart {
 		if _, err := db.Warm(key, ce); err != nil {
 			return nil, fmt.Errorf("driver: warm start: %w", err)

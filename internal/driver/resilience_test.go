@@ -10,6 +10,7 @@ import (
 
 	"autotune/internal/export"
 	"autotune/internal/irparse"
+	"autotune/internal/objective"
 	"autotune/internal/optimizer"
 	"autotune/internal/resilience"
 	"autotune/internal/tunedb"
@@ -240,5 +241,67 @@ func TestCheckpointOptionValidation(t *testing.T) {
 	opt.ResumeFrom = opt.CheckpointPath
 	if _, err := TuneKernel("mm", opt); err == nil {
 		t.Fatal("checkpoint and resume of the same missing journal succeeded")
+	}
+}
+
+// TestResumeRefusesAnotherProblem: the snapshot fingerprint covers the
+// space and the optimizer options, and two problems can share both — mm
+// and dsyrk search the same space, and neither a machine with another
+// clock, nor a noise amplitude, nor a third objective moves it. A
+// checkpoint resumed as any of them is refused, never mixed into a
+// front of two problems' objective values and never a panic (three
+// objectives over two-objective members indexed out of range in the
+// crowding distance); another problem size, which does move the space,
+// is refused as it always was, and the problem itself still resumes.
+func TestResumeRefusesAnotherProblem(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "mm.ckpt")
+	base := fastOpts()
+	base.Optimizer.MaxIterations = 4
+	base.CheckpointPath = ckpt
+	if _, err := TuneKernel("mm", base); err != nil {
+		t.Fatal(err)
+	}
+	if err := resilience.TrimCheckpoint(ckpt, 2); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.CheckpointPath = ""
+	for _, c := range []struct {
+		name, kernel string
+		change       func(*Options)
+		refused      bool
+	}{
+		{"kernel", "dsyrk", func(*Options) {}, true},
+		{"machine", "mm", func(o *Options) { m := *o.Machine; m.ClockGHz *= 2; o.Machine = &m }, true},
+		{"noise", "mm", func(o *Options) { o.NoiseAmp = 0.05 }, true},
+		{"objectives", "mm", func(o *Options) {
+			o.Objectives = []objective.ObjectiveKind{objective.TimeObjective, objective.ResourceObjective, objective.EnergyObjective}
+		}, true},
+		{"N", "mm", func(o *Options) { o.N = 96 }, true},
+		{"the same problem", "mm", func(*Options) {}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Resuming reopens the journal for appending: each case gets
+			// its own copy.
+			opt := base
+			opt.ResumeFrom = filepath.Join(dir, c.name+".ckpt")
+			if err := os.WriteFile(opt.ResumeFrom, journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c.change(&opt)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("resuming an mm checkpoint under another %s panicked: %v", c.name, r)
+				}
+			}()
+			_, err := TuneKernel(c.kernel, opt)
+			if refused := err != nil && strings.Contains(err.Error(), "checkpoint"); refused != c.refused {
+				t.Fatalf("refused = %v, want %v (err: %v)", refused, c.refused, err)
+			}
+		})
 	}
 }

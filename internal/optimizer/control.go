@@ -45,6 +45,12 @@ type Control struct {
 	// from an identically configured search (same space, options, seed
 	// and island layout); a mismatch is an error.
 	Resume *Snapshot
+	// Problem tags what the evaluator computes — the program, its size,
+	// the machine, the objectives, the noise — none of which the search
+	// itself can see. It is saved in every snapshot, and a snapshot
+	// tagged otherwise is not resumed: its members carry another
+	// problem's objective values. Empty tags nothing.
+	Problem string
 }
 
 // ctx returns the effective context.
@@ -99,6 +105,10 @@ type Snapshot struct {
 	// Fingerprint hashes the full search configuration (space, options,
 	// seed, island layout). Resume refuses a mismatched snapshot.
 	Fingerprint string `json:"fingerprint"`
+	// Problem is the Control.Problem of the run that wrote the snapshot
+	// (absent when it had none, or predates the tag). Resume refuses a
+	// snapshot tagged for another problem.
+	Problem string `json:"problem,omitempty"`
 	// Generation is the number of completed generations (0 = initial
 	// population evaluated, no generation stepped yet).
 	Generation int `json:"generation"`
@@ -270,6 +280,10 @@ func (r *controlledRun) checkResume(islands int) error {
 	if snap == nil {
 		return nil
 	}
+	if snap.Problem != "" && snap.Problem != r.ctrl.Problem {
+		return fmt.Errorf("optimizer: checkpoint was written for another problem (tag %s, this search's is %q): program, size, machine, objectives or noise differ, and its members hold that problem's objective values",
+			snap.Problem, r.ctrl.Problem)
+	}
 	if snap.Fingerprint != r.fingerprint {
 		return fmt.Errorf("optimizer: checkpoint fingerprint %s does not match this search (%s %s): the snapshot was written by a differently configured run",
 			snap.Fingerprint, r.method, r.fingerprint)
@@ -319,6 +333,7 @@ func (r *controlledRun) save(islands []islandEvolver, gen int) error {
 	snap := &Snapshot{
 		Method:      r.method,
 		Fingerprint: r.fingerprint,
+		Problem:     r.ctrl.Problem,
 		Generation:  gen,
 		Evaluations: r.totalE(),
 	}

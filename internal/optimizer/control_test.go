@@ -3,6 +3,7 @@ package optimizer_test
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -296,6 +297,26 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 		optimizer.Control{Resume: cp.foldedAt(0)})
 	if err == nil {
 		t.Fatal("mismatched-seed resume was accepted")
+	}
+
+	// The problem tag the search cannot see into: a tagged snapshot
+	// resumes under its own tag only; an untagged one — an older
+	// binary's, or a run that declared no problem — under any.
+	same := spec("rs-gde3", optimizer.Options{PopSize: 8, MaxIterations: 4, Seed: 1}, nil)
+	for _, c := range []struct {
+		wrote, resumes string
+		ok             bool
+	}{
+		{"p1", "p1", true}, {"p1", "p2", false}, {"p1", "", false}, {"", "p2", true}, {"", "", true},
+	} {
+		cp := &memCheckpointer{}
+		if _, err := optimizer.Run(space, newDetEval(), same, optimizer.Control{Checkpointer: cp, Problem: c.wrote}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := optimizer.Run(space, newDetEval(), same, optimizer.Control{Resume: cp.foldedAt(1), Problem: c.resumes})
+		if (err == nil) != c.ok || (err != nil && !strings.Contains(err.Error(), "another problem")) {
+			t.Errorf("snapshot tagged %q resumed under %q: %v", c.wrote, c.resumes, err)
+		}
 	}
 }
 

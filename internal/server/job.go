@@ -282,6 +282,12 @@ func (r *JobRequest) DedupKey() (string, error) {
 		r.methodName(), r.Seed, r.PopSize, r.MaxIterations, r.Stagnation,
 		r.Islands, r.Migrate, r.RandomBudget, r.Energy, r.Surrogate,
 		r.ScreenTopK, r.Noise, warm)
+	// A deadline may cut the search short, so a bounded request shares
+	// a job only with requests bounded alike; it joins the hash only
+	// when set, so an unbounded request hashes as it always has.
+	if d := r.deadline(); d > 0 {
+		fmt.Fprintf(h, "|deadline=%s", d)
+	}
 	return fmt.Sprintf("%s|op%016x", problem, h.Sum64()), nil
 }
 

@@ -268,6 +268,14 @@ func (o *Orchestrator) reload() error {
 			return fmt.Errorf("server: corrupt job record %s: missing id or request", name)
 		}
 		j := &job{rec: rec, done: make(chan struct{}), subs: map[int]chan Event{}}
+		if rec.Request.Deadline != "" {
+			// A record written before the deadline joined the key holds
+			// the key of the unbounded request; its front may be cut
+			// short, so it must not answer one.
+			if key, err := rec.Request.DedupKey(); err == nil {
+				j.rec.DedupKey = key
+			}
+		}
 		if rec.State == StateRunning {
 			// The previous process died mid-search; its checkpoint (if
 			// any) makes the job resumable.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -411,4 +412,113 @@ func TestOrchestratorFailedJobSurfacesError(t *testing.T) {
 	if st.State != StateFailed || st.Error == "" {
 		t.Fatalf("want failed with error, got %+v", st)
 	}
+}
+
+// TestDedupNeverServesAnotherRequestsDeadline: a deadline may cut a
+// search short, so a request that sets one is the same search only as
+// requests that set the same one. A request without a deadline must
+// never be answered by a bounded job — not while that job is queued or
+// running, not once it has finished with a partial front, and not after
+// a restart over a job record written when the key left the deadline
+// out.
+func TestDedupNeverServesAnotherRequestsDeadline(t *testing.T) {
+	bounded := func() *JobRequest { r := smallJob(5); r.Deadline = "30ms"; return r }
+	const boundedID = "j000000"
+	entered, release := make(chan struct{}), make(chan struct{})
+	dir := t.TempDir()
+	o, err := NewOrchestrator(Config{StateDir: dir, EvalHook: func(id string, n int) {
+		if id == boundedID && n == 1 {
+			close(entered)
+			<-release
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := o.Submit(bounded(), "alice")
+	if err != nil || first.ID != boundedID {
+		t.Fatalf("bounded submit: %+v, %v", first, err)
+	}
+
+	// Queued or running: the unbounded request gets its own job.
+	full, err := o.Submit(smallJob(5), "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Deduped || full.ID == first.ID {
+		t.Fatalf("an unbounded request joined a running job bounded by a deadline: %+v", full)
+	}
+
+	// Hold the bounded search at the end of its first batch until its
+	// deadline has passed (the deadline's clock started before the hook
+	// could fire), so it finishes with a partial front.
+	<-entered
+	time.Sleep(40 * time.Millisecond)
+	close(release)
+	cut := waitTerminal(t, o, first.ID)
+	if cut.State != StateDone || cut.Result == nil || !cut.Result.Partial {
+		t.Fatalf("the bounded job did not end done and partial: %+v", cut)
+	}
+	whole := waitTerminal(t, o, full.ID)
+	if whole.State != StateDone || whole.Result.Partial || whole.Result.Evaluations <= cut.Result.Evaluations {
+		t.Fatalf("the unbounded job: %+v (bounded one: %d evaluations)", whole, cut.Result.Evaluations)
+	}
+
+	// Finished and partial: the unbounded request is answered by the
+	// whole front, the equally bounded one by the job it repeats.
+	again, err := o.Submit(smallJob(5), "carol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Deduped || again.ID != full.ID || again.Result.Partial {
+		t.Fatalf("unbounded repeat: %+v, want the whole front of %s", again, full.ID)
+	}
+	same, err := o.Submit(bounded(), "carol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same.Deduped || same.ID != first.ID {
+		t.Fatalf("equally bounded repeat: %+v, want a dedup hit on %s", same, first.ID)
+	}
+	o.Drain()
+
+	// Restart over the bounded job's record as a binary from before the
+	// deadline joined the key wrote it: under the unbounded request's key.
+	var rec map[string]interface{}
+	data, err := os.ReadFile(filepath.Join(dir, "jobs", boundedID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec["dedup_key"], err = smallJob(5).DedupKey(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	dir2 := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir2, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir2, "jobs", boundedID+".json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o2, err := NewOrchestrator(Config{StateDir: dir2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o2.Drain()
+	if st, err := o2.Status(boundedID); err != nil || st.Result == nil || !st.Result.Partial {
+		t.Fatalf("the partial job did not survive the restart: %+v, %v", st, err)
+	}
+	fresh, err := o2.Submit(smallJob(5), "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Deduped || fresh.ID == boundedID {
+		t.Fatalf("after a restart an unbounded request was answered by a persisted partial job: %+v", fresh)
+	}
+	waitTerminal(t, o2, fresh.ID)
 }
