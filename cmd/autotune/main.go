@@ -74,7 +74,8 @@ func main() {
 	frontJSON := flag.String("front-json", "", "write the Pareto front as byte-stable JSON to this file (diffable against the tuning service's /front)")
 	flag.Parse()
 
-	racing := autotune.Method(*method) == autotune.MethodRace || *raceInterval > 0 || *raceBudget > 0 || *raceStrategies != ""
+	ran := methodThatRuns(*method, *raceInterval, *raceBudget, *raceStrategies)
+	racing := ran == autotune.MethodRace
 	choices := driver.Options{
 		Method:         driver.Method(*method),
 		Race:           driver.RaceOptions{Strategies: splitStrategies(*raceStrategies)},
@@ -212,7 +213,7 @@ func main() {
 	}
 
 	fmt.Printf("%s on %s via %s: %d evaluations, %d iterations, %d Pareto-optimal versions\n",
-		target, *machineName, *method, res.Evaluations, res.Iterations, len(res.Unit.Versions))
+		target, *machineName, ran, res.Evaluations, res.Iterations, len(res.Unit.Versions))
 	if res.Partial {
 		fmt.Println("search interrupted: the front below is the best found so far, not the final one")
 		ckpt := *checkpoint
@@ -334,6 +335,15 @@ func validateScreenTopK(topK int, explicit bool) error {
 		return fmt.Errorf("-screen-topk must be > 0 (got %d); omit it to let -surrogate size the screen automatically", topK)
 	}
 	return nil
+}
+
+// methodThatRuns is the method the search runs and the summary names:
+// any -race-* flag selects the race (WithRace overrides -method).
+func methodThatRuns(method string, raceInterval, raceBudget int, raceStrategies string) autotune.Method {
+	if raceInterval > 0 || raceBudget > 0 || raceStrategies != "" {
+		return autotune.MethodRace
+	}
+	return autotune.Method(method)
 }
 
 // splitStrategies parses the -race-strategies comma list.

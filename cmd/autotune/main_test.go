@@ -68,6 +68,28 @@ func TestValidateChoicesRefusesWhatTheDriverRefuses(t *testing.T) {
 	}
 }
 
+// TestMethodThatRuns: `autotune -race-budget 500` runs the race, so the
+// summary must not say "via rs-gde3".
+func TestMethodThatRuns(t *testing.T) {
+	for _, c := range []struct {
+		method           string
+		interval, budget int
+		strategies       string
+		want             autotune.Method
+	}{
+		{"rs-gde3", 0, 0, "", autotune.RSGDE3},
+		{"nsga2", 0, 0, "", autotune.Method("nsga2")},
+		{"race", 0, 0, "", autotune.MethodRace},
+		{"rs-gde3", 0, 500, "", autotune.MethodRace},
+		{"rs-gde3", 3, 0, "", autotune.MethodRace},
+		{"gde3", 0, 0, "grid,random", autotune.MethodRace},
+	} {
+		if got := methodThatRuns(c.method, c.interval, c.budget, c.strategies); got != c.want {
+			t.Errorf("methodThatRuns(%q, %d, %d, %q) = %q, want %q", c.method, c.interval, c.budget, c.strategies, got, c.want)
+		}
+	}
+}
+
 func TestSplitStrategies(t *testing.T) {
 	got := splitStrategies(" grid, random ,,rs-gde3 ")
 	want := []string{"grid", "random", "rs-gde3"}

@@ -1,7 +1,10 @@
 package driver
 
 import (
+	"context"
+	"reflect"
 	"testing"
+	"time"
 
 	"autotune/internal/machine"
 	"autotune/internal/objective"
@@ -109,5 +112,101 @@ func TestWithProgressReportsEveryEvaluation(t *testing.T) {
 	}
 	if last := counts[len(counts)-1]; last != out.Result.Evaluations {
 		t.Fatalf("last progress %d != evaluations %d", last, out.Result.Evaluations)
+	}
+}
+
+// TestEveryOptionFieldIsClassified walks Options by reflection: every
+// field is in the table below exactly once, as shaping the problem (what
+// the evaluator computes), the search (how the space is explored) or as
+// run control (where and how long, never what). A problem field moves
+// the tuning-database key or the tag a checkpoint carries; no other
+// field moves either, so neither a stored front nor a checkpoint is
+// ever refused over how it was searched for. A field added to Options
+// fails here until someone decides what it shapes — and, if it is the
+// problem, puts it in (*prepared).key or problemTag.
+func TestEveryOptionFieldIsClassified(t *testing.T) {
+	const (
+		problem = "problem"
+		search  = "search"
+		control = "run control"
+	)
+	db, err := tunedb.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	table := map[string]struct {
+		class string
+		set   func(*Options)
+	}{
+		"Machine":  {problem, func(o *Options) { o.Machine = machine.Barcelona() }},
+		"N":        {problem, func(o *Options) { o.N = 96 }},
+		"NoiseAmp": {problem, func(o *Options) { o.NoiseAmp = 0.05 }},
+		"Objectives": {problem, func(o *Options) {
+			o.Objectives = []objective.ObjectiveKind{objective.TimeObjective, objective.EnergyObjective}
+		}},
+		"Measured":     {problem, func(o *Options) { o.Measured = true }},
+		"MeasuredReps": {problem, func(o *Options) { o.MeasuredReps = 5 }},
+		"UnrollDim":    {problem, func(o *Options) { o.UnrollDim = true }},
+
+		"Method":            {search, func(o *Options) { o.Method = MethodNSGA2 }},
+		"Optimizer":         {search, func(o *Options) { o.Optimizer = optimizer.Options{PopSize: 7, Seed: 7} }},
+		"Islands":           {search, func(o *Options) { o.Islands = 3 }},
+		"MigrationInterval": {search, func(o *Options) { o.MigrationInterval = 3 }},
+		"RandomBudget":      {search, func(o *Options) { o.RandomBudget = 70 }},
+		"Race":              {search, func(o *Options) { o.Race = RaceOptions{Budget: 70} }},
+		"GridPoints":        {search, func(o *Options) { o.GridPoints = []int{3, 3, 3, 3} }},
+		"Surrogate":         {search, func(o *Options) { o.Surrogate = true }},
+		"ScreenTopK":        {search, func(o *Options) { o.ScreenTopK = 3 }},
+		"WarmStart":         {search, func(o *Options) { o.WarmStart = true }},
+
+		"DB":             {control, func(o *Options) { o.DB = db }},
+		"Context":        {control, func(o *Options) { o.Context = context.Background() }},
+		"EvalTimeout":    {control, func(o *Options) { o.EvalTimeout = time.Second }},
+		"Retries":        {control, func(o *Options) { o.Retries = 2 }},
+		"CheckpointPath": {control, func(o *Options) { o.CheckpointPath = "a.ckpt" }},
+		"ResumeFrom":     {control, func(o *Options) { o.ResumeFrom = "b.ckpt" }},
+		"OnProgress":     {control, func(o *Options) { o.OnProgress = func(int) {} }},
+	}
+	keyAndTag := func(opt Options) (tunedb.Key, string) {
+		t.Helper()
+		key, err := ProblemKey("mm", opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key, problemTag(key, opt)
+	}
+	base := Options{Machine: machine.Westmere()}
+	baseKey, baseTag := keyAndTag(base)
+	typ := reflect.TypeOf(base)
+	if len(table) != typ.NumField() {
+		t.Errorf("the table classifies %d fields, Options has %d", len(table), typ.NumField())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		c, ok := table[name]
+		if !ok {
+			t.Errorf("Options.%s is not classified: decide whether it shapes the problem, the search, or is run control", name)
+			continue
+		}
+		opt := base
+		c.set(&opt)
+		if reflect.DeepEqual(reflect.ValueOf(opt).Field(i).Interface(), reflect.ValueOf(base).Field(i).Interface()) {
+			t.Errorf("%s: the table's setter does not set the field", name)
+		}
+		key, tag := keyAndTag(opt)
+		moved := key != baseKey || tag != baseTag
+		switch c.class {
+		case problem:
+			if !moved {
+				t.Errorf("%s shapes the problem and moves neither the tuning-database key nor the checkpoint tag", name)
+			}
+		case search, control:
+			if moved {
+				t.Errorf("%s is %s and moves the tuning-database key or the checkpoint tag", name, c.class)
+			}
+		default:
+			t.Errorf("%s: unknown class %q", name, c.class)
+		}
 	}
 }

@@ -229,8 +229,9 @@ func (c *CachingEvaluator) Prime(cfg skeleton.Config, objs []float64) bool {
 // objective vector (nil for a cached failure) and whether the
 // configuration has a completed result — primed or freshly evaluated.
 // In-flight evaluations do not count as cached. Lookup never triggers
-// an evaluation; the surrogate screen uses it to pass already-known
-// configurations through for free.
+// an evaluation. No search path calls it: the tests of the layers around
+// the cache (warm start, surrogate screen) read what a cache holds with
+// it.
 func (c *CachingEvaluator) Lookup(cfg skeleton.Config) (objs []float64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

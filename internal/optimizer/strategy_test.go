@@ -179,3 +179,121 @@ func TestNegativeSizesRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryOptionFieldIsInTheFingerprintOfWhoeverReadsIt walks Options,
+// NSGA2Options and IslandOptions by reflection. The table names, for
+// every field, the checkpointing strategies that read it; set to a
+// non-default value, the field moves the Fingerprint of exactly those —
+// Run's own computation, normalization included — so a checkpoint is
+// never resumed under an option its strategy reads and never refused
+// over one it ignores. A field added to any of the three structs fails
+// here until it is in the table, and in the fingerprints of its readers.
+func TestEveryOptionFieldIsInTheFingerprintOfWhoeverReadsIt(t *testing.T) {
+	all := []string{"gde3", "motpe", "nsga2", "rs-gde3"}
+	gde := []string{"gde3", "rs-gde3"}
+	islands := []string{"gde3", "nsga2", "rs-gde3"} // the strategies Run accepts Spec.Islands for
+	readBy := map[string][]string{
+		"Options.PopSize":       all,
+		"Options.CR":            gde,
+		"Options.F":             gde,
+		"Options.Stagnation":    all,
+		"Options.MaxIterations": all,
+		"Options.Seed":          all,
+		// "gde3" is rs-gde3 with the rough set off: the field cannot
+		// move what the name already fixes.
+		"Options.DisableRoughSet":   {"rs-gde3"},
+		"Options.InitialPopulation": all,
+
+		"NSGA2Options.PopSize":           {"nsga2"},
+		"NSGA2Options.CrossoverRate":     {"nsga2"},
+		"NSGA2Options.MutationRate":      {"nsga2"},
+		"NSGA2Options.Stagnation":        {"nsga2"},
+		"NSGA2Options.MaxGenerations":    {"nsga2"},
+		"NSGA2Options.Seed":              {"nsga2"},
+		"NSGA2Options.InitialPopulation": {"nsga2"},
+
+		"IslandOptions.Islands":           islands,
+		"IslandOptions.MigrationInterval": islands,
+		"IslandOptions.Migrants":          islands,
+	}
+	space := schafferSpace()
+	// setNonDefault gives a field a value no default and no other field's
+	// test value produces.
+	setNonDefault := func(f reflect.Value) {
+		switch f.Interface().(type) {
+		case int, int64:
+			f.SetInt(7)
+		case float64:
+			f.SetFloat(0.25)
+		case bool:
+			f.SetBool(true)
+		case []skeleton.Config:
+			f.Set(reflect.ValueOf([]skeleton.Config{{3, 4}}))
+		default:
+			t.Fatalf("setNonDefault cannot set a %s: teach it", f.Type())
+		}
+	}
+	// fingerprint is what Run hands newControlledRun for spec.
+	fingerprint := func(strat Strategy, spec Spec) string {
+		cfg := strat.Normalize(space, spec.Config)
+		w, iopt := 1, IslandOptions{}
+		if spec.Islands != nil {
+			iopt = spec.Islands.withDefaults(cfg.Options.PopSize)
+			w = iopt.Islands
+		}
+		return strat.Fingerprint(space, cfg, w, iopt)
+	}
+	// The three structs, each with the way to its copy inside a Spec.
+	structs := []struct {
+		typ reflect.Type
+		in  func(*Spec) reflect.Value
+	}{
+		{reflect.TypeOf(Options{}), func(s *Spec) reflect.Value { return reflect.ValueOf(&s.Config.Options).Elem() }},
+		{reflect.TypeOf(NSGA2Options{}), func(s *Spec) reflect.Value { return reflect.ValueOf(&s.Config.NSGA2).Elem() }},
+		{reflect.TypeOf(IslandOptions{}), func(s *Spec) reflect.Value {
+			own := *s.Islands
+			s.Islands = &own
+			return reflect.ValueOf(s.Islands).Elem()
+		}},
+	}
+	fields := 0
+	for _, st := range structs {
+		fields += st.typ.NumField()
+		for i := 0; i < st.typ.NumField(); i++ {
+			if field := st.typ.Name() + "." + st.typ.Field(i).Name; readBy[field] == nil {
+				t.Errorf("%s is not classified: name the strategies that read it, and put it in their fingerprints", field)
+			}
+		}
+	}
+	if fields != len(readBy) {
+		t.Errorf("the table classifies %d fields, the three structs have %d", len(readBy), fields)
+	}
+	for _, name := range StrategyNames() {
+		strat, _ := StrategyByName(name)
+		if strat.Restore == nil {
+			continue // no checkpoint, no fingerprint
+		}
+		base := Spec{Strategy: name}
+		if strat.Islands {
+			base.Islands = &IslandOptions{}
+		}
+		baseFP := fingerprint(strat, base)
+		for _, st := range structs {
+			if st.typ == reflect.TypeOf(IslandOptions{}) && !strat.Islands {
+				continue // Run refuses the struct whole for this strategy
+			}
+			for i := 0; i < st.typ.NumField(); i++ {
+				field := st.typ.Name() + "." + st.typ.Field(i).Name
+				spec := base
+				setNonDefault(st.in(&spec).Field(i))
+				reads := false
+				for _, r := range readBy[field] {
+					reads = reads || r == name
+				}
+				if moved := fingerprint(strat, spec) != baseFP; moved != reads {
+					t.Errorf("%s, strategy %s: the fingerprint moved = %v, the strategy reads the field = %v", field, name, moved, reads)
+				}
+			}
+		}
+	}
+}

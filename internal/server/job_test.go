@@ -232,3 +232,95 @@ func TestTuneOptionsBranches(t *testing.T) {
 		t.Errorf("unknown machine: %v", err)
 	}
 }
+
+// TestEveryJobRequestFieldIsClassified walks JobRequest by reflection:
+// every field is in the table below exactly once, as shaping the
+// problem (what is tuned, for which machine and objectives), the search
+// (how), or neither, and DedupKey follows the classification — a
+// problem field moves the key, a search field moves the option hash
+// behind "|op" and leaves the problem part alone, a field that is
+// neither moves nothing. A field added to JobRequest fails here until
+// someone decides which it is, and DedupKey hashes it or does not
+// accordingly.
+func TestEveryJobRequestFieldIsClassified(t *testing.T) {
+	const (
+		problem = "problem"
+		search  = "search"
+		neither = "neither"
+	)
+	warm := true
+	table := map[string]struct {
+		class string
+		set   func(*JobRequest)
+	}{
+		"tenant": {neither, func(r *JobRequest) { r.Tenant = "bob" }},
+		"kernel": {problem, func(r *JobRequest) { r.Kernel = "dsyrk" }},
+		"source": {problem, func(r *JobRequest) {
+			r.Kernel, r.Source = "", "program p\narray A[4] elem 8\nfor i = 0..4 { A[i] = f(A[i]) flops 1 }"
+		}},
+		"machine": {problem, func(r *JobRequest) { r.Machine = "Barcelona" }},
+		"n":       {problem, func(r *JobRequest) { r.N = 96 }},
+		"energy":  {problem, func(r *JobRequest) { r.Energy = true }},
+		// The tuning-database key leaves the noise amplitude out, so it
+		// is hashed beside the search options; it shapes the objective
+		// values all the same (the checkpoint tag has it).
+		"noise":          {problem, func(r *JobRequest) { r.Noise = 0.05 }},
+		"method":         {search, func(r *JobRequest) { r.Method = "nsga2" }},
+		"seed":           {search, func(r *JobRequest) { r.Seed = 7 }},
+		"pop_size":       {search, func(r *JobRequest) { r.PopSize = 7 }},
+		"max_iterations": {search, func(r *JobRequest) { r.MaxIterations = 7 }},
+		"stagnation":     {search, func(r *JobRequest) { r.Stagnation = 7 }},
+		"islands":        {search, func(r *JobRequest) { r.Islands = 3 }},
+		"migrate":        {search, func(r *JobRequest) { r.Migrate = 3 }},
+		"random_budget":  {search, func(r *JobRequest) { r.RandomBudget = 70 }},
+		"surrogate":      {search, func(r *JobRequest) { r.Surrogate = true }},
+		"screen_top_k":   {search, func(r *JobRequest) { r.ScreenTopK = 3 }},
+		"deadline":       {search, func(r *JobRequest) { r.Deadline = "30ms" }},
+		"warm_start":     {search, func(r *JobRequest) { r.WarmStart = &warm }},
+		"force":          {neither, func(r *JobRequest) { r.Force = true }},
+	}
+	base := JobRequest{Kernel: "mm"}
+	baseKey, err := base.DedupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseProblem, baseOp, _ := strings.Cut(baseKey, "|op")
+	typ := reflect.TypeOf(base)
+	if len(table) != typ.NumField() {
+		t.Errorf("the table classifies %d fields, JobRequest has %d", len(table), typ.NumField())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		c, ok := table[name]
+		if !ok {
+			t.Errorf("JobRequest.%s (%q) is not classified: decide whether it shapes the problem, the search or neither, then hash it in DedupKey or leave it out", typ.Field(i).Name, name)
+			continue
+		}
+		r := base
+		c.set(&r)
+		if reflect.DeepEqual(reflect.ValueOf(r).Field(i).Interface(), reflect.ValueOf(base).Field(i).Interface()) {
+			t.Errorf("%s: the table's setter does not set the field", name)
+		}
+		key, err := r.DedupKey()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		prob, op, _ := strings.Cut(key, "|op")
+		switch c.class {
+		case problem:
+			if key == baseKey {
+				t.Errorf("%s shapes the problem and does not move the dedup key", name)
+			}
+		case search:
+			if prob != baseProblem || op == baseOp {
+				t.Errorf("%s shapes the search: want the problem part kept and the option hash moved, got %s (base %s)", name, key, baseKey)
+			}
+		case neither:
+			if key != baseKey {
+				t.Errorf("%s shapes neither the problem nor the search and moves the dedup key", name)
+			}
+		default:
+			t.Errorf("%s: unknown class %q", name, c.class)
+		}
+	}
+}
