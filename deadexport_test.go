@@ -13,6 +13,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"autotune/internal/israce"
 )
 
 // deadExportAllowlist names the exported top-level identifiers under
@@ -77,6 +79,9 @@ func (m *sourceImporter) Import(path string) (*types.Package, error) {
 // gated: interface satisfaction and the facade's type aliases make
 // "used" a judgement there.
 func TestExportedMeansUsed(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("one goroutine type-checking source: the race detector only makes it six times slower; the plain run and the CI Size ledger step cover it")
+	}
 	fset := token.NewFileSet()
 	imp := &sourceImporter{
 		fset:  fset,

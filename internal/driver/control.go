@@ -27,10 +27,10 @@ func problemTag(key tunedb.Key, opt Options) string {
 // shared evaluation cache, and the checkpoint journal (fresh for
 // CheckpointPath, folded and reopened for ResumeFrom; CheckOptions has
 // already refused a method that cannot use one). The returned cleanup
-// closes the journal; call it once the search is over. A checkpointed
-// run tags its snapshots with the problem (key, the problem's
-// tuning-database key, goes into the tag), so that a journal is never
-// resumed under another.
+// closes the journal; call it once the search is over. key is the
+// problem's tuning-database key: a checkpointed run tags its snapshots
+// with problemTag of it, so that a journal is never resumed under
+// another problem.
 func buildControl(opt Options, key tunedb.Key, eval objective.Evaluator) (optimizer.Control, func(), error) {
 	ctrl := optimizer.Control{Ctx: opt.Context}
 	if opt.checkpointed() {

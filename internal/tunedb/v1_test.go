@@ -43,7 +43,6 @@ type v1EvalEntry struct {
 
 // v1DB is an open v1 database: the whole journal lives in memory.
 type v1DB struct {
-	dir  string
 	path string
 
 	mu     sync.Mutex
@@ -60,7 +59,6 @@ func openV1(dir string) (*v1DB, error) {
 		return nil, fmt.Errorf("tunedb/v1: %w", err)
 	}
 	db := &v1DB{
-		dir:    dir,
 		path:   filepath.Join(dir, v1JournalName),
 		evals:  map[string]map[string]v1EvalEntry{},
 		fronts: map[string]tunedb.FrontRecord{},
