@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"autotune/internal/resilience"
@@ -77,5 +79,51 @@ func TestResumedOutputMatchesUninterrupted(t *testing.T) {
 		if got != want {
 			t.Fatalf("resumed from generation %d, the output differs\n got: %s\nwant: %s", gen, got, want)
 		}
+	}
+}
+
+// TestRetiredFormatsRefusedByName: the two on-disk formats builds up to
+// commit ca39811 still read — the v1 journal.jsonl tuning database and
+// the JSONL-framed checkpoint — make the command exit 1 with an error
+// that names the format and the way out, and leave the files alone.
+func TestRetiredFormatsRefusedByName(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, file, content, flag string
+		want                      []string
+	}{
+		{"v1 tuning database", "journal.jsonl",
+			`{"v":1,"t":"eval","crc":2774104031,"d":{"key":{"fingerprint":"pg01","machine":"m","objectives":"time+resources","space":"sp01"},"config":[64,64,8],"objectives":[0.5,8]}}
+{"v":1,"t":"front","crc":1193046,"d":{"key":{"fingerprint":"pg01","machine":"m","objectives":"time+resources","space":"sp01"},"points":[{"config":[64,64,8],"objectives":[0.5,8]}]}}
+`, "-db", []string{"v1 journal database", "ca39811"}},
+		{"JSONL checkpoint", "old.ckpt",
+			`{"v":1,"t":"snap","crc":3465878915,"d":{"method":"rs-gde3","generation":0,"evaluations":30,"states":[{}]}}
+{"v":1,"t":"snap","crc":1193046,"d":{"method":"rs-gde3","generation":1,"evaluations":60,"states":[{}]}}
+`, "-resume", []string{"pre-frame JSONL checkpoint", "without -resume"}},
+	} {
+		path := filepath.Join(dir, tc.file)
+		if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		arg := path
+		if tc.flag == "-db" {
+			arg = dir
+		}
+		stdout, stderr, err := autotuneCmd(t, "-kernel", "mm", "-seed", "1", tc.flag, arg)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || stdout != "" {
+			t.Fatalf("%s: err %v, printed %q; want exit 1 and no front", tc.name, err, stdout)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(stderr, w) {
+				t.Fatalf("%s: error output %q does not say %q", tc.name, stderr, w)
+			}
+		}
+		if kept, err := os.ReadFile(path); err != nil || string(kept) != tc.content {
+			t.Fatalf("%s: the refused file was touched (%v)", tc.name, err)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Fatalf("the refused runs left %v behind", entries)
 	}
 }

@@ -103,22 +103,6 @@ func (a Affine) Eval(env map[string]int64) int64 {
 	return v
 }
 
-// Subst substitutes iterator v with expression e.
-func (a Affine) Subst(v string, e Affine) Affine {
-	c := a.Coeff(v)
-	if c == 0 {
-		return a.clone()
-	}
-	out := a.clone()
-	delete(out.Coeffs, v)
-	return out.Add(e.Scale(c))
-}
-
-// Rename renames iterator old to newName.
-func (a Affine) Rename(old, newName string) Affine {
-	return a.Subst(old, Var(newName))
-}
-
 // Equal reports structural equality after normalization.
 func (a Affine) Equal(b Affine) bool {
 	d := a.Sub(b)
@@ -278,24 +262,6 @@ func (ac Access) Clone() Access {
 	return out
 }
 
-// Rename renames an iterator in all index expressions.
-func (ac Access) Rename(old, newName string) Access {
-	out := Access{Array: ac.Array, Indices: make([]Affine, len(ac.Indices))}
-	for i, ix := range ac.Indices {
-		out.Indices[i] = ix.Rename(old, newName)
-	}
-	return out
-}
-
-// Subst substitutes iterator v with e in all index expressions.
-func (ac Access) Subst(v string, e Affine) Access {
-	out := Access{Array: ac.Array, Indices: make([]Affine, len(ac.Indices))}
-	for i, ix := range ac.Indices {
-		out.Indices[i] = ix.Subst(v, e)
-	}
-	return out
-}
-
 // Node is a MiniIR tree node: either *Loop or *Stmt.
 type Node interface {
 	isNode()
@@ -331,26 +297,6 @@ func (s *Stmt) CloneNode() Node {
 		}
 	}
 	return c
-}
-
-// RenameIter renames an iterator in every access of the statement.
-func (s *Stmt) RenameIter(old, newName string) {
-	for i := range s.Writes {
-		s.Writes[i] = s.Writes[i].Rename(old, newName)
-	}
-	for i := range s.Reads {
-		s.Reads[i] = s.Reads[i].Rename(old, newName)
-	}
-}
-
-// SubstIter substitutes iterator v by e in every access.
-func (s *Stmt) SubstIter(v string, e Affine) {
-	for i := range s.Writes {
-		s.Writes[i] = s.Writes[i].Subst(v, e)
-	}
-	for i := range s.Reads {
-		s.Reads[i] = s.Reads[i].Subst(v, e)
-	}
 }
 
 // Accesses returns all accesses; writes first.

@@ -183,7 +183,7 @@ func TestProgramStringMatchesReference(t *testing.T) {
 	inner.Body, inner.Step = nil, 4
 	for u := int64(0); u < inner.Step; u++ {
 		s := stmt.CloneNode().(*ir.Stmt)
-		s.SubstIter(inner.Var, ir.Var(inner.Var).AddConst(u))
+		shiftIter(s, inner.Var, u)
 		s.Label = fmt.Sprintf("%s (unroll %d)", s.Label, u)
 		inner.Body = append(inner.Body, s)
 	}
@@ -193,6 +193,18 @@ func TestProgramStringMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, "tiled twice", p)
+}
+
+// shiftIter rewrites iterator v to v+u in every access of s: what
+// unrolling does to the u-th copy of a loop body.
+func shiftIter(s *ir.Stmt, v string, u int64) {
+	for _, accesses := range [][]ir.Access{s.Writes, s.Reads} {
+		for _, ac := range accesses {
+			for i := range ac.Indices {
+				ac.Indices[i].Const += ac.Indices[i].Coeff(v) * u
+			}
+		}
+	}
 }
 
 func TestAffineStringMatchesReference(t *testing.T) {

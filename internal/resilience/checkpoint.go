@@ -1,42 +1,53 @@
 package resilience
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"sync"
 
+	"autotune/internal/chaos"
 	"autotune/internal/optimizer"
-	"autotune/internal/tunedb"
+	"autotune/internal/store"
 )
 
-// recSnapshot is the journal record type of one generation snapshot.
-const recSnapshot = "snap"
+// snapKey is the record key of a generation snapshot: a journal frame
+// holds one record, snapKey → the snapshot's JSON.
+const snapKey = "snap"
 
 // Checkpoint is a crash-safe, append-only journal of search snapshots,
-// framed with the tuning database's CRC-32C envelope. It implements
-// optimizer.Checkpointer: every completed generation appends one
-// snapshot record and syncs, so a crash at any instant loses at most
-// the generation in flight. Loading folds the journal — the latest
-// complete snapshot wins, with the evaluation traces of every record
-// accumulated for cache priming — and truncates a torn tail exactly
-// like the tuning database does.
+// one frame of the store's log (store.AppendFrame: u32 length | u32
+// CRC-32C | payload) per snapshot, replayed by the loop that replays a
+// shard's WAL (store.ReplayLog). It implements optimizer.Checkpointer:
+// every completed generation appends one frame and syncs, so a crash at
+// any instant loses at most the generation in flight. Loading folds the
+// journal — the latest complete snapshot wins, with the evaluation
+// traces of every frame accumulated for cache priming.
+//
+// A torn tail — the last frame cut short or not verifying — is what a
+// crash mid-append leaves: the fold ends before it and resuming
+// truncates it away. A frame that does not verify although all of it
+// is there, followed by one that does, is damage appending cannot
+// explain and an error. What a length-prefixed log cannot tell from a
+// torn tail is a damaged length field: the frames behind it are out of
+// reach, the fold ends at an earlier snapshot, and the resumed search
+// recomputes the lost generations to the same front, being
+// deterministic.
 type Checkpoint struct {
-	path string
-
 	mu sync.Mutex
-	f  *os.File
+	f  chaos.File
 }
 
 // CreateCheckpoint starts a fresh checkpoint journal at path,
 // truncating any existing file.
 func CreateCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := chaos.OS{}.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("resilience: creating checkpoint: %w", err)
 	}
-	return &Checkpoint{path: path, f: f}, nil
+	return &Checkpoint{f: f}, nil
 }
 
 // ResumeCheckpoint opens an existing checkpoint journal for
@@ -46,81 +57,49 @@ func CreateCheckpoint(path string) (*Checkpoint, error) {
 // reopens the file so subsequent snapshots append after the fold
 // point.
 func ResumeCheckpoint(path string) (*Checkpoint, *optimizer.Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("resilience: reading checkpoint: %w", err)
-	}
-	snap, validLen, err := foldSnapshots(data, -1)
+	snap, err := foldJournal(path, -1, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	if snap == nil {
-		return nil, nil, fmt.Errorf("resilience: checkpoint %s holds no complete snapshot", path)
-	}
-	if validLen < len(data) {
-		if err := rewrite(path, data[:validLen]); err != nil {
-			return nil, nil, err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := chaos.OS{}.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("resilience: reopening checkpoint: %w", err)
 	}
-	return &Checkpoint{path: path, f: f}, snap, nil
+	return &Checkpoint{f: f}, snap, nil
 }
 
 // LoadCheckpoint folds a checkpoint journal read-only and returns the
 // latest complete snapshot with the accumulated evaluation history.
 func LoadCheckpoint(path string) (*optimizer.Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("resilience: reading checkpoint: %w", err)
-	}
-	snap, _, err := foldSnapshots(data, -1)
-	if err != nil {
-		return nil, err
-	}
-	if snap == nil {
-		return nil, fmt.Errorf("resilience: checkpoint %s holds no complete snapshot", path)
-	}
-	return snap, nil
+	return foldJournal(path, -1, false)
 }
 
 // TrimCheckpoint cuts a checkpoint journal back to generation gen
-// inclusive, discarding all later records — a deterministic stand-in
+// inclusive, discarding all later frames — a deterministic stand-in
 // for a crash at that point, used by the resume experiments and the
 // crash-sweep tests.
 func TrimCheckpoint(path string, gen int) error {
 	if gen < 0 {
 		return fmt.Errorf("resilience: negative generation %d", gen)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("resilience: reading checkpoint: %w", err)
-	}
-	snap, validLen, err := foldSnapshots(data, gen)
-	if err != nil {
-		return err
-	}
-	if snap == nil {
-		return fmt.Errorf("resilience: checkpoint %s has no snapshot at or before generation %d", path, gen)
-	}
-	return rewrite(path, data[:validLen])
+	_, err := foldJournal(path, gen, true)
+	return err
 }
 
-// Save implements optimizer.Checkpointer: one framed snapshot record is
+// Save implements optimizer.Checkpointer: one snapshot frame is
 // appended and synced to stable storage before the search continues.
 func (c *Checkpoint) Save(s *optimizer.Snapshot) error {
-	line, err := tunedb.EncodeRecord(recSnapshot, s)
+	payload, err := json.Marshal(s)
 	if err != nil {
 		return fmt.Errorf("resilience: encoding snapshot: %w", err)
 	}
+	frame := store.AppendFrame(nil, []string{snapKey}, [][]byte{payload})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.f == nil {
 		return errors.New("resilience: checkpoint is closed")
 	}
-	if _, err := c.f.Write(append(line, '\n')); err != nil {
+	if _, err := c.f.Write(frame); err != nil {
 		return fmt.Errorf("resilience: writing snapshot: %w", err)
 	}
 	if err := c.f.Sync(); err != nil {
@@ -128,9 +107,6 @@ func (c *Checkpoint) Save(s *optimizer.Snapshot) error {
 	}
 	return nil
 }
-
-// Path returns the journal's file path.
-func (c *Checkpoint) Path() string { return c.path }
 
 // Close flushes and closes the journal. The checkpoint must not be
 // used after.
@@ -148,25 +124,28 @@ func (c *Checkpoint) Close() error {
 	return err
 }
 
-// errFoldStop ends a bounded fold at the first record beyond the
+// errFoldStop ends a bounded fold before the first snapshot beyond the
 // generation limit.
 var errFoldStop = errors.New("resilience: fold stop")
 
-// foldSnapshots scans a journal image and folds its snapshot records:
-// the latest snapshot's state wins, with the evaluation traces of all
-// folded records accumulated into its Evals. maxGen < 0 folds
-// everything; otherwise records beyond maxGen are excluded and validLen
-// marks the byte offset just before the first excluded record (the trim
-// point). A torn tail stops the fold cleanly at validLen; interior
-// corruption is an error.
-func foldSnapshots(data []byte, maxGen int) (snap *optimizer.Snapshot, validLen int, err error) {
+// foldJournal replays the journal at path and folds its snapshots: the
+// latest snapshot's state wins, with the evaluation traces of all
+// folded frames accumulated into its Evals. maxGen < 0 folds
+// everything; otherwise the fold ends before the first snapshot beyond
+// maxGen. With truncate set the file is cut to the folded prefix — a
+// torn tail, or the frames beyond maxGen, go. A journal with no
+// snapshot to fold, interior damage (see Checkpoint) and a checkpoint
+// in the JSONL framing of earlier builds are errors, and leave the file
+// as it was.
+func foldJournal(path string, maxGen int, truncate bool) (*optimizer.Snapshot, error) {
+	var snap *optimizer.Snapshot
 	var evals []optimizer.EvalState
-	validLen, err = tunedb.ScanJournal(data, func(t string, payload json.RawMessage) error {
-		if t != recSnapshot {
-			return fmt.Errorf("resilience: unexpected record type %q in checkpoint", t)
+	data, valid, err := store.ReplayLog(chaos.OS{}, path, func(recs []store.Record) error {
+		if len(recs) != 1 || recs[0].Key != snapKey {
+			return fmt.Errorf("resilience: checkpoint %s holds a frame that is not a snapshot", path)
 		}
 		var s optimizer.Snapshot
-		if err := json.Unmarshal(payload, &s); err != nil {
+		if err := json.Unmarshal(recs[0].Val, &s); err != nil {
 			return fmt.Errorf("resilience: decoding snapshot: %w", err)
 		}
 		if maxGen >= 0 && s.Generation > maxGen {
@@ -177,25 +156,41 @@ func foldSnapshots(data []byte, maxGen int) (snap *optimizer.Snapshot, validLen 
 		snap = &s
 		return nil
 	})
-	if errors.Is(err, errFoldStop) {
-		err = nil
+	switch {
+	case errors.Is(err, errFoldStop):
+	case data == nil && err != nil:
+		return nil, fmt.Errorf("resilience: reading checkpoint: %w", err)
+	case err != nil:
+		return nil, err
+	case bytes.HasPrefix(data, []byte(`{"v":`)):
+		return nil, fmt.Errorf("resilience: %s is a pre-frame JSONL checkpoint, which this build does not read (commit ca39811 is the last that does): re-running the same flags without -resume reproduces the front", path)
+	case damagedInterior(data[valid:]):
+		return nil, fmt.Errorf("resilience: corrupt checkpoint frame at byte %d of %s: a frame that verifies follows it", valid, path)
 	}
-	if err != nil {
-		return nil, validLen, err
+	if snap == nil {
+		if maxGen >= 0 {
+			return nil, fmt.Errorf("resilience: checkpoint %s has no snapshot at or before generation %d", path, maxGen)
+		}
+		return nil, fmt.Errorf("resilience: checkpoint %s holds no complete snapshot", path)
 	}
-	if snap != nil {
-		snap.Evals = evals
+	if truncate && valid < len(data) {
+		if err := (chaos.OS{}).Truncate(path, int64(valid)); err != nil {
+			return nil, fmt.Errorf("resilience: truncating checkpoint: %w", err)
+		}
 	}
-	return snap, validLen, nil
+	snap.Evals = evals
+	return snap, nil
 }
 
-// rewrite atomically replaces the journal file's contents.
-func rewrite(path string, data []byte) error {
-	if err := os.WriteFile(path+".tmp", data, 0o644); err != nil {
-		return fmt.Errorf("resilience: rewriting checkpoint: %w", err)
+// damagedInterior reports whether tail — what a replay left unread —
+// starts with a frame that is all there and does not verify, followed
+// by one that does: the discriminator between a torn tail and damage
+// inside the journal.
+func damagedInterior(tail []byte) bool {
+	_, n, err := store.ParseFrame(tail)
+	if err == nil || n == 0 {
+		return false
 	}
-	if err := os.Rename(path+".tmp", path); err != nil {
-		return fmt.Errorf("resilience: rewriting checkpoint: %w", err)
-	}
-	return nil
+	_, _, err = store.ParseFrame(tail[n:])
+	return err == nil
 }

@@ -1,10 +1,12 @@
 package resilience_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"autotune/internal/pareto"
 	"autotune/internal/resilience"
 	"autotune/internal/skeleton"
+	"autotune/internal/store"
 )
 
 func ckptSpace() skeleton.Space {
@@ -108,6 +111,58 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	}
 }
 
+// ckptSearch is a small real RS-GDE3 search whose journal the sweeps
+// damage: generations 0..iterations.
+func ckptSearch(popSize, iterations int) optimizer.Spec {
+	return optimizer.Spec{Strategy: "rs-gde3", Config: optimizer.StrategyConfig{
+		Options: optimizer.Options{PopSize: popSize, MaxIterations: iterations, Seed: 3}}}
+}
+
+// realJournal runs search checkpointed and returns its result with the
+// journal it wrote and the offset just past each of its frames.
+func realJournal(t testing.TB, search optimizer.Spec) (full *optimizer.Result, data []byte, frameEnds []int) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "full.ckpt")
+	cp, err := resilience.CreateCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err = optimizer.Run(ckptSpace(), newCkptEval(), search, optimizer.Control{Checkpointer: cp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(data); {
+		_, n, err := store.ParseFrame(data[off:])
+		if err != nil {
+			t.Fatalf("journal of a finished search does not parse at byte %d: %v", off, err)
+		}
+		off += n
+		frameEnds = append(frameEnds, off)
+	}
+	if want := search.Config.Options.MaxIterations + 1; len(frameEnds) != want {
+		t.Fatalf("journal holds %d frames, want one per generation: %d", len(frameEnds), want)
+	}
+	return full, data, frameEnds
+}
+
+// resumeTo finishes search from a resumed journal and returns the
+// front's fingerprint and the cumulative evaluation count.
+func resumeTo(t *testing.T, search optimizer.Spec, cp *resilience.Checkpoint, snap *optimizer.Snapshot) (string, int) {
+	t.Helper()
+	res, err := optimizer.Run(ckptSpace(), newCkptEval(), search, optimizer.Control{Checkpointer: cp, Resume: snap})
+	cp.Close()
+	if err != nil {
+		t.Fatalf("resume from generation %d failed: %v", snap.Generation, err)
+	}
+	return ckptFingerprint(res.Front), res.Evaluations
+}
+
 // TestCheckpointCrashSweep truncates a real search's journal at every
 // byte offset — simulating a crash at any instant of the write — and
 // requires each cut to either report a clean no-snapshot error or
@@ -115,36 +170,14 @@ func TestCheckpointRoundtrip(t *testing.T) {
 // byte-identical to the uninterrupted run.
 func TestCheckpointCrashSweep(t *testing.T) {
 	dir := t.TempDir()
-	space := ckptSpace()
-	opt := optimizer.Options{PopSize: 10, MaxIterations: 5, Seed: 3}
-
-	path := filepath.Join(dir, "full.ckpt")
-	cp, err := resilience.CreateCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	search := optimizer.Spec{Strategy: "rs-gde3", Config: optimizer.StrategyConfig{Options: opt}}
-	full, err := optimizer.Run(space, newCkptEval(), search, optimizer.Control{Checkpointer: cp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Close(); err != nil {
-		t.Fatal(err)
-	}
+	search := ckptSearch(10, 5)
+	full, data, frameEnds := realJournal(t, search)
 	wantFront := ckptFingerprint(full.Front)
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatal("empty journal")
-	}
 
 	// Sweep every truncation point, classifying each cut by the
 	// generation it folds back to; one resumed search per distinct
 	// recovery point proves the fold exact. Short mode strides the
-	// sweep but still lands on every record boundary.
+	// sweep but still lands on every frame boundary.
 	stride := 1
 	if testing.Short() {
 		stride = 17
@@ -153,11 +186,9 @@ func TestCheckpointCrashSweep(t *testing.T) {
 	for cut := 0; cut < len(data); cut += stride {
 		cuts[cut] = true
 	}
-	for off, b := range data {
-		if b == '\n' {
-			cuts[off] = true
-			cuts[off+1] = true
-		}
+	for _, end := range frameEnds {
+		cuts[end-1] = true
+		cuts[end] = true
 	}
 	resumedGens := map[int]bool{}
 	for cut := 0; cut <= len(data); cut++ {
@@ -180,24 +211,18 @@ func TestCheckpointCrashSweep(t *testing.T) {
 			continue
 		}
 		resumedGens[snap.Generation] = true
-		res, err := optimizer.Run(space, newCkptEval(), search,
-			optimizer.Control{Checkpointer: cp2, Resume: snap})
-		cp2.Close()
-		if err != nil {
-			t.Fatalf("cut at %d (gen %d): resume failed: %v", cut, snap.Generation, err)
-		}
-		if got := ckptFingerprint(res.Front); got != wantFront {
+		got, evals := resumeTo(t, search, cp2, snap)
+		if got != wantFront {
 			t.Fatalf("cut at %d (gen %d): resumed front diverged\n got: %s\nwant: %s",
 				cut, snap.Generation, got, wantFront)
 		}
-		if res.Evaluations != full.Evaluations {
-			t.Fatalf("cut at %d (gen %d): E = %d, want %d",
-				cut, snap.Generation, res.Evaluations, full.Evaluations)
+		if evals != full.Evaluations {
+			t.Fatalf("cut at %d (gen %d): E = %d, want %d", cut, snap.Generation, evals, full.Evaluations)
 		}
 	}
 	// Every checkpointed generation (0 = initial population through the
 	// final one) must have been recoverable from some cut.
-	for gen := 0; gen <= opt.MaxIterations; gen++ {
+	for gen := range frameEnds {
 		if !resumedGens[gen] {
 			t.Fatalf("no truncation point recovered generation %d (got %v)", gen, resumedGens)
 		}
@@ -205,8 +230,8 @@ func TestCheckpointCrashSweep(t *testing.T) {
 }
 
 // TestCheckpointTornTailTruncated: resuming a journal with a torn final
-// record rewrites the file down to its valid prefix so subsequent
-// appends start clean.
+// frame truncates the file to its valid prefix so subsequent appends
+// start clean.
 func TestCheckpointTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "torn.ckpt")
@@ -226,7 +251,7 @@ func TestCheckpointTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := append(append([]byte{}, clean...), []byte(`{"v":1,"t":"snap","crc":12,"d":{"trunc`)...)
+	torn := append(append([]byte{}, clean...), clean[:len(clean)-5]...)
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +273,7 @@ func TestCheckpointTornTailTruncated(t *testing.T) {
 }
 
 // TestCheckpointLifecycleErrors covers the journal's edge and error
-// paths: path accessors, double close, saving into a closed journal,
+// paths: double close, saving into a closed journal,
 // and opening paths that do not exist.
 func TestCheckpointLifecycleErrors(t *testing.T) {
 	dir := t.TempDir()
@@ -256,9 +281,6 @@ func TestCheckpointLifecycleErrors(t *testing.T) {
 	cp, err := resilience.CreateCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cp.Path() != path {
-		t.Fatalf("Path() = %q", cp.Path())
 	}
 	if err := cp.Close(); err != nil {
 		t.Fatal(err)
@@ -320,6 +342,170 @@ func TestCheckpointInteriorCorruption(t *testing.T) {
 	if _, err := resilience.LoadCheckpoint(path); err == nil {
 		t.Fatal("interior corruption went undetected on read-only load")
 	}
+}
+
+// TestCheckpointFlipSweep damages a real search's journal one byte at
+// a time — every bit of the byte inverted, every byte in turn — and
+// requires each damaged journal to resume from a snapshot the
+// undamaged journal holds, which finishes at the uninterrupted front,
+// or to be refused: never a snapshot the search did not write, and so
+// never another front. Damage in a frame with a successor must be
+// refused; only the last frame's may read as a torn tail.
+func TestCheckpointFlipSweep(t *testing.T) {
+	dir := t.TempDir()
+	search := ckptSearch(6, 3)
+	full, data, frameEnds := realJournal(t, search)
+	wantFront := ckptFingerprint(full.Front)
+
+	// The snapshot the undamaged journal folds to at each generation,
+	// and proof that resuming from it reaches the uninterrupted front.
+	path := filepath.Join(dir, "flip.ckpt")
+	want := make([]*optimizer.Snapshot, len(frameEnds))
+	for gen, end := range frameEnds {
+		if err := os.WriteFile(path, data[:end], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if want[gen], err = resilience.LoadCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		cp, snap, err := resilience.ResumeCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Generation != gen {
+			t.Fatalf("frame %d folds to generation %d", gen, snap.Generation)
+		}
+		if got, evals := resumeTo(t, search, cp, snap); got != wantFront || evals != full.Evaluations {
+			t.Fatalf("generation %d resumes to E = %d and front %s, want %d and %s", gen, evals, got, full.Evaluations, wantFront)
+		}
+	}
+
+	stride := 1
+	if testing.Short() {
+		stride = 7
+	}
+	lastFrame := frameEnds[len(frameEnds)-2]
+	refused := 0
+	for off := 0; off < len(data); off += stride {
+		damaged := append([]byte{}, data...)
+		damaged[off] ^= 0xff
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, snap, err := resilience.ResumeCheckpoint(path)
+		if err != nil {
+			refused++
+			continue
+		}
+		cp.Close()
+		if !reflect.DeepEqual(snap, want[snap.Generation]) {
+			t.Fatalf("byte %d flipped: resumed from a generation-%d snapshot the search never wrote", off, snap.Generation)
+		}
+		// A damaged frame hides itself and what follows; resuming from
+		// behind it can only be the answer for damage to the length
+		// field — the frames behind are then out of reach — or to the
+		// last frame, which a torn append explains.
+		unread := frameEnds[snap.Generation]
+		if off < unread || (off >= unread+4 && unread != lastFrame) {
+			t.Fatalf("byte %d flipped: resumed from generation %d as if byte %d on were a torn tail", off, snap.Generation, unread)
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no flipped byte was refused: interior damage goes undetected")
+	}
+}
+
+// TestRetiredCheckpointFormatIsNamed: a checkpoint in the JSONL framing
+// of builds up to commit ca39811 is refused as that, with what to do
+// about it, not as an empty or torn journal.
+func TestRetiredCheckpointFormatIsNamed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	old := `{"v":1,"t":"snap","crc":3465878915,"d":{"method":"rs-gde3","generation":0,"evaluations":30,"states":[{}]}}
+{"v":1,"t":"snap","crc":1193046,"d":{"method":"rs-gde3","generation":1,"evaluations":60,"states":[{}]}}
+`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, lerr := resilience.LoadCheckpoint(path)
+	_, _, rerr := resilience.ResumeCheckpoint(path)
+	for _, err := range []error{lerr, rerr, resilience.TrimCheckpoint(path, 0)} {
+		if err == nil || !strings.Contains(err.Error(), "pre-frame JSONL checkpoint") || !strings.Contains(err.Error(), "without -resume") {
+			t.Fatalf("JSONL checkpoint: %v, want it named with the way out", err)
+		}
+	}
+	if kept, err := os.ReadFile(path); err != nil || string(kept) != old {
+		t.Fatalf("the refused checkpoint was rewritten (%v)", err)
+	}
+}
+
+// FuzzCheckpointFold feeds arbitrary bytes through the journal fold: it
+// must never panic, load and resume must agree, a refused journal stays
+// as it was, and an accepted one is cut to a prefix of itself that
+// folds again to the same snapshot and the same length (recovery is
+// idempotent).
+func FuzzCheckpointFold(f *testing.F) {
+	_, journal, frameEnds := realJournal(f, ckptSearch(6, 3))
+	f.Add(journal)
+	f.Add(journal[:frameEnds[1]])
+	f.Add(journal[:frameEnds[2]-3])                                              // torn tail
+	f.Add(append(append([]byte{}, journal[:frameEnds[0]]...), journal[5:90]...)) // garbage behind a frame
+	flipped := append([]byte{}, journal...)
+	flipped[frameEnds[0]+20] ^= 0xff // interior damage
+	f.Add(flipped)
+	f.Add([]byte(`{"v":1,"t":"snap","crc":12,"d":{}}` + "\n"))
+	// FuzzWALReplay's corpus: frames that verify and are not snapshots.
+	f.Add([]byte{})
+	var valid []byte
+	valid = store.AppendFrame(valid, []string{"key-a"}, [][]byte{[]byte("value-1")})
+	valid = store.AppendFrame(valid, []string{"key-b"}, [][]byte{[]byte("value-2")})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	f.Add(append(append([]byte{}, valid...), 0, 1, 2))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
+	batch := store.AppendFrame(nil, []string{"key-c", "key-a", ""}, [][]byte{[]byte("value-3"), nil, []byte("value-4")})
+	f.Add(batch)
+	f.Add(append(append([]byte{}, journal[:frameEnds[0]]...), batch...))
+	f.Add(store.AppendFrame(nil, []string{"snap"}, [][]byte{[]byte(`{"generation":"x"}`)}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, lerr := resilience.LoadCheckpoint(path)
+		cp, snap, err := resilience.ResumeCheckpoint(path)
+		if (lerr == nil) != (err == nil) {
+			t.Fatalf("load says %v, resume says %v", lerr, err)
+		}
+		kept, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(kept, data) {
+				t.Fatalf("refused journal rewritten: %d bytes of %d left", len(kept), len(data))
+			}
+			return
+		}
+		cp.Close()
+		if len(kept) > len(data) || !bytes.Equal(kept, data[:len(kept)]) {
+			t.Fatalf("resume left %d bytes that are not a prefix of the %d given", len(kept), len(data))
+		}
+		if !reflect.DeepEqual(loaded, snap) {
+			t.Fatal("load and resume fold the same bytes to different snapshots")
+		}
+		cp2, again, err := resilience.ResumeCheckpoint(path)
+		if err != nil {
+			t.Fatalf("the prefix resume kept does not resume: %v", err)
+		}
+		cp2.Close()
+		if !reflect.DeepEqual(again, snap) {
+			t.Fatal("folding the kept prefix gives another snapshot")
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(kept)) {
+			t.Fatalf("second resume moved the journal's length from %d (%v)", len(kept), err)
+		}
+	})
 }
 
 // TestTrimCheckpoint cuts a journal back to a generation and verifies

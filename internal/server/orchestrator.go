@@ -535,10 +535,13 @@ func (o *Orchestrator) run(j *job) {
 		j.rec.Error = ""
 		j.rec.Result = resultOf(out)
 		j.evals.Store(int64(out.Result.Evaluations))
-		if j.rec.Checkpoint != "" {
-			os.Remove(j.rec.Checkpoint)
-			j.rec.Checkpoint = ""
-		}
+	}
+	if j.rec.State.Terminal() && j.rec.Checkpoint != "" {
+		// Done or failed, the job never runs again and its journal is
+		// garbage — for a job that failed for want of space, garbage on
+		// the volume that ran out.
+		os.Remove(j.rec.Checkpoint)
+		j.rec.Checkpoint = ""
 	}
 	o.persistLocked(j)
 	j.notify(Event{State: j.rec.State, Evaluations: int(j.evals.Load())})

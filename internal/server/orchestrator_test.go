@@ -5,10 +5,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"autotune/internal/optimizer"
+	"autotune/internal/resilience"
 )
 
 // smallJob is a search sized for test turnaround: a handful of
@@ -67,6 +71,113 @@ func TestOrchestratorRunsJobToDone(t *testing.T) {
 	ckpts, _ := os.ReadDir(filepath.Join(dir, "checkpoints"))
 	if len(ckpts) != 0 {
 		t.Fatalf("stale checkpoints after completion: %v", ckpts)
+	}
+}
+
+// persistInterrupted writes into a state directory no server has opened
+// yet what a drained or killed one leaves behind for a job: the record
+// of an interrupted job and, under sub, its checkpoint journal.
+func persistInterrupted(t *testing.T, dir, sub string, req *JobRequest, journal []byte) (id, ckpt string) {
+	t.Helper()
+	id = "j000001"
+	ckpt = filepath.Join(dir, sub, id+".ckpt")
+	key, err := req.DedupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(jobRecord{ID: id, Tenant: "alice", Request: req, State: StateInterrupted, DedupKey: key, Checkpoint: ckpt, Submitted: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, data := range map[string][]byte{filepath.Join(dir, "jobs", id+".json"): rec, ckpt: journal} {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return id, ckpt
+}
+
+// TestFailedJobLeavesNoCheckpoint: a failed job is terminal — nothing
+// re-enqueues it — so its checkpoint journal goes with it, wherever it
+// was put, as a finished job's does. The job here fails on resume: its
+// journal was written for another problem.
+func TestFailedJobLeavesNoCheckpoint(t *testing.T) {
+	for _, sub := range []string{"checkpoints", "spill"} {
+		dir := t.TempDir()
+		path := filepath.Join(t.TempDir(), "other.ckpt")
+		cp, err := resilience.CreateCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cp.Save(&optimizer.Snapshot{Method: "rs-gde3", Problem: "0123456789abcdef", States: []optimizer.IslandState{{}}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		journal, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, ckpt := persistInterrupted(t, dir, sub, smallJob(1), journal)
+		o, err := NewOrchestrator(Config{StateDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := waitTerminal(t, o, id)
+		o.Drain()
+		if st.State != StateFailed || !strings.Contains(st.Error, "another problem") {
+			t.Fatalf("%s: job ended %s (%q), want failed on the foreign journal", sub, st.State, st.Error)
+		}
+		if left, _ := os.ReadDir(filepath.Dir(ckpt)); len(left) != 0 {
+			t.Fatalf("%s: the failed job left %v behind", sub, left)
+		}
+		rec, err := os.ReadFile(filepath.Join(dir, "jobs", id+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(rec), ".ckpt") {
+			t.Fatalf("%s: the failed job's record still names its journal:\n%s", sub, rec)
+		}
+	}
+}
+
+// TestInterruptedJobOverRetiredCheckpointRestarts: a server restarted
+// over a job that a build up to commit ca39811 left interrupted finds a
+// checkpoint in the JSONL framing it no longer reads. The job is not
+// failed and nothing is resumed from a guess: it restarts from its seed
+// and is served the front and the evaluation count of an uninterrupted
+// job.
+func TestInterruptedJobOverRetiredCheckpointRestarts(t *testing.T) {
+	dir := t.TempDir()
+	old := `{"v":1,"t":"snap","crc":3465878915,"d":{"method":"rs-gde3","generation":0,"evaluations":8,"states":[{}]}}
+{"v":1,"t":"snap","crc":1193046,"d":{"method":"rs-gde3","generation":1,"evaluations":16,"states":[{}]}}
+`
+	id, _ := persistInterrupted(t, dir, "checkpoints", smallJob(7), []byte(old))
+	o, err := NewOrchestrator(Config{StateDir: dir, NoWarmStart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Drain()
+	restarted := waitTerminal(t, o, id)
+	if restarted.State != StateDone {
+		t.Fatalf("job over a JSONL checkpoint: %s (%s)", restarted.State, restarted.Error)
+	}
+	fresh := smallJob(7)
+	fresh.Force = true
+	st, err := o.Submit(fresh, "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitTerminal(t, o, st.ID)
+	if want.State != StateDone || st.ID == id {
+		t.Fatalf("uninterrupted job %s: %s (%s)", st.ID, want.State, want.Error)
+	}
+	if !reflect.DeepEqual(restarted.Result, want.Result) {
+		t.Fatalf("restarted job serves\n%+v\nan uninterrupted one\n%+v", restarted.Result, want.Result)
 	}
 }
 

@@ -11,14 +11,20 @@
 // when the prefix names its shard — back into one range scan in
 // canonical (bytewise) key order.
 //
-// Crash safety follows the journal playbook of internal/tunedb: WAL
-// appends are CRC-framed so a torn tail is detected and truncated;
-// segments are written to a temp file, fsynced, renamed into place and
+// Crash safety: WAL appends are CRC-framed so a torn tail is detected
+// and truncated; segments are written to a temp file, fsynced, renamed into place and
 // the directory fsynced, so a segment under its final name is always
 // complete; compaction output records the sequence interval of its
 // inputs, so a crash between the output rename and the input deletion
 // is healed at open by dropping any segment whose interval another
 // segment contains.
+//
+// The WAL's framing is exported as the module's one crash-safe log:
+// AppendFrame encodes a frame, ReplayLog walks a log file frame by
+// frame up to the first one that does not verify, ParseFrame decodes
+// one. A shard replays and appends its WAL with them, and so does the
+// search checkpoint of internal/resilience; no other record framing
+// exists in the tree.
 package store
 
 import (
@@ -28,8 +34,6 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
-
-	"autotune/internal/chaos"
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -45,13 +49,13 @@ var errTorn = fmt.Errorf("store: torn frame")
 // frameHeader is the size of a frame's length and CRC prefix.
 const frameHeader = 8
 
-// record is one key/value pair of a frame.
-type record struct {
-	key string
-	val []byte
+// Record is one key/value pair of a frame.
+type Record struct {
+	Key string
+	Val []byte
 }
 
-// appendFrame appends one CRC-framed run of key/value records to buf:
+// AppendFrame appends one CRC-framed run of key/value records to buf:
 //
 //	u32 payloadLen | u32 crc32c(payload) | payload
 //	payload = one or more of: u32 keyLen | key | u32 valLen | value
@@ -59,7 +63,7 @@ type record struct {
 // A WAL frame holds everything one PutBatch call wrote, so replay sees
 // a batch whole or — torn — not at all; Put writes the one-record
 // frame, and segment files hold no other kind.
-func appendFrame(buf []byte, keys []string, vals [][]byte) []byte {
+func AppendFrame(buf []byte, keys []string, vals [][]byte) []byte {
 	start := len(buf)
 	buf = slices.Grow(buf, frameSize(keys, vals))
 	buf = append(buf, make([]byte, frameHeader)...)
@@ -75,7 +79,7 @@ func appendFrame(buf []byte, keys []string, vals [][]byte) []byte {
 	return buf
 }
 
-// frameSize is the encoded length of the frame appendFrame builds.
+// frameSize is the encoded length of the frame AppendFrame builds.
 func frameSize(keys []string, vals [][]byte) int {
 	n := frameHeader
 	for i, key := range keys {
@@ -106,12 +110,17 @@ func splitRecord(p []byte) (key, val, rest []byte, ok bool) {
 	return p[4 : 4+klen], p[8+klen : 8+klen+vlen], p[8+klen+vlen:], true
 }
 
-// parseFrame decodes the frame at the start of data, returning copies
+// ParseFrame decodes the frame at the start of data, returning copies
 // of its records and the total frame length. A short, oversized or
 // CRC-mismatched frame, or one whose payload does not divide into
 // whole records, returns errTorn: a frame is all of its records or
-// none of them.
-func parseFrame(data []byte) (recs []record, frameLen int, err error) {
+// none of them. With the error, frameLen tells the two kinds of bad
+// frame apart: zero when the frame the header names runs past the end
+// of data (what a crash mid-append leaves, and what a damaged length
+// field looks like), its length when every byte of it is there and
+// does not verify — damage, and data[frameLen:] is where its successor
+// would start.
+func ParseFrame(data []byte) (recs []Record, frameLen int, err error) {
 	if len(data) < frameHeader {
 		return nil, 0, errTorn
 	}
@@ -119,19 +128,20 @@ func parseFrame(data []byte) (recs []record, frameLen int, err error) {
 	if payloadLen < 8 || payloadLen > maxFrame || len(data) < frameHeader+payloadLen {
 		return nil, 0, errTorn
 	}
-	payload := data[frameHeader : frameHeader+payloadLen]
+	frameLen = frameHeader + payloadLen
+	payload := data[frameHeader:frameLen]
 	if !checkPayload(data, payload) {
-		return nil, 0, errTorn
+		return nil, frameLen, errTorn
 	}
 	for len(payload) > 0 {
 		key, val, rest, ok := splitRecord(payload)
 		if !ok {
-			return nil, 0, errTorn
+			return nil, frameLen, errTorn
 		}
-		recs = append(recs, record{key: string(key), val: append([]byte(nil), val...)})
+		recs = append(recs, Record{Key: string(key), Val: append([]byte(nil), val...)})
 		payload = rest
 	}
-	return recs, frameHeader + payloadLen, nil
+	return recs, frameLen, nil
 }
 
 // readFrameAt decodes one single-record frame — the only kind a
@@ -178,9 +188,3 @@ func shortRead(err error) error {
 	}
 	return fmt.Errorf("read: %w", err)
 }
-
-// SyncDir flushes directory metadata so a just-renamed file cannot be
-// lost (or a just-removed one resurrected) by a crash. Exported for
-// callers performing their own atomic rename protocols around a store
-// (tunedb's v1 migration renames a whole store directory into place).
-func SyncDir(dir string) error { return chaos.OS{}.SyncDir(dir) }

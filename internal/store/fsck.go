@@ -142,24 +142,14 @@ func fsckShard(id int, dir string) FsckShard {
 	}
 	// WAL: every complete frame must be CRC-valid; a torn tail is the
 	// crash shape open repairs, so it is only a warning.
-	data, err := fs.ReadFile(filepath.Join(dir, walName))
-	if err == nil {
-		rest := data
-		valid := int64(0)
-		for len(rest) > 0 {
-			recs, n, err := parseFrame(rest)
-			if err != nil {
-				break
-			}
-			out.WALFrames++
-			out.WALRecords += len(recs)
-			valid += int64(n)
-			rest = rest[n:]
-		}
-		if valid < int64(len(data)) {
-			out.WALTornBytes = int64(len(data)) - valid
-			out.Warnings = append(out.Warnings, fmt.Sprintf("torn WAL tail: %d bytes after %d valid frames (truncated at next open)", out.WALTornBytes, out.WALFrames))
-		}
+	data, valid, err := ReplayLog(fs, filepath.Join(dir, walName), func(recs []Record) error {
+		out.WALFrames++
+		out.WALRecords += len(recs)
+		return nil
+	})
+	if err == nil && valid < len(data) {
+		out.WALTornBytes = int64(len(data) - valid)
+		out.Warnings = append(out.Warnings, fmt.Sprintf("torn WAL tail: %d bytes after %d valid frames (truncated at next open)", out.WALTornBytes, out.WALFrames))
 	}
 	return out
 }

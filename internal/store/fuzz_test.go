@@ -19,8 +19,8 @@ import (
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	var valid []byte
-	valid = appendFrame(valid, []string{"key-a"}, [][]byte{[]byte("value-1")})
-	valid = appendFrame(valid, []string{"key-b"}, [][]byte{[]byte("value-2")})
+	valid = AppendFrame(valid, []string{"key-a"}, [][]byte{[]byte("value-1")})
+	valid = AppendFrame(valid, []string{"key-b"}, [][]byte{[]byte("value-2")})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])                        // torn tail
 	f.Add(append(append([]byte{}, valid...), 0, 1, 2)) // trailing garbage
@@ -28,13 +28,13 @@ func FuzzWALReplay(f *testing.F) {
 	// Batch frames: several records under one header, between and
 	// after single-record frames, cut inside the batch, and a CRC-valid
 	// frame whose last record claims more bytes than the payload holds.
-	batch := appendFrame(nil, []string{"key-c", "key-a", ""}, [][]byte{[]byte("value-3"), nil, []byte("value-4")})
+	batch := AppendFrame(nil, []string{"key-c", "key-a", ""}, [][]byte{[]byte("value-3"), nil, []byte("value-4")})
 	mixed := append(append(append([]byte{}, valid...), batch...), valid...)
 	f.Add(batch)
 	f.Add(mixed)
 	f.Add(mixed[:len(valid)+len(batch)-5])
 	f.Add(mixed[:len(valid)+frameHeader+9])
-	short := appendFrame(nil, []string{"key-d", "key-e"}, [][]byte{[]byte("value-5"), []byte("value-6")})
+	short := AppendFrame(nil, []string{"key-d", "key-e"}, [][]byte{[]byte("value-5"), []byte("value-6")})
 	binary.LittleEndian.PutUint32(short[len(short)-len("value-6")-4:], 1<<20)
 	binary.LittleEndian.PutUint32(short[4:], crc32.Checksum(short[frameHeader:], crcTable))
 	f.Add(append(append([]byte{}, valid...), short...))
@@ -64,19 +64,19 @@ func FuzzWALReplay(f *testing.F) {
 		// frame was applied in part, none was skipped.
 		var again []byte
 		for rest := data[:n]; len(rest) > 0; {
-			recs, flen, err := parseFrame(rest)
+			recs, flen, err := ParseFrame(rest)
 			if err != nil {
 				t.Fatalf("applied prefix holds a frame replay should have refused: %v", err)
 			}
 			var keys []string
 			var vals [][]byte
 			for _, r := range recs {
-				keys, vals = append(keys, r.key), append(vals, r.val)
-				if _, ok := mem[r.key]; !ok {
-					t.Fatalf("record %q of an applied frame is missing from the memtable", r.key)
+				keys, vals = append(keys, r.Key), append(vals, r.Val)
+				if _, ok := mem[r.Key]; !ok {
+					t.Fatalf("record %q of an applied frame is missing from the memtable", r.Key)
 				}
 			}
-			again = appendFrame(again, keys, vals)
+			again = AppendFrame(again, keys, vals)
 			rest = rest[flen:]
 		}
 		if !bytes.Equal(again, data[:n]) {

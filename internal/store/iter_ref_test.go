@@ -78,7 +78,7 @@ func (it *refSegStream) next() (string, []byte, bool, error) {
 }
 
 // referenceScan returns what the old Iter(prefix) yielded, in order.
-func referenceScan(st *Store, prefix string) ([]record, error) {
+func referenceScan(st *Store, prefix string) ([]Record, error) {
 	var h refHeap
 	push := func(s stream, prio int) error {
 		k, v, ok, err := s.next()
@@ -123,7 +123,7 @@ func referenceScan(st *Store, prefix string) ([]record, error) {
 		}
 		prio++
 	}
-	var out []record
+	var out []Record
 	for h.Len() > 0 {
 		top := heap.Pop(&h).(refEntry)
 		if err := push(top.src, top.prio); err != nil {
@@ -138,18 +138,18 @@ func referenceScan(st *Store, prefix string) ([]record, error) {
 		if prefix != "" && !strings.HasPrefix(top.key, prefix) {
 			break
 		}
-		out = append(out, record{key: top.key, val: top.val})
+		out = append(out, Record{Key: top.key, Val: top.val})
 	}
 	return out, nil
 }
 
-func scanAll(t testing.TB, st *Store, prefix string) []record {
+func scanAll(t testing.TB, st *Store, prefix string) []Record {
 	t.Helper()
 	it := st.Iter(prefix)
 	defer it.Close()
-	var out []record
+	var out []Record
 	for it.Next() {
-		out = append(out, record{key: it.Key(), val: it.Value()})
+		out = append(out, Record{Key: it.Key(), Val: it.Value()})
 	}
 	if err := it.Err(); err != nil {
 		t.Fatal(err)
@@ -223,9 +223,9 @@ func TestIterPrefixMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: Iter(%q) yields %d records, the reference %d", seed, prefix, len(got), len(want))
 			}
 			for i := range want {
-				if got[i].key != want[i].key || string(got[i].val) != string(want[i].val) {
+				if got[i].Key != want[i].Key || string(got[i].Val) != string(want[i].Val) {
 					t.Fatalf("seed %d: Iter(%q)[%d] = %q:%q, the reference has %q:%q",
-						seed, prefix, i, got[i].key, got[i].val, want[i].key, want[i].val)
+						seed, prefix, i, got[i].Key, got[i].Val, want[i].Key, want[i].Val)
 				}
 			}
 			h, complete := byComponent(prefix)
@@ -466,8 +466,8 @@ func TestIterReadFaultSurfaces(t *testing.T) {
 		it := st.Iter("")
 		got := 0
 		for it.Next() {
-			if it.Key() != healthy[got].key {
-				t.Fatalf("fault after %d reads: record %d is %q, want %q", after, got, it.Key(), healthy[got].key)
+			if it.Key() != healthy[got].Key {
+				t.Fatalf("fault after %d reads: record %d is %q, want %q", after, got, it.Key(), healthy[got].Key)
 			}
 			got++
 		}

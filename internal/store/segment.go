@@ -115,7 +115,7 @@ func writeSegment(dir string, seqMin, seqMax uint64, src kvSource, approxKeys in
 			index = append(index, indexEntry{key: key, off: off})
 		}
 		filter.add(hashKey(key))
-		frame = appendFrame(frame[:0], []string{key}, [][]byte{val})
+		frame = AppendFrame(frame[:0], []string{key}, [][]byte{val})
 		if _, err := w.Write(frame); err != nil {
 			return fail(err)
 		}

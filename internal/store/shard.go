@@ -164,7 +164,7 @@ func (sh *shard) putBatch(keys []string, vals [][]byte) (flushed bool, err error
 	if sh.failErr != nil {
 		return false, sh.failedErr()
 	}
-	frame := appendFrame(nil, keys, vals)
+	frame := AppendFrame(nil, keys, vals)
 	if _, err := sh.wal.Write(frame); err != nil {
 		sh.fail(fmt.Errorf("wal append: %w", err))
 		return false, fmt.Errorf("store: wal: %w", err)

@@ -10,40 +10,56 @@ import (
 
 const walName = "wal.log"
 
-// replayWAL reads a shard's write-ahead log, applying every complete
-// frame in append order to mem (later records supersede earlier ones)
-// and truncating a torn tail in place. A frame is applied with all of
-// its records or not at all, so a batch cut short by a crash never
-// half-reappears. WAL frames are length-prefixed with no resync
-// marker, so the first damaged frame ends the readable prefix —
-// exactly the crash-mid-append shape.
+// ReplayLog reads the append-only log at path and hands each, in
+// append order, the records of every complete frame. The replay ends
+// with the file, at the first frame that does not verify — frames are
+// length-prefixed with no resync marker, so that frame ends the
+// readable prefix: exactly the crash-mid-append shape — or before the
+// frame each returns an error for, which ReplayLog returns. It hands
+// back the file's image and the length of the prefix replayed;
+// truncating the file to it drops the torn tail (or, stopped by each,
+// everything from the refused frame on). Nothing is written here.
+func ReplayLog(fs chaos.FS, path string, each func(recs []Record) error) (data []byte, valid int, err error) {
+	data, err = fs.ReadFile(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	for valid < len(data) {
+		recs, n, err := ParseFrame(data[valid:])
+		if err != nil {
+			break
+		}
+		if err := each(recs); err != nil {
+			return data, valid, err
+		}
+		valid += n
+	}
+	return data, valid, nil
+}
+
+// replayWAL replays a shard's write-ahead log into mem — later records
+// supersede earlier ones, a frame is applied with all of its records
+// or not at all, so a batch cut short by a crash never half-reappears
+// — and truncates a torn tail in place.
 func replayWAL(fs chaos.FS, path string, mem map[string][]byte) (int64, error) {
-	data, err := fs.ReadFile(path)
+	data, valid, err := ReplayLog(fs, path, func(recs []Record) error {
+		for _, r := range recs {
+			mem[r.Key] = r.Val
+		}
+		return nil
+	})
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, fmt.Errorf("store: wal: %w", err)
 	}
-	valid := int64(0)
-	rest := data
-	for len(rest) > 0 {
-		recs, n, err := parseFrame(rest)
-		if err != nil {
-			break
-		}
-		for _, r := range recs {
-			mem[r.key] = r.val
-		}
-		valid += int64(n)
-		rest = rest[n:]
-	}
-	if valid < int64(len(data)) {
-		if err := fs.Truncate(path, valid); err != nil {
+	if valid < len(data) {
+		if err := fs.Truncate(path, int64(valid)); err != nil {
 			return 0, fmt.Errorf("store: wal: truncating torn tail: %w", err)
 		}
 	}
-	return valid, nil
+	return int64(valid), nil
 }
 
 // openWALAppend opens the shard WAL for appending.

@@ -3,8 +3,6 @@ package tunedb
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"hash/crc32"
 	"math"
 	"testing"
 
@@ -180,68 +178,6 @@ func FuzzEvalValueMatchesReference(f *testing.F) {
 	})
 }
 
-// referenceEncodeRecord is the framing EncodeRecord replaced: the
-// payload marshalled, then the envelope marshalled around it — a second
-// scan of the payload through json.RawMessage.
-func referenceEncodeRecord(t string, rec interface{}) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(envelope{V: schemaVersion, T: t, CRC: crc32.Checksum(payload, crcTable), D: payload})
-}
-
-// TestEncodeRecordMatchesReference: the one-pass envelope is the line
-// the two-pass one wrote, byte for byte — strings json escapes (HTML
-// characters, quotes, control and non-ASCII bytes) in the type tag and
-// in the payload, nested payloads, pre-marshalled and custom-marshalled
-// ones — and decodes back to the same record.
-func TestEncodeRecordMatchesReference(t *testing.T) {
-	type nested struct {
-		Name  string                 `json:"name"`
-		Inner map[string]interface{} `json:"inner"`
-		List  []FrontPoint           `json:"list"`
-	}
-	tags := []string{"snap", "eval", "", "a<b>&c", `q"uo\te`, "tab\there", "nül", " line", "del\x7f", "bad\xffutf8"}
-	recs := []interface{}{
-		scanRec{N: 7},
-		testFront(testKey()),
-		nested{
-			Name:  "<script>&amp;</script>",
-			Inner: map[string]interface{}{"z": []int{1, 2}, "a": map[string]string{"k": "v>w"}, "n": nil},
-			List:  []FrontPoint{{Config: []int64{1}, Objectives: []float64{1e-9, 1e21}}},
-		},
-		json.RawMessage(`{ "spaced" : [ 1 , 2 ] , "html" : "<&>" }`),
-		[]float64{},
-		nil,
-		"plain string",
-	}
-	for _, tag := range tags {
-		for _, rec := range recs {
-			want, err := referenceEncodeRecord(tag, rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := EncodeRecord(tag, rec)
-			if err != nil {
-				t.Fatalf("EncodeRecord(%q, %v): %v", tag, rec, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("EncodeRecord(%q, %v)\n got %s\nwant %s", tag, rec, got, want)
-			}
-			if cap(got) == len(got) {
-				t.Fatalf("EncodeRecord(%q, …) leaves no room for the caller's newline", tag)
-			}
-			if _, _, err := decodeRecord(got); err != nil {
-				t.Fatalf("EncodeRecord(%q, %v) does not decode: %v", tag, rec, err)
-			}
-		}
-	}
-	if _, err := EncodeRecord("snap", math.NaN()); err == nil {
-		t.Fatal("unmarshalable payload accepted")
-	}
-}
-
 // TestPutEvalsAllocationBudget bounds what journaling one generation
 // allocates: per record the configuration key and the store key built
 // from it, per batch a constant — the value buffer, the key and value
@@ -323,58 +259,5 @@ func BenchmarkPutEvalsOneByOne(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-var lineSink []byte
-
-// benchSnapshot is a payload the size and shape of one generation's
-// checkpoint record: a population, an archive and the evaluation trace.
-func benchSnapshot() interface{} {
-	type member struct {
-		Config []int64   `json:"config"`
-		Objs   []float64 `json:"objs"`
-	}
-	type snapshot struct {
-		Method      string   `json:"method"`
-		Fingerprint string   `json:"fingerprint"`
-		Generation  int      `json:"generation"`
-		Pop         []member `json:"pop"`
-		Archive     []member `json:"archive"`
-		Evals       []member `json:"evals"`
-	}
-	s := snapshot{Method: "rs-gde3", Fingerprint: fmt.Sprintf("%016x", 0xfeedface), Generation: 12}
-	cfgs, objs := generation(12, 30)
-	for i := range cfgs {
-		m := member{Config: cfgs[i], Objs: objs[i]}
-		s.Pop, s.Evals = append(s.Pop, m), append(s.Evals, m)
-		if i%3 == 0 {
-			s.Archive = append(s.Archive, m)
-		}
-	}
-	return s
-}
-
-func BenchmarkEncodeRecord(b *testing.B) {
-	rec := benchSnapshot()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		line, err := EncodeRecord("snap", rec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lineSink = line
-	}
-}
-
-func BenchmarkEncodeRecordReference(b *testing.B) {
-	rec := benchSnapshot()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		line, err := referenceEncodeRecord("snap", rec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lineSink = line
 	}
 }

@@ -13,9 +13,9 @@
 // with per-segment bloom filters, sharded by program fingerprint so
 // concurrent searches of different programs never contend, with
 // size-tiered compaction dropping superseded records in the background.
-// Opening is O(segment metadata), not O(data). Databases written by the
-// v1 append-only JSONL journal are migrated transparently (one-shot,
-// atomic) on first open; see migrate.go.
+// Opening is O(segment metadata), not O(data). A directory still in the
+// v1 append-only JSONL journal format is refused by name: commit
+// ca39811 is the last whose Open migrates one.
 //
 // Record namespaces inside the store, all in canonical key order:
 //
@@ -31,6 +31,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,36 +44,12 @@ import (
 	"autotune/internal/store"
 )
 
-// journalName is the v1 journal file name inside the database
-// directory; v1 databases are migrated to the store engine on open.
-const journalName = "journal.jsonl"
-
-// schemaVersion is the journal record schema version (v1 journals and
-// the exported EncodeRecord framing used by checkpoint files).
-const schemaVersion = 1
-
-// Record type tags.
-const (
-	recEval  = "eval"
-	recFront = "front"
-)
-
 // Store key namespace tags.
 const (
 	nsKey   = "k|"
 	nsEval  = "e|"
 	nsFront = "f|"
 )
-
-// evalRecord journals one evaluated configuration (the v1 journal
-// form, still used by migration). Nil objectives mark a known-failed
-// (invalid) configuration; storing failures lets warm runs skip
-// re-evaluating them.
-type evalRecord struct {
-	Key        Key       `json:"key"`
-	Config     []int64   `json:"config"`
-	Objectives []float64 `json:"objectives"`
-}
 
 // evalValue is the store-resident form of one evaluation: the key and
 // config live in the store key, only the measurement in the value.
@@ -148,21 +126,24 @@ func evalStoreKey(ks, cfgKey string) string { return nsEval + ks + "|" + cfgKey 
 func frontStoreKey(ks string) string        { return nsFront + ks }
 func keyStoreKey(ks string) string          { return nsKey + ks }
 
-// Open opens (creating if necessary) the database in dir. A database
-// last written by the v1 JSONL journal engine is migrated in place
-// first: the journal (with any torn tail truncated, exactly as v1
-// recovery did) is replayed into a fresh store, atomically renamed
-// into place, and the journal archived as journal.jsonl.v1. Interior
-// journal corruption — an unreadable record followed by readable ones —
-// is reported as an error rather than silently dropped.
+// storeDir is where the engine lives inside a database directory.
+func storeDir(dir string) string { return filepath.Join(dir, "store") }
+
+// Open opens (creating if necessary) the database in dir. A directory
+// holding the journal.jsonl of the v1 engine and no store/ is an error
+// that says so — never an empty database opened beside the data; once
+// a store/ exists (the v1 database was migrated by a build up to commit
+// ca39811) a leftover journal is ignored.
 func Open(dir string) (*DB, error) { return OpenFS(dir, nil) }
 
 // OpenFS opens the database over an explicit filesystem (the real OS
 // when nil). Chaos tests inject a scripted chaos.Injector; production
 // callers use Open.
 func OpenFS(dir string, fsys chaos.FS) (*DB, error) {
-	if err := migrateV1(dir); err != nil {
-		return nil, err
+	if _, err := os.Stat(filepath.Join(dir, "journal.jsonl")); err == nil {
+		if _, err := os.Stat(storeDir(dir)); os.IsNotExist(err) {
+			return nil, fmt.Errorf("tunedb: %s is a v1 journal database (journal.jsonl, no store/), which this build does not read: commit ca39811 is the last that migrates it — open the directory once with a build of that commit", dir)
+		}
 	}
 	opt := storeOptions()
 	opt.FS = fsys
@@ -329,8 +310,8 @@ func appendJSONFloat(b []byte, f float64) []byte {
 // decodeEvalValue reads a stored evaluation back: for the bytes
 // appendEvalValue writes (and json.Marshal wrote before it) the strict
 // mirror image of that encoder, for anything else — whitespace,
-// reordered, repeated or unknown fields, whatever a migrated v1 journal
-// held — json.Unmarshal, so that on every input the result and whether
+// reordered, repeated or unknown fields, whatever a database migrated
+// from a v1 journal holds — json.Unmarshal, so that on every input the result and whether
 // there is an error are json.Unmarshal's.
 func decodeEvalValue(data []byte) (skeleton.Config, []float64, error) {
 	if cfg, objs, ok := parseEvalValue(data); ok {
@@ -682,11 +663,10 @@ func (db *DB) Compact() error {
 
 // Merge folds every record of the database at dir into this one
 // (cross-machine transfer: carry a database over from another host and
-// merge it; a v1 journal directory is migrated on open). It returns
-// the number of evaluation and front records adopted. Records already
-// present locally are kept: an incoming front only lands when no local
-// front exists under the same key. The adopted records are made
-// durable before Merge returns.
+// merge it). It returns the number of evaluation and front records
+// adopted. Records already present locally are kept: an incoming front
+// only lands when no local front exists under the same key. The adopted
+// records are made durable before Merge returns.
 func (db *DB) Merge(dir string) (evals, fronts int, err error) {
 	other, err := Open(dir)
 	if err != nil {

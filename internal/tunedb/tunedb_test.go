@@ -2,7 +2,10 @@ package tunedb
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -83,6 +86,52 @@ func TestOpenEmptyAndReopen(t *testing.T) {
 	defer db2.Close()
 	if got := db2.Keys(); len(got) != 0 {
 		t.Fatalf("reopened empty database has keys %v", got)
+	}
+}
+
+// v1Journal is a database of the v1 engine as it sits on disk: one
+// evaluation and one front in the JSONL envelope this build no longer
+// reads.
+const v1Journal = `{"v":1,"t":"eval","crc":2774104031,"d":{"key":{"fingerprint":"pg0123456789abcdef","machine":"m","objectives":"time+resources","space":"sp0000000000000001"},"config":[64,64,8],"objectives":[0.5,8]}}
+{"v":1,"t":"front","crc":1193046,"d":{"key":{"fingerprint":"pg0123456789abcdef","machine":"m","objectives":"time+resources","space":"sp0000000000000001"},"points":[{"config":[64,64,8],"objectives":[0.5,8]}]}}
+`
+
+// TestOpenRefusesV1Journal: a directory holding a v1 journal and no
+// store is refused as that, naming the last commit that migrates it,
+// and left as it was — never opened as an empty database beside the
+// user's data. Beside a store the leftover journal is ignored.
+func TestOpenRefusesV1Journal(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal.jsonl")
+	if err := os.WriteFile(jpath, []byte(v1Journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(dir)
+	if err == nil {
+		db.Close()
+		t.Fatal("a v1 journal directory opened")
+	}
+	if !strings.Contains(err.Error(), "v1 journal database") || !strings.Contains(err.Error(), "ca39811") {
+		t.Fatalf("v1 journal directory: %v, want the format and the last commit that migrates it named", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("the refused open left %v in the directory", entries)
+	}
+
+	// The same journal left behind in a database that has its store.
+	dir = t.TempDir()
+	mustOpen(t, dir).Close()
+	jpath = filepath.Join(dir, "journal.jsonl")
+	if err := os.WriteFile(jpath, []byte(v1Journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db = mustOpen(t, dir)
+	defer db.Close()
+	if got := db.Keys(); len(got) != 0 {
+		t.Fatalf("the leftover journal was read: keys %v", got)
+	}
+	if kept, err := os.ReadFile(jpath); err != nil || string(kept) != v1Journal {
+		t.Fatalf("the leftover journal was touched (%v)", err)
 	}
 }
 
