@@ -157,9 +157,9 @@ func foldJournal(path string, maxGen int, truncate bool) (*optimizer.Snapshot, e
 		return nil
 	})
 	switch {
-	case errors.Is(err, errFoldStop):
-	case data == nil && err != nil:
+	case data == nil && err != nil: // the read failed, not a frame
 		return nil, fmt.Errorf("resilience: reading checkpoint: %w", err)
+	case errors.Is(err, errFoldStop): // ended at a frame that verifies
 	case err != nil:
 		return nil, err
 	case bytes.HasPrefix(data, []byte(`{"v":`)):

@@ -2,8 +2,8 @@
 // transient faults and interruptions: a watchdog/retry middleware for
 // the shared evaluation cache (Guard), a generic call timeout for
 // runtime entry points (RunWithTimeout), and crash-safe checkpoint
-// journals that let an interrupted search resume exactly where it
-// stopped (Checkpoint).
+// journals — logs of internal/store's CRC frames — that let an
+// interrupted search resume exactly where it stopped (Checkpoint).
 package resilience
 
 import (

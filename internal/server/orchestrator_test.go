@@ -107,8 +107,8 @@ func persistInterrupted(t *testing.T, dir, sub string, req *JobRequest, journal 
 func TestFailedJobLeavesNoCheckpoint(t *testing.T) {
 	for _, sub := range []string{"checkpoints", "spill"} {
 		dir := t.TempDir()
-		path := filepath.Join(t.TempDir(), "other.ckpt")
-		cp, err := resilience.CreateCheckpoint(path)
+		id, ckpt := persistInterrupted(t, dir, sub, smallJob(1), nil)
+		cp, err := resilience.CreateCheckpoint(ckpt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,11 +118,6 @@ func TestFailedJobLeavesNoCheckpoint(t *testing.T) {
 		if err := cp.Close(); err != nil {
 			t.Fatal(err)
 		}
-		journal, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, ckpt := persistInterrupted(t, dir, sub, smallJob(1), journal)
 		o, err := NewOrchestrator(Config{StateDir: dir})
 		if err != nil {
 			t.Fatal(err)

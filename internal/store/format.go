@@ -12,12 +12,12 @@
 // canonical (bytewise) key order.
 //
 // Crash safety: WAL appends are CRC-framed so a torn tail is detected
-// and truncated; segments are written to a temp file, fsynced, renamed into place and
-// the directory fsynced, so a segment under its final name is always
-// complete; compaction output records the sequence interval of its
-// inputs, so a crash between the output rename and the input deletion
-// is healed at open by dropping any segment whose interval another
-// segment contains.
+// and truncated; segments are written to a temp file, fsynced, renamed
+// into place and the directory fsynced, so a segment under its final
+// name is always complete; compaction output records the sequence
+// interval of its inputs, so a crash between the output rename and the
+// input deletion is healed at open by dropping any segment whose
+// interval another segment contains.
 //
 // The WAL's framing is exported as the module's one crash-safe log:
 // AppendFrame encodes a frame, ReplayLog walks a log file frame by

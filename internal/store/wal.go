@@ -25,8 +25,8 @@ func ReplayLog(fs chaos.FS, path string, each func(recs []Record) error) (data [
 		return nil, 0, err
 	}
 	for valid < len(data) {
-		recs, n, err := ParseFrame(data[valid:])
-		if err != nil {
+		recs, n, torn := ParseFrame(data[valid:])
+		if torn != nil {
 			break
 		}
 		if err := each(recs); err != nil {

@@ -311,8 +311,8 @@ func appendJSONFloat(b []byte, f float64) []byte {
 // appendEvalValue writes (and json.Marshal wrote before it) the strict
 // mirror image of that encoder, for anything else — whitespace,
 // reordered, repeated or unknown fields, whatever a database migrated
-// from a v1 journal holds — json.Unmarshal, so that on every input the result and whether
-// there is an error are json.Unmarshal's.
+// from a v1 journal holds — json.Unmarshal, so that on every input the
+// result and whether there is an error are json.Unmarshal's.
 func decodeEvalValue(data []byte) (skeleton.Config, []float64, error) {
 	if cfg, objs, ok := parseEvalValue(data); ok {
 		return cfg, objs, nil
