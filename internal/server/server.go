@@ -266,6 +266,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		readOnly = 1
 	}
 	fmt.Fprintf(w, "tuned_store_read_only %d\n", readOnly)
+	// Which way warm starts went: from the history the open database
+	// keeps of a key, or from a scan of the store.
+	records, fromResident, fromScan := s.orch.DB().Residency()
+	fmt.Fprintf(w, "tuned_warm_starts_total{source=%q} %d\n", "resident", fromResident)
+	fmt.Fprintf(w, "tuned_warm_starts_total{source=%q} %d\n", "scan", fromScan)
+	fmt.Fprintf(w, "tuned_resident_records %d\n", records)
 }
 
 // shutdownGrace bounds how long in-flight HTTP requests may linger

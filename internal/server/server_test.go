@@ -195,6 +195,9 @@ func TestServerMetricsAndHealthz(t *testing.T) {
 		"tuned_evals_per_sec",
 		"tuned_dedup_hit_rate",
 		"tuned_draining 0",
+		`tuned_warm_starts_total{source="resident"} 0`,
+		`tuned_warm_starts_total{source="scan"} 1`,
+		"tuned_resident_records ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"context"
+	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestWarmStartAndDedupOnStoreEngine is the end-to-end check that the
@@ -86,5 +91,90 @@ func TestWarmStartAndDedupOnStoreEngine(t *testing.T) {
 	if againSt.Evaluations >= coldSt.Evaluations {
 		t.Fatalf("warm start lost across restart: cold %d, warm %d evaluations",
 			coldSt.Evaluations, againSt.Evaluations)
+	}
+}
+
+// servedJob is what a client sees of one finished job.
+type servedJob struct {
+	front       string
+	evaluations int
+	iterations  int
+}
+
+// serveJobs runs the requests one after another on a server over
+// stateDir and reports, beside what it served, how many of the warm
+// starts read a resident history and how many scanned the store.
+func serveJobs(t *testing.T, stateDir string, reqs ...*JobRequest) (served []servedJob, fromResident, fromScan uint64) {
+	t.Helper()
+	o, err := NewOrchestrator(Config{StateDir: stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(o).Handler())
+	defer o.Drain()
+	defer ts.Close()
+	c := &Client{BaseURL: ts.URL}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	for _, req := range reqs {
+		st, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin, err := c.Wait(ctx, st.ID, 5*time.Millisecond)
+		if err != nil || fin.State != StateDone {
+			t.Fatalf("seed %d: state %s, error %q (%v)", req.Seed, fin.State, fin.Error, err)
+		}
+		front, err := c.Front(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served = append(served, servedJob{string(front), fin.Result.Evaluations, fin.Result.Iterations})
+	}
+	_, fromResident, fromScan = o.DB().Residency()
+	return served, fromResident, fromScan
+}
+
+// TestResidentWarmJobsMatchRestartedServer: three warm-started jobs on
+// one key through one server — the first scans the key, the second and
+// third start from the history the database kept and the jobs before
+// them wrote through — serve the fronts and evaluation counts of the
+// same three jobs with the server restarted between them, where every
+// warm start is a scan. With the surrogate on, the order the history
+// is handed over in is part of the result. At GOMAXPROCS 1 and 4.
+func TestResidentWarmJobsMatchRestartedServer(t *testing.T) {
+	for name, req := range map[string]JobRequest{
+		"default":   {Kernel: "mm"},
+		"surrogate": {Kernel: "mm", Energy: true, Surrogate: true, ScreenTopK: 4},
+	} {
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/GOMAXPROCS%d", name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				var reqs []*JobRequest
+				for seed := int64(1); seed <= 3; seed++ {
+					r := req
+					r.Seed = seed
+					reqs = append(reqs, &r)
+				}
+				oneLifetime, fromResident, fromScan := serveJobs(t, t.TempDir(), reqs...)
+				if fromResident != 2 || fromScan != 1 {
+					t.Fatalf("one server: %d warm starts from a resident history, %d from a scan; want 2 and 1", fromResident, fromScan)
+				}
+				restarted := t.TempDir()
+				for i, r := range reqs {
+					served, fromResident, fromScan := serveJobs(t, restarted, r)
+					if fromResident != 0 || fromScan != 1 {
+						t.Fatalf("restarted server, job %d: %d warm starts from a resident history, %d from a scan; want 0 and 1", i, fromResident, fromScan)
+					}
+					if served[0] != oneLifetime[i] {
+						t.Errorf("job %d: one server served %d evaluations, %d iterations, a restarted one %d and %d, or another front:\n%s\n%s",
+							i, oneLifetime[i].evaluations, oneLifetime[i].iterations, served[0].evaluations, served[0].iterations, oneLifetime[i].front, served[0].front)
+					}
+				}
+				if oneLifetime[1].evaluations >= oneLifetime[0].evaluations {
+					t.Fatalf("the second job paid %d evaluations, the first %d: nothing was warm-started", oneLifetime[1].evaluations, oneLifetime[0].evaluations)
+				}
+			})
+		}
 	}
 }

@@ -245,6 +245,7 @@ func TestWarmCacheAllocationBudget(t *testing.T) {
 	db := warmDB(t, nil, n)
 	key := testKey()
 	perWarm := testing.AllocsPerRun(10, func() {
+		forgetResident(db) // every run is a first warm start: a scan
 		if primed, err := db.Warm(key, newCache()); err != nil || primed != n {
 			t.Fatalf("primed %d of %d: %v", primed, n, err)
 		}
@@ -257,9 +258,11 @@ func TestWarmCacheAllocationBudget(t *testing.T) {
 
 // TestWarmFailsOnReadFault: a warm start whose scan hits a read fault —
 // in the first block of a segment or deep inside one — reports the
-// store's error and primes nothing, and so does a seed lookup; the
-// error-dropping forms the benchmark still calls read the same faults
-// as an empty database. Once the fault is gone the same calls succeed.
+// store's error, primes nothing and leaves nothing resident, and so
+// does a seed lookup; the error-dropping forms the benchmark still calls
+// read the same faults as an empty database. Once the fault is gone the
+// same calls succeed: the next warm start scans again and is complete,
+// the one after it reads the history that one kept.
 func TestWarmFailsOnReadFault(t *testing.T) {
 	const n = 1500
 	inj := chaos.NewInjector(nil)
@@ -285,6 +288,9 @@ func TestWarmFailsOnReadFault(t *testing.T) {
 		inj.Add(chaos.Fault{Op: chaos.OpRead, Path: ".seg"})
 		if primed := db.WarmCache(key, ce); primed != 0 {
 			t.Fatalf("WarmCache primed %d records from a failed scan", primed)
+		}
+		if got := residencyOf(db); got != (residency{}) {
+			t.Fatalf("fault after %d reads: failed scans left %+v resident", after, got)
 		}
 	}
 
@@ -312,8 +318,13 @@ func TestWarmFailsOnReadFault(t *testing.T) {
 	}
 
 	inj.Clear()
-	if primed, err := db.Warm(key, newCache()); err != nil || primed != n {
-		t.Fatalf("healthy disk: Warm = %d, %v; want %d", primed, err, n)
+	for i, want := range []residency{{n, 0, 1}, {n, 1, 1}} {
+		if primed, err := db.Warm(key, newCache()); err != nil || primed != n {
+			t.Fatalf("healthy disk: Warm = %d, %v; want %d", primed, err, n)
+		}
+		if got := residencyOf(db); got != want {
+			t.Fatalf("healthy disk, warm start %d: residency %+v, want %+v", i, got, want)
+		}
 	}
 	if seeds, err := db.Seeds(other, sig, testSpace(), 4); err != nil || len(seeds) != 2 {
 		t.Fatalf("healthy disk: Seeds = %v, %v; want the stored front's two points", seeds, err)
@@ -349,9 +360,9 @@ func BenchmarkDecodeEvalValueReference(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmCache warm-starts one served job: 3,500 records of one
-// key across two segments and a memtable, 16 shards of which eight
-// programs populate theirs.
+// BenchmarkWarmCache warm-starts the first served job on a key: 3,500
+// records of it across two segments and a memtable, 16 shards of which
+// eight programs populate theirs, none of it resident.
 func BenchmarkWarmCache(b *testing.B) {
 	const n = 3498
 	db := warmDB(b, nil, n)
@@ -359,6 +370,7 @@ func BenchmarkWarmCache(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		forgetResident(db)
 		if primed, err := db.Warm(key, newCache()); err != nil || primed != n {
 			b.Fatalf("primed %d of %d: %v", primed, n, err)
 		}

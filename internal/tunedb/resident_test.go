@@ -9,8 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
+	"autotune/internal/chaos"
+	"autotune/internal/israce"
 	"autotune/internal/objective"
 	"autotune/internal/skeleton"
 	"autotune/internal/store"
@@ -34,9 +37,8 @@ func warmReference(db *DB, key Key, ce *objective.CachingEvaluator) (primed int,
 }
 
 // forgetResident makes an open database forget whatever it keeps in
-// memory about its keys' evaluations. At commit 6b95eeb it keeps
-// nothing.
-var forgetResident = func(*DB) {}
+// memory about its keys' evaluations.
+func forgetResident(db *DB) { db.res.dropAll() }
 
 // primedEval is one entry a warm start inserted into a cache, as the
 // cache's prime observers saw it.
@@ -426,4 +428,438 @@ func FuzzResidentMatchesScan(f *testing.F) {
 		}
 		runReopenOps(t, data, sources, keys, false)
 	})
+}
+
+// residency is db.Residency as one value to compare.
+type residency struct {
+	records                int
+	fromResident, fromScan uint64
+}
+
+func residencyOf(db *DB) residency {
+	records, fromResident, fromScan := db.Residency()
+	return residency{records, fromResident, fromScan}
+}
+
+// mustWarm warm-starts a fresh cache from key, holds the result to
+// what warmReference reads from the store, and returns what it primed.
+func mustWarm(t testing.TB, db *DB, key Key) []primedEval {
+	t.Helper()
+	seq, primed, err := warmInto(func(ce *objective.CachingEvaluator) (int, error) { return db.Warm(key, ce) })
+	if err != nil {
+		t.Fatalf("Warm: %v", err)
+	}
+	want, wantPrimed, err := warmInto(func(ce *objective.CachingEvaluator) (int, error) { return warmReference(db, key, ce) })
+	if err != nil {
+		t.Fatalf("warmReference: %v", err)
+	}
+	if primed != wantPrimed || !samePrimed(seq, want) {
+		t.Fatalf("Warm primed %d records, a scan of the store primes %d, or other ones:\n%v\n%v", primed, wantPrimed, seq, want)
+	}
+	return seq
+}
+
+// TestResidentSurvivesNoBitFlip: a first scan that meets a damaged
+// frame returns the error, primes nothing and leaves nothing resident;
+// with the byte restored the next warm start scans again and is
+// complete, and the one after it reads nothing.
+func TestResidentSurvivesNoBitFlip(t *testing.T) {
+	const n = 1500
+	db := warmDB(t, nil, n)
+	key := testKey()
+	hash, _ := shardHash(evalStoreKey(key.String(), ""))
+	segs, err := filepath.Glob(filepath.Join(storeDir(db.Dir()), fmt.Sprintf("shard-%02d", hash%uint32(storeOptions().Shards)), "seg-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment files: %v", err)
+	}
+	flip := func(mask byte) {
+		for _, seg := range segs {
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/3] ^= mask
+			if err := os.WriteFile(seg, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flip(0x10)
+	ce := newCache()
+	if primed, err := db.Warm(key, ce); err == nil || primed != 0 {
+		t.Fatalf("Warm over a flipped bit = %d, %v; want an error and nothing primed", primed, err)
+	}
+	if _, ok := ce.Lookup(skeleton.Config{0, 0, 64, 8}); ok {
+		t.Fatal("a failed warm start left the cache partly primed")
+	}
+	if got := residencyOf(db); got != (residency{}) {
+		t.Fatalf("a failed scan left %+v resident", got)
+	}
+	flip(0x10)
+	if seq := mustWarm(t, db, key); len(seq) != n {
+		t.Fatalf("healthy disk: Warm primed %d of %d", len(seq), n)
+	}
+	if seq := mustWarm(t, db, key); len(seq) != n {
+		t.Fatalf("resident: Warm primed %d of %d", len(seq), n)
+	}
+	if got, want := residencyOf(db), (residency{n, 1, 1}); got != want {
+		t.Fatalf("residency %+v, want %+v", got, want)
+	}
+}
+
+// TestResidentDroppedByRefusedWrite: a batch the store does not
+// acknowledge — a failed, a torn, an out-of-space append — ends the
+// key's residency; the failed shard's later refusals never enter a
+// history warmed since; and what the database serves afterwards, still
+// open and reopened, is what a scan of the store holds: none of the
+// refused batches.
+func TestResidentDroppedByRefusedWrite(t *testing.T) {
+	for name, fault := range map[string]chaos.Fault{
+		"failed": {Op: chaos.OpWrite, Path: "wal.log"},
+		"torn":   {Op: chaos.OpWrite, Path: "wal.log", TornBytes: 21},
+		"enospc": {Op: chaos.OpWrite, Path: "wal.log", TornBytes: 3, Err: chaos.ENOSPC},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := chaos.NewInjector(nil)
+			db, err := OpenFS(dir, inj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			key := testKey()
+			cfgs, objs := generation(1, 40)
+			if err := db.PutEvals(key, cfgs, objs); err != nil {
+				t.Fatal(err)
+			}
+			before := mustWarm(t, db, key)
+			if got := residencyOf(db).records; got != 40 {
+				t.Fatalf("%d records resident, want 40", got)
+			}
+
+			inj.Add(fault)
+			lost, lostObjs := generation(2, 10)
+			if err := db.PutEvals(key, lost, lostObjs); err == nil {
+				t.Fatal("PutEvals through a write fault succeeded")
+			}
+			if got := residencyOf(db).records; got != 0 {
+				t.Fatalf("%d records resident after a refused batch", got)
+			}
+			if seq := mustWarm(t, db, key); !samePrimed(seq, before) {
+				t.Fatalf("after the refused batch Warm primes\n%v\nbefore it\n%v", seq, before)
+			}
+			// The shard has failed: it refuses, and the history warmed a
+			// moment ago must not take the batch either.
+			if err := db.PutEvals(key, lost, lostObjs); !IsReadOnly(err) {
+				t.Fatalf("PutEvals on a failed shard: %v, want read-only", err)
+			}
+			if got := residencyOf(db).records; got != 0 {
+				t.Fatalf("%d records resident after the failed shard refused a batch", got)
+			}
+			if _, ok := db.GetEval(key, lost[0]); ok {
+				t.Fatal("a refused record reads back")
+			}
+			if seq := mustWarm(t, db, key); !samePrimed(seq, before) {
+				t.Fatalf("after the second refusal Warm primes\n%v\nbefore it\n%v", seq, before)
+			}
+
+			// Recover starts from nothing resident and makes the shard
+			// writable; the batch written then is in the next warm start.
+			inj.Clear()
+			if err := db.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if got := residencyOf(db).records; got != 0 {
+				t.Fatalf("%d records resident after Recover", got)
+			}
+			if err := db.PutEvals(key, lost, lostObjs); err != nil {
+				t.Fatal(err)
+			}
+			after := mustWarm(t, db, key)
+			if len(after) != 50 {
+				t.Fatalf("after Recover Warm primes %d records, want 50", len(after))
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened := mustOpen(t, dir)
+			defer reopened.Close()
+			if seq := mustWarm(t, reopened, key); !samePrimed(seq, after) {
+				t.Fatalf("reopened, Warm primes\n%v\nbefore the close\n%v", seq, after)
+			}
+		})
+	}
+}
+
+// TestResidentDegradedStoreRefusesWrite: a store degraded as a whole
+// refuses writes under every key; one refused under a resident key
+// ends its residency, and the key reads as the store holds it.
+func TestResidentDegradedStoreRefusesWrite(t *testing.T) {
+	inj := chaos.NewInjector(nil)
+	db, err := OpenFS(t.TempDir(), inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	key := testKey()
+	cfgs, objs := generation(1, 40)
+	if err := db.PutEvals(key, cfgs, objs); err != nil {
+		t.Fatal(err)
+	}
+	before := mustWarm(t, db, key)
+	// A flush that cannot write its segment degrades the whole store.
+	inj.Add(chaos.Fault{Op: chaos.OpAny, Path: ".seg"})
+	if err := db.st.Flush(); err == nil {
+		t.Fatal("Flush through a fault succeeded")
+	}
+	if !db.Health().ReadOnly {
+		t.Fatal("the store did not degrade")
+	}
+	refused, refusedObjs := generation(2, 10)
+	if err := db.PutEvals(key, refused, refusedObjs); !IsReadOnly(err) {
+		t.Fatalf("PutEvals on a degraded store: %v, want read-only", err)
+	}
+	if got := residencyOf(db).records; got != 0 {
+		t.Fatalf("%d records resident after a refused batch", got)
+	}
+	if seq := mustWarm(t, db, key); !samePrimed(seq, before) {
+		t.Fatalf("after the refused batch Warm primes\n%v\nbefore it\n%v", seq, before)
+	}
+}
+
+// TestResidentConcurrentWritersAndWarmers: four goroutines store
+// batches under one key — each its own configurations and, in every
+// batch, some all of them store with the same result — while three
+// warm-start from it, one of them making the database forget now and
+// then so that scans run beside the writes. Every warm start sees, of
+// every writer, a prefix of its batches and each of those whole, in
+// store-key order; the last one, after the writers have finished, is
+// what a scan reads.
+func TestResidentConcurrentWritersAndWarmers(t *testing.T) {
+	const writers, batches, size, warmers = 4, 25, 6, 3
+	db := mustOpen(t, t.TempDir())
+	defer db.Close()
+	key := testKey()
+	own := func(w, b, j int) skeleton.Config { return skeleton.Config{int64(w), int64(b), int64(j)} }
+	shared := func(b, j int) skeleton.Config { return skeleton.Config{99, int64(b % 5), int64(j)} }
+	result := func(cfg skeleton.Config) []float64 {
+		return []float64{float64(cfg[0]) + 0.5, float64(cfg[1]*10 + cfg[2])}
+	}
+
+	var writing, warming sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for b := 0; b < batches; b++ {
+				var cfgs []skeleton.Config
+				var objs [][]float64
+				for j := 0; j < size; j++ {
+					cfgs = append(cfgs, own(w, b, j))
+				}
+				for j := 0; j < 2; j++ {
+					cfgs = append(cfgs, shared(b, j))
+				}
+				for _, cfg := range cfgs {
+					objs = append(objs, result(cfg))
+				}
+				if err := db.PutEvals(key, cfgs, objs); err != nil {
+					t.Errorf("writer %d batch %d: %v", w, b, err)
+					return
+				}
+			}
+		}()
+	}
+	check := func(who string, seq []primedEval) {
+		seen := map[string]bool{}
+		for i, p := range seq {
+			if i > 0 && seq[i-1].cfg.Key() >= p.cfg.Key() {
+				t.Errorf("%s: record %d (%v) is not behind record %d (%v) in store-key order", who, i, p.cfg, i-1, seq[i-1].cfg)
+			}
+			if !equalObjs(p.objs, result(p.cfg)) {
+				t.Errorf("%s: %v primed as %v", who, p.cfg, p.objs)
+			}
+			seen[p.cfg.Key()] = true
+		}
+		for w := 0; w < writers; w++ {
+			gone := false
+			for b := 0; b < batches; b++ {
+				count := 0
+				for j := 0; j < size; j++ {
+					if seen[own(w, b, j).Key()] {
+						count++
+					}
+				}
+				switch {
+				case count != 0 && count != size:
+					t.Errorf("%s: %d of the %d records of writer %d's batch %d", who, count, size, w, b)
+				case count != 0 && gone:
+					t.Errorf("%s: writer %d's batch %d without the one before it", who, w, b)
+				case count != 0 && !(seen[shared(b, 0).Key()] && seen[shared(b, 1).Key()]):
+					t.Errorf("%s: writer %d's batch %d without the records it shares", who, w, b)
+				}
+				gone = count == 0
+			}
+		}
+	}
+	for m := 0; m < warmers; m++ {
+		warming.Add(1)
+		go func() {
+			defer warming.Done()
+			// Ten warm starts each at the least, so that both paths run
+			// however fast the writers are.
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					if i >= 10 {
+						return
+					}
+				default:
+				}
+				if m == 0 && i%5 == 4 {
+					forgetResident(db)
+				}
+				seq, _, err := warmInto(func(ce *objective.CachingEvaluator) (int, error) { return db.Warm(key, ce) })
+				if err != nil {
+					t.Errorf("warmer %d: %v", m, err)
+					return
+				}
+				check(fmt.Sprintf("warmer %d, warm start %d", m, i), seq)
+			}
+		}()
+	}
+	writing.Wait()
+	close(done)
+	warming.Wait()
+	last := mustWarm(t, db, key)
+	if want := writers*batches*size + 5*2; len(last) != want {
+		t.Fatalf("the last warm start primes %d records, want %d", len(last), want)
+	}
+	check("the last warm start", last)
+	if _, fromResident, fromScan := db.Residency(); fromResident == 0 || fromScan == 0 {
+		t.Fatalf("%d warm starts from resident histories, %d from scans: the test must see both", fromResident, fromScan)
+	}
+}
+
+// TestResidentBudget: with room for a hundred records, whole keys are
+// evicted least recently warmed first and re-scanned to the same
+// result, a key that outgrows the budget by what is written to it goes,
+// and a key larger than the budget is scanned every time and never
+// kept.
+func TestResidentBudget(t *testing.T) {
+	db := mustOpen(t, t.TempDir())
+	defer db.Close()
+	db.res.budget = 100
+	keys := harnessKeys(t)
+	a, b, big := keys[0], keys[1], keys[3]
+	put := func(key Key, gen, n int) {
+		t.Helper()
+		cfgs, objs := generation(gen, n)
+		if err := db.PutEvals(key, cfgs, objs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(step string, records int, fromResident, fromScan uint64) {
+		t.Helper()
+		if got, want := residencyOf(db), (residency{records, fromResident, fromScan}); got != want {
+			t.Fatalf("%s: residency %+v, want %+v", step, got, want)
+		}
+	}
+	put(a, 1, 60)
+	put(b, 1, 60)
+	put(big, 1, 150)
+	mustWarm(t, db, a)
+	expect("a warmed", 60, 0, 1)
+	put(a, 2, 10) // written through
+	expect("a written to", 70, 0, 1)
+	mustWarm(t, db, b) // 130 records: a, warmed longest ago, goes
+	expect("b warmed", 60, 0, 2)
+	put(a, 3, 10) // a is not resident: to the store alone
+	expect("a written to, evicted", 60, 0, 2)
+	if seq := mustWarm(t, db, a); len(seq) != 80 { // scanned again; b goes
+		t.Fatalf("a re-scanned to %d records, want 80", len(seq))
+	}
+	expect("a warmed again", 80, 0, 3)
+	mustWarm(t, db, a)
+	expect("a warmed from its history", 80, 1, 3)
+	mustWarm(t, db, big) // larger than the budget: served, not kept
+	expect("big warmed", 80, 1, 4)
+	mustWarm(t, db, big)
+	expect("big warmed again", 80, 1, 5)
+	put(a, 4, 30) // 110 records: a outgrows the budget
+	expect("a outgrown", 0, 1, 5)
+	if seq := mustWarm(t, db, a); len(seq) != 110 {
+		t.Fatalf("a scanned to %d records, want 110", len(seq))
+	}
+	expect("a warmed, too large", 0, 1, 6)
+}
+
+// TestWarmResidentAllocationBudget bounds what a warm start from a
+// resident history allocates: per record the cache key PrimeBatch
+// builds and the record's share of the cache map, per warm start a
+// constant — nothing is read, nothing decoded.
+func TestWarmResidentAllocationBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n = 1500
+	db := warmDB(t, nil, n)
+	key := testKey()
+	mustWarm(t, db, key)
+	perWarm := testing.AllocsPerRun(10, func() {
+		if primed, err := db.Warm(key, newCache()); err != nil || primed != n {
+			t.Fatalf("primed %d of %d: %v", primed, n, err)
+		}
+	})
+	if budget := 1.2*n + 50; perWarm > budget {
+		t.Fatalf("Warm from %d resident records allocates %.0f times, budget %.0f", n, perWarm, budget)
+	}
+	if _, fromResident, fromScan := db.Residency(); fromScan != 1 || fromResident < 10 {
+		t.Fatalf("%d warm starts from the history, %d from scans: the budget was measured on the wrong path", fromResident, fromScan)
+	}
+	t.Logf("%.2f allocations per record", perWarm/n)
+}
+
+// BenchmarkWarmResident is BenchmarkWarmCache for every served job on
+// a key but the first: the same 3,498 records, resident.
+func BenchmarkWarmResident(b *testing.B) {
+	const n = 3498
+	db := warmDB(b, nil, n)
+	key := testKey()
+	mustWarm(b, db, key)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if primed, err := db.Warm(key, newCache()); err != nil || primed != n {
+			b.Fatalf("primed %d of %d: %v", primed, n, err)
+		}
+	}
+}
+
+// BenchmarkPutEvalsResident is BenchmarkPutEvals under a resident key:
+// what writing a generation through to the history costs on top. A new
+// key every thousand generations keeps the histories within the
+// budget however long the benchmark runs.
+func BenchmarkPutEvalsResident(b *testing.B) {
+	db := flushedDB(b)
+	key := testKey()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%1000 == 0 {
+			key.SpaceHash = fmt.Sprintf("sp%016x", i/1000+2)
+			mustWarm(b, db, key)
+		}
+		cfgs, objs := generation(i+1, 30)
+		b.StartTimer()
+		if err := db.PutEvals(key, cfgs, objs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if records, _, _ := db.Residency(); records == 0 {
+		b.Fatal("nothing resident: the benchmark measured the other path")
+	}
 }

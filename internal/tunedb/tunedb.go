@@ -33,6 +33,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,10 +80,14 @@ type FrontRecord struct {
 
 // DB is an open tuning database. All methods are safe for concurrent
 // use; writers on different programs land on different store shards
-// and never contend.
+// and never contend. Beside the store it holds, in memory and within a
+// fixed budget, the decoded evaluations of the keys it has warm-started
+// from (see resident): a key's history is read from disk once per open
+// database.
 type DB struct {
 	dir string
 	st  *store.Store
+	res *resident
 
 	// registered holds the canonical strings of the keys whose registry
 	// record this open database has stored or found stored. The record
@@ -151,7 +156,7 @@ func OpenFS(dir string, fsys chaos.FS) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tunedb: %w", err)
 	}
-	return &DB{dir: dir, st: st}, nil
+	return &DB{dir: dir, st: st, res: newResident()}, nil
 }
 
 // Health reports the underlying store's degradation state: whether any
@@ -160,8 +165,10 @@ func OpenFS(dir string, fsys chaos.FS) (*DB, error) {
 func (db *DB) Health() store.Health { return db.st.Health() }
 
 // Recover attempts to return a degraded database to writable service
-// once the underlying fault has cleared; see store.Recover.
+// once the underlying fault has cleared; see store.Recover. Nothing
+// stays resident across it.
 func (db *DB) Recover() error {
+	db.res.dropAll()
 	if err := db.st.Recover(); err != nil {
 		return fmt.Errorf("tunedb: %w", err)
 	}
@@ -187,6 +194,7 @@ func (db *DB) Dir() string { return db.dir }
 // Close flushes and closes the engine. The DB must not be used after;
 // Close is idempotent.
 func (db *DB) Close() error {
+	db.res.dropAll()
 	if err := db.st.Close(); err != nil {
 		return fmt.Errorf("tunedb: %w", err)
 	}
@@ -204,12 +212,21 @@ func (db *DB) PutEval(key Key, cfg skeleton.Config, objs []float64) error {
 // store batch: one WAL frame however many records it holds, so the
 // batch is stored whole or, on error, not at all. Re-storing a
 // configuration already present with the same result is skipped, so
-// repeated cold runs do not grow the database.
+// repeated cold runs do not grow the database; what is present is read
+// from the key's resident history when it has one — which holds all the
+// key holds — and from the store otherwise. It is the only function
+// that writes an evaluation, and it writes through: a batch the store
+// acknowledged enters the resident history, copied; a batch it refused,
+// for whatever reason, ends the key's residency.
 func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, objs [][]float64) error {
 	if len(cfgs) != len(objs) {
 		return fmt.Errorf("tunedb: batch of %d configurations and %d results", len(cfgs), len(objs))
 	}
 	ks := key.String()
+	defer db.res.lockKey(ks).Unlock()
+	h := db.res.lookup(ks, false)
+	var cks []string // of the records kept, for the history
+	var kept []int
 	prefix := evalStoreKey(ks, "")
 	keys := make([]string, 0, len(cfgs)+1)
 	vals := make([][]byte, 0, len(cfgs)+1)
@@ -224,20 +241,40 @@ func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, objs [][]float64) error 
 			return err
 		}
 		val := buf[at:len(buf):len(buf)]
-		sk := prefix + cfg.Key()
-		if old, ok, err := db.st.Get(sk); err != nil {
+		ck := cfg.Key()
+		sk := prefix + ck
+		var same bool
+		if h != nil {
+			// The history holds decoded values: equal objectives is what
+			// sameEval comes down to for a value that decodes.
+			at, ok := h.find(ck)
+			same = ok && equalObjs(h.objs[at], objs[i])
+		} else if old, ok, err := db.st.Get(sk); err != nil {
 			return fmt.Errorf("tunedb: %w", err)
-		} else if ok && sameEval(old, val, objs[i]) {
+		} else {
+			same = ok && sameEval(old, val, objs[i])
+		}
+		if same {
 			buf = buf[:at]
 			continue
 		}
 		keys = append(keys, sk)
 		vals = append(vals, val)
+		if h != nil {
+			cks, kept = append(cks, ck), append(kept, i)
+		}
 	}
 	if len(keys) == 0 {
 		return nil
 	}
-	return db.putRegistered(key, ks, keys, vals)
+	if err := db.putRegistered(key, ks, keys, vals); err != nil {
+		db.res.drop(ks)
+		return err
+	}
+	if h != nil {
+		db.res.grew(ks, h, h.add(cks, kept, cfgs, objs))
+	}
+	return nil
 }
 
 // sameEval reports whether the stored value old already records the
@@ -555,9 +592,24 @@ func (db *DB) front(key Key) (FrontRecord, bool, error) {
 }
 
 // GetEval point-looks one stored evaluation up. ok distinguishes "not
-// stored" from a stored known-failure (ok with nil objectives).
+// stored" from a stored known-failure (ok with nil objectives). A
+// resident key answers from its history, hit or miss, without a read: its
+// history is all the key holds. objs is the caller's.
 func (db *DB) GetEval(key Key, cfg skeleton.Config) (objs []float64, ok bool) {
-	data, ok, err := db.st.Get(evalStoreKey(key.String(), cfg.Key()))
+	ks, ck := key.String(), cfg.Key()
+	mu := db.res.lockKey(ks)
+	h := db.res.lookup(ks, false)
+	if h != nil {
+		var at int
+		if at, ok = h.find(ck); ok {
+			objs = h.objs[at]
+		}
+	}
+	mu.Unlock()
+	if h != nil {
+		return slices.Clone(objs), ok
+	}
+	data, ok, err := db.st.Get(evalStoreKey(ks, ck))
 	if err != nil || !ok {
 		return nil, false
 	}
@@ -619,18 +671,26 @@ func (db *DB) ScanKeys(prefix string) ([]Key, error) {
 // means the scan was cut short by an unreadable or undecodable record,
 // and what fn has seen is a proper part of what is stored.
 func (db *DB) ScanEvals(prefix string, fn func(keyStr string, cfg skeleton.Config, objs []float64) bool) error {
-	it := db.st.Iter(nsEval + prefix)
+	return db.scanEvals(nsEval+prefix, func(sk string, cfg skeleton.Config, objs []float64) bool {
+		ks := strings.TrimPrefix(sk, nsEval)
+		if i := strings.LastIndexByte(ks, '|'); i >= 0 {
+			ks = ks[:i]
+		}
+		return fn(ks, cfg, objs)
+	})
+}
+
+// scanEvals is ScanEvals over a store-key prefix, fn being told the
+// store key each evaluation is filed under.
+func (db *DB) scanEvals(storePrefix string, fn func(storeKey string, cfg skeleton.Config, objs []float64) bool) error {
+	it := db.st.Iter(storePrefix)
 	defer it.Close()
 	for it.Next() {
 		cfg, objs, err := decodeEvalValue(it.Value())
 		if err != nil {
 			return fmt.Errorf("tunedb: eval entry %q: %w", it.Key(), err)
 		}
-		ks := strings.TrimPrefix(it.Key(), nsEval)
-		if i := strings.LastIndexByte(ks, '|'); i >= 0 {
-			ks = ks[:i]
-		}
-		if !fn(ks, cfg, objs) {
+		if !fn(it.Key(), cfg, objs) {
 			return nil
 		}
 	}

@@ -3,44 +3,348 @@ package tunedb
 import (
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
+	"strings"
+	"sync"
 
 	"autotune/internal/machine"
 	"autotune/internal/objective"
 	"autotune/internal/skeleton"
 )
 
-// Warm primes the shared evaluation cache with every stored evaluation
-// for the exact key — including known failures — so repeated or
-// overlapping searches re-pay nothing for configurations the database
-// has already seen: the E metric counts only new evaluations. The
-// records are read in one single-shard scan and handed to the cache as
-// one batch, in canonical key order, the slices as they were decoded.
-// It returns the number of entries primed. A scan that fails — a read
-// fault, a damaged frame, an undecodable value — primes nothing and
-// returns the error: a search warm-started from part of its history
-// would quietly find a different front than from all of it.
-// Evaluations never warm across machines; objective values measured (or
-// modeled) on one machine are meaningless on another.
-func (db *DB) Warm(key Key, ce *objective.CachingEvaluator) (primed int, err error) {
-	var cfgs []skeleton.Config
-	var objs [][]float64
-	err = db.ScanEvals(key.String(), func(_ string, cfg skeleton.Config, o []float64) bool {
-		if len(cfgs) == cap(cfgs) {
+// residentBudget is how many evaluation records an open database keeps
+// resident, over all its keys. A resident record of a four-parameter,
+// two-objective evaluation costs some 130 bytes as scanned and 145 once
+// batches have been written through and merged (measured on 10^5 and
+// 2x10^5 records of one key: the decoded configuration and objectives,
+// their slice headers, the configuration key), 200 at the worst, every
+// slice just grown: the budget bounds the histories at about 70 MiB,
+// 100 MiB at the worst, and holds the 10^5 records of the tunedb-mixed
+// workload five times.
+const residentBudget = 1 << 19
+
+// keyLocks is the number of locks the keys of a database share.
+const keyLocks = 64
+
+// resident is what an open database remembers of the evaluations its
+// keys hold: per key a history, which at every moment either equals
+// what a scan of the store under that key would decode — the same
+// records in the same order — or is absent. A key becomes resident in
+// one way, a Warm whose scan completed; PutEvals, the one function that
+// writes an evaluation, writes the batch the store acknowledged through
+// to it; and it is dropped, never repaired, whenever the store refuses
+// a write under the key and when the database recovers or closes. Key
+// components hold no '|' (every constructor in the module sees to it),
+// so the records under a key's store prefix are that key's alone.
+//
+// Locking: a key's lock (keyMu, picked by the key's hash; two keys may
+// share one) is held by PutEvals from before it asks whether the key is
+// resident until the batch is in the store and in the history, by Warm
+// while it scans the key and admits what it read or takes the resident
+// slices, and by GetEval while it looks a record up. So no scan of a key
+// overlaps a write to it, and a history is only ever touched under its
+// key's lock. mu guards the table of histories and the accounting
+// below; it is taken inside a key's lock, never around one, and never
+// held across a call into the store. An operation holds one key's lock
+// at most. Warm hands the resident slices to the cache after it has let
+// go of the key's lock, so what it has handed out is never written
+// again: records are appended behind it, merged into fresh slices, and
+// a changed result is stored into a copy.
+type resident struct {
+	seed  maphash.Seed
+	keyMu [keyLocks]sync.Mutex
+
+	mu      sync.Mutex
+	keys    map[string]*history
+	records int // the sum of every resident history's counted
+	budget  int
+	clock   uint64
+	// Warm starts served from a resident history and from a scan.
+	fromResident, fromScan uint64
+}
+
+// history is one key's resident evaluations: parallel slices, keys[i]
+// being the Config.Key() the store files record i under. The first
+// sorted records are in store-key order, which makes keys their index;
+// those behind them arrived through PutEvals since the last warm start,
+// which merges them in, and are indexed by tail.
+type history struct {
+	keys   []string
+	cfgs   []skeleton.Config
+	objs   [][]float64
+	sorted int
+	tail   map[string]int // keys[i] → i, for i >= sorted
+
+	// Guarded by resident.mu: the records the budget charges this
+	// history for, and when it was last warmed from.
+	counted int
+	warmed  uint64
+}
+
+func newResident() *resident {
+	return &resident{seed: maphash.MakeSeed(), keys: map[string]*history{}, budget: residentBudget}
+}
+
+// lockKey takes the lock of the key whose canonical string is ks.
+func (r *resident) lockKey(ks string) *sync.Mutex {
+	mu := &r.keyMu[maphash.String(r.seed, ks)%keyLocks]
+	mu.Lock()
+	return mu
+}
+
+// lookup returns the key's resident history, nil when it has none.
+// warming counts the warm start it is about to serve and makes the key
+// the last one to be evicted.
+func (r *resident) lookup(ks string, warming bool) *history {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h := r.keys[ks]
+	if h != nil && warming {
+		r.fromResident++
+		r.clock++
+		h.warmed = r.clock
+	}
+	return h
+}
+
+// admit makes h, just scanned, the resident history of the key; one
+// larger than the whole budget is not kept.
+func (r *resident) admit(ks string, h *history) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.fromScan++
+	if len(h.keys) > r.budget {
+		return
+	}
+	r.clock++
+	h.warmed = r.clock
+	r.keys[ks] = h
+	r.charge(h, len(h.keys))
+}
+
+// grew charges h, if it still is the key's history, for added records.
+func (r *resident) grew(ks string, h *history, added int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.keys[ks] == h {
+		r.charge(h, added)
+	}
+}
+
+// charge books n more records to h and evicts whole keys, the least
+// recently warmed first, until the budget holds. Callers hold r.mu.
+func (r *resident) charge(h *history, n int) {
+	h.counted += n
+	r.records += n
+	for r.records > r.budget && len(r.keys) > 0 {
+		var oldest string
+		for ks, other := range r.keys {
+			if oldest == "" || other.warmed < r.keys[oldest].warmed {
+				oldest = ks
+			}
+		}
+		r.dropLocked(oldest)
+	}
+}
+
+// drop forgets the key's history.
+func (r *resident) drop(ks string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.dropLocked(ks)
+}
+
+func (r *resident) dropLocked(ks string) {
+	if h := r.keys[ks]; h != nil {
+		r.records -= h.counted
+		delete(r.keys, ks)
+	}
+}
+
+// dropAll forgets every history.
+func (r *resident) dropAll() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	clear(r.keys)
+	r.records = 0
+}
+
+// Residency reports how many evaluation records the open database holds
+// resident and how many warm starts it has served from a resident
+// history and from a scan of the store.
+func (db *DB) Residency() (records int, fromResident, fromScan uint64) {
+	r := db.res
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.records, r.fromResident, r.fromScan
+}
+
+// scanHistory reads the key's evaluations out of the store, in one
+// single-shard scan, the slices as they were decoded.
+func (db *DB) scanHistory(ks string) (*history, error) {
+	prefix := evalStoreKey(ks, "")
+	h := &history{}
+	// The configuration keys — what is left of the store keys behind
+	// the prefix, ten bytes of a hundred — are gathered end to end and
+	// cut from one string when the scan is over.
+	var suffixes []byte
+	var ends []int
+	err := db.scanEvals(prefix, func(sk string, cfg skeleton.Config, o []float64) bool {
+		if len(h.cfgs) == cap(h.cfgs) {
 			// Doubled by hand: append grows a long slice a quarter at a
 			// time, which for a history of thousands of records copies
 			// five times its final size where doubling copies twice.
-			cfgs = slices.Grow(cfgs, max(len(cfgs), 256))
-			objs = slices.Grow(objs, max(len(objs), 256))
+			h.cfgs = slices.Grow(h.cfgs, max(len(h.cfgs), 256))
+			h.objs = slices.Grow(h.objs, max(len(h.objs), 256))
+			ends = slices.Grow(ends, max(len(ends), 256))
 		}
-		cfgs, objs = append(cfgs, cfg), append(objs, o)
+		h.cfgs, h.objs = append(h.cfgs, cfg), append(h.objs, o)
+		suffixes = append(suffixes, sk[len(prefix):]...)
+		ends = append(ends, len(suffixes))
 		return true
 	})
+	if err != nil {
+		return nil, err
+	}
+	all, from := string(suffixes), 0
+	h.keys = make([]string, len(ends))
+	for i, end := range ends {
+		h.keys[i], from = all[from:end], end
+	}
+	h.sorted = len(h.keys)
+	return h, nil
+}
+
+// find returns where the record filed under ck is, if the key holds
+// one.
+func (h *history) find(ck string) (at int, ok bool) {
+	if at, ok = slices.BinarySearch(h.keys[:h.sorted], ck); !ok {
+		at, ok = h.tail[ck]
+	}
+	return at, ok
+}
+
+// settle merges the records appended since the last warm start into
+// store-key order: the short tail is sorted and merged with the sorted
+// stretch in one pass, into fresh slices — a warm start may still be
+// reading the old ones.
+func (h *history) settle() {
+	n := len(h.keys)
+	if h.sorted == n {
+		return
+	}
+	tail := make([]int, 0, n-h.sorted)
+	for i := h.sorted; i < n; i++ {
+		tail = append(tail, i)
+	}
+	slices.SortFunc(tail, func(a, b int) int { return strings.Compare(h.keys[a], h.keys[b]) })
+	keys, cfgs, objs := make([]string, 0, n), make([]skeleton.Config, 0, n), make([][]float64, 0, n)
+	from := 0
+	move := func(to int) {
+		keys = append(keys, h.keys[from:to]...)
+		cfgs = append(cfgs, h.cfgs[from:to]...)
+		objs = append(objs, h.objs[from:to]...)
+		from = to
+	}
+	for _, t := range tail {
+		before, _ := slices.BinarySearch(h.keys[from:h.sorted], h.keys[t])
+		move(from + before)
+		keys, cfgs, objs = append(keys, h.keys[t]), append(cfgs, h.cfgs[t]), append(objs, h.objs[t])
+	}
+	move(h.sorted)
+	h.keys, h.cfgs, h.objs, h.sorted = keys, cfgs, objs, n
+	clear(h.tail)
+}
+
+// add enters the records of a batch the store has acknowledged —
+// cfgs[i] and objs[i] for every i in kept, cks holding their
+// configuration keys — and returns how many configurations are new.
+// The records are copied, a nil slice staying nil and an empty one
+// empty, as decoding the stored value gives them back. A configuration
+// already there takes the new result, so the later of two records of
+// one batch wins as it does in the store.
+func (h *history) add(cks []string, kept []int, cfgs []skeleton.Config, objs [][]float64) (added int) {
+	var nInts, nFloats int
+	for _, i := range kept {
+		nInts, nFloats = nInts+len(cfgs[i]), nFloats+len(objs[i])
+	}
+	ints, floats := make([]int64, 0, nInts), make([]float64, 0, nFloats)
+	copied := false
+	for j, i := range kept {
+		ck, cfg, o := cks[j], cfgs[i], objs[i]
+		if cfg != nil {
+			at := len(ints)
+			ints = append(ints, cfg...)
+			cfg = ints[at:len(ints):len(ints)]
+		}
+		if o != nil {
+			at := len(floats)
+			floats = append(floats, o...)
+			o = floats[at:len(floats):len(floats)]
+		}
+		at, stored := h.find(ck)
+		if !stored {
+			if h.tail == nil {
+				h.tail = map[string]int{}
+			}
+			h.tail[ck] = len(h.keys)
+			h.keys, h.cfgs, h.objs = append(h.keys, ck), append(h.cfgs, cfg), append(h.objs, o)
+			added++
+			continue
+		}
+		if at < h.sorted && !copied {
+			// A changed result, which a deterministic evaluator never
+			// produces, may cost a copy, one a batch: a record of the
+			// sorted stretch may be under a warm start's eyes.
+			h.cfgs, h.objs, copied = slices.Clone(h.cfgs), slices.Clone(h.objs), true
+		}
+		h.cfgs[at], h.objs[at] = cfg, o
+	}
+	return added
+}
+
+// Warm primes the shared evaluation cache with every stored evaluation
+// for the exact key — including known failures — so repeated or
+// overlapping searches re-pay nothing for configurations the database
+// has already seen: the E metric counts only new evaluations. The first
+// warm start from a key reads its records in one single-shard scan and
+// keeps them resident (see resident); every later one, for as long as
+// the database stays open and the key within the budget, hands the
+// cache the resident records and reads nothing. Either way the cache
+// gets one batch, in canonical key order — the order is part of the
+// result: the cache keeps the first of two entries and a surrogate
+// trains in it. It returns the number of entries primed. A scan that
+// fails — a read fault, a damaged frame, an undecodable value — primes
+// nothing, leaves nothing resident and returns the error: a search
+// warm-started from part of its history would quietly find a different
+// front than from all of it. Evaluations never warm across machines;
+// objective values measured (or modeled) on one machine are meaningless
+// on another.
+func (db *DB) Warm(key Key, ce *objective.CachingEvaluator) (primed int, err error) {
+	cfgs, objs, err := db.history(key.String())
 	if err != nil {
 		return 0, err
 	}
 	return ce.PrimeBatch(cfgs, objs), nil
+}
+
+// history returns what the key holds, in store-key order: the resident
+// records, or those of a scan, which become resident.
+func (db *DB) history(ks string) ([]skeleton.Config, [][]float64, error) {
+	defer db.res.lockKey(ks).Unlock()
+	h := db.res.lookup(ks, true)
+	if h != nil {
+		h.settle()
+	} else {
+		var err error
+		if h, err = db.scanHistory(ks); err != nil {
+			return nil, nil, err
+		}
+		db.res.admit(ks, h)
+	}
+	return h.cfgs, h.objs, nil
 }
 
 // WarmCache is Warm with the error dropped: a failed scan reads as

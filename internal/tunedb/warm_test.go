@@ -71,7 +71,8 @@ func TestWarmCacheSkipsStoredEvaluations(t *testing.T) {
 }
 
 // TestWarmCacheExactKeyOnly: evaluations never transfer across
-// machines — a different machine signature primes nothing.
+// machines — a different machine signature primes nothing — nor from a
+// key whose canonical string merely starts with this one's.
 func TestWarmCacheExactKeyOnly(t *testing.T) {
 	db := mustOpen(t, t.TempDir())
 	defer db.Close()
@@ -84,6 +85,16 @@ func TestWarmCacheExactKeyOnly(t *testing.T) {
 	ce := objective.NewCachingEvaluator(nil, 1, func(skeleton.Config) []float64 { return nil })
 	if primed, err := db.Warm(other, ce); err != nil || primed != 0 {
 		t.Fatalf("cross-machine Warm primed %d entries (%v)", primed, err)
+	}
+	longer := key
+	longer.SpaceHash += "0"
+	if err := db.PutEval(longer, skeleton.Config{32, 32, 4}, []float64{3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	for _, warm := range []string{"scanned", "resident"} {
+		if primed, err := db.Warm(key, newCache()); err != nil || primed != 1 {
+			t.Fatalf("%s: Warm primed %d entries (%v), want the key's own one", warm, primed, err)
+		}
 	}
 }
 
