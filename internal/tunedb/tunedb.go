@@ -598,17 +598,15 @@ func (db *DB) front(key Key) (FrontRecord, bool, error) {
 func (db *DB) GetEval(key Key, cfg skeleton.Config) (objs []float64, ok bool) {
 	ks, ck := key.String(), cfg.Key()
 	mu := db.res.lockKey(ks)
-	h := db.res.lookup(ks, false)
-	if h != nil {
-		var at int
-		if at, ok = h.find(ck); ok {
+	if h := db.res.lookup(ks, false); h != nil {
+		at, ok := h.find(ck)
+		if ok {
 			objs = h.objs[at]
 		}
-	}
-	mu.Unlock()
-	if h != nil {
+		mu.Unlock()
 		return slices.Clone(objs), ok
 	}
+	mu.Unlock()
 	data, ok, err := db.st.Get(evalStoreKey(ks, ck))
 	if err != nil || !ok {
 		return nil, false
