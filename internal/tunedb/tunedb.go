@@ -225,8 +225,7 @@ func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, objs [][]float64) error 
 	ks := key.String()
 	defer db.res.lockKey(ks).Unlock()
 	h := db.res.lookup(ks, false)
-	var cks []string // of the records kept, for the history
-	var kept []int
+	var kept []keptEval // what goes to the store, for the history
 	prefix := evalStoreKey(ks, "")
 	keys := make([]string, 0, len(cfgs)+1)
 	vals := make([][]byte, 0, len(cfgs)+1)
@@ -248,7 +247,9 @@ func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, objs [][]float64) error 
 			// The history holds decoded values: equal objectives is what
 			// sameEval comes down to for a value that decodes.
 			at, ok := h.find(ck)
-			same = ok && equalObjs(h.objs[at], objs[i])
+			if same = ok && equalObjs(h.objs[at], objs[i]); !same {
+				kept = append(kept, keptEval{i: i, ck: ck, at: at, stored: ok})
+			}
 		} else if old, ok, err := db.st.Get(sk); err != nil {
 			return fmt.Errorf("tunedb: %w", err)
 		} else {
@@ -260,9 +261,6 @@ func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, objs [][]float64) error 
 		}
 		keys = append(keys, sk)
 		vals = append(vals, val)
-		if h != nil {
-			cks, kept = append(cks, ck), append(kept, i)
-		}
 	}
 	if len(keys) == 0 {
 		return nil
@@ -272,7 +270,7 @@ func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, objs [][]float64) error 
 		return err
 	}
 	if h != nil {
-		db.res.grew(ks, h, h.add(cks, kept, cfgs, objs))
+		db.res.grew(ks, h, h.add(kept, cfgs, objs))
 	}
 	return nil
 }

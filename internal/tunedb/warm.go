@@ -258,22 +258,31 @@ func (h *history) settle() {
 	clear(h.tail)
 }
 
-// add enters the records of a batch the store has acknowledged —
-// cfgs[i] and objs[i] for every i in kept, cks holding their
-// configuration keys — and returns how many configurations are new.
-// The records are copied, a nil slice staying nil and an empty one
-// empty, as decoding the stored value gives them back. A configuration
-// already there takes the new result, so the later of two records of
-// one batch wins as it does in the store.
-func (h *history) add(cks []string, kept []int, cfgs []skeleton.Config, objs [][]float64) (added int) {
+// keptEval is one record of a batch on its way to the store and, once
+// the store has it, to the history: record i of the batch, filed under
+// ck, which PutEvals found stored at at or not stored.
+type keptEval struct {
+	i      int
+	ck     string
+	at     int
+	stored bool
+}
+
+// add enters the records of a batch the store has acknowledged and
+// returns how many configurations are new. The records are copied, a
+// nil slice staying nil and an empty one empty, as decoding the stored
+// value gives them back. A configuration already there takes the new
+// result, so the later of two records of one batch wins as it does in
+// the store.
+func (h *history) add(kept []keptEval, cfgs []skeleton.Config, objs [][]float64) (added int) {
 	var nInts, nFloats int
-	for _, i := range kept {
-		nInts, nFloats = nInts+len(cfgs[i]), nFloats+len(objs[i])
+	for _, k := range kept {
+		nInts, nFloats = nInts+len(cfgs[k.i]), nFloats+len(objs[k.i])
 	}
 	ints, floats := make([]int64, 0, nInts), make([]float64, 0, nFloats)
 	copied := false
-	for j, i := range kept {
-		ck, cfg, o := cks[j], cfgs[i], objs[i]
+	for _, k := range kept {
+		cfg, o := cfgs[k.i], objs[k.i]
 		if cfg != nil {
 			at := len(ints)
 			ints = append(ints, cfg...)
@@ -284,13 +293,18 @@ func (h *history) add(cks []string, kept []int, cfgs []skeleton.Config, objs [][
 			floats = append(floats, o...)
 			o = floats[at:len(floats):len(floats)]
 		}
-		at, stored := h.find(ck)
+		at, stored := k.at, k.stored
+		if !stored {
+			// Not there when the batch was checked: there now only if
+			// the batch holds the configuration twice.
+			at, stored = h.tail[k.ck]
+		}
 		if !stored {
 			if h.tail == nil {
 				h.tail = map[string]int{}
 			}
-			h.tail[ck] = len(h.keys)
-			h.keys, h.cfgs, h.objs = append(h.keys, ck), append(h.cfgs, cfg), append(h.objs, o)
+			h.tail[k.ck] = len(h.keys)
+			h.keys, h.cfgs, h.objs = append(h.keys, k.ck), append(h.cfgs, cfg), append(h.objs, o)
 			added++
 			continue
 		}
