@@ -16,7 +16,7 @@ import (
 
 // residentBudget is how many evaluation records an open database keeps
 // resident, over all its keys. A resident record of a four-parameter,
-// two-objective evaluation costs some 130 bytes as scanned and 145 once
+// two-objective evaluation costs some 130 bytes as scanned and 150 once
 // batches have been written through and merged (measured on 10^5 and
 // 2x10^5 records of one key: the decoded configuration and objectives,
 // their slice headers, the configuration key), 200 at the worst, every
@@ -240,7 +240,10 @@ func (h *history) settle() {
 		tail = append(tail, i)
 	}
 	slices.SortFunc(tail, func(a, b int) int { return strings.Compare(h.keys[a], h.keys[b]) })
-	keys, cfgs, objs := make([]string, 0, n), make([]skeleton.Config, 0, n), make([][]float64, 0, n)
+	// With room for the batches that follow a warm start: appending
+	// them must not copy the history a second time.
+	room := n + n/8 + 64
+	keys, cfgs, objs := make([]string, 0, room), make([]skeleton.Config, 0, room), make([][]float64, 0, room)
 	from := 0
 	move := func(to int) {
 		keys = append(keys, h.keys[from:to]...)
