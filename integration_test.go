@@ -26,11 +26,12 @@ func TestClaimEvaluationReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []*machine.Machine{machine.Westmere(), machine.Barcelona()} {
-		row, _, err := experiments.Table6Kernel(mm, m, experiments.Full, 3)
+		c, err := experiments.Table6([]*kernels.Kernel{mm}, m, experiments.Full, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ratio := row.RSGDE3.E / row.BruteForce.E
+		bf, rnd, rs := c.Runs[0], c.Runs[1], c.Runs[2]
+		ratio := rs.E / bf.E
 		// §V-C: "between 99% and 90% lower than the evaluations
 		// required by brute force".
 		if ratio > 0.10 {
@@ -38,16 +39,16 @@ func TestClaimEvaluationReduction(t *testing.T) {
 				m.Name, 100*ratio)
 		}
 		// Hypervolume comparable to brute force...
-		if row.RSGDE3.V < 0.85*row.BruteForce.V {
-			t.Errorf("%s: RS-GDE3 V=%.3f well below brute force V=%.3f", m.Name, row.RSGDE3.V, row.BruteForce.V)
+		if rs.V < 0.85*bf.V {
+			t.Errorf("%s: RS-GDE3 V=%.3f well below brute force V=%.3f", m.Name, rs.V, bf.V)
 		}
 		// ...and clearly above random search at equal budget.
-		if row.RSGDE3.V <= row.Random.V {
-			t.Errorf("%s: RS-GDE3 V=%.3f not above random V=%.3f", m.Name, row.RSGDE3.V, row.Random.V)
+		if rs.V <= rnd.V {
+			t.Errorf("%s: RS-GDE3 V=%.3f not above random V=%.3f", m.Name, rs.V, rnd.V)
 		}
 		// More solutions than brute force (§V-C conclusion 1).
-		if row.RSGDE3.S < row.BruteForce.S {
-			t.Errorf("%s: RS-GDE3 |S|=%.1f below brute force |S|=%.0f", m.Name, row.RSGDE3.S, row.BruteForce.S)
+		if rs.S < bf.S {
+			t.Errorf("%s: RS-GDE3 |S|=%.1f below brute force |S|=%.0f", m.Name, rs.S, bf.S)
 		}
 	}
 }
@@ -67,15 +68,14 @@ func TestClaimThreadSpecificTuningMatters(t *testing.T) {
 	}
 	worstLoss := 0.0
 	for _, m := range []*machine.Machine{machine.Westmere(), machine.Barcelona()} {
-		t2, err := experiments.Table2(mm, m, experiments.Full)
+		s, err := experiments.NewSweep(mm, m, experiments.Full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range t2.Loss {
-			for j := range t2.Loss[i] {
-				if t2.Loss[i][j] > worstLoss {
-					worstLoss = t2.Loss[i][j]
-				}
+		loss, _ := s.Loss()
+		for i := range loss {
+			for j := range loss[i] {
+				worstLoss = max(worstLoss, loss[i][j])
 			}
 		}
 	}
@@ -98,39 +98,27 @@ func TestClaimNBodyCacheAsymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tW, err := experiments.Table2(nb, machine.Westmere(), experiments.Full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tB, err := experiments.Table2(nb, machine.Barcelona(), experiments.Full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxOf := func(r *experiments.Table2Result) float64 {
-		m := 0.0
-		for i := range r.Loss {
-			for j := range r.Loss[i] {
-				if r.Loss[i][j] > m {
-					m = r.Loss[i][j]
-				}
-			}
+	// Max and mean of the off-diagonal losses of the machine's Table II.
+	lossOf := func(m *machine.Machine) (maxLoss, avg float64) {
+		s, err := experiments.NewSweep(nb, m, experiments.Full)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return m
-	}
-	avgOf := func(r *experiments.Table2Result) float64 {
+		loss, _ := s.Loss()
 		sum, n := 0.0, 0
-		for i := range r.Loss {
-			for j := range r.Loss[i] {
+		for i := range loss {
+			for j := range loss[i] {
+				maxLoss = max(maxLoss, loss[i][j])
 				if i != j {
-					sum += r.Loss[i][j]
+					sum += loss[i][j]
 					n++
 				}
 			}
 		}
-		return sum / float64(n)
+		return maxLoss, sum / float64(n)
 	}
-	wMax, bMax := maxOf(tW), maxOf(tB)
-	wAvg, bAvg := avgOf(tW), avgOf(tB)
+	wMax, wAvg := lossOf(machine.Westmere())
+	bMax, bAvg := lossOf(machine.Barcelona())
 	// Westmere: near-flat landscape — residual losses come only from
 	// tie-breaking on the load-balance granularity (see
 	// EXPERIMENTS.md); Barcelona: the 2 MB L3 forces large i-tiles at
@@ -212,14 +200,14 @@ func TestClaimTileOptimaShiftAcrossThreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bestsW, err := experiments.Table2(mm, machine.Westmere(), experiments.Full)
+	s, err := experiments.NewSweep(mm, machine.Westmere(), experiments.Full)
 	if err != nil {
 		t.Fatal(err)
 	}
 	distinct := map[string]bool{}
-	for _, b := range bestsW.Bests {
+	for _, b := range s.Best {
 		key := ""
-		for _, t := range b.Tiles {
+		for _, t := range s.Tiles[b] {
 			key += "/" + string(rune(t))
 		}
 		distinct[key] = true

@@ -1,23 +1,31 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (Section V) on the simulated machines: Fig. 1
-// (speedup/efficiency trade-off), Fig. 2 (tile-size heat maps per
-// thread count), Table I (machines), Table II (optimal tiles and
-// cross-thread loss), Table III (Pareto-point properties), Table IV
-// (kernel complexities), Table V (per-kernel thread-specific tuning
-// impact), Table VI (brute force vs random vs RS-GDE3) and Figs. 8/9
-// (objective-space plots and fronts).
+// paper's evaluation (Section V) on the simulated machines, and the
+// comparisons of the extensions built on it.
 //
-// Each experiment returns structured data plus a text rendering, so the
-// same code backs the cmd/repro binary, the integration tests and the
-// benchmark harness. A Quick mode shrinks grids and repetition counts
-// for CI-speed runs; Full mode approximates the paper's evaluation
-// budgets (e.g. ~14k tile configurations per thread count for mm).
+// The paper's results come in two shapes. Fig. 1, Tables II, III and V
+// and Fig. 8 are views of one Sweep: every tile set of a grid evaluated
+// at every thread count a machine is studied at. Table VI with Fig. 9
+// and the extension comparisons (Extended, islands, racing, warm start,
+// surrogate screening, checkpoint/resume) are each a declared list of
+// labelled arms run on fresh evaluators per kernel, scored against the
+// pooled bounds of their fronts and rendered as one Comparison. Table I
+// (machines), Table IV (kernels), Fig. 2 (tile heat maps) and the
+// model-vs-simulator Validation stand alone.
+//
+// Every experiment returns structured data that renders as text; the
+// cmd/repro binary and the tests use both. Quick mode shrinks grids and
+// budgets for CI-speed runs; Full mode approximates the paper's
+// evaluation budgets (e.g. ~14k tile configurations per thread count
+// for mm).
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"autotune/internal/kernels"
@@ -39,9 +47,9 @@ const (
 	Full
 )
 
-// NoiseAmp is the deterministic measurement-noise amplitude used by
+// noiseAmp is the deterministic measurement-noise amplitude used by
 // all experiments, mirroring run-to-run variation on a real testbed.
-const NoiseAmp = 0.01
+const noiseAmp = 0.01
 
 // ThreadCounts returns the per-machine thread counts the paper
 // evaluates: {1,5,10,20,40} on Westmere, {1,2,4,8,16,32} on Barcelona.
@@ -82,9 +90,23 @@ func search(name string, space skeleton.Space, eval objective.Evaluator, cfg opt
 	return optimizer.Run(space, eval, optimizer.Spec{Strategy: name, Config: cfg}, optimizer.Control{})
 }
 
-// randomSearch is the paper's random baseline at the given budget.
-func randomSearch(space skeleton.Space, eval objective.Evaluator, budget int, seed int64) (*optimizer.Result, error) {
-	return search("random", space, eval, optimizer.StrategyConfig{Options: optimizer.Options{Seed: seed}, RandomBudget: budget})
+// searchFresh runs a registered strategy on a fresh evaluator of k on m.
+func searchFresh(k *kernels.Kernel, m *machine.Machine, name string, cfg optimizer.StrategyConfig) (*optimizer.Result, error) {
+	eval, err := newEvaluator(k, m)
+	if err != nil {
+		return nil, err
+	}
+	return search(name, tuningSpace(k, m), eval, cfg)
+}
+
+// bruteForce evaluates the brute-force grid of k on m on a fresh
+// evaluator: Table VI's baseline and the Sweep's points.
+func bruteForce(k *kernels.Kernel, m *machine.Machine, mode Mode) (*optimizer.Result, error) {
+	eval, err := newEvaluator(k, m)
+	if err != nil {
+		return nil, err
+	}
+	return optimizer.BruteForceControlled(tuningSpace(k, m), eval, bruteForceGrid(k, m, mode), optimizer.Control{})
 }
 
 // tuningSpace builds the search space the optimizers and grids use for
@@ -109,7 +131,7 @@ func newEvaluator(k *kernels.Kernel, m *machine.Machine) (*objective.Sim, error)
 	return objective.NewSim(objective.SimConfig{
 		Machine:  m,
 		Kernel:   k,
-		NoiseAmp: NoiseAmp,
+		NoiseAmp: noiseAmp,
 	})
 }
 
@@ -150,97 +172,16 @@ func tileGridValues(n int64, points int) []int64 {
 // bruteForceGrid builds the full sweep grid: tile values per tile
 // dimension plus the paper's thread counts.
 func bruteForceGrid(k *kernels.Kernel, m *machine.Machine, mode Mode) optimizer.Grid {
-	points := tileGridPoints(k, mode)
-	tileVals := tileGridValues(k.DefaultN, points)
+	tileVals := tileGridValues(k.DefaultN, tileGridPoints(k, mode))
 	grid := make(optimizer.Grid, 0, k.TileDims+1)
 	for i := 0; i < k.TileDims; i++ {
-		grid = append(grid, append([]int64(nil), tileVals...))
+		grid = append(grid, tileVals)
 	}
 	var threads []int64
 	for _, t := range ThreadCounts(m) {
 		threads = append(threads, int64(t))
 	}
-	grid = append(grid, threads)
-	return grid
-}
-
-// tileOnlyGrid is the grid restricted to tile dimensions (no thread
-// dimension), for per-thread-count sweeps.
-func tileOnlyGrid(k *kernels.Kernel, mode Mode) [][]int64 {
-	points := tileGridPoints(k, mode)
-	tileVals := tileGridValues(k.DefaultN, points)
-	grid := make([][]int64, k.TileDims)
-	for i := range grid {
-		grid[i] = append([]int64(nil), tileVals...)
-	}
-	return grid
-}
-
-// BestConfig is the optimum found for one thread count.
-type BestConfig struct {
-	Threads int
-	Tiles   []int64
-	Time    float64
-}
-
-// bestPerThreadCount exhaustively sweeps the tile grid separately for
-// every thread count (the paper's "brute force" §V-B.1) and returns
-// the per-thread-count optimum, preferring — among near-ties — the
-// configuration appearing first in grid order.
-func bestPerThreadCount(k *kernels.Kernel, m *machine.Machine, mode Mode) ([]BestConfig, error) {
-	eval, err := newEvaluator(k, m)
-	if err != nil {
-		return nil, err
-	}
-	grid := tileOnlyGrid(k, mode)
-	var tileSets [][]int64
-	cur := make([]int64, k.TileDims)
-	var rec func(d int)
-	rec = func(d int) {
-		if d == k.TileDims {
-			tileSets = append(tileSets, append([]int64(nil), cur...))
-			return
-		}
-		for _, v := range grid[d] {
-			cur[d] = v
-			rec(d + 1)
-		}
-	}
-	rec(0)
-
-	var out []BestConfig
-	for _, th := range ThreadCounts(m) {
-		cfgs := make([]skeleton.Config, len(tileSets))
-		for i, ts := range tileSets {
-			cfgs[i] = append(append(skeleton.Config{}, ts...), int64(th))
-		}
-		objs := eval.Evaluate(cfgs)
-		best := BestConfig{Threads: th, Time: math.Inf(1)}
-		for i, o := range objs {
-			if o == nil {
-				continue
-			}
-			if o[0] < best.Time {
-				best.Time = o[0]
-				best.Tiles = tileSets[i]
-			}
-		}
-		if best.Tiles == nil {
-			return nil, fmt.Errorf("experiments: no valid configuration for %d threads", th)
-		}
-		out = append(out, best)
-	}
-	return out, nil
-}
-
-// evalTime evaluates one (tiles, threads) configuration's median time.
-func evalTime(eval *objective.Sim, tiles []int64, threads int) (float64, error) {
-	cfg := append(append(skeleton.Config{}, tiles...), int64(threads))
-	objs := eval.EvaluateOne(cfg)
-	if objs == nil {
-		return 0, fmt.Errorf("experiments: configuration %v failed", cfg)
-	}
-	return objs[0], nil
+	return append(grid, threads)
 }
 
 // frontObjectives extracts objective vectors from a front.
@@ -252,11 +193,6 @@ func frontObjectives(front []pareto.Point) [][]float64 {
 	return out
 }
 
-// normalizedHV computes V(S) against pooled ideal/nadir bounds.
-func normalizedHV(front []pareto.Point, ideal, nadir []float64) (float64, error) {
-	return pareto.NormalizedHypervolume(frontObjectives(front), ideal, nadir)
-}
-
 // meanOf returns the arithmetic mean, tolerating empty input as 0.
 func meanOf(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -264,6 +200,24 @@ func meanOf(xs []float64) float64 {
 	}
 	m, _ := stats.Mean(xs)
 	return m
+}
+
+// writeFiles writes each named file under dir with what its writer
+// produces, for the figures' -export; an empty dir writes nothing.
+func writeFiles(dir string, files map[string]func(io.Writer) error) error {
+	if dir == "" {
+		return nil
+	}
+	for name, write := range files {
+		var b bytes.Buffer
+		if err := write(&b); err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b.Bytes(), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // renderTable writes an aligned text table.
@@ -295,13 +249,4 @@ func renderTable(w io.Writer, header []string, rows [][]string) {
 	for _, r := range rows {
 		line(r)
 	}
-}
-
-// tilesString renders tile sizes compactly.
-func tilesString(tiles []int64) string {
-	parts := make([]string, len(tiles))
-	for i, t := range tiles {
-		parts[i] = fmt.Sprint(t)
-	}
-	return strings.Join(parts, "/")
 }

@@ -2,38 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"autotune/internal/kernels"
 	"autotune/internal/machine"
 	"autotune/internal/objective"
 	"autotune/internal/optimizer"
-	"autotune/internal/pareto"
 )
-
-// RaceRun is one row of the strategy-racing comparison: a single
-// strategy at full budget, or the race at the same global budget.
-type RaceRun struct {
-	Label       string
-	Evaluations int
-	FrontSize   int
-	HV          float64
-}
-
-// RaceComparisonResult compares each registered strategy run alone
-// against the racing meta-optimizer at an equal evaluation budget.
-type RaceComparisonResult struct {
-	Kernel  *kernels.Kernel
-	Machine *machine.Machine
-	// Budget is the race's evaluation cap: the largest E any single
-	// strategy consumed, so the race never sees more of the space than
-	// the best-funded single run.
-	Budget int
-	Runs   []RaceRun
-	// Standings is the race's internal leaderboard (best first).
-	Standings []optimizer.Standing
-}
 
 // raceStrategies are the contenders of the experiment, in registry
 // order.
@@ -41,9 +16,9 @@ var raceStrategies = []string{"gde3", "motpe", "nsga2", "random", "rs-gde3"}
 
 // RaceComparison runs every registered strategy alone on a fresh
 // evaluator, then races them all against the largest single-strategy
-// budget, and scores every front against pooled ideal/nadir bounds —
-// the experiment behind `cmd/repro -exp race`.
-func RaceComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*RaceComparisonResult, error) {
+// budget — so the race never sees more of the space than the
+// best-funded single run — and scores every front in one pool.
+func RaceComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Comparison, error) {
 	// The race needs a budget at which the single strategies are past
 	// their steep early gains — racing five contenders at a starvation
 	// budget just splits it five ways — so this experiment runs longer
@@ -52,8 +27,6 @@ func RaceComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*RaceComp
 	if mode == Quick {
 		pop, gens = 12, 6
 	}
-	res := &RaceComparisonResult{Kernel: k, Machine: m}
-	space := tuningSpace(k, m)
 	opt := optimizer.Options{
 		PopSize:       pop,
 		MaxIterations: gens,
@@ -61,113 +34,66 @@ func RaceComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*RaceComp
 		Seed:          1,
 	}
 	randomBudget := pop * (gens + 1) // matches the evolutionary proposal volume
-
-	freshEval := func() (objective.Evaluator, error) {
-		sim, err := newEvaluator(k, m)
+	fresh := func(c *cell) (objective.Evaluator, error) {
+		sim, err := newEvaluator(c.k, m)
 		if err != nil {
 			return nil, err
 		}
 		return objective.NewCachingEvaluator(sim.ObjectiveNames(), pop, sim.EvaluateOne), nil
 	}
-	var fronts [][]pareto.Point
-	var pool [][]float64
+	var arms []arm
 	for _, name := range raceStrategies {
-		eval, err := freshEval()
+		arms = append(arms, arm{label: name, run: func(c *cell) (*Run, error) {
+			eval, err := fresh(c)
+			if err != nil {
+				return nil, err
+			}
+			return single(search(name, tuningSpace(c.k, m), eval, optimizer.StrategyConfig{Options: opt, RandomBudget: randomBudget}))
+		}})
+	}
+	budget := 0
+	var standings []string
+	arms = append(arms, arm{label: "race (all)", run: func(c *cell) (*Run, error) {
+		for _, name := range raceStrategies {
+			r, err := c.get(name)
+			if err != nil {
+				return nil, err
+			}
+			budget = max(budget, r.Results[0].Evaluations)
+		}
+		eval, err := fresh(c)
 		if err != nil {
 			return nil, err
 		}
-		r, err := search(name, space, eval, optimizer.StrategyConfig{Options: opt, RandomBudget: randomBudget})
+		// Contenders run at a quarter of the single-strategy population
+		// (successive-halving style: many cheap rungs, depth flows to
+		// the survivors), and elimination keeps two survivors so the
+		// merged front retains some strategy diversity.
+		ropt := opt
+		ropt.PopSize = max(pop/4, 4)
+		rr, err := optimizer.RaceControlled(tuningSpace(c.k, m), eval,
+			optimizer.StrategyConfig{Options: ropt, RandomBudget: randomBudget},
+			optimizer.RaceOptions{Strategies: raceStrategies, Interval: 3, Budget: budget, MinSurvivors: 2},
+			optimizer.Control{})
 		if err != nil {
 			return nil, err
 		}
-		res.Runs = append(res.Runs, RaceRun{
-			Label:       name,
-			Evaluations: r.Evaluations,
-			FrontSize:   len(r.Front),
-		})
-		fronts = append(fronts, r.Front)
-		pool = append(pool, frontObjectives(r.Front)...)
-		if r.Evaluations > res.Budget {
-			res.Budget = r.Evaluations
+		for _, s := range rr.Standings {
+			note := ""
+			if s.Eliminated {
+				note = fmt.Sprintf(" (out@g%d)", s.EliminatedAt)
+			}
+			standings = append(standings, fmt.Sprintf("%s %.2g/eval%s", s.Strategy, s.Score, note))
 		}
-	}
-
-	eval, err := freshEval()
+		return single(rr.Result, nil)
+	}})
+	runs, err := compare([]*kernels.Kernel{k}, arms)
 	if err != nil {
 		return nil, err
 	}
-	// Contenders run at a quarter of the single-strategy population
-	// (successive-halving style: many cheap rungs, depth flows to the
-	// survivors), and elimination keeps two survivors so the merged
-	// front retains some strategy diversity.
-	rpop := pop / 4
-	if rpop < 4 {
-		rpop = 4
-	}
-	ropt := opt
-	ropt.PopSize = rpop
-	rr, err := optimizer.RaceControlled(space, eval, optimizer.StrategyConfig{
-		Options:      ropt,
-		RandomBudget: randomBudget,
-	}, optimizer.RaceOptions{
-		Strategies:   raceStrategies,
-		Interval:     3,
-		Budget:       res.Budget,
-		MinSurvivors: 2,
-	}, optimizer.Control{})
-	if err != nil {
-		return nil, err
-	}
-	res.Runs = append(res.Runs, RaceRun{
-		Label:       "race (all)",
-		Evaluations: rr.Evaluations,
-		FrontSize:   len(rr.Front),
-	})
-	fronts = append(fronts, rr.Front)
-	pool = append(pool, frontObjectives(rr.Front)...)
-	res.Standings = rr.Standings
-
-	ideal, nadir, err := pareto.IdealNadir(pool)
-	if err != nil {
-		return nil, err
-	}
-	for i := range ideal {
-		if nadir[i] <= ideal[i] {
-			nadir[i] = ideal[i] + 1e-12
-		}
-	}
-	for i, f := range fronts {
-		hv, err := normalizedHV(f, ideal, nadir)
-		if err != nil {
-			return nil, err
-		}
-		res.Runs[i].HV = hv
-	}
-	return res, nil
-}
-
-// Render writes the comparison table and the race's leaderboard.
-func (r *RaceComparisonResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "Strategy race: %s on %s (race budget %d evaluations, V(S) normalized over all runs)\n",
-		r.Kernel.Name, r.Machine.Name, r.Budget)
-	header := []string{"Run", "E", "|S|", "V(S)"}
-	var rows [][]string
-	for _, run := range r.Runs {
-		rows = append(rows, []string{
-			run.Label,
-			fmt.Sprint(run.Evaluations),
-			fmt.Sprint(run.FrontSize),
-			fmt.Sprintf("%.2f", run.HV),
-		})
-	}
-	renderTable(w, header, rows)
-	var parts []string
-	for _, s := range r.Standings {
-		note := ""
-		if s.Eliminated {
-			note = fmt.Sprintf(" (out@g%d)", s.EliminatedAt)
-		}
-		parts = append(parts, fmt.Sprintf("%s %.2g/eval%s", s.Strategy, s.Score, note))
-	}
-	fmt.Fprintf(w, "race standings: %s\n", strings.Join(parts, ", "))
+	c := table(fmt.Sprintf("Strategy race: %s on %s (race budget %d evaluations, V(S) normalized over all runs)", k.Name, m.Name, budget),
+		[]string{"Run", "E", "|S|", "V(S)"}, runs,
+		func(r *Run) []string { return append([]string{r.Label}, r.esv("%.2f")...) })
+	c.Notes = []string{"race standings: " + strings.Join(standings, ", ")}
+	return c, nil
 }

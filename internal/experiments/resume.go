@@ -3,58 +3,34 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
 	"autotune/internal/driver"
 	"autotune/internal/export"
+	"autotune/internal/kernels"
 	"autotune/internal/machine"
 	"autotune/internal/optimizer"
 	"autotune/internal/resilience"
 )
 
-// ResumeRun is one row of the checkpoint/resume comparison: a full
-// checkpointed search, its journal cut back to the midpoint generation
-// (a deterministic stand-in for a crash or SIGINT there), and the
-// resumed continuation.
-type ResumeRun struct {
-	Kernel string
-	Method driver.Method
-	// FullE is the full run's evaluation count — what a restart from
-	// scratch would pay again.
-	FullE int
-	// Generations is the full run's generation count; the journal is
-	// trimmed to TrimmedGen = Generations/2.
-	Generations int
-	TrimmedGen  int
-	// ResumedE is the resumed run's cumulative evaluation count; it
-	// must equal FullE when the resume is exact.
-	ResumedE int
-	// NewE is what the resumed run actually paid: evaluations not
-	// already banked in the checkpoint.
-	NewE int
-	// SavedE = FullE - NewE, the evaluations resume saves over restart.
-	SavedE int
-	// Identical reports whether the resumed run's final front is
-	// byte-identical (serialized form) to the uninterrupted run's.
-	Identical bool
-}
-
-// ResumeResult is the checkpoint/resume experiment over several
-// kernels and methods on one machine.
-type ResumeResult struct {
-	Machine *machine.Machine
-	Runs    []ResumeRun
-}
-
-// ResumeComparison measures what checkpoint/resume buys: for each
-// kernel and method, a checkpointed search runs to completion, its
-// journal is trimmed to the midpoint generation, and a resumed search
-// finishes from there. The resumed front must be byte-identical to the
-// uninterrupted one; the saved-evaluation column is the work a restart
-// from scratch would have repeated.
-func ResumeComparison(kernelNames []string, m *machine.Machine, mode Mode) (*ResumeResult, error) {
+// ResumeComparison measures what checkpoint/resume buys, on k beside a
+// second kernel (jacobi-2d, or mm when k is jacobi-2d): for each
+// kernel and method a checkpointed search runs to completion, its
+// journal is cut back to the midpoint generation (a deterministic
+// stand-in for a crash or SIGINT there), and a resumed search finishes
+// from there. The resumed front must be byte-identical to the
+// uninterrupted one; "E saved" is the work a restart from scratch would
+// have repeated. A run's Results are the full and the resumed search.
+func ResumeComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Comparison, error) {
+	second := "jacobi-2d"
+	if k.Name == second {
+		second = "mm"
+	}
+	k2, err := kernels.ByName(second)
+	if err != nil {
+		return nil, err
+	}
 	pop, gens := 20, 10
 	if mode == Quick {
 		pop, gens = 12, 6
@@ -65,96 +41,57 @@ func ResumeComparison(kernelNames []string, m *machine.Machine, mode Mode) (*Res
 	}
 	defer os.RemoveAll(dir)
 
-	res := &ResumeResult{Machine: m}
-	methods := []driver.Method{driver.MethodRSGDE3, driver.MethodNSGA2}
-	for _, kn := range kernelNames {
-		for _, method := range methods {
-			ckpt := filepath.Join(dir, fmt.Sprintf("%s-%s.ckpt", kn, method))
-			base := driver.Options{
-				Machine:   m,
-				NoiseAmp:  NoiseAmp,
-				Method:    method,
-				Optimizer: optimizer.Options{PopSize: pop, MaxIterations: gens, Seed: 1},
+	var arms []arm
+	for _, method := range []driver.Method{driver.MethodRSGDE3, driver.MethodNSGA2} {
+		arms = append(arms, arm{label: string(method), pool: -1, run: func(c *cell) (*Run, error) {
+			ckpt := filepath.Join(dir, fmt.Sprintf("%s-%s.ckpt", c.k.Name, method))
+			opt := driver.Options{
+				Machine:        m,
+				NoiseAmp:       noiseAmp,
+				Method:         method,
+				Optimizer:      optimizer.Options{PopSize: pop, MaxIterations: gens, Seed: 1},
+				CheckpointPath: ckpt,
 			}
-
-			full := base
-			full.CheckpointPath = ckpt
-			out, err := driver.TuneKernel(kn, full)
+			full, err := driver.TuneKernel(c.k.Name, opt)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: full %s/%s run: %w", kn, method, err)
+				return nil, fmt.Errorf("full run: %w", err)
 			}
-
-			trimGen := out.Result.Iterations / 2
-			if err := resilience.TrimCheckpoint(ckpt, trimGen); err != nil {
+			if err := resilience.TrimCheckpoint(ckpt, full.Result.Iterations/2); err != nil {
 				return nil, err
 			}
 			snap, err := resilience.LoadCheckpoint(ckpt)
 			if err != nil {
 				return nil, err
 			}
-
-			resumed := base
-			resumed.ResumeFrom = ckpt
-			out2, err := driver.TuneKernel(kn, resumed)
+			opt.CheckpointPath, opt.ResumeFrom = "", ckpt
+			resumed, err := driver.TuneKernel(c.k.Name, opt)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: resumed %s/%s run: %w", kn, method, err)
+				return nil, fmt.Errorf("resumed run: %w", err)
 			}
-
-			identical, err := frontsIdentical(out.Result, out2.Result)
-			if err != nil {
+			var a, b bytes.Buffer
+			if err := export.FrontJSON(&a, full.Result.Front, nil); err != nil {
 				return nil, err
 			}
-			newE := out2.Result.Evaluations - snap.Evaluations
-			res.Runs = append(res.Runs, ResumeRun{
-				Kernel:      kn,
-				Method:      method,
-				FullE:       out.Result.Evaluations,
-				Generations: out.Result.Iterations,
-				TrimmedGen:  snap.Generation,
-				ResumedE:    out2.Result.Evaluations,
-				NewE:        newE,
-				SavedE:      out.Result.Evaluations - newE,
-				Identical:   identical,
-			})
-		}
+			if err := export.FrontJSON(&b, resumed.Result.Front, nil); err != nil {
+				return nil, err
+			}
+			identical := "no"
+			if bytes.Equal(a.Bytes(), b.Bytes()) {
+				identical = "yes"
+			}
+			fullE, newE := full.Result.Evaluations, resumed.Result.Evaluations-snap.Evaluations
+			return &Run{Results: []*optimizer.Result{full.Result, resumed.Result}, Cols: []string{
+				fmt.Sprint(full.Result.Iterations), fmt.Sprint(snap.Generation),
+				fmt.Sprint(fullE), fmt.Sprint(resumed.Result.Evaluations), fmt.Sprint(newE), fmt.Sprint(fullE - newE),
+				identical,
+			}}, nil
+		}})
 	}
-	return res, nil
-}
-
-// frontsIdentical compares two fronts through their canonical
-// serialized form.
-func frontsIdentical(a, b *optimizer.Result) (bool, error) {
-	var ja, jb bytes.Buffer
-	if err := export.FrontJSON(&ja, a.Front, nil); err != nil {
-		return false, err
+	runs, err := compare([]*kernels.Kernel{k, k2}, arms)
+	if err != nil {
+		return nil, err
 	}
-	if err := export.FrontJSON(&jb, b.Front, nil); err != nil {
-		return false, err
-	}
-	return bytes.Equal(ja.Bytes(), jb.Bytes()), nil
-}
-
-// Render writes the comparison table.
-func (r *ResumeResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "Checkpoint/resume on %s: searches interrupted at the midpoint generation and resumed from the journal\n", r.Machine.Name)
-	header := []string{"Kernel", "Method", "Gens", "Cut at", "E full", "E resumed", "E new", "E saved", "Front identical"}
-	var rows [][]string
-	for _, run := range r.Runs {
-		ident := "no"
-		if run.Identical {
-			ident = "yes"
-		}
-		rows = append(rows, []string{
-			run.Kernel,
-			string(run.Method),
-			fmt.Sprint(run.Generations),
-			fmt.Sprint(run.TrimmedGen),
-			fmt.Sprint(run.FullE),
-			fmt.Sprint(run.ResumedE),
-			fmt.Sprint(run.NewE),
-			fmt.Sprint(run.SavedE),
-			ident,
-		})
-	}
-	renderTable(w, header, rows)
+	return table(fmt.Sprintf("Checkpoint/resume on %s: searches interrupted at the midpoint generation and resumed from the journal", m.Name),
+		[]string{"Kernel", "Method", "Gens", "Cut at", "E full", "E resumed", "E new", "E saved", "Front identical"}, runs,
+		func(r *Run) []string { return append([]string{r.Kernel, r.Label}, r.Cols...) }), nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"autotune/internal/kernels"
 	"autotune/internal/machine"
 )
 
@@ -12,30 +13,36 @@ import (
 // the exact cumulative evaluation count, and the saved-evaluation
 // column is positive.
 func TestResumeComparison(t *testing.T) {
-	res, err := ResumeComparison([]string{"mm"}, machine.Westmere(), Quick)
+	mm, err := kernels.ByName("mm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Runs) != 2 { // rs-gde3 and nsga2
-		t.Fatalf("runs = %d", len(res.Runs))
+	c, err := ResumeComparison(mm, machine.Westmere(), Quick)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, run := range res.Runs {
-		if !run.Identical {
-			t.Fatalf("%s/%s: resumed front not identical", run.Kernel, run.Method)
+	if len(c.Runs) != 4 { // mm and jacobi-2d, each with rs-gde3 and nsga2
+		t.Fatalf("runs = %d", len(c.Runs))
+	}
+	for _, run := range c.Runs {
+		name := run.Kernel + "/" + run.Label
+		if col(t, c, run, "Front identical") != "yes" {
+			t.Fatalf("%s: resumed front not identical", name)
 		}
-		if run.ResumedE != run.FullE {
-			t.Fatalf("%s/%s: resumed E = %d, full E = %d", run.Kernel, run.Method, run.ResumedE, run.FullE)
+		full, resumed := num(t, c, run, "E full"), num(t, c, run, "E resumed")
+		if resumed != full {
+			t.Fatalf("%s: resumed E = %v, full E = %v", name, resumed, full)
 		}
-		if run.SavedE <= 0 || run.NewE <= 0 || run.SavedE+run.NewE != run.FullE {
-			t.Fatalf("%s/%s: E accounting wrong: full %d = new %d + saved %d?",
-				run.Kernel, run.Method, run.FullE, run.NewE, run.SavedE)
+		saved, fresh := num(t, c, run, "E saved"), num(t, c, run, "E new")
+		if saved <= 0 || fresh <= 0 || saved+fresh != full {
+			t.Fatalf("%s: E accounting wrong: full %v = new %v + saved %v?", name, full, fresh, saved)
 		}
-		if run.TrimmedGen != run.Generations/2 {
-			t.Fatalf("%s/%s: cut at generation %d of %d", run.Kernel, run.Method, run.TrimmedGen, run.Generations)
+		if cut, gens := num(t, c, run, "Cut at"), num(t, c, run, "Gens"); cut != float64(int(gens)/2) {
+			t.Fatalf("%s: cut at generation %v of %v", name, cut, gens)
 		}
 	}
 	var sb strings.Builder
-	res.Render(&sb)
+	c.Render(&sb)
 	out := sb.String()
 	if !strings.Contains(out, "Checkpoint/resume") || !strings.Contains(out, "yes") {
 		t.Fatalf("rendered table:\n%s", out)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"autotune/internal/features"
@@ -15,41 +14,6 @@ import (
 	"autotune/internal/skeleton"
 	"autotune/internal/surrogate"
 )
-
-// SurrogateRun is one search of the surrogate comparison: its real
-// evaluation count, final front, absolute hypervolume against the
-// cell's shared reference point, and the evaluation count at which its
-// per-generation curve first reached the matching baseline's final
-// hypervolume (0 = never reached it).
-type SurrogateRun struct {
-	Label         string
-	Surrogate     bool
-	Warm          bool
-	Evaluations   int
-	FrontSize     int
-	HV            float64
-	EvalsToTarget int
-}
-
-// SurrogateResult compares surrogate-screened searches against
-// unscreened baselines for one kernel×machine cell, cold and
-// warm-started. The headline metric is evaluations-to-equal-
-// hypervolume: how many real evaluations each run needs before its
-// front's hypervolume matches the baseline's final one.
-type SurrogateResult struct {
-	Kernel  string
-	Machine string
-	// Runs hold base-cold, surrogate-cold, base-warm, surrogate-warm.
-	Runs []SurrogateRun
-	// SpeedupCold/Warm = baseline EvalsToTarget / surrogate
-	// EvalsToTarget (0 when the surrogate never reached the target).
-	SpeedupCold float64
-	SpeedupWarm float64
-	// NeverWorseCold/Warm report that at its full (equal) budget the
-	// surrogate run's final hypervolume is no worse than the baseline's.
-	NeverWorseCold bool
-	NeverWorseWarm bool
-}
 
 // curvePoint is one generation boundary: cumulative real evaluations
 // and the merged non-dominated front at that moment.
@@ -94,13 +58,18 @@ type primedEval struct {
 	objs []float64
 }
 
-// SurrogateComparison runs the four-way experiment for one cell:
-// baseline and screened searches from scratch, then both again warm —
-// their caches primed with a different-seed priming run's evaluations
-// (which also train the screened run's model before its first
-// generation) and their populations seeded from that run's front.
+// SurrogateComparison compares surrogate-screened searches against
+// unscreened baselines for one kernel×machine cell: both from scratch,
+// then both again warm — their caches primed with a different-seed
+// priming run's evaluations (which also train the screened run's model
+// before its first generation) and their populations seeded from that
+// run's front. A screened run gets the real-evaluation budget of its
+// baseline. Hypervolumes are absolute, against one reference point
+// pooled from the four final fronts; the headline is
+// evaluations-to-equal-hypervolume: how many real evaluations a run
+// needs before its front matches its baseline's final one.
 // Everything is deterministic: fixed seeds, simulated evaluators.
-func SurrogateComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*SurrogateResult, error) {
+func SurrogateComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Comparison, error) {
 	pop, gens, topK := 24, 24, 6
 	if mode == Quick {
 		pop, gens, topK = 12, 8, 3
@@ -148,10 +117,9 @@ func SurrogateComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Sur
 		seedPop = append(seedPop, p.Payload.(skeleton.Config))
 	}
 
-	// Each screened run gets the same real-evaluation budget as its
-	// baseline — the screen admits only a fraction of each batch, so
-	// the equal budget stretches over more generations (capped well
-	// above what the budget can consume). The collector cancels at the
+	// The screen admits only a fraction of each batch, so a screened
+	// run's equal budget stretches over more generations (capped well
+	// above what the budget can consume); its collector cancels at the
 	// generation barrier where the budget is spent.
 	runOnce := func(screened, warm bool, budget int) (*optimizer.Result, *curveCollector, error) {
 		eval, err := newEvaluator(k, m)
@@ -159,14 +127,14 @@ func SurrogateComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Sur
 			return nil, nil, err
 		}
 		var e objective.Evaluator = eval
-		var scr *surrogate.Screened
+		maxGens := gens
 		if screened {
 			// Screen conservatively: wait ~4 generations of training
 			// data before judging candidates, and keep a third of the
 			// admitted slots for pure exploration — a cold model that
 			// screens too early locks the search into its first wrong
 			// guess.
-			scr, err = surrogate.NewScreened(space, eval, surrogate.Options{
+			scr, err := surrogate.NewScreened(space, eval, surrogate.Options{
 				TopK:        topK,
 				MinSamples:  4 * pop,
 				ExploreFrac: 1.0 / 3,
@@ -176,11 +144,7 @@ func SurrogateComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Sur
 				return nil, nil, err
 			}
 			defer scr.Close()
-			e = scr
-		}
-		maxGens := gens
-		if screened {
-			maxGens = gens * 6
+			e, maxGens = scr, gens*6
 		}
 		opt := optimizer.Options{
 			PopSize: pop, MaxIterations: maxGens, Stagnation: maxGens + 2, Seed: 1,
@@ -210,109 +174,87 @@ func SurrogateComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Sur
 		{"baseline warm", false, true},
 		{"surrogate warm", true, true},
 	}
-	res := &SurrogateResult{Kernel: k.Name, Machine: m.Name}
-	var curves []*curveCollector
-	var finals [][]pareto.Point
+	// baseline indexes the run a run is measured against: the cold
+	// baseline for cold runs, the warm one for warm runs.
+	baseline := func(i int) int {
+		if specs[i].warm {
+			return 2
+		}
+		return 0
+	}
+	curves := make([]*curveCollector, len(specs))
+	var arms []arm
 	for i, s := range specs {
-		budget := 0
-		if s.screened {
-			// The matching baseline ran one iteration earlier.
-			budget = res.Runs[i-1].Evaluations
-		}
-		r, col, err := runOnce(s.screened, s.warm, budget)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", s.label, err)
-		}
-		res.Runs = append(res.Runs, SurrogateRun{
-			Label:       s.label,
-			Surrogate:   s.screened,
-			Warm:        s.warm,
-			Evaluations: r.Evaluations,
-			FrontSize:   len(r.Front),
-		})
-		curves = append(curves, col)
-		finals = append(finals, r.Front)
+		arms = append(arms, arm{label: s.label, pool: -1, run: func(c *cell) (*Run, error) {
+			budget := 0
+			if s.screened {
+				base, err := c.get(specs[baseline(i)].label)
+				if err != nil {
+					return nil, err
+				}
+				budget = base.Results[0].Evaluations
+			}
+			res, col, err := runOnce(s.screened, s.warm, budget)
+			curves[i] = col
+			return single(res, err)
+		}})
+	}
+	runs, err := compare([]*kernels.Kernel{k}, arms)
+	if err != nil {
+		return nil, err
 	}
 
-	// One reference point per cell, from the pooled final fronts, so
-	// every hypervolume — final and per-generation — is comparable.
+	var finals [][]pareto.Point
+	for _, r := range runs {
+		finals = append(finals, r.Results[0].Front)
+	}
 	ref, err := pareto.SharedReference(finals...)
 	if err != nil {
 		return nil, err
 	}
-	hvOf := func(front []pareto.Point) (float64, error) {
-		return pareto.Hypervolume(frontObjectives(front), ref)
-	}
-	for i := range res.Runs {
-		hv, err := hvOf(finals[i])
-		if err != nil {
+	for _, r := range runs {
+		if r.V, err = pareto.Hypervolume(frontObjectives(r.Results[0].Front), ref); err != nil {
 			return nil, err
 		}
-		res.Runs[i].HV = hv
 	}
-
-	// Evaluations-to-target: first curve point whose hypervolume
-	// reaches the matching baseline's final one (cold runs chase the
-	// cold baseline, warm runs the warm one). A baseline chases its own
-	// final value, so its attainment is exact — the generation where it
+	// Evaluations-to-target: the first curve point whose hypervolume
+	// reaches the baseline's final one. A baseline chases its own final
+	// value, so its attainment is exact — the generation where it
 	// actually achieved the quality it delivers. A surrogate run matches
 	// a *different* run's quality, and the evaluator's measurements
-	// carry 1% deterministic noise (NoiseAmp), so matching within that
+	// carry 1% deterministic noise (noiseAmp), so matching within that
 	// noise is matching.
-	const exact = 1 - 1e-9
-	for i := range res.Runs {
-		target := res.Runs[0].HV
-		if res.Runs[i].Warm {
-			target = res.Runs[2].HV
-		}
-		slack := exact
-		if res.Runs[i].Surrogate {
-			slack = 1 - NoiseAmp
+	toTarget := make([]int, len(runs))
+	for i, r := range runs {
+		slack := 1 - 1e-9
+		if specs[i].screened {
+			slack = 1 - noiseAmp
 		}
 		for _, cp := range curves[i].points {
-			hv, err := hvOf(cp.front)
+			hv, err := pareto.Hypervolume(frontObjectives(cp.front), ref)
 			if err != nil {
 				return nil, err
 			}
-			if hv >= target*slack {
-				res.Runs[i].EvalsToTarget = cp.evals
+			if hv >= runs[baseline(i)].V*slack {
+				toTarget[i] = cp.evals
 				break
 			}
 		}
+		r.Cols = []string{"never"}
+		if toTarget[i] > 0 {
+			r.Cols[0] = fmt.Sprint(toTarget[i])
+		}
 	}
-	speedup := func(base, surr SurrogateRun) float64 {
-		if base.EvalsToTarget == 0 || surr.EvalsToTarget == 0 {
+	speedup := func(surr int) float64 {
+		base := toTarget[baseline(surr)]
+		if base == 0 || toTarget[surr] == 0 {
 			return 0
 		}
-		return float64(base.EvalsToTarget) / float64(surr.EvalsToTarget)
+		return float64(base) / float64(toTarget[surr])
 	}
-	res.SpeedupCold = speedup(res.Runs[0], res.Runs[1])
-	res.SpeedupWarm = speedup(res.Runs[2], res.Runs[3])
-	res.NeverWorseCold = res.Runs[1].HV >= res.Runs[0].HV*(1-NoiseAmp)
-	res.NeverWorseWarm = res.Runs[3].HV >= res.Runs[2].HV*(1-NoiseAmp)
-	return res, nil
-}
-
-// Render writes the four-run table plus the cell's speedups.
-func (r *SurrogateResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "Surrogate pre-screening: %s on %s (HV against the cell's shared reference)\n",
-		r.Kernel, r.Machine)
-	header := []string{"Run", "E", "|S|", "HV", "E to target"}
-	var rows [][]string
-	for _, run := range r.Runs {
-		toTarget := "never"
-		if run.EvalsToTarget > 0 {
-			toTarget = fmt.Sprint(run.EvalsToTarget)
-		}
-		rows = append(rows, []string{
-			run.Label,
-			fmt.Sprint(run.Evaluations),
-			fmt.Sprint(run.FrontSize),
-			fmt.Sprintf("%.4g", run.HV),
-			toTarget,
-		})
-	}
-	renderTable(w, header, rows)
-	fmt.Fprintf(w, "evaluations-to-equal-HV speedup: cold %.2fx, warm %.2fx\n",
-		r.SpeedupCold, r.SpeedupWarm)
+	c := table(fmt.Sprintf("Surrogate pre-screening: %s on %s (HV against the cell's shared reference)", k.Name, m.Name),
+		[]string{"Run", "E", "|S|", "HV", "E to target"}, runs,
+		func(r *Run) []string { return append(append([]string{r.Label}, r.esv("%.4g")...), r.Cols...) })
+	c.Notes = []string{fmt.Sprintf("evaluations-to-equal-HV speedup: cold %.2fx, warm %.2fx", speedup(1), speedup(3))}
+	return c, nil
 }

@@ -20,45 +20,38 @@ func TestSurrogateComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SurrogateComparison(k, machine.Westmere(), Quick)
+	c, err := SurrogateComparison(k, machine.Westmere(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Runs) != 4 {
-		t.Fatalf("runs = %d", len(res.Runs))
+	want := []string{"baseline cold", "surrogate cold", "baseline warm", "surrogate warm"}
+	if len(c.Runs) != len(want) {
+		t.Fatalf("runs = %d", len(c.Runs))
 	}
-	wantFlags := []struct{ surrogate, warm bool }{
-		{false, false}, {true, false}, {false, true}, {true, true},
-	}
-	for i, want := range wantFlags {
-		run := res.Runs[i]
-		if run.Surrogate != want.surrogate || run.Warm != want.warm {
-			t.Fatalf("run %d = %+v, want surrogate=%v warm=%v", i, run, want.surrogate, want.warm)
+	for i, run := range c.Runs {
+		if run.Label != want[i] {
+			t.Fatalf("run %d = %s, want %s", i, run.Label, want[i])
 		}
-		if run.Evaluations == 0 || run.FrontSize == 0 || run.HV <= 0 {
+		if run.E == 0 || run.S == 0 || run.V <= 0 {
 			t.Fatalf("run %d degenerate: %+v", i, run)
 		}
 	}
 	// The screen stretches the same budget over more generations; the
 	// budget stop is a generation barrier, so a screened run may
 	// overshoot its baseline's total by at most one admitted batch.
-	for i := range []int{1, 3} {
-		surr, base := res.Runs[2*i+1], res.Runs[2*i]
-		if surr.Evaluations > base.Evaluations+base.Evaluations/2 {
-			t.Fatalf("%s spent %d evaluations against a budget of %d",
-				surr.Label, surr.Evaluations, base.Evaluations)
+	for _, i := range []int{0, 2} {
+		base, surr := c.Runs[i], c.Runs[i+1]
+		if surr.E > base.E+base.E/2 {
+			t.Fatalf("%s spent %v evaluations against a budget of %v", surr.Label, surr.E, base.E)
 		}
-	}
-	if res.Runs[0].EvalsToTarget == 0 || res.Runs[2].EvalsToTarget == 0 {
-		t.Fatalf("a baseline never reached its own final hypervolume: %+v", res.Runs)
+		if col(t, c, base, "E to target") == "never" {
+			t.Fatalf("%s never reached its own final hypervolume", base.Label)
+		}
 	}
 
 	var buf bytes.Buffer
-	res.Render(&buf)
-	for _, want := range []string{
-		"Surrogate pre-screening", "baseline cold", "surrogate cold",
-		"baseline warm", "surrogate warm", "speedup",
-	} {
+	c.Render(&buf)
+	for _, want := range append(want, "Surrogate pre-screening", "speedup") {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("rendering missing %q:\n%s", want, buf.String())
 		}

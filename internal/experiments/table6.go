@@ -3,182 +3,131 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"path/filepath"
+	"strings"
 
+	"autotune/internal/export"
 	"autotune/internal/kernels"
 	"autotune/internal/machine"
 	"autotune/internal/optimizer"
-	"autotune/internal/pareto"
 )
 
-// MethodMetrics holds the three Table VI metrics for one strategy:
-// evaluation count E, solution count |S| and hypervolume V(S).
-// Stochastic strategies report means over repetitions.
-type MethodMetrics struct {
-	E float64
-	S float64
-	V float64
-}
-
-// Table6Row compares the three strategies for one kernel on one
-// machine.
-type Table6Row struct {
-	Kernel     string
-	BruteForce MethodMetrics
-	Random     MethodMetrics
-	RSGDE3     MethodMetrics
-}
-
-// Table6Result is the full strategy comparison for one machine.
-type Table6Result struct {
-	Machine *machine.Machine
-	Rows    []Table6Row
-	// Reps is the number of repetitions the stochastic strategies were
-	// averaged over (the paper uses 5).
-	Reps int
-}
-
-// Table6Kernel runs the three-strategy comparison for one kernel. The
-// hypervolume normalization bounds are pooled from all strategies'
-// fronts so V(S) values are directly comparable, as in the paper.
-// It also returns the Fig. 9 fronts (from the first repetition).
-func Table6Kernel(k *kernels.Kernel, m *machine.Machine, mode Mode, reps int) (*Table6Row, *Fig9Result, error) {
-	if reps <= 0 {
-		reps = 5
+// Table6 compares the paper's three strategies (Table VI) on the given
+// kernels of one machine: brute force once, RS-GDE3 in reps seeded
+// runs, and as many runs of random search, each at the budget its
+// RS-GDE3 run used (the paper: "random search using an equal number of
+// evaluations as our method"). The three share one pool, so their V(S)
+// values are directly comparable, as in the paper. Fig. 9 reads the
+// fronts of the first repetition.
+func Table6(ks []*kernels.Kernel, m *machine.Machine, mode Mode, reps int) (*Comparison, error) {
+	if reps < 1 {
+		return nil, fmt.Errorf("experiments: Table VI needs at least one repetition, got %d", reps)
 	}
-	space := tuningSpace(k, m)
-
-	// Brute force: one deterministic run.
-	bfEval, err := newEvaluator(k, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	grid := bruteForceGrid(k, m, mode)
-	bf, err := optimizer.BruteForceControlled(space, bfEval, grid, optimizer.Control{})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// RS-GDE3 and random: `reps` seeded runs each. Random gets the
-	// same budget RS-GDE3 used in the corresponding repetition (the
-	// paper: "random search using an equal number of evaluations as
-	// our method").
-	var rsFronts, rndFronts [][]pareto.Point
-	var rsE, rndE []float64
-	for rep := 0; rep < reps; rep++ {
-		rsEval, err := newEvaluator(k, m)
-		if err != nil {
-			return nil, nil, err
-		}
-		rs, err := search("rs-gde3", space, rsEval, optimizer.StrategyConfig{Options: optimizer.Options{Seed: int64(rep + 1)}})
-		if err != nil {
-			return nil, nil, err
-		}
-		rsFronts = append(rsFronts, rs.Front)
-		rsE = append(rsE, float64(rs.Evaluations))
-
-		rndEval, err := newEvaluator(k, m)
-		if err != nil {
-			return nil, nil, err
-		}
-		rnd, err := randomSearch(space, rndEval, rs.Evaluations, int64(100+rep))
-		if err != nil {
-			return nil, nil, err
-		}
-		rndFronts = append(rndFronts, rnd.Front)
-		rndE = append(rndE, float64(rnd.Evaluations))
-	}
-
-	// Pool ideal/nadir over every front for a common normalization.
-	var pool [][]float64
-	pool = append(pool, frontObjectives(bf.Front)...)
-	for _, f := range rsFronts {
-		pool = append(pool, frontObjectives(f)...)
-	}
-	for _, f := range rndFronts {
-		pool = append(pool, frontObjectives(f)...)
-	}
-	ideal, nadir, err := pareto.IdealNadir(pool)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := range ideal {
-		if nadir[i] <= ideal[i] {
-			nadir[i] = ideal[i] + 1e-12
-		}
-	}
-
-	hvMean := func(fronts [][]pareto.Point) (float64, float64) {
-		var hvs, sizes []float64
-		for _, f := range fronts {
-			v, err := normalizedHV(f, ideal, nadir)
+	repeat := func(search func(rep int) (*optimizer.Result, error)) (*Run, error) {
+		r := &Run{}
+		for rep := 0; rep < reps; rep++ {
+			res, err := search(rep)
 			if err != nil {
-				continue
+				return nil, err
 			}
-			hvs = append(hvs, v)
-			sizes = append(sizes, float64(len(f)))
+			r.Results = append(r.Results, res)
 		}
-		return meanOf(sizes), meanOf(hvs)
+		return r, nil
 	}
-
-	row := &Table6Row{Kernel: k.Name}
-	bfHV, err := normalizedHV(bf.Front, ideal, nadir)
+	arms := []arm{
+		{label: "brute force", run: func(c *cell) (*Run, error) { return single(bruteForce(c.k, m, mode)) }},
+		{label: "random", run: func(c *cell) (*Run, error) {
+			rs, err := c.get("RS-GDE3")
+			if err != nil {
+				return nil, err
+			}
+			return repeat(func(rep int) (*optimizer.Result, error) {
+				return searchFresh(c.k, m, "random", optimizer.StrategyConfig{
+					Options: optimizer.Options{Seed: int64(100 + rep)}, RandomBudget: rs.Results[rep].Evaluations,
+				})
+			})
+		}},
+		{label: "RS-GDE3", run: func(c *cell) (*Run, error) {
+			return repeat(func(rep int) (*optimizer.Result, error) {
+				return searchFresh(c.k, m, "rs-gde3", optimizer.StrategyConfig{Options: optimizer.Options{Seed: int64(rep + 1)}})
+			})
+		}},
+	}
+	runs, err := compare(ks, arms)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	row.BruteForce = MethodMetrics{E: float64(bf.Evaluations), S: float64(len(bf.Front)), V: bfHV}
-	s, v := hvMean(rndFronts)
-	row.Random = MethodMetrics{E: meanOf(rndE), S: s, V: v}
-	s, v = hvMean(rsFronts)
-	row.RSGDE3 = MethodMetrics{E: meanOf(rsE), S: s, V: v}
-
-	fig9 := &Fig9Result{
-		Machine:    m,
-		BruteForce: bf.Front,
-		Random:     rndFronts[0],
-		RSGDE3:     rsFronts[0],
+	c := &Comparison{
+		Title:  fmt.Sprintf("Table VI: comparison of optimization strategies (%s, %d repetitions)", m.Name, reps),
+		Header: []string{"Kernel"},
+		Runs:   runs,
 	}
-	return row, fig9, nil
-}
-
-// Table6 runs the full strategy comparison for all kernels on one
-// machine.
-func Table6(m *machine.Machine, mode Mode, reps int) (*Table6Result, error) {
-	if reps <= 0 {
-		reps = 5
+	for _, short := range []string{"BF", "Rnd", "RS-GDE3"} {
+		c.Header = append(c.Header, short+" E", short+" |S|", short+" V")
 	}
-	res := &Table6Result{Machine: m, Reps: reps}
-	for _, k := range kernels.Paper() {
-		row, _, err := Table6Kernel(k, m, mode, reps)
-		if err != nil {
-			return nil, err
+	// One row per kernel, its arms side by side.
+	for i, r := range runs {
+		if i%len(arms) == 0 {
+			c.Rows = append(c.Rows, []string{r.Kernel})
 		}
-		res.Rows = append(res.Rows, *row)
+		sFormat := "%.1f" // a mean over the repetitions
+		if r.Label == "brute force" {
+			sFormat = "%.0f"
+		}
+		row := &c.Rows[len(c.Rows)-1]
+		*row = append(*row, fmt.Sprintf("%.0f", r.E), fmt.Sprintf(sFormat, r.S), fmt.Sprintf("%.2f", r.V))
 	}
-	return res, nil
+	return c, nil
 }
 
-// Render writes the table.
-func (r *Table6Result) Render(w io.Writer) {
-	fmt.Fprintf(w, "Table VI: comparison of optimization strategies (%s, %d repetitions)\n",
-		r.Machine.Name, r.Reps)
-	header := []string{"Kernel",
-		"BF E", "BF |S|", "BF V",
-		"Rnd E", "Rnd |S|", "Rnd V",
-		"RS-GDE3 E", "RS-GDE3 |S|", "RS-GDE3 V"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Kernel,
-			fmt.Sprintf("%.0f", row.BruteForce.E),
-			fmt.Sprintf("%.0f", row.BruteForce.S),
-			fmt.Sprintf("%.2f", row.BruteForce.V),
-			fmt.Sprintf("%.0f", row.Random.E),
-			fmt.Sprintf("%.1f", row.Random.S),
-			fmt.Sprintf("%.2f", row.Random.V),
-			fmt.Sprintf("%.0f", row.RSGDE3.E),
-			fmt.Sprintf("%.1f", row.RSGDE3.S),
-			fmt.Sprintf("%.2f", row.RSGDE3.V),
-		})
+// Fig9 renders Fig. 9 for one kernel of a Table VI comparison on m: the
+// front of each strategy's first repetition, as (time, resources)
+// pairs in time order.
+func Fig9(w io.Writer, m *machine.Machine, table6 *Comparison, kernel string) {
+	fmt.Fprintf(w, "Fig. 9: Pareto fronts by optimization strategy (%s)\n", m.Name)
+	for _, r := range kernelRuns(table6, kernel) {
+		objs := frontObjectives(r.Results[0].Front)
+		fmt.Fprintf(w, "  %-12s (%2d points):", r.Label, len(objs))
+		for i := 0; i < len(objs); i++ {
+			for j := i + 1; j < len(objs); j++ {
+				if objs[j][0] < objs[i][0] {
+					objs[i], objs[j] = objs[j], objs[i]
+				}
+			}
+		}
+		for _, o := range objs {
+			fmt.Fprintf(w, " (%.3f,%.2f)", o[0], o[1])
+		}
+		fmt.Fprintln(w)
 	}
-	renderTable(w, header, rows)
+}
+
+// ExportFig9 writes the fronts of Fig9 into dir, each as CSV, plus one
+// gnuplot script plotting them; an empty dir writes nothing.
+func ExportFig9(dir string, m *machine.Machine, table6 *Comparison, kernel string) error {
+	files := map[string]func(io.Writer) error{}
+	csvs := map[string]string{}
+	for _, r := range kernelRuns(table6, kernel) {
+		name := strings.ToLower(strings.NewReplacer(" ", "", "-", "").Replace(r.Label))
+		csv := fmt.Sprintf("fig9_%s_%s.csv", m.Name, name)
+		csvs[name] = filepath.Join(dir, csv)
+		files[csv] = func(w io.Writer) error {
+			return export.FrontCSV(w, r.Results[0].Front, nil, []string{"time", "resources"})
+		}
+	}
+	files["fig9_"+m.Name+".gp"] = func(w io.Writer) error {
+		return export.GnuplotFronts(w, "Pareto fronts ("+m.Name+")", csvs)
+	}
+	return writeFiles(dir, files)
+}
+
+// kernelRuns returns the runs of a comparison on one kernel.
+func kernelRuns(c *Comparison, kernel string) []*Run {
+	var out []*Run
+	for _, r := range c.Runs {
+		if r.Kernel == kernel {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -18,37 +18,38 @@ func TestWarmStartComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := WarmStartComparison(k, machine.Westmere(), Quick)
+	c, err := WarmStartComparison(k, machine.Westmere(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Runs) != 4 {
-		t.Fatalf("runs = %d", len(res.Runs))
+	if len(c.Runs) != 4 {
+		t.Fatalf("runs = %d", len(c.Runs))
 	}
-	cold, warm := res.Runs[0], res.Runs[1]
-	if cold.WarmStart || !warm.WarmStart {
-		t.Fatalf("run order wrong: %+v", res.Runs)
+	cold, warm := c.Runs[0], c.Runs[1]
+	if col(t, c, cold, "Warm") != "no" || col(t, c, warm, "Warm") != "yes" {
+		t.Fatalf("run order wrong: %v", c.Rows)
 	}
-	if warm.Evaluations >= cold.Evaluations {
-		t.Fatalf("warm E = %d not below cold E = %d", warm.Evaluations, cold.Evaluations)
+	if warm.E >= cold.E {
+		t.Fatalf("warm E = %v not below cold E = %v", warm.E, cold.E)
 	}
-	if warm.HV < cold.HV {
-		t.Fatalf("warm V(S) = %.4f below cold V(S) = %.4f", warm.HV, cold.HV)
+	if warm.V < cold.V {
+		t.Fatalf("warm V(S) = %.4f below cold V(S) = %.4f", warm.V, cold.V)
 	}
-	if res.StoredEvals == 0 {
-		t.Fatal("cold run journaled nothing")
+	if strings.Contains(c.Title, " 0 stored evaluations") {
+		t.Fatalf("cold run journaled nothing: %s", c.Title)
 	}
-	vCold, vWarm := res.Runs[2], res.Runs[3]
-	if vCold.Machine != res.Variant.Name || vWarm.Machine != res.Variant.Name {
-		t.Fatalf("variant rows carry machines %q/%q", vCold.Machine, vWarm.Machine)
+	variant := "Westmere-variant"
+	vCold, vWarm := c.Runs[2], c.Runs[3]
+	if col(t, c, vCold, "Machine") != variant || col(t, c, vWarm, "Machine") != variant {
+		t.Fatalf("variant rows carry machines %q/%q", col(t, c, vCold, "Machine"), col(t, c, vWarm, "Machine"))
 	}
-	if vWarm.FrontSize == 0 || vCold.FrontSize == 0 {
+	if vWarm.S == 0 || vCold.S == 0 {
 		t.Fatal("variant runs produced empty fronts")
 	}
 
 	var buf bytes.Buffer
-	res.Render(&buf)
-	for _, want := range []string{"Warm-start comparison", "cold", "warm rerun", "transfer warm", res.Variant.Name} {
+	c.Render(&buf)
+	for _, want := range []string{"Warm-start comparison", "cold", "warm rerun", "transfer warm", variant} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("rendering missing %q:\n%s", want, buf.String())
 		}
