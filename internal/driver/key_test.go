@@ -2,7 +2,11 @@ package driver
 
 import (
 	"context"
+	"encoding/json"
+	"flag"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +15,8 @@ import (
 	"autotune/internal/optimizer"
 	"autotune/internal/tunedb"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/progress.json from the current code")
 
 // TestProblemKeyMatchesJournaledKey: ProblemKey must derive exactly the
 // key TuneKernel journals under, or service-side dedup would miss the
@@ -112,6 +118,55 @@ func TestWithProgressReportsEveryEvaluation(t *testing.T) {
 	}
 	if last := counts[len(counts)-1]; last != out.Result.Evaluations {
 		t.Fatalf("last progress %d != evaluations %d", last, out.Result.Evaluations)
+	}
+}
+
+// TestProgressSequencesPinned holds the OnProgress count sequence — one
+// count per evaluated batch, so it records how each search batches its
+// evaluations — of a brute-force sweep of the default grid and of a
+// default race byte-identical to testdata/progress.json. -update
+// regenerates it.
+func TestProgressSequencesPinned(t *testing.T) {
+	got := map[string][]int{}
+	for _, c := range []struct{ id, kernel string }{
+		{"brute-force/default-grid/jacobi-2d/Westmere/seed1", "jacobi-2d"},
+		{"race/default/mm/Westmere/seed1", "mm"},
+	} {
+		var counts []int
+		method, _, _ := strings.Cut(c.id, "/")
+		opt := Options{
+			Machine:    machine.Westmere(),
+			Method:     Method(method),
+			Optimizer:  optimizer.Options{Seed: 1},
+			NoiseAmp:   0.01,
+			OnProgress: func(done int) { counts = append(counts, done) }, // one search steps at a time
+		}
+		if _, err := TuneKernel(c.kernel, opt); err != nil {
+			t.Fatalf("%s: %v", c.id, err)
+		}
+		got[c.id] = counts
+	}
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data, '\n')
+	const path = "testdata/progress.json"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != string(want) {
+		t.Errorf("progress sequences differ from %s:\n%s", path, data)
 	}
 }
 
