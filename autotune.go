@@ -180,7 +180,8 @@ const (
 	// the systematic counterpart of RandomSearch, and a contender the
 	// race can include.
 	GridSearch = driver.MethodGrid
-	// BruteForce exhaustively sweeps a regular grid.
+	// BruteForce exhaustively sweeps a regular grid (WithGridPoints);
+	// it never races and refuses the surrogate screen.
 	BruteForce = driver.MethodBruteForce
 	// MethodRace races several strategies concurrently over one shared
 	// evaluation cache, reallocating budget toward the leaders every
@@ -194,9 +195,13 @@ type RaceOptions = driver.RaceOptions
 // Methods lists every search method accepted by WithMethod, sorted.
 func Methods() []string { return driver.ValidMethods() }
 
-// Strategies lists every registered optimizer strategy — the valid
-// contender names for RaceOptions.Strategies, sorted.
-func Strategies() []string { return optimizer.StrategyNames() }
+// Strategies lists the valid contender names for
+// RaceOptions.Strategies, sorted: every registered strategy but the
+// exhaustive sweep — what an empty RaceOptions.Strategies races.
+func Strategies() []string {
+	race, _ := optimizer.RaceOptions{}.Resolve() // the defaults always resolve
+	return race.Strategies
+}
 
 // Westmere returns the simulated 4-socket Intel system of the paper's
 // Table I (40 cores, 30 MB shared L3 per socket).
@@ -510,22 +515,19 @@ func WithResume(path string) Option {
 }
 
 // WithRace selects MethodRace and configures it: the named strategies
-// (empty = every registered one) run concurrently over one shared
+// (empty = every one Strategies lists) run concurrently over one shared
 // evaluation cache, are scored every `opts.Interval` generations on
 // hypervolume per evaluation against a shared reference point, and the
 // trailing half is eliminated so the remaining budget flows to the
 // leaders. `opts.Budget` caps the race's total distinct successful
 // evaluations. Warm starts seed every contender; cancellation returns
 // the merged best-so-far front flagged Partial; a fixed seed yields a
-// byte-identical merged front regardless of GOMAXPROCS.
+// byte-identical merged front regardless of GOMAXPROCS. Tune refuses a
+// race the optimizer could not run — fewer than two contenders, one
+// named twice or unknown, a negative interval or budget — before it
+// searches.
 func WithRace(opts RaceOptions) Option {
 	return func(c *tuneConfig) error {
-		if opts.Interval < 0 {
-			return fmt.Errorf("autotune: race interval must be non-negative")
-		}
-		if opts.Budget < 0 {
-			return fmt.Errorf("autotune: race budget must be non-negative")
-		}
 		c.opts.Method = MethodRace
 		c.opts.Race = opts
 		return nil

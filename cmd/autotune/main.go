@@ -68,7 +68,7 @@ func main() {
 	resume := flag.String("resume", "", "resume an interrupted search from this checkpoint file (options must match the interrupted run)")
 	raceInterval := flag.Int("race-interval", 0, "with -method race: generations between scoring/elimination rounds (0 = default 5)")
 	raceBudget := flag.Int("race-budget", 0, "with -method race: cap on total distinct evaluations (0 = race until every survivor stops)")
-	raceStrategies := flag.String("race-strategies", "", "with -method race: comma-separated contender strategies (empty = all registered)")
+	raceStrategies := flag.String("race-strategies", "", "with -method race: comma-separated contender strategies (empty = all that race: "+strings.Join(autotune.Strategies(), ", ")+")")
 	surrogate := flag.Bool("surrogate", false, "pre-screen candidates with an online surrogate model: only the most promising reach the real evaluator")
 	screenTopK := flag.Int("screen-topk", 0, "with -surrogate: admitted new candidates per screened batch (0 = automatic; implies -surrogate when set)")
 	frontJSON := flag.String("front-json", "", "write the Pareto front as byte-stable JSON to this file (diffable against the tuning service's /front)")
@@ -76,9 +76,10 @@ func main() {
 
 	ran := methodThatRuns(*method, *raceInterval, *raceBudget, *raceStrategies)
 	racing := ran == autotune.MethodRace
+	race := autotune.RaceOptions{Strategies: splitStrategies(*raceStrategies), Interval: *raceInterval, Budget: *raceBudget}
 	choices := driver.Options{
 		Method:         driver.Method(*method),
-		Race:           driver.RaceOptions{Strategies: splitStrategies(*raceStrategies)},
+		Race:           race,
 		Islands:        *islands,
 		Surrogate:      *surrogate,
 		ScreenTopK:     *screenTopK,
@@ -125,11 +126,7 @@ func main() {
 		autotune.WithContext(ctx),
 	}
 	if racing {
-		opts = append(opts, autotune.WithRace(autotune.RaceOptions{
-			Strategies: splitStrategies(*raceStrategies),
-			Interval:   *raceInterval,
-			Budget:     *raceBudget,
-		}))
+		opts = append(opts, autotune.WithRace(race))
 	}
 	if *surrogate || *screenTopK > 0 {
 		opts = append(opts, autotune.WithSurrogate(*screenTopK))
@@ -358,9 +355,12 @@ func splitStrategies(s string) []string {
 }
 
 // validateChoices rejects, before anything is opened or created, a
-// flag combination the driver would refuse: an unknown -method or
-// -race-strategies name (listing the valid ones), or -islands,
-// -surrogate or -checkpoint/-resume on a method that has none.
+// flag combination the driver would refuse: an unknown -method, a race
+// the optimizer could not run (fewer than two -race-strategies, a
+// repeated, unknown or exhaustive one, a negative -race-interval or
+// -race-budget) — each naming the valid values where there is a list —
+// or -islands, -surrogate or -checkpoint/-resume on a method that has
+// none.
 func validateChoices(choices driver.Options) error {
 	if err := driver.CheckOptions(choices, false); err != nil {
 		return errors.New(strings.TrimPrefix(err.Error(), "driver: "))

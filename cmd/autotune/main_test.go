@@ -54,6 +54,11 @@ func TestValidateChoicesRefusesWhatTheDriverRefuses(t *testing.T) {
 		"grid checkpoint":        {Method: driver.MethodGrid, CheckpointPath: "x.ckpt"},
 		"race resume":            {Method: driver.MethodRace, ResumeFrom: "x.ckpt"},
 		"race islands":           {Method: driver.MethodRace, Islands: 2},
+		"race one contender":     {Method: driver.MethodRace, Race: driver.RaceOptions{Strategies: []string{"gde3"}}},
+		"race duplicate":         {Method: driver.MethodRace, Race: driver.RaceOptions{Strategies: []string{"gde3", "gde3"}}},
+		"race brute-force":       {Method: driver.MethodRace, Race: driver.RaceOptions{Strategies: []string{"gde3", "brute-force"}}},
+		"race negative interval": {Method: driver.MethodRace, Race: driver.RaceOptions{Interval: -2}},
+		"race negative budget":   {Method: driver.MethodRace, Race: driver.RaceOptions{Budget: -5}},
 		"negative random budget": {RandomBudget: -1},
 	} {
 		if err := validateChoices(choices); err == nil {

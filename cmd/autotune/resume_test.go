@@ -127,3 +127,30 @@ func TestRetiredFormatsRefusedByName(t *testing.T) {
 		t.Fatalf("the refused runs left %v behind", entries)
 	}
 }
+
+// TestBadRaceRefusedBeforeTheDatabaseOpens: a race the optimizer could
+// not run exits 2 with one "autotune:" prefix and creates no -db
+// directory, like an unknown contender always did.
+func TestBadRaceRefusedBeforeTheDatabaseOpens(t *testing.T) {
+	for name, flags := range map[string][]string{
+		"one contender":     {"-race-strategies", "gde3"},
+		"duplicate":         {"-race-strategies", "gde3,gde3"},
+		"brute-force":       {"-race-strategies", "gde3,brute-force"},
+		"unknown":           {"-race-strategies", "gde3,alien"},
+		"negative interval": {"-race-interval", "-2"},
+		"negative budget":   {"-race-budget", "-5"},
+	} {
+		db := filepath.Join(t.TempDir(), "db")
+		stdout, stderr, err := autotuneCmd(t, append([]string{"-method", "race", "-db", db}, flags...)...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || stdout != "" {
+			t.Errorf("%s: err %v, printed %q; want exit 2 and nothing printed", name, err, stdout)
+		}
+		if strings.Count(stderr, "autotune:") != 1 {
+			t.Errorf("%s: error output %q does not carry exactly one prefix", name, stderr)
+		}
+		if _, err := os.Stat(db); !os.IsNotExist(err) {
+			t.Errorf("%s: the refused run created %s (%v)", name, db, err)
+		}
+	}
+}

@@ -52,7 +52,8 @@ const (
 // RaceOptions configures MethodRace.
 type RaceOptions struct {
 	// Strategies names the contenders (default: every registered
-	// search strategy — gde3, grid, motpe, nsga2, random, rs-gde3).
+	// strategy that can race — gde3, grid, motpe, nsga2, random, rs-gde3;
+	// brute force sweeps its whole grid and cannot).
 	Strategies []string
 	// Interval is the number of lockstep generations between scoring
 	// and elimination rounds (default 5).
@@ -93,8 +94,8 @@ type Options struct {
 	// evaluation (and, with WarmStart, from every stored record the
 	// database primes) and each generation only the most promising new
 	// candidates reach the real evaluator — the rest are skipped
-	// without costing E. Incompatible with MethodBruteForce, whose
-	// point is the exhaustive sweep. Fixed-seed fronts stay
+	// without costing E. Refused for an exhaustive method (brute
+	// force), whose point is the sweep. Fixed-seed fronts stay
 	// byte-identical across GOMAXPROCS; a resumed screened search may
 	// legitimately differ from the uninterrupted run, because the model
 	// retrains from the journaled history in one batch rather than
@@ -397,31 +398,20 @@ type capabilities struct {
 	checkpoint bool // keeps the generation state a checkpoint journals
 }
 
-// modes are the driver-level search modes: the Methods that are not
-// registered strategies. Brute force sweeps an explicit grid, which a
-// surrogate screen would silently hollow out; a race keeps
-// heterogeneous per-strategy state no snapshot holds.
-var modes = map[Method]struct {
-	capabilities
-	run func(skeleton.Space, objective.Evaluator, Options, optimizer.Control) (*optimizer.Result, error)
-}{
-	MethodBruteForce: {capabilities{}, runBruteForce},
-	MethodRace:       {capabilities{screen: true}, runRace},
-}
-
-// capabilitiesOf resolves what method can do: a driver-level mode lists
-// it above, a registered strategy declares it (every strategy searches
-// under the screen; a Restore is what checkpoints). ok is false for an
-// unknown method.
+// capabilitiesOf resolves what method can do from what its registered
+// strategy declares: an exhaustive sweep refuses the screen, a Restore
+// is what checkpoints. A race runs its contenders under the screen, and
+// Run refuses islands and resume for it. ok is false for an unknown
+// method.
 func capabilitiesOf(method Method) (capabilities, bool) {
-	if m, ok := modes[method]; ok {
-		return m.capabilities, true
+	if method == MethodRace {
+		return capabilities{screen: true}, true
 	}
 	s, err := optimizer.StrategyByName(string(method))
 	if err != nil {
 		return capabilities{}, false
 	}
-	return capabilities{islands: s.Islands, screen: true, checkpoint: s.Restore != nil}, true
+	return capabilities{islands: s.Islands, screen: !s.Exhaustive, checkpoint: s.Restore != nil}, true
 }
 
 // Checkpointable reports whether method keeps the per-generation state
@@ -433,12 +423,9 @@ func Checkpointable(method Method) bool {
 }
 
 // ValidMethods lists every Method the driver accepts, sorted — the
-// registered strategies plus the driver-level modes.
+// registered strategies and the race of them.
 func ValidMethods() []string {
-	names := optimizer.StrategyNames()
-	for m := range modes {
-		names = append(names, string(m))
-	}
+	names := append(optimizer.StrategyNames(), string(MethodRace))
 	sort.Strings(names)
 	return names
 }
@@ -492,13 +479,17 @@ func CheckOptions(opt Options, joint bool) error {
 			method, methodsThat(func(c capabilities) bool { return c.checkpoint }))
 	}
 	if method == MethodRace {
-		for _, name := range opt.Race.Strategies {
-			if _, err := optimizer.StrategyByName(name); err != nil {
-				return fmt.Errorf("driver: unknown race strategy %q (valid: %s)", name, strings.Join(optimizer.StrategyNames(), ", "))
-			}
+		// What the race itself would refuse, by the check Run makes.
+		if _, err := opt.race().Resolve(); err != nil {
+			return fmt.Errorf("driver: %w", err)
 		}
 	}
 	return nil
+}
+
+// race is the race Options.Race asks for.
+func (opt Options) race() optimizer.RaceOptions {
+	return optimizer.RaceOptions{Strategies: opt.Race.Strategies, Interval: opt.Race.Interval, Budget: opt.Race.Budget}
 }
 
 // checkJoint is CheckOptions for the joint search: one lock-step
@@ -559,28 +550,33 @@ func attachSurrogate(opt Options, prog *ir.Program, space skeleton.Space,
 	return scr, scr.Close, nil
 }
 
-// runSearch builds the Spec opt asks for and runs it. A driver-level
-// mode runs its own function instead. This is the one place a method
-// name becomes a search call, and the one place the options are
-// narrowed to what a method takes: the one-shot baselines, run alone,
-// take the seed and the budget only — neither PopSize (their chunking)
-// nor the warm-start seeds in InitialPopulation, which a race does hand
-// them — and everything else takes Options.Optimizer whole.
+// runSearch builds the Spec opt asks for and runs it. This is the one
+// place a method name becomes a search call, and the one place the
+// options are narrowed to what a method takes: the one-shot baselines,
+// run alone, take the seed and the budget only — neither PopSize (their
+// chunking) nor the warm-start seeds in InitialPopulation, which a race
+// does hand them — an exhaustive sweep takes its grid, and everything
+// else takes Options.Optimizer whole.
 func runSearch(space skeleton.Space, eval objective.Evaluator, opt Options, ctrl optimizer.Control) (*optimizer.Result, error) {
 	method := effectiveMethod(opt)
-	if m, ok := modes[method]; ok {
-		return m.run(space, eval, opt, ctrl)
+	spec := optimizer.Spec{Config: optimizer.StrategyConfig{Options: opt.Optimizer, RandomBudget: opt.RandomBudget}}
+	if method == MethodRace {
+		ropt := opt.race()
+		spec.Race = &ropt
+		return optimizer.Run(space, eval, spec, ctrl)
 	}
 	strat, err := optimizer.StrategyByName(string(method))
 	if err != nil {
 		return nil, err
 	}
-	spec := optimizer.Spec{
-		Strategy: strat.Name,
-		Config:   optimizer.StrategyConfig{Options: opt.Optimizer, RandomBudget: opt.RandomBudget},
-	}
+	spec.Strategy = strat.Name
 	if strat.OneShot {
 		spec.Config.Options = optimizer.Options{Seed: opt.Optimizer.Seed}
+	}
+	if strat.Exhaustive {
+		if spec.Config.Grid, err = sweepGrid(space, opt.GridPoints); err != nil {
+			return nil, err
+		}
 	}
 	if opt.Islands > 1 {
 		spec.Islands = &optimizer.IslandOptions{Islands: opt.Islands, MigrationInterval: opt.MigrationInterval}
@@ -588,23 +584,10 @@ func runSearch(space skeleton.Space, eval objective.Evaluator, opt Options, ctrl
 	return optimizer.Run(space, eval, spec, ctrl)
 }
 
-// runRace is MethodRace: the registered strategies raced over the one
-// shared evaluator.
-func runRace(space skeleton.Space, eval objective.Evaluator, opt Options, ctrl optimizer.Control) (*optimizer.Result, error) {
-	rr, err := optimizer.RaceControlled(space, eval,
-		optimizer.StrategyConfig{Options: opt.Optimizer, RandomBudget: opt.RandomBudget},
-		optimizer.RaceOptions{Strategies: opt.Race.Strategies, Interval: opt.Race.Interval, Budget: opt.Race.Budget}, ctrl)
-	if err != nil {
-		return nil, err
-	}
-	return rr.Result, nil
-}
-
-// runBruteForce is MethodBruteForce: the exhaustive sweep of a regular
-// grid — Options.GridPoints, or 12 points per tile dimension and every
-// thread count (capped at 64).
-func runBruteForce(space skeleton.Space, eval objective.Evaluator, opt Options, ctrl optimizer.Control) (*optimizer.Result, error) {
-	points := opt.GridPoints
+// sweepGrid is the regular grid an exhaustive sweep covers: points per
+// dimension, or 12 points per tile dimension and every thread count
+// (capped at 64).
+func sweepGrid(space skeleton.Space, points []int) (optimizer.Grid, error) {
 	if len(points) == 0 {
 		points = make([]int, space.Dim())
 		for i := range points {
@@ -613,11 +596,7 @@ func runBruteForce(space skeleton.Space, eval objective.Evaluator, opt Options, 
 		last := space.Params[space.Dim()-1]
 		points[space.Dim()-1] = min(int(last.Max-last.Min+1), 64)
 	}
-	grid, err := optimizer.RegularGrid(space, points)
-	if err != nil {
-		return nil, err
-	}
-	return optimizer.BruteForceControlled(space, eval, grid, ctrl)
+	return optimizer.RegularGrid(space, points)
 }
 
 // attachDB wires the persistent tuning database into one search. When

@@ -275,6 +275,36 @@ func TestTuneKernelRaceRejectsCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCheckOptionsRefusesWhatTheRaceWould: CheckOptions refuses every
+// race optimizer.Run would refuse, with Run's own reason, so a front-end
+// refuses it before it opens a database or a journal; the contenders
+// optimizer.RaceOptions defaults to are accepted.
+func TestCheckOptionsRefusesWhatTheRaceWould(t *testing.T) {
+	for name, c := range map[string]struct {
+		race RaceOptions
+		says string
+	}{
+		"one contender":       {RaceOptions{Strategies: []string{"gde3"}}, "at least two strategies"},
+		"duplicate":           {RaceOptions{Strategies: []string{"gde3", "gde3"}}, "raced twice"},
+		"unknown contender":   {RaceOptions{Strategies: []string{"gde3", "alien"}}, `"alien" is not a race contender`},
+		"exhaustive":          {RaceOptions{Strategies: []string{"gde3", "brute-force"}}, `"brute-force" is not a race contender`},
+		"negative interval":   {RaceOptions{Interval: -2}, "race interval -2"},
+		"negative budget":     {RaceOptions{Budget: -5}, "race budget -5"},
+		"default contenders":  {RaceOptions{}, ""},
+		"explicit contenders": {RaceOptions{Strategies: []string{"grid", "random"}, Interval: 1, Budget: 10}, ""},
+	} {
+		opt := Options{Method: MethodRace, Race: c.race}
+		err := CheckOptions(opt, false)
+		_, runErr := opt.race().Resolve()
+		switch {
+		case c.says == "" && err != nil:
+			t.Errorf("%s: refused: %v", name, err)
+		case c.says != "" && (err == nil || !strings.Contains(err.Error(), c.says) || !strings.HasSuffix(err.Error(), runErr.Error())):
+			t.Errorf("%s: CheckOptions says %v, want %q as Run says %v", name, err, c.says, runErr)
+		}
+	}
+}
+
 // TestTuneKernelMOTPESerial covers the serial MOTPE method selector.
 func TestTuneKernelMOTPESerial(t *testing.T) {
 	opt := fastOpts()

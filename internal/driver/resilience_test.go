@@ -162,23 +162,23 @@ func TestTuneProgramResilienceOptions(t *testing.T) {
 // TestCheckpointOptionValidation is the refusal matrix: every valid
 // method × {islands, surrogate, checkpoint, resume} through TuneKernel.
 // An option is refused exactly when the method's strategy does not
-// declare the capability (a driver-level mode has what the table below
-// says), the "use one of" list in the refusal is exactly the capable
-// methods, a refusal creates no journal file, and an unknown method is
-// told so before anything else. The expectation comes from the
-// registry, so a strategy added tomorrow is covered without an edit.
+// declare the capability (a race screens its contenders and runs
+// neither islands nor a journal), the "use one of" list in the refusal
+// is exactly the capable methods, a refusal creates no journal file,
+// and an unknown method is told so before anything else. The
+// expectation comes from the registry, so a strategy added tomorrow is
+// covered without an edit.
 func TestCheckpointOptionValidation(t *testing.T) {
 	type caps struct{ islands, surrogate, checkpoint bool }
-	modeCaps := map[string]caps{"brute-force": {}, "race": {surrogate: true}}
 	capsOf := func(method string) caps {
-		if c, ok := modeCaps[method]; ok {
-			return c
+		if method == string(MethodRace) {
+			return caps{surrogate: true}
 		}
 		strat, err := optimizer.StrategyByName(method)
 		if err != nil {
-			t.Fatalf("%s is neither a strategy nor a driver mode: %v", method, err)
+			t.Fatalf("%s is neither a strategy nor the race: %v", method, err)
 		}
-		return caps{islands: strat.Islands, surrogate: true, checkpoint: strat.Restore != nil}
+		return caps{islands: strat.Islands, surrogate: !strat.Exhaustive, checkpoint: strat.Restore != nil}
 	}
 	features := []struct {
 		name  string

@@ -106,7 +106,7 @@ func bruteForce(k *kernels.Kernel, m *machine.Machine, mode Mode) (*optimizer.Re
 	if err != nil {
 		return nil, err
 	}
-	return optimizer.BruteForceControlled(tuningSpace(k, m), eval, bruteForceGrid(k, m, mode), optimizer.Control{})
+	return search("brute-force", tuningSpace(k, m), eval, optimizer.StrategyConfig{Grid: bruteForceGrid(k, m, mode)})
 }
 
 // tuningSpace builds the search space the optimizers and grids use for

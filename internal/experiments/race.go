@@ -14,7 +14,7 @@ import (
 // order.
 var raceStrategies = []string{"gde3", "motpe", "nsga2", "random", "rs-gde3"}
 
-// RaceComparison runs every registered strategy alone on a fresh
+// RaceComparison runs each of raceStrategies alone on a fresh
 // evaluator, then races them all against the largest single-strategy
 // budget — so the race never sees more of the space than the
 // best-funded single run — and scores every front in one pool.
@@ -71,21 +71,21 @@ func RaceComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Comparis
 		// merged front retains some strategy diversity.
 		ropt := opt
 		ropt.PopSize = max(pop/4, 4)
-		rr, err := optimizer.RaceControlled(tuningSpace(c.k, m), eval,
-			optimizer.StrategyConfig{Options: ropt, RandomBudget: randomBudget},
-			optimizer.RaceOptions{Strategies: raceStrategies, Interval: 3, Budget: budget, MinSurvivors: 2},
-			optimizer.Control{})
+		res, err := optimizer.Run(tuningSpace(c.k, m), eval, optimizer.Spec{
+			Config: optimizer.StrategyConfig{Options: ropt, RandomBudget: randomBudget},
+			Race:   &optimizer.RaceOptions{Strategies: raceStrategies, Interval: 3, Budget: budget, MinSurvivors: 2},
+		}, optimizer.Control{})
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range rr.Standings {
+		for _, s := range res.Standings {
 			note := ""
 			if s.Eliminated {
 				note = fmt.Sprintf(" (out@g%d)", s.EliminatedAt)
 			}
 			standings = append(standings, fmt.Sprintf("%s %.2g/eval%s", s.Strategy, s.Score, note))
 		}
-		return single(rr.Result, nil)
+		return single(res, nil)
 	}})
 	runs, err := compare([]*kernels.Kernel{k}, arms)
 	if err != nil {

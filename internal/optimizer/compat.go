@@ -1,8 +1,8 @@
-// The seven strategy entry points bench/decomposed.go calls by name.
+// The eight search entry points bench/decomposed.go calls by name.
 // Each is Run with its arguments written as a Spec and nothing else;
 // they stand only because a change outside a benchmark PR may not edit
 // bench/, and go — with runVariant's switch there — when the next
-// benchmark PR moves bench/ to Run (ROADMAP item 2). New code calls
+// benchmark PR moves bench/ to Run (ROADMAP item 1(c)). New code calls
 // Run.
 package optimizer
 
@@ -54,4 +54,19 @@ func GridSearchControlled(space skeleton.Space, eval objective.Evaluator, budget
 		return nil, fmt.Errorf("optimizer: grid search needs a positive budget")
 	}
 	return Run(space, eval, Spec{Strategy: "grid", Config: StrategyConfig{RandomBudget: budget}}, ctrl)
+}
+
+// RaceResult is the Result of RaceControlled; its Standings are the
+// Result's.
+type RaceResult struct {
+	*Result
+}
+
+// RaceControlled is Run with Spec.Race set.
+func RaceControlled(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, ropt RaceOptions, ctrl Control) (*RaceResult, error) {
+	res, err := Run(space, eval, Spec{Config: cfg, Race: &ropt}, ctrl)
+	if err != nil {
+		return nil, err
+	}
+	return &RaceResult{res}, nil
 }

@@ -2,12 +2,13 @@
 // cancellation and deadlines, generation-granular checkpointing, and
 // exact resume.
 //
-// Run, RaceControlled and BruteForceControlled accept a Control
-// carrying a context.Context, a Checkpointer and an optional resume
-// Snapshot. Cancellation is
-// graceful: the search stops at the next evaluation or generation
-// boundary and returns the best-so-far valid Pareto front with
-// Result.Partial set — never an error with nothing. A Snapshot captures
+// Run — every registered strategy, a race of them, the brute-force
+// sweep — accepts a Control carrying a context.Context, a Checkpointer
+// and an optional resume Snapshot. Cancellation is graceful: the search
+// stops at the next evaluation or generation boundary (a sweep's or a
+// walk's chunk) and returns the best-so-far valid Pareto front with
+// Result.Partial set — never an error with nothing. Only the strategies
+// with a Restore hook checkpoint and resume. A Snapshot captures
 // the complete search state at a generation boundary — per-island
 // populations, archives, stagnation counters, RNG draw counts, and the
 // fresh evaluation results of the interval — so a resumed search

@@ -325,19 +325,16 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 func TestBaselinesRejectResume(t *testing.T) {
 	space := islandSpace()
 	snap := &optimizer.Snapshot{}
+	// A grid that fits, so brute force is refused for the resume.
+	cfg := optimizer.StrategyConfig{Options: optimizer.Options{Seed: 1}, Grid: optimizer.Grid{{1}, {1}, {1}}}
 	for _, name := range optimizer.StrategyNames() {
 		if strat, _ := optimizer.StrategyByName(name); strat.Restore != nil {
 			continue
 		}
-		if _, err := optimizer.Run(space, newDetEval(), spec(name, optimizer.Options{Seed: 1}, nil),
-			optimizer.Control{Resume: snap}); err == nil {
-			t.Fatalf("%s accepted a resume snapshot", name)
+		_, err := optimizer.Run(space, newDetEval(), optimizer.Spec{Strategy: name, Config: cfg}, optimizer.Control{Resume: snap})
+		if err == nil || !strings.Contains(err.Error(), "resume") {
+			t.Fatalf("%s accepted a resume snapshot: %v", name, err)
 		}
-	}
-	grid := optimizer.Grid{{1}, {1}, {1}}
-	if _, err := optimizer.BruteForceControlled(space, newDetEval(), grid,
-		optimizer.Control{Resume: snap}); err == nil {
-		t.Fatal("brute force accepted a resume snapshot")
 	}
 }
 

@@ -101,7 +101,7 @@ func TestGridRacesDeterministically(t *testing.T) {
 	var want []byte
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		rr, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), RaceOptions{
+		rr, err := raceRun(newFuncEvaluator(schaffer), raceTestConfig(), RaceOptions{
 			Strategies:   []string{"grid", "random", "rs-gde3"},
 			Interval:     2,
 			Budget:       120,

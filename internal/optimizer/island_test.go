@@ -308,7 +308,7 @@ func TestRunRefusesIslandsTheStrategyDoesNotDeclare(t *testing.T) {
 			}
 		}
 	}
-	if want := []string{"grid", "motpe", "random"}; !slices.Equal(refused, want) {
+	if want := []string{"brute-force", "grid", "motpe", "random"}; !slices.Equal(refused, want) {
 		t.Errorf("island model refused for %v, want %v", refused, want)
 	}
 }

@@ -100,6 +100,9 @@ type Result struct {
 	// Pareto set and Evaluations is accurate, but the stopping rule
 	// never fired.
 	Partial bool
+	// Standings is a race's report per contender, best score first (nil
+	// unless Spec.Race was set).
+	Standings []Standing
 }
 
 // Configs extracts the configurations of the front.
@@ -366,8 +369,8 @@ func (a *arena) gde3Select(pop []individual, trials []skeleton.Config, trialObjs
 	return out
 }
 
-// Grid describes an explicit brute-force sampling grid: one value list
-// per space dimension.
+// Grid describes an explicit brute-force sampling grid
+// (StrategyConfig.Grid): one value list per space dimension.
 type Grid [][]int64
 
 // RegularGrid builds a grid with `points` evenly spaced values per

@@ -65,6 +65,11 @@ func randomSearch(space skeleton.Space, eval objective.Evaluator, budget int, se
 	return Run(space, eval, Spec{Strategy: "random", Config: StrategyConfig{Options: Options{Seed: seed}, RandomBudget: budget}}, Control{})
 }
 
+// bruteForce sweeps every configuration of grid, without run control.
+func bruteForce(space skeleton.Space, eval objective.Evaluator, grid Grid) (*Result, error) {
+	return Run(space, eval, Spec{Strategy: "brute-force", Config: StrategyConfig{Grid: grid}}, Control{})
+}
+
 func schafferSpace() skeleton.Space {
 	return skeleton.Space{Params: []skeleton.Param{
 		{Name: "x", Min: -1000, Max: 1000},
@@ -208,7 +213,7 @@ func TestBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BruteForceControlled(space, eval, g, Control{})
+	res, err := bruteForce(space, eval, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +234,7 @@ func TestBruteForce(t *testing.T) {
 
 func TestBruteForceGridMismatch(t *testing.T) {
 	eval := newFuncEvaluator(schaffer)
-	if _, err := BruteForceControlled(schafferSpace(), eval, Grid{{1}}, Control{}); err == nil {
+	if _, err := bruteForce(schafferSpace(), eval, Grid{{1}}); err == nil {
 		t.Error("grid dim mismatch should fail")
 	}
 }
@@ -437,7 +442,7 @@ func TestInvalidSpaceRejected(t *testing.T) {
 	if _, err := randomSearch(bad, newFuncEvaluator(schaffer), 10, 0); err == nil {
 		t.Error("Random accepted invalid space")
 	}
-	if _, err := BruteForceControlled(bad, newFuncEvaluator(schaffer), Grid{}, Control{}); err == nil {
+	if _, err := bruteForce(bad, newFuncEvaluator(schaffer), Grid{}); err == nil {
 		t.Error("BruteForce accepted invalid space")
 	}
 }

@@ -1,13 +1,13 @@
-// Racing meta-optimizer: run several registered strategies
-// concurrently over one shared evaluation cache, score each strategy
-// every Interval generations on hypervolume per evaluation against a
-// shared reference point, and eliminate the trailing half
-// (successive-halving style) so the remaining evaluation budget flows
-// to the leaders. The approach follows the optimizer-portfolio line of
-// ComPar (arxiv 2005.13304) and MCompiler (arxiv 1905.12755):
-// committing to a single search strategy up front is dominated by
-// racing several and reallocating toward whichever wins on THIS
-// kernel/machine pair.
+// Racing meta-optimizer, what Run does for a Spec with Race set: run
+// several registered strategies over one shared evaluation cache, score
+// each strategy every Interval generations on hypervolume per
+// evaluation against a shared reference point, and eliminate the
+// trailing half (successive-halving style) so the remaining evaluation
+// budget flows to the leaders. The approach follows the
+// optimizer-portfolio line of ComPar (arxiv 2005.13304) and MCompiler
+// (arxiv 1905.12755): committing to a single search strategy up front
+// is dominated by racing several and reallocating toward whichever wins
+// on THIS kernel/machine pair.
 //
 // Determinism: each contender evolves from its own seeded RNG and its
 // own proposals; the shared cache changes who computes a value, never
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"autotune/internal/objective"
 	"autotune/internal/pareto"
@@ -30,7 +31,7 @@ import (
 // the defaults.
 type RaceOptions struct {
 	// Strategies names the registered contenders (default: every
-	// registered strategy, in sorted order).
+	// registered strategy that is not Exhaustive, in sorted order).
 	Strategies []string
 	// Interval is the number of lockstep generations between scoring
 	// rounds (default 5).
@@ -47,9 +48,20 @@ type RaceOptions struct {
 	MinSurvivors int
 }
 
-func (o RaceOptions) withDefaults() RaceOptions {
+// Resolve applies the defaults to o and refuses what a race under it
+// could not run: fewer than two contenders, one named twice, an unknown
+// or Exhaustive one, an interval below one, a negative budget or no
+// survivor. Run resolves a Spec's Race with it, so a front-end that
+// calls it refuses exactly what Run would.
+func (o RaceOptions) Resolve() (RaceOptions, error) {
+	var contenders []string
+	for _, name := range StrategyNames() {
+		if s, _ := StrategyByName(name); !s.Exhaustive {
+			contenders = append(contenders, name)
+		}
+	}
 	if len(o.Strategies) == 0 {
-		o.Strategies = StrategyNames()
+		o.Strategies = contenders
 	}
 	if o.Interval == 0 {
 		o.Interval = 5
@@ -57,33 +69,27 @@ func (o RaceOptions) withDefaults() RaceOptions {
 	if o.MinSurvivors == 0 {
 		o.MinSurvivors = 1
 	}
-	return o
-}
-
-func (o RaceOptions) validate() error {
-	if o.Interval < 1 {
-		return fmt.Errorf("optimizer: race interval %d < 1", o.Interval)
-	}
-	if o.Budget < 0 {
-		return fmt.Errorf("optimizer: race budget %d < 0", o.Budget)
-	}
-	if o.MinSurvivors < 1 {
-		return fmt.Errorf("optimizer: race needs at least one survivor, got %d", o.MinSurvivors)
-	}
-	if len(o.Strategies) < 2 {
-		return fmt.Errorf("optimizer: a race needs at least two strategies, got %v", o.Strategies)
+	switch {
+	case o.Interval < 1:
+		return o, fmt.Errorf("optimizer: race interval %d < 1", o.Interval)
+	case o.Budget < 0:
+		return o, fmt.Errorf("optimizer: race budget %d < 0", o.Budget)
+	case o.MinSurvivors < 1:
+		return o, fmt.Errorf("optimizer: race needs at least one survivor, got %d", o.MinSurvivors)
+	case len(o.Strategies) < 2:
+		return o, fmt.Errorf("optimizer: a race needs at least two strategies, got %v", o.Strategies)
 	}
 	seen := map[string]bool{}
 	for _, name := range o.Strategies {
 		if seen[name] {
-			return fmt.Errorf("optimizer: strategy %q raced twice", name)
+			return o, fmt.Errorf("optimizer: strategy %q raced twice", name)
 		}
 		seen[name] = true
-		if _, err := StrategyByName(name); err != nil {
-			return err
+		if s, err := StrategyByName(name); err != nil || s.Exhaustive {
+			return o, fmt.Errorf("optimizer: %q is not a race contender (contenders: %s)", name, strings.Join(contenders, ", "))
 		}
 	}
-	return nil
+	return o, nil
 }
 
 // Standing reports one contender's final state.
@@ -108,17 +114,6 @@ type Standing struct {
 	// contender; EliminatedAt is the generation barrier that did.
 	Eliminated   bool `json:"eliminated"`
 	EliminatedAt int  `json:"eliminated_at,omitempty"`
-}
-
-// RaceResult couples the merged search result with the per-contender
-// standings and the shared reference point behind the final scores.
-type RaceResult struct {
-	*Result
-	// Standings is ordered by final score, best first.
-	Standings []Standing `json:"standings"`
-	// Reference is the shared hypervolume reference of the final
-	// scoring (see pareto.SharedReference).
-	Reference []float64 `json:"reference"`
 }
 
 // attributedEvaluator charges a contender for the distinct successful
@@ -197,8 +192,8 @@ type contender struct {
 // live reports whether the contender still receives budget.
 func (c *contender) live() bool { return !c.eliminated && !c.isl.done() && c.gens < c.maxGens }
 
-// RaceControlled runs registered strategies concurrently over the
-// shared evaluator under the given Control. Cancellation returns the
+// race runs the registered strategies spec.Race names concurrently over
+// the shared evaluator under the given Control. Cancellation returns the
 // merged best-so-far front with Result.Partial set. The race keeps
 // heterogeneous per-strategy state, so Checkpointer is ignored and
 // Resume is an error; checkpoint a single strategy instead.
@@ -206,16 +201,22 @@ func (c *contender) live() bool { return !c.eliminated && !c.isl.done() && c.gen
 // The merged front folds in EVERY contender's archive — eliminated
 // ones included: their evaluations were paid for, and an early leader
 // eliminated later may still hold points the survivors never found.
-func RaceControlled(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, ropt RaceOptions, ctrl Control) (*RaceResult, error) {
-	if ctrl.Resume != nil {
+func race(space skeleton.Space, eval objective.Evaluator, spec Spec, ctrl Control) (*Result, error) {
+	switch {
+	case spec.Strategy != "":
+		return nil, fmt.Errorf("optimizer: a race names its contenders in Race.Strategies, not in Strategy (%q)", spec.Strategy)
+	case spec.Islands != nil:
+		return nil, fmt.Errorf("optimizer: a race does not support the island model")
+	case ctrl.Resume != nil:
 		return nil, fmt.Errorf("optimizer: a race keeps heterogeneous per-strategy state and cannot resume; checkpoint a single strategy instead")
 	}
 	ctrl.Checkpointer = nil
+	cfg := spec.Config
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ropt = ropt.withDefaults()
-	if err := ropt.validate(); err != nil {
+	ropt, err := spec.Race.Resolve()
+	if err != nil {
 		return nil, err
 	}
 	if err := space.Validate(); err != nil {
@@ -237,10 +238,7 @@ func RaceControlled(space skeleton.Space, eval objective.Evaluator, cfg Strategy
 	// the race budget goes into where the strategies differ.
 	contenders := make([]*contender, len(ropt.Strategies))
 	for i, name := range ropt.Strategies {
-		strat, err := StrategyByName(name)
-		if err != nil {
-			return nil, err
-		}
+		strat, _ := StrategyByName(name) // Resolve refused an unknown name
 		ccfg := strat.Normalize(space, cfg)
 		maxGens := strat.MaxGenerations(ccfg)
 		if ropt.Budget > 0 {
@@ -322,23 +320,19 @@ func RaceControlled(space skeleton.Space, eval objective.Evaluator, cfg Strategy
 		}
 	}
 
-	standings, ref := raceStandings(contenders)
-	return &RaceResult{
-		Result: &Result{
-			Front:       mergeFronts(len(contenders), func(i int) []pareto.Point { return contenders[i].isl.points() }),
-			Evaluations: run.totalE(),
-			Iterations:  gens,
-			Partial:     partial,
-		},
-		Standings: standings,
-		Reference: ref,
+	return &Result{
+		Front:       mergeFronts(len(contenders), func(i int) []pareto.Point { return contenders[i].isl.points() }),
+		Evaluations: run.totalE(),
+		Iterations:  gens,
+		Partial:     partial,
+		Standings:   raceStandings(contenders),
 	}, nil
 }
 
 // raceScores computes HV-per-evaluation for the given contenders
 // against a reference shared across all their fronts. A contender
 // whose archive is empty (every proposal failed) scores zero.
-func raceScores(cs []*contender) (scores, hvs []float64, ref []float64) {
+func raceScores(cs []*contender) (scores, hvs []float64) {
 	fronts := make([][]pareto.Point, len(cs))
 	for i, c := range cs {
 		fronts[i] = c.isl.points()
@@ -347,7 +341,7 @@ func raceScores(cs []*contender) (scores, hvs []float64, ref []float64) {
 	scores = make([]float64, len(cs))
 	hvs = make([]float64, len(cs))
 	if err != nil {
-		return scores, hvs, nil
+		return scores, hvs
 	}
 	for i, c := range cs {
 		var objs [][]float64
@@ -365,7 +359,7 @@ func raceScores(cs []*contender) (scores, hvs []float64, ref []float64) {
 		}
 		scores[i] = hv / float64(e)
 	}
-	return scores, hvs, ref
+	return scores, hvs
 }
 
 // raceEliminate scores the live contenders and eliminates the trailing
@@ -381,7 +375,7 @@ func raceEliminate(contenders []*contender, minSurvivors, gen int) {
 	if len(live) <= minSurvivors {
 		return
 	}
-	scores, _, _ := raceScores(live)
+	scores, _ := raceScores(live)
 	order := make([]int, len(live))
 	for i := range order {
 		order[i] = i
@@ -423,8 +417,8 @@ func raceEliminate(contenders []*contender, minSurvivors, gen int) {
 
 // raceStandings builds the final per-contender report, scored against
 // a reference shared across every contender's final front.
-func raceStandings(contenders []*contender) ([]Standing, []float64) {
-	scores, hvs, ref := raceScores(contenders)
+func raceStandings(contenders []*contender) []Standing {
+	scores, hvs := raceScores(contenders)
 	standings := make([]Standing, len(contenders))
 	for i, c := range contenders {
 		standings[i] = Standing{
@@ -444,5 +438,5 @@ func raceStandings(contenders []*contender) ([]Standing, []float64) {
 		}
 		return standings[a].Strategy < standings[b].Strategy
 	})
-	return standings, ref
+	return standings
 }

@@ -3,10 +3,12 @@ package optimizer
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"autotune/internal/objective"
 	"autotune/internal/skeleton"
 )
 
@@ -19,11 +21,16 @@ func raceTestConfig() StrategyConfig {
 
 func raceTestOptions() RaceOptions {
 	return RaceOptions{
-		Strategies:   StrategyNames(),
+		Strategies:   []string{"gde3", "grid", "motpe", "nsga2", "random", "rs-gde3"},
 		Interval:     2,
 		Budget:       150,
 		MinSurvivors: 2,
 	}
+}
+
+// raceRun races ropt's contenders over cfg on the Schaffer problem.
+func raceRun(eval objective.Evaluator, cfg StrategyConfig, ropt RaceOptions, ctrl Control) (*Result, error) {
+	return Run(schafferSpace(), eval, Spec{Config: cfg, Race: &ropt}, ctrl)
 }
 
 // TestRaceDeterministicAcrossGOMAXPROCS is the racing determinism
@@ -34,7 +41,7 @@ func TestRaceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	var want []byte
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		rr, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), raceTestOptions(), Control{})
+		rr, err := raceRun(newFuncEvaluator(schaffer), raceTestConfig(), raceTestOptions(), Control{})
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +66,7 @@ func TestRaceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 func TestRaceRespectsBudgetExactly(t *testing.T) {
 	ropt := raceTestOptions()
 	ropt.Budget = 60
-	rr, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), ropt, Control{})
+	rr, err := raceRun(newFuncEvaluator(schaffer), raceTestConfig(), ropt, Control{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +81,7 @@ func TestRaceRespectsBudgetExactly(t *testing.T) {
 func TestRaceCancellationReturnsPartialFront(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rr, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), raceTestOptions(), Control{Ctx: ctx})
+	rr, err := raceRun(newFuncEvaluator(schaffer), raceTestConfig(), raceTestOptions(), Control{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +94,7 @@ func TestRaceCancellationReturnsPartialFront(t *testing.T) {
 }
 
 func TestRaceResumeRejected(t *testing.T) {
-	_, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), raceTestOptions(), Control{Resume: &Snapshot{}})
+	_, err := raceRun(newFuncEvaluator(schaffer), raceTestConfig(), raceTestOptions(), Control{Resume: &Snapshot{}})
 	if err == nil || !strings.Contains(err.Error(), "cannot resume") {
 		t.Fatalf("resume accepted: %v", err)
 	}
@@ -98,13 +105,35 @@ func TestRaceOptionValidation(t *testing.T) {
 		{Strategies: []string{"rs-gde3"}},                       // one contender
 		{Strategies: []string{"rs-gde3", "rs-gde3"}},            // duplicate
 		{Strategies: []string{"rs-gde3", "alien"}},              // unregistered
+		{Strategies: []string{"rs-gde3", "brute-force"}},        // exhaustive
 		{Strategies: []string{"rs-gde3", "gde3"}, Interval: -1}, // bad interval
 		{Strategies: []string{"rs-gde3", "gde3"}, Budget: -1},   // bad budget
 		{Strategies: []string{"rs-gde3", "gde3"}, MinSurvivors: -1},
 	}
 	for i, ropt := range cases {
-		if _, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), ropt, Control{}); err == nil {
-			t.Errorf("case %d: invalid options accepted: %+v", i, ropt)
+		_, resolveErr := ropt.Resolve()
+		if _, err := raceRun(newFuncEvaluator(schaffer), raceTestConfig(), ropt, Control{}); err == nil || resolveErr == nil {
+			t.Errorf("case %d: invalid options accepted (Run: %v, Resolve: %v): %+v", i, err, resolveErr, ropt)
+		}
+	}
+	// An exhaustive strategy is refused by name, pointing at the ones
+	// that race; the default contenders are exactly those.
+	_, err := RaceOptions{Strategies: []string{"gde3", "brute-force"}}.Resolve()
+	def, _ := RaceOptions{}.Resolve()
+	if err == nil || !strings.Contains(err.Error(), `"brute-force"`) || !strings.Contains(err.Error(), strings.Join(def.Strategies, ", ")) {
+		t.Errorf("brute-force contender: %v", err)
+	}
+	if !reflect.DeepEqual(def.Strategies, raceTestOptions().Strategies) {
+		t.Errorf("default contenders %v", def.Strategies)
+	}
+	// A race takes its contenders from Race, runs no islands.
+	ropt := raceTestOptions()
+	for name, spec := range map[string]Spec{
+		"strategy": {Strategy: "rs-gde3", Config: raceTestConfig(), Race: &ropt},
+		"islands":  {Config: raceTestConfig(), Race: &ropt, Islands: &IslandOptions{}},
+	} {
+		if _, err := Run(schafferSpace(), newFuncEvaluator(schaffer), spec, Control{}); err == nil {
+			t.Errorf("race with %s accepted", name)
 		}
 	}
 }
@@ -113,7 +142,7 @@ func TestRaceStandingsAndElimination(t *testing.T) {
 	ropt := raceTestOptions()
 	ropt.Interval = 1
 	ropt.MinSurvivors = 1
-	rr, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), raceTestConfig(), ropt, Control{})
+	rr, err := raceRun(newFuncEvaluator(schaffer), raceTestConfig(), ropt, Control{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +164,6 @@ func TestRaceStandingsAndElimination(t *testing.T) {
 	if eliminated == 0 {
 		t.Fatal("interval-1 race eliminated nobody")
 	}
-	if len(rr.Reference) == 0 {
-		t.Fatal("no shared reference recorded")
-	}
 	// The merged front folds every contender's archive, so it must be
 	// mutually non-dominated and non-empty.
 	if len(rr.Front) == 0 {
@@ -150,7 +176,7 @@ func TestRaceWarmStartSeedsEveryContender(t *testing.T) {
 	cfg := raceTestConfig()
 	cfg.Options.InitialPopulation = []skeleton.Config{seed}
 	eval := newFuncEvaluator(schaffer)
-	if _, err := RaceControlled(schafferSpace(), eval, cfg, raceTestOptions(), Control{}); err != nil {
+	if _, err := raceRun(eval, cfg, raceTestOptions(), Control{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := eval.seen[seed.Key()]; !ok {

@@ -1,9 +1,11 @@
 // First-class strategy registry: every search strategy the framework
-// knows is registered by name with a constructor, a resume hook, an
-// options fingerprint and what it can do. Run drives any one of them
-// from a Spec, and the racing meta-optimizer (race.go) draws its
-// heterogeneous contenders from the same table — one registration
-// serves both the single-strategy and the portfolio path.
+// knows — the evolutionary ones, the walks and the brute-force sweep —
+// is registered by name with a constructor, a resume hook, an options
+// fingerprint and what it can do. Run drives any one of them from a
+// Spec, and races them when the Spec says so: the racing meta-optimizer
+// (race.go) draws its heterogeneous contenders from the same table, all
+// but the exhaustive ones — one registration serves both the
+// single-strategy and the portfolio path.
 package optimizer
 
 import (
@@ -22,11 +24,13 @@ import (
 // (PopSize, Seed, Stagnation, MaxIterations, InitialPopulation) plus
 // the GDE3-family parameters; NSGA2 overrides the NSGA-II-specific
 // rates (zero fields derive from Options); RandomBudget is the total
-// proposal budget of a walk — "random" and "grid" (default 1000).
+// proposal budget of a walk — "random" and "grid" (default 1000); Grid
+// is what "brute-force" sweeps, one value list per space dimension.
 type StrategyConfig struct {
 	Options      Options
 	NSGA2        NSGA2Options
 	RandomBudget int
+	Grid         Grid
 }
 
 // validate refuses the negative sizes no strategy's Normalize replaces
@@ -42,11 +46,12 @@ func (c StrategyConfig) validate() error {
 // producing stepping search instances, and an options fingerprint.
 // Registered strategies share the islandEvolver stepping surface, so
 // the controlled generation loop, the island-model driver and the
-// racing meta-optimizer can all drive any of them.
+// racing meta-optimizer can all drive any of them (the race, any but an
+// Exhaustive one).
 type Strategy struct {
 	// Name is the registry key and the method label used in snapshots
 	// and results ("rs-gde3", "gde3", "nsga2", "motpe", "random",
-	// "grid").
+	// "grid", "brute-force").
 	Name string
 	// New builds one search instance with its own RNG stream derived
 	// from seed. The returned evolver has already evaluated its
@@ -68,6 +73,11 @@ type Strategy struct {
 	// no iterations to report, so Run reports Result.Iterations as 0
 	// however many chunks the walk stepped through.
 	OneShot bool
+	// Exhaustive marks a sweep of every configuration of
+	// StrategyConfig.Grid, whose point is that nothing is skipped: it
+	// never races (a race would stop it short), and a surrogate screen
+	// would hollow it out. Run refuses a Grid that does not fit the space.
+	Exhaustive bool
 	// MaxGenerations is the generation cap of an instance under cfg
 	// (chunk count for the chunked baselines).
 	MaxGenerations func(cfg StrategyConfig) int
@@ -125,9 +135,11 @@ func strategyNamesLocked() []string {
 }
 
 // Spec says what Run searches with: a registered strategy, its
-// configuration and the island layout.
+// configuration and the island layout — or a race of registered
+// strategies over that configuration.
 type Spec struct {
-	// Strategy names a registered strategy (see StrategyNames).
+	// Strategy names a registered strategy (see StrategyNames). Empty
+	// for a race.
 	Strategy string
 	// Config is the strategy-agnostic configuration; the strategy's
 	// Normalize fills its defaults.
@@ -139,6 +151,10 @@ type Spec struct {
 	// merged front in canonical order — also for a single island, whose
 	// points are the serial run's in another order.
 	Islands *IslandOptions
+	// Race, when set, races the contenders it names over Config instead
+	// of running Strategy, and Run returns their standings on
+	// Result.Standings. A race takes no Islands and cannot resume.
+	Race *RaceOptions
 }
 
 // Run is the search engine every strategy plugs into: resolve the
@@ -148,6 +164,9 @@ type Spec struct {
 // returns the best-so-far front with Result.Partial set rather than an
 // error.
 func Run(space skeleton.Space, eval objective.Evaluator, spec Spec, ctrl Control) (*Result, error) {
+	if spec.Race != nil {
+		return race(space, eval, spec, ctrl)
+	}
 	strat, err := StrategyByName(spec.Strategy)
 	if err != nil {
 		return nil, err
@@ -169,6 +188,9 @@ func Run(space skeleton.Space, eval objective.Evaluator, spec Spec, ctrl Control
 			return nil, err
 		}
 		w = iopt.Islands
+	}
+	if strat.Exhaustive && len(cfg.Grid) != space.Dim() {
+		return nil, fmt.Errorf("optimizer: grid dims %d != space dims %d", len(cfg.Grid), space.Dim())
 	}
 	fingerprint := ""
 	if strat.Restore == nil {
@@ -207,6 +229,10 @@ func Run(space skeleton.Space, eval objective.Evaluator, spec Spec, ctrl Control
 	}
 	if strat.OneShot {
 		res.Iterations = 0
+	}
+	// A sweep's every point, for a complete sweep only.
+	if walk, ok := islands[0].(*walker); ok && !partial {
+		res.AllPoints = walk.all
 	}
 	return res, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestStrategyNamesSortedAndComplete(t *testing.T) {
-	want := []string{"gde3", "grid", "motpe", "nsga2", "random", "rs-gde3"}
+	want := []string{"brute-force", "gde3", "grid", "motpe", "nsga2", "random", "rs-gde3"}
 	if got := StrategyNames(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("StrategyNames() = %v, want %v", got, want)
 	}
@@ -69,20 +69,22 @@ func TestRegisterStrategyRejectsDuplicatesAndIncomplete(t *testing.T) {
 }
 
 func TestWalkerChunkFollowsPopSize(t *testing.T) {
-	if got := walkerChunk(StrategyConfig{}); got != randomChunk {
-		t.Fatalf("default chunk = %d, want %d", got, randomChunk)
-	}
-	cfg := StrategyConfig{Options: Options{PopSize: 10}}
-	if got := walkerChunk(cfg); got != 10 {
-		t.Fatalf("chunk = %d, want PopSize 10", got)
-	}
-	// The registered generation cap must agree with the chunking, or a
-	// raced random contender would stop before its budget is spent.
 	strat, err := StrategyByName("random")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.RandomBudget = 25
+	chunk := func(cfg StrategyConfig) int {
+		return strat.New(schafferSpace(), newFuncEvaluator(schaffer), cfg, 1).(*walker).chunk
+	}
+	if got := chunk(strat.Normalize(schafferSpace(), StrategyConfig{})); got != 30 {
+		t.Fatalf("default chunk = %d, want the default PopSize 30", got)
+	}
+	cfg := strat.Normalize(schafferSpace(), StrategyConfig{Options: Options{PopSize: 10}, RandomBudget: 25})
+	if got := chunk(cfg); got != 10 {
+		t.Fatalf("chunk = %d, want PopSize 10", got)
+	}
+	// The registered generation cap must agree with the chunking, or a
+	// raced random contender would stop before its budget is spent.
 	if got := strat.MaxGenerations(cfg); got != 3 {
 		t.Fatalf("MaxGenerations = %d, want ceil(25/10) = 3", got)
 	}
@@ -161,8 +163,8 @@ func TestNegativeSizesRefused(t *testing.T) {
 		"MaxIterations": {MaxIterations: -1},
 	} {
 		entries := map[string]func() error{
-			"RaceControlled": func() error {
-				_, err := RaceControlled(schafferSpace(), newFuncEvaluator(schaffer), StrategyConfig{Options: opt}, RaceOptions{}, Control{})
+			"Run/race": func() error {
+				_, err := Run(schafferSpace(), newFuncEvaluator(schaffer), Spec{Config: StrategyConfig{Options: opt}, Race: &RaceOptions{}}, Control{})
 				return err
 			},
 		}

@@ -124,7 +124,7 @@ func TestSurrogateRaceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		s, _ := screenedSchaffer(t, surrogate.Options{TopK: 3, MinSamples: 8})
-		rr, err := RaceControlled(schafferSpace(), s, raceTestConfig(), raceTestOptions(), Control{})
+		rr, err := raceRun(s, raceTestConfig(), raceTestOptions(), Control{})
 		s.Close()
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
@@ -149,9 +149,13 @@ func TestSurrogateRaceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 
 // TestSurrogateEveryStrategyCompletes: each registered strategy must
 // finish a screened run and produce a front — the per-strategy
-// screening support the registry promises.
+// screening support the registry promises. An exhaustive sweep is
+// refused the screen by the driver, and is skipped.
 func TestSurrogateEveryStrategyCompletes(t *testing.T) {
 	for _, name := range StrategyNames() {
+		if strat, _ := StrategyByName(name); strat.Exhaustive {
+			continue
+		}
 		s, _ := screenedSchaffer(t, surrogate.Options{TopK: 3, MinSamples: 8})
 		cfg := StrategyConfig{
 			Options:      Options{PopSize: 8, MaxIterations: 5, Stagnation: 6, Seed: 4},

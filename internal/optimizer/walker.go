@@ -1,8 +1,6 @@
 package optimizer
 
 import (
-	"fmt"
-
 	"autotune/internal/objective"
 	"autotune/internal/pareto"
 	"autotune/internal/skeleton"
@@ -13,9 +11,9 @@ import (
 // cancellation-checked chunks, into a Pareto archive — the one-shot
 // baselines on the stepping evolver surface. Random search draws the
 // list, the grid strategy strides over a coarse grid, brute force
-// enumerates an explicit one. A registered walk steps PopSize
-// configurations at a time, so a race generation costs the same across
-// contenders.
+// enumerates an explicit one. A walk steps PopSize configurations at a
+// time, so a race generation costs the same across contenders; a sweep
+// steps sweepChunk.
 type walker struct {
 	eval    objective.Evaluator
 	cfgs    []skeleton.Config
@@ -28,18 +26,10 @@ type walker struct {
 	all     []pareto.Point
 }
 
-// randomChunk is the chunk of a walk outside the registry (brute
-// force) — the granularity at which it honors cancellation.
-const randomChunk = 64
-
-// walkerChunk is the number of configurations a registered walk
-// evaluates per step for the given (normalized) configuration.
-func walkerChunk(cfg StrategyConfig) int {
-	if cfg.Options.PopSize > 0 {
-		return cfg.Options.PopSize
-	}
-	return randomChunk
-}
+// sweepChunk is how many configurations brute force evaluates per
+// step: the granularity at which a sweep honours cancellation and
+// reports progress.
+const sweepChunk = 64
 
 func (w *walker) step() {
 	hi := min(w.next+w.chunk, len(w.cfgs))
@@ -92,18 +82,17 @@ func randomWalk(space skeleton.Space, cfg StrategyConfig, seed int64) []skeleton
 }
 
 // walkStrategy registers a one-shot baseline: list draws what an
-// instance walks, RandomBudget (default 1000) bounds it, and the chunk
-// count is its generation cap.
+// instance walks, PopSize configurations a step, and RandomBudget
+// (default 1000) bounds it.
 func walkStrategy(name string, list func(space skeleton.Space, cfg StrategyConfig, seed int64) []skeleton.Config) Strategy {
 	return Strategy{
 		Name:    name,
 		OneShot: true,
 		New: func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, seed int64) islandEvolver {
-			return &walker{eval: eval, cfgs: list(space, cfg, seed), chunk: walkerChunk(cfg), archive: pareto.NewArchive()}
+			return &walker{eval: eval, cfgs: list(space, cfg, seed), chunk: cfg.Options.PopSize, archive: pareto.NewArchive()}
 		},
 		MaxGenerations: func(cfg StrategyConfig) int {
-			chunk := walkerChunk(cfg)
-			return (cfg.RandomBudget + chunk - 1) / chunk
+			return (cfg.RandomBudget + cfg.Options.PopSize - 1) / cfg.Options.PopSize
 		},
 		Normalize: func(space skeleton.Space, cfg StrategyConfig) StrategyConfig {
 			cfg.Options = cfg.Options.withDefaults()
@@ -118,37 +107,20 @@ func walkStrategy(name string, list func(space skeleton.Space, cfg StrategyConfi
 func init() {
 	RegisterStrategy(walkStrategy("random", randomWalk))
 	RegisterStrategy(walkStrategy("grid", gridWalk))
-}
-
-// BruteForceControlled exhaustively evaluates every configuration of
-// the grid and returns the Pareto front plus all evaluated points
-// (consumed by the Table II / Fig. 8 analyses). It is the one sweep
-// outside the registry: its input is an explicit Grid, not a budget,
-// and a registered name would enter every default race. A done context
-// stops it at the next chunk boundary with Result.Partial set;
-// AllPoints is only populated for complete sweeps. It keeps no
-// generation state, so Checkpointer is ignored and Resume is an error.
-func BruteForceControlled(space skeleton.Space, eval objective.Evaluator, grid Grid, ctrl Control) (*Result, error) {
-	if ctrl.Resume != nil {
-		return nil, fmt.Errorf("optimizer: brute force keeps no generation state; resume needs an evolutionary method")
-	}
-	if err := space.Validate(); err != nil {
-		return nil, err
-	}
-	if len(grid) != space.Dim() {
-		return nil, fmt.Errorf("optimizer: grid dims %d != space dims %d", len(grid), space.Dim())
-	}
-	ctrl.Checkpointer = nil
-	run := newControlledRun(eval, ctrl, "brute-force", "")
-	defer run.close()
-	w := &walker{eval: eval, cfgs: grid.configs(space), chunk: randomChunk, archive: pareto.NewArchive(), keepAll: true}
-	_, partial, err := run.loop([]islandEvolver{w}, len(w.cfgs), IslandOptions{})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Front: w.points(), Evaluations: run.totalE(), Partial: partial}
-	if !partial {
-		res.AllPoints = w.all
-	}
-	return res, nil
+	// Brute force evaluates every configuration of cfg.Grid in
+	// lexicographic order and keeps them all for Result.AllPoints (the
+	// Table II / Fig. 8 analyses).
+	RegisterStrategy(Strategy{
+		Name:       "brute-force",
+		OneShot:    true,
+		Exhaustive: true,
+		New: func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, _ int64) islandEvolver {
+			return &walker{eval: eval, cfgs: cfg.Grid.configs(space), chunk: sweepChunk, archive: pareto.NewArchive(), keepAll: true}
+		},
+		MaxGenerations: func(cfg StrategyConfig) int { return (cfg.Grid.Size() + sweepChunk - 1) / sweepChunk },
+		Normalize: func(_ skeleton.Space, cfg StrategyConfig) StrategyConfig {
+			cfg.Options = cfg.Options.withDefaults()
+			return cfg
+		},
+	})
 }

@@ -72,7 +72,7 @@ func TestReduceKeepsBruteForceOptima(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		fn := tableEvaluator(space, seed)
 		eval := objective.NewCachingEvaluator([]string{"f1", "f2"}, 4, fn)
-		oracle, err := optimizer.BruteForceControlled(space, eval, grid, optimizer.Control{})
+		oracle, err := optimizer.Run(space, eval, optimizer.Spec{Strategy: "brute-force", Config: optimizer.StrategyConfig{Grid: grid}}, optimizer.Control{})
 		if err != nil {
 			t.Fatal(err)
 		}

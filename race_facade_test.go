@@ -1,7 +1,11 @@
 package autotune
 
 import (
+	"slices"
+	"strings"
 	"testing"
+
+	"autotune/internal/driver"
 )
 
 // TestTuneRaceFacade drives the racing meta-optimizer end to end
@@ -51,5 +55,25 @@ func TestWithRaceRejectsInvalidOptions(t *testing.T) {
 		WithMachineSpec(Westmere()),
 	); err == nil {
 		t.Fatal("unregistered contender accepted")
+	}
+}
+
+// TestStrategiesAreTheContenders: every name Strategies lists races,
+// and brute force, registered beside them, is refused by name.
+func TestStrategiesAreTheContenders(t *testing.T) {
+	names := Strategies()
+	if slices.Contains(names, string(BruteForce)) || !slices.IsSorted(names) {
+		t.Fatalf("Strategies() = %v", names)
+	}
+	opt, err := driverOptions([]Option{WithRace(RaceOptions{Strategies: names})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := driver.CheckOptions(opt, false); err != nil {
+		t.Fatalf("the contenders Strategies lists are refused: %v", err)
+	}
+	_, err = Tune("mm", WithRace(RaceOptions{Strategies: []string{"gde3", string(BruteForce)}}))
+	if err == nil || !strings.Contains(err.Error(), `"brute-force"`) {
+		t.Fatalf("brute force as a contender: %v", err)
 	}
 }
