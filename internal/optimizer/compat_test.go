@@ -40,6 +40,13 @@ func TestBenchEntryPointsAreRun(t *testing.T) {
 		"GridSearchControlled": {optimizer.Spec{Strategy: "grid", Config: optimizer.StrategyConfig{RandomBudget: 90}}, func() (*optimizer.Result, error) {
 			return optimizer.GridSearchControlled(space, newDetEval(), 90, ctrl)
 		}},
+		"RaceControlled": {optimizer.Spec{Config: optimizer.StrategyConfig{Options: opt}, Race: &optimizer.RaceOptions{Budget: 120}}, func() (*optimizer.Result, error) {
+			rr, err := optimizer.RaceControlled(space, newDetEval(), optimizer.StrategyConfig{Options: opt}, optimizer.RaceOptions{Budget: 120}, ctrl)
+			if err != nil {
+				return nil, err
+			}
+			return rr.Result, nil
+		}},
 	} {
 		want, err := optimizer.Run(space, newDetEval(), c.spec, ctrl)
 		if err != nil {
