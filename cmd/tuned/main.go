@@ -104,7 +104,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	fs := flag.NewFlagSet("tuned serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-	state := fs.String("state", "tuned-state", "durable state directory: job records, checkpoints, shared tuning database")
+	state := fs.String("state", "tuned-state", "durable state directory: the shared tuning database with the job records (tunedb/), checkpoint journals (checkpoints/, spill/)")
 	workers := fs.Int("workers", 0, "concurrently running searches (0 = default 2)")
 	maxQueued := fs.Int("max-queued", 0, "per-tenant queued-job quota, 429 beyond it (0 = default 16)")
 	maxRunning := fs.Int("max-running", 0, "per-tenant running-search quota (0 = workers)")

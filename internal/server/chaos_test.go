@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -11,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,7 +64,6 @@ func TestServerDegradedShedsAndRecovers(t *testing.T) {
 		NoWarmStart:     true,
 		DBFS:            inj,
 		RecoverInterval: 10 * time.Millisecond,
-		RetryAfter:      7 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,13 +96,13 @@ func TestServerDegradedShedsAndRecovers(t *testing.T) {
 	if status, err := c.Healthz(ctx); err != nil || status != "degraded" {
 		t.Fatalf("healthz while degraded = %q, %v", status, err)
 	}
-	// Writes shed with 503 and the configured Retry-After.
+	// Writes shed with 503 and the 10 s Retry-After.
 	_, err = c.Submit(ctx, smallJob(2))
 	if StatusCode(err) != http.StatusServiceUnavailable {
 		t.Fatalf("submit while degraded = %v, want 503", err)
 	}
-	if RetryAfter(err) != 7*time.Second {
-		t.Fatalf("Retry-After hint = %v, want 7s", RetryAfter(err))
+	if RetryAfter(err) != 10*time.Second {
+		t.Fatalf("Retry-After hint = %v, want 10s", RetryAfter(err))
 	}
 	// Reads keep working.
 	if _, err := c.List(ctx); err != nil {
@@ -124,7 +126,7 @@ func TestServerDegradedShedsAndRecovers(t *testing.T) {
 	}
 
 	// A backpressure-aware client honors the server hint: with only
-	// shed answers, its recorded wait is the 7s Retry-After, not the
+	// shed answers, its recorded wait is the 10s Retry-After, not the
 	// 100ms computed backoff.
 	var waits []time.Duration
 	_, err = c.SubmitRetry(ctx, smallJob(3), RetryPolicy{
@@ -135,8 +137,8 @@ func TestServerDegradedShedsAndRecovers(t *testing.T) {
 	if StatusCode(err) != http.StatusServiceUnavailable {
 		t.Fatalf("SubmitRetry against degraded server = %v, want 503", err)
 	}
-	if len(waits) != 1 || waits[0] != 7*time.Second {
-		t.Fatalf("SubmitRetry waits = %v, want [7s]", waits)
+	if len(waits) != 1 || waits[0] != 10*time.Second {
+		t.Fatalf("SubmitRetry waits = %v, want [10s]", waits)
 	}
 
 	// Fault clears; the prober recovers the store and service resumes.
@@ -168,7 +170,6 @@ func TestQuotaRejectionCarriesRetryAfter(t *testing.T) {
 		Workers:            1,
 		MaxQueuedPerTenant: 1,
 		NoWarmStart:        true,
-		RetryAfter:         3 * time.Second,
 		EvalHook:           func(string, int) { <-release },
 	})
 	if err != nil {
@@ -197,8 +198,8 @@ func TestQuotaRejectionCarriesRetryAfter(t *testing.T) {
 	if StatusCode(qerr) != http.StatusTooManyRequests {
 		t.Fatalf("over-quota submit = %v, want 429", qerr)
 	}
-	if RetryAfter(qerr) != 3*time.Second {
-		t.Fatalf("429 Retry-After = %v, want 3s", RetryAfter(qerr))
+	if RetryAfter(qerr) != 10*time.Second {
+		t.Fatalf("429 Retry-After = %v, want 10s", RetryAfter(qerr))
 	}
 	metrics, err := c.Metrics(ctx)
 	if err != nil {
@@ -405,6 +406,11 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("search never reached the gate")
 	}
+	// The disk stays bad through the drain: the interrupted job's record
+	// is refused, and so is the recovery the drain attempts.
+	for i := 0; i < 100; i++ {
+		inj.Add(chaos.Fault{Op: chaos.OpWrite | chaos.OpSync | chaos.OpTruncate, Path: "wal.log"})
+	}
 	drained := make(chan struct{})
 	go func() { o.Drain(); close(drained) }()
 	for !o.Draining() {
@@ -420,8 +426,8 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != StateInterrupted {
-		t.Fatalf("after drain: %s (%s)", got.State, got.Error)
+	if got.State != StateInterrupted || !o.Degraded() {
+		t.Fatalf("after drain: %s (%s), degraded %v", got.State, got.Error, o.Degraded())
 	}
 	spills, _ := os.ReadDir(filepath.Join(dir, "spill"))
 	if len(spills) != 1 {
@@ -433,8 +439,12 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 	}
 
 	// "Disk repaired": restart over the same state dir on the real
-	// filesystem. The job resumes from the spilled journal.
-	o2, err := NewOrchestrator(Config{StateDir: dir, NoWarmStart: true})
+	// filesystem. The job resumes from the spilled journal, which no
+	// record names: it is found by the job's ID. Resumed, the job
+	// evaluates less than a search from scratch, and once done its
+	// journal goes.
+	var fresh atomic.Int64
+	o2, err := NewOrchestrator(Config{StateDir: dir, NoWarmStart: true, EvalHook: func(string, int) { fresh.Add(1) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,6 +456,12 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 	if !reflect.DeepEqual(resumed.Result.Points, want.Result.Points) {
 		t.Fatalf("resumed front differs from the uninterrupted run:\ngot:  %+v\nwant: %+v",
 			resumed.Result.Points, want.Result.Points)
+	}
+	if n := fresh.Load(); n >= int64(want.Result.Evaluations) {
+		t.Fatalf("the restarted job evaluated %d configurations, the uninterrupted run %d: it did not resume", n, want.Result.Evaluations)
+	}
+	if spills, _ := os.ReadDir(filepath.Join(dir, "spill")); len(spills) != 0 {
+		t.Fatalf("the spilled journal outlived the job that resumed from it: %v", spills)
 	}
 }
 
@@ -498,5 +514,180 @@ func TestWarmStartReadFaultFailsTheJob(t *testing.T) {
 	}
 	if warm := forced(); warm.State != StateDone || warm.Result == nil {
 		t.Fatalf("warm job on a healthy disk: %s (%s)", warm.State, warm.Error)
+	}
+}
+
+// storedState reads the state a job's record in the database says.
+func storedState(t *testing.T, db *tunedb.DB, id string) JobState {
+	t.Helper()
+	var state JobState
+	err := db.Jobs(func(got string, data []byte) error {
+		var rec jobRecord
+		if got == id {
+			err := json.Unmarshal(data, &rec)
+			state = rec.State
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
+}
+
+// TestJobRecordSubmitWriteFails: a submission whose record the database
+// refuses — ENOSPC in the middle of the WAL append — is shed with 503 and
+// the Retry-After hint, and nothing of it is left: not in the listing,
+// not after a restart.
+func TestJobRecordSubmitWriteFails(t *testing.T) {
+	dir := t.TempDir()
+	inj := chaos.NewInjector(nil, chaos.Fault{Op: chaos.OpWrite, Path: "wal.log", Err: chaos.ENOSPC, TornBytes: 7})
+	o, err := NewOrchestrator(Config{StateDir: dir, DBFS: inj, RecoverInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(New(o).Handler())
+	c := &Client{BaseURL: hs.URL}
+	_, err = c.Submit(context.Background(), smallJob(1))
+	if StatusCode(err) != http.StatusServiceUnavailable || RetryAfter(err) != 10*time.Second {
+		t.Fatalf("submit whose record is refused: %v (Retry-After %v), want 503 after 10s", err, RetryAfter(err))
+	}
+	if inj.Injected() != 1 {
+		t.Fatalf("%d faults fired, want the one on the record's write", inj.Injected())
+	}
+	if jobs := o.List(); len(jobs) != 0 {
+		t.Fatalf("the refused submission is listed: %+v", jobs)
+	}
+	hs.Close()
+	o.Drain()
+	o2, err := NewOrchestrator(Config{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o2.Drain()
+	if jobs := o2.List(); len(jobs) != 0 {
+		t.Fatalf("the refused submission came back after a restart: %+v", jobs)
+	}
+}
+
+// TestJobRecordTerminalWriteFails: a job whose final record the database
+// refuses still ends done, /healthz says degraded, and its journal stays
+// for a restart to resume from. Once the fault has cleared, the record
+// is written again — by the recovery prober's probe, or by the one a
+// drain makes before it closes the database — the journal goes, and a
+// restarted server serves the front and the evaluation count of a
+// fault-free run.
+func TestJobRecordTerminalWriteFails(t *testing.T) {
+	req := smallJob(5)
+	ctx := context.Background()
+	_, _, refc := newTestServer(t, Config{NoWarmStart: true})
+	st, err := refc.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refc.Wait(ctx, st.ID, 5*time.Millisecond)
+	if err != nil || want.State != StateDone {
+		t.Fatalf("reference run: %+v, %v", want, err)
+	}
+	wantFront, err := refc.Front(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, by := range []string{"probe", "drain"} {
+		t.Run(by, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := chaos.NewInjector(nil)
+			o, err := NewOrchestrator(Config{StateDir: dir, NoWarmStart: true, DBFS: inj, RecoverInterval: -1, EvalHook: func(_ string, n int) {
+				if n == want.Evaluations {
+					// Every evaluation is journaled: the WAL writes left
+					// are the stored front's and then the job's final
+					// record. Fail the second.
+					inj.Add(chaos.Fault{Op: chaos.OpWrite, Path: "wal.log", After: 1})
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := httptest.NewServer(New(o).Handler())
+			defer hs.Close()
+			c := &Client{BaseURL: hs.URL}
+			st, err := c.Submit(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := waitTerminal(t, o, st.ID); got.State != StateDone {
+				t.Fatalf("job whose final record is refused: %s (%s), want done", got.State, got.Error)
+			}
+			if inj.Injected() != 1 {
+				t.Fatalf("faults fired: %v, want the one on the final record's write", inj.Log())
+			}
+			if status, err := c.Healthz(ctx); err != nil || status != "degraded" {
+				t.Fatalf("healthz after the refused record = %q, %v", status, err)
+			}
+			if got := storedState(t, o.DB(), st.ID); got != StateRunning {
+				t.Fatalf("the database holds the job as %s, want the running record before the refused one", got)
+			}
+			journal := filepath.Join(dir, "checkpoints", st.ID+".ckpt")
+			if _, err := os.Stat(journal); err != nil {
+				t.Fatalf("the journal of a job whose final record is refused: %v", err)
+			}
+			inj.Clear()
+			if by == "probe" {
+				o.probe()
+				if status, err := c.Healthz(ctx); err != nil || status != "ok" {
+					t.Fatalf("healthz after recovery = %q, %v", status, err)
+				}
+			}
+			o.Drain()
+			db, err := tunedb.Open(filepath.Join(dir, "tunedb"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			state := storedState(t, db, st.ID)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if state != StateDone {
+				t.Fatalf("after the %s the database holds the job as %s, want done", by, state)
+			}
+			if _, err := os.Stat(journal); !os.IsNotExist(err) {
+				t.Fatalf("the journal of a job stored as done: %v, want it gone", err)
+			}
+
+			_, _, c2 := newTestServer(t, Config{StateDir: dir})
+			got, err := c2.Status(ctx, st.ID)
+			if err != nil || got.State != StateDone || got.Evaluations != want.Evaluations {
+				t.Fatalf("after a restart: %+v, %v; want done with %d evaluations", got, err, want.Evaluations)
+			}
+			if front, err := c2.Front(ctx, st.ID); err != nil || !bytes.Equal(front, wantFront) {
+				t.Fatalf("after a restart the front is\n%s (%v)\nwant the fault-free\n%s", front, err, wantFront)
+			}
+		})
+	}
+}
+
+// TestJobRecordFilesRefused: a state directory that keeps its job
+// records as files under jobs/ is refused by name, with the last commit
+// that reads it, and left as it was.
+func TestJobRecordFilesRefused(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "jobs", "j000000.json")
+	const rec = `{"id":"j000000","tenant":"alice","request":{"kernel":"mm"},"state":"queued","dedup_key":"k","submitted_unix":1}`
+	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(old, []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewOrchestrator(Config{StateDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "jobs/") || !strings.Contains(err.Error(), "ceac529") {
+		t.Fatalf("a jobs/*.json state directory: %v, want a refusal naming jobs/ and commit ceac529", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("the refusal created %v beside jobs/", entries)
+	}
+	if data, err := os.ReadFile(old); err != nil || string(data) != rec {
+		t.Fatalf("the refusal touched %s: %q, %v", old, data, err)
 	}
 }

@@ -64,158 +64,107 @@ func RetryAfter(err error) time.Duration {
 	return 0
 }
 
-// decode reads one response, mapping non-2xx bodies to
-// apiStatusError.
-func decode(resp *http.Response, v interface{}) error {
+// do is the one request path of the client: it sends method path with
+// in, when not nil, as the JSON body and decodes the answer — a 2xx body
+// into out (JSON, or the raw bytes for a *[]byte; nil discards it),
+// anything else into an apiStatusError carrying the server's message
+// and Retry-After hint.
+func (c *Client) do(ctx context.Context, method, path string, in, out interface{}) error {
+	var body io.Reader
+	if in != nil {
+		data, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(data)
+	}
+	hr, err := http.NewRequestWithContext(ctx, method, c.url(path), body)
+	if err != nil {
+		return err
+	}
+	if in != nil {
+		hr.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http().Do(hr)
+	if err != nil {
+		return err
+	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxRequestBytes))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxRequestBytes))
 	if err != nil {
 		return err
 	}
 	if resp.StatusCode/100 != 2 {
 		var ae apiError
-		msg := strings.TrimSpace(string(body))
-		if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
+		msg := strings.TrimSpace(string(data))
+		if json.Unmarshal(data, &ae) == nil && ae.Error != "" {
 			msg = ae.Error
 		}
 		se := &apiStatusError{Code: resp.StatusCode, Msg: msg}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
-				se.RetryAfter = time.Duration(secs) * time.Second
-			}
+		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+			se.RetryAfter = time.Duration(secs) * time.Second
 		}
 		return se
 	}
-	if v == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case *[]byte:
+		*out = data
+		return nil
+	default:
+		return json.Unmarshal(data, out)
 	}
-	return json.Unmarshal(body, v)
 }
 
 // Submit posts a job and returns its status (Deduped=true when an
 // identical search already exists and was joined instead).
 func (c *Client) Submit(ctx context.Context, req *JobRequest) (JobStatus, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/v1/jobs"), bytes.NewReader(body))
-	if err != nil {
-		return JobStatus{}, err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return JobStatus{}, err
-	}
 	var st JobStatus
-	return st, decode(resp, &st)
+	err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &st)
+	return st, err
 }
 
 // List fetches every job's status in submission order.
 func (c *Client) List(ctx context.Context) ([]JobStatus, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/jobs"), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return nil, err
-	}
 	var out []JobStatus
-	return out, decode(resp, &out)
+	err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &out)
+	return out, err
 }
 
 // Status fetches one job's status.
 func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/jobs/"+id), nil)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return JobStatus{}, err
-	}
 	var st JobStatus
-	return st, decode(resp, &st)
+	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
+	return st, err
 }
 
 // Front fetches a finished job's Pareto front as the byte-stable JSON
 // the server renders.
 func (c *Client) Front(ctx context.Context, id string) ([]byte, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/jobs/"+id+"/front"), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxRequestBytes))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		var ae apiError
-		msg := strings.TrimSpace(string(body))
-		if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
-			msg = ae.Error
-		}
-		return nil, &apiStatusError{Code: resp.StatusCode, Msg: msg}
-	}
-	return body, nil
+	var front []byte
+	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/front", nil, &front)
+	return front, err
 }
 
 // Drain asks the server to drain gracefully.
 func (c *Client) Drain(ctx context.Context) error {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/v1/drain"), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return err
-	}
-	return decode(resp, nil)
+	return c.do(ctx, http.MethodPost, "/v1/drain", nil, nil)
 }
 
-// Healthz fetches the liveness status string ("ok" or "draining").
+// Healthz fetches the liveness status string ("ok", "degraded" or
+// "draining").
 func (c *Client) Healthz(ctx context.Context) (string, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/healthz"), nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return "", err
-	}
 	var out map[string]string
-	if err := decode(resp, &out); err != nil {
-		return "", err
-	}
-	return out["status"], nil
+	err := c.do(ctx, http.MethodGet, "/healthz", nil, &out)
+	return out["status"], err
 }
 
 // Metrics fetches the raw Prometheus-format metrics text.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/metrics"), nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxRequestBytes))
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode/100 != 2 {
-		return "", &apiStatusError{Code: resp.StatusCode, Msg: strings.TrimSpace(string(body))}
-	}
-	return string(body), nil
+	var text []byte
+	err := c.do(ctx, http.MethodGet, "/metrics", nil, &text)
+	return string(text), err
 }
 
 // RetryPolicy paces SubmitRetry. The zero value gets sensible

@@ -340,18 +340,18 @@ type JobStatus struct {
 	Result      *JobResult `json:"result,omitempty"`
 }
 
-// jobRecord is the persisted form of one job: everything a restarted
-// server needs to resume or re-run it.
+// jobRecord is the persisted form of one job, stored in the tuning
+// database under its ID: everything a restarted server needs to resume
+// or re-run it. A checkpointed job's journal is found by the ID.
 type jobRecord struct {
-	ID         string      `json:"id"`
-	Tenant     string      `json:"tenant"`
-	Request    *JobRequest `json:"request"`
-	State      JobState    `json:"state"`
-	DedupKey   string      `json:"dedup_key"`
-	Checkpoint string      `json:"checkpoint,omitempty"`
-	Error      string      `json:"error,omitempty"`
-	Result     *JobResult  `json:"result,omitempty"`
-	Submitted  int64       `json:"submitted_unix"`
+	ID        string      `json:"id"`
+	Tenant    string      `json:"tenant"`
+	Request   *JobRequest `json:"request"`
+	State     JobState    `json:"state"`
+	DedupKey  string      `json:"dedup_key"`
+	Error     string      `json:"error,omitempty"`
+	Result    *JobResult  `json:"result,omitempty"`
+	Submitted int64       `json:"submitted_unix"`
 }
 
 // sortedStates is the canonical rendering order of state counters.

@@ -11,8 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"autotune/internal/optimizer"
-	"autotune/internal/resilience"
+	"autotune/internal/tunedb"
 )
 
 // smallJob is a search sized for test turnaround: a handful of
@@ -72,11 +71,22 @@ func TestOrchestratorRunsJobToDone(t *testing.T) {
 	if len(ckpts) != 0 {
 		t.Fatalf("stale checkpoints after completion: %v", ckpts)
 	}
+	// The job's record is in the tuning database: the state directory
+	// holds the database and the two journal directories, nothing else.
+	var names []string
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !reflect.DeepEqual(names, []string{"checkpoints", "spill", "tunedb"}) {
+		t.Fatalf("the state directory holds %v", names)
+	}
 }
 
 // persistInterrupted writes into a state directory no server has opened
 // yet what a drained or killed one leaves behind for a job: the record
-// of an interrupted job and, under sub, its checkpoint journal.
+// of an interrupted job in the tuning database and, under sub, its
+// checkpoint journal.
 func persistInterrupted(t *testing.T, dir, sub string, req *JobRequest, journal []byte) (id, ckpt string) {
 	t.Helper()
 	id = "j000001"
@@ -85,17 +95,25 @@ func persistInterrupted(t *testing.T, dir, sub string, req *JobRequest, journal 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := json.Marshal(jobRecord{ID: id, Tenant: "alice", Request: req, State: StateInterrupted, DedupKey: key, Checkpoint: ckpt, Submitted: 1})
+	rec, err := json.Marshal(jobRecord{ID: id, Tenant: "alice", Request: req, State: StateInterrupted, DedupKey: key, Submitted: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for path, data := range map[string][]byte{filepath.Join(dir, "jobs", id+".json"): rec, ckpt: journal} {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	db, err := tunedb.Open(filepath.Join(dir, "tunedb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.PutJob(id, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, journal, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	return id, ckpt
 }
@@ -108,16 +126,7 @@ func TestFailedJobLeavesNoCheckpoint(t *testing.T) {
 	for _, sub := range []string{"checkpoints", "spill"} {
 		dir := t.TempDir()
 		id, ckpt := persistInterrupted(t, dir, sub, smallJob(1), nil)
-		cp, err := resilience.CreateCheckpoint(ckpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cp.Save(&optimizer.Snapshot{Method: "rs-gde3", Problem: "0123456789abcdef", States: []optimizer.IslandState{{}}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := cp.Close(); err != nil {
-			t.Fatal(err)
-		}
+		writeForeignJournal(t, ckpt)
 		o, err := NewOrchestrator(Config{StateDir: dir})
 		if err != nil {
 			t.Fatal(err)
@@ -129,13 +138,6 @@ func TestFailedJobLeavesNoCheckpoint(t *testing.T) {
 		}
 		if left, _ := os.ReadDir(filepath.Dir(ckpt)); len(left) != 0 {
 			t.Fatalf("%s: the failed job left %v behind", sub, left)
-		}
-		rec, err := os.ReadFile(filepath.Join(dir, "jobs", id+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(string(rec), ".ckpt") {
-			t.Fatalf("%s: the failed job's record still names its journal:\n%s", sub, rec)
 		}
 	}
 }
@@ -525,8 +527,7 @@ func TestOrchestratorFailedJobSurfacesError(t *testing.T) {
 // requests that set the same one. A request without a deadline must
 // never be answered by a bounded job — not while that job is queued or
 // running, not once it has finished with a partial front, and not after
-// a restart over a job record written when the key left the deadline
-// out.
+// a restart.
 func TestDedupNeverServesAnotherRequestsDeadline(t *testing.T) {
 	bounded := func() *JobRequest { r := smallJob(5); r.Deadline = "30ms"; return r }
 	const boundedID = "j000000"
@@ -588,30 +589,9 @@ func TestDedupNeverServesAnotherRequestsDeadline(t *testing.T) {
 	}
 	o.Drain()
 
-	// Restart over the bounded job's record as a binary from before the
-	// deadline joined the key wrote it: under the unbounded request's key.
-	var rec map[string]interface{}
-	data, err := os.ReadFile(filepath.Join(dir, "jobs", boundedID+".json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec["dedup_key"], err = smallJob(5).DedupKey(); err != nil {
-		t.Fatal(err)
-	}
-	if data, err = json.Marshal(rec); err != nil {
-		t.Fatal(err)
-	}
-	dir2 := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir2, "jobs"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir2, "jobs", boundedID+".json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	o2, err := NewOrchestrator(Config{StateDir: dir2})
+	// Restart: the records are read back with the keys they were stored
+	// under.
+	o2, err := NewOrchestrator(Config{StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,12 +599,16 @@ func TestDedupNeverServesAnotherRequestsDeadline(t *testing.T) {
 	if st, err := o2.Status(boundedID); err != nil || st.Result == nil || !st.Result.Partial {
 		t.Fatalf("the partial job did not survive the restart: %+v, %v", st, err)
 	}
-	fresh, err := o2.Submit(smallJob(5), "bob")
-	if err != nil {
+	if again, err = o2.Submit(smallJob(5), "bob"); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Deduped || fresh.ID == boundedID {
-		t.Fatalf("after a restart an unbounded request was answered by a persisted partial job: %+v", fresh)
+	if !again.Deduped || again.ID != full.ID || again.Result.Partial {
+		t.Fatalf("after a restart, unbounded repeat: %+v, want the whole front of %s", again, full.ID)
 	}
-	waitTerminal(t, o2, fresh.ID)
+	if same, err = o2.Submit(bounded(), "bob"); err != nil {
+		t.Fatal(err)
+	}
+	if !same.Deduped || same.ID != first.ID {
+		t.Fatalf("after a restart, equally bounded repeat: %+v, want a dedup hit on %s", same, first.ID)
+	}
 }

@@ -120,7 +120,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// Header before WriteHeader: backpressure-aware clients read
 			// it to pace resubmission (dedup keys make retries
 			// idempotent).
-			w.Header().Set("Retry-After", strconv.Itoa(s.orch.retryAfterSeconds()))
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		}
 		writeError(w, errStatus(err), err)
 		return

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -124,6 +125,33 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		t.Errorf("first job id after rejected requests: HTTP %d, want 404", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestClientErrorsAreOneShape: every client call answers a non-2xx
+// response with the same apiStatusError — the status, the server's
+// message and its Retry-After hint — /front and /metrics included.
+func TestClientErrorsAreOneShape(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "4")
+		writeError(w, http.StatusServiceUnavailable, ErrDegraded)
+	}))
+	defer ts.Close()
+	c := &Client{BaseURL: ts.URL}
+	ctx := context.Background()
+	want := &apiStatusError{Code: http.StatusServiceUnavailable, Msg: ErrDegraded.Error(), RetryAfter: 4 * time.Second}
+	for name, call := range map[string]func() error{
+		"submit":  func() error { _, err := c.Submit(ctx, smallJob(1)); return err },
+		"list":    func() error { _, err := c.List(ctx); return err },
+		"status":  func() error { _, err := c.Status(ctx, "j000000"); return err },
+		"front":   func() error { _, err := c.Front(ctx, "j000000"); return err },
+		"drain":   func() error { return c.Drain(ctx) },
+		"healthz": func() error { _, err := c.Healthz(ctx); return err },
+		"metrics": func() error { _, err := c.Metrics(ctx); return err },
+	} {
+		if err := call(); !reflect.DeepEqual(err, want) {
+			t.Errorf("%s: %#v, want %#v", name, err, want)
+		}
+	}
 }
 
 func readJSON(resp *http.Response, v interface{}) error {

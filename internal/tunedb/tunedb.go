@@ -22,6 +22,11 @@
 //	k|<key>            → the structured Key (registry; Keys scans it)
 //	e|<key>|<cfg>      → one evaluated configuration's objectives
 //	f|<key>            → the latest Pareto front for the key
+//	j||<id>            → a tuning-service job's latest record (opaque bytes)
+//
+// The empty routing component of a job record (a program fingerprint in
+// the other namespaces) keeps every one on one shard, the one Jobs
+// reads. Merge leaves job records behind.
 package tunedb
 
 import (
@@ -50,6 +55,7 @@ const (
 	nsKey   = "k|"
 	nsEval  = "e|"
 	nsFront = "f|"
+	nsJob   = "j||"
 )
 
 // evalValue is the store-resident form of one evaluation: the key and
@@ -587,6 +593,32 @@ func (db *DB) front(key Key) (FrontRecord, bool, error) {
 		return FrontRecord{}, false, nil
 	}
 	return rec, true, nil
+}
+
+// PutJob stores rec as the record of the job id, superseding the one
+// before it. The write is as durable as a journaled evaluation: Close
+// (or the next Sync) makes it durable; an error means it is not stored.
+func (db *DB) PutJob(id string, rec []byte) error {
+	if err := db.st.Put(nsJob+id, rec); err != nil {
+		return fmt.Errorf("tunedb: %w", err)
+	}
+	return nil
+}
+
+// Jobs calls fn with every stored job record in ID order; rec is fn's.
+// An error from fn ends the scan and is returned, as is a read error.
+func (db *DB) Jobs(fn func(id string, rec []byte) error) error {
+	it := db.st.Iter(nsJob)
+	defer it.Close()
+	for it.Next() {
+		if err := fn(strings.TrimPrefix(it.Key(), nsJob), it.Value()); err != nil {
+			return err
+		}
+	}
+	if err := it.Err(); err != nil {
+		return fmt.Errorf("tunedb: %w", err)
+	}
+	return nil
 }
 
 // GetEval point-looks one stored evaluation up. ok distinguishes "not

@@ -359,6 +359,66 @@ func TestMerge(t *testing.T) {
 	}
 }
 
+// TestJobRecords: PutJob supersedes a job's record; Jobs hands every
+// record back in ID order — across a reopen and a compaction, from the
+// one shard they all live on — and stops at its callback's error; the
+// records are invisible to the other namespaces and Merge leaves them
+// behind.
+func TestJobRecords(t *testing.T) {
+	dir := t.TempDir()
+	db := mustOpen(t, dir)
+	key := testKey()
+	if err := db.PutEval(key, skeleton.Config{64, 64, 8}, []float64{0.5, 8}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]string{{"j000002", "queued"}, {"j000000", "queued"}, {"j000001", "queued"}, {"j000001", "done"}} {
+		if err := db.PutJob(r[0], []byte(r[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"j000000 queued", "j000001 done", "j000002 queued"}
+	check := func(when string) {
+		t.Helper()
+		var got []string
+		if err := db.Jobs(func(id string, rec []byte) error {
+			got = append(got, id+" "+string(rec))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("%s: Jobs reads %q, want %q", when, got, want)
+		}
+	}
+	check("open")
+	db.Close()
+	db = mustOpen(t, dir)
+	check("reopened")
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted")
+	stop, calls := fmt.Errorf("stop"), 0
+	if err := db.Jobs(func(string, []byte) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("Jobs after its callback's error: %v, %d calls", err, calls)
+	}
+	if _, oneShard := shardHash(nsJob); !oneShard {
+		t.Fatal("job records are spread over the shards: Jobs reads every one")
+	}
+	if keys := db.Keys(); len(keys) != 1 || evalCount(t, db, key) != 1 {
+		t.Fatalf("job records show through the other namespaces: keys %v, %d evaluations", keys, evalCount(t, db, key))
+	}
+	db.Close()
+	dst := mustOpen(t, t.TempDir())
+	defer dst.Close()
+	if _, _, err := dst.Merge(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Jobs(func(id string, _ []byte) error { return fmt.Errorf("merged job record %s", id) }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestConcurrentWriters exercises the sharded engine under -race: many
 // goroutines storing evaluations and fronts for different programs at
 // once (distinct fingerprints land on distinct shards).
