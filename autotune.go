@@ -84,13 +84,14 @@ type (
 	IslandOptions = optimizer.IslandOptions
 	// Runtime dispatches invocations of a multi-versioned unit.
 	Runtime = rts.Runtime
-	// Policy selects the version to execute.
+	// Policy ranks the versions to execute; Invoke runs the first and
+	// falls back down the rest.
 	Policy = rts.Policy
-	// WeightedSum selects by a user-weighted sum over normalized
+	// WeightedSum ranks by a user-weighted sum over normalized
 	// objectives (the paper's runtime policy).
 	WeightedSum = rts.WeightedSum
-	// FastestWithinBudget selects the best `Optimize` objective among
-	// versions within a budget on the `Constrain` objective.
+	// FastestWithinBudget ranks the versions within a budget on the
+	// `Constrain` objective first, by their `Optimize` objective.
 	FastestWithinBudget = rts.FastestWithinBudget
 	// FixedPolicy pins one version.
 	FixedPolicy = rts.Fixed
@@ -99,9 +100,6 @@ type (
 	AdaptivePolicy = rts.Adaptive
 	// RuntimeContext carries dynamic conditions (available cores).
 	RuntimeContext = rts.Context
-	// RuntimeRanker is the optional Policy refinement exposing the
-	// full preference order, enabling fallback on version failure.
-	RuntimeRanker = rts.Ranker
 	// FaultInjector injects deterministic errors and latency spikes
 	// into version entries, for testing the fault-tolerance layer.
 	FaultInjector = rts.FaultInjector

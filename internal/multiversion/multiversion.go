@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 
 	"autotune/internal/skeleton"
 )
@@ -95,69 +94,6 @@ func (u *Unit) Metas() []Meta {
 		out[i] = v.Meta
 	}
 	return out
-}
-
-// SelectWeighted returns the index of the version minimizing the
-// weighted sum Σ w_c · f̂_c(v) over objectives normalized to [0,1]
-// across the table — the runtime policy described in the paper's §IV.
-// Weights need not sum to 1; negative weights are rejected.
-func (u *Unit) SelectWeighted(weights []float64) (int, error) {
-	scores, err := u.WeightedScores(weights)
-	if err != nil {
-		return 0, err
-	}
-	best, bestScore := 0, math.Inf(1)
-	for i, score := range scores {
-		if score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best, nil
-}
-
-// SelectConstrained returns the version with the best value in the
-// `optimize` objective among versions whose `constrain` objective does
-// not exceed budget. If none qualifies, the version with the smallest
-// constrained objective is returned (graceful degradation).
-func (u *Unit) SelectConstrained(optimize, constrain int, budget float64) (int, error) {
-	m := len(u.ObjectiveNames)
-	if optimize < 0 || optimize >= m || constrain < 0 || constrain >= m {
-		return 0, errors.New("multiversion: objective index out of range")
-	}
-	if len(u.Versions) == 0 {
-		return 0, errors.New("multiversion: empty version table")
-	}
-	best, bestVal := -1, math.Inf(1)
-	fallback, fallbackVal := 0, math.Inf(1)
-	for i, v := range u.Versions {
-		c := v.Meta.Objectives[constrain]
-		if c < fallbackVal {
-			fallback, fallbackVal = i, c
-		}
-		if c <= budget && v.Meta.Objectives[optimize] < bestVal {
-			best, bestVal = i, v.Meta.Objectives[optimize]
-		}
-	}
-	if best < 0 {
-		return fallback, nil
-	}
-	return best, nil
-}
-
-// SelectMaxThreads returns the fastest version among those using at
-// most maxThreads threads, supporting runtime adaptation to shrinking
-// core budgets. The returned bool is false when no version fits.
-func (u *Unit) SelectMaxThreads(maxThreads int, timeObjective int) (int, bool) {
-	best, bestVal := -1, math.Inf(1)
-	for i, v := range u.Versions {
-		if v.Meta.Threads > maxThreads {
-			continue
-		}
-		if v.Meta.Objectives[timeObjective] < bestVal {
-			best, bestVal = i, v.Meta.Objectives[timeObjective]
-		}
-	}
-	return best, best >= 0
 }
 
 // MarshalJSON-friendly encode/decode helpers.

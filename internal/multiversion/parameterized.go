@@ -62,12 +62,3 @@ func (p *Parameterized) InvokeConfig(tiles []int64, threads int) error {
 	}
 	return p.Entry(tiles, threads)
 }
-
-// SelectWeighted mirrors Unit.SelectWeighted over the metadata table.
-func (p *Parameterized) SelectWeighted(weights []float64) (int, error) {
-	u := Unit{Region: p.Region, ObjectiveNames: p.ObjectiveNames}
-	for _, m := range p.Metas {
-		u.Versions = append(u.Versions, Version{Meta: m})
-	}
-	return u.SelectWeighted(weights)
-}

@@ -59,12 +59,3 @@ func TestInvokeConfigBeyondParetoSet(t *testing.T) {
 		t.Error("invalid thread count accepted")
 	}
 }
-
-func TestParameterizedSelectWeighted(t *testing.T) {
-	u := sampleUnit()
-	p, _ := FromUnit(u, func([]int64, int) error { return nil })
-	idx, err := p.SelectWeighted([]float64{1, 0})
-	if err != nil || idx != 2 {
-		t.Fatalf("selection = %d, %v", idx, err)
-	}
-}

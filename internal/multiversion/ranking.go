@@ -1,10 +1,10 @@
 package multiversion
 
-// Ranking accessors expose the full preference order behind the
-// single-best Select* accessors. The runtime system's fallback
-// machinery walks a ranking when the preferred version fails, so the
-// retry order keeps following the active policy instead of degrading
-// to an arbitrary version.
+// A selection over the version table is a ranking: the runtime
+// system's policies are orderings of the versions, and its fallback
+// machinery walks one when the preferred version fails, so the retry
+// order keeps following the active policy instead of degrading to an
+// arbitrary version.
 
 import (
 	"errors"
@@ -13,11 +13,10 @@ import (
 	"sort"
 )
 
-// WeightedScores returns the weighted-sum score Σ w_c · f̂_c(v) of
-// every version, over objectives normalized to [0,1] across the table
-// — the scoring behind SelectWeighted. Weights need not sum to 1;
-// negative weights are rejected.
-func (u *Unit) WeightedScores(weights []float64) ([]float64, error) {
+// weightedScores returns the weighted-sum score Σ w_c · f̂_c(v) of
+// every version, over objectives normalized to [0,1] across the table.
+// Weights need not sum to 1; negative weights are rejected.
+func (u *Unit) weightedScores(weights []float64) ([]float64, error) {
 	if len(weights) != len(u.ObjectiveNames) {
 		return nil, fmt.Errorf("multiversion: %d weights for %d objectives", len(weights), len(u.ObjectiveNames))
 	}
@@ -60,11 +59,23 @@ func (u *Unit) WeightedScores(weights []float64) ([]float64, error) {
 	return scores, nil
 }
 
+// SelectWeighted returns the index of the version minimizing the
+// weighted sum Σ w_c · f̂_c(v) over objectives normalized to [0,1]
+// across the table — the runtime policy described in the paper's §IV:
+// the first element of RankWeighted.
+func (u *Unit) SelectWeighted(weights []float64) (int, error) {
+	order, err := u.RankWeighted(weights)
+	if err != nil {
+		return 0, err
+	}
+	return order[0], nil
+}
+
 // RankWeighted returns every version index ordered by ascending
-// weighted-sum score, ties broken by index. The first element equals
-// SelectWeighted's choice.
+// weighted-sum score, ties broken by index. Weights need not sum to 1;
+// negative weights are rejected.
 func (u *Unit) RankWeighted(weights []float64) ([]int, error) {
-	scores, err := u.WeightedScores(weights)
+	scores, err := u.weightedScores(weights)
 	if err != nil {
 		return nil, err
 	}
@@ -78,12 +89,11 @@ func (u *Unit) RankWeighted(weights []float64) ([]int, error) {
 	return order, nil
 }
 
-// RankConstrained returns every version index in the preference order
-// behind SelectConstrained: versions whose `constrain` objective stays
-// within budget first, ordered by ascending `optimize` objective, then
-// the out-of-budget rest ordered by ascending constrained objective
-// (the graceful-degradation order). The first element equals
-// SelectConstrained's choice.
+// RankConstrained returns every version index with the versions whose
+// `constrain` objective stays within budget first, ordered by ascending
+// `optimize` objective, then the out-of-budget rest ordered by
+// ascending constrained objective (the graceful-degradation order);
+// ties keep index order.
 func (u *Unit) RankConstrained(optimize, constrain int, budget float64) ([]int, error) {
 	m := len(u.ObjectiveNames)
 	if optimize < 0 || optimize >= m || constrain < 0 || constrain >= m {

@@ -4,10 +4,18 @@ import (
 	"testing"
 )
 
+// first is the head of a ranking.
+func first(order []int, err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	return order[0], nil
+}
+
 func TestAdaptiveExploitsStaticMetadataInitially(t *testing.T) {
 	u, _ := boundUnit(t)
 	a := &Adaptive{Epsilon: 0, Seed: 1} // pure exploitation
-	idx, err := a.Select(u, Context{})
+	idx, err := first(a.Rank(u, Context{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +34,7 @@ func TestAdaptiveLearnsFromMeasurements(t *testing.T) {
 		a.Observe(2, 0.5)
 		a.Observe(1, 0.01)
 	}
-	idx, err := a.Select(u, Context{})
+	idx, err := first(a.Rank(u, Context{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +61,7 @@ func TestAdaptiveWindowBounded(t *testing.T) {
 func TestAdaptiveRespectsCoreBudget(t *testing.T) {
 	u, _ := boundUnit(t)
 	a := &Adaptive{Epsilon: 0, Seed: 1}
-	idx, err := a.Select(u, Context{AvailableCores: 5})
+	idx, err := first(a.Rank(u, Context{AvailableCores: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +70,7 @@ func TestAdaptiveRespectsCoreBudget(t *testing.T) {
 	}
 	solo := u
 	solo.Versions = solo.Versions[2:] // only the 40-thread version
-	if _, err := a.Select(solo, Context{AvailableCores: 4}); err == nil {
+	if _, err := first(a.Rank(solo, Context{AvailableCores: 4})); err == nil {
 		t.Error("no feasible version should error")
 	}
 }
@@ -72,7 +80,7 @@ func TestAdaptiveExploration(t *testing.T) {
 	a := &Adaptive{Epsilon: 1, Seed: 7} // pure exploration
 	seen := map[int]bool{}
 	for i := 0; i < 100; i++ {
-		idx, err := a.Select(u, Context{})
+		idx, err := first(a.Rank(u, Context{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,16 +92,16 @@ func TestFallbackOrderFollowsFastestWithinBudget(t *testing.T) {
 	}
 }
 
-// singleChoice implements Policy but not Ranker: single-attempt
-// semantics, no fallback.
+// singleChoice ranks one version: single-attempt semantics, no
+// fallback.
 type singleChoice struct{ idx int }
 
 func (p singleChoice) Name() string { return "single-choice" }
-func (p singleChoice) Select(u *multiversion.Unit, ctx Context) (int, error) {
-	return p.idx, nil
+func (p singleChoice) Rank(u *multiversion.Unit, ctx Context) ([]int, error) {
+	return []int{p.idx}, nil
 }
 
-func TestNonRankerPolicyHasNoFallback(t *testing.T) {
+func TestOneElementRankingHasNoFallback(t *testing.T) {
 	u, attempts := flakyUnit(t, map[int]error{2: errBoom})
 	rt, _ := New(u, singleChoice{idx: 2})
 	if _, err := rt.Invoke(); err == nil {

@@ -10,28 +10,28 @@ package rts
 // Default circuit-breaker parameters, applied when the corresponding
 // HealthConfig field is zero.
 const (
-	DefaultFailureThreshold = 3
-	DefaultCooldown         = 20
+	defaultFailureThreshold = 3
+	defaultCooldown         = 20
 )
 
 // HealthConfig tunes the per-version circuit breaker.
 type HealthConfig struct {
 	// FailureThreshold is the number of consecutive failures after
-	// which a version is quarantined. 0 means
-	// DefaultFailureThreshold; negative disables quarantining.
+	// which a version is quarantined. 0 means 3; negative disables
+	// quarantining.
 	FailureThreshold int
 	// Cooldown is how many subsequent runtime invocations a
 	// quarantined version sits out before one probe attempt is
-	// allowed. 0 means DefaultCooldown.
+	// allowed. 0 means 20.
 	Cooldown int
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
 	if c.FailureThreshold == 0 {
-		c.FailureThreshold = DefaultFailureThreshold
+		c.FailureThreshold = defaultFailureThreshold
 	}
 	if c.Cooldown == 0 {
-		c.Cooldown = DefaultCooldown
+		c.Cooldown = defaultCooldown
 	}
 	return c
 }

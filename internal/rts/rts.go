@@ -11,10 +11,10 @@
 // time — the trade-off decision is deferred until execution, which is
 // the point of multi-versioning.
 //
-// The runtime is fault tolerant: policies expose their full preference
-// ranking (Ranker), so when a selected version's entry fails the
-// invocation falls back to the next-ranked feasible version instead of
-// failing the caller. A per-version circuit breaker (health.go)
+// The runtime is fault tolerant: a policy is its full preference
+// ranking, so when a selected version's entry fails the invocation
+// falls back to the next-ranked version instead of failing the
+// caller. A per-version circuit breaker (health.go)
 // quarantines versions that fail repeatedly, and an injectable fault
 // model (faults.go) makes the whole machinery testable end-to-end.
 package rts
@@ -36,22 +36,41 @@ type Context struct {
 	AvailableCores int
 }
 
-// Policy selects a version index from a unit under a runtime context.
+// Policy is a runtime selection strategy, and a policy is its
+// ranking: Rank orders the versions the policy will run, most preferred
+// first. Invoke executes the first and, when its entry fails, falls
+// back down the rest, so a policy that should not fall back returns a
+// one-element ranking. A ranking lists each version at most once.
 type Policy interface {
-	// Select returns the chosen version index.
-	Select(u *multiversion.Unit, ctx Context) (int, error)
 	// Name identifies the policy in logs and stats.
 	Name() string
+	// Rank returns version indices in descending preference.
+	Rank(u *multiversion.Unit, ctx Context) ([]int, error)
 }
 
-// Ranker is an optional Policy refinement: policies that can order the
-// whole version table let the runtime fall back to the next-best
-// version when the preferred one fails. Rank returns feasible version
-// indices in descending preference; its first element must agree with
-// what Select would pick under the same conditions (modulo randomized
-// exploration). Policies without Rank get single-attempt semantics.
-type Ranker interface {
-	Rank(u *multiversion.Unit, ctx Context) ([]int, error)
+// feasibleVersions keeps, in place and in order, the versions of order
+// that fit the context's core budget, and fails when none does. Every
+// policy that caps by cores filters through it.
+func feasibleVersions(u *multiversion.Unit, ctx Context, order []int) ([]int, error) {
+	fit := order[:0]
+	for _, i := range order {
+		if ctx.AvailableCores <= 0 || u.Versions[i].Meta.Threads <= ctx.AvailableCores {
+			fit = append(fit, i)
+		}
+	}
+	if len(fit) == 0 {
+		return nil, fmt.Errorf("rts: no version fits %d cores", ctx.AvailableCores)
+	}
+	return fit, nil
+}
+
+// allVersions is every version index of u, in index order.
+func allVersions(u *multiversion.Unit) []int {
+	order := make([]int, len(u.Versions))
+	for i := range order {
+		order[i] = i
+	}
+	return order
 }
 
 // WeightedSum implements the paper's Σ w_c·f_c(v) selection.
@@ -62,53 +81,35 @@ type WeightedSum struct {
 // Name implements Policy.
 func (p WeightedSum) Name() string { return "weighted-sum" }
 
-// Select implements Policy. When the context restricts the core
-// budget, versions needing more threads are excluded before the
-// weighted scoring.
-func (p WeightedSum) Select(u *multiversion.Unit, ctx Context) (int, error) {
-	order, err := p.Rank(u, ctx)
-	if err != nil {
-		return 0, err
-	}
-	return order[0], nil
-}
-
-// Rank implements Ranker: all feasible versions by ascending weighted
-// score.
+// Rank implements Policy: the versions that fit the core budget by
+// ascending weighted score, ties by index. The objectives are
+// normalised over the versions that fit, so under a budget those are
+// ranked as a table of their own.
 func (p WeightedSum) Rank(u *multiversion.Unit, ctx Context) ([]int, error) {
 	if ctx.AvailableCores <= 0 {
 		return u.RankWeighted(p.Weights)
 	}
-	// Restrict to feasible versions by building a filtered view; the
-	// objective normalization then spans only the feasible table,
-	// matching the original Select semantics.
-	var feasible []int
-	for i, v := range u.Versions {
-		if v.Meta.Threads <= ctx.AvailableCores {
-			feasible = append(feasible, i)
-		}
+	fit, err := feasibleVersions(u, ctx, allVersions(u))
+	if err != nil {
+		return nil, err
 	}
-	if len(feasible) == 0 {
-		return nil, fmt.Errorf("rts: no version fits %d cores", ctx.AvailableCores)
-	}
-	sub := &multiversion.Unit{Region: u.Region, ObjectiveNames: u.ObjectiveNames}
-	for _, i := range feasible {
-		sub.Versions = append(sub.Versions, u.Versions[i])
+	sub := &multiversion.Unit{ObjectiveNames: u.ObjectiveNames, Versions: make([]multiversion.Version, len(fit))}
+	for k, i := range fit {
+		sub.Versions[k] = u.Versions[i]
 	}
 	order, err := sub.RankWeighted(p.Weights)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, len(order))
 	for k, j := range order {
-		out[k] = feasible[j]
+		order[k] = fit[j]
 	}
-	return out, nil
+	return order, nil
 }
 
-// FastestWithinBudget selects the version with the lowest value of the
-// Optimize objective among versions whose Constrain objective stays
-// within Budget.
+// FastestWithinBudget prefers the lowest value of the Optimize
+// objective among versions whose Constrain objective stays within
+// Budget.
 type FastestWithinBudget struct {
 	Optimize  int
 	Constrain int
@@ -118,22 +119,7 @@ type FastestWithinBudget struct {
 // Name implements Policy.
 func (p FastestWithinBudget) Name() string { return "fastest-within-budget" }
 
-// Select implements Policy.
-func (p FastestWithinBudget) Select(u *multiversion.Unit, ctx Context) (int, error) {
-	idx, err := u.SelectConstrained(p.Optimize, p.Constrain, p.Budget)
-	if err != nil {
-		return 0, err
-	}
-	if ctx.AvailableCores > 0 && u.Versions[idx].Meta.Threads > ctx.AvailableCores {
-		if j, ok := u.SelectMaxThreads(ctx.AvailableCores, p.Optimize); ok {
-			return j, nil
-		}
-		return 0, fmt.Errorf("rts: no version fits %d cores", ctx.AvailableCores)
-	}
-	return idx, nil
-}
-
-// Rank implements Ranker: within-budget versions by ascending Optimize
+// Rank implements Policy: within-budget versions by ascending Optimize
 // objective, then the rest by ascending Constrain objective, filtered
 // to the core budget.
 func (p FastestWithinBudget) Rank(u *multiversion.Unit, ctx Context) ([]int, error) {
@@ -141,43 +127,23 @@ func (p FastestWithinBudget) Rank(u *multiversion.Unit, ctx Context) ([]int, err
 	if err != nil {
 		return nil, err
 	}
-	if ctx.AvailableCores <= 0 {
-		return order, nil
-	}
-	var out []int
-	for _, i := range order {
-		if u.Versions[i].Meta.Threads <= ctx.AvailableCores {
-			out = append(out, i)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("rts: no version fits %d cores", ctx.AvailableCores)
-	}
-	return out, nil
+	return feasibleVersions(u, ctx, order)
 }
 
-// Fixed always selects one version — useful for pinning and tests.
+// Fixed always runs one version, whatever the core budget — useful for
+// pinning and tests.
 type Fixed struct{ Index int }
 
 // Name implements Policy.
 func (p Fixed) Name() string { return "fixed" }
 
-// Select implements Policy.
-func (p Fixed) Select(u *multiversion.Unit, ctx Context) (int, error) {
-	if p.Index < 0 || p.Index >= len(u.Versions) {
-		return 0, fmt.Errorf("rts: fixed index %d out of range", p.Index)
-	}
-	return p.Index, nil
-}
-
-// Rank implements Ranker. A pinned version has no fallback: failing it
-// fails the invocation, as before.
+// Rank implements Policy. A pinned version has no fallback: failing it
+// fails the invocation.
 func (p Fixed) Rank(u *multiversion.Unit, ctx Context) ([]int, error) {
-	idx, err := p.Select(u, ctx)
-	if err != nil {
-		return nil, err
+	if p.Index < 0 || p.Index >= len(u.Versions) {
+		return nil, fmt.Errorf("rts: fixed index %d out of range", p.Index)
 	}
-	return []int{idx}, nil
+	return []int{p.Index}, nil
 }
 
 // EventType classifies runtime fault-handling events.
@@ -359,11 +325,10 @@ func (r *Runtime) Health() map[int]VersionHealth {
 	return r.health.snapshot()
 }
 
-// Invoke selects a version under the current policy and context,
-// executes it, and returns the executed index. If the selected
-// version's entry fails, the invocation falls back to the next-ranked
-// feasible version (for policies implementing Ranker); only when every
-// eligible version fails does the caller see an error.
+// Invoke ranks the versions under the current policy and context,
+// executes the first, and returns the executed index. If its entry
+// fails, the invocation falls back to the next-ranked version; only
+// when every eligible version fails does the caller see an error.
 func (r *Runtime) Invoke() (int, error) {
 	r.mu.Lock()
 	ctx := r.ctx
@@ -377,18 +342,10 @@ func (r *Runtime) recordOwn(mut func(*InvocationStats)) {
 	r.mu.Unlock()
 }
 
-// rankVersions resolves the policy's preference order, degrading to
-// the single Select choice for policies without Rank.
+// rankVersions resolves the policy's preference order and checks that
+// it names at least one version and only versions of the unit.
 func rankVersions(p Policy, u *multiversion.Unit, ctx Context) ([]int, error) {
-	var order []int
-	var err error
-	if rk, ok := p.(Ranker); ok {
-		order, err = rk.Rank(u, ctx)
-	} else {
-		var idx int
-		idx, err = p.Select(u, ctx)
-		order = []int{idx}
-	}
+	order, err := p.Rank(u, ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -113,7 +113,7 @@ func TestContextCoreBudgetRestrictsSelection(t *testing.T) {
 func TestWeightedSumNoFeasibleVersion(t *testing.T) {
 	u, _ := boundUnit(t)
 	p := WeightedSum{Weights: []float64{1, 0}}
-	if _, err := p.Select(u, Context{AvailableCores: 0}); err != nil {
+	if _, err := p.Rank(u, Context{AvailableCores: 0}); err != nil {
 		t.Fatal(err)
 	}
 	// Versions need at least 1 core; AvailableCores is positive but
@@ -121,7 +121,7 @@ func TestWeightedSumNoFeasibleVersion(t *testing.T) {
 	// is 1), so shrink the table.
 	solo := &multiversion.Unit{Region: "r", ObjectiveNames: []string{"t", "r"},
 		Versions: u.Versions[2:]}
-	if _, err := p.Select(solo, Context{AvailableCores: 8}); err == nil {
+	if _, err := p.Rank(solo, Context{AvailableCores: 8}); err == nil {
 		t.Error("expected no-feasible-version error")
 	}
 }
@@ -129,27 +129,40 @@ func TestWeightedSumNoFeasibleVersion(t *testing.T) {
 func TestFastestWithinBudgetPolicy(t *testing.T) {
 	u, _ := boundUnit(t)
 	p := FastestWithinBudget{Optimize: 0, Constrain: 1, Budget: 1.3}
-	idx, err := p.Select(u, Context{})
-	if err != nil || idx != 1 {
-		t.Fatalf("selection = %d, %v", idx, err)
+	order, err := p.Rank(u, Context{})
+	if err != nil || order[0] != 1 {
+		t.Fatalf("ranking = %v, %v", order, err)
 	}
 	// Core restriction overrides.
-	idx, err = p.Select(u, Context{AvailableCores: 1})
-	if err != nil || idx != 0 {
-		t.Fatalf("restricted selection = %d, %v", idx, err)
+	order, err = p.Rank(u, Context{AvailableCores: 1})
+	if err != nil || len(order) != 1 || order[0] != 0 {
+		t.Fatalf("restricted ranking = %v, %v", order, err)
 	}
 	if p.Name() == "" {
 		t.Error("policy name empty")
 	}
 }
 
+// TestBudgetRankingHeadFitsCores: under a core cap the head of the
+// ranking is the fastest version within budget among those that fit,
+// not the fastest that fits.
+func TestBudgetRankingHeadFitsCores(t *testing.T) {
+	// (time, resources, threads): v0 = (1, 5, 8), v1 = (2, 10, 2),
+	// v2 = (3, 4, 2).
+	u := table([]string{"time", "resources"}, []float64{8, 1, 5}, []float64{2, 2, 10}, []float64{2, 3, 4})
+	order, err := FastestWithinBudget{Optimize: 0, Constrain: 1, Budget: 5}.Rank(u, Context{AvailableCores: 4})
+	if err != nil || len(order) != 2 || order[0] != 2 || order[1] != 1 {
+		t.Fatalf("ranking = %v, %v, want [2 1]", order, err)
+	}
+}
+
 func TestFixedPolicy(t *testing.T) {
 	u, _ := boundUnit(t)
-	idx, err := Fixed{Index: 1}.Select(u, Context{})
-	if err != nil || idx != 1 {
-		t.Fatalf("fixed selection = %d, %v", idx, err)
+	order, err := Fixed{Index: 1}.Rank(u, Context{AvailableCores: 1})
+	if err != nil || len(order) != 1 || order[0] != 1 {
+		t.Fatalf("fixed ranking = %v, %v", order, err)
 	}
-	if _, err := (Fixed{Index: 9}).Select(u, Context{}); err == nil {
+	if _, err := (Fixed{Index: 9}).Rank(u, Context{}); err == nil {
 		t.Error("out-of-range fixed index accepted")
 	}
 }
