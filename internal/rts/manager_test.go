@@ -136,3 +136,24 @@ func TestManagerPartialBudgetSelectsSmallerVersion(t *testing.T) {
 		t.Fatalf("selection = %d, want 1 (10 threads on a 12-core budget)", idx)
 	}
 }
+
+// TestManagerInvokeLeavesRuntimeContext: a manager invocation ranks
+// under the free cores without writing them into the runtime, so a
+// direct Invoke afterwards still runs under the runtime's own context.
+func TestManagerInvokeLeavesRuntimeContext(t *testing.T) {
+	m, _ := NewManager(12)
+	rt, _ := New(namedUnit(t, "a", nil), WeightedSum{Weights: []float64{1, 0}})
+	if err := m.Register(rt); err != nil {
+		t.Fatal(err)
+	}
+	if idx, err := m.Invoke("a"); err != nil || idx != 1 {
+		t.Fatalf("manager selection = %d, %v, want 1 (10 threads on 12 cores)", idx, err)
+	}
+	idx, err := rt.Invoke()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx != 2 {
+		t.Fatalf("direct selection after a manager invocation = %d, want 2 (40 threads, no core budget set)", idx)
+	}
+}
