@@ -686,9 +686,9 @@ func TuneSourceAll(src string, options ...Option) ([]*TuneResult, error) {
 	return newTuneResults(multi), nil
 }
 
-func newTuneResults(multi *driver.MultiOutput) []*TuneResult {
-	out := make([]*TuneResult, len(multi.Outputs))
-	for i, o := range multi.Outputs {
+func newTuneResults(multi []*driver.Output) []*TuneResult {
+	out := make([]*TuneResult, len(multi))
+	for i, o := range multi {
 		out[i] = newTuneResult(o)
 	}
 	return out

@@ -32,8 +32,6 @@ type Region struct {
 	Root *ir.Loop
 	// Loops is the perfect nest, outermost first.
 	Loops []*ir.Loop
-	// Deps are the data dependences among the nest's statements.
-	Deps []polyhedral.Dependence
 	// Band is the depth of the outermost fully permutable (tilable)
 	// band.
 	Band int
@@ -109,7 +107,6 @@ func Analyze(p *ir.Program, opt Options) ([]Region, error) {
 			RootIndex:   rootIdx,
 			Root:        root,
 			Loops:       loops,
-			Deps:        deps,
 			Band:        band,
 			Collapsible: collapsible,
 			MaxTile:     maxTile,
@@ -120,13 +117,6 @@ func Analyze(p *ir.Program, opt Options) ([]Region, error) {
 		return nil, fmt.Errorf("analyzer: no tunable regions in %s", p.Name)
 	}
 	return regions, nil
-}
-
-// Instantiate applies a region's skeleton with the given configuration
-// to the outlined region and returns the transformed program plus the
-// execution parameters.
-func (r *Region) Instantiate(p *ir.Program, cfg skeleton.Config) (*ir.Program, skeleton.Instance, error) {
-	return r.Skeleton.Apply(r.Outline(p), cfg)
 }
 
 // Outline extracts the region into a standalone single-nest program —

@@ -26,8 +26,10 @@ func TestAnalyzeAllKernels(t *testing.T) {
 		if r.Band < k.TileDims {
 			t.Errorf("%s: band %d < expected %d", k.Name, r.Band, k.TileDims)
 		}
-		if r.Collapsible != k.Collapse {
-			t.Errorf("%s: collapsible = %v, want %v", k.Name, r.Collapsible, k.Collapse)
+		// The reductions of atax and n-body carry a dependence over
+		// their second loop; every other kernel collapses.
+		if want := k.Name != "atax" && k.Name != "n-body"; r.Collapsible != want {
+			t.Errorf("%s: collapsible = %v, want %v", k.Name, r.Collapsible, want)
 		}
 		// Space layout: band tile params + threads.
 		if r.Skeleton.Space.Dim() != r.Band+1 {
@@ -91,7 +93,7 @@ func TestInstantiateProducesValidTransformedProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, inst, err := regions[0].Instantiate(p, skeleton.Config{8, 8, 8, 4})
+	out, inst, err := regions[0].Skeleton.Apply(regions[0].Outline(p), skeleton.Config{8, 8, 8, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

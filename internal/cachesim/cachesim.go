@@ -23,24 +23,16 @@ type Stats struct {
 	Misses   uint64
 }
 
-// MissRate returns Misses/Accesses (0 for an untouched cache).
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 type line struct {
 	tag   uint64
 	valid bool
 	used  uint64 // LRU timestamp
 }
 
-// Cache is a single set-associative cache with LRU replacement. Set
+// cache is a single set-associative cache with LRU replacement. Set
 // selection uses modulo indexing, so non-power-of-two set counts (e.g.
 // the 24-way 30 MB Westmere L3) are supported.
-type Cache struct {
+type cache struct {
 	name      string
 	lineBits  uint
 	nSets     uint64
@@ -51,9 +43,9 @@ type Cache struct {
 	lineBytes int
 }
 
-// NewCache builds a cache of the given total size. size must be
+// newCache builds a cache of the given total size. size must be
 // divisible by lineBytes*assoc and lineBytes must be a power of two.
-func NewCache(name string, size int64, lineBytes, assoc int) (*Cache, error) {
+func newCache(name string, size int64, lineBytes, assoc int) (*cache, error) {
 	if lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
 		return nil, fmt.Errorf("cachesim: line size %d not a power of two", lineBytes)
 	}
@@ -70,7 +62,7 @@ func NewCache(name string, size int64, lineBytes, assoc int) (*Cache, error) {
 	for 1<<lineBits < lineBytes {
 		lineBits++
 	}
-	c := &Cache{
+	c := &cache{
 		name:      name,
 		lineBits:  lineBits,
 		nSets:     uint64(nSets),
@@ -84,26 +76,9 @@ func NewCache(name string, size int64, lineBytes, assoc int) (*Cache, error) {
 	return c, nil
 }
 
-// Name returns the cache's configured name.
-func (c *Cache) Name() string { return c.name }
-
-// Stats returns the accumulated access statistics.
-func (c *Cache) Stats() Stats { return c.stats }
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
-	c.clock = 0
-	c.stats = Stats{}
-}
-
 // Access simulates one load/store to addr and reports whether it hit.
 // On a miss the line is installed, evicting the LRU way.
-func (c *Cache) Access(addr uint64) bool {
+func (c *cache) Access(addr uint64) bool {
 	c.clock++
 	c.stats.Accesses++
 	blk := addr >> c.lineBits
@@ -140,10 +115,9 @@ type Hierarchy struct {
 	mach *machine.Machine
 	// perThread[t][l] is the cache instance thread t accesses at
 	// level l (shared instances aliased across threads).
-	perThread [][]*Cache
+	perThread [][]*cache
 	// instances lists every distinct cache for statistics.
-	instances []*Cache
-	memAcc    uint64
+	instances []*cache
 }
 
 // NewHierarchy builds the hierarchy for nThreads threads pinned on m.
@@ -152,7 +126,7 @@ func NewHierarchy(m *machine.Machine, nThreads int) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{mach: m, perThread: make([][]*Cache, nThreads)}
+	h := &Hierarchy{mach: m, perThread: make([][]*cache, nThreads)}
 	// socketOf[t] under fill-socket-first pinning.
 	socketOf := make([]int, 0, nThreads)
 	for s, cnt := range placement.ThreadsPerSocket() {
@@ -160,13 +134,13 @@ func NewHierarchy(m *machine.Machine, nThreads int) (*Hierarchy, error) {
 			socketOf = append(socketOf, s)
 		}
 	}
-	sharedBySocket := map[string]map[int]*Cache{}
+	sharedBySocket := map[string]map[int]*cache{}
 	for t := 0; t < nThreads; t++ {
-		var chain []*Cache
+		var chain []*cache
 		for _, lvl := range m.Caches {
 			switch lvl.Scope {
 			case machine.PerCore:
-				c, err := NewCache(fmt.Sprintf("%s.t%d", lvl.Name, t), lvl.SizeBytes, lvl.LineBytes, lvl.Associativity)
+				c, err := newCache(fmt.Sprintf("%s.t%d", lvl.Name, t), lvl.SizeBytes, lvl.LineBytes, lvl.Associativity)
 				if err != nil {
 					return nil, err
 				}
@@ -175,11 +149,11 @@ func NewHierarchy(m *machine.Machine, nThreads int) (*Hierarchy, error) {
 			case machine.PerSocket:
 				sock := socketOf[t]
 				if sharedBySocket[lvl.Name] == nil {
-					sharedBySocket[lvl.Name] = map[int]*Cache{}
+					sharedBySocket[lvl.Name] = map[int]*cache{}
 				}
 				c := sharedBySocket[lvl.Name][sock]
 				if c == nil {
-					c, err = NewCache(fmt.Sprintf("%s.s%d", lvl.Name, sock), lvl.SizeBytes, lvl.LineBytes, lvl.Associativity)
+					c, err = newCache(fmt.Sprintf("%s.s%d", lvl.Name, sock), lvl.SizeBytes, lvl.LineBytes, lvl.Associativity)
 					if err != nil {
 						return nil, err
 					}
@@ -189,11 +163,11 @@ func NewHierarchy(m *machine.Machine, nThreads int) (*Hierarchy, error) {
 				chain = append(chain, c)
 			case machine.Global:
 				if sharedBySocket[lvl.Name] == nil {
-					sharedBySocket[lvl.Name] = map[int]*Cache{}
+					sharedBySocket[lvl.Name] = map[int]*cache{}
 				}
 				c := sharedBySocket[lvl.Name][0]
 				if c == nil {
-					c, err = NewCache(lvl.Name, lvl.SizeBytes, lvl.LineBytes, lvl.Associativity)
+					c, err = newCache(lvl.Name, lvl.SizeBytes, lvl.LineBytes, lvl.Associativity)
 					if err != nil {
 						return nil, err
 					}
@@ -218,13 +192,8 @@ func (h *Hierarchy) Access(thread int, addr uint64) int {
 			return i
 		}
 	}
-	h.memAcc++
 	return len(chain)
 }
-
-// MemoryAccesses returns the number of accesses that missed every
-// level.
-func (h *Hierarchy) MemoryAccesses() uint64 { return h.memAcc }
 
 // Levels returns per-instance statistics for all distinct caches.
 func (h *Hierarchy) Levels() []LevelStats {
@@ -233,28 +202,4 @@ func (h *Hierarchy) Levels() []LevelStats {
 		out[i] = LevelStats{Name: c.name, Stats: c.stats}
 	}
 	return out
-}
-
-// LevelMissRate aggregates the miss rate across all instances whose
-// name starts with the given level prefix (e.g. "L1").
-func (h *Hierarchy) LevelMissRate(level string) float64 {
-	var acc, miss uint64
-	for _, c := range h.instances {
-		if len(c.name) >= len(level) && c.name[:len(level)] == level {
-			acc += c.stats.Accesses
-			miss += c.stats.Misses
-		}
-	}
-	if acc == 0 {
-		return 0
-	}
-	return float64(miss) / float64(acc)
-}
-
-// Reset clears all caches and counters.
-func (h *Hierarchy) Reset() {
-	for _, c := range h.instances {
-		c.Reset()
-	}
-	h.memAcc = 0
 }

@@ -1,32 +1,33 @@
 package cachesim
 
 import (
+	"strings"
 	"testing"
 
 	"autotune/internal/machine"
 )
 
 func TestNewCacheValidation(t *testing.T) {
-	if _, err := NewCache("c", 1024, 63, 2); err == nil {
+	if _, err := newCache("c", 1024, 63, 2); err == nil {
 		t.Error("non-power-of-two line size should fail")
 	}
-	if _, err := NewCache("c", 1024, 64, 0); err == nil {
+	if _, err := newCache("c", 1024, 64, 0); err == nil {
 		t.Error("zero associativity should fail")
 	}
-	if _, err := NewCache("c", 64*3, 64, 2); err == nil {
+	if _, err := newCache("c", 64*3, 64, 2); err == nil {
 		t.Error("size not divisible into sets should fail")
 	}
-	c, err := NewCache("c", 30<<20, 64, 24)
+	c, err := newCache("c", 30<<20, 64, 24)
 	if err != nil {
 		t.Fatalf("Westmere L3 geometry rejected: %v", err)
 	}
-	if c.Name() != "c" {
-		t.Error("Name wrong")
+	if c.name != "c" {
+		t.Error("name wrong")
 	}
 }
 
 func TestCacheHitMiss(t *testing.T) {
-	c, _ := NewCache("L1", 1024, 64, 2) // 8 sets, 2 ways
+	c, _ := newCache("L1", 1024, 64, 2) // 8 sets, 2 ways
 	if c.Access(0) {
 		t.Error("cold access should miss")
 	}
@@ -39,17 +40,13 @@ func TestCacheHitMiss(t *testing.T) {
 	if c.Access(64) {
 		t.Error("next line should miss")
 	}
-	st := c.Stats()
-	if st.Accesses != 4 || st.Misses != 2 {
+	if st := c.stats; st.Accesses != 4 || st.Misses != 2 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if st.MissRate() != 0.5 {
-		t.Fatalf("miss rate = %v", st.MissRate())
 	}
 }
 
 func TestCacheLRUReplacement(t *testing.T) {
-	c, _ := NewCache("L1", 1024, 64, 2) // 8 sets
+	c, _ := newCache("L1", 1024, 64, 2) // 8 sets
 	// Three blocks mapping to set 0: block ids 0, 8, 16.
 	a0, a8, a16 := uint64(0), uint64(8*64), uint64(16*64)
 	c.Access(a0)
@@ -65,7 +62,7 @@ func TestCacheLRUReplacement(t *testing.T) {
 }
 
 func TestCacheCapacityWorkingSet(t *testing.T) {
-	c, _ := NewCache("L1", 32<<10, 64, 8)
+	c, _ := newCache("L1", 32<<10, 64, 8)
 	// Working set half the cache: second pass must hit entirely.
 	lines := (32 << 10) / 64 / 2
 	for pass := 0; pass < 2; pass++ {
@@ -73,14 +70,13 @@ func TestCacheCapacityWorkingSet(t *testing.T) {
 			c.Access(uint64(i * 64))
 		}
 	}
-	st := c.Stats()
-	if st.Misses != uint64(lines) {
+	if st := c.stats; st.Misses != uint64(lines) {
 		t.Fatalf("misses = %d, want %d (cold only)", st.Misses, lines)
 	}
 }
 
 func TestCacheThrashingWorkingSet(t *testing.T) {
-	c, _ := NewCache("L1", 1024, 64, 2)
+	c, _ := newCache("L1", 1024, 64, 2)
 	// Working set 2x the cache, streamed cyclically: with LRU every
 	// access misses after warmup.
 	lines := 2 * 1024 / 64
@@ -89,28 +85,8 @@ func TestCacheThrashingWorkingSet(t *testing.T) {
 			c.Access(uint64(i * 64))
 		}
 	}
-	st := c.Stats()
-	if st.MissRate() != 1.0 {
-		t.Fatalf("cyclic thrashing miss rate = %v, want 1.0", st.MissRate())
-	}
-}
-
-func TestCacheReset(t *testing.T) {
-	c, _ := NewCache("L1", 1024, 64, 2)
-	c.Access(0)
-	c.Reset()
-	if c.Stats().Accesses != 0 {
-		t.Error("stats not cleared")
-	}
-	if c.Access(0) {
-		t.Error("contents not cleared")
-	}
-}
-
-func TestMissRateEmptyCache(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("empty stats should have 0 miss rate")
+	if st := c.stats; st.Misses != st.Accesses {
+		t.Fatalf("cyclic thrashing: %d misses in %d accesses, want every access a miss", st.Misses, st.Accesses)
 	}
 }
 
@@ -140,9 +116,6 @@ func TestHierarchySharedL3Visibility(t *testing.T) {
 	if lvl := h.Access(1, 4096); lvl != 2 {
 		t.Fatalf("cross-thread access level = %d, want 2 (shared L3)", lvl)
 	}
-	if h.MemoryAccesses() != 1 {
-		t.Fatalf("memory accesses = %d, want 1", h.MemoryAccesses())
-	}
 }
 
 func TestHierarchyCrossSocketNoSharing(t *testing.T) {
@@ -157,30 +130,34 @@ func TestHierarchyCrossSocketNoSharing(t *testing.T) {
 	}
 }
 
-func TestHierarchyLevelMissRateAndReset(t *testing.T) {
-	m := machine.Westmere()
-	h, err := NewHierarchy(m, 1)
+// TestHierarchyLevelMisses streams 100 lines through a one-thread
+// Westmere hierarchy twice: the first pass misses L1 on every access,
+// the second (the lines fit) on none.
+func TestHierarchyLevelMisses(t *testing.T) {
+	h, err := NewHierarchy(machine.Westmere(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	l1 := func() Stats {
+		for _, l := range h.Levels() {
+			if strings.HasPrefix(l.Name, "L1") {
+				return l.Stats
+			}
+		}
+		t.Fatal("no L1 instance")
+		return Stats{}
+	}
 	for i := 0; i < 100; i++ {
 		h.Access(0, uint64(i*64))
 	}
-	if mr := h.LevelMissRate("L1"); mr != 1.0 {
-		t.Fatalf("streaming L1 miss rate = %v, want 1.0", mr)
+	if st := l1(); st != (Stats{Accesses: 100, Misses: 100}) {
+		t.Fatalf("streaming pass: L1 %+v, want 100 misses in 100 accesses", st)
 	}
 	for i := 0; i < 100; i++ {
 		h.Access(0, uint64(i*64))
 	}
-	if mr := h.LevelMissRate("L1"); mr != 0.5 {
-		t.Fatalf("after reuse pass L1 miss rate = %v, want 0.5", mr)
-	}
-	if h.LevelMissRate("L9") != 0 {
-		t.Error("unknown level should report 0")
-	}
-	h.Reset()
-	if h.MemoryAccesses() != 0 || h.LevelMissRate("L1") != 0 {
-		t.Error("reset did not clear hierarchy")
+	if st := l1(); st != (Stats{Accesses: 200, Misses: 100}) {
+		t.Fatalf("reuse pass: L1 %+v, want 100 misses in 200 accesses", st)
 	}
 }
 

@@ -173,15 +173,15 @@ func TestInjectorCoversEveryOperation(t *testing.T) {
 		op   Op
 		call func(in *Injector) error
 	}{
-		{OpOpen, func(in *Injector) error { _, err := in.Open(real); return err }},
-		{OpOpen, func(in *Injector) error { _, err := in.OpenFile(real, os.O_RDONLY, 0); return err }},
+		{opOpen, func(in *Injector) error { _, err := in.Open(real); return err }},
+		{opOpen, func(in *Injector) error { _, err := in.OpenFile(real, os.O_RDONLY, 0); return err }},
 		{OpRead, func(in *Injector) error { _, err := in.ReadFile(real); return err }},
 		{OpTruncate, func(in *Injector) error { return in.Truncate(real, 0) }},
-		{OpRename, func(in *Injector) error { return in.Rename(real, real+".new") }},
-		{OpRemove, func(in *Injector) error { return in.Remove(real) }},
-		{OpMkdir, func(in *Injector) error { return in.MkdirAll(filepath.Join(dir, "sub"), 0o755) }},
-		{OpReadDir, func(in *Injector) error { _, err := in.ReadDir(dir); return err }},
-		{OpSyncDir, func(in *Injector) error { return in.SyncDir(dir) }},
+		{opRename, func(in *Injector) error { return in.Rename(real, real+".new") }},
+		{opRemove, func(in *Injector) error { return in.Remove(real) }},
+		{opMkdir, func(in *Injector) error { return in.MkdirAll(filepath.Join(dir, "sub"), 0o755) }},
+		{opReadDir, func(in *Injector) error { _, err := in.ReadDir(dir); return err }},
+		{opSyncDir, func(in *Injector) error { return in.SyncDir(dir) }},
 	}
 	for _, tc := range cases {
 		in := NewInjector(nil, Fault{Op: tc.op})
@@ -214,9 +214,9 @@ func TestInjectorCoversEveryOperation(t *testing.T) {
 // TestOpString covers the fault-log vocabulary.
 func TestOpString(t *testing.T) {
 	want := map[Op]string{
-		OpOpen: "open", OpRead: "read", OpWrite: "write", OpSync: "fsync",
-		OpRename: "rename", OpTruncate: "truncate", OpRemove: "remove",
-		OpMkdir: "mkdir", OpReadDir: "readdir", OpSyncDir: "syncdir",
+		opOpen: "open", OpRead: "read", OpWrite: "write", OpSync: "fsync",
+		opRename: "rename", OpTruncate: "truncate", opRemove: "remove",
+		opMkdir: "mkdir", opReadDir: "readdir", opSyncDir: "syncdir",
 	}
 	for op, s := range want {
 		if op.String() != s {
@@ -235,7 +235,7 @@ func TestOpString(t *testing.T) {
 func TestScheduleShape(t *testing.T) {
 	// The durability-critical operations: the ones whose failure a store
 	// must survive without losing acknowledged data.
-	const writeSide = OpWrite | OpSync | OpRename | OpTruncate | OpSyncDir
+	const writeSide = OpWrite | OpSync | opRename | OpTruncate | opSyncDir
 	a, b := Schedule(7, 50, 40), Schedule(7, 50, 40)
 	for i := range a {
 		if a[i].Op != b[i].Op || a[i].After != b[i].After || a[i].TornBytes != b[i].TornBytes {
@@ -247,7 +247,7 @@ func TestScheduleShape(t *testing.T) {
 	}
 	for seed := int64(0); seed < 20; seed++ {
 		for _, f := range Schedule(seed, 8, 0) { // maxOps clamps to 1
-			if f.Op&writeSide == 0 || f.Op&(OpOpen|OpRead|OpRemove|OpMkdir|OpReadDir) != 0 {
+			if f.Op&writeSide == 0 || f.Op&(opOpen|OpRead|opRemove|opMkdir|opReadDir) != 0 {
 				t.Fatalf("seed %d scripted a non-write-side fault: %+v", seed, f)
 			}
 			if f.After != 0 {

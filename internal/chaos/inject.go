@@ -13,18 +13,19 @@ import (
 // bits so one Fault can cover several operation kinds.
 type Op uint16
 
-// Operation kinds.
+// Operation kinds. The exported ones are those the fault scripts of
+// other packages name.
 const (
-	OpOpen Op = 1 << iota
+	opOpen Op = 1 << iota
 	OpRead    // ReadFile and File.ReadAt
 	OpWrite
 	OpSync // File.Sync
-	OpRename
+	opRename
 	OpTruncate // FS.Truncate and File.Truncate
-	OpRemove
-	OpMkdir
-	OpReadDir
-	OpSyncDir
+	opRemove
+	opMkdir
+	opReadDir
+	opSyncDir
 
 	// OpAny matches every operation kind.
 	OpAny Op = 1<<iota - 1
@@ -32,7 +33,7 @@ const (
 
 func (o Op) String() string {
 	switch o {
-	case OpOpen:
+	case opOpen:
 		return "open"
 	case OpRead:
 		return "read"
@@ -40,17 +41,17 @@ func (o Op) String() string {
 		return "write"
 	case OpSync:
 		return "fsync"
-	case OpRename:
+	case opRename:
 		return "rename"
 	case OpTruncate:
 		return "truncate"
-	case OpRemove:
+	case opRemove:
 		return "remove"
-	case OpMkdir:
+	case opMkdir:
 		return "mkdir"
-	case OpReadDir:
+	case opReadDir:
 		return "readdir"
-	case OpSyncDir:
+	case opSyncDir:
 		return "syncdir"
 	}
 	return fmt.Sprintf("op(%#x)", uint16(o))
@@ -171,7 +172,7 @@ func (in *Injector) check(kind Op, path string) *Fault {
 }
 
 func (in *Injector) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	if f := in.check(OpOpen, name); f != nil {
+	if f := in.check(opOpen, name); f != nil {
 		return nil, f.Err
 	}
 	under, err := in.under.OpenFile(name, flag, perm)
@@ -182,7 +183,7 @@ func (in *Injector) OpenFile(name string, flag int, perm os.FileMode) (File, err
 }
 
 func (in *Injector) Open(name string) (File, error) {
-	if f := in.check(OpOpen, name); f != nil {
+	if f := in.check(opOpen, name); f != nil {
 		return nil, f.Err
 	}
 	under, err := in.under.Open(name)
@@ -210,14 +211,14 @@ func (in *Injector) WriteFile(name string, data []byte, perm os.FileMode) error 
 }
 
 func (in *Injector) Rename(oldpath, newpath string) error {
-	if f := in.check(OpRename, newpath); f != nil {
+	if f := in.check(opRename, newpath); f != nil {
 		return f.Err
 	}
 	return in.under.Rename(oldpath, newpath)
 }
 
 func (in *Injector) Remove(name string) error {
-	if f := in.check(OpRemove, name); f != nil {
+	if f := in.check(opRemove, name); f != nil {
 		return f.Err
 	}
 	return in.under.Remove(name)
@@ -231,21 +232,21 @@ func (in *Injector) Truncate(name string, size int64) error {
 }
 
 func (in *Injector) MkdirAll(path string, perm os.FileMode) error {
-	if f := in.check(OpMkdir, path); f != nil {
+	if f := in.check(opMkdir, path); f != nil {
 		return f.Err
 	}
 	return in.under.MkdirAll(path, perm)
 }
 
 func (in *Injector) ReadDir(name string) ([]os.DirEntry, error) {
-	if f := in.check(OpReadDir, name); f != nil {
+	if f := in.check(opReadDir, name); f != nil {
 		return nil, f.Err
 	}
 	return in.under.ReadDir(name)
 }
 
 func (in *Injector) SyncDir(dir string) error {
-	if f := in.check(OpSyncDir, dir); f != nil {
+	if f := in.check(opSyncDir, dir); f != nil {
 		return f.Err
 	}
 	return in.under.SyncDir(dir)
@@ -324,9 +325,9 @@ func Schedule(seed int64, nfaults, maxOps int) []Fault {
 			f.Op = OpSync
 		case 4: // rename or directory-sync failure
 			if rng.Intn(2) == 0 {
-				f.Op = OpRename
+				f.Op = opRename
 			} else {
-				f.Op = OpSyncDir
+				f.Op = opSyncDir
 			}
 		case 5: // truncate failure (WAL reset after flush)
 			f.Op = OpTruncate

@@ -31,7 +31,7 @@ type Options struct {
 	// Restrict adds C99 restrict qualifiers to array parameters.
 	Restrict bool
 	// OMP emits OpenMP pragmas for parallel loops (default true when
-	// using EmitProgram; the zero Options value enables it).
+	// using emitProgram; the zero Options value enables it).
 	NoOMP bool
 }
 
@@ -49,9 +49,9 @@ func (o Options) elemType() string {
 	return o.ElemType
 }
 
-// EmitProgram renders one MiniIR program as a C function taking the
+// emitProgram renders one MiniIR program as a C function taking the
 // program's arrays as parameters.
-func EmitProgram(p *ir.Program, opt Options) (string, error) {
+func emitProgram(p *ir.Program, opt Options) (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", fmt.Errorf("codegen: %w", err)
 	}
@@ -240,7 +240,7 @@ func EmitUnit(unit *multiversion.Unit, programs []*ir.Program, opt Options) (str
 	for i := range programs {
 		vopt := opt
 		vopt.FuncName = fmt.Sprintf("%s_v%d", base, i)
-		code, err := EmitProgram(programs[i], vopt)
+		code, err := emitProgram(programs[i], vopt)
 		if err != nil {
 			return "", fmt.Errorf("codegen: version %d: %w", i, err)
 		}

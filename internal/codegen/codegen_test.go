@@ -32,7 +32,7 @@ func balancedBraces(s string) bool {
 func TestEmitProgramMM(t *testing.T) {
 	mm, _ := kernels.ByName("mm")
 	p := mm.IR(64)
-	code, err := EmitProgram(p, Options{})
+	code, err := emitProgram(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestEmitProgramTiledParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, err := EmitProgram(tiled, Options{FuncName: "mm_tiled"})
+	code, err := emitProgram(tiled, Options{FuncName: "mm_tiled"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestEmitProgramNoOMP(t *testing.T) {
 	mm, _ := kernels.ByName("mm")
 	tiled, _ := transform.Sequence(mm.IR(32),
 		transform.TileStep([]int64{8, 8, 8}), transform.ParallelizeStep(1))
-	code, err := EmitProgram(tiled, Options{NoOMP: true})
+	code, err := emitProgram(tiled, Options{NoOMP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestEmitProgramNoOMP(t *testing.T) {
 
 func TestEmitProgramRestrictAndElemType(t *testing.T) {
 	mm, _ := kernels.ByName("mm")
-	code, err := EmitProgram(mm.IR(16), Options{Restrict: true, ElemType: "float"})
+	code, err := emitProgram(mm.IR(16), Options{Restrict: true, ElemType: "float"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestEmitProgramRestrictAndElemType(t *testing.T) {
 
 func TestEmitProgramStencilAveraging(t *testing.T) {
 	j2, _ := kernels.ByName("jacobi-2d")
-	code, err := EmitProgram(j2.IR(32), Options{})
+	code, err := emitProgram(j2.IR(32), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestEmitProgramStencilAveraging(t *testing.T) {
 
 func TestEmitProgramAccumulationForm(t *testing.T) {
 	nb, _ := kernels.ByName("n-body")
-	code, err := EmitProgram(nb.IR(32), Options{})
+	code, err := emitProgram(nb.IR(32), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestEmitProgramRejectsInvalid(t *testing.T) {
 	bad := &ir.Program{Name: "bad", Root: []ir.Node{
 		&ir.Stmt{Writes: []ir.Access{{Array: "Z", Indices: []ir.Affine{ir.Con(0)}}}},
 	}}
-	if _, err := EmitProgram(bad, Options{}); err == nil {
+	if _, err := emitProgram(bad, Options{}); err == nil {
 		t.Fatal("invalid program accepted")
 	}
 }

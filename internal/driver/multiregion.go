@@ -8,24 +8,15 @@ import (
 	"autotune/internal/skeleton"
 )
 
-// MultiOutput is the result of tuning several regions simultaneously.
-type MultiOutput struct {
-	// Outputs holds one per-region result (kernel, region, unit).
-	Outputs []*Output
-	// Executions is the number of joint program executions — shared
-	// across all regions, the point of simultaneous tuning.
-	Executions int
-	// Iterations is the number of lock-step optimizer iterations.
-	Iterations int
-}
-
 // TuneKernels tunes several regions (one per named kernel, as if they
 // were regions of one program) simultaneously: every program execution
 // measures one candidate configuration of every region, so the total
-// execution count is shared rather than multiplied (paper §III-A).
+// execution count is shared rather than multiplied (paper §III-A):
+// every output's Result carries the joint execution and iteration
+// counts.
 // CheckOptions with joint set lists what the joint search refuses;
 // Measured is one, since kernels timed one by one share no execution.
-func TuneKernels(kernelNames []string, opt Options) (*MultiOutput, error) {
+func TuneKernels(kernelNames []string, opt Options) ([]*Output, error) {
 	if len(kernelNames) == 0 {
 		return nil, fmt.Errorf("driver: no kernels")
 	}
@@ -42,8 +33,8 @@ func TuneKernels(kernelNames []string, opt Options) (*MultiOutput, error) {
 // tuneJoint is the tail TuneKernels and TuneProgramAll share: every
 // prepared region gets the evaluator a single-region search of it would
 // get, the lock-step multi-region RS-GDE3 (GDE3 under MethodGDE3) runs
-// over them, and one unit is emitted per region.
-func tuneJoint(ps []*prepared, opt Options) (*MultiOutput, error) {
+// over them, and one output is emitted per region.
+func tuneJoint(ps []*prepared, opt Options) ([]*Output, error) {
 	if err := CheckOptions(opt, true); err != nil {
 		return nil, err
 	}
@@ -62,7 +53,7 @@ func tuneJoint(ps []*prepared, opt Options) (*MultiOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &MultiOutput{Executions: results[0].Evaluations, Iterations: results[0].Iterations}
+	out := make([]*Output, 0, len(ps))
 	for r, p := range ps {
 		if len(results[r].Front) == 0 {
 			return nil, fmt.Errorf("driver: empty front for region %s", p.kernel.Name)
@@ -71,7 +62,7 @@ func tuneJoint(ps []*prepared, opt Options) (*MultiOutput, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.Outputs = append(out.Outputs, o)
+		out = append(out, o)
 	}
 	return out, nil
 }

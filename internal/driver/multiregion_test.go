@@ -26,20 +26,20 @@ func TestTuneKernelsJoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(multi.Outputs) != 2 {
-		t.Fatalf("outputs = %d", len(multi.Outputs))
+	if len(multi) != 2 {
+		t.Fatalf("outputs = %d", len(multi))
 	}
-	for _, out := range multi.Outputs {
+	for _, out := range multi {
 		if len(out.Unit.Versions) == 0 {
 			t.Fatalf("%s: empty unit", out.Kernel.Name)
 		}
-		if out.Result.Evaluations != multi.Executions {
+		if out.Result.Evaluations != multi[0].Result.Evaluations {
 			t.Fatalf("%s: per-region E %d != shared executions %d",
-				out.Kernel.Name, out.Result.Evaluations, multi.Executions)
+				out.Kernel.Name, out.Result.Evaluations, multi[0].Result.Evaluations)
 		}
 	}
-	if multi.Executions == 0 || multi.Iterations == 0 {
-		t.Fatalf("metrics: %d/%d", multi.Executions, multi.Iterations)
+	if multi[0].Result.Evaluations == 0 || multi[0].Result.Iterations == 0 {
+		t.Fatalf("metrics: %d/%d", multi[0].Result.Evaluations, multi[0].Result.Iterations)
 	}
 }
 
@@ -60,11 +60,11 @@ func TestJointTuningSharesExecutions(t *testing.T) {
 		}
 		separate += out.Result.Evaluations
 	}
-	if multi.Executions >= separate {
-		t.Fatalf("joint executions %d not below separate total %d", multi.Executions, separate)
+	if multi[0].Result.Evaluations >= separate {
+		t.Fatalf("joint executions %d not below separate total %d", multi[0].Result.Evaluations, separate)
 	}
-	t.Logf("joint=%d separate=%d (%.0f%% saved)", multi.Executions, separate,
-		100*(1-float64(multi.Executions)/float64(separate)))
+	t.Logf("joint=%d separate=%d (%.0f%% saved)", multi[0].Result.Evaluations, separate,
+		100*(1-float64(multi[0].Result.Evaluations)/float64(separate)))
 }
 
 func TestTuneKernelsValidation(t *testing.T) {
@@ -145,7 +145,7 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 
 	// Honoured: every region's evaluator is the one a single-region
 	// search of it builds, so the joint search takes its options.
-	honoured := func(opt Options) map[string]*MultiOutput {
+	honoured := func(opt Options) map[string][]*Output {
 		t.Helper()
 		k, err := TuneKernels([]string{"mm", "jacobi-2d"}, opt)
 		if err != nil {
@@ -155,12 +155,12 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 		if err != nil {
 			t.Fatalf("TuneProgramAll: %v", err)
 		}
-		return map[string]*MultiOutput{"TuneKernels": k, "TuneProgramAll": p}
+		return map[string][]*Output{"TuneKernels": k, "TuneProgramAll": p}
 	}
 	energy := base()
 	energy.Objectives = []objective.ObjectiveKind{objective.TimeObjective, objective.ResourceObjective, objective.EnergyObjective}
 	for entry, multi := range honoured(energy) {
-		for _, out := range multi.Outputs {
+		for _, out := range multi {
 			if names := out.Unit.ObjectiveNames; !reflect.DeepEqual(names, []string{"time", "resources", "energy"}) {
 				t.Errorf("%s %s: objectives %v", entry, out.Unit.Region, names)
 			}
@@ -174,7 +174,7 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 	unroll := base()
 	unroll.UnrollDim = true
 	for entry, multi := range honoured(unroll) {
-		for _, out := range multi.Outputs {
+		for _, out := range multi {
 			for _, v := range out.Unit.Versions {
 				if v.Meta.Unroll < 1 || v.Meta.Unroll > 8 {
 					t.Errorf("%s %s: version unroll factor %d outside 1..8", entry, out.Unit.Region, v.Meta.Unroll)
@@ -202,7 +202,7 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Executions != want.Executions || len(plain.Outputs[0].Result.Front) != len(want.Outputs[0].Result.Front) {
-		t.Errorf("joint gde3 ran %d executions, the search without rough sets %d", plain.Executions, want.Executions)
+	if plain[0].Result.Evaluations != want[0].Result.Evaluations || len(plain[0].Result.Front) != len(want[0].Result.Front) {
+		t.Errorf("joint gde3 ran %d executions, the search without rough sets %d", plain[0].Result.Evaluations, want[0].Result.Evaluations)
 	}
 }

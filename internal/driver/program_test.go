@@ -113,18 +113,18 @@ func TestTuneProgramAllRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(multi.Outputs) != 2 {
-		t.Fatalf("regions = %d", len(multi.Outputs))
+	if len(multi) != 2 {
+		t.Fatalf("regions = %d", len(multi))
 	}
-	for i, out := range multi.Outputs {
+	for i, out := range multi {
 		if len(out.Unit.Versions) == 0 {
 			t.Fatalf("region %d: empty unit", i)
 		}
-		if out.Result.Evaluations != multi.Executions {
+		if out.Result.Evaluations != multi[0].Result.Evaluations {
 			t.Fatalf("region %d: E not shared", i)
 		}
 	}
-	if multi.Outputs[0].Unit.Region == multi.Outputs[1].Unit.Region {
+	if multi[0].Unit.Region == multi[1].Unit.Region {
 		t.Fatal("region names must differ")
 	}
 }
@@ -156,8 +156,8 @@ func TestTuneProgramAllEmitsCorrectRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code0 := multi.Outputs[0].Unit.Versions[0].Code
-	code1 := multi.Outputs[1].Unit.Versions[0].Code
+	code0 := multi[0].Unit.Versions[0].Code
+	code1 := multi[1].Unit.Versions[0].Code
 	if !strings.Contains(code0, "B[i][j]") {
 		t.Errorf("region 0 code shows wrong nest:\n%s", code0)
 	}

@@ -38,18 +38,26 @@ func Extended(m *machine.Machine, mode Mode, seed int64) (*Comparison, error) {
 		return nil, err
 	}
 	var reference [][]float64 // the brute-force front, the first arm of each kernel
-	return table(fmt.Sprintf("Extended strategy comparison (%s): indicators vs the brute-force reference front", m.Name),
+	var serr error
+	c := table(fmt.Sprintf("Extended strategy comparison (%s): indicators vs the brute-force reference front", m.Name),
 		[]string{"Kernel", "Strategy", "E", "|S|", "HV", "eps+", "C(s,bf)", "spacing", "IGD"}, runs,
 		func(r *Run) []string {
 			front := frontObjectives(r.Results[0].Front)
 			if r.Label == "brute-force" {
 				reference = front
 			}
-			s := metrics.Summarize(front, reference, nil, nil)
+			s, err := metrics.Summarize(front, reference)
+			if err != nil && serr == nil {
+				serr = fmt.Errorf("experiments: %s %s: %w", r.Kernel, r.Label, err)
+			}
 			return append(append([]string{r.Kernel, r.Label}, r.esv("%.3f")...),
 				fmt.Sprintf("%.3g", s.Epsilon),
 				fmt.Sprintf("%.2f", s.Covers),
 				fmt.Sprintf("%.3g", s.Spacing),
 				fmt.Sprintf("%.3g", s.IGD))
-		}), nil
+		})
+	if serr != nil {
+		return nil, serr
+	}
+	return c, nil
 }

@@ -94,11 +94,11 @@ func TestDeriveTiledBeatsUntiledEndToEnd(t *testing.T) {
 	p := mm.IR(256)
 	km, _ := deriveFor(t, p)
 	mo := perfmodel.New(machine.Westmere())
-	tiled, err := mo.Time(km, 0, []int64{32, 32, 32}, 1, 0)
+	tiled, err := mo.TimeUnrolled(km, 0, []int64{32, 32, 32}, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	untiled, err := mo.Time(km, 0, []int64{1, 1, 1}, 1, 0)
+	untiled, err := mo.TimeUnrolled(km, 0, []int64{1, 1, 1}, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

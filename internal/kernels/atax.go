@@ -15,19 +15,18 @@ func init() {
 		DefaultN:   4096,
 		BenchN:     512,
 		TileDims:   2,
-		Collapse:   false, // the j loop carries the dot-product reduction
-		IR:         AtaxProgram,
+		IR:         ataxProgram,
 		Model:      ataxModel(),
-		Run:        RunAtax,
+		Run:        runAtax,
 		Extension:  true,
 	})
 }
 
-// AtaxProgram builds the PolyBench atax kernel's first stage
+// ataxProgram builds the PolyBench atax kernel's first stage
 // w = A·x as the tunable region (the second stage y = Aᵀ·w has the
 // mirrored structure; both stages appear in the program so multi-region
 // tuning sees two distinct nests).
-func AtaxProgram(n int64) *ir.Program {
+func ataxProgram(n int64) *ir.Program {
 	stage1 := &ir.Stmt{
 		Label:  "w[i] += A[i][j]*x[j]",
 		Writes: []ir.Access{{Array: "w", Indices: []ir.Affine{ir.Var("i")}}},
@@ -107,9 +106,9 @@ func ataxLevelTraffic(n int64, t []int64, c perfmodel.Capacity) float64 {
 	return aBytes + nf*8*nf
 }
 
-// RunAtax executes both stages with tiling (ti rows per parallel block,
+// runAtax executes both stages with tiling (ti rows per parallel block,
 // tj-wide dot-product blocking).
-func RunAtax(n int64, tiles []int64, threads int) (float64, error) {
+func runAtax(n int64, tiles []int64, threads int) (float64, error) {
 	if len(tiles) != 2 {
 		return 0, fmt.Errorf("atax: want 2 tile sizes, got %d", len(tiles))
 	}

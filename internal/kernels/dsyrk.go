@@ -15,17 +15,16 @@ func init() {
 		DefaultN:   1400,
 		BenchN:     256,
 		TileDims:   3,
-		Collapse:   true,
-		IR:         DsyrkProgram,
+		IR:         dsyrkProgram,
 		Model:      dsyrkModel(),
-		Run:        RunDsyrk,
+		Run:        runDsyrk,
 	})
 }
 
-// DsyrkProgram builds the BLAS-3 symmetric rank-k update
+// dsyrkProgram builds the BLAS-3 symmetric rank-k update
 // B[i][j] += A[i][k] * A[j][k] (the on-the-fly transposition of the
 // second operand keeps both streams row-aligned, unlike mm).
-func DsyrkProgram(n int64) *ir.Program {
+func dsyrkProgram(n int64) *ir.Program {
 	stmt := &ir.Stmt{
 		Label:  "B[i][j] += A[i][k]*A[j][k]",
 		Writes: []ir.Access{{Array: "B", Indices: []ir.Affine{ir.Var("i"), ir.Var("j")}}},
@@ -104,8 +103,8 @@ func dsyrkLevelTraffic(n int64, t []int64, c perfmodel.Capacity) float64 {
 	return aLeft + aRight + bTerm
 }
 
-// RunDsyrk executes the real tiled parallel rank-k update.
-func RunDsyrk(n int64, tiles []int64, threads int) (float64, error) {
+// runDsyrk executes the real tiled parallel rank-k update.
+func runDsyrk(n int64, tiles []int64, threads int) (float64, error) {
 	if len(tiles) != 3 {
 		return 0, fmt.Errorf("dsyrk: want 3 tile sizes, got %d", len(tiles))
 	}

@@ -18,16 +18,15 @@ func init() {
 		DefaultN:   4096,
 		BenchN:     512,
 		TileDims:   2,
-		Collapse:   true,
-		IR:         Jacobi2DProgram,
+		IR:         jacobi2DProgram,
 		Model:      jacobi2dModel(),
-		Run:        RunJacobi2D,
+		Run:        runJacobi2D,
 	})
 }
 
-// Jacobi2DProgram builds one sweep of the two-array 5-point Jacobi
+// jacobi2DProgram builds one sweep of the two-array 5-point Jacobi
 // stencil: B[i][j] = 0.2*(A[i][j] + A[i±1][j] + A[i][j±1]).
-func Jacobi2DProgram(n int64) *ir.Program {
+func jacobi2DProgram(n int64) *ir.Program {
 	rd := func(di, dj int64) ir.Access {
 		return ir.Access{Array: "A", Indices: []ir.Affine{
 			ir.Var("i").AddConst(di), ir.Var("j").AddConst(dj),
@@ -112,9 +111,9 @@ func jacobi2dLevelTraffic(n int64, t []int64, c perfmodel.Capacity) float64 {
 	return rowTraffic
 }
 
-// RunJacobi2D executes the real tiled parallel Jacobi sweep,
+// runJacobi2D executes the real tiled parallel Jacobi sweep,
 // alternating the role of the two arrays each time step.
-func RunJacobi2D(n int64, tiles []int64, threads int) (float64, error) {
+func runJacobi2D(n int64, tiles []int64, threads int) (float64, error) {
 	if len(tiles) != 2 {
 		return 0, fmt.Errorf("jacobi-2d: want 2 tile sizes, got %d", len(tiles))
 	}

@@ -41,9 +41,6 @@ type Kernel struct {
 	BenchN int64
 	// TileDims is the number of tile-size parameters.
 	TileDims int
-	// Collapse reports whether the two outermost tile loops may be
-	// collapsed before parallelization.
-	Collapse bool
 	// IR builds the kernel's MiniIR program.
 	IR func(n int64) *ir.Program
 	// Model is the analytical performance model.

@@ -15,16 +15,15 @@ func init() {
 		DefaultN:   1400,
 		BenchN:     256,
 		TileDims:   3,
-		Collapse:   true,
-		IR:         MMProgram,
+		IR:         mmProgram,
 		Model:      mmModel(),
-		Run:        RunMM,
+		Run:        runMM,
 	})
 }
 
-// MMProgram builds the paper's Fig. 7 matrix-multiplication kernel in
+// mmProgram builds the paper's Fig. 7 matrix-multiplication kernel in
 // IJK order: C[i][j] += A[i][k] * B[k][j].
-func MMProgram(n int64) *ir.Program {
+func mmProgram(n int64) *ir.Program {
 	stmt := &ir.Stmt{
 		Label:  "C[i][j] += A[i][k]*B[k][j]",
 		Writes: []ir.Access{{Array: "C", Indices: []ir.Affine{ir.Var("i"), ir.Var("j")}}},
@@ -112,9 +111,9 @@ func mmLevelTraffic(n int64, t []int64, c perfmodel.Capacity) float64 {
 	return aTerm + bTerm + cTerm
 }
 
-// RunMM executes the real tiled, collapsed, parallel matrix multiply.
+// runMM executes the real tiled, collapsed, parallel matrix multiply.
 // tiles = (ti, tj, tk). It returns a checksum of C for validation.
-func RunMM(n int64, tiles []int64, threads int) (float64, error) {
+func runMM(n int64, tiles []int64, threads int) (float64, error) {
 	if len(tiles) != 3 {
 		return 0, fmt.Errorf("mm: want 3 tile sizes, got %d", len(tiles))
 	}

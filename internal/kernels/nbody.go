@@ -32,16 +32,15 @@ func init() {
 		DefaultN: 65536,
 		BenchN:   4096,
 		TileDims: 2,
-		Collapse: false, // the j loop carries the force accumulation
-		IR:       NBodyProgram,
+		IR:       nbodyProgram,
 		Model:    nbodyModel(),
-		Run:      RunNBody,
+		Run:      runNBody,
 	})
 }
 
-// NBodyProgram builds the naive all-pairs force computation:
+// nbodyProgram builds the naive all-pairs force computation:
 // F[i] += interact(P[i], P[j]).
-func NBodyProgram(n int64) *ir.Program {
+func nbodyProgram(n int64) *ir.Program {
 	stmt := &ir.Stmt{
 		Label:  "F[i] += interact(P[i],P[j])",
 		Writes: []ir.Access{{Array: "F", Indices: []ir.Affine{ir.Var("i")}}},
@@ -123,10 +122,10 @@ func nbodyLevelTraffic(n int64, t []int64, c perfmodel.Capacity) float64 {
 	return nf * nf * lineBytesPerBody
 }
 
-// RunNBody executes the real tiled parallel all-pairs n-body force
+// runNBody executes the real tiled parallel all-pairs n-body force
 // computation. tiles = (ti, tj): the i loop is tiled and parallelized,
 // the j loop is blocked for locality.
-func RunNBody(n int64, tiles []int64, threads int) (float64, error) {
+func runNBody(n int64, tiles []int64, threads int) (float64, error) {
 	if len(tiles) != 2 {
 		return 0, fmt.Errorf("n-body: want 2 tile sizes, got %d", len(tiles))
 	}

@@ -18,16 +18,15 @@ func init() {
 		DefaultN:   384,
 		BenchN:     96,
 		TileDims:   3,
-		Collapse:   true,
-		IR:         Stencil3DProgram,
+		IR:         stencil3DProgram,
 		Model:      stencil3dModel(),
-		Run:        RunStencil3D,
+		Run:        runStencil3D,
 	})
 }
 
-// Stencil3DProgram builds one sweep of a generic 3x3x3 stencil over a
+// stencil3DProgram builds one sweep of a generic 3x3x3 stencil over a
 // cubic grid: B[i][j][k] = f(27 neighbours of A).
-func Stencil3DProgram(n int64) *ir.Program {
+func stencil3DProgram(n int64) *ir.Program {
 	var reads []ir.Access
 	for di := int64(-1); di <= 1; di++ {
 		for dj := int64(-1); dj <= 1; dj++ {
@@ -120,8 +119,8 @@ func stencil3dLevelTraffic(n int64, t []int64, c perfmodel.Capacity) float64 {
 	return planeTraffic
 }
 
-// RunStencil3D executes the real tiled parallel 27-point stencil.
-func RunStencil3D(n int64, tiles []int64, threads int) (float64, error) {
+// runStencil3D executes the real tiled parallel 27-point stencil.
+func runStencil3D(n int64, tiles []int64, threads int) (float64, error) {
 	if len(tiles) != 3 {
 		return 0, fmt.Errorf("3d-stencil: want 3 tile sizes, got %d", len(tiles))
 	}

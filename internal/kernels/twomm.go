@@ -15,18 +15,17 @@ func init() {
 		DefaultN:   1024,
 		BenchN:     192,
 		TileDims:   3,
-		Collapse:   true,
-		IR:         TwoMMProgram,
+		IR:         twoMMProgram,
 		Model:      twommModel(),
-		Run:        RunTwoMM,
+		Run:        runTwoMM,
 		Extension:  true, // beyond the paper's kernel set
 	})
 }
 
-// TwoMMProgram builds the PolyBench-style 2mm kernel: D = A·B followed
+// twoMMProgram builds the PolyBench-style 2mm kernel: D = A·B followed
 // by E = D·C — a natural two-region program whose regions the
 // framework can tune simultaneously.
-func TwoMMProgram(n int64) *ir.Program {
+func twoMMProgram(n int64) *ir.Program {
 	mk := func(out, in1, in2, label string) *ir.Loop {
 		stmt := &ir.Stmt{
 			Label:  label,
@@ -80,9 +79,9 @@ func twommModel() *perfmodel.KernelModel {
 	}
 }
 
-// RunTwoMM executes the real tiled parallel 2mm: E = (A·B)·C with one
+// runTwoMM executes the real tiled parallel 2mm: E = (A·B)·C with one
 // shared tiling/thread configuration for both stages.
-func RunTwoMM(n int64, tiles []int64, threads int) (float64, error) {
+func runTwoMM(n int64, tiles []int64, threads int) (float64, error) {
 	if len(tiles) != 3 {
 		return 0, fmt.Errorf("2mm: want 3 tile sizes, got %d", len(tiles))
 	}

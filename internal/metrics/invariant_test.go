@@ -71,7 +71,7 @@ func TestCoverageReflexive(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(20); i++ {
 			objs = append(objs, []float64{rng.Float64(), rng.Float64()})
 		}
-		c, err := Coverage(objs, objs)
+		c, err := coverage(objs, objs)
 		if err != nil {
 			t.Fatal(err)
 		}

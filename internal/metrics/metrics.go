@@ -1,9 +1,8 @@
 // Package metrics implements front-quality indicators from the
 // multi-objective optimization literature beyond the hypervolume the
 // paper reports: the additive epsilon indicator, the coverage
-// (C-)metric, Schott's spacing, and (inverted) generational distance.
-// They complement V(S) in the extended strategy comparison and the
-// ablation benchmarks.
+// (C-)metric, Schott's spacing, and inverted generational distance.
+// They complement V(S) in the extended strategy comparison.
 //
 // All indicators assume minimized objective vectors.
 package metrics
@@ -15,16 +14,16 @@ import (
 	"autotune/internal/pareto"
 )
 
-// ErrEmpty is returned when an indicator needs a non-empty front.
-var ErrEmpty = errors.New("metrics: empty front")
+// errEmpty is returned when an indicator needs a non-empty front.
+var errEmpty = errors.New("metrics: empty front")
 
-// AdditiveEpsilon returns the smallest eps such that every point of
+// additiveEpsilon returns the smallest eps such that every point of
 // reference is weakly dominated by some point of front after
 // subtracting eps from each front objective — i.e. how far front must
 // be shifted to cover reference. 0 means front covers reference.
-func AdditiveEpsilon(front, reference [][]float64) (float64, error) {
+func additiveEpsilon(front, reference [][]float64) (float64, error) {
 	if len(front) == 0 || len(reference) == 0 {
-		return 0, ErrEmpty
+		return 0, errEmpty
 	}
 	eps := math.Inf(-1)
 	for _, r := range reference {
@@ -50,12 +49,12 @@ func AdditiveEpsilon(front, reference [][]float64) (float64, error) {
 	return eps, nil
 }
 
-// Coverage returns the C-metric C(A, B): the fraction of points in B
+// coverage returns the C-metric C(A, B): the fraction of points in B
 // weakly dominated by at least one point in A. C(A,B)=1 means A covers
 // B entirely; the metric is not symmetric.
-func Coverage(a, b [][]float64) (float64, error) {
+func coverage(a, b [][]float64) (float64, error) {
 	if len(b) == 0 {
-		return 0, ErrEmpty
+		return 0, errEmpty
 	}
 	covered := 0
 	for _, pb := range b {
@@ -69,13 +68,13 @@ func Coverage(a, b [][]float64) (float64, error) {
 	return float64(covered) / float64(len(b)), nil
 }
 
-// Spacing returns Schott's spacing metric: the standard deviation of
+// spacing returns Schott's spacing metric: the standard deviation of
 // nearest-neighbour Manhattan distances within the front. 0 means
 // perfectly even spacing; a single-point front has spacing 0.
-func Spacing(front [][]float64) (float64, error) {
+func spacing(front [][]float64) (float64, error) {
 	n := len(front)
 	if n == 0 {
-		return 0, ErrEmpty
+		return 0, errEmpty
 	}
 	if n == 1 {
 		return 0, nil
@@ -109,23 +108,18 @@ func Spacing(front [][]float64) (float64, error) {
 	return math.Sqrt(varsum / float64(n-1)), nil
 }
 
-// GenerationalDistance returns the average Euclidean distance from
-// each front point to its nearest reference point: how close the
-// front sits to a (better) reference set.
-func GenerationalDistance(front, reference [][]float64) (float64, error) {
-	return meanNearest(front, reference)
-}
-
-// InvertedGenerationalDistance returns the average distance from each
-// reference point to its nearest front point: how well the front
-// covers the reference set.
-func InvertedGenerationalDistance(front, reference [][]float64) (float64, error) {
+// invertedGenerationalDistance returns the average Euclidean distance
+// from each reference point to its nearest front point: how well the
+// front covers the reference set.
+func invertedGenerationalDistance(front, reference [][]float64) (float64, error) {
 	return meanNearest(reference, front)
 }
 
+// meanNearest returns the average Euclidean distance from each point of
+// from to its nearest point of to.
 func meanNearest(from, to [][]float64) (float64, error) {
 	if len(from) == 0 || len(to) == 0 {
-		return 0, ErrEmpty
+		return 0, errEmpty
 	}
 	sum := 0.0
 	for _, f := range from {
@@ -148,38 +142,25 @@ func meanNearest(from, to [][]float64) (float64, error) {
 	return sum / float64(len(from)), nil
 }
 
-// Summary bundles all indicators of one front against a reference.
+// Summary bundles the indicators of one front against a reference.
 type Summary struct {
-	Size     int
-	Epsilon  float64
-	Covers   float64 // C(front, reference)
-	Covered  float64 // C(reference, front)
-	Spacing  float64
-	GD       float64
-	IGD      float64
-	HV       float64 // normalized hypervolume, if bounds provided
-	HasHV    bool
-	HVError  error
-	ErrState error
+	Epsilon float64
+	Covers  float64 // C(front, reference)
+	Spacing float64
+	IGD     float64
 }
 
-// Summarize computes every indicator for front vs reference. ideal and
-// nadir, when non-nil, also produce the normalized hypervolume.
-func Summarize(front, reference [][]float64, ideal, nadir []float64) Summary {
-	s := Summary{Size: len(front)}
+// Summarize computes every indicator for front vs reference; an empty
+// front or reference, or points of another dimension, is an error.
+func Summarize(front, reference [][]float64) (Summary, error) {
+	var s Summary
 	var err error
-	if s.Epsilon, err = AdditiveEpsilon(front, reference); err != nil {
-		s.ErrState = err
-		return s
+	if s.Epsilon, err = additiveEpsilon(front, reference); err != nil {
+		return Summary{}, err
 	}
-	s.Covers, _ = Coverage(front, reference)
-	s.Covered, _ = Coverage(reference, front)
-	s.Spacing, _ = Spacing(front)
-	s.GD, _ = GenerationalDistance(front, reference)
-	s.IGD, _ = InvertedGenerationalDistance(front, reference)
-	if ideal != nil && nadir != nil {
-		hv, err := pareto.NormalizedHypervolume(front, ideal, nadir)
-		s.HV, s.HasHV, s.HVError = hv, err == nil, err
-	}
-	return s
+	// additiveEpsilon refuses everything the others would.
+	s.Covers, _ = coverage(front, reference)
+	s.Spacing, _ = spacing(front)
+	s.IGD, _ = invertedGenerationalDistance(front, reference)
+	return s, nil
 }

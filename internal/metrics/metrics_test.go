@@ -10,7 +10,7 @@ func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestAdditiveEpsilonIdentity(t *testing.T) {
 	f := [][]float64{{1, 2}, {2, 1}}
-	eps, err := AdditiveEpsilon(f, f)
+	eps, err := additiveEpsilon(f, f)
 	if err != nil || !approx(eps, 0) {
 		t.Fatalf("eps = %v, %v", eps, err)
 	}
@@ -19,22 +19,22 @@ func TestAdditiveEpsilonIdentity(t *testing.T) {
 func TestAdditiveEpsilonShift(t *testing.T) {
 	front := [][]float64{{2, 2}}
 	ref := [][]float64{{1, 1}}
-	eps, err := AdditiveEpsilon(front, ref)
+	eps, err := additiveEpsilon(front, ref)
 	if err != nil || !approx(eps, 1) {
 		t.Fatalf("eps = %v, want 1", eps)
 	}
 	// A dominating front has negative epsilon.
-	eps, _ = AdditiveEpsilon(ref, front)
+	eps, _ = additiveEpsilon(ref, front)
 	if !approx(eps, -1) {
 		t.Fatalf("eps = %v, want -1", eps)
 	}
 }
 
 func TestAdditiveEpsilonErrors(t *testing.T) {
-	if _, err := AdditiveEpsilon(nil, [][]float64{{1}}); err != ErrEmpty {
+	if _, err := additiveEpsilon(nil, [][]float64{{1}}); err != errEmpty {
 		t.Fatal("empty front accepted")
 	}
-	if _, err := AdditiveEpsilon([][]float64{{1}}, [][]float64{{1, 2}}); err == nil {
+	if _, err := additiveEpsilon([][]float64{{1}}, [][]float64{{1, 2}}); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -42,15 +42,15 @@ func TestAdditiveEpsilonErrors(t *testing.T) {
 func TestCoverage(t *testing.T) {
 	a := [][]float64{{1, 1}}
 	b := [][]float64{{2, 2}, {0.5, 3}}
-	c, err := Coverage(a, b)
+	c, err := coverage(a, b)
 	if err != nil || !approx(c, 0.5) {
 		t.Fatalf("C(a,b) = %v, want 0.5", c)
 	}
-	c, _ = Coverage(b, a)
+	c, _ = coverage(b, a)
 	if !approx(c, 0) {
 		t.Fatalf("C(b,a) = %v, want 0", c)
 	}
-	if _, err := Coverage(a, nil); err != ErrEmpty {
+	if _, err := coverage(a, nil); err != errEmpty {
 		t.Fatal("empty b accepted")
 	}
 }
@@ -58,40 +58,42 @@ func TestCoverage(t *testing.T) {
 func TestSpacing(t *testing.T) {
 	// Perfectly even staircase: spacing 0.
 	even := [][]float64{{0, 4}, {1, 3}, {2, 2}, {3, 1}, {4, 0}}
-	s, err := Spacing(even)
+	s, err := spacing(even)
 	if err != nil || !approx(s, 0) {
 		t.Fatalf("spacing = %v, want 0", s)
 	}
 	uneven := [][]float64{{0, 10}, {1, 9}, {10, 0}}
-	s2, _ := Spacing(uneven)
+	s2, _ := spacing(uneven)
 	if s2 <= 0 {
 		t.Fatalf("uneven spacing = %v, want > 0", s2)
 	}
-	one, _ := Spacing([][]float64{{1, 1}})
+	one, _ := spacing([][]float64{{1, 1}})
 	if one != 0 {
 		t.Fatal("single point spacing should be 0")
 	}
-	if _, err := Spacing(nil); err != ErrEmpty {
+	if _, err := spacing(nil); err != errEmpty {
 		t.Fatal("empty front accepted")
 	}
 }
 
+// TestGDAndIGD: the generational distance of front to ref is the
+// inverted one of ref to front.
 func TestGDAndIGD(t *testing.T) {
 	front := [][]float64{{1, 0}, {0, 1}}
 	ref := [][]float64{{0, 0}}
-	gd, err := GenerationalDistance(front, ref)
+	gd, err := invertedGenerationalDistance(ref, front)
 	if err != nil || !approx(gd, 1) {
 		t.Fatalf("GD = %v, want 1", gd)
 	}
-	igd, err := InvertedGenerationalDistance(front, ref)
+	igd, err := invertedGenerationalDistance(front, ref)
 	if err != nil || !approx(igd, 1) {
 		t.Fatalf("IGD = %v, want 1", igd)
 	}
-	same, _ := GenerationalDistance(front, front)
+	same, _ := invertedGenerationalDistance(front, front)
 	if !approx(same, 0) {
-		t.Fatalf("GD to itself = %v", same)
+		t.Fatalf("IGD to itself = %v", same)
 	}
-	if _, err := GenerationalDistance(front, [][]float64{{1}}); err == nil {
+	if _, err := invertedGenerationalDistance([][]float64{{1}}, front); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -99,25 +101,21 @@ func TestGDAndIGD(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	front := [][]float64{{0.2, 0.8}, {0.8, 0.2}}
 	ref := [][]float64{{0.1, 0.9}, {0.9, 0.1}, {0.4, 0.4}}
-	s := Summarize(front, ref, []float64{0, 0}, []float64{1, 1})
-	if s.ErrState != nil {
-		t.Fatal(s.ErrState)
-	}
-	if s.Size != 2 || !s.HasHV || s.HV <= 0 {
-		t.Fatalf("summary = %+v", s)
+	s, err := Summarize(front, ref)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if s.Epsilon <= 0 {
 		t.Fatalf("epsilon = %v, want > 0 (ref not covered)", s.Epsilon)
 	}
-	// Without bounds, no hypervolume.
-	s2 := Summarize(front, ref, nil, nil)
-	if s2.HasHV {
-		t.Fatal("hypervolume computed without bounds")
+	if s.Covers != 0 || s.IGD <= 0 {
+		t.Fatalf("summary = %+v, want C 0 and IGD > 0", s)
 	}
-	// Empty front reports the error.
-	s3 := Summarize(nil, ref, nil, nil)
-	if s3.ErrState == nil {
-		t.Fatal("empty front not reported")
+	if _, err := Summarize(nil, ref); err != errEmpty {
+		t.Fatalf("empty front: %v, want %v", err, errEmpty)
+	}
+	if _, err := Summarize(front, [][]float64{{1}}); err == nil {
+		t.Fatal("dimension mismatch accepted")
 	}
 }
 
@@ -137,8 +135,8 @@ func TestIndicatorRangesProperty(t *testing.T) {
 		if len(a) == 0 || len(b) == 0 {
 			return true
 		}
-		c1, err1 := Coverage(a, b)
-		c2, err2 := Coverage(b, a)
+		c1, err1 := coverage(a, b)
+		c2, err2 := coverage(b, a)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -147,7 +145,7 @@ func TestIndicatorRangesProperty(t *testing.T) {
 		}
 		// Self-coverage is always 1 (every point weakly dominates
 		// itself).
-		self, _ := Coverage(a, a)
+		self, _ := coverage(a, a)
 		return self == 1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -155,8 +153,8 @@ func TestIndicatorRangesProperty(t *testing.T) {
 	}
 }
 
-// Property: GD(front, ref) is zero iff every front point is in ref
-// (checked in the "is in" direction), and always non-negative.
+// Property: GD(front, ref), i.e. IGD(ref, front), is zero when every
+// front point is in ref.
 func TestGDNonNegativeProperty(t *testing.T) {
 	f := func(raw []uint8) bool {
 		var pts [][]float64
@@ -166,7 +164,7 @@ func TestGDNonNegativeProperty(t *testing.T) {
 		if len(pts) < 2 {
 			return true
 		}
-		gd, err := GenerationalDistance(pts[:1], pts)
+		gd, err := invertedGenerationalDistance(pts, pts[:1])
 		if err != nil {
 			return false
 		}

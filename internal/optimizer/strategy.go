@@ -92,10 +92,10 @@ var (
 	registry   = map[string]Strategy{}
 )
 
-// RegisterStrategy adds a strategy to the registry. Registering a
+// registerStrategy adds a strategy to the registry. Registering a
 // duplicate or an incomplete entry panics: registration happens at
 // package init time and a bad entry is a programming error.
-func RegisterStrategy(s Strategy) {
+func registerStrategy(s Strategy) {
 	if s.Name == "" || s.New == nil || s.MaxGenerations == nil || s.Normalize == nil || (s.Restore != nil && s.Fingerprint == nil) {
 		panic(fmt.Sprintf("optimizer: incomplete strategy registration %q", s.Name))
 	}
@@ -291,9 +291,9 @@ func init() {
 			},
 		}
 	}
-	RegisterStrategy(gdeStrategy("rs-gde3", false))
-	RegisterStrategy(gdeStrategy("gde3", true))
-	RegisterStrategy(Strategy{
+	registerStrategy(gdeStrategy("rs-gde3", false))
+	registerStrategy(gdeStrategy("gde3", true))
+	registerStrategy(Strategy{
 		Name: "nsga2",
 		New: func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, seed int64) islandEvolver {
 			return newNSGA2Island(space, eval, cfg.NSGA2, seed)
@@ -308,7 +308,7 @@ func init() {
 		MaxGenerations: func(cfg StrategyConfig) int { return cfg.NSGA2.MaxGenerations },
 		Normalize:      normalizeNSGA2,
 	})
-	RegisterStrategy(Strategy{
+	registerStrategy(Strategy{
 		Name: "motpe",
 		New: func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, seed int64) islandEvolver {
 			return newMOTPEIsland(space, eval, cfg.Options, seed)

@@ -55,10 +55,10 @@ func TestRegisterStrategyRejectsDuplicatesAndIncomplete(t *testing.T) {
 	mustPanic := func(name string, s Strategy) {
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s: RegisterStrategy did not panic", name)
+				t.Errorf("%s: registerStrategy did not panic", name)
 			}
 		}()
-		RegisterStrategy(s)
+		registerStrategy(s)
 	}
 	dup, err := StrategyByName("gde3")
 	if err != nil {

@@ -105,12 +105,12 @@ func walkStrategy(name string, list func(space skeleton.Space, cfg StrategyConfi
 }
 
 func init() {
-	RegisterStrategy(walkStrategy("random", randomWalk))
-	RegisterStrategy(walkStrategy("grid", gridWalk))
+	registerStrategy(walkStrategy("random", randomWalk))
+	registerStrategy(walkStrategy("grid", gridWalk))
 	// Brute force evaluates every configuration of cfg.Grid in
 	// lexicographic order and keeps them all for Result.AllPoints (the
 	// Table II / Fig. 8 analyses).
-	RegisterStrategy(Strategy{
+	registerStrategy(Strategy{
 		Name:       "brute-force",
 		OneShot:    true,
 		Exhaustive: true,

@@ -103,9 +103,6 @@ type Archive struct {
 // NewArchive returns an empty archive.
 func NewArchive() *Archive { return &Archive{} }
 
-// Len returns the number of archived points.
-func (a *Archive) Len() int { return len(a.points) }
-
 // Points returns a copy of the archived points.
 func (a *Archive) Points() []Point {
 	return append([]Point(nil), a.points...)
@@ -133,9 +130,9 @@ func (a *Archive) Add(p Point) bool {
 	return true
 }
 
-// ErrBadReference is returned by Hypervolume when the reference point
+// errBadReference is returned by Hypervolume when the reference point
 // does not match the objective dimensionality.
-var ErrBadReference = errors.New("pareto: reference point dimension mismatch")
+var errBadReference = errors.New("pareto: reference point dimension mismatch")
 
 // Hypervolume computes the volume of the objective-space region
 // dominated by the given points and bounded by the reference point
@@ -149,12 +146,12 @@ var ErrBadReference = errors.New("pareto: reference point dimension mismatch")
 // produces.
 func Hypervolume(objs [][]float64, ref []float64) (float64, error) {
 	if len(ref) == 0 {
-		return 0, ErrBadReference
+		return 0, errBadReference
 	}
 	var pts [][]float64
 	for _, o := range objs {
 		if len(o) != len(ref) {
-			return 0, ErrBadReference
+			return 0, errBadReference
 		}
 		inside := true
 		for i := range o {
@@ -255,7 +252,7 @@ func hvRec(pts [][]float64, ref []float64) float64 {
 // volume. Points outside the [ideal, nadir] box are clamped into it.
 func NormalizedHypervolume(objs [][]float64, ideal, nadir []float64) (float64, error) {
 	if len(ideal) != len(nadir) || len(ideal) == 0 {
-		return 0, ErrBadReference
+		return 0, errBadReference
 	}
 	ref := make([]float64, len(ideal))
 	for i := range ref {
@@ -267,7 +264,7 @@ func NormalizedHypervolume(objs [][]float64, ideal, nadir []float64) (float64, e
 	var norm [][]float64
 	for _, o := range objs {
 		if len(o) != len(ideal) {
-			return 0, ErrBadReference
+			return 0, errBadReference
 		}
 		v := make([]float64, len(o))
 		for i := range o {
@@ -331,7 +328,7 @@ func IdealNadir(objs [][]float64) (ideal, nadir []float64, err error) {
 	nadir = append([]float64(nil), objs[0]...)
 	for _, o := range objs[1:] {
 		if len(o) != d {
-			return nil, nil, ErrBadReference
+			return nil, nil, errBadReference
 		}
 		for i := range o {
 			if o[i] < ideal[i] {

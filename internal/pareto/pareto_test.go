@@ -83,8 +83,8 @@ func TestArchiveAddEvict(t *testing.T) {
 	if !a.Add(Point{Objectives: []float64{2, 2}}) {
 		t.Fatal("dominating point must be kept")
 	}
-	if a.Len() != 2 {
-		t.Fatalf("archive size = %d, want 2 ((2,2) evicts (3,3))", a.Len())
+	if len(a.points) != 2 {
+		t.Fatalf("archive size = %d, want 2 ((2,2) evicts (3,3))", len(a.points))
 	}
 	for _, p := range a.Points() {
 		if equalVec(p.Objectives, []float64{3, 3}) {

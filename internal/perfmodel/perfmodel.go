@@ -139,17 +139,13 @@ func (mo *Model) perThreadCacheBandwidth(latencyCycles float64, lineBytes int) f
 	return outstanding * float64(lineBytes) / latencyCycles * cyclesPerSec
 }
 
-// Time predicts the execution time in seconds of kernel k with problem
-// size n under the given tile sizes and thread count. rep
-// differentiates repeated "measurements" when noise is enabled.
-func (mo *Model) Time(k *KernelModel, n int64, tiles []int64, threads int, rep int) (float64, error) {
-	return mo.TimeUnrolled(k, n, tiles, threads, 1, rep)
-}
-
-// TimeUnrolled additionally models an innermost-loop unroll factor:
-// unrolling amortizes the loop-control overhead over u iterations but
-// costs instruction-cache and register pressure at larger factors,
-// giving an interior optimum that depends on the innermost trip count.
+// TimeUnrolled predicts the execution time in seconds of kernel k with
+// problem size n under the given tile sizes, thread count and
+// innermost-loop unroll factor (1: not unrolled). rep differentiates
+// repeated "measurements" when noise is enabled. Unrolling amortizes
+// the loop-control overhead over u iterations but costs
+// instruction-cache and register pressure at larger factors, giving an
+// interior optimum that depends on the innermost trip count.
 func (mo *Model) TimeUnrolled(k *KernelModel, n int64, tiles []int64, threads int, unroll int64, rep int) (float64, error) {
 	if err := k.Validate(); err != nil {
 		return 0, err

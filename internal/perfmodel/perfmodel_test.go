@@ -56,19 +56,19 @@ func TestValidateKernelModel(t *testing.T) {
 func TestTimeArgumentChecks(t *testing.T) {
 	mo := New(machine.Westmere())
 	k := toyModel()
-	if _, err := mo.Time(k, 1000, []int64{8}, 1, 0); err == nil {
+	if _, err := mo.TimeUnrolled(k, 1000, []int64{8}, 1, 1, 0); err == nil {
 		t.Error("wrong tile count should fail")
 	}
-	if _, err := mo.Time(k, 1000, []int64{0, 8}, 1, 0); err == nil {
+	if _, err := mo.TimeUnrolled(k, 1000, []int64{0, 8}, 1, 1, 0); err == nil {
 		t.Error("tile size 0 should fail")
 	}
-	if _, err := mo.Time(k, 1000, []int64{8, 8}, 0, 0); err == nil {
+	if _, err := mo.TimeUnrolled(k, 1000, []int64{8, 8}, 0, 1, 0); err == nil {
 		t.Error("0 threads should fail")
 	}
-	if _, err := mo.Time(k, 1000, []int64{8, 8}, 41, 0); err == nil {
+	if _, err := mo.TimeUnrolled(k, 1000, []int64{8, 8}, 41, 1, 0); err == nil {
 		t.Error("41 threads on Westmere should fail")
 	}
-	if _, err := mo.Time(k, 1000, []int64{8, 8}, 1, 0); err != nil {
+	if _, err := mo.TimeUnrolled(k, 1000, []int64{8, 8}, 1, 1, 0); err != nil {
 		t.Errorf("valid call failed: %v", err)
 	}
 }
@@ -76,14 +76,14 @@ func TestTimeArgumentChecks(t *testing.T) {
 func TestTimePositiveAndDeterministic(t *testing.T) {
 	mo := New(machine.Westmere())
 	k := toyModel()
-	t1, err := mo.Time(k, 1000, []int64{16, 16}, 4, 0)
+	t1, err := mo.TimeUnrolled(k, 1000, []int64{16, 16}, 4, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if t1 <= 0 || math.IsNaN(t1) || math.IsInf(t1, 0) {
 		t.Fatalf("time = %v", t1)
 	}
-	t2, _ := mo.Time(k, 1000, []int64{16, 16}, 4, 0)
+	t2, _ := mo.TimeUnrolled(k, 1000, []int64{16, 16}, 4, 1, 0)
 	if t1 != t2 {
 		t.Fatal("model is not deterministic")
 	}
@@ -94,7 +94,7 @@ func TestMoreThreadsNeverSlowerForScalableKernel(t *testing.T) {
 	k := toyModel()
 	prev := math.Inf(1)
 	for threads := 1; threads <= 40; threads++ {
-		tm, err := mo.Time(k, 100000, []int64{16, 64}, threads, 0)
+		tm, err := mo.TimeUnrolled(k, 100000, []int64{16, 64}, threads, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,9 +111,9 @@ func TestMoreThreadsNeverSlowerForScalableKernel(t *testing.T) {
 func TestOversizedWorkingSetIsPenalized(t *testing.T) {
 	mo := New(machine.Westmere())
 	k := toyModel()
-	small, _ := mo.Time(k, 100000, []int64{16, 64}, 1, 0)
+	small, _ := mo.TimeUnrolled(k, 100000, []int64{16, 64}, 1, 1, 0)
 	// 8*4096*4096 = 128 MB working set fits nowhere.
-	big, _ := mo.Time(k, 100000, []int64{4096, 4096}, 1, 0)
+	big, _ := mo.TimeUnrolled(k, 100000, []int64{4096, 4096}, 1, 1, 0)
 	if big <= small {
 		t.Fatalf("oversized working set not penalized: %v vs %v", big, small)
 	}
@@ -123,8 +123,8 @@ func TestImbalancePenalty(t *testing.T) {
 	mo := New(machine.Westmere())
 	k := toyModel()
 	// t0 = n/2 leaves only 2 parallel iterations for 8 threads.
-	balanced, _ := mo.Time(k, 4096, []int64{16, 64}, 8, 0)
-	imbalanced, _ := mo.Time(k, 4096, []int64{2048, 64}, 8, 0)
+	balanced, _ := mo.TimeUnrolled(k, 4096, []int64{16, 64}, 8, 1, 0)
+	imbalanced, _ := mo.TimeUnrolled(k, 4096, []int64{2048, 64}, 8, 1, 0)
 	if imbalanced <= balanced {
 		t.Fatalf("imbalance not penalized: %v vs %v", imbalanced, balanced)
 	}
@@ -134,19 +134,19 @@ func TestNoisePlumbing(t *testing.T) {
 	mo := New(machine.Westmere())
 	mo.NoiseAmp = 0.01
 	k := toyModel()
-	a, _ := mo.Time(k, 1000, []int64{16, 16}, 2, 0)
-	b, _ := mo.Time(k, 1000, []int64{16, 16}, 2, 1)
+	a, _ := mo.TimeUnrolled(k, 1000, []int64{16, 16}, 2, 1, 0)
+	b, _ := mo.TimeUnrolled(k, 1000, []int64{16, 16}, 2, 1, 1)
 	if a == b {
 		t.Fatal("different reps should yield different noisy times")
 	}
 	// Same rep is reproducible.
-	a2, _ := mo.Time(k, 1000, []int64{16, 16}, 2, 0)
+	a2, _ := mo.TimeUnrolled(k, 1000, []int64{16, 16}, 2, 1, 0)
 	if a != a2 {
 		t.Fatal("noisy time not reproducible for same rep")
 	}
 	// Noise is bounded.
 	mo2 := New(machine.Westmere())
-	clean, _ := mo2.Time(k, 1000, []int64{16, 16}, 2, 0)
+	clean, _ := mo2.TimeUnrolled(k, 1000, []int64{16, 16}, 2, 1, 0)
 	if math.Abs(a-clean)/clean > 0.011 {
 		t.Fatalf("noise out of bounds: %v vs %v", a, clean)
 	}
@@ -203,8 +203,8 @@ func TestTurboBoostRaisesLowOccupancyClock(t *testing.T) {
 	k := toyModel()
 	// With turbo, the 1-thread run benefits from a higher clock; the
 	// per-thread time at full socket occupancy is relatively slower.
-	t1, _ := mo.Time(k, 100000, []int64{16, 64}, 1, 0)
-	t10, _ := mo.Time(k, 100000, []int64{16, 64}, 10, 0)
+	t1, _ := mo.TimeUnrolled(k, 100000, []int64{16, 64}, 1, 1, 0)
+	t10, _ := mo.TimeUnrolled(k, 100000, []int64{16, 64}, 10, 1, 0)
 	eff := Efficiency(t1, t10, 10)
 	if eff >= 1 {
 		t.Fatalf("turbo should cap parallel efficiency below 1, got %v", eff)

@@ -27,7 +27,7 @@ func TestTimeUnrolledValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _ := mo.Time(k, 1000, []int64{8, 8}, 1, 0)
+	plain, _ := mo.TimeUnrolled(k, 1000, []int64{8, 8}, 1, 1, 0)
 	if u1 != plain {
 		t.Fatalf("unroll 1 (%v) != Time (%v)", u1, plain)
 	}

@@ -25,22 +25,22 @@ import (
 type Kind int
 
 const (
-	// Flow is a read-after-write (true) dependence.
-	Flow Kind = iota
-	// Anti is a write-after-read dependence.
-	Anti
-	// Output is a write-after-write dependence.
-	Output
+	// flow is a read-after-write (true) dependence.
+	flow Kind = iota
+	// anti is a write-after-read dependence.
+	anti
+	// output is a write-after-write dependence.
+	output
 )
 
 // String returns the dependence kind name.
 func (k Kind) String() string {
 	switch k {
-	case Flow:
+	case flow:
 		return "flow"
-	case Anti:
+	case anti:
 		return "anti"
-	case Output:
+	case output:
 		return "output"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
@@ -51,30 +51,30 @@ func (k Kind) String() string {
 type Direction int
 
 const (
-	// DirZero means the dependence is not carried by the loop (=).
-	DirZero Direction = iota
-	// DirPos means the sink iteration follows the source (<, forward).
-	DirPos
-	// DirNeg means the sink iteration precedes the source (>, backward).
-	DirNeg
-	// DirNonNeg means the component is either = or < ({=,<}); it arises
+	// dirZero means the dependence is not carried by the loop (=).
+	dirZero Direction = iota
+	// dirPos means the sink iteration follows the source (<, forward).
+	dirPos
+	// dirNeg means the sink iteration precedes the source (>, backward).
+	dirNeg
+	// dirNonNeg means the component is either = or < ({=,<}); it arises
 	// from an unconstrained iterator after lexicographic legalization,
 	// e.g. the reduction loop of an accumulation statement.
-	DirNonNeg
-	// DirAny means the direction is unknown (*).
-	DirAny
+	dirNonNeg
+	// dirAny means the direction is unknown (*).
+	dirAny
 )
 
 // String renders the direction in classic <,=,>,≤,* notation.
 func (d Direction) String() string {
 	switch d {
-	case DirZero:
+	case dirZero:
 		return "="
-	case DirPos:
+	case dirPos:
 		return "<"
-	case DirNeg:
+	case dirNeg:
 		return ">"
-	case DirNonNeg:
+	case dirNonNeg:
 		return "<="
 	default:
 		return "*"
@@ -110,7 +110,7 @@ func (d Dependence) CarriedBy(level int) bool {
 		return false
 	}
 	dir := d.Directions[level]
-	return dir == DirPos || dir == DirNeg || dir == DirNonNeg || dir == DirAny
+	return dir == dirPos || dir == dirNeg || dir == dirNonNeg || dir == dirAny
 }
 
 // gcd returns the greatest common divisor of non-negative a, b.
@@ -170,18 +170,18 @@ func Analyze(loops []*ir.Loop, stmts []*ir.Stmt) []Dependence {
 		for _, s2 := range stmts {
 			for _, w := range s1.Writes {
 				for _, r := range s2.Reads {
-					add(Flow, w, r)
+					add(flow, w, r)
 				}
 				for _, w2 := range s2.Writes {
 					// Emit each unordered write pair once.
 					if s1 == s2 || lessStmt(s1, s2) {
-						add(Output, w, w2)
+						add(output, w, w2)
 					}
 				}
 			}
 			for _, r := range s1.Reads {
 				for _, w := range s2.Writes {
-					add(Anti, r, w)
+					add(anti, r, w)
 				}
 			}
 		}
@@ -225,23 +225,23 @@ func pairDependence(k Kind, src, dst ir.Access, loopVars []string) (Dependence, 
 			// write(v)->read(v+1)), so the raw direction set is
 			// {<,=,>}. Legalization below narrows it under
 			// lexicographic positivity.
-			dep.Directions[li] = DirAny
+			dep.Directions[li] = dirAny
 			dep.Exact = false
 			continue
 		}
 		if !exact {
-			dep.Directions[li] = DirAny
+			dep.Directions[li] = dirAny
 			dep.Exact = false
 			continue
 		}
 		dep.Distance[li] = dist
 		switch {
 		case dist == 0:
-			dep.Directions[li] = DirZero
+			dep.Directions[li] = dirZero
 		case dist > 0:
-			dep.Directions[li] = DirPos
+			dep.Directions[li] = dirPos
 		default:
-			dep.Directions[li] = DirNeg
+			dep.Directions[li] = dirNeg
 		}
 	}
 	if !legalize(&dep) {
@@ -259,23 +259,23 @@ func pairDependence(k Kind, src, dst ir.Access, loopVars []string) (Dependence, 
 // earlier component that may be positive. A vector whose first
 // non-equal component is definitely negative describes the mirrored
 // dependence (reported separately with kinds swapped) and is pruned by
-// returning false. Purely-zero vectors for Flow/Anti/Output between
+// returning false. Purely-zero vectors for flow/anti/output between
 // distinct iterations degenerate to loop-independent dependences and
 // are kept with all-= directions.
 func legalize(d *Dependence) bool {
 	prefixCanBePositive := false
 	for i, dir := range d.Directions {
 		switch dir {
-		case DirPos:
+		case dirPos:
 			prefixCanBePositive = true
-		case DirNeg:
+		case dirNeg:
 			if !prefixCanBePositive {
 				return false
 			}
-		case DirAny:
+		case dirAny:
 			if !prefixCanBePositive {
 				// Negative impossible here: narrow {<,=,>} to {=,<}.
-				d.Directions[i] = DirNonNeg
+				d.Directions[i] = dirNonNeg
 				prefixCanBePositive = true
 			} else {
 				prefixCanBePositive = true
@@ -359,16 +359,16 @@ func dedup(deps []Dependence) []Dependence {
 	return out
 }
 
-// FullyPermutable reports whether the loop band [from, to] (inclusive
+// fullyPermutable reports whether the loop band [from, to] (inclusive
 // nest positions) is fully permutable — the standard legality condition
 // for rectangular tiling: every dependence must have non-negative
 // direction components throughout the band, with any unknown (*)
 // component making the band illegal.
-func FullyPermutable(deps []Dependence, from, to int) bool {
+func fullyPermutable(deps []Dependence, from, to int) bool {
 	for _, d := range deps {
 		for l := from; l <= to && l < len(d.Directions); l++ {
 			switch d.Directions[l] {
-			case DirNeg, DirAny:
+			case dirNeg, dirAny:
 				return false
 			}
 		}
@@ -386,7 +386,7 @@ func ParallelLoop(deps []Dependence, level int) bool {
 	for _, d := range deps {
 		mayReachLevel := true
 		for l := 0; l < level && l < len(d.Directions); l++ {
-			if d.Directions[l] == DirPos || d.Directions[l] == DirNeg {
+			if d.Directions[l] == dirPos || d.Directions[l] == dirNeg {
 				mayReachLevel = false
 				break
 			}
@@ -404,7 +404,7 @@ func ParallelLoop(deps []Dependence, level int) bool {
 // participates in a negative or unknown direction.
 func MaxTilableBand(deps []Dependence, nestDepth int) int {
 	k := 0
-	for k < nestDepth && FullyPermutable(deps, 0, k) {
+	for k < nestDepth && fullyPermutable(deps, 0, k) {
 		k++
 	}
 	return k

@@ -35,10 +35,10 @@ func TestMMDependences(t *testing.T) {
 		if d.Array != "C" {
 			t.Errorf("unexpected dependence on read-only array: %v", d)
 		}
-		if d.Directions[0] != DirZero || d.Directions[1] != DirZero {
+		if d.Directions[0] != dirZero || d.Directions[1] != dirZero {
 			t.Errorf("i/j should not carry deps: %v", d)
 		}
-		if d.Directions[2] != DirNonNeg {
+		if d.Directions[2] != dirNonNeg {
 			t.Errorf("k direction = %v, want <= (reduction)", d.Directions[2])
 		}
 	}
@@ -47,7 +47,7 @@ func TestMMDependences(t *testing.T) {
 func TestMMLegality(t *testing.T) {
 	loops, stmts := mmNest(64)
 	deps := Analyze(loops, stmts)
-	if !FullyPermutable(deps, 0, 2) {
+	if !fullyPermutable(deps, 0, 2) {
 		t.Error("mm nest should be fully permutable (3D tiling legal)")
 	}
 	if MaxTilableBand(deps, 3) != 3 {
@@ -94,7 +94,7 @@ func TestJacobiTwoArrayFullyParallel(t *testing.T) {
 	if !ParallelLoop(deps, 0) || !ParallelLoop(deps, 1) {
 		t.Errorf("two-array jacobi should be fully parallel; deps = %v", deps)
 	}
-	if !FullyPermutable(deps, 0, 1) {
+	if !fullyPermutable(deps, 0, 1) {
 		t.Error("jacobi nest should be tilable")
 	}
 	if !CollapsibleLoops(loops, deps, 0) {
@@ -129,7 +129,7 @@ func TestSeidelCarriedDependences(t *testing.T) {
 		t.Error("j loop carries a flow dependence and must not be parallel")
 	}
 	// Distances (1,0) and (0,1) are non-negative: tiling stays legal.
-	if !FullyPermutable(deps, 0, 1) {
+	if !fullyPermutable(deps, 0, 1) {
 		t.Error("seidel nest is fully permutable despite carried deps")
 	}
 	if CollapsibleLoops(loops, deps, 0) {
@@ -142,7 +142,7 @@ func TestFlowDistanceExact(t *testing.T) {
 	deps := Analyze(loops, stmts)
 	foundDist10 := false
 	for _, d := range deps {
-		if d.Kind == Flow && d.Exact && len(d.Distance) == 2 &&
+		if d.Kind == flow && d.Exact && len(d.Distance) == 2 &&
 			d.Distance[0] == 1 && d.Distance[1] == 0 {
 			foundDist10 = true
 		}
@@ -163,7 +163,7 @@ func TestGCDTestDisprovesDependence(t *testing.T) {
 	il := &ir.Loop{Var: "i", Lo: ir.Con(0), Hi: ir.Con(64), Step: 1, Body: []ir.Node{stmt}}
 	deps := Analyze([]*ir.Loop{il}, []*ir.Stmt{stmt})
 	for _, d := range deps {
-		if d.Kind == Flow || d.Kind == Anti {
+		if d.Kind == flow || d.Kind == anti {
 			t.Errorf("GCD test should disprove even/odd aliasing: %v", d)
 		}
 	}
@@ -187,9 +187,9 @@ func TestBackwardDependencePruned(t *testing.T) {
 	var flows, antis int
 	for _, d := range deps {
 		switch d.Kind {
-		case Flow:
+		case flow:
 			flows++
-		case Anti:
+		case anti:
 			antis++
 			if !d.Exact || d.Distance[0] != 1 {
 				t.Errorf("anti distance = %v, want (1)", d.Distance)
@@ -229,7 +229,7 @@ func TestNBodyStyleReduction(t *testing.T) {
 	if ParallelLoop(deps, 1) {
 		t.Error("j loop carries the force accumulation")
 	}
-	if !FullyPermutable(deps, 0, 1) {
+	if !fullyPermutable(deps, 0, 1) {
 		t.Error("nbody nest should be tilable")
 	}
 }
@@ -273,13 +273,13 @@ func TestReversalAccessLegality(t *testing.T) {
 }
 
 func TestKindAndDirectionStrings(t *testing.T) {
-	if Flow.String() != "flow" || Anti.String() != "anti" || Output.String() != "output" {
+	if flow.String() != "flow" || anti.String() != "anti" || output.String() != "output" {
 		t.Error("Kind strings wrong")
 	}
 	if Kind(9).String() == "" {
 		t.Error("unknown Kind should stringify")
 	}
-	dirs := map[Direction]string{DirZero: "=", DirPos: "<", DirNeg: ">", DirNonNeg: "<=", DirAny: "*"}
+	dirs := map[Direction]string{dirZero: "=", dirPos: "<", dirNeg: ">", dirNonNeg: "<=", dirAny: "*"}
 	for d, want := range dirs {
 		if d.String() != want {
 			t.Errorf("Direction %d = %q, want %q", d, d.String(), want)
@@ -288,14 +288,14 @@ func TestKindAndDirectionStrings(t *testing.T) {
 }
 
 func TestDependenceString(t *testing.T) {
-	d := Dependence{Kind: Flow, Array: "C", Directions: []Direction{DirZero, DirPos}}
+	d := Dependence{Kind: flow, Array: "C", Directions: []Direction{dirZero, dirPos}}
 	if d.String() != "flow C (=,<)" {
 		t.Errorf("String = %q", d.String())
 	}
 }
 
 func TestCarriedByOutOfRange(t *testing.T) {
-	d := Dependence{Directions: []Direction{DirPos}}
+	d := Dependence{Directions: []Direction{dirPos}}
 	if d.CarriedBy(5) {
 		t.Error("out-of-range level must not be carried")
 	}

@@ -42,8 +42,8 @@ type GuardConfig struct {
 	Inject func(cfg skeleton.Config, attempt int) error
 }
 
-// GuardStats counts the guard's interventions.
-type GuardStats struct {
+// guardStats counts the guard's interventions.
+type guardStats struct {
 	// Timeouts is the number of evaluations abandoned by the watchdog.
 	Timeouts int
 	// Retries is the number of retry attempts performed.
@@ -72,7 +72,7 @@ type Guard struct {
 
 	mu      sync.Mutex
 	jitter  *stats.CountedRand
-	stats   GuardStats
+	stats   guardStats
 	retries int
 }
 
@@ -82,13 +82,6 @@ func NewGuard(cfg GuardConfig) *Guard {
 		cfg.BaseBackoff = time.Millisecond
 	}
 	return &Guard{cfg: cfg, jitter: stats.NewCountedRand(cfg.JitterSeed)}
-}
-
-// Stats returns a snapshot of the guard's intervention counters.
-func (g *Guard) Stats() GuardStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.stats
 }
 
 // Middleware returns the wrapping function for
@@ -106,18 +99,18 @@ func (g *Guard) Middleware() func(objective.CtxEvalFunc) objective.CtxEvalFunc {
 func (g *Guard) run(ctx context.Context, cfg skeleton.Config, next objective.CtxEvalFunc) ([]float64, error) {
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			g.count(func(s *GuardStats) { s.Cancelled++ })
+			g.count(func(s *guardStats) { s.Cancelled++ })
 			return nil, err
 		}
 		if g.cfg.Inject != nil {
 			if ferr := g.cfg.Inject(cfg, attempt); ferr != nil {
-				g.count(func(s *GuardStats) { s.Faults++ })
+				g.count(func(s *guardStats) { s.Faults++ })
 				if attempt >= g.cfg.Retries || !g.takeRetry() {
-					g.count(func(s *GuardStats) { s.Exhausted++ })
+					g.count(func(s *guardStats) { s.Exhausted++ })
 					return nil, nil
 				}
 				if !g.sleep(ctx, g.backoffFor(attempt)) {
-					g.count(func(s *GuardStats) { s.Cancelled++ })
+					g.count(func(s *guardStats) { s.Cancelled++ })
 					return nil, ctx.Err()
 				}
 				continue
@@ -127,11 +120,11 @@ func (g *Guard) run(ctx context.Context, cfg skeleton.Config, next objective.Ctx
 		if timedOut {
 			// A hung variant is a property of the configuration, not of
 			// the moment: record it as failed rather than retrying.
-			g.count(func(s *GuardStats) { s.Timeouts++ })
+			g.count(func(s *guardStats) { s.Timeouts++ })
 			return nil, nil
 		}
 		if err != nil {
-			g.count(func(s *GuardStats) { s.Cancelled++ })
+			g.count(func(s *guardStats) { s.Cancelled++ })
 		}
 		return objs, err
 	}
@@ -208,7 +201,7 @@ func (g *Guard) sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-func (g *Guard) count(f func(*GuardStats)) {
+func (g *Guard) count(f func(*guardStats)) {
 	g.mu.Lock()
 	f(&g.stats)
 	g.mu.Unlock()

@@ -28,12 +28,12 @@ import (
 // armed fault first — either way the store ends up degraded.
 func degradeDB(t *testing.T, o *Orchestrator, inj *chaos.Injector) {
 	t.Helper()
-	for i := 0; i < 100 && !o.Degraded(); i++ {
+	for i := 0; i < 100 && !o.db.Health().ReadOnly; i++ {
 		inj.Add(chaos.Fault{Op: chaos.OpWrite, Path: "wal.log"})
 		key := tunedb.Key{Fingerprint: fmt.Sprintf("chaos-trip-%d", i), MachineSig: "m", Objectives: "time", SpaceHash: "s"}
 		o.DB().PutEval(key, skeleton.Config{1}, []float64{1})
 	}
-	if !o.Degraded() {
+	if !o.db.Health().ReadOnly {
 		t.Fatal("store not degraded after WAL faults")
 	}
 }
@@ -43,7 +43,7 @@ func degradeDB(t *testing.T, o *Orchestrator, inj *chaos.Injector) {
 func waitHealthy(t *testing.T, o *Orchestrator) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for o.Degraded() {
+	for o.db.Health().ReadOnly {
 		if time.Now().After(deadline) {
 			t.Fatal("store never recovered after faults cleared")
 		}
@@ -101,8 +101,8 @@ func TestServerDegradedShedsAndRecovers(t *testing.T) {
 	if StatusCode(err) != http.StatusServiceUnavailable {
 		t.Fatalf("submit while degraded = %v, want 503", err)
 	}
-	if RetryAfter(err) != 10*time.Second {
-		t.Fatalf("Retry-After hint = %v, want 10s", RetryAfter(err))
+	if retryAfter(err) != 10*time.Second {
+		t.Fatalf("Retry-After hint = %v, want 10s", retryAfter(err))
 	}
 	// Reads keep working.
 	if _, err := c.List(ctx); err != nil {
@@ -198,8 +198,8 @@ func TestQuotaRejectionCarriesRetryAfter(t *testing.T) {
 	if StatusCode(qerr) != http.StatusTooManyRequests {
 		t.Fatalf("over-quota submit = %v, want 429", qerr)
 	}
-	if RetryAfter(qerr) != 10*time.Second {
-		t.Fatalf("429 Retry-After = %v, want 10s", RetryAfter(qerr))
+	if retryAfter(qerr) != 10*time.Second {
+		t.Fatalf("429 Retry-After = %v, want 10s", retryAfter(qerr))
 	}
 	metrics, err := c.Metrics(ctx)
 	if err != nil {
@@ -426,8 +426,8 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != StateInterrupted || !o.Degraded() {
-		t.Fatalf("after drain: %s (%s), degraded %v", got.State, got.Error, o.Degraded())
+	if got.State != stateInterrupted || !o.db.Health().ReadOnly {
+		t.Fatalf("after drain: %s (%s), degraded %v", got.State, got.Error, o.db.Health().ReadOnly)
 	}
 	spills, _ := os.ReadDir(filepath.Join(dir, "spill"))
 	if len(spills) != 1 {
@@ -550,8 +550,8 @@ func TestJobRecordSubmitWriteFails(t *testing.T) {
 	hs := httptest.NewServer(New(o).Handler())
 	c := &Client{BaseURL: hs.URL}
 	_, err = c.Submit(context.Background(), smallJob(1))
-	if StatusCode(err) != http.StatusServiceUnavailable || RetryAfter(err) != 10*time.Second {
-		t.Fatalf("submit whose record is refused: %v (Retry-After %v), want 503 after 10s", err, RetryAfter(err))
+	if StatusCode(err) != http.StatusServiceUnavailable || retryAfter(err) != 10*time.Second {
+		t.Fatalf("submit whose record is refused: %v (Retry-After %v), want 503 after 10s", err, retryAfter(err))
 	}
 	if inj.Injected() != 1 {
 		t.Fatalf("%d faults fired, want the one on the record's write", inj.Injected())

@@ -55,9 +55,9 @@ func StatusCode(err error) int {
 	return 0
 }
 
-// RetryAfter extracts the server's Retry-After hint from a shed
+// retryAfter extracts the server's Retry-After hint from a shed
 // submission's error (0 when err carries none).
-func RetryAfter(err error) time.Duration {
+func retryAfter(err error) time.Duration {
 	if se, ok := err.(*apiStatusError); ok {
 		return se.RetryAfter
 	}
@@ -237,7 +237,7 @@ func (c *Client) SubmitRetry(ctx context.Context, req *JobRequest, pol RetryPoli
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			wait := jitter(delay, pol.Rand)
-			if ra := RetryAfter(lastErr); ra > wait {
+			if ra := retryAfter(lastErr); ra > wait {
 				wait = ra
 			}
 			if err := pol.Sleep(ctx, wait); err != nil {

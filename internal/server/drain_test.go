@@ -85,7 +85,7 @@ func TestDrainInterruptsAndResumesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != StateInterrupted {
+	if got.State != stateInterrupted {
 		t.Fatalf("after drain: %s (%s)", got.State, got.Error)
 	}
 	ckpts, _ := os.ReadDir(filepath.Join(dir, "checkpoints"))

@@ -12,7 +12,7 @@ import (
 )
 
 func TestDecodeJobRequestValid(t *testing.T) {
-	req, err := DecodeJobRequest(strings.NewReader(
+	req, err := decodeJobRequest(strings.NewReader(
 		`{"kernel":"mm","machine":"Barcelona","method":"gde3","seed":7,"pop_size":8,"deadline":"30s"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -39,22 +39,22 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		"bad deadline":                      `{"kernel":"mm","deadline":"soon"}`,
 		"negative deadline":                 `{"kernel":"mm","deadline":"-5s"}`,
 		"trailing garbage":                  `{"kernel":"mm"}{"kernel":"mm"}`,
-		"oversized source":                  `{"source":"` + strings.Repeat("x", MaxSourceBytes+1) + `"}`,
+		"oversized source":                  `{"source":"` + strings.Repeat("x", maxSourceBytes+1) + `"}`,
 		"islands on a walk":                 `{"kernel":"mm","method":"grid","islands":2}`,
 		"islands on a race":                 `{"kernel":"mm","method":"race","islands":2}`,
 		"screen on brute force":             `{"kernel":"mm","method":"brute-force","screen_top_k":4}`,
 	}
 	for name, body := range cases {
-		if _, err := DecodeJobRequest(strings.NewReader(body)); err == nil {
+		if _, err := decodeJobRequest(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: accepted", name)
-		} else if !IsRequestError(err) {
-			t.Errorf("%s: not a RequestError: %v", name, err)
+		} else if !isRequestError(err) {
+			t.Errorf("%s: not a requestError: %v", name, err)
 		}
 	}
 }
 
 func TestDecodeJobRequestErrorListsMethods(t *testing.T) {
-	_, err := DecodeJobRequest(strings.NewReader(`{"kernel":"mm","method":"nope"}`))
+	_, err := decodeJobRequest(strings.NewReader(`{"kernel":"mm","method":"nope"}`))
 	if err == nil {
 		t.Fatal("unknown method accepted")
 	}
@@ -151,7 +151,7 @@ func TestValidTenant(t *testing.T) {
 }
 
 // FuzzJobRequest: the submission decoder must never panic and must
-// classify every rejection as a structured RequestError — malformed
+// classify every rejection as a structured requestError — malformed
 // JSON, unknown fields/methods/kernels, oversized programs included.
 func FuzzJobRequest(f *testing.F) {
 	f.Add(`{"kernel":"mm","machine":"Westmere","seed":1}`)
@@ -167,17 +167,17 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add(`"just a string"`)
 	f.Add("{\"kernel\":\"mm\"}\n{\"kernel\":\"mm\"}")
 	f.Fuzz(func(t *testing.T, body string) {
-		req, err := DecodeJobRequest(strings.NewReader(body))
+		req, err := decodeJobRequest(strings.NewReader(body))
 		if err != nil {
-			if !IsRequestError(err) {
-				t.Fatalf("non-RequestError rejection: %v", err)
+			if !isRequestError(err) {
+				t.Fatalf("non-requestError rejection: %v", err)
 			}
 			return
 		}
 		// Accepted requests must be internally consistent: a dedup key
 		// must derive without panicking.
-		if _, err := req.DedupKey(); err != nil && !IsRequestError(err) {
-			t.Fatalf("valid request, non-RequestError dedup failure: %v", err)
+		if _, err := req.DedupKey(); err != nil && !isRequestError(err) {
+			t.Fatalf("valid request, non-requestError dedup failure: %v", err)
 		}
 		// And runnable: the options the request turns into, with the
 		// journal the orchestrator adds for a checkpointable method, are
@@ -228,7 +228,7 @@ func TestTuneOptionsBranches(t *testing.T) {
 	if !reflect.DeepEqual(got, driver.Options{Machine: machine.Westmere(), Method: driver.MethodRSGDE3, Surrogate: true, ScreenTopK: 3}) {
 		t.Errorf("screen_top_k alone: %+v", got)
 	}
-	if _, err := (&JobRequest{Kernel: "mm", Machine: "nope"}).options(); !IsRequestError(err) {
+	if _, err := (&JobRequest{Kernel: "mm", Machine: "nope"}).options(); !isRequestError(err) {
 		t.Errorf("unknown machine: %v", err)
 	}
 }

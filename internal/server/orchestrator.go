@@ -31,7 +31,7 @@ type Config struct {
 	// Workers bounds concurrently running searches (default 2).
 	Workers int
 	// MaxQueuedPerTenant caps a tenant's waiting jobs; submissions
-	// beyond it are rejected with ErrQuota (default 16).
+	// beyond it are rejected with errQuota (default 16).
 	MaxQueuedPerTenant int
 	// MaxRunningPerTenant caps a tenant's simultaneously running
 	// searches; excess jobs wait in the queue (default = Workers).
@@ -83,18 +83,18 @@ const retryAfterSeconds = 10
 // Sentinel orchestration errors, mapped to HTTP statuses by the API
 // layer.
 var (
-	// ErrQuota rejects a submission exceeding the tenant's queue
+	// errQuota rejects a submission exceeding the tenant's queue
 	// quota (HTTP 429).
-	ErrQuota = fmt.Errorf("server: tenant queue quota exceeded")
-	// ErrDraining rejects submissions while the server is shutting
+	errQuota = fmt.Errorf("server: tenant queue quota exceeded")
+	// errDraining rejects submissions while the server is shutting
 	// down (HTTP 503).
-	ErrDraining = fmt.Errorf("server: draining, not accepting jobs")
-	// ErrDegraded rejects submissions while the tuning database is
+	errDraining = fmt.Errorf("server: draining, not accepting jobs")
+	// errDegraded rejects submissions while the tuning database is
 	// read-only after a disk fault (HTTP 503): reads and running jobs
 	// continue, new work is shed until recovery.
-	ErrDegraded = fmt.Errorf("server: degraded (store read-only), not accepting jobs")
-	// ErrNotFound marks an unknown job ID (HTTP 404).
-	ErrNotFound = fmt.Errorf("server: no such job")
+	errDegraded = fmt.Errorf("server: degraded (store read-only), not accepting jobs")
+	// errNotFound marks an unknown job ID (HTTP 404).
+	errNotFound = fmt.Errorf("server: no such job")
 )
 
 // job is the in-memory state of one submitted job.
@@ -250,11 +250,6 @@ func (o *Orchestrator) probe() {
 	}
 }
 
-// Degraded reports whether the tuning database is read-only after a
-// disk fault. Reads and running jobs continue; new submissions are
-// shed.
-func (o *Orchestrator) Degraded() bool { return o.db.Health().ReadOnly }
-
 // DB exposes the shared tuning database (read-mostly: stats, tests).
 func (o *Orchestrator) DB() *tunedb.DB { return o.db }
 
@@ -273,7 +268,7 @@ func (o *Orchestrator) reload() error {
 		if j.rec.State == StateRunning {
 			// The previous process died mid-search; its checkpoint (if
 			// any) makes the job resumable.
-			j.rec.State = StateInterrupted
+			j.rec.State = stateInterrupted
 		}
 		if j.rec.State.Terminal() {
 			close(j.done)
@@ -289,7 +284,7 @@ func (o *Orchestrator) reload() error {
 		if n := idNumber(id); n >= o.nextID {
 			o.nextID = n + 1
 		}
-		if j.rec.State == StateQueued || j.rec.State == StateInterrupted {
+		if j.rec.State == StateQueued || j.rec.State == stateInterrupted {
 			o.queue = append(o.queue, j)
 		}
 		return nil
@@ -304,7 +299,7 @@ func idNumber(id string) int {
 
 // Submit validates, deduplicates and enqueues one job. A dedup hit
 // returns the existing job's status (Deduped=true) without consuming
-// quota; a quota overflow returns ErrQuota.
+// quota; a quota overflow returns errQuota.
 func (o *Orchestrator) Submit(req *JobRequest, tenant string) (JobStatus, error) {
 	if err := validTenant(tenant); err != nil {
 		return JobStatus{}, err
@@ -320,7 +315,7 @@ func (o *Orchestrator) Submit(req *JobRequest, tenant string) (JobStatus, error)
 	defer o.mu.Unlock()
 	if o.draining {
 		o.shedDraining.Add(1)
-		return JobStatus{}, ErrDraining
+		return JobStatus{}, errDraining
 	}
 	o.submitted.Add(1)
 	if !req.Force {
@@ -335,7 +330,7 @@ func (o *Orchestrator) Submit(req *JobRequest, tenant string) (JobStatus, error)
 	// existing state and reads keep working on a read-only store.
 	if h := o.db.Health(); h.ReadOnly {
 		o.shedDegraded.Add(1)
-		return JobStatus{}, fmt.Errorf("%w: %s", ErrDegraded, h.Reason)
+		return JobStatus{}, fmt.Errorf("%w: %s", errDegraded, h.Reason)
 	}
 	queued := 0
 	for _, j := range o.queue {
@@ -347,7 +342,7 @@ func (o *Orchestrator) Submit(req *JobRequest, tenant string) (JobStatus, error)
 		o.quotaDenied.Add(1)
 		o.shedQuota.Add(1)
 		return JobStatus{}, fmt.Errorf("%w: tenant %q already has %d queued jobs (max %d)",
-			ErrQuota, tenant, queued, o.cfg.MaxQueuedPerTenant)
+			errQuota, tenant, queued, o.cfg.MaxQueuedPerTenant)
 	}
 	id := fmt.Sprintf("j%06d", o.nextID)
 	j := &job{
@@ -367,7 +362,7 @@ func (o *Orchestrator) Submit(req *JobRequest, tenant string) (JobStatus, error)
 	if err := o.persistLocked(j); err != nil {
 		if o.db.Health().ReadOnly {
 			o.shedDegraded.Add(1)
-			return JobStatus{}, fmt.Errorf("%w: %v", ErrDegraded, err)
+			return JobStatus{}, fmt.Errorf("%w: %v", errDegraded, err)
 		}
 		return JobStatus{}, err
 	}
@@ -386,7 +381,7 @@ func (o *Orchestrator) Status(id string) (JobStatus, error) {
 	defer o.mu.Unlock()
 	j, ok := o.jobs[id]
 	if !ok {
-		return JobStatus{}, ErrNotFound
+		return JobStatus{}, errNotFound
 	}
 	return o.statusLocked(j), nil
 }
@@ -427,7 +422,7 @@ func (o *Orchestrator) Subscribe(id string) (<-chan Event, <-chan struct{}, func
 	j, ok := o.jobs[id]
 	o.mu.Unlock()
 	if !ok {
-		return nil, nil, nil, ErrNotFound
+		return nil, nil, nil, errNotFound
 	}
 	ch := make(chan Event, 16)
 	j.subMu.Lock()
@@ -525,7 +520,7 @@ func (o *Orchestrator) run(j *job) {
 		// The drain cancelled the search: the checkpoint (if the
 		// method keeps one) holds the last completed generation, and a
 		// restarted server resumes it to a byte-identical front.
-		j.rec.State = StateInterrupted
+		j.rec.State = stateInterrupted
 		j.rec.Error = ""
 	case err != nil:
 		j.rec.State = StateFailed

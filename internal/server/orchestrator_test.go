@@ -95,7 +95,7 @@ func persistInterrupted(t *testing.T, dir, sub string, req *JobRequest, journal 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := json.Marshal(jobRecord{ID: id, Tenant: "alice", Request: req, State: StateInterrupted, DedupKey: key, Submitted: 1})
+	rec, err := json.Marshal(jobRecord{ID: id, Tenant: "alice", Request: req, State: stateInterrupted, DedupKey: key, Submitted: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestOrchestratorDedupWithWarmStartSet(t *testing.T) {
 	defer o.Drain()
 	decode := func(body string) *JobRequest {
 		t.Helper()
-		req, err := DecodeJobRequest(strings.NewReader(body))
+		req, err := decodeJobRequest(strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +432,7 @@ func TestOrchestratorQuota(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
-	if _, err := o.Submit(smallJob(13), "alice"); !errors.Is(err, ErrQuota) {
+	if _, err := o.Submit(smallJob(13), "alice"); !errors.Is(err, errQuota) {
 		t.Fatalf("over-quota submit: %v", err)
 	}
 	// Quotas are per tenant: bob is unaffected by alice's backlog.
@@ -496,10 +496,10 @@ func TestOrchestratorDrainRejectsSubmit(t *testing.T) {
 	if !o.Draining() {
 		t.Fatal("Draining() false after Drain")
 	}
-	if _, err := o.Submit(smallJob(1), "alice"); !errors.Is(err, ErrDraining) {
+	if _, err := o.Submit(smallJob(1), "alice"); !errors.Is(err, errDraining) {
 		t.Fatalf("submit during drain: %v", err)
 	}
-	if _, err := o.Status("j999999"); !errors.Is(err, ErrNotFound) {
+	if _, err := o.Status("j999999"); !errors.Is(err, errNotFound) {
 		t.Fatalf("unknown job: %v", err)
 	}
 }

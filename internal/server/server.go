@@ -75,13 +75,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // errStatus maps orchestration errors to HTTP statuses.
 func errStatus(err error) int {
 	switch {
-	case IsRequestError(err):
+	case isRequestError(err):
 		return http.StatusBadRequest
-	case errors.Is(err, ErrQuota):
+	case errors.Is(err, errQuota):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrDegraded):
+	case errors.Is(err, errDraining), errors.Is(err, errDegraded):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrNotFound):
+	case errors.Is(err, errNotFound):
 		return http.StatusNotFound
 	default:
 		return http.StatusInternalServerError
@@ -91,12 +91,12 @@ func errStatus(err error) int {
 // retryable reports whether the client should back off and retry the
 // same request later; such responses carry a Retry-After header.
 func retryable(err error) bool {
-	return errors.Is(err, ErrQuota) || errors.Is(err, ErrDraining) || errors.Is(err, ErrDegraded)
+	return errors.Is(err, errQuota) || errors.Is(err, errDraining) || errors.Is(err, errDegraded)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
-	req, err := DecodeJobRequest(r.Body)
+	req, err := decodeJobRequest(r.Body)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {

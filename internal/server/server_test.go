@@ -133,12 +133,12 @@ func TestServerRejectsBadRequests(t *testing.T) {
 func TestClientErrorsAreOneShape(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "4")
-		writeError(w, http.StatusServiceUnavailable, ErrDegraded)
+		writeError(w, http.StatusServiceUnavailable, errDegraded)
 	}))
 	defer ts.Close()
 	c := &Client{BaseURL: ts.URL}
 	ctx := context.Background()
-	want := &apiStatusError{Code: http.StatusServiceUnavailable, Msg: ErrDegraded.Error(), RetryAfter: 4 * time.Second}
+	want := &apiStatusError{Code: http.StatusServiceUnavailable, Msg: errDegraded.Error(), RetryAfter: 4 * time.Second}
 	for name, call := range map[string]func() error{
 		"submit":  func() error { _, err := c.Submit(ctx, smallJob(1)); return err },
 		"list":    func() error { _, err := c.List(ctx); return err },

@@ -31,11 +31,6 @@ const (
 	ThreadCount
 	// UnrollFactor parameters feed the unrolling transformation.
 	UnrollFactor
-	// Flag parameters enable optional skeleton parts (0 or 1).
-	Flag
-	// Choice parameters select among alternatives (e.g. which
-	// skeleton variant to use).
-	Choice
 )
 
 // String returns the kind name.
@@ -47,10 +42,6 @@ func (k ParamKind) String() string {
 		return "threads"
 	case UnrollFactor:
 		return "unroll"
-	case Flag:
-		return "flag"
-	case Choice:
-		return "choice"
 	default:
 		return fmt.Sprintf("ParamKind(%d)", int(k))
 	}
@@ -105,9 +96,6 @@ func (s Space) Validate() error {
 		seen[p.Name] = true
 		if p.Min > p.Max {
 			return fmt.Errorf("skeleton: parameter %s has min %d > max %d", p.Name, p.Min, p.Max)
-		}
-		if p.Kind == Flag && (p.Min < 0 || p.Max > 1) {
-			return fmt.Errorf("skeleton: flag %s must be within [0,1]", p.Name)
 		}
 	}
 	return nil

@@ -26,7 +26,6 @@ func TestSpaceValidate(t *testing.T) {
 		{Params: []Param{{Name: "", Min: 0, Max: 1}}},
 		{Params: []Param{{Name: "a", Min: 2, Max: 1}}},
 		{Params: []Param{{Name: "a", Min: 0, Max: 1}, {Name: "a", Min: 0, Max: 1}}},
-		{Params: []Param{{Name: "f", Kind: Flag, Min: 0, Max: 2}}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -110,7 +109,7 @@ func TestBoxOperations(t *testing.T) {
 }
 
 func TestParamKindString(t *testing.T) {
-	kinds := map[ParamKind]string{TileSize: "tile", ThreadCount: "threads", UnrollFactor: "unroll", Flag: "flag", Choice: "choice"}
+	kinds := map[ParamKind]string{TileSize: "tile", ThreadCount: "threads", UnrollFactor: "unroll"}
 	for k, want := range kinds {
 		if k.String() != want {
 			t.Errorf("%d = %q, want %q", k, k.String(), want)

@@ -14,8 +14,8 @@ import (
 	"slices"
 )
 
-// ErrEmpty is returned by aggregations that require at least one sample.
-var ErrEmpty = errors.New("stats: empty sample set")
+// errEmpty is returned by aggregations that require at least one sample.
+var errEmpty = errors.New("stats: empty sample set")
 
 // NewRand returns a deterministic PRNG for the given seed. It exists so
 // call sites read uniformly and so the source choice is centralized.
@@ -23,11 +23,11 @@ func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// Median returns the median of xs. It copies the input, leaving the
+// median returns the median of xs. It copies the input, leaving the
 // caller's slice untouched.
-func Median(xs []float64) (float64, error) {
+func median(xs []float64) (float64, error) {
 	if len(xs) == 0 {
-		return 0, ErrEmpty
+		return 0, errEmpty
 	}
 	return MustMedianInPlace(append([]float64(nil), xs...)), nil
 }
@@ -38,7 +38,7 @@ func Median(xs []float64) (float64, error) {
 // evaluator). It panics on an empty slice.
 func MustMedianInPlace(xs []float64) float64 {
 	if len(xs) == 0 {
-		panic(ErrEmpty)
+		panic(errEmpty)
 	}
 	slices.Sort(xs)
 	n := len(xs)
@@ -48,10 +48,10 @@ func MustMedianInPlace(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// MustMedian is Median for callers that have already checked len>0.
+// MustMedian is median for callers that have already checked len>0.
 // It panics on an empty slice.
 func MustMedian(xs []float64) float64 {
-	m, err := Median(xs)
+	m, err := median(xs)
 	if err != nil {
 		panic(err)
 	}
@@ -61,7 +61,7 @@ func MustMedian(xs []float64) float64 {
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) (float64, error) {
 	if len(xs) == 0 {
-		return 0, ErrEmpty
+		return 0, errEmpty
 	}
 	s := 0.0
 	for _, x := range xs {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestMedianOdd(t *testing.T) {
-	m, err := Median([]float64{3, 1, 2})
+	m, err := median([]float64{3, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestMedianOdd(t *testing.T) {
 }
 
 func TestMedianEven(t *testing.T) {
-	m, err := Median([]float64{4, 1, 3, 2})
+	m, err := median([]float64{4, 1, 3, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,14 +28,14 @@ func TestMedianEven(t *testing.T) {
 }
 
 func TestMedianEmpty(t *testing.T) {
-	if _, err := Median(nil); err != ErrEmpty {
-		t.Fatalf("err = %v, want ErrEmpty", err)
+	if _, err := median(nil); err != errEmpty {
+		t.Fatalf("err = %v, want errEmpty", err)
 	}
 }
 
 func TestMedianDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	_, _ = Median(xs)
+	_, _ = median(xs)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Fatalf("input mutated: %v", xs)
 	}

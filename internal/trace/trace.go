@@ -16,17 +16,16 @@ import (
 	"autotune/internal/ir"
 )
 
-// Layout maps each array to its base address.
-type Layout struct {
+// layout maps each array to its base address.
+type layout struct {
 	Base map[string]uint64
 	// Strides[name][d] is the byte stride of dimension d.
 	Strides map[string][]uint64
-	Total   uint64
 }
 
-// NewLayout assigns consecutive, 64-byte-aligned base addresses.
-func NewLayout(p *ir.Program) Layout {
-	l := Layout{Base: map[string]uint64{}, Strides: map[string][]uint64{}}
+// newLayout assigns consecutive, 64-byte-aligned base addresses.
+func newLayout(p *ir.Program) layout {
+	l := layout{Base: map[string]uint64{}, Strides: map[string][]uint64{}}
 	addr := uint64(64) // keep 0 free
 	for _, a := range p.Arrays {
 		l.Base[a.Name] = addr
@@ -40,12 +39,11 @@ func NewLayout(p *ir.Program) Layout {
 		addr += s
 		addr = (addr + 63) &^ 63
 	}
-	l.Total = addr
 	return l
 }
 
 // Address computes the byte address of an access under env.
-func (l Layout) Address(ac ir.Access, env map[string]int64) (uint64, error) {
+func (l layout) Address(ac ir.Access, env map[string]int64) (uint64, error) {
 	base, ok := l.Base[ac.Array]
 	if !ok {
 		return 0, fmt.Errorf("trace: unknown array %s", ac.Array)
@@ -78,9 +76,8 @@ func Generate(p *ir.Program, nThreads int, maxAccesses int) ([][]uint64, error) 
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	layout := NewLayout(p)
 	g := &generator{
-		layout:  layout,
+		layout:  newLayout(p),
 		traces:  make([][]uint64, nThreads),
 		thread:  0,
 		nThread: nThreads,
@@ -93,7 +90,7 @@ func Generate(p *ir.Program, nThreads int, maxAccesses int) ([][]uint64, error) 
 }
 
 type generator struct {
-	layout  Layout
+	layout  layout
 	traces  [][]uint64
 	thread  int
 	nThread int

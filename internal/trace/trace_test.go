@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 
 	"autotune/internal/cachesim"
@@ -58,7 +59,7 @@ func mmProgram(n int64) *ir.Program {
 
 func TestLayoutNonOverlapping(t *testing.T) {
 	p := mmProgram(10)
-	l := NewLayout(p)
+	l := newLayout(p)
 	// A: 800 bytes, B: 800, C: 800, 64-aligned bases.
 	if l.Base["A"] != 64 {
 		t.Errorf("A base = %d", l.Base["A"])
@@ -76,7 +77,7 @@ func TestLayoutNonOverlapping(t *testing.T) {
 
 func TestAddressRowMajor(t *testing.T) {
 	p := mmProgram(10)
-	l := NewLayout(p)
+	l := newLayout(p)
 	ac := ir.Access{Array: "A", Indices: []ir.Affine{ir.Var("i"), ir.Var("k")}}
 	addr, err := l.Address(ac, map[string]int64{"i": 2, "k": 3})
 	if err != nil {
@@ -220,7 +221,13 @@ func TestTilingImprovesSimulatedMissRate(t *testing.T) {
 		for _, a := range traces[0] {
 			h.Access(0, a)
 		}
-		return h.LevelMissRate("L1")
+		for _, l := range h.Levels() {
+			if strings.HasPrefix(l.Name, "L1") {
+				return float64(l.Stats.Misses) / float64(l.Stats.Accesses)
+			}
+		}
+		t.Fatal("no L1 instance")
+		return 0
 	}
 	untiledMiss := run(p)
 	tiledMiss := run(tiled)

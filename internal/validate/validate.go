@@ -37,14 +37,13 @@ func traceProgram(p *ir.Program, maxAccesses int) ([]uint64, error) {
 // LevelComparison is one cache level's simulated vs modeled traffic
 // for one configuration.
 type LevelComparison struct {
-	Level      string
 	SimBytes   float64
 	ModelBytes float64
 }
 
-// ConfigResult is the comparison for one tile configuration.
+// ConfigResult is the comparison for one tile configuration, one
+// entry per cache level of the machine.
 type ConfigResult struct {
-	Tiles  []int64
 	Levels []LevelComparison
 }
 
@@ -103,9 +102,9 @@ func CacheModel(k *kernels.Kernel, m *machine.Machine, n int64, tileSets [][]int
 		}
 		// Bytes flowing into level i = misses at level i × line size
 		// (each miss installs one line fetched from outside).
-		cr := ConfigResult{Tiles: append([]int64(nil), tiles...)}
+		var cr ConfigResult
 		stats := h.Levels()
-		for i, lvl := range m.Caches {
+		for _, lvl := range m.Caches {
 			var misses uint64
 			for _, s := range stats {
 				if matchesLevel(s.Name, lvl.Name) {
@@ -118,11 +117,9 @@ func CacheModel(k *kernels.Kernel, m *machine.Machine, n int64, tileSets [][]int
 				Sharers:   1,
 			}
 			cr.Levels = append(cr.Levels, LevelComparison{
-				Level:      lvl.Name,
 				SimBytes:   float64(misses) * float64(lvl.LineBytes),
 				ModelBytes: k.Model.LevelTraffic(n, tiles, cap),
 			})
-			_ = i
 		}
 		report.Configs = append(report.Configs, cr)
 	}
