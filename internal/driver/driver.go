@@ -184,7 +184,7 @@ type prepared struct {
 	prog   *ir.Program
 	region analyzer.Region
 	// salt is what the tuning-database fingerprint hashes beside the
-	// program (kernel name, size, skeleton, evaluator switches).
+	// program (kernel name, size, skeleton, evaluator switches, noise).
 	salt []string
 }
 
@@ -224,7 +224,19 @@ func prepareKernel(kernelName string, opt Options) (*prepared, error) {
 		region.Skeleton = unrollSkeleton(region, opt.Machine)
 	}
 	return &prepared{kernel: k, n: n, prog: prog, region: region,
-		salt: []string{k.Name, fmt.Sprint(n), region.Skeleton.Name, fmt.Sprint(opt.Measured), fmt.Sprint(opt.UnrollDim)}}, nil
+		salt: noiseSalt(opt, k.Name, fmt.Sprint(n), region.Skeleton.Name, fmt.Sprint(opt.Measured), fmt.Sprint(opt.UnrollDim))}, nil
+}
+
+// noiseSalt completes a fingerprint salt with the noise amplitude of
+// the simulated evaluator. Its noise is deterministic, so values
+// journaled under one amplitude are wrong under another: the amplitude
+// is part of the problem. The measured evaluator ignores it. A
+// noise-free salt is returned as it is, so its key keeps its bytes.
+func noiseSalt(opt Options, salt ...string) []string {
+	if opt.NoiseAmp != 0 && !opt.Measured {
+		salt = append(salt, fmt.Sprintf("noise=%g", opt.NoiseAmp))
+	}
+	return salt
 }
 
 // unrollSkeleton is the region's skeleton with the innermost-loop

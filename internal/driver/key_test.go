@@ -67,6 +67,7 @@ func TestProblemKeyDiscriminates(t *testing.T) {
 		"size":    {Machine: machine.Westmere(), N: 128},
 		"energy":  {Machine: machine.Westmere(), Objectives: []objective.ObjectiveKind{objective.TimeObjective, objective.ResourceObjective, objective.EnergyObjective}},
 		"unroll":  {Machine: machine.Westmere(), UnrollDim: true},
+		"noise":   {Machine: machine.Westmere(), NoiseAmp: 0.05},
 	}
 	for name, o := range variants {
 		k, err := ProblemKey("mm", o)
@@ -174,14 +175,20 @@ func TestProgressSequencesPinned(t *testing.T) {
 // field is in the table below exactly once, as shaping the problem (what
 // the evaluator computes), the search (how the space is explored) or as
 // run control (where and how long, never what). A problem field moves
-// the tuning-database key or the tag a checkpoint carries; no other
-// field moves either, so neither a stored front nor a checkpoint is
-// ever refused over how it was searched for. A field added to Options
-// fails here until someone decides what it shapes — and, if it is the
-// problem, puts it in (*prepared).key or problemTag.
+// the tuning-database key, and with it the tag a checkpoint carries; no
+// other field moves either, so neither a stored front nor a checkpoint
+// is ever refused over how it was searched for. A field added to
+// Options fails here until someone decides what it shapes — and, if it
+// is the problem, puts it in (*prepared).key.
 func TestEveryOptionFieldIsClassified(t *testing.T) {
 	const (
 		problem = "problem"
+		// tagOnly shapes the values of one run but not what a database
+		// may share between runs: medians of real timings at 3 or 5
+		// repetitions are interchangeable measurements of one problem,
+		// while simulated noise is deterministic, which is why NoiseAmp
+		// moves the key.
+		tagOnly = "problem, checkpoint tag only"
 		search  = "search"
 		control = "run control"
 	)
@@ -201,7 +208,7 @@ func TestEveryOptionFieldIsClassified(t *testing.T) {
 			o.Objectives = []objective.ObjectiveKind{objective.TimeObjective, objective.EnergyObjective}
 		}},
 		"Measured":     {problem, func(o *Options) { o.Measured = true }},
-		"MeasuredReps": {problem, func(o *Options) { o.MeasuredReps = 5 }},
+		"MeasuredReps": {tagOnly, func(o *Options) { o.MeasuredReps = 5 }},
 		"UnrollDim":    {problem, func(o *Options) { o.UnrollDim = true }},
 
 		"Method":            {search, func(o *Options) { o.Method = MethodNSGA2 }},
@@ -253,8 +260,12 @@ func TestEveryOptionFieldIsClassified(t *testing.T) {
 		moved := key != baseKey || tag != baseTag
 		switch c.class {
 		case problem:
-			if !moved {
-				t.Errorf("%s shapes the problem and moves neither the tuning-database key nor the checkpoint tag", name)
+			if key == baseKey {
+				t.Errorf("%s shapes the problem and does not move the tuning-database key", name)
+			}
+		case tagOnly:
+			if key != baseKey || tag == baseTag {
+				t.Errorf("%s must move the checkpoint tag and not the tuning-database key", name)
 			}
 		case search, control:
 			if moved {

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"reflect"
 	"testing"
 
 	"autotune/internal/machine"
@@ -118,6 +119,38 @@ func TestTuneKernelWarmStart(t *testing.T) {
 	}
 	if len(out.Result.Front) == 0 {
 		t.Fatal("warm run produced no front")
+	}
+}
+
+// TestWarmStartKeysTheNoise: simulated noise is deterministic, so
+// evaluations journaled under one amplitude are wrong values under
+// another. A warm run at 0.05 over a database that holds a run at 0.01
+// must be the cold run at 0.05: the same E and the same front.
+func TestWarmStartKeysTheNoise(t *testing.T) {
+	db, err := tunedb.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tune := func(amp float64, db *tunedb.DB) *Output {
+		t.Helper()
+		out, err := TuneKernel("mm", Options{
+			Machine:   machine.Westmere(),
+			Optimizer: optimizer.Options{Seed: 1},
+			NoiseAmp:  amp,
+			DB:        db,
+			WarmStart: db != nil,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	tune(0.01, db)
+	warm, cold := tune(0.05, db), tune(0.05, nil)
+	if warm.Result.Evaluations != cold.Result.Evaluations || !reflect.DeepEqual(warm.Result.Front, cold.Result.Front) {
+		t.Fatalf("warm start at noise 0.05 over a 0.01 run: E %d and %d points, the cold run E %d and %d points",
+			warm.Result.Evaluations, len(warm.Result.Front), cold.Result.Evaluations, len(cold.Result.Front))
 	}
 }
 
