@@ -17,17 +17,24 @@ type bloom struct {
 	bits []byte
 }
 
-// newBloom sizes a filter for n keys at bitsPerKey bits each with
-// hashes probes.
-func newBloom(n, bitsPerKey, hashes int) *bloom {
+// bloomBitsPerKey and bloomHashes size every new segment's filter:
+// about 1% false positives. A segment stores its filter's size and
+// probe count, so changing them leaves existing segments readable.
+const (
+	bloomBitsPerKey = 10
+	bloomHashes     = 7
+)
+
+// newBloom sizes a filter for n keys.
+func newBloom(n int) *bloom {
 	if n < 1 {
 		n = 1
 	}
-	m := uint64(n) * uint64(bitsPerKey)
+	m := uint64(n) * bloomBitsPerKey
 	if m < 64 {
 		m = 64
 	}
-	return &bloom{m: m, k: uint32(hashes), bits: make([]byte, (m+7)/8)}
+	return &bloom{m: m, k: bloomHashes, bits: make([]byte, (m+7)/8)}
 }
 
 // hashKey is the store-wide 64-bit key hash feeding bloom filters.

@@ -98,7 +98,7 @@ func writeSegment(dir string, seqMin, seqMax uint64, src kvSource, approxKeys in
 	if _, err := w.WriteString(segMagic); err != nil {
 		return fail(err)
 	}
-	filter := newBloom(approxKeys, opt.BloomBitsPerKey, opt.BloomHashes)
+	filter := newBloom(approxKeys)
 	var index []indexEntry
 	var count uint64
 	off := int64(len(segMagic))

@@ -29,8 +29,6 @@ type Options struct {
 	// rank, so the screen keeps probing regions the model knows
 	// nothing about. Default 0.25.
 	ExploreFrac float64
-	// Ridge is the model's L2 regularization (default 1e-2).
-	Ridge float64
 	// Features is the static region-feature context from
 	// internal/features (AsMap); nil is valid.
 	Features map[string]float64
@@ -128,7 +126,7 @@ func NewScreened(space skeleton.Space, inner objective.Evaluator, opt Options) (
 		ce:    sc.SharedCache(),
 		space: space,
 		opt:   opt.withDefaults(space.Dim()),
-		model: NewModel(space, opt.Features, opt.Ridge),
+		model: NewModel(space, opt.Features, 0),
 		known: map[string]bool{},
 	}
 	s.removeObs = s.ce.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
