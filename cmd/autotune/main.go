@@ -255,7 +255,7 @@ func main() {
 	}
 
 	if *emitC != "" {
-		code, err := res.EmitC(strings.ReplaceAll(*kernel, "-", "_"))
+		code, err := res.EmitC(cFuncBase(res.Unit.Region))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "autotune:", err)
 			os.Exit(1)
@@ -366,6 +366,24 @@ func validateChoices(choices driver.Options) error {
 		return errors.New(strings.TrimPrefix(err.Error(), "driver: "))
 	}
 	return nil
+}
+
+// cFuncBase names the emitted C functions after what was tuned: the
+// program the tuned region belongs to (a region is named
+// <program>#<index>), the kernel's or the -program file's, made a C
+// identifier.
+func cFuncBase(region string) string {
+	prog, _, _ := strings.Cut(region, "#")
+	b := []byte(prog)
+	for i, c := range b {
+		if c != '_' && (c < 'a' || c > 'z') && (c < 'A' || c > 'Z') && (c < '0' || c > '9') {
+			b[i] = '_'
+		}
+	}
+	if len(b) > 0 && b[0] >= '0' && b[0] <= '9' {
+		return "k" + string(b)
+	}
+	return string(b)
 }
 
 func indent(s, prefix string) string {

@@ -154,3 +154,46 @@ func TestBadRaceRefusedBeforeTheDatabaseOpens(t *testing.T) {
 		}
 	}
 }
+
+// TestEmitCNamesWhatWasTuned: -emit-c names the C functions after the
+// tuned program — a -program file's declared name, not -kernel's
+// default mm — and keeps them C identifiers.
+func TestEmitCNamesWhatWasTuned(t *testing.T) {
+	dir := t.TempDir()
+	prog := filepath.Join(dir, "matmul.mir")
+	src := `program matmul
+array A[64][64] elem 8
+array B[64][64] elem 8
+array C[64][64] elem 8
+for i = 0..64 {
+  for j = 0..64 {
+    for k = 0..64 {
+      C[i][j] = f(C[i][j], A[i][k], B[k][j]) flops 2
+    }
+  }
+}
+`
+	if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args      []string
+		want, not string
+	}{
+		{[]string{"-program", prog}, "matmul_v0(", "mm_v0("},
+		{[]string{"-kernel", "jacobi-2d"}, "jacobi_2d_v0(", "jacobi-2d_v0("},
+		{[]string{"-kernel", "2mm"}, "k2mm_v0(", " 2mm_v0("},
+	} {
+		out := filepath.Join(dir, "unit.c")
+		if _, stderr, err := autotuneCmd(t, append(tc.args, "-seed", "1", "-emit-c", out)...); err != nil {
+			t.Fatalf("%v: %v\n%s", tc.args, err, stderr)
+		}
+		code, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(code), tc.want) || strings.Contains(string(code), tc.not) {
+			t.Errorf("%v: the unit does not define %s or still defines %s:\n%.300s", tc.args, tc.want, tc.not, code)
+		}
+	}
+}
