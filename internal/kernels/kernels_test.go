@@ -356,6 +356,33 @@ func TestRunnersProduceConsistentChecksums(t *testing.T) {
 	}
 }
 
+// TestRunnerChecksumsPinned pins every runner's exact checksum at one
+// problem size and tiling on 1, 3 and 4 threads: how the parallel loop
+// is split among the goroutines must not move a bit of the result.
+func TestRunnerChecksumsPinned(t *testing.T) {
+	want := map[string][3]float64{
+		"2mm":        {68757.5625, 68757.5625, 68757.5625},
+		"3d-stencil": {5259.345524714875, 5259.345524714875, 5259.345524714875},
+		"atax":       {395.4375, 395.4375, 395.4375},
+		"dsyrk":      {220, 220, 220},
+		"jacobi-2d":  {115.01658439028466, 115.01658439028466, 115.01658439028466},
+		"mm":         {1246.25, 1246.25, 1246.25},
+		"n-body":     {49.92874698641532, 49.92874698641532, 49.92874698641532},
+	}
+	for _, k := range All() {
+		tiles := []int64{8, 5, 11}[:k.TileDims]
+		for i, threads := range []int{1, 3, 4} {
+			got, err := k.Run(37, tiles, threads)
+			if err != nil {
+				t.Fatalf("%s: %v", k.Name, err)
+			}
+			if got != want[k.Name][i] {
+				t.Errorf("%s on %d threads: checksum %v, want %v", k.Name, threads, got, want[k.Name][i])
+			}
+		}
+	}
+}
+
 func TestRunnersRejectBadArguments(t *testing.T) {
 	for _, k := range All() {
 		if _, err := k.Run(64, nil, 1); err == nil {
