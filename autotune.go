@@ -266,7 +266,7 @@ func (r *TuneResult) EmitC(funcName string) (string, error) {
 		}
 		programs = append(programs, tp)
 	}
-	return codegen.EmitUnit(r.Unit, programs, codegen.Options{FuncName: funcName})
+	return codegen.EmitUnit(r.Unit, programs, funcName)
 }
 
 type tuneConfig struct {
@@ -472,18 +472,6 @@ func WithEvalTimeout(d time.Duration) Option {
 	}
 }
 
-// WithRetries retries transiently faulted evaluations up to n times
-// with jittered exponential backoff before recording them as failed.
-func WithRetries(n int) Option {
-	return func(c *tuneConfig) error {
-		if n < 0 {
-			return fmt.Errorf("autotune: retry count must be non-negative")
-		}
-		c.opts.Retries = n
-		return nil
-	}
-}
-
 // WithCheckpoint journals a crash-safe snapshot of the search to path
 // after every completed generation (evolutionary methods only). An
 // interrupted run — cancelled context, SIGINT, crash — resumes from
@@ -649,7 +637,7 @@ func TuneSource(src string, options ...Option) (*TuneResult, error) {
 // options, WithEnergyObjective and WithUnrollDimension are honoured;
 // every other option a Tune would honour — another method, measured
 // execution, the surrogate screen, islands, an InitialPopulation, the
-// database, checkpoints, a context, timeouts, retries, progress — is
+// database, checkpoints, a context, timeouts, progress — is
 // refused by name rather than dropped.
 func TuneAll(kernelNames []string, options ...Option) ([]*TuneResult, error) {
 	opts, err := driverOptions(options)

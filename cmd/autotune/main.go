@@ -7,7 +7,7 @@
 //	         [-islands W] [-migrate M] [-seed N] [-n N] [-energy] [-measured]
 //	         [-surrogate] [-screen-topk K]
 //	         [-race-interval N] [-race-budget E] [-race-strategies a,b,c]
-//	         [-deadline D] [-eval-timeout D] [-retries N]
+//	         [-deadline D] [-eval-timeout D]
 //	         [-checkpoint FILE] [-resume FILE]
 //	         [-db DIR] [-warm=false] [-o unit.json] [-code]
 //
@@ -63,7 +63,6 @@ func main() {
 	warm := flag.Bool("warm", true, "with -db: warm-start from stored results (cache priming + population seeding)")
 	deadline := flag.Duration("deadline", 0, "stop the search gracefully after this long, keeping the best-so-far front (0 = unbounded)")
 	evalTimeout := flag.Duration("eval-timeout", 0, "abandon any single evaluation exceeding this and record it as failed (0 = no watchdog)")
-	retries := flag.Int("retries", 0, "retry transiently faulted evaluations this many times with exponential backoff")
 	checkpoint := flag.String("checkpoint", "", "journal a crash-safe search snapshot to this file after every generation")
 	resume := flag.String("resume", "", "resume an interrupted search from this checkpoint file (options must match the interrupted run)")
 	raceInterval := flag.Int("race-interval", 0, "with -method race: generations between scoring/elimination rounds (0 = default 5)")
@@ -133,9 +132,6 @@ func main() {
 	}
 	if *evalTimeout > 0 {
 		opts = append(opts, autotune.WithEvalTimeout(*evalTimeout))
-	}
-	if *retries > 0 {
-		opts = append(opts, autotune.WithRetries(*retries))
 	}
 	switch {
 	case *resume != "":

@@ -51,10 +51,11 @@ type Options struct {
 	// MaxThreads bounds the thread-count parameter (the number of
 	// cores of the target machine).
 	MaxThreads int
-	// MinTripCount skips nests whose outermost trip count is below
-	// this bound (not worth parallelizing); 0 means 4.
-	MinTripCount int64
 }
+
+// minTripCount is the outermost trip count below which a nest is not
+// worth parallelizing and is skipped.
+const minTripCount = 4
 
 // Analyze decomposes the program into tunable regions. Nests whose
 // outermost loop cannot be parallelized (directly or after tiling) are
@@ -62,9 +63,6 @@ type Options struct {
 func Analyze(p *ir.Program, opt Options) ([]Region, error) {
 	if opt.MaxThreads < 1 {
 		return nil, fmt.Errorf("analyzer: MaxThreads must be >= 1")
-	}
-	if opt.MinTripCount == 0 {
-		opt.MinTripCount = 4
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("analyzer: %w", err)
@@ -79,7 +77,7 @@ func Analyze(p *ir.Program, opt Options) ([]Region, error) {
 		if len(loops) == 0 || len(stmts) == 0 {
 			continue
 		}
-		if loops[0].TripCount(map[string]int64{}) < opt.MinTripCount {
+		if loops[0].TripCount(map[string]int64{}) < minTripCount {
 			continue
 		}
 		deps := polyhedral.Analyze(loops, stmts)

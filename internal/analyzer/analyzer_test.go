@@ -70,7 +70,7 @@ func TestAnalyzeSkipsNonParallelNest(t *testing.T) {
 func TestAnalyzeSkipsTinyLoops(t *testing.T) {
 	mm, _ := kernels.ByName("mm")
 	if _, err := Analyze(mm.IR(2), Options{MaxThreads: 4}); err == nil {
-		t.Fatal("trip count 2 should be skipped by MinTripCount")
+		t.Fatal("trip count 2 should be skipped: below the minimum trip count of 4")
 	}
 }
 

@@ -21,42 +21,15 @@ import (
 	"autotune/internal/multiversion"
 )
 
-// Options controls the emission.
-type Options struct {
-	// FuncName is the name of the generated function (default
-	// "kernel").
-	FuncName string
-	// ElemType is the array element type (default "double").
-	ElemType string
-	// Restrict adds C99 restrict qualifiers to array parameters.
-	Restrict bool
-	// OMP emits OpenMP pragmas for parallel loops (default true when
-	// using emitProgram; the zero Options value enables it).
-	NoOMP bool
-}
-
-func (o Options) funcName() string {
-	if o.FuncName == "" {
-		return "kernel"
-	}
-	return o.FuncName
-}
-
-func (o Options) elemType() string {
-	if o.ElemType == "" {
-		return "double"
-	}
-	return o.ElemType
-}
-
-// emitProgram renders one MiniIR program as a C function taking the
-// program's arrays as parameters.
-func emitProgram(p *ir.Program, opt Options) (string, error) {
+// emitProgram renders one MiniIR program as a C function named
+// funcName taking the program's arrays, of doubles, as parameters; a
+// parallel loop carries its OpenMP pragma.
+func emitProgram(p *ir.Program, funcName string) (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", fmt.Errorf("codegen: %w", err)
 	}
 	var b strings.Builder
-	emitSignature(&b, p, opt)
+	emitSignature(&b, p, funcName)
 	b.WriteString(" {\n")
 	// Declare all iterators up front (C89-friendly, simplifies
 	// emission of collapsed loops).
@@ -64,24 +37,20 @@ func emitProgram(p *ir.Program, opt Options) (string, error) {
 	if len(iters) > 0 {
 		fmt.Fprintf(&b, "  long %s;\n", strings.Join(iters, ", "))
 	}
-	if err := emitNodes(&b, p, p.Root, 1, opt); err != nil {
+	if err := emitNodes(&b, p, p.Root, 1); err != nil {
 		return "", err
 	}
 	b.WriteString("}\n")
 	return b.String(), nil
 }
 
-func emitSignature(b *strings.Builder, p *ir.Program, opt Options) {
-	fmt.Fprintf(b, "void %s(", opt.funcName())
+func emitSignature(b *strings.Builder, p *ir.Program, funcName string) {
+	fmt.Fprintf(b, "void %s(", funcName)
 	for i, a := range p.Arrays {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		q := ""
-		if opt.Restrict {
-			q = "restrict "
-		}
-		fmt.Fprintf(b, "%s (* %s%s)", opt.elemType(), q, a.Name)
+		fmt.Fprintf(b, "double (* %s)", a.Name)
 		for d := 1; d < len(a.Dims); d++ {
 			fmt.Fprintf(b, "[%d]", a.Dims[d])
 		}
@@ -102,12 +71,12 @@ func collectIterators(ns []ir.Node) []string {
 	return out
 }
 
-func emitNodes(b *strings.Builder, p *ir.Program, ns []ir.Node, depth int, opt Options) error {
+func emitNodes(b *strings.Builder, p *ir.Program, ns []ir.Node, depth int) error {
 	ind := strings.Repeat("  ", depth)
 	for _, n := range ns {
 		switch x := n.(type) {
 		case *ir.Loop:
-			if x.Parallel && !opt.NoOMP {
+			if x.Parallel {
 				pragma := "#pragma omp parallel for"
 				if x.Collapse > 1 {
 					pragma += fmt.Sprintf(" collapse(%d)", x.Collapse)
@@ -125,7 +94,7 @@ func emitNodes(b *strings.Builder, p *ir.Program, ns []ir.Node, depth int, opt O
 			}
 			fmt.Fprintf(b, "%sfor (%s = %s; %s; %s) {\n",
 				ind, x.Var, cExpr(x.Lo), cond, step)
-			if err := emitNodes(b, p, x.Body, depth+1, opt); err != nil {
+			if err := emitNodes(b, p, x.Body, depth+1); err != nil {
 				return err
 			}
 			fmt.Fprintf(b, "%s}\n", ind)
@@ -223,8 +192,9 @@ func sameIndices(a, b ir.Access) bool {
 // tuned region: one function per version (the caller supplies each
 // version's transformed program), the static version table with the
 // objective metadata, and a dispatcher that selects by version index —
-// the compiled analogue of internal/rts.
-func EmitUnit(unit *multiversion.Unit, programs []*ir.Program, opt Options) (string, error) {
+// the compiled analogue of internal/rts. The functions are named
+// <base>_v<i>, <base>_dispatch and so on; base defaults to "kernel".
+func EmitUnit(unit *multiversion.Unit, programs []*ir.Program, base string) (string, error) {
 	if err := unit.Validate(); err != nil {
 		return "", err
 	}
@@ -235,12 +205,12 @@ func EmitUnit(unit *multiversion.Unit, programs []*ir.Program, opt Options) (str
 	fmt.Fprintf(&b, "/* multi-versioned unit for region %q — generated by autotune */\n", unit.Region)
 	b.WriteString("#include <stddef.h>\n\n")
 
-	base := opt.funcName()
+	if base == "" {
+		base = "kernel"
+	}
 	sigParams := ""
 	for i := range programs {
-		vopt := opt
-		vopt.FuncName = fmt.Sprintf("%s_v%d", base, i)
-		code, err := emitProgram(programs[i], vopt)
+		code, err := emitProgram(programs[i], fmt.Sprintf("%s_v%d", base, i))
 		if err != nil {
 			return "", fmt.Errorf("codegen: version %d: %w", i, err)
 		}

@@ -32,7 +32,7 @@ func balancedBraces(s string) bool {
 func TestEmitProgramMM(t *testing.T) {
 	mm, _ := kernels.ByName("mm")
 	p := mm.IR(64)
-	code, err := emitProgram(p, Options{})
+	code, err := emitProgram(p, "kernel")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestEmitProgramTiledParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, err := emitProgram(tiled, Options{FuncName: "mm_tiled"})
+	code, err := emitProgram(tiled, "mm_tiled")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,33 +82,47 @@ func TestEmitProgramTiledParallel(t *testing.T) {
 	}
 }
 
+// TestEmitProgramNoOMP: a program without a parallel loop carries no
+// OpenMP pragma; its parallelized form carries one.
 func TestEmitProgramNoOMP(t *testing.T) {
 	mm, _ := kernels.ByName("mm")
-	tiled, _ := transform.Sequence(mm.IR(32),
-		transform.TileStep([]int64{8, 8, 8}), transform.ParallelizeStep(1))
-	code, err := emitProgram(tiled, Options{NoOMP: true})
+	tiled, _ := transform.Sequence(mm.IR(32), transform.TileStep([]int64{8, 8, 8}))
+	code, err := emitProgram(tiled, "kernel")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(code, "#pragma") {
-		t.Error("NoOMP still emitted pragmas")
+		t.Errorf("sequential program emitted a pragma:\n%s", code)
+	}
+	parallel, _ := transform.Sequence(tiled, transform.ParallelizeStep(1))
+	if code, err = emitProgram(parallel, "kernel"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(code, "#pragma omp parallel for schedule(static)") {
+		t.Errorf("parallel program emitted no pragma:\n%s", code)
 	}
 }
 
+// TestEmitProgramRestrictAndElemType: every array parameter is a
+// pointer to double rows, without a restrict qualifier — the emitted
+// code promises nothing about aliasing that the IR does not state.
 func TestEmitProgramRestrictAndElemType(t *testing.T) {
 	mm, _ := kernels.ByName("mm")
-	code, err := emitProgram(mm.IR(16), Options{Restrict: true, ElemType: "float"})
+	code, err := emitProgram(mm.IR(16), "kernel")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(code, "float (* restrict A)[16]") {
-		t.Errorf("restrict/elem type missing:\n%s", code)
+	if !strings.Contains(code, "void kernel(double (* A)[16], double (* B)[16], double (* C)[16])") {
+		t.Errorf("parameters are not plain double arrays:\n%s", code)
+	}
+	if strings.Contains(code, "restrict") {
+		t.Errorf("restrict emitted:\n%s", code)
 	}
 }
 
 func TestEmitProgramStencilAveraging(t *testing.T) {
 	j2, _ := kernels.ByName("jacobi-2d")
-	code, err := emitProgram(j2.IR(32), Options{})
+	code, err := emitProgram(j2.IR(32), "kernel")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +134,7 @@ func TestEmitProgramStencilAveraging(t *testing.T) {
 
 func TestEmitProgramAccumulationForm(t *testing.T) {
 	nb, _ := kernels.ByName("n-body")
-	code, err := emitProgram(nb.IR(32), Options{})
+	code, err := emitProgram(nb.IR(32), "kernel")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +147,7 @@ func TestEmitProgramRejectsInvalid(t *testing.T) {
 	bad := &ir.Program{Name: "bad", Root: []ir.Node{
 		&ir.Stmt{Writes: []ir.Access{{Array: "Z", Indices: []ir.Affine{ir.Con(0)}}}},
 	}}
-	if _, err := emitProgram(bad, Options{}); err == nil {
+	if _, err := emitProgram(bad, "kernel"); err == nil {
 		t.Fatal("invalid program accepted")
 	}
 }
@@ -157,7 +171,7 @@ func TestEmitUnitFullPipeline(t *testing.T) {
 		}
 		programs = append(programs, tp)
 	}
-	code, err := EmitUnit(out.Unit, programs, Options{FuncName: "mm"})
+	code, err := EmitUnit(out.Unit, programs, "mm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +206,7 @@ func TestEmitUnitErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EmitUnit(out.Unit, nil, Options{}); err == nil {
+	if _, err := EmitUnit(out.Unit, nil, ""); err == nil {
 		t.Fatal("program/version count mismatch accepted")
 	}
 }

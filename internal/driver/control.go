@@ -15,16 +15,23 @@ import (
 // problemTag is what a checkpoint remembers of the problem it was
 // written for: the tuning-database key — program, size, evaluator
 // switches, machine signature, objectives, space — and what shapes the
-// objective values beside it.
+// objective values beside it: the noise of the simulated evaluator, the
+// effective repetition count of the measured one. Neither evaluator
+// reads the other's setting, so neither moves the other's tag; a
+// simulated tag hashes 0 repetitions, as it always has.
 func problemTag(key tunedb.Key, opt Options) string {
+	noise, reps := opt.NoiseAmp, 0
+	if opt.Measured {
+		noise, reps = 0, objective.EffectiveReps(opt.MeasuredReps)
+	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%g|%d", key, opt.NoiseAmp, opt.MeasuredReps)
+	fmt.Fprintf(h, "%s|%g|%d", key, noise, reps)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // buildControl assembles the optimizer run control from the tuning
-// options: the bounding context, the watchdog/retry guard on the
-// shared evaluation cache, and the checkpoint journal (fresh for
+// options: the bounding context, the evaluation watchdog on the shared
+// evaluation cache, and the checkpoint journal (fresh for
 // CheckpointPath, folded and reopened for ResumeFrom; CheckOptions has
 // already refused a method that cannot use one). The returned cleanup
 // closes the journal; call it once the search is over. key is the
@@ -37,14 +44,9 @@ func buildControl(opt Options, key tunedb.Key, eval objective.Evaluator) (optimi
 		ctrl.Problem = problemTag(key, opt)
 	}
 	cleanup := func() {}
-	if opt.EvalTimeout > 0 || opt.Retries > 0 {
+	if opt.EvalTimeout > 0 {
 		if sc, ok := eval.(objective.SharedCacher); ok {
-			guard := resilience.NewGuard(resilience.GuardConfig{
-				EvalTimeout: opt.EvalTimeout,
-				Retries:     opt.Retries,
-				JitterSeed:  opt.Optimizer.Seed,
-			})
-			sc.SharedCache().WrapEvalFunc(guard.Middleware())
+			sc.SharedCache().WrapEvalFunc(resilience.Watchdog(opt.EvalTimeout))
 		}
 	}
 	if opt.OnProgress != nil {

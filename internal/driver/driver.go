@@ -140,9 +140,6 @@ type Options struct {
 	// configuration, so a hung variant cannot stall the search. Zero
 	// disables the watchdog.
 	EvalTimeout time.Duration
-	// Retries is the per-evaluation retry count for transiently faulted
-	// evaluations (see resilience.GuardConfig).
-	Retries int
 	// CheckpointPath, when set, journals a crash-safe search snapshot
 	// after every completed generation (evolutionary methods only).
 	CheckpointPath string
@@ -299,7 +296,7 @@ func TuneKernel(kernelName string, opt Options) (*Output, error) {
 // tune runs pipeline steps (3-5) on a prepared problem — the one tail
 // TuneKernel and TuneProgram share, and the one place the evaluator
 // chain is assembled: evaluator → surrogate screen → tuning database →
-// run control (guard, progress, checkpoint) → search → front storage →
+// run control (watchdog, progress, checkpoint) → search → front storage →
 // multi-versioning backend.
 func tune(p *prepared, opt Options) (*Output, error) {
 	if err := CheckOptions(opt, false); err != nil {
@@ -529,7 +526,6 @@ func checkJoint(opt Options, method Method) error {
 		{opt.checkpointed(), "CheckpointPath/ResumeFrom"},
 		{opt.Context != nil, "Context"},
 		{opt.EvalTimeout > 0, "EvalTimeout"},
-		{opt.Retries > 0, "Retries"},
 		{opt.OnProgress != nil, "OnProgress"},
 	} {
 		if o.set {

@@ -225,10 +225,14 @@ func TestEveryOptionFieldIsClassified(t *testing.T) {
 		"DB":             {control, func(o *Options) { o.DB = db }},
 		"Context":        {control, func(o *Options) { o.Context = context.Background() }},
 		"EvalTimeout":    {control, func(o *Options) { o.EvalTimeout = time.Second }},
-		"Retries":        {control, func(o *Options) { o.Retries = 2 }},
 		"CheckpointPath": {control, func(o *Options) { o.CheckpointPath = "a.ckpt" }},
 		"ResumeFrom":     {control, func(o *Options) { o.ResumeFrom = "b.ckpt" }},
 		"OnProgress":     {control, func(o *Options) { o.OnProgress = func(int) {} }},
+	}
+	// bases sets up the base a field is set on when the simulated one
+	// ignores it: the repetition count is the measured evaluator's.
+	bases := map[string]func(*Options){
+		"MeasuredReps": func(o *Options) { o.Measured = true },
 	}
 	keyAndTag := func(opt Options) (tunedb.Key, string) {
 		t.Helper()
@@ -251,20 +255,25 @@ func TestEveryOptionFieldIsClassified(t *testing.T) {
 			t.Errorf("Options.%s is not classified: decide whether it shapes the problem, the search, or is run control", name)
 			continue
 		}
-		opt := base
+		from, fromKey, fromTag := base, baseKey, baseTag
+		if onBase, ok := bases[name]; ok {
+			onBase(&from)
+			fromKey, fromTag = keyAndTag(from)
+		}
+		opt := from
 		c.set(&opt)
-		if reflect.DeepEqual(reflect.ValueOf(opt).Field(i).Interface(), reflect.ValueOf(base).Field(i).Interface()) {
+		if reflect.DeepEqual(reflect.ValueOf(opt).Field(i).Interface(), reflect.ValueOf(from).Field(i).Interface()) {
 			t.Errorf("%s: the table's setter does not set the field", name)
 		}
 		key, tag := keyAndTag(opt)
-		moved := key != baseKey || tag != baseTag
+		moved := key != fromKey || tag != fromTag
 		switch c.class {
 		case problem:
-			if key == baseKey {
+			if key == fromKey {
 				t.Errorf("%s shapes the problem and does not move the tuning-database key", name)
 			}
 		case tagOnly:
-			if key != baseKey || tag == baseTag {
+			if key != fromKey || tag == fromTag {
 				t.Errorf("%s must move the checkpoint tag and not the tuning-database key", name)
 			}
 		case search, control:

@@ -118,7 +118,6 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 		"ResumeFrom":     func(o *Options) { o.ResumeFrom = filepath.Join(t.TempDir(), "j.ckpt") },
 		"Context":        func(o *Options) { o.Context = cancelled },
 		"EvalTimeout":    func(o *Options) { o.EvalTimeout = time.Second },
-		"Retries":        func(o *Options) { o.Retries = 2 },
 		"OnProgress":     func(o *Options) { o.OnProgress = func(int) {} },
 		"Surrogate":      func(o *Options) { o.ScreenTopK = 4 },
 	} {

@@ -55,7 +55,7 @@ type CtxEvalFunc func(ctx context.Context, cfg skeleton.Config) ([]float64, erro
 // context.Context, and once it is done no further evaluation starts —
 // workers check it before every evaluation, pending leaders are
 // withdrawn and left unknown, and cache hits still return. Middleware
-// installed with WrapEvalFunc — e.g. the watchdog/retry guard of
+// installed with WrapEvalFunc — e.g. the evaluation watchdog of
 // internal/resilience — decides per evaluation whether an interruption
 // is a recorded failure (cached, observed) or an abort (left unknown).
 type CachingEvaluator struct {
@@ -145,8 +145,8 @@ func (c *CachingEvaluator) SetContext(ctx context.Context) {
 	c.mu.Unlock()
 }
 
-// WrapEvalFunc layers middleware around the evaluation function —
-// watchdog timeouts, retries, fault injection. Install middleware
+// WrapEvalFunc layers middleware around the evaluation function — the
+// watchdog's timeouts, say. Install middleware
 // before the search starts; evaluations already in flight keep the
 // function they started with.
 func (c *CachingEvaluator) WrapEvalFunc(mw func(CtxEvalFunc) CtxEvalFunc) {

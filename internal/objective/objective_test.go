@@ -228,9 +228,11 @@ func TestNewMeasuredValidation(t *testing.T) {
 	}
 }
 
+// TestSimParallelismOption: a batch twice the simulator's parallelism
+// of 8 evaluates in full.
 func TestSimParallelismOption(t *testing.T) {
 	mm, _ := kernels.ByName("mm")
-	s, err := NewSim(SimConfig{Machine: machine.Westmere(), Kernel: mm, Parallelism: 2})
+	s, err := NewSim(SimConfig{Machine: machine.Westmere(), Kernel: mm})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func TestNothingThatEscapesAliasesTheArena(t *testing.T) {
 	space := benchSpace()
 	opt := Options{Seed: 5, Stagnation: 1 << 30}.withDefaults()
-	nopt := NSGA2Options{Seed: 5, Stagnation: 1 << 30}.withDefaults(space.Dim())
+	nopt := Options{Seed: 5, Stagnation: 1 << 30}.withDefaults()
 	islands := map[string]islandEvolver{
 		"rs-gde3": newGDEIsland(space, newTableEvaluator(2), opt, stats.NewCountedRand(opt.Seed)),
 		"nsga2":   newNSGA2Island(space, newTableEvaluator(2), nopt, nopt.Seed),

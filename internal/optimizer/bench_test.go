@@ -206,7 +206,7 @@ func BenchmarkGDEStep(b *testing.B) {
 
 func BenchmarkNSGA2Step(b *testing.B) {
 	space := benchSpace()
-	opt := NSGA2Options{Seed: 3, Stagnation: 1 << 30}.withDefaults(space.Dim())
+	opt := Options{Seed: 3, Stagnation: 1 << 30}.withDefaults()
 	n := newNSGA2Island(space, newTableEvaluator(2), opt, opt.Seed)
 	b.ReportAllocs()
 	b.ResetTimer()

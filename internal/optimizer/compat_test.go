@@ -12,7 +12,7 @@ import (
 func TestBenchEntryPointsAreRun(t *testing.T) {
 	space := islandSpace()
 	opt := optimizer.Options{PopSize: 10, MaxIterations: 5, Seed: 2}
-	nopt := optimizer.NSGA2Options{PopSize: 10, MaxGenerations: 5, Seed: 2}
+	nopt := optimizer.NSGA2Options{Seed: 2}
 	iopt := optimizer.IslandOptions{Islands: 2, MigrationInterval: 2}
 	ctrl := optimizer.Control{}
 	for name, c := range map[string]struct {

@@ -153,10 +153,12 @@ func gdeFingerprint(space skeleton.Space, opt Options, islands int, iopt IslandO
 	return fingerprintOf(parts...)
 }
 
-// nsga2Fingerprint identifies an NSGA-II search configuration.
-func nsga2Fingerprint(space skeleton.Space, opt NSGA2Options, islands int, iopt IslandOptions) string {
-	parts := []interface{}{"nsga2", spaceKey(space), opt.PopSize, opt.CrossoverRate,
-		opt.MutationRate, opt.Stagnation, opt.MaxGenerations, opt.Seed,
+// nsga2Fingerprint identifies an NSGA-II search configuration. It
+// hashes the rates beside the options, as it did when they were
+// options, so the checkpoints written then still resume.
+func nsga2Fingerprint(space skeleton.Space, opt Options, islands int, iopt IslandOptions) string {
+	parts := []interface{}{"nsga2", spaceKey(space), opt.PopSize, float64(nsga2CrossoverRate),
+		nsga2MutationRate(space), opt.Stagnation, opt.MaxIterations, opt.Seed,
 		islands, iopt.MigrationInterval, iopt.Migrants}
 	for _, c := range opt.InitialPopulation {
 		parts = append(parts, c.Key())

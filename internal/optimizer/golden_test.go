@@ -53,13 +53,12 @@ func cancellingEval(k int32) (*objective.CachingEvaluator, context.Context) {
 // goldenShapeRuns are the argument shapes the driver never produces —
 // the root golden file cannot see them: the three island layouts a Spec
 // can ask for (serial, one island, defaulted islands), explicit migrant
-// counts and NSGA-II rates, the one-shot baselines' zero iteration
+// counts, the one-shot baselines' zero iteration
 // count, and a search, a walk and a sweep each cancelled at a fixed
 // evaluation.
 func goldenShapeRuns() map[string]func() (*optimizer.Result, error) {
 	space := islandSpace()
 	opt := optimizer.Options{PopSize: 12, MaxIterations: 10, Seed: 3}
-	rates := optimizer.StrategyConfig{NSGA2: optimizer.NSGA2Options{PopSize: 12, CrossoverRate: 0.9, MutationRate: 0.25, MaxGenerations: 10, Seed: 3}}
 	walk := optimizer.StrategyConfig{Options: optimizer.Options{Seed: 5}, RandomBudget: 200}
 	grid, err := optimizer.RegularGrid(space, []int{6, 6, 4})
 	if err != nil {
@@ -75,9 +74,6 @@ func goldenShapeRuns() map[string]func() (*optimizer.Result, error) {
 		"rs-gde3/default-islands": run(spec("rs-gde3", opt, &optimizer.IslandOptions{})),
 		"gde3/islands-explicit-migrants": run(spec("gde3", opt,
 			&optimizer.IslandOptions{Islands: 2, MigrationInterval: 3, Migrants: 1})),
-		"nsga2/explicit-rates": run(optimizer.Spec{Strategy: "nsga2", Config: rates}),
-		"nsga2/islands-explicit-rates": run(optimizer.Spec{Strategy: "nsga2", Config: rates,
-			Islands: &optimizer.IslandOptions{Islands: 2}}),
 		"motpe":       run(spec("motpe", opt, nil)),
 		"random":      run(optimizer.Spec{Strategy: "random", Config: walk}),
 		"grid":        run(optimizer.Spec{Strategy: "grid", Config: walk}),

@@ -17,48 +17,21 @@ import (
 	"autotune/internal/stats"
 )
 
-// NSGA2Options configures the NSGA-II baseline. Zero values pick
-// defaults matching the RS-GDE3 configuration where applicable.
+// NSGA2Options is what the NSGA-II baseline takes beyond the shared
+// Options, which carry its population, stagnation window, generation cap
+// (MaxIterations) and warm-start seeds.
 type NSGA2Options struct {
-	// PopSize is the population size (default 30).
-	PopSize int
-	// CrossoverRate is the per-gene uniform crossover probability
-	// (default 0.5).
-	CrossoverRate float64
-	// MutationRate is the per-gene mutation probability (default
-	// 1/dim).
-	MutationRate float64
-	// Stagnation stops the run after this many non-improving
-	// generations (default 3).
-	Stagnation int
-	// MaxGenerations caps the run (default 200).
-	MaxGenerations int
-	// Seed drives the random source.
+	// Seed drives the random source; 0 takes Options.Seed.
 	Seed int64
-	// InitialPopulation holds warm-start configurations injected ahead
-	// of the random members of the initial population (see
-	// Options.InitialPopulation).
-	InitialPopulation []skeleton.Config
 }
 
-func (o NSGA2Options) withDefaults(dim int) NSGA2Options {
-	if o.PopSize == 0 {
-		o.PopSize = 30
-	}
-	if o.CrossoverRate == 0 {
-		o.CrossoverRate = 0.5
-	}
-	if o.MutationRate == 0 {
-		o.MutationRate = 1 / float64(dim)
-	}
-	if o.Stagnation == 0 {
-		o.Stagnation = 3
-	}
-	if o.MaxGenerations == 0 {
-		o.MaxGenerations = 200
-	}
-	return o
-}
+// nsga2CrossoverRate is NSGA-II's per-gene uniform crossover
+// probability.
+const nsga2CrossoverRate = 0.5
+
+// nsga2MutationRate is NSGA-II's per-gene mutation probability: one gene
+// of the space's in expectation.
+func nsga2MutationRate(space skeleton.Space) float64 { return 1 / float64(space.Dim()) }
 
 // nsga2Island is one self-contained NSGA-II search instance — the
 // NSGA-II counterpart of gdeIsland, sharing the same island-evolver
@@ -66,7 +39,7 @@ func (o NSGA2Options) withDefaults(dim int) NSGA2Options {
 type nsga2Island struct {
 	space    skeleton.Space
 	eval     objective.Evaluator
-	opt      NSGA2Options
+	opt      Options
 	rng      *stats.CountedRand
 	pop      []individual
 	archive  *pareto.Archive
@@ -76,7 +49,7 @@ type nsga2Island struct {
 
 // newNSGA2Island seeds and evaluates the initial population. opt must
 // already carry defaults.
-func newNSGA2Island(space skeleton.Space, eval objective.Evaluator, opt NSGA2Options, seed int64) *nsga2Island {
+func newNSGA2Island(space skeleton.Space, eval objective.Evaluator, opt Options, seed int64) *nsga2Island {
 	n := &nsga2Island{
 		space:   space,
 		eval:    eval,
@@ -106,6 +79,7 @@ func (n *nsga2Island) step() {
 	pop := n.pop
 	rng := n.rng
 	opt := n.opt
+	mutationRate := nsga2MutationRate(n.space)
 	ar := &n.arena
 	ranks := ar.nonDominatedSort(pop)
 	rankOf := ar.rankOf
@@ -137,10 +111,10 @@ func (n *nsga2Island) step() {
 		p1, p2 := tournament(), tournament()
 		child := p1.cfg.Clone()
 		for g := range child {
-			if rng.Float64() < opt.CrossoverRate && g < len(p2.cfg) {
+			if rng.Float64() < nsga2CrossoverRate && g < len(p2.cfg) {
 				child[g] = p2.cfg[g]
 			}
-			if rng.Float64() < opt.MutationRate {
+			if rng.Float64() < mutationRate {
 				p := n.space.Params[g]
 				// Polynomial-ish integer mutation: gaussian step
 				// scaled to a tenth of the range.
@@ -190,7 +164,7 @@ func (n *nsga2Island) snapshot() IslandState {
 // and population and archive are restored verbatim (no re-evaluation —
 // objective vectors travel with the snapshot). opt must already carry
 // defaults.
-func restoreNSGA2Island(space skeleton.Space, eval objective.Evaluator, opt NSGA2Options, seed int64, st IslandState) *nsga2Island {
+func restoreNSGA2Island(space skeleton.Space, eval objective.Evaluator, opt Options, seed int64, st IslandState) *nsga2Island {
 	n := &nsga2Island{
 		space:    space,
 		eval:     eval,

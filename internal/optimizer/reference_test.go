@@ -604,7 +604,7 @@ func TestReplaceWorstEmptyPopulation(t *testing.T) {
 	eval := newFuncEvaluator(schaffer)
 	for _, isl := range []islandEvolver{
 		restoreGDEIsland(space, eval, opt, 1, IslandState{}),
-		restoreNSGA2Island(space, eval, NSGA2Options{}.withDefaults(space.Dim()), 1, IslandState{}),
+		restoreNSGA2Island(space, eval, Options{}.withDefaults(), 1, IslandState{}),
 	} {
 		isl.inject(migrants)
 		if got := isl.elites(2); len(got) != 0 {

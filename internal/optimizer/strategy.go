@@ -22,8 +22,8 @@ import (
 // StrategyConfig is the strategy-agnostic configuration handed to
 // every registered constructor. Options carries the shared knobs
 // (PopSize, Seed, Stagnation, MaxIterations, InitialPopulation) plus
-// the GDE3-family parameters; NSGA2 overrides the NSGA-II-specific
-// rates (zero fields derive from Options); RandomBudget is the total
+// the GDE3-family parameters; a nonzero NSGA2.Seed overrides
+// Options.Seed for "nsga2"; RandomBudget is the total
 // proposal budget of a walk — "random" and "grid" (default 1000); Grid
 // is what "brute-force" sweeps, one value list per space dimension.
 type StrategyConfig struct {
@@ -237,32 +237,13 @@ func Run(space skeleton.Space, eval objective.Evaluator, spec Spec, ctrl Control
 	return res, nil
 }
 
-// normalizeNSGA2 fills the effective NSGA-II options: explicit NSGA2
-// fields win, zero fields derive from the shared Options counterparts,
-// and the result carries the strategy defaults. The shared fields are
-// mirrored back into cfg.Options so the generic machinery (island
-// seeding, migrant clamping) sees the effective values.
-func normalizeNSGA2(space skeleton.Space, cfg StrategyConfig) StrategyConfig {
-	n := cfg.NSGA2
-	if n.PopSize == 0 {
-		n.PopSize = cfg.Options.PopSize
+// normalizeNSGA2 fills the effective NSGA-II options into cfg.Options:
+// the shared defaults, and NSGA2.Seed when it is set.
+func normalizeNSGA2(_ skeleton.Space, cfg StrategyConfig) StrategyConfig {
+	cfg.Options = cfg.Options.withDefaults()
+	if cfg.NSGA2.Seed != 0 {
+		cfg.Options.Seed = cfg.NSGA2.Seed
 	}
-	if n.Stagnation == 0 {
-		n.Stagnation = cfg.Options.Stagnation
-	}
-	if n.MaxGenerations == 0 {
-		n.MaxGenerations = cfg.Options.MaxIterations
-	}
-	if n.Seed == 0 {
-		n.Seed = cfg.Options.Seed
-	}
-	if n.InitialPopulation == nil {
-		n.InitialPopulation = cfg.Options.InitialPopulation
-	}
-	n = n.withDefaults(space.Dim())
-	cfg.NSGA2 = n
-	cfg.Options.PopSize = n.PopSize
-	cfg.Options.Seed = n.Seed
 	return cfg
 }
 
@@ -296,16 +277,16 @@ func init() {
 	registerStrategy(Strategy{
 		Name: "nsga2",
 		New: func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, seed int64) islandEvolver {
-			return newNSGA2Island(space, eval, cfg.NSGA2, seed)
+			return newNSGA2Island(space, eval, cfg.Options, seed)
 		},
 		Restore: func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, seed int64, st IslandState) islandEvolver {
-			return restoreNSGA2Island(space, eval, cfg.NSGA2, seed, st)
+			return restoreNSGA2Island(space, eval, cfg.Options, seed, st)
 		},
 		Fingerprint: func(space skeleton.Space, cfg StrategyConfig, islands int, iopt IslandOptions) string {
-			return nsga2Fingerprint(space, cfg.NSGA2, islands, iopt)
+			return nsga2Fingerprint(space, cfg.Options, islands, iopt)
 		},
 		Islands:        true,
-		MaxGenerations: func(cfg StrategyConfig) int { return cfg.NSGA2.MaxGenerations },
+		MaxGenerations: func(cfg StrategyConfig) int { return cfg.Options.MaxIterations },
 		Normalize:      normalizeNSGA2,
 	})
 	registerStrategy(Strategy{

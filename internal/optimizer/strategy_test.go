@@ -206,13 +206,7 @@ func TestEveryOptionFieldIsInTheFingerprintOfWhoeverReadsIt(t *testing.T) {
 		"Options.DisableRoughSet":   {"rs-gde3"},
 		"Options.InitialPopulation": all,
 
-		"NSGA2Options.PopSize":           {"nsga2"},
-		"NSGA2Options.CrossoverRate":     {"nsga2"},
-		"NSGA2Options.MutationRate":      {"nsga2"},
-		"NSGA2Options.Stagnation":        {"nsga2"},
-		"NSGA2Options.MaxGenerations":    {"nsga2"},
-		"NSGA2Options.Seed":              {"nsga2"},
-		"NSGA2Options.InitialPopulation": {"nsga2"},
+		"NSGA2Options.Seed": {"nsga2"},
 
 		"IslandOptions.Islands":           islands,
 		"IslandOptions.MigrationInterval": islands,

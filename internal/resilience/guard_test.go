@@ -2,7 +2,6 @@ package resilience_test
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,10 +27,8 @@ func TestWatchdogRecordsHangingEvaluation(t *testing.T) {
 		}
 		return []float64{float64(c[0])}
 	})
-	guard := resilience.NewGuard(resilience.GuardConfig{EvalTimeout: 20 * time.Millisecond})
-	eval.WrapEvalFunc(guard.Middleware())
+	eval.WrapEvalFunc(resilience.Watchdog(20 * time.Millisecond))
 
-	start := time.Now()
 	out := eval.Evaluate([]skeleton.Config{cfg(13), cfg(1), cfg(2)})
 	if out[0] != nil {
 		t.Fatalf("hung configuration returned %v, want recorded failure", out[0])
@@ -42,9 +39,6 @@ func TestWatchdogRecordsHangingEvaluation(t *testing.T) {
 	if eval.Evaluations() != 2 {
 		t.Fatalf("E = %d, want 2 (the hung variant must not count)", eval.Evaluations())
 	}
-	if guard.Stats().Timeouts != 1 {
-		t.Fatalf("timeouts = %d, want 1", guard.Stats().Timeouts)
-	}
 	// The failure is cached: re-requesting must not wait out a second
 	// timeout.
 	again := time.Now()
@@ -54,109 +48,25 @@ func TestWatchdogRecordsHangingEvaluation(t *testing.T) {
 	if d := time.Since(again); d > 15*time.Millisecond {
 		t.Fatalf("cached failure took %v — it was re-evaluated", d)
 	}
-	_ = start
 }
 
-// TestRetriesTransientFaults: injected transient faults are retried
-// with backoff until the configured attempt count, and a fault that
-// clears mid-way still produces a successful evaluation.
-func TestRetriesTransientFaults(t *testing.T) {
-	var attempts int32
-	guard := resilience.NewGuard(resilience.GuardConfig{
-		Retries:     3,
-		BaseBackoff: time.Microsecond,
-		Inject: func(_ skeleton.Config, attempt int) error {
-			atomic.AddInt32(&attempts, 1)
-			if attempt < 2 {
-				return errors.New("flaky measurement")
-			}
-			return nil
-		},
-	})
-	eval := objective.NewCachingEvaluator([]string{"f"}, 1, func(c skeleton.Config) []float64 {
-		return []float64{float64(c[0])}
-	})
-	eval.WrapEvalFunc(guard.Middleware())
-	if out := eval.EvaluateOne(cfg(7)); out == nil || out[0] != 7 {
-		t.Fatalf("retried evaluation returned %v, want [7]", out)
-	}
-	st := guard.Stats()
-	if st.Faults != 2 || st.Retries != 2 || st.Exhausted != 0 {
-		t.Fatalf("stats = %+v, want 2 faults, 2 retries, 0 exhausted", st)
-	}
-	if eval.Evaluations() != 1 {
-		t.Fatalf("E = %d, want 1", eval.Evaluations())
-	}
-}
-
-// TestRetryExhaustionRecordsFailure: a persistently faulted
-// configuration is recorded as failed once its retries run out.
-func TestRetryExhaustionRecordsFailure(t *testing.T) {
-	guard := resilience.NewGuard(resilience.GuardConfig{
-		Retries:     2,
-		BaseBackoff: time.Microsecond,
-		Inject: func(skeleton.Config, int) error {
-			return errors.New("dead measurement rig")
-		},
-	})
-	eval := objective.NewCachingEvaluator([]string{"f"}, 1, func(c skeleton.Config) []float64 {
-		return []float64{1}
-	})
-	eval.WrapEvalFunc(guard.Middleware())
-	if out := eval.EvaluateOne(cfg(1)); out != nil {
-		t.Fatalf("exhausted evaluation returned %v, want recorded failure", out)
-	}
-	st := guard.Stats()
-	if st.Exhausted != 1 || st.Retries != 2 {
-		t.Fatalf("stats = %+v, want 1 exhausted after 2 retries", st)
-	}
-	if eval.Evaluations() != 0 {
-		t.Fatalf("E = %d, want 0", eval.Evaluations())
-	}
-}
-
-// TestRetryBudgetCapsGlobalRetries: the cross-search retry budget stops
-// retrying once spent, independent of the per-evaluation allowance.
-func TestRetryBudgetCapsGlobalRetries(t *testing.T) {
-	guard := resilience.NewGuard(resilience.GuardConfig{
-		Retries:     5,
-		RetryBudget: 2,
-		BaseBackoff: time.Microsecond,
-		Inject: func(skeleton.Config, int) error {
-			return errors.New("always faulted")
-		},
-	})
-	eval := objective.NewCachingEvaluator([]string{"f"}, 1, func(c skeleton.Config) []float64 {
-		return []float64{1}
-	})
-	eval.WrapEvalFunc(guard.Middleware())
-	eval.Evaluate([]skeleton.Config{cfg(1), cfg(2), cfg(3)})
-	if st := guard.Stats(); st.Retries != 2 {
-		t.Fatalf("retries = %d, want the budget of 2", st.Retries)
-	}
-}
-
-// TestGuardCancellation: a cancelled context aborts the guarded
-// evaluation — before the first attempt, and during a retry backoff —
-// and aborts are never cached as failures.
+// TestGuardCancellation: a context cancelled while a watchdogged
+// evaluation hangs aborts it before the timeout, and an abort is never
+// cached as a failure: once the context is live again the configuration
+// is evaluated.
 func TestGuardCancellation(t *testing.T) {
-	guard := resilience.NewGuard(resilience.GuardConfig{
-		Retries:     3,
-		BaseBackoff: time.Hour, // cancellation must cut the backoff short
-		MaxBackoff:  time.Hour,
-		Inject: func(skeleton.Config, int) error {
-			return errors.New("flaky")
-		},
-	})
+	release := make(chan struct{})
+	var hung atomic.Bool
 	eval := objective.NewCachingEvaluator([]string{"f"}, 1, func(c skeleton.Config) []float64 {
+		if !hung.Swap(true) {
+			<-release
+		}
 		return []float64{float64(c[0])}
 	})
-	eval.WrapEvalFunc(guard.Middleware())
+	eval.WrapEvalFunc(resilience.Watchdog(time.Hour)) // cancellation must cut the watch short
 
 	ctx, cancel := context.WithCancel(context.Background())
 	eval.SetContext(ctx)
-
-	// Cancel shortly after the evaluation enters its first backoff.
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
@@ -166,60 +76,56 @@ func TestGuardCancellation(t *testing.T) {
 		t.Fatalf("cancelled evaluation returned %v", out)
 	}
 	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("cancellation took %v — the backoff was not interrupted", d)
+		t.Fatalf("cancellation took %v — the watchdog was not interrupted", d)
 	}
-	if guard.Stats().Cancelled == 0 {
-		t.Fatal("no cancellation recorded")
-	}
+	close(release)
 
 	// With the context already dead, further evaluations abort before
-	// the guard is even entered (the evaluator short-circuits them).
+	// the watchdog is even entered (the evaluator short-circuits them).
 	if out := eval.EvaluateOne(cfg(5)); out != nil {
 		t.Fatalf("pre-cancelled evaluation returned %v", out)
 	}
-	if guard.Stats().Exhausted != 0 {
-		t.Fatalf("stats = %+v: aborts must not be recorded as exhausted failures", guard.Stats())
-	}
-
-	// Aborts were not recorded as failures or evaluations.
 	if eval.Evaluations() != 0 {
 		t.Fatalf("E = %d, want 0 — nothing succeeded yet", eval.Evaluations())
+	}
+
+	// The abort was not recorded as a failure: a live context evaluates
+	// the configuration.
+	eval.SetContext(nil)
+	if out := eval.EvaluateOne(cfg(4)); out == nil || out[0] != 4 {
+		t.Fatalf("re-evaluated configuration returned %v, want [4]", out)
 	}
 }
 
 // TestGuardComposesWithFaultInjector wires the runtime system's
-// deterministic fault model into the guard's Inject hook — the same
-// injector that drives the fault-tolerant runtime tests exercises the
-// search-side retry machinery.
+// deterministic fault model into a watchdogged evaluation: a latency
+// spike the injector fires in the measurement is cut short by the
+// watchdog and recorded as a failed configuration, and a configuration
+// the injector spares evaluates normally.
 func TestGuardComposesWithFaultInjector(t *testing.T) {
-	inj := &rts.FaultInjector{ErrorRate: 1.0, Seed: 42}
-	var cleared atomic.Bool
-	guard := resilience.NewGuard(resilience.GuardConfig{
-		Retries:     4,
-		BaseBackoff: time.Microsecond,
-		Inject: func(_ skeleton.Config, attempt int) error {
-			if cleared.Load() {
-				return nil
-			}
-			if attempt >= 1 {
-				cleared.Store(true) // the fault clears after one retry
-				return nil
-			}
-			return inj.Apply(0)
-		},
-	})
-	eval := objective.NewCachingEvaluator([]string{"f"}, 1, func(c skeleton.Config) []float64 {
+	inj := &rts.FaultInjector{Latency: time.Second, LatencyRate: 1, Versions: []int{13}, Seed: 42}
+	eval := objective.NewCachingEvaluator([]string{"f"}, 2, func(c skeleton.Config) []float64 {
+		if err := inj.Apply(int(c[0])); err != nil {
+			return nil
+		}
 		return []float64{float64(c[0])}
 	})
-	eval.WrapEvalFunc(guard.Middleware())
-	if out := eval.EvaluateOne(cfg(5)); out == nil {
-		t.Fatal("evaluation failed despite the fault clearing")
+	eval.WrapEvalFunc(resilience.Watchdog(20 * time.Millisecond))
+	start := time.Now()
+	out := eval.Evaluate([]skeleton.Config{cfg(13), cfg(5)})
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("the batch waited out the spike (%v)", d)
 	}
-	injected, _ := inj.Counts()
-	if injected == 0 {
-		t.Fatal("fault injector was never consulted")
+	if out[0] != nil {
+		t.Fatalf("spiked evaluation returned %v, want recorded failure", out[0])
 	}
-	if guard.Stats().Retries == 0 {
-		t.Fatal("injected faults triggered no retries")
+	if out[1] == nil || out[1][0] != 5 {
+		t.Fatalf("spared evaluation returned %v, want [5]", out[1])
+	}
+	if _, spikes := inj.Counts(); spikes != 1 {
+		t.Fatalf("injector fired %d spikes, want 1", spikes)
+	}
+	if eval.Evaluations() != 1 {
+		t.Fatalf("E = %d, want 1", eval.Evaluations())
 	}
 }

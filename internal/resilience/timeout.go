@@ -1,14 +1,18 @@
-// Package resilience hardens long-running searches against hangs,
-// transient faults and interruptions: a watchdog/retry middleware for
-// the shared evaluation cache (Guard), a generic call timeout for
-// runtime entry points (RunWithTimeout), and crash-safe checkpoint
-// journals — logs of internal/store's CRC frames — that let an
-// interrupted search resume exactly where it stopped (Checkpoint).
+// Package resilience hardens long-running searches against hangs and
+// interruptions: a watchdog middleware for the shared evaluation cache
+// (Watchdog), a generic call timeout for runtime entry points
+// (RunWithTimeout), and crash-safe checkpoint journals — logs of
+// internal/store's CRC frames — that let an interrupted search resume
+// exactly where it stopped (Checkpoint).
 package resilience
 
 import (
+	"context"
 	"errors"
 	"time"
+
+	"autotune/internal/objective"
+	"autotune/internal/skeleton"
 )
 
 // ErrTimedOut reports that a watchdogged call exceeded its deadline and
@@ -21,6 +25,40 @@ var ErrTimedOut = errors.New("resilience: timed out")
 // so fn must not hold locks the caller needs. A non-positive d runs fn
 // inline with no watchdog.
 func RunWithTimeout(d time.Duration, fn func() error) error {
+	return runWithin(context.Background(), d, fn)
+}
+
+// Watchdog returns middleware for CachingEvaluator.WrapEvalFunc that
+// bounds each evaluation by timeout. An evaluation that exceeds it is
+// abandoned as RunWithTimeout abandons a call and recorded as a failed
+// configuration (nil objectives, nil error) — cached, never retried,
+// skipped by the optimizers and excluded from E, exactly like an invalid
+// variant — so one hung variant cannot stall the search. Context
+// cancellation surfaces as an abort (non-nil error), so the result stays
+// uncached and a resumed search re-evaluates the configuration.
+func Watchdog(timeout time.Duration) func(objective.CtxEvalFunc) objective.CtxEvalFunc {
+	return func(next objective.CtxEvalFunc) objective.CtxEvalFunc {
+		return func(ctx context.Context, cfg skeleton.Config) ([]float64, error) {
+			var objs []float64
+			err := runWithin(ctx, timeout, func() (err error) {
+				objs, err = next(ctx, cfg)
+				return err
+			})
+			if errors.Is(err, ErrTimedOut) {
+				// A hung variant is a property of the configuration, not
+				// of the moment: record it as failed.
+				return nil, nil
+			}
+			return objs, err
+		}
+	}
+}
+
+// runWithin runs fn, waiting at most d for it to finish and no longer
+// than ctx lives: ErrTimedOut on timeout, ctx's error once it is done,
+// fn's own error otherwise. An abandoned fn runs to completion in the
+// background. A non-positive d runs fn inline.
+func runWithin(ctx context.Context, d time.Duration, fn func() error) error {
 	if d <= 0 {
 		return fn()
 	}
@@ -33,5 +71,7 @@ func RunWithTimeout(d time.Duration, fn func() error) error {
 		return err
 	case <-t.C:
 		return ErrTimedOut
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }

@@ -131,8 +131,8 @@ func TestServerDegradedShedsAndRecovers(t *testing.T) {
 	var waits []time.Duration
 	_, err = c.SubmitRetry(ctx, smallJob(3), RetryPolicy{
 		MaxAttempts: 2,
-		Rand:        rand.New(rand.NewSource(1)),
-		Sleep:       func(ctx context.Context, d time.Duration) error { waits = append(waits, d); return nil },
+		rand:        rand.New(rand.NewSource(1)),
+		sleep:       func(ctx context.Context, d time.Duration) error { waits = append(waits, d); return nil },
 	})
 	if StatusCode(err) != http.StatusServiceUnavailable {
 		t.Fatalf("SubmitRetry against degraded server = %v, want 503", err)

@@ -167,35 +167,31 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(text), err
 }
 
+// SubmitRetry's backoff: the first wait, which each retry doubles up to
+// the cap.
+const (
+	retryBaseDelay = 100 * time.Millisecond
+	retryMaxDelay  = 5 * time.Second
+)
+
 // RetryPolicy paces SubmitRetry. The zero value gets sensible
 // defaults.
 type RetryPolicy struct {
 	// MaxAttempts bounds total submission attempts (default 5).
 	MaxAttempts int
-	// BaseDelay is the first backoff step (default 100ms); each retry
-	// doubles it, jittered over [0.5x, 1.5x), up to MaxDelay (default
-	// 5s). A server Retry-After hint overrides a shorter computed wait.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Rand supplies jitter (a fixed-seed source in tests; a shared
-	// default otherwise).
-	Rand *rand.Rand
-	// Sleep replaces the real clock in tests.
-	Sleep func(context.Context, time.Duration) error
+
+	// rand and sleep are test seams: the jitter source (default the
+	// shared one) and the clock a retry waits on (default the real one).
+	rand  *rand.Rand
+	sleep func(context.Context, time.Duration) error
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 5
 	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 100 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 5 * time.Second
-	}
-	if p.Sleep == nil {
-		p.Sleep = func(ctx context.Context, d time.Duration) error {
+	if p.sleep == nil {
+		p.sleep = func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
 			defer t.Stop()
 			select {
@@ -224,29 +220,26 @@ func retryableSubmit(err error) bool {
 }
 
 // SubmitRetry posts a job, retrying shed submissions (429 quota, 503
-// draining/degraded) and transport failures with jittered exponential
-// backoff. A server Retry-After hint extends any shorter computed
-// wait. Retries are idempotent: identical requests map to the same
-// dedup key server-side, so a retry that crosses an accepted-but-
-// unanswered submission joins the existing job instead of duplicating
-// it.
+// draining/degraded) and transport failures with exponential backoff
+// — 100ms, doubled per retry up to 5s, jittered over [0.5x, 1.5x). A
+// server Retry-After hint extends any shorter computed wait. Retries
+// are idempotent: identical requests map to the same dedup key
+// server-side, so a retry that crosses an accepted-but-unanswered
+// submission joins the existing job instead of duplicating it.
 func (c *Client) SubmitRetry(ctx context.Context, req *JobRequest, pol RetryPolicy) (JobStatus, error) {
 	pol = pol.withDefaults()
-	delay := pol.BaseDelay
+	delay := retryBaseDelay
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			wait := jitter(delay, pol.Rand)
+			wait := jitter(delay, pol.rand)
 			if ra := retryAfter(lastErr); ra > wait {
 				wait = ra
 			}
-			if err := pol.Sleep(ctx, wait); err != nil {
+			if err := pol.sleep(ctx, wait); err != nil {
 				return JobStatus{}, lastErr
 			}
-			delay *= 2
-			if delay > pol.MaxDelay {
-				delay = pol.MaxDelay
-			}
+			delay = min(2*delay, retryMaxDelay)
 		}
 		st, err := c.Submit(ctx, req)
 		if err == nil {

@@ -167,7 +167,7 @@ func TestFsyncFailureMarksShardFailed(t *testing.T) {
 	inj := chaos.NewInjector(nil, chaos.Fault{Op: chaos.OpSync, Path: walName})
 	opt := chaosOptions(inj)
 	opt.Shards = 1
-	opt.MemtableBytes = 1 << 20 // no flushes: everything stays in the WAL
+	opt.memtableBytes = 1 << 20 // no flushes: everything stays in the WAL
 	st := mustOpen(t, dir, opt)
 
 	if err := st.Put("a", []byte("1")); err != nil {

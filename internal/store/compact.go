@@ -58,7 +58,7 @@ func (sh *shard) compactRun(all bool) (bool, error) {
 			return false, nil
 		}
 	} else {
-		lo, hi = pickRun(sh.segs, sh.st.opt.CompactFanin)
+		lo, hi = pickRun(sh.segs, sh.st.opt.compactFanin)
 		if lo > hi {
 			sh.mu.Unlock()
 			return false, nil

@@ -47,7 +47,7 @@ func copyDir(t *testing.T, src, dst string) {
 func TestWALTruncateSweep(t *testing.T) {
 	opt := small()
 	opt.Shards = 1
-	opt.MemtableBytes = 1 << 20 // never flush: everything stays in the WAL
+	opt.memtableBytes = 1 << 20 // never flush: everything stays in the WAL
 
 	refDir := t.TempDir()
 	st := mustOpen(t, refDir, opt)
@@ -287,7 +287,7 @@ func TestKillDuringCompactionSweep(t *testing.T) {
 func TestFlushCrashBeforeWALTruncate(t *testing.T) {
 	opt := small()
 	opt.Shards = 1
-	opt.MemtableBytes = 1 << 20
+	opt.memtableBytes = 1 << 20
 	dir := t.TempDir()
 	st := mustOpen(t, dir, opt)
 	const n = 25
@@ -400,7 +400,7 @@ func TestCompactionDropsDeadAndShrinksDisk(t *testing.T) {
 func TestBackgroundCompactionBoundsSegments(t *testing.T) {
 	opt := small()
 	opt.Shards = 1
-	opt.CompactFanin = 3
+	opt.compactFanin = 3
 	st := mustOpen(t, t.TempDir(), opt)
 	for i := 0; i < 3000; i++ {
 		if err := st.Put(fmt.Sprintf("k-%05d", i), []byte(fmt.Sprintf("v-%d", i))); err != nil {

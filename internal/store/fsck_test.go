@@ -136,7 +136,7 @@ func TestFsckTornWALTailIsWarningNotCorruption(t *testing.T) {
 
 func TestFsckDetectsIndexAndCountMismatch(t *testing.T) {
 	dir := t.TempDir()
-	st := mustOpen(t, dir, Options{Shards: 1, IndexInterval: 2})
+	st := mustOpen(t, dir, Options{Shards: 1, indexInterval: 2})
 	for i := 0; i < 50; i++ {
 		if err := st.Put(key(i), val(i, 0)); err != nil {
 			t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 //
 //	magic "TSTSEG01"                                    (8 bytes)
 //	data:   CRC frames, keys strictly increasing
-//	index:  sparse entries  u32 keyLen | key | u64 off  (every IndexInterval-th record)
+//	index:  sparse entries  u32 keyLen | key | u64 off  (every indexInterval-th record)
 //	bloom:  u64 m | u32 k | bits
 //	footer: u64 dataEnd | u64 indexOff | u64 bloomOff |
 //	        u64 count | u64 seqMin | u64 seqMax |
@@ -79,7 +79,7 @@ type kvSource interface {
 // returns the number of records written.
 func writeSegment(dir string, seqMin, seqMax uint64, src kvSource, approxKeys int, opt *Options) (uint64, error) {
 	fs := opt.FS
-	interval := opt.IndexInterval
+	interval := opt.indexInterval
 	if interval < 1 {
 		interval = 1
 	}

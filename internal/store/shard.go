@@ -186,7 +186,7 @@ func (sh *shard) putBatch(keys []string, vals [][]byte) (flushed bool, err error
 		sh.mem[key] = held[at:len(held):len(held)]
 		sh.memBytes += len(key) + len(vals[i]) + 16
 	}
-	if sh.memBytes >= sh.st.opt.MemtableBytes {
+	if sh.memBytes >= sh.st.opt.memtableBytes {
 		if err := sh.flushLocked(); err != nil {
 			// The batch succeeded (WAL + memtable); only the background
 			// reorganization failed, and flushLocked already recorded

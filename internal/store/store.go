@@ -37,15 +37,6 @@ type Options struct {
 	// program-fingerprint component, so one program's records stay in
 	// one shard. The same function must be supplied on every open.
 	ShardBy func(s string) (hash uint32, complete bool)
-	// MemtableBytes flushes a shard's memtable to a segment once its
-	// in-memory footprint exceeds this many bytes (default 1 MiB).
-	MemtableBytes int
-	// IndexInterval is the sparse-index stride in records (default 32):
-	// a point lookup scans at most this many frames.
-	IndexInterval int
-	// CompactFanin is the number of contiguous same-tier segments that
-	// triggers a background merge (default 4).
-	CompactFanin int
 	// NoBackgroundCompaction disables the automatic post-flush merge;
 	// Compact still works. Benchmarks and deterministic tests use it.
 	NoBackgroundCompaction bool
@@ -54,8 +45,21 @@ type Options struct {
 	// never sets it.
 	FS chaos.FS
 
-	// compactGate, when set (tests only), is called at named stages of
-	// a compaction so crash and concurrency scenarios can be staged.
+	// The fields below are test seams: every database runs at their
+	// defaults, and the store's own tests shrink them to stage flushes,
+	// lookups and merges at small sizes.
+
+	// memtableBytes flushes a shard's memtable to a segment once its
+	// in-memory footprint exceeds this many bytes (default 1 MiB).
+	memtableBytes int
+	// indexInterval is the sparse-index stride in records (default 32):
+	// a point lookup scans at most this many frames.
+	indexInterval int
+	// compactFanin is the number of contiguous same-tier segments that
+	// triggers a background merge (default 4).
+	compactFanin int
+	// compactGate, when set, is called at named stages of a compaction
+	// so crash and concurrency scenarios can be staged.
 	compactGate func(stage string)
 }
 
@@ -70,14 +74,14 @@ func (o Options) withDefaults() Options {
 			return h.Sum32(), false
 		}
 	}
-	if o.MemtableBytes <= 0 {
-		o.MemtableBytes = 1 << 20
+	if o.memtableBytes <= 0 {
+		o.memtableBytes = 1 << 20
 	}
-	if o.IndexInterval <= 0 {
-		o.IndexInterval = 32
+	if o.indexInterval <= 0 {
+		o.indexInterval = 32
 	}
-	if o.CompactFanin < 2 {
-		o.CompactFanin = 4
+	if o.compactFanin < 2 {
+		o.compactFanin = 4
 	}
 	if o.FS == nil {
 		o.FS = chaos.OS{}

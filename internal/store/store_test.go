@@ -15,9 +15,9 @@ import (
 func small() Options {
 	return Options{
 		Shards:        4,
-		MemtableBytes: 1 << 10,
-		IndexInterval: 4,
-		CompactFanin:  3,
+		memtableBytes: 1 << 10,
+		indexInterval: 4,
+		compactFanin:  3,
 	}
 }
 
@@ -168,7 +168,7 @@ func TestPutBatch(t *testing.T) {
 	inj := chaos.NewInjector(nil, chaos.Fault{Op: chaos.OpWrite, Path: walName, After: 1})
 	opt := chaosOptions(inj)
 	opt.ShardBy = byPrefixLetter
-	opt.MemtableBytes = 1 << 20 // no flushes: everything stays in the WAL
+	opt.memtableBytes = 1 << 20 // no flushes: everything stays in the WAL
 	st := mustOpen(t, dir, opt)
 
 	if err := st.PutBatch([]string{"a1", "b1"}, [][]byte{[]byte("x"), []byte("y")}); err == nil {
@@ -231,7 +231,7 @@ func TestPutBatchTornAppendLosesTheWholeBatch(t *testing.T) {
 	inj := chaos.NewInjector(nil, chaos.Fault{Op: chaos.OpWrite, Path: walName, After: 1, TornBytes: 40})
 	opt := chaosOptions(inj)
 	opt.Shards = 1
-	opt.MemtableBytes = 1 << 20
+	opt.memtableBytes = 1 << 20
 	st := mustOpen(t, dir, opt)
 	if err := st.Put("kept", []byte("yes")); err != nil {
 		t.Fatal(err)

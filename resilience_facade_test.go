@@ -16,7 +16,6 @@ func TestResilientOptionsValidation(t *testing.T) {
 		WithContext(nil),
 		WithEvalTimeout(0),
 		WithEvalTimeout(-time.Second),
-		WithRetries(-1),
 		WithCheckpoint(""),
 		WithResume(""),
 	}
@@ -34,8 +33,7 @@ func TestTuneCheckpointResumeFacade(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "mm.ckpt")
 	common := []Option{
 		WithOptimizerOptions(OptimizerOptions{PopSize: 12, Seed: 5, MaxIterations: 6}),
-		WithEvalTimeout(time.Minute), // generous: exercises the guard wiring
-		WithRetries(1),
+		WithEvalTimeout(time.Minute), // generous: exercises the watchdog wiring
 	}
 	full, err := Tune("mm", append([]Option{WithCheckpoint(ckpt)}, common...)...)
 	if err != nil {
