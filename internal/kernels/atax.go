@@ -1,9 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-	"sync"
-
 	"autotune/internal/ir"
 	"autotune/internal/perfmodel"
 )
@@ -109,11 +106,8 @@ func ataxLevelTraffic(n int64, t []int64, c perfmodel.Capacity) float64 {
 // runAtax executes both stages with tiling (ti rows per parallel block,
 // tj-wide dot-product blocking).
 func runAtax(n int64, tiles []int64, threads int) (float64, error) {
-	if len(tiles) != 2 {
-		return 0, fmt.Errorf("atax: want 2 tile sizes, got %d", len(tiles))
-	}
-	if n < 1 || threads < 1 {
-		return 0, fmt.Errorf("atax: invalid n=%d threads=%d", n, threads)
+	if err := checkRun("atax", 2, 1, n, tiles, threads); err != nil {
+		return 0, err
 	}
 	ti, tj := clip(tiles[0], n), clip(tiles[1], n)
 	N := int(n)
@@ -128,26 +122,15 @@ func runAtax(n int64, tiles []int64, threads int) (float64, error) {
 		x[i] = float64(i%11) * 0.25
 	}
 	parallelRows := func(body func(i int)) {
-		blocks := int(ceilDiv(n, ti))
-		var wg sync.WaitGroup
-		for t := 0; t < threads; t++ {
-			lo, hi := t*blocks/threads, (t+1)*blocks/threads
-			if lo == hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for b := lo; b < hi; b++ {
-					i0 := b * int(ti)
-					i1 := minInt(i0+int(ti), N)
-					for i := i0; i < i1; i++ {
-						body(i)
-					}
+		parallelBlocks(int(ceilDiv(n, ti)), threads, func(lo, hi int) {
+			for b := lo; b < hi; b++ {
+				i0 := b * int(ti)
+				i1 := minInt(i0+int(ti), N)
+				for i := i0; i < i1; i++ {
+					body(i)
 				}
-			}(lo, hi)
-		}
-		wg.Wait()
+			}
+		})
 	}
 	// Stage 1: w = A·x.
 	parallelRows(func(i int) {

@@ -1,9 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-	"sync"
-
 	"autotune/internal/ir"
 	"autotune/internal/perfmodel"
 )
@@ -114,11 +111,8 @@ func jacobi2dLevelTraffic(n int64, t []int64, c perfmodel.Capacity) float64 {
 // runJacobi2D executes the real tiled parallel Jacobi sweep,
 // alternating the role of the two arrays each time step.
 func runJacobi2D(n int64, tiles []int64, threads int) (float64, error) {
-	if len(tiles) != 2 {
-		return 0, fmt.Errorf("jacobi-2d: want 2 tile sizes, got %d", len(tiles))
-	}
-	if n < 3 || threads < 1 {
-		return 0, fmt.Errorf("jacobi-2d: invalid n=%d threads=%d", n, threads)
+	if err := checkRun("jacobi-2d", 2, 3, n, tiles, threads); err != nil {
+		return 0, err
 	}
 	ti, tj := clip(tiles[0], n), clip(tiles[1], n)
 	N := int(n)
@@ -130,31 +124,20 @@ func runJacobi2D(n int64, tiles []int64, threads int) (float64, error) {
 	src, dst := A, B
 	inner := N - 2
 	nti, ntj := int(ceilDiv(int64(inner), ti)), int(ceilDiv(int64(inner), tj))
-	total := nti * ntj
 	for sweep := 0; sweep < jacobiSweeps; sweep++ {
-		var wg sync.WaitGroup
-		for t := 0; t < threads; t++ {
-			lo, hi := t*total/threads, (t+1)*total/threads
-			if lo == hi {
-				continue
-			}
-			wg.Add(1)
-			go func(src, dst []float64, lo, hi int) {
-				defer wg.Done()
-				for it := lo; it < hi; it++ {
-					i0 := 1 + (it/ntj)*int(ti)
-					j0 := 1 + (it%ntj)*int(tj)
-					i1, j1 := minInt(i0+int(ti), N-1), minInt(j0+int(tj), N-1)
-					for i := i0; i < i1; i++ {
-						for j := j0; j < j1; j++ {
-							dst[i*N+j] = 0.2 * (src[i*N+j] + src[(i-1)*N+j] + src[(i+1)*N+j] +
-								src[i*N+j-1] + src[i*N+j+1])
-						}
+		parallelBlocks(nti*ntj, threads, func(lo, hi int) {
+			for it := lo; it < hi; it++ {
+				i0 := 1 + (it/ntj)*int(ti)
+				j0 := 1 + (it%ntj)*int(tj)
+				i1, j1 := minInt(i0+int(ti), N-1), minInt(j0+int(tj), N-1)
+				for i := i0; i < i1; i++ {
+					for j := j0; j < j1; j++ {
+						dst[i*N+j] = 0.2 * (src[i*N+j] + src[(i-1)*N+j] + src[(i+1)*N+j] +
+							src[i*N+j-1] + src[i*N+j+1])
 					}
 				}
-			}(src, dst, lo, hi)
-		}
-		wg.Wait()
+			}
+		})
 		src, dst = dst, src
 	}
 	return checksum(src), nil

@@ -15,6 +15,7 @@ package kernels
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"autotune/internal/ir"
 	"autotune/internal/perfmodel"
@@ -99,6 +100,39 @@ func Paper() []*Kernel {
 		}
 	}
 	return out
+}
+
+// checkRun refuses what no runner can execute: a tile count other than
+// the kernel's dims, a problem size below minN, or fewer than one
+// thread.
+func checkRun(name string, dims int, minN, n int64, tiles []int64, threads int) error {
+	if len(tiles) != dims {
+		return fmt.Errorf("%s: want %d tile sizes, got %d", name, dims, len(tiles))
+	}
+	if n < minN || threads < 1 {
+		return fmt.Errorf("%s: invalid n=%d threads=%d", name, n, threads)
+	}
+	return nil
+}
+
+// parallelBlocks is a runner's parallel loop: it splits the blocks
+// [0, total) into threads contiguous ranges, as an OpenMP static
+// schedule does, runs body on each non-empty range in a goroutine of
+// its own and waits for them all.
+func parallelBlocks(total, threads int, body func(lo, hi int)) {
+	var wg sync.WaitGroup
+	for t := 0; t < threads; t++ {
+		lo, hi := t*total/threads, (t+1)*total/threads
+		if lo == hi {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(lo, hi)
+		}()
+	}
+	wg.Wait()
 }
 
 // ceilDiv returns ceil(a/b) for positive b.

@@ -1,9 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-	"sync"
-
 	"autotune/internal/ir"
 	"autotune/internal/perfmodel"
 )
@@ -114,11 +111,8 @@ func mmLevelTraffic(n int64, t []int64, c perfmodel.Capacity) float64 {
 // runMM executes the real tiled, collapsed, parallel matrix multiply.
 // tiles = (ti, tj, tk). It returns a checksum of C for validation.
 func runMM(n int64, tiles []int64, threads int) (float64, error) {
-	if len(tiles) != 3 {
-		return 0, fmt.Errorf("mm: want 3 tile sizes, got %d", len(tiles))
-	}
-	if n < 1 || threads < 1 {
-		return 0, fmt.Errorf("mm: invalid n=%d threads=%d", n, threads)
+	if err := checkRun("mm", 3, 1, n, tiles, threads); err != nil {
+		return 0, err
 	}
 	ti, tj, tk := clip(tiles[0], n), clip(tiles[1], n), clip(tiles[2], n)
 	N := int(n)
@@ -131,36 +125,25 @@ func runMM(n int64, tiles []int64, threads int) (float64, error) {
 	}
 	// Collapsed parallel iteration space over (i_t, j_t).
 	nti, ntj := int(ceilDiv(n, ti)), int(ceilDiv(n, tj))
-	total := nti * ntj
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		lo, hi := t*total/threads, (t+1)*total/threads
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for it := lo; it < hi; it++ {
-				i0 := (it / ntj) * int(ti)
-				j0 := (it % ntj) * int(tj)
-				i1, j1 := minInt(i0+int(ti), N), minInt(j0+int(tj), N)
-				for k0 := 0; k0 < N; k0 += int(tk) {
-					k1 := minInt(k0+int(tk), N)
-					for i := i0; i < i1; i++ {
-						for j := j0; j < j1; j++ {
-							sum := C[i*N+j]
-							for k := k0; k < k1; k++ {
-								sum += A[i*N+k] * B[k*N+j]
-							}
-							C[i*N+j] = sum
+	parallelBlocks(nti*ntj, threads, func(lo, hi int) {
+		for it := lo; it < hi; it++ {
+			i0 := (it / ntj) * int(ti)
+			j0 := (it % ntj) * int(tj)
+			i1, j1 := minInt(i0+int(ti), N), minInt(j0+int(tj), N)
+			for k0 := 0; k0 < N; k0 += int(tk) {
+				k1 := minInt(k0+int(tk), N)
+				for i := i0; i < i1; i++ {
+					for j := j0; j < j1; j++ {
+						sum := C[i*N+j]
+						for k := k0; k < k1; k++ {
+							sum += A[i*N+k] * B[k*N+j]
 						}
+						C[i*N+j] = sum
 					}
 				}
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	return checksum(C), nil
 }
 

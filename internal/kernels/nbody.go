@@ -1,9 +1,7 @@
 package kernels
 
 import (
-	"fmt"
 	"math"
-	"sync"
 
 	"autotune/internal/ir"
 	"autotune/internal/perfmodel"
@@ -126,11 +124,8 @@ func nbodyLevelTraffic(n int64, t []int64, c perfmodel.Capacity) float64 {
 // computation. tiles = (ti, tj): the i loop is tiled and parallelized,
 // the j loop is blocked for locality.
 func runNBody(n int64, tiles []int64, threads int) (float64, error) {
-	if len(tiles) != 2 {
-		return 0, fmt.Errorf("n-body: want 2 tile sizes, got %d", len(tiles))
-	}
-	if n < 1 || threads < 1 {
-		return 0, fmt.Errorf("n-body: invalid n=%d threads=%d", n, threads)
+	if err := checkRun("n-body", 2, 1, n, tiles, threads); err != nil {
+		return 0, err
 	}
 	ti, tj := clip(tiles[0], n), clip(tiles[1], n)
 	N := int(n)
@@ -147,41 +142,30 @@ func runNBody(n int64, tiles []int64, threads int) (float64, error) {
 		pz[i] = float64(i%83) * 0.3
 		mass[i] = 1 + float64(i%7)
 	}
-	nti := int(ceilDiv(n, ti))
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		lo, hi := t*nti/threads, (t+1)*nti/threads
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for bt := lo; bt < hi; bt++ {
-				i0 := bt * int(ti)
-				i1 := minInt(i0+int(ti), N)
-				for j0 := 0; j0 < N; j0 += int(tj) {
-					j1 := minInt(j0+int(tj), N)
-					for i := i0; i < i1; i++ {
-						ax, ay, az := 0.0, 0.0, 0.0
-						for j := j0; j < j1; j++ {
-							dx := px[j] - px[i]
-							dy := py[j] - py[i]
-							dz := pz[j] - pz[i]
-							d2 := dx*dx + dy*dy + dz*dz + 1e-9
-							inv := mass[j] / (d2 * math.Sqrt(d2))
-							ax += dx * inv
-							ay += dy * inv
-							az += dz * inv
-						}
-						fx[i] += ax
-						fy[i] += ay
-						fz[i] += az
+	parallelBlocks(int(ceilDiv(n, ti)), threads, func(lo, hi int) {
+		for bt := lo; bt < hi; bt++ {
+			i0 := bt * int(ti)
+			i1 := minInt(i0+int(ti), N)
+			for j0 := 0; j0 < N; j0 += int(tj) {
+				j1 := minInt(j0+int(tj), N)
+				for i := i0; i < i1; i++ {
+					ax, ay, az := 0.0, 0.0, 0.0
+					for j := j0; j < j1; j++ {
+						dx := px[j] - px[i]
+						dy := py[j] - py[i]
+						dz := pz[j] - pz[i]
+						d2 := dx*dx + dy*dy + dz*dz + 1e-9
+						inv := mass[j] / (d2 * math.Sqrt(d2))
+						ax += dx * inv
+						ay += dy * inv
+						az += dz * inv
 					}
+					fx[i] += ax
+					fy[i] += ay
+					fz[i] += az
 				}
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	return checksum(fx) + checksum(fy) + checksum(fz), nil
 }

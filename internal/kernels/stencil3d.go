@@ -1,9 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-	"sync"
-
 	"autotune/internal/ir"
 	"autotune/internal/perfmodel"
 )
@@ -121,11 +118,8 @@ func stencil3dLevelTraffic(n int64, t []int64, c perfmodel.Capacity) float64 {
 
 // runStencil3D executes the real tiled parallel 27-point stencil.
 func runStencil3D(n int64, tiles []int64, threads int) (float64, error) {
-	if len(tiles) != 3 {
-		return 0, fmt.Errorf("3d-stencil: want 3 tile sizes, got %d", len(tiles))
-	}
-	if n < 3 || threads < 1 {
-		return 0, fmt.Errorf("3d-stencil: invalid n=%d threads=%d", n, threads)
+	if err := checkRun("3d-stencil", 3, 3, n, tiles, threads); err != nil {
+		return 0, err
 	}
 	ti, tj, tk := clip(tiles[0], n), clip(tiles[1], n), clip(tiles[2], n)
 	N := int(n)
@@ -137,44 +131,33 @@ func runStencil3D(n int64, tiles []int64, threads int) (float64, error) {
 	src, dst := A, B
 	inner := N - 2
 	nti, ntj := int(ceilDiv(int64(inner), ti)), int(ceilDiv(int64(inner), tj))
-	total := nti * ntj
 	idx := func(i, j, k int) int { return (i*N+j)*N + k }
 	for sweep := 0; sweep < stencilSweeps; sweep++ {
-		var wg sync.WaitGroup
-		for t := 0; t < threads; t++ {
-			lo, hi := t*total/threads, (t+1)*total/threads
-			if lo == hi {
-				continue
-			}
-			wg.Add(1)
-			go func(src, dst []float64, lo, hi int) {
-				defer wg.Done()
-				for it := lo; it < hi; it++ {
-					i0 := 1 + (it/ntj)*int(ti)
-					j0 := 1 + (it%ntj)*int(tj)
-					i1, j1 := minInt(i0+int(ti), N-1), minInt(j0+int(tj), N-1)
-					for k0 := 1; k0 < N-1; k0 += int(tk) {
-						k1 := minInt(k0+int(tk), N-1)
-						for i := i0; i < i1; i++ {
-							for j := j0; j < j1; j++ {
-								for k := k0; k < k1; k++ {
-									s := 0.0
-									for di := -1; di <= 1; di++ {
-										for dj := -1; dj <= 1; dj++ {
-											for dk := -1; dk <= 1; dk++ {
-												s += src[idx(i+di, j+dj, k+dk)]
-											}
+		parallelBlocks(nti*ntj, threads, func(lo, hi int) {
+			for it := lo; it < hi; it++ {
+				i0 := 1 + (it/ntj)*int(ti)
+				j0 := 1 + (it%ntj)*int(tj)
+				i1, j1 := minInt(i0+int(ti), N-1), minInt(j0+int(tj), N-1)
+				for k0 := 1; k0 < N-1; k0 += int(tk) {
+					k1 := minInt(k0+int(tk), N-1)
+					for i := i0; i < i1; i++ {
+						for j := j0; j < j1; j++ {
+							for k := k0; k < k1; k++ {
+								s := 0.0
+								for di := -1; di <= 1; di++ {
+									for dj := -1; dj <= 1; dj++ {
+										for dk := -1; dk <= 1; dk++ {
+											s += src[idx(i+di, j+dj, k+dk)]
 										}
 									}
-									dst[idx(i, j, k)] = s / 27
 								}
+								dst[idx(i, j, k)] = s / 27
 							}
 						}
 					}
 				}
-			}(src, dst, lo, hi)
-		}
-		wg.Wait()
+			}
+		})
 		src, dst = dst, src
 	}
 	return checksum(src), nil

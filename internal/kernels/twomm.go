@@ -1,9 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-	"sync"
-
 	"autotune/internal/ir"
 	"autotune/internal/perfmodel"
 )
@@ -82,11 +79,8 @@ func twommModel() *perfmodel.KernelModel {
 // runTwoMM executes the real tiled parallel 2mm: E = (A·B)·C with one
 // shared tiling/thread configuration for both stages.
 func runTwoMM(n int64, tiles []int64, threads int) (float64, error) {
-	if len(tiles) != 3 {
-		return 0, fmt.Errorf("2mm: want 3 tile sizes, got %d", len(tiles))
-	}
-	if n < 1 || threads < 1 {
-		return 0, fmt.Errorf("2mm: invalid n=%d threads=%d", n, threads)
+	if err := checkRun("2mm", 3, 1, n, tiles, threads); err != nil {
+		return 0, err
 	}
 	ti, tj, tk := clip(tiles[0], n), clip(tiles[1], n), clip(tiles[2], n)
 	N := int(n)
@@ -100,38 +94,27 @@ func runTwoMM(n int64, tiles []int64, threads int) (float64, error) {
 		B[i] = float64(i%7) * 0.5
 		C[i] = float64(i%5) * 0.75
 	}
+	nti, ntj := int(ceilDiv(n, ti)), int(ceilDiv(n, tj))
 	stage := func(dst, src1, src2 []float64) {
-		nti, ntj := int(ceilDiv(n, ti)), int(ceilDiv(n, tj))
-		total := nti * ntj
-		var wg sync.WaitGroup
-		for t := 0; t < threads; t++ {
-			lo, hi := t*total/threads, (t+1)*total/threads
-			if lo == hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for it := lo; it < hi; it++ {
-					i0 := (it / ntj) * int(ti)
-					j0 := (it % ntj) * int(tj)
-					i1, j1 := minInt(i0+int(ti), N), minInt(j0+int(tj), N)
-					for k0 := 0; k0 < N; k0 += int(tk) {
-						k1 := minInt(k0+int(tk), N)
-						for i := i0; i < i1; i++ {
-							for j := j0; j < j1; j++ {
-								sum := dst[i*N+j]
-								for k := k0; k < k1; k++ {
-									sum += src1[i*N+k] * src2[k*N+j]
-								}
-								dst[i*N+j] = sum
+		parallelBlocks(nti*ntj, threads, func(lo, hi int) {
+			for it := lo; it < hi; it++ {
+				i0 := (it / ntj) * int(ti)
+				j0 := (it % ntj) * int(tj)
+				i1, j1 := minInt(i0+int(ti), N), minInt(j0+int(tj), N)
+				for k0 := 0; k0 < N; k0 += int(tk) {
+					k1 := minInt(k0+int(tk), N)
+					for i := i0; i < i1; i++ {
+						for j := j0; j < j1; j++ {
+							sum := dst[i*N+j]
+							for k := k0; k < k1; k++ {
+								sum += src1[i*N+k] * src2[k*N+j]
 							}
+							dst[i*N+j] = sum
 						}
 					}
 				}
-			}(lo, hi)
-		}
-		wg.Wait()
+			}
+		})
 	}
 	stage(D, A, B)
 	stage(E, D, C)
