@@ -261,9 +261,11 @@ func TestEveryJobRequestFieldIsClassified(t *testing.T) {
 		"machine": {problem, func(r *JobRequest) { r.Machine = "Barcelona" }},
 		"n":       {problem, func(r *JobRequest) { r.N = 96 }},
 		"energy":  {problem, func(r *JobRequest) { r.Energy = true }},
-		// The tuning-database key leaves the noise amplitude out, so it
-		// is hashed beside the search options; it shapes the objective
-		// values all the same (the checkpoint tag has it).
+		// A nonzero noise amplitude is part of the tuning-database key,
+		// so it moves the problem part of a kernel job's key. It is
+		// hashed beside the search options as well, as it was before it
+		// joined the key, so persisted keys keep matching; that is all
+		// a program job's key has of it.
 		"noise":          {problem, func(r *JobRequest) { r.Noise = 0.05 }},
 		"method":         {search, func(r *JobRequest) { r.Method = "nsga2" }},
 		"seed":           {search, func(r *JobRequest) { r.Seed = 7 }},
