@@ -153,6 +153,46 @@ func TestGDEStepAllocationBudget(t *testing.T) {
 	}
 }
 
+// nopCheckpointer drops every snapshot it is handed.
+type nopCheckpointer struct{}
+
+func (nopCheckpointer) Save(*Snapshot) error { return nil }
+
+// TestSnapshotAllocationBudget: checkpointing a generation — tracing
+// its evaluated batch and snapshotting the island — allocates the same
+// handful of times at population 30 and at 120: every configuration and
+// objective vector is cut from slabs sized once per batch and per
+// island, and the trace's buffer starts at the last generation's size.
+func TestSnapshotAllocationBudget(t *testing.T) {
+	skipUnderRace(t)
+	perGen := map[int]float64{}
+	for _, n := range []int{30, 120} {
+		opt := Options{PopSize: n, Seed: 3, Stagnation: 1 << 30}.withDefaults()
+		g := newGDEIsland(benchSpace(), newTableEvaluator(2), opt, stats.NewCountedRand(opt.Seed))
+		for i := 0; i < 5; i++ {
+			g.step()
+		}
+		cfgs, objs := make([]skeleton.Config, n), make([][]float64, n)
+		for i, ind := range g.pop {
+			cfgs[i], objs[i] = ind.cfg, ind.objs
+		}
+		r := &controlledRun{eval: newTableEvaluator(2), ctrl: Control{Checkpointer: nopCheckpointer{}}, trace: &evalTrace{}}
+		islands := []islandEvolver{g}
+		generation := func() {
+			r.trace.record(cfgs, objs)
+			if err := r.save(islands, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		generation()
+		perGen[n] = testing.AllocsPerRun(20, generation)
+	}
+	if perGen[30] != perGen[120] || perGen[30] > 10 {
+		t.Fatalf("checkpointing a generation allocates %v times at population 30 and %v at 120, want the same, at most 10", perGen[30], perGen[120])
+	}
+	t.Logf("%v allocations per checkpointed generation", perGen[30])
+}
+
 var rankSink [][]int
 
 func benchmarkNonDominatedSort(b *testing.B, n, nObjs int) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strconv"
 	"sync"
 
 	"autotune/internal/chaos"
@@ -38,6 +39,9 @@ const snapKey = "snap"
 type Checkpoint struct {
 	mu sync.Mutex
 	f  chaos.File
+	// payload and frame are the buffers Save encodes a snapshot and
+	// frames it into, reused from one generation to the next.
+	payload, frame []byte
 }
 
 // CreateCheckpoint starts a fresh checkpoint journal at path,
@@ -88,24 +92,120 @@ func TrimCheckpoint(path string, gen int) error {
 
 // Save implements optimizer.Checkpointer: one snapshot frame is
 // appended and synced to stable storage before the search continues.
+// The snapshot is encoded into buffers the journal keeps, so once they
+// have grown to a generation's size Save allocates nothing.
 func (c *Checkpoint) Save(s *optimizer.Snapshot) error {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("resilience: encoding snapshot: %w", err)
-	}
-	frame := store.AppendFrame(nil, []string{snapKey}, [][]byte{payload})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.f == nil {
 		return errors.New("resilience: checkpoint is closed")
 	}
-	if _, err := c.f.Write(frame); err != nil {
+	var err error
+	if c.payload, err = appendSnapshot(c.payload[:0], s); err != nil {
+		return fmt.Errorf("resilience: encoding snapshot: %w", err)
+	}
+	c.frame = store.AppendFrame(c.frame[:0], []string{snapKey}, [][]byte{c.payload})
+	if _, err := c.f.Write(c.frame); err != nil {
 		return fmt.Errorf("resilience: writing snapshot: %w", err)
 	}
 	if err := c.f.Sync(); err != nil {
 		return fmt.Errorf("resilience: syncing checkpoint: %w", err)
 	}
 	return nil
+}
+
+// appendSnapshot appends the JSON of s, byte for byte what
+// json.Marshal(s) produces, without the reflection walk; like
+// json.Marshal it refuses a NaN or an infinity. foldJournal reads it
+// back with json.Unmarshal.
+func appendSnapshot(b []byte, s *optimizer.Snapshot) ([]byte, error) {
+	b = append(b, `{"method":`...)
+	b = appendJSONString(b, s.Method)
+	b = append(b, `,"fingerprint":`...)
+	b = appendJSONString(b, s.Fingerprint)
+	if s.Problem != "" {
+		b = append(b, `,"problem":`...)
+		b = appendJSONString(b, s.Problem)
+	}
+	b = append(b, `,"generation":`...)
+	b = strconv.AppendInt(b, int64(s.Generation), 10)
+	b = append(b, `,"evaluations":`...)
+	b = strconv.AppendInt(b, int64(s.Evaluations), 10)
+	b = append(b, `,"states":`...)
+	var err error
+	if s.States == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, st := range s.States {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"pop":`...)
+			if b, err = appendMembers(b, st.Pop); err != nil {
+				return b, err
+			}
+			b = append(b, `,"archive":`...)
+			if b, err = appendMembers(b, st.Archive); err != nil {
+				return b, err
+			}
+			b = append(b, `,"stagnant":`...)
+			b = strconv.AppendInt(b, int64(st.Stagnant), 10)
+			b = append(b, `,"draws":`...)
+			b = strconv.AppendUint(b, st.Draws, 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if len(s.Evals) > 0 {
+		b = append(b, `,"evals":`...)
+		if b, err = appendMembers(b, s.Evals); err != nil {
+			return b, err
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// appendMembers appends a population, an archive or an evaluation trace
+// — Member and EvalState have the same fields under the same names —
+// as a JSON array: null when nil.
+func appendMembers[M optimizer.Member | optimizer.EvalState](b []byte, ms []M) ([]byte, error) {
+	if ms == nil {
+		return append(b, "null"...), nil
+	}
+	b = append(b, '[')
+	for i := range ms {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		m := optimizer.Member(ms[i])
+		b = append(b, `{"config":`...)
+		b = store.AppendJSONInts(b, m.Config)
+		b = append(b, `,"objs":`...)
+		var err error
+		if b, err = store.AppendJSONFloats(b, m.Objs); err != nil {
+			return b, err
+		}
+		b = append(b, '}')
+	}
+	return append(b, ']'), nil
+}
+
+// appendJSONString appends s as a JSON string. A snapshot's method,
+// fingerprint and problem tag are printable ASCII that encoding/json
+// writes as they are; a string holding anything it would escape — a
+// quote, a backslash, a control byte, <, > or &, a byte outside ASCII —
+// is handed to it whole.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Close flushes and closes the journal. The checkpoint must not be

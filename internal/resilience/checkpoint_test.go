@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"autotune/internal/israce"
 	"autotune/internal/objective"
 	"autotune/internal/optimizer"
 	"autotune/internal/pareto"
@@ -556,10 +557,9 @@ func TestTrimCheckpoint(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckpointSave appends and syncs one generation's snapshot —
-// a 30-member population, its archive and the generation's evaluation
-// trace — per iteration: what a checkpointed search pays per generation.
-func BenchmarkCheckpointSave(b *testing.B) {
+// benchSnapshot is one generation's snapshot: a 30-member population,
+// its archive and the generation's evaluation trace.
+func benchSnapshot() *optimizer.Snapshot {
 	snap := &optimizer.Snapshot{Method: "rs-gde3", Fingerprint: "00c0ffee00c0ffee", Generation: 12, Evaluations: 390}
 	state := optimizer.IslandState{Stagnant: 1, Draws: 4242}
 	for i := 0; i < 30; i++ {
@@ -574,6 +574,13 @@ func BenchmarkCheckpointSave(b *testing.B) {
 		snap.Evals = append(snap.Evals, optimizer.EvalState(m))
 	}
 	snap.States = []optimizer.IslandState{state}
+	return snap
+}
+
+// BenchmarkCheckpointSave appends and syncs benchSnapshot per
+// iteration: what a checkpointed search pays per generation.
+func BenchmarkCheckpointSave(b *testing.B) {
+	snap := benchSnapshot()
 	cp, err := resilience.CreateCheckpoint(filepath.Join(b.TempDir(), "bench.ckpt"))
 	if err != nil {
 		b.Fatal(err)
@@ -585,5 +592,29 @@ func BenchmarkCheckpointSave(b *testing.B) {
 		if err := cp.Save(snap); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCheckpointSaveAllocationBudget: once the journal's buffers have
+// grown to a generation's size, saving one allocates nothing — not the
+// encoded snapshot, not its frame.
+func TestCheckpointSaveAllocationBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	snap := benchSnapshot()
+	cp, err := resilience.CreateCheckpoint(filepath.Join(t.TempDir(), "budget.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	save := func() {
+		if err := cp.Save(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save()
+	if got := testing.AllocsPerRun(20, save); got != 0 {
+		t.Fatalf("a steady-state Save allocates %v times, want 0", got)
 	}
 }

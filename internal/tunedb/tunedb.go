@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -298,54 +297,13 @@ func sameEval(old, val []byte, objs []float64) bool {
 // reflection walk. NaN and infinities are refused as JSON refuses them.
 func appendEvalValue(b []byte, cfg skeleton.Config, objs []float64) ([]byte, error) {
 	b = append(b, `{"config":`...)
-	if cfg == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, v := range cfg {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, v, 10)
-		}
-		b = append(b, ']')
-	}
+	b = store.AppendJSONInts(b, cfg)
 	b = append(b, `,"objectives":`...)
-	if objs == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, f := range objs {
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return b, fmt.Errorf("tunedb: unsupported objective value %v", f)
-			}
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONFloat(b, f)
-		}
-		b = append(b, ']')
+	b, err := store.AppendJSONFloats(b, objs)
+	if err != nil {
+		return b, fmt.Errorf("tunedb: objective values: %w", err)
 	}
 	return append(b, '}'), nil
-}
-
-// appendJSONFloat appends a finite float64 the way encoding/json does:
-// the shortest representation that round-trips, in exponent form
-// outside [1e-6, 1e21) with a one-digit negative exponent unpadded.
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 becomes e-9.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 // decodeEvalValue reads a stored evaluation back: for the bytes
