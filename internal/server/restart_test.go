@@ -18,7 +18,7 @@ import (
 	"autotune/internal/resilience"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/restart.json from the current code")
+var update = flag.Bool("update", false, "rewrite testdata/restart.json and testdata/metrics.txt from the current code")
 
 // writeForeignJournal writes at path a complete checkpoint journal that
 // was written for another problem: a job resuming from it fails.
