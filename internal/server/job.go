@@ -354,9 +354,6 @@ type jobRecord struct {
 	Submitted int64       `json:"submitted_unix"`
 }
 
-// sortedStates is the canonical rendering order of state counters.
-var sortedStates = []JobState{StateQueued, StateRunning, StateDone, StateFailed, stateInterrupted}
-
 // Event is one server-sent progress event of a job.
 type Event struct {
 	State       JobState `json:"state"`

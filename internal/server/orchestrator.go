@@ -122,8 +122,10 @@ type Orchestrator struct {
 	spillDir string
 	start    time.Time
 
-	proberStop chan struct{}
-	proberWg   sync.WaitGroup
+	// drainStarted is closed once, when a drain begins: it stops the
+	// recovery prober and Serve.
+	drainStarted chan struct{}
+	proberWg     sync.WaitGroup
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -137,16 +139,11 @@ type Orchestrator struct {
 
 	wg sync.WaitGroup
 
-	// counters (atomics: read by /metrics without the lock)
-	submitted   atomic.Int64
-	dedupHits   atomic.Int64
-	quotaDenied atomic.Int64
-	evaluations atomic.Int64
-
-	// shed counters by reason, for tuned_jobs_shed_total
-	shedQuota    atomic.Int64
-	shedDraining atomic.Int64
-	shedDegraded atomic.Int64
+	// metrics is what GET /metrics serves; declareMetrics declares it
+	// and the counters below, which /metrics reads without the lock.
+	metrics                               registry
+	submitted, dedupHits, evaluations     *atomic.Int64
+	shedQuota, shedDraining, shedDegraded *atomic.Int64
 }
 
 // NewOrchestrator opens (or re-opens) the orchestrator over StateDir:
@@ -173,17 +170,18 @@ func NewOrchestrator(cfg Config) (*Orchestrator, error) {
 		return nil, err
 	}
 	o := &Orchestrator{
-		cfg:        cfg,
-		db:         db,
-		ckptDir:    ckptDir,
-		spillDir:   spillDir,
-		start:      time.Now(),
-		proberStop: make(chan struct{}),
-		jobs:       map[string]*job{},
-		byDedup:    map[string]*job{},
-		running:    map[string]int{},
+		cfg:          cfg,
+		db:           db,
+		ckptDir:      ckptDir,
+		spillDir:     spillDir,
+		start:        time.Now(),
+		drainStarted: make(chan struct{}),
+		jobs:         map[string]*job{},
+		byDedup:      map[string]*job{},
+		running:      map[string]int{},
 	}
 	o.cond = sync.NewCond(&o.mu)
+	o.declareMetrics()
 	if err := o.reload(); err != nil {
 		db.Close()
 		return nil, err
@@ -225,7 +223,7 @@ func (o *Orchestrator) recoveryProber(every time.Duration) {
 	defer tick.Stop()
 	for {
 		select {
-		case <-o.proberStop:
+		case <-o.drainStarted:
 			return
 		case <-tick.C:
 			o.probe()
@@ -339,7 +337,6 @@ func (o *Orchestrator) Submit(req *JobRequest, tenant string) (JobStatus, error)
 		}
 	}
 	if queued >= o.cfg.MaxQueuedPerTenant {
-		o.quotaDenied.Add(1)
 		o.shedQuota.Add(1)
 		return JobStatus{}, fmt.Errorf("%w: tenant %q already has %d queued jobs (max %d)",
 			errQuota, tenant, queued, o.cfg.MaxQueuedPerTenant)
@@ -629,7 +626,7 @@ func (o *Orchestrator) Drain() {
 	}
 	o.cond.Broadcast()
 	o.mu.Unlock()
-	close(o.proberStop)
+	close(o.drainStarted)
 	o.proberWg.Wait()
 	o.wg.Wait()
 	o.probe()
@@ -679,56 +676,4 @@ func (o *Orchestrator) journal(id string) string {
 		}
 	}
 	return ""
-}
-
-// Metrics is a point-in-time snapshot of the orchestrator's counters.
-type Metrics struct {
-	States          map[JobState]int
-	Submitted       int64
-	DedupHits       int64
-	QuotaRejections int64
-	Evaluations     int64
-	EvalsPerSec     float64
-	DedupHitRate    float64
-	UptimeSeconds   float64
-	Draining        bool
-	// Shed counts rejected submissions by reason: "quota", "draining",
-	// "degraded".
-	Shed map[string]int64
-	// StoreReadOnly reports a degraded (read-only) tuning database.
-	StoreReadOnly bool
-}
-
-// Snapshot gathers the current metrics.
-func (o *Orchestrator) Snapshot() Metrics {
-	o.mu.Lock()
-	states := map[JobState]int{}
-	for _, j := range o.jobs {
-		states[j.rec.State]++
-	}
-	draining := o.draining
-	o.mu.Unlock()
-	up := time.Since(o.start).Seconds()
-	m := Metrics{
-		States:          states,
-		Submitted:       o.submitted.Load(),
-		DedupHits:       o.dedupHits.Load(),
-		QuotaRejections: o.quotaDenied.Load(),
-		Evaluations:     o.evaluations.Load(),
-		UptimeSeconds:   up,
-		Draining:        draining,
-		Shed: map[string]int64{
-			"quota":    o.shedQuota.Load(),
-			"draining": o.shedDraining.Load(),
-			"degraded": o.shedDegraded.Load(),
-		},
-		StoreReadOnly: o.db.Health().ReadOnly,
-	}
-	if up > 0 {
-		m.EvalsPerSec = float64(m.Evaluations) / up
-	}
-	if m.Submitted > 0 {
-		m.DedupHitRate = float64(m.DedupHits) / float64(m.Submitted)
-	}
-	return m
 }

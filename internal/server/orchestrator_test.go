@@ -223,8 +223,8 @@ func TestOrchestratorDedup(t *testing.T) {
 	if fst.Deduped || fst.ID == first.ID {
 		t.Fatalf("forced submit deduped: %+v", fst)
 	}
-	if m := o.Snapshot(); m.DedupHits != 2 {
-		t.Fatalf("dedup hits %d, want 2", m.DedupHits)
+	if n := o.dedupHits.Load(); n != 2 {
+		t.Fatalf("dedup hits %d, want 2", n)
 	}
 }
 
@@ -382,7 +382,7 @@ func TestEvalHookCountsEachEvaluationOnceUnderIslands(t *testing.T) {
 			t.Fatalf("count %d of %d was handed to EvalHook %d times", n, len(seen), seen[n])
 		}
 	}
-	if got := o.Snapshot().Evaluations; got != int64(len(seen)) {
+	if got := o.evaluations.Load(); got != int64(len(seen)) {
 		t.Fatalf("orchestrator counted %d evaluations, EvalHook %d", got, len(seen))
 	}
 }
@@ -440,8 +440,8 @@ func TestOrchestratorQuota(t *testing.T) {
 	if err != nil {
 		t.Fatalf("other tenant rejected: %v", err)
 	}
-	if m := o.Snapshot(); m.QuotaRejections != 1 {
-		t.Fatalf("quota rejections %d, want 1", m.QuotaRejections)
+	if n := o.shedQuota.Load(); n != 1 {
+		t.Fatalf("quota rejections %d, want 1", n)
 	}
 	close(release)
 	waitTerminal(t, o, bob.ID)

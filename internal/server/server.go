@@ -239,39 +239,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleMetrics renders the counters in the Prometheus text format.
+// handleMetrics serves the orchestrator's series in the Prometheus text
+// format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.orch.Snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	for _, st := range sortedStates {
-		fmt.Fprintf(w, "tuned_jobs{state=%q} %d\n", st, m.States[st])
-	}
-	fmt.Fprintf(w, "tuned_jobs_submitted_total %d\n", m.Submitted)
-	fmt.Fprintf(w, "tuned_dedup_hits_total %d\n", m.DedupHits)
-	fmt.Fprintf(w, "tuned_quota_rejections_total %d\n", m.QuotaRejections)
-	fmt.Fprintf(w, "tuned_evaluations_total %d\n", m.Evaluations)
-	fmt.Fprintf(w, "tuned_evals_per_sec %.6g\n", m.EvalsPerSec)
-	fmt.Fprintf(w, "tuned_dedup_hit_rate %.6g\n", m.DedupHitRate)
-	fmt.Fprintf(w, "tuned_uptime_seconds %.6g\n", m.UptimeSeconds)
-	draining := 0
-	if m.Draining {
-		draining = 1
-	}
-	fmt.Fprintf(w, "tuned_draining %d\n", draining)
-	for _, reason := range []string{"degraded", "draining", "quota"} {
-		fmt.Fprintf(w, "tuned_jobs_shed_total{reason=%q} %d\n", reason, m.Shed[reason])
-	}
-	readOnly := 0
-	if m.StoreReadOnly {
-		readOnly = 1
-	}
-	fmt.Fprintf(w, "tuned_store_read_only %d\n", readOnly)
-	// Which way warm starts went: from the history the open database
-	// keeps of a key, or from a scan of the store.
-	records, fromResident, fromScan := s.orch.DB().Residency()
-	fmt.Fprintf(w, "tuned_warm_starts_total{source=%q} %d\n", "resident", fromResident)
-	fmt.Fprintf(w, "tuned_warm_starts_total{source=%q} %d\n", "scan", fromScan)
-	fmt.Fprintf(w, "tuned_resident_records %d\n", records)
+	s.orch.metrics.write(w)
 }
 
 // shutdownGrace bounds how long in-flight HTTP requests may linger
@@ -288,30 +260,13 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(l) }()
 
-	// A POST /v1/drain flips the orchestrator without cancelling ctx;
-	// watch both so either path shuts the listener down.
-	drained := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(50 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				close(drained)
-				return
-			case <-tick.C:
-				if s.orch.Draining() {
-					close(drained)
-					return
-				}
-			}
-		}
-	}()
-
+	// A POST /v1/drain starts a drain without cancelling ctx; either
+	// shuts the listener down.
 	select {
 	case err := <-errc:
 		return err
-	case <-drained:
+	case <-ctx.Done():
+	case <-s.orch.drainStarted:
 	}
 	s.orch.Drain() // idempotent; waits for checkpointing workers
 	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)

@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -334,5 +336,39 @@ func TestServeLifecycle(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("Serve never returned after drain")
+	}
+}
+
+// TestServeListenerErrorLeavesNoGoroutine: Serve on a listener closed
+// under it returns the listener's error, and nothing it started outlives
+// it, although neither its context ends nor a drain starts.
+func TestServeListenerErrorLeavesNoGoroutine(t *testing.T) {
+	o, err := NewOrchestrator(Config{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Drain()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- New(o).Serve(context.Background(), l) }()
+	l.Close()
+	select {
+	case err := <-serveErr:
+		if err == nil || errors.Is(err, http.ErrServerClosed) {
+			t.Fatalf("Serve on a closed listener returned %v, want the listener's error", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("Serve never returned after its listener closed")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			stacks := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Serve returned, %d before it:\n%s",
+				runtime.NumGoroutine(), baseline, stacks[:runtime.Stack(stacks, true)])
+		}
 	}
 }
