@@ -16,7 +16,7 @@ import (
 	"autotune/internal/tunedb"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/progress.json from the current code")
+var update = flag.Bool("update", false, "rewrite the testdata pins of the selected tests from the current code")
 
 // TestProblemKeyMatchesJournaledKey: ProblemKey must derive exactly the
 // key TuneKernel journals under, or service-side dedup would miss the
