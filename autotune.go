@@ -340,9 +340,6 @@ func WithSeed(seed int64) Option {
 // islands <= 1 selects the serial algorithm.
 func WithIslands(islands, migrationInterval int) Option {
 	return func(c *tuneConfig) error {
-		if islands < 0 || migrationInterval < 0 {
-			return fmt.Errorf("autotune: island parameters must be non-negative")
-		}
 		c.opts.Islands = islands
 		c.opts.MigrationInterval = migrationInterval
 		return nil
@@ -401,9 +398,6 @@ func WithProblemSize(n int64) Option {
 // repetitions are taken automatically).
 func WithNoise(amp float64) Option {
 	return func(c *tuneConfig) error {
-		if amp < 0 {
-			return fmt.Errorf("autotune: noise amplitude must be non-negative")
-		}
 		c.opts.NoiseAmp = amp
 		return nil
 	}
@@ -533,9 +527,6 @@ func WithRace(opts RaceOptions) Option {
 // Fixed-seed fronts stay byte-identical across GOMAXPROCS.
 func WithSurrogate(topK int) Option {
 	return func(c *tuneConfig) error {
-		if topK < 0 {
-			return fmt.Errorf("autotune: surrogate top-K must be non-negative")
-		}
 		c.opts.Surrogate = true
 		c.opts.ScreenTopK = topK
 		return nil
@@ -632,13 +623,18 @@ func TuneSource(src string, options ...Option) (*TuneResult, error) {
 // TuneResult per kernel; all share the same Evaluations count (the
 // joint execution total).
 //
-// Each region runs RS-GDE3 (or GDE3) over its own simulated evaluator,
-// in lock-step. The machine, seed, problem size, noise, optimizer
-// options, WithEnergyObjective and WithUnrollDimension are honoured;
-// every other option a Tune would honour — another method, measured
-// execution, the surrogate screen, islands, an InitialPopulation, the
-// database, checkpoints, a context, timeouts, progress — is
-// refused by name rather than dropped.
+// Each region runs RS-GDE3 (or GDE3) in lock-step over the evaluator
+// chain a Tune of it would build. The machine, seed, problem size,
+// noise, optimizer options, WithEnergyObjective, WithUnrollDimension,
+// WithDB (each region journals and stores its front under the key a
+// Tune of it would use; the front's Evaluations is the joint execution
+// count), WithEvalTimeout and WithContext (a cancelled search stops at
+// a generation boundary, every result Partial) are honoured. Every
+// other option a Tune would honour is refused by name rather than
+// dropped, with the reason: another method, measured execution, the
+// surrogate screen, islands, an InitialPopulation, a warm start (its
+// seeds address one region's space), checkpoints and progress (a joint
+// run's E counts program executions, not evaluations).
 func TuneAll(kernelNames []string, options ...Option) ([]*TuneResult, error) {
 	opts, err := driverOptions(options)
 	if err != nil {

@@ -77,15 +77,21 @@ func main() {
 	racing := ran == autotune.MethodRace
 	race := autotune.RaceOptions{Strategies: splitStrategies(*raceStrategies), Interval: *raceInterval, Budget: *raceBudget}
 	choices := driver.Options{
-		Method:         driver.Method(*method),
-		Race:           race,
-		Islands:        *islands,
-		Surrogate:      *surrogate,
-		ScreenTopK:     *screenTopK,
-		CheckpointPath: *checkpoint,
-		ResumeFrom:     *resume,
+		Method:            driver.Method(*method),
+		Race:              race,
+		N:                 *n,
+		Islands:           *islands,
+		MigrationInterval: *migrate,
+		Surrogate:         *surrogate,
+		ScreenTopK:        *screenTopK,
+		EvalTimeout:       *evalTimeout,
+		CheckpointPath:    *checkpoint,
+		ResumeFrom:        *resume,
 	}
 	err := validateChoices(choices)
+	if err == nil && *deadline < 0 {
+		err = fmt.Errorf("-deadline %s must not be negative", *deadline)
+	}
 	if err == nil && racing {
 		// Any race flag selects the race (WithRace below); the method
 		// named beside it must still be a known one.
@@ -355,8 +361,8 @@ func splitStrategies(s string) []string {
 // the optimizer could not run (fewer than two -race-strategies, a
 // repeated, unknown or exhaustive one, a negative -race-interval or
 // -race-budget) — each naming the valid values where there is a list —
-// or -islands, -surrogate or -checkpoint/-resume on a method that has
-// none.
+// a negative -n, -islands, -migrate or -eval-timeout, or -islands,
+// -surrogate or -checkpoint/-resume on a method that has none.
 func validateChoices(choices driver.Options) error {
 	if err := driver.CheckOptions(choices, false); err != nil {
 		return errors.New(strings.TrimPrefix(err.Error(), "driver: "))

@@ -155,6 +155,36 @@ func TestBadRaceRefusedBeforeTheDatabaseOpens(t *testing.T) {
 	}
 }
 
+// TestNegativeFlagsRefusedBeforeTheDatabaseOpens: a negative -n,
+// -islands, -migrate, -eval-timeout or -deadline used to be read as the
+// default (or, for -migrate, refused only after -db was created). Each
+// now exits 2 with one "autotune:" prefix, naming what is negative, and
+// creates no -db directory.
+func TestNegativeFlagsRefusedBeforeTheDatabaseOpens(t *testing.T) {
+	for name, flags := range map[string][]string{
+		"n":            {"-n", "-64"},
+		"islands":      {"-islands", "-2"},
+		"migrate":      {"-islands", "4", "-migrate", "-3"},
+		"eval-timeout": {"-eval-timeout", "-1s"},
+		"deadline":     {"-deadline", "-5s"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := filepath.Join(t.TempDir(), "db")
+			stdout, stderr, err := autotuneCmd(t, append([]string{"-kernel", "mm", "-db", db}, flags...)...)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || stdout != "" {
+				t.Errorf("err %v, printed %q; want exit 2 and nothing printed", err, stdout)
+			}
+			if strings.Count(stderr, "autotune:") != 1 || !strings.Contains(stderr, "must not be negative") {
+				t.Errorf("error output %q does not carry exactly one prefix and say what is negative", stderr)
+			}
+			if _, err := os.Stat(db); !os.IsNotExist(err) {
+				t.Errorf("the refused run created %s (%v)", db, err)
+			}
+		})
+	}
+}
+
 // TestEmitCNamesWhatWasTuned: -emit-c names the C functions after the
 // tuned program — a -program file's declared name, not -kernel's
 // default mm — and keeps them C identifiers.

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"autotune/internal/analyzer"
@@ -24,7 +23,6 @@ import (
 	"autotune/internal/objective"
 	"autotune/internal/optimizer"
 	"autotune/internal/skeleton"
-	"autotune/internal/surrogate"
 	"autotune/internal/tunedb"
 )
 
@@ -294,82 +292,60 @@ func TuneKernel(kernelName string, opt Options) (*Output, error) {
 }
 
 // tune runs pipeline steps (3-5) on a prepared problem — the one tail
-// TuneKernel and TuneProgram share, and the one place the evaluator
-// chain is assembled: evaluator → surrogate screen → tuning database →
-// run control (watchdog, progress, checkpoint) → search → front storage →
-// multi-versioning backend.
+// TuneKernel and TuneProgram share: the region's evaluator chain
+// (newChain) → search → front storage → multi-versioning backend.
 func tune(p *prepared, opt Options) (*Output, error) {
 	if err := CheckOptions(opt, false); err != nil {
 		return nil, err
 	}
-	space := p.region.Skeleton.Space
-
-	// (3) Build the evaluator.
-	eval, err := p.evaluator(opt)
+	// (3) The evaluator and the layers over it.
+	c, err := newChain(p, opt)
 	if err != nil {
 		return nil, err
 	}
-
-	// (3b) Surrogate screen. Installed before the database attaches so
-	// the warm-start records primed into the cache reach the model
-	// through the prime-observer channel — stored history becomes
-	// instant training data.
-	eval, detach, err := attachSurrogate(opt, p.prog, space, eval)
-	if err != nil {
-		return nil, err
-	}
-	defer detach()
-
-	// (3c) Persistent tuning database: warm-start and journaling. The
-	// problem key is derived once, for the database and for the tag a
-	// checkpoint carries; a search that asks for neither derives none.
-	var key tunedb.Key
-	if opt.DB != nil || opt.checkpointed() {
-		key = p.key(opt)
-	}
-	finish, err := attachDB(&opt, p, key, eval)
-	if err != nil {
-		return nil, err
-	}
-
-	// (4) Optimize.
-	ctrl, cleanup, err := buildControl(opt, key, eval)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	res, err := runSearch(space, eval, opt, ctrl)
+	defer c.close()
+	// (4) Optimize, the warm start's seeds first.
+	opt.Optimizer.InitialPopulation = append(c.seeds, opt.Optimizer.InitialPopulation...)
+	res, err := runSearch(p.region.Skeleton.Space, c.eval, opt, c.ctrl)
 	if err != nil {
 		return nil, err
 	}
 	if len(res.Front) == 0 {
-		if res.Partial {
-			return nil, fmt.Errorf("driver: search for %s was cancelled before any configuration was evaluated", p.kernel.Name)
-		}
-		return nil, fmt.Errorf("driver: optimizer returned an empty front for %s", p.kernel.Name)
+		return nil, emptyFront(p, res)
 	}
-	if err := finish(res); err != nil {
+	if err := c.finish(res); err != nil {
 		return nil, err
 	}
-
 	// (5) Multi-versioning backend.
-	return p.output(res, eval.ObjectiveNames())
+	return p.output(res, c.eval.ObjectiveNames())
+}
+
+// emptyFront is the error of a search that returned no front.
+func emptyFront(p *prepared, res *optimizer.Result) error {
+	if res.Partial {
+		return fmt.Errorf("driver: search for %s was cancelled before any configuration was evaluated", p.kernel.Name)
+	}
+	return fmt.Errorf("driver: optimizer returned an empty front for %s", p.kernel.Name)
 }
 
 // evaluator builds the region's evaluator, pipeline step (3): timed
 // execution of the real kernel, or the analytical model simulating it.
-func (p *prepared) evaluator(opt Options) (objective.Evaluator, error) {
+// It returns the evaluator's cache beside it, which the layers of the
+// region's chain hook.
+func (p *prepared) evaluator(opt Options) (objective.Evaluator, *objective.CachingEvaluator, error) {
 	if opt.Measured {
-		return objective.NewMeasured(p.kernel, p.n, opt.MeasuredReps)
+		m, err := objective.NewMeasured(p.kernel, p.n, opt.MeasuredReps)
+		if err != nil {
+			return nil, nil, err
+		}
+		return m, m.CachingEvaluator, nil
 	}
-	return objective.NewSim(objective.SimConfig{
-		Machine:    opt.Machine,
-		Kernel:     p.kernel,
-		N:          p.n,
-		NoiseAmp:   opt.NoiseAmp,
-		Objectives: opt.Objectives,
-		UnrollDim:  opt.UnrollDim,
-	})
+	s, err := objective.NewSim(objective.SimConfig{Machine: opt.Machine, Kernel: p.kernel, N: p.n,
+		NoiseAmp: opt.NoiseAmp, Objectives: opt.Objectives, UnrollDim: opt.UnrollDim})
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, s.CachingEvaluator, nil
 }
 
 // output runs the multi-versioning backend on the region's search
@@ -451,25 +427,38 @@ func methodsThat(can func(capabilities) bool) string {
 	return strings.Join(names, ", ")
 }
 
-// CheckOptions reports the first option in opt that its method — or,
-// with joint set, the joint multi-region search of TuneKernels and
-// TuneProgramAll — cannot honour, rather than letting a search drop it
-// silently. It looks at neither the machine nor the program, so a
-// front-end (cmd/autotune, the tuning service) runs it on a request
-// before committing anything; every Tune entry point runs it too.
+// CheckOptions reports the first option in opt that is negative, or
+// that its method — or, with joint set, the joint multi-region search
+// of TuneKernels and TuneProgramAll — cannot honour, rather than letting
+// a search drop it silently. It looks at neither the machine nor the
+// program, so a front-end (cmd/autotune, the tuning service) runs it on
+// a request before committing anything; every Tune entry point runs it
+// too.
 func CheckOptions(opt Options, joint bool) error {
 	method := effectiveMethod(opt)
 	can, ok := capabilitiesOf(method)
 	if !ok {
 		return fmt.Errorf("driver: unknown method %q (valid: %s)", method, strings.Join(ValidMethods(), ", "))
 	}
-	if opt.RandomBudget < 0 {
-		return fmt.Errorf("driver: random budget %d < 0", opt.RandomBudget)
-	}
-	// A negative population cannot be sized, and a negative stagnation
-	// window or iteration cap would silently run zero generations.
-	if o := opt.Optimizer; o.PopSize < 0 || o.Stagnation < 0 || o.MaxIterations < 0 {
-		return fmt.Errorf("driver: Optimizer.PopSize %d, Stagnation %d and MaxIterations %d must not be negative", o.PopSize, o.Stagnation, o.MaxIterations)
+	// A negative size, count, amplitude or timeout means nothing: a
+	// negative population cannot be sized, a negative stagnation window or
+	// iteration cap would silently run zero generations, and a front-end
+	// passing one through must not have it read as the default.
+	o := opt.Optimizer
+	for _, f := range []struct {
+		name string
+		neg  bool
+		v    any
+	}{
+		{"N", opt.N < 0, opt.N}, {"Islands", opt.Islands < 0, opt.Islands}, {"MigrationInterval", opt.MigrationInterval < 0, opt.MigrationInterval},
+		{"RandomBudget", opt.RandomBudget < 0, opt.RandomBudget}, {"ScreenTopK", opt.ScreenTopK < 0, opt.ScreenTopK},
+		{"NoiseAmp", opt.NoiseAmp < 0, opt.NoiseAmp}, {"EvalTimeout", opt.EvalTimeout < 0, opt.EvalTimeout},
+		{"Optimizer.PopSize", o.PopSize < 0, o.PopSize}, {"Optimizer.Stagnation", o.Stagnation < 0, o.Stagnation},
+		{"Optimizer.MaxIterations", o.MaxIterations < 0, o.MaxIterations},
+	} {
+		if f.neg {
+			return fmt.Errorf("driver: %s %v must not be negative", f.name, f.v)
+		}
 	}
 	if joint {
 		return checkJoint(opt, method)
@@ -502,11 +491,12 @@ func (opt Options) race() optimizer.RaceOptions {
 }
 
 // checkJoint is CheckOptions for the joint search: one lock-step
-// RS-GDE3 per region, each over the evaluator a single-region search of
-// it would build, is what runs whatever else is asked — so the
-// evaluator's options (NoiseAmp, Objectives, UnrollDim) are honoured,
-// and every option a single-region search would honour and this one
-// drops is refused by name. Knobs of other methods (RandomBudget,
+// RS-GDE3 per region, each over the evaluator chain a single-region
+// search of it would build, is what runs whatever else is asked — so
+// the evaluator's options (NoiseAmp, Objectives, UnrollDim), the
+// database, the watchdog and the context are honoured, and every option
+// a single-region search would honour and this one drops is refused by
+// name, with the reason. Knobs of other methods (RandomBudget,
 // GridPoints, Race) are ignored here as they are by every method but
 // their own.
 func checkJoint(opt Options, method Method) error {
@@ -519,43 +509,17 @@ func checkJoint(opt Options, method Method) error {
 	}{
 		{opt.Measured, "Measured (regions timed one by one share no execution)"},
 		{opt.screened(), "Surrogate (the lock-step search installs no screen)"},
-		{opt.Islands > 1, "Islands"},
+		{opt.Islands > 1, "Islands (the lock-step search runs one population per region)"},
 		{len(opt.Optimizer.InitialPopulation) > 0, "Optimizer.InitialPopulation (one seed list cannot address several regions' spaces)"},
-		{opt.DB != nil, "DB"},
-		{opt.WarmStart, "WarmStart"},
-		{opt.checkpointed(), "CheckpointPath/ResumeFrom"},
-		{opt.Context != nil, "Context"},
-		{opt.EvalTimeout > 0, "EvalTimeout"},
-		{opt.OnProgress != nil, "OnProgress"},
+		{opt.WarmStart, "WarmStart (its seeds address one region's space, and the lock-step search takes one Options)"},
+		{opt.checkpointed(), "CheckpointPath/ResumeFrom (the lock-step search keeps no resumable state)"},
+		{opt.OnProgress != nil, "OnProgress (a joint run's E counts program executions, not evaluations)"},
 	} {
 		if o.set {
 			return fmt.Errorf("driver: joint tuning cannot honour %s; drop the option or tune the regions one by one", o.name)
 		}
 	}
 	return nil
-}
-
-// attachSurrogate wraps eval in the surrogate pre-screen when opt asks
-// for one. The region's static features enrich the model's basis. The
-// returned cleanup detaches the model's observers from the cache and
-// is non-nil even when no screen was installed.
-func attachSurrogate(opt Options, prog *ir.Program, space skeleton.Space,
-	eval objective.Evaluator) (objective.Evaluator, func(), error) {
-	if !opt.screened() {
-		return eval, func() {}, nil
-	}
-	fmap := map[string]float64{}
-	if fs, err := features.Extract(prog); err == nil {
-		fmap = fs.AsMap()
-	}
-	scr, err := surrogate.NewScreened(space, eval, surrogate.Options{
-		TopK:     opt.ScreenTopK,
-		Features: fmap,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return scr, scr.Close, nil
 }
 
 // runSearch builds the Spec opt asks for and runs it. This is the one
@@ -605,96 +569,6 @@ func sweepGrid(space skeleton.Space, points []int) (optimizer.Grid, error) {
 		points[space.Dim()-1] = min(int(last.Max-last.Min+1), 64)
 	}
 	return optimizer.RegularGrid(space, points)
-}
-
-// attachDB wires the persistent tuning database into one search. When
-// opt.DB is nil (or the evaluator has no shared cache to hook), it is
-// a no-op. Otherwise it optionally warm-starts the evaluator cache and
-// the initial population from what the database holds under key, and
-// registers the journaling observer: every evaluated batch — a
-// generation — goes to the database as one record batch. The returned
-// callback stores the final front and surfaces any journaling error
-// encountered during the search. A warm start the database cannot read
-// in full is an error, before anything is searched: a search started
-// from part of its history returns a different front than the same
-// request on a healthy disk, and nobody could tell.
-func attachDB(opt *Options, p *prepared, key tunedb.Key, eval objective.Evaluator) (func(*optimizer.Result) error, error) {
-	noop := func(*optimizer.Result) error { return nil }
-	if opt.DB == nil {
-		return noop, nil
-	}
-	sc, ok := eval.(objective.SharedCacher)
-	if !ok {
-		return noop, nil
-	}
-	ce := sc.SharedCache()
-	db := opt.DB
-	space := p.region.Skeleton.Space
-	sig := machine.SignatureOf(opt.Machine)
-	if opt.WarmStart {
-		if _, err := db.Warm(key, ce); err != nil {
-			return nil, fmt.Errorf("driver: warm start: %w", err)
-		}
-		popSize := opt.Optimizer.PopSize
-		if popSize == 0 {
-			popSize = 30
-		}
-		// Seed at most half the population so random exploration of
-		// the space keeps its share of the budget.
-		seeds, err := db.Seeds(key, sig, space, (popSize+1)/2)
-		if err != nil {
-			return nil, fmt.Errorf("driver: warm start: %w", err)
-		}
-		opt.Optimizer.InitialPopulation = append(seeds, opt.Optimizer.InitialPopulation...)
-	}
-	var journalMu sync.Mutex
-	var journalErr error
-	detach := ce.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
-		if err := db.PutEvals(key, cfgs, objs); err != nil && !tunedb.IsReadOnly(err) {
-			// A read-only database (degraded after a disk fault) loses
-			// only persistence, not correctness: the search keeps its
-			// in-memory cache and the server surfaces the degradation
-			// through health. Any other journaling error fails the run.
-			journalMu.Lock()
-			if journalErr == nil {
-				journalErr = err
-			}
-			journalMu.Unlock()
-		}
-	})
-	return func(res *optimizer.Result) error {
-		detach()
-		journalMu.Lock()
-		err := journalErr
-		journalMu.Unlock()
-		if err != nil {
-			return err
-		}
-		if res.Partial {
-			// An interrupted search's front is best-so-far, not final:
-			// the journaled evaluations are kept for warm starts, but
-			// the front is not stored as this search's result.
-			return nil
-		}
-		rec := tunedb.FrontRecord{
-			Key:            key,
-			Machine:        sig,
-			ObjectiveNames: eval.ObjectiveNames(),
-			Evaluations:    res.Evaluations,
-			Iterations:     res.Iterations,
-		}
-		for _, p := range res.Front {
-			cfg, _ := p.Payload.(skeleton.Config)
-			rec.Points = append(rec.Points, tunedb.FrontPoint{
-				Config:     cfg,
-				Objectives: append([]float64(nil), p.Objectives...),
-			})
-		}
-		if err := db.PutFront(rec); err != nil && !tunedb.IsReadOnly(err) {
-			return err
-		}
-		return nil
-	}, nil
 }
 
 // EmitUnit builds the multi-versioned unit for a tuned region: one

@@ -31,38 +31,42 @@ func TuneKernels(kernelNames []string, opt Options) ([]*Output, error) {
 }
 
 // tuneJoint is the tail TuneKernels and TuneProgramAll share: every
-// prepared region gets the evaluator a single-region search of it would
-// get, the lock-step multi-region RS-GDE3 (GDE3 under MethodGDE3) runs
-// over them, and one output is emitted per region.
+// prepared region gets the evaluator chain a single-region search of it
+// would get, the lock-step multi-region RS-GDE3 (GDE3 under MethodGDE3)
+// runs over them, and one output is emitted per region. A region's
+// stored front records the joint execution count as its Evaluations.
 func tuneJoint(ps []*prepared, opt Options) ([]*Output, error) {
 	if err := CheckOptions(opt, true); err != nil {
 		return nil, err
 	}
 	spaces := make([]skeleton.Space, len(ps))
+	chains := make([]*chain, len(ps))
 	evals := make([]objective.Evaluator, len(ps))
 	for r, p := range ps {
-		spaces[r] = p.region.Skeleton.Space
-		var err error
-		if evals[r], err = p.evaluator(opt); err != nil {
-			return nil, err
-		}
-	}
-	sopt := opt.Optimizer
-	sopt.DisableRoughSet = sopt.DisableRoughSet || effectiveMethod(opt) == MethodGDE3
-	results, err := optimizer.MultiRSGDE3(spaces, evals, sopt)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Output, 0, len(ps))
-	for r, p := range ps {
-		if len(results[r].Front) == 0 {
-			return nil, fmt.Errorf("driver: empty front for region %s", p.kernel.Name)
-		}
-		o, err := p.output(results[r], evals[r].ObjectiveNames())
+		c, err := newChain(p, opt)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, o)
+		defer c.close()
+		spaces[r], chains[r], evals[r] = p.region.Skeleton.Space, c, c.eval
+	}
+	sopt := opt.Optimizer
+	sopt.DisableRoughSet = sopt.DisableRoughSet || effectiveMethod(opt) == MethodGDE3
+	results, err := optimizer.MultiRSGDE3(opt.Context, spaces, evals, sopt)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Output, len(ps))
+	for r, p := range ps {
+		if len(results[r].Front) == 0 {
+			return nil, emptyFront(p, results[r])
+		}
+		if err := chains[r].finish(results[r]); err != nil {
+			return nil, err
+		}
+		if out[r], err = p.output(results[r], evals[r].ObjectiveNames()); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

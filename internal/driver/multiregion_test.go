@@ -1,7 +1,11 @@
 package driver
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"autotune/internal/export"
 	"autotune/internal/irparse"
 	"autotune/internal/machine"
 	"autotune/internal/objective"
@@ -88,21 +93,25 @@ func TestTuneKernelsValidation(t *testing.T) {
 // TestJointTuningRefusesWhatItCannotHonour: the joint search used to
 // run the lock-step RS-GDE3 whatever was asked and return the plain
 // run's result. Every option a single-region search honours and the
-// joint one drops is refused by name, through both joint entry points;
-// what the per-region evaluators and the lock-step search can do —
-// Objectives, UnrollDim, gde3 — is honoured.
+// joint one drops is refused by name, through both joint entry points,
+// and a refused run journals nothing; what the per-region evaluator
+// chains and the lock-step search can do — Objectives, UnrollDim, gde3,
+// DB, EvalTimeout, Context — is honoured.
 func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 	prog, err := irparse.Parse(twoRegionSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := tunedb.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	openDB := func() *tunedb.DB {
+		t.Helper()
+		db, err := tunedb.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
 	}
-	defer db.Close()
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
+	db := openDB()
 	base := func() Options {
 		return Options{Machine: machine.Westmere(), Optimizer: optimizer.Options{PopSize: 8, Seed: 1, MaxIterations: 4}}
 	}
@@ -112,16 +121,14 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 		"InitialPopulation": func(o *Options) {
 			o.Optimizer.InitialPopulation = []skeleton.Config{{64, 64, 64, 8}}
 		},
-		"DB":             func(o *Options) { o.DB = db },
 		"WarmStart":      func(o *Options) { o.WarmStart = true },
 		"CheckpointPath": func(o *Options) { o.CheckpointPath = filepath.Join(t.TempDir(), "j.ckpt") },
 		"ResumeFrom":     func(o *Options) { o.ResumeFrom = filepath.Join(t.TempDir(), "j.ckpt") },
-		"Context":        func(o *Options) { o.Context = cancelled },
-		"EvalTimeout":    func(o *Options) { o.EvalTimeout = time.Second },
 		"OnProgress":     func(o *Options) { o.OnProgress = func(int) {} },
 		"Surrogate":      func(o *Options) { o.ScreenTopK = 4 },
 	} {
 		opt := base()
+		opt.DB = db
 		set(&opt)
 		_, kerr := TuneKernels([]string{"mm", "jacobi-2d"}, opt)
 		_, perr := TuneProgramAll(prog, opt)
@@ -142,7 +149,7 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 		t.Errorf("refused joint runs journaled under %v", keys)
 	}
 
-	// Honoured: every region's evaluator is the one a single-region
+	// Honoured: every region's evaluator chain is the one a single-region
 	// search of it builds, so the joint search takes its options.
 	honoured := func(opt Options) map[string][]*Output {
 		t.Helper()
@@ -182,6 +189,82 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 		}
 	}
 
+	// DB: every region journals its evaluations and stores its front,
+	// whose E is the joint execution count, under the key a single-region
+	// search of it journals under; a single-region warm start reuses them.
+	jdb := openDB()
+	dopt := Options{Machine: machine.Westmere(), Optimizer: optimizer.Options{Seed: 1}, NoiseAmp: 0.01, DB: jdb}
+	multi := honoured(dopt)
+	stored := func(entry string, key tunedb.Key, out *Output) {
+		t.Helper()
+		if rec, ok := jdb.Front(key); !ok || rec.Evaluations != out.Result.Evaluations || len(rec.Points) != len(out.Result.Front) {
+			t.Errorf("%s %s: front under %s stored %v with E %d and %d points, the search's E %d and %d points",
+				entry, out.Unit.Region, key, ok, rec.Evaluations, len(rec.Points), out.Result.Evaluations, len(out.Result.Front))
+		}
+		if evalCount(t, jdb, key) == 0 {
+			t.Errorf("%s %s: no evaluations journaled under %s", entry, out.Unit.Region, key)
+		}
+	}
+	for r, name := range []string{"mm", "jacobi-2d"} {
+		key, err := ProblemKey(name, dopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored("TuneKernels", key, multi["TuneKernels"][r])
+	}
+	single := dopt
+	single.DB = openDB()
+	if _, err := TuneProgram(prog, single); err != nil {
+		t.Fatal(err)
+	}
+	stored("TuneProgramAll", single.DB.Keys()[0], multi["TuneProgramAll"][0])
+	fronts := 0
+	for _, key := range jdb.Keys() {
+		if _, ok := jdb.Front(key); ok {
+			fronts++
+		}
+	}
+	if want := 2 + len(multi["TuneProgramAll"]); fronts != want {
+		t.Errorf("the joint runs stored %d fronts for %d regions", fronts, want)
+	}
+	cold, err := TuneKernel("mm", Options{Machine: machine.Westmere(), Optimizer: optimizer.Options{Seed: 1}, NoiseAmp: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmOpt := dopt
+	warmOpt.WarmStart = true
+	warm, err := TuneKernel("mm", warmOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Result.Evaluations >= cold.Result.Evaluations {
+		t.Errorf("a warm TuneKernel(mm) over the joint run's database evaluated %d configurations, a cold one %d",
+			warm.Result.Evaluations, cold.Result.Evaluations)
+	}
+
+	// EvalTimeout: a watchdog that never fires leaves pinned joint cells
+	// byte-identical.
+	checkGoldenJointCells(t, func(opt *Options) { opt.EvalTimeout = time.Hour })
+
+	// Context: a pre-cancelled search is an error that says so, and
+	// stores no front.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	copt := base()
+	copt.Context, copt.DB = cancelled, openDB()
+	_, kerr := TuneKernels([]string{"mm", "jacobi-2d"}, copt)
+	_, perr := TuneProgramAll(prog, copt)
+	for entry, err := range map[string]error{"TuneKernels": kerr, "TuneProgramAll": perr} {
+		if err == nil || !strings.Contains(err.Error(), "cancelled") {
+			t.Errorf("%s under a cancelled context: %v", entry, err)
+		}
+	}
+	for _, key := range copt.DB.Keys() {
+		if _, ok := copt.DB.Front(key); ok {
+			t.Errorf("a cancelled joint run stored a front under %s", key)
+		}
+	}
+
 	// Method-specific knobs every other method ignores too are not part
 	// of this, and gde3 runs as the lock-step search without the
 	// rough-set reduction rather than as RS-GDE3.
@@ -203,5 +286,100 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 	}
 	if plain[0].Result.Evaluations != want[0].Result.Evaluations || len(plain[0].Result.Front) != len(want[0].Result.Front) {
 		t.Errorf("joint gde3 ran %d executions, the search without rough sets %d", plain[0].Result.Evaluations, want[0].Result.Evaluations)
+	}
+}
+
+// jointProgramSrc is the three-region program of the joint golden cells
+// in the root package's testdata/golden_joint.json.
+const jointProgramSrc = `
+program pipeline
+array A[512][512] elem 8
+array B[512][512] elem 8
+array C[512][512] elem 8
+array D[256][256] elem 8
+for i = 0..512 {
+  for j = 0..512 {
+    B[i][j] = f(A[i][j], A[j][i]) flops 2
+  }
+}
+for p = 0..512 {
+  for q = 0..512 {
+    C[p][q] = f(B[p][q], B[p][q]) flops 1
+  }
+}
+for x = 0..256 {
+  for y = 0..256 {
+    for z = 0..256 {
+      D[x][y] = f(D[x][y], A[x][z], B[z][y]) flops 2
+    }
+  }
+}
+`
+
+// checkGoldenJointCells reruns four cells of the root package's
+// testdata/golden_joint.json — two kernel pairs, two program runs — with
+// set applied to their options and holds every region to its pin.
+func checkGoldenJointCells(t *testing.T, set func(*Options)) {
+	t.Helper()
+	raw, err := os.ReadFile("../../testdata/golden_joint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins map[string]struct {
+		FrontSHA256 string `json:"front_sha256"`
+		UnitSHA256  string `json:"unit_sha256"`
+		Executions  int    `json:"executions"`
+		Iterations  int    `json:"iterations"`
+	}
+	if err := json.Unmarshal(raw, &pins); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := irparse.Parse(jointProgramSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := optimizer.Options{PopSize: 12, CR: 0.7, F: 0.4, Stagnation: 2, MaxIterations: 15, Seed: 2}
+	for _, c := range []struct {
+		cell    string
+		program bool
+		opt     Options
+	}{
+		{"kernels2/rs-gde3/Westmere/seed1/noise0.01/default", false,
+			Options{Machine: machine.Westmere(), Method: MethodRSGDE3, NoiseAmp: 0.01, Optimizer: optimizer.Options{Seed: 1}}},
+		{"kernels2/gde3/Barcelona/seed2/noise0/small", false, Options{Machine: machine.Barcelona(), Method: MethodGDE3, Optimizer: small}},
+		{"program/rs-gde3/Westmere/seed1/noise0.01/default", true,
+			Options{Machine: machine.Westmere(), Method: MethodRSGDE3, NoiseAmp: 0.01, Optimizer: optimizer.Options{Seed: 1}}},
+		{"program/gde3/Barcelona/seed2/noise0/small", true, Options{Machine: machine.Barcelona(), Method: MethodGDE3, Optimizer: small}},
+	} {
+		set(&c.opt)
+		var outs []*Output
+		if c.program {
+			outs, err = TuneProgramAll(prog, c.opt)
+		} else {
+			outs, err = TuneKernels([]string{"mm", "jacobi-2d"}, c.opt)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.cell, err)
+		}
+		for r, out := range outs {
+			region := out.Unit.Region
+			if !c.program {
+				region = out.Kernel.Name
+			}
+			id := fmt.Sprintf("%s/r%d-%s", c.cell, r, region)
+			var buf bytes.Buffer
+			if err := export.FrontJSON(&buf, out.Result.Front, out.Unit.ObjectiveNames); err != nil {
+				t.Fatal(err)
+			}
+			enc, err := out.Unit.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pin, ok := pins[id]
+			if !ok || pin.FrontSHA256 != fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())) || pin.UnitSHA256 != fmt.Sprintf("%x", sha256.Sum256(enc)) ||
+				pin.Executions != out.Result.Evaluations || pin.Iterations != out.Result.Iterations {
+				t.Errorf("%s differs from its golden joint pin (pinned: %v)", id, ok)
+			}
+		}
 	}
 }

@@ -210,3 +210,33 @@ func TestWarmStartWithoutDB(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestProgressFiresAfterJournal: OnProgress fires once its batch has
+// been journaled, so a client told of n evaluations finds at least n in
+// the database. The chain registers the journal before the progress
+// feed; this holds it to that order.
+func TestProgressFiresAfterJournal(t *testing.T) {
+	db, err := tunedb.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	opt := Options{Machine: machine.Westmere(), Optimizer: optimizer.Options{Seed: 1}, NoiseAmp: 0.01, DB: db}
+	key, err := ProblemKey("mm", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	opt.OnProgress = func(done int) { // one island: calls are sequential
+		calls++
+		if n, err := db.EvalCount(key); err != nil || n < done {
+			t.Errorf("progress reported %d evaluations with %d journaled (%v)", done, n, err)
+		}
+	}
+	if _, err := TuneKernel("mm", opt); err != nil {
+		t.Fatal(err)
+	}
+	if calls == 0 {
+		t.Fatal("progress never fired")
+	}
+}

@@ -10,6 +10,7 @@
 package optimizer
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -32,7 +33,12 @@ import (
 // the initial populations plus PopSize per generation whatever the
 // regions' caches hold — the program runs as long as any region needs a
 // fresh measurement.
-func MultiRSGDE3(spaces []skeleton.Space, evals []objective.Evaluator, opt Options) ([]*Result, error) {
+//
+// ctx bounds the search as Control.Ctx bounds Run (nil means never
+// cancelled): once it is done, no region's evaluator starts another
+// evaluation, the search stops at the next generation boundary and
+// every Result carries its region's best-so-far front with Partial set.
+func MultiRSGDE3(ctx context.Context, spaces []skeleton.Space, evals []objective.Evaluator, opt Options) ([]*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -51,6 +57,10 @@ func MultiRSGDE3(spaces []skeleton.Space, evals []objective.Evaluator, opt Optio
 			return nil, fmt.Errorf("optimizer: region %d: %w", r, err)
 		}
 	}
+	ctrl := Control{Ctx: ctx}
+	for _, eval := range evals {
+		defer newControlledRun(eval, ctrl, "", "").close()
+	}
 	// Drawn from in region order, then member order.
 	rng := stats.NewCountedRand(opt.Seed)
 	regions := make([]*gdeIsland, len(spaces))
@@ -59,8 +69,8 @@ func MultiRSGDE3(spaces []skeleton.Space, evals []objective.Evaluator, opt Optio
 	}
 	live := make([]*gdeIsland, 0, len(regions))
 	trials := make([][]skeleton.Config, len(regions))
-	iters := 0
-	for ; iters < opt.MaxIterations; iters++ {
+	iters, cancelled := 0, ctrl.ctx().Err
+	for ; iters < opt.MaxIterations && cancelled() == nil; iters++ {
 		live = live[:0]
 		for _, g := range regions {
 			if !g.done() {
@@ -79,7 +89,7 @@ func MultiRSGDE3(spaces []skeleton.Space, evals []objective.Evaluator, opt Optio
 	}
 	out := make([]*Result, len(regions))
 	for r, g := range regions {
-		out[r] = &Result{Front: g.points(), Evaluations: opt.PopSize * (1 + iters), Iterations: iters}
+		out[r] = &Result{Front: g.points(), Evaluations: opt.PopSize * (1 + iters), Iterations: iters, Partial: cancelled() != nil}
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -34,7 +35,7 @@ func shiftedSchaffer(c skeleton.Config) []float64 {
 func TestMultiRSGDE3TwoRegions(t *testing.T) {
 	evals := []objective.Evaluator{newRegionEvaluator(schaffer), newRegionEvaluator(shiftedSchaffer)}
 	spaces := []skeleton.Space{schafferSpace(), schafferSpace()}
-	res, err := MultiRSGDE3(spaces, evals, Options{Seed: 1})
+	res, err := MultiRSGDE3(context.Background(), spaces, evals, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestMultiRSGDE3TwoRegions(t *testing.T) {
 // program executions there, distinct configurations here.
 func TestMultiRSGDE3SingleRegionMatchesShape(t *testing.T) {
 	for _, opt := range []Options{{Seed: 5}, {Seed: 7, PopSize: 12, CR: 0.7, F: 0.4, Stagnation: 2, DisableRoughSet: true}} {
-		multi, err := MultiRSGDE3([]skeleton.Space{schafferSpace()}, []objective.Evaluator{newRegionEvaluator(schaffer)}, opt)
+		multi, err := MultiRSGDE3(context.Background(), []skeleton.Space{schafferSpace()}, []objective.Evaluator{newRegionEvaluator(schaffer)}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestMultiRSGDE3SingleRegionMatchesShape(t *testing.T) {
 func TestMultiRSGDE3FrozenRegionSeesNoCall(t *testing.T) {
 	flat := newRegionEvaluator(func(skeleton.Config) []float64 { return []float64{1, 1} })
 	live := newRegionEvaluator(schaffer)
-	res, err := MultiRSGDE3([]skeleton.Space{schafferSpace(), schafferSpace()},
+	res, err := MultiRSGDE3(context.Background(), []skeleton.Space{schafferSpace(), schafferSpace()},
 		[]objective.Evaluator{flat, live}, Options{Seed: 2, Stagnation: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +122,7 @@ func TestMultiRSGDE3FrozenRegionSeesNoCall(t *testing.T) {
 func TestMultiRSGDE3CountsExecutionsNotCacheMisses(t *testing.T) {
 	tiny := skeleton.Space{Params: []skeleton.Param{{Name: "x", Min: 0, Max: 1}}}
 	ev := newRegionEvaluator(func(c skeleton.Config) []float64 { return []float64{float64(c[0]), float64(1 - c[0])} })
-	res, err := MultiRSGDE3([]skeleton.Space{tiny, schafferSpace()},
+	res, err := MultiRSGDE3(context.Background(), []skeleton.Space{tiny, schafferSpace()},
 		[]objective.Evaluator{ev, newRegionEvaluator(schaffer)}, Options{Seed: 3, PopSize: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +138,7 @@ func TestMultiRSGDE3CountsExecutionsNotCacheMisses(t *testing.T) {
 
 func TestMultiRSGDE3Deterministic(t *testing.T) {
 	run := func() []*Result {
-		res, err := MultiRSGDE3([]skeleton.Space{schafferSpace(), schafferSpace()},
+		res, err := MultiRSGDE3(context.Background(), []skeleton.Space{schafferSpace(), schafferSpace()},
 			[]objective.Evaluator{newRegionEvaluator(schaffer), newRegionEvaluator(shiftedSchaffer)}, Options{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
@@ -152,19 +153,68 @@ func TestMultiRSGDE3Deterministic(t *testing.T) {
 func TestMultiRSGDE3Validation(t *testing.T) {
 	one := []objective.Evaluator{newRegionEvaluator(schaffer)}
 	spaces := []skeleton.Space{schafferSpace()}
-	if _, err := MultiRSGDE3(nil, nil, Options{}); err == nil {
+	if _, err := MultiRSGDE3(context.Background(), nil, nil, Options{}); err == nil {
 		t.Error("no regions accepted")
 	}
-	if _, err := MultiRSGDE3([]skeleton.Space{{}}, one, Options{}); err == nil {
+	if _, err := MultiRSGDE3(context.Background(), []skeleton.Space{{}}, one, Options{}); err == nil {
 		t.Error("invalid space accepted")
 	}
-	if _, err := MultiRSGDE3(spaces, nil, Options{}); err == nil {
+	if _, err := MultiRSGDE3(context.Background(), spaces, nil, Options{}); err == nil {
 		t.Error("a region without an evaluator accepted")
 	}
-	if _, err := MultiRSGDE3(spaces, one, Options{PopSize: -1}); err == nil {
+	if _, err := MultiRSGDE3(context.Background(), spaces, one, Options{PopSize: -1}); err == nil {
 		t.Error("negative population size accepted")
 	}
-	if _, err := MultiRSGDE3(spaces, one, Options{InitialPopulation: []skeleton.Config{{0, 0}}}); err == nil {
+	if _, err := MultiRSGDE3(context.Background(), spaces, one, Options{InitialPopulation: []skeleton.Config{{0, 0}}}); err == nil {
 		t.Error("one seed list for several spaces accepted")
+	}
+}
+
+// TestMultiRSGDE3CancelReturnsPartial cancels the context from inside
+// one region's evaluation function after k of its evaluations. Every
+// region's result is Partial with a non-empty front, and no evaluator
+// is handed a batch after the generation in which the cancel landed:
+// the cancelling region none after its own, a region after it in the
+// lock-step order at most that generation's.
+func TestMultiRSGDE3CancelReturnsPartial(t *testing.T) {
+	for _, canceller := range []int{0, 1} {
+		for _, k := range []int{13, 30} {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			evals := make([]*regionEvaluator, 2)
+			var atCancel [2]int
+			n := 0
+			for r, fn := range []func(skeleton.Config) []float64{schaffer, shiftedSchaffer} {
+				evals[r] = newRegionEvaluator(func(c skeleton.Config) []float64 {
+					if r == canceller {
+						if n++; n == k {
+							atCancel = [2]int{evals[0].calls, evals[1].calls}
+							cancel()
+						}
+					}
+					return fn(c)
+				})
+			}
+			res, err := MultiRSGDE3(ctx, []skeleton.Space{schafferSpace(), schafferSpace()},
+				[]objective.Evaluator{evals[0], evals[1]}, Options{Seed: 4, PopSize: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n < k {
+				t.Fatalf("region %d, k %d: the search ended after %d evaluations, before the cancel", canceller, k, n)
+			}
+			for r, reg := range res {
+				if !reg.Partial || len(reg.Front) == 0 {
+					t.Errorf("region %d cancelled after %d: region %d Partial %v with %d front points", canceller, k, r, reg.Partial, len(reg.Front))
+				}
+				allowed := atCancel[r]
+				if r > canceller {
+					allowed++
+				}
+				if evals[r].calls > allowed {
+					t.Errorf("region %d cancelled after %d: region %d handed %d batches, %d by the cancel's generation", canceller, k, r, evals[r].calls, allowed)
+				}
+			}
+		}
 	}
 }

@@ -155,13 +155,6 @@ func (r *JobRequest) Validate() error {
 	if err != nil {
 		return err
 	}
-	if r.N < 0 || r.PopSize < 0 || r.MaxIterations < 0 || r.Stagnation < 0 ||
-		r.Islands < 0 || r.Migrate < 0 || r.RandomBudget < 0 || r.ScreenTopK < 0 {
-		return reqErrf("numeric job parameters must be non-negative")
-	}
-	if r.Noise < 0 {
-		return reqErrf("noise amplitude must be non-negative")
-	}
 	if r.Deadline != "" {
 		d, err := time.ParseDuration(r.Deadline)
 		if err != nil || d <= 0 {
@@ -169,9 +162,9 @@ func (r *JobRequest) Validate() error {
 		}
 	}
 	// The driver's own check, on the options this request turns into:
-	// an unknown method, or islands or a surrogate screen on a method
-	// that has none, is the client's defect now rather than a failed job
-	// later.
+	// an unknown method, a negative size, count or noise amplitude, or
+	// islands or a surrogate screen on a method that has none, is the
+	// client's defect now rather than a failed job later.
 	if err := driver.CheckOptions(opt, false); err != nil {
 		return reqErrWrap(err, "%s", strings.TrimPrefix(err.Error(), "driver: "))
 	}

@@ -36,6 +36,13 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		"unknown method":                    `{"kernel":"mm","method":"simulated-annealing"}`,
 		"negative seed ok but negative pop": `{"kernel":"mm","pop_size":-1}`,
 		"negative noise":                    `{"kernel":"mm","noise":-0.5}`,
+		"negative n":                        `{"kernel":"mm","n":-64}`,
+		"negative iterations":               `{"kernel":"mm","max_iterations":-1}`,
+		"negative stagnation":               `{"kernel":"mm","stagnation":-1}`,
+		"negative islands":                  `{"kernel":"mm","islands":-2}`,
+		"negative migrate":                  `{"kernel":"mm","islands":4,"migrate":-3}`,
+		"negative random budget":            `{"kernel":"mm","method":"random","random_budget":-1}`,
+		"negative screen":                   `{"kernel":"mm","surrogate":true,"screen_top_k":-1}`,
 		"bad deadline":                      `{"kernel":"mm","deadline":"soon"}`,
 		"negative deadline":                 `{"kernel":"mm","deadline":"-5s"}`,
 		"trailing garbage":                  `{"kernel":"mm"}{"kernel":"mm"}`,
