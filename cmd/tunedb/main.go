@@ -110,7 +110,6 @@ func run(dir, cmd string, args []string, stdout, stderr io.Writer) error {
 	}
 }
 
-// ls prints one row per stored key.
 // fsck verifies every shard's WAL frames, segment checksums, sort
 // order, bloom filters and sparse indexes offline, printing a
 // per-shard verdict. Corruption returns an error (exit 1); benign
@@ -128,8 +127,13 @@ func fsck(dir string, w io.Writer) error {
 	return nil
 }
 
+// ls prints one row per stored key. A registry it cannot read in full
+// is an error, never an empty database.
 func ls(db *tunedb.DB, w io.Writer) error {
-	keys := db.Keys()
+	keys, err := db.ScanKeys("")
+	if err != nil {
+		return err
+	}
 	if len(keys) == 0 {
 		fmt.Fprintln(w, "database is empty")
 		return nil
@@ -202,19 +206,20 @@ func scan(db *tunedb.DB, prefix string, w io.Writer) error {
 }
 
 // resolveFront finds the unique stored front whose key matches the
-// given prefix (or the only stored front when no prefix is given).
+// given prefix (or the only stored front when no prefix is given). A
+// registry it cannot read in full is an error, not "no stored front".
 func resolveFront(db *tunedb.DB, args []string, stderr io.Writer) (tunedb.FrontRecord, error) {
 	prefix := ""
 	if len(args) > 0 {
 		prefix = args[0]
 	}
+	keys, err := db.ScanKeys(prefix)
+	if err != nil {
+		return tunedb.FrontRecord{}, err
+	}
 	var matches []tunedb.FrontRecord
-	for _, k := range db.Keys() {
-		rec, ok := db.Front(k)
-		if !ok {
-			continue
-		}
-		if prefix == "" || hasPrefix(k.String(), prefix) {
+	for _, k := range keys {
+		if rec, ok := db.Front(k); ok {
 			matches = append(matches, rec)
 		}
 	}
@@ -241,8 +246,6 @@ func printFront(rec tunedb.FrontRecord, w io.Writer) {
 		fmt.Fprintf(w, "%-4d config %v  objectives %v\n", i, p.Config, p.Objectives)
 	}
 }
-
-func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
 
 func trim(s string, n int) string {
 	if len(s) <= n {

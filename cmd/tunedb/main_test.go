@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -210,5 +211,55 @@ func TestRunErrors(t *testing.T) {
 	db.Close()
 	if msg := runCmd(t, dir, "show", []string{"pgbbbb"}, true); !strings.Contains(msg, "ambiguous") {
 		t.Errorf("unexpected error: %s", msg)
+	}
+}
+
+// TestUnreadableRegistryIsAnError: with a byte of a key's registry
+// record flipped in its segment, ls, show and export report the read
+// error — which main turns into exit status 1 — instead of an empty
+// database or a missing front.
+func TestUnreadableRegistryIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	_, withFront := seedDB(t, dir)
+	segs, err := filepath.Glob(filepath.Join(dir, "store", "shard-*", "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := []byte("k|" + withFront.String())
+	flipped := 0
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := bytes.Index(data, record)
+		if at < 0 {
+			continue
+		}
+		data[at+len(record)+4] ^= 0x20 // inside the record's JSON value
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		flipped++
+	}
+	if flipped != 1 {
+		t.Fatalf("the registry record of %s is in %d segments, want 1", withFront, flipped)
+	}
+	for _, c := range []struct {
+		cmd  string
+		args []string
+	}{{"ls", nil}, {"show", []string{withFront.Fingerprint}}, {"export", nil}} {
+		var stdout, stderr strings.Builder
+		err := run(dir, c.cmd, c.args, &stdout, &stderr)
+		if err == nil {
+			t.Errorf("%s %v over a damaged registry succeeded, printing %q", c.cmd, c.args, stdout.String())
+			continue
+		}
+		if strings.Contains(err.Error(), "no stored front") {
+			t.Errorf("%s %v: the read error was reported as %q", c.cmd, c.args, err)
+		}
+		if strings.Contains(stdout.String(), "database is empty") {
+			t.Errorf("%s %v: printed %q", c.cmd, c.args, stdout.String())
+		}
 	}
 }

@@ -129,8 +129,8 @@ func newChain(p *prepared, opt Options) (_ *chain, err error) {
 		}
 		var journalMu sync.Mutex
 		var journalErr error
-		c.undo = append(c.undo, ce.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
-			if err := db.PutEvals(key, cfgs, objs); err != nil && !tunedb.IsReadOnly(err) {
+		c.undo = append(c.undo, ce.AddObserver(func(cfgs []skeleton.Config, keys []string, objs [][]float64) {
+			if err := db.PutEvals(key, cfgs, keys, objs); err != nil && !tunedb.IsReadOnly(err) {
 				// A read-only database (degraded after a disk fault) loses
 				// only persistence, not correctness: the search keeps its
 				// in-memory cache and the server surfaces the degradation
@@ -177,7 +177,7 @@ func newChain(p *prepared, opt Options) (_ *chain, err error) {
 	}
 	if fn := opt.OnProgress; fn != nil {
 		var done atomic.Int64
-		c.undo = append(c.undo, ce.AddObserver(func(cfgs []skeleton.Config, _ [][]float64) {
+		c.undo = append(c.undo, ce.AddObserver(func(cfgs []skeleton.Config, _ []string, _ [][]float64) {
 			fn(int(done.Add(int64(len(cfgs)))))
 		}))
 	}

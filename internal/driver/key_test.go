@@ -40,7 +40,7 @@ func TestProblemKeyMatchesJournaledKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := db.Front(key); !ok {
-		t.Fatalf("no stored front under ProblemKey %s; stored keys: %v", key, db.Keys())
+		t.Fatalf("no stored front under ProblemKey %s; stored keys: %v", key, storedKeys(t, db))
 	}
 	if evalCount(t, db, key) == 0 {
 		t.Fatalf("no stored evaluations under ProblemKey %s", key)

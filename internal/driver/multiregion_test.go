@@ -145,7 +145,7 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 			}
 		}
 	}
-	if keys := db.Keys(); len(keys) != 0 {
+	if keys := storedKeys(t, db); len(keys) != 0 {
 		t.Errorf("refused joint runs journaled under %v", keys)
 	}
 
@@ -217,9 +217,9 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 	if _, err := TuneProgram(prog, single); err != nil {
 		t.Fatal(err)
 	}
-	stored("TuneProgramAll", single.DB.Keys()[0], multi["TuneProgramAll"][0])
+	stored("TuneProgramAll", storedKeys(t, single.DB)[0], multi["TuneProgramAll"][0])
 	fronts := 0
-	for _, key := range jdb.Keys() {
+	for _, key := range storedKeys(t, jdb) {
 		if _, ok := jdb.Front(key); ok {
 			fronts++
 		}
@@ -259,7 +259,7 @@ func TestJointTuningRefusesWhatItCannotHonour(t *testing.T) {
 			t.Errorf("%s under a cancelled context: %v", entry, err)
 		}
 	}
-	for _, key := range copt.DB.Keys() {
+	for _, key := range storedKeys(t, copt.DB) {
 		if _, ok := copt.DB.Front(key); ok {
 			t.Errorf("a cancelled joint run stored a front under %s", key)
 		}

@@ -94,7 +94,7 @@ func TestTuneKernelCancelledReturnsPartial(t *testing.T) {
 	if out.Result.Evaluations <= 0 {
 		t.Fatal("partial result counts no evaluations")
 	}
-	for _, key := range db.Keys() {
+	for _, key := range storedKeys(t, db) {
 		if _, ok := db.Front(key); ok {
 			t.Fatal("partial front was journaled as final")
 		}

@@ -33,7 +33,7 @@ func TestTuneKernelJournalsToDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := db.Keys()
+	keys := storedKeys(t, db)
 	if len(keys) != 1 {
 		t.Fatalf("database keys = %v", keys)
 	}
@@ -189,12 +189,12 @@ func TestTuneKernelWarmStartTransfers(t *testing.T) {
 		t.Fatal("transferred warm run produced no front")
 	}
 	// Both machines' results are now stored under distinct keys.
-	if got := len(db.Keys()); got != 2 {
+	if got := len(storedKeys(t, db)); got != 2 {
 		t.Fatalf("database keys = %d, want 2", got)
 	}
 	// The two keys are mutually transferable (same program, objectives
 	// and space), which is what made the seeding possible.
-	keys := db.Keys()
+	keys := storedKeys(t, db)
 	if !keys[0].Transferable(keys[1]) {
 		t.Fatalf("keys not transferable: %v vs %v", keys[0], keys[1])
 	}
@@ -239,4 +239,14 @@ func TestProgressFiresAfterJournal(t *testing.T) {
 	if calls == 0 {
 		t.Fatal("progress never fired")
 	}
+}
+
+// storedKeys is every key the database's registry holds.
+func storedKeys(t testing.TB, db *tunedb.DB) []tunedb.Key {
+	t.Helper()
+	keys, err := db.ScanKeys("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
 }

@@ -93,7 +93,7 @@ func SurrogateComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Com
 	// canonical order at barriers.
 	var primedMu sync.Mutex
 	var primed []primedEval
-	primeEval.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
+	primeEval.AddObserver(func(cfgs []skeleton.Config, _ []string, objs [][]float64) {
 		primedMu.Lock()
 		defer primedMu.Unlock()
 		for i, cfg := range cfgs {

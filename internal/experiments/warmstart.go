@@ -64,7 +64,11 @@ func WarmStartComparison(k *kernels.Kernel, m *machine.Machine, mode Mode) (*Com
 	runs, err := compare([]*kernels.Kernel{k}, []arm{
 		{label: "cold", pool: 0, run: func(c *cell) (*Run, error) {
 			r, err := cold(c)
-			if keys := db.Keys(); err == nil && len(keys) == 1 {
+			if err != nil {
+				return r, err
+			}
+			keys, err := db.ScanKeys("")
+			if err == nil && len(keys) == 1 {
 				stored, err = db.EvalCount(keys[0])
 			}
 			return r, err

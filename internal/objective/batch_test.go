@@ -337,6 +337,11 @@ func freshBatch(n int) []skeleton.Config {
 	return batch
 }
 
+// TestSimEvaluateAllocationBudget: per fresh configuration the
+// evaluator spends its objective vector and amortized map growth, and
+// nothing else — the batch's keys are cut from one string and its
+// leaders registered in flight from one slab — and a batch answered
+// from the cache alone costs a constant.
 func TestSimEvaluateAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -346,14 +351,19 @@ func TestSimEvaluateAllocationBudget(t *testing.T) {
 		s.Evaluate(freshBatch(n))
 		n++
 	})
-	// freshBatch itself allocates 31 times; per configuration the
-	// evaluator may spend its key, its in-flight entry, its objective
-	// vector and amortized map growth.
-	if budget := 5.0*30 + 31 + 30; perBatch > budget {
+	// freshBatch itself allocates 31 times.
+	if budget := 2.0*30 + 31 + 8; perBatch > budget {
 		t.Errorf("Sim.Evaluate of 30 fresh configurations allocates %v times, budget %v", perBatch, budget)
 	}
 	if s.Evaluations() != 51*30 {
 		t.Fatalf("E = %d, want %d: the batches were not fresh", s.Evaluations(), 51*30)
+	}
+	hits := freshBatch(0)
+	if perHitBatch := testing.AllocsPerRun(50, func() { s.Evaluate(hits) }); perHitBatch > 4 {
+		t.Errorf("Sim.Evaluate of 30 cached configurations allocates %v times, budget 4", perHitBatch)
+	}
+	if s.Evaluations() != 51*30 {
+		t.Fatalf("E = %d after the cached batches, want %d", s.Evaluations(), 51*30)
 	}
 }
 

@@ -2,6 +2,7 @@ package objective
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -69,7 +70,7 @@ type CachingEvaluator struct {
 	inflight  map[string]*inflightEval
 	evals     int
 	nextObs   int
-	observers map[int]func(cfgs []skeleton.Config, objs [][]float64)
+	observers map[int]func(cfgs []skeleton.Config, keys []string, objs [][]float64)
 	nextPrime int
 	primeObs  map[int]func(cfg skeleton.Config, objs []float64)
 }
@@ -78,7 +79,8 @@ type CachingEvaluator struct {
 // is still running. The first follower creates done (under c.mu), so
 // the usual case — nobody else asks for the key meanwhile — costs no
 // channel; the leader publishes objs and closes done, if there is one,
-// when it finishes.
+// when it finishes. A batch registers its leaders from one slab of
+// them, fresh for the batch.
 type inflightEval struct {
 	done chan struct{}
 	objs []float64
@@ -103,7 +105,7 @@ func NewCachingEvaluator(names []string, parallelism int, fn EvalFunc) *CachingE
 		sem:       make(chan struct{}, parallelism),
 		cache:     map[string][]float64{},
 		inflight:  map[string]*inflightEval{},
-		observers: map[int]func([]skeleton.Config, [][]float64){},
+		observers: map[int]func([]skeleton.Config, []string, [][]float64){},
 		primeObs:  map[int]func(skeleton.Config, []float64){},
 	}
 }
@@ -155,8 +157,9 @@ func (c *CachingEvaluator) WrapEvalFunc(mw func(CtxEvalFunc) CtxEvalFunc) {
 	c.mu.Unlock()
 }
 
-// PrimeBatch inserts known results — objs[i] is the result of cfgs[i] —
-// into the memoization cache without counting toward E and without
+// PrimeBatch inserts known results — objs[i] is the result of cfgs[i],
+// whose Config.Key is keys[i] — into the memoization cache, which keeps
+// the key strings it is handed, without counting toward E and without
 // invoking the evaluation function: the warm-start path of the
 // persistent tuning database. A nil objs[i] records a known-failed
 // configuration, so warm searches skip it too. Entries already cached
@@ -174,11 +177,7 @@ func (c *CachingEvaluator) WrapEvalFunc(mw func(CtxEvalFunc) CtxEvalFunc) {
 // the warm-start data anyway (the surrogate model trains on every
 // known result) register through AddPrimeObserver, which fires exactly
 // once per *inserted* primed entry, in the order of the batch.
-func (c *CachingEvaluator) PrimeBatch(cfgs []skeleton.Config, objs [][]float64) int {
-	keys := make([]string, len(cfgs))
-	for i, cfg := range cfgs {
-		keys[i] = cfg.Key()
-	}
+func (c *CachingEvaluator) PrimeBatch(cfgs []skeleton.Config, keys []string, objs [][]float64) int {
 	c.mu.Lock()
 	if len(c.cache) < len(keys) {
 		// Growing entry by entry would rehash what is there at every
@@ -222,7 +221,7 @@ func (c *CachingEvaluator) PrimeBatch(cfgs []skeleton.Config, objs [][]float64) 
 // Prime is PrimeBatch of one result; it reports whether the entry was
 // inserted.
 func (c *CachingEvaluator) Prime(cfg skeleton.Config, objs []float64) bool {
-	return c.PrimeBatch([]skeleton.Config{cfg}, [][]float64{objs}) == 1
+	return c.PrimeBatch([]skeleton.Config{cfg}, []string{cfg.Key()}, [][]float64{objs}) == 1
 }
 
 // Lookup peeks at the memoization cache: it returns the cached
@@ -281,7 +280,8 @@ func (c *CachingEvaluator) primeObserverList() []func(skeleton.Config, []float64
 
 // AddObserver registers fn to receive the fresh results of every
 // Evaluate batch — once per batch, when the batch's leaders have
-// finished, as parallel slices in batch order — and returns its removal
+// finished, as parallel slices in batch order: the configurations, their
+// Config.Key strings and their results — and returns its removal
 // function. Every completed fresh evaluation is reported exactly once:
 // cache hits, in-flight followers, primed entries and aborted
 // evaluations are not reported, failed evaluations are reported with
@@ -291,9 +291,11 @@ func (c *CachingEvaluator) primeObserverList() []func(skeleton.Config, []float64
 // it. Observers run in registration order, outside the evaluator's
 // lock, and share the slices: fn must be safe for concurrent calls
 // (concurrent batches report concurrently) and must not modify what it
-// is handed. A batch that starts while no observer is registered is not
-// tracked, and so reported to nobody.
-func (c *CachingEvaluator) AddObserver(fn func(cfgs []skeleton.Config, objs [][]float64)) (remove func()) {
+// is handed. It may keep the key strings: they are cut from one string
+// per batch, the one the cache keeps its keys in, and never written. A
+// batch that starts while no observer is registered is not tracked, and
+// so reported to nobody.
+func (c *CachingEvaluator) AddObserver(fn func(cfgs []skeleton.Config, keys []string, objs [][]float64)) (remove func()) {
 	c.mu.Lock()
 	c.nextObs++
 	id := c.nextObs
@@ -308,12 +310,14 @@ func (c *CachingEvaluator) AddObserver(fn func(cfgs []skeleton.Config, objs [][]
 
 // report hands the observers one batch's fresh results: the slots of
 // the leaders that completed (a withdrawn leader is -1).
-func (c *CachingEvaluator) report(cfgs []skeleton.Config, out [][]float64, leaders []int) {
+func (c *CachingEvaluator) report(cfgs []skeleton.Config, keys []string, out [][]float64, leaders []int) {
 	freshCfgs := make([]skeleton.Config, 0, len(leaders))
+	freshKeys := make([]string, 0, len(leaders))
 	freshObjs := make([][]float64, 0, len(leaders))
 	for _, i := range leaders {
 		if i >= 0 {
 			freshCfgs = append(freshCfgs, cfgs[i])
+			freshKeys = append(freshKeys, keys[i])
 			freshObjs = append(freshObjs, out[i])
 		}
 	}
@@ -321,7 +325,7 @@ func (c *CachingEvaluator) report(cfgs []skeleton.Config, out [][]float64, leade
 		return
 	}
 	c.mu.Lock()
-	observers := make([]func([]skeleton.Config, [][]float64), 0, len(c.observers))
+	observers := make([]func([]skeleton.Config, []string, [][]float64), 0, len(c.observers))
 	for id := 1; id <= c.nextObs; id++ {
 		if fn, ok := c.observers[id]; ok {
 			observers = append(observers, fn)
@@ -329,7 +333,7 @@ func (c *CachingEvaluator) report(cfgs []skeleton.Config, out [][]float64, leade
 	}
 	c.mu.Unlock()
 	for _, observe := range observers {
-		observe(freshCfgs, freshObjs)
+		observe(freshCfgs, freshKeys, freshObjs)
 	}
 }
 
@@ -346,12 +350,10 @@ func (c *CachingEvaluator) EvaluateOne(cfg skeleton.Config) []float64 {
 // counted.
 func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 	out := make([][]float64, len(cfgs))
-	keys := make([]string, len(cfgs))
-	for i, cfg := range cfgs {
-		keys[i] = cfg.Key()
-	}
+	keys := batchKeys(cfgs)
 
 	var leaders []int
+	var slab []inflightEval
 	var followers []follower
 	c.mu.Lock()
 	fn, ctx := c.fn, c.ctx
@@ -371,7 +373,12 @@ func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 		} else if !cancelled {
 			// Cancelled batches register nothing: the configuration
 			// stays unknown so a resumed search evaluates it.
-			c.inflight[key] = &inflightEval{}
+			if slab == nil {
+				// Sized once, at the first leader, for every slot left.
+				slab = make([]inflightEval, len(keys)-i)
+				leaders = make([]int, 0, len(keys)-i)
+			}
+			c.inflight[key] = &slab[len(leaders)]
 			leaders = append(leaders, i)
 		}
 	}
@@ -402,7 +409,7 @@ func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 		drain()
 		wg.Wait()
 		if observed {
-			c.report(cfgs, out, leaders)
+			c.report(cfgs, keys, out, leaders)
 		}
 	}
 
@@ -414,6 +421,28 @@ func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 		out[f.slot] = f.fl.objs
 	}
 	return out
+}
+
+// batchKeys renders the keys of a batch end to end — each followed by a
+// space, which no key holds — into one buffer, copies it into one
+// string and cuts keys[i], cfgs[i].Key(), from it: the string and the
+// slice are the batch's allocations for its keys, however many it holds
+// (and the buffer, past 1 KiB of keys). The string is fresh for the
+// batch and never written, so the cache and the observers may keep the
+// keys.
+func batchKeys(cfgs []skeleton.Config) []string {
+	var stack [1024]byte // a generation of thirty four-parameter keys fits
+	buf := stack[:0]
+	for _, cfg := range cfgs {
+		buf = append(cfg.AppendKey(buf), ' ')
+	}
+	all := string(buf)
+	keys := make([]string, len(cfgs))
+	for i := range keys {
+		end := strings.IndexByte(all, ' ')
+		keys[i], all = all[:end], all[end+1:]
+	}
+	return keys
 }
 
 // lead evaluates one configuration the calling batch registered in

@@ -158,7 +158,7 @@ func TestCachingEvaluatorObserver(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[string][]float64{}
 	var batches [][]string
-	detach := c.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
+	detach := c.AddObserver(func(cfgs []skeleton.Config, _ []string, objs [][]float64) {
 		mu.Lock()
 		defer mu.Unlock()
 		if len(cfgs) != len(objs) {
@@ -220,7 +220,7 @@ func TestObserverSeesWhatACancelledBatchCompleted(t *testing.T) {
 		}
 	})
 	var got [][]int64
-	c.AddObserver(func(cfgs []skeleton.Config, _ [][]float64) {
+	c.AddObserver(func(cfgs []skeleton.Config, _ []string, _ [][]float64) {
 		var batch []int64
 		for _, cfg := range cfgs {
 			batch = append(batch, cfg[0])
@@ -248,7 +248,7 @@ func TestObserverExactlyOnceUnderConcurrentBatches(t *testing.T) {
 	c := NewCachingEvaluator([]string{"a", "b"}, 4, countingFn(&calls))
 	var mu sync.Mutex
 	seen := map[string]int{}
-	c.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
+	c.AddObserver(func(cfgs []skeleton.Config, _ []string, objs [][]float64) {
 		mu.Lock()
 		defer mu.Unlock()
 		for i, cfg := range cfgs {
@@ -311,7 +311,7 @@ func TestCachingEvaluatorPrimeObserver(t *testing.T) {
 	var mu sync.Mutex
 	evaluated := map[string][]float64{}
 	primed := map[string][]float64{}
-	c.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
+	c.AddObserver(func(cfgs []skeleton.Config, _ []string, objs [][]float64) {
 		mu.Lock()
 		defer mu.Unlock()
 		for i, cfg := range cfgs {

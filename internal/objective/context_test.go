@@ -20,7 +20,7 @@ func TestSetContextAbortsUncached(t *testing.T) {
 	}
 
 	var observed atomic.Int64
-	c.AddObserver(func(cfgs []skeleton.Config, _ [][]float64) { observed.Add(int64(len(cfgs))) })
+	c.AddObserver(func(cfgs []skeleton.Config, _ []string, _ [][]float64) { observed.Add(int64(len(cfgs))) })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c.SetContext(ctx)
@@ -57,8 +57,8 @@ func TestAddObserverRemove(t *testing.T) {
 	var calls atomic.Int64
 	c := NewCachingEvaluator([]string{"a", "b"}, 1, countingFn(&calls))
 	var first, second atomic.Int64
-	removeFirst := c.AddObserver(func([]skeleton.Config, [][]float64) { first.Add(1) })
-	c.AddObserver(func([]skeleton.Config, [][]float64) {
+	removeFirst := c.AddObserver(func([]skeleton.Config, []string, [][]float64) { first.Add(1) })
+	c.AddObserver(func([]skeleton.Config, []string, [][]float64) {
 		if second.Add(1) == 1 && first.Load() != 1 {
 			t.Error("second observer ran before the first")
 		}

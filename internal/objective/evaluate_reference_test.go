@@ -1,0 +1,240 @@
+package objective
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"autotune/internal/skeleton"
+)
+
+// referenceEvaluate is Evaluate before a batch's keys were cut from one
+// string and its leaders registered from one slab: a key rendered and
+// an in-flight entry allocated per configuration. The observers are
+// handed the keys it rendered.
+func referenceEvaluate(c *CachingEvaluator, cfgs []skeleton.Config) [][]float64 {
+	out := make([][]float64, len(cfgs))
+	keys := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		keys[i] = cfg.Key()
+	}
+
+	var leaders []int
+	var followers []follower
+	c.mu.Lock()
+	fn, ctx := c.fn, c.ctx
+	observed := len(c.observers) > 0
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cancelled := ctx.Err() != nil
+	for i, key := range keys {
+		if cached, ok := c.cache[key]; ok {
+			out[i] = cached
+		} else if fl, ok := c.inflight[key]; ok {
+			if fl.done == nil {
+				fl.done = make(chan struct{})
+			}
+			followers = append(followers, follower{i, fl})
+		} else if !cancelled {
+			c.inflight[key] = &inflightEval{}
+			leaders = append(leaders, i)
+		}
+	}
+	c.mu.Unlock()
+
+	if len(leaders) > 0 {
+		var next atomic.Int64
+		drain := func() {
+			for n := next.Add(1) - 1; n < int64(len(leaders)); n = next.Add(1) - 1 {
+				i := leaders[n]
+				objs, ok := c.lead(ctx, fn, cfgs[i], keys[i])
+				out[i] = objs
+				if !ok {
+					leaders[n] = -1
+				}
+			}
+		}
+		var wg sync.WaitGroup
+		for w := min(cap(c.sem), len(leaders)); w > 1; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				drain()
+			}()
+		}
+		drain()
+		wg.Wait()
+		if observed {
+			c.report(cfgs, keys, out, leaders)
+		}
+	}
+
+	for _, f := range followers {
+		<-f.fl.done
+		out[f.slot] = f.fl.objs
+	}
+	return out
+}
+
+// referencePrimeBatch is PrimeBatch before it was handed the keys: it
+// renders them.
+func referencePrimeBatch(c *CachingEvaluator, cfgs []skeleton.Config, objs [][]float64) int {
+	keys := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		keys[i] = cfg.Key()
+	}
+	return c.PrimeBatch(cfgs, keys, objs)
+}
+
+// fuzzSide is one of the two evaluators FuzzEvaluateMatchesReference
+// drives in step: its cache, the context its evaluation function may
+// cancel, and the log of everything its observers were handed.
+type fuzzSide struct {
+	c      *CachingEvaluator
+	cancel context.CancelFunc
+	// trigger is the first component whose evaluation cancels the
+	// context; 0 never does (the pool's first components are -2..5 and
+	// 0 is not made a trigger).
+	trigger int64
+	log     []string
+}
+
+func newFuzzSide(t *testing.T) *fuzzSide {
+	s := &fuzzSide{}
+	s.c = NewCachingEvaluator([]string{"a", "b"}, 1, func(cfg skeleton.Config) []float64 {
+		if s.trigger != 0 && cfg[0] == s.trigger {
+			s.cancel()
+		}
+		if cfg[0] < 0 {
+			return nil // a failed evaluation
+		}
+		return []float64{float64(cfg[0]), float64(cfg[1]) / 4}
+	})
+	s.c.AddObserver(func(cfgs []skeleton.Config, keys []string, objs [][]float64) {
+		for i, cfg := range cfgs {
+			if keys[i] != cfg.Key() {
+				t.Errorf("observer handed key %q for %v", keys[i], cfg)
+			}
+			s.log = append(s.log, fmt.Sprintf("eval %v %q %#v", []int64(cfg), keys[i], objs[i]))
+		}
+		s.log = append(s.log, "end of batch")
+	})
+	s.c.AddPrimeObserver(func(cfg skeleton.Config, objs []float64) {
+		s.log = append(s.log, fmt.Sprintf("prime %v %#v", []int64(cfg), objs))
+	})
+	return s
+}
+
+// fuzzCfg draws from a pool of 32 configurations: first components -2
+// to 5 (the negative ones fail), so batches repeat configurations often.
+func fuzzCfg(b byte) skeleton.Config {
+	return skeleton.Config{int64(b&7) - 2, int64(b >> 3 & 3)}
+}
+
+// FuzzEvaluateMatchesReference: an op sequence — batches with
+// duplicates inside them, failed configurations, batches run under a
+// cancelled context or cancelling it from inside an evaluation, primed
+// batches with known failures among them — applied to two evaluators,
+// one through Evaluate and PrimeBatch, one through the references,
+// leaves the same outputs, the same E, the same cache as Lookup reads
+// it and the same observer streams: the configurations, their keys and
+// their results, in order.
+func FuzzEvaluateMatchesReference(f *testing.F) {
+	f.Add([]byte{0x03, 1, 2, 1, 0x40, 9, 2, 0x05, 0x13, 0x0a, 4, 0x21, 3})
+	f.Add([]byte{0x02, 0, 1, 0x06, 0x0b, 2, 7, 0x11, 0x0c, 0x02, 5, 5})
+	f.Add([]byte{0xa5, 7, 6, 5, 4, 3, 2, 1, 0x57, 9, 9, 1, 0x34, 0, 8, 16, 24})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		got, want := newFuzzSide(t), newFuzzSide(t)
+		ops := &byteStream{data: data}
+		for n := 0; ops.more() && n < 64; n++ {
+			op := ops.next()
+			size := int(op>>2&7) + 1
+			cfgs := make([]skeleton.Config, size)
+			for i := range cfgs {
+				cfgs[i] = fuzzCfg(ops.next())
+			}
+			switch op & 3 {
+			case 0, 1:
+				// A batch: with op bit 5 under a cancelled context, with
+				// bit 6 cancelling it from inside its last evaluation.
+				gotOut := evaluateUnder(got, op, cfgs, func() [][]float64 { return got.c.Evaluate(cfgs) })
+				wantOut := evaluateUnder(want, op, cfgs, func() [][]float64 { return referenceEvaluate(want.c, cfgs) })
+				if !reflect.DeepEqual(gotOut, wantOut) {
+					t.Fatalf("op %d: Evaluate(%v) = %v, the reference %v", n, cfgs, gotOut, wantOut)
+				}
+			case 2: // a primed batch, every third result a known failure
+				objs := make([][]float64, size)
+				for i := range objs {
+					if i%3 != 2 {
+						objs[i] = []float64{-float64(i), float64(op)}
+					}
+				}
+				keys := make([]string, size)
+				for i, cfg := range cfgs {
+					keys[i] = cfg.Key()
+				}
+				if g, w := got.c.PrimeBatch(cfgs, keys, objs), referencePrimeBatch(want.c, cfgs, objs); g != w {
+					t.Fatalf("op %d: PrimeBatch(%v) = %d, the reference %d", n, cfgs, g, w)
+				}
+			case 3: // one configuration at a time
+				if g, w := got.c.EvaluateOne(cfgs[0]), referenceEvaluate(want.c, cfgs[:1])[0]; !reflect.DeepEqual(g, w) {
+					t.Fatalf("op %d: EvaluateOne(%v) = %v, the reference %v", n, cfgs[0], g, w)
+				}
+			}
+			if g, w := got.c.Evaluations(), want.c.Evaluations(); g != w {
+				t.Fatalf("op %d: E = %d, the reference %d", n, g, w)
+			}
+		}
+		if !reflect.DeepEqual(got.log, want.log) {
+			t.Fatalf("the observers saw\n%v\nthe reference's\n%v", got.log, want.log)
+		}
+		for b := 0; b < 32; b++ {
+			cfg := fuzzCfg(byte(b))
+			g, gok := got.c.Lookup(cfg)
+			w, wok := want.c.Lookup(cfg)
+			if gok != wok || !reflect.DeepEqual(g, w) {
+				t.Fatalf("Lookup(%v) = %v %v, the reference %v %v", cfg, g, gok, w, wok)
+			}
+		}
+	})
+}
+
+// evaluateUnder evaluates one batch on side s under the context op asks
+// for and restores the default context afterwards.
+func evaluateUnder(s *fuzzSide, op byte, cfgs []skeleton.Config, evaluate func() [][]float64) [][]float64 {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.cancel, s.trigger = cancel, 0
+	if op&0x20 != 0 {
+		cancel()
+	}
+	if op&0x40 != 0 {
+		s.trigger = cfgs[len(cfgs)-1][0]
+	}
+	s.c.SetContext(ctx)
+	defer s.c.SetContext(nil)
+	return evaluate()
+}
+
+// byteStream reads an op sequence; past its end every byte is 0.
+type byteStream struct {
+	data []byte
+	at   int
+}
+
+func (b *byteStream) more() bool { return b.at < len(b.data) }
+
+func (b *byteStream) next() byte {
+	if b.at >= len(b.data) {
+		return 0
+	}
+	b.at++
+	return b.data[b.at-1]
+}

@@ -107,7 +107,7 @@ func TestPrimeBatchMatchesPrime(t *testing.T) {
 		}
 	}
 	batch := newPrimeFixture()
-	got := batch.c.PrimeBatch(cfgs, objs)
+	got := batch.c.PrimeBatch(cfgs, keysOf(cfgs), objs)
 	single := newPrimeFixture()
 	singles := 0
 	for i, cfg := range cfgs {
@@ -137,6 +137,15 @@ func TestPrimeBatchMatchesPrime(t *testing.T) {
 	}
 }
 
+// keysOf renders the Config.Key of every configuration.
+func keysOf(cfgs []skeleton.Config) []string {
+	keys := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		keys[i] = cfg.Key()
+	}
+	return keys
+}
+
 // primeRecords is a warm start's worth of decoded records.
 func primeRecords(n int) ([]skeleton.Config, [][]float64) {
 	cfgs := make([]skeleton.Config, n)
@@ -151,11 +160,12 @@ func primeRecords(n int) ([]skeleton.Config, [][]float64) {
 // BenchmarkPrimeBatch primes a fresh cache with 3,500 records at once.
 func BenchmarkPrimeBatch(b *testing.B) {
 	cfgs, objs := primeRecords(3500)
+	keys := keysOf(cfgs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := NewCachingEvaluator([]string{"a", "b"}, 1, func(skeleton.Config) []float64 { return nil })
-		if n := c.PrimeBatch(cfgs, objs); n != len(cfgs) {
+		if n := c.PrimeBatch(cfgs, keys, objs); n != len(cfgs) {
 			b.Fatalf("primed %d", n)
 		}
 	}

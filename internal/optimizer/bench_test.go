@@ -113,6 +113,8 @@ func TestSelectionAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestMutateAllocationBudget: a trial written into a slab with room for
+// it costs no allocation.
 func TestMutateAllocationBudget(t *testing.T) {
 	skipUnderRace(t)
 	pop := benchPopulation(30, 2)
@@ -120,13 +122,15 @@ func TestMutateAllocationBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	opt := Options{}.withDefaults()
 	var a arena
-	var sink skeleton.Config
-	a.mutate(pop[0].cfg, pop, 0, space.FullBox(), opt, rng)
+	slab := make(skeleton.Config, 0, space.Dim())
+	a.mutate(slab, pop[0].cfg, pop, 0, space.FullBox(), opt, rng)
 	box := space.FullBox()
-	if got := testing.AllocsPerRun(100, func() { sink = a.mutate(pop[3].cfg, pop, 3, box, opt, rng) }); got != 1 {
-		t.Errorf("mutate: %v allocations, want 1 (the trial configuration)", got)
+	if got := testing.AllocsPerRun(100, func() { slab = a.mutate(slab[:0], pop[3].cfg, pop, 3, box, opt, rng) }); got != 0 {
+		t.Errorf("mutate into a slab: %v allocations, want 0", got)
 	}
-	_ = sink
+	if !box.Contains(slab) {
+		t.Fatalf("mutant %v escaped the box", slab)
+	}
 }
 
 // benchGDEIsland is a 30-member RS-GDE3 island over the stub
@@ -142,13 +146,14 @@ func benchGDEIsland(tb testing.TB) *gdeIsland {
 }
 
 // TestGDEStepAllocationBudget: a generation allocates what escapes it —
-// per trial the configuration and the archive payload that boxes it —
-// plus the trial slice handed to the evaluator and the rough-set box.
+// per trial the archive payload that boxes its configuration — plus the
+// trial slice and the slab its configurations are cut from, handed to
+// the evaluator, and the rough-set box.
 func TestGDEStepAllocationBudget(t *testing.T) {
 	skipUnderRace(t)
 	g := benchGDEIsland(t)
 	perStep := testing.AllocsPerRun(50, g.step)
-	if budget := 2.0*30 + 8; perStep > budget {
+	if budget := 1.0*30 + 8; perStep > budget {
 		t.Errorf("one RS-GDE3 generation over 30 members allocates %v times, budget %v", perStep, budget)
 	}
 }
@@ -179,7 +184,7 @@ func TestSnapshotAllocationBudget(t *testing.T) {
 		r := &controlledRun{eval: newTableEvaluator(2), ctrl: Control{Checkpointer: nopCheckpointer{}}, trace: &evalTrace{}}
 		islands := []islandEvolver{g}
 		generation := func() {
-			r.trace.record(cfgs, objs)
+			r.trace.record(cfgs, nil, objs)
 			if err := r.save(islands, 1); err != nil {
 				t.Fatal(err)
 			}

@@ -242,7 +242,7 @@ type evalTrace struct {
 
 // record is the batch observer: it buffers one evaluated batch's fresh
 // results, in batch order, cut from one pair of slabs per batch.
-func (t *evalTrace) record(cfgs []skeleton.Config, objs [][]float64) {
+func (t *evalTrace) record(cfgs []skeleton.Config, _ []string, objs [][]float64) {
 	ni, nf := 0, 0
 	for i, cfg := range cfgs {
 		ni, nf = ni+len(cfg), nf+len(objs[i])

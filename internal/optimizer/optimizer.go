@@ -229,10 +229,14 @@ func (g *gdeIsland) propose() []skeleton.Config {
 		}
 	}
 	// The trials go to the evaluator, which may keep what it is handed,
-	// so they are fresh memory, never the arena's.
+	// so they are fresh memory, never the arena's: one slab a
+	// generation, cut into the trials and never written again.
 	trials := make([]skeleton.Config, len(g.pop))
+	slab := make([]int64, 0, len(g.pop)*g.space.Dim())
 	for i := range g.pop {
-		trials[i] = g.arena.mutate(g.pop[i].cfg, g.pop, i, g.box, g.opt, g.rng)
+		at := len(slab)
+		slab = g.arena.mutate(slab, g.pop[i].cfg, g.pop, i, g.box, g.opt, g.rng)
+		trials[i] = slab[at:len(slab):len(slab)]
 	}
 	return trials
 }
@@ -275,9 +279,9 @@ func (g *gdeIsland) snapshot() IslandState {
 // mutate implements Algorithm 1: pick three distinct other members
 // b, c, d; per component, with probability CR (or forcedly at one
 // random index) take b + F*(c-d), otherwise keep a's value; then map
-// the real vector to the closest configuration within the current box.
-// The returned configuration is the call's only allocation.
-func (ar *arena) mutate(a skeleton.Config, pop []individual, self int, box skeleton.Box, opt Options, rng randInterface) skeleton.Config {
+// the real vector to the closest configuration within the current box,
+// which is appended to dst: with room in dst the call allocates nothing.
+func (ar *arena) mutate(dst, a skeleton.Config, pop []individual, self int, box skeleton.Box, opt Options, rng randInterface) skeleton.Config {
 	var idx [3]int
 	pickDistinct(rng, len(pop), self, idx[:])
 	b, c, d := pop[idx[0]].cfg, pop[idx[1]].cfg, pop[idx[2]].cfg
@@ -292,7 +296,7 @@ func (ar *arena) mutate(a skeleton.Config, pop []individual, self int, box skele
 			r[i] = float64(a[i])
 		}
 	}
-	return box.ClosestTo(r)
+	return box.AppendClosestTo(dst, r)
 }
 
 // randInterface is the subset of *rand.Rand the optimizer uses; a named

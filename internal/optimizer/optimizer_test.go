@@ -420,7 +420,7 @@ func TestMutateStaysInBox(t *testing.T) {
 	box := skeleton.Box{Lo: []int64{0, 1}, Hi: []int64{1000, 10}}
 	rng := fixedRand{vals: []int{1, 2, 3, 0, 1}}
 	var a arena
-	r := a.mutate(pop[0].cfg, pop, 0, box, Options{CR: 0.5, F: 0.5}.withDefaults(), &rng)
+	r := a.mutate(nil, pop[0].cfg, pop, 0, box, Options{CR: 0.5, F: 0.5}.withDefaults(), &rng)
 	if !box.Contains(r) {
 		t.Fatalf("mutant %v escaped box", r)
 	}

@@ -89,7 +89,7 @@ func singleObjectiveDE(space skeleton.Space, eval objective.Evaluator, weights [
 					r[g] = float64(pop[i].cfg[g])
 				}
 			}
-			trials[i] = box.ClosestTo(r)
+			trials[i] = box.AppendClosestTo(nil, r)
 		}
 		trialObjs := eval.Evaluate(trials)
 		improved := false

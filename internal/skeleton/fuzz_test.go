@@ -33,7 +33,7 @@ func fuzzSpace(b1, b2, b3, b4 int64) Space {
 
 // FuzzConfigClamp asserts the two clamping paths the optimizer relies
 // on always land inside the space: Space.Clip for full-length integer
-// configurations and Box.ClosestTo for arbitrary real vectors
+// configurations and Box.AppendClosestTo for arbitrary real vectors
 // (including NaN and infinities, which differential-evolution
 // arithmetic can produce).
 func FuzzConfigClamp(f *testing.F) {
@@ -52,9 +52,9 @@ func FuzzConfigClamp(f *testing.F) {
 		}
 
 		box := space.FullBox()
-		closest := box.ClosestTo([]float64{r1, r2})
+		closest := box.AppendClosestTo(nil, []float64{r1, r2})
 		if !box.Contains(closest) || !space.In(closest) {
-			t.Fatalf("ClosestTo([%g %g]) = %v escapes box [%v, %v]", r1, r2, closest, box.Lo, box.Hi)
+			t.Fatalf("AppendClosestTo([%g %g]) = %v escapes box [%v, %v]", r1, r2, closest, box.Lo, box.Hi)
 		}
 
 		// A narrowed box must also contain its clamp results.
@@ -62,9 +62,9 @@ func FuzzConfigClamp(f *testing.F) {
 			Lo: []int64{(box.Lo[0] + box.Hi[0]) / 2, box.Lo[1]},
 			Hi: []int64{box.Hi[0], (box.Lo[1] + box.Hi[1]) / 2},
 		}
-		closest = sub.ClosestTo([]float64{r1, r2})
+		closest = sub.AppendClosestTo(nil, []float64{r1, r2})
 		if !sub.Contains(closest) {
-			t.Fatalf("ClosestTo([%g %g]) = %v escapes narrowed box [%v, %v]", r1, r2, closest, sub.Lo, sub.Hi)
+			t.Fatalf("AppendClosestTo([%g %g]) = %v escapes narrowed box [%v, %v]", r1, r2, closest, sub.Lo, sub.Hi)
 		}
 	})
 }

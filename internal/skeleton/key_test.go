@@ -32,6 +32,10 @@ func TestConfigKeyMatchesReference(t *testing.T) {
 		if got, want := c.Key(), referenceKey(c); got != want {
 			t.Errorf("Key(%v) = %q, reference %q", []int64(c), got, want)
 		}
+		// AppendKey extends what the buffer holds and nothing else.
+		if got, want := string(c.AppendKey([]byte("1,2 "))), "1,2 "+referenceKey(c); got != want {
+			t.Errorf("AppendKey(%v) = %q, want %q", []int64(c), got, want)
+		}
 	}
 }
 

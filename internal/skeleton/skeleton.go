@@ -113,14 +113,20 @@ func (c Config) Clone() Config { return append(Config(nil), c...) }
 // fmt.Sprint + strings.Join reference in key_test.go.
 func (c Config) Key() string {
 	var buf [64]byte // four-parameter configurations render well within it
-	b := buf[:0]
+	return string(c.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the bytes of Key to b and returns the extended
+// buffer, so that the keys of a batch can be rendered end to end into
+// one buffer and cut from one string.
+func (c Config) AppendKey(b []byte) []byte {
 	for i, v := range c {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = strconv.AppendInt(b, v, 10)
 	}
-	return string(b)
+	return b
 }
 
 // Equal reports element-wise equality.
@@ -207,12 +213,12 @@ func (b Box) Contains(c Config) bool {
 	return true
 }
 
-// ClosestTo maps an arbitrary real-valued vector to the nearest
+// AppendClosestTo maps an arbitrary real-valued vector to the nearest
 // configuration inside the box (the B.getClosestTo(r) operation of the
 // paper's Algorithm 1): each component is rounded to the nearest
-// integer and clamped to the box bounds.
-func (b Box) ClosestTo(v []float64) Config {
-	c := make(Config, len(b.Lo))
+// integer and clamped to the box bounds. The configuration is appended
+// to dst, so a generation's trials can be written into one slab.
+func (b Box) AppendClosestTo(dst Config, v []float64) Config {
 	for i := range b.Lo {
 		x := int64(math.Round(v[i]))
 		if x < b.Lo[i] {
@@ -221,9 +227,9 @@ func (b Box) ClosestTo(v []float64) Config {
 		if x > b.Hi[i] {
 			x = b.Hi[i]
 		}
-		c[i] = x
+		dst = append(dst, x)
 	}
-	return c
+	return dst
 }
 
 // Random draws a uniform random configuration from the box.

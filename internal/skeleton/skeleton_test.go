@@ -96,9 +96,9 @@ func TestBoxOperations(t *testing.T) {
 	if b.Volume() != 11*21*7 {
 		t.Fatalf("Volume = %d", b.Volume())
 	}
-	got := b.ClosestTo([]float64{3.7, 29.4, 100})
+	got := b.AppendClosestTo(nil, []float64{3.7, 29.4, 100})
 	if !got.Equal(Config{10, 29, 8}) {
-		t.Fatalf("ClosestTo = %v", got)
+		t.Fatalf("AppendClosestTo = %v", got)
 	}
 	rng := stats.NewRand(2)
 	for i := 0; i < 100; i++ {
@@ -204,14 +204,14 @@ func TestSkeletonNoCollapseVariant(t *testing.T) {
 	}
 }
 
-// Property: ClosestTo always lands inside the box.
+// Property: AppendClosestTo always lands inside the box.
 func TestClosestToInBoxProperty(t *testing.T) {
 	b := Box{Lo: []int64{1, 1, 1}, Hi: []int64{700, 700, 40}}
 	f := func(x, y, z float64) bool {
 		if math.IsNaN(x) || math.IsNaN(y) || math.IsNaN(z) {
 			return true
 		}
-		return b.Contains(b.ClosestTo([]float64{x, y, z}))
+		return b.Contains(b.AppendClosestTo(nil, []float64{x, y, z}))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -129,12 +129,14 @@ func NewScreened(space skeleton.Space, inner objective.Evaluator, opt Options) (
 		model: NewModel(space, opt.Features, 0),
 		known: map[string]bool{},
 	}
-	s.removeObs = s.ce.AddObserver(func(cfgs []skeleton.Config, objs [][]float64) {
+	s.removeObs = s.ce.AddObserver(func(cfgs []skeleton.Config, keys []string, objs [][]float64) {
 		for i, cfg := range cfgs {
-			s.observe(cfg, objs[i])
+			s.observe(cfg, keys[i], objs[i])
 		}
 	})
-	s.removePrime = s.ce.AddPrimeObserver(s.observe)
+	s.removePrime = s.ce.AddPrimeObserver(func(cfg skeleton.Config, objs []float64) {
+		s.observe(cfg, cfg.Key(), objs)
+	})
 	return s, nil
 }
 
@@ -150,12 +152,12 @@ func (s *Screened) Close() {
 	}
 }
 
-// observe buffers one completed result (fresh or primed) until the
-// next generation barrier.
-func (s *Screened) observe(cfg skeleton.Config, objs []float64) {
+// observe buffers one completed result (fresh or primed), whose
+// Config.Key is key, until the next generation barrier.
+func (s *Screened) observe(cfg skeleton.Config, key string, objs []float64) {
 	c := cfg.Clone()
 	s.pendMu.Lock()
-	s.pending = append(s.pending, sample{key: c.Key(), cfg: c, objs: objs})
+	s.pending = append(s.pending, sample{key: key, cfg: c, objs: objs})
 	s.pendMu.Unlock()
 }
 

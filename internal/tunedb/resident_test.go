@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"autotune/internal/chaos"
 	"autotune/internal/israce"
@@ -33,7 +34,7 @@ func warmReference(db *DB, key Key, ce *objective.CachingEvaluator) (primed int,
 	if err != nil {
 		return 0, err
 	}
-	return ce.PrimeBatch(cfgs, objs), nil
+	return ce.PrimeBatch(cfgs, keysOf(cfgs), objs), nil
 }
 
 // forgetResident makes an open database forget whatever it keeps in
@@ -275,7 +276,7 @@ func runReopenOps(t testing.TB, data []byte, sources []string, keys []Key, reope
 				cfgs[size-1] = cfgs[0]
 			}
 			each(fmt.Sprintf("op %d PutEvals(%v, %v)", n, cfgs, objs), false, func(tw *twin) string {
-				return fmt.Sprint(tw.db.PutEvals(key, cfgs, objs))
+				return fmt.Sprint(tw.db.PutEvals(key, cfgs, keysOf(cfgs), objs))
 			})
 		case 6, 7, 8, 9:
 			var seqs [][]primedEval
@@ -513,7 +514,7 @@ func TestResidentDroppedByRefusedWrite(t *testing.T) {
 			defer db.Close()
 			key := testKey()
 			cfgs, objs := generation(1, 40)
-			if err := db.PutEvals(key, cfgs, objs); err != nil {
+			if err := db.PutEvals(key, cfgs, keysOf(cfgs), objs); err != nil {
 				t.Fatal(err)
 			}
 			before := mustWarm(t, db, key)
@@ -523,7 +524,7 @@ func TestResidentDroppedByRefusedWrite(t *testing.T) {
 
 			inj.Add(fault)
 			lost, lostObjs := generation(2, 10)
-			if err := db.PutEvals(key, lost, lostObjs); err == nil {
+			if err := db.PutEvals(key, lost, keysOf(lost), lostObjs); err == nil {
 				t.Fatal("PutEvals through a write fault succeeded")
 			}
 			if got := residencyOf(db).records; got != 0 {
@@ -534,7 +535,7 @@ func TestResidentDroppedByRefusedWrite(t *testing.T) {
 			}
 			// The shard has failed: it refuses, and the history warmed a
 			// moment ago must not take the batch either.
-			if err := db.PutEvals(key, lost, lostObjs); !IsReadOnly(err) {
+			if err := db.PutEvals(key, lost, keysOf(lost), lostObjs); !IsReadOnly(err) {
 				t.Fatalf("PutEvals on a failed shard: %v, want read-only", err)
 			}
 			if got := residencyOf(db).records; got != 0 {
@@ -556,7 +557,7 @@ func TestResidentDroppedByRefusedWrite(t *testing.T) {
 			if got := residencyOf(db).records; got != 0 {
 				t.Fatalf("%d records resident after Recover", got)
 			}
-			if err := db.PutEvals(key, lost, lostObjs); err != nil {
+			if err := db.PutEvals(key, lost, keysOf(lost), lostObjs); err != nil {
 				t.Fatal(err)
 			}
 			after := mustWarm(t, db, key)
@@ -587,7 +588,7 @@ func TestResidentDegradedStoreRefusesWrite(t *testing.T) {
 	defer db.Close()
 	key := testKey()
 	cfgs, objs := generation(1, 40)
-	if err := db.PutEvals(key, cfgs, objs); err != nil {
+	if err := db.PutEvals(key, cfgs, keysOf(cfgs), objs); err != nil {
 		t.Fatal(err)
 	}
 	before := mustWarm(t, db, key)
@@ -600,7 +601,7 @@ func TestResidentDegradedStoreRefusesWrite(t *testing.T) {
 		t.Fatal("the store did not degrade")
 	}
 	refused, refusedObjs := generation(2, 10)
-	if err := db.PutEvals(key, refused, refusedObjs); !IsReadOnly(err) {
+	if err := db.PutEvals(key, refused, keysOf(refused), refusedObjs); !IsReadOnly(err) {
 		t.Fatalf("PutEvals on a degraded store: %v, want read-only", err)
 	}
 	if got := residencyOf(db).records; got != 0 {
@@ -648,7 +649,7 @@ func TestResidentConcurrentWritersAndWarmers(t *testing.T) {
 				for _, cfg := range cfgs {
 					objs = append(objs, result(cfg))
 				}
-				if err := db.PutEvals(key, cfgs, objs); err != nil {
+				if err := db.PutEvals(key, cfgs, keysOf(cfgs), objs); err != nil {
 					t.Errorf("writer %d batch %d: %v", w, b, err)
 					return
 				}
@@ -740,7 +741,7 @@ func TestResidentBudget(t *testing.T) {
 	put := func(key Key, gen, n int) {
 		t.Helper()
 		cfgs, objs := generation(gen, n)
-		if err := db.PutEvals(key, cfgs, objs); err != nil {
+		if err := db.PutEvals(key, cfgs, keysOf(cfgs), objs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -780,9 +781,9 @@ func TestResidentBudget(t *testing.T) {
 }
 
 // TestWarmResidentAllocationBudget bounds what a warm start from a
-// resident history allocates: per record the cache key PrimeBatch
-// builds and the record's share of the cache map, per warm start a
-// constant — nothing is read, nothing decoded.
+// resident history allocates: a constant — the cache map, grown once —
+// and nothing per record: nothing is read, nothing decoded, and the
+// cache keys the records under the history's own key strings.
 func TestWarmResidentAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -796,13 +797,71 @@ func TestWarmResidentAllocationBudget(t *testing.T) {
 			t.Fatalf("primed %d of %d: %v", primed, n, err)
 		}
 	})
-	if budget := 1.2*n + 50; perWarm > budget {
+	if budget := 40.0; perWarm > budget {
 		t.Fatalf("Warm from %d resident records allocates %.0f times, budget %.0f", n, perWarm, budget)
 	}
 	if _, fromResident, fromScan := db.Residency(); fromScan != 1 || fromResident < 10 {
 		t.Fatalf("%d warm starts from the history, %d from scans: the budget was measured on the wrong path", fromResident, fromScan)
 	}
-	t.Logf("%.2f allocations per record", perWarm/n)
+	t.Logf("%.0f allocations per warm start", perWarm)
+}
+
+// TestResidentKeepsTheCacheKeys: a generation journaled from the
+// evaluation cache's observer enters the resident history under the
+// very key strings the cache handed in — neither copies nor cuts of the
+// store-key string, one of which would pin a whole batch's store keys
+// for as long as its record stays resident — and a warm start hands the
+// cache those strings back.
+func TestResidentKeepsTheCacheKeys(t *testing.T) {
+	db := mustOpen(t, t.TempDir())
+	defer db.Close()
+	key := testKey()
+	mustWarm(t, db, key) // resident from here on, with nothing in it
+	ce := objective.NewCachingEvaluator([]string{"time", "resources"}, 2, func(cfg skeleton.Config) []float64 {
+		return []float64{float64(cfg[1]), float64(cfg[2])}
+	})
+	var handed []string
+	ce.AddObserver(func(cfgs []skeleton.Config, keys []string, objs [][]float64) {
+		handed = append(handed, keys...)
+		if err := db.PutEvals(key, cfgs, keys, objs); err != nil {
+			t.Error(err)
+		}
+	})
+	cfgs, _ := generation(1, 30)
+	ce.Evaluate(cfgs)
+	if len(handed) != len(cfgs) {
+		t.Fatalf("the observer was handed %d keys for %d fresh configurations", len(handed), len(cfgs))
+	}
+	h := db.res.keys[key.String()]
+	if h == nil {
+		t.Fatal("the key is not resident")
+	}
+	for _, ck := range handed {
+		at, ok := h.find(ck)
+		if !ok {
+			t.Fatalf("%s is not in the history", ck)
+		}
+		if unsafe.StringData(h.keys[at]) != unsafe.StringData(ck) {
+			t.Fatalf("the history keeps %s in memory of its own, not the cache's string", ck)
+		}
+	}
+	if seq := mustWarm(t, db, key); len(seq) != len(cfgs) {
+		t.Fatalf("Warm primed %d records, want %d", len(seq), len(cfgs))
+	}
+	// What Warm hands PrimeBatch.
+	same := map[*byte]bool{}
+	for _, ck := range handed {
+		same[unsafe.StringData(ck)] = true
+	}
+	warmCfgs, warmKeys, _, err := db.history(key.String())
+	if err != nil || len(warmKeys) != len(cfgs) {
+		t.Fatalf("history: %d keys, %v", len(warmKeys), err)
+	}
+	for i, ck := range warmKeys {
+		if ck != warmCfgs[i].Key() || !same[unsafe.StringData(ck)] {
+			t.Fatalf("record %d: key %q for %v, the cache's string: %v", i, ck, warmCfgs[i], same[unsafe.StringData(ck)])
+		}
+	}
 }
 
 // BenchmarkWarmResident is BenchmarkWarmCache for every served job on
@@ -837,8 +896,9 @@ func BenchmarkPutEvalsResident(b *testing.B) {
 			mustWarm(b, db, key)
 		}
 		cfgs, objs := generation(i+1, 30)
+		keys := keysOf(cfgs)
 		b.StartTimer()
-		if err := db.PutEvals(key, cfgs, objs); err != nil {
+		if err := db.PutEvals(key, cfgs, keys, objs); err != nil {
 			b.Fatal(err)
 		}
 	}

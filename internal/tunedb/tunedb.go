@@ -19,7 +19,7 @@
 //
 // Record namespaces inside the store, all in canonical key order:
 //
-//	k|<key>            → the structured Key (registry; Keys scans it)
+//	k|<key>            → the structured Key (registry; ScanKeys scans it)
 //	e|<key>|<cfg>      → one evaluated configuration's objectives
 //	f|<key>            → the latest Pareto front for the key
 //	j||<id>            → a tuning-service job's latest record (opaque bytes)
@@ -209,29 +209,46 @@ func (db *DB) Close() error {
 // PutEval stores one evaluated configuration under key: PutEvals of
 // one record.
 func (db *DB) PutEval(key Key, cfg skeleton.Config, objs []float64) error {
-	return db.PutEvals(key, []skeleton.Config{cfg}, [][]float64{objs})
+	return db.PutEvals(key, []skeleton.Config{cfg}, []string{cfg.Key()}, [][]float64{objs})
 }
 
 // PutEvals stores a batch of evaluated configurations under key —
-// objs[i] is the result of cfgs[i], nil for a known failure — as one
-// store batch: one WAL frame however many records it holds, so the
-// batch is stored whole or, on error, not at all. Re-storing a
+// objs[i] is the result of cfgs[i], nil for a known failure, and cks[i]
+// is cfgs[i].Key(), as the evaluation cache hands it to its observers —
+// as one store batch: one WAL frame however many records it holds, so
+// the batch is stored whole or, on error, not at all. Re-storing a
 // configuration already present with the same result is skipped, so
 // repeated cold runs do not grow the database; what is present is read
 // from the key's resident history when it has one — which holds all the
 // key holds — and from the store otherwise. It is the only function
 // that writes an evaluation, and it writes through: a batch the store
-// acknowledged enters the resident history, copied; a batch it refused,
-// for whatever reason, ends the key's residency.
-func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, objs [][]float64) error {
-	if len(cfgs) != len(objs) {
-		return fmt.Errorf("tunedb: batch of %d configurations and %d results", len(cfgs), len(objs))
+// acknowledged enters the resident history, copied, under the cks
+// strings themselves; a batch it refused, for whatever reason, ends the
+// key's residency.
+func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, cks []string, objs [][]float64) error {
+	if len(cfgs) != len(objs) || len(cfgs) != len(cks) {
+		return fmt.Errorf("tunedb: batch of %d configurations, %d keys and %d results", len(cfgs), len(cks), len(objs))
 	}
 	ks := key.String()
 	defer db.res.lockKey(ks).Unlock()
 	h := db.res.lookup(ks, false)
 	var kept []keptEval // what goes to the store, for the history
 	prefix := evalStoreKey(ks, "")
+	// The store keys are cut from one string built to its exact size:
+	// the memtable keeps them, so a buffer grown by doubling would be
+	// kept with its slack. The history takes the cks strings, never a
+	// cut of this one, which would pin the whole batch's store keys.
+	var sb strings.Builder
+	size := len(prefix) * len(cks)
+	for _, ck := range cks {
+		size += len(ck)
+	}
+	sb.Grow(size)
+	for _, ck := range cks {
+		sb.WriteString(prefix)
+		sb.WriteString(ck)
+	}
+	storeKeys := sb.String()
 	keys := make([]string, 0, len(cfgs)+1)
 	vals := make([][]byte, 0, len(cfgs)+1)
 	// The values are encoded end to end into one buffer (a value of a
@@ -245,8 +262,9 @@ func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, objs [][]float64) error 
 			return err
 		}
 		val := buf[at:len(buf):len(buf)]
-		ck := cfg.Key()
-		sk := prefix + ck
+		ck := cks[i]
+		sk := storeKeys[:len(prefix)+len(ck)]
+		storeKeys = storeKeys[len(sk):]
 		var same bool
 		if h != nil {
 			// The history holds decoded values: equal objectives is what
@@ -460,7 +478,7 @@ func jsonNumberLen(b []byte) (n int, integer bool) {
 
 // putRegistered stores the records — all under key, whose canonical
 // string is ks — in one store batch, together with the registry record
-// that makes key discoverable by Keys()/ScanKeys() the first time this
+// that makes key discoverable by ScanKeys the first time this
 // open database writes under it.
 func (db *DB) putRegistered(key Key, ks string, keys []string, vals [][]byte) error {
 	_, known := db.registered.Load(ks)
@@ -617,12 +635,6 @@ func (db *DB) EvalCount(key Key) (int, error) {
 		return 0, fmt.Errorf("tunedb: %w", err)
 	}
 	return n, nil
-}
-
-// Keys lists every key with stored data, sorted by canonical string.
-func (db *DB) Keys() []Key {
-	keys, _ := db.ScanKeys("")
-	return keys
 }
 
 // ScanKeys range-scans the key registry: every stored key whose

@@ -340,16 +340,17 @@ func (h *history) add(kept []keptEval, cfgs []skeleton.Config, objs [][]float64)
 // objective values measured (or modeled) on one machine are meaningless
 // on another.
 func (db *DB) Warm(key Key, ce *objective.CachingEvaluator) (primed int, err error) {
-	cfgs, objs, err := db.history(key.String())
+	cfgs, cks, objs, err := db.history(key.String())
 	if err != nil {
 		return 0, err
 	}
-	return ce.PrimeBatch(cfgs, objs), nil
+	return ce.PrimeBatch(cfgs, cks, objs), nil
 }
 
 // history returns what the key holds, in store-key order: the resident
-// records, or those of a scan, which become resident.
-func (db *DB) history(ks string) ([]skeleton.Config, [][]float64, error) {
+// records — configurations, their keys, results — or those of a scan,
+// which become resident.
+func (db *DB) history(ks string) ([]skeleton.Config, []string, [][]float64, error) {
 	defer db.res.lockKey(ks).Unlock()
 	h := db.res.lookup(ks, true)
 	if h != nil {
@@ -357,11 +358,11 @@ func (db *DB) history(ks string) ([]skeleton.Config, [][]float64, error) {
 	} else {
 		var err error
 		if h, err = db.scanHistory(ks); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		db.res.admit(ks, h)
 	}
-	return h.cfgs, h.objs, nil
+	return h.cfgs, h.keys, h.objs, nil
 }
 
 // WarmCache is Warm with the error dropped: a failed scan reads as

@@ -19,8 +19,8 @@ func TestTuneWithDBFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(db.Keys()); got != 1 {
-		t.Fatalf("database keys = %d", got)
+	if keys, err := db.ScanKeys(""); err != nil || len(keys) != 1 {
+		t.Fatalf("database keys = %v, %v", keys, err)
 	}
 
 	warm, err := Tune("mm", WithSeed(1), fast, WithDB(db), WithWarmStart())
