@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -106,5 +109,65 @@ func TestValidationRankFloor(t *testing.T) {
 	}
 	if checked != 12 {
 		t.Errorf("checked %d kernel/machine/level cells, want 2 kernels x 2 machines x 3 levels", checked)
+	}
+}
+
+// TestValidationReportsPinned holds every Report of Validation — each
+// configuration's simulated and modelled bytes per cache level and each
+// level's rank agreement, at full precision — byte-identical to
+// testdata/validation.json. -update regenerates it.
+func TestValidationReportsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trace-driven simulation")
+	}
+	res, err := validation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	num := func(v float64) json.Number { return json.Number(strconv.FormatFloat(v, 'g', -1, 64)) }
+	type level struct {
+		SimBytes   json.Number `json:"sim_bytes"`
+		ModelBytes json.Number `json:"model_bytes"`
+	}
+	type report struct {
+		Kernel        string                 `json:"kernel"`
+		Machine       string                 `json:"machine"`
+		N             int64                  `json:"n"`
+		Configs       [][]level              `json:"configs"`
+		RankAgreement map[string]json.Number `json:"rank_agreement"`
+	}
+	var pins []report
+	for _, rep := range res.Reports {
+		r := report{Kernel: rep.Kernel, Machine: rep.Machine, N: rep.N, RankAgreement: map[string]json.Number{}}
+		for _, cr := range rep.Configs {
+			var levels []level
+			for _, lc := range cr.Levels {
+				levels = append(levels, level{num(lc.SimBytes), num(lc.ModelBytes)})
+			}
+			r.Configs = append(r.Configs, levels)
+		}
+		for name, tau := range rep.RankAgreement {
+			r.RankAgreement[name] = num(tau)
+		}
+		pins = append(pins, r)
+	}
+	got, err := json.MarshalIndent(pins, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	const path = "testdata/validation.json"
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("validation reports differ from %s:\n%s", path, got)
 	}
 }

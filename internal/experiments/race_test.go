@@ -13,7 +13,7 @@ import (
 	"autotune/internal/optimizer"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/race_standings.json from the current code")
+var update = flag.Bool("update", false, "rewrite the testdata pins of the selected tests from the current code")
 
 const raceStandingsPath = "testdata/race_standings.json"
 
