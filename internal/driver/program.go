@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"autotune/internal/analyzer"
-	"autotune/internal/genmodel"
 	"autotune/internal/ir"
 	"autotune/internal/kernels"
 )
@@ -31,7 +30,7 @@ func analyzeProgram(prog *ir.Program, opt Options) ([]analyzer.Region, error) {
 // standard evaluator and backend apply unchanged. Like prepareKernel it
 // extends the skeleton by the optional unroll dimension.
 func prepareRegion(prog *ir.Program, region analyzer.Region, name string, opt Options) (*prepared, error) {
-	km, err := genmodel.Derive(prog, region)
+	km, err := deriveModel(prog, region)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +50,7 @@ func prepareRegion(prog *ir.Program, region analyzer.Region, name string, opt Op
 }
 
 // TuneProgramAll tunes every region of an arbitrary MiniIR program
-// simultaneously: the analyzer enumerates the tunable nests, genmodel
+// simultaneously: the analyzer enumerates the tunable nests, deriveModel
 // derives a performance model per region, and the lock-step
 // multi-region RS-GDE3 shares each program execution across all
 // regions (paper §III-A). One multi-versioned unit is emitted per
@@ -72,7 +71,7 @@ func TuneProgramAll(prog *ir.Program, opt Options) ([]*Output, error) {
 
 // TuneProgram tunes an arbitrary MiniIR program (e.g. parsed from the
 // text format by internal/irparse): the analyzer finds the first
-// tunable region, genmodel derives an analytical performance model
+// tunable region, deriveModel derives an analytical performance model
 // from its access structure, and the usual optimize → multi-version
 // pipeline runs against it. Since the program has no executable Go
 // implementation, the emitted unit's versions carry code listings and

@@ -8,7 +8,7 @@
 // program, the polyhedral package checks transformation legality, and
 // the transform package rewrites MiniIR into tiled/collapsed/unrolled
 // variants. MiniIR programs can also be lowered to memory-address
-// traces (internal/trace) for cache simulation.
+// traces for cache simulation (internal/validate).
 package ir
 
 import (

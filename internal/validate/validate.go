@@ -1,7 +1,7 @@
 // Package validate cross-checks the analytical performance model
-// (internal/perfmodel) against the trace-driven cache simulator
-// (internal/cachesim): the same tiled kernel configurations are (a)
-// lowered to MiniIR, transformed, traced and replayed through a
+// (internal/perfmodel) against a trace-driven cache simulator
+// (cachesim.go, fed by trace.go): the same tiled kernel configurations
+// are (a) lowered to MiniIR, transformed, traced and replayed through a
 // simulated cache hierarchy, and (b) fed to the kernel's LevelTraffic
 // reuse-distance analysis. The per-level byte counts are compared by
 // rank agreement — the model does not have to match absolute traffic,
@@ -16,23 +16,11 @@ package validate
 import (
 	"fmt"
 
-	"autotune/internal/cachesim"
-	"autotune/internal/ir"
 	"autotune/internal/kernels"
 	"autotune/internal/machine"
 	"autotune/internal/perfmodel"
-	"autotune/internal/trace"
 	"autotune/internal/transform"
 )
-
-// traceProgram lowers the program to a single-threaded address trace.
-func traceProgram(p *ir.Program, maxAccesses int) ([]uint64, error) {
-	traces, err := trace.Generate(p, 1, maxAccesses)
-	if err != nil {
-		return nil, err
-	}
-	return traces[0], nil
-}
 
 // LevelComparison is one cache level's simulated vs modeled traffic
 // for one configuration.
@@ -77,10 +65,6 @@ func CacheModel(k *kernels.Kernel, m *machine.Machine, n int64, tileSets [][]int
 		return nil, fmt.Errorf("validate: need at least 2 configurations to rank")
 	}
 	report := &Report{Kernel: k.Name, Machine: m.Name, N: n, RankAgreement: map[string]float64{}}
-	levelNames := make([]string, len(m.Caches))
-	for i, lvl := range m.Caches {
-		levelNames[i] = lvl.Name
-	}
 	for _, tiles := range tileSets {
 		if len(tiles) != k.TileDims {
 			return nil, fmt.Errorf("validate: kernel %s wants %d tile sizes, got %d", k.Name, k.TileDims, len(tiles))
@@ -89,28 +73,22 @@ func CacheModel(k *kernels.Kernel, m *machine.Machine, n int64, tileSets [][]int
 		if err != nil {
 			return nil, err
 		}
-		traces, err := traceProgram(prog, maxAccesses)
+		traces, err := generate(prog, 1, maxAccesses)
 		if err != nil {
 			return nil, err
 		}
-		h, err := cachesim.NewHierarchy(m, 1)
+		h, err := newHierarchy(m, 1)
 		if err != nil {
 			return nil, err
 		}
-		for _, addr := range traces {
-			h.Access(0, addr)
+		for _, addr := range traces[0] {
+			h.access(0, addr)
 		}
 		// Bytes flowing into level i = misses at level i × line size
 		// (each miss installs one line fetched from outside).
 		var cr ConfigResult
-		stats := h.Levels()
-		for _, lvl := range m.Caches {
-			var misses uint64
-			for _, s := range stats {
-				if matchesLevel(s.Name, lvl.Name) {
-					misses += s.Stats.Misses
-				}
-			}
+		for i, lvl := range m.Caches {
+			misses := h.perThread[0][i].stats.misses
 			cap := perfmodel.Capacity{
 				PerThread: int64(float64(lvl.SizeBytes) * usableFraction(lvl.Associativity)),
 				Total:     int64(float64(lvl.SizeBytes) * usableFraction(lvl.Associativity)),
@@ -123,20 +101,15 @@ func CacheModel(k *kernels.Kernel, m *machine.Machine, n int64, tileSets [][]int
 		}
 		report.Configs = append(report.Configs, cr)
 	}
-	for li, name := range levelNames {
+	for li, lvl := range m.Caches {
 		var sim, model []float64
 		for _, cr := range report.Configs {
 			sim = append(sim, cr.Levels[li].SimBytes)
 			model = append(model, cr.Levels[li].ModelBytes)
 		}
-		report.RankAgreement[name] = kendallTau(sim, model)
+		report.RankAgreement[lvl.Name] = kendallTau(sim, model)
 	}
 	return report, nil
-}
-
-func matchesLevel(instance, level string) bool {
-	return len(instance) >= len(level) && instance[:len(level)] == level &&
-		(len(instance) == len(level) || instance[len(level)] == '.')
 }
 
 // tieTolerance is the relative difference below which two traffic

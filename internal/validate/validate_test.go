@@ -23,15 +23,6 @@ func TestKendallTau(t *testing.T) {
 	}
 }
 
-func TestMatchesLevel(t *testing.T) {
-	if !matchesLevel("L1.t0", "L1") || !matchesLevel("L3.s1", "L3") || !matchesLevel("L2", "L2") {
-		t.Fatal("expected matches failed")
-	}
-	if matchesLevel("L12.t0", "L1") {
-		t.Fatal("prefix confusion: L12 matched L1")
-	}
-}
-
 func TestCacheModelValidationMM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace-driven simulation")
