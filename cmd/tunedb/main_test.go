@@ -214,25 +214,22 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestUnreadableRegistryIsAnError: with a byte of a key's registry
-// record flipped in its segment, ls, show and export report the read
-// error — which main turns into exit status 1 — instead of an empty
-// database or a missing front.
-func TestUnreadableRegistryIsAnError(t *testing.T) {
-	dir := t.TempDir()
-	_, withFront := seedDB(t, dir)
+// flipRecord flips one byte inside the value of the store record named
+// record ("k|<key>", "f|<key>") in the one segment of the database at
+// dir that holds it, so reading that record fails its checksum.
+func flipRecord(t *testing.T, dir, record string) {
+	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "store", "shard-*", "*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	record := []byte("k|" + withFront.String())
 	flipped := 0
 	for _, seg := range segs {
 		data, err := os.ReadFile(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		at := bytes.Index(data, record)
+		at := bytes.Index(data, []byte(record))
 		if at < 0 {
 			continue
 		}
@@ -243,8 +240,18 @@ func TestUnreadableRegistryIsAnError(t *testing.T) {
 		flipped++
 	}
 	if flipped != 1 {
-		t.Fatalf("the registry record of %s is in %d segments, want 1", withFront, flipped)
+		t.Fatalf("record %s is in %d segments, want 1", record, flipped)
 	}
+}
+
+// TestUnreadableRegistryIsAnError: with a byte of a key's registry
+// record flipped in its segment, ls, show and export report the read
+// error — which main turns into exit status 1 — instead of an empty
+// database or a missing front.
+func TestUnreadableRegistryIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	_, withFront := seedDB(t, dir)
+	flipRecord(t, dir, "k|"+withFront.String())
 	for _, c := range []struct {
 		cmd  string
 		args []string
@@ -261,5 +268,24 @@ func TestUnreadableRegistryIsAnError(t *testing.T) {
 		if strings.Contains(stdout.String(), "database is empty") {
 			t.Errorf("%s %v: printed %q", c.cmd, c.args, stdout.String())
 		}
+	}
+}
+
+// TestMergeOverUnreadableFrontIsAnError: merge into a database whose
+// front cannot be read reports the read error — which main turns into
+// exit status 1 — instead of replacing that front with the incoming
+// one.
+func TestMergeOverUnreadableFrontIsAnError(t *testing.T) {
+	dir, other := t.TempDir(), t.TempDir()
+	_, withFront := seedDB(t, dir)
+	seedDB(t, other)
+	flipRecord(t, dir, "f|"+withFront.String())
+	var stdout, stderr strings.Builder
+	err := run(dir, "merge", []string{other}, &stdout, &stderr)
+	if err == nil {
+		t.Fatalf("merge over an unreadable front succeeded, printing %q", stdout.String())
+	}
+	if !strings.Contains(err.Error(), "tunedb:") {
+		t.Errorf("merge error %q does not name the database", err)
 	}
 }

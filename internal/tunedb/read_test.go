@@ -1,11 +1,14 @@
 package tunedb
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -376,5 +379,128 @@ func BenchmarkWarmCache(b *testing.B) {
 		if primed, err := db.Warm(key, newCache()); err != nil || primed != n {
 			b.Fatalf("primed %d of %d: %v", primed, n, err)
 		}
+	}
+}
+
+// TestMergeFailsOnReadFault: Merge keeps the records already present
+// locally, so a local lookup it cannot complete — the front or an
+// evaluation, on the first read or on every read — must fail the merge
+// rather than read as "absent" and let the incoming record replace the
+// local one; and an incoming front it cannot read must fail the merge
+// rather than be dropped while Merge reports success.
+func TestMergeFailsOnReadFault(t *testing.T) {
+	key := testKey()
+	cfg := skeleton.Config{64, 64, 8}
+	localObjs := []float64{0.5, 8}
+	incoming := testFront(key)
+	incoming.Evaluations = 999
+
+	// Two sources: one holds an evaluation of the local configuration,
+	// the other a front under the local front's key.
+	evalSrc, frontSrc := t.TempDir(), t.TempDir()
+	for dir, put := range map[string]func(*DB) error{
+		evalSrc:  func(db *DB) error { return db.PutEval(key, cfg, []float64{9, 9}) },
+		frontSrc: func(db *DB) error { return db.PutFront(incoming) },
+	} {
+		src := mustOpen(t, dir)
+		if err := put(src); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	inj := chaos.NewInjector(nil)
+	db, err := OpenFS(t.TempDir(), inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.PutEval(key, cfg, localObjs); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.PutFront(testFront(key)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.st.Flush(); err != nil { // both records now live in a segment
+		t.Fatal(err)
+	}
+	readFaults := func(n int) []chaos.Fault {
+		faults := make([]chaos.Fault, n)
+		for i := range faults {
+			faults[i] = chaos.Fault{Op: chaos.OpRead, Path: ".seg"}
+		}
+		return faults
+	}
+	for _, src := range []string{evalSrc, frontSrc} {
+		for _, faults := range [][]chaos.Fault{readFaults(1), readFaults(64)} {
+			fired := inj.Injected()
+			inj.Add(faults...)
+			evals, fronts, err := db.Merge(src)
+			inj.Clear()
+			if inj.Injected() == fired {
+				t.Fatalf("%d read faults: none fired", len(faults))
+			}
+			if !errors.Is(err, chaos.ErrInjected) || evals != 0 || fronts != 0 {
+				t.Errorf("%d read faults: Merge = %d evals, %d fronts, %v; want the injected error and nothing adopted", len(faults), evals, fronts, err)
+			}
+			if objs, ok := db.GetEval(key, cfg); !ok || fmt.Sprint(objs) != fmt.Sprint(localObjs) {
+				t.Fatalf("%d read faults: the local evaluation reads %v, %v after the merge; want %v", len(faults), objs, ok, localObjs)
+			}
+			if rec, ok, err := db.front(key); err != nil || !ok || rec.Evaluations != testFront(key).Evaluations {
+				t.Fatalf("%d read faults: the local front reads %+v, %v, %v after the merge; want it kept", len(faults), rec, ok, err)
+			}
+		}
+	}
+
+	// An incoming front that cannot be read is an error, not a front
+	// the merge silently leaves behind. The source holds 40 fronts of
+	// one program, so they share a shard, and the second one's record
+	// is damaged: the source's key and evaluation scans never read it,
+	// only the front lookup does.
+	damagedSrc := t.TempDir()
+	src := mustOpen(t, damagedSrc)
+	var damaged Key
+	for i := 0; i < 40; i++ {
+		k := key
+		k.SpaceHash = fmt.Sprintf("sp%016d", i)
+		rec := testFront(k)
+		if err := src.PutFront(rec); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			damaged = k
+		}
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(damagedSrc, "store", "shard-*", "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := []byte(frontStoreKey(damaged.String()))
+	flipped := 0
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at := bytes.Index(data, record); at >= 0 {
+			data[at+len(record)+4] ^= 0x20 // inside the record's JSON value
+			if err := os.WriteFile(seg, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			flipped++
+		}
+	}
+	if flipped != 1 {
+		t.Fatalf("the front record is in %d segments, want 1", flipped)
+	}
+	fresh := mustOpen(t, t.TempDir())
+	defer fresh.Close()
+	if evals, fronts, err := fresh.Merge(damagedSrc); err == nil {
+		t.Errorf("merging an unreadable front succeeded, adopting %d evals and %d fronts", evals, fronts)
 	}
 }

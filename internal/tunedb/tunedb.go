@@ -723,8 +723,9 @@ func (db *DB) Compact() error {
 // (cross-machine transfer: carry a database over from another host and
 // merge it). It returns the number of evaluation and front records
 // adopted. Records already present locally are kept: an incoming front
-// only lands when no local front exists under the same key. The adopted
-// records are made durable before Merge returns.
+// only lands when no local front exists under the same key. A record
+// Merge cannot read, local or incoming, fails it. The adopted records
+// are made durable before Merge returns.
 func (db *DB) Merge(dir string) (evals, fronts int, err error) {
 	other, err := Open(dir)
 	if err != nil {
@@ -746,7 +747,12 @@ func (db *DB) Merge(dir string) (evals, fronts int, err error) {
 		if !ok {
 			return true // unregistered record: skip
 		}
-		if _, exists := db.GetEval(key, cfg); exists {
+		var exists bool
+		if _, exists, err = db.st.Get(evalStoreKey(ks, cfg.Key())); err != nil {
+			err = fmt.Errorf("tunedb: %w", err)
+			return false
+		}
+		if exists {
 			return true
 		}
 		if err = db.PutEval(key, cfg, objs); err != nil {
@@ -763,11 +769,18 @@ func (db *DB) Merge(dir string) (evals, fronts int, err error) {
 	}
 
 	for _, k := range otherKeys {
-		rec, ok := other.Front(k)
+		rec, ok, err := other.front(k)
+		if err != nil {
+			return evals, fronts, err
+		}
 		if !ok {
 			continue
 		}
-		if _, exists := db.Front(k); exists {
+		_, exists, err := db.front(k)
+		if err != nil {
+			return evals, fronts, err
+		}
+		if exists {
 			continue
 		}
 		if err := db.PutFront(rec); err != nil {
