@@ -1,6 +1,7 @@
 package objective
 
 import (
+	"strings"
 	"testing"
 
 	"autotune/internal/kernels"
@@ -185,6 +186,20 @@ func TestSimEnergyObjective(t *testing.T) {
 	}
 	if s.ObjectiveNames()[2] != "energy" {
 		t.Fatalf("names = %v", s.ObjectiveNames())
+	}
+}
+
+// NewSim refuses an objective it has no model for, by name, instead of
+// answering NaN for it on every evaluation.
+func TestNewSimRefusesUnmodeledObjective(t *testing.T) {
+	mm, _ := kernels.ByName("mm")
+	_, err := NewSim(SimConfig{
+		Machine:    machine.Westmere(),
+		Kernel:     mm,
+		Objectives: []ObjectiveKind{TimeObjective, ObjectiveKind(7)},
+	})
+	if err == nil || !strings.Contains(err.Error(), "ObjectiveKind(7)") {
+		t.Fatalf("NewSim with ObjectiveKind(7): err = %v, want a refusal naming it", err)
 	}
 }
 
