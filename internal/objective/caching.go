@@ -15,13 +15,19 @@ import (
 type EvalFunc func(cfg skeleton.Config) []float64
 
 // CtxEvalFunc is the context-aware evaluation function the shared
-// cache runs internally. A nil objective vector with a nil error marks
-// a failed (invalid or timed-out) configuration: it is cached, never
+// cache runs internally, in append form: it appends the objective
+// vector of cfg to dst and returns the result, as append does. The
+// cache hands each fresh evaluation of a batch an empty dst whose
+// capacity is the number of objectives, cut from one slab per batch, so
+// an evaluation that appends that many values allocates nothing and one
+// that appends more reallocates rather than reach a neighbour's cut; a
+// nil dst is valid too. A nil objective vector with a nil error marks a
+// failed (invalid or timed-out) configuration: it is cached, never
 // counted in E, and reported to observers — a recorded failure. A
 // non-nil error marks an aborted evaluation (the context was
 // cancelled): the result is NOT cached, NOT counted and NOT observed,
 // so a resumed search re-evaluates the configuration from scratch.
-type CtxEvalFunc func(ctx context.Context, cfg skeleton.Config) ([]float64, error)
+type CtxEvalFunc func(ctx context.Context, cfg skeleton.Config, dst []float64) ([]float64, error)
 
 // CachingEvaluator wraps a per-configuration evaluation function with
 // the framework's shared evaluation infrastructure: a process-wide
@@ -94,14 +100,24 @@ type follower struct {
 
 // NewCachingEvaluator builds a caching evaluator around fn. names are
 // the objective labels reported by ObjectiveNames; parallelism bounds
-// concurrent fn invocations globally (minimum 1).
+// concurrent fn invocations globally (minimum 1). fn returns vectors of
+// its own: the cache keeps them.
 func NewCachingEvaluator(names []string, parallelism int, fn EvalFunc) *CachingEvaluator {
+	return newCachingEvaluator(names, parallelism, func(_ context.Context, cfg skeleton.Config, _ []float64) ([]float64, error) {
+		return fn(cfg), nil
+	})
+}
+
+// newCachingEvaluator is NewCachingEvaluator around an evaluation
+// function in append form, which writes fresh vectors into the batch's
+// slab: the simulated and the measured evaluator.
+func newCachingEvaluator(names []string, parallelism int, fn CtxEvalFunc) *CachingEvaluator {
 	if parallelism < 1 {
 		parallelism = 1
 	}
 	return &CachingEvaluator{
 		names:     append([]string(nil), names...),
-		fn:        func(_ context.Context, cfg skeleton.Config) ([]float64, error) { return fn(cfg), nil },
+		fn:        fn,
 		sem:       make(chan struct{}, parallelism),
 		cache:     map[string][]float64{},
 		inflight:  map[string]*inflightEval{},
@@ -347,7 +363,10 @@ func (c *CachingEvaluator) EvaluateOne(cfg skeleton.Config) []float64 {
 // parallelism at a time, globally) or by the concurrent batch that got
 // to it first — and memoized. When the bound context is done, uncached
 // configurations come back nil without being evaluated, cached or
-// counted.
+// counted. The batch's fresh vectors are cut from one slab of
+// len(leaders) × len(names) values, each cut's capacity capped at
+// len(names); the cache keeps them, and so the slab, for the
+// evaluator's life, as it keeps every value.
 func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 	out := make([][]float64, len(cfgs))
 	keys := batchKeys(cfgs)
@@ -385,11 +404,13 @@ func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 	c.mu.Unlock()
 
 	if len(leaders) > 0 {
+		m := len(c.names)
+		vecs := make([]float64, len(leaders)*m)
 		var next atomic.Int64
 		drain := func() {
 			for n := next.Add(1) - 1; n < int64(len(leaders)); n = next.Add(1) - 1 {
-				i := leaders[n]
-				objs, ok := c.lead(ctx, fn, cfgs[i], keys[i])
+				i, at := leaders[n], int(n)*m
+				objs, ok := c.lead(ctx, fn, cfgs[i], keys[i], vecs[at:at:at+m])
 				out[i] = objs
 				if !ok {
 					// Withdrawn: struck from the list, so what is left
@@ -399,12 +420,16 @@ func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 			}
 		}
 		var wg sync.WaitGroup
-		for w := min(cap(c.sem), len(leaders)); w > 1; w-- {
-			wg.Add(1)
-			go func() {
+		if w := min(cap(c.sem), len(leaders)); w > 1 {
+			// One closure for the batch's workers, not one each.
+			worker := func() {
 				defer wg.Done()
 				drain()
-			}()
+			}
+			wg.Add(w - 1)
+			for ; w > 1; w-- {
+				go worker()
+			}
 		}
 		drain()
 		wg.Wait()
@@ -446,11 +471,12 @@ func batchKeys(cfgs []skeleton.Config) []string {
 }
 
 // lead evaluates one configuration the calling batch registered in
-// c.inflight, publishes the result and releases the key's followers. ok
-// reports a completed evaluation — cached, and due to the observers; it
-// is false, with the configuration left unknown, when the context is
-// done before the evaluation starts or the evaluation aborts.
-func (c *CachingEvaluator) lead(ctx context.Context, fn CtxEvalFunc, cfg skeleton.Config, key string) (objs []float64, ok bool) {
+// c.inflight into dst, publishes the result and releases the key's
+// followers. ok reports a completed evaluation — cached, and due to the
+// observers; it is false, with the configuration left unknown, when the
+// context is done before the evaluation starts or the evaluation
+// aborts.
+func (c *CachingEvaluator) lead(ctx context.Context, fn CtxEvalFunc, cfg skeleton.Config, key string, dst []float64) (objs []float64, ok bool) {
 	// Deferred, so that an evaluation that panics into a recovering
 	// caller leaves the key unknown and its followers released rather
 	// than registered in flight for ever.
@@ -468,7 +494,7 @@ func (c *CachingEvaluator) lead(ctx context.Context, fn CtxEvalFunc, cfg skeleto
 		}
 	}()
 
-	objs, err := c.evalInSlot(ctx, fn, cfg)
+	objs, err := c.evalInSlot(ctx, fn, cfg, dst)
 
 	c.mu.Lock()
 	fl := c.inflight[key]
@@ -485,10 +511,10 @@ func (c *CachingEvaluator) lead(ctx context.Context, fn CtxEvalFunc, cfg skeleto
 	return objs, err == nil
 }
 
-// evalInSlot runs fn on cfg while holding one slot of the global
-// semaphore. A non-nil error means the evaluation aborted or never
-// started because ctx is done.
-func (c *CachingEvaluator) evalInSlot(ctx context.Context, fn CtxEvalFunc, cfg skeleton.Config) ([]float64, error) {
+// evalInSlot runs fn on cfg and dst while holding one slot of the
+// global semaphore. A non-nil error means the evaluation aborted or
+// never started because ctx is done.
+func (c *CachingEvaluator) evalInSlot(ctx context.Context, fn CtxEvalFunc, cfg skeleton.Config, dst []float64) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -501,7 +527,7 @@ func (c *CachingEvaluator) evalInSlot(ctx context.Context, fn CtxEvalFunc, cfg s
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		objs, err := fn(ctx, cfg)
+		objs, err := fn(ctx, cfg, dst)
 		if err != nil {
 			return nil, err
 		}

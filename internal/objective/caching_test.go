@@ -211,8 +211,8 @@ func TestObserverSeesWhatACancelledBatchCompleted(t *testing.T) {
 	defer cancel()
 	c.SetContext(ctx)
 	c.WrapEvalFunc(func(next CtxEvalFunc) CtxEvalFunc {
-		return func(ctx context.Context, cfg skeleton.Config) ([]float64, error) {
-			objs, err := next(ctx, cfg)
+		return func(ctx context.Context, cfg skeleton.Config, dst []float64) ([]float64, error) {
+			objs, err := next(ctx, cfg, dst)
 			if cfg[0] == 3 {
 				cancel()
 			}

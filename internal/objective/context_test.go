@@ -84,18 +84,18 @@ func TestWrapEvalFuncLayers(t *testing.T) {
 	c := NewCachingEvaluator([]string{"a", "b"}, 1, countingFn(&calls))
 	var order []string
 	c.WrapEvalFunc(func(next CtxEvalFunc) CtxEvalFunc {
-		return func(ctx context.Context, cfg skeleton.Config) ([]float64, error) {
+		return func(ctx context.Context, cfg skeleton.Config, dst []float64) ([]float64, error) {
 			order = append(order, "inner")
-			return next(ctx, cfg)
+			return next(ctx, cfg, dst)
 		}
 	})
 	c.WrapEvalFunc(func(next CtxEvalFunc) CtxEvalFunc {
-		return func(ctx context.Context, cfg skeleton.Config) ([]float64, error) {
+		return func(ctx context.Context, cfg skeleton.Config, dst []float64) ([]float64, error) {
 			order = append(order, "outer")
 			if cfg[0] == 99 {
 				return nil, errors.New("vetoed")
 			}
-			return next(ctx, cfg)
+			return next(ctx, cfg, dst)
 		}
 	})
 

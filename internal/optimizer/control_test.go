@@ -186,8 +186,8 @@ func assertMutuallyNonDominated(t *testing.T, front []pareto.Point) {
 func cancelAfter(eval *objective.CachingEvaluator, n int32, cancel context.CancelFunc) {
 	var done atomic.Int32
 	eval.WrapEvalFunc(func(next objective.CtxEvalFunc) objective.CtxEvalFunc {
-		return func(ctx context.Context, cfg skeleton.Config) ([]float64, error) {
-			objs, err := next(ctx, cfg)
+		return func(ctx context.Context, cfg skeleton.Config, dst []float64) ([]float64, error) {
+			objs, err := next(ctx, cfg, dst)
 			if done.Add(1) == n {
 				cancel()
 			}

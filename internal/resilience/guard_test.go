@@ -2,10 +2,14 @@ package resilience_test
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
+	"autotune/internal/kernels"
 	"autotune/internal/objective"
 	"autotune/internal/resilience"
 	"autotune/internal/rts"
@@ -47,6 +51,71 @@ func TestWatchdogRecordsHangingEvaluation(t *testing.T) {
 	}
 	if d := time.Since(again); d > 15*time.Millisecond {
 		t.Fatalf("cached failure took %v — it was re-evaluated", d)
+	}
+}
+
+// TestWatchdogAbandonedEvaluationWritesOnlyItsCut: the watchdog hands
+// the cache's dst through, so an evaluation it abandons appends into its
+// own cut of the batch's slab after the batch has returned. The cache
+// holds nil for it, and every other vector of the batch stays what the
+// batch returned — at GOMAXPROCS 1 and 4, clean under the race detector.
+func TestWatchdogAbandonedEvaluationWritesOnlyItsCut(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			release := make(chan struct{})
+			k := &kernels.Kernel{Name: "stub", TileDims: 1, BenchN: 1,
+				Run: func(_ int64, tiles []int64, _ int) (float64, error) {
+					if tiles[0] == 1 {
+						<-release
+					}
+					return 0, nil
+				}}
+			m, err := objective.NewMeasured(k, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			late := make(chan []float64, 1)
+			m.WrapEvalFunc(func(next objective.CtxEvalFunc) objective.CtxEvalFunc {
+				return func(ctx context.Context, c skeleton.Config, dst []float64) ([]float64, error) {
+					objs, err := next(ctx, c, dst)
+					if c[0] == 1 {
+						late <- objs
+					}
+					return objs, err
+				}
+			})
+			m.WrapEvalFunc(resilience.Watchdog(20 * time.Millisecond))
+
+			batch := []skeleton.Config{cfg(1, 1), cfg(2, 1), cfg(3, 2), cfg(4, 1)}
+			out := m.Evaluate(batch)
+			if out[0] != nil {
+				t.Fatalf("GOMAXPROCS %d: abandoned evaluation returned %v", procs, out[0])
+			}
+			kept := make([][]float64, len(out))
+			for i := 1; i < len(out); i++ {
+				if len(out[i]) != 2 {
+					t.Fatalf("GOMAXPROCS %d: vector %d = %v", procs, i, out[i])
+				}
+				kept[i] = append([]float64(nil), out[i]...)
+			}
+			close(release)
+			written := <-late
+			// The late vector is the abandoned leader's cut: the first
+			// of the slab, right before the second leader's.
+			if len(written) != 2 || unsafe.Add(unsafe.Pointer(unsafe.SliceData(written)), 16) != unsafe.Pointer(unsafe.SliceData(out[1])) {
+				t.Fatalf("GOMAXPROCS %d: the abandoned evaluation wrote %v outside its cut", procs, written)
+			}
+			if objs, ok := m.Lookup(batch[0]); !ok || objs != nil {
+				t.Fatalf("GOMAXPROCS %d: cache holds %v, %v for the abandoned configuration, want a recorded nil", procs, objs, ok)
+			}
+			for i := 1; i < len(out); i++ {
+				cached, _ := m.Lookup(batch[i])
+				if !reflect.DeepEqual(out[i], kept[i]) || !reflect.DeepEqual(cached, kept[i]) {
+					t.Fatalf("GOMAXPROCS %d: vector %d is %v (cached %v) after the late write, want %v", procs, i, out[i], cached, kept[i])
+				}
+			}
+		}()
 	}
 }
 
