@@ -112,9 +112,6 @@ type (
 	RuntimeEvent = rts.Event
 	// RuntimeEventType classifies RuntimeEvents.
 	RuntimeEventType = rts.EventType
-	// Parameterized is the single-body alternative to multi-versioning
-	// (runtime tile/thread parameters instead of specialized code).
-	Parameterized = multiversion.Parameterized
 	// TuningDB is the persistent tuning database: a durable store of
 	// evaluation results and Pareto fronts keyed by (program, machine,
 	// objectives, search space). Open one with OpenDB and pass it to
@@ -134,27 +131,10 @@ type (
 // when done.
 func OpenDB(dir string) (*TuningDB, error) { return tunedb.Open(dir) }
 
-// OnlineTuner refines a parameterized region at run time by randomized
-// hill climbing seeded from a compile-time configuration.
-type OnlineTuner = rts.OnlineTuner
-
-// NewOnlineTuner builds an online tuner over a parameterized region
-// with per-parameter inclusive bounds (layout [tiles..., threads]),
-// seeded from the metadata table at seedIdx.
-func NewOnlineTuner(region *Parameterized, lo, hi []int64, seedIdx int, seed int64) (*OnlineTuner, error) {
-	return rts.NewOnlineTuner(region, lo, hi, seedIdx, seed)
-}
-
 // InvokeTimed runs one invocation through the runtime and feeds the
 // measured wall time back into the adaptive policy.
 func InvokeTimed(rt *Runtime, a *AdaptivePolicy) (int, float64, error) {
 	return rts.InvokeTimed(rt, a)
-}
-
-// ParameterizedFromUnit derives a parameterized region from a
-// multi-versioned unit (see the §IV trade-off discussion).
-func ParameterizedFromUnit(u *Unit, entry multiversion.ParamEntry) (*Parameterized, error) {
-	return multiversion.FromUnit(u, entry)
 }
 
 // Method names a search strategy.
@@ -738,14 +718,6 @@ var (
 	// ErrInjected marks errors produced by a FaultInjector.
 	ErrInjected = rts.ErrInjected
 )
-
-// RuntimeManager arbitrates a machine-wide core budget among several
-// multi-versioned regions.
-type RuntimeManager = rts.Manager
-
-// NewRuntimeManager builds a manager for a machine with the given core
-// count; register per-region runtimes with Manager.Register.
-func NewRuntimeManager(totalCores int) (*RuntimeManager, error) { return rts.NewManager(totalCores) }
 
 // DecodeUnit deserializes a unit produced by Unit.Encode. Entries are
 // unbound; attach them with Unit.Bind.

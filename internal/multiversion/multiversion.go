@@ -87,15 +87,6 @@ func (u *Unit) Validate() error {
 	return nil
 }
 
-// Metas returns the version table's meta rows.
-func (u *Unit) Metas() []Meta {
-	out := make([]Meta, len(u.Versions))
-	for i, v := range u.Versions {
-		out[i] = v.Meta
-	}
-	return out
-}
-
 // MarshalJSON-friendly encode/decode helpers.
 
 // Encode serializes the unit (without entry closures).

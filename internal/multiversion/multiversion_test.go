@@ -176,11 +176,3 @@ func TestBind(t *testing.T) {
 		t.Fatal("binder error swallowed")
 	}
 }
-
-func TestMetas(t *testing.T) {
-	u := sampleUnit()
-	ms := u.Metas()
-	if len(ms) != 3 || ms[1].Threads != 10 {
-		t.Fatalf("metas = %v", ms)
-	}
-}

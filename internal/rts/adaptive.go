@@ -23,9 +23,6 @@ import (
 type Adaptive struct {
 	// Epsilon is the exploration probability (default 0.1).
 	Epsilon float64
-	// TimeObjective is the index of the time objective in the
-	// metadata (default 0).
-	TimeObjective int
 	// Window is how many recent measurements per version are kept
 	// (default 8).
 	Window int
@@ -84,14 +81,14 @@ func (a *Adaptive) Rank(u *multiversion.Unit, ctx Context) ([]int, error) {
 }
 
 // score returns the measured median time when available, falling back
-// to the static metadata.
+// to the static metadata's objective 0, the time objective of every
+// unit Tune emits.
 func (a *Adaptive) score(u *multiversion.Unit, idx int) float64 {
 	if ms := a.meas[idx]; len(ms) > 0 {
 		return stats.MustMedian(ms)
 	}
-	objs := u.Versions[idx].Meta.Objectives
-	if a.TimeObjective < len(objs) {
-		return objs[a.TimeObjective]
+	if objs := u.Versions[idx].Meta.Objectives; len(objs) > 0 {
+		return objs[0]
 	}
 	return math.Inf(1)
 }

@@ -2,6 +2,7 @@ package rts
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -329,42 +330,36 @@ func TestConcurrentInvokeWithInjectedFaults(t *testing.T) {
 	}
 }
 
-func TestManagerFallbackAndFailureStats(t *testing.T) {
-	u, _ := flakyUnit(t, map[int]error{2: errBoom})
+// TestFallbackStatsAcrossQuarantine: a first-ranked version that always
+// fails is tried until the breaker quarantines it, and every invocation
+// completes by falling back to the next-ranked version.
+func TestFallbackStatsAcrossQuarantine(t *testing.T) {
+	u, attempts := flakyUnit(t, map[int]error{2: errBoom})
 	rt, _ := New(u, WeightedSum{Weights: []float64{1, 0}})
 	rt.SetHealthConfig(HealthConfig{FailureThreshold: 2, Cooldown: 1000})
-	m, _ := NewManager(40)
-	if err := m.Register(rt); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 3; i++ {
-		idx, err := m.Invoke("mm#0")
+		idx, err := rt.Invoke()
 		if err != nil {
-			t.Fatalf("manager invoke %d: %v", i, err)
+			t.Fatalf("invoke %d: %v", i, err)
 		}
 		if idx != 1 {
-			t.Fatalf("manager fallback selected %d, want 1", idx)
+			t.Fatalf("fallback selected %d, want 1", idx)
 		}
 	}
-	st := m.Stats()["mm#0"]
+	st := rt.Stats()
 	if st.Invocations != 3 || st.PerVersion[1] != 3 {
-		t.Fatalf("manager stats = %+v", st)
+		t.Fatalf("stats = %+v", st)
 	}
 	// The first two invocations attempt the broken version; the
 	// breaker then quarantines it, so the third never tries it.
 	if st.Failures != 2 || st.Fallbacks != 3 || st.Quarantines != 1 {
-		t.Fatalf("manager failure stats = %+v", st)
+		t.Fatalf("failure stats = %+v", st)
 	}
-	if m.CoresInUse() != 0 {
-		t.Fatalf("cores leaked after failures: %d", m.CoresInUse())
-	}
-	// Runtime-local stats are untouched by manager invocations;
-	// health state is shared.
-	if rt.Stats().Invocations != 0 {
-		t.Fatal("manager invocations leaked into runtime stats")
+	if got := *attempts; !slices.Equal(got, []int{2, 1, 2, 1, 1}) {
+		t.Fatalf("attempt order = %v, want [2 1 2 1 1]", got)
 	}
 	if h := rt.Health()[2]; !h.Quarantined {
-		t.Fatalf("health not shared with manager path: %+v", h)
+		t.Fatalf("broken version not quarantined: %+v", h)
 	}
 }
 
@@ -434,27 +429,5 @@ func TestAdaptiveRank(t *testing.T) {
 	if _, err := a.Rank(&multiversion.Unit{Region: "r", ObjectiveNames: []string{"t"},
 		Versions: u.Versions[2:]}, Context{AvailableCores: 4}); err == nil {
 		t.Error("no feasible version should error")
-	}
-}
-
-func TestOnlineTunerCountsFailures(t *testing.T) {
-	p := paramRegion(t)
-	o, _ := NewOnlineTuner(p, []int64{1, 1, 1}, []int64{1024, 1024, 40}, 0, 2)
-	calls := 0
-	o.Measure = func(tiles []int64, threads int) (float64, error) {
-		calls++
-		if calls <= 2 {
-			return 0, errSentinel // even the seed measurement may fail
-		}
-		return 1.0, nil
-	}
-	if _, err := o.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if o.Failures() != 2 {
-		t.Fatalf("failures = %d, want 2", o.Failures())
-	}
-	if _, _, best := o.Best(); best != 1.0 {
-		t.Fatalf("seed eventually measured: %v", best)
 	}
 }

@@ -260,66 +260,16 @@ func pinTraces(t *testing.T, units []pinUnit) map[string]tracePin {
 	return out
 }
 
-// managerPin is what one Manager over two regions leaves visible.
-type managerPin struct {
-	// Regions holds per region the manager's stats and the runtime's
-	// health and events.
-	Regions map[string]tracePin `json:"regions"`
-	// RuntimeStats are the runtimes' own stats, which manager
-	// invocations do not touch.
-	RuntimeStats map[string]InvocationStats `json:"runtime_stats"`
-	CoresInUse   int                        `json:"cores_in_use"`
-}
-
-// pinManager alternates 120 faulty invocations between two regions of
-// a 12-core manager: the three-version table under a weighted sum and
-// dsyrk's Barcelona unit, whose widest versions need 16 cores, under a
-// budget.
-func pinManager(t *testing.T, units []pinUnit) managerPin {
-	m, err := NewManager(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsyrk := units[9].u
-	names := []string{"a", "b"}
-	events := map[string]*[]string{"a": {}, "b": {}}
-	executed := map[string]*strings.Builder{"a": {}, "b": {}}
-	rts := map[string]*Runtime{
-		"a": faulty(t, bound(units[0].u, "a"), WeightedSum{Weights: []float64{1, 0}}, 13, events["a"]),
-		"b": faulty(t, bound(dsyrk, "b"), FastestWithinBudget{Optimize: 0, Constrain: 1, Budget: budgets(dsyrk, 1)[2]}, 17, events["b"]),
-	}
-	for _, name := range names {
-		if err := m.Register(rts[name]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 120; i++ {
-		name := names[i%2]
-		idx, err := m.Invoke(name)
-		step(executed[name], idx, err)
-	}
-	pin := managerPin{Regions: map[string]tracePin{}, RuntimeStats: map[string]InvocationStats{}, CoresInUse: m.CoresInUse()}
-	stats := m.Stats()
-	for _, name := range names {
-		rt := rts[name]
-		pin.Regions[name] = tracePin{Executed: executed[name].String(), Stats: stats[name], Health: rt.Health(), Events: *events[name]}
-		pin.RuntimeStats[name] = rt.Stats()
-	}
-	return pin
-}
-
 // policyPin is the content of testdata/policies.json.
 type policyPin struct {
 	Rankings map[string]string   `json:"rankings"`
 	Traces   map[string]tracePin `json:"traces"`
-	Manager  managerPin          `json:"manager"`
 }
 
 // TestPolicyChoicesPinned holds what the runtime chooses — the ranking
 // of every built-in policy over hand-built and tuned units, weight
-// grids, budgets and core budgets, the Invoke trace of each policy
-// under seeded faults, and one Manager over two regions —
-// byte-identical to testdata/policies.json, at GOMAXPROCS 1 and 4.
+// grids, budgets and core budgets, and the Invoke trace of each policy
+// under seeded faults — byte-identical to testdata/policies.json, at GOMAXPROCS 1 and 4.
 // -update regenerates it.
 func TestPolicyChoicesPinned(t *testing.T) {
 	const path = "testdata/policies.json"
@@ -330,7 +280,6 @@ func TestPolicyChoicesPinned(t *testing.T) {
 			data, err := json.MarshalIndent(policyPin{
 				Rankings: pinRankings(units),
 				Traces:   pinTraces(t, units),
-				Manager:  pinManager(t, units),
 			}, "", "  ")
 			if err != nil {
 				t.Fatal(err)

@@ -184,9 +184,6 @@ func TestStatsAccumulate(t *testing.T) {
 	if rt.Stats().PerVersion[1] != 3 {
 		t.Fatal("Stats leaked internal map")
 	}
-	if rt.Unit() != u {
-		t.Fatal("Unit accessor wrong")
-	}
 }
 
 func TestInvokeEntryFailurePropagates(t *testing.T) {

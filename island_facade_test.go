@@ -79,42 +79,6 @@ func TestBruteForceGridFacade(t *testing.T) {
 	}
 }
 
-// TestOnlineTunerFacade covers the parameterized-region path: derive a
-// single-body region from a tuned unit and refine it online.
-func TestOnlineTunerFacade(t *testing.T) {
-	res, err := Tune("mm",
-		WithSeed(11),
-		WithOptimizerOptions(OptimizerOptions{PopSize: 8, MaxIterations: 5, Seed: 11}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	region, err := ParameterizedFromUnit(res.Unit, func(tiles []int64, threads int) error {
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dims := len(res.Unit.Versions[0].Meta.Tiles)
-	lo := make([]int64, dims+1)
-	hi := make([]int64, dims+1)
-	for i := range lo {
-		lo[i], hi[i] = 1, 64
-	}
-	hi[dims] = 16
-	tuner, err := NewOnlineTuner(region, lo, hi, 0, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tuner.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	tiles, threads, _ := tuner.Best()
-	if len(tiles) != dims || threads < 1 {
-		t.Fatalf("online tuner returned malformed best config: tiles=%v threads=%d", tiles, threads)
-	}
-}
-
 func TestRandomSearchWithNoiseFacade(t *testing.T) {
 	res, err := Tune("mm",
 		WithMethod(RandomSearch),
@@ -127,18 +91,5 @@ func TestRandomSearchWithNoiseFacade(t *testing.T) {
 	}
 	if len(res.Front) == 0 || res.Evaluations == 0 {
 		t.Fatal("random search with noise found nothing")
-	}
-}
-
-func TestNewRuntimeManagerFacade(t *testing.T) {
-	mgr, err := NewRuntimeManager(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mgr == nil {
-		t.Fatal("nil manager")
-	}
-	if _, err := NewRuntimeManager(0); err == nil {
-		t.Fatal("zero-core manager accepted")
 	}
 }
