@@ -92,6 +92,12 @@ func main() {
 	if err == nil && *deadline < 0 {
 		err = fmt.Errorf("-deadline %s must not be negative", *deadline)
 	}
+	if err == nil && *faultDemo < 0 {
+		err = fmt.Errorf("-fault-demo %d must not be negative", *faultDemo)
+	}
+	if err == nil && !(*faultRate >= 0 && *faultRate <= 1) {
+		err = fmt.Errorf("-fault-rate %g must be within [0, 1]", *faultRate)
+	}
 	if err == nil && racing {
 		// Any race flag selects the race (WithRace below); the method
 		// named beside it must still be a known one.

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -156,32 +158,90 @@ func TestBadRaceRefusedBeforeTheDatabaseOpens(t *testing.T) {
 }
 
 // TestNegativeFlagsRefusedBeforeTheDatabaseOpens: a negative -n,
-// -islands, -migrate, -eval-timeout or -deadline used to be read as the
-// default (or, for -migrate, refused only after -db was created). Each
-// now exits 2 with one "autotune:" prefix, naming what is negative, and
-// creates no -db directory.
+// -islands, -migrate, -eval-timeout, -deadline or -fault-demo used to
+// be read as the default (or, for -migrate, refused only after -db was
+// created). Each now exits 2 with one "autotune:" prefix, naming what is
+// negative, and creates no -db directory.
 func TestNegativeFlagsRefusedBeforeTheDatabaseOpens(t *testing.T) {
-	for name, flags := range map[string][]string{
-		"n":            {"-n", "-64"},
-		"islands":      {"-islands", "-2"},
-		"migrate":      {"-islands", "4", "-migrate", "-3"},
-		"eval-timeout": {"-eval-timeout", "-1s"},
-		"deadline":     {"-deadline", "-5s"},
+	for _, tc := range []struct {
+		name  string
+		flags []string
+		says  string
+	}{
+		{"n", []string{"-n", "-64"}, "N -64 must not be negative"},
+		{"islands", []string{"-islands", "-2"}, "Islands -2 must not be negative"},
+		{"migrate", []string{"-islands", "4", "-migrate", "-3"}, "MigrationInterval -3 must not be negative"},
+		{"eval-timeout", []string{"-eval-timeout", "-1s"}, "EvalTimeout -1s must not be negative"},
+		{"deadline", []string{"-deadline", "-5s"}, "-deadline -5s must not be negative"},
+		{"fault-demo", []string{"-fault-demo", "-5"}, "-fault-demo -5 must not be negative"},
 	} {
-		t.Run(name, func(t *testing.T) {
-			db := filepath.Join(t.TempDir(), "db")
-			stdout, stderr, err := autotuneCmd(t, append([]string{"-kernel", "mm", "-db", db}, flags...)...)
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 2 || stdout != "" {
-				t.Errorf("err %v, printed %q; want exit 2 and nothing printed", err, stdout)
-			}
-			if strings.Count(stderr, "autotune:") != 1 || !strings.Contains(stderr, "must not be negative") {
-				t.Errorf("error output %q does not carry exactly one prefix and say what is negative", stderr)
-			}
-			if _, err := os.Stat(db); !os.IsNotExist(err) {
-				t.Errorf("the refused run created %s (%v)", db, err)
-			}
+		t.Run(tc.name, func(t *testing.T) {
+			refusedBeforeTheDatabaseOpens(t, tc.flags, tc.says)
 		})
+	}
+}
+
+// TestFaultRateOutsideUnitRefused: -fault-rate is a probability. A rate
+// above 1 used to run as 1 and print it times 100 as the error rate; a
+// negative one ran as 0. Each, and NaN, now exits 2 naming the range.
+func TestFaultRateOutsideUnitRefused(t *testing.T) {
+	for _, rate := range []string{"30", "1.5", "-0.1", "NaN"} {
+		t.Run(rate, func(t *testing.T) {
+			refusedBeforeTheDatabaseOpens(t, []string{"-fault-demo", "10", "-fault-rate", rate}, "-fault-rate "+rate+" must be within [0, 1]")
+		})
+	}
+}
+
+// refusedBeforeTheDatabaseOpens runs mm with a -db directory and flags,
+// and checks that the run exits 2 printing nothing, with one
+// "autotune:" prefix and an error that says says, and creates no -db
+// directory.
+func refusedBeforeTheDatabaseOpens(t *testing.T, flags []string, says string) {
+	t.Helper()
+	db := filepath.Join(t.TempDir(), "db")
+	stdout, stderr, err := autotuneCmd(t, append([]string{"-kernel", "mm", "-db", db}, flags...)...)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || stdout != "" {
+		t.Errorf("err %v, printed %q; want exit 2 and nothing printed", err, stdout)
+	}
+	if strings.Count(stderr, "autotune:") != 1 || !strings.Contains(stderr, says) {
+		t.Errorf("error output %q does not carry exactly one prefix and say %q", stderr, says)
+	}
+	if _, err := os.Stat(db); !os.IsNotExist(err) {
+		t.Errorf("the refused run created %s (%v)", db, err)
+	}
+}
+
+// TestFaultDemoAbsorbsEveryFailure: -fault-demo drives the runtime over
+// the tuned unit with faults injected into its fastest version. With two
+// or more versions to fall back to, no invocation reaches the caller as
+// an error, and the summary shows the failures the runtime absorbed and
+// the fallbacks that absorbed them.
+func TestFaultDemoAbsorbsEveryFailure(t *testing.T) {
+	unitFile := filepath.Join(t.TempDir(), "unit.json")
+	stdout, stderr, err := autotuneCmd(t, "-kernel", "mm", "-n", "64", "-fault-demo", "200", "-o", unitFile)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stderr)
+	}
+	data, err := os.ReadFile(unitFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unit struct{ Versions []json.RawMessage }
+	if err := json.Unmarshal(data, &unit); err != nil {
+		t.Fatal(err)
+	}
+	if len(unit.Versions) < 2 {
+		t.Fatalf("the tuned unit has %d versions, the demo needs two to fall back", len(unit.Versions))
+	}
+	var callerErrors, failures, fallbacks, quarantines, readmissions int
+	_, line, _ := strings.Cut(stdout, "caller errors ")
+	if _, err := fmt.Sscanf("caller errors "+line, "caller errors %d | failures absorbed %d | fallbacks %d | quarantines %d | readmissions %d",
+		&callerErrors, &failures, &fallbacks, &quarantines, &readmissions); err != nil {
+		t.Fatalf("no fault demo summary line (%v) in:\n%s", err, stdout)
+	}
+	if callerErrors != 0 || failures == 0 || fallbacks == 0 {
+		t.Fatalf("caller errors %d, failures absorbed %d, fallbacks %d; want 0 and more than 0 of the others", callerErrors, failures, fallbacks)
 	}
 }
 
