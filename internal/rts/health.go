@@ -3,7 +3,7 @@ package rts
 // Per-version health tracking: a consecutive-failure circuit breaker
 // that quarantines flaky versions for a cool-down measured in runtime
 // invocations, then re-admits them through a single probe attempt.
-// Quarantined versions are skipped by the fallback engine, so a
+// Quarantined versions are skipped by Invoke's fallback loop, so a
 // persistently broken version stops being tried on every invocation
 // while the remaining Pareto versions keep serving.
 
