@@ -6,15 +6,20 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"autotune/internal/chaos"
 	"autotune/internal/driver"
 	"autotune/internal/export"
 	"autotune/internal/machine"
@@ -336,6 +341,112 @@ func TestServeLifecycle(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("Serve never returned after drain")
+	}
+}
+
+// slowRenameFS is the real filesystem with every rename and truncate
+// slowed down, so that closing the database — which flushes memtables
+// into segments and truncates WALs — takes long enough for anything
+// that returns before it ends to be seen returning early.
+type slowRenameFS struct{ chaos.OS }
+
+func (fs slowRenameFS) Rename(oldpath, newpath string) error {
+	time.Sleep(50 * time.Millisecond)
+	return fs.OS.Rename(oldpath, newpath)
+}
+
+func (fs slowRenameFS) Truncate(name string, size int64) error {
+	time.Sleep(50 * time.Millisecond)
+	return fs.OS.Truncate(name, size)
+}
+
+// snapshotDir reads every file under dir into a map from relative path
+// to contents.
+func snapshotDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		out[rel] = string(data)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestServeReturnsOnlyOnceTheStateIsPersisted: however the drain
+// starts — POST /v1/drain, the context Serve was given (SIGTERM in
+// cmd/tuned), or both — Serve returns only after the database is
+// closed, so the state directory does not change once it has returned.
+// An API drain runs Drain in the handler's goroutine and Serve calls it
+// a second time; the second call must wait for the first one's close.
+func TestServeReturnsOnlyOnceTheStateIsPersisted(t *testing.T) {
+	for _, via := range []string{"api", "context", "both"} {
+		t.Run(via, func(t *testing.T) {
+			dir := t.TempDir()
+			o, err := NewOrchestrator(Config{StateDir: dir, DBFS: slowRenameFS{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			serveErr := make(chan error, 1)
+			go func() { serveErr <- New(o).Serve(ctx, l) }()
+			c := &Client{BaseURL: "http://" + l.Addr().String()}
+			st, err := c.Submit(ctx, smallJob(71))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Wait(ctx, st.ID, 20*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if via != "context" {
+				if err := c.Drain(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if via != "api" {
+				cancel()
+			}
+			select {
+			case err := <-serveErr:
+				if err != nil && !errors.Is(err, http.ErrServerClosed) {
+					t.Fatalf("serve: %v", err)
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatal("Serve never returned after the drain")
+			}
+			returned := snapshotDir(t, dir)
+			time.Sleep(500 * time.Millisecond)
+			if later := snapshotDir(t, dir); !reflect.DeepEqual(later, returned) {
+				var changed []string
+				for name, data := range later {
+					if returned[name] != data {
+						changed = append(changed, name)
+					}
+				}
+				for name := range returned {
+					if _, ok := later[name]; !ok {
+						changed = append(changed, name+" (removed)")
+					}
+				}
+				sort.Strings(changed)
+				t.Fatalf("the state directory changed after Serve returned: %v", changed)
+			}
+		})
 	}
 }
 
