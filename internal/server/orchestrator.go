@@ -123,9 +123,10 @@ type Orchestrator struct {
 	start    time.Time
 
 	// drainStarted is closed once, when a drain begins: it stops the
-	// recovery prober and Serve.
-	drainStarted chan struct{}
-	proberWg     sync.WaitGroup
+	// recovery prober and Serve. drained is closed once the database
+	// is closed; every Drain call but the first waits on it.
+	drainStarted, drained chan struct{}
+	proberWg              sync.WaitGroup
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -176,6 +177,7 @@ func NewOrchestrator(cfg Config) (*Orchestrator, error) {
 		spillDir:     spillDir,
 		start:        time.Now(),
 		drainStarted: make(chan struct{}),
+		drained:      make(chan struct{}),
 		jobs:         map[string]*job{},
 		byDedup:      map[string]*job{},
 		running:      map[string]int{},
@@ -607,15 +609,15 @@ func (o *Orchestrator) tune(ctx context.Context, j *job) (*driver.Output, error)
 
 // Drain stops the orchestrator gracefully: no new submissions, every
 // running search is cancelled (checkpointing at its last completed
-// generation), queued jobs stay persisted, and the call returns once
-// all workers have stopped. A degraded database is probed once more, so
-// that the records it refused are written if the fault has cleared, and
-// closed.
+// generation) and queued jobs stay persisted. A degraded database is
+// probed once more, so that the records it refused are written if the
+// fault has cleared, and closed. Every call, the first and any other,
+// returns only once the database is closed.
 func (o *Orchestrator) Drain() {
 	o.mu.Lock()
 	if o.draining {
 		o.mu.Unlock()
-		o.wg.Wait()
+		<-o.drained
 		return
 	}
 	o.draining = true
@@ -631,6 +633,7 @@ func (o *Orchestrator) Drain() {
 	o.wg.Wait()
 	o.probe()
 	o.db.Close()
+	close(o.drained)
 }
 
 // Draining reports whether a drain is in progress or finished.

@@ -268,7 +268,7 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	case <-ctx.Done():
 	case <-s.orch.drainStarted:
 	}
-	s.orch.Drain() // idempotent; waits for checkpointing workers
+	s.orch.Drain() // idempotent; returns once the database is closed
 	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	return hs.Shutdown(sctx)
