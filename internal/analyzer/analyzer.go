@@ -121,12 +121,13 @@ func Analyze(p *ir.Program, opt Options) ([]Region, error) {
 // the paper's backend step of "outlining the selected regions into
 // functions" before multi-versioning. The transformations in
 // internal/transform target a program's first top-level nest, so
-// multi-region programs must outline before instantiating.
+// multi-region programs must outline before instantiating. The result
+// is a new program header over p's own nodes and arrays: a MiniIR
+// program is never written once built, so nothing is copied.
 func (r *Region) Outline(p *ir.Program) *ir.Program {
-	out := p.Clone()
-	if r.RootIndex >= 0 && r.RootIndex < len(out.Root) {
-		out.Root = []ir.Node{out.Root[r.RootIndex]}
+	out := &ir.Program{Name: fmt.Sprintf("%s.region%d", p.Name, r.ID), Arrays: p.Arrays, Root: p.Root}
+	if r.RootIndex >= 0 && r.RootIndex < len(p.Root) {
+		out.Root = []ir.Node{p.Root[r.RootIndex]}
 	}
-	out.Name = fmt.Sprintf("%s.region%d", p.Name, r.ID)
 	return out
 }

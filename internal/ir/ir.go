@@ -9,6 +9,14 @@
 // the transform package rewrites MiniIR into tiled/collapsed/unrolled
 // variants. MiniIR programs can also be lowered to memory-address
 // traces for cache simulation (internal/validate).
+//
+// A program is immutable once built: no node, bound, array or
+// coefficient map is written after construction, so programs share
+// them freely. A transformation copies only what it rewrites — the
+// program header, its Root slice and the loops of the perfect nest it
+// restructures (internal/transform) — and an outlined region is a new
+// header over the same nodes. Clone is for the rare caller that must
+// own a mutable copy.
 package ir
 
 import (
@@ -116,10 +124,6 @@ func (a *Affine) normalize() {
 		}
 	}
 }
-
-// Copy returns a deep copy of the expression (its coefficient map is
-// not shared with the original).
-func (a Affine) Copy() Affine { return a.clone() }
 
 func (a Affine) clone() Affine {
 	if len(a.Coeffs) == 0 {
