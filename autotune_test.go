@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -242,6 +243,56 @@ func (e *customEval) Evaluations() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.seen)
+}
+
+// nanEval minimizes f1 = x² + y², f2 = (63-x)² + (63-y)² over a 64×64
+// space, except that at (63, 63), the configuration with the best f2,
+// it reports a NaN f1, as an evaluator computing 0/0 there would.
+type nanEval struct {
+	seen map[string]bool
+}
+
+func (e *nanEval) Evaluate(cfgs []Config) [][]float64 {
+	out := make([][]float64, len(cfgs))
+	for i, c := range cfgs {
+		e.seen[c.Key()] = true
+		x, y := float64(c[0]), float64(c[1])
+		out[i] = []float64{x*x + y*y, (63-x)*(63-x) + (63-y)*(63-y)}
+		if c[0] == 63 && c[1] == 63 {
+			out[i][0] = math.NaN()
+		}
+	}
+	return out
+}
+
+func (e *nanEval) ObjectiveNames() []string { return []string{"f1", "f2"} }
+
+func (e *nanEval) Evaluations() int { return len(e.seen) }
+
+// TestOptimizeNaNObjectiveStaysOffTheFront: a NaN compares false both
+// ways, so a NaN vector in the archive would weakly dominate every later
+// point no worse in its other components — here every point, since the
+// NaN lands on the best f2 — and the search would end on a 1-point front
+// holding it. A vector with a NaN component never enters the front.
+func TestOptimizeNaNObjectiveStaysOffTheFront(t *testing.T) {
+	space := Space{Params: []Param{
+		{Name: "x", Min: 0, Max: 63},
+		{Name: "y", Min: 0, Max: 63},
+	}}
+	res, err := Optimize(space, &nanEval{seen: map[string]bool{}}, OptimizerOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range res.Front {
+		for _, o := range p.Objectives {
+			if math.IsNaN(o) {
+				t.Fatalf("front holds the NaN point %v %v", p.Payload, p.Objectives)
+			}
+		}
+	}
+	if len(res.Front) <= 1 {
+		t.Fatalf("front has %d points after %d evaluations, want more than one", len(res.Front), res.Evaluations)
+	}
 }
 
 func TestTuneWithUnrollDimension(t *testing.T) {

@@ -31,7 +31,8 @@ import (
 type Evaluator interface {
 	// Evaluate returns one objective vector per configuration, in
 	// order. A nil vector marks a failed evaluation (invalid
-	// configuration).
+	// configuration). A vector with a NaN component never enters the
+	// front.
 	Evaluate(cfgs []skeleton.Config) [][]float64
 	// ObjectiveNames returns the objective labels, e.g.
 	// ["time", "resources"].
