@@ -56,9 +56,7 @@ func newMOTPEIsland(space skeleton.Space, eval objective.Evaluator, opt Options,
 	objs := eval.Evaluate(cfgs)
 	for i := range cfgs {
 		m.obs = append(m.obs, individual{cfg: cfgs[i], objs: objs[i]})
-		if objs[i] != nil {
-			m.archive.Add(pareto.Point{Payload: cfgs[i], Objectives: objs[i]})
-		}
+		offer(m.archive, cfgs[i], objs[i])
 	}
 	return m
 }
@@ -217,8 +215,7 @@ func (m *motpeIsland) step() {
 	improved := false
 	for i := range cands {
 		m.obs = append(m.obs, individual{cfg: cands[i], objs: objs[i]})
-		if objs[i] != nil &&
-			m.archive.Add(pareto.Point{Payload: cands[i], Objectives: objs[i]}) {
+		if offer(m.archive, cands[i], objs[i]) {
 			improved = true
 		}
 	}

@@ -62,9 +62,7 @@ func newNSGA2Island(space skeleton.Space, eval objective.Evaluator, opt Options,
 	objs := eval.Evaluate(cfgs)
 	for i := range n.pop {
 		n.pop[i] = individual{cfg: cfgs[i], objs: objs[i]}
-		if objs[i] != nil {
-			n.archive.Add(pareto.Point{Payload: cfgs[i], Objectives: objs[i]})
-		}
+		offer(n.archive, cfgs[i], objs[i])
 	}
 	return n
 }
@@ -130,8 +128,7 @@ func (n *nsga2Island) step() {
 	combined := append(ar.cand[:0], pop...)
 	for i := range children {
 		combined = append(combined, individual{cfg: children[i], objs: childObjs[i]})
-		if childObjs[i] != nil &&
-			n.archive.Add(pareto.Point{Payload: children[i], Objectives: childObjs[i]}) {
+		if offer(n.archive, children[i], childObjs[i]) {
 			improved = true
 		}
 	}

@@ -155,9 +155,7 @@ func newGDEIsland(space skeleton.Space, eval objective.Evaluator, opt Options, r
 	objs := eval.Evaluate(cfgs)
 	for i := range g.pop {
 		g.pop[i] = individual{cfg: cfgs[i], objs: objs[i]}
-		if objs[i] != nil {
-			g.archive.Add(pareto.Point{Payload: cfgs[i], Objectives: objs[i]})
-		}
+		offer(g.archive, cfgs[i], objs[i])
 	}
 	return g
 }
@@ -199,6 +197,14 @@ func seededPopulation(space skeleton.Space, seeds []skeleton.Config, popSize int
 		}
 	}
 	return cfgs
+}
+
+// offer hands an evaluated configuration to the archive and reports
+// whether the archive kept it. Admission is decided on the objective
+// vector first, so the configuration is boxed into a Point payload only
+// when kept; a failed evaluation (nil objs) is never offered.
+func offer(a *pareto.Archive, cfg skeleton.Config, objs []float64) bool {
+	return objs != nil && a.Admits(objs) && a.Add(pareto.Point{Payload: cfg, Objectives: objs})
 }
 
 // done reports whether the stagnation stopping rule has fired.
@@ -247,10 +253,7 @@ func (g *gdeIsland) propose() []skeleton.Config {
 func (g *gdeIsland) absorb(trials []skeleton.Config, trialObjs [][]float64) {
 	improved := false
 	for i := range trials {
-		if trialObjs[i] == nil {
-			continue
-		}
-		if g.archive.Add(pareto.Point{Payload: trials[i], Objectives: trialObjs[i]}) {
+		if offer(g.archive, trials[i], trialObjs[i]) {
 			improved = true
 		}
 	}

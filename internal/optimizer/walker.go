@@ -36,14 +36,13 @@ func (w *walker) step() {
 	batch := w.cfgs[w.next:hi]
 	w.next = hi
 	for i, o := range w.eval.Evaluate(batch) {
-		if o == nil {
-			continue
-		}
-		p := pareto.Point{Payload: batch[i], Objectives: o}
-		if w.keepAll {
+		if !w.keepAll {
+			offer(w.archive, batch[i], o)
+		} else if o != nil {
+			p := pareto.Point{Payload: batch[i], Objectives: o}
 			w.all = append(w.all, p)
+			w.archive.Add(p)
 		}
-		w.archive.Add(p)
 	}
 }
 
