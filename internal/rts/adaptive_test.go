@@ -25,6 +25,23 @@ func TestAdaptiveExploitsStaticMetadataInitially(t *testing.T) {
 	}
 }
 
+// TestAdaptiveEpsilonZeroNeverExplores: ε is the exploration
+// probability as given, so at 0 the best-scoring feasible version heads
+// every ranking.
+func TestAdaptiveEpsilonZeroNeverExplores(t *testing.T) {
+	u, _ := boundUnit(t)
+	a := &Adaptive{Epsilon: 0, Seed: 1}
+	for i := 0; i < 1000; i++ {
+		idx, err := first(a.Rank(u, Context{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx != 2 {
+			t.Fatalf("call %d ranked version %d first, want the fastest, 2", i, idx)
+		}
+	}
+}
+
 func TestAdaptiveLearnsFromMeasurements(t *testing.T) {
 	u, _ := boundUnit(t)
 	a := &Adaptive{Epsilon: 0, Seed: 1}
