@@ -21,7 +21,8 @@ import (
 // Adaptive is stateful: construct one per runtime and share it only
 // with that runtime. It is safe for concurrent use.
 type Adaptive struct {
-	// Epsilon is the exploration probability (default 0.1).
+	// Epsilon is the exploration probability, as given: 0 never
+	// explores.
 	Epsilon float64
 	// Window is how many recent measurements per version are kept
 	// (default 8).
@@ -41,9 +42,6 @@ func (a *Adaptive) Name() string { return "adaptive" }
 
 func (a *Adaptive) init() {
 	a.once.Do(func() {
-		if a.Epsilon == 0 {
-			a.Epsilon = 0.1
-		}
 		if a.Window == 0 {
 			a.Window = 8
 		}

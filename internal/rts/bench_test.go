@@ -15,7 +15,7 @@ var dispatchPolicies = []struct {
 }{
 	{"Weighted", func() Policy { return WeightedSum{Weights: []float64{1, 0}} }, 2},
 	{"Constrained", func() Policy { return FastestWithinBudget{Optimize: 0, Constrain: 1, Budget: 1.3} }, 1},
-	{"Adaptive", func() Policy { return &Adaptive{Seed: 1} }, 2},
+	{"Adaptive", func() Policy { return &Adaptive{Epsilon: 0.1, Seed: 1} }, 2},
 	{"Fixed", func() Policy { return Fixed{Index: 1} }, 1},
 }
 

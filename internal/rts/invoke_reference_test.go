@@ -338,8 +338,8 @@ func FuzzInvokeMatchesReference(f *testing.F) {
 		case 1:
 			p = FastestWithinBudget{Optimize: c.opt, Constrain: c.con, Budget: c.budget}
 		case 2:
-			// A negative ε never explores.
-			a = &Adaptive{Epsilon: -1, Seed: 1}
+			// ε 0 never explores.
+			a = &Adaptive{Epsilon: 0, Seed: 1}
 			p = a
 		default:
 			p = Fixed{Index: c.fixed}

@@ -159,9 +159,8 @@ func FuzzPolicyRankMatchesReference(f *testing.F) {
 		if !ok {
 			return
 		}
-		// Epsilon 0 selects the default 0.1; a negative ε never
-		// explores, which is the ε 0 the reference models.
-		a := &Adaptive{Epsilon: -1, Seed: 1}
+		// ε 0 never explores, which is what the reference models.
+		a := &Adaptive{Epsilon: 0, Seed: 1}
 		for i, ms := range c.meas {
 			for _, x := range ms {
 				a.Observe(i, x)
@@ -301,7 +300,7 @@ func TestRankingsAreFeasibleSets(t *testing.T) {
 		policies := []Policy{
 			WeightedSum{Weights: randomWeights(rng, m)},
 			FastestWithinBudget{Optimize: rng.Intn(m), Constrain: rng.Intn(m), Budget: float64(rng.Intn(28)) / 4},
-			&Adaptive{Seed: int64(trial)},
+			&Adaptive{Epsilon: 0.1, Seed: int64(trial)},
 			explore,
 		}
 		for _, cores := range pinCores {
