@@ -284,7 +284,7 @@ func BenchmarkMOTPEStep(b *testing.B) {
 	opt := Options{Seed: 3, Stagnation: 1 << 30}.withDefaults()
 	fresh := func() *motpeIsland {
 		m := newMOTPEIsland(benchSpace(), newTableEvaluator(2), opt, opt.Seed)
-		for len(m.obs) < 1000 {
+		for len(m.pop) < 1000 {
 			m.step()
 		}
 		return m
@@ -293,7 +293,7 @@ func BenchmarkMOTPEStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(m.obs) > 1300 { // keep the history at the size being measured
+		if len(m.pop) > 1300 { // keep the history at the size being measured
 			b.StopTimer()
 			m = fresh()
 			b.StartTimer()

@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"autotune/internal/objective"
-	"autotune/internal/pareto"
 	"autotune/internal/skeleton"
 )
 
@@ -129,11 +128,15 @@ type Snapshot struct {
 	Evals []EvalState `json:"evals,omitempty"`
 }
 
-// fingerprintOf hashes an arbitrary sequence of search-defining values.
-func fingerprintOf(parts ...interface{}) string {
+// fingerprintOf hashes a sequence of search-defining values followed by
+// the keys of the warm-start seeds.
+func fingerprintOf(seeds []skeleton.Config, parts ...interface{}) string {
 	h := fnv.New64a()
 	for _, p := range parts {
 		fmt.Fprintf(h, "%v|", p)
+	}
+	for _, c := range seeds {
+		fmt.Fprintf(h, "%v|", c.Key())
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -149,31 +152,18 @@ func spaceKey(space skeleton.Space) string {
 
 // gdeFingerprint identifies an RS-GDE3/GDE3 search configuration.
 func gdeFingerprint(space skeleton.Space, opt Options, islands int, iopt IslandOptions) string {
-	parts := []interface{}{"gde", spaceKey(space), opt.PopSize, opt.CR, opt.F,
+	return fingerprintOf(opt.InitialPopulation, "gde", spaceKey(space), opt.PopSize, opt.CR, opt.F,
 		opt.Stagnation, opt.MaxIterations, opt.Seed, opt.DisableRoughSet,
-		islands, iopt.MigrationInterval, iopt.Migrants}
-	for _, c := range opt.InitialPopulation {
-		parts = append(parts, c.Key())
-	}
-	return fingerprintOf(parts...)
+		islands, iopt.MigrationInterval, iopt.Migrants)
 }
 
 // nsga2Fingerprint identifies an NSGA-II search configuration. It
 // hashes the rates beside the options, as it did when they were
 // options, so the checkpoints written then still resume.
 func nsga2Fingerprint(space skeleton.Space, opt Options, islands int, iopt IslandOptions) string {
-	parts := []interface{}{"nsga2", spaceKey(space), opt.PopSize, float64(nsga2CrossoverRate),
+	return fingerprintOf(opt.InitialPopulation, "nsga2", spaceKey(space), opt.PopSize, float64(nsga2CrossoverRate),
 		nsga2MutationRate(space), opt.Stagnation, opt.MaxIterations, opt.Seed,
-		islands, iopt.MigrationInterval, iopt.Migrants}
-	for _, c := range opt.InitialPopulation {
-		parts = append(parts, c.Key())
-	}
-	return fingerprintOf(parts...)
-}
-
-// restoreMember deserializes one individual.
-func restoreMember(m Member) individual {
-	return individual{cfg: skeleton.Config(append([]int64(nil), m.Config...)), objs: append([]float64(nil), m.Objs...)}
+		islands, iopt.MigrationInterval, iopt.Migrants)
 }
 
 // cut copies v onto the end of *slab, which the caller sized to hold
@@ -188,50 +178,6 @@ func cut[T int64 | float64](slab *[]T, v []T) []T {
 	n := len(*slab)
 	*slab = append(*slab, v...)
 	return (*slab)[n:len(*slab):len(*slab)]
-}
-
-// snapshotState serializes the shared island fields.
-func snapshotState(pop []individual, archive *pareto.Archive, stagnant int, draws uint64) IslandState {
-	st := IslandState{Stagnant: stagnant, Draws: draws}
-	points := archive.Points()
-	ni, nf := 0, 0
-	for _, ind := range pop {
-		ni, nf = ni+len(ind.cfg), nf+len(ind.objs)
-	}
-	for _, p := range points {
-		cfg, _ := p.Payload.(skeleton.Config)
-		ni, nf = ni+len(cfg), nf+len(p.Objectives)
-	}
-	ints, floats := make([]int64, 0, ni), make([]float64, 0, nf)
-	if len(pop) > 0 {
-		st.Pop = make([]Member, len(pop))
-		for i, ind := range pop {
-			st.Pop[i] = Member{Config: cut(&ints, ind.cfg), Objs: cut(&floats, ind.objs)}
-		}
-	}
-	if len(points) > 0 {
-		st.Archive = make([]Member, len(points))
-		for i, p := range points {
-			cfg, _ := p.Payload.(skeleton.Config)
-			st.Archive[i] = Member{Config: cut(&ints, cfg), Objs: cut(&floats, p.Objectives)}
-		}
-	}
-	return st
-}
-
-// restoreArchive rebuilds a Pareto archive from its serialized points.
-// The stored points are mutually non-dominated and in insertion order,
-// so re-adding them in order reproduces the archive's internal state
-// exactly — the front of a resumed run stays byte-identical.
-func restoreArchive(members []Member) *pareto.Archive {
-	a := pareto.NewArchive()
-	for _, m := range members {
-		a.Add(pareto.Point{
-			Payload:    skeleton.Config(append([]int64(nil), m.Config...)),
-			Objectives: append([]float64(nil), m.Objs...),
-		})
-	}
-	return a
 }
 
 // evalTrace buffers fresh evaluation results between snapshots.

@@ -87,8 +87,10 @@ func (o IslandOptions) validate() error {
 	return nil
 }
 
-// islandEvolver is the per-island surface the driver needs; gdeIsland
-// and nsga2Island both implement it.
+// islandEvolver is the per-island surface the driver needs. The
+// population strategies (gdeIsland, nsga2Island, motpeIsland) implement
+// it through their embedded population, the one-shot baselines through
+// walker.
 type islandEvolver interface {
 	// step evolves one generation (trials, shared evaluation, archive
 	// update, environmental selection).

@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"autotune/internal/objective"
-	"autotune/internal/pareto"
 	"autotune/internal/skeleton"
 	"autotune/internal/stats"
 )
@@ -25,18 +24,12 @@ import (
 const motpeCandidates = 8
 
 // motpeIsland is one self-contained MOTPE search instance, sharing the
-// islandEvolver stepping surface with the evolutionary strategies.
+// islandEvolver stepping surface with the evolutionary strategies. Its
+// members are every observation, in evaluation order.
 type motpeIsland struct {
-	space    skeleton.Space
-	eval     objective.Evaluator
-	opt      Options
-	rng      *stats.CountedRand
-	obs      []individual // every observation, in evaluation order
-	archive  *pareto.Archive
-	stagnant int
+	population
 
 	// Per-step working memory, reused across steps.
-	arena     arena
 	ok        []individual // the successful observations
 	good, bad parzen
 	draw      skeleton.Config // one l(x) draw before clipping
@@ -45,54 +38,16 @@ type motpeIsland struct {
 // newMOTPEIsland seeds and evaluates the initial observations. opt
 // must already carry defaults.
 func newMOTPEIsland(space skeleton.Space, eval objective.Evaluator, opt Options, seed int64) *motpeIsland {
-	m := &motpeIsland{
-		space:   space,
-		eval:    eval,
-		opt:     opt,
-		rng:     stats.NewCountedRand(seed),
-		archive: pareto.NewArchive(),
-	}
-	cfgs := seededPopulation(space, opt.InitialPopulation, opt.PopSize, m.rng.Rand)
-	objs := eval.Evaluate(cfgs)
-	for i := range cfgs {
-		m.obs = append(m.obs, individual{cfg: cfgs[i], objs: objs[i]})
-		offer(m.archive, cfgs[i], objs[i])
-	}
-	return m
-}
-
-// restoreMOTPEIsland rebuilds an instance from its checkpointed state:
-// observations, archive and stagnation come from the snapshot and the
-// RNG is fast-forwarded to the checkpointed draw count.
-func restoreMOTPEIsland(space skeleton.Space, eval objective.Evaluator, opt Options, seed int64, st IslandState) *motpeIsland {
-	m := &motpeIsland{
-		space:    space,
-		eval:     eval,
-		opt:      opt,
-		rng:      stats.NewCountedRand(seed),
-		archive:  restoreArchive(st.Archive),
-		stagnant: st.Stagnant,
-	}
-	m.rng.Skip(st.Draws)
-	m.obs = make([]individual, len(st.Pop))
-	for i, mem := range st.Pop {
-		m.obs[i] = restoreMember(mem)
-	}
+	m := &motpeIsland{population: population{space: space, eval: eval, opt: opt}}
+	m.seed(stats.NewCountedRand(seed))
 	return m
 }
 
 // motpeFingerprint identifies a MOTPE search configuration.
 func motpeFingerprint(space skeleton.Space, opt Options, islands int, iopt IslandOptions) string {
-	parts := []interface{}{"motpe", spaceKey(space), opt.PopSize, opt.Stagnation,
-		opt.MaxIterations, opt.Seed, islands, iopt.MigrationInterval, iopt.Migrants}
-	for _, c := range opt.InitialPopulation {
-		parts = append(parts, c.Key())
-	}
-	return fingerprintOf(parts...)
+	return fingerprintOf(opt.InitialPopulation, "motpe", spaceKey(space), opt.PopSize, opt.Stagnation,
+		opt.MaxIterations, opt.Seed, islands, iopt.MigrationInterval, iopt.Migrants)
 }
-
-// done reports whether the stagnation stopping rule has fired.
-func (m *motpeIsland) done() bool { return m.stagnant >= m.opt.Stagnation }
 
 // splitObservations partitions the successful observations into the
 // good set (best quartile, at least 2) and the bad set, using the same
@@ -100,7 +55,7 @@ func (m *motpeIsland) done() bool { return m.stagnant >= m.opt.Stagnation }
 // the island's working memory until the next call.
 func (m *motpeIsland) splitObservations() (good, bad []skeleton.Config) {
 	ok := m.ok[:0]
-	for _, o := range m.obs {
+	for _, o := range m.pop {
 		if o.objs != nil {
 			ok = append(ok, o)
 		}
@@ -214,39 +169,15 @@ func (m *motpeIsland) step() {
 	objs := m.eval.Evaluate(cands)
 	improved := false
 	for i := range cands {
-		m.obs = append(m.obs, individual{cfg: cands[i], objs: objs[i]})
-		if offer(m.archive, cands[i], objs[i]) {
-			improved = true
-		}
+		improved = m.add(cands[i], objs[i]) || improved
 	}
-	if improved {
-		m.stagnant = 0
-	} else {
-		m.stagnant++
-	}
+	m.settle(improved)
 }
 
-// elites clones the k best observations for migration.
-func (m *motpeIsland) elites(k int) []individual { return m.arena.selectElites(m.obs, k) }
-
-// inject records migrants as observations, steering the good set.
+// inject records migrants as observations, steering the good set. They
+// are the island's from here on: elites hands out clones.
 func (m *motpeIsland) inject(migrants []individual) {
 	for _, mig := range migrants {
-		m.obs = append(m.obs, individual{
-			cfg:  mig.cfg.Clone(),
-			objs: append([]float64(nil), mig.objs...),
-		})
-		if mig.objs != nil {
-			m.archive.Add(pareto.Point{Payload: m.obs[len(m.obs)-1].cfg, Objectives: m.obs[len(m.obs)-1].objs})
-		}
+		m.add(mig.cfg, mig.objs)
 	}
-}
-
-// points returns the archived front.
-func (m *motpeIsland) points() []pareto.Point { return m.archive.Points() }
-
-// snapshot serializes the complete state for checkpointing; the
-// observation list travels as the snapshot's population.
-func (m *motpeIsland) snapshot() IslandState {
-	return snapshotState(m.obs, m.archive, m.stagnant, m.rng.Draws())
 }

@@ -74,36 +74,16 @@ func TestMOTPEHandlesFailedEvaluations(t *testing.T) {
 	}
 }
 
-func TestMOTPESnapshotRestoreRoundTrip(t *testing.T) {
-	space := schafferSpace()
-	opt := motpeTestOptions()
-	eval := newFuncEvaluator(schaffer)
-	orig := newMOTPEIsland(space, eval, opt, opt.Seed)
-	orig.step()
-	orig.step()
-	st := orig.snapshot()
-
-	restored := restoreMOTPEIsland(space, eval, opt, opt.Seed, st)
-	orig.step()
-	restored.step()
-
-	oj, _ := json.Marshal(orig.points())
-	rj, _ := json.Marshal(restored.points())
-	if string(oj) != string(rj) {
-		t.Fatalf("restored island diverges after one step:\n%s\nvs\n%s", oj, rj)
-	}
-}
-
 func TestMOTPESplitNeedsFourSuccesses(t *testing.T) {
-	m := &motpeIsland{space: schafferSpace(), opt: motpeTestOptions()}
+	m := &motpeIsland{population: population{space: schafferSpace(), opt: motpeTestOptions()}}
 	for i := 0; i < 3; i++ {
-		m.obs = append(m.obs, individual{cfg: skeleton.Config{int64(i), 0}, objs: []float64{float64(i), float64(-i)}})
+		m.pop = append(m.pop, individual{cfg: skeleton.Config{int64(i), 0}, objs: []float64{float64(i), float64(-i)}})
 	}
-	m.obs = append(m.obs, individual{cfg: skeleton.Config{9, 0}, objs: nil}) // failed
+	m.pop = append(m.pop, individual{cfg: skeleton.Config{9, 0}, objs: nil}) // failed
 	if good, bad := m.splitObservations(); good != nil || bad != nil {
 		t.Fatal("split fitted a model on fewer than four successful observations")
 	}
-	m.obs = append(m.obs, individual{cfg: skeleton.Config{4, 0}, objs: []float64{4, -4}})
+	m.pop = append(m.pop, individual{cfg: skeleton.Config{4, 0}, objs: []float64{4, -4}})
 	good, bad := m.splitObservations()
 	if len(good) < 2 {
 		t.Fatalf("good quartile has %d members, want at least 2", len(good))

@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"autotune/internal/objective"
-	"autotune/internal/pareto"
 	"autotune/internal/skeleton"
 	"autotune/internal/stats"
 )
@@ -33,42 +32,18 @@ const nsga2CrossoverRate = 0.5
 // of the space's in expectation.
 func nsga2MutationRate(space skeleton.Space) float64 { return 1 / float64(space.Dim()) }
 
-// nsga2Island is one self-contained NSGA-II search instance — the
-// NSGA-II counterpart of gdeIsland, sharing the same island-evolver
-// surface so the island-model driver can run either algorithm.
-type nsga2Island struct {
-	space    skeleton.Space
-	eval     objective.Evaluator
-	opt      Options
-	rng      *stats.CountedRand
-	pop      []individual
-	archive  *pareto.Archive
-	stagnant int
-	arena    arena
-}
+// nsga2Island is one self-contained NSGA-II search instance: a
+// population and the NSGA-II generation step, on the island-evolver
+// surface the other strategies share.
+type nsga2Island struct{ population }
 
 // newNSGA2Island seeds and evaluates the initial population. opt must
 // already carry defaults.
 func newNSGA2Island(space skeleton.Space, eval objective.Evaluator, opt Options, seed int64) *nsga2Island {
-	n := &nsga2Island{
-		space:   space,
-		eval:    eval,
-		opt:     opt,
-		rng:     stats.NewCountedRand(seed),
-		archive: pareto.NewArchive(),
-	}
-	n.pop = make([]individual, opt.PopSize)
-	cfgs := seededPopulation(space, opt.InitialPopulation, opt.PopSize, n.rng.Rand)
-	objs := eval.Evaluate(cfgs)
-	for i := range n.pop {
-		n.pop[i] = individual{cfg: cfgs[i], objs: objs[i]}
-		offer(n.archive, cfgs[i], objs[i])
-	}
+	n := &nsga2Island{population{space: space, eval: eval, opt: opt}}
+	n.seed(stats.NewCountedRand(seed))
 	return n
 }
-
-// done reports whether the stagnation stopping rule has fired.
-func (n *nsga2Island) done() bool { return n.stagnant >= n.opt.Stagnation }
 
 // step runs one NSGA-II generation: binary-tournament selection,
 // uniform crossover, integer mutation, archive update and elitist
@@ -124,56 +99,13 @@ func (n *nsga2Island) step() {
 		children[i] = n.space.Clip(child)
 	}
 	childObjs := n.eval.Evaluate(children)
-	improved := false
+	improved := n.offerAll(children, childObjs)
 	combined := append(ar.cand[:0], pop...)
 	for i := range children {
 		combined = append(combined, individual{cfg: children[i], objs: childObjs[i]})
-		if offer(n.archive, children[i], childObjs[i]) {
-			improved = true
-		}
 	}
 	ar.cand = combined
 	n.pop = ar.truncate(combined, opt.PopSize, ar.spare)
 	ar.spare = pop[:0]
-	if improved {
-		n.stagnant = 0
-	} else {
-		n.stagnant++
-	}
-}
-
-// elites clones the island's k best members for migration.
-func (n *nsga2Island) elites(k int) []individual { return n.arena.selectElites(n.pop, k) }
-
-// inject replaces the island's worst members with the given migrants.
-func (n *nsga2Island) inject(migrants []individual) { n.arena.replaceWorst(n.pop, migrants) }
-
-// points returns the island's archived front.
-func (n *nsga2Island) points() []pareto.Point { return n.archive.Points() }
-
-// snapshot serializes the island's state for checkpointing.
-func (n *nsga2Island) snapshot() IslandState {
-	return snapshotState(n.pop, n.archive, n.stagnant, n.rng.Draws())
-}
-
-// restoreNSGA2Island rebuilds an island from a checkpointed state: the
-// RNG is reseeded and fast-forwarded to the checkpointed draw count,
-// and population and archive are restored verbatim (no re-evaluation —
-// objective vectors travel with the snapshot). opt must already carry
-// defaults.
-func restoreNSGA2Island(space skeleton.Space, eval objective.Evaluator, opt Options, seed int64, st IslandState) *nsga2Island {
-	n := &nsga2Island{
-		space:    space,
-		eval:     eval,
-		opt:      opt,
-		rng:      stats.NewCountedRand(seed),
-		archive:  restoreArchive(st.Archive),
-		stagnant: st.Stagnant,
-	}
-	n.rng.Skip(st.Draws)
-	n.pop = make([]individual, len(st.Pop))
-	for i, m := range st.Pop {
-		n.pop[i] = restoreMember(m)
-	}
-	return n
+	n.settle(improved)
 }

@@ -14,7 +14,6 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"autotune/internal/objective"
@@ -114,101 +113,31 @@ func (r *Result) Configs() []skeleton.Config {
 	return out
 }
 
-type individual struct {
-	cfg  skeleton.Config
-	objs []float64 // nil = failed evaluation
-}
-
-// gdeIsland is one self-contained RS-GDE3 search instance: its own
-// population, archive and rough-set box. The serial search drives a
-// single instance; the island-model driver evolves several concurrently
-// and migrates elites between them; the multi-region search advances
-// one per region in lock-step over one shared generator.
+// gdeIsland is one self-contained RS-GDE3 search instance: a population
+// and its rough-set box. The serial search drives a single instance; the
+// island-model driver evolves several concurrently and migrates elites
+// between them; the multi-region search advances one per region in
+// lock-step over one shared generator.
 type gdeIsland struct {
-	space    skeleton.Space
-	eval     objective.Evaluator
-	opt      Options
-	rng      *stats.CountedRand
-	pop      []individual
-	archive  *pareto.Archive
-	full     skeleton.Box // the whole space; never written through
-	box      skeleton.Box
-	stagnant int
-	arena    arena
+	population
+	full skeleton.Box // the whole space; never written through
+	box  skeleton.Box
 }
 
 // newGDEIsland draws the initial population from rng and evaluates it.
-// A search instance owns its generator; the regions of a multi-region
-// run share one. opt must already carry defaults.
+// opt must already carry defaults.
 func newGDEIsland(space skeleton.Space, eval objective.Evaluator, opt Options, rng *stats.CountedRand) *gdeIsland {
-	g := &gdeIsland{
-		space:   space,
-		eval:    eval,
-		opt:     opt,
-		rng:     rng,
-		archive: pareto.NewArchive(),
-		full:    space.FullBox(),
-	}
-	g.box = g.full
-	g.pop = make([]individual, opt.PopSize)
-	cfgs := seededPopulation(space, opt.InitialPopulation, opt.PopSize, g.rng.Rand)
-	objs := eval.Evaluate(cfgs)
-	for i := range g.pop {
-		g.pop[i] = individual{cfg: cfgs[i], objs: objs[i]}
-		offer(g.archive, cfgs[i], objs[i])
-	}
+	g := gdeOver(space, eval, opt)
+	g.seed(rng)
 	return g
 }
 
-// restoreGDEIsland rebuilds an island from its checkpointed state: the
-// population, archive and stagnation counter come from the snapshot,
-// and the RNG is the original seed fast-forwarded to the checkpointed
-// draw count — the island continues exactly where it stopped.
-func restoreGDEIsland(space skeleton.Space, eval objective.Evaluator, opt Options, seed int64, st IslandState) *gdeIsland {
-	g := &gdeIsland{
-		space:    space,
-		eval:     eval,
-		opt:      opt,
-		rng:      stats.NewCountedRand(seed),
-		archive:  restoreArchive(st.Archive),
-		full:     space.FullBox(),
-		stagnant: st.Stagnant,
-	}
-	g.box = g.full
-	g.rng.Skip(st.Draws)
-	g.pop = make([]individual, len(st.Pop))
-	for i, m := range st.Pop {
-		g.pop[i] = restoreMember(m)
-	}
-	return g
+// gdeOver is an island over space with no population yet, its box the
+// whole space: seed or restore fills it.
+func gdeOver(space skeleton.Space, eval objective.Evaluator, opt Options) *gdeIsland {
+	full := space.FullBox()
+	return &gdeIsland{population: population{space: space, eval: eval, opt: opt}, full: full, box: full}
 }
-
-// seededPopulation builds an initial population: warm-start seeds
-// first (cloned, truncated to popSize), uniform random draws for the
-// rest. Seeds outside the space are clamped rather than rejected, so a
-// front stored for a slightly different space still contributes.
-func seededPopulation(space skeleton.Space, seeds []skeleton.Config, popSize int, rng *rand.Rand) []skeleton.Config {
-	cfgs := make([]skeleton.Config, popSize)
-	for i := range cfgs {
-		if i < len(seeds) && len(seeds[i]) == space.Dim() {
-			cfgs[i] = space.Clip(seeds[i])
-		} else {
-			cfgs[i] = space.Random(rng)
-		}
-	}
-	return cfgs
-}
-
-// offer hands an evaluated configuration to the archive and reports
-// whether the archive kept it. Admission is decided on the objective
-// vector first, so the configuration is boxed into a Point payload only
-// when kept; a failed evaluation (nil objs) is never offered.
-func offer(a *pareto.Archive, cfg skeleton.Config, objs []float64) bool {
-	return objs != nil && a.Admits(objs) && a.Add(pareto.Point{Payload: cfg, Objectives: objs})
-}
-
-// done reports whether the stagnation stopping rule has fired.
-func (g *gdeIsland) done() bool { return g.stagnant >= g.opt.Stagnation }
 
 // step runs one RS-GDE3 generation.
 func (g *gdeIsland) step() {
@@ -251,32 +180,9 @@ func (g *gdeIsland) propose() []skeleton.Config {
 // trials, apply the GDE3 replacement rule and advance the stagnation
 // counter. It draws nothing from the generator.
 func (g *gdeIsland) absorb(trials []skeleton.Config, trialObjs [][]float64) {
-	improved := false
-	for i := range trials {
-		if offer(g.archive, trials[i], trialObjs[i]) {
-			improved = true
-		}
-	}
+	improved := g.offerAll(trials, trialObjs)
 	g.pop = g.arena.gde3Select(g.pop, trials, trialObjs, g.opt.PopSize)
-	if improved {
-		g.stagnant = 0
-	} else {
-		g.stagnant++
-	}
-}
-
-// elites clones the island's k best members for migration.
-func (g *gdeIsland) elites(k int) []individual { return g.arena.selectElites(g.pop, k) }
-
-// inject replaces the island's worst members with the given migrants.
-func (g *gdeIsland) inject(migrants []individual) { g.arena.replaceWorst(g.pop, migrants) }
-
-// points returns the island's archived front.
-func (g *gdeIsland) points() []pareto.Point { return g.archive.Points() }
-
-// snapshot serializes the island's complete state for checkpointing.
-func (g *gdeIsland) snapshot() IslandState {
-	return snapshotState(g.pop, g.archive, g.stagnant, g.rng.Draws())
+	g.settle(improved)
 }
 
 // mutate implements Algorithm 1: pick three distinct other members

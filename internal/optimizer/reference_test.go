@@ -602,10 +602,12 @@ func TestReplaceWorstEmptyPopulation(t *testing.T) {
 	space := schafferSpace()
 	opt := Options{Seed: 1}.withDefaults()
 	eval := newFuncEvaluator(schaffer)
-	for _, isl := range []islandEvolver{
-		restoreGDEIsland(space, eval, opt, 1, IslandState{}),
-		restoreNSGA2Island(space, eval, Options{}.withDefaults(), 1, IslandState{}),
-	} {
+	for _, name := range []string{"rs-gde3", "nsga2"} {
+		strat, err := StrategyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		isl := strat.Restore(space, eval, StrategyConfig{Options: opt}, 1, IslandState{})
 		isl.inject(migrants)
 		if got := isl.elites(2); len(got) != 0 {
 			t.Fatalf("empty island produced elites %v", got)

@@ -255,7 +255,9 @@ func init() {
 				return newGDEIsland(space, eval, cfg.Options, stats.NewCountedRand(seed))
 			},
 			Restore: func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, seed int64, st IslandState) islandEvolver {
-				return restoreGDEIsland(space, eval, cfg.Options, seed, st)
+				g := gdeOver(space, eval, cfg.Options)
+				g.restore(seed, st)
+				return g
 			},
 			Fingerprint: func(space skeleton.Space, cfg StrategyConfig, islands int, iopt IslandOptions) string {
 				return gdeFingerprint(space, cfg.Options, islands, iopt)
@@ -280,7 +282,9 @@ func init() {
 			return newNSGA2Island(space, eval, cfg.Options, seed)
 		},
 		Restore: func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, seed int64, st IslandState) islandEvolver {
-			return restoreNSGA2Island(space, eval, cfg.Options, seed, st)
+			n := &nsga2Island{population{space: space, eval: eval, opt: cfg.Options}}
+			n.restore(seed, st)
+			return n
 		},
 		Fingerprint: func(space skeleton.Space, cfg StrategyConfig, islands int, iopt IslandOptions) string {
 			return nsga2Fingerprint(space, cfg.Options, islands, iopt)
@@ -295,7 +299,9 @@ func init() {
 			return newMOTPEIsland(space, eval, cfg.Options, seed)
 		},
 		Restore: func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, seed int64, st IslandState) islandEvolver {
-			return restoreMOTPEIsland(space, eval, cfg.Options, seed, st)
+			m := &motpeIsland{population: population{space: space, eval: eval, opt: cfg.Options}}
+			m.restore(seed, st)
+			return m
 		},
 		Fingerprint: func(space skeleton.Space, cfg StrategyConfig, islands int, iopt IslandOptions) string {
 			return motpeFingerprint(space, cfg.Options, islands, iopt)
