@@ -104,7 +104,14 @@ func main() {
 	}
 
 	fmt.Println("\nfinal health state:")
-	for idx, h := range rt.Health() {
+	health := rt.Health()
+	idxs = idxs[:0]
+	for idx := range health {
+		idxs = append(idxs, idx)
+	}
+	sort.Ints(idxs)
+	for _, idx := range idxs {
+		h := health[idx]
 		state := "healthy"
 		if h.Quarantined {
 			state = fmt.Sprintf("quarantined (probe in %d invocations)", h.ProbeIn)
