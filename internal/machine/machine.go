@@ -52,6 +52,16 @@ type CacheLevel struct {
 	Scope         CacheScope // which units share one instance
 }
 
+// UsableFraction models conflict misses: low associativity reduces the
+// usable fraction of a cache's capacity. The performance model and the
+// trace-driven validation both derate a level's capacity by it.
+func (l CacheLevel) UsableFraction() float64 {
+	if l.Associativity <= 0 {
+		return 1
+	}
+	return 1 - 1/(1+float64(l.Associativity))
+}
+
 // Machine is a complete description of a target system.
 type Machine struct {
 	Name           string

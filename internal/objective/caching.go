@@ -32,42 +32,52 @@ type CtxEvalFunc func(ctx context.Context, cfg skeleton.Config, dst []float64) (
 // CachingEvaluator wraps a per-configuration evaluation function with
 // the framework's shared evaluation infrastructure: a process-wide
 // memoization cache keyed by Config.Key, in-flight deduplication,
-// bounded parallel batch evaluation, and the E metric (distinct
-// successful evaluations).
+// batch evaluation — bounded parallel for functions that can block —
+// and the E metric (distinct successful evaluations).
 //
 // Evaluate handles a batch as a batch. One pass under one lock sorts
 // its configurations into hits (answered from the cache), leaders (keys
 // nobody is evaluating: this batch registers them in flight and
 // evaluates them) and followers (keys in flight already — in a
-// concurrent batch, or earlier in this one). The leaders are drained by
-// min(parallelism, leaders) workers pulling from a shared index, the
-// calling goroutine being one of them, so a batch of one runs inline
-// and an all-hit batch starts nothing. Followers are resolved only
-// after the batch's own leaders have finished: a batch never waits
-// while holding work somebody else may be waiting for, so two batches
-// following each other's leaders cannot deadlock.
+// concurrent batch, or earlier in this one). An evaluator built around
+// a function that can block (NewCachingEvaluator, Measured) drains the
+// leaders with min(parallelism, leaders) workers pulling from a shared
+// index, the calling goroutine being one of them, so a batch of one
+// runs inline and an all-hit batch starts nothing. The simulated
+// evaluator's function cannot block, and handing it to another
+// goroutine costs more than it does: its batches evaluate their leaders
+// one after another in the calling goroutine, take no semaphore slot
+// and start no worker, and publish them under one more lock. Followers
+// are resolved only after the batch's own leaders have finished: a
+// batch never waits while holding work somebody else may be waiting
+// for, so two batches following each other's leaders cannot deadlock.
 //
 // One CachingEvaluator can safely serve many concurrent Evaluate
 // callers — e.g. the worker islands of the parallel optimizer — and
 // guarantees each distinct configuration is evaluated exactly once no
-// matter how many islands propose it. Every evaluation takes a slot of
-// one semaphore, so the concurrency bound is global across batches: an
-// inherently serial evaluation function (parallelism 1, like timed
-// kernel execution) stays serialized even under concurrent batches.
-// Failed evaluations (nil objectives) are cached like successes but
-// never counted in E; observers are handed the fresh results of a batch
-// once, when its leaders have finished, outside the lock.
+// matter how many islands propose it. On the workers, every evaluation
+// takes a slot of one semaphore, so the concurrency bound is global
+// across batches: an inherently serial evaluation function
+// (parallelism 1, like timed kernel execution) stays serialized even
+// under concurrent batches. A simulated batch runs in its caller, so
+// concurrent simulated batches evaluate as many at once as they have
+// callers. Failed evaluations (nil objectives) are cached like
+// successes but never counted in E; observers are handed the fresh
+// results of a batch once, when its leaders have finished, outside the
+// lock.
 //
 // The evaluator is cancellation-aware: SetContext binds a
 // context.Context, and once it is done no further evaluation starts —
-// workers check it before every evaluation, pending leaders are
+// the batch checks it before every evaluation, pending leaders are
 // withdrawn and left unknown, and cache hits still return. Middleware
 // installed with WrapEvalFunc — e.g. the evaluation watchdog of
 // internal/resilience — decides per evaluation whether an interruption
 // is a recorded failure (cached, observed) or an abort (left unknown).
 type CachingEvaluator struct {
 	names []string
-	sem   chan struct{}
+	// sem bounds the workers' evaluations. It is nil for an evaluator
+	// whose function cannot block: its batches run inline.
+	sem chan struct{}
 
 	mu        sync.Mutex
 	fn        CtxEvalFunc
@@ -98,10 +108,10 @@ type follower struct {
 	fl   *inflightEval
 }
 
-// NewCachingEvaluator builds a caching evaluator around fn. names are
-// the objective labels reported by ObjectiveNames; parallelism bounds
-// concurrent fn invocations globally (minimum 1). fn returns vectors of
-// its own: the cache keeps them.
+// NewCachingEvaluator builds a caching evaluator around fn, which may
+// block. names are the objective labels reported by ObjectiveNames;
+// parallelism bounds concurrent fn invocations globally, across batches
+// (minimum 1). fn returns vectors of its own: the cache keeps them.
 func NewCachingEvaluator(names []string, parallelism int, fn EvalFunc) *CachingEvaluator {
 	return newCachingEvaluator(names, parallelism, func(_ context.Context, cfg skeleton.Config, _ []float64) ([]float64, error) {
 		return fn(cfg), nil
@@ -110,15 +120,20 @@ func NewCachingEvaluator(names []string, parallelism int, fn EvalFunc) *CachingE
 
 // newCachingEvaluator is NewCachingEvaluator around an evaluation
 // function in append form, which writes fresh vectors into the batch's
-// slab: the simulated and the measured evaluator.
+// slab: the measured evaluator.
 func newCachingEvaluator(names []string, parallelism int, fn CtxEvalFunc) *CachingEvaluator {
-	if parallelism < 1 {
-		parallelism = 1
-	}
+	c := newInlineEvaluator(names, fn)
+	c.sem = make(chan struct{}, max(parallelism, 1))
+	return c
+}
+
+// newInlineEvaluator is a caching evaluator around a function in append
+// form that cannot block — the simulated evaluator — whose batches
+// evaluate in the calling goroutine.
+func newInlineEvaluator(names []string, fn CtxEvalFunc) *CachingEvaluator {
 	return &CachingEvaluator{
 		names:     append([]string(nil), names...),
 		fn:        fn,
-		sem:       make(chan struct{}, parallelism),
 		cache:     map[string][]float64{},
 		inflight:  map[string]*inflightEval{},
 		observers: map[int]func([]skeleton.Config, []string, [][]float64){},
@@ -195,15 +210,7 @@ func (c *CachingEvaluator) WrapEvalFunc(mw func(CtxEvalFunc) CtxEvalFunc) {
 // once per *inserted* primed entry, in the order of the batch.
 func (c *CachingEvaluator) PrimeBatch(cfgs []skeleton.Config, keys []string, objs [][]float64) int {
 	c.mu.Lock()
-	if len(c.cache) < len(keys) {
-		// Growing entry by entry would rehash what is there at every
-		// doubling on the way; moving it once costs less than that.
-		grown := make(map[string][]float64, len(c.cache)+len(keys))
-		for key, cached := range c.cache {
-			grown[key] = cached
-		}
-		c.cache = grown
-	}
+	c.reserve(len(keys))
 	observers := c.primeObserverList()
 	var inserted []int
 	primed := 0
@@ -232,6 +239,31 @@ func (c *CachingEvaluator) PrimeBatch(cfgs []skeleton.Config, keys []string, obj
 		}
 	}
 	return primed
+}
+
+// Reserve grows the memoization cache, once, to hold n more entries
+// than it does: a caller that knows how many configurations it is about
+// to evaluate — a brute-force sweep — spares the cache the doublings on
+// the way.
+func (c *CachingEvaluator) Reserve(n int) {
+	c.mu.Lock()
+	c.reserve(n)
+	c.mu.Unlock()
+}
+
+// reserve is Reserve under c.mu. It does nothing for fewer entries than
+// the cache holds: growing entry by entry rehashes what is there at
+// every doubling on the way, and moving it once costs less than that
+// only when the cache is the smaller part.
+func (c *CachingEvaluator) reserve(n int) {
+	if len(c.cache) >= n {
+		return
+	}
+	grown := make(map[string][]float64, len(c.cache)+n)
+	for key, cached := range c.cache {
+		grown[key] = cached
+	}
+	c.cache = grown
 }
 
 // Prime is PrimeBatch of one result; it reports whether the entry was
@@ -325,7 +357,7 @@ func (c *CachingEvaluator) AddObserver(fn func(cfgs []skeleton.Config, keys []st
 }
 
 // report hands the observers one batch's fresh results: the slots of
-// the leaders that completed (a withdrawn leader is -1).
+// the leaders that completed (a withdrawn leader is negative).
 func (c *CachingEvaluator) report(cfgs []skeleton.Config, keys []string, out [][]float64, leaders []int) {
 	freshCfgs := make([]skeleton.Config, 0, len(leaders))
 	freshKeys := make([]string, 0, len(leaders))
@@ -359,11 +391,11 @@ func (c *CachingEvaluator) EvaluateOne(cfg skeleton.Config) []float64 {
 }
 
 // Evaluate implements Evaluator: cache hits are answered at once, every
-// other distinct key is evaluated exactly once — by this batch (at most
-// parallelism at a time, globally) or by the concurrent batch that got
-// to it first — and memoized. When the bound context is done, uncached
-// configurations come back nil without being evaluated, cached or
-// counted. The batch's fresh vectors are cut from one slab of
+// other distinct key is evaluated exactly once — by this batch (on the
+// workers, at most parallelism at a time, globally) or by the concurrent
+// batch that got to it first — and memoized. When the bound context is
+// done, uncached configurations come back nil without being evaluated,
+// cached or counted. The batch's fresh vectors are cut from one slab of
 // len(leaders) × len(names) values, each cut's capacity capped at
 // len(names); the cache keeps them, and so the slab, for the
 // evaluator's life, as it keeps every value.
@@ -404,35 +436,12 @@ func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 	c.mu.Unlock()
 
 	if len(leaders) > 0 {
-		m := len(c.names)
-		vecs := make([]float64, len(leaders)*m)
-		var next atomic.Int64
-		drain := func() {
-			for n := next.Add(1) - 1; n < int64(len(leaders)); n = next.Add(1) - 1 {
-				i, at := leaders[n], int(n)*m
-				objs, ok := c.lead(ctx, fn, cfgs[i], keys[i], vecs[at:at:at+m])
-				out[i] = objs
-				if !ok {
-					// Withdrawn: struck from the list, so what is left
-					// when the workers are done is what completed.
-					leaders[n] = -1
-				}
-			}
+		vecs := make([]float64, len(leaders)*len(c.names))
+		if c.sem == nil {
+			c.leadInline(ctx, fn, cfgs, keys, out, leaders, slab, vecs)
+		} else {
+			c.leadOnWorkers(ctx, fn, cfgs, keys, out, leaders, vecs)
 		}
-		var wg sync.WaitGroup
-		if w := min(cap(c.sem), len(leaders)); w > 1 {
-			// One closure for the batch's workers, not one each.
-			worker := func() {
-				defer wg.Done()
-				drain()
-			}
-			wg.Add(w - 1)
-			for ; w > 1; w-- {
-				go worker()
-			}
-		}
-		drain()
-		wg.Wait()
 		if observed {
 			c.report(cfgs, keys, out, leaders)
 		}
@@ -446,6 +455,106 @@ func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 		out[f.slot] = f.fl.objs
 	}
 	return out
+}
+
+// leadInline evaluates a batch's leaders one after another in the
+// calling goroutine, fresh vectors into their cuts of vecs, checking
+// the context before each, and then publishes them all at once. A
+// leader whose evaluation aborts, and every leader once the context is
+// done, is withdrawn: struck from leaders (as ^slot, which report
+// skips), so what is left is what completed.
+func (c *CachingEvaluator) leadInline(ctx context.Context, fn CtxEvalFunc, cfgs []skeleton.Config, keys []string, out [][]float64, leaders []int, slab []inflightEval, vecs []float64) {
+	m := len(c.names)
+	n := 0
+	// Deferred, so that an evaluation that panics into a recovering
+	// caller leaves its key, and the keys of the leaders after it,
+	// unknown and their followers released rather than registered in
+	// flight for ever; what completed before it is published.
+	defer func() { c.publish(keys, out, leaders, n, slab) }()
+	for ; n < len(leaders) && ctx.Err() == nil; n++ {
+		i, at := leaders[n], n*m
+		objs, err := fn(ctx, cfgs[i], vecs[at:at:at+m])
+		if err != nil {
+			leaders[n] = ^i
+			continue
+		}
+		out[i] = objs
+	}
+}
+
+// publish ends an inline batch under one lock: it caches, counts and
+// hands to their followers the results of the first n leaders that were
+// not withdrawn, withdraws every leader from n on, and then releases
+// the followers of all of them.
+func (c *CachingEvaluator) publish(keys []string, out [][]float64, leaders []int, n int, slab []inflightEval) {
+	c.mu.Lock()
+	for j, i := range leaders {
+		if j >= n && i >= 0 {
+			i = ^i
+			leaders[j] = i
+		}
+		if i < 0 {
+			delete(c.inflight, keys[^i])
+			continue
+		}
+		delete(c.inflight, keys[i])
+		c.cache[keys[i]] = out[i]
+		if out[i] != nil {
+			c.evals++
+		}
+		slab[j].objs = out[i]
+	}
+	c.mu.Unlock()
+	// No follower can reach a leader's rendezvous once its key is out
+	// of c.inflight, so done is read safely outside the lock.
+	for j := range leaders {
+		if done := slab[j].done; done != nil {
+			close(done)
+		}
+	}
+}
+
+// leadOnWorkers drains a batch's leaders with min(parallelism, leaders)
+// workers, the calling goroutine being one of them, each evaluation
+// holding a slot of the global semaphore and publishing on its own. A
+// withdrawn leader is struck from leaders (as ^slot, which report
+// skips), so what is left when the workers are done is what completed.
+func (c *CachingEvaluator) leadOnWorkers(ctx context.Context, fn CtxEvalFunc, cfgs []skeleton.Config, keys []string, out [][]float64, leaders []int, vecs []float64) {
+	m := len(c.names)
+	var next atomic.Int64
+	drain := func() {
+		for n := next.Add(1) - 1; n < int64(len(leaders)); n = next.Add(1) - 1 {
+			i, at := leaders[n], int(n)*m
+			objs, ok := c.lead(ctx, fn, cfgs[i], keys[i], vecs[at:at:at+m])
+			out[i] = objs
+			if !ok {
+				leaders[n] = ^i
+			}
+		}
+	}
+	// Deferred, so that an evaluation that panics into a recovering
+	// caller leaves the leaders nobody has claimed unknown and their
+	// followers released rather than registered in flight for ever.
+	// When the workers are done, every leader is claimed already.
+	defer func() {
+		for n := next.Add(1) - 1; n < int64(len(leaders)); n = next.Add(1) - 1 {
+			c.withdraw(keys[leaders[n]])
+		}
+	}()
+	var wg sync.WaitGroup
+	if w := min(cap(c.sem), len(leaders)); w > 1 {
+		// One closure for the batch's workers, not one each.
+		worker := func() {
+			defer wg.Done()
+			drain()
+		}
+		wg.Add(w - 1)
+		for ; w > 1; w-- {
+			go worker()
+		}
+	}
+	drain()
+	wg.Wait()
 }
 
 // batchKeys renders the keys of a batch end to end — each followed by a
@@ -480,17 +589,10 @@ func (c *CachingEvaluator) lead(ctx context.Context, fn CtxEvalFunc, cfg skeleto
 	// Deferred, so that an evaluation that panics into a recovering
 	// caller leaves the key unknown and its followers released rather
 	// than registered in flight for ever.
-	var done chan struct{}
-	withdrawn := false
+	released := false
 	defer func() {
-		if !withdrawn {
-			c.mu.Lock()
-			done = c.inflight[key].done
-			delete(c.inflight, key)
-			c.mu.Unlock()
-		}
-		if done != nil {
-			close(done)
+		if !released {
+			c.withdraw(key)
 		}
 	}()
 
@@ -499,7 +601,6 @@ func (c *CachingEvaluator) lead(ctx context.Context, fn CtxEvalFunc, cfg skeleto
 	c.mu.Lock()
 	fl := c.inflight[key]
 	delete(c.inflight, key)
-	done, withdrawn = fl.done, true
 	if err == nil {
 		c.cache[key] = objs
 		if objs != nil {
@@ -508,7 +609,23 @@ func (c *CachingEvaluator) lead(ctx context.Context, fn CtxEvalFunc, cfg skeleto
 		fl.objs = objs
 	}
 	c.mu.Unlock()
+	released = true
+	if fl.done != nil {
+		close(fl.done)
+	}
 	return objs, err == nil
+}
+
+// withdraw leaves a key the calling batch registered in c.inflight
+// unknown and releases its followers.
+func (c *CachingEvaluator) withdraw(key string) {
+	c.mu.Lock()
+	done := c.inflight[key].done
+	delete(c.inflight, key)
+	c.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
 }
 
 // evalInSlot runs fn on cfg and dst while holding one slot of the

@@ -22,6 +22,27 @@ func countingFn(calls *atomic.Int64) EvalFunc {
 	}
 }
 
+// evaluatorKind builds a caching evaluator around fn one of the two
+// ways a batch can run.
+type evaluatorKind struct {
+	name  string
+	build func(names []string, fn EvalFunc) *CachingEvaluator
+}
+
+// evaluatorKinds are the two ways: on workers at parallelism p, as
+// NewCachingEvaluator's and Measured's batches run, and inline, in the
+// calling goroutine, as a Sim's do.
+func evaluatorKinds(p int) []evaluatorKind {
+	return []evaluatorKind{
+		{"workers", func(names []string, fn EvalFunc) *CachingEvaluator { return NewCachingEvaluator(names, p, fn) }},
+		{"inline", func(names []string, fn EvalFunc) *CachingEvaluator {
+			return newInlineEvaluator(names, func(_ context.Context, cfg skeleton.Config, _ []float64) ([]float64, error) {
+				return fn(cfg), nil
+			})
+		}},
+	}
+}
+
 func TestCachingEvaluatorDedupAcrossBatches(t *testing.T) {
 	var calls atomic.Int64
 	c := NewCachingEvaluator([]string{"a", "b"}, 4, countingFn(&calls))
@@ -58,37 +79,41 @@ func TestCachingEvaluatorFailuresCachedNotCounted(t *testing.T) {
 // optimizer depends on), and all callers must observe identical
 // results.
 func TestCachingEvaluatorConcurrentBatches(t *testing.T) {
-	var calls atomic.Int64
-	c := NewCachingEvaluator([]string{"a", "b"}, 8, countingFn(&calls))
-	const callers = 16
-	const keys = 10
-	results := make([][][]float64, callers)
-	var wg sync.WaitGroup
-	for w := 0; w < callers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			batch := make([]skeleton.Config, keys)
-			for i := range batch {
-				batch[i] = skeleton.Config{int64(i)}
+	for _, kind := range evaluatorKinds(8) {
+		t.Run(kind.name, func(t *testing.T) {
+			var calls atomic.Int64
+			c := kind.build([]string{"a", "b"}, countingFn(&calls))
+			const callers = 16
+			const keys = 10
+			results := make([][][]float64, callers)
+			var wg sync.WaitGroup
+			for w := 0; w < callers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					batch := make([]skeleton.Config, keys)
+					for i := range batch {
+						batch[i] = skeleton.Config{int64(i)}
+					}
+					results[w] = c.Evaluate(batch)
+				}(w)
 			}
-			results[w] = c.Evaluate(batch)
-		}(w)
-	}
-	wg.Wait()
-	if got := calls.Load(); got != keys {
-		t.Fatalf("fn called %d times, want %d (one per distinct key)", got, keys)
-	}
-	if c.Evaluations() != keys {
-		t.Fatalf("evaluations = %d, want %d", c.Evaluations(), keys)
-	}
-	for w := 1; w < callers; w++ {
-		for i := range results[w] {
-			if results[w][i][0] != results[0][i][0] {
-				t.Fatalf("caller %d observed %v at %d, caller 0 observed %v",
-					w, results[w][i], i, results[0][i])
+			wg.Wait()
+			if got := calls.Load(); got != keys {
+				t.Fatalf("fn called %d times, want %d (one per distinct key)", got, keys)
 			}
-		}
+			if c.Evaluations() != keys {
+				t.Fatalf("evaluations = %d, want %d", c.Evaluations(), keys)
+			}
+			for w := 1; w < callers; w++ {
+				for i := range results[w] {
+					if results[w][i][0] != results[0][i][0] {
+						t.Fatalf("caller %d observed %v at %d, caller 0 observed %v",
+							w, results[w][i], i, results[0][i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -244,43 +269,47 @@ func TestObserverSeesWhatACancelledBatchCompleted(t *testing.T) {
 // distinct configuration still reaches the observer exactly once, from
 // the batch that led it. Run under -race.
 func TestObserverExactlyOnceUnderConcurrentBatches(t *testing.T) {
-	var calls atomic.Int64
-	c := NewCachingEvaluator([]string{"a", "b"}, 4, countingFn(&calls))
-	var mu sync.Mutex
-	seen := map[string]int{}
-	c.AddObserver(func(cfgs []skeleton.Config, _ []string, objs [][]float64) {
-		mu.Lock()
-		defer mu.Unlock()
-		for i, cfg := range cfgs {
-			seen[cfg.Key()]++
-			if len(objs[i]) != 2 || objs[i][0] != float64(cfg[0]) {
-				t.Errorf("observer handed %v for %v", objs[i], cfg)
+	for _, kind := range evaluatorKinds(4) {
+		t.Run(kind.name, func(t *testing.T) {
+			var calls atomic.Int64
+			c := kind.build([]string{"a", "b"}, countingFn(&calls))
+			var mu sync.Mutex
+			seen := map[string]int{}
+			c.AddObserver(func(cfgs []skeleton.Config, _ []string, objs [][]float64) {
+				mu.Lock()
+				defer mu.Unlock()
+				for i, cfg := range cfgs {
+					seen[cfg.Key()]++
+					if len(objs[i]) != 2 || objs[i][0] != float64(cfg[0]) {
+						t.Errorf("observer handed %v for %v", objs[i], cfg)
+					}
+				}
+			})
+			const batches, size, distinct = 8, 40, 100
+			var wg sync.WaitGroup
+			for b := 0; b < batches; b++ {
+				wg.Add(1)
+				go func(b int) {
+					defer wg.Done()
+					cfgs := make([]skeleton.Config, size)
+					for i := range cfgs {
+						cfgs[i] = skeleton.Config{int64((b*17+i*3)%distinct + 1)}
+					}
+					c.Evaluate(cfgs)
+				}(b)
 			}
-		}
-	})
-	const batches, size, distinct = 8, 40, 100
-	var wg sync.WaitGroup
-	for b := 0; b < batches; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			cfgs := make([]skeleton.Config, size)
-			for i := range cfgs {
-				cfgs[i] = skeleton.Config{int64((b*17+i*3)%distinct + 1)}
+			wg.Wait()
+			mu.Lock()
+			defer mu.Unlock()
+			if len(seen) != c.Evaluations() || int(calls.Load()) != len(seen) {
+				t.Fatalf("observer saw %d configurations, E = %d, fn ran %d times", len(seen), c.Evaluations(), calls.Load())
 			}
-			c.Evaluate(cfgs)
-		}(b)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != c.Evaluations() || int(calls.Load()) != len(seen) {
-		t.Fatalf("observer saw %d configurations, E = %d, fn ran %d times", len(seen), c.Evaluations(), calls.Load())
-	}
-	for key, n := range seen {
-		if n != 1 {
-			t.Fatalf("configuration %s was reported %d times", key, n)
-		}
+			for key, n := range seen {
+				if n != 1 {
+					t.Fatalf("configuration %s was reported %d times", key, n)
+				}
+			}
+		})
 	}
 }
 

@@ -105,9 +105,15 @@ type fuzzSide struct {
 	log     []string
 }
 
-func newFuzzSide(t *testing.T) *fuzzSide {
+// newFuzzSide builds a side whose batches run inline, as a Sim's do, or
+// on the workers at parallelism 1.
+func newFuzzSide(t *testing.T, inline bool) *fuzzSide {
 	s := &fuzzSide{}
-	s.c = newCachingEvaluator([]string{"a", "b"}, 1, func(_ context.Context, cfg skeleton.Config, dst []float64) ([]float64, error) {
+	build := func(names []string, fn CtxEvalFunc) *CachingEvaluator { return newCachingEvaluator(names, 1, fn) }
+	if inline {
+		build = newInlineEvaluator
+	}
+	s.c = build([]string{"a", "b"}, func(_ context.Context, cfg skeleton.Config, dst []float64) ([]float64, error) {
 		if s.trigger != 0 && cfg[0] == s.trigger {
 			s.cancel()
 		}
@@ -177,6 +183,8 @@ func fuzzCfg(b byte) skeleton.Config {
 // the same outputs, the same E, the same cache as Lookup reads it and
 // the same observer streams: the configurations, their keys and their
 // results, in order. No two fresh vectors of one batch share memory.
+// The evaluator under test runs its batches on the workers, and then
+// inline, as a Sim's run; the reference runs on the workers.
 func FuzzEvaluateMatchesReference(f *testing.F) {
 	f.Add([]byte{0x03, 1, 2, 1, 0x40, 9, 2, 0x05, 0x13, 0x0a, 4, 0x21, 3})
 	f.Add([]byte{0x02, 0, 1, 0x06, 0x0b, 2, 7, 0x11, 0x0c, 0x02, 5, 5})
@@ -185,59 +193,67 @@ func FuzzEvaluateMatchesReference(f *testing.F) {
 		if len(data) > 256 {
 			data = data[:256]
 		}
-		got, want := newFuzzSide(t), newFuzzSide(t)
-		ops := &byteStream{data: data}
-		for n := 0; ops.more() && n < 64; n++ {
-			op := ops.next()
-			size := int(op>>2&7) + 1
-			cfgs := make([]skeleton.Config, size)
-			for i := range cfgs {
-				cfgs[i] = fuzzCfg(ops.next())
-			}
-			switch op & 3 {
-			case 0, 1:
-				// A batch: with op bit 5 under a cancelled context, with
-				// bit 6 cancelling it from inside its last evaluation.
-				gotOut := evaluateUnder(got, op, cfgs, func() [][]float64 { return got.c.Evaluate(cfgs) })
-				wantOut := evaluateUnder(want, op, cfgs, func() [][]float64 { return referenceEvaluate(want.c, cfgs) })
-				if !reflect.DeepEqual(gotOut, wantOut) {
-					t.Fatalf("op %d: Evaluate(%v) = %v, the reference %v", n, cfgs, gotOut, wantOut)
-				}
-			case 2: // a primed batch, every third result a known failure
-				objs := make([][]float64, size)
-				for i := range objs {
-					if i%3 != 2 {
-						objs[i] = []float64{-float64(i), float64(op)}
-					}
-				}
-				keys := make([]string, size)
-				for i, cfg := range cfgs {
-					keys[i] = cfg.Key()
-				}
-				if g, w := got.c.PrimeBatch(cfgs, keys, objs), referencePrimeBatch(want.c, cfgs, objs); g != w {
-					t.Fatalf("op %d: PrimeBatch(%v) = %d, the reference %d", n, cfgs, g, w)
-				}
-			case 3: // one configuration at a time
-				if g, w := got.c.EvaluateOne(cfgs[0]), referenceEvaluate(want.c, cfgs[:1])[0]; !reflect.DeepEqual(g, w) {
-					t.Fatalf("op %d: EvaluateOne(%v) = %v, the reference %v", n, cfgs[0], g, w)
-				}
-			}
-			if g, w := got.c.Evaluations(), want.c.Evaluations(); g != w {
-				t.Fatalf("op %d: E = %d, the reference %d", n, g, w)
-			}
-		}
-		if !reflect.DeepEqual(got.log, want.log) {
-			t.Fatalf("the observers saw\n%v\nthe reference's\n%v", got.log, want.log)
-		}
-		for b := 0; b < 32; b++ {
-			cfg := fuzzCfg(byte(b))
-			g, gok := got.c.Lookup(cfg)
-			w, wok := want.c.Lookup(cfg)
-			if gok != wok || !reflect.DeepEqual(g, w) {
-				t.Fatalf("Lookup(%v) = %v %v, the reference %v %v", cfg, g, gok, w, wok)
-			}
+		for _, inline := range []bool{false, true} {
+			matchReference(t, data, inline)
 		}
 	})
+}
+
+// matchReference applies the op sequence data encodes to an evaluator,
+// inline or on the workers, and to the reference, and compares them.
+func matchReference(t *testing.T, data []byte, inline bool) {
+	got, want := newFuzzSide(t, inline), newFuzzSide(t, false)
+	ops := &byteStream{data: data}
+	for n := 0; ops.more() && n < 64; n++ {
+		op := ops.next()
+		size := int(op>>2&7) + 1
+		cfgs := make([]skeleton.Config, size)
+		for i := range cfgs {
+			cfgs[i] = fuzzCfg(ops.next())
+		}
+		switch op & 3 {
+		case 0, 1:
+			// A batch: with op bit 5 under a cancelled context, with
+			// bit 6 cancelling it from inside its last evaluation.
+			gotOut := evaluateUnder(got, op, cfgs, func() [][]float64 { return got.c.Evaluate(cfgs) })
+			wantOut := evaluateUnder(want, op, cfgs, func() [][]float64 { return referenceEvaluate(want.c, cfgs) })
+			if !reflect.DeepEqual(gotOut, wantOut) {
+				t.Fatalf("inline %v, op %d: Evaluate(%v) = %v, the reference %v", inline, n, cfgs, gotOut, wantOut)
+			}
+		case 2: // a primed batch, every third result a known failure
+			objs := make([][]float64, size)
+			for i := range objs {
+				if i%3 != 2 {
+					objs[i] = []float64{-float64(i), float64(op)}
+				}
+			}
+			keys := make([]string, size)
+			for i, cfg := range cfgs {
+				keys[i] = cfg.Key()
+			}
+			if g, w := got.c.PrimeBatch(cfgs, keys, objs), referencePrimeBatch(want.c, cfgs, objs); g != w {
+				t.Fatalf("inline %v, op %d: PrimeBatch(%v) = %d, the reference %d", inline, n, cfgs, g, w)
+			}
+		case 3: // one configuration at a time
+			if g, w := got.c.EvaluateOne(cfgs[0]), referenceEvaluate(want.c, cfgs[:1])[0]; !reflect.DeepEqual(g, w) {
+				t.Fatalf("inline %v, op %d: EvaluateOne(%v) = %v, the reference %v", inline, n, cfgs[0], g, w)
+			}
+		}
+		if g, w := got.c.Evaluations(), want.c.Evaluations(); g != w {
+			t.Fatalf("inline %v, op %d: E = %d, the reference %d", inline, n, g, w)
+		}
+	}
+	if !reflect.DeepEqual(got.log, want.log) {
+		t.Fatalf("inline %v: the observers saw\n%v\nthe reference's\n%v", inline, got.log, want.log)
+	}
+	for b := 0; b < 32; b++ {
+		cfg := fuzzCfg(byte(b))
+		g, gok := got.c.Lookup(cfg)
+		w, wok := want.c.Lookup(cfg)
+		if gok != wok || !reflect.DeepEqual(g, w) {
+			t.Fatalf("inline %v: Lookup(%v) = %v %v, the reference %v %v", inline, cfg, g, gok, w, wok)
+		}
+	}
 }
 
 // evaluateUnder evaluates one batch on side s under the context op asks

@@ -8,9 +8,10 @@
 // used by the paper-replication experiments) and a measured evaluator
 // that runs the real goroutine-parallel kernels and times them.
 // Both take medians over repetitions, cache evaluated configurations,
-// evaluate batches in parallel (the paper's compiler evaluates
-// configurations concurrently), and count evaluations — the E metric
-// of Table VI.
+// deduplicate configurations that concurrent batches share, and count
+// evaluations — the E metric of Table VI. Evaluation functions that can
+// block run on a batch's workers (the paper's compiler evaluates
+// configurations concurrently); the simulated one runs in the caller.
 package objective
 
 import (
@@ -104,17 +105,16 @@ type SimConfig struct {
 // count.
 const defaultReps = 3
 
-// simParallelism bounds the simulated evaluator's concurrent
-// evaluations.
-const simParallelism = 8
-
 // Sim is the simulated evaluator: the analytical performance model
 // wrapped in the shared CachingEvaluator (memoization + singleflight
-// dedup + bounded parallel batches).
+// dedup). A model pass cannot block and costs well under a microsecond,
+// less than handing it to another goroutine would, so a Sim evaluates a
+// batch in the calling goroutine.
 type Sim struct {
 	*CachingEvaluator
-	cfg   SimConfig
-	model *perfmodel.Model
+	cfg     SimConfig
+	model   *perfmodel.Model
+	problem perfmodel.Problem
 
 	// modeled counts raw model evaluations (including failed ones);
 	// it differs from evals exactly when dedup or failure accounting
@@ -148,8 +148,8 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 		}
 		names[i] = o.String()
 	}
-	s := &Sim{cfg: cfg, model: mo}
-	s.CachingEvaluator = newCachingEvaluator(names, simParallelism, s.evaluate)
+	s := &Sim{cfg: cfg, model: mo, problem: mo.Problem(cfg.Kernel.Model, cfg.N)}
+	s.CachingEvaluator = newInlineEvaluator(names, s.evaluate)
 	return s, nil
 }
 
@@ -178,7 +178,7 @@ func (s *Sim) evaluate(_ context.Context, cfg skeleton.Config, dst []float64) ([
 	times := scratch[:reps]
 	// One model pass for all repetitions; the model reads the tile sizes
 	// straight out of the configuration (kernel models are pure).
-	if err := s.model.Repetitions(s.cfg.Kernel.Model, s.cfg.N, cfg[:d:d], threads, unroll, times); err != nil {
+	if err := s.problem.Repetitions(cfg[:d:d], threads, unroll, times); err != nil {
 		return nil, nil
 	}
 	med := stats.MustMedianInPlace(times)
@@ -197,7 +197,8 @@ func (s *Sim) evaluate(_ context.Context, cfg skeleton.Config, dst []float64) ([
 
 // Measured evaluates configurations by executing the kernel's real Go
 // implementation and timing it. It shares the CachingEvaluator
-// infrastructure with Sim at parallelism 1: concurrent timed runs
+// infrastructure with Sim, on workers at parallelism 1: a timed run
+// blocks the goroutine that makes it, concurrent timed runs
 // would perturb each other, and the global semaphore keeps them
 // serialized even when several optimizer islands evaluate batches
 // concurrently — while cache hits and in-flight dedup still let every

@@ -243,8 +243,7 @@ func TestNewMeasuredValidation(t *testing.T) {
 	}
 }
 
-// TestSimParallelismOption: a batch twice the simulator's parallelism
-// of 8 evaluates in full.
+// TestSimParallelismOption: a batch of 16 evaluates in full.
 func TestSimParallelismOption(t *testing.T) {
 	mm, _ := kernels.ByName("mm")
 	s, err := NewSim(SimConfig{Machine: machine.Westmere(), Kernel: mm})

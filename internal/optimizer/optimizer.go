@@ -333,21 +333,23 @@ func (g Grid) Size() int {
 }
 
 // configs enumerates every configuration of the grid in lexicographic
-// order.
+// order, the last dimension fastest. They are cut from one slab, each
+// cut's capacity capped at its length, so the enumeration costs two
+// allocations however large the grid.
 func (g Grid) configs(space skeleton.Space) []skeleton.Config {
-	var cfgs []skeleton.Config
-	cur := make(skeleton.Config, space.Dim())
-	var rec func(d int)
-	rec = func(d int) {
-		if d == space.Dim() {
-			cfgs = append(cfgs, cur.Clone())
-			return
+	d, n := space.Dim(), g.Size()
+	cfgs := make([]skeleton.Config, n)
+	slab := make([]int64, n*d)
+	for i := range cfgs {
+		cfg := slab[i*d : (i+1)*d : (i+1)*d]
+		// i in the mixed radix of the dimensions' value counts.
+		rem := i
+		for j := d - 1; j >= 0; j-- {
+			vals := g[j]
+			cfg[j] = vals[rem%len(vals)]
+			rem /= len(vals)
 		}
-		for _, v := range g[d] {
-			cur[d] = v
-			rec(d + 1)
-		}
+		cfgs[i] = cfg
 	}
-	rec(0)
 	return cfgs
 }

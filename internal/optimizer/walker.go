@@ -21,7 +21,8 @@ type walker struct {
 	next    int
 	archive *pareto.Archive
 	// keepAll retains every successfully evaluated point in all, in
-	// evaluation order (brute force's Result.AllPoints).
+	// evaluation order (brute force's Result.AllPoints), which is sized
+	// to the walk up front.
 	keepAll bool
 	all     []pareto.Point
 }
@@ -114,7 +115,14 @@ func init() {
 		OneShot:    true,
 		Exhaustive: true,
 		New: func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, _ int64) islandEvolver {
-			return &walker{eval: eval, cfgs: cfg.Grid.configs(space), chunk: sweepChunk, archive: pareto.NewArchive(), keepAll: true}
+			cfgs := cfg.Grid.configs(space)
+			if sc, ok := eval.(objective.SharedCacher); ok {
+				// The sweep's size is known: the cache grows to it once
+				// rather than through every doubling on the way.
+				sc.SharedCache().Reserve(len(cfgs))
+			}
+			return &walker{eval: eval, cfgs: cfgs, chunk: sweepChunk, archive: pareto.NewArchive(),
+				keepAll: true, all: make([]pareto.Point, 0, len(cfgs))}
 		},
 		MaxGenerations: func(cfg StrategyConfig) int { return (cfg.Grid.Size() + sweepChunk - 1) / sweepChunk },
 		Normalize: func(_ skeleton.Space, cfg StrategyConfig) StrategyConfig {

@@ -20,6 +20,13 @@ func referenceNoise(kernel, mach string, n int64, tiles []int64, threads, unroll
 	return float64(v%2000001)/1000000 - 1
 }
 
+// boundNoise is the noise as a Problem computes it: the prefix hashed
+// once, when the problem is bound, and finished per configuration.
+func boundNoise(kernel, mach string, n int64, tiles []int64, threads, unroll, rep int) float64 {
+	mo := New(&machine.Machine{Name: mach})
+	return mo.Problem(&KernelModel{Name: kernel}, n).prefix.config(tiles, threads, unroll).at(rep)
+}
+
 func TestNoiseMatchesReference(t *testing.T) {
 	long := strings.Repeat("a-very-long-kernel-name/", 40)
 	cases := []struct {
@@ -48,6 +55,10 @@ func TestNoiseMatchesReference(t *testing.T) {
 			t.Errorf("noise(%.20q, %.20q, %d, %v, %d, %d, %d) = %v, reference %v",
 				c.kernel, c.mach, c.n, c.tiles, c.threads, c.unroll, c.rep, got, want)
 		}
+		if bound := boundNoise(c.kernel, c.mach, c.n, c.tiles, c.threads, c.unroll, c.rep); bound != want {
+			t.Errorf("noise(%.20q, %.20q, %d, %v, %d, %d, %d) from the problem's prefix = %v, reference %v",
+				c.kernel, c.mach, c.n, c.tiles, c.threads, c.unroll, c.rep, bound, want)
+		}
 		if got < -1 || got > 1 {
 			t.Errorf("noise %v outside [-1, 1]", got)
 		}
@@ -60,15 +71,18 @@ func FuzzNoiseMatchesReference(f *testing.F) {
 	f.Add(strings.Repeat("x", 300), "m|", int64(7), int64(1), int64(2), int64(3), uint8(5), 40, 8, 0)
 	f.Fuzz(func(t *testing.T, kernel, mach string, n, t0, t1, t2 int64, ntiles uint8, threads, unroll, rep int) {
 		tiles := []int64{t0, t1, t2, t0 ^ t1, t1 ^ t2, t2 ^ t0}[:ntiles%7]
-		got := noiseKey(kernel, mach, n, tiles, threads, unroll).at(rep)
-		if want := referenceNoise(kernel, mach, n, tiles, threads, unroll, rep); got != want {
+		want := referenceNoise(kernel, mach, n, tiles, threads, unroll, rep)
+		if got := noiseKey(kernel, mach, n, tiles, threads, unroll).at(rep); got != want {
 			t.Fatalf("noise = %v, reference %v", got, want)
+		}
+		if got := boundNoise(kernel, mach, n, tiles, threads, unroll, rep); got != want {
+			t.Fatalf("noise from the problem's prefix = %v, reference %v", got, want)
 		}
 	})
 }
 
-// Repetitions is TimeUnrolled for rep = 0, 1, …, to the bit, and fails
-// exactly where TimeUnrolled does.
+// A Problem's Repetitions is TimeUnrolled for rep = 0, 1, …, to the
+// bit, and fails exactly where TimeUnrolled does.
 func TestRepetitionsMatchTimeUnrolled(t *testing.T) {
 	k := toyModel()
 	for _, m := range []*machine.Machine{machine.Westmere(), machine.Barcelona()} {
@@ -79,7 +93,7 @@ func TestRepetitionsMatchTimeUnrolled(t *testing.T) {
 				for _, threads := range []int{1, 3, m.CoresPerSocket, m.Cores()} {
 					for _, unroll := range []int64{1, 4} {
 						times := make([]float64, 5)
-						if err := mo.Repetitions(k, 700, tiles, threads, unroll, times); err != nil {
+						if err := mo.Problem(k, 700).Repetitions(tiles, threads, unroll, times); err != nil {
 							t.Fatal(err)
 						}
 						for rep, got := range times {
@@ -105,7 +119,7 @@ func TestRepetitionsMatchTimeUnrolled(t *testing.T) {
 		{[]int64{8}, 1, 1}, {[]int64{8, 0}, 1, 1}, {[]int64{8, 8}, 0, 1}, {[]int64{8, 8}, 41, 1}, {[]int64{8, 8}, 1, 0},
 	} {
 		_, errT := mo.TimeUnrolled(k, 700, bad.tiles, bad.threads, int64(bad.unroll), 0)
-		errR := mo.Repetitions(k, 700, bad.tiles, bad.threads, int64(bad.unroll), make([]float64, 3))
+		errR := mo.Problem(k, 700).Repetitions(bad.tiles, bad.threads, int64(bad.unroll), make([]float64, 3))
 		if errT == nil || errR == nil || errT.Error() != errR.Error() {
 			t.Errorf("%+v: TimeUnrolled error %v, Repetitions error %v", bad, errT, errR)
 		}
@@ -126,7 +140,8 @@ func TestModelAllocationBudget(t *testing.T) {
 		t.Errorf("TimeUnrolled allocates %v times per call, want 0", a)
 	}
 	var times [3]float64
-	if a := testing.AllocsPerRun(100, func() { mo.Repetitions(k, 700, tiles, 12, 2, times[:]) }); a != 0 {
+	p := mo.Problem(k, 700)
+	if a := testing.AllocsPerRun(100, func() { p.Repetitions(tiles, 12, 2, times[:]) }); a != 0 {
 		t.Errorf("Repetitions allocates %v times per call, want 0", a)
 	}
 }

@@ -121,15 +121,6 @@ func New(m *machine.Machine) *Model {
 	return &Model{Machine: m, Overlap: 0.75}
 }
 
-// usableFraction models conflict misses: low associativity reduces the
-// usable fraction of a cache's capacity.
-func usableFraction(assoc int) float64 {
-	if assoc <= 0 {
-		return 1
-	}
-	return 1 - 1/(1+float64(assoc))
-}
-
 // perThreadCacheBandwidth returns the sustainable per-thread fill
 // bandwidth (bytes/second) from the level with the given latency,
 // assuming a handful of outstanding line fills.
@@ -160,24 +151,40 @@ func (mo *Model) TimeUnrolled(k *KernelModel, n int64, tiles []int64, threads in
 	return total, nil
 }
 
+// Problem is a kernel model at one problem size on the model's
+// machine: what a simulated evaluator predicts configuration after
+// configuration. It hashes the part of the noise key that all its
+// configurations share — kernel, machine and size — once.
+type Problem struct {
+	mo     *Model
+	k      *KernelModel
+	n      int64
+	prefix fnv1a
+}
+
+// Problem binds k at problem size n to the model. k must have passed
+// Validate; callers on a hot path validate once up front.
+func (mo *Model) Problem(k *KernelModel, n int64) Problem {
+	return Problem{mo: mo, k: k, n: n, prefix: noisePrefix(k.Name, mo.Machine.Name, n)}
+}
+
 // Repetitions fills times[r] with the prediction for repetition r — what
 // len(times) TimeUnrolled calls with rep = 0, 1, … return, bit for bit —
 // in one pass over the model: the repetitions differ only in the noise
 // factor applied to the deterministic total, and the noise hashes only
-// in their last field. k must have passed Validate; callers on a hot
-// path validate once up front.
-func (mo *Model) Repetitions(k *KernelModel, n int64, tiles []int64, threads int, unroll int64, times []float64) error {
-	total, err := mo.noiseless(k, n, tiles, threads, unroll)
+// in their last field.
+func (p Problem) Repetitions(tiles []int64, threads int, unroll int64, times []float64) error {
+	total, err := p.mo.noiseless(p.k, p.n, tiles, threads, unroll)
 	if err != nil {
 		return err
 	}
 	for rep := range times {
 		times[rep] = total
 	}
-	if mo.NoiseAmp > 0 {
-		key := noiseKey(k.Name, mo.Machine.Name, n, tiles, threads, int(unroll))
+	if amp := p.mo.NoiseAmp; amp > 0 {
+		key := p.prefix.config(tiles, threads, int(unroll))
 		for rep := range times {
-			times[rep] *= 1 + mo.NoiseAmp*key.at(rep)
+			times[rep] *= 1 + amp*key.at(rep)
 		}
 	}
 	return nil
@@ -212,7 +219,7 @@ func (mo *Model) noiseless(k *KernelModel, n int64, tiles []int64, threads int, 
 	// evaluated at the level's effective per-thread capacity.
 	tMem := 0.0
 	for i, lvl := range m.Caches {
-		usable := usableFraction(lvl.Associativity)
+		usable := lvl.UsableFraction()
 		sharers := 1
 		if lvl.Scope == machine.PerSocket {
 			sharers = placement.MaxThreadsOnSocket()
@@ -324,7 +331,18 @@ func (mo *Model) memBandwidthPerThread(p machine.Placement) float64 {
 // against the fmt + hash/fnv reference in noise_test.go; every
 // fixed-seed front depends on it.
 func noiseKey(kernel, mach string, n int64, tiles []int64, threads, unroll int) fnv1a {
-	h := fnv1a(fnvOffset64).str(kernel).byte('|').str(mach).byte('|').int(n).byte('|').byte('[')
+	return noisePrefix(kernel, mach, n).config(tiles, threads, unroll)
+}
+
+// noisePrefix hashes the part of a noise key that every configuration
+// of one problem shares: "kernel|machine|n|[".
+func noisePrefix(kernel, mach string, n int64) fnv1a {
+	return fnv1a(fnvOffset64).str(kernel).byte('|').str(mach).byte('|').int(n).byte('|').byte('[')
+}
+
+// config continues a noisePrefix hash with one configuration, up to the
+// '|' before the repetition index.
+func (h fnv1a) config(tiles []int64, threads, unroll int) fnv1a {
 	for i, t := range tiles {
 		if i > 0 {
 			h = h.byte(' ')

@@ -187,6 +187,7 @@ func TestEnergyMonotoneInThreadsAndTime(t *testing.T) {
 }
 
 func TestUsableFraction(t *testing.T) {
+	usableFraction := func(assoc int) float64 { return machine.CacheLevel{Associativity: assoc}.UsableFraction() }
 	if usableFraction(0) != 1 {
 		t.Error("assoc 0 should be fully usable")
 	}

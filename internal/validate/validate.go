@@ -47,15 +47,6 @@ type Report struct {
 	RankAgreement map[string]float64
 }
 
-// usableFraction mirrors the model's conflict-miss derating so both
-// sides see the same effective capacities.
-func usableFraction(assoc int) float64 {
-	if assoc <= 0 {
-		return 1
-	}
-	return 1 - 1/(1+float64(assoc))
-}
-
 // CacheModel traces each tiled configuration of the kernel through the
 // machine's simulated cache hierarchy (single-threaded — the reuse
 // structure, not contention, is under test) and compares per-level
@@ -89,11 +80,10 @@ func CacheModel(k *kernels.Kernel, m *machine.Machine, n int64, tileSets [][]int
 		var cr ConfigResult
 		for i, lvl := range m.Caches {
 			misses := h.perThread[0][i].stats.misses
-			cap := perfmodel.Capacity{
-				PerThread: int64(float64(lvl.SizeBytes) * usableFraction(lvl.Associativity)),
-				Total:     int64(float64(lvl.SizeBytes) * usableFraction(lvl.Associativity)),
-				Sharers:   1,
-			}
+			// The model's conflict-miss derating, so both sides see the
+			// same effective capacities.
+			usable := int64(float64(lvl.SizeBytes) * lvl.UsableFraction())
+			cap := perfmodel.Capacity{PerThread: usable, Total: usable, Sharers: 1}
 			cr.Levels = append(cr.Levels, LevelComparison{
 				SimBytes:   float64(misses) * float64(lvl.LineBytes),
 				ModelBytes: k.Model.LevelTraffic(n, tiles, cap),
