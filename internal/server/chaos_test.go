@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"autotune/internal/chaos"
+	"autotune/internal/objective"
 	"autotune/internal/skeleton"
 	"autotune/internal/tunedb"
 )
@@ -472,14 +473,26 @@ func TestDrainWhileDegradedSpillsCheckpointAndResumes(t *testing.T) {
 // partly read history the search would serve a different front than the
 // same request on a healthy disk, and nothing would say so. The same
 // request is served again once the fault is gone.
+//
+// Each case runs on a fresh orchestrator over the state a cold job left
+// compacted, so its warm start reads the key's history from the segment
+// rather than from what the cold job left resident. The fault is placed
+// by the segment reads a healthy warm start over that state makes, the
+// scan's and then the front lookup's, and the residency the failed job
+// leaves tells which of the two the fault hit: a failed scan keeps
+// nothing, a failed front lookup comes after a scan that completed.
 func TestWarmStartReadFaultFailsTheJob(t *testing.T) {
+	dir := t.TempDir()
 	inj := chaos.NewInjector(nil)
-	o, err := NewOrchestrator(Config{StateDir: t.TempDir(), DBFS: inj})
-	if err != nil {
-		t.Fatal(err)
+	open := func() *Orchestrator {
+		t.Helper()
+		o, err := NewOrchestrator(Config{StateDir: dir, DBFS: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
 	}
-	defer o.Drain()
-	forced := func() JobStatus {
+	forced := func(o *Orchestrator) JobStatus {
 		t.Helper()
 		req := smallJob(1)
 		req.Force = true
@@ -489,19 +502,51 @@ func TestWarmStartReadFaultFailsTheJob(t *testing.T) {
 		}
 		return waitTerminal(t, o, st.ID)
 	}
-	if cold := forced(); cold.State != StateDone {
+	o := open()
+	if cold := forced(o); cold.State != StateDone {
 		t.Fatalf("cold job: %s (%s)", cold.State, cold.Error)
 	}
 	// Out of the memtable, which no read fault reaches, into a segment.
 	if err := o.DB().Compact(); err != nil {
 		t.Fatal(err)
 	}
+	o.Drain()
+
+	reads := &segReads{FS: chaos.OS{}}
+	db, err := tunedb.OpenFS(filepath.Join(dir, "tunedb"), reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := db.ScanKeys("")
+	if err != nil || len(keys) != 1 {
+		t.Fatalf("the cold job stored keys %v (%v), want one", keys, err)
+	}
+	ce := objective.NewCachingEvaluator([]string{"time", "resources"}, 1, func(skeleton.Config) []float64 { return nil })
+	reads.n.Store(0)
+	if primed, err := db.Warm(keys[0], ce); err != nil || primed == 0 {
+		t.Fatalf("healthy warm start: %d primed, %v", primed, err)
+	}
+	scanReads := int(reads.n.Load())
+	if _, ok := db.Front(keys[0]); !ok {
+		t.Fatal("healthy warm start: no stored front")
+	}
+	frontReads := int(reads.n.Load()) - scanReads
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if scanReads == 0 || frontReads == 0 {
+		t.Fatalf("a healthy warm start makes %d segment reads to scan and %d to look the front up: the cases would test nothing", scanReads, frontReads)
+	}
+	t.Logf("a healthy warm start makes %d segment reads to scan and %d to look the front up", scanReads, frontReads)
+
 	for i, tc := range []struct {
-		after int
-		what  string
-	}{{0, "the evaluation scan"}, {1, "the front lookup"}} {
+		after   int
+		what    string
+		scanned bool
+	}{{0, "the evaluation scan", false}, {scanReads, "the front lookup", true}} {
+		o := open()
 		inj.Add(chaos.Fault{Op: chaos.OpRead, Path: ".seg", After: tc.after})
-		st := forced()
+		st := forced(o)
 		if st.State != StateFailed || !strings.Contains(st.Error, chaos.ErrInjected.Error()) || !strings.Contains(st.Error, "warm start") {
 			t.Fatalf("read fault in %s: job ended %s (%q), want failed with the injected error", tc.what, st.State, st.Error)
 		}
@@ -511,10 +556,42 @@ func TestWarmStartReadFaultFailsTheJob(t *testing.T) {
 		if inj.Injected() != i+1 {
 			t.Fatalf("read fault in %s: %d faults have fired, want %d", tc.what, inj.Injected(), i+1)
 		}
+		records, _, fromScan := o.DB().Residency()
+		if scanned := records > 0 && fromScan == 1; scanned != tc.scanned {
+			t.Fatalf("read fault in %s: %d records resident after %d completed scans: the fault hit another read", tc.what, records, fromScan)
+		}
+		o.Drain()
 	}
-	if warm := forced(); warm.State != StateDone || warm.Result == nil {
+	o = open()
+	defer o.Drain()
+	if warm := forced(o); warm.State != StateDone || warm.Result == nil {
 		t.Fatalf("warm job on a healthy disk: %s (%s)", warm.State, warm.Error)
 	}
+}
+
+// segReads is a pass-through filesystem that counts the reads of
+// segment files.
+type segReads struct {
+	chaos.FS
+	n atomic.Int64
+}
+
+type segReadsFile struct {
+	chaos.File
+	n *atomic.Int64
+}
+
+func (c *segReads) Open(name string) (chaos.File, error) {
+	f, err := c.FS.Open(name)
+	if err != nil || !strings.HasSuffix(name, ".seg") {
+		return f, err
+	}
+	return &segReadsFile{File: f, n: &c.n}, nil
+}
+
+func (f *segReadsFile) ReadAt(p []byte, off int64) (int, error) {
+	f.n.Add(1)
+	return f.File.ReadAt(p, off)
 }
 
 // storedState reads the state a job's record in the database says.
