@@ -28,11 +28,9 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"slices"
 )
 
@@ -121,17 +119,9 @@ func splitRecord(p []byte) (key, val, rest []byte, ok bool) {
 // does not verify — damage, and data[frameLen:] is where its successor
 // would start.
 func ParseFrame(data []byte) (recs []Record, frameLen int, err error) {
-	if len(data) < frameHeader {
-		return nil, 0, errTorn
-	}
-	payloadLen := int(binary.LittleEndian.Uint32(data))
-	if payloadLen < 8 || payloadLen > maxFrame || len(data) < frameHeader+payloadLen {
-		return nil, 0, errTorn
-	}
-	frameLen = frameHeader + payloadLen
-	payload := data[frameHeader:frameLen]
-	if !checkPayload(data, payload) {
-		return nil, frameLen, errTorn
+	payload, frameLen, err := framePayload(data)
+	if err != nil {
+		return nil, frameLen, err
 	}
 	for len(payload) > 0 {
 		key, val, rest, ok := splitRecord(payload)
@@ -144,47 +134,47 @@ func ParseFrame(data []byte) (recs []Record, frameLen int, err error) {
 	return recs, frameLen, nil
 }
 
-// readFrameAt decodes one single-record frame — the only kind a
-// segment holds — from r at the current position. It returns io.EOF
-// cleanly at end of stream, errTorn on a damaged or cut-off frame and
-// the reader's own error when the read itself failed. val lies inside a
-// buffer allocated for this frame alone: the caller owns it.
-func readFrameAt(r *bufio.Reader) (key string, val []byte, frameLen int, err error) {
-	// The header is parsed where the reader holds it; a copy handed to
-	// io.ReadFull would be a heap allocation per frame.
-	hdr, err := r.Peek(frameHeader)
-	if err != nil {
-		if err == io.EOF && len(hdr) == 0 {
-			return "", nil, 0, io.EOF
-		}
-		return "", nil, 0, shortRead(err)
+// framePayload verifies the frame at the start of data and returns its
+// payload, in place, and its length; the error and frameLen are
+// ParseFrame's.
+func framePayload(data []byte) (payload []byte, frameLen int, err error) {
+	n, ok := frameLenAt(data)
+	if !ok || len(data) < n {
+		return nil, 0, errTorn
 	}
-	payloadLen := int(binary.LittleEndian.Uint32(hdr))
-	sum := binary.LittleEndian.Uint32(hdr[4:])
-	if payloadLen < 8 || payloadLen > maxFrame {
-		return "", nil, 0, errTorn
+	payload = data[frameHeader:n]
+	if !checkPayload(data, payload) {
+		return nil, n, errTorn
 	}
-	r.Discard(frameHeader)
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return "", nil, 0, shortRead(err)
-	}
-	if crc32.Checksum(payload, crcTable) != sum {
-		return "", nil, 0, errTorn
-	}
-	k, v, rest, ok := splitRecord(payload)
-	if !ok || len(rest) != 0 {
-		return "", nil, 0, errTorn
-	}
-	return string(k), v, frameHeader + payloadLen, nil
+	return payload, n, nil
 }
 
-// shortRead names the failure of a read that ended inside a frame: the
-// data running out is a torn frame, anything else is the I/O error it
-// is — an EIO must not read as damage on disk.
-func shortRead(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return errTorn
+// frameLenAt reads the length of the frame whose header data starts
+// with; ok is false when data holds no whole header or the header
+// names a payload too short to hold a record or longer than maxFrame.
+func frameLenAt(data []byte) (n int, ok bool) {
+	if len(data) < frameHeader {
+		return 0, false
 	}
-	return fmt.Errorf("read: %w", err)
+	payloadLen := int(binary.LittleEndian.Uint32(data))
+	if payloadLen < 8 || payloadLen > maxFrame {
+		return 0, false
+	}
+	return frameHeader + payloadLen, true
+}
+
+// cutFrame decodes the single-record frame — the only kind a segment
+// holds — at the start of data, in place: key and val lie inside data.
+// A frame that is cut off, damaged or holds other than one record is
+// errTorn.
+func cutFrame(data []byte) (key, val []byte, frameLen int, err error) {
+	payload, frameLen, err := framePayload(data)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	key, val, rest, ok := splitRecord(payload)
+	if !ok || len(rest) != 0 {
+		return nil, nil, 0, errTorn
+	}
+	return key, val, frameLen, nil
 }

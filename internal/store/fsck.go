@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -172,12 +171,12 @@ func fsckSegment(path string) (problems []string) {
 		return []string{err.Error()}
 	}
 	offsets := map[int64]string{} // data offset → key, for index checking
-	r := bufio.NewReaderSize(io.NewSectionReader(f, int64(len(segMagic)), s.dataEnd-int64(len(segMagic))), 1<<16)
 	off := int64(len(segMagic))
+	frames := frameReader{r: f, off: off, end: s.dataEnd}
 	var prev string
 	var count uint64
 	for {
-		key, _, n, err := readFrameAt(r)
+		key, _, n, err := frames.next()
 		if err == io.EOF {
 			break
 		}
