@@ -107,6 +107,23 @@ func FuzzSegmentOpen(f *testing.F) {
 	}
 	f.Add(seg)
 	f.Add(seg[:len(seg)-1])
+	// The same records indexed one by one, so the index has entries to
+	// disorder; and then disordered: the entry of "c" points back at the
+	// first frame, an offset the open accepts, making the block of "b"
+	// end before it starts.
+	opt.indexInterval = 1
+	if _, err := writeSegment(dir, 2, 2, &memSource{mem: src.mem, keys: src.keys}, 3, &opt); err != nil {
+		f.Fatal(err)
+	}
+	seg, err = os.ReadFile(filepath.Join(dir, segName(2, 2)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg)
+	indexOff := binary.LittleEndian.Uint64(seg[len(seg)-footerSize+8:])
+	bad := bytes.Clone(seg)
+	binary.LittleEndian.PutUint64(bad[indexOff+2*(4+1+8)+4+1:], uint64(len(segMagic)))
+	f.Add(bad)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, segName(1, 1))
@@ -120,7 +137,7 @@ func FuzzSegmentOpen(f *testing.F) {
 		defer s.close()
 		// The segment opened: every read path must stay panic-free and
 		// in-bounds even if interior bytes are damaged.
-		for _, k := range []string{"a", "zz", ""} {
+		for _, k := range []string{"a", "b", "zz", ""} {
 			s.get(k)
 		}
 		it := s.iter("")

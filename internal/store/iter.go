@@ -141,10 +141,15 @@ func (it *Iterator) advanceTop() error {
 	return nil
 }
 
-// Key returns the current key; valid after Next reports true.
+// Key returns the current key; valid after Next reports true. A key read
+// from a segment lies in the chunk of up to 32 KiB it was read in, and
+// keeping it — or any substring of it — keeps that whole chunk alive:
+// clone a key that is kept past the scan.
 func (it *Iterator) Key() string { return it.key }
 
 // Value returns the current value; the slice is owned by the caller.
+// Like Key, a value read from a segment keeps its read chunk alive for
+// as long as it is kept.
 func (it *Iterator) Value() []byte { return it.val }
 
 // Err returns the first error the iteration hit, if any.

@@ -293,7 +293,9 @@ func (st *Store) scheduleCompact(sh *shard) {
 	}()
 }
 
-// Get returns the newest value stored under key. Reads keep working on
+// Get returns the newest value stored under key; the slice is owned by
+// the caller, and one read from a segment keeps the chunk of up to 32 KiB
+// it was read in alive for as long as it is kept. Reads keep working on
 // degraded (read-only) stores and failed shards.
 func (st *Store) Get(key string) ([]byte, bool, error) {
 	return st.shardFor(key).get(key)
