@@ -9,8 +9,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"autotune/internal/chaos"
@@ -92,12 +94,30 @@ func referenceGet(s *segment, key string) ([]byte, bool, error) {
 	}
 }
 
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes f
+// allocates on average over runs calls, after one warm-up call, at
+// GOMAXPROCS 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestSegmentGetAllocationBudget: a point get that the bloom filter
 // sends to a segment allocates a constant, wherever in its index block
 // the key sits, and so does a bloom false positive, which walks the
-// block to its end. A get that read its block frame by frame through a
-// buffered reader allocated a payload and a key per frame walked: 31
-// times for a key in the middle of a 32-record block.
+// block to its end; in bytes, a hit allocates its value and a constant,
+// a false positive the constant. A get that read its block frame by
+// frame through a buffered reader allocated a payload and a key per
+// frame walked: 31 times for a key in the middle of a 32-record block;
+// one that read its block into a buffer of its own allocated the block,
+// 5,376 bytes for a block of these records.
 func TestSegmentGetAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -116,20 +136,25 @@ func TestSegmentGetAllocationBudget(t *testing.T) {
 		want[k] = vals[i]
 	}
 	sort.Strings(keys)
-	const budget = 3
-	get := func(key string, found bool) float64 {
-		return testing.AllocsPerRun(20, func() {
+	const budget, byteBudget = 3, 256
+	get := func(key string, found bool) (allocs, allocBytes float64) {
+		check := func() {
 			v, ok, err := st.Get(key)
 			if err != nil || ok != found || found && !bytes.Equal(v, want[key]) {
 				t.Fatalf("Get(%q) = %q, %v, %v", key, v, ok, err)
 			}
-		})
+		}
+		return testing.AllocsPerRun(20, check), bytesPerRun(20, check)
 	}
 	// Every position of the second block (index interval 32).
 	for pos := 0; pos < 32; pos++ {
 		key := keys[32+pos]
-		if allocs := get(key, true); allocs > budget {
+		allocs, allocBytes := get(key, true)
+		if allocs > budget {
 			t.Errorf("a hit at position %d of its block allocates %.0f times, budget %d", pos, allocs, budget)
+		}
+		if limit := len(want[key]) + byteBudget; allocBytes > float64(limit) {
+			t.Errorf("a hit at position %d of its block allocates %.0f bytes, budget %d (its %d-byte value and %d)", pos, allocBytes, limit, len(want[key]), byteBudget)
 		}
 	}
 
@@ -150,12 +175,66 @@ func TestSegmentGetAllocationBudget(t *testing.T) {
 		t.Fatal("no bloom false positive among the candidates")
 	}
 	before := sh.bloomFalsePos
-	allocs := get(fp, false)
+	allocs, allocBytes := get(fp, false)
 	if sh.bloomFalsePos == before {
 		t.Fatalf("%q is no bloom false positive", fp)
 	}
 	if allocs > budget {
 		t.Errorf("a bloom false positive allocates %.0f times, budget %d", allocs, budget)
+	}
+	if allocBytes > byteBudget {
+		t.Errorf("a bloom false positive allocates %.0f bytes, budget %d", allocBytes, byteBudget)
+	}
+}
+
+// TestGetValuesKeepNoBlock: a value Get returns is a copy of its own,
+// not a view of the block the get read it from, so holding on to values
+// holds on to nothing else. Holding 400 values of 16 bytes, each read by
+// a get of its own from a segment, keeps a few KiB alive, not the 400
+// index blocks of some 3 KiB they were read in.
+func TestGetValuesKeepNoBlock(t *testing.T) {
+	st := mustOpen(t, t.TempDir(), Options{Shards: 1, NoBackgroundCompaction: true})
+	defer st.Close()
+	const n = 400
+	keys := make([]string, n)
+	vals := make([][]byte, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%05d|%s", i, strings.Repeat("x", 56))
+		vals[i] = []byte(fmt.Sprintf("value %09d", i))
+	}
+	if err := st.PutBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	live := func() int64 {
+		// Twice: the second collection empties the victim cache of
+		// the sync.Pools the first one moved there.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	got := make([][]byte, 0, n)
+	before := live()
+	for _, k := range keys {
+		v, ok, err := st.Get(k)
+		if err != nil || !ok {
+			t.Fatalf("Get(%q): %v, %v", k, ok, err)
+		}
+		got = append(got, v)
+	}
+	kept := live() - before
+	for i, v := range got {
+		if !bytes.Equal(v, vals[i]) {
+			t.Fatalf("value %d = %q, want %q", i, v, vals[i])
+		}
+	}
+	runtime.KeepAlive(got)
+	if kept > 32<<10 {
+		t.Errorf("holding %d values of 16 bytes keeps %d KiB alive, want at most 32", n, kept>>10)
 	}
 }
 

@@ -237,6 +237,21 @@ func warmDB(t testing.TB, fsys chaos.FS, n int) *DB {
 	return db
 }
 
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes f
+// allocates on average over runs calls, after one warm-up call, at
+// GOMAXPROCS 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 func newCache() *objective.CachingEvaluator {
 	return objective.NewCachingEvaluator([]string{"time", "resources"}, 1, func(skeleton.Config) []float64 { return nil })
 }

@@ -1,6 +1,7 @@
 package tunedb
 
 import (
+	"strings"
 	"testing"
 
 	"autotune/internal/machine"
@@ -197,5 +198,44 @@ func TestSeedPopulation(t *testing.T) {
 	missing.Fingerprint = "pg0000000000000000"
 	if got := db.SeedPopulation(missing, sig, space, 5); got != nil {
 		t.Fatalf("missing front seeds = %v", got)
+	}
+}
+
+// TestSeedsFailOnUndecodableFront: a stored front whose frame is intact
+// but whose value does not decode is damage, not absence. Seeds must
+// fail naming the key, as it does on a failed read, rather than seed
+// from another machine's transferable front in its place — whether the
+// damaged front is the exact key's or one of the transferable fronts a
+// probe from an unseen machine compares. Front, lenient by signature,
+// reads it as no front.
+func TestSeedsFailOnUndecodableFront(t *testing.T) {
+	db := mustOpen(t, t.TempDir())
+	defer db.Close()
+	westmere := machine.SignatureOf(machine.Westmere())
+	barcelona := machine.SignatureOf(machine.Barcelona())
+	key := testKey()
+	other := key
+	other.MachineSig = barcelona.Key()
+	rec := testFront(other)
+	rec.Machine = barcelona
+	if err := db.PutFront(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.st.Put(frontStoreKey(key.String()), []byte("not a front")); err != nil {
+		t.Fatal(err)
+	}
+	if seeds, err := db.Seeds(other, barcelona, testSpace(), 4); err != nil || len(seeds) != 2 {
+		t.Fatalf("Seeds of the readable front = %v, %v; want its two points", seeds, err)
+	}
+	probe := key
+	probe.MachineSig = "s1.c1.t1.clk1.00.bw1.0"
+	for _, k := range []Key{key, probe} {
+		seeds, err := db.Seeds(k, westmere, testSpace(), 4)
+		if err == nil || !strings.Contains(err.Error(), key.String()) {
+			t.Errorf("Seeds(%s) = %v, %v; want an error naming %s", k, seeds, err, key)
+		}
+	}
+	if _, ok := db.Front(key); ok {
+		t.Error("Front reads the undecodable front as a front")
 	}
 }
