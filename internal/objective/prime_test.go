@@ -1,6 +1,7 @@
 package objective
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync/atomic"
@@ -134,6 +135,36 @@ func TestPrimeBatchMatchesPrime(t *testing.T) {
 	}
 	if v, ok := wantCache[skeleton.Config{102}.Key()]; !ok || v[0] != 102 {
 		t.Fatalf("the in-flight key ended as %v, want its evaluated value", v)
+	}
+}
+
+// TestPrimeBatchLeavesInFlightKeysUnknown: a warm start's batch primed
+// while an evaluation of one of its keys is in flight leaves that key
+// to the evaluation — and so unknown once the evaluation is withdrawn,
+// as a batch copied into the map does — and primes the rest.
+func TestPrimeBatchLeavesInFlightKeysUnknown(t *testing.T) {
+	entered, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	c := newCachingEvaluator([]string{"a"}, 1, func(context.Context, skeleton.Config, []float64) ([]float64, error) {
+		close(entered)
+		<-release
+		return nil, context.Canceled // aborted: withdrawn, left unknown
+	})
+	go func() {
+		c.EvaluateOne(skeleton.Config{2})
+		close(done)
+	}()
+	<-entered
+	cfgs := []skeleton.Config{{1}, {2}, {3}}
+	if n := c.PrimeBatch(cfgs, keysOf(cfgs), [][]float64{{1}, {2}, {3}}); n != 2 {
+		t.Fatalf("PrimeBatch inserted %d, want 2 beside the key in flight", n)
+	}
+	close(release)
+	<-done
+	for i, cfg := range cfgs {
+		objs, ok := c.Lookup(cfg)
+		if ok != (i != 1) || ok && objs[0] != float64(cfg[0]) {
+			t.Errorf("Lookup(%v) = %v, %v after the evaluation in flight was withdrawn", cfg, objs, ok)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"unsafe"
 
 	"autotune/internal/chaos"
@@ -265,11 +266,19 @@ func (s *segment) close() {
 	}
 }
 
+// getBufs holds the chunks point gets read their blocks into. A get
+// walks its block in place and returns a copy of the value it finds, so
+// nothing a get reads outlives it and the next get may read into the
+// same chunk.
+var getBufs = sync.Pool{New: func() any { return new([chunkSize]byte) }}
+
 // get point-looks key up: the sparse index narrows the scan to one
 // block of at most the write-time index interval, from the last index
 // entry at or before key to the next entry (or the end of the data),
-// which a frameReader walks up to the key, every frame verified. The
-// value is a view of a chunk this call alone read: it is the caller's.
+// which a frameReader walks up to the key, every frame verified. A
+// block of up to chunkSize is read into a chunk of getBufs, one read
+// per get — this is no block cache: every get reads its block from the
+// file — and the value returned is a copy of its own: the caller's.
 // The caller has already consulted the bloom filter.
 func (s *segment) get(key string) ([]byte, bool, error) {
 	i := sort.Search(len(s.index), func(i int) bool { return s.index[i].key > key })
@@ -277,7 +286,9 @@ func (s *segment) get(key string) ([]byte, bool, error) {
 		// Every key in the segment is > key.
 		return nil, false, nil
 	}
-	fr := frameReader{r: s.f, off: s.index[i-1].off, end: s.dataEnd}
+	chunk := getBufs.Get().(*[chunkSize]byte)
+	defer getBufs.Put(chunk)
+	fr := frameReader{r: s.f, off: s.index[i-1].off, end: s.dataEnd, buf: chunk[:0]}
 	if i < len(s.index) {
 		fr.end = s.index[i].off
 	}
@@ -290,7 +301,7 @@ func (s *segment) get(key string) ([]byte, bool, error) {
 			return nil, false, fmt.Errorf("store: segment %s: %w", filepath.Base(s.path), err)
 		}
 		if k == key {
-			return v, true, nil
+			return append([]byte(nil), v...), true, nil
 		}
 		if k > key {
 			return nil, false, nil
@@ -360,7 +371,9 @@ func (it *segIter) next() (string, []byte, bool, error) {
 // never written again, so what next hands out — the key as a string
 // and the value as a slice, both in place — is the caller's for good.
 // A frame that a chunk holds only the start of moves, uncut, into the
-// next chunk.
+// next chunk. A reader started on a buf of its caller's — a point get's
+// pooled chunk — reads into it first, and what it cuts from it lasts
+// only as long as the caller lets the buffer be.
 type frameReader struct {
 	r   io.ReaderAt
 	off int64  // file offset of the first byte not yet read

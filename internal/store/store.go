@@ -293,10 +293,10 @@ func (st *Store) scheduleCompact(sh *shard) {
 	}()
 }
 
-// Get returns the newest value stored under key; the slice is owned by
-// the caller, and one read from a segment keeps the chunk of up to 32 KiB
-// it was read in alive for as long as it is kept. Reads keep working on
-// degraded (read-only) stores and failed shards.
+// Get returns the newest value stored under key, a copy of its own:
+// the slice is owned by the caller, and keeping it keeps nothing else
+// alive. Reads keep working on degraded (read-only) stores and failed
+// shards.
 func (st *Store) Get(key string) ([]byte, bool, error) {
 	return st.shardFor(key).get(key)
 }
