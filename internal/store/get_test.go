@@ -323,7 +323,7 @@ func FuzzSegmentGetMatchesReference(f *testing.F) {
 				if err != nil || !ok {
 					return recs, err
 				}
-				recs = append(recs, Record{k, v})
+				recs = append(recs, Record{strings.Clone(k), bytes.Clone(v)})
 			}
 		}
 		got, err := scan(s.iter(""))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -306,7 +307,7 @@ func TestConcurrentWritersAcrossShards(t *testing.T) {
 						it.Close()
 						return
 					}
-					prev = it.Key()
+					prev = strings.Clone(it.Key())
 				}
 				if err := it.Err(); err != nil {
 					errs <- err

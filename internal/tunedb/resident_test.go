@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -343,7 +344,7 @@ func storedRecords(t testing.TB, dir string) []store.Record {
 	it := st.Iter("")
 	defer it.Close()
 	for it.Next() {
-		recs = append(recs, store.Record{Key: it.Key(), Val: it.Value()})
+		recs = append(recs, store.Record{Key: strings.Clone(it.Key()), Val: bytes.Clone(it.Value())})
 	}
 	if err := it.Err(); err != nil {
 		t.Fatal(err)
