@@ -78,6 +78,7 @@ func (sh *shard) compactRun(all bool) (bool, error) {
 		approx += int(s.count)
 	}
 	merged := newMergedIterator(streams, "", nil)
+	defer merged.Close()
 	seqMin, seqMax := inputs[0].seqMin, inputs[len(inputs)-1].seqMax
 	_, err := writeSegment(sh.dir, seqMin, seqMax, iterSource{merged}, approx, &sh.st.opt)
 	if err == nil {

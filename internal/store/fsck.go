@@ -173,6 +173,7 @@ func fsckSegment(path string) (problems []string) {
 	offsets := map[int64]string{} // data offset → key, for index checking
 	off := int64(len(segMagic))
 	frames := frameReader{r: f, off: off, end: s.dataEnd}
+	defer frames.release()
 	var prev string
 	var count uint64
 	for {
@@ -190,8 +191,9 @@ func fsckSegment(path string) (problems []string) {
 		if !s.filter.test(hashKey(key)) {
 			problems = append(problems, fmt.Sprintf("bloom filter rejects stored key %q", key))
 		}
-		offsets[off] = key
-		prev = key
+		// offsets keeps the key past the following next: a copy.
+		prev = strings.Clone(key)
+		offsets[off] = prev
 		off += int64(n)
 		count++
 	}

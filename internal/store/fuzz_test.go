@@ -3,7 +3,9 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -146,6 +148,100 @@ func FuzzSegmentOpen(f *testing.F) {
 			if !ok || err != nil {
 				break
 			}
+		}
+	})
+}
+
+// FuzzIterMatchesReference builds a store of several segments and a
+// memtable — keys overwritten across them, so the merge has superseded
+// versions to drop, values of up to a few KiB with some above the
+// 32 KiB chunk, so frames cross chunk edges and some need a buffer of
+// their own, a compaction in some cases — and scans it under every kind
+// of prefix: none, a group, a whole key, a cut key and one that matches
+// nothing. Iter must yield exactly the records of the reference merge,
+// in its order, and each must still read intact just before the
+// following Next, after a point get in between has read into the pool
+// the scan's chunks come from.
+func FuzzIterMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(40), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(4), uint8(60), uint8(7), uint8(1))
+	f.Add(int64(3), uint8(1), uint8(90), uint8(3), uint8(0))
+	f.Add(int64(4), uint8(2), uint8(5), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, segs, perSeg, bigEvery, compact uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		st := mustOpen(t, dir, Options{Shards: 2, NoBackgroundCompaction: true, indexInterval: 1 + rng.Intn(8)})
+		defer st.Close()
+		groups := []string{"a/", "ab/", "b/"}
+		var keys []string
+		for s := 0; s <= 1+int(segs)%4; s++ {
+			for i := 0; i < 1+int(perSeg)%100; i++ {
+				k := fmt.Sprintf("%s%03d", groups[rng.Intn(len(groups))], rng.Intn(80))
+				n := rng.Intn(3000)
+				if bigEvery > 0 && rng.Intn(int(bigEvery)) == 0 {
+					n = chunkSize + rng.Intn(8<<10)
+				}
+				v := bytes.Repeat([]byte{byte('a' + s)}, n)
+				copy(v, fmt.Sprintf("%d/%d", s, i))
+				if err := st.Put(k, v); err != nil {
+					t.Fatal(err)
+				}
+				keys = append(keys, k)
+			}
+			// The last round of puts stays in the memtable.
+			if s <= int(segs)%4 {
+				if err := st.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if compact%2 == 1 {
+			if err := st.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k := keys[rng.Intn(len(keys))]
+		for _, prefix := range []string{"", groups[rng.Intn(len(groups))], k, k[:rng.Intn(len(k))], "c/"} {
+			want, err := referenceScan(st, prefix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it := st.Iter(prefix)
+			i := 0
+			for it.Next() {
+				key, val := it.Key(), it.Value()
+				if i >= len(want) || key != want[i].Key || !bytes.Equal(val, want[i].Val) {
+					t.Fatalf("Iter(%q)[%d] = %q (%d bytes), the reference has %d records", prefix, i, key, len(val), len(want))
+				}
+				if _, _, err := st.Get(keys[rng.Intn(len(keys))]); err != nil {
+					t.Fatal(err)
+				}
+				if key != want[i].Key || !bytes.Equal(val, want[i].Val) {
+					t.Fatalf("Iter(%q)[%d] was handed out as %q and reads %q before the following Next", prefix, i, want[i].Key, key)
+				}
+				i++
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			it.Close()
+			if i != len(want) {
+				t.Fatalf("Iter(%q) yields %d records, the reference %d", prefix, i, len(want))
+			}
+			if prefix != "" {
+				continue
+			}
+			// The scans and the reference seek through the sparse
+			// indexes alike; a point get of every key and fsck hold
+			// those to the frames they name.
+			for _, r := range want {
+				if v, ok, err := st.Get(r.Key); err != nil || !ok || !bytes.Equal(v, r.Val) {
+					t.Fatalf("Get(%q) = %d bytes, %v, %v; the scan read %d bytes", r.Key, len(v), ok, err, len(r.Val))
+				}
+			}
+		}
+		if rep, err := Fsck(dir); err != nil || !rep.OK() {
+			t.Fatalf("fsck: %v\n%s", err, rep)
 		}
 	})
 }

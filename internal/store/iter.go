@@ -7,9 +7,10 @@ import "strings"
 // with newest-wins resolution for superseded versions of a key. It
 // operates on a snapshot taken at creation: concurrent writes and
 // compactions neither block it nor appear in it. Close must be called
-// when done.
+// when done: it gives back the chunks the segments were read into.
 type Iterator struct {
 	h       mergeHeap
+	streams []stream
 	prefix  string
 	key     string
 	val     []byte
@@ -18,9 +19,13 @@ type Iterator struct {
 	release func()
 }
 
-// stream is one sorted source feeding the merge.
+// stream is one sorted source feeding the merge. What next hands out
+// stays whole through the following next, so the merge may advance a
+// stream past the record it is about to hand out; close releases what
+// the stream read into.
 type stream interface {
 	next() (key string, val []byte, ok bool, err error)
+	close()
 }
 
 // heapEntry is the one pending record of a stream. Higher priority wins
@@ -70,7 +75,7 @@ func (h mergeHeap) down(i int) {
 // (later streams win duplicate keys). release, if non-nil, runs once at
 // Close.
 func newMergedIterator(streams []stream, prefix string, release func()) *Iterator {
-	it := &Iterator{prefix: prefix, release: release, h: make(mergeHeap, 0, len(streams))}
+	it := &Iterator{streams: streams, prefix: prefix, release: release, h: make(mergeHeap, 0, len(streams))}
 	for i, s := range streams {
 		k, v, ok, err := s.next()
 		if err != nil {
@@ -141,24 +146,29 @@ func (it *Iterator) advanceTop() error {
 	return nil
 }
 
-// Key returns the current key; valid after Next reports true. A key read
-// from a segment lies in the chunk of up to 32 KiB it was read in, and
-// keeping it — or any substring of it — keeps that whole chunk alive:
-// clone a key that is kept past the scan.
+// Key returns the current key; valid after Next reports true, and until
+// the following Next or Close. A key read from a segment lies in the
+// chunk it was read in, which a later Next or another scan reads into
+// again: clone a key — or any substring of it — that is kept longer.
 func (it *Iterator) Key() string { return it.key }
 
-// Value returns the current value; the slice is owned by the caller.
-// Like Key, a value read from a segment keeps its read chunk alive for
-// as long as it is kept.
+// Value returns the current value, valid as long as Key. Its capacity
+// ends with it, so appending to it writes nothing of the iterator's;
+// like Key, it lies in a read chunk: copy a value that is kept longer.
 func (it *Iterator) Value() []byte { return it.val }
 
 // Err returns the first error the iteration hit, if any.
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases the iterator's snapshot. It is safe to call multiple
+// Close releases the iterator's snapshot and its read chunks; no key or
+// value it handed out may be read after it. It is safe to call multiple
 // times.
 func (it *Iterator) Close() {
 	it.done = true
+	it.key, it.val = "", nil
+	for _, s := range it.streams {
+		s.close()
+	}
 	if it.release != nil {
 		it.release()
 		it.release = nil
@@ -180,3 +190,5 @@ func (m *memStream) next() (string, []byte, bool, error) {
 	m.i++
 	return k, v, true, nil
 }
+
+func (m *memStream) close() {}

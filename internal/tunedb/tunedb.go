@@ -627,10 +627,10 @@ func (db *DB) PutJob(id string, rec []byte) error {
 	return nil
 }
 
-// Jobs calls fn with every stored job record in ID order; id and rec
-// are fn's. id is a copy of its own, since a job's id is kept for the
-// life of a server; rec lies in the chunk it was read in (see
-// store.Iterator.Value).
+// Jobs calls fn with every stored job record in ID order. id is fn's
+// to keep, a copy of its own, since a job's id is kept for the life of
+// a server; rec is valid until fn returns: it lies in the chunk it was
+// read in, which the scan reads into again (see store.Iterator.Value).
 // An error from fn ends the scan and is returned, as is a read error.
 func (db *DB) Jobs(fn func(id string, rec []byte) error) error {
 	it := db.st.Iter(nsJob)
@@ -714,11 +714,12 @@ func (db *DB) ScanKeys(prefix string) ([]Key, error) {
 // fingerprint whole — any full key does — is read from the one shard
 // that owns the program. Values are decoded by decodeEvalValue, the
 // counterpart of the encoder PutEvals writes them with; cfg and objs are
-// fn's to keep. keyStr is fn's as well, but it lies in the chunk its
-// record was read in (see store.Iterator.Key): clone one that is kept
-// past the scan. Iteration stops early when fn returns false; an error
-// means the scan was cut short by an unreadable or undecodable record,
-// and what fn has seen is a proper part of what is stored.
+// fn's to keep. keyStr is valid until fn returns: it lies in the chunk
+// its record was read in, which the scan reads into again (see
+// store.Iterator.Key), so clone one that is kept longer. Iteration
+// stops early when fn returns false; an error means the scan was cut
+// short by an unreadable or undecodable record, and what fn has seen is
+// a proper part of what is stored.
 func (db *DB) ScanEvals(prefix string, fn func(keyStr string, cfg skeleton.Config, objs []float64) bool) error {
 	return db.scanEvals(nsEval+prefix, func(sk string, cfg skeleton.Config, objs []float64) bool {
 		ks := strings.TrimPrefix(sk, nsEval)
