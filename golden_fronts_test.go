@@ -13,7 +13,7 @@ import (
 	"autotune/internal/export"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate the testdata/golden_*.json files of the selected Golden tests, and testdata/examples of TestExamples, from the current code")
+var updateGolden = flag.Bool("update", false, "regenerate the testdata/golden_*.json files of the selected Golden tests, testdata/examples of TestExamples and testdata/api.txt of TestPublicAPIPinned, from the current code")
 
 const (
 	goldenFrontsPath = "testdata/golden_fronts.json"
