@@ -388,8 +388,8 @@ func TestAdaptivePolicyViaFacade(t *testing.T) {
 	if err != nil || elapsed < 0 {
 		t.Fatalf("InvokeTimed: %d, %v, %v", idx, elapsed, err)
 	}
-	if len(a.Measurements()[idx]) != 1 {
-		t.Fatal("measurement not recorded")
+	if n := rt.Stats().PerVersion[idx]; n != 1 {
+		t.Fatalf("version %d ran %d times, want 1", idx, n)
 	}
 }
 

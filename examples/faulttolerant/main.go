@@ -8,7 +8,8 @@
 // next-ranked version, quarantines the flaky version after repeated
 // consecutive failures (circuit breaker), probes it again after the
 // cool-down, and surfaces every intervention through InvocationStats
-// and the event hook. The caller sees zero errors.
+// and the event hook. The caller sees zero errors, and the failures the
+// runtime absorbed are exactly the faults the injector counts.
 package main
 
 import (
@@ -54,21 +55,33 @@ func main() {
 		}
 	}
 	fmt.Printf("injecting 30%% fault rate into version %d (the policy's first choice)\n\n", fastest)
-	rt.SetFaultInjector(&autotune.FaultInjector{
+	injector := &autotune.FaultInjector{
 		ErrorRate: 0.3,
 		Versions:  []int{fastest},
 		Seed:      7,
-	})
+	}
+	rt.SetFaultInjector(injector)
 	rt.SetHealthConfig(autotune.HealthConfig{FailureThreshold: 3, Cooldown: 20})
 
-	// Trace the circuit breaker's decisions.
+	// Trace the circuit breaker's decisions: a quarantine follows the
+	// failure event that tripped it, and every event names the region
+	// and the version's place in the policy's ranking (Attempt, from 0).
 	transitions := 0
+	var lastErr error
 	rt.SetEventHook(func(e autotune.RuntimeEvent) {
-		if e.Type == autotune.RuntimeEventQuarantine || e.Type == autotune.RuntimeEventReadmit {
+		switch e.Type {
+		case autotune.RuntimeEventFailure:
+			lastErr = e.Err
+		case autotune.RuntimeEventQuarantine, autotune.RuntimeEventReadmit:
 			transitions++
-			if transitions <= 8 {
-				fmt.Printf("  [event] %-10s version %d\n", e.Type, e.Version)
+			if transitions > 8 {
+				return
 			}
+			fmt.Printf("  [event] %-10s %s version %d (policy choice %d)", e.Type, e.Region, e.Version, e.Attempt+1)
+			if e.Type == autotune.RuntimeEventQuarantine {
+				fmt.Printf(" after: %v", lastErr)
+			}
+			fmt.Println()
 		}
 	})
 
@@ -88,6 +101,8 @@ func main() {
 
 	st := rt.Stats()
 	fmt.Printf("\n%d invocations, %d caller-visible errors\n", invocations, callerErrors)
+	injected, _ := injector.Counts()
+	fmt.Printf("faults injected:          %d\n", injected)
 	fmt.Printf("entry failures absorbed:  %d\n", st.Failures)
 	fmt.Printf("fallbacks to next-ranked: %d\n", st.Fallbacks)
 	fmt.Printf("quarantine transitions:   %d\n", st.Quarantines)

@@ -5,7 +5,8 @@ import (
 	"fmt"
 )
 
-// jsonMachine mirrors Machine with tagged fields for stable JSON.
+// jsonMachine mirrors Machine with tagged fields for stable JSON: the
+// -machine-file format of cmd/autotune.
 type jsonMachine struct {
 	Name               string      `json:"name"`
 	Sockets            int         `json:"sockets"`
@@ -29,35 +30,6 @@ type jsonCache struct {
 	Associativity int     `json:"associativity"`
 	LatencyCycles float64 `json:"latencyCycles"`
 	Scope         string  `json:"scope"`
-}
-
-// ToJSON serializes the machine description.
-func (m *Machine) ToJSON() ([]byte, error) {
-	jm := jsonMachine{
-		Name:               m.Name,
-		Sockets:            m.Sockets,
-		CoresPerSocket:     m.CoresPerSocket,
-		ThreadsPerCore:     m.ThreadsPerCore,
-		ClockGHz:           m.ClockGHz,
-		TurboGHz:           m.TurboGHz,
-		FlopsPerCycle:      m.FlopsPerCycle,
-		MemLatencyCycles:   m.MemLatencyCycles,
-		MemBandwidthGBs:    m.MemBandwidthGBs,
-		ParallelOverheadUS: m.ParallelOverheadUS,
-		NUMAPenalty:        m.NUMAPenalty,
-		KernelVersion:      m.KernelVersion,
-	}
-	for _, c := range m.Caches {
-		jm.Caches = append(jm.Caches, jsonCache{
-			Name:          c.Name,
-			SizeBytes:     c.SizeBytes,
-			LineBytes:     c.LineBytes,
-			Associativity: c.Associativity,
-			LatencyCycles: c.LatencyCycles,
-			Scope:         c.Scope.String(),
-		})
-	}
-	return json.MarshalIndent(jm, "", "  ")
 }
 
 // FromJSON deserializes and validates a machine description.

@@ -97,11 +97,6 @@ type Machine struct {
 // Cores returns the total number of physical cores.
 func (m *Machine) Cores() int { return m.Sockets * m.CoresPerSocket }
 
-// HardwareThreads returns the total number of hardware threads.
-func (m *Machine) HardwareThreads() int {
-	return m.Cores() * m.ThreadsPerCore
-}
-
 // Validate reports whether the machine description is internally
 // consistent.
 func (m *Machine) Validate() error {
@@ -219,9 +214,6 @@ func (m *Machine) CacheByName(name string) (CacheLevel, bool) {
 	}
 	return CacheLevel{}, false
 }
-
-// CycleSeconds returns the duration of one core clock cycle in seconds.
-func (m *Machine) CycleSeconds() float64 { return 1e-9 / m.ClockGHz }
 
 // EffectiveClockGHz returns the core clock under the given placement,
 // accounting for turbo boost at low per-socket occupancy.

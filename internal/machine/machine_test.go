@@ -20,15 +20,15 @@ func TestTableITopology(t *testing.T) {
 	if w.Cores() != 40 {
 		t.Errorf("Westmere cores = %d, want 40", w.Cores())
 	}
-	if w.HardwareThreads() != 80 {
-		t.Errorf("Westmere HW threads = %d, want 80", w.HardwareThreads())
+	if hw := w.Cores() * w.ThreadsPerCore; hw != 80 {
+		t.Errorf("Westmere HW threads = %d, want 80", hw)
 	}
 	b := Barcelona()
 	if b.Cores() != 32 {
 		t.Errorf("Barcelona cores = %d, want 32", b.Cores())
 	}
-	if b.HardwareThreads() != 32 {
-		t.Errorf("Barcelona HW threads = %d, want 32", b.HardwareThreads())
+	if hw := b.Cores() * b.ThreadsPerCore; hw != 32 {
+		t.Errorf("Barcelona HW threads = %d, want 32", hw)
 	}
 }
 
@@ -152,15 +152,6 @@ func TestCacheScopeString(t *testing.T) {
 	}
 	if CacheScope(99).String() == "" {
 		t.Error("unknown scope should still stringify")
-	}
-}
-
-func TestCycleSeconds(t *testing.T) {
-	w := Westmere()
-	got := w.CycleSeconds()
-	want := 1e-9 / 2.4
-	if diff := got - want; diff > 1e-18 || diff < -1e-18 {
-		t.Errorf("CycleSeconds = %v, want %v", got, want)
 	}
 }
 

@@ -128,7 +128,7 @@ func TestMutateAllocationBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { slab = a.mutate(slab[:0], pop[3].cfg, pop, 3, box, opt, rng) }); got != 0 {
 		t.Errorf("mutate into a slab: %v allocations, want 0", got)
 	}
-	if !box.Contains(slab) {
+	if !inBox(box, slab) {
 		t.Fatalf("mutant %v escaped the box", slab)
 	}
 }

@@ -104,15 +104,6 @@ type Result struct {
 	Standings []Standing
 }
 
-// Configs extracts the configurations of the front.
-func (r *Result) Configs() []skeleton.Config {
-	out := make([]skeleton.Config, len(r.Front))
-	for i, p := range r.Front {
-		out[i] = p.Payload.(skeleton.Config)
-	}
-	return out
-}
-
 // gdeIsland is one self-contained RS-GDE3 search instance: a population
 // and its rough-set box. The serial search drives a single instance; the
 // island-model driver evolves several concurrently and migrates elites

@@ -421,17 +421,22 @@ func TestMutateStaysInBox(t *testing.T) {
 	rng := fixedRand{vals: []int{1, 2, 3, 0, 1}}
 	var a arena
 	r := a.mutate(nil, pop[0].cfg, pop, 0, box, Options{CR: 0.5, F: 0.5}.withDefaults(), &rng)
-	if !box.Contains(r) {
+	if !inBox(box, r) {
 		t.Fatalf("mutant %v escaped box", r)
 	}
 }
 
-func TestResultConfigs(t *testing.T) {
-	r := &Result{Front: []pareto.Point{{Payload: skeleton.Config{1, 2}}}}
-	cfgs := r.Configs()
-	if len(cfgs) != 1 || !cfgs[0].Equal(skeleton.Config{1, 2}) {
-		t.Fatalf("configs = %v", cfgs)
+// inBox reports whether c lies within b, bounds included.
+func inBox(b skeleton.Box, c skeleton.Config) bool {
+	if len(c) != len(b.Lo) {
+		return false
 	}
+	for i, v := range c {
+		if v < b.Lo[i] || v > b.Hi[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestInvalidSpaceRejected(t *testing.T) {

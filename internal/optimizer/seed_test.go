@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"slices"
 	"testing"
 
 	"autotune/internal/skeleton"
@@ -19,7 +20,7 @@ func TestSeededPopulation(t *testing.T) {
 	if len(cfgs) != 6 {
 		t.Fatalf("population size = %d", len(cfgs))
 	}
-	if !cfgs[0].Equal(skeleton.Config{100, 0}) {
+	if !slices.Equal(cfgs[0], skeleton.Config{100, 0}) {
 		t.Fatalf("seed not placed first: %v", cfgs[0])
 	}
 	if cfgs[1][0] != 1000 {

@@ -103,7 +103,7 @@ func TestReduceKeepsBruteForceOptima(t *testing.T) {
 
 		for _, p := range oracle.Front {
 			cfg := p.Payload.(skeleton.Config)
-			if !box.Contains(cfg) {
+			if !roughset.InBox(box, cfg) {
 				t.Fatalf("seed %d: reduced box [%v, %v] excludes brute-force optimum %v (objs %v)",
 					seed, box.Lo, box.Hi, cfg, p.Objectives)
 			}
@@ -131,7 +131,7 @@ func TestReduceKeepsPopulationNonDominated(t *testing.T) {
 		nonDom, dom := roughset.Split(cfgs, objs, pareto.Dominates)
 		box := roughset.Reduce(space, nonDom, dom)
 		for _, c := range nonDom {
-			if !box.Contains(c) {
+			if !roughset.InBox(box, c) {
 				t.Fatalf("seed %d: reduced box [%v, %v] excludes non-dominated member %v",
 					seed, box.Lo, box.Hi, c)
 			}

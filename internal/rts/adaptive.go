@@ -104,18 +104,6 @@ func (a *Adaptive) Observe(version int, seconds float64) {
 	a.meas[version] = ms
 }
 
-// Measurements returns a copy of the recorded samples per version.
-func (a *Adaptive) Measurements() map[int][]float64 {
-	a.init()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := map[int][]float64{}
-	for k, v := range a.meas {
-		out[k] = append([]float64(nil), v...)
-	}
-	return out
-}
-
 // InvokeTimed runs one invocation through the runtime, feeding the
 // measured wall time back into the adaptive policy. It is a
 // convenience for the common monitor-and-refine loop.

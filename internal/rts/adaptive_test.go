@@ -58,7 +58,7 @@ func TestAdaptiveLearnsFromMeasurements(t *testing.T) {
 	if idx != 1 {
 		t.Fatalf("post-measurement selection = %d, want 1", idx)
 	}
-	ms := a.Measurements()
+	ms := a.meas
 	if len(ms[2]) != 5 || len(ms[1]) != 5 {
 		t.Fatalf("measurements = %v", ms)
 	}
@@ -69,7 +69,7 @@ func TestAdaptiveWindowBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Observe(0, float64(i))
 	}
-	ms := a.Measurements()[0]
+	ms := a.meas[0]
 	if len(ms) != 3 || ms[0] != 7 {
 		t.Fatalf("window = %v", ms)
 	}
@@ -123,7 +123,7 @@ func TestAdaptiveWithRuntimeInvokeTimed(t *testing.T) {
 		if elapsed < 0 {
 			t.Fatal("negative elapsed time")
 		}
-		if len(a.Measurements()[idx]) == 0 {
+		if len(a.meas[idx]) == 0 {
 			t.Fatal("measurement not recorded")
 		}
 	}

@@ -63,23 +63,6 @@ type Space struct {
 // Dim returns the number of parameters.
 func (s Space) Dim() int { return len(s.Params) }
 
-// Size returns the cardinality |C| of the space, saturating at
-// math.MaxInt64 on overflow.
-func (s Space) Size() int64 {
-	total := int64(1)
-	for _, p := range s.Params {
-		span := p.Max - p.Min + 1
-		if span <= 0 {
-			return 0
-		}
-		if total > math.MaxInt64/span {
-			return math.MaxInt64
-		}
-		total *= span
-	}
-	return total
-}
-
 // Validate checks bounds sanity.
 func (s Space) Validate() error {
 	if len(s.Params) == 0 {
@@ -127,19 +110,6 @@ func (c Config) AppendKey(b []byte) []byte {
 		b = strconv.AppendInt(b, v, 10)
 	}
 	return b
-}
-
-// Equal reports element-wise equality.
-func (c Config) Equal(o Config) bool {
-	if len(c) != len(o) {
-		return false
-	}
-	for i := range c {
-		if c[i] != o[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // In reports whether the configuration lies within the space bounds.
@@ -200,19 +170,6 @@ func (s Space) FullBox() Box {
 	return b
 }
 
-// Contains reports whether c lies within the box.
-func (b Box) Contains(c Config) bool {
-	if len(c) != len(b.Lo) {
-		return false
-	}
-	for i := range c {
-		if c[i] < b.Lo[i] || c[i] > b.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // AppendClosestTo maps an arbitrary real-valued vector to the nearest
 // configuration inside the box (the B.getClosestTo(r) operation of the
 // paper's Algorithm 1): each component is rounded to the nearest
@@ -230,33 +187,6 @@ func (b Box) AppendClosestTo(dst Config, v []float64) Config {
 		dst = append(dst, x)
 	}
 	return dst
-}
-
-// Random draws a uniform random configuration from the box.
-func (b Box) Random(rng *rand.Rand) Config {
-	c := make(Config, len(b.Lo))
-	for i := range b.Lo {
-		span := b.Hi[i] - b.Lo[i] + 1
-		c[i] = b.Lo[i] + rng.Int63n(span)
-	}
-	return c
-}
-
-// Volume returns the number of configurations inside the box,
-// saturating at math.MaxInt64.
-func (b Box) Volume() int64 {
-	total := int64(1)
-	for i := range b.Lo {
-		span := b.Hi[i] - b.Lo[i] + 1
-		if span <= 0 {
-			return 0
-		}
-		if total > math.MaxInt64/span {
-			return math.MaxInt64
-		}
-		total *= span
-	}
-	return total
 }
 
 // Instance is the result of binding a Config to a skeleton: the

@@ -40,17 +40,6 @@ type Stats struct {
 	DegradedReason string `json:"degraded_reason,omitempty"`
 }
 
-// MeasuredFPR returns the observed bloom false-positive rate across
-// absent-key probes (false positives / (filtered + false positives)),
-// or -1 when no absent-key probe has happened yet.
-func (s ShardStats) MeasuredFPR() float64 {
-	absent := s.BloomFiltered + s.BloomFalsePositives
-	if absent == 0 {
-		return -1
-	}
-	return float64(s.BloomFalsePositives) / float64(absent)
-}
-
 // Stats walks every shard, counting live keys via a merged iteration
 // (so dead = stored - live is exact at the time of the call).
 func (st *Store) Stats() (Stats, error) {

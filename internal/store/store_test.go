@@ -435,7 +435,7 @@ func TestBloomFiltersSkipAbsentLookups(t *testing.T) {
 	if ss.BloomFiltered == 0 {
 		t.Fatalf("bloom filtered nothing: %+v", ss)
 	}
-	if fpr := ss.MeasuredFPR(); fpr > 0.1 {
+	if fpr := float64(ss.BloomFalsePositives) / float64(ss.BloomFiltered+ss.BloomFalsePositives); fpr > 0.1 {
 		t.Fatalf("measured FPR %.3f implausibly high (est %.4f)", fpr, ss.BloomFPREstimate)
 	}
 	if ss.BloomFPREstimate <= 0 || ss.BloomFPREstimate > 0.05 {

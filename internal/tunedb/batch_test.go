@@ -12,9 +12,9 @@ import (
 
 // walCounts sums the WAL frames and the records inside them over every
 // shard of the open database, read offline the way fsck reads them.
-func walCounts(t *testing.T, db *DB) (frames, records int) {
+func walCounts(t *testing.T, dir string) (frames, records int) {
 	t.Helper()
-	rep, err := Fsck(db.Dir())
+	rep, err := Fsck(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPutEvalsOneFramePerBatch(t *testing.T) {
 	if err := db.PutEvals(key, cfgs, keysOf(cfgs), objs); err != nil {
 		t.Fatal(err)
 	}
-	if frames, records := walCounts(t, db); frames != 1 || records != 31 {
+	if frames, records := walCounts(t, dir); frames != 1 || records != 31 {
 		t.Fatalf("first batch: %d frames holding %d records, want 1 holding 30 evaluations + the registry record", frames, records)
 	}
 	if keys := storedKeys(t, db); len(keys) != 1 || keys[0] != key {
@@ -82,7 +82,7 @@ func TestPutEvalsOneFramePerBatch(t *testing.T) {
 	if err := db.PutEvals(key, cfgs2, keysOf(cfgs2), objs2); err != nil {
 		t.Fatal(err)
 	}
-	if frames, records := walCounts(t, db); frames != 2 || records != 61 {
+	if frames, records := walCounts(t, dir); frames != 2 || records != 61 {
 		t.Fatalf("second batch: %d frames holding %d records, want 2 holding 61", frames, records)
 	}
 
@@ -91,7 +91,7 @@ func TestPutEvalsOneFramePerBatch(t *testing.T) {
 	if err := db.PutEvals(key, cfgs, keysOf(cfgs), objs); err != nil {
 		t.Fatal(err)
 	}
-	if frames, _ := walCounts(t, db); frames != 2 {
+	if frames, _ := walCounts(t, dir); frames != 2 {
 		t.Fatalf("re-storing a stored batch appended a frame (%d)", frames)
 	}
 	cfgs3, objs3 := generation(3, 2)
@@ -101,7 +101,7 @@ func TestPutEvalsOneFramePerBatch(t *testing.T) {
 	if err := db.PutEvals(key, mixed, keysOf(mixed), mixedObjs); err != nil {
 		t.Fatal(err)
 	}
-	if frames, records := walCounts(t, db); frames != 3 || records != 64 {
+	if frames, records := walCounts(t, dir); frames != 3 || records != 64 {
 		t.Fatalf("mixed batch: %d frames holding %d records, want 3 holding 64", frames, records)
 	}
 	if got, _ := db.GetEval(key, cfgs[0]); !equalObjs(got, []float64{9, 9}) {
@@ -135,7 +135,7 @@ func TestPutEvalsOneFramePerBatch(t *testing.T) {
 	if err := db.PutEvals(key, cfgs5, keysOf(cfgs5), objs5); err != nil {
 		t.Fatal(err)
 	}
-	if frames, records := walCounts(t, db); frames != 1 || records != 4 {
+	if frames, records := walCounts(t, dir); frames != 1 || records != 4 {
 		t.Fatalf("after reopen: %d frames holding %d records, want 1 holding 4", frames, records)
 	}
 	if keys := storedKeys(t, db); len(keys) != 1 {

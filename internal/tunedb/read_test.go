@@ -205,9 +205,9 @@ func TestShardHashMatchesReference(t *testing.T) {
 // evaluations of testKey — every tenth a known failure — spread over
 // two flushed segments and the memtable, with seven other programs
 // stored beside it.
-func warmDB(t testing.TB, fsys chaos.FS, n int) *DB {
+func warmDB(t testing.TB, dir string, fsys chaos.FS, n int) *DB {
 	t.Helper()
-	db, err := OpenFS(t.TempDir(), fsys)
+	db, err := OpenFS(dir, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestWarmCacheAllocationBudget(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops what it is given")
 	}
 	for _, n := range []int{1500, 6000} {
-		db := warmDB(t, nil, n)
+		db := warmDB(t, t.TempDir(), nil, n)
 		key := testKey()
 		perWarm := testing.AllocsPerRun(10, func() {
 			forgetResident(db) // every run is a first warm start: a scan
@@ -337,7 +337,7 @@ func scanningWarmBytes(t *testing.T, db *DB, key Key, n int) (allocated, kept ui
 func TestWarmFailsOnReadFault(t *testing.T) {
 	const n = 1500
 	inj := chaos.NewInjector(nil)
-	db := warmDB(t, inj, n)
+	db := warmDB(t, t.TempDir(), inj, n)
 	key := testKey()
 	if err := db.PutFront(testFront(key)); err != nil {
 		t.Fatal(err)
@@ -461,7 +461,7 @@ func TestJobIDsKeepNoReadChunk(t *testing.T) {
 // memtable.
 func TestScanResultsOutliveTheIterator(t *testing.T) {
 	const n = 1500
-	db := warmDB(t, nil, n)
+	db := warmDB(t, t.TempDir(), nil, n)
 	ks := testKey().String()
 	stopBeside := scanBeside(db, evalStoreKey(ks, ""))
 	defer stopBeside()
@@ -627,7 +627,7 @@ func BenchmarkDecodeEvalValueReference(b *testing.B) {
 // eight programs populate theirs, none of it resident.
 func BenchmarkWarmCache(b *testing.B) {
 	const n = 3498
-	db := warmDB(b, nil, n)
+	db := warmDB(b, b.TempDir(), nil, n)
 	key := testKey()
 	b.ReportAllocs()
 	b.ResetTimer()

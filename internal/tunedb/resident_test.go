@@ -451,10 +451,11 @@ func residencyOf(db *DB) residency {
 // complete, and the one after it reads nothing.
 func TestResidentNotKeptAfterBitFlip(t *testing.T) {
 	const n = 1500
-	db := warmDB(t, nil, n)
+	dir := t.TempDir()
+	db := warmDB(t, dir, nil, n)
 	key := testKey()
 	hash, _ := shardHash(evalStoreKey(key.String(), ""))
-	segs, err := filepath.Glob(filepath.Join(storeDir(db.Dir()), fmt.Sprintf("shard-%02d", hash%uint32(storeOptions().Shards)), "seg-*.seg"))
+	segs, err := filepath.Glob(filepath.Join(storeDir(dir), fmt.Sprintf("shard-%02d", hash%uint32(storeOptions().Shards)), "seg-*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segment files: %v", err)
 	}
@@ -793,7 +794,7 @@ func TestWarmResidentAllocationBudget(t *testing.T) {
 	}
 	const budget, byteBudget = 40, 2 << 10
 	for _, n := range []int{1500, 6000} {
-		db := warmDB(t, nil, n)
+		db := warmDB(t, t.TempDir(), nil, n)
 		key := testKey()
 		mustWarm(t, db, key)
 		warm := func() {
@@ -1005,7 +1006,7 @@ func TestResidentKeepsTheCacheKeys(t *testing.T) {
 // a key but the first: the same 3,498 records, resident.
 func BenchmarkWarmResident(b *testing.B) {
 	const n = 3498
-	db := warmDB(b, nil, n)
+	db := warmDB(b, b.TempDir(), nil, n)
 	key := testKey()
 	mustWarm(b, db, key)
 	b.ReportAllocs()

@@ -90,7 +90,6 @@ type FrontRecord struct {
 // from (see resident): a key's history is read from disk once per open
 // database.
 type DB struct {
-	dir string
 	st  *store.Store
 	res *resident
 
@@ -161,7 +160,7 @@ func OpenFS(dir string, fsys chaos.FS) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tunedb: %w", err)
 	}
-	return &DB{dir: dir, st: st, res: newResident()}, nil
+	return &DB{st: st, res: newResident()}, nil
 }
 
 // Health reports the underlying store's degradation state: whether any
@@ -192,9 +191,6 @@ func IsReadOnly(err error) bool { return errors.Is(err, store.ErrReadOnly) }
 // opening it for writing. It works (by design) on databases too
 // damaged for Open.
 func Fsck(dir string) (store.FsckReport, error) { return store.Fsck(storeDir(dir)) }
-
-// Dir returns the database directory.
-func (db *DB) Dir() string { return db.dir }
 
 // Close flushes and closes the engine. The DB must not be used after;
 // Close is idempotent.

@@ -82,9 +82,6 @@ func TestOpenEmptyAndReopen(t *testing.T) {
 	if got := storedKeys(t, db); len(got) != 0 {
 		t.Fatalf("fresh database has keys %v", got)
 	}
-	if db.Dir() != dir {
-		t.Fatalf("Dir() = %q", db.Dir())
-	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
