@@ -113,3 +113,118 @@ func TestDrainInterruptsAndResumesByteIdentical(t *testing.T) {
 			resumed.Result.Points, want.Result.Points)
 	}
 }
+
+// TestWarmResumeAfterAnotherSeedReplacedTheFront: a warm-started,
+// checkpointed job is drained mid-search; while it waits, another seed
+// finishes on the same problem and replaces the stored front its seeds
+// came from. The restarted server must still resume the job, to the
+// front of the same job run without interruption: its generation-0
+// population, seeds included, is in the checkpoint, so nothing the
+// database holds now may refuse or move the resume.
+func TestWarmResumeAfterAnotherSeedReplacedTheFront(t *testing.T) {
+	req := func(seed int64) *JobRequest {
+		return &JobRequest{Kernel: "mm", Seed: seed, PopSize: 8, MaxIterations: 6}
+	}
+	// Reference: seed 1 stores the front, then seed 2 runs warm from
+	// it, uninterrupted.
+	ref, err := NewOrchestrator(Config{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want JobStatus
+	for _, seed := range []int64{1, 2} {
+		st, err := ref.Submit(req(seed), "ref")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = waitTerminal(t, ref, st.ID); want.State != StateDone {
+			t.Fatalf("reference seed %d: %s (%s)", seed, want.State, want.Error)
+		}
+	}
+	ref.Drain()
+
+	// The gate stalls every job but the first and the one submitted
+	// under mu once it is past its initial population (at most 8 fresh
+	// evaluations), so its journal holds a resumable snapshot.
+	dir := t.TempDir()
+	var (
+		mu       sync.Mutex
+		armed    bool
+		passes   = map[string]bool{}
+		once     sync.Once
+		gateHit  = make(chan struct{})
+		release  = make(chan struct{})
+		draining = make(chan struct{})
+	)
+	o, err := NewOrchestrator(Config{StateDir: dir, EvalHook: func(id string, n int) {
+		mu.Lock()
+		stall := armed && !passes[id] && n > 8
+		mu.Unlock()
+		if stall {
+			once.Do(func() { close(gateHit) })
+			<-release
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := o.Submit(req(1), "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, o, first.ID); st.State != StateDone {
+		t.Fatalf("seed 1: %s (%s)", st.State, st.Error)
+	}
+	mu.Lock()
+	armed = true
+	mu.Unlock()
+	warm, err := o.Submit(req(2), "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gateHit:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the warm job never reached the gate")
+	}
+	// Seed 3 runs beside the stalled job and replaces the stored front.
+	mu.Lock()
+	other, err := o.Submit(req(3), "bob")
+	if err == nil {
+		passes[other.ID] = true
+	}
+	mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, o, other.ID); st.State != StateDone {
+		t.Fatalf("seed 3: %s (%s)", st.State, st.Error)
+	}
+	go func() { o.Drain(); close(draining) }()
+	for !o.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	select {
+	case <-draining:
+	case <-time.After(60 * time.Second):
+		t.Fatal("drain did not finish")
+	}
+	if st, err := o.Status(warm.ID); err != nil || st.State != stateInterrupted {
+		t.Fatalf("after drain: %+v (%v)", st, err)
+	}
+
+	o2, err := NewOrchestrator(Config{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o2.Drain()
+	resumed := waitTerminal(t, o2, warm.ID)
+	if resumed.State != StateDone {
+		t.Fatalf("resumed warm job: %s (%s)", resumed.State, resumed.Error)
+	}
+	if !reflect.DeepEqual(resumed.Result.Points, want.Result.Points) {
+		t.Fatalf("resumed front differs from the uninterrupted run:\nresumed: %+v\nwant:    %+v",
+			resumed.Result.Points, want.Result.Points)
+	}
+}
