@@ -65,9 +65,10 @@ func (c *chain) close() {
 //  2. the surrogate screen, before anything primes the cache, so that
 //     warm-start records reach the model through its prime observer:
 //     stored history becomes instant training data;
-//  3. the tuning database: the warm start primes the cache and seeds the
-//     population, then the journal hands every evaluated batch — a
-//     generation — to the database as one record batch;
+//  3. the tuning database: the warm start primes the cache and, unless
+//     the search resumes, seeds the population; then the journal hands
+//     every evaluated batch — a generation — to the database as one
+//     record batch;
 //  4. the watchdog around the evaluation function;
 //  5. the progress feed, after the journal, so that OnProgress fires
 //     once its batch has been journaled;
@@ -117,6 +118,11 @@ func newChain(p *prepared, opt Options) (_ *chain, err error) {
 			if _, err := db.Warm(key, ce); err != nil {
 				return nil, fmt.Errorf("driver: warm start: %w", err)
 			}
+		}
+		// A resume reads its generation 0, seeds included, from the
+		// checkpoint, so it derives none: another search may have
+		// replaced the stored front since.
+		if opt.WarmStart && opt.ResumeFrom == "" {
 			popSize := opt.Optimizer.PopSize
 			if popSize == 0 {
 				popSize = 30

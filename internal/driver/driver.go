@@ -144,7 +144,9 @@ type Options struct {
 	// ResumeFrom resumes an interrupted search from the checkpoint
 	// journal at this path instead of starting fresh; the finished
 	// run's front is byte-identical to the same-seed uninterrupted run.
-	// The snapshot must come from an identically configured search.
+	// The snapshot must come from an identically configured search; its
+	// initial population, warm-start seeds included, is read from the
+	// snapshot, so the stored front may have moved since.
 	ResumeFrom string
 	// OnProgress, when set, fires once per evaluated batch — a
 	// generation, for the evolutionary methods — that produced fresh

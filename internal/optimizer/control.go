@@ -18,6 +18,7 @@ package optimizer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -128,15 +129,13 @@ type Snapshot struct {
 	Evals []EvalState `json:"evals,omitempty"`
 }
 
-// fingerprintOf hashes a sequence of search-defining values followed by
-// the keys of the warm-start seeds.
-func fingerprintOf(seeds []skeleton.Config, parts ...interface{}) string {
+// fingerprintOf hashes a sequence of search-defining values. The
+// initial population is not one of them: generation 0, seeds included,
+// is in every snapshot, and a resume reads it from there.
+func fingerprintOf(parts ...interface{}) string {
 	h := fnv.New64a()
 	for _, p := range parts {
 		fmt.Fprintf(h, "%v|", p)
-	}
-	for _, c := range seeds {
-		fmt.Fprintf(h, "%v|", c.Key())
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -152,7 +151,7 @@ func spaceKey(space skeleton.Space) string {
 
 // gdeFingerprint identifies an RS-GDE3/GDE3 search configuration.
 func gdeFingerprint(space skeleton.Space, opt Options, islands int, iopt IslandOptions) string {
-	return fingerprintOf(opt.InitialPopulation, "gde", spaceKey(space), opt.PopSize, opt.CR, opt.F,
+	return fingerprintOf("gde", spaceKey(space), opt.PopSize, opt.CR, opt.F,
 		opt.Stagnation, opt.MaxIterations, opt.Seed, opt.DisableRoughSet,
 		islands, iopt.MigrationInterval, iopt.Migrants)
 }
@@ -161,7 +160,7 @@ func gdeFingerprint(space skeleton.Space, opt Options, islands int, iopt IslandO
 // hashes the rates beside the options, as it did when they were
 // options, so the checkpoints written then still resume.
 func nsga2Fingerprint(space skeleton.Space, opt Options, islands int, iopt IslandOptions) string {
-	return fingerprintOf(opt.InitialPopulation, "nsga2", spaceKey(space), opt.PopSize, float64(nsga2CrossoverRate),
+	return fingerprintOf("nsga2", spaceKey(space), opt.PopSize, float64(nsga2CrossoverRate),
 		nsga2MutationRate(space), opt.Stagnation, opt.MaxIterations, opt.Seed,
 		islands, iopt.MigrationInterval, iopt.Migrants)
 }
@@ -264,9 +263,13 @@ func (r *controlledRun) checkResume(islands int) error {
 		return fmt.Errorf("optimizer: checkpoint was written for another problem (tag %s, this search's is %q): program, size, machine, objectives or noise differ, and its members hold that problem's objective values",
 			snap.Problem, r.ctrl.Problem)
 	}
+	// A fingerprint this search does not have is also what a warm-started
+	// search leaves from builds whose fingerprints hashed the warm-start
+	// seeds. The refusal wraps errors.ErrUnsupported, so that a caller
+	// that owns the journal can tell it apart and start the search anew.
 	if snap.Fingerprint != r.fingerprint {
-		return fmt.Errorf("optimizer: checkpoint fingerprint %s does not match this search (%s %s): the snapshot was written by a differently configured run",
-			snap.Fingerprint, r.method, r.fingerprint)
+		return fmt.Errorf("optimizer: checkpoint fingerprint %s does not match this search (%s %s): the snapshot was written by a differently configured run, or by a warm-started run of a build that hashed the warm-start seeds into the fingerprint; start the search anew: %w",
+			snap.Fingerprint, r.method, r.fingerprint, errors.ErrUnsupported)
 	}
 	if len(snap.States) != islands {
 		return fmt.Errorf("optimizer: checkpoint has %d island states, search expects %d", len(snap.States), islands)

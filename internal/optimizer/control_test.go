@@ -3,6 +3,7 @@ package optimizer_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -298,6 +299,9 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("mismatched-seed resume was accepted")
 	}
+	if !errors.Is(err, errors.ErrUnsupported) || !strings.Contains(err.Error(), "warm-start seeds") {
+		t.Fatalf("fingerprint refusal %v: want it to wrap errors.ErrUnsupported and name the seeds", err)
+	}
 
 	// The problem tag the search cannot see into: a tagged snapshot
 	// resumes under its own tag only; an untagged one — an older
@@ -316,6 +320,35 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 		_, err := optimizer.Run(space, newDetEval(), same, optimizer.Control{Resume: cp.foldedAt(1), Problem: c.resumes})
 		if (err == nil) != c.ok || (err != nil && !strings.Contains(err.Error(), "another problem")) {
 			t.Errorf("snapshot tagged %q resumed under %q: %v", c.wrote, c.resumes, err)
+		}
+	}
+}
+
+// TestResumeTakesTheSeedsFromTheSnapshot: a warm-started search resumes
+// whatever seeds its caller holds now — others, or none — and ends on
+// the uninterrupted run's front, E and iterations: generation 0, seeds
+// included, is in the snapshot, and the fingerprint covers the request
+// only.
+func TestResumeTakesTheSeedsFromTheSnapshot(t *testing.T) {
+	space := islandSpace()
+	for _, name := range optimizer.StrategyNames() {
+		if strat, _ := optimizer.StrategyByName(name); strat.Restore == nil {
+			continue
+		}
+		run := func(seeds []skeleton.Config, ctrl optimizer.Control) *optimizer.Result {
+			res, err := optimizer.Run(space, newDetEval(), spec(name, optimizer.Options{PopSize: 8, MaxIterations: 5, Seed: 3, InitialPopulation: seeds}, nil), ctrl)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return res
+		}
+		cp := &memCheckpointer{}
+		full := run([]skeleton.Config{{1, 1, 1}, {9, 2, 4}}, optimizer.Control{Checkpointer: cp})
+		for _, now := range [][]skeleton.Config{nil, {{4, 7, 2}}} {
+			res := run(now, optimizer.Control{Resume: cp.foldedAt(1)})
+			if frontFingerprint(res.Front) != frontFingerprint(full.Front) || res.Evaluations != full.Evaluations || res.Iterations != full.Iterations {
+				t.Errorf("%s resumed with seeds %v: front, E or iterations differ from the uninterrupted run", name, now)
+			}
 		}
 	}
 }

@@ -45,7 +45,7 @@ func newMOTPEIsland(space skeleton.Space, eval objective.Evaluator, opt Options,
 
 // motpeFingerprint identifies a MOTPE search configuration.
 func motpeFingerprint(space skeleton.Space, opt Options, islands int, iopt IslandOptions) string {
-	return fingerprintOf(opt.InitialPopulation, "motpe", spaceKey(space), opt.PopSize, opt.Stagnation,
+	return fingerprintOf("motpe", spaceKey(space), opt.PopSize, opt.Stagnation,
 		opt.MaxIterations, opt.Seed, islands, iopt.MigrationInterval, iopt.Migrants)
 }
 

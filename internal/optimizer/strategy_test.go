@@ -203,8 +203,10 @@ func TestEveryOptionFieldIsInTheFingerprintOfWhoeverReadsIt(t *testing.T) {
 		"Options.Seed":          all,
 		// "gde3" is rs-gde3 with the rough set off: the field cannot
 		// move what the name already fixes.
-		"Options.DisableRoughSet":   {"rs-gde3"},
-		"Options.InitialPopulation": all,
+		"Options.DisableRoughSet": {"rs-gde3"},
+		// Read at generation 0 only, which every snapshot holds: a
+		// resume reads the seeds from there, so none fingerprints them.
+		"Options.InitialPopulation": {},
 
 		"NSGA2Options.Seed": {"nsga2"},
 

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 
 	"autotune/internal/chaos"
 	"autotune/internal/driver"
+	"autotune/internal/ir"
 	"autotune/internal/irparse"
 	"autotune/internal/resilience"
 	"autotune/internal/tunedb"
@@ -597,14 +599,29 @@ func (o *Orchestrator) tune(ctx context.Context, j *job) (*driver.Output, error)
 			opt.CheckpointPath = ckpt
 		}
 	}
-	if req.Kernel != "" {
-		return driver.TuneKernel(req.Kernel, opt)
+	var prog *ir.Program
+	if req.Kernel == "" {
+		if prog, err = irparse.Parse(req.Source); err != nil {
+			return nil, err
+		}
 	}
-	prog, err := irparse.Parse(req.Source)
-	if err != nil {
-		return nil, err
+	search := func() (*driver.Output, error) {
+		if prog == nil {
+			return driver.TuneKernel(req.Kernel, opt)
+		}
+		return driver.TuneProgram(prog, opt)
 	}
-	return driver.TuneProgram(prog, opt)
+	out, err := search()
+	// The search refuses a journal whose fingerprint is not its own:
+	// for this job's unchanged request, one that an older build wrote —
+	// a warm-started job's, when fingerprints hashed the warm-start
+	// seeds. Nothing of it can be resumed, so the job starts anew over
+	// it, as it does over a journal that does not load.
+	if opt.ResumeFrom != "" && errors.Is(err, errors.ErrUnsupported) {
+		opt.ResumeFrom, opt.CheckpointPath = "", opt.ResumeFrom
+		out, err = search()
+	}
+	return out, err
 }
 
 // Drain stops the orchestrator gracefully: no new submissions, every

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"autotune/internal/optimizer"
+	"autotune/internal/resilience"
 	"autotune/internal/tunedb"
 )
 
@@ -175,6 +177,45 @@ func TestInterruptedJobOverRetiredCheckpointRestarts(t *testing.T) {
 	}
 	if !reflect.DeepEqual(restarted.Result, want.Result) {
 		t.Fatalf("restarted job serves\n%+v\nan uninterrupted one\n%+v", restarted.Result, want.Result)
+	}
+}
+
+// TestInterruptedJobOverRefusedFingerprintRestarts: a restarted server
+// finds an interrupted job's journal whose fingerprint the search does
+// not have — as a warm-started job's journal is, from a build whose
+// fingerprints hashed the warm-start seeds. The search refuses it by
+// name; the job is not failed but starts anew over it, and is served the
+// front and the evaluation count of an uninterrupted job.
+func TestInterruptedJobOverRefusedFingerprintRestarts(t *testing.T) {
+	dir := t.TempDir()
+	id, ckpt := persistInterrupted(t, dir, "checkpoints", smallJob(7), nil)
+	cp, err := resilience.CreateCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Save(&optimizer.Snapshot{Method: "rs-gde3", Fingerprint: "0123456789abcdef", Generation: 1, Evaluations: 16, States: []optimizer.IslandState{{}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewOrchestrator(Config{StateDir: dir, NoWarmStart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Drain()
+	restarted := waitTerminal(t, o, id)
+	if restarted.State != StateDone {
+		t.Fatalf("job over a refused journal: %s (%s)", restarted.State, restarted.Error)
+	}
+	fresh := smallJob(7)
+	fresh.Force = true
+	st, err := o.Submit(fresh, "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := waitTerminal(t, o, st.ID); want.State != StateDone || !reflect.DeepEqual(restarted.Result, want.Result) {
+		t.Fatalf("restarted job serves\n%+v\nan uninterrupted one (%s)\n%+v", restarted.Result, want.State, want.Result)
 	}
 }
 
