@@ -136,8 +136,8 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 	for _, e := range exps {
 		t.Run(e.name, func(t *testing.T) {
 			if e.name == "validate" && (testing.Short() || israce.Enabled) {
-				// 15 s plain, over 100 s under the race detector, and
-				// single-threaded: the plain run covers the wiring.
+				// 10–12 s plain, about a minute under the race detector,
+				// and single-threaded: the plain run covers the wiring.
 				t.Skip("trace-driven simulation")
 			}
 			var out bytes.Buffer

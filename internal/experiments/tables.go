@@ -165,13 +165,11 @@ func Validation() (*ValidationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range []*machine.Machine{machine.Westmere(), machine.Barcelona()} {
-			rep, err := validate.CacheModel(k, m, c.n, c.sets, 0)
-			if err != nil {
-				return nil, err
-			}
-			out.Reports = append(out.Reports, rep)
+		reps, err := validate.CacheModel(k, []*machine.Machine{machine.Westmere(), machine.Barcelona()}, c.n, c.sets)
+		if err != nil {
+			return nil, err
 		}
+		out.Reports = append(out.Reports, reps...)
 	}
 	return out, nil
 }

@@ -31,9 +31,12 @@ type line struct {
 type cache struct {
 	lineBits uint
 	nSets    uint64
-	sets     [][]line
-	clock    uint64
-	stats    cacheStats
+	assoc    uint64
+	// lines holds the sets one after another: set s is
+	// lines[s*assoc : (s+1)*assoc].
+	lines []line
+	clock uint64
+	stats cacheStats
 }
 
 // newCache builds a cache of the given total size. size must be
@@ -55,15 +58,12 @@ func newCache(size int64, lineBytes, assoc int) (*cache, error) {
 	for 1<<lineBits < lineBytes {
 		lineBits++
 	}
-	c := &cache{
+	return &cache{
 		lineBits: lineBits,
 		nSets:    uint64(nSets),
-		sets:     make([][]line, nSets),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, assoc)
-	}
-	return c, nil
+		assoc:    uint64(assoc),
+		lines:    make([]line, nLines),
+	}, nil
 }
 
 // access simulates one load/store to addr and reports whether it hit.
@@ -72,7 +72,8 @@ func (c *cache) access(addr uint64) bool {
 	c.clock++
 	c.stats.accesses++
 	blk := addr >> c.lineBits
-	set := c.sets[blk%c.nSets]
+	first := blk % c.nSets * c.assoc
+	set := c.lines[first : first+c.assoc]
 	tag := blk // full block id as tag (set bits included; harmless)
 	victim := 0
 	for i := range set {

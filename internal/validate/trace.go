@@ -1,14 +1,14 @@
 package validate
 
-// Tracing lowers MiniIR programs to memory-address traces for the cache
-// simulator. Arrays are laid out consecutively in row-major order;
-// every statement execution emits one address per read and write
-// access.
+// Tracing lowers MiniIR programs to memory-address streams for the
+// cache simulator. Arrays are laid out consecutively in row-major order;
+// every statement execution hands one address per read and write access
+// to a sink, in program order, as it is computed: no trace is stored.
 //
 // Parallel loops distribute their (collapsed) iteration space
 // block-wise over the requested number of threads, matching the static
-// scheduling the paper's runtime uses, and produce one sub-trace per
-// thread.
+// scheduling the paper's runtime uses, and tag each address with the
+// thread that issues it.
 
 import (
 	"errors"
@@ -64,49 +64,38 @@ func (l layout) address(ac ir.Access, env map[string]int64) (uint64, error) {
 	return addr, nil
 }
 
-// generate executes the program abstractly and returns one address
-// trace per thread. Sequential parts (and everything outside parallel
-// loops) are attributed to thread 0. The outermost parallel loop
-// encountered distributes its (collapsed) iterations block-wise over
-// nThreads. maxAccesses caps the total trace length to protect against
-// accidentally tracing huge programs; 0 means no cap.
-func generate(p *ir.Program, nThreads int, maxAccesses int) ([][]uint64, error) {
+// generate executes the program abstractly and hands every address to
+// sink, with the thread that issues it. Sequential parts (and everything
+// outside parallel loops) are attributed to thread 0. The outermost
+// parallel loop encountered distributes its (collapsed) iterations
+// block-wise over nThreads.
+func generate(p *ir.Program, nThreads int, sink func(thread int, addr uint64)) error {
 	if nThreads < 1 {
-		return nil, errors.New("validate: trace: nThreads must be >= 1")
+		return errors.New("validate: trace: nThreads must be >= 1")
 	}
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	g := &generator{
-		layout:  newLayout(p),
-		traces:  make([][]uint64, nThreads),
-		thread:  0,
-		nThread: nThreads,
-		cap:     maxAccesses,
-	}
-	if err := g.run(p.Root, map[string]int64{}, false); err != nil {
-		return nil, err
-	}
-	return g.traces, nil
+	g := &generator{layout: newLayout(p), sink: sink, nThread: nThreads}
+	return g.run(p.Root, map[string]int64{}, false)
 }
 
 type generator struct {
 	layout  layout
-	traces  [][]uint64
+	sink    func(thread int, addr uint64)
 	thread  int
 	nThread int
-	cap     int
-	total   int
 }
 
-var errTraceCap = errors.New("validate: trace: access cap exceeded")
-
-func (g *generator) emit(addr uint64) error {
-	if g.cap > 0 && g.total >= g.cap {
-		return errTraceCap
+// emit hands the addresses of accesses under env to the sink.
+func (g *generator) emit(accesses []ir.Access, env map[string]int64) error {
+	for _, ac := range accesses {
+		addr, err := g.layout.address(ac, env)
+		if err != nil {
+			return err
+		}
+		g.sink(g.thread, addr)
 	}
-	g.traces[g.thread] = append(g.traces[g.thread], addr)
-	g.total++
 	return nil
 }
 
@@ -114,23 +103,11 @@ func (g *generator) run(ns []ir.Node, env map[string]int64, inParallel bool) err
 	for _, n := range ns {
 		switch x := n.(type) {
 		case *ir.Stmt:
-			for _, ac := range x.Reads {
-				addr, err := g.layout.address(ac, env)
-				if err != nil {
-					return err
-				}
-				if err := g.emit(addr); err != nil {
-					return err
-				}
+			if err := g.emit(x.Reads, env); err != nil {
+				return err
 			}
-			for _, ac := range x.Writes {
-				addr, err := g.layout.address(ac, env)
-				if err != nil {
-					return err
-				}
-				if err := g.emit(addr); err != nil {
-					return err
-				}
+			if err := g.emit(x.Writes, env); err != nil {
+				return err
 			}
 		case *ir.Loop:
 			if x.Parallel && !inParallel && g.nThread > 1 {
@@ -153,7 +130,7 @@ func (g *generator) run(ns []ir.Node, env map[string]int64, inParallel bool) err
 }
 
 // runParallel distributes the collapsed iteration space of l block-wise
-// over the threads and generates each thread's sub-trace.
+// over the threads and streams each thread's share in turn.
 func (g *generator) runParallel(l *ir.Loop, env map[string]int64) error {
 	// Collect the collapsed loop chain.
 	chain := []*ir.Loop{l}

@@ -55,6 +55,18 @@ func mmProgram(n int64) *ir.Program {
 	}
 }
 
+// collect streams p's addresses into one slice per thread.
+func collect(t *testing.T, p *ir.Program, nThreads int) [][]uint64 {
+	t.Helper()
+	traces := make([][]uint64, nThreads)
+	if err := generate(p, nThreads, func(thread int, addr uint64) {
+		traces[thread] = append(traces[thread], addr)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return traces
+}
+
 func TestLayoutNonOverlapping(t *testing.T) {
 	p := mmProgram(10)
 	l := newLayout(p)
@@ -94,13 +106,7 @@ func TestAddressRowMajor(t *testing.T) {
 
 func TestGenerateSequentialCount(t *testing.T) {
 	p := vecAdd(16)
-	traces, err := generate(p, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != 1 {
-		t.Fatalf("traces = %d", len(traces))
-	}
+	traces := collect(t, p, 1)
 	// 16 iterations × 3 accesses.
 	if len(traces[0]) != 48 {
 		t.Fatalf("trace length = %d, want 48", len(traces[0]))
@@ -110,10 +116,7 @@ func TestGenerateSequentialCount(t *testing.T) {
 func TestGenerateParallelPartition(t *testing.T) {
 	p := vecAdd(16)
 	p.Root[0].(*ir.Loop).Parallel = true
-	traces, err := generate(p, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := collect(t, p, 4)
 	total := 0
 	for tID, tr := range traces {
 		if len(tr) != 12 {
@@ -129,10 +132,7 @@ func TestGenerateParallelPartition(t *testing.T) {
 func TestGenerateUnevenPartition(t *testing.T) {
 	p := vecAdd(10)
 	p.Root[0].(*ir.Loop).Parallel = true
-	traces, err := generate(p, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := collect(t, p, 4)
 	total := 0
 	for _, tr := range traces {
 		total += len(tr)
@@ -152,14 +152,7 @@ func TestGenerateCollapsedMatchesSequentialMultiset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := generate(p, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := generate(tiled, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := collect(t, p, 1), collect(t, tiled, 3)
 	count := func(traces [][]uint64) map[uint64]int {
 		m := map[uint64]int{}
 		for _, tr := range traces {
@@ -180,20 +173,14 @@ func TestGenerateCollapsedMatchesSequentialMultiset(t *testing.T) {
 	}
 }
 
-func TestGenerateCap(t *testing.T) {
-	p := mmProgram(32)
-	if _, err := generate(p, 1, 100); err == nil {
-		t.Fatal("expected cap error")
-	}
-}
-
 func TestGenerateValidatesInput(t *testing.T) {
 	p := vecAdd(4)
 	p.Arrays = nil // invalid: accesses undeclared arrays
-	if _, err := generate(p, 1, 0); err == nil {
+	discard := func(int, uint64) {}
+	if err := generate(p, 1, discard); err == nil {
 		t.Error("invalid program should fail")
 	}
-	if _, err := generate(vecAdd(4), 0, 0); err == nil {
+	if err := generate(vecAdd(4), 0, discard); err == nil {
 		t.Error("0 threads should fail")
 	}
 }
@@ -208,16 +195,12 @@ func TestTilingImprovesSimulatedMissRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(prog *ir.Program) float64 {
-		traces, err := generate(prog, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
 		h, err := newHierarchy(machine.Westmere(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range traces[0] {
-			h.access(0, a)
+		if err := generate(prog, 1, func(thread int, a uint64) { h.access(thread, a) }); err != nil {
+			t.Fatal(err)
 		}
 		l1 := h.perThread[0][0].stats
 		return float64(l1.misses) / float64(l1.accesses)

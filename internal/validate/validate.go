@@ -1,12 +1,13 @@
 // Package validate cross-checks the analytical performance model
 // (internal/perfmodel) against a trace-driven cache simulator
 // (cachesim.go, fed by trace.go): the same tiled kernel configurations
-// are (a) lowered to MiniIR, transformed, traced and replayed through a
-// simulated cache hierarchy, and (b) fed to the kernel's LevelTraffic
-// reuse-distance analysis. The per-level byte counts are compared by
-// rank agreement — the model does not have to match absolute traffic,
-// but it must order configurations the way the simulator does, since
-// the optimizer only consumes the ordering.
+// are (a) lowered to MiniIR, transformed and traced once, every address
+// streamed through each machine's simulated cache hierarchy, and (b)
+// fed to the kernel's LevelTraffic reuse-distance analysis. The
+// per-level byte counts are compared by rank agreement — the model does
+// not have to match absolute traffic, but it must order configurations
+// the way the simulator does, since the optimizer only consumes the
+// ordering.
 //
 // This is the grounding required by the substitution rule in
 // DESIGN.md §2 ("weak cache control → build an honest model and
@@ -47,15 +48,20 @@ type Report struct {
 	RankAgreement map[string]float64
 }
 
-// CacheModel traces each tiled configuration of the kernel through the
-// machine's simulated cache hierarchy (single-threaded — the reuse
-// structure, not contention, is under test) and compares per-level
-// traffic against the kernel's LevelTraffic model.
-func CacheModel(k *kernels.Kernel, m *machine.Machine, n int64, tileSets [][]int64, maxAccesses int) (*Report, error) {
+// CacheModel traces each tiled configuration of the kernel once,
+// streaming every address through each machine's simulated cache
+// hierarchy (single-threaded — the reuse structure, not contention, is
+// under test), and compares per-level traffic against the kernel's
+// LevelTraffic model. It returns one Report per machine, in order.
+func CacheModel(k *kernels.Kernel, machines []*machine.Machine, n int64, tileSets [][]int64) ([]*Report, error) {
 	if len(tileSets) < 2 {
 		return nil, fmt.Errorf("validate: need at least 2 configurations to rank")
 	}
-	report := &Report{Kernel: k.Name, Machine: m.Name, N: n, RankAgreement: map[string]float64{}}
+	reports := make([]*Report, len(machines))
+	for mi, m := range machines {
+		reports[mi] = &Report{Kernel: k.Name, Machine: m.Name, N: n, RankAgreement: map[string]float64{}}
+	}
+	hs := make([]*hierarchy, len(machines))
 	for _, tiles := range tileSets {
 		if len(tiles) != k.TileDims {
 			return nil, fmt.Errorf("validate: kernel %s wants %d tile sizes, got %d", k.Name, k.TileDims, len(tiles))
@@ -64,42 +70,48 @@ func CacheModel(k *kernels.Kernel, m *machine.Machine, n int64, tileSets [][]int
 		if err != nil {
 			return nil, err
 		}
-		traces, err := generate(prog, 1, maxAccesses)
+		for mi, m := range machines {
+			if hs[mi], err = newHierarchy(m, 1); err != nil {
+				return nil, err
+			}
+		}
+		err = generate(prog, 1, func(_ int, addr uint64) {
+			for _, h := range hs {
+				h.access(0, addr)
+			}
+		})
 		if err != nil {
 			return nil, err
-		}
-		h, err := newHierarchy(m, 1)
-		if err != nil {
-			return nil, err
-		}
-		for _, addr := range traces[0] {
-			h.access(0, addr)
 		}
 		// Bytes flowing into level i = misses at level i × line size
 		// (each miss installs one line fetched from outside).
-		var cr ConfigResult
-		for i, lvl := range m.Caches {
-			misses := h.perThread[0][i].stats.misses
-			// The model's conflict-miss derating, so both sides see the
-			// same effective capacities.
-			usable := int64(float64(lvl.SizeBytes) * lvl.UsableFraction())
-			cap := perfmodel.Capacity{PerThread: usable, Total: usable, Sharers: 1}
-			cr.Levels = append(cr.Levels, LevelComparison{
-				SimBytes:   float64(misses) * float64(lvl.LineBytes),
-				ModelBytes: k.Model.LevelTraffic(n, tiles, cap),
-			})
+		for mi, m := range machines {
+			var cr ConfigResult
+			for i, lvl := range m.Caches {
+				misses := hs[mi].perThread[0][i].stats.misses
+				// The model's conflict-miss derating, so both sides see
+				// the same effective capacities.
+				usable := int64(float64(lvl.SizeBytes) * lvl.UsableFraction())
+				cap := perfmodel.Capacity{PerThread: usable, Total: usable, Sharers: 1}
+				cr.Levels = append(cr.Levels, LevelComparison{
+					SimBytes:   float64(misses) * float64(lvl.LineBytes),
+					ModelBytes: k.Model.LevelTraffic(n, tiles, cap),
+				})
+			}
+			reports[mi].Configs = append(reports[mi].Configs, cr)
 		}
-		report.Configs = append(report.Configs, cr)
 	}
-	for li, lvl := range m.Caches {
-		var sim, model []float64
-		for _, cr := range report.Configs {
-			sim = append(sim, cr.Levels[li].SimBytes)
-			model = append(model, cr.Levels[li].ModelBytes)
+	for mi, m := range machines {
+		for li, lvl := range m.Caches {
+			var sim, model []float64
+			for _, cr := range reports[mi].Configs {
+				sim = append(sim, cr.Levels[li].SimBytes)
+				model = append(model, cr.Levels[li].ModelBytes)
+			}
+			reports[mi].RankAgreement[lvl.Name] = kendallTau(sim, model)
 		}
-		report.RankAgreement[lvl.Name] = kendallTau(sim, model)
 	}
-	return report, nil
+	return reports, nil
 }
 
 // tieTolerance is the relative difference below which two traffic

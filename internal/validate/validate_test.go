@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"reflect"
 	"testing"
 
 	"autotune/internal/kernels"
@@ -38,10 +39,11 @@ func TestCacheModelValidationMM(t *testing.T) {
 		{64, 64, 64},
 		{1, 1, 1},
 	}
-	rep, err := CacheModel(mm, m, 64, tileSets, 0)
+	reps, err := CacheModel(mm, []*machine.Machine{m}, 64, tileSets)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := reps[0]
 	if len(rep.Configs) != len(tileSets) {
 		t.Fatalf("configs = %d", len(rep.Configs))
 	}
@@ -70,10 +72,11 @@ func TestCacheModelValidationJacobi(t *testing.T) {
 		{32, 32},
 		{128, 128},
 	}
-	rep, err := CacheModel(j2, m, 128, tileSets, 0)
+	reps, err := CacheModel(j2, []*machine.Machine{m}, 128, tileSets)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := reps[0]
 	if len(rep.RankAgreement) != 3 {
 		t.Fatalf("levels = %v", rep.RankAgreement)
 	}
@@ -81,15 +84,44 @@ func TestCacheModelValidationJacobi(t *testing.T) {
 
 func TestCacheModelErrors(t *testing.T) {
 	mm, _ := kernels.ByName("mm")
-	m := machine.Westmere()
-	if _, err := CacheModel(mm, m, 32, [][]int64{{8, 8, 8}}, 0); err == nil {
+	ms := []*machine.Machine{machine.Westmere()}
+	if _, err := CacheModel(mm, ms, 32, [][]int64{{8, 8, 8}}); err == nil {
 		t.Error("single configuration accepted")
 	}
-	if _, err := CacheModel(mm, m, 32, [][]int64{{8, 8}, {4, 4}}, 0); err == nil {
+	if _, err := CacheModel(mm, ms, 32, [][]int64{{8, 8}, {4, 4}}); err == nil {
 		t.Error("wrong tile dimensionality accepted")
 	}
-	// Access cap propagates.
-	if _, err := CacheModel(mm, m, 64, [][]int64{{8, 8, 8}, {16, 16, 16}}, 10); err == nil {
-		t.Error("trace cap not propagated")
+}
+
+// TestCacheModelOnePassEqualsOnePerMachine: tracing each configuration
+// once into both machines' hierarchies gives exactly the reports of one
+// pass per machine.
+func TestCacheModelOnePassEqualsOnePerMachine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trace-driven simulation")
+	}
+	machines := []*machine.Machine{machine.Westmere(), machine.Barcelona()}
+	for _, c := range []struct {
+		kernel string
+		n      int64
+		sets   [][]int64
+	}{
+		{"mm", 48, [][]int64{{8, 8, 8}, {16, 16, 16}, {1, 1, 1}}},
+		{"jacobi-2d", 96, [][]int64{{8, 8}, {16, 32}, {96, 96}}},
+	} {
+		k, _ := kernels.ByName(c.kernel)
+		both, err := CacheModel(k, machines, c.n, c.sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range machines {
+			one, err := CacheModel(k, []*machine.Machine{m}, c.n, c.sets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(both[i], one[0]) {
+				t.Errorf("%s on %s: one pass over both machines\n%+v\ndiffers from one pass over it alone\n%+v", c.kernel, m.Name, both[i], one[0])
+			}
+		}
 	}
 }
