@@ -54,8 +54,8 @@ func cancellingEval(k int32) (*objective.CachingEvaluator, context.Context) {
 // the root golden file cannot see them: the three island layouts a Spec
 // can ask for (serial, one island, defaulted islands), explicit migrant
 // counts, the one-shot baselines' zero iteration
-// count, and a search, a walk and a sweep each cancelled at a fixed
-// evaluation.
+// count, and a search, a walk, a sweep and a race each cancelled at a
+// fixed evaluation.
 func goldenShapeRuns() map[string]func() (*optimizer.Result, error) {
 	space := islandSpace()
 	opt := optimizer.Options{PopSize: 12, MaxIterations: 10, Seed: 3}
@@ -91,17 +91,26 @@ func goldenShapeRuns() map[string]func() (*optimizer.Result, error) {
 			eval, ctx := cancellingEval(100)
 			return optimizer.Run(space, eval, optimizer.Spec{Strategy: "brute-force", Config: sweep}, optimizer.Control{Ctx: ctx})
 		},
+		"race/cancelled-at-150": func() (*optimizer.Result, error) {
+			eval, ctx := cancellingEval(150)
+			return optimizer.Run(space, eval, goldenRaceSpec(), optimizer.Control{Ctx: ctx})
+		},
 	}
 }
 
-// goldenRace is the "race" shape: every default contender over the
-// shared evaluator, scored every two generations, capped at 300
-// evaluations.
-func goldenRace() (*optimizer.Result, error) {
-	return optimizer.Run(islandSpace(), newDetEval(), optimizer.Spec{
+// goldenRaceSpec is the race of the "race" shapes: every default
+// contender over the shared evaluator, scored every two generations,
+// capped at 300 evaluations.
+func goldenRaceSpec() optimizer.Spec {
+	return optimizer.Spec{
 		Config: optimizer.StrategyConfig{Options: optimizer.Options{PopSize: 12, MaxIterations: 10, Seed: 3}, RandomBudget: 100},
 		Race:   &optimizer.RaceOptions{Interval: 2, Budget: 300},
-	}, optimizer.Control{})
+	}
+}
+
+// goldenRace is the "race" shape, uncancelled.
+func goldenRace() (*optimizer.Result, error) {
+	return optimizer.Run(islandSpace(), newDetEval(), goldenRaceSpec(), optimizer.Control{})
 }
 
 // TestGoldenRaceStandings holds the standings of the "race" shape —

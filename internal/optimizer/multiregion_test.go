@@ -2,12 +2,76 @@ package optimizer
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"autotune/internal/objective"
 	"autotune/internal/skeleton"
+	"autotune/internal/stats"
 )
+
+// refMultiRSGDE3 is the joint search with the generation loop of its
+// own that it kept before it ran through controlledRun.loop: every
+// generation the live regions first all propose, and only then is each
+// region's batch evaluated and absorbed. FuzzMultiRSGDE3MatchesReference
+// holds MultiRSGDE3 to it.
+func refMultiRSGDE3(ctx context.Context, spaces []skeleton.Space, evals []objective.Evaluator, opt Options) ([]*Result, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
+	opt = opt.withDefaults()
+	if len(spaces) == 0 {
+		return nil, errors.New("optimizer: no regions")
+	}
+	if len(evals) != len(spaces) {
+		return nil, fmt.Errorf("optimizer: %d evaluators for %d regions", len(evals), len(spaces))
+	}
+	if len(opt.InitialPopulation) > 0 {
+		return nil, errors.New("optimizer: one InitialPopulation cannot address several regions' spaces")
+	}
+	for r, sp := range spaces {
+		if err := sp.Validate(); err != nil {
+			return nil, fmt.Errorf("optimizer: region %d: %w", r, err)
+		}
+	}
+	ctrl := Control{Ctx: ctx}
+	for _, eval := range evals {
+		defer newControlledRun(eval, ctrl, "", "").close()
+	}
+	rng := stats.NewCountedRand(opt.Seed)
+	regions := make([]*gdeIsland, len(spaces))
+	for r := range spaces {
+		regions[r] = newGDEIsland(spaces[r], evals[r], opt, rng)
+	}
+	live := make([]*gdeIsland, 0, len(regions))
+	trials := make([][]skeleton.Config, len(regions))
+	iters, cancelled := 0, ctrl.ctx().Err
+	for ; iters < opt.MaxIterations && cancelled() == nil; iters++ {
+		live = live[:0]
+		for _, g := range regions {
+			if !g.done() {
+				live = append(live, g)
+			}
+		}
+		if len(live) == 0 {
+			break
+		}
+		for i, g := range live {
+			trials[i] = g.propose()
+		}
+		for i, g := range live {
+			g.absorb(trials[i], g.eval.Evaluate(trials[i]))
+		}
+	}
+	out := make([]*Result, len(regions))
+	for r, g := range regions {
+		out[r] = &Result{Front: g.points(), Evaluations: opt.PopSize * (1 + iters), Iterations: iters, Partial: cancelled() != nil}
+	}
+	return out, nil
+}
 
 // regionEvaluator is one region's ordinary evaluator over fn, counting
 // the batches it is handed.
@@ -217,4 +281,61 @@ func TestMultiRSGDE3CancelReturnsPartial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzMultiRSGDE3MatchesReference runs one to three regions — each over
+// one of three landscapes, one of which never improves and freezes its
+// region — under any seed, population, generation cap and stagnation
+// rule, the invalid ones included, through MultiRSGDE3 and through the
+// reference, each on fresh serial caches. A nonzero cancelAt cancels
+// the search inside the cancelAt-th evaluation counted over every
+// region. Every region's front bytes, E, iteration count and Partial
+// flag must match.
+func FuzzMultiRSGDE3MatchesReference(f *testing.F) {
+	f.Add(uint8(2), uint8(0x12), int64(1), int8(8), int8(6), int8(0), uint16(0))
+	f.Add(uint8(3), uint8(0x24), int64(4), int8(10), int8(20), int8(3), uint16(0))
+	f.Add(uint8(1), uint8(0x00), int64(7), int8(5), int8(12), int8(2), uint16(0))
+	f.Add(uint8(2), uint8(0x01), int64(9), int8(6), int8(10), int8(0), uint16(13))
+	f.Add(uint8(3), uint8(0x21), int64(2), int8(8), int8(15), int8(4), uint16(47))
+	f.Add(uint8(3), uint8(0x06), int64(-3), int8(7), int8(9), int8(2), uint16(150))
+	f.Add(uint8(2), uint8(0x00), int64(5), int8(-1), int8(4), int8(0), uint16(0))
+	f.Fuzz(func(t *testing.T, n, fns uint8, seed int64, pop, maxIters, stagnation int8, cancelAt uint16) {
+		landscapes := []func(skeleton.Config) []float64{schaffer, shiftedSchaffer, func(skeleton.Config) []float64 { return []float64{1, 1} }}
+		regions := 1 + int(n%3)
+		opt := Options{Seed: seed, PopSize: int(pop % 16), MaxIterations: int(maxIters % 40), Stagnation: int(stagnation % 6)}
+		run := func(search func(context.Context, []skeleton.Space, []objective.Evaluator, Options) ([]*Result, error)) ([]*Result, error) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var k atomic.Int32
+			spaces := make([]skeleton.Space, regions)
+			evals := make([]objective.Evaluator, regions)
+			for r := range spaces {
+				fn := landscapes[int(fns>>(2*r)&3)%len(landscapes)]
+				spaces[r] = schafferSpace()
+				evals[r] = objective.NewCachingEvaluator([]string{"f1", "f2"}, 1, func(c skeleton.Config) []float64 {
+					if k.Add(1) == int32(cancelAt) {
+						cancel()
+					}
+					return fn(c)
+				})
+			}
+			return search(ctx, spaces, evals, opt)
+		}
+		want, wantErr := run(refMultiRSGDE3)
+		got, gotErr := run(MultiRSGDE3)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("%+v: MultiRSGDE3 error %v, reference error %v", opt, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		for r := range want {
+			g, w := got[r], want[r]
+			if pointsKey(g.Front) != pointsKey(w.Front) || g.Evaluations != w.Evaluations ||
+				g.Iterations != w.Iterations || g.Partial != w.Partial {
+				t.Fatalf("%+v, cancel at %d, region %d: MultiRSGDE3 %d front points, E %d, iterations %d, partial %v; reference %d, %d, %d, %v",
+					opt, cancelAt, r, len(g.Front), g.Evaluations, g.Iterations, g.Partial, len(w.Front), w.Evaluations, w.Iterations, w.Partial)
+			}
+		}
+	})
 }
