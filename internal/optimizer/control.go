@@ -335,15 +335,19 @@ func (r *controlledRun) save(islands []islandEvolver, gen int) error {
 	return r.ctrl.Checkpointer.Save(snap)
 }
 
-// loop evolves the islands in lockstep under the run's control:
-// cancellation checks at every generation boundary, ring migration
-// every MigrationInterval generations, and a checkpoint after the
-// initial population and after every completed generation. A
-// generation in which the context fired is never checkpointed — some
-// of its evaluations may have been abandoned. Returns the absolute
-// generation count (continuing the snapshot's on resume) and whether
-// the run was cut short.
-func (r *controlledRun) loop(islands []islandEvolver, maxGens int, iopt IslandOptions) (gens int, partial bool, err error) {
+// loop is the generation loop of every search: it evolves the islands
+// in lockstep under the run's control, with a cancellation check at
+// every generation boundary and a checkpoint after the initial
+// population and after every completed generation. serial islands step
+// one after another in order (race contenders share a budget, joint
+// regions one generator); the others step concurrently. A generation
+// that started is counted. At its barrier the evaluator layers sync,
+// barrier (ring migration, race elimination) runs unless nil, and the
+// state is saved — none of it once the context is done, since some of
+// the generation's evaluations may have been abandoned. Returns the
+// absolute generation count (continuing the snapshot's on resume) and
+// whether the run was cut short.
+func (r *controlledRun) loop(islands []islandEvolver, maxGens int, serial bool, barrier func(gen int)) (gens int, partial bool, err error) {
 	ctx := r.ctrl.ctx()
 	if r.ctrl.Resume != nil {
 		gens = r.ctrl.Resume.Generation
@@ -373,14 +377,20 @@ func (r *controlledRun) loop(islands []islandEvolver, maxGens int, iopt IslandOp
 		if len(active) == 0 {
 			break
 		}
-		spawn(len(active), step)
-		gens++
-		r.sync()
-		if len(islands) > 1 && gens%iopt.MigrationInterval == 0 {
-			migrateRing(islands, iopt.Migrants)
+		if serial {
+			for _, isl := range active {
+				isl.step()
+			}
+		} else {
+			spawn(len(active), step)
 		}
+		gens++
 		if ctx.Err() != nil {
 			return gens, true, nil
+		}
+		r.sync()
+		if barrier != nil {
+			barrier(gens)
 		}
 		if err := r.save(islands, gens); err != nil {
 			return gens, false, err

@@ -20,13 +20,16 @@ import (
 )
 
 // MultiRSGDE3 tunes all regions simultaneously, region r over spaces[r]
-// and evals[r], all drawing from one generator. Every generation the
-// live regions first propose their trials — member slot i of every
-// region goes into one program execution — and only then are the trials
-// evaluated and absorbed. A region that has stagnated for
-// opt.Stagnation generations is frozen: its evaluator sees no further
-// call and it rides along in the executions the others need anyway, so
-// the run is bounded by the slowest-converging region.
+// and evals[r], all drawing from one generator. The regions are the
+// islands of one generation loop that steps them one after another, in
+// order: every generation each live region proposes its trials — member
+// slot i of every region goes into one program execution — and has them
+// evaluated and absorbed. Absorbing draws nothing from the generator, so
+// the draws come in the same order as if every region proposed before
+// any was evaluated. A region that has stagnated for opt.Stagnation
+// generations is frozen: its evaluator sees no further call and it rides
+// along in the executions the others need anyway, so the run is bounded
+// by the slowest-converging region.
 //
 // Every Result reports the shared counts: Iterations is the lock-step
 // generation count and Evaluations the program executions, PopSize for
@@ -63,33 +66,19 @@ func MultiRSGDE3(ctx context.Context, spaces []skeleton.Space, evals []objective
 	}
 	// Drawn from in region order, then member order.
 	rng := stats.NewCountedRand(opt.Seed)
-	regions := make([]*gdeIsland, len(spaces))
+	regions := make([]islandEvolver, len(spaces))
 	for r := range spaces {
 		regions[r] = newGDEIsland(spaces[r], evals[r], opt, rng)
 	}
-	live := make([]*gdeIsland, 0, len(regions))
-	trials := make([][]skeleton.Config, len(regions))
-	iters, cancelled := 0, ctrl.ctx().Err
-	for ; iters < opt.MaxIterations && cancelled() == nil; iters++ {
-		live = live[:0]
-		for _, g := range regions {
-			if !g.done() {
-				live = append(live, g)
-			}
-		}
-		if len(live) == 0 {
-			break
-		}
-		for i, g := range live {
-			trials[i] = g.propose()
-		}
-		for i, g := range live {
-			g.absorb(trials[i], g.eval.Evaluate(trials[i]))
-		}
+	// The loop's own run holds no evaluator: each region's is bound to
+	// ctx above, and the joint search checkpoints nothing.
+	iters, partial, err := (&controlledRun{ctrl: ctrl}).loop(regions, opt.MaxIterations, true, nil)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*Result, len(regions))
 	for r, g := range regions {
-		out[r] = &Result{Front: g.points(), Evaluations: opt.PopSize * (1 + iters), Iterations: iters, Partial: cancelled() != nil}
+		out[r] = &Result{Front: g.points(), Evaluations: opt.PopSize * (1 + iters), Iterations: iters, Partial: partial}
 	}
 	return out, nil
 }

@@ -9,11 +9,16 @@
 // is dominated by racing several and reallocating toward whichever wins
 // on THIS kernel/machine pair.
 //
+// The contenders are the islands of controlledRun.loop, the generation
+// loop every search runs, stepped one after another in a fixed order
+// (serially: they share the budget, and a contender does not step once
+// it is spent). Scoring and elimination are the loop's barrier function.
+//
 // Determinism: each contender evolves from its own seeded RNG and its
 // own proposals; the shared cache changes who computes a value, never
-// the value. Contenders step in fixed order within each round and
-// scoring happens at deterministic generation barriers, so a fixed
-// seed yields a byte-identical merged front regardless of GOMAXPROCS.
+// the value. Contenders step in fixed order within each generation and
+// scoring happens at its barrier, so a fixed seed yields a
+// byte-identical merged front regardless of GOMAXPROCS.
 package optimizer
 
 import (
@@ -177,24 +182,39 @@ func (b *budgetEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 func (b *budgetEvaluator) ObjectiveNames() []string { return b.inner.ObjectiveNames() }
 func (b *budgetEvaluator) Evaluations() int         { return b.inner.Evaluations() }
 
-// contender is one racing strategy instance.
+// contender is one racing strategy instance: its island, stepped by
+// the generation loop, as long as the contender is not eliminated, its
+// own stopping rule has not fired, its generation cap is not reached and
+// the race has not halted.
 type contender struct {
+	islandEvolver
 	strat        Strategy
-	cfg          StrategyConfig
 	eval         *attributedEvaluator
-	isl          islandEvolver
 	maxGens      int
 	gens         int
 	eliminated   bool
 	eliminatedAt int
+	halted       func() bool
 }
 
-// live reports whether the contender still receives budget.
-func (c *contender) live() bool { return !c.eliminated && !c.isl.done() && c.gens < c.maxGens }
+func (c *contender) done() bool {
+	return c.eliminated || c.islandEvolver.done() || c.gens >= c.maxGens || c.halted()
+}
 
-// race runs the registered strategies spec.Race names concurrently over
-// the shared evaluator under the given Control. Cancellation returns the
-// merged best-so-far front with Result.Partial set. The race keeps
+// step evolves the contender one generation, unless the race halted
+// while an earlier contender of the generation stepped.
+func (c *contender) step() {
+	if c.halted() {
+		return
+	}
+	c.islandEvolver.step()
+	c.gens++
+}
+
+// race runs the registered strategies spec.Race names over the shared
+// evaluator under the given Control. The race halts once the budget is
+// spent or the context is done; cancellation returns the merged
+// best-so-far front with Result.Partial set. The race keeps
 // heterogeneous per-strategy state, so Checkpointer is ignored and
 // Resume is an error; checkpoint a single strategy instead.
 //
@@ -231,12 +251,17 @@ func race(space skeleton.Space, eval objective.Evaluator, spec Spec, ctrl Contro
 	if ropt.Budget > 0 {
 		shared = &budgetEvaluator{inner: eval, e0: run.e0, budget: ropt.Budget}
 	}
+	ctx := ctrl.ctx()
+	halted := func() bool {
+		return ctx.Err() != nil || ropt.Budget > 0 && eval.Evaluations()-run.e0 >= ropt.Budget
+	}
 
 	// Build one contender per strategy. Every contender shares the
 	// base seed: population-based strategies then start from
 	// coinciding initial draws, which the shared cache makes free —
 	// the race budget goes into where the strategies differ.
 	contenders := make([]*contender, len(ropt.Strategies))
+	islands := make([]islandEvolver, len(contenders))
 	for i, name := range ropt.Strategies {
 		strat, _ := StrategyByName(name) // Resolve refused an unknown name
 		ccfg := strat.Normalize(space, cfg)
@@ -249,79 +274,29 @@ func race(space skeleton.Space, eval objective.Evaluator, spec Spec, ctrl Contro
 			// own stopping rule (stagnation, exhausted walk) fires.
 			maxGens = math.MaxInt
 		}
-		contenders[i] = &contender{
-			strat:   strat,
-			cfg:     ccfg,
-			eval:    newAttributedEvaluator(shared),
-			maxGens: maxGens,
-		}
+		c := &contender{strat: strat, eval: newAttributedEvaluator(shared), maxGens: maxGens, halted: halted}
+		// Initial states evaluate sequentially in contender order: the
+		// budget cap reads the global evaluation count, so everything
+		// that consumes budget must do so in a defined order. The
+		// shared seed keeps this cheap — later contenders hit the cache
+		// of the first.
+		c.islandEvolver = strat.New(space, c.eval, ccfg, ccfg.Options.Seed)
+		contenders[i], islands[i] = c, c
 	}
-	// Initial states evaluate sequentially in contender order: the
-	// budget cap reads the global evaluation count, so everything that
-	// consumes budget must do so in a defined order. The shared seed
-	// keeps this cheap — later contenders hit the cache of the first.
-	for _, c := range contenders {
-		c.isl = c.strat.New(space, c.eval, c.cfg, c.cfg.Options.Seed)
+	// Contenders share one cache, so a surrogate screen is one model,
+	// synced at every generation barrier. Every Interval generations the
+	// trailing half of the live contenders is eliminated (successive
+	// halving), never below MinSurvivors.
+	gens, partial, err := run.loop(islands, math.MaxInt, true, func(gen int) {
+		if gen%ropt.Interval == 0 {
+			raceEliminate(contenders, ropt.MinSurvivors, gen)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Barrier 0: all contenders' initial states are in; a surrogate
-	// screen trains before the first racing round. Contenders share one
-	// cache, so they share one model.
-	run.sync()
-
-	ctx := ctrl.ctx()
-	globalE := func() int { return eval.Evaluations() - run.e0 }
-	gens := 0
-	partial := false
-	for {
-		if ctx.Err() != nil {
-			partial = true
-			break
-		}
-		if ropt.Budget > 0 && globalE() >= ropt.Budget {
-			break
-		}
-		// One round: step the live contenders in fixed order, checking
-		// the budget between steps so the overshoot stays within one
-		// population. Steps are sequential across contenders (the
-		// budget check needs a defined order for determinism); the
-		// shared evaluator still fans each population batch out across
-		// its workers.
-		stepped := false
-		for _, c := range contenders {
-			if !c.live() {
-				continue
-			}
-			if ropt.Budget > 0 && globalE() >= ropt.Budget {
-				break
-			}
-			c.isl.step()
-			c.gens++
-			stepped = true
-			if ctx.Err() != nil {
-				partial = true
-				break
-			}
-		}
-		if partial {
-			break
-		}
-		if !stepped {
-			break
-		}
-		gens++
-		// Round barrier: contenders stepped in a fixed sequential
-		// order, so syncing the surrogate here is deterministic.
-		run.sync()
-		// Scoring barrier: eliminate the trailing half of the still-
-		// live contenders (successive halving), never dropping below
-		// MinSurvivors.
-		if gens%ropt.Interval == 0 {
-			raceEliminate(contenders, ropt.MinSurvivors, gens)
-		}
-	}
-
 	return &Result{
-		Front:       mergeFronts(len(contenders), func(i int) []pareto.Point { return contenders[i].isl.points() }),
+		Front:       mergeFronts(len(contenders), func(i int) []pareto.Point { return contenders[i].points() }),
 		Evaluations: run.totalE(),
 		Iterations:  gens,
 		Partial:     partial,
@@ -335,7 +310,7 @@ func race(space skeleton.Space, eval objective.Evaluator, spec Spec, ctrl Contro
 func raceScores(cs []*contender) (scores, hvs []float64) {
 	fronts := make([][]pareto.Point, len(cs))
 	for i, c := range cs {
-		fronts[i] = c.isl.points()
+		fronts[i] = c.points()
 	}
 	ref, err := pareto.SharedReference(fronts...)
 	scores = make([]float64, len(cs))
@@ -401,7 +376,7 @@ func raceEliminate(contenders []*contender, minSurvivors, gen int) {
 		c := live[oi]
 		c.eliminated = true
 		c.eliminatedAt = gen
-		for _, p := range c.isl.points() {
+		for _, p := range c.points() {
 			if cfg, ok := p.Payload.(skeleton.Config); ok {
 				handoff = append(handoff, individual{cfg: cfg, objs: p.Objectives})
 			}
@@ -411,7 +386,7 @@ func raceEliminate(contenders []*contender, minSurvivors, gen int) {
 		return
 	}
 	for _, oi := range order[:keep] {
-		live[oi].isl.inject(handoff)
+		live[oi].inject(handoff)
 	}
 }
 
@@ -425,7 +400,7 @@ func raceStandings(contenders []*contender) []Standing {
 			Strategy:     c.strat.Name,
 			Evaluations:  c.eval.Evaluations(),
 			Generations:  c.gens,
-			FrontSize:    len(c.isl.points()),
+			FrontSize:    len(c.points()),
 			HV:           hvs[i],
 			Score:        scores[i],
 			Eliminated:   c.eliminated,

@@ -217,7 +217,15 @@ func Run(space skeleton.Space, eval objective.Evaluator, spec Spec, ctrl Control
 			islands[i] = strat.New(space, eval, cfg, cfg.Options.Seed+int64(i))
 		})
 	}
-	gens, partial, err := run.loop(islands, strat.MaxGenerations(cfg), iopt)
+	var migrate func(int)
+	if w > 1 {
+		migrate = func(gen int) {
+			if gen%iopt.MigrationInterval == 0 {
+				migrateRing(islands, iopt.Migrants)
+			}
+		}
+	}
+	gens, partial, err := run.loop(islands, strat.MaxGenerations(cfg), false, migrate)
 	if err != nil {
 		return nil, err
 	}
