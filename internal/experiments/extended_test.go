@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,8 +50,37 @@ func TestExtendedComparisonQuick(t *testing.T) {
 	}
 }
 
-// validation is the one Validation run the tests below share.
-var validation = sync.OnceValues(Validation)
+// validation is the one Validation run the tests below share;
+// validationBytes is what it allocated.
+var (
+	validationBytes uint64
+	validation      = sync.OnceValues(func() (*ValidationResult, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Validation()
+		runtime.ReadMemStats(&after)
+		validationBytes = after.TotalAlloc - before.TotalAlloc
+		return res, err
+	})
+)
+
+// TestValidationAllocationBudget holds one Validation to 20 MB (13 MB
+// measured): each CacheModel call builds one hierarchy per machine, of
+// one 8-byte word a way, and empties it between configurations. A
+// hierarchy per configuration would allocate the Westmere L3's lines
+// 13 times over.
+func TestValidationAllocationBudget(t *testing.T) {
+	if testing.Short() || israce.Enabled {
+		t.Skip("trace-driven simulation; the race detector's instrumentation allocates")
+	}
+	if _, err := validation(); err != nil {
+		t.Fatal(err)
+	}
+	if validationBytes > 20<<20 {
+		t.Errorf("Validation allocated %d bytes, budget 20 MiB", validationBytes)
+	}
+	t.Logf("Validation allocated %d bytes", validationBytes)
+}
 
 func TestValidationExperiment(t *testing.T) {
 	if testing.Short() {

@@ -19,12 +19,6 @@ type cacheStats struct {
 	misses   uint64
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	used  uint64 // LRU timestamp
-}
-
 // cache is a single set-associative cache with LRU replacement. Set
 // selection uses modulo indexing, so non-power-of-two set counts (e.g.
 // the 24-way 30 MB Westmere L3) are supported.
@@ -33,9 +27,10 @@ type cache struct {
 	nSets    uint64
 	assoc    uint64
 	// lines holds the sets one after another: set s is
-	// lines[s*assoc : (s+1)*assoc].
-	lines []line
-	clock uint64
+	// lines[s*assoc : (s+1)*assoc], most recently used way first. A way
+	// holds its line's block id plus one, 0 when it is empty, so empty
+	// ways sit behind every filled one.
+	lines []uint64
 	stats cacheStats
 }
 
@@ -62,33 +57,30 @@ func newCache(size int64, lineBytes, assoc int) (*cache, error) {
 		lineBits: lineBits,
 		nSets:    uint64(nSets),
 		assoc:    uint64(assoc),
-		lines:    make([]line, nLines),
+		lines:    make([]uint64, nLines),
 	}, nil
 }
 
 // access simulates one load/store to addr and reports whether it hit.
-// On a miss the line is installed, evicting the LRU way.
+// The line moves to the front of its set; on a miss it is installed
+// there, and the last way — an empty one, or else the least recently
+// used — drops out.
 func (c *cache) access(addr uint64) bool {
-	c.clock++
 	c.stats.accesses++
 	blk := addr >> c.lineBits
 	first := blk % c.nSets * c.assoc
 	set := c.lines[first : first+c.assoc]
-	tag := blk // full block id as tag (set bits included; harmless)
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].used = c.clock
+	tag := blk + 1 // full block id as tag (set bits included; harmless)
+	for i, t := range set {
+		if t == tag {
+			copy(set[1:i+1], set[:i])
+			set[0] = tag
 			return true
-		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].used < set[victim].used {
-			victim = i
 		}
 	}
 	c.stats.misses++
-	set[victim] = line{tag: tag, valid: true, used: c.clock}
+	copy(set[1:], set)
+	set[0] = tag
 	return false
 }
 
@@ -152,6 +144,17 @@ func newHierarchy(m *machine.Machine, nThreads int) (*hierarchy, error) {
 		h.perThread[t] = chain
 	}
 	return h, nil
+}
+
+// reset empties every cache of the hierarchy, lines and counts, so
+// that the next trace runs as through a new hierarchy.
+func (h *hierarchy) reset() {
+	for _, chain := range h.perThread {
+		for _, c := range chain {
+			clear(c.lines)
+			c.stats = cacheStats{}
+		}
+	}
 }
 
 // access simulates one access by the given thread. It returns the

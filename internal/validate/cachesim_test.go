@@ -135,8 +135,9 @@ func TestHierarchyCrossSocketNoSharing(t *testing.T) {
 }
 
 // TestHierarchyLevelMisses streams 100 lines through a one-thread
-// Westmere hierarchy twice: the first pass misses L1 on every access,
-// the second (the lines fit) on none.
+// Westmere hierarchy three times: the first pass misses L1 on every
+// access, the second (the lines fit) on none, and the third, after a
+// reset, on every access again, as through a new hierarchy.
 func TestHierarchyLevelMisses(t *testing.T) {
 	h, err := newHierarchy(machine.Westmere(), 1)
 	if err != nil {
@@ -154,6 +155,13 @@ func TestHierarchyLevelMisses(t *testing.T) {
 	}
 	if st := l1(); st != (cacheStats{accesses: 200, misses: 100}) {
 		t.Fatalf("reuse pass: L1 %+v, want 100 misses in 200 accesses", st)
+	}
+	h.reset()
+	for i := 0; i < 100; i++ {
+		h.access(0, uint64(i*64))
+	}
+	if st := l1(); st != (cacheStats{accesses: 100, misses: 100}) {
+		t.Fatalf("pass after reset: L1 %+v, want 100 misses in 100 accesses", st)
 	}
 }
 

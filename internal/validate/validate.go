@@ -57,11 +57,16 @@ func CacheModel(k *kernels.Kernel, machines []*machine.Machine, n int64, tileSet
 	if len(tileSets) < 2 {
 		return nil, fmt.Errorf("validate: need at least 2 configurations to rank")
 	}
+	// One hierarchy per machine, emptied before each configuration.
 	reports := make([]*Report, len(machines))
+	hs := make([]*hierarchy, len(machines))
 	for mi, m := range machines {
 		reports[mi] = &Report{Kernel: k.Name, Machine: m.Name, N: n, RankAgreement: map[string]float64{}}
+		var err error
+		if hs[mi], err = newHierarchy(m, 1); err != nil {
+			return nil, err
+		}
 	}
-	hs := make([]*hierarchy, len(machines))
 	for _, tiles := range tileSets {
 		if len(tiles) != k.TileDims {
 			return nil, fmt.Errorf("validate: kernel %s wants %d tile sizes, got %d", k.Name, k.TileDims, len(tiles))
@@ -70,10 +75,8 @@ func CacheModel(k *kernels.Kernel, machines []*machine.Machine, n int64, tileSet
 		if err != nil {
 			return nil, err
 		}
-		for mi, m := range machines {
-			if hs[mi], err = newHierarchy(m, 1); err != nil {
-				return nil, err
-			}
+		for _, h := range hs {
+			h.reset()
 		}
 		err = generate(prog, 1, func(_ int, addr uint64) {
 			for _, h := range hs {
