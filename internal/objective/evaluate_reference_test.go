@@ -14,12 +14,13 @@ import (
 	"autotune/internal/skeleton"
 )
 
-// referenceEvaluate is Evaluate before a batch's keys were cut from one
-// string, its leaders registered from one slab and its fresh vectors cut
-// from another: a key rendered, an in-flight entry allocated and, the
-// evaluation function being handed a nil dst, a vector allocated per
-// configuration. The observers are handed the keys it rendered.
-func referenceEvaluate(c *CachingEvaluator, cfgs []skeleton.Config) [][]float64 {
+// referenceEvaluate is mapEvaluator.Evaluate before a batch's keys were
+// cut from one string, its leaders registered from one slab and its
+// fresh vectors cut from another: a key rendered, an in-flight entry
+// allocated and, the evaluation function being handed a nil dst, a
+// vector allocated per configuration, on the workers. The observers are
+// handed the keys it rendered.
+func referenceEvaluate(c *mapEvaluator, cfgs []skeleton.Config) [][]float64 {
 	out := make([][]float64, len(cfgs))
 	keys := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
@@ -27,7 +28,7 @@ func referenceEvaluate(c *CachingEvaluator, cfgs []skeleton.Config) [][]float64 
 	}
 
 	var leaders []int
-	var followers []follower
+	var followers []mapFollower
 	c.mu.Lock()
 	fn, ctx := c.fn, c.ctx
 	observed := len(c.observers) > 0
@@ -42,9 +43,9 @@ func referenceEvaluate(c *CachingEvaluator, cfgs []skeleton.Config) [][]float64 
 			if fl.done == nil {
 				fl.done = make(chan struct{})
 			}
-			followers = append(followers, follower{i, fl})
+			followers = append(followers, mapFollower{i, fl})
 		} else if !cancelled {
-			c.inflight[key] = &inflightEval{}
+			c.inflight[key] = &mapInflight{}
 			leaders = append(leaders, i)
 		}
 	}
@@ -84,13 +85,14 @@ func referenceEvaluate(c *CachingEvaluator, cfgs []skeleton.Config) [][]float64 
 	return out
 }
 
-// referencePrimeBatch is PrimeBatch before it read a warm start's batch
-// in place: it renders the keys and copies every batch into the map,
-// grown once, skipping keys cached or in flight and the later of two
-// entries under one key, and hands the prime observers the inserted
-// entries in batch order. An evaluator primed only through it holds
-// every primed entry in its map, where referenceEvaluate reads them.
-func referencePrimeBatch(c *CachingEvaluator, cfgs []skeleton.Config, objs [][]float64) int {
+// referencePrimeBatch is mapEvaluator.PrimeBatch before it read a warm
+// start's batch in place: it renders the keys and copies every batch
+// into the map, grown once, skipping keys cached or in flight and the
+// later of two entries under one key, and hands the prime observers the
+// inserted entries in batch order. An evaluator primed only through it
+// holds every primed entry in its map, where referenceEvaluate reads
+// them.
+func referencePrimeBatch(c *mapEvaluator, cfgs []skeleton.Config, objs [][]float64) int {
 	keys := keysOf(cfgs)
 	c.mu.Lock()
 	c.reserve(len(keys))
@@ -119,11 +121,25 @@ func referencePrimeBatch(c *CachingEvaluator, cfgs []skeleton.Config, objs [][]f
 	return len(inserted)
 }
 
-// fuzzSide is one of the two evaluators FuzzEvaluateMatchesReference
+// cacheAPI is what the fuzzers drive, on CachingEvaluator and on the
+// map-based reference alike.
+type cacheAPI interface {
+	Evaluate(cfgs []skeleton.Config) [][]float64
+	EvaluateOne(cfg skeleton.Config) []float64
+	PrimeBatch(cfgs []skeleton.Config, keys []string, objs [][]float64) int
+	Prime(cfg skeleton.Config, objs []float64) bool
+	Lookup(cfg skeleton.Config) ([]float64, bool)
+	Evaluations() int
+	SetContext(ctx context.Context)
+	AddObserver(fn func(cfgs []skeleton.Config, keys []string, objs [][]float64)) (remove func())
+	AddPrimeObserver(fn func(cfg skeleton.Config, objs []float64)) (remove func())
+}
+
+// fuzzSide is one of the evaluators FuzzEvaluateMatchesReference
 // drives in step: its cache, the context its evaluation function may
 // cancel, and the log of everything its observers were handed.
 type fuzzSide struct {
-	c      *CachingEvaluator
+	c      cacheAPI
 	cancel context.CancelFunc
 	// trigger is the first component whose evaluation cancels the
 	// context; 0 never does (the pool's first components are -2..5 and
@@ -132,14 +148,25 @@ type fuzzSide struct {
 	log     []string
 }
 
-// newFuzzSide builds a side whose batches run inline, as a Sim's do, or
-// on the workers at parallelism 1.
+// newFuzzSide builds a CachingEvaluator side whose batches run inline,
+// as a Sim's do, or on the workers at parallelism 1.
 func newFuzzSide(t *testing.T, inline bool) *fuzzSide {
+	return newSideOf(t, func(names []string, fn CtxEvalFunc) cacheAPI {
+		if inline {
+			return newInlineEvaluator(names, fn)
+		}
+		return newCachingEvaluator(names, 1, fn)
+	})
+}
+
+// newMapSide builds a map-based reference side, inline or on the
+// workers at parallelism 1.
+func newMapSide(t *testing.T, inline bool) *fuzzSide {
+	return newSideOf(t, func(names []string, fn CtxEvalFunc) cacheAPI { return newMapEvaluator(names, 1, inline, fn) })
+}
+
+func newSideOf(t *testing.T, build func(names []string, fn CtxEvalFunc) cacheAPI) *fuzzSide {
 	s := &fuzzSide{}
-	build := func(names []string, fn CtxEvalFunc) *CachingEvaluator { return newCachingEvaluator(names, 1, fn) }
-	if inline {
-		build = newInlineEvaluator
-	}
 	s.c = build([]string{"a", "b"}, func(_ context.Context, cfg skeleton.Config, dst []float64) ([]float64, error) {
 		if s.trigger != 0 && cfg[0] == s.trigger {
 			s.cancel()
@@ -207,13 +234,14 @@ func fuzzCfg(b byte) skeleton.Config {
 // context or cancelling it from inside an evaluation, primed batches
 // with known failures and empty vectors among them, some of them warm
 // starts: strictly increasing keys, as tunedb.Warm hands a history over
-// — applied to two evaluators, one through Evaluate and PrimeBatch, one
-// through the references, leaves
+// — applied to a CachingEvaluator through Evaluate and PrimeBatch, to
+// the map-based evaluator it replaced (mapEvaluator) through the same
+// methods, and to a map-based evaluator through the references, leaves
 // the same outputs, the same E, the same cache as Lookup reads it and
-// the same observer streams: the configurations, their keys and their
-// results, in order. No two fresh vectors of one batch share memory.
-// The evaluator under test runs its batches on the workers, and then
-// inline, as a Sim's run; the reference runs on the workers.
+// the same observer streams on all three: the configurations, their
+// keys and their results, in order. No two fresh vectors of one batch
+// share memory. The first two run their batches on the workers, and
+// then inline, as a Sim's run; the references run on the workers.
 func FuzzEvaluateMatchesReference(f *testing.F) {
 	f.Add([]byte{0x03, 1, 2, 1, 0x40, 9, 2, 0x05, 0x13, 0x0a, 4, 0x21, 3})
 	f.Add([]byte{0x02, 0, 1, 0x06, 0x0b, 2, 7, 0x11, 0x0c, 0x02, 5, 5})
@@ -227,15 +255,17 @@ func FuzzEvaluateMatchesReference(f *testing.F) {
 			data = data[:256]
 		}
 		for _, inline := range []bool{false, true} {
-			matchReference(t, data, inline)
+			matchReference(t, data, inline, newFuzzSide(t, inline))
+			matchReference(t, data, inline, newMapSide(t, inline))
 		}
 	})
 }
 
-// matchReference applies the op sequence data encodes to an evaluator,
-// inline or on the workers, and to the reference, and compares them.
-func matchReference(t *testing.T, data []byte, inline bool) {
-	got, want := newFuzzSide(t, inline), newFuzzSide(t, false)
+// matchReference applies the op sequence data encodes to got and to
+// the references, and compares them.
+func matchReference(t *testing.T, data []byte, inline bool, got *fuzzSide) {
+	want := newMapSide(t, false)
+	ref := want.c.(*mapEvaluator)
 	ops := &byteStream{data: data}
 	for n := 0; ops.more() && n < 64; n++ {
 		op := ops.next()
@@ -249,9 +279,9 @@ func matchReference(t *testing.T, data []byte, inline bool) {
 			// A batch: with op bit 5 under a cancelled context, with
 			// bit 6 cancelling it from inside its last evaluation.
 			gotOut := evaluateUnder(got, op, cfgs, func() [][]float64 { return got.c.Evaluate(cfgs) })
-			wantOut := evaluateUnder(want, op, cfgs, func() [][]float64 { return referenceEvaluate(want.c, cfgs) })
+			wantOut := evaluateUnder(want, op, cfgs, func() [][]float64 { return referenceEvaluate(ref, cfgs) })
 			if !reflect.DeepEqual(gotOut, wantOut) {
-				t.Fatalf("inline %v, op %d: Evaluate(%v) = %v, the reference %v", inline, n, cfgs, gotOut, wantOut)
+				t.Fatalf("%T inline %v, op %d: Evaluate(%v) = %v, the reference %v", got.c, inline, n, cfgs, gotOut, wantOut)
 			}
 		case 2:
 			// A primed batch, every third result a known failure and
@@ -270,27 +300,27 @@ func matchReference(t *testing.T, data []byte, inline bool) {
 					objs[i] = []float64{-float64(i), float64(op)}
 				}
 			}
-			if g, w := got.c.PrimeBatch(cfgs, keysOf(cfgs), objs), referencePrimeBatch(want.c, cfgs, objs); g != w {
-				t.Fatalf("inline %v, op %d: PrimeBatch(%v) = %d, the reference %d", inline, n, cfgs, g, w)
+			if g, w := got.c.PrimeBatch(cfgs, keysOf(cfgs), objs), referencePrimeBatch(ref, cfgs, objs); g != w {
+				t.Fatalf("%T inline %v, op %d: PrimeBatch(%v) = %d, the reference %d", got.c, inline, n, cfgs, g, w)
 			}
 		case 3: // one configuration at a time
-			if g, w := got.c.EvaluateOne(cfgs[0]), referenceEvaluate(want.c, cfgs[:1])[0]; !reflect.DeepEqual(g, w) {
-				t.Fatalf("inline %v, op %d: EvaluateOne(%v) = %v, the reference %v", inline, n, cfgs[0], g, w)
+			if g, w := got.c.EvaluateOne(cfgs[0]), referenceEvaluate(ref, cfgs[:1])[0]; !reflect.DeepEqual(g, w) {
+				t.Fatalf("%T inline %v, op %d: EvaluateOne(%v) = %v, the reference %v", got.c, inline, n, cfgs[0], g, w)
 			}
 		}
 		if g, w := got.c.Evaluations(), want.c.Evaluations(); g != w {
-			t.Fatalf("inline %v, op %d: E = %d, the reference %d", inline, n, g, w)
+			t.Fatalf("%T inline %v, op %d: E = %d, the reference %d", got.c, inline, n, g, w)
 		}
 	}
 	if !reflect.DeepEqual(got.log, want.log) {
-		t.Fatalf("inline %v: the observers saw\n%v\nthe reference's\n%v", inline, got.log, want.log)
+		t.Fatalf("%T inline %v: the observers saw\n%v\nthe reference's\n%v", got.c, inline, got.log, want.log)
 	}
 	for b := 0; b < 32; b++ {
 		cfg := fuzzCfg(byte(b))
 		g, gok := got.c.Lookup(cfg)
 		w, wok := want.c.Lookup(cfg)
 		if gok != wok || !reflect.DeepEqual(g, w) {
-			t.Fatalf("inline %v: Lookup(%v) = %v %v, the reference %v %v", inline, cfg, g, gok, w, wok)
+			t.Fatalf("%T inline %v: Lookup(%v) = %v %v, the reference %v %v", got.c, inline, cfg, g, gok, w, wok)
 		}
 	}
 }
