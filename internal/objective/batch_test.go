@@ -3,6 +3,7 @@ package objective
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -15,6 +16,38 @@ import (
 	"autotune/internal/machine"
 	"autotune/internal/skeleton"
 )
+
+// followed reports whether cfg is in flight with a follower waiting for
+// it: whether its rendezvous exists.
+func followed(c *CachingEvaluator, cfg skeleton.Config) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, _ := c.table.lookup(cfg)
+	if e < 0 || c.table.at(e).state != inFlight {
+		return false
+	}
+	_, ok := c.followed[e]
+	return ok
+}
+
+// entriesInFlight counts the table entries in flight; it panics if the count
+// the evaluator keeps, or its rendezvous, disagree with them.
+func entriesInFlight(c *CachingEvaluator) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for e := int32(0); int(e) < c.table.n; e++ {
+		if c.table.at(e).state == inFlight {
+			n++
+		} else if _, ok := c.followed[e]; ok {
+			panic(fmt.Sprintf("entry %d is not in flight but has a rendezvous", e))
+		}
+	}
+	if n != c.inflight {
+		panic(fmt.Sprintf("%d entries in flight, the evaluator counts %d", n, c.inflight))
+	}
+	return n
+}
 
 // seqBatch returns the single-parameter configurations lo, lo+1, …, hi-1.
 func seqBatch(lo, hi int) []skeleton.Config {
@@ -259,10 +292,8 @@ func TestFollowerOfAbortedLeader(t *testing.T) {
 	<-entered
 	go func() { follower <- c.Evaluate(seqBatch(7, 8)) }()
 	// The follower has registered once the key's rendezvous exists.
-	for registered := false; !registered; runtime.Gosched() {
-		c.mu.Lock()
-		registered = c.inflight["7"].done != nil
-		c.mu.Unlock()
+	for !followed(c, skeleton.Config{7}) {
+		runtime.Gosched()
 	}
 	close(release)
 	if out := <-leader; out[0] != nil {
@@ -307,10 +338,8 @@ func TestPanickingEvaluationReleasesSlotAndKey(t *testing.T) {
 			}()
 			<-entered
 			go func() { follower <- c.Evaluate(seqBatch(7, 8)) }()
-			for registered := false; !registered; runtime.Gosched() {
-				c.mu.Lock()
-				registered = c.inflight["7"].done != nil
-				c.mu.Unlock()
+			for !followed(c, skeleton.Config{7}) {
+				runtime.Gosched()
 			}
 			close(release)
 			if r := <-leader; r == nil {
@@ -319,10 +348,7 @@ func TestPanickingEvaluationReleasesSlotAndKey(t *testing.T) {
 			if out := <-follower; out[0] != nil {
 				t.Fatalf("follower of a panicked leader returned %v", out[0])
 			}
-			c.mu.Lock()
-			left := len(c.inflight)
-			c.mu.Unlock()
-			if left != 0 {
+			if left := entriesInFlight(c); left != 0 {
 				t.Fatalf("%d keys still in flight after the panic", left)
 			}
 			// Parallelism is 1 on the workers: this returns only if the
@@ -357,36 +383,61 @@ func freshBatch(n int) []skeleton.Config {
 	return batch
 }
 
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes f
+// allocates on average over runs calls, after one warm-up call, at
+// GOMAXPROCS 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestSimEvaluateAllocationBudget: a batch of fresh configurations costs
-// the evaluator six allocations — the result slice, the key string and
-// the key slice, the in-flight slab and the leader list, and the slab
-// its objective vectors are cut from; a Sim evaluates in the calling
+// the evaluator three allocations — the result slice, the leader list
+// and the slab its objective vectors are cut from. It renders no key,
+// no observer being registered, and a Sim evaluates in the calling
 // goroutine, so there is no worker, worker index, wait group or closure
-// to pay for — and per configuration only the cache map's amortized
-// growth (measured 0.26 a batch of 30, ~0.01 a configuration). A batch
-// answered from the cache alone costs a constant.
+// to pay for. Per configuration there is only the table's amortized
+// growth: an entry chunk every 128 configurations, a value chunk every
+// 256 four-value ones and the slot index's doublings, about 0.02 a
+// configuration, held under 0.05. In bytes that is
+// 3.7 KiB a batch of 30 (the string-keyed cache took 7.0 KiB), held
+// under 5 KiB. A batch answered from the cache alone costs the result
+// slice.
 func TestSimEvaluateAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
+	batches := make([][]skeleton.Config, 102)
+	for i := range batches {
+		batches[i] = freshBatch(i)
+	}
 	s, n := benchSim(t), 0
-	perBatch := testing.AllocsPerRun(50, func() {
-		s.Evaluate(freshBatch(n))
+	evaluate := func() {
+		s.Evaluate(batches[n])
 		n++
-	})
-	// freshBatch itself allocates 31 times.
-	if budget := 0.1*30 + 31 + 6; perBatch > budget {
+	}
+	if perBatch, budget := testing.AllocsPerRun(50, evaluate), 0.05*30+3; perBatch > budget {
 		t.Errorf("Sim.Evaluate of 30 fresh configurations allocates %v times, budget %v", perBatch, budget)
 	}
-	if s.Evaluations() != 51*30 {
-		t.Fatalf("E = %d, want %d: the batches were not fresh", s.Evaluations(), 51*30)
+	if perBatch := bytesPerRun(50, evaluate); perBatch > 5<<10 {
+		t.Errorf("Sim.Evaluate of 30 fresh configurations allocates %.0f bytes, budget %d", perBatch, 5<<10)
 	}
-	hits := freshBatch(0)
-	if perHitBatch := testing.AllocsPerRun(50, func() { s.Evaluate(hits) }); perHitBatch > 4 {
-		t.Errorf("Sim.Evaluate of 30 cached configurations allocates %v times, budget 4", perHitBatch)
+	if s.Evaluations() != 102*30 {
+		t.Fatalf("E = %d, want %d: the batches were not fresh", s.Evaluations(), 102*30)
 	}
-	if s.Evaluations() != 51*30 {
-		t.Fatalf("E = %d after the cached batches, want %d", s.Evaluations(), 51*30)
+	hits := batches[0]
+	if perHitBatch := testing.AllocsPerRun(50, func() { s.Evaluate(hits) }); perHitBatch > 1 {
+		t.Errorf("Sim.Evaluate of 30 cached configurations allocates %v times, budget 1", perHitBatch)
+	}
+	if s.Evaluations() != 102*30 {
+		t.Fatalf("E = %d after the cached batches, want %d", s.Evaluations(), 102*30)
 	}
 }
 
@@ -402,8 +453,10 @@ func stubKernel() *kernels.Kernel {
 // from the configuration, the repetition times sit on the stack and the
 // vector is the batch's cut — so, over a runner that allocates nothing,
 // a batch costs what Sim's does plus the worker index, the wait group
-// and the drain closure of the workers; the closure that starts them is
-// never made at parallelism 1.
+// and the drain closure of the workers, six allocations; the closure
+// that starts them is never made at parallelism 1. In bytes that is 3.4
+// KiB a batch of 30 two-value configurations (the string-keyed cache
+// took 7.0 KiB), held under 5 KiB.
 func TestMeasuredEvaluateAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -412,21 +465,26 @@ func TestMeasuredEvaluateAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	perBatch := testing.AllocsPerRun(50, func() {
-		batch := make([]skeleton.Config, 30)
-		for i := range batch {
-			batch[i] = skeleton.Config{int64(n*30 + i + 1), 2}
+	batches := make([][]skeleton.Config, 102)
+	for n := range batches {
+		batches[n] = make([]skeleton.Config, 30)
+		for i := range batches[n] {
+			batches[n][i] = skeleton.Config{int64(n*30 + i + 1), 2}
 		}
-		m.Evaluate(batch)
+	}
+	n := 0
+	evaluate := func() {
+		m.Evaluate(batches[n])
 		n++
-	})
-	// The batch itself allocates 31 times.
-	if budget := 0.1*30 + 31 + 9; perBatch > budget {
+	}
+	if perBatch, budget := testing.AllocsPerRun(50, evaluate), 0.05*30+6; perBatch > budget {
 		t.Errorf("Measured.Evaluate of 30 fresh configurations allocates %v times, budget %v", perBatch, budget)
 	}
-	if m.Evaluations() != 51*30 {
-		t.Fatalf("E = %d, want %d: the batches were not fresh", m.Evaluations(), 51*30)
+	if perBatch := bytesPerRun(50, evaluate); perBatch > 5<<10 {
+		t.Errorf("Measured.Evaluate of 30 fresh configurations allocates %.0f bytes, budget %d", perBatch, 5<<10)
+	}
+	if m.Evaluations() != 102*30 {
+		t.Fatalf("E = %d, want %d: the batches were not fresh", m.Evaluations(), 102*30)
 	}
 }
 
