@@ -154,9 +154,11 @@ func (g *gdeIsland) propose() []skeleton.Config {
 			g.box = g.full
 		}
 	}
-	// The trials go to the evaluator, which may keep what it is handed,
-	// so they are fresh memory, never the arena's: one slab a
-	// generation, cut into the trials and never written again.
+	// The trials go to the evaluator's observers, which may keep what
+	// they are handed, and the winners into the population and the
+	// archive, so they are fresh memory, never the arena's: one slab a
+	// generation, cut into the trials and never written again. (The
+	// evaluation cache itself copies their values.)
 	trials := make([]skeleton.Config, len(g.pop))
 	slab := make([]int64, 0, len(g.pop)*g.space.Dim())
 	for i := range g.pop {
