@@ -2,9 +2,11 @@ package optimizer
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"autotune/internal/pareto"
+	"autotune/internal/skeleton"
 	"autotune/internal/stats"
 )
 
@@ -59,6 +61,59 @@ func TestNothingThatEscapesAliasesTheArena(t *testing.T) {
 				if len(h.elites) == 0 || len(h.points) == 0 || len(h.snap.Pop) == 0 {
 					t.Fatalf("generation %d: nothing held (elites %d, points %d, population %d)",
 						gen, len(h.elites), len(h.points), len(h.snap.Pop))
+				}
+			}
+		})
+	}
+}
+
+// TestArchivedPointsOutliveTheirGeneration: a point the archive kept
+// reads the same however many generations later. The island offers the
+// archive trials that the following generations overwrite, so what the
+// archive keeps must be a copy: a point that kept a cut of the trials
+// would read a later generation's offspring. The archive's points are
+// deep-copied after every generation and compared, point for point,
+// after five more.
+func TestArchivedPointsOutliveTheirGeneration(t *testing.T) {
+	space := benchSpace()
+	opt := Options{Seed: 9, Stagnation: 1 << 30}.withDefaults()
+	islands := map[string]islandEvolver{
+		"rs-gde3": newGDEIsland(space, newTableEvaluator(2), opt, stats.NewCountedRand(opt.Seed)),
+		"nsga2":   newNSGA2Island(space, newTableEvaluator(2), opt, opt.Seed),
+	}
+	type kept struct {
+		points []pareto.Point
+		copies []pareto.Point
+	}
+	deepCopy := func(points []pareto.Point) []pareto.Point {
+		out := make([]pareto.Point, len(points))
+		for i, p := range points {
+			cfg, ok := p.Payload.(skeleton.Config)
+			if !ok {
+				t.Fatalf("archived payload %T, want skeleton.Config", p.Payload)
+			}
+			out[i] = pareto.Point{Payload: cfg.Clone(), Objectives: slices.Clone(p.Objectives)}
+		}
+		return out
+	}
+	const later = 5
+	for name, isl := range islands {
+		t.Run(name, func(t *testing.T) {
+			var history []kept
+			for gen := 0; gen < 30; gen++ {
+				points := isl.points()
+				history = append(history, kept{points, deepCopy(points)})
+				isl.step()
+				if gen < later {
+					continue
+				}
+				h := history[gen-later]
+				for i, p := range h.points {
+					was := h.copies[i]
+					if !slices.Equal(p.Payload.(skeleton.Config), was.Payload.(skeleton.Config)) || !slices.Equal(p.Objectives, was.Objectives) {
+						t.Fatalf("generation %d: a point archived before generation %d reads %v %v, was %v %v",
+							gen, gen-later, p.Payload, p.Objectives, was.Payload, was.Objectives)
+					}
 				}
 			}
 		})
