@@ -119,6 +119,32 @@ func TestWatchdogAbandonedEvaluationWritesOnlyItsCut(t *testing.T) {
 	}
 }
 
+// TestWatchdogAbandonedEvaluationReadsItsOwnConfig: a configuration is
+// the caller's again once the evaluation call returns, and a search
+// rewrites its offspring the next generation. An evaluation the
+// watchdog abandoned still runs, so it must read a copy: here the
+// caller overwrites the configuration before the abandoned evaluation
+// looks at it, and the evaluation must still see what it was given.
+func TestWatchdogAbandonedEvaluationReadsItsOwnConfig(t *testing.T) {
+	release := make(chan struct{})
+	seen := make(chan skeleton.Config, 1)
+	slow := func(_ context.Context, c skeleton.Config, dst []float64) ([]float64, error) {
+		<-release
+		seen <- c.Clone()
+		return append(dst, 1, 1), nil
+	}
+	eval := resilience.Watchdog(10 * time.Millisecond)(slow)
+	c := skeleton.Config{7, 8}
+	if objs, err := eval(context.Background(), c, nil); objs != nil || err != nil {
+		t.Fatalf("the watchdog returned %v, %v for a hung evaluation, want a failure", objs, err)
+	}
+	c[0], c[1] = -1, -1
+	close(release)
+	if got := <-seen; !reflect.DeepEqual(got, skeleton.Config{7, 8}) {
+		t.Fatalf("the abandoned evaluation read %v, want the configuration it was handed, [7 8]", got)
+	}
+}
+
 // TestGuardCancellation: a context cancelled while a watchdogged
 // evaluation hangs aborts it before the timeout, and an abort is never
 // cached as a failure: once the context is live again the configuration

@@ -28,8 +28,11 @@ import (
 // the batch has returned; the cache records nil for that key (nothing,
 // when the context was cancelled) and the batch's caller is handed nil
 // for it, so nothing ever reads that cut, and the cut's capped capacity
-// keeps the late write off its neighbours. A non-positive timeout leaves
-// next as it is.
+// keeps the late write off its neighbours. The configuration, which is
+// the caller's again once the call returns (objective.Evaluator), is
+// copied for the evaluation's goroutine: an abandoned evaluation reads
+// its copy, not memory the search may have rewritten. A non-positive
+// timeout leaves next as it is.
 func Watchdog(timeout time.Duration) func(objective.CtxEvalFunc) objective.CtxEvalFunc {
 	type result struct {
 		objs []float64
@@ -41,6 +44,7 @@ func Watchdog(timeout time.Duration) func(objective.CtxEvalFunc) objective.CtxEv
 		}
 		return func(ctx context.Context, cfg skeleton.Config, dst []float64) ([]float64, error) {
 			done := make(chan result, 1)
+			cfg = cfg.Clone()
 			go func() {
 				objs, err := next(ctx, cfg, dst)
 				done <- result{objs, err}
