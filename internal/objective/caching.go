@@ -430,10 +430,18 @@ func (c *CachingEvaluator) primeObserverList() []func(skeleton.Config, []float64
 // it. Observers run in registration order, outside the evaluator's
 // lock, and share the slices: fn must be safe for concurrent calls
 // (concurrent batches report concurrently) and must not modify what it
-// is handed. It may keep the key strings: they are rendered for the
-// observers, cut from one string per batch, and never written. A batch
-// that starts while no observer is registered is not tracked, and so
-// reported to nobody — nor are its keys rendered.
+// is handed. The configurations are valid only for the call, as they
+// are for Evaluate, so an observer copies what it keeps; the four that
+// keep any do: tunedb's resident history (history.add, behind
+// DB.PutEvals) copies a batch's values into one slab, the surrogate
+// screen's observe clones each configuration, the checkpoint trace
+// cuts copies from one slab a batch, and the surrogate experiment's
+// priming observer appends a copy of each. It may keep the key
+// strings: they are rendered for the observers, cut from one string
+// per batch, and never written. The objective vectors are the cache's
+// and never written either. A batch that starts while no observer is
+// registered is not tracked, and so reported to nobody — nor are its
+// keys rendered.
 func (c *CachingEvaluator) AddObserver(fn func(cfgs []skeleton.Config, keys []string, objs [][]float64)) (remove func()) {
 	c.mu.Lock()
 	c.nextObs++
@@ -489,7 +497,9 @@ func (c *CachingEvaluator) EvaluateOne(cfg skeleton.Config) []float64 {
 // evaluated, cached or counted. The batch's fresh vectors are cut from
 // one slab of len(leaders) × len(names) values, each cut's capacity
 // capped at len(names); the cache keeps them, and so the slab, for the
-// evaluator's life, as it keeps every value.
+// evaluator's life, as it keeps every value. The table copies the
+// values of the configurations it memoizes, so cfgs are read only
+// during the call.
 func (c *CachingEvaluator) Evaluate(cfgs []skeleton.Config) [][]float64 {
 	out := make([][]float64, len(cfgs))
 

@@ -33,7 +33,11 @@ type Evaluator interface {
 	// Evaluate returns one objective vector per configuration, in
 	// order. A nil vector marks a failed evaluation (invalid
 	// configuration). A vector with a NaN component never enters the
-	// front.
+	// front. The configurations handed in, and the slice holding them,
+	// are valid only for the call: the evolutionary searches draw a
+	// generation's offspring into memory they rewrite the next
+	// generation, so an implementation that keeps a configuration
+	// copies it.
 	Evaluate(cfgs []skeleton.Config) [][]float64
 	// ObjectiveNames returns the objective labels, e.g.
 	// ["time", "resources"].

@@ -154,27 +154,28 @@ func (g *gdeIsland) propose() []skeleton.Config {
 			g.box = g.full
 		}
 	}
-	// The trials go to the evaluator's observers, which may keep what
-	// they are handed, and the winners into the population and the
-	// archive, so they are fresh memory, never the arena's: one slab a
-	// generation, cut into the trials and never written again. (The
-	// evaluation cache itself copies their values.)
-	trials := make([]skeleton.Config, len(g.pop))
-	slab := make([]int64, 0, len(g.pop)*g.space.Dim())
+	// The trials are the arena's, cut from the slab the next
+	// generation rewrites: the evaluation cache and the evaluator's
+	// observers copy what they keep, the archive keeps a copy of what it
+	// admits, and absorb copies the survivors out.
+	trials, slab := g.arena.offspring(len(g.pop), g.space.Dim())
 	for i := range g.pop {
 		at := len(slab)
 		slab = g.arena.mutate(slab, g.pop[i].cfg, g.pop, i, g.box, g.opt, g.rng)
 		trials[i] = slab[at:len(slab):len(slab)]
 	}
+	g.arena.slab = slab
 	return trials
 }
 
 // absorb is the second half: update the archive with the evaluated
-// trials, apply the GDE3 replacement rule and advance the stagnation
-// counter. It draws nothing from the generator.
+// trials, apply the GDE3 replacement rule, copy the survivors into the
+// population's own slab and advance the stagnation counter. It draws
+// nothing from the generator.
 func (g *gdeIsland) absorb(trials []skeleton.Config, trialObjs [][]float64) {
 	improved := g.offerAll(trials, trialObjs)
 	g.pop = g.arena.gde3Select(g.pop, trials, trialObjs, g.opt.PopSize)
+	g.arena.own(g.pop)
 	g.settle(improved)
 }
 

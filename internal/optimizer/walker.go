@@ -38,7 +38,7 @@ func (w *walker) step() {
 	w.next = hi
 	for i, o := range w.eval.Evaluate(batch) {
 		if !w.keepAll {
-			offer(w.archive, batch[i], o)
+			offer(w.archive, batch[i], o, nil)
 		} else if o != nil {
 			p := pareto.Point{Payload: batch[i], Objectives: o}
 			w.all = append(w.all, p)
