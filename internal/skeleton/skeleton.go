@@ -160,9 +160,12 @@ type Box struct {
 	Lo, Hi []int64
 }
 
-// FullBox returns the box spanning the entire space.
+// FullBox returns the box spanning the entire space. Lo and Hi are cut
+// from one allocation, each capped at its length.
 func (s Space) FullBox() Box {
-	b := Box{Lo: make([]int64, len(s.Params)), Hi: make([]int64, len(s.Params))}
+	n := len(s.Params)
+	bounds := make([]int64, 2*n)
+	b := Box{Lo: bounds[:n:n], Hi: bounds[n:]}
 	for i, p := range s.Params {
 		b.Lo[i] = p.Min
 		b.Hi[i] = p.Max
