@@ -56,10 +56,7 @@ func TestEmitProgramMM(t *testing.T) {
 
 func TestEmitProgramTiledParallel(t *testing.T) {
 	mm, _ := kernels.ByName("mm")
-	tiled, err := transform.Sequence(mm.IR(64),
-		transform.TileStep([]int64{16, 16, 8}),
-		transform.ParallelizeStep(2),
-	)
+	tiled, err := transform.Apply(mm.IR(64), []int64{16, 16, 8}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +83,7 @@ func TestEmitProgramTiledParallel(t *testing.T) {
 // OpenMP pragma; its parallelized form carries one.
 func TestEmitProgramNoOMP(t *testing.T) {
 	mm, _ := kernels.ByName("mm")
-	tiled, _ := transform.Sequence(mm.IR(32), transform.TileStep([]int64{8, 8, 8}))
+	tiled, _ := transform.Tile(mm.IR(32), []int64{8, 8, 8})
 	code, err := emitProgram(tiled, "kernel")
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +91,7 @@ func TestEmitProgramNoOMP(t *testing.T) {
 	if strings.Contains(code, "#pragma") {
 		t.Errorf("sequential program emitted a pragma:\n%s", code)
 	}
-	parallel, _ := transform.Sequence(tiled, transform.ParallelizeStep(1))
+	parallel, _ := transform.Apply(tiled, nil, 1, 0)
 	if code, err = emitProgram(parallel, "kernel"); err != nil {
 		t.Fatal(err)
 	}

@@ -68,12 +68,14 @@ func TestEmitUnitAllocationBudget(t *testing.T) {
 	perUnit := testing.AllocsPerRun(20, func() { emit(t, p, res) })
 	// Feature extraction and outlining are paid once. A version copies
 	// the spine of the 3-deep nest and builds its tile and point loops
-	// (about 16 allocations; statements, arrays and bounds are shared
-	// with the program), plus its skeleton steps, metadata and one
-	// listing. Before emission cloned once and printed without fmt the
-	// same front cost 4004; cloning the whole program per version cost
-	// 1124; copying only the spine costs 354.
-	if budget := 450.0; perUnit > budget {
+	// (13 allocations; statements, arrays and bounds are shared with
+	// the program), plus its metadata and one listing. Before emission
+	// cloned once and printed without fmt the same front cost 4004;
+	// cloning the whole program per version cost 1124; copying only
+	// the spine cost 354; building each version from plain data —
+	// expressions as sorted terms, an instance without step closures —
+	// costs 236.
+	if budget := 250.0; perUnit > budget {
 		t.Errorf("EmitUnit of a 12-point mm front allocates %v times, budget %v", perUnit, budget)
 	}
 }

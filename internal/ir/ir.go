@@ -10,132 +10,122 @@
 // variants. MiniIR programs can also be lowered to memory-address
 // traces for cache simulation (internal/validate).
 //
-// A program is immutable once built: no node, bound, array or
-// coefficient map is written after construction, so programs share
-// them freely. A transformation copies only what it rewrites — the
-// program header, its Root slice and the loops of the perfect nest it
-// restructures (internal/transform) — and an outlined region is a new
-// header over the same nodes. Clone is for the rare caller that must
-// own a mutable copy.
+// A program is immutable once built: no node, bound, array or affine
+// term slice is written after construction, so programs share them
+// freely and expressions share term slices with one another. A
+// transformation copies only what it rewrites — the program header,
+// its Root slice and the loops of the perfect nest it restructures
+// (internal/transform) — and an outlined region is a new header over
+// the same nodes. Clone is for the rare caller that must own a mutable
+// copy; it shares only the term slices, which no caller can write.
 package ir
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // Affine is an affine expression over loop iterators:
-// Const + Σ Coeffs[v]·v. Iterator names are strings; a missing name has
-// coefficient zero.
+// Const + Σ c·v over its terms. The terms are kept sorted by iterator
+// name and hold no zero coefficient; a name with no term has
+// coefficient zero. Like the rest of a program, a term slice is never
+// written once built, so expressions share it: AddConst, and Add of a
+// constant, return the receiver's terms with a new constant.
 type Affine struct {
-	Const  int64
-	Coeffs map[string]int64
+	Const int64
+	terms []term
+}
+
+// term is one c·v of an affine expression, c never zero.
+type term struct {
+	v string
+	c int64
 }
 
 // Con returns a constant affine expression.
 func Con(c int64) Affine { return Affine{Const: c} }
 
 // Var returns the affine expression 1·name.
-func Var(name string) Affine {
-	return Affine{Coeffs: map[string]int64{name: 1}}
-}
+func Var(name string) Affine { return Term(name, 1) }
 
 // Term returns the affine expression coeff·name + 0.
 func Term(name string, coeff int64) Affine {
-	return Affine{Coeffs: map[string]int64{name: coeff}}
+	if coeff == 0 {
+		return Affine{}
+	}
+	return Affine{terms: []term{{name, coeff}}}
 }
 
 // Add returns a + b.
 func (a Affine) Add(b Affine) Affine {
-	out := Affine{Const: a.Const + b.Const, Coeffs: map[string]int64{}}
-	for v, c := range a.Coeffs {
-		out.Coeffs[v] += c
+	c := a.Const + b.Const
+	switch {
+	case len(b.terms) == 0:
+		return Affine{Const: c, terms: a.terms}
+	case len(a.terms) == 0:
+		return Affine{Const: c, terms: b.terms}
 	}
-	for v, c := range b.Coeffs {
-		out.Coeffs[v] += c
+	// Merge the two sorted term lists, dropping the sums that cancel.
+	ts := make([]term, 0, len(a.terms)+len(b.terms))
+	x, y := a.terms, b.terms
+	for len(x) > 0 && len(y) > 0 {
+		switch {
+		case x[0].v < y[0].v:
+			ts, x = append(ts, x[0]), x[1:]
+		case y[0].v < x[0].v:
+			ts, y = append(ts, y[0]), y[1:]
+		default:
+			if sum := x[0].c + y[0].c; sum != 0 {
+				ts = append(ts, term{x[0].v, sum})
+			}
+			x, y = x[1:], y[1:]
+		}
 	}
-	out.normalize()
-	return out
+	ts = append(append(ts, x...), y...)
+	if len(ts) == 0 {
+		ts = nil
+	}
+	return Affine{Const: c, terms: ts}
 }
 
-// AddConst returns a + c.
-func (a Affine) AddConst(c int64) Affine { return a.Add(Con(c)) }
-
-// Scale returns k·a.
-func (a Affine) Scale(k int64) Affine {
-	out := Affine{Const: a.Const * k, Coeffs: map[string]int64{}}
-	for v, c := range a.Coeffs {
-		out.Coeffs[v] = c * k
-	}
-	out.normalize()
-	return out
-}
-
-// Sub returns a - b.
-func (a Affine) Sub(b Affine) Affine { return a.Add(b.Scale(-1)) }
+// AddConst returns a + c, sharing a's terms.
+func (a Affine) AddConst(c int64) Affine { return Affine{Const: a.Const + c, terms: a.terms} }
 
 // Coeff returns the coefficient of iterator v (0 if absent).
-func (a Affine) Coeff(v string) int64 { return a.Coeffs[v] }
+func (a Affine) Coeff(v string) int64 {
+	for _, t := range a.terms {
+		if t.v == v {
+			return t.c
+		}
+	}
+	return 0
+}
 
 // IsConst reports whether the expression has no iterator terms.
-func (a Affine) IsConst() bool {
-	for _, c := range a.Coeffs {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Vars returns the iterator names with non-zero coefficients, sorted.
-func (a Affine) Vars() []string {
-	var vs []string
-	for v, c := range a.Coeffs {
-		if c != 0 {
-			vs = append(vs, v)
-		}
-	}
-	sort.Strings(vs)
-	return vs
-}
+func (a Affine) IsConst() bool { return len(a.terms) == 0 }
 
 // Eval evaluates the expression under the given iterator assignment.
 // Iterators missing from env evaluate as zero.
 func (a Affine) Eval(env map[string]int64) int64 {
 	v := a.Const
-	for name, c := range a.Coeffs {
-		v += c * env[name]
+	for _, t := range a.terms {
+		v += t.c * env[t.v]
 	}
 	return v
 }
 
-// Equal reports structural equality after normalization.
+// Equal reports whether a and b are the same expression.
 func (a Affine) Equal(b Affine) bool {
-	d := a.Sub(b)
-	return d.Const == 0 && d.IsConst()
-}
-
-func (a *Affine) normalize() {
-	for v, c := range a.Coeffs {
-		if c == 0 {
-			delete(a.Coeffs, v)
+	if a.Const != b.Const || len(a.terms) != len(b.terms) {
+		return false
+	}
+	for i, t := range a.terms {
+		if b.terms[i] != t {
+			return false
 		}
 	}
-}
-
-func (a Affine) clone() Affine {
-	if len(a.Coeffs) == 0 {
-		// A constant needs no map: every reader treats a nil Coeffs as
-		// empty, and every writer (Add, Scale) builds its own.
-		return Affine{Const: a.Const}
-	}
-	out := Affine{Const: a.Const, Coeffs: make(map[string]int64, len(a.Coeffs))}
-	for v, c := range a.Coeffs {
-		out.Coeffs[v] = c
-	}
-	return out
+	return true
 }
 
 // String renders the expression in source-like form, e.g. "2*i + j + 3".
@@ -149,58 +139,43 @@ func (a Affine) String() string {
 // order, then the constant when it is non-zero or stands alone, joined
 // by " + " — or " - " in front of a term that starts with a minus sign.
 func (a Affine) writeTo(b *strings.Builder) {
-	// Iterator names with non-zero coefficients, sorted: Vars, without
-	// its allocation for the handful of iterators an expression has.
-	var buf [4]string
-	vars := buf[:0]
-	if len(a.Coeffs) > 0 { // starting a map iteration costs more than a constant's whole rendering
-		for v, c := range a.Coeffs {
-			if c == 0 {
-				continue
-			}
-			vars = append(vars, v)
-			for i := len(vars) - 1; i > 0 && vars[i] < vars[i-1]; i-- {
-				vars[i], vars[i-1] = vars[i-1], vars[i]
-			}
-		}
-	}
 	var num [20]byte
-	terms := 0
-	// term writes one part of the sum; minus and body together are the
+	n := 0
+	// part writes one part of the sum; minus and body together are the
 	// part's text.
-	term := func(minus bool, digits []byte, name string) {
+	part := func(minus bool, digits []byte, name string) {
 		switch {
-		case terms == 0 && minus:
+		case n == 0 && minus:
 			b.WriteByte('-')
-		case terms > 0 && minus:
+		case n > 0 && minus:
 			b.WriteString(" - ")
-		case terms > 0:
+		case n > 0:
 			b.WriteString(" + ")
 		}
 		b.Write(digits)
 		b.WriteString(name)
-		terms++
+		n++
 	}
-	for _, v := range vars {
-		switch c := a.Coeffs[v]; c {
+	for _, t := range a.terms {
+		switch t.c {
 		case 1:
-			term(false, nil, v)
+			part(false, nil, t.v)
 		case -1:
-			term(true, nil, v)
+			part(true, nil, t.v)
 		default:
-			digits := append(strconv.AppendInt(num[:0], c, 10), '*')
-			if c < 0 {
+			digits := append(strconv.AppendInt(num[:0], t.c, 10), '*')
+			if t.c < 0 {
 				digits = digits[1:]
 			}
-			term(c < 0, digits, v)
+			part(t.c < 0, digits, t.v)
 		}
 	}
-	if a.Const != 0 || terms == 0 {
+	if a.Const != 0 || n == 0 {
 		digits := strconv.AppendInt(num[:0], a.Const, 10)
 		if a.Const < 0 {
 			digits = digits[1:]
 		}
-		term(a.Const < 0, digits, "")
+		part(a.Const < 0, digits, "")
 	}
 }
 
@@ -257,13 +232,10 @@ func writeAccesses(b *strings.Builder, acs []Access) {
 	}
 }
 
-// Clone deep-copies the access.
+// Clone copies the access. The copy owns its index slice; the
+// expressions' term slices, which nothing writes, are shared.
 func (ac Access) Clone() Access {
-	out := Access{Array: ac.Array, Indices: make([]Affine, len(ac.Indices))}
-	for i, ix := range ac.Indices {
-		out.Indices[i] = ix.clone()
-	}
-	return out
+	return Access{Array: ac.Array, Indices: append([]Affine(nil), ac.Indices...)}
 }
 
 // Node is a MiniIR tree node: either *Loop or *Stmt.
@@ -342,13 +314,10 @@ func (*Loop) isNode() {}
 
 // CloneNode deep-copies the loop and its body.
 func (l *Loop) CloneNode() Node {
-	c := &Loop{Var: l.Var, Lo: l.Lo.clone(), Hi: l.Hi.clone(), Step: l.Step,
+	c := &Loop{Var: l.Var, Lo: l.Lo, Hi: l.Hi, Step: l.Step,
 		Parallel: l.Parallel, Collapse: l.Collapse, UnrollPragma: l.UnrollPragma}
 	if len(l.Caps) > 0 {
-		c.Caps = make([]Affine, len(l.Caps))
-		for i, cap := range l.Caps {
-			c.Caps[i] = cap.clone()
-		}
+		c.Caps = append([]Affine(nil), l.Caps...)
 	}
 	if len(l.Body) > 0 {
 		c.Body = make([]Node, len(l.Body))
@@ -453,12 +422,15 @@ func validateNodes(ns []Node, decl map[string]Array, bound map[string]bool) erro
 			if bound[x.Var] {
 				return fmt.Errorf("ir: loop variable %s shadows an enclosing loop", x.Var)
 			}
-			bounds := append([]Affine{x.Lo, x.Hi}, x.Caps...)
-			for _, bexpr := range bounds {
-				for _, v := range bexpr.Vars() {
-					if !bound[v] {
-						return fmt.Errorf("ir: bound of loop %s uses unbound iterator %s", x.Var, v)
-					}
+			if v, ok := unbound(x.Lo, bound); ok {
+				return fmt.Errorf("ir: bound of loop %s uses unbound iterator %s", x.Var, v)
+			}
+			if v, ok := unbound(x.Hi, bound); ok {
+				return fmt.Errorf("ir: bound of loop %s uses unbound iterator %s", x.Var, v)
+			}
+			for _, c := range x.Caps {
+				if v, ok := unbound(c, bound); ok {
+					return fmt.Errorf("ir: bound of loop %s uses unbound iterator %s", x.Var, v)
 				}
 			}
 			if x.Collapse < 0 {
@@ -470,18 +442,18 @@ func validateNodes(ns []Node, decl map[string]Array, bound map[string]bool) erro
 			}
 			delete(bound, x.Var)
 		case *Stmt:
-			for _, ac := range x.Accesses() {
-				a, ok := decl[ac.Array]
-				if !ok {
-					return fmt.Errorf("ir: access to undeclared array %s", ac.Array)
-				}
-				if len(ac.Indices) != len(a.Dims) {
-					return fmt.Errorf("ir: access %s has %d indices, array has %d dims",
-						ac.String(), len(ac.Indices), len(a.Dims))
-				}
-				for _, ix := range ac.Indices {
-					for _, v := range ix.Vars() {
-						if !bound[v] {
+			for _, acs := range [...][]Access{x.Writes, x.Reads} {
+				for _, ac := range acs {
+					a, ok := decl[ac.Array]
+					if !ok {
+						return fmt.Errorf("ir: access to undeclared array %s", ac.Array)
+					}
+					if len(ac.Indices) != len(a.Dims) {
+						return fmt.Errorf("ir: access %s has %d indices, array has %d dims",
+							ac.String(), len(ac.Indices), len(a.Dims))
+					}
+					for _, ix := range ac.Indices {
+						if v, ok := unbound(ix, bound); ok {
 							return fmt.Errorf("ir: access %s uses unbound iterator %s", ac.String(), v)
 						}
 					}
@@ -492,6 +464,17 @@ func validateNodes(ns []Node, decl map[string]Array, bound map[string]bool) erro
 		}
 	}
 	return nil
+}
+
+// unbound returns the first iterator of e, in name order, that bound
+// does not hold.
+func unbound(e Affine, bound map[string]bool) (string, bool) {
+	for _, t := range e.terms {
+		if !bound[t.v] {
+			return t.v, true
+		}
+	}
+	return "", false
 }
 
 // PerfectNest returns the loops of the outermost perfect nest rooted at

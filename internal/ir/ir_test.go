@@ -7,13 +7,13 @@ import (
 )
 
 func TestAffineArithmetic(t *testing.T) {
-	a := Var("i").Scale(2).Add(Con(3)) // 2i + 3
-	b := Var("j").Add(Var("i"))        // i + j
-	sum := a.Add(b)                    // 3i + j + 3
+	a := Term("i", 2).Add(Con(3)) // 2i + 3
+	b := Var("j").Add(Var("i"))   // i + j
+	sum := a.Add(b)               // 3i + j + 3
 	if sum.Coeff("i") != 3 || sum.Coeff("j") != 1 || sum.Const != 3 {
 		t.Fatalf("sum = %v", sum)
 	}
-	diff := a.Sub(a)
+	diff := a.Add(Term("i", -2).AddConst(-3))
 	if !diff.IsConst() || diff.Const != 0 {
 		t.Fatalf("a-a = %v, want 0", diff)
 	}
@@ -31,10 +31,12 @@ func TestAffineEval(t *testing.T) {
 	}
 }
 
+// TestAffineVars: an expression's terms are its iterators with
+// non-zero coefficients, in name order.
 func TestAffineVars(t *testing.T) {
-	vs := Var("k").Add(Var("ii")).Add(Term("z", 0)).Vars()
-	if len(vs) != 2 || vs[0] != "ii" || vs[1] != "k" {
-		t.Fatalf("vars = %v", vs)
+	e := Var("k").Add(Var("ii")).Add(Term("z", 0))
+	if len(e.terms) != 2 || e.terms[0] != (term{"ii", 1}) || e.terms[1] != (term{"k", 1}) {
+		t.Fatalf("terms = %v", e.terms)
 	}
 }
 
@@ -58,9 +60,27 @@ func TestAffineString(t *testing.T) {
 }
 
 func TestAffineNormalizeDropsZeros(t *testing.T) {
-	e := Var("i").Sub(Var("i"))
-	if len(e.Vars()) != 0 {
-		t.Fatalf("zero coefficient not dropped: %v", e)
+	e := Var("i").Add(Var("j")).Add(Term("i", -1))
+	if len(e.terms) != 1 || e.Coeff("i") != 0 || !Var("i").Add(Term("i", -1)).IsConst() {
+		t.Fatalf("zero coefficient not dropped: %v", e.terms)
+	}
+}
+
+// TestAffineSharesTerms: adding a constant, or an expression with no
+// terms, returns the receiver's terms with a new constant — the term
+// slice is never written once built — and a constant has none.
+func TestAffineSharesTerms(t *testing.T) {
+	e := Term("i", 2).Add(Var("j"))
+	for _, f := range []Affine{e.AddConst(5), e.Add(Con(-1)), Con(4).Add(e)} {
+		if &f.terms[0] != &e.terms[0] || len(f.terms) != len(e.terms) {
+			t.Fatalf("%v does not share the terms of %v", f, e)
+		}
+	}
+	if c := Con(3).AddConst(4); c.terms != nil || c.Const != 7 {
+		t.Fatalf("constant = %+v", c)
+	}
+	if got := testing.AllocsPerRun(100, func() { e = e.AddConst(1) }); got != 0 {
+		t.Fatalf("AddConst allocates %v times", got)
 	}
 }
 

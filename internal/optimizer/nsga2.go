@@ -40,8 +40,16 @@ type nsga2Island struct{ population }
 // newNSGA2Island seeds and evaluates the initial population. opt must
 // already carry defaults.
 func newNSGA2Island(space skeleton.Space, eval objective.Evaluator, opt Options, seed int64) *nsga2Island {
-	n := &nsga2Island{population{space: space, eval: eval, opt: opt}}
+	n := nsga2Over(space, eval, opt)
 	n.seed(stats.NewCountedRand(seed))
+	return n
+}
+
+// nsga2Over is an island over space with no population yet, its arena
+// sized for its generations: seed or restore fills it.
+func nsga2Over(space skeleton.Space, eval objective.Evaluator, opt Options) *nsga2Island {
+	n := &nsga2Island{population{space: space, eval: eval, opt: opt}}
+	n.arena.reserve(opt.PopSize, space.Dim())
 	return n
 }
 

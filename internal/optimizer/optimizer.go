@@ -124,10 +124,13 @@ func newGDEIsland(space skeleton.Space, eval objective.Evaluator, opt Options, r
 }
 
 // gdeOver is an island over space with no population yet, its box the
-// whole space: seed or restore fills it.
+// whole space and its arena sized for its generations: seed or restore
+// fills it.
 func gdeOver(space skeleton.Space, eval objective.Evaluator, opt Options) *gdeIsland {
 	full := space.FullBox()
-	return &gdeIsland{population: population{space: space, eval: eval, opt: opt}, full: full, box: full}
+	g := &gdeIsland{population: population{space: space, eval: eval, opt: opt}, full: full, box: full}
+	g.arena.reserve(opt.PopSize, space.Dim())
+	return g
 }
 
 // step runs one RS-GDE3 generation.

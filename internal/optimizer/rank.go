@@ -128,6 +128,36 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// reserve sizes the buffers a GDE3 or NSGA-II generation uses, once,
+// for an island of popSize members of dim values, so that no
+// generation grows them: ranking and truncation see up to 2·popSize
+// candidates, a population and its offspring. The buffers of one
+// element type are cut from one allocation, each cut capped at its
+// capacity, so that a buffer outgrowing it (MOTPE ranks all its
+// observations) reallocates alone. The contents stay unspecified, as
+// sized leaves them: every user writes a buffer before reading it.
+func (a *arena) reserve(popSize, dim int) {
+	n := 2 * popSize
+	ints := make([]int, 4*n)
+	a.rankOf, a.count, a.flat, a.order = part(ints, 0, n), part(ints, 1, n), part(ints, 2, n), part(ints, 3, n)
+	floats := make([]float64, 2*n+popSize+dim)
+	a.dist, a.vals = part(floats, 0, n), part(floats, 1, n)
+	rest := floats[2*n:]
+	a.crowd, a.real = rest[:0:popSize], rest[popSize:popSize]
+	keys := make([]sweepKey, 2*n)
+	a.keys, a.frontier = part(keys, 0, n), part(keys, 1, n)
+	a.ranks = make([][]int, 0, n+1) // a failed member's rank after the successful ones'
+	inds := make([]individual, n+popSize)
+	a.cand, a.spare = inds[:0:n], inds[n:n]
+	cfgs := make([]skeleton.Config, 3*popSize)
+	a.nonDom, a.dom, a.trials = part(cfgs, 0, popSize), part(cfgs, 1, popSize), part(cfgs, 2, popSize)
+	vals := make([]int64, 3*popSize*dim)
+	a.slab, a.members[0], a.members[1] = part(vals, 0, popSize*dim), part(vals, 1, popSize*dim), part(vals, 2, popSize*dim)
+}
+
+// part returns the i-th of the n-element cuts of s, empty and capped.
+func part[T any](s []T, i, n int) []T { return s[i*n : i*n : (i+1)*n] }
+
 // identity resets the arena's sort permutation to 0..n-1.
 func (a *arena) identity(n int) {
 	a.order = sized(a.order, n)

@@ -290,7 +290,7 @@ func init() {
 			return newNSGA2Island(space, eval, cfg.Options, seed)
 		},
 		Restore: func(space skeleton.Space, eval objective.Evaluator, cfg StrategyConfig, seed int64, st IslandState) islandEvolver {
-			n := &nsga2Island{population{space: space, eval: eval, opt: cfg.Options}}
+			n := nsga2Over(space, eval, cfg.Options)
 			n.restore(seed, st)
 			return n
 		},

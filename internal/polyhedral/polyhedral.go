@@ -16,6 +16,7 @@ package polyhedral
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"autotune/internal/ir"
@@ -152,6 +153,13 @@ func gcdTestDimension(a, b ir.Affine, loopVars []string) bool {
 // wrote, e.g. accumulation) are reported with the appropriate
 // direction vector.
 func Analyze(loops []*ir.Loop, stmts []*ir.Stmt) []Dependence {
+	return dedup(pairDependences(loops, stmts))
+}
+
+// pairDependences returns the dependence of every pair of accesses
+// that may touch one element, repeats included; Analyze keeps the
+// first of each.
+func pairDependences(loops []*ir.Loop, stmts []*ir.Stmt) []Dependence {
 	loopVars := make([]string, len(loops))
 	for i, l := range loops {
 		loopVars[i] = l.Var
@@ -186,7 +194,7 @@ func Analyze(loops []*ir.Loop, stmts []*ir.Stmt) []Dependence {
 			}
 		}
 	}
-	return dedup(deps)
+	return deps
 }
 
 func lessStmt(a, b *ir.Stmt) bool { return a.Label < b.Label }
@@ -343,18 +351,22 @@ func loopDistance(src, dst ir.Access, v string, loopVars []string) (dist int64, 
 	return agreed, true, true
 }
 
+// dedup drops each dependence equal to one before it — the same kind,
+// array and directions, and either both inexact or both exact with the
+// same distance — keeping first-seen order. It compacts deps in place;
+// a nest has a handful, so each is compared with the ones kept.
 func dedup(deps []Dependence) []Dependence {
-	seen := map[string]bool{}
-	var out []Dependence
+	out := deps[:0]
+next:
 	for _, d := range deps {
-		key := d.String()
-		if d.Exact {
-			key += fmt.Sprint(d.Distance)
+		for _, e := range out {
+			if d.Kind == e.Kind && d.Array == e.Array && d.Exact == e.Exact &&
+				slices.Equal(d.Directions, e.Directions) &&
+				(!d.Exact || slices.Equal(d.Distance, e.Distance)) {
+				continue next
+			}
 		}
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, d)
-		}
+		out = append(out, d)
 	}
 	return out
 }

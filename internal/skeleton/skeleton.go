@@ -4,9 +4,10 @@
 // spaces the optimizer searches.
 //
 // A Skeleton couples a parameter Space with an instantiation function
-// that binds a concrete Config to a transformation sequence
-// (internal/transform steps) plus the execution parameters (thread
-// count) the evaluator needs. The optimizer treats all tuning options
+// that binds a concrete Config to an Instance: the parameters of the
+// transformation internal/transform applies (tile sizes, collapse,
+// unroll factor) plus the execution parameters (thread count) the
+// evaluator needs. The optimizer treats all tuning options
 // uniformly as integer dimensions, exactly as the paper describes.
 package skeleton
 
@@ -192,14 +193,18 @@ func (b Box) AppendClosestTo(dst Config, v []float64) Config {
 	return dst
 }
 
-// Instance is the result of binding a Config to a skeleton: the
-// transformation steps to apply to the region's MiniIR plus the
-// execution parameters consumed by the evaluator rather than the code
-// generator.
+// Instance is the result of binding a Config to a skeleton, as plain
+// data: the parameters of the transformation applied to the region's
+// MiniIR — tile sizes, the loops collapsed into the parallel
+// distribution, the unroll factor — plus the thread count the
+// evaluator, not the code generator, consumes.
 type Instance struct {
-	Steps   []transform.Step
-	Threads int
-	Unroll  int64
+	// Tiles has one size per band loop; it is a capped cut of the
+	// configuration, not a copy.
+	Tiles    []int64
+	Collapse int
+	Threads  int
+	Unroll   int64
 }
 
 // Skeleton is a generic transformation sequence with unbound
@@ -211,7 +216,9 @@ type Skeleton struct {
 }
 
 // Apply instantiates the skeleton for cfg and applies the resulting
-// transformation sequence to the program.
+// transformation to the program: tiling, parallelization and — when
+// the space has an unroll dimension — the unroll pragma, on one copy
+// of the program's spine.
 func (sk *Skeleton) Apply(p *ir.Program, cfg Config) (*ir.Program, Instance, error) {
 	if !sk.Space.In(cfg) {
 		return nil, Instance{}, fmt.Errorf("skeleton %s: configuration %v outside space", sk.Name, cfg)
@@ -220,7 +227,13 @@ func (sk *Skeleton) Apply(p *ir.Program, cfg Config) (*ir.Program, Instance, err
 	if err != nil {
 		return nil, Instance{}, fmt.Errorf("skeleton %s: %w", sk.Name, err)
 	}
-	out, err := transform.Sequence(p, inst.Steps...)
+	var unroll int64 // 0: no pragma written
+	for _, prm := range sk.Space.Params {
+		if prm.Kind == UnrollFactor {
+			unroll = inst.Unroll
+		}
+	}
+	out, err := transform.Apply(p, inst.Tiles, inst.Collapse, unroll)
 	if err != nil {
 		return nil, Instance{}, fmt.Errorf("skeleton %s: %w", sk.Name, err)
 	}
@@ -251,20 +264,14 @@ func TiledParallel(name string, band int, maxTile int64, maxThreads int, collaps
 			if len(cfg) != band+1 {
 				return Instance{}, fmt.Errorf("want %d parameters, got %d", band+1, len(cfg))
 			}
-			tiles := make([]int64, band)
-			copy(tiles, cfg[:band])
-			threads := int(cfg[band])
+			tiles := cfg[:band:band]
 			col := 1
 			// Collapsing needs two tiled outer loops; with unit tiles
 			// the tile loops vanish, so fall back to collapse(1).
 			if collapse && band >= 2 && tiles[0] > 1 && tiles[1] > 1 {
 				col = 2
 			}
-			steps := []transform.Step{
-				transform.TileStep(tiles),
-				transform.ParallelizeStep(col),
-			}
-			return Instance{Steps: steps, Threads: threads, Unroll: 1}, nil
+			return Instance{Tiles: tiles, Collapse: col, Threads: int(cfg[band]), Unroll: 1}, nil
 		},
 	}
 }
@@ -291,9 +298,7 @@ func TiledParallelUnroll(name string, band int, maxTile int64, maxThreads int, c
 			if err != nil {
 				return Instance{}, err
 			}
-			unroll := cfg[band+1]
-			inst.Unroll = unroll
-			inst.Steps = append(inst.Steps, transform.AnnotateUnrollStep(unroll))
+			inst.Unroll = cfg[band+1]
 			return inst, nil
 		},
 	}

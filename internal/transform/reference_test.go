@@ -1,10 +1,11 @@
 package transform
 
-// The deep-copy transformations exactly as they stood before Sequence
-// copied only the spine it rewrites, kept as a reference:
-// FuzzSequenceMatchesReference holds Sequence and Tile to their bytes
-// over every registered kernel's IR, and checks that emitting a
-// version changes neither the input nor any version emitted before it.
+// The deep-copy transformations exactly as they stood before a
+// sequence of them copied only the spine it rewrites, kept as a
+// reference: FuzzSequenceMatchesReference holds Apply — the tile,
+// parallelize, unroll sequence — and Tile to their bytes over every
+// registered kernel's IR, and checks that emitting a version changes
+// neither the input nor any version emitted before it.
 
 import (
 	"fmt"
@@ -37,19 +38,21 @@ func (op refOp) String() string {
 	}
 }
 
-func (s refSpec) steps() []Step {
-	out := make([]Step, len(s))
-	for i, op := range s {
-		switch op.kind {
-		case 't':
-			out[i] = TileStep(op.tiles)
-		case 'p':
-			out[i] = ParallelizeStep(op.collapse)
-		default:
-			out[i] = AnnotateUnrollStep(op.unroll)
-		}
+// applyArgs is one version's arguments to Apply.
+type applyArgs struct {
+	tiles    []int64
+	collapse int
+	unroll   int64
+}
+
+// spec is the sequence Apply runs for a: tile, parallelize and, when
+// unroll is not 0, the unroll pragma.
+func (a applyArgs) spec() refSpec {
+	s := refSpec{{kind: 't', tiles: a.tiles}, {kind: 'p', collapse: a.collapse}}
+	if a.unroll != 0 {
+		s = append(s, refOp{kind: 'u', unroll: a.unroll})
 	}
-	return out
+	return s
 }
 
 // refSequence clones the whole program and rewrites the clone in place,
@@ -71,17 +74,6 @@ func refSequence(p *ir.Program, s refSpec) (*ir.Program, error) {
 		}
 	}
 	return cur, nil
-}
-
-func refCopy(a ir.Affine) ir.Affine {
-	if len(a.Coeffs) == 0 {
-		return ir.Affine{Const: a.Const}
-	}
-	out := ir.Affine{Const: a.Const, Coeffs: make(map[string]int64, len(a.Coeffs))}
-	for v, c := range a.Coeffs {
-		out.Coeffs[v] = c
-	}
-	return out
 }
 
 func refTile(out *ir.Program, tiles []int64) error {
@@ -113,22 +105,16 @@ func refTile(out *ir.Program, tiles []int64) error {
 			return fmt.Errorf("transform: cannot tile loop %s with step %d", l.Var, l.Step)
 		}
 		tv := l.Var + "_t"
-		caps := make([]ir.Affine, len(l.Caps))
-		for ci, c := range l.Caps {
-			caps[ci] = refCopy(c)
-		}
 		tileLoops = append(tileLoops, &ir.Loop{
 			Var:  tv,
-			Lo:   refCopy(l.Lo),
-			Hi:   refCopy(l.Hi),
-			Caps: caps,
+			Lo:   l.Lo,
+			Hi:   l.Hi,
+			Caps: append([]ir.Affine(nil), l.Caps...),
 			Step: t,
 		})
 		pointCaps := make([]ir.Affine, 0, len(l.Caps)+1)
-		for _, c := range l.Caps {
-			pointCaps = append(pointCaps, refCopy(c))
-		}
-		pointCaps = append(pointCaps, refCopy(l.Hi))
+		pointCaps = append(pointCaps, l.Caps...)
+		pointCaps = append(pointCaps, l.Hi)
 		pointLoops[idx] = &ir.Loop{
 			Var:  l.Var,
 			Lo:   ir.Var(tv),
@@ -212,32 +198,20 @@ func randomTiles(rng *rand.Rand, depth int) []int64 {
 	return tiles
 }
 
-// randomSpec is mostly the skeletons' order — tile, parallelize with
-// collapse 1 or 2, optionally unroll 1–8 — and otherwise one to four
-// ops in any order, repeats included.
-func randomSpec(rng *rand.Rand, depth int) refSpec {
-	op := func(kind byte) refOp {
-		switch kind {
-		case 't':
-			return refOp{kind: 't', tiles: randomTiles(rng, depth)}
-		case 'p':
-			return refOp{kind: 'p', collapse: 1 + rng.Intn(2)}
-		default:
-			return refOp{kind: 'u', unroll: 1 + rng.Int63n(8)}
-		}
+// randomArgs mostly draws what the skeletons pass — collapse 1 or 2,
+// no pragma or an unroll of 1–8 — and otherwise a collapse from -1 to
+// two past the nest's depth and an unroll from -1 to 8, which Apply
+// refuses where they do not fit the nest.
+func randomArgs(rng *rand.Rand, depth int) applyArgs {
+	a := applyArgs{tiles: randomTiles(rng, depth), collapse: 1 + rng.Intn(2)}
+	if rng.Intn(2) == 0 {
+		a.unroll = 1 + rng.Int63n(8)
 	}
-	if rng.Intn(4) > 0 {
-		s := refSpec{op('t'), op('p')}
-		if rng.Intn(2) == 0 {
-			s = append(s, op('u'))
-		}
-		return s
+	if rng.Intn(4) == 0 {
+		a.collapse = rng.Intn(depth+4) - 1
+		a.unroll = rng.Int63n(10) - 1
 	}
-	s := make(refSpec, 1+rng.Intn(4))
-	for i := range s {
-		s[i] = op("tpu"[rng.Intn(3)])
-	}
-	return s
+	return a
 }
 
 func errText(err error) string {
@@ -249,7 +223,7 @@ func errText(err error) string {
 
 // FuzzSequenceMatchesReference: for a kernel's IR with one of its
 // top-level nests put first (as outlining a region does) and up to four
-// versions emitted from it in a row, Sequence prints byte for byte what
+// versions emitted from it in a row, Apply prints byte for byte what
 // the deep-copy reference prints (or fails with its error text), the
 // input's listing never changes, and no version changes the listing of
 // one emitted before it. Tile is held to the reference tile alone.
@@ -272,15 +246,16 @@ func FuzzSequenceMatchesReference(f *testing.F) {
 		var versions []*ir.Program
 		var listings []string
 		for v := 1 + rng.Intn(4); v > 0; v-- {
-			spec := randomSpec(rng, len(loops))
-			got, gotErr := Sequence(p, spec.steps()...)
+			args := randomArgs(rng, len(loops))
+			spec := args.spec()
+			got, gotErr := Apply(p, args.tiles, args.collapse, args.unroll)
 			want, wantErr := refSequence(p, spec)
 			if errText(gotErr) != errText(wantErr) {
 				t.Fatalf("%s %v: error %q, reference %q", k.Name, spec, errText(gotErr), errText(wantErr))
 			}
 			if gotErr != nil {
 				if got != nil {
-					t.Fatalf("%s %v: a failing sequence returned a program", k.Name, spec)
+					t.Fatalf("%s %v: a failing Apply returned a program", k.Name, spec)
 				}
 			} else if g, w := got.String(), want.String(); g != w {
 				t.Fatalf("%s %v:\n%s\nreference:\n%s", k.Name, spec, g, w)

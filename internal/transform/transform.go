@@ -6,10 +6,10 @@
 // Transformations operate on MiniIR (internal/ir) and return new
 // programs, leaving their input untouched. A MiniIR program is never
 // written once built, so a transformation copies only what it
-// rewrites: Sequence (and Tile) copy the program header, its Root
-// slice and the loops of the perfect nest at Root[0] — the spine — and
-// share arrays, statements and affine bounds with the input. The steps
-// write only that spine and the loops they build.
+// rewrites: Apply (and Tile) copy the program header, its Root slice
+// and the loops of the perfect nest at Root[0] — the spine — once, and
+// share arrays, statements and affine bounds with the input. The
+// rewrites write only that spine and the loops they build.
 //
 // Legality is *not* re-checked here — the analyzer (internal/analyzer)
 // combines the polyhedral legality tests with these mechanical
@@ -62,7 +62,7 @@ func nest(buf []*ir.Loop, n ir.Node) []*ir.Loop {
 	}
 }
 
-// spine copies what a step may write: the program header, its Root
+// spine copies what a rewrite may write: the program header, its Root
 // slice and the loops of the perfect nest at Root[0]. The copies are
 // linked through one slab of nodes: nodes[i] is the i-th copy, and
 // nodes[i+1:i+2], capped, is the body of the one before it. The
@@ -165,7 +165,7 @@ func tile(out *ir.Program, tiles []int64) error {
 		slab[tiled+k] = ir.Loop{
 			Var:  l.Var,
 			Lo:   lo,
-			Hi:   ir.Affine{Const: t, Coeffs: lo.Coeffs}, // it + T
+			Hi:   lo.AddConst(t), // it + T, sharing lo's term
 			Caps: pointCaps,
 			Step: 1,
 		}
@@ -195,18 +195,32 @@ func parallelize(out *ir.Program, collapse int) error {
 		return fmt.Errorf("transform: collapse %d exceeds nest depth %d", collapse, len(loops))
 	}
 	for i := 1; i < collapse; i++ {
-		for _, b := range append([]ir.Affine{loops[i].Lo, loops[i].Hi}, loops[i].Caps...) {
-			for j := 0; j < i; j++ {
-				if b.Coeff(loops[j].Var) != 0 {
-					return fmt.Errorf("transform: collapsed loop %s has non-rectangular bound on %s",
-						loops[i].Var, loops[j].Var)
-				}
-			}
+		l, outer := loops[i], loops[:i]
+		v, ok := outerIterator(l.Lo, outer)
+		if !ok {
+			v, ok = outerIterator(l.Hi, outer)
+		}
+		for c := 0; !ok && c < len(l.Caps); c++ {
+			v, ok = outerIterator(l.Caps[c], outer)
+		}
+		if ok {
+			return fmt.Errorf("transform: collapsed loop %s has non-rectangular bound on %s", l.Var, v)
 		}
 	}
 	loops[0].Parallel = true
 	loops[0].Collapse = collapse
 	return nil
+}
+
+// outerIterator returns the first iterator of the outer loops that
+// bound depends on.
+func outerIterator(bound ir.Affine, outer []*ir.Loop) (string, bool) {
+	for _, o := range outer {
+		if bound.Coeff(o.Var) != 0 {
+			return o.Var, true
+		}
+	}
+	return "", false
 }
 
 func annotateUnroll(out *ir.Program, factor int64) error {
@@ -230,66 +244,32 @@ func annotateUnroll(out *ir.Program, factor int64) error {
 	return nil
 }
 
-// Step is one transformation in a Sequence. A Step may rewrite the
-// program it is handed in place and return that same program, or build
-// and return a new one; either way a Step that returns an error has not
-// changed its argument. A Step may write the program header, its Root
-// slice and the loops of the perfect nest at Root[0] — the spine that
-// Sequence copied — and loops it builds itself; everything else (the
-// arrays, the statements, the loops below or beside the nest, every
-// bound) is shared with Sequence's input and is never written. Steps
-// are applied through Sequence — calling a Step directly on a program
-// that must survive is a bug.
-type Step func(*ir.Program) (*ir.Program, error)
-
-// inPlace wraps an in-place rewrite as a Step.
-func inPlace(rewrite func(*ir.Program) error) Step {
-	return func(p *ir.Program) (*ir.Program, error) {
-		if err := rewrite(p); err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
-}
-
-// TileStep returns a Step applying Tile with the given sizes.
-func TileStep(tiles []int64) Step {
-	return inPlace(func(p *ir.Program) error { return tile(p, tiles) })
-}
-
-// ParallelizeStep returns a Step marking the outermost loop of the
-// program as parallel, collapsing the given number of perfectly nested
-// loops into the parallel distribution (collapse=1 parallelizes just
-// the outermost loop). The collapsed loops must be rectangular: bounds
-// of an inner collapsed loop must not depend on outer collapsed
-// iterators.
-func ParallelizeStep(collapse int) Step {
-	return inPlace(func(p *ir.Program) error { return parallelize(p, collapse) })
-}
-
-// AnnotateUnrollStep returns a Step marking the innermost loop of the
-// outermost perfect nest with an unroll pragma of the given factor. It
-// is legal for any bounds (the backend compiler handles remainders);
-// factor 1 clears the annotation.
-func AnnotateUnrollStep(factor int64) Step {
-	return inPlace(func(p *ir.Program) error { return annotateUnroll(p, factor) })
-}
-
-// Sequence applies steps left to right to one copy of p's spine and
-// returns it: the steps built by this package rewrite that copy in
-// place, so a sequence copies the program header, its Root slice and
-// the loops of its first perfect nest once, not once per step, and
-// shares the rest with p. p itself is never modified, and an error —
-// Sequence stops at the first — returns no program at all, so a
+// Apply returns a tuned version of p: one copy of p's spine, tiled
+// with tiles, its outermost loop parallelized with collapse loops in
+// the parallel distribution (1 parallelizes just the outermost loop),
+// and, when unroll is not 0, the innermost loop of its perfect nest
+// marked with an unroll pragma of that factor (1 clears the pragma).
+// The loops a collapse takes in must be rectangular: no bound of an
+// inner collapsed loop may depend on an outer collapsed iterator. An
+// unroll pragma is legal for any bounds; the backend compiler handles
+// remainders.
+//
+// The three rewrites run in that order on the one copy, so p itself is
+// never modified. An error — Apply stops at the first, naming its
+// rewrite as step 0, 1 or 2 — returns no program at all, so a
 // half-transformed one is never visible.
-func Sequence(p *ir.Program, steps ...Step) (*ir.Program, error) {
-	cur := spine(p)
-	for i, s := range steps {
-		next, err := s(cur)
-		if err != nil {
-			return nil, fmt.Errorf("transform: step %d: %w", i, err)
-		}
-		cur = next
+func Apply(p *ir.Program, tiles []int64, collapse int, unroll int64) (*ir.Program, error) {
+	out := spine(p)
+	if err := tile(out, tiles); err != nil {
+		return nil, fmt.Errorf("transform: step 0: %w", err)
 	}
-	return cur, nil
+	if err := parallelize(out, collapse); err != nil {
+		return nil, fmt.Errorf("transform: step 1: %w", err)
+	}
+	if unroll != 0 {
+		if err := annotateUnroll(out, unroll); err != nil {
+			return nil, fmt.Errorf("transform: step 2: %w", err)
+		}
+	}
+	return out, nil
 }

@@ -148,7 +148,7 @@ func TestTileErrors(t *testing.T) {
 }
 
 func TestParallelize(t *testing.T) {
-	p, err := Sequence(mmProgram(8), ParallelizeStep(2))
+	p, err := Apply(mmProgram(8), nil, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +162,13 @@ func TestParallelize(t *testing.T) {
 }
 
 func TestParallelizeErrors(t *testing.T) {
-	if _, err := Sequence(mmProgram(8), ParallelizeStep(0)); err == nil {
+	if _, err := Apply(mmProgram(8), nil, 0, 0); err == nil {
 		t.Error("collapse 0 should fail")
 	}
-	if _, err := Sequence(mmProgram(8), ParallelizeStep(4)); err == nil {
+	if _, err := Apply(mmProgram(8), nil, 4, 0); err == nil {
 		t.Error("collapse beyond depth should fail")
 	}
-	if _, err := Sequence(&ir.Program{Name: "e"}, ParallelizeStep(1)); err == nil {
+	if _, err := Apply(&ir.Program{Name: "e"}, nil, 1, 0); err == nil {
 		t.Error("empty program should fail")
 	}
 	// Non-rectangular collapse.
@@ -176,17 +176,17 @@ func TestParallelizeErrors(t *testing.T) {
 	jl := &ir.Loop{Var: "j", Lo: ir.Con(0), Hi: ir.Var("i"), Step: 1, Body: []ir.Node{stmt}}
 	il := &ir.Loop{Var: "i", Lo: ir.Con(0), Hi: ir.Con(8), Step: 1, Body: []ir.Node{jl}}
 	p := &ir.Program{Name: "tri", Arrays: []ir.Array{{Name: "A", ElemBytes: 8, Dims: []int64{8, 8}}}, Root: []ir.Node{il}}
-	if _, err := Sequence(p, ParallelizeStep(2)); err == nil {
+	if _, err := Apply(p, nil, 2, 0); err == nil {
 		t.Error("non-rectangular collapse should fail")
 	}
 }
 
+// TestSequenceComposesAndStopsOnError: Apply runs tile, parallelize
+// and unroll in that order and stops at the first that fails, naming
+// it as step 0, 1 or 2.
 func TestSequenceComposesAndStopsOnError(t *testing.T) {
 	p := mmProgram(16)
-	out, err := Sequence(p,
-		TileStep([]int64{4, 4, 4}),
-		ParallelizeStep(2),
-	)
+	out, err := Apply(p, []int64{4, 4, 4}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +197,19 @@ func TestSequenceComposesAndStopsOnError(t *testing.T) {
 	if got := iterationCount(out.Root, map[string]int64{}); got != 16*16*16 {
 		t.Fatalf("iterations = %d", got)
 	}
-	_, err = Sequence(p, TileStep([]int64{-2}), ParallelizeStep(1))
-	if err == nil || !strings.Contains(err.Error(), "step 0") {
-		t.Fatalf("expected step-0 error, got %v", err)
+	for _, c := range []struct {
+		tiles    []int64
+		collapse int
+		unroll   int64
+		want     string
+	}{
+		{[]int64{-2}, 1, 0, "transform: step 0: transform: negative tile size -2"},
+		{[]int64{4, 4, 4}, 7, 2, "transform: step 1: transform: collapse 7 exceeds nest depth 6"},
+		{[]int64{4, 4, 4}, 2, -1, "transform: step 2: transform: unroll pragma factor must be >= 1, got -1"},
+	} {
+		if out, err := Apply(p, c.tiles, c.collapse, c.unroll); out != nil || err == nil || err.Error() != c.want {
+			t.Errorf("Apply(%v, %d, %d) = (%v, %v), want error %q", c.tiles, c.collapse, c.unroll, out, err, c.want)
+		}
 	}
 }
 
@@ -228,7 +238,7 @@ func TestTileParallelizeProperty(t *testing.T) {
 		n := int64(rawN%12) + 2
 		tiles := []int64{int64(t1%8) + 2, int64(t2%8) + 2}
 		p := mmProgram(n)
-		out, err := Sequence(p, TileStep(tiles), ParallelizeStep(int(c%2)+1))
+		out, err := Apply(p, tiles, int(c%2)+1, 0)
 		if err != nil {
 			return false
 		}
@@ -242,49 +252,49 @@ func TestTileParallelizeProperty(t *testing.T) {
 	}
 }
 
-// TestSequenceOwnsItsClone: Sequence transforms one private copy of the
+// TestSequenceOwnsItsClone: Apply transforms one private copy of the
 // spine — the program header, its Root slice and the loops of the
 // perfect nest at Root[0] — and shares everything else. The caller's
-// program is never written — not when every step succeeds, not when a
-// later step fails after earlier ones rewrote the copy, not when there
-// is no step at all and the spine is written by hand — and a failing
-// sequence returns no program. The statements are the caller's own.
+// program is never written — not when every rewrite succeeds, not when
+// a later rewrite fails after earlier ones rewrote the copy, not when
+// the spine is written by hand — and a failing Apply returns no
+// program. The statements are the caller's own.
 func TestSequenceOwnsItsClone(t *testing.T) {
 	p := mmProgram(16)
 	before := p.String()
-	steps := []Step{
-		TileStep([]int64{4, 4, 4}),
-		ParallelizeStep(2),
-		AnnotateUnrollStep(4),
-	}
-	out, err := Sequence(p, steps...)
+	out, err := Apply(p, []int64{4, 4, 4}, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.String() != before {
-		t.Fatal("a successful sequence modified its input")
+		t.Fatal("a successful Apply modified its input")
 	}
-	// The steps rewrote one copy: the result equals the chain of
-	// clone-per-step transformations.
+	// The rewrites ran on one copy: the result equals the chain of
+	// clone-per-rewrite transformations.
 	want := p
-	for _, s := range steps {
-		if want, err = s(want.Clone()); err != nil {
+	for _, rewrite := range []func(*ir.Program) error{
+		func(q *ir.Program) error { return tile(q, []int64{4, 4, 4}) },
+		func(q *ir.Program) error { return parallelize(q, 2) },
+		func(q *ir.Program) error { return annotateUnroll(q, 4) },
+	} {
+		want = want.Clone()
+		if err := rewrite(want); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if out.String() != want.String() {
-		t.Fatalf("sequence result:\n%s\nclone-per-step result:\n%s", out, want)
+		t.Fatalf("Apply result:\n%s\nclone-per-rewrite result:\n%s", out, want)
 	}
 
-	failing := append(append([]Step{}, steps...), ParallelizeStep(7)) // deeper than the tiled nest
-	if out, err := Sequence(p, failing...); err == nil || out != nil || !strings.Contains(err.Error(), "step 3") {
-		t.Fatalf("failing sequence returned (%v, %v)", out, err)
+	// An unroll factor of -1 fails after tiling and parallelizing.
+	if out, err := Apply(p, []int64{4, 4, 4}, 2, -1); err == nil || out != nil || !strings.Contains(err.Error(), "step 2") {
+		t.Fatalf("failing Apply returned (%v, %v)", out, err)
 	}
 	if p.String() != before {
-		t.Fatal("a failing sequence modified its input")
+		t.Fatal("a failing Apply modified its input")
 	}
 
-	same, err := Sequence(p)
+	same, err := Apply(p, nil, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +305,7 @@ func TestSequenceOwnsItsClone(t *testing.T) {
 	}
 	for i := range stmts {
 		if stmts[i] != inputStmts[i] {
-			t.Fatalf("statement %d was copied; a sequence shares the statements", i)
+			t.Fatalf("statement %d was copied; Apply shares the statements", i)
 		}
 	}
 	for i, l := range spineLoops {
@@ -309,63 +319,65 @@ func TestSequenceOwnsItsClone(t *testing.T) {
 	spineLoops[len(spineLoops)-1].Body = nil
 	same.Root[0] = &ir.Loop{Var: "x", Hi: ir.Con(1), Step: 1}
 	if p.String() != before {
-		t.Fatalf("writing an empty sequence's spine modified its input:\n%s\nwas\n%s", p, before)
+		t.Fatalf("writing a version's spine modified its input:\n%s\nwas\n%s", p, before)
 	}
 }
 
-// TestFailingRewriteLeavesProgramUntouched: a Step may rewrite its
-// argument in place, but only after every check has passed — a step that
-// returns an error has changed nothing.
+// TestFailingRewriteLeavesProgramUntouched: a rewrite writes its
+// program in place, but only after every check has passed — a rewrite
+// that returns an error has changed nothing.
 func TestFailingRewriteLeavesProgramUntouched(t *testing.T) {
 	triangular := mmProgram(8)
 	jl := triangular.Root[0].(*ir.Loop).Body[0].(*ir.Loop)
 	jl.Hi = ir.Var("i").AddConst(1) // j < i+1: not collapsible
 	stepped := mmProgram(8)
 	stepped.Root[0].(*ir.Loop).Body[0].(*ir.Loop).Step = 2 // untileable second level
+	tiles := func(ts ...int64) func(*ir.Program) error {
+		return func(p *ir.Program) error { return tile(p, ts) }
+	}
 	cases := []struct {
-		name string
-		p    *ir.Program
-		step Step
+		name    string
+		p       *ir.Program
+		rewrite func(*ir.Program) error
 	}{
-		{"tile: negative size after a valid one", mmProgram(8), TileStep([]int64{4, -1})},
-		{"tile: too deep", mmProgram(8), TileStep([]int64{2, 2, 2, 2})},
-		{"tile: stepped loop after a tileable one", stepped, TileStep([]int64{2, 2})},
-		{"parallelize: collapse too deep", mmProgram(8), ParallelizeStep(4)},
-		{"parallelize: non-rectangular collapse", triangular, ParallelizeStep(2)},
-		{"annotate: bad factor", mmProgram(8), AnnotateUnrollStep(0)},
-		{"empty program", &ir.Program{Name: "empty"}, TileStep([]int64{2})},
+		{"tile: negative size after a valid one", mmProgram(8), tiles(4, -1)},
+		{"tile: too deep", mmProgram(8), tiles(2, 2, 2, 2)},
+		{"tile: stepped loop after a tileable one", stepped, tiles(2, 2)},
+		{"parallelize: collapse too deep", mmProgram(8), func(p *ir.Program) error { return parallelize(p, 4) }},
+		{"parallelize: non-rectangular collapse", triangular, func(p *ir.Program) error { return parallelize(p, 2) }},
+		{"annotate: bad factor", mmProgram(8), func(p *ir.Program) error { return annotateUnroll(p, 0) }},
+		{"empty program", &ir.Program{Name: "empty"}, tiles(2)},
 	}
 	for _, c := range cases {
 		before := c.p.String()
-		out, err := c.step(c.p)
-		if err == nil || out != nil {
-			t.Errorf("%s: step returned (%v, %v), want an error", c.name, out, err)
+		if err := c.rewrite(c.p); err == nil {
+			t.Errorf("%s: the rewrite succeeded, want an error", c.name)
 		}
 		if c.p.String() != before {
-			t.Errorf("%s: the failing step modified its program:\n%s\nwas\n%s", c.name, c.p, before)
+			t.Errorf("%s: the failing rewrite modified its program:\n%s\nwas\n%s", c.name, c.p, before)
 		}
 	}
 }
 
-// TestSequenceAllocationBudget: a sequence copies the spine of a 3-deep
-// nest (header, Root, one slab of loops, one of the nodes linking them)
-// and the tile step builds its loops, their chain and the point caps
-// from one slab each plus, per tiled level, the tile iterator's name
-// and its coefficient map: 16 allocations, where cloning the whole
-// program cost 84.
+// TestApplyAllocationBudget: Apply copies the spine of a 3-deep nest
+// (header, Root, one slab of loops, one of the nodes linking them),
+// and tiling builds its loops, their chain and the point caps from one
+// slab each plus, per tiled level, the tile iterator's name and its
+// one-term expression: 13 allocations, where cloning the whole program
+// cost 84 and the closures of a step list brought it to 16.
 // Parallelizing and annotating allocate nothing.
-func TestSequenceAllocationBudget(t *testing.T) {
+func TestApplyAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	p := mmProgram(64)
-	steps := []Step{TileStep([]int64{4, 8, 16}), ParallelizeStep(2), AnnotateUnrollStep(4)}
-	perSequence := testing.AllocsPerRun(100, func() {
-		if _, err := Sequence(p, steps...); err != nil {
+	tiles := []int64{4, 8, 16}
+	perApply := testing.AllocsPerRun(100, func() {
+		if _, err := Apply(p, tiles, 2, 4); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if budget := 16.0; perSequence > budget {
-		t.Errorf("Sequence of tile + parallelize + unroll on mm allocates %v times, budget %v", perSequence, budget)
+	if budget := 13.0; perApply > budget {
+		t.Errorf("Apply of tile + parallelize + unroll on mm allocates %v times, budget %v", perApply, budget)
 	}
 }

@@ -145,10 +145,7 @@ func TestGenerateUnevenPartition(t *testing.T) {
 func TestGenerateCollapsedMatchesSequentialMultiset(t *testing.T) {
 	n := int64(8)
 	p := mmProgram(n)
-	tiled, err := transform.Sequence(p,
-		transform.TileStep([]int64{4, 4, 4}),
-		transform.ParallelizeStep(2),
-	)
+	tiled, err := transform.Apply(p, []int64{4, 4, 4}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
