@@ -24,19 +24,22 @@ func init() {
 // stencil3DProgram builds one sweep of a generic 3x3x3 stencil over a
 // cubic grid: B[i][j][k] = f(27 neighbours of A).
 func stencil3DProgram(n int64) *ir.Program {
-	var reads []ir.Access
+	// The 84 indices share three term slices: AddConst shares its
+	// receiver's.
+	i, j, k := ir.Var("i"), ir.Var("j"), ir.Var("k")
+	reads := make([]ir.Access, 0, 27)
 	for di := int64(-1); di <= 1; di++ {
 		for dj := int64(-1); dj <= 1; dj++ {
 			for dk := int64(-1); dk <= 1; dk++ {
 				reads = append(reads, ir.Access{Array: "A", Indices: []ir.Affine{
-					ir.Var("i").AddConst(di), ir.Var("j").AddConst(dj), ir.Var("k").AddConst(dk),
+					i.AddConst(di), j.AddConst(dj), k.AddConst(dk),
 				}})
 			}
 		}
 	}
 	stmt := &ir.Stmt{
 		Label:  "B[i][j][k] = avg27(A)",
-		Writes: []ir.Access{{Array: "B", Indices: []ir.Affine{ir.Var("i"), ir.Var("j"), ir.Var("k")}}},
+		Writes: []ir.Access{{Array: "B", Indices: []ir.Affine{i, j, k}}},
 		Reads:  reads,
 		Flops:  27,
 	}
