@@ -37,7 +37,6 @@ import (
 
 	"autotune/internal/codegen"
 	"autotune/internal/driver"
-	"autotune/internal/ir"
 	"autotune/internal/irparse"
 	"autotune/internal/kernels"
 	"autotune/internal/machine"
@@ -232,21 +231,13 @@ func newTuneResult(out *driver.Output) *TuneResult {
 // C/OpenMP translation unit: one specialized function per Pareto
 // point, the version table as static data, and a dispatch function.
 // funcName is the base name of the generated functions (default
-// "kernel").
+// "kernel"). It lowers the transformed programs the unit was emitted
+// from, so it applies no skeleton.
 func (r *TuneResult) EmitC(funcName string) (string, error) {
 	if r.output == nil {
 		return "", fmt.Errorf("autotune: result carries no region information")
 	}
-	prog := r.output.Region.Outline(r.output.Kernel.IR(r.output.N))
-	programs := make([]*ir.Program, 0, len(r.Unit.Versions))
-	for _, v := range r.Unit.Versions {
-		tp, _, err := r.output.Region.Skeleton.Apply(prog, v.Meta.Config)
-		if err != nil {
-			return "", err
-		}
-		programs = append(programs, tp)
-	}
-	return codegen.EmitUnit(r.Unit, programs, funcName)
+	return codegen.EmitUnit(r.Unit, r.output.Programs, funcName)
 }
 
 type tuneConfig struct {

@@ -93,10 +93,11 @@ func TestInstantiateProducesValidTransformedProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, inst, err := regions[0].Skeleton.Apply(regions[0].Outline(p), skeleton.Config{8, 8, 8, 4})
+	outs, insts, err := regions[0].Skeleton.Apply(regions[0].Outline(p), skeleton.Config{8, 8, 8, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out, inst := outs[0], insts[0]
 	if err := out.Validate(); err != nil {
 		t.Fatal(err)
 	}

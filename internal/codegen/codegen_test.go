@@ -9,7 +9,6 @@ import (
 	"autotune/internal/kernels"
 	"autotune/internal/machine"
 	"autotune/internal/optimizer"
-	"autotune/internal/skeleton"
 	"autotune/internal/transform"
 )
 
@@ -56,10 +55,11 @@ func TestEmitProgramMM(t *testing.T) {
 
 func TestEmitProgramTiledParallel(t *testing.T) {
 	mm, _ := kernels.ByName("mm")
-	tiled, err := transform.Apply(mm.IR(64), []int64{16, 16, 8}, 2, 0)
+	versions, _, err := transform.Apply(mm.IR(64), transform.Version{Tiles: []int64{16, 16, 8}, Collapse: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tiled := versions[0]
 	code, err := emitProgram(tiled, "mm_tiled")
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,8 @@ func TestEmitProgramNoOMP(t *testing.T) {
 	if strings.Contains(code, "#pragma") {
 		t.Errorf("sequential program emitted a pragma:\n%s", code)
 	}
-	parallel, _ := transform.Apply(tiled, nil, 1, 0)
+	versions, _, _ := transform.Apply(tiled, transform.Version{Collapse: 1})
+	parallel := versions[0]
 	if code, err = emitProgram(parallel, "kernel"); err != nil {
 		t.Fatal(err)
 	}
@@ -158,17 +159,8 @@ func TestEmitUnitFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild the transformed program of each version.
-	prog := out.Region.Outline(out.Kernel.IR(64))
-	var programs []*ir.Program
-	for _, v := range out.Unit.Versions {
-		tp, _, err := out.Region.Skeleton.Apply(prog, skeleton.Config(v.Meta.Config))
-		if err != nil {
-			t.Fatal(err)
-		}
-		programs = append(programs, tp)
-	}
-	code, err := EmitUnit(out.Unit, programs, "mm")
+	// The output carries the transformed program of each version.
+	code, err := EmitUnit(out.Unit, out.Programs, "mm")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,17 +66,27 @@ func TestEmitUnitAllocationBudget(t *testing.T) {
 	}
 	p, res := emitFixture(t)
 	perUnit := testing.AllocsPerRun(20, func() { emit(t, p, res) })
-	// Feature extraction and outlining are paid once. A version copies
-	// the spine of the 3-deep nest and builds its tile and point loops
-	// (13 allocations; statements, arrays and bounds are shared with
-	// the program), plus its metadata and one listing. Before emission
-	// cloned once and printed without fmt the same front cost 4004;
-	// cloning the whole program per version cost 1124; copying only
-	// the spine cost 354; building each version from plain data —
-	// expressions as sorted terms, an instance without step closures —
-	// costs 236.
-	if budget := 250.0; perUnit > budget {
+	// Feature extraction, outlining and the unit's slabs are paid once:
+	// the front's sorted copy, the configurations, the instances, the
+	// transform's headers, nodes, loops and caps with the tile
+	// iterators, the metadata's int64 and float64 slabs, the listings'
+	// builder and the version list. A version adds its Entry and
+	// nothing else. Before emission cloned once and printed without fmt
+	// the same front cost 4004; cloning the whole program per version
+	// cost 1124; copying only the spine cost 354; building each version
+	// from plain data cost 236; building them all from unit-sized slabs
+	// costs 43.
+	if budget := 43.0; perUnit > budget {
 		t.Errorf("EmitUnit of a 12-point mm front allocates %v times, budget %v", perUnit, budget)
+	}
+	// A 12-point front may cost at most 12 + 2 more than a 1-point one:
+	// one Entry per version, and the caps slab and the tile iterators,
+	// which an untiled point (the fixture's first) needs none of.
+	one := *res
+	one.Front = res.Front[:1]
+	perPoint := testing.AllocsPerRun(20, func() { emit(t, p, &one) })
+	if perUnit > perPoint+12+2 {
+		t.Errorf("EmitUnit of a 12-point front allocates %v times, of a 1-point front %v: more than 12 + 2 apart", perUnit, perPoint)
 	}
 }
 

@@ -36,11 +36,11 @@ func TestTuneKernelsJoint(t *testing.T) {
 	}
 	for _, out := range multi {
 		if len(out.Unit.Versions) == 0 {
-			t.Fatalf("%s: empty unit", out.Kernel.Name)
+			t.Fatalf("%s: empty unit", out.Unit.Region)
 		}
 		if out.Result.Evaluations != multi[0].Result.Evaluations {
 			t.Fatalf("%s: per-region E %d != shared executions %d",
-				out.Kernel.Name, out.Result.Evaluations, multi[0].Result.Evaluations)
+				out.Unit.Region, out.Result.Evaluations, multi[0].Result.Evaluations)
 		}
 	}
 	if multi[0].Result.Evaluations == 0 || multi[0].Result.Iterations == 0 {
@@ -364,7 +364,7 @@ func checkGoldenJointCells(t *testing.T, set func(*Options)) {
 		for r, out := range outs {
 			region := out.Unit.Region
 			if !c.program {
-				region = out.Kernel.Name
+				region = []string{"mm", "jacobi-2d"}[r]
 			}
 			id := fmt.Sprintf("%s/r%d-%s", c.cell, r, region)
 			var buf bytes.Buffer

@@ -49,6 +49,18 @@ func Con(c int64) Affine { return Affine{Const: c} }
 // Var returns the affine expression 1·name.
 func Var(name string) Affine { return Term(name, 1) }
 
+// AppendVars appends Var(name) for each of names to dst and returns the
+// extended slice. The expressions' terms are cut from one slab, so the
+// iterators a transformation introduces cost one allocation together.
+func AppendVars(dst []Affine, names []string) []Affine {
+	ts := make([]term, len(names))
+	for i, name := range names {
+		ts[i] = term{name, 1}
+		dst = append(dst, Affine{terms: ts[i : i+1 : i+1]})
+	}
+	return dst
+}
+
 // Term returns the affine expression coeff·name + 0.
 func Term(name string, coeff int64) Affine {
 	if coeff == 0 {
@@ -131,14 +143,14 @@ func (a Affine) Equal(b Affine) bool {
 // String renders the expression in source-like form, e.g. "2*i + j + 3".
 func (a Affine) String() string {
 	var b strings.Builder
-	a.writeTo(&b)
+	a.print(&printer{b: &b})
 	return b.String()
 }
 
-// writeTo renders the expression into b: the terms in iterator-name
-// order, then the constant when it is non-zero or stands alone, joined
-// by " + " — or " - " in front of a term that starts with a minus sign.
-func (a Affine) writeTo(b *strings.Builder) {
+// print renders the expression: the terms in iterator-name order, then
+// the constant when it is non-zero or stands alone, joined by " + " —
+// or " - " in front of a term that starts with a minus sign.
+func (a Affine) print(w *printer) {
 	var num [20]byte
 	n := 0
 	// part writes one part of the sum; minus and body together are the
@@ -146,14 +158,14 @@ func (a Affine) writeTo(b *strings.Builder) {
 	part := func(minus bool, digits []byte, name string) {
 		switch {
 		case n == 0 && minus:
-			b.WriteByte('-')
+			w.byte('-')
 		case n > 0 && minus:
-			b.WriteString(" - ")
+			w.str(" - ")
 		case n > 0:
-			b.WriteString(" + ")
+			w.str(" + ")
 		}
-		b.Write(digits)
-		b.WriteString(name)
+		w.bytes(digits)
+		w.str(name)
 		n++
 	}
 	for _, t := range a.terms {
@@ -179,9 +191,38 @@ func (a Affine) writeTo(b *strings.Builder) {
 	}
 }
 
-func writeInt(b *strings.Builder, v int64) {
+// printer writes listings into b, or, with b nil, only counts the bytes
+// it would write: n is the count either way. Counting first lets a
+// caller size one builder for several listings.
+type printer struct {
+	b *strings.Builder
+	n int
+}
+
+func (w *printer) str(s string) {
+	if w.b != nil {
+		w.b.WriteString(s)
+	}
+	w.n += len(s)
+}
+
+func (w *printer) bytes(p []byte) {
+	if w.b != nil {
+		w.b.Write(p)
+	}
+	w.n += len(p)
+}
+
+func (w *printer) byte(c byte) {
+	if w.b != nil {
+		w.b.WriteByte(c)
+	}
+	w.n++
+}
+
+func (w *printer) int(v int64) {
 	var num [20]byte
-	b.Write(strconv.AppendInt(num[:0], v, 10))
+	w.bytes(strconv.AppendInt(num[:0], v, 10))
 }
 
 // Array declares an array with an element size and per-dimension
@@ -210,25 +251,25 @@ type Access struct {
 // String renders the access.
 func (ac Access) String() string {
 	var b strings.Builder
-	ac.writeTo(&b)
+	ac.print(&printer{b: &b})
 	return b.String()
 }
 
-func (ac Access) writeTo(b *strings.Builder) {
-	b.WriteString(ac.Array)
+func (ac Access) print(w *printer) {
+	w.str(ac.Array)
 	for _, ix := range ac.Indices {
-		b.WriteByte('[')
-		ix.writeTo(b)
-		b.WriteByte(']')
+		w.byte('[')
+		ix.print(w)
+		w.byte(']')
 	}
 }
 
-func writeAccesses(b *strings.Builder, acs []Access) {
+func printAccesses(w *printer, acs []Access) {
 	for i, ac := range acs {
 		if i > 0 {
-			b.WriteString(", ")
+			w.str(", ")
 		}
-		ac.writeTo(b)
+		ac.print(w)
 	}
 }
 
@@ -519,33 +560,49 @@ func Walk(ns []Node, fn func(Node) bool) {
 }
 
 // String renders the program as pseudo-C for debugging and for the
-// multi-versioning backend's human-readable code listing. The whole
-// listing is written through one builder, without fmt: a tuned unit
-// prints one program per Pareto point.
+// multi-versioning backend's human-readable code listing: what Print
+// writes.
 func (p *Program) String() string {
 	var b strings.Builder
 	b.Grow(1 << 10) // a tiled three-deep nest prints ~0.7 KiB; skip the doublings up to it
-	b.WriteString("// program ")
-	b.WriteString(p.Name)
-	b.WriteByte('\n')
-	for _, a := range p.Arrays {
-		b.WriteString("double ")
-		b.WriteString(a.Name)
-		for _, d := range a.Dims {
-			b.WriteByte('[')
-			writeInt(&b, d)
-			b.WriteByte(']')
-		}
-		b.WriteString(";\n")
-	}
-	printNodes(&b, p.Root, 0)
+	p.Print(&b)
 	return b.String()
 }
 
-func printNodes(b *strings.Builder, ns []Node, depth int) {
+// Print writes the program's listing — String — into b, without fmt,
+// so that a tuned unit renders the listings of all its versions into
+// one builder.
+func (p *Program) Print(b *strings.Builder) { p.print(&printer{b: b}) }
+
+// ListingLen returns the length in bytes of the listing Print writes,
+// without writing it: what a builder for several listings is grown by.
+func (p *Program) ListingLen() int {
+	var w printer
+	p.print(&w)
+	return w.n
+}
+
+func (p *Program) print(w *printer) {
+	w.str("// program ")
+	w.str(p.Name)
+	w.byte('\n')
+	for _, a := range p.Arrays {
+		w.str("double ")
+		w.str(a.Name)
+		for _, d := range a.Dims {
+			w.byte('[')
+			w.int(d)
+			w.byte(']')
+		}
+		w.str(";\n")
+	}
+	printNodes(w, p.Root, 0)
+}
+
+func printNodes(w *printer, ns []Node, depth int) {
 	indent := func() {
 		for i := 0; i < depth; i++ {
-			b.WriteString("  ")
+			w.str("  ")
 		}
 	}
 	for _, n := range ns {
@@ -553,60 +610,60 @@ func printNodes(b *strings.Builder, ns []Node, depth int) {
 		case *Loop:
 			if x.UnrollPragma > 1 {
 				indent()
-				b.WriteString("#pragma unroll(")
-				writeInt(b, x.UnrollPragma)
-				b.WriteString(")\n")
+				w.str("#pragma unroll(")
+				w.int(x.UnrollPragma)
+				w.str(")\n")
 			}
 			indent()
 			if x.Parallel {
-				b.WriteString("#pragma omp parallel for")
+				w.str("#pragma omp parallel for")
 				if x.Collapse > 1 {
-					b.WriteString(" collapse(")
-					writeInt(b, int64(x.Collapse))
-					b.WriteByte(')')
+					w.str(" collapse(")
+					w.int(int64(x.Collapse))
+					w.byte(')')
 				}
-				b.WriteByte('\n')
+				w.byte('\n')
 				indent()
 			}
-			b.WriteString("for (")
-			b.WriteString(x.Var)
-			b.WriteString(" = ")
-			x.Lo.writeTo(b)
-			b.WriteString("; ")
-			b.WriteString(x.Var)
-			b.WriteString(" < ")
+			w.str("for (")
+			w.str(x.Var)
+			w.str(" = ")
+			x.Lo.print(w)
+			w.str("; ")
+			w.str(x.Var)
+			w.str(" < ")
 			// min(min(Hi, cap0), cap1)...
 			for range x.Caps {
-				b.WriteString("min(")
+				w.str("min(")
 			}
-			x.Hi.writeTo(b)
+			x.Hi.print(w)
 			for _, c := range x.Caps {
-				b.WriteString(", ")
-				c.writeTo(b)
-				b.WriteByte(')')
+				w.str(", ")
+				c.print(w)
+				w.byte(')')
 			}
-			b.WriteString("; ")
-			b.WriteString(x.Var)
+			w.str("; ")
+			w.str(x.Var)
 			if x.Step != 1 {
-				b.WriteString(" += ")
-				writeInt(b, x.Step)
+				w.str(" += ")
+				w.int(x.Step)
 			} else {
-				b.WriteString("++")
+				w.str("++")
 			}
-			b.WriteString(") {\n")
-			printNodes(b, x.Body, depth+1)
+			w.str(") {\n")
+			printNodes(w, x.Body, depth+1)
 			indent()
-			b.WriteString("}\n")
+			w.str("}\n")
 		case *Stmt:
 			indent()
-			writeAccesses(b, x.Writes)
-			b.WriteString(" = f(")
-			writeAccesses(b, x.Reads)
-			b.WriteString("); // ")
-			b.WriteString(x.Label)
-			b.WriteString(", ")
-			writeInt(b, x.Flops)
-			b.WriteString(" flops\n")
+			printAccesses(w, x.Writes)
+			w.str(" = f(")
+			printAccesses(w, x.Reads)
+			w.str("); // ")
+			w.str(x.Label)
+			w.str(", ")
+			w.int(x.Flops)
+			w.str(" flops\n")
 		}
 	}
 }

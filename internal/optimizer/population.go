@@ -71,17 +71,29 @@ func (p *population) restore(seed int64, st IslandState) {
 // seededPopulation builds an initial population: warm-start seeds
 // first (cloned, truncated to popSize), uniform random draws for the
 // rest. Seeds outside the space are clamped rather than rejected, so a
-// front stored for a slightly different space still contributes.
+// front stored for a slightly different space still contributes. The
+// draws are capped cuts of one fresh slab, never an arena's: the
+// archive keeps the members it admits without copying them.
 func seededPopulation(space skeleton.Space, seeds []skeleton.Config, popSize int, rng *rand.Rand) []skeleton.Config {
 	cfgs := make([]skeleton.Config, popSize)
+	slab := make([]int64, 0, popSize*space.Dim())
 	for i := range cfgs {
 		if i < len(seeds) && len(seeds[i]) == space.Dim() {
 			cfgs[i] = space.Clip(seeds[i])
 		} else {
-			cfgs[i] = space.Random(rng)
+			cfgs[i] = drawInto(&slab, space, rng)
 		}
 	}
 	return cfgs
+}
+
+// drawInto draws a uniform random configuration of space into the
+// free capacity of *slab and returns it as a capped cut, so that a
+// list of draws costs one slab.
+func drawInto(slab *[]int64, space skeleton.Space, rng *rand.Rand) skeleton.Config {
+	n := len(*slab)
+	*slab = skeleton.AppendRandom(*slab, space, rng)
+	return (*slab)[n:len(*slab):len(*slab)]
 }
 
 // offer hands an evaluated configuration to the archive and reports

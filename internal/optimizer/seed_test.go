@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"autotune/internal/israce"
 	"autotune/internal/skeleton"
 	"autotune/internal/stats"
 )
@@ -79,5 +80,34 @@ func TestInitialPopulationSeeding(t *testing.T) {
 		if !evaluated {
 			t.Fatalf("%s: seed configuration never evaluated", name)
 		}
+	}
+}
+
+// TestSeededPopulationAllocationBudget: the random draws of an initial
+// population are capped cuts of one slab, so a population costs its
+// list and its slab, and a warm-start seed its clamped copy; one
+// allocation per draw before.
+func TestSeededPopulationAllocationBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	space := schafferSpace()
+	rng := stats.NewRand(1)
+	seeds := []skeleton.Config{{100, 0}, {9999, 5}}
+	for _, c := range []struct {
+		seeds  []skeleton.Config
+		budget float64
+	}{{nil, 2}, {seeds, 2 + 2}} {
+		got := testing.AllocsPerRun(50, func() { seededPopulation(space, c.seeds, 30, rng) })
+		if got > c.budget {
+			t.Errorf("seededPopulation of 30 with %d seeds allocates %v times, budget %v", len(c.seeds), got, c.budget)
+		}
+	}
+	// The draws are capped: appending to one never writes the next.
+	cfgs := seededPopulation(space, nil, 3, rng)
+	next := slices.Clone(cfgs[1])
+	_ = append(cfgs[0], -1)
+	if !slices.Equal(cfgs[1], next) {
+		t.Fatal("appending to a drawn configuration wrote the next one")
 	}
 }

@@ -75,8 +75,9 @@ func randomWalk(space skeleton.Space, cfg StrategyConfig, seed int64) []skeleton
 			cfgs = append(cfgs, space.Clip(s))
 		}
 	}
+	slab := make([]int64, 0, (budget-len(cfgs))*space.Dim())
 	for len(cfgs) < budget {
-		cfgs = append(cfgs, space.Random(rng))
+		cfgs = append(cfgs, drawInto(&slab, space, rng))
 	}
 	return cfgs
 }

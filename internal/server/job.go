@@ -331,6 +331,10 @@ type JobStatus struct {
 	Error       string     `json:"error,omitempty"`
 	Deduped     bool       `json:"deduped,omitempty"`
 	Result      *JobResult `json:"result,omitempty"`
+	// Note says why a job that had a checkpoint journal started its
+	// search anew instead of resuming it: the journal did not load, or
+	// the search refused its fingerprint. Empty otherwise.
+	Note string `json:"note,omitempty"`
 }
 
 // jobRecord is the persisted form of one job, stored in the tuning
@@ -345,6 +349,7 @@ type jobRecord struct {
 	Error     string      `json:"error,omitempty"`
 	Result    *JobResult  `json:"result,omitempty"`
 	Submitted int64       `json:"submitted_unix"`
+	Note      string      `json:"note,omitempty"`
 }
 
 // Event is one server-sent progress event of a job.

@@ -405,6 +405,7 @@ func (o *Orchestrator) statusLocked(j *job) JobStatus {
 		State:       j.rec.State,
 		Evaluations: int(j.evals.Load()),
 		Error:       j.rec.Error,
+		Note:        j.rec.Note,
 	}
 	if j.rec.Result != nil {
 		res := *j.rec.Result
@@ -509,11 +510,14 @@ func (o *Orchestrator) run(j *job) {
 	j.cancel = cancel
 	o.mu.Unlock()
 
-	out, err := o.tune(ctx, j)
+	out, note, err := o.tune(ctx, j)
 
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	j.cancel = nil
+	if note != "" {
+		j.rec.Note = note
+	}
 	o.running[j.rec.Tenant]--
 	interrupted := o.draining && ctx.Err() != nil
 	switch {
@@ -542,12 +546,14 @@ func (o *Orchestrator) run(j *job) {
 
 // tune completes the request's options with what the orchestrator owns
 // — the cancellable context, the progress feed, the shared database and
-// its warm start, the checkpoint journal — and runs the search.
-func (o *Orchestrator) tune(ctx context.Context, j *job) (*driver.Output, error) {
+// its warm start, the checkpoint journal — and runs the search. The
+// note says why a job whose journal exists started anew rather than
+// resuming it; it is empty for every other job.
+func (o *Orchestrator) tune(ctx context.Context, j *job) (out *driver.Output, note string, err error) {
 	req := j.rec.Request
 	opt, err := req.options()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	id := j.rec.ID
 	gate := o.cfg.EvalHook
@@ -580,7 +586,8 @@ func (o *Orchestrator) tune(ctx context.Context, j *job) (*driver.Output, error)
 	}
 	if req.checkpointable() {
 		ckpt := o.journal(id)
-		if ckpt == "" {
+		existed := ckpt != ""
+		if !existed {
 			// New journals started while the database is degraded go to
 			// the spill directory: the normal checkpoint dir may share
 			// the failing volume.
@@ -597,12 +604,15 @@ func (o *Orchestrator) tune(ctx context.Context, j *job) (*driver.Output, error)
 			opt.ResumeFrom = ckpt
 		} else {
 			opt.CheckpointPath = ckpt
+			if existed {
+				note = fmt.Sprintf("started anew: the checkpoint journal does not load: %v", lerr)
+			}
 		}
 	}
 	var prog *ir.Program
 	if req.Kernel == "" {
 		if prog, err = irparse.Parse(req.Source); err != nil {
-			return nil, err
+			return nil, note, err
 		}
 	}
 	search := func() (*driver.Output, error) {
@@ -611,17 +621,18 @@ func (o *Orchestrator) tune(ctx context.Context, j *job) (*driver.Output, error)
 		}
 		return driver.TuneProgram(prog, opt)
 	}
-	out, err := search()
+	out, err = search()
 	// The search refuses a journal whose fingerprint is not its own:
 	// for this job's unchanged request, one that an older build wrote —
 	// a warm-started job's, when fingerprints hashed the warm-start
 	// seeds. Nothing of it can be resumed, so the job starts anew over
 	// it, as it does over a journal that does not load.
 	if opt.ResumeFrom != "" && errors.Is(err, errors.ErrUnsupported) {
+		note = fmt.Sprintf("started anew: the search refused the checkpoint journal: %v", err)
 		opt.ResumeFrom, opt.CheckpointPath = "", opt.ResumeFrom
 		out, err = search()
 	}
-	return out, err
+	return out, note, err
 }
 
 // Drain stops the orchestrator gracefully: no new submissions, every

@@ -149,7 +149,8 @@ func TestFailedJobLeavesNoCheckpoint(t *testing.T) {
 // checkpoint in the JSONL framing it no longer reads. The job is not
 // failed and nothing is resumed from a guess: it restarts from its seed
 // and is served the front and the evaluation count of an uninterrupted
-// job.
+// job. Its status notes that its journal did not load; the
+// uninterrupted job, which had none, has no note.
 func TestInterruptedJobOverRetiredCheckpointRestarts(t *testing.T) {
 	dir := t.TempDir()
 	old := `{"v":1,"t":"snap","crc":3465878915,"d":{"method":"rs-gde3","generation":0,"evaluations":8,"states":[{}]}}
@@ -178,6 +179,9 @@ func TestInterruptedJobOverRetiredCheckpointRestarts(t *testing.T) {
 	if !reflect.DeepEqual(restarted.Result, want.Result) {
 		t.Fatalf("restarted job serves\n%+v\nan uninterrupted one\n%+v", restarted.Result, want.Result)
 	}
+	if !strings.HasPrefix(restarted.Note, "started anew: the checkpoint journal does not load: ") || want.Note != "" {
+		t.Fatalf("notes %q and %q, want the restarted job's to say its journal did not load and no other", restarted.Note, want.Note)
+	}
 }
 
 // TestInterruptedJobOverRefusedFingerprintRestarts: a restarted server
@@ -185,7 +189,9 @@ func TestInterruptedJobOverRetiredCheckpointRestarts(t *testing.T) {
 // not have — as a warm-started job's journal is, from a build whose
 // fingerprints hashed the warm-start seeds. The search refuses it by
 // name; the job is not failed but starts anew over it, and is served the
-// front and the evaluation count of an uninterrupted job.
+// front and the evaluation count of an uninterrupted job. Its status —
+// and the record a restarted server reads it from — notes that the
+// search refused the journal; the uninterrupted job's has no note.
 func TestInterruptedJobOverRefusedFingerprintRestarts(t *testing.T) {
 	dir := t.TempDir()
 	id, ckpt := persistInterrupted(t, dir, "checkpoints", smallJob(7), nil)
@@ -214,8 +220,22 @@ func TestInterruptedJobOverRefusedFingerprintRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := waitTerminal(t, o, st.ID); want.State != StateDone || !reflect.DeepEqual(restarted.Result, want.Result) {
+	want := waitTerminal(t, o, st.ID)
+	if want.State != StateDone || !reflect.DeepEqual(restarted.Result, want.Result) {
 		t.Fatalf("restarted job serves\n%+v\nan uninterrupted one (%s)\n%+v", restarted.Result, want.State, want.Result)
+	}
+	const refused = "started anew: the search refused the checkpoint journal: "
+	if !strings.HasPrefix(restarted.Note, refused) || !strings.Contains(restarted.Note, "0123456789abcdef") || want.Note != "" {
+		t.Fatalf("notes %q and %q, want the restarted job's to name the refused journal and no other", restarted.Note, want.Note)
+	}
+	o.Drain()
+	again, err := NewOrchestrator(Config{StateDir: dir, NoWarmStart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Drain()
+	if st, err := again.Status(id); err != nil || st.Note != restarted.Note {
+		t.Fatalf("after a restart the job notes %q (%v), want %q", st.Note, err, restarted.Note)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"autotune/internal/ir"
@@ -146,12 +147,20 @@ func (s Space) Clip(c Config) Config {
 
 // Random draws a uniform random configuration from the space.
 func (s Space) Random(rng *rand.Rand) Config {
-	c := make(Config, len(s.Params))
-	for i, p := range s.Params {
+	return AppendRandom(make(Config, 0, len(s.Params)), s, rng)
+}
+
+// AppendRandom appends a uniform random configuration of space to dst,
+// the draws of Random, and returns the extended slice, so that many
+// draws share one slab; dst grows at most once. It draws one value per
+// parameter, in order.
+func AppendRandom(dst Config, space Space, rng *rand.Rand) Config {
+	dst = slices.Grow(dst, len(space.Params))
+	for _, p := range space.Params {
 		span := p.Max - p.Min + 1
-		c[i] = p.Min + rng.Int63n(span)
+		dst = append(dst, p.Min+rng.Int63n(span))
 	}
-	return c
+	return dst
 }
 
 // Box is an axis-aligned hyper-rectangle inside a Space: the reduced
@@ -215,29 +224,39 @@ type Skeleton struct {
 	Instantiate func(cfg Config) (Instance, error)
 }
 
-// Apply instantiates the skeleton for cfg and applies the resulting
-// transformation to the program: tiling, parallelization and — when
-// the space has an unroll dimension — the unroll pragma, on one copy
-// of the program's spine.
-func (sk *Skeleton) Apply(p *ir.Program, cfg Config) (*ir.Program, Instance, error) {
-	if !sk.Space.In(cfg) {
-		return nil, Instance{}, fmt.Errorf("skeleton %s: configuration %v outside space", sk.Name, cfg)
-	}
-	inst, err := sk.Instantiate(cfg)
-	if err != nil {
-		return nil, Instance{}, fmt.Errorf("skeleton %s: %w", sk.Name, err)
-	}
-	var unroll int64 // 0: no pragma written
+// Apply instantiates the skeleton for each configuration and builds
+// its version of the program — tiling, parallelization and, when the
+// space has an unroll dimension, the unroll pragma — in one
+// transform.Apply over all of them, so the versions are cut from slabs
+// sized for the batch. The instances come back beside the versions, in
+// the configurations' order. An error names the first configuration
+// that cannot be instantiated or built, and then nothing is returned.
+func (sk *Skeleton) Apply(p *ir.Program, cfgs ...Config) ([]*ir.Program, []Instance, error) {
+	unrollDim := false
 	for _, prm := range sk.Space.Params {
-		if prm.Kind == UnrollFactor {
-			unroll = inst.Unroll
+		unrollDim = unrollDim || prm.Kind == UnrollFactor
+	}
+	insts := make([]Instance, len(cfgs))
+	vs := make([]transform.Version, len(cfgs))
+	for i, cfg := range cfgs {
+		if !sk.Space.In(cfg) {
+			return nil, nil, fmt.Errorf("skeleton %s: configuration %v outside space", sk.Name, cfg)
+		}
+		inst, err := sk.Instantiate(cfg)
+		if err != nil {
+			return nil, nil, fmt.Errorf("skeleton %s: configuration %v: %w", sk.Name, cfg, err)
+		}
+		insts[i] = inst
+		vs[i] = transform.Version{Tiles: inst.Tiles, Collapse: inst.Collapse}
+		if unrollDim {
+			vs[i].Unroll = inst.Unroll // 0, no pragma written, otherwise
 		}
 	}
-	out, err := transform.Apply(p, inst.Tiles, inst.Collapse, unroll)
+	out, bad, err := transform.Apply(p, vs...)
 	if err != nil {
-		return nil, Instance{}, fmt.Errorf("skeleton %s: %w", sk.Name, err)
+		return nil, nil, fmt.Errorf("skeleton %s: configuration %v: %w", sk.Name, cfgs[bad], err)
 	}
-	return out, inst, nil
+	return out, insts, nil
 }
 
 // TiledParallel builds the paper's standard skeleton for a nest of

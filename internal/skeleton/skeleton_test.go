@@ -2,6 +2,7 @@ package skeleton
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -142,7 +143,7 @@ func TestTiledParallelSkeleton(t *testing.T) {
 		t.Fatalf("dim = %d, want 4", sk.Space.Dim())
 	}
 	p := mmProgram(64)
-	out, inst, err := sk.Apply(p, Config{16, 32, 8, 10})
+	out, inst, err := applyOne(sk, p, Config{16, 32, 8, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestTiledParallelSkeleton(t *testing.T) {
 
 func TestTiledParallelUnitTilesFallBackToCollapse1(t *testing.T) {
 	sk := TiledParallel("mm3d", 3, 700, 40, true)
-	out, _, err := sk.Apply(mmProgram(64), Config{1, 1, 1, 4})
+	out, _, err := applyOne(sk, mmProgram(64), Config{1, 1, 1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,19 +171,55 @@ func TestTiledParallelUnitTilesFallBackToCollapse1(t *testing.T) {
 	}
 }
 
+// applyOne is Apply of one configuration.
+func applyOne(sk *Skeleton, p *ir.Program, cfg Config) (*ir.Program, Instance, error) {
+	out, insts, err := sk.Apply(p, cfg)
+	if err != nil {
+		return nil, Instance{}, err
+	}
+	return out[0], insts[0], nil
+}
+
 func TestSkeletonApplyRejectsOutOfSpace(t *testing.T) {
 	sk := TiledParallel("mm3d", 3, 700, 40, true)
-	if _, _, err := sk.Apply(mmProgram(64), Config{0, 1, 1, 4}); err == nil {
+	if _, _, err := applyOne(sk, mmProgram(64), Config{0, 1, 1, 4}); err == nil {
 		t.Fatal("expected out-of-space error")
 	}
-	if _, _, err := sk.Apply(mmProgram(64), Config{1, 1, 1}); err == nil {
+	if _, _, err := applyOne(sk, mmProgram(64), Config{1, 1, 1}); err == nil {
 		t.Fatal("expected dimension mismatch error")
+	}
+	// In a batch, the error names the configuration it refuses, and
+	// nothing is returned.
+	out, insts, err := sk.Apply(mmProgram(64), Config{16, 16, 16, 4}, Config{0, 1, 1, 4})
+	if want := "skeleton mm3d: configuration [0 1 1 4] outside space"; err == nil || err.Error() != want || out != nil || insts != nil {
+		t.Fatalf("Apply of a batch with a configuration outside the space = (%v, %v, %v), want error %q", out, insts, err, want)
+	}
+}
+
+// TestSkeletonApplyBatchMatchesOneByOne: the versions and instances of
+// a batch are those of its configurations applied one at a time.
+func TestSkeletonApplyBatchMatchesOneByOne(t *testing.T) {
+	sk := TiledParallelUnroll("mm3d", 3, 700, 40, true, 8)
+	p := mmProgram(64)
+	cfgs := []Config{{16, 32, 8, 10, 4}, {1, 1, 1, 4, 1}, {1, 7, 700, 40, 8}, {5, 1, 9, 2, 2}}
+	outs, insts, err := sk.Apply(p, cfgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		out, inst, err := applyOne(sk, p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outs[i].String() != out.String() || !reflect.DeepEqual(insts[i], inst) {
+			t.Errorf("%v: batch version\n%s%+v\none by one\n%s%+v", cfg, outs[i], insts[i], out, inst)
+		}
 	}
 }
 
 func TestSkeletonNoCollapseVariant(t *testing.T) {
 	sk := TiledParallel("mm3d-nc", 3, 700, 40, false)
-	out, _, err := sk.Apply(mmProgram(64), Config{16, 16, 16, 4})
+	out, _, err := applyOne(sk, mmProgram(64), Config{16, 16, 16, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestTiledParallelUnrollSkeleton(t *testing.T) {
 		t.Fatalf("unroll param = %+v", last)
 	}
 	p := mmProgram(64)
-	out, inst, err := sk.Apply(p, Config{16, 16, 16, 4, 4})
+	out, inst, err := applyOne(sk, p, Config{16, 16, 16, 4, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestTiledParallelUnrollSkeleton(t *testing.T) {
 		t.Errorf("pragma missing in listing:\n%s", out.String())
 	}
 	// Factor 1 leaves no annotation.
-	out1, _, err := sk.Apply(p, Config{16, 16, 16, 4, 1})
+	out1, _, err := applyOne(sk, p, Config{16, 16, 16, 4, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestTiledParallelUnrollSkeleton(t *testing.T) {
 		t.Error("factor 1 should not annotate")
 	}
 	// Wrong arity rejected.
-	if _, _, err := sk.Apply(p, Config{16, 16, 16, 4}); err == nil {
+	if _, _, err := applyOne(sk, p, Config{16, 16, 16, 4}); err == nil {
 		t.Error("missing unroll param accepted")
 	}
 }

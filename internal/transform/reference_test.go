@@ -3,9 +3,10 @@ package transform
 // The deep-copy transformations exactly as they stood before a
 // sequence of them copied only the spine it rewrites, kept as a
 // reference: FuzzSequenceMatchesReference holds Apply — the tile,
-// parallelize, unroll sequence — and Tile to their bytes over every
-// registered kernel's IR, and checks that emitting a version changes
-// neither the input nor any version emitted before it.
+// parallelize, unroll sequence, one version at a time and a batch at
+// once — and Tile to their bytes over every registered kernel's IR,
+// and checks that emitting a version changes neither the input nor any
+// version emitted before it.
 
 import (
 	"fmt"
@@ -226,7 +227,10 @@ func errText(err error) string {
 // versions emitted from it in a row, Apply prints byte for byte what
 // the deep-copy reference prints (or fails with its error text), the
 // input's listing never changes, and no version changes the listing of
-// one emitted before it. Tile is held to the reference tile alone.
+// one emitted before it. The same versions applied as one batch print
+// the same listings, or the batch fails with the first failing
+// version's index and error text. Tile is held to the reference tile
+// alone.
 func FuzzSequenceMatchesReference(f *testing.F) {
 	ks := kernels.All()
 	for k := range ks {
@@ -245,11 +249,23 @@ func FuzzSequenceMatchesReference(f *testing.F) {
 
 		var versions []*ir.Program
 		var listings []string
+		var batch []Version
+		var batchWant []string // each version's reference listing, or its error text
+		firstErr := -1
 		for v := 1 + rng.Intn(4); v > 0; v-- {
 			args := randomArgs(rng, len(loops))
 			spec := args.spec()
-			got, gotErr := Apply(p, args.tiles, args.collapse, args.unroll)
+			got, gotErr := applyOne(p, args.tiles, args.collapse, args.unroll)
 			want, wantErr := refSequence(p, spec)
+			batch = append(batch, Version{Tiles: args.tiles, Collapse: args.collapse, Unroll: args.unroll})
+			if wantErr != nil {
+				batchWant = append(batchWant, wantErr.Error())
+				if firstErr < 0 {
+					firstErr = len(batch) - 1
+				}
+			} else {
+				batchWant = append(batchWant, want.String())
+			}
 			if errText(gotErr) != errText(wantErr) {
 				t.Fatalf("%s %v: error %q, reference %q", k.Name, spec, errText(gotErr), errText(wantErr))
 			}
@@ -284,6 +300,31 @@ func FuzzSequenceMatchesReference(f *testing.F) {
 				if earlier.String() != listings[i] {
 					t.Fatalf("%s %v: a later version changed version %d:\n%s\nwas\n%s", k.Name, spec, i, earlier, listings[i])
 				}
+			}
+		}
+
+		got, bad, err := Apply(p, batch...)
+		switch {
+		case firstErr >= 0:
+			if err == nil || got != nil || bad != firstErr || err.Error() != batchWant[firstErr] {
+				t.Fatalf("%s batch %v: (%d programs, version %d, %q), want version %d failing with %q",
+					k.Name, batch, len(got), bad, errText(err), firstErr, batchWant[firstErr])
+			}
+		case err != nil:
+			t.Fatalf("%s batch %v: version %d: %v", k.Name, batch, bad, err)
+		default:
+			for i, g := range got {
+				if g.String() != batchWant[i] {
+					t.Fatalf("%s batch version %d:\n%s\nreference:\n%s", k.Name, i, g, batchWant[i])
+				}
+			}
+		}
+		if p.String() != before {
+			t.Fatalf("%s batch: applying the batch changed the input", k.Name)
+		}
+		for i, earlier := range versions {
+			if earlier.String() != listings[i] {
+				t.Fatalf("%s batch: applying the batch changed version %d", k.Name, i)
 			}
 		}
 	})

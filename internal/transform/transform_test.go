@@ -34,6 +34,15 @@ func mmProgram(n int64) *ir.Program {
 	}
 }
 
+// applyOne is Apply of a batch of one version.
+func applyOne(p *ir.Program, tiles []int64, collapse int, unroll int64) (*ir.Program, error) {
+	out, _, err := Apply(p, Version{Tiles: tiles, Collapse: collapse, Unroll: unroll})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 // iterationCount walks the loop tree executing bounds, counting
 // innermost statement executions. It is the ground truth for semantic
 // preservation: any legal restructuring must execute each statement the
@@ -148,7 +157,7 @@ func TestTileErrors(t *testing.T) {
 }
 
 func TestParallelize(t *testing.T) {
-	p, err := Apply(mmProgram(8), nil, 2, 0)
+	p, err := applyOne(mmProgram(8), nil, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +171,13 @@ func TestParallelize(t *testing.T) {
 }
 
 func TestParallelizeErrors(t *testing.T) {
-	if _, err := Apply(mmProgram(8), nil, 0, 0); err == nil {
+	if _, err := applyOne(mmProgram(8), nil, 0, 0); err == nil {
 		t.Error("collapse 0 should fail")
 	}
-	if _, err := Apply(mmProgram(8), nil, 4, 0); err == nil {
+	if _, err := applyOne(mmProgram(8), nil, 4, 0); err == nil {
 		t.Error("collapse beyond depth should fail")
 	}
-	if _, err := Apply(&ir.Program{Name: "e"}, nil, 1, 0); err == nil {
+	if _, err := applyOne(&ir.Program{Name: "e"}, nil, 1, 0); err == nil {
 		t.Error("empty program should fail")
 	}
 	// Non-rectangular collapse.
@@ -176,7 +185,7 @@ func TestParallelizeErrors(t *testing.T) {
 	jl := &ir.Loop{Var: "j", Lo: ir.Con(0), Hi: ir.Var("i"), Step: 1, Body: []ir.Node{stmt}}
 	il := &ir.Loop{Var: "i", Lo: ir.Con(0), Hi: ir.Con(8), Step: 1, Body: []ir.Node{jl}}
 	p := &ir.Program{Name: "tri", Arrays: []ir.Array{{Name: "A", ElemBytes: 8, Dims: []int64{8, 8}}}, Root: []ir.Node{il}}
-	if _, err := Apply(p, nil, 2, 0); err == nil {
+	if _, err := applyOne(p, nil, 2, 0); err == nil {
 		t.Error("non-rectangular collapse should fail")
 	}
 }
@@ -186,7 +195,7 @@ func TestParallelizeErrors(t *testing.T) {
 // it as step 0, 1 or 2.
 func TestSequenceComposesAndStopsOnError(t *testing.T) {
 	p := mmProgram(16)
-	out, err := Apply(p, []int64{4, 4, 4}, 2, 0)
+	out, err := applyOne(p, []int64{4, 4, 4}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +216,7 @@ func TestSequenceComposesAndStopsOnError(t *testing.T) {
 		{[]int64{4, 4, 4}, 7, 2, "transform: step 1: transform: collapse 7 exceeds nest depth 6"},
 		{[]int64{4, 4, 4}, 2, -1, "transform: step 2: transform: unroll pragma factor must be >= 1, got -1"},
 	} {
-		if out, err := Apply(p, c.tiles, c.collapse, c.unroll); out != nil || err == nil || err.Error() != c.want {
+		if out, err := applyOne(p, c.tiles, c.collapse, c.unroll); out != nil || err == nil || err.Error() != c.want {
 			t.Errorf("Apply(%v, %d, %d) = (%v, %v), want error %q", c.tiles, c.collapse, c.unroll, out, err, c.want)
 		}
 	}
@@ -238,7 +247,7 @@ func TestTileParallelizeProperty(t *testing.T) {
 		n := int64(rawN%12) + 2
 		tiles := []int64{int64(t1%8) + 2, int64(t2%8) + 2}
 		p := mmProgram(n)
-		out, err := Apply(p, tiles, int(c%2)+1, 0)
+		out, err := applyOne(p, tiles, int(c%2)+1, 0)
 		if err != nil {
 			return false
 		}
@@ -262,39 +271,32 @@ func TestTileParallelizeProperty(t *testing.T) {
 func TestSequenceOwnsItsClone(t *testing.T) {
 	p := mmProgram(16)
 	before := p.String()
-	out, err := Apply(p, []int64{4, 4, 4}, 2, 4)
+	out, err := applyOne(p, []int64{4, 4, 4}, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.String() != before {
 		t.Fatal("a successful Apply modified its input")
 	}
-	// The rewrites ran on one copy: the result equals the chain of
-	// clone-per-rewrite transformations.
-	want := p
-	for _, rewrite := range []func(*ir.Program) error{
-		func(q *ir.Program) error { return tile(q, []int64{4, 4, 4}) },
-		func(q *ir.Program) error { return parallelize(q, 2) },
-		func(q *ir.Program) error { return annotateUnroll(q, 4) },
-	} {
-		want = want.Clone()
-		if err := rewrite(want); err != nil {
-			t.Fatal(err)
-		}
+	// The rewrites ran on one copy: the result equals the deep-copy
+	// reference, which clones the whole program and rewrites the clone.
+	want, err := refSequence(p, applyArgs{tiles: []int64{4, 4, 4}, collapse: 2, unroll: 4}.spec())
+	if err != nil {
+		t.Fatal(err)
 	}
 	if out.String() != want.String() {
 		t.Fatalf("Apply result:\n%s\nclone-per-rewrite result:\n%s", out, want)
 	}
 
 	// An unroll factor of -1 fails after tiling and parallelizing.
-	if out, err := Apply(p, []int64{4, 4, 4}, 2, -1); err == nil || out != nil || !strings.Contains(err.Error(), "step 2") {
+	if out, err := applyOne(p, []int64{4, 4, 4}, 2, -1); err == nil || out != nil || !strings.Contains(err.Error(), "step 2") {
 		t.Fatalf("failing Apply returned (%v, %v)", out, err)
 	}
 	if p.String() != before {
 		t.Fatal("a failing Apply modified its input")
 	}
 
-	same, err := Apply(p, nil, 1, 0)
+	same, err := applyOne(p, nil, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,49 +325,58 @@ func TestSequenceOwnsItsClone(t *testing.T) {
 	}
 }
 
-// TestFailingRewriteLeavesProgramUntouched: a rewrite writes its
-// program in place, but only after every check has passed — a rewrite
-// that returns an error has changed nothing.
+// TestFailingRewriteLeavesProgramUntouched: Apply checks every version
+// of a batch before it builds any, so a batch whose later version fails
+// returns no program, names that version, and has written nothing —
+// neither the input nor a version built before the check failed.
 func TestFailingRewriteLeavesProgramUntouched(t *testing.T) {
 	triangular := mmProgram(8)
 	jl := triangular.Root[0].(*ir.Loop).Body[0].(*ir.Loop)
 	jl.Hi = ir.Var("i").AddConst(1) // j < i+1: not collapsible
 	stepped := mmProgram(8)
 	stepped.Root[0].(*ir.Loop).Body[0].(*ir.Loop).Step = 2 // untileable second level
-	tiles := func(ts ...int64) func(*ir.Program) error {
-		return func(p *ir.Program) error { return tile(p, ts) }
-	}
 	cases := []struct {
-		name    string
-		p       *ir.Program
-		rewrite func(*ir.Program) error
+		name string
+		p    *ir.Program
+		bad  Version
 	}{
-		{"tile: negative size after a valid one", mmProgram(8), tiles(4, -1)},
-		{"tile: too deep", mmProgram(8), tiles(2, 2, 2, 2)},
-		{"tile: stepped loop after a tileable one", stepped, tiles(2, 2)},
-		{"parallelize: collapse too deep", mmProgram(8), func(p *ir.Program) error { return parallelize(p, 4) }},
-		{"parallelize: non-rectangular collapse", triangular, func(p *ir.Program) error { return parallelize(p, 2) }},
-		{"annotate: bad factor", mmProgram(8), func(p *ir.Program) error { return annotateUnroll(p, 0) }},
-		{"empty program", &ir.Program{Name: "empty"}, tiles(2)},
+		{"tile: negative size after a valid one", mmProgram(8), Version{Tiles: []int64{4, -1}, Collapse: 1}},
+		{"tile: too deep", mmProgram(8), Version{Tiles: []int64{2, 2, 2, 2}, Collapse: 1}},
+		{"tile: stepped loop after a tileable one", stepped, Version{Tiles: []int64{2, 2}, Collapse: 1}},
+		{"parallelize: collapse too deep", mmProgram(8), Version{Collapse: 4}},
+		{"parallelize: non-rectangular collapse", triangular, Version{Collapse: 2}},
+		{"annotate: bad factor", mmProgram(8), Version{Collapse: 1, Unroll: -1}},
+		{"empty program", &ir.Program{Name: "empty"}, Version{Tiles: []int64{2}, Collapse: 1}},
 	}
 	for _, c := range cases {
 		before := c.p.String()
-		if err := c.rewrite(c.p); err == nil {
-			t.Errorf("%s: the rewrite succeeded, want an error", c.name)
+		good := Version{Tiles: []int64{4}, Collapse: 1, Unroll: 2}
+		out, bad, err := Apply(c.p, good, c.bad, good)
+		if err == nil || out != nil {
+			t.Errorf("%s: Apply returned (%v, %v), want an error and no program", c.name, out, err)
 		}
 		if c.p.String() != before {
-			t.Errorf("%s: the failing rewrite modified its program:\n%s\nwas\n%s", c.name, c.p, before)
+			t.Errorf("%s: the failing Apply modified its program:\n%s\nwas\n%s", c.name, c.p, before)
+		}
+		want := 1
+		if c.name == "empty program" {
+			want = 0 // the first version fails already
+		}
+		if bad != want {
+			t.Errorf("%s: Apply names version %d, want %d", c.name, bad, want)
 		}
 	}
 }
 
-// TestApplyAllocationBudget: Apply copies the spine of a 3-deep nest
-// (header, Root, one slab of loops, one of the nodes linking them),
-// and tiling builds its loops, their chain and the point caps from one
-// slab each plus, per tiled level, the tile iterator's name and its
-// one-term expression: 13 allocations, where cloning the whole program
-// cost 84 and the closures of a step list brought it to 16.
-// Parallelizing and annotating allocate nothing.
+// TestApplyAllocationBudget: a batch of one version of a 3-deep nest
+// is the result list, one slab each of headers, nodes (Root and the
+// chain), loops (copies, tile and point loops) and point caps, and the
+// tile iterators — their names in one string and their one-term
+// expressions from one term slab: 7 allocations, where cloning the
+// whole program cost 84, the closures of a step list brought it to 16,
+// and a spine copy and tile slabs of its own with a name and an
+// expression per tiled level cost 13. Parallelizing and annotating
+// allocate nothing. A batch of more versions adds none.
 func TestApplyAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -373,11 +384,23 @@ func TestApplyAllocationBudget(t *testing.T) {
 	p := mmProgram(64)
 	tiles := []int64{4, 8, 16}
 	perApply := testing.AllocsPerRun(100, func() {
-		if _, err := Apply(p, tiles, 2, 4); err != nil {
+		if _, err := applyOne(p, tiles, 2, 4); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if budget := 13.0; perApply > budget {
+	if budget := 7.0; perApply > budget {
 		t.Errorf("Apply of tile + parallelize + unroll on mm allocates %v times, budget %v", perApply, budget)
+	}
+	vs := make([]Version, 12)
+	for i := range vs {
+		vs[i] = Version{Tiles: []int64{int64(i), 8, int64(16 - i)}, Collapse: 1 + i%2, Unroll: int64(i % 3)}
+	}
+	perBatch := testing.AllocsPerRun(100, func() {
+		if _, _, err := Apply(p, vs...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perBatch > perApply {
+		t.Errorf("Apply of a 12-version batch allocates %v times, one version %v", perBatch, perApply)
 	}
 }

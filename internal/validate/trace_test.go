@@ -145,10 +145,11 @@ func TestGenerateUnevenPartition(t *testing.T) {
 func TestGenerateCollapsedMatchesSequentialMultiset(t *testing.T) {
 	n := int64(8)
 	p := mmProgram(n)
-	tiled, err := transform.Apply(p, []int64{4, 4, 4}, 2, 0)
+	versions, _, err := transform.Apply(p, transform.Version{Tiles: []int64{4, 4, 4}, Collapse: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tiled := versions[0]
 	seq, par := collect(t, p, 1), collect(t, tiled, 3)
 	count := func(traces [][]uint64) map[uint64]int {
 		m := map[uint64]int{}
