@@ -181,6 +181,19 @@ func TestNegativeFlagsRefusedBeforeTheDatabaseOpens(t *testing.T) {
 	}
 }
 
+// TestCheckpointThatResumeWouldDropRefused: a resumed search journals
+// into the -resume file, so a -checkpoint naming another file used to be
+// dropped without a word. It now exits 2 naming both, and writes neither.
+func TestCheckpointThatResumeWouldDropRefused(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")
+	refusedBeforeTheDatabaseOpens(t, []string{"-checkpoint", a, "-resume", b},
+		fmt.Sprintf("CheckpointPath %q would never be written: a resumed search journals into ResumeFrom %q", a, b))
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Errorf("the refused run left %v (%v)", files, err)
+	}
+}
+
 // TestFaultRateOutsideUnitRefused: -fault-rate is a probability. A rate
 // above 1 used to run as 1 and print it times 100 as the error rate; a
 // negative one ran as 0. Each, and NaN, now exits 2 naming the range.

@@ -2,16 +2,13 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 
-	"autotune/internal/israce"
+	"autotune/internal/testenv"
 )
-
-var update = flag.Bool("update", false, "rewrite repro_output.txt and testdata/quick_output.txt from the current output")
 
 // TestFullOutputMatchesCommitted pins repro_output.txt: the committed
 // file is what `repro -mode full -reps 3` prints, byte for byte.
@@ -20,7 +17,7 @@ func TestFullOutputMatchesCommitted(t *testing.T) {
 	if err := run([]string{"-mode", "full", "-reps", "3"}, &got); err != nil {
 		t.Fatal(err)
 	}
-	matchCommitted(t, "../../repro_output.txt", got.Bytes())
+	testenv.Pin(t, "../../repro_output.txt", got.Bytes())
 }
 
 // TestQuickOutputMatchesCommitted pins what repro_output.txt does not
@@ -43,33 +40,7 @@ func TestQuickOutputMatchesCommitted(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "== -exp %s ==\n%s", e.name, s)
 	}
-	matchCommitted(t, "testdata/quick_output.txt", got.Bytes())
-}
-
-// matchCommitted fails at the first line where got differs from the
-// file at path, or rewrites the file under -update.
-func matchCommitted(t *testing.T, path string, got []byte) {
-	t.Helper()
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("output drifted from %s at line %d\n got: %s\nwant: %s\n(go test ./cmd/repro -run %s -update regenerates it)",
-					path, i+1, gl[i], wl[i], t.Name())
-			}
-		}
-		t.Fatalf("output drifted from %s: %d lines, want %d", path, len(gl), len(wl))
-	}
+	testenv.Pin(t, "testdata/quick_output.txt", got.Bytes())
 }
 
 // dropColumns cuts the named columns out of every table in out, taking
@@ -135,7 +106,7 @@ var headers = map[string]string{
 func TestEveryExperimentRunsQuick(t *testing.T) {
 	for _, e := range exps {
 		t.Run(e.name, func(t *testing.T) {
-			if e.name == "validate" && (testing.Short() || israce.Enabled) {
+			if e.name == "validate" && (testing.Short() || testenv.Race) {
 				// 10–12 s plain, about a minute under the race detector,
 				// and single-threaded: the plain run covers the wiring.
 				t.Skip("trace-driven simulation")

@@ -104,20 +104,14 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	fs := flag.NewFlagSet("tuned serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-	state := fs.String("state", "tuned-state", "durable state directory: the shared tuning database with the job records (tunedb/), checkpoint journals (checkpoints/, spill/)")
-	workers := fs.Int("workers", 0, "concurrently running searches (0 = default 2)")
-	maxQueued := fs.Int("max-queued", 0, "per-tenant queued-job quota, 429 beyond it (0 = default 16)")
-	maxRunning := fs.Int("max-running", 0, "per-tenant running-search quota (0 = workers)")
-	noWarm := fs.Bool("no-warm", false, "disable warm starts from the shared tuning database")
+	var cfg server.Config
+	fs.StringVar(&cfg.StateDir, "state", "tuned-state", "durable state directory: the shared tuning database with the job records (tunedb/), checkpoint journals (checkpoints/, spill/)")
+	fs.IntVar(&cfg.Workers, "workers", 0, "concurrently running searches (0 = default 2)")
+	fs.IntVar(&cfg.MaxQueuedPerTenant, "max-queued", 0, "per-tenant queued-job quota, 429 beyond it (0 = default 16)")
+	fs.IntVar(&cfg.MaxRunningPerTenant, "max-running", 0, "per-tenant running-search quota (0 = workers)")
+	fs.BoolVar(&cfg.NoWarmStart, "no-warm", false, "disable warm starts from the shared tuning database")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	cfg := server.Config{
-		StateDir:            *state,
-		Workers:             *workers,
-		MaxQueuedPerTenant:  *maxQueued,
-		MaxRunningPerTenant: *maxRunning,
-		NoWarmStart:         *noWarm,
 	}
 	if serveConfigHook != nil {
 		serveConfigHook(&cfg)
@@ -131,7 +125,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		orch.Drain()
 		return err
 	}
-	fmt.Fprintf(stdout, "tuned: serving on http://%s (state %s)\n", l.Addr(), *state)
+	fmt.Fprintf(stdout, "tuned: serving on http://%s (state %s)\n", l.Addr(), cfg.StateDir)
 	// SIGTERM/SIGINT begin the graceful drain; Serve returns once the
 	// running searches have checkpointed and the listener is closed.
 	sctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
@@ -153,51 +147,32 @@ func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	fs := flag.NewFlagSet("tuned submit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	srv := fs.String("server", "http://127.0.0.1:8080", "server base URL")
-	tenant := fs.String("tenant", "", "tenant name for quota accounting (empty = default)")
-	kernel := fs.String("kernel", "", "built-in kernel to tune")
+	req := &server.JobRequest{}
+	fs.StringVar(&req.Tenant, "tenant", "", "tenant name for quota accounting (empty = default)")
+	fs.StringVar(&req.Kernel, "kernel", "", "built-in kernel to tune")
 	program := fs.String("program", "", "MiniIR program file to tune instead of a built-in kernel")
-	machineName := fs.String("machine", "", "target machine (empty = Westmere)")
-	method := fs.String("method", "", "search method (empty = rs-gde3)")
-	seed := fs.Int64("seed", 0, "random seed")
-	n := fs.Int64("n", 0, "problem size (0 = kernel default)")
-	pop := fs.Int("pop", 0, "population size (0 = library default)")
-	iters := fs.Int("iterations", 0, "max optimizer iterations (0 = library default)")
-	stagnation := fs.Int("stagnation", 0, "stagnation window (0 = library default)")
-	islands := fs.Int("islands", 0, "parallel search islands")
-	migrate := fs.Int("migrate", 0, "generations between island migrations")
-	budget := fs.Int("budget", 0, "random/grid evaluation budget")
-	energy := fs.Bool("energy", false, "add the energy objective")
-	surrogate := fs.Bool("surrogate", false, "surrogate pre-screening")
-	screenTopK := fs.Int("screen-topk", 0, "with -surrogate: admitted candidates per batch")
-	noise := fs.Float64("noise", 0, "simulated measurement-noise amplitude")
-	deadline := fs.String("deadline", "", "per-job search deadline (Go duration, e.g. 30s)")
+	fs.StringVar(&req.Machine, "machine", "", "target machine (empty = Westmere)")
+	fs.StringVar(&req.Method, "method", "", "search method (empty = rs-gde3)")
+	fs.Int64Var(&req.Seed, "seed", 0, "random seed")
+	fs.Int64Var(&req.N, "n", 0, "problem size (0 = kernel default)")
+	fs.IntVar(&req.PopSize, "pop", 0, "population size (0 = library default)")
+	fs.IntVar(&req.MaxIterations, "iterations", 0, "max optimizer iterations (0 = library default)")
+	fs.IntVar(&req.Stagnation, "stagnation", 0, "stagnation window (0 = library default)")
+	fs.IntVar(&req.Islands, "islands", 0, "parallel search islands")
+	fs.IntVar(&req.Migrate, "migrate", 0, "generations between island migrations")
+	fs.IntVar(&req.RandomBudget, "budget", 0, "random/grid evaluation budget")
+	fs.BoolVar(&req.Energy, "energy", false, "add the energy objective")
+	fs.BoolVar(&req.Surrogate, "surrogate", false, "surrogate pre-screening")
+	fs.IntVar(&req.ScreenTopK, "screen-topk", 0, "with -surrogate: admitted candidates per batch")
+	fs.Float64Var(&req.Noise, "noise", 0, "simulated measurement-noise amplitude")
+	fs.StringVar(&req.Deadline, "deadline", "", "per-job search deadline (Go duration, e.g. 30s)")
 	noWarm := fs.Bool("no-warm", false, "disable the warm start for this job")
-	force := fs.Bool("force", false, "run a fresh search even if an identical one exists")
+	fs.BoolVar(&req.Force, "force", false, "run a fresh search even if an identical one exists")
 	wait := fs.Bool("wait", false, "poll until the job finishes")
 	poll := fs.Duration("poll", 200*time.Millisecond, "with -wait: polling interval")
 	retries := fs.Int("retries", 0, "retry shed submissions (429/503) with jittered backoff, honoring Retry-After (0 = fail fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	req := &server.JobRequest{
-		Tenant:        *tenant,
-		Kernel:        *kernel,
-		Machine:       *machineName,
-		Method:        *method,
-		Seed:          *seed,
-		N:             *n,
-		PopSize:       *pop,
-		MaxIterations: *iters,
-		Stagnation:    *stagnation,
-		Islands:       *islands,
-		Migrate:       *migrate,
-		RandomBudget:  *budget,
-		Energy:        *energy,
-		Surrogate:     *surrogate,
-		ScreenTopK:    *screenTopK,
-		Noise:         *noise,
-		Deadline:      *deadline,
-		Force:         *force,
 	}
 	if *program != "" {
 		src, err := os.ReadFile(*program)

@@ -11,14 +11,13 @@ import (
 	"go/types"
 	"io/fs"
 	"maps"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
-	"autotune/internal/israce"
+	"autotune/internal/testenv"
 )
 
 // deadExportAllowlist names the members of the surface under internal/
@@ -36,10 +35,11 @@ var deadExportAllowlist = map[string]string{
 	"internal/chaos.Injector.Clear":              "test support: the store, tunedb and server fault tests disarm their scripts with it before checking recovery",
 	"internal/chaos.Injector.Injected":           "test support: the server fault tests check how many scripted faults fired",
 	"internal/chaos.Injector.Log":                "test support: the server fault tests name the faults that fired when a count is off",
-	"internal/israce.Enabled":                    "test support: the AllocationBudget tests skip themselves under the race detector, whose instrumentation allocates",
 	"internal/objective.CachingEvaluator.Lookup": "public API, test support: the tests of objective, tunedb, surrogate and resilience read what a cache holds through it without counting an evaluation",
 	"internal/server.Client.Healthz":             "test support: the server and cmd/tuned tests poll readiness and degradation through the client; operators read /healthz directly",
 	"internal/server.requestError.Unwrap":        "errors.As reaches it through the standard library's anonymous interface: the handler finds the *http.MaxBytesError behind a request defect and answers 413",
+	"internal/testenv.Race":                      "test support: the AllocationBudget tests skip themselves under the race detector, whose instrumentation allocates",
+	"internal/testenv.Pin":                       "test support: the tests compare every pinned file through it, and rewrite it under -update",
 }
 
 // unsetKnobAllowlist names the settings under internal/ that the knob
@@ -710,43 +710,14 @@ const apiPath = "testdata/api.txt"
 // public API shows as a diff of that file and is declared with the
 // change; -update rewrites it.
 func TestPublicAPIPinned(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("type-checks the module and the standard library from source; the plain run covers it")
 	}
 	s, err := moduleSurface()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := strings.Join(s.api, "\n") + "\n"
-	if *updateGolden {
-		if err := os.WriteFile(apiPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(apiPath)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got == string(want) {
-		return
-	}
-	pinned := map[string]bool{}
-	for _, line := range strings.Split(strings.TrimSuffix(string(want), "\n"), "\n") {
-		pinned[line] = true
-	}
-	var diff []string
-	for _, line := range s.api {
-		if !pinned[line] {
-			diff = append(diff, "+ "+line)
-		}
-		delete(pinned, line)
-	}
-	for line := range pinned {
-		diff = append(diff, "- "+line)
-	}
-	sort.Strings(diff)
-	t.Errorf("the public API differs from %s (declare the change and rerun with -update):\n%s", apiPath, strings.Join(diff, "\n"))
+	testenv.Pin(t, apiPath, []byte(strings.Join(s.api, "\n")+"\n"))
 }
 
 // verdict is the gate's judgement of a set of findings: one error per
@@ -800,7 +771,7 @@ func judge(findings []surfaceFinding, dead, knob map[string]string) verdict {
 // that no allowlist names with a reason, and on an entry there that is
 // no longer flagged.
 func TestExportedMeansUsed(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("one goroutine type-checking source: the race detector only makes it six times slower; the plain run and the CI Size ledger step cover it")
 	}
 	s, err := moduleSurface()
@@ -831,7 +802,7 @@ func TestExportedMeansUsed(t *testing.T) {
 // findings pass with a reason for each, and fail with PublicConfig.Knob
 // unnamed, with an empty reason, or with a stale entry for it.
 func TestSurfaceClassifier(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("type-checks the standard library from source; the plain run covers it")
 	}
 	src := map[string]string{

@@ -1,14 +1,12 @@
 package autotune
 
 import (
-	"bytes"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"testing"
 
-	"autotune/internal/israce"
+	"autotune/internal/testenv"
 )
 
 // exampleNames lists the programs under examples/.
@@ -37,7 +35,7 @@ func TestExamples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs seven programs")
 	}
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the example binaries are not built with the race detector")
 	}
 	goTool, err := exec.LookPath("go")
@@ -61,22 +59,7 @@ func TestExamples(t *testing.T) {
 				return
 			}
 			path := filepath.Join("testdata", "examples", name+".txt")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, out, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create it)", err)
-			}
-			if !bytes.Equal(out, want) {
-				t.Fatalf("%s output differs from %s:\ngot:\n%s\nwant:\n%s", name, path, out, want)
-			}
+			testenv.Pin(t, path, out)
 		})
 	}
 }

@@ -4,16 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
 	"autotune/internal/export"
+	"autotune/internal/testenv"
 )
-
-var updateGolden = flag.Bool("update", false, "regenerate the testdata/golden_*.json files of the selected Golden tests, testdata/examples of TestExamples and testdata/api.txt of TestPublicAPIPinned, from the current code")
 
 const (
 	goldenFrontsPath = "testdata/golden_fronts.json"
@@ -160,43 +157,18 @@ func computeGoldenFronts(t *testing.T) map[string]goldenFront {
 	return out
 }
 
-// checkGolden holds compute's cells byte-identical to the JSON map at
-// path, at GOMAXPROCS 1 and 4; with -update it rewrites the file from
-// the current code instead.
-func checkGolden[T comparable](t *testing.T, path string, compute func(*testing.T) map[string]T) {
+// checkGolden pins compute's cells, as indented JSON, to the file at
+// path, at GOMAXPROCS 1 and 4.
+func checkGolden[T any](t *testing.T, path string, compute func(*testing.T) map[string]T) {
 	t.Helper()
-	if *updateGolden {
-		data, err := json.MarshalIndent(compute(t), "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]T
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			got := compute(t)
-			if len(got) != len(want) {
-				t.Errorf("%d golden cells computed, %d in %s", len(got), len(want), path)
+			data, err := json.MarshalIndent(compute(t), "", "  ")
+			if err != nil {
+				t.Fatal(err)
 			}
-			for id, g := range got {
-				if w, ok := want[id]; !ok {
-					t.Errorf("%s: not in %s", id, path)
-				} else if g != w {
-					t.Errorf("%s: got %v, golden %v", id, g, w)
-				}
-			}
+			testenv.Pin(t, path, append(data, '\n'))
 		})
 	}
 }
@@ -206,7 +178,7 @@ func checkGolden[T comparable](t *testing.T, path string, compute func(*testing.
 // always generated on the commit *before* the change it guards (the
 // evaluation hot path, then selection and ranking), so it is a
 // statement against that code rather than self-consistency; regenerate
-// it (go test -run Golden -update .) only for a change that is meant to
+// it (go test . -run Golden -update) only for a change that is meant to
 // move fronts.
 func TestGoldenFronts(t *testing.T) {
 	checkGolden(t, goldenFrontsPath, computeGoldenFronts)

@@ -144,11 +144,12 @@ type Options struct {
 	// after every completed generation (evolutionary methods only).
 	CheckpointPath string
 	// ResumeFrom resumes an interrupted search from the checkpoint
-	// journal at this path instead of starting fresh; the finished
-	// run's front is byte-identical to the same-seed uninterrupted run.
-	// The snapshot must come from an identically configured search; its
-	// initial population, warm-start seeds included, is read from the
-	// snapshot, so the stored front may have moved since.
+	// journal at this path, and journals into it, instead of starting
+	// fresh; the finished run's front is byte-identical to the same-seed
+	// uninterrupted run. The snapshot must come from an identically
+	// configured search; its initial population, warm-start seeds
+	// included, is read from the snapshot, so the stored front may have
+	// moved since.
 	ResumeFrom string
 	// OnProgress, when set, fires once per evaluated batch — a
 	// generation, for the evolutionary methods — that produced fresh
@@ -477,6 +478,8 @@ func CheckOptions(opt Options, joint bool) error {
 	case opt.checkpointed() && !can.checkpoint:
 		return fmt.Errorf("driver: method %q keeps no resumable generation state; checkpoint/resume needs one of: %s",
 			method, methodsThat(func(c capabilities) bool { return c.checkpoint }))
+	case opt.ResumeFrom != "" && opt.CheckpointPath != "" && opt.CheckpointPath != opt.ResumeFrom:
+		return fmt.Errorf("driver: CheckpointPath %q would never be written: a resumed search journals into ResumeFrom %q; drop one or give both the same path", opt.CheckpointPath, opt.ResumeFrom)
 	}
 	if method == MethodRace {
 		// What the race itself would refuse, by the check Run makes.

@@ -305,6 +305,19 @@ func TestCheckOptionsRefusesWhatTheRaceWould(t *testing.T) {
 	}
 }
 
+// TestCheckOptionsRefusesACheckpointAResumeWouldDrop: a resumed search
+// journals into ResumeFrom, so a CheckpointPath naming another file was
+// never written. It is refused, naming both; one path for both is not.
+func TestCheckOptionsRefusesACheckpointAResumeWouldDrop(t *testing.T) {
+	err := CheckOptions(Options{CheckpointPath: "a.ckpt", ResumeFrom: "b.ckpt"}, false)
+	if err == nil || !strings.Contains(err.Error(), `CheckpointPath "a.ckpt"`) || !strings.Contains(err.Error(), `ResumeFrom "b.ckpt"`) {
+		t.Errorf("a checkpoint the resume would drop: %v", err)
+	}
+	if err := CheckOptions(Options{CheckpointPath: "a.ckpt", ResumeFrom: "a.ckpt"}, false); err != nil {
+		t.Errorf("one path for both refused: %v", err)
+	}
+}
+
 // TestTuneKernelMOTPESerial covers the serial MOTPE method selector.
 func TestTuneKernelMOTPESerial(t *testing.T) {
 	opt := fastOpts()

@@ -3,11 +3,11 @@ package driver
 import (
 	"testing"
 
-	"autotune/internal/israce"
 	"autotune/internal/multiversion"
 	"autotune/internal/optimizer"
 	"autotune/internal/pareto"
 	"autotune/internal/skeleton"
+	"autotune/internal/testenv"
 )
 
 // emitFixture is a prepared mm problem and a synthetic 12-point front
@@ -61,7 +61,7 @@ func TestEmitUnitLeavesProgramUntouched(t *testing.T) {
 }
 
 func TestEmitUnitAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	p, res := emitFixture(t)

@@ -6,9 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +14,7 @@ import (
 	"autotune/internal/machine"
 	"autotune/internal/optimizer"
 	"autotune/internal/skeleton"
+	"autotune/internal/testenv"
 	"autotune/internal/tunedb"
 )
 
@@ -122,36 +121,11 @@ func TestGoldenChain(t *testing.T) {
 					got[id] = chainCell(t, id, kernel, c.db, c.set)
 				}
 			}
-			if *update {
-				data, err := json.MarshalIndent(got, "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			raw, err := os.ReadFile(path)
+			data, err := json.MarshalIndent(got, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want map[string]chainPin
-			if err := json.Unmarshal(raw, &want); err != nil {
-				t.Fatal(err)
-			}
-			var bad []string
-			for id, pin := range got {
-				if want[id] != pin {
-					bad = append(bad, fmt.Sprintf("%s: got %+v, want %+v", id, pin, want[id]))
-				}
-			}
-			if len(want) != len(got) {
-				bad = append(bad, fmt.Sprintf("%s holds %d cells, the test %d", path, len(want), len(got)))
-			}
-			if len(bad) > 0 {
-				t.Fatalf("evaluator chain differs from %s:\n%s", path, strings.Join(bad, "\n"))
-			}
+			testenv.Pin(t, path, append(data, '\n'))
 		})
 	}
 }

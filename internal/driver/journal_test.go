@@ -8,11 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 
 	"autotune/internal/machine"
 	"autotune/internal/optimizer"
+	"autotune/internal/testenv"
 	"autotune/internal/tunedb"
 )
 
@@ -110,36 +110,11 @@ func TestCheckpointJournalsPinned(t *testing.T) {
 				sum := sha256.Sum256(data)
 				got[c.id] = journalPin{SHA256: hex.EncodeToString(sum[:]), Bytes: len(data)}
 			}
-			if *update {
-				data, err := json.MarshalIndent(got, "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			raw, err := os.ReadFile(path)
+			data, err := json.MarshalIndent(got, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want map[string]journalPin
-			if err := json.Unmarshal(raw, &want); err != nil {
-				t.Fatal(err)
-			}
-			var bad []string
-			for id, pin := range got {
-				if want[id] != pin {
-					bad = append(bad, fmt.Sprintf("%s: got %+v, want %+v", id, pin, want[id]))
-				}
-			}
-			if len(want) != len(got) {
-				bad = append(bad, fmt.Sprintf("%s holds %d journals, the cases %d", path, len(want), len(got)))
-			}
-			if len(bad) > 0 {
-				t.Fatalf("checkpoint journals differ from %s:\n%s", path, strings.Join(bad, "\n"))
-			}
+			testenv.Pin(t, path, append(data, '\n'))
 		})
 	}
 }

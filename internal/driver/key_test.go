@@ -3,8 +3,6 @@ package driver
 import (
 	"context"
 	"encoding/json"
-	"flag"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,10 +11,9 @@ import (
 	"autotune/internal/machine"
 	"autotune/internal/objective"
 	"autotune/internal/optimizer"
+	"autotune/internal/testenv"
 	"autotune/internal/tunedb"
 )
-
-var update = flag.Bool("update", false, "rewrite the testdata pins of the selected tests from the current code")
 
 // TestProblemKeyMatchesJournaledKey: ProblemKey must derive exactly the
 // key TuneKernel journals under, or service-side dedup would miss the
@@ -151,24 +148,7 @@ func TestProgressSequencesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data = append(data, '\n')
-	const path = "testdata/progress.json"
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(want) {
-		t.Errorf("progress sequences differ from %s:\n%s", path, data)
-	}
+	testenv.Pin(t, "testdata/progress.json", append(data, '\n'))
 }
 
 // TestEveryOptionFieldIsClassified walks Options by reflection: every

@@ -3,7 +3,6 @@ package driver
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,6 +13,7 @@ import (
 	"autotune/internal/machine"
 	"autotune/internal/optimizer"
 	"autotune/internal/perfmodel"
+	"autotune/internal/testenv"
 )
 
 const customSrc = `
@@ -261,19 +261,5 @@ func TestDerivedModelsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
-	const path = "testdata/derived_models.json"
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("derived models differ from %s", path)
-	}
+	testenv.Pin(t, "testdata/derived_models.json", append(got, '\n'))
 }

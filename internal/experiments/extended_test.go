@@ -3,15 +3,14 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
-	"autotune/internal/israce"
 	"autotune/internal/machine"
+	"autotune/internal/testenv"
 )
 
 func TestExtendedComparisonQuick(t *testing.T) {
@@ -70,7 +69,7 @@ var (
 // hierarchy per configuration would allocate the Westmere L3's lines
 // 13 times over.
 func TestValidationAllocationBudget(t *testing.T) {
-	if testing.Short() || israce.Enabled {
+	if testing.Short() || testenv.Race {
 		t.Skip("trace-driven simulation; the race detector's instrumentation allocates")
 	}
 	if _, err := validation(); err != nil {
@@ -117,7 +116,7 @@ func TestValidationExperiment(t *testing.T) {
 // the cache simulator does, Kendall τ ≥ 0.90 at L1, L2 and L3 on both
 // machines. mm's L1 reads 0.90 exactly, hence the tolerance.
 func TestValidationRankFloor(t *testing.T) {
-	if testing.Short() || israce.Enabled {
+	if testing.Short() || testenv.Race {
 		t.Skip("trace-driven simulation: 13 s plain, minutes under the race detector")
 	}
 	res, err := validation()
@@ -185,19 +184,5 @@ func TestValidationReportsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
-	const path = "testdata/validation.json"
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("validation reports differ from %s:\n%s", path, got)
-	}
+	testenv.Pin(t, "testdata/validation.json", append(got, '\n'))
 }

@@ -2,18 +2,15 @@ package experiments
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
 	"autotune/internal/kernels"
 	"autotune/internal/machine"
 	"autotune/internal/optimizer"
+	"autotune/internal/testenv"
 )
-
-var update = flag.Bool("update", false, "rewrite the testdata pins of the selected tests from the current code")
 
 const raceStandingsPath = "testdata/race_standings.json"
 
@@ -80,21 +77,5 @@ func TestRaceStandingsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(raceStandingsPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(raceStandingsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("race standings differ from %s:\n%s", raceStandingsPath, got)
-	}
+	testenv.Pin(t, raceStandingsPath, append(got, '\n'))
 }

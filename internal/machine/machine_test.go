@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"autotune/internal/israce"
+	"autotune/internal/testenv"
 )
 
 func TestPredefinedMachinesValidate(t *testing.T) {
@@ -238,7 +238,7 @@ func TestPlacementSummariesMatchPerSocketCounts(t *testing.T) {
 }
 
 func TestPinAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	m := Westmere()

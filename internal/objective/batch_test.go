@@ -11,10 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"autotune/internal/israce"
 	"autotune/internal/kernels"
 	"autotune/internal/machine"
 	"autotune/internal/skeleton"
+	"autotune/internal/testenv"
 )
 
 // followed reports whether cfg is in flight with a follower waiting for
@@ -411,7 +411,7 @@ func bytesPerRun(runs int, f func()) float64 {
 // under 5 KiB. A batch answered from the cache alone costs the result
 // slice.
 func TestSimEvaluateAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	batches := make([][]skeleton.Config, 102)
@@ -458,7 +458,7 @@ func stubKernel() *kernels.Kernel {
 // KiB a batch of 30 two-value configurations (the string-keyed cache
 // took 7.0 KiB), held under 5 KiB.
 func TestMeasuredEvaluateAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	m, err := NewMeasured(stubKernel(), 0, 0)

@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"autotune/internal/israce"
 	"autotune/internal/skeleton"
+	"autotune/internal/testenv"
 )
 
 // referencePrime is the per-record Prime that PrimeBatch replaced, over
@@ -215,7 +215,7 @@ func keysOf(cfgs []skeleton.Config) []string {
 // index's doublings — measured at 33 allocations and 87 KiB; the
 // string-keyed cache paid three allocations a record.
 func TestPrimeAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	cfgs, objs := primeRecords(1000)
@@ -240,7 +240,7 @@ func TestPrimeAllocationBudget(t *testing.T) {
 // binary search, so it costs the result slice alone, as a batch of
 // table hits does.
 func TestPrimedLayerHitsRenderNoString(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	cfgs, objs := primeRecords(3500)

@@ -11,9 +11,9 @@ import (
 	"runtime"
 	"testing"
 
-	"autotune/internal/israce"
 	"autotune/internal/skeleton"
 	"autotune/internal/stats"
+	"autotune/internal/testenv"
 )
 
 // tableEvaluator is a stub evaluator: a configuration's objectives are
@@ -77,7 +77,7 @@ func benchPopulation(n, nObjs int) []individual {
 
 func skipUnderRace(t *testing.T) {
 	t.Helper()
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 }

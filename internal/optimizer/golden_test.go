@@ -4,18 +4,15 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"sync/atomic"
 	"testing"
 
 	"autotune/internal/objective"
 	"autotune/internal/optimizer"
 	"autotune/internal/skeleton"
+	"autotune/internal/testenv"
 )
-
-var updateGolden = flag.Bool("update", false, "regenerate testdata/golden_shapes.json and golden_standings.json from the current code")
 
 const (
 	goldenShapesPath    = "testdata/golden_shapes.json"
@@ -127,20 +124,7 @@ func TestGoldenRaceStandings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
-	if *updateGolden {
-		if err := os.WriteFile(goldenStandingsPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(goldenStandingsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("race standings differ from %s:\n%s", goldenStandingsPath, got)
-	}
+	testenv.Pin(t, goldenStandingsPath, append(got, '\n'))
 }
 
 // TestGoldenShapes holds the searches of goldenShapeRuns byte-identical
@@ -164,34 +148,6 @@ func TestGoldenShapes(t *testing.T) {
 			AllPoints:  len(res.AllPoints),
 		}
 	}
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenShapesPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	data, err := os.ReadFile(goldenShapesPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]goldenShape
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Errorf("%d golden shapes computed, %d in %s", len(got), len(want), goldenShapesPath)
-	}
-	for id, g := range got {
-		if w, ok := want[id]; !ok {
-			t.Errorf("%s: not in %s", id, goldenShapesPath)
-		} else if g != w {
-			t.Errorf("%s: got %+v, golden %+v", id, g, w)
-		}
-	}
 	// The shapes Spec must keep apart: one island is the serial search's
 	// points in the merged, canonically sorted order, not its bytes, and
 	// a zero IslandOptions is four islands.
@@ -202,4 +158,9 @@ func TestGoldenShapes(t *testing.T) {
 	if four.E <= serial.E {
 		t.Errorf("defaulted islands E = %d, not above the serial %d", four.E, serial.E)
 	}
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	testenv.Pin(t, goldenShapesPath, append(data, '\n'))
 }

@@ -4,9 +4,9 @@ import (
 	"slices"
 	"testing"
 
-	"autotune/internal/israce"
 	"autotune/internal/skeleton"
 	"autotune/internal/stats"
+	"autotune/internal/testenv"
 )
 
 func TestSeededPopulation(t *testing.T) {
@@ -88,7 +88,7 @@ func TestInitialPopulationSeeding(t *testing.T) {
 // list and its slab, and a warm-start seed its clamped copy; one
 // allocation per draw before.
 func TestSeededPopulationAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	space := schafferSpace()

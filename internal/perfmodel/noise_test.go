@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"autotune/internal/israce"
 	"autotune/internal/machine"
+	"autotune/internal/testenv"
 )
 
 // referenceNoise is the oracle for the noise hash's byte stream: fmt
@@ -127,7 +127,7 @@ func TestRepetitionsMatchTimeUnrolled(t *testing.T) {
 }
 
 func TestModelAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	mo := New(machine.Westmere())

@@ -10,13 +10,13 @@ import (
 	"strings"
 	"testing"
 
-	"autotune/internal/israce"
 	"autotune/internal/objective"
 	"autotune/internal/optimizer"
 	"autotune/internal/pareto"
 	"autotune/internal/resilience"
 	"autotune/internal/skeleton"
 	"autotune/internal/store"
+	"autotune/internal/testenv"
 )
 
 func ckptSpace() skeleton.Space {
@@ -599,7 +599,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 // grown to a generation's size, saving one allocates nothing — not the
 // encoded snapshot, not its frame.
 func TestCheckpointSaveAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	snap := benchSnapshot()

@@ -3,7 +3,7 @@ package rts
 import (
 	"testing"
 
-	"autotune/internal/israce"
+	"autotune/internal/testenv"
 )
 
 // dispatchPolicies are the four built-in policies, each with the
@@ -83,7 +83,7 @@ var invokeAllocCeiling = map[string]float64{
 // TestInvokeAllocationBudget holds every policy's Invoke, healthy and
 // falling back, to its allocation ceiling.
 func TestInvokeAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	for k, c := range dispatchPolicies {

@@ -3,9 +3,7 @@ package rts
 import (
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,9 +12,8 @@ import (
 	"autotune/internal/machine"
 	"autotune/internal/multiversion"
 	"autotune/internal/optimizer"
+	"autotune/internal/testenv"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/policies.json from the current code")
 
 // pinCores are the core budgets every ranking is taken under; 0 is
 // unrestricted.
@@ -284,29 +281,7 @@ func TestPolicyChoicesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data = append(data, '\n')
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, exp := strings.Split(string(data), "\n"), strings.Split(string(want), "\n")
-			for i := range got {
-				if i >= len(exp) || got[i] != exp[i] {
-					t.Fatalf("the runtime's choices differ from %s at line %d: %s", path, i+1, got[i])
-				}
-			}
-			if len(got) != len(exp) {
-				t.Fatalf("%s has %d lines, the runtime's choices %d", path, len(exp), len(got))
-			}
+			testenv.Pin(t, path, append(data, '\n'))
 		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"autotune/internal/chaos"
+	"autotune/internal/testenv"
 )
 
 // metricsScrapes names the points of metricsScript at which /metrics is
@@ -125,19 +125,7 @@ func TestMetricsPinned(t *testing.T) {
 				fmt.Fprintf(&b, "# scrape: %s\n", metricsScrapes[i])
 				b.WriteString(clockSeries.ReplaceAllString(text, "${1}<clock>"))
 			}
-			if *update {
-				if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b.String() != string(want) {
-				t.Errorf("/metrics differs from %s:\n%s", path, b.String())
-			}
+			testenv.Pin(t, path, []byte(b.String()))
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -16,9 +15,8 @@ import (
 
 	"autotune/internal/optimizer"
 	"autotune/internal/resilience"
+	"autotune/internal/testenv"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/restart.json and testdata/metrics.txt from the current code")
 
 // writeForeignJournal writes at path a complete checkpoint journal that
 // was written for another problem: a job resuming from it fails.
@@ -155,23 +153,7 @@ func TestRestartPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data = append(data, '\n')
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(data) != string(want) {
-				t.Errorf("a drain and restart differ from %s:\n%s", path, data)
-			}
+			testenv.Pin(t, path, append(data, '\n'))
 		})
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"autotune/internal/israce"
+	"autotune/internal/testenv"
 )
 
 // referenceKey is the oracle for Config.Key's bytes, which are
@@ -51,7 +51,7 @@ func FuzzConfigKeyMatchesReference(f *testing.F) {
 }
 
 func TestConfigKeyAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	cfg := Config{32, 64, 128, 40}

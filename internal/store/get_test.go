@@ -16,7 +16,7 @@ import (
 	"testing"
 
 	"autotune/internal/chaos"
-	"autotune/internal/israce"
+	"autotune/internal/testenv"
 )
 
 // The read paths cutFrame, frameReader and segment.get replaced, kept
@@ -119,7 +119,7 @@ func bytesPerRun(runs int, f func()) float64 {
 // one that read its block into a buffer of its own allocated the block,
 // 5,376 bytes for a block of these records.
 func TestSegmentGetAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	st := mustOpen(t, t.TempDir(), Options{Shards: 1, NoBackgroundCompaction: true})

@@ -17,7 +17,7 @@ import (
 	"testing"
 
 	"autotune/internal/chaos"
-	"autotune/internal/israce"
+	"autotune/internal/testenv"
 )
 
 // The scan Store.Iter replaced, kept as the reference the rebuilt one is
@@ -349,7 +349,7 @@ func TestIterPrefixReadsOneShard(t *testing.T) {
 // its own — over memtable streams, which allocate nothing either, Next
 // allocates nothing at all. container/heap boxed every record twice.
 func TestMergeAllocatesNothing(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const streams, perStream = 8, 400

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"autotune/internal/israce"
+	"autotune/internal/testenv"
 )
 
 // TestIterMatchesSortedKeys is the order property test: for random
@@ -159,7 +159,7 @@ func TestIterSnapshotIsolation(t *testing.T) {
 // read every chunk into a buffer of its own allocated what it read:
 // 1,058 KiB and 4,229 KiB.
 func TestScanAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops what it is given")
 	}
 	const budget = 8 << 10

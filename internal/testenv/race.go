@@ -1,0 +1,5 @@
+//go:build race
+
+package testenv
+
+const race = true

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 
 	"autotune/internal/ir"
-	"autotune/internal/israce"
+	"autotune/internal/testenv"
 )
 
 func mmProgram(n int64) *ir.Program {
@@ -378,7 +378,7 @@ func TestFailingRewriteLeavesProgramUntouched(t *testing.T) {
 // expression per tiled level cost 13. Parallelizing and annotating
 // allocate nothing. A batch of more versions adds none.
 func TestApplyAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	p := mmProgram(64)

@@ -6,8 +6,8 @@ import (
 	"math"
 	"testing"
 
-	"autotune/internal/israce"
 	"autotune/internal/skeleton"
+	"autotune/internal/testenv"
 )
 
 // walCounts sums the WAL frames and the records inside them over every
@@ -197,7 +197,7 @@ func FuzzEvalValueMatchesReference(f *testing.F) {
 // is allocate per record for a key, the registry lookup, the JSON walk
 // or the frame.
 func TestPutEvalsAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	for _, n := range []int{30, 120} {

@@ -17,10 +17,10 @@ import (
 	"testing"
 
 	"autotune/internal/chaos"
-	"autotune/internal/israce"
 	"autotune/internal/machine"
 	"autotune/internal/objective"
 	"autotune/internal/skeleton"
+	"autotune/internal/testenv"
 )
 
 // referenceDecodeEvalValue is the decoder decodeEvalValue replaced: the
@@ -276,7 +276,7 @@ func newCache() *objective.CachingEvaluator {
 // own allocated 654,704 bytes keeping 238,224 at 1,500 records and
 // 2,830,960 keeping 950,912 at 6,000.
 func TestWarmCacheAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops what it is given")
 	}
 	for _, n := range []int{1500, 6000} {

@@ -15,10 +15,10 @@ import (
 	"unsafe"
 
 	"autotune/internal/chaos"
-	"autotune/internal/israce"
 	"autotune/internal/objective"
 	"autotune/internal/skeleton"
 	"autotune/internal/store"
+	"autotune/internal/testenv"
 )
 
 // warmReference is Warm as commit 6b95eeb had it: scan the key's
@@ -789,7 +789,7 @@ func TestResidentBudget(t *testing.T) {
 // history into its map allocated the map, some 100 KiB for 1,500
 // records and 400 KiB for 6,000.
 func TestWarmResidentAllocationBudget(t *testing.T) {
-	if israce.Enabled {
+	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const budget, byteBudget = 40, 2 << 10
