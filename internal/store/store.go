@@ -237,7 +237,8 @@ func (st *Store) takeCompactErr() error {
 // means the write did NOT take effect: the key is not stored and will
 // not reappear on reopen. Writes that fail at the disk degrade the
 // owning shard (WAL faults) or the whole store (flush faults) to
-// read-only; see Health and Recover. Put is PutBatch of one record.
+// read-only; see Health and Recover. Put is PutBatch of one record, and
+// keeps what PutBatch keeps.
 func (st *Store) Put(key string, value []byte) error {
 	return st.PutBatch([]string{key}, [][]byte{value})
 }
@@ -251,6 +252,10 @@ func (st *Store) Put(key string, value []byte) error {
 // batch across shards could not be made all-or-nothing and is refused
 // before anything is written. A later record supersedes an earlier
 // one under the same key; an empty batch is a no-op.
+//
+// The store copies the values and keeps the key strings, but neither
+// slice: once PutBatch returns, the caller may reuse keys, values and
+// the bytes the values were cut from.
 func (st *Store) PutBatch(keys []string, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("store: batch of %d keys and %d values", len(keys), len(values))

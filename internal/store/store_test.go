@@ -221,6 +221,78 @@ func TestPutBatch(t *testing.T) {
 	check(st2, "after reopen")
 }
 
+// TestPutBatchCopiesWhatItIsHanded: a caller may reuse its key list,
+// its value list and the bytes the values were cut from as soon as Put
+// or PutBatch returns — the store copies the values and keeps only the
+// key strings, which no caller can write. Get, Iter and a reopen all
+// return what was handed over, not what the caller's buffers hold
+// after.
+func TestPutBatchCopiesWhatItIsHanded(t *testing.T) {
+	dir := t.TempDir()
+	opt := small()
+	opt.ShardBy = byPrefixLetter
+	opt.memtableBytes = 1 << 20 // everything stays in the memtable until reopen
+	st := mustOpen(t, dir, opt)
+
+	const n = 20
+	want := map[string]string{}
+	buf := make([]byte, 0, 16*n)
+	keys := make([]string, 0, n)
+	vals := make([][]byte, 0, n)
+	for i := 0; i < n; i++ {
+		k, v := fmt.Sprintf("a%03d", i), fmt.Sprintf("value-%d", i)
+		at := len(buf)
+		buf = append(buf, v...)
+		keys, vals = append(keys, k), append(vals, buf[at:len(buf):len(buf)])
+		want[k] = v
+	}
+	one := []byte("lone value")
+	if err := st.PutBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("a999", one); err != nil {
+		t.Fatal(err)
+	}
+	want["a999"] = "lone value"
+	for i := range buf {
+		buf[i] = '#'
+	}
+	for i := range one {
+		one[i] = '#'
+	}
+	for i := range keys {
+		keys[i], vals[i] = "a-overwritten", []byte("overwritten")
+	}
+
+	check := func(st *Store, when string) {
+		t.Helper()
+		for k, v := range want {
+			if got, ok, err := st.Get(k); err != nil || !ok || string(got) != v {
+				t.Fatalf("%s: Get(%s) = %q %v %v, want %q", when, k, got, ok, err, v)
+			}
+		}
+		it := st.Iter("a")
+		defer it.Close()
+		seen := 0
+		for it.Next() {
+			if v, ok := want[it.Key()]; !ok || string(it.Value()) != v {
+				t.Fatalf("%s: Iter yields %q = %q, want %q (stored: %v)", when, it.Key(), it.Value(), v, ok)
+			}
+			seen++
+		}
+		if err := it.Err(); err != nil || seen != len(want) {
+			t.Fatalf("%s: Iter yields %d records, want %d: %v", when, seen, len(want), err)
+		}
+	}
+	check(st, "in the memtable")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := mustOpen(t, dir, Options{Shards: opt.Shards, ShardBy: byPrefixLetter})
+	defer st2.Close()
+	check(st2, "after reopen")
+}
+
 // TestPutBatchTornAppendLosesTheWholeBatch: a batch whose WAL append
 // tears takes effect nowhere — not in the open store, not after reopen,
 // where the torn frame is dropped with every record it held — while the
