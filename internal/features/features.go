@@ -85,13 +85,17 @@ func Extract(p *ir.Program) (Set, error) {
 		s.FlopsPerIteration += st.Flops
 		s.ReadsPerIteration += len(st.Reads)
 		s.WritesPerIteration += len(st.Writes)
-		for _, ac := range st.Accesses() {
-			arrays[ac.Array] = true
-			totalAcc++
-			if len(ac.Indices) > 0 {
-				last := ac.Indices[len(ac.Indices)-1]
-				if last.Coeff(innermost) == 1 {
-					unitStride++
+		// The writes, then the reads, walked in place: Stmt.Accesses
+		// would build a slice of them per statement.
+		for _, acs := range [...][]ir.Access{st.Writes, st.Reads} {
+			for _, ac := range acs {
+				arrays[ac.Array] = true
+				totalAcc++
+				if len(ac.Indices) > 0 {
+					last := ac.Indices[len(ac.Indices)-1]
+					if last.Coeff(innermost) == 1 {
+						unitStride++
+					}
 				}
 			}
 		}
@@ -115,9 +119,11 @@ func Extract(p *ir.Program) (Set, error) {
 	}
 	bytesPerIter := 0
 	for _, st := range stmts {
-		for _, ac := range st.Accesses() {
-			if a, ok := p.ArrayByName(ac.Array); ok {
-				bytesPerIter += a.ElemBytes
+		for _, acs := range [...][]ir.Access{st.Writes, st.Reads} {
+			for _, ac := range acs {
+				if a, ok := p.ArrayByName(ac.Array); ok {
+					bytesPerIter += a.ElemBytes
+				}
 			}
 		}
 	}

@@ -18,6 +18,9 @@ func TestKeyStringAndTransferable(t *testing.T) {
 	if !strings.HasPrefix(s, k.Fingerprint+"|") {
 		t.Fatalf("key string %q does not lead with the fingerprint", s)
 	}
+	if ks, prefix := renderKeyStrings(k); ks != s || prefix != evalStoreKey(s, "") {
+		t.Fatalf("renderKeyStrings = %q, %q; want %q, %q", ks, prefix, s, evalStoreKey(s, ""))
+	}
 
 	other := k
 	other.MachineSig = "elsewhere"

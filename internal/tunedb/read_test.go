@@ -269,12 +269,17 @@ func newCache() *objective.CachingEvaluator {
 // record; before the decoder was rebuilt a warm start spent some 18 —
 // reflection, boxed heap entries, a copy of every value and of every
 // objective vector. In bytes: what the warm start keeps (the resident
-// history the cache reads in place) and once more that much, since the
-// history's slices grow by doubling and so copy at most what they come
-// to hold, plus 128 KiB. The segments are read into recycled chunks,
-// which cost nothing; a scan that read every chunk into a buffer of its
-// own allocated 654,704 bytes keeping 238,224 at 1,500 records and
-// 2,830,960 keeping 950,912 at 6,000.
+// history the cache reads in place, its slices allocated once at the
+// scanned length with the room settle leaves) plus a quarter of that
+// and 32 KiB for what the store allocates for the scan, the sorted
+// snapshot of the memtable it reads — a third of the records here —
+// the most of it. The scan is gathered into scratch it reuses and the
+// segments are read into recycled chunks, which cost nothing. A scan
+// that read every chunk into a buffer of its own allocated 654,704
+// bytes keeping 238,224 at 1,500 records and 2,830,960 keeping 950,912
+// at 6,000; one that grew the history's slices by doubling 433,912 and
+// 1,946,616; one that sizes them once 274,664 keeping 242,176 and
+// 954,600 keeping 803,328.
 func TestWarmCacheAllocationBudget(t *testing.T) {
 	if testenv.Race {
 		t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops what it is given")
@@ -292,7 +297,7 @@ func TestWarmCacheAllocationBudget(t *testing.T) {
 			t.Fatalf("Warm over %d records allocates %.0f times, budget %.0f", n, perWarm, budget)
 		}
 		allocated, kept := scanningWarmBytes(t, db, key, n)
-		if budget := 2*kept + 128<<10; allocated > budget {
+		if budget := kept + kept/4 + 32<<10; allocated > budget {
 			t.Errorf("Warm over %d records allocates %d bytes and keeps %d, budget %d", n, allocated, kept, budget)
 		}
 		t.Logf("%d records: %.3f allocations a record; %d bytes allocated, %d kept", n, perWarm/float64(n), allocated, kept)

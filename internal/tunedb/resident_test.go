@@ -15,6 +15,7 @@ import (
 	"unsafe"
 
 	"autotune/internal/chaos"
+	"autotune/internal/machine"
 	"autotune/internal/objective"
 	"autotune/internal/skeleton"
 	"autotune/internal/store"
@@ -782,6 +783,88 @@ func TestResidentBudget(t *testing.T) {
 	expect("a warmed, too large", 0, 1, 6)
 }
 
+// TestNamesTableHoldsOnlyKeptKeys: the table of rendered key names
+// gains a key when it is written under or a warm start keeps it
+// resident, never on a read of a key that is not stored — a server
+// asked about any number of keys it never tuned does not grow it — and
+// not on a warm start too large to keep. A key's entry serves every
+// operation on it: the strings PutEvals files under are the table's.
+func TestNamesTableHoldsOnlyKeptKeys(t *testing.T) {
+	dir := t.TempDir()
+	db := mustOpen(t, dir)
+	defer func() { db.Close() }()
+	names := func() int {
+		db.namesMu.RLock()
+		defer db.namesMu.RUnlock()
+		return len(db.names)
+	}
+	expect := func(when string, want int) {
+		t.Helper()
+		if got := names(); got != want {
+			t.Fatalf("%s: the table holds %d keys, want %d", when, got, want)
+		}
+	}
+	key := func(i int) Key {
+		k := testKey()
+		k.Fingerprint = fmt.Sprintf("pg%016x", i)
+		return k
+	}
+	for i := 0; i < 20; i++ {
+		k := key(i)
+		if _, ok := db.GetEval(k, skeleton.Config{1, 2}); ok {
+			t.Fatal("GetEval found an evaluation in an empty database")
+		}
+		if _, ok := db.Front(k); ok {
+			t.Fatal("Front found a front in an empty database")
+		}
+		if _, _, ok := db.NearestFront(k, machine.SignatureOf(machine.Westmere())); ok {
+			t.Fatal("NearestFront found a front in an empty database")
+		}
+		if n, err := db.EvalCount(k); err != nil || n != 0 {
+			t.Fatalf("EvalCount = %d, %v", n, err)
+		}
+	}
+	expect("after reads of keys never stored", 0)
+
+	cfgs, objs := generation(1, 30)
+	if err := db.PutEvals(key(1), cfgs, keysOf(cfgs), objs); err != nil {
+		t.Fatal(err)
+	}
+	expect("after a write", 1)
+	if err := db.PutFront(testFront(key(2))); err != nil {
+		t.Fatal(err)
+	}
+	expect("after a front is written", 2)
+	mustWarm(t, db, key(3))
+	expect("after a warm start kept an empty key resident", 3)
+	ks, prefix := db.keyStrings(key(1))
+	if ks != key(1).String() || prefix != evalStoreKey(ks, "") {
+		t.Fatalf("the table names key 1 %q, %q", ks, prefix)
+	}
+	db.namesMu.RLock()
+	n := db.names[key(1)]
+	db.namesMu.RUnlock()
+	if n == nil || !n.registered.Load() || unsafe.StringData(n.ks) != unsafe.StringData(ks) {
+		t.Fatalf("key 1's entry %+v is not the one its operations read", n)
+	}
+
+	// A reopened database starts with an empty table: a warm start too
+	// large to keep adds nothing, one that is kept its key.
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = mustOpen(t, dir)
+	db.res.budget = 10
+	expect("after a reopen", 0)
+	mustWarm(t, db, key(1))
+	if records, _, _ := db.Residency(); records != 0 {
+		t.Fatalf("%d records resident over a budget of 10", records)
+	}
+	expect("after a warm start too large to keep", 0)
+	mustWarm(t, db, key(2))
+	expect("after a warm start kept a key resident", 1)
+}
+
 // TestWarmResidentAllocationBudget bounds what a warm start from a
 // resident history allocates: a constant, in allocations and in bytes,
 // however long the history — nothing is read, nothing decoded, and the
@@ -991,7 +1074,7 @@ func TestResidentKeepsTheCacheKeys(t *testing.T) {
 	for _, ck := range handed {
 		same[unsafe.StringData(ck)] = true
 	}
-	warmCfgs, warmKeys, _, err := db.history(key.String())
+	warmCfgs, warmKeys, _, err := db.history(key)
 	if err != nil || len(warmKeys) != len(cfgs) {
 		t.Fatalf("history: %d keys, %v", len(warmKeys), err)
 	}

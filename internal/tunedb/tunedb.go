@@ -42,6 +42,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"autotune/internal/chaos"
 	"autotune/internal/machine"
@@ -93,11 +94,67 @@ type DB struct {
 	st  *store.Store
 	res *resident
 
-	// registered holds the canonical strings of the keys whose registry
-	// record this open database has stored or found stored. The record
-	// is never deleted, so a key acknowledged once needs no further
-	// read.
-	registered sync.Map
+	// names holds what the database renders of every key it has written
+	// under or kept resident, rendered once; see keyNames.
+	namesMu sync.RWMutex
+	names   map[Key]*keyNames
+}
+
+// keyNames is what the database renders of one key: its canonical
+// string and the store prefix of its evaluations, which the resident
+// histories, the locks and the store keys are named by, and whether the
+// key's registry record is known to be stored. A key enters the table
+// when it is written under or when a warm start keeps it resident; a
+// read of any other key renders its strings for the one call, so reads
+// of keys never stored do not grow the table.
+type keyNames struct {
+	ks         string
+	evalPrefix string
+	// registered: this open database has stored the key's registry
+	// record or found it stored. The record is never deleted, so a key
+	// acknowledged once needs no further read.
+	registered atomic.Bool
+}
+
+// lookupNames returns the key's entry in the table, nil when it has
+// none.
+func (db *DB) lookupNames(key Key) *keyNames {
+	db.namesMu.RLock()
+	defer db.namesMu.RUnlock()
+	return db.names[key]
+}
+
+// keyStrings returns the key's canonical string and evaluation prefix,
+// the table's when it holds the key.
+func (db *DB) keyStrings(key Key) (ks, evalPrefix string) {
+	if n := db.lookupNames(key); n != nil {
+		return n.ks, n.evalPrefix
+	}
+	return renderKeyStrings(key)
+}
+
+// renderKeyStrings renders the evaluation prefix, evalStoreKey(ks, ""),
+// in one string and cuts ks = key.String() from it.
+func renderKeyStrings(key Key) (ks, evalPrefix string) {
+	evalPrefix = nsEval + key.Fingerprint + "|" + key.MachineSig + "|" + key.Objectives + "|" + key.SpaceHash + "|"
+	return evalPrefix[len(nsEval) : len(evalPrefix)-1], evalPrefix
+}
+
+// keptNames returns the key's entry in the table, entering it first if
+// it has none.
+func (db *DB) keptNames(key Key) *keyNames {
+	if n := db.lookupNames(key); n != nil {
+		return n
+	}
+	ks, evalPrefix := renderKeyStrings(key)
+	db.namesMu.Lock()
+	defer db.namesMu.Unlock()
+	n := db.names[key]
+	if n == nil {
+		n = &keyNames{ks: ks, evalPrefix: evalPrefix}
+		db.names[key] = n
+	}
+	return n
 }
 
 // storeOptions is the engine configuration every tunedb database uses.
@@ -160,7 +217,7 @@ func OpenFS(dir string, fsys chaos.FS) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tunedb: %w", err)
 	}
-	return &DB{st: st, res: newResident()}, nil
+	return &DB{st: st, res: newResident(), names: map[Key]*keyNames{}}, nil
 }
 
 // Health reports the underlying store's degradation state: whether any
@@ -208,6 +265,32 @@ func (db *DB) PutEval(key Key, cfg skeleton.Config, objs []float64) error {
 	return db.PutEvals(key, []skeleton.Config{cfg}, []string{cfg.Key()}, [][]float64{objs})
 }
 
+// writeScratch is what PutEvals builds a batch in: the store keys and
+// values it hands the store, the buffer the values are encoded into and
+// the records it enters into the history. None of it outlives the call
+// — the store copies the values and keeps only the key strings (see
+// store.PutBatch), and the history copies the records — so the scratch
+// goes back to writeScratches for the next batch.
+type writeScratch struct {
+	keys []string
+	vals [][]byte
+	buf  []byte
+	kept []keptEval
+}
+
+var writeScratches = sync.Pool{New: func() any { return new(writeScratch) }}
+
+// release gives the scratch back, holding no pointer: a store key or a
+// configuration key it kept would pin the memory it lies in.
+func (s *writeScratch) release() {
+	clear(s.keys[:cap(s.keys)])
+	clear(s.vals[:cap(s.vals)])
+	clear(s.kept[:cap(s.kept)])
+	poison(s.buf[:cap(s.buf)], 0xff)
+	s.keys, s.vals, s.buf, s.kept = s.keys[:0], s.vals[:0], s.buf[:0], s.kept[:0]
+	writeScratches.Put(s)
+}
+
 // PutEvals stores a batch of evaluated configurations under key —
 // objs[i] is the result of cfgs[i], nil for a known failure, and cks[i]
 // is cfgs[i].Key(), as the evaluation cache hands it to its observers —
@@ -220,16 +303,18 @@ func (db *DB) PutEval(key Key, cfg skeleton.Config, objs []float64) error {
 // that writes an evaluation, and it writes through: a batch the store
 // acknowledged enters the resident history, copied, under the cks
 // strings themselves; a batch it refused, for whatever reason, ends the
-// key's residency.
+// key's residency. What it allocates is what the store and the history
+// keep: the batch's store keys, and the copies.
 func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, cks []string, objs [][]float64) error {
 	if len(cfgs) != len(objs) || len(cfgs) != len(cks) {
 		return fmt.Errorf("tunedb: batch of %d configurations, %d keys and %d results", len(cfgs), len(cks), len(objs))
 	}
-	ks := key.String()
+	names := db.keptNames(key)
+	ks, prefix := names.ks, names.evalPrefix
 	defer db.res.lockKey(ks).Unlock()
 	h := db.res.lookup(ks, false)
-	var kept []keptEval // what goes to the store, for the history
-	prefix := evalStoreKey(ks, "")
+	s := writeScratches.Get().(*writeScratch)
+	defer s.release()
 	// The store keys are cut from one string built to its exact size:
 	// the memtable keeps them, so a buffer grown by doubling would be
 	// kept with its slack. The history takes the cks strings, never a
@@ -245,12 +330,10 @@ func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, cks []string, objs [][]f
 		sb.WriteString(ck)
 	}
 	storeKeys := sb.String()
-	keys := make([]string, 0, len(cfgs)+1)
-	vals := make([][]byte, 0, len(cfgs)+1)
 	// The values are encoded end to end into one buffer (a value of a
 	// four-parameter, two-objective evaluation is some 70 bytes); if it
 	// has to grow, the values cut from it so far keep the old one.
-	buf := make([]byte, 0, 96*len(cfgs))
+	buf := slices.Grow(s.buf, 96*len(cfgs))
 	for i, cfg := range cfgs {
 		at := len(buf)
 		var err error
@@ -267,7 +350,7 @@ func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, cks []string, objs [][]f
 			// sameEval comes down to for a value that decodes.
 			at, ok := h.find(ck)
 			if same = ok && equalObjs(h.objs[at], objs[i]); !same {
-				kept = append(kept, keptEval{i: i, ck: ck, at: at, stored: ok})
+				s.kept = append(s.kept, keptEval{i: i, ck: ck, at: at, stored: ok})
 			}
 		} else if old, ok, err := db.st.Get(sk); err != nil {
 			return fmt.Errorf("tunedb: %w", err)
@@ -278,18 +361,19 @@ func (db *DB) PutEvals(key Key, cfgs []skeleton.Config, cks []string, objs [][]f
 			buf = buf[:at]
 			continue
 		}
-		keys = append(keys, sk)
-		vals = append(vals, val)
+		s.keys = append(s.keys, sk)
+		s.vals = append(s.vals, val)
 	}
-	if len(keys) == 0 {
+	s.buf = buf
+	if len(s.keys) == 0 {
 		return nil
 	}
-	if err := db.putRegistered(key, ks, keys, vals); err != nil {
+	if err := db.putRegistered(key, names, s.keys, s.vals); err != nil {
 		db.res.drop(ks)
 		return err
 	}
 	if h != nil {
-		db.res.grew(ks, h, h.add(kept, cfgs, objs))
+		db.res.grew(ks, h, h.add(s.kept, cfgs, objs))
 	}
 	return nil
 }
@@ -506,14 +590,14 @@ func jsonNumberLen(b []byte) (n int, integer bool) {
 	return i, integer
 }
 
-// putRegistered stores the records — all under key, whose canonical
-// string is ks — in one store batch, together with the registry record
-// that makes key discoverable by ScanKeys the first time this
-// open database writes under it.
-func (db *DB) putRegistered(key Key, ks string, keys []string, vals [][]byte) error {
-	_, known := db.registered.Load(ks)
+// putRegistered stores the records — all under key, whose names are
+// names — in one store batch, together with the registry record that
+// makes key discoverable by ScanKeys the first time this open database
+// writes under it.
+func (db *DB) putRegistered(key Key, names *keyNames, keys []string, vals [][]byte) error {
+	known := names.registered.Load()
 	if !known {
-		kk := keyStoreKey(ks)
+		kk := keyStoreKey(names.ks)
 		if _, ok, err := db.st.Get(kk); err != nil {
 			return fmt.Errorf("tunedb: %w", err)
 		} else if !ok {
@@ -528,7 +612,7 @@ func (db *DB) putRegistered(key Key, ks string, keys []string, vals [][]byte) er
 		return fmt.Errorf("tunedb: %w", err)
 	}
 	if !known {
-		db.registered.Store(ks, struct{}{})
+		names.registered.Store(true)
 	}
 	return nil
 }
@@ -539,12 +623,12 @@ func (db *DB) putRegistered(key Key, ks string, keys []string, vals [][]byte) er
 // are byte-stable. The write is made durable before PutFront returns.
 func (db *DB) PutFront(rec FrontRecord) error {
 	sortFrontPoints(rec.Points)
-	ks := rec.Key.String()
+	names := db.keptNames(rec.Key)
 	val, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("tunedb: %w", err)
 	}
-	if err := db.putRegistered(rec.Key, ks, []string{frontStoreKey(ks)}, [][]byte{val}); err != nil {
+	if err := db.putRegistered(rec.Key, names, []string{frontStoreKey(names.ks)}, [][]byte{val}); err != nil {
 		return err
 	}
 	if err := db.st.Sync(); err != nil {
@@ -591,7 +675,7 @@ func (db *DB) Front(key Key) (FrontRecord, bool) {
 // front is Front for callers that must tell a failed read or a damaged
 // front from an absent front.
 func (db *DB) front(key Key) (FrontRecord, bool, error) {
-	ks := key.String()
+	ks, _ := db.keyStrings(key)
 	data, ok, err := db.st.Get(frontStoreKey(ks))
 	if err != nil {
 		return FrontRecord{}, false, fmt.Errorf("tunedb: %w", err)
@@ -647,7 +731,8 @@ func (db *DB) Jobs(fn func(id string, rec []byte) error) error {
 // resident key answers from its history, hit or miss, without a read: its
 // history is all the key holds. objs is the caller's.
 func (db *DB) GetEval(key Key, cfg skeleton.Config) (objs []float64, ok bool) {
-	ks, ck := key.String(), cfg.Key()
+	ks, prefix := db.keyStrings(key)
+	ck := cfg.Key()
 	mu := db.res.lockKey(ks)
 	if h := db.res.lookup(ks, false); h != nil {
 		at, ok := h.find(ck)
@@ -658,7 +743,7 @@ func (db *DB) GetEval(key Key, cfg skeleton.Config) (objs []float64, ok bool) {
 		return slices.Clone(objs), ok
 	}
 	mu.Unlock()
-	data, ok, err := db.st.Get(evalStoreKey(ks, ck))
+	data, ok, err := db.st.Get(prefix + ck)
 	if err != nil || !ok {
 		return nil, false
 	}
@@ -671,7 +756,8 @@ func (db *DB) GetEval(key Key, cfg skeleton.Config) (objs []float64, ok bool) {
 // EvalCount returns the number of stored evaluations for a key.
 func (db *DB) EvalCount(key Key) (int, error) {
 	n := 0
-	it := db.st.Iter(nsEval + key.String() + "|")
+	_, prefix := db.keyStrings(key)
+	it := db.st.Iter(prefix)
 	defer it.Close()
 	for it.Next() {
 		n++

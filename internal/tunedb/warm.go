@@ -18,10 +18,14 @@ import (
 // two-objective evaluation costs some 130 bytes as scanned and 150 once
 // batches have been written through and merged (measured on 10^5 and
 // 2x10^5 records of one key: the decoded configuration and objectives,
-// their slice headers, the configuration key), 200 at the worst, every
-// slice just grown: the budget bounds the histories at about 70 MiB,
-// 100 MiB at the worst, and holds the 10^5 records of the tunedb-mixed
-// workload five times.
+// their slice headers, the configuration key). A scan allocates the
+// history's slices once, at its length with an eighth for room, and so
+// does settle, so at the worst — every slice just grown by append, a
+// quarter at a time — a record costs some 160 bytes: the budget bounds
+// the histories at about 70 MiB, 80 MiB at the worst, and holds the
+// 10^5 records of the tunedb-mixed workload five times. A scan that
+// grew the slices by doubling could leave them twice their length,
+// some 200 bytes a record.
 const residentBudget = 1 << 19
 
 // keyLocks is the number of locks the keys of a database share.
@@ -110,19 +114,20 @@ func (r *resident) lookup(ks string, warming bool) *history {
 	return h
 }
 
-// admit makes h, just scanned, the resident history of the key; one
-// larger than the whole budget is not kept.
-func (r *resident) admit(ks string, h *history) {
+// admit makes h, just scanned, the resident history of the key, and
+// reports whether it did: one larger than the whole budget is not kept.
+func (r *resident) admit(ks string, h *history) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.fromScan++
 	if len(h.keys) > r.budget {
-		return
+		return false
 	}
 	r.clock++
 	h.warmed = r.clock
 	r.keys[ks] = h
 	r.charge(h, len(h.keys))
+	return true
 }
 
 // grew charges h, if it still is the key's history, for added records.
@@ -182,41 +187,69 @@ func (db *DB) Residency() (records int, fromResident, fromScan uint64) {
 	return r.records, r.fromResident, r.fromScan
 }
 
-// scanHistory reads the key's evaluations out of the store, in one
-// single-shard scan, the slices as they were decoded.
-func (db *DB) scanHistory(ks string) (*history, error) {
-	prefix := evalStoreKey(ks, "")
-	h := &history{}
+// scanScratch is where scanHistory gathers a scan before it knows how
+// long it is: the decoded records and, end to end, their configuration
+// keys with where each ends. The history is then allocated once, at its
+// length, and the scratch goes back to scanScratches for the next scan.
+type scanScratch struct {
+	cfgs     []skeleton.Config
+	objs     [][]float64
+	ends     []int
+	suffixes []byte
+}
+
+var scanScratches = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// release gives the scratch back, holding no pointer: a configuration
+// or objective vector it kept would pin the slab it was decoded into.
+func (s *scanScratch) release() {
+	clear(s.cfgs[:cap(s.cfgs)])
+	clear(s.objs[:cap(s.objs)])
+	poison(s.ends[:cap(s.ends)], -1)
+	poison(s.suffixes[:cap(s.suffixes)], 0xff)
+	s.cfgs, s.objs, s.ends, s.suffixes = s.cfgs[:0], s.objs[:0], s.ends[:0], s.suffixes[:0]
+	scanScratches.Put(s)
+}
+
+// scanHistory reads the evaluations filed under prefix, the key's
+// evaluation prefix, out of the store in one single-shard scan, the
+// slices as they were decoded. The history's slices are allocated once
+// the scan is over, at its length and with the room settle leaves for
+// the batches that follow a warm start.
+func (db *DB) scanHistory(prefix string) (*history, error) {
+	s := scanScratches.Get().(*scanScratch)
+	defer s.release()
 	// The configuration keys — what is left of the store keys behind
 	// the prefix, ten bytes of a hundred — are gathered end to end and
 	// cut from one string when the scan is over.
-	var suffixes []byte
-	var ends []int
 	err := db.scanEvals(prefix, func(sk string, cfg skeleton.Config, o []float64) bool {
-		if len(h.cfgs) == cap(h.cfgs) {
-			// Doubled by hand: append grows a long slice a quarter at a
-			// time, which for a history of thousands of records copies
-			// five times its final size where doubling copies twice.
-			h.cfgs = slices.Grow(h.cfgs, max(len(h.cfgs), 256))
-			h.objs = slices.Grow(h.objs, max(len(h.objs), 256))
-			ends = slices.Grow(ends, max(len(ends), 256))
-		}
-		h.cfgs, h.objs = append(h.cfgs, cfg), append(h.objs, o)
-		suffixes = append(suffixes, sk[len(prefix):]...)
-		ends = append(ends, len(suffixes))
+		s.cfgs, s.objs = append(s.cfgs, cfg), append(s.objs, o)
+		s.suffixes = append(s.suffixes, sk[len(prefix):]...)
+		s.ends = append(s.ends, len(s.suffixes))
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	all, from := string(suffixes), 0
-	h.keys = make([]string, len(ends))
-	for i, end := range ends {
+	n := len(s.cfgs)
+	room := historyRoom(n)
+	h := &history{
+		keys:   make([]string, n, room),
+		cfgs:   append(make([]skeleton.Config, 0, room), s.cfgs...),
+		objs:   append(make([][]float64, 0, room), s.objs...),
+		sorted: n,
+	}
+	all, from := string(s.suffixes), 0
+	for i, end := range s.ends {
 		h.keys[i], from = all[from:end], end
 	}
-	h.sorted = len(h.keys)
 	return h, nil
 }
+
+// historyRoom is the capacity a history of n records is allocated with:
+// room for the batches that follow a warm start, so that appending them
+// does not copy the history a second time.
+func historyRoom(n int) int { return n + n/8 + 64 }
 
 // find returns where the record filed under ck is, if the key holds
 // one.
@@ -241,9 +274,7 @@ func (h *history) settle() {
 		tail = append(tail, i)
 	}
 	slices.SortFunc(tail, func(a, b int) int { return strings.Compare(h.keys[a], h.keys[b]) })
-	// With room for the batches that follow a warm start: appending
-	// them must not copy the history a second time.
-	room := n + n/8 + 64
+	room := historyRoom(n)
 	keys, cfgs, objs := make([]string, 0, room), make([]skeleton.Config, 0, room), make([][]float64, 0, room)
 	from := 0
 	move := func(to int) {
@@ -343,7 +374,7 @@ func (h *history) add(kept []keptEval, cfgs []skeleton.Config, objs [][]float64)
 // never warm across machines; objective values measured (or modeled) on
 // one machine are meaningless on another.
 func (db *DB) Warm(key Key, ce *objective.CachingEvaluator) (primed int, err error) {
-	cfgs, cks, objs, err := db.history(key.String())
+	cfgs, cks, objs, err := db.history(key)
 	if err != nil {
 		return 0, err
 	}
@@ -353,17 +384,20 @@ func (db *DB) Warm(key Key, ce *objective.CachingEvaluator) (primed int, err err
 // history returns what the key holds, in store-key order: the resident
 // records — configurations, their keys, results — or those of a scan,
 // which become resident.
-func (db *DB) history(ks string) ([]skeleton.Config, []string, [][]float64, error) {
+func (db *DB) history(key Key) ([]skeleton.Config, []string, [][]float64, error) {
+	ks, prefix := db.keyStrings(key)
 	defer db.res.lockKey(ks).Unlock()
 	h := db.res.lookup(ks, true)
 	if h != nil {
 		h.settle()
 	} else {
 		var err error
-		if h, err = db.scanHistory(ks); err != nil {
+		if h, err = db.scanHistory(prefix); err != nil {
 			return nil, nil, nil, err
 		}
-		db.res.admit(ks, h)
+		if db.res.admit(ks, h) {
+			db.keptNames(key)
+		}
 	}
 	return h.cfgs, h.keys, h.objs, nil
 }
